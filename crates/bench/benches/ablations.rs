@@ -53,8 +53,8 @@ fn bench_selection_strategies(c: &mut Criterion) {
 
 fn bench_partition_granularity(c: &mut Criterion) {
     use optim::Optimizer;
-    use smart_infinity::SmartInfinityTrainer;
     use tensorlib::FlatTensor;
+    use ztrain::PipelinedTrainer;
     let mut g = c.benchmark_group("ablation_partition");
     g.sample_size(10);
     let n = 300_000;
@@ -63,7 +63,7 @@ fn bench_partition_granularity(c: &mut Criterion) {
     for csds in [1usize, 2, 4, 8] {
         g.bench_with_input(BenchmarkId::new("functional_step", csds), &csds, |b, &csds| {
             let mut trainer =
-                SmartInfinityTrainer::new(&initial, Optimizer::adam_default(), csds, 40_000)
+                PipelinedTrainer::new(&initial, Optimizer::adam_default(), csds, 40_000)
                     .expect("trainer");
             b.iter(|| trainer.train_step_with_grads(&grads).expect("step"));
         });

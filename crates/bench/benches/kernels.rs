@@ -142,24 +142,17 @@ fn bench_functional_trainers(c: &mut Criterion) {
         b.iter(|| trainer.train_step_with_grads(&grads).expect("step"));
     });
     g.bench_function("smart_infinity_step", |b| {
-        let mut trainer = smart_infinity::SmartInfinityTrainer::new(
-            &initial,
-            Optimizer::adam_default(),
-            4,
-            50_000,
-        )
-        .expect("trainer");
+        let mut trainer =
+            ztrain::PipelinedTrainer::new(&initial, Optimizer::adam_default(), 4, 50_000)
+                .expect("trainer");
         b.iter(|| trainer.train_step_with_grads(&grads).expect("step"));
     });
     g.bench_function("smart_infinity_compressed_step", |b| {
-        let mut trainer = smart_infinity::SmartInfinityTrainer::new(
-            &initial,
-            Optimizer::adam_default(),
-            4,
-            50_000,
-        )
-        .expect("trainer")
-        .with_compression(0.01);
+        let mut trainer =
+            ztrain::PipelinedTrainer::new(&initial, Optimizer::adam_default(), 4, 50_000)
+                .expect("trainer")
+                .with_compression(0.01)
+                .expect("keep ratio");
         b.iter(|| trainer.train_step_with_grads(&grads).expect("step"));
     });
     g.finish();

@@ -8,8 +8,8 @@ use optim::OptimizerKind;
 use parcore::ParExecutor;
 use serde::{Deserialize, Serialize};
 use smart_infinity::{
-    Campaign, CampaignReport, CampaignService, Experiment, MachineSpec, Method, MethodSpec,
-    ModelSpec, RunSpec, ServiceConfig, ServiceError, ServiceReport, Session, SmartInfinityEngine,
+    Campaign, CampaignReport, CampaignService, Experiment, MachineSpec, MethodSpec, ModelSpec,
+    RunSpec, ServiceConfig, ServiceError, ServiceReport, Session, SmartInfinityEngine,
     TrafficMethod, TrafficModel,
 };
 use tensorlib::KernelPath;
@@ -205,11 +205,11 @@ fn ladder_rows(
     machine: MachineConfig,
     workload: Workload,
     optimizer: OptimizerKind,
-    methods: &[Method],
+    methods: &[MethodSpec],
 ) -> Vec<BreakdownRow> {
     let experiment = Experiment::new(machine, workload).with_optimizer(optimizer);
     experiment
-        .compare(methods)
+        .compare_specs(methods)
         .expect("simulation")
         .into_iter()
         .map(|r| BreakdownRow {
@@ -237,7 +237,7 @@ pub fn fig9() -> Vec<BreakdownRow> {
                 MachineConfig::smart_infinity(n),
                 Workload::paper_default(model.clone()),
                 OptimizerKind::Adam,
-                &Method::ladder(),
+                &MethodSpec::ladder(),
             ));
         }
     }
@@ -248,8 +248,11 @@ pub fn fig9() -> Vec<BreakdownRow> {
 /// 10 devices, comparing BASE, SU+O and SU+O+C.
 pub fn fig10() -> Vec<BreakdownRow> {
     let mut rows = Vec::new();
-    let methods =
-        [Method::Baseline, Method::SmartUpdateOptimized, Method::SmartComp { keep_ratio: 0.01 }];
+    let methods = [
+        MethodSpec::baseline(),
+        MethodSpec::smart_update_optimized(),
+        MethodSpec::smart_comp(0.01),
+    ];
     for model in [ModelConfig::gpt2_16_6b(), ModelConfig::gpt2_24_8b(), ModelConfig::gpt2_33b()] {
         for n in [6usize, 10] {
             rows.extend(ladder_rows(
@@ -295,9 +298,9 @@ pub fn fig11a() -> Vec<CsdScalingPoint> {
         for n in [1usize, 2, 4, 6, 8, 10] {
             let machine = MachineConfig::smart_infinity(n).with_gpu(gpu.clone());
             for method in [
-                Method::Baseline,
-                Method::SmartUpdateOptimized,
-                Method::SmartComp { keep_ratio: 0.01 },
+                MethodSpec::baseline(),
+                MethodSpec::smart_update_optimized(),
+                MethodSpec::smart_comp(0.01),
             ] {
                 let t = Session::builder(ModelConfig::gpt2_4b(), machine.clone(), method)
                     .build()
@@ -327,9 +330,9 @@ pub fn fig11b() -> Vec<BreakdownRow> {
             workload.clone(),
             OptimizerKind::Adam,
             &[
-                Method::Baseline,
-                Method::SmartUpdateOptimized,
-                Method::SmartComp { keep_ratio: 0.01 },
+                MethodSpec::baseline(),
+                MethodSpec::smart_update_optimized(),
+                MethodSpec::smart_comp(0.01),
             ],
         ));
     }
@@ -349,9 +352,9 @@ pub fn fig12() -> Vec<BreakdownRow> {
                 Workload::paper_default(ModelConfig::gpt2_4b()),
                 optimizer,
                 &[
-                    Method::Baseline,
-                    Method::SmartUpdateOptimized,
-                    Method::SmartComp { keep_ratio: 0.01 },
+                    MethodSpec::baseline(),
+                    MethodSpec::smart_update_optimized(),
+                    MethodSpec::smart_comp(0.01),
                 ],
             ));
         }
@@ -376,9 +379,9 @@ pub fn fig13() -> Vec<BreakdownRow> {
                 Workload::paper_default(model.clone()),
                 OptimizerKind::Adam,
                 &[
-                    Method::Baseline,
-                    Method::SmartUpdateOptimized,
-                    Method::SmartComp { keep_ratio: 0.01 },
+                    MethodSpec::baseline(),
+                    MethodSpec::smart_update_optimized(),
+                    MethodSpec::smart_comp(0.01),
                 ],
             ));
         }
@@ -459,15 +462,15 @@ pub fn fig15() -> Vec<CostPoint> {
     for gpu in [GpuSpec::a5000(), GpuSpec::a100()] {
         for n in [1usize, 2, 4, 6, 8, 10] {
             let machine = MachineConfig::smart_infinity(n).with_gpu(gpu.clone());
-            let run = |method: Method| {
+            let run = |method: MethodSpec| {
                 Session::builder(ModelConfig::gpt2_4b(), machine.clone(), method)
                     .build()
                     .simulate_iteration()
                     .expect("simulation")
                     .total_s()
             };
-            let base_t = run(Method::Baseline);
-            let smart_t = run(Method::SmartComp { keep_ratio: 0.01 });
+            let base_t = run(MethodSpec::baseline());
+            let smart_t = run(MethodSpec::smart_comp(0.01));
             points.push(CostPoint {
                 gpu: gpu.name.clone(),
                 method: "ZeRO-Inf".to_string(),
@@ -539,14 +542,14 @@ pub fn tab4(epochs: usize) -> Vec<FinetuneRow> {
     let models = [ModelConfig::bert_0_34b(), ModelConfig::gpt2_0_77b(), ModelConfig::gpt2_1_6b()];
     let mut rows = Vec::new();
     for model in models {
-        let run = |method: Method| {
+        let run = |method: MethodSpec| {
             Session::builder(model.clone(), MachineConfig::smart_infinity(6), method)
                 .build()
                 .simulate_iteration()
                 .expect("simulation")
         };
-        let base = run(Method::Baseline);
-        let mut push = |method: Method, label: String, keep: Option<f64>| {
+        let base = run(MethodSpec::baseline());
+        let mut push = |method: MethodSpec, label: String, keep: Option<f64>| {
             let report = run(method);
             rows.push(FinetuneRow {
                 model: model.name().to_string(),
@@ -555,12 +558,12 @@ pub fn tab4(epochs: usize) -> Vec<FinetuneRow> {
                 accuracies_pct: accuracy_suite(keep),
             });
         };
-        push(Method::Baseline, "Baseline".to_string(), None);
-        push(Method::SmartUpdateOptimized, "SU+O".to_string(), None);
+        push(MethodSpec::baseline(), "Baseline".to_string(), None);
+        push(MethodSpec::smart_update_optimized(), "SU+O".to_string(), None);
         for transfer in tab4_transfer_ratios() {
             let keep = transfer / 2.0;
             push(
-                Method::SmartComp { keep_ratio: keep },
+                MethodSpec::smart_comp(keep),
                 format!("SU+O+C ({:.0}%)", transfer * 100.0),
                 Some(keep),
             );
@@ -588,13 +591,13 @@ pub fn fig16() -> Vec<CompressionSensitivityPoint> {
     let mut points = Vec::new();
     for model in [ModelConfig::bert_0_34b(), ModelConfig::gpt2_4b()] {
         for n in [6usize, 10] {
-            let run = |method: Method| {
+            let run = |method: MethodSpec| {
                 Session::builder(model.clone(), MachineConfig::smart_infinity(n), method)
                     .build()
                     .simulate_iteration()
                     .expect("simulation")
             };
-            let su_o = run(Method::SmartUpdateOptimized);
+            let su_o = run(MethodSpec::smart_update_optimized());
             points.push(CompressionSensitivityPoint {
                 model: model.name().to_string(),
                 num_devices: n,
@@ -602,7 +605,7 @@ pub fn fig16() -> Vec<CompressionSensitivityPoint> {
                 total_s: su_o.total_s(),
             });
             for transfer in [0.10, 0.05, 0.02, 0.01] {
-                let t = run(Method::SmartComp { keep_ratio: transfer / 2.0 }).total_s();
+                let t = run(MethodSpec::smart_comp(transfer / 2.0)).total_s();
                 points.push(CompressionSensitivityPoint {
                     model: model.name().to_string(),
                     num_devices: n,
@@ -630,7 +633,7 @@ pub fn fig17() -> Vec<BreakdownRow> {
         );
         rows.extend(
             experiment
-                .compare(&[Method::Baseline, Method::SmartComp { keep_ratio: 0.01 }])
+                .compare_specs(&[MethodSpec::baseline(), MethodSpec::smart_comp(0.01)])
                 .expect("simulation")
                 .into_iter()
                 .map(|r| BreakdownRow {
@@ -1206,9 +1209,9 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
         .collect();
     kernels.push(kernel_perf("topk_exact_1pct", topk_points));
 
-    // One full functional training step on the pipelined backend, 1 lane
-    // worker vs `threads` lane workers (bit-identical results, different
-    // wall-clock — the overlap the pipelined backend is for).
+    // One full functional near-storage training step, 1 lane worker vs
+    // `threads` lane workers (bit-identical results, different wall-clock —
+    // the overlap the lanes are for).
     let run_pipelined = |workers: usize| {
         let initial = FlatTensor::randn(elems, 0.02, 4);
         let mut trainer =

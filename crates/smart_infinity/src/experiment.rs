@@ -1,10 +1,6 @@
 //! The experiment front-end: the paper's method ladder and sweep helpers used
-//! by the benchmark harness, the examples and the integration tests.
-//!
-//! The sweep machinery consumes [`MethodSpec`] capability axes
-//! ([`Experiment::run_spec`], [`Experiment::compare_specs`]); the closed
-//! [`Method`] enum remains as a compatibility alias for the paper's named
-//! ablation points, forwarding through `MethodSpec::from(method)`.
+//! by the benchmark harness, the examples and the integration tests. Methods
+//! are [`MethodSpec`] capability axes throughout.
 
 use crate::engine_timed::SmartInfinityEngine;
 use crate::spec::MethodSpec;
@@ -12,61 +8,7 @@ use fabric::StorageKind;
 use llm::Workload;
 use optim::OptimizerKind;
 use serde::{Deserialize, Serialize};
-use std::fmt;
 use ztrain::{BaselineEngine, IterationReport, MachineConfig, TrainError};
-
-/// The named ablation points of the paper's evaluation.
-///
-/// This is a compatibility shim over [`MethodSpec`]: every variant maps onto
-/// the orthogonal capability axes via `MethodSpec::from(method)`, both types
-/// `Display` the same figure labels, and every front door accepts either
-/// (they take `impl Into<MethodSpec>`). Combinations outside the paper's
-/// ladder — and any future axis — are expressed directly as a `MethodSpec`
-/// instead of a new variant here.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum Method {
-    /// `BASE`: ZeRO-Infinity with software RAID0 and CPU updates.
-    Baseline,
-    /// `SU`: SmartUpdate with the naive per-tasklet buffer handling.
-    SmartUpdate,
-    /// `SU+O`: SmartUpdate with the optimized internal data transfer handler.
-    SmartUpdateOptimized,
-    /// `SU+O+C`: optimized SmartUpdate plus SmartComp gradient compression.
-    SmartComp {
-        /// Fraction of gradient elements kept by the Top-K selection
-        /// (the paper's default is 0.01, i.e. a "2%" transfer ratio).
-        keep_ratio: f64,
-    },
-    /// `SU+O+P`: the pipelined execution backend — per-device write →
-    /// compress/update → read-back stages overlap across the CSDs, and the
-    /// timed view charges the shared uplink per stage instead of per step.
-    /// Functionally bit-identical to [`Method::SmartUpdate`] without
-    /// compression and to [`Method::SmartComp`] with it.
-    SmartInfinityPipelined {
-        /// Optional SmartComp Top-K keep ratio; `None` sends dense gradients.
-        keep_ratio: Option<f64>,
-    },
-}
-
-impl Method {
-    /// The paper's default ablation ladder: BASE, SU, SU+O, SU+O+C (2%).
-    pub fn ladder() -> Vec<Method> {
-        vec![
-            Method::Baseline,
-            Method::SmartUpdate,
-            Method::SmartUpdateOptimized,
-            Method::SmartComp { keep_ratio: 0.01 },
-        ]
-    }
-}
-
-/// The paper's figure labels, identical to the [`MethodSpec`] the variant
-/// maps onto (allocation-free: the formatting composes from the axes).
-impl fmt::Display for Method {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        MethodSpec::from(*self).fmt(f)
-    }
-}
 
 /// One method's result within an experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -153,15 +95,6 @@ impl Experiment {
         Ok(report)
     }
 
-    /// Compatibility wrapper: simulates one iteration with a named method.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TrainError`] wrapping any simulation-kernel failure.
-    pub fn run(&self, method: Method) -> Result<IterationReport, TrainError> {
-        self.run_spec(&method.into())
-    }
-
     fn smart_engine(&self) -> SmartInfinityEngine {
         SmartInfinityEngine::new(self.smart_machine(), self.workload.clone(), self.optimizer)
             .with_subgroup_elems(self.subgroup_elems)
@@ -193,21 +126,6 @@ impl Experiment {
             .collect()
     }
 
-    /// Compatibility wrapper over [`Experiment::compare_specs`] for named
-    /// methods.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TrainError`] wrapping any simulation-kernel failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `methods` is empty.
-    pub fn compare(&self, methods: &[Method]) -> Result<Vec<MethodReport>, TrainError> {
-        let specs: Vec<MethodSpec> = methods.iter().map(MethodSpec::from).collect();
-        self.compare_specs(&specs)
-    }
-
     /// Convenience: the full paper ladder (BASE / SU / SU+O / SU+O+C at 2%).
     ///
     /// # Errors
@@ -232,58 +150,39 @@ mod tests {
 
     #[test]
     fn labels_match_the_paper() {
-        assert_eq!(Method::Baseline.to_string(), "BASE");
-        assert_eq!(Method::SmartUpdate.to_string(), "SU");
-        assert_eq!(Method::SmartUpdateOptimized.to_string(), "SU+O");
-        assert_eq!(Method::SmartComp { keep_ratio: 0.01 }.to_string(), "SU+O+C(2%)");
-        assert_eq!(Method::SmartInfinityPipelined { keep_ratio: None }.to_string(), "SU+O+P");
-        assert_eq!(
-            Method::SmartInfinityPipelined { keep_ratio: Some(0.01) }.to_string(),
-            "SU+O+P+C(2%)"
-        );
-        assert_eq!(Method::ladder().len(), 4);
+        let labels: Vec<String> =
+            experiment(6).ladder().unwrap().into_iter().map(|r| r.label).collect();
+        assert_eq!(labels, ["BASE", "SU", "SU+O", "SU+O+C(2%)"]);
     }
 
     #[test]
-    fn spec_and_enum_front_ends_agree() {
+    fn off_ladder_specs_compose_and_incoherent_ones_are_rejected() {
         let exp = experiment(6);
-        // The off-ladder combination the enum cannot express: compression
-        // under the naive handler (SU+C). It must be slower than SU+O+C and
-        // faster than plain SU.
-        let su_c =
-            crate::MethodSpec::smart_update().with_compression(crate::CompressionSpec::top_k(0.01));
+        // Off the paper's ladder: compression under the naive handler (SU+C).
+        // It must be slower than SU+O+C and faster than plain SU.
+        let su_c = MethodSpec::smart_update().with_compression(crate::CompressionSpec::top_k(0.01));
         let su_c_t = exp.run_spec(&su_c).unwrap().total_s();
-        let su_t = exp.run(Method::SmartUpdate).unwrap().total_s();
-        let su_o_c_t = exp.run(Method::SmartComp { keep_ratio: 0.01 }).unwrap().total_s();
+        let su_t = exp.run_spec(&MethodSpec::smart_update()).unwrap().total_s();
+        let su_o_c_t = exp.run_spec(&MethodSpec::smart_comp(0.01)).unwrap().total_s();
         assert!(su_o_c_t < su_c_t && su_c_t < su_t, "{su_o_c_t} < {su_c_t} < {su_t}");
-        // Enum-built and spec-built runs are the same simulation.
-        for method in [
-            Method::Baseline,
-            Method::SmartUpdate,
-            Method::SmartUpdateOptimized,
-            Method::SmartComp { keep_ratio: 0.01 },
-            Method::SmartInfinityPipelined { keep_ratio: Some(0.01) },
-        ] {
-            assert_eq!(exp.run(method).unwrap(), exp.run_spec(&method.into()).unwrap(), "{method}");
-        }
         // An incoherent spec is rejected up front, not deep in the engine.
-        let bad = crate::MethodSpec { overlap: false, ..crate::MethodSpec::pipelined(None) };
+        let bad = MethodSpec { overlap: false, ..MethodSpec::pipelined(None) };
         assert!(matches!(exp.run_spec(&bad), Err(TrainError::Config { .. })));
     }
 
     #[test]
     fn pipelined_method_is_at_least_as_fast_as_its_serial_counterpart() {
         let exp = experiment(6);
-        let su_o = exp.run(Method::SmartUpdateOptimized).unwrap();
-        let pipe = exp.run(Method::SmartInfinityPipelined { keep_ratio: None }).unwrap();
+        let su_o = exp.run_spec(&MethodSpec::smart_update_optimized()).unwrap();
+        let pipe = exp.run_spec(&MethodSpec::pipelined(None)).unwrap();
         assert!(
             pipe.total_s() <= su_o.total_s() * 1.001,
             "{} vs {}",
             pipe.total_s(),
             su_o.total_s()
         );
-        let comp = exp.run(Method::SmartComp { keep_ratio: 0.01 }).unwrap();
-        let pipe_comp = exp.run(Method::SmartInfinityPipelined { keep_ratio: Some(0.01) }).unwrap();
+        let comp = exp.run_spec(&MethodSpec::smart_comp(0.01)).unwrap();
+        let pipe_comp = exp.run_spec(&MethodSpec::pipelined(Some(0.01))).unwrap();
         assert!(pipe_comp.total_s() <= comp.total_s() * 1.001);
         assert!(pipe_comp.total_s() < pipe.total_s(), "compression still helps when pipelined");
     }
@@ -298,15 +197,17 @@ mod tests {
 
     #[test]
     fn optimizer_override_affects_the_baseline_state_volume() {
-        let adam = experiment(6).run(Method::Baseline).unwrap();
-        let sgd =
-            experiment(6).with_optimizer(OptimizerKind::SgdMomentum).run(Method::Baseline).unwrap();
+        let adam = experiment(6).run_spec(&MethodSpec::baseline()).unwrap();
+        let sgd = experiment(6)
+            .with_optimizer(OptimizerKind::SgdMomentum)
+            .run_spec(&MethodSpec::baseline())
+            .unwrap();
         assert!(sgd.update_s < adam.update_s);
     }
 
     #[test]
     #[should_panic(expected = "at least one method")]
     fn empty_compare_panics() {
-        let _ = experiment(2).compare(&[]);
+        let _ = experiment(2).compare_specs(&[]);
     }
 }

@@ -15,21 +15,22 @@
 //!   [`Experiment`] front-end runs the paper's method ladder (BASE → SU →
 //!   SU+O → SU+O+C) and every figure of the evaluation is produced from it
 //!   (see the `bench` crate).
-//! * **Functional** — [`SmartInfinityTrainer`] really distributes the
-//!   flattened parameters across [`csd::CsdDevice`] models, really runs the
-//!   FPGA updater/decompressor kernels and really produces updated FP16
-//!   parameters, so SmartUpdate's bit-equivalence to the baseline and
-//!   SmartComp's accuracy behaviour are testable facts rather than claims.
+//! * **Functional** — [`PipelinedTrainer`] really distributes the flattened
+//!   parameters across [`csd::CsdDevice`] models, really runs the FPGA
+//!   updater/decompressor kernels and really produces updated FP16
+//!   parameters, so SmartUpdate's bit-equivalence to the baseline
+//!   ([`StorageOffloadTrainer`]) and SmartComp's accuracy behaviour are
+//!   testable facts rather than claims.
 //!
 //! The three ideas of the paper map to:
 //!
 //! | Paper | Here |
 //! |---|---|
-//! | SmartUpdate (Section IV-A) | [`Method::SmartUpdate`], [`SmartInfinityEngine`], [`SmartInfinityTrainer`] |
+//! | SmartUpdate (Section IV-A) | [`MethodSpec::smart_update`], [`SmartInfinityEngine`], [`PipelinedTrainer`] |
 //! | Internal data-transfer handler (Section IV-B) | [`HandlerMode`], the subgroup pipeline in [`SmartInfinityEngine`] |
-//! | SmartComp gradient compression (Section IV-C) | [`Method::SmartComp`], `gradcomp` + `csd::Decompressor` |
-//! | Multi-CSD distribution (Section IV-D) | [`tensorlib::Partitioner`] inside [`SmartInfinityTrainer`] |
-//! | Cross-CSD phase overlap (Sections IV-B/IV-D) | [`Method::SmartInfinityPipelined`], [`ztrain::PipelinedTrainer`], [`PipelineTiming`] |
+//! | SmartComp gradient compression (Section IV-C) | [`MethodSpec::smart_comp`], `gradcomp` + `csd::Decompressor` |
+//! | Multi-CSD distribution (Section IV-D) | [`tensorlib::Partitioner`] inside [`PipelinedTrainer`] |
+//! | Cross-CSD phase overlap (Sections IV-B/IV-D) | [`MethodSpec::pipelined`], the lanes of [`PipelinedTrainer`], [`PipelineTiming`] |
 //!
 //! # Quick start
 //!
@@ -88,7 +89,6 @@
 mod campaign;
 mod canon;
 pub mod cluster;
-mod engine_functional;
 mod engine_timed;
 mod experiment;
 pub mod sched;
@@ -102,9 +102,8 @@ pub use campaign::{
 };
 pub use canon::{canonical_json, fnv1a};
 pub use cluster::{ClusterScheduler, ClusterSpec, StragglerSpec};
-pub use engine_functional::SmartInfinityTrainer;
 pub use engine_timed::{HandlerMode, PipelineTiming, SmartInfinityEngine};
-pub use experiment::{Experiment, Method, MethodReport};
+pub use experiment::{Experiment, MethodReport};
 pub use sched::{
     compare_schedulers, method_scheduler, PipelinedScheduler, SchedulerRun, SerialNaiveScheduler,
     SerialOverlapScheduler,
@@ -148,10 +147,10 @@ mod tests {
     fn method_ladder_is_monotone_at_ten_csds() {
         let workload = Workload::paper_default(ModelConfig::gpt2_4b());
         let exp = Experiment::new(MachineConfig::smart_infinity(10), workload);
-        let base = exp.run(Method::Baseline).unwrap();
-        let su = exp.run(Method::SmartUpdate).unwrap();
-        let suo = exp.run(Method::SmartUpdateOptimized).unwrap();
-        let suoc = exp.run(Method::SmartComp { keep_ratio: 0.01 }).unwrap();
+        let base = exp.run_spec(&MethodSpec::baseline()).unwrap();
+        let su = exp.run_spec(&MethodSpec::smart_update()).unwrap();
+        let suo = exp.run_spec(&MethodSpec::smart_update_optimized()).unwrap();
+        let suoc = exp.run_spec(&MethodSpec::smart_comp(0.01)).unwrap();
         let s_su = su.speedup_over(&base);
         let s_suo = suo.speedup_over(&base);
         let s_suoc = suoc.speedup_over(&base);

@@ -2,17 +2,13 @@
 //! a method's capability axes — and the library decides *where* the update
 //! runs.
 //!
-//! Before this module existed the public API forked per substrate:
-//! `ztrain::StorageOffloadTrainer::new(...)` for the host baseline,
-//! `SmartInfinityTrainer::new(...).with_*()` for the near-storage system, and
-//! `Experiment::run(Method)` for the timed view — three dialects for one
-//! system. A [`Session`] makes the [`MethodSpec`] the single switch for both
-//! views (the compat [`crate::Method`] enum converts implicitly):
+//! A [`Session`] makes the [`MethodSpec`] the single switch for both views
+//! of the system:
 //!
 //! * [`Session::trainer`] builds the matching *functional* trainer behind a
-//!   `Box<dyn Trainer>` — no `in_storage_update` yields the RAID0 baseline,
-//!   the in-storage axes yield a [`SmartInfinityTrainer`] or the overlapping
-//!   [`ztrain::PipelinedTrainer`], compressed when the spec says so.
+//!   `Box<dyn Trainer>`, chosen by where the update runs: on the host, the
+//!   RAID0 baseline ([`StorageOffloadTrainer`]); in the CSDs, the
+//!   near-storage [`PipelinedTrainer`], compressed when the spec says so.
 //! * [`Session::simulate_iteration`] runs the *timed* model of the same
 //!   configuration and returns the per-phase breakdown.
 //!
@@ -25,7 +21,6 @@ use crate::cluster::ClusterSpec;
 use crate::engine_timed::{HandlerMode, SmartInfinityEngine};
 use crate::experiment::Experiment;
 use crate::spec::MethodSpec;
-use crate::SmartInfinityTrainer;
 use fabric::StorageKind;
 use faultkit::{FaultPlan, FaultSpec, TimedFaultEffects};
 use llm::{ModelConfig, Workload};
@@ -166,17 +161,16 @@ pub struct Session {
 }
 
 impl Session {
-    /// Starts building a session for the given model, machine and method —
-    /// either a composed [`MethodSpec`] or a named [`crate::Method`] variant.
+    /// Starts building a session for the given model, machine and method.
     pub fn builder(
         model: ModelConfig,
         machine: MachineConfig,
-        method: impl Into<MethodSpec>,
+        method: MethodSpec,
     ) -> SessionBuilder {
         SessionBuilder {
             model,
             machine,
-            method: method.into(),
+            method,
             optimizer: Optimizer::adam_default(),
             threads: 1,
             handler: None,
@@ -243,15 +237,15 @@ impl Session {
             .filter(|effects| !effects.is_empty())
     }
 
-    /// Builds the functional trainer this session's capability axes select:
-    /// no `in_storage_update` yields the ZeRO-Infinity-style
-    /// [`StorageOffloadTrainer`] over `machine.num_devices` RAID0 SSDs; the
-    /// in-storage axes yield a [`SmartInfinityTrainer`] over the same number
-    /// of CSDs — or the overlapping [`PipelinedTrainer`] when `pipelined` is
-    /// set (bit-identical to the serial trainers, with per-stage telemetry in
-    /// its step reports) — compressed with the spec's selector when the
-    /// compression axis is enabled. (The `overlap` axis is purely a *timing*
-    /// feature; it does not change the functional result.)
+    /// Builds the functional trainer this session's capability axes select,
+    /// by where the update runs: no `in_storage_update` yields the
+    /// ZeRO-Infinity-style [`StorageOffloadTrainer`] over
+    /// `machine.num_devices` RAID0 SSDs; with it, the near-storage
+    /// [`PipelinedTrainer`] over the same number of CSDs, compressed with the
+    /// spec's selector when the compression axis is enabled. (`overlap` and
+    /// `pipelined` are *timing* axes; they do not change the functional
+    /// trainer, whose lanes overlap whenever the session has more than one
+    /// worker thread.)
     ///
     /// # Errors
     ///
@@ -273,9 +267,8 @@ impl Session {
             )));
         }
         let subgroup = self.functional_subgroup_elems(initial_params.len());
-        let spec = &self.method;
         let plan = self.fault_plan();
-        if !spec.uses_csds() {
+        if !self.method.uses_csds() {
             let mut trainer =
                 StorageOffloadTrainer::new(initial_params, self.optimizer, devices, subgroup)?;
             if let Some(plan) = plan {
@@ -283,43 +276,15 @@ impl Session {
             }
             return Ok(Box::new(trainer));
         }
-        if spec.pipelined {
-            let mut trainer =
-                PipelinedTrainer::new(initial_params, self.optimizer, devices, subgroup)?;
-            if let Some(compression) = &spec.compression {
-                trainer = trainer.with_compressor(compression.compressor());
-            }
-            if self.threads > 1 {
-                trainer = trainer.with_threads(self.threads);
-            }
-            if let Some(plan) = plan {
-                trainer = trainer.with_fault_plan(plan);
-            }
-            Ok(Box::new(trainer))
-        } else {
-            let mut trainer = self.smart_trainer(initial_params, devices, subgroup)?;
-            if let Some(compression) = &spec.compression {
-                trainer = trainer.with_compressor(compression.compressor());
-            }
-            if let Some(plan) = plan {
-                trainer = trainer.with_fault_plan(plan);
-            }
-            Ok(Box::new(trainer))
+        let mut trainer = PipelinedTrainer::new(initial_params, self.optimizer, devices, subgroup)?
+            .with_threads(self.threads);
+        if let Some(compression) = &self.method.compression {
+            trainer = trainer.with_compressor(compression.compressor());
         }
-    }
-
-    fn smart_trainer(
-        &self,
-        initial_params: &FlatTensor,
-        devices: usize,
-        subgroup: usize,
-    ) -> Result<SmartInfinityTrainer, TrainError> {
-        let mut trainer =
-            SmartInfinityTrainer::new(initial_params, self.optimizer, devices, subgroup)?;
-        if self.threads > 1 {
-            trainer = trainer.with_threads(self.threads);
+        if let Some(plan) = plan {
+            trainer = trainer.with_fault_plan(plan);
         }
-        Ok(trainer)
+        Ok(Box::new(trainer))
     }
 
     /// The subgroup capacity the functional trainers use: the explicit knob,
@@ -348,15 +313,9 @@ impl Session {
             return Ok(crate::cluster::simulate_allreduce(&cluster, &per_host, grad_bytes)?);
         }
         let effects = self.timed_fault_effects();
-        let handler_override = self.handler.filter(|_| self.method.uses_csds());
-        // No fault effects and no handler override: the spec's standard
-        // mapping through the experiment front-end.
-        if effects.is_none() && handler_override.is_none() {
-            return self.experiment()?.run_spec(&self.method);
-        }
         if !self.method.uses_csds() {
-            // Baseline under a fault plan: no in-storage compute to slow, so
-            // only the uplink derating applies.
+            // No in-storage compute to slow or hand off to: of the overrides
+            // only the fault plan's uplink derating applies to the baseline.
             let machine = MachineConfig { storage: StorageKind::PlainSsd, ..self.machine.clone() };
             let mut engine =
                 BaselineEngine::new(machine, self.workload.clone(), self.optimizer.kind());
@@ -371,7 +330,7 @@ impl Session {
         let mut engine =
             SmartInfinityEngine::new(machine, self.workload.clone(), self.optimizer.kind())
                 .with_method_spec(&self.method);
-        if let Some(handler) = handler_override {
+        if let Some(handler) = self.handler {
             engine = engine.with_handler(handler);
         }
         if let Some(elems) = self.subgroup_elems {
@@ -385,7 +344,8 @@ impl Session {
 
     /// The timed sweep view of this configuration: an [`Experiment`] with the
     /// session's machine, workload, optimizer and subgroup capacity, for
-    /// multi-method ladders ([`Experiment::compare`], [`Experiment::ladder`]).
+    /// multi-method ladders ([`Experiment::compare_specs`],
+    /// [`Experiment::ladder`]).
     ///
     /// # Errors
     ///
@@ -407,12 +367,11 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Method;
     use llm::ModelConfig;
     use tensorlib::FlatTensor;
     use ztrain::SyntheticGradients;
 
-    fn session(method: Method) -> Session {
+    fn session(method: MethodSpec) -> Session {
         Session::builder(ModelConfig::gpt2_0_34b(), MachineConfig::smart_infinity(3), method)
             .build()
     }
@@ -422,7 +381,7 @@ mod tests {
         let initial = FlatTensor::randn(600, 0.05, 1);
         let grads = FlatTensor::randn(600, 0.01, 2);
         let mut reports = Vec::new();
-        for method in Method::ladder() {
+        for method in MethodSpec::ladder() {
             let mut trainer = session(method).trainer(&initial).expect("trainer");
             let report = trainer.step(&grads).expect("step");
             assert_eq!(trainer.steps_completed(), 1);
@@ -440,8 +399,8 @@ mod tests {
     #[test]
     fn baseline_and_smartupdate_sessions_train_identically() {
         let initial = FlatTensor::randn(2_000, 0.05, 9);
-        let mut base = session(Method::Baseline).trainer(&initial).expect("trainer");
-        let mut smart = session(Method::SmartUpdate).trainer(&initial).expect("trainer");
+        let mut base = session(MethodSpec::baseline()).trainer(&initial).expect("trainer");
+        let mut smart = session(MethodSpec::smart_update()).trainer(&initial).expect("trainer");
         let mut src_a = SyntheticGradients::new(2_000, 0.01, 17);
         let mut src_b = SyntheticGradients::new(2_000, 0.01, 17);
         for _ in 0..3 {
@@ -457,7 +416,7 @@ mod tests {
 
     #[test]
     fn invalid_keep_ratio_is_a_config_error_not_a_panic() {
-        let s = session(Method::SmartComp { keep_ratio: 0.0 });
+        let s = session(MethodSpec::smart_comp(0.0));
         let err = s.trainer(&FlatTensor::zeros(10)).expect_err("invalid ratio");
         assert!(matches!(err, TrainError::Config { .. }), "{err}");
         let err = s.simulate_iteration().expect_err("invalid ratio");
@@ -466,7 +425,8 @@ mod tests {
 
     #[test]
     fn empty_parameters_are_rejected() {
-        let err = session(Method::Baseline).trainer(&FlatTensor::zeros(0)).expect_err("empty");
+        let err =
+            session(MethodSpec::baseline()).trainer(&FlatTensor::zeros(0)).expect_err("empty");
         assert!(err.to_string().contains("zero parameters"));
     }
 
@@ -475,14 +435,14 @@ mod tests {
         let initial = FlatTensor::randn(2_000, 0.05, 9);
         for keep_ratio in [None, Some(0.05)] {
             let serial_method = match keep_ratio {
-                None => Method::SmartUpdate,
-                Some(keep_ratio) => Method::SmartComp { keep_ratio },
+                None => MethodSpec::smart_update(),
+                Some(keep_ratio) => MethodSpec::smart_comp(keep_ratio),
             };
             let mut serial = session(serial_method).trainer(&initial).expect("trainer");
             let mut pipelined = Session::builder(
                 ModelConfig::gpt2_0_34b(),
                 MachineConfig::smart_infinity(3),
-                Method::SmartInfinityPipelined { keep_ratio },
+                MethodSpec::pipelined(keep_ratio),
             )
             .with_threads(4)
             .build()
@@ -490,9 +450,10 @@ mod tests {
             .expect("trainer");
             let mut src_a = SyntheticGradients::new(2_000, 0.01, 17);
             let mut src_b = SyntheticGradients::new(2_000, 0.01, 17);
+            let mut serial_report = ztrain::StepReport::default();
             let mut report = ztrain::StepReport::default();
             for _ in 0..3 {
-                serial.step_from(&mut src_a).expect("step");
+                serial_report = serial.step_from(&mut src_a).expect("step");
                 report = pipelined.step_from(&mut src_b).expect("step");
             }
             assert_eq!(serial.params_fp16().as_slice(), pipelined.params_fp16().as_slice());
@@ -500,21 +461,21 @@ mod tests {
                 serial.master_params().expect("params").as_slice(),
                 pipelined.master_params().expect("params").as_slice()
             );
-            // Only the pipelined backend reports per-stage overlap telemetry.
-            let stages = report.stages.expect("pipelined telemetry");
-            assert!(stages.is_overlapped());
+            // One worker runs the lanes one after another, four overlap them.
+            assert!(!serial_report.stages.expect("near-storage telemetry").is_overlapped());
+            assert!(report.stages.expect("near-storage telemetry").is_overlapped());
             assert_eq!(report.threads, 4);
         }
     }
 
     #[test]
     fn pipelined_method_drives_the_timed_view() {
-        let s = session(Method::SmartInfinityPipelined { keep_ratio: Some(0.01) });
+        let s = session(MethodSpec::pipelined(Some(0.01)));
         let pipelined = s.simulate_iteration().expect("simulation");
-        let serial = session(Method::SmartComp { keep_ratio: 0.01 }).simulate_iteration().unwrap();
+        let serial = session(MethodSpec::smart_comp(0.01)).simulate_iteration().unwrap();
         assert!(pipelined.total_s() <= serial.total_s() * 1.001);
         // The keep-ratio validation covers the pipelined method too.
-        let err = session(Method::SmartInfinityPipelined { keep_ratio: Some(0.0) })
+        let err = session(MethodSpec::pipelined(Some(0.0)))
             .trainer(&FlatTensor::zeros(10))
             .expect_err("invalid ratio");
         assert!(matches!(err, TrainError::Config { .. }), "{err}");
@@ -522,7 +483,7 @@ mod tests {
 
     #[test]
     fn zero_subgroup_capacity_is_a_config_error_not_a_panic() {
-        for method in [Method::Baseline, Method::SmartInfinityPipelined { keep_ratio: None }] {
+        for method in [MethodSpec::baseline(), MethodSpec::pipelined(None)] {
             let s = Session::builder(
                 ModelConfig::gpt2_0_34b(),
                 MachineConfig::smart_infinity(2),
@@ -543,7 +504,7 @@ mod tests {
 
     #[test]
     fn fewer_parameters_than_devices_is_a_config_error() {
-        let s = session(Method::SmartUpdate);
+        let s = session(MethodSpec::smart_update());
         let err = s.trainer(&FlatTensor::zeros(2)).expect_err("2 params on 3 devices");
         assert!(matches!(err, TrainError::Config { .. }), "{err}");
         assert!(err.to_string().contains("devices"), "{err}");
@@ -557,7 +518,8 @@ mod tests {
         // config can carry a zero device count; the session must catch it.
         let mut machine = MachineConfig::smart_infinity(2);
         machine.num_devices = 0;
-        let s = Session::builder(ModelConfig::gpt2_0_34b(), machine, Method::Baseline).build();
+        let s =
+            Session::builder(ModelConfig::gpt2_0_34b(), machine, MethodSpec::baseline()).build();
         let err = s.trainer(&FlatTensor::zeros(16)).expect_err("zero devices");
         assert!(matches!(err, TrainError::Config { .. }), "{err}");
         assert!(err.to_string().contains("storage device"));
@@ -572,7 +534,7 @@ mod tests {
         let overridden = Session::builder(
             ModelConfig::gpt2_4b(),
             MachineConfig::smart_infinity(6),
-            Method::SmartUpdate,
+            MethodSpec::smart_update(),
         )
         .with_handler(HandlerMode::Optimized)
         .build()
@@ -581,7 +543,7 @@ mod tests {
         let native = Session::builder(
             ModelConfig::gpt2_4b(),
             MachineConfig::smart_infinity(6),
-            Method::SmartUpdateOptimized,
+            MethodSpec::smart_update_optimized(),
         )
         .build()
         .simulate_iteration()
@@ -592,7 +554,7 @@ mod tests {
             let mut b = Session::builder(
                 ModelConfig::gpt2_4b(),
                 MachineConfig::smart_infinity(6),
-                Method::SmartComp { keep_ratio: 0.01 },
+                MethodSpec::smart_comp(0.01),
             );
             if let Some(h) = handler {
                 b = b.with_handler(h);
@@ -606,7 +568,7 @@ mod tests {
     fn empty_fault_specs_leave_every_view_untouched() {
         let initial = FlatTensor::randn(900, 0.05, 11);
         let grads = FlatTensor::randn(900, 0.01, 12);
-        for method in Method::ladder() {
+        for method in MethodSpec::ladder() {
             let clean = session(method);
             let faulted = Session::builder(
                 ModelConfig::gpt2_0_34b(),
@@ -636,7 +598,7 @@ mod tests {
         let s = Session::builder(
             ModelConfig::gpt2_0_34b(),
             MachineConfig::smart_infinity(3),
-            Method::SmartUpdate,
+            MethodSpec::smart_update(),
         )
         .with_faults(faults)
         .build();
@@ -651,11 +613,9 @@ mod tests {
         let initial = FlatTensor::randn(1_200, 0.05, 21);
         let mut faults = FaultSpec::empty(7);
         faults.transient_per_mille = Some(300);
-        for method in [
-            Method::Baseline,
-            Method::SmartUpdate,
-            Method::SmartInfinityPipelined { keep_ratio: Some(0.05) },
-        ] {
+        for method in
+            [MethodSpec::baseline(), MethodSpec::smart_update(), MethodSpec::pipelined(Some(0.05))]
+        {
             let mut clean = session(method).trainer(&initial).expect("trainer");
             let mut faulted = Session::builder(
                 ModelConfig::gpt2_0_34b(),
@@ -688,7 +648,7 @@ mod tests {
         let mut faults = FaultSpec::empty(3);
         faults.straggler_factor = Some(4.0);
         faults.link_bandwidth_factor = Some(0.25);
-        for method in [Method::Baseline, Method::SmartComp { keep_ratio: 0.01 }] {
+        for method in [MethodSpec::baseline(), MethodSpec::smart_comp(0.01)] {
             let clean = session(method).simulate_iteration().expect("timed");
             let degraded = Session::builder(
                 ModelConfig::gpt2_0_34b(),
@@ -710,12 +670,12 @@ mod tests {
 
     #[test]
     fn timed_view_matches_the_experiment_front_end() {
-        let s = session(Method::SmartComp { keep_ratio: 0.01 });
+        let s = session(MethodSpec::smart_comp(0.01));
         let via_session = s.simulate_iteration().expect("simulation");
         let via_experiment = s
             .experiment()
             .expect("experiment")
-            .run(Method::SmartComp { keep_ratio: 0.01 })
+            .run_spec(&MethodSpec::smart_comp(0.01))
             .expect("simulation");
         assert_eq!(via_session, via_experiment);
     }

@@ -4,17 +4,14 @@
 //! The paper's method space is a product of orthogonal features — storage
 //! offload, in-CSD update (SmartUpdate), the optimized internal transfer
 //! handler, cross-CSD pipelining, and SmartComp gradient compression with a
-//! choice of selectors. The closed [`Method`] enum enumerated the paper's
-//! ablation points of that space, which meant every new axis doubled the
-//! variant count and every consumer re-matched the variants by hand.
+//! choice of selectors.
 //!
-//! [`MethodSpec`] replaces the enumeration with the axes themselves: five
-//! capability fields that compose freely, validated centrally
+//! [`MethodSpec`] is those axes, and the only thing that says which method
+//! runs: five capability fields that compose freely, validated centrally
 //! ([`MethodSpec::validate`] returns [`TrainError::Config`] instead of a
 //! substrate panic), and printed with the paper's figure labels
-//! (`BASE`, `SU`, `SU+O`, `SU+O+C(2%)`, `SU+O+P`, ...). The old enum remains
-//! as a thin compatibility shim: `MethodSpec::from(method)` maps every
-//! variant onto the axes, and both types `Display` the same labels.
+//! (`BASE`, `SU`, `SU+O`, `SU+O+C(2%)`, `SU+O+P`, ...). The paper's named
+//! ablation points are its constructors.
 //!
 //! [`RunSpec`] lifts the rest of a run into data — model and machine presets,
 //! optimizer, thread count, handler override, subgroup capacity, workload —
@@ -24,7 +21,6 @@
 //! specs run concurrently through [`crate::Campaign`].
 
 use crate::engine_timed::HandlerMode;
-use crate::experiment::Method;
 use crate::session::Session;
 use faultkit::FaultSpec;
 use gradcomp::{Compressor, SelectionMethod};
@@ -111,8 +107,7 @@ impl CompressionSpec {
 /// | `SU+O+P+C(2%)` | ✓ | ✓ | ✓ | ✓ | 1% Top-K |
 ///
 /// Combinations outside the ladder compose too (e.g. compression under the
-/// naive handler, the ablation [`crate::SessionBuilder::with_handler`] used
-/// to need a special case for). Impossible combinations are rejected by
+/// naive handler). Impossible combinations are rejected by
 /// [`MethodSpec::validate`] as [`TrainError::Config`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MethodSpec {
@@ -128,9 +123,12 @@ pub struct MethodSpec {
     /// pre-allocated and reused, overlapping loads with updates
     /// (paper Section IV-B). Requires `in_storage_update`.
     pub overlap: bool,
-    /// The pipelined execution backend: per-device write → compress/update →
-    /// read-back lanes overlap across CSDs (Sections IV-B/IV-D). Requires
-    /// `overlap`.
+    /// Cross-CSD pipelining: the timed view charges the shared uplink per
+    /// stage, overlapping the per-device write → compress/update → read-back
+    /// lanes across CSDs (Sections IV-B/IV-D). Requires `overlap`. Like
+    /// `overlap` it is a timing axis: the functional near-storage trainer
+    /// always runs one lane per device and overlaps them whenever it has
+    /// more than one worker thread.
     pub pipelined: bool,
     /// SmartComp gradient compression (paper Section IV-C). Requires
     /// `in_storage_update`.
@@ -269,26 +267,6 @@ impl fmt::Display for MethodSpec {
             write!(f, "+C({}%)", (compression.keep_ratio * 2.0 * 100.0).round())?;
         }
         Ok(())
-    }
-}
-
-/// Every closed-enum method maps onto the capability axes; this is the
-/// compatibility shim that keeps [`Method`]-based call sites working.
-impl From<Method> for MethodSpec {
-    fn from(method: Method) -> Self {
-        match method {
-            Method::Baseline => MethodSpec::baseline(),
-            Method::SmartUpdate => MethodSpec::smart_update(),
-            Method::SmartUpdateOptimized => MethodSpec::smart_update_optimized(),
-            Method::SmartComp { keep_ratio } => MethodSpec::smart_comp(keep_ratio),
-            Method::SmartInfinityPipelined { keep_ratio } => MethodSpec::pipelined(keep_ratio),
-        }
-    }
-}
-
-impl From<&Method> for MethodSpec {
-    fn from(method: &Method) -> Self {
-        MethodSpec::from(*method)
     }
 }
 
@@ -790,24 +768,26 @@ mod tests {
 
     #[test]
     fn every_method_variant_maps_onto_the_axes() {
+        // The table in `MethodSpec`'s docs, row by row:
+        // (constructor, in_storage_update, overlap, pipelined, keep ratio).
         let cases = [
-            (Method::Baseline, MethodSpec::baseline()),
-            (Method::SmartUpdate, MethodSpec::smart_update()),
-            (Method::SmartUpdateOptimized, MethodSpec::smart_update_optimized()),
-            (Method::SmartComp { keep_ratio: 0.05 }, MethodSpec::smart_comp(0.05)),
-            (Method::SmartInfinityPipelined { keep_ratio: None }, MethodSpec::pipelined(None)),
-            (
-                Method::SmartInfinityPipelined { keep_ratio: Some(0.01) },
-                MethodSpec::pipelined(Some(0.01)),
-            ),
+            (MethodSpec::baseline(), false, false, false, None),
+            (MethodSpec::smart_update(), true, false, false, None),
+            (MethodSpec::smart_update_optimized(), true, true, false, None),
+            (MethodSpec::smart_comp(0.05), true, true, false, Some(0.05)),
+            (MethodSpec::pipelined(None), true, true, true, None),
+            (MethodSpec::pipelined(Some(0.01)), true, true, true, Some(0.01)),
         ];
-        for (method, expected) in cases {
-            let spec = MethodSpec::from(method);
-            assert_eq!(spec, expected);
-            assert_eq!(spec.to_string(), method.to_string(), "labels must agree");
-            spec.validate().expect("ladder methods are valid");
+        for (spec, in_storage_update, overlap, pipelined, keep_ratio) in cases {
+            assert!(spec.offload, "{spec}");
+            assert_eq!(spec.in_storage_update, in_storage_update, "{spec}");
+            assert_eq!(spec.uses_csds(), in_storage_update, "{spec}");
+            assert_eq!(spec.overlap, overlap, "{spec}");
+            assert_eq!(spec.pipelined, pipelined, "{spec}");
+            assert_eq!(spec.keep_ratio(), keep_ratio, "{spec}");
+            spec.validate().expect("named methods are valid");
         }
-        assert_eq!(MethodSpec::ladder().len(), Method::ladder().len());
+        assert_eq!(MethodSpec::ladder().len(), 4);
     }
 
     #[test]

@@ -44,12 +44,6 @@ impl From<&MethodSpec> for TrafficMethod {
     }
 }
 
-impl From<crate::Method> for TrafficMethod {
-    fn from(method: crate::Method) -> Self {
-        TrafficMethod::from(&MethodSpec::from(method))
-    }
-}
-
 /// Bytes crossing the shared system interconnect in one iteration, split by
 /// direction and content (the rows of Table I).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -221,7 +215,6 @@ mod tests {
 
     #[test]
     fn traffic_rows_derive_from_the_capability_axes() {
-        use crate::{Method, MethodSpec};
         assert_eq!(TrafficMethod::from(&MethodSpec::baseline()), TrafficMethod::ZeroInfinity);
         // The handler and pipelining axes do not change what crosses the wire.
         assert_eq!(TrafficMethod::from(&MethodSpec::smart_update()), TrafficMethod::SmartUpdate);
@@ -235,7 +228,7 @@ mod tests {
             TrafficMethod::SmartComp { keep_ratio: 0.01 }
         );
         assert_eq!(
-            TrafficMethod::from(Method::SmartInfinityPipelined { keep_ratio: Some(0.05) }),
+            TrafficMethod::from(&MethodSpec::pipelined(Some(0.05))),
             TrafficMethod::SmartComp { keep_ratio: 0.05 }
         );
     }

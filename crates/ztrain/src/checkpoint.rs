@@ -34,12 +34,12 @@ pub struct TrainerCheckpoint {
 }
 
 /// Encodes a tensor's floats as exact bit patterns.
-pub fn tensor_to_bits(t: &FlatTensor) -> Vec<u32> {
+pub(crate) fn tensor_to_bits(t: &FlatTensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
 /// Decodes bit patterns back into a tensor.
-pub fn bits_to_tensor(bits: &[u32]) -> FlatTensor {
+pub(crate) fn bits_to_tensor(bits: &[u32]) -> FlatTensor {
     FlatTensor::from_vec(bits.iter().map(|&b| f32::from_bits(b)).collect())
 }
 

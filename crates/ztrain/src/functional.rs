@@ -9,7 +9,7 @@
 
 use crate::checkpoint::{bits_to_tensor, tensor_to_bits, TrainerCheckpoint};
 use crate::recover::recover;
-use crate::trainer::{DegradedReport, StepReport, TrainError, Trainer};
+use crate::trainer::{check_len, DegradedReport, StepReport, TrainError, Trainer};
 use faultkit::FaultPlan;
 use optim::{Optimizer, OptimizerKind};
 use ssd::{RaidArray, SsdDevice, SsdError};
@@ -195,31 +195,18 @@ impl StorageOffloadTrainer {
         Ok(out)
     }
 
-    /// Runs one full training step with gradients from `source`: offloads the
-    /// gradients block-wise to storage, then uploads states + gradients per
-    /// block, updates them on the CPU and offloads the refreshed states.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`SsdError`] if any storage operation fails.
-    pub fn train_step(&mut self, source: &mut dyn GradientSource) -> Result<StepReport, SsdError> {
-        assert_eq!(source.num_params(), self.num_params(), "gradient source size mismatch");
-        let grads = source.gradients(self.step + 1, &self.params_fp16);
-        self.train_step_with_grads(&grads)
-    }
-
     /// Runs one training step with an explicitly provided dense gradient and
-    /// reports the step's traffic telemetry.
+    /// reports the step's traffic telemetry: offloads the gradients block-wise
+    /// to storage, then uploads states + gradients per block, updates them on
+    /// the CPU and offloads the refreshed states.
     ///
     /// # Errors
     ///
-    /// Returns an [`SsdError`] if any storage operation fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grads.len()` differs from the number of parameters.
-    pub fn train_step_with_grads(&mut self, grads: &FlatTensor) -> Result<StepReport, SsdError> {
-        assert_eq!(grads.len(), self.num_params(), "gradient length mismatch");
+    /// Returns [`TrainError::Config`] if `grads.len()` differs from the
+    /// number of parameters, and a wrapped [`SsdError`] if any storage
+    /// operation fails.
+    pub fn train_step_with_grads(&mut self, grads: &FlatTensor) -> Result<StepReport, TrainError> {
+        check_len("gradient", grads.len(), self.num_params())?;
         let counters_before = self.raid.counters();
         self.step += 1;
         self.trigger_scheduled_faults();
@@ -316,7 +303,7 @@ impl StorageOffloadTrainer {
 
 impl Trainer for StorageOffloadTrainer {
     fn step(&mut self, grads: &FlatTensor) -> Result<StepReport, TrainError> {
-        Ok(self.train_step_with_grads(grads)?)
+        self.train_step_with_grads(grads)
     }
 
     fn params_fp16(&self) -> &FlatTensor {
@@ -468,7 +455,7 @@ mod tests {
         let initial = FlatTensor::randn(n, 0.05, 3);
         let mut trainer = StorageOffloadTrainer::new(&initial, optimizer, 1, 128).unwrap();
         let mut source = SyntheticGradients::new(n, 0.01, 77);
-        trainer.train_step(&mut source).unwrap();
+        trainer.step_from(&mut source).unwrap();
         let master = trainer.master_params().unwrap();
         let expected_fp16 = FlatTensor::from_bytes(&master.to_bytes(Dtype::F16), Dtype::F16);
         assert_eq!(trainer.params_fp16().as_slice(), expected_fp16.as_slice());
@@ -595,6 +582,18 @@ mod tests {
         let mut wrong =
             StorageOffloadTrainer::new(&FlatTensor::zeros(10), optimizer, 1, 10).unwrap();
         assert!(Trainer::restore(&mut wrong, &parsed).is_err());
+    }
+
+    #[test]
+    fn wrong_gradient_length_is_a_config_error() {
+        let mut t =
+            StorageOffloadTrainer::new(&FlatTensor::zeros(10), Optimizer::adam_default(), 1, 10)
+                .unwrap();
+        let e = t.train_step_with_grads(&FlatTensor::zeros(5)).unwrap_err();
+        assert!(matches!(e, TrainError::Config { .. }), "{e}");
+        let e = t.step_from(&mut SyntheticGradients::new(11, 0.01, 1)).unwrap_err();
+        assert!(matches!(e, TrainError::Config { .. }), "{e}");
+        assert_eq!(t.steps_completed(), 0, "a rejected gradient must not advance the step");
     }
 
     #[test]

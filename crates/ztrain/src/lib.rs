@@ -26,10 +26,10 @@
 //! * [`StorageOffloadTrainer`] — a *functional* baseline that actually moves
 //!   bytes through [`ssd::RaidArray`] and runs the real optimizer kernels, so
 //!   Smart-Infinity's numerical equivalence can be tested end to end.
-//! * [`PipelinedTrainer`] — the pipelined fabric execution backend: each
-//!   device shard becomes a pipeline lane (write → compress/update →
-//!   read-back) and the lanes overlap on a [`parcore::ParExecutor`],
-//!   bit-identical to the serial trainers and reporting per-stage telemetry.
+//! * [`PipelinedTrainer`] — the near-storage functional trainer: each device
+//!   shard is a lane (write → compress/update → read-back) dealt to a
+//!   [`parcore::ParExecutor`], bit-identical to the baseline for every worker
+//!   count and reporting per-stage telemetry.
 //! * [`Trainer`] / [`StepReport`] / [`StageReport`] / [`TrainError`] — the
 //!   unified training contract every functional substrate implements, so
 //!   callers hold a `dyn Trainer` and the `?` operator works across layer
@@ -54,14 +54,11 @@ pub mod schedule;
 mod trainer;
 
 pub use baseline::BaselineEngine;
-pub use checkpoint::{bits_to_tensor, tensor_to_bits, TrainerCheckpoint};
+pub use checkpoint::TrainerCheckpoint;
 pub use functional::{GradientSource, StorageOffloadTrainer, SyntheticGradients};
 pub use machine::MachineConfig;
-pub use pipeline::{
-    aggregate_csd_stats, init_csd_shards, reassemble_master_params, PipelinedTrainer,
-};
+pub use pipeline::{init_csd_shards, PipelinedTrainer};
 pub use platform::TimedPlatform;
-pub use recover::{recover, Recoverable};
 pub use report::IterationReport;
 pub use trainer::{DegradedReport, StageReport, StepReport, TrainError, Trainer};
 

@@ -1,35 +1,36 @@
-//! The pipelined fabric execution backend.
+//! The near-storage functional trainer.
 //!
-//! Smart-Infinity's headline win comes from *overlap*: gradient transfer,
-//! near-storage compression and optimizer updates proceed concurrently across
-//! the CSDs instead of one global phase at a time, so the shared host
-//! interconnect stops being a step-granularity bottleneck (paper Sections
-//! IV-B/IV-D). The serial functional trainer walks the device shards one
-//! after another; [`PipelinedTrainer`] turns each device shard into a
-//! *pipeline lane* — write (gradient ingest) → compress/update → read-back —
-//! and runs the lanes concurrently on a [`parcore::ParExecutor`].
+//! Every CSD runs SmartUpdate on its own contiguous shard with no
+//! cross-device dependency (paper Section IV-D), so one per-shard step serves
+//! every near-storage method: [`PipelinedTrainer`] turns each device shard
+//! into a *lane* — write (gradient ingest) → compress/update → read-back —
+//! and deals the lanes to a [`parcore::ParExecutor`]. With one worker the
+//! lanes run one after another; with more they overlap, so the shared host
+//! interconnect stops being a step-granularity bottleneck (Sections
+//! IV-B/IV-D). Which of the two a run gets is a property of the executor,
+//! not of the trainer.
 //!
 //! Two properties are load-bearing and asserted by the test suites:
 //!
-//! * **Bit-identical results.** Every lane performs exactly the serial
-//!   trainer's per-shard work (same error feedback, same Top-K selection,
-//!   same updater kernels), and lanes touch disjoint state — their own
-//!   [`CsdDevice`], their own residual, their own slice of the FP16 working
-//!   copy. Scheduling therefore cannot change a single bit of the result,
-//!   for any worker-thread or device count.
+//! * **Bit-identical results.** Every lane does the same per-shard work
+//!   (error feedback, Top-K selection, updater kernels) on disjoint state —
+//!   its own [`CsdDevice`], its own residual, its own slice of the FP16
+//!   working copy. Scheduling therefore cannot change a single bit of the
+//!   result, for any worker-thread or device count: without compression the
+//!   result equals the host baseline's, with it an in-memory reference's.
 //! * **Per-stage telemetry.** Each step's [`StepReport`] carries a
 //!   [`StageReport`]: how many bytes the write, update and read-back stages
 //!   moved and how many lanes were in flight, mirroring the stage-level link
 //!   accounting of the timed engine.
 //!
-//! Construction is fallible ([`TrainError::Config`]) rather than asserting:
-//! this backend is reached from user-facing configuration
-//! (`smart_infinity::Session`), where a bad knob must be an error, not an
-//! abort.
+//! Construction and stepping are fallible ([`TrainError::Config`]) rather
+//! than asserting: this trainer is reached from user-facing configuration
+//! (`smart_infinity::Session`), where a bad knob or a wrong-length gradient
+//! must be an error, not an abort.
 
 use crate::checkpoint::{bits_to_tensor, tensor_to_bits, TrainerCheckpoint};
 use crate::recover::recover;
-use crate::trainer::{DegradedReport, StageReport, StepReport, TrainError, Trainer};
+use crate::trainer::{check_len, DegradedReport, StageReport, StepReport, TrainError, Trainer};
 use csd::{CsdDevice, CsdError, CsdTrafficStats, SubgroupUpdate};
 use faultkit::FaultPlan;
 use gradcomp::{Compressor, ErrorFeedback};
@@ -37,14 +38,13 @@ use optim::Optimizer;
 use parcore::ParExecutor;
 use tensorlib::{Chunker, Dtype, FlatTensor, Partitioner, Shard};
 
-/// The distributed starting state shared by every functional Smart-Infinity
-/// trainer (serial or pipelined): the flattened parameters contiguously
-/// sharded across fresh CSD models, with the FP32 master copy and zeroed
-/// optimizer state stored on each device, plus one error-feedback residual
-/// per shard.
+/// The distributed starting state of a near-storage run: the flattened
+/// parameters contiguously sharded across fresh CSD models, with the FP32
+/// master copy and zeroed optimizer state stored on each device, plus one
+/// error-feedback residual per shard.
 ///
-/// Extracted so the serial and pipelined trainers cannot drift apart — their
-/// bit-identicality starts with byte-identical device state.
+/// Public so a replay of the per-lane step outside this crate starts from
+/// byte-identical device state.
 pub fn init_csd_shards(
     initial_params: &FlatTensor,
     optimizer: &Optimizer,
@@ -60,40 +60,6 @@ pub fn init_csd_shards(
     }
     let feedback = partitioner.shards().iter().map(|s| ErrorFeedback::new(s.len)).collect();
     Ok((partitioner, csds, feedback))
-}
-
-/// Reassembles the FP32 master copy from the per-device shards created by
-/// [`init_csd_shards`].
-pub fn reassemble_master_params(
-    csds: &mut [CsdDevice],
-    partitioner: &Partitioner,
-) -> Result<FlatTensor, CsdError> {
-    let mut out = FlatTensor::zeros(partitioner.total());
-    for (csd, shard) in csds.iter_mut().zip(partitioner.shards()) {
-        if shard.len == 0 {
-            continue;
-        }
-        // Reassembly is maintenance traffic: it observes state rather than
-        // training, so it must neither fail on nor consume fault decisions.
-        csd.suspend_faults(true);
-        let result = csd.load_parameters("shard", 0, shard.len);
-        csd.suspend_faults(false);
-        out.write_slice(shard.offset, result?.as_slice());
-    }
-    Ok(out)
-}
-
-/// Sums the CSD-internal P2P traffic statistics of a device set.
-pub fn aggregate_csd_stats(csds: &[CsdDevice]) -> CsdTrafficStats {
-    let mut total = CsdTrafficStats::default();
-    for csd in csds {
-        let s = csd.stats();
-        total.p2p_read_bytes += s.p2p_read_bytes;
-        total.p2p_write_bytes += s.p2p_write_bytes;
-        total.updates_run += s.updates_run;
-        total.elements_updated += s.elements_updated;
-    }
-    total
 }
 
 /// Everything one pipeline lane may touch: disjoint per-device state, so the
@@ -117,14 +83,11 @@ struct LaneReport {
     degraded: DegradedReport,
 }
 
-/// A functional Smart-Infinity trainer whose per-device stages overlap.
-///
-/// Holds the same distributed state as the serial trainer — the flattened
-/// parameters contiguously sharded across CSD models, FP32 master copies and
-/// optimizer states on each device — but executes each step as a software
-/// pipeline over the shards. Results are **bit-identical** to the serial
-/// trainer for every thread count; only wall-clock time and the telemetry
-/// (`StepReport::stages`) differ.
+/// The functional Smart-Infinity trainer: the flattened parameters
+/// contiguously sharded across CSD models, FP32 master copies and optimizer
+/// states on each device, and each step executed as one lane per shard.
+/// Results are **bit-identical** for every worker-thread count; only
+/// wall-clock time and the lane count in `StepReport::stages` differ.
 #[derive(Debug)]
 pub struct PipelinedTrainer {
     csds: Vec<CsdDevice>,
@@ -241,18 +204,19 @@ impl PipelinedTrainer {
         self
     }
 
-    /// Sets the number of host worker threads the pipeline lanes fan out
-    /// across. The *lanes* are the unit of parallelism: each lane's kernels
-    /// run serially inside it (fanning out twice would oversubscribe the
-    /// workers), and results are bit-identical for every thread count.
+    /// Sets the number of host worker threads. Shards are lanes dealt to the
+    /// workers; each lane's own kernels (Top-K selection, the CSD updater)
+    /// get `max(1, workers / devices)` of them, so many devices on few
+    /// workers overlap lanes with serial kernels inside, and one device on
+    /// many workers fans its kernels out instead. Results are bit-identical
+    /// for every thread count.
     ///
     /// Lanes are scheduled by the default size-aware work-stealing executor:
     /// heavier shards are dealt first and idle workers steal queued lanes, so
-    /// one skewed shard does not serialize the pipeline. Use
+    /// one skewed shard does not serialize the step. Use
     /// [`PipelinedTrainer::with_executor`] to pin the schedule instead.
-    pub fn with_threads(mut self, num_threads: usize) -> Self {
-        self.pool = ParExecutor::new(num_threads);
-        self
+    pub fn with_threads(self, num_threads: usize) -> Self {
+        self.with_executor(ParExecutor::new(num_threads))
     }
 
     /// Sets the lane executor explicitly — e.g.
@@ -261,6 +225,10 @@ impl PipelinedTrainer {
     /// are identical in every mode regardless).
     pub fn with_executor(mut self, pool: ParExecutor) -> Self {
         self.pool = pool;
+        let lane_workers = (pool.num_threads() / self.csds.len()).max(1);
+        for csd in &mut self.csds {
+            csd.set_threads(lane_workers);
+        }
         self
     }
 
@@ -300,29 +268,45 @@ impl PipelinedTrainer {
     ///
     /// Returns a wrapped [`CsdError`] if a shard read fails.
     pub fn master_params(&mut self) -> Result<FlatTensor, TrainError> {
-        Ok(reassemble_master_params(&mut self.csds, &self.partitioner)?)
+        let mut out = FlatTensor::zeros(self.partitioner.total());
+        for (csd, shard) in self.csds.iter_mut().zip(self.partitioner.shards()) {
+            if shard.len == 0 {
+                continue;
+            }
+            // Reassembly is maintenance traffic: it observes state rather than
+            // training, so it must neither fail on nor consume fault decisions.
+            csd.suspend_faults(true);
+            let result = csd.load_parameters("shard", 0, shard.len);
+            csd.suspend_faults(false);
+            out.write_slice(shard.offset, result?.as_slice());
+        }
+        Ok(out)
     }
 
     /// Aggregated CSD-internal P2P traffic statistics across all devices.
     pub fn aggregate_stats(&self) -> CsdTrafficStats {
-        aggregate_csd_stats(&self.csds)
+        let mut total = CsdTrafficStats::default();
+        for csd in &self.csds {
+            let s = csd.stats();
+            total.p2p_read_bytes += s.p2p_read_bytes;
+            total.p2p_write_bytes += s.p2p_write_bytes;
+            total.updates_run += s.updates_run;
+            total.elements_updated += s.elements_updated;
+        }
+        total
     }
 
-    /// Runs one pipelined training step with an explicitly provided dense
-    /// gradient. All lanes run concurrently on the worker pool; the returned
-    /// [`StepReport`] carries the per-stage byte telemetry in
-    /// [`StepReport::stages`].
+    /// Runs one training step with an explicitly provided dense gradient.
+    /// The lanes are dealt to the worker pool; the returned [`StepReport`]
+    /// carries the per-stage byte telemetry in [`StepReport::stages`].
     ///
     /// # Errors
     ///
-    /// Returns the lowest-indexed lane's error if any device operation fails
-    /// (deterministic regardless of scheduling).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grads.len()` differs from the number of parameters.
+    /// Returns [`TrainError::Config`] if `grads.len()` differs from the
+    /// number of parameters, and the lowest-indexed lane's error if any
+    /// device operation fails (deterministic regardless of scheduling).
     pub fn train_step_with_grads(&mut self, grads: &FlatTensor) -> Result<StepReport, TrainError> {
-        assert_eq!(grads.len(), self.num_params(), "gradient length mismatch");
+        check_len("gradient", grads.len(), self.num_params())?;
         self.step += 1;
         self.trigger_scheduled_faults();
         let step = self.step;
@@ -413,15 +397,15 @@ impl PipelinedTrainer {
         let mut deg = DegradedReport::default();
 
         // Stage 1 — write: the shard's gradient crosses the host interconnect
-        // downstream, dense or as the Top-K stream (identical math to the
-        // serial trainer: error feedback, then a selection that is
-        // bit-identical for any executor).
+        // downstream, dense or as the Top-K stream (error feedback, then a
+        // selection on the lane's share of the workers — the device's
+        // executor — that is bit-identical for any worker count).
         grads.slice_into(shard.offset, shard.len, scratch);
         let compressed = match &compressor {
             None => None,
             Some(c) => {
                 feedback.apply_in_place(scratch);
-                let compressed = c.try_compress(scratch)?;
+                let compressed = c.try_compress_par(scratch, &csd.executor())?;
                 feedback.update(scratch, &compressed);
                 Some(compressed)
             }
@@ -595,7 +579,7 @@ mod tests {
     #[test]
     fn pipelined_is_bit_identical_to_the_host_baseline() {
         // Without compression the near-storage update is numerically the
-        // baseline update, so the pipelined backend must match it bit for bit.
+        // baseline update, so the near-storage trainer must match it bit for bit.
         let n = 5000;
         let optimizer = Optimizer::adam_default();
         let initial = FlatTensor::randn(n, 0.05, 1);
@@ -705,8 +689,7 @@ mod tests {
             .unwrap()
             .with_threads(2);
         let report = t.train_step_with_grads(&FlatTensor::zeros(n)).unwrap();
-        let stages = report.stages.expect("pipelined steps report stages");
-        assert!(report.is_pipelined());
+        let stages = report.stages.expect("near-storage steps report stages");
         // Dense Adam: 4n gradient down, 16n read + 12n written internally,
         // 2n FP16 up.
         assert_eq!(stages.write_bytes, 4 * n as u64);
@@ -926,10 +909,68 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "gradient length mismatch")]
-    fn wrong_gradient_length_panics() {
+    fn wrong_gradient_length_is_a_config_error() {
         let mut t = PipelinedTrainer::new(&FlatTensor::zeros(10), Optimizer::adam_default(), 1, 10)
             .unwrap();
-        let _ = t.train_step_with_grads(&FlatTensor::zeros(5));
+        let e = t.train_step_with_grads(&FlatTensor::zeros(5)).unwrap_err();
+        assert!(matches!(e, TrainError::Config { .. }), "{e}");
+        let e = Trainer::step(&mut t, &FlatTensor::zeros(11)).unwrap_err();
+        assert!(matches!(e, TrainError::Config { .. }), "{e}");
+        let e = t.step_from(&mut SyntheticGradients::new(5, 0.01, 1)).unwrap_err();
+        assert!(matches!(e, TrainError::Config { .. }), "{e}");
+        assert_eq!(t.steps_completed(), 0, "a rejected gradient must not advance the step");
+    }
+
+    #[test]
+    fn compression_changes_the_update_but_stays_close() {
+        let n = 4000;
+        let optimizer = Optimizer::adam_default();
+        let initial = FlatTensor::randn(n, 0.05, 2);
+        let mut exact = PipelinedTrainer::new(&initial, optimizer, 2, 1000).unwrap();
+        let mut compressed = PipelinedTrainer::new(&initial, optimizer, 2, 1000)
+            .unwrap()
+            .with_compression(0.1)
+            .unwrap();
+        assert!(compressed.is_compressed());
+        let mut source_a = SyntheticGradients::new(n, 0.01, 7);
+        let mut source_b = SyntheticGradients::new(n, 0.01, 7);
+        let mut last_exact = StepReport::default();
+        let mut last_compressed = StepReport::default();
+        for _ in 0..5 {
+            last_exact = exact.step_from(&mut source_a).unwrap();
+            last_compressed = compressed.step_from(&mut source_b).unwrap();
+        }
+        let a = exact.master_params().unwrap();
+        let b = compressed.master_params().unwrap();
+        assert_ne!(a.as_slice(), b.as_slice(), "lossy compression must change something");
+        // ... but the parameters stay in the same ballpark (error feedback keeps
+        // the sparsified trajectory close to the dense one).
+        let rel = (a.mse(&b)).sqrt() / (a.l2_norm() as f64 / (n as f64).sqrt());
+        assert!(rel < 0.5, "relative deviation {rel:.3}");
+        // And the per-step telemetry reflects the compression: the Top-K
+        // stream (8 bytes per kept element) is far smaller than the dense
+        // gradient, and only the compressed trainer reports a keep count.
+        assert_eq!(last_exact.gradient_bytes, 4 * n as u64);
+        assert_eq!(last_exact.compression_kept, None);
+        let kept = last_compressed.compression_kept.expect("SmartComp reports its keep count");
+        assert_eq!(last_compressed.gradient_bytes, 8 * kept);
+        assert!(last_compressed.gradient_bytes < last_exact.gradient_bytes / 4);
+    }
+
+    #[test]
+    fn different_csd_counts_give_identical_results() {
+        let n = 3000;
+        let optimizer =
+            Optimizer::new(optim::OptimizerKind::AdaGrad, optim::HyperParams::default());
+        let initial = FlatTensor::randn(n, 0.05, 3);
+        let grads = FlatTensor::randn(n, 0.01, 4);
+        let mut one = PipelinedTrainer::new(&initial, optimizer, 1, 512).unwrap();
+        let mut many = PipelinedTrainer::new(&initial, optimizer, 7, 199).unwrap();
+        one.train_step_with_grads(&grads).unwrap();
+        many.train_step_with_grads(&grads).unwrap();
+        assert_eq!(
+            one.master_params().unwrap().as_slice(),
+            many.master_params().unwrap().as_slice()
+        );
     }
 }

@@ -20,14 +20,14 @@
 //! into [`DegradedReport::backoff_ms`] so the telemetry is deterministic and
 //! tests run at full speed.
 
-use crate::trainer::{DegradedReport, TrainError};
+use crate::trainer::DegradedReport;
 use csd::CsdError;
 use ssd::SsdError;
 
-/// Classification hooks the recovery loop needs from an error type; every
-/// substrate error in the workspace implements it, so [`recover`] can wrap an
-/// operation at whatever layer it naturally fails.
-pub trait Recoverable {
+/// Classification hooks the recovery loop needs from an error type; both
+/// substrate errors the trainers recover from implement it, so [`recover`]
+/// wraps an operation at the layer it naturally fails.
+pub(crate) trait Recoverable {
     /// Whether bounded retry can clear this error.
     fn transient(&self) -> bool;
     /// Whether the failing device must be rebuilt before a retry can work.
@@ -52,15 +52,6 @@ impl Recoverable for CsdError {
     }
 }
 
-impl Recoverable for TrainError {
-    fn transient(&self) -> bool {
-        self.is_transient()
-    }
-    fn rebuildable(&self) -> bool {
-        self.needs_rebuild()
-    }
-}
-
 /// Runs `op` against `ctx`, absorbing recoverable faults per the policy
 /// above.
 ///
@@ -75,7 +66,7 @@ impl Recoverable for TrainError {
 ///
 /// Returns the final error once `max_retries` attempts are exhausted, or the
 /// original error immediately if it is not recoverable.
-pub fn recover<C, T, E: Recoverable>(
+pub(crate) fn recover<C, T, E: Recoverable>(
     max_retries: u32,
     degraded: &mut DegradedReport,
     ctx: &mut C,
@@ -119,7 +110,7 @@ mod tests {
     #[test]
     fn success_leaves_the_report_untouched() {
         let mut deg = DegradedReport::default();
-        let v = recover(4, &mut deg, &mut (), |_| panic!("no rebuild"), |_| Ok::<_, TrainError>(7))
+        let v = recover(4, &mut deg, &mut (), |_| panic!("no rebuild"), |_| Ok::<_, SsdError>(7))
             .unwrap();
         assert_eq!(v, 7);
         assert!(!deg.is_degraded());
@@ -188,11 +179,11 @@ mod tests {
             4,
             &mut deg,
             &mut (),
-            |_| panic!("config errors never rebuild"),
-            |_| Err::<(), _>(TrainError::config("bad")),
+            |_| panic!("an empty array is not rebuilt"),
+            |_| Err::<(), _>(SsdError::EmptyArray),
         )
         .unwrap_err();
-        assert!(matches!(err, TrainError::Config { .. }));
+        assert_eq!(err, SsdError::EmptyArray);
         assert!(!deg.is_degraded());
     }
 

@@ -6,9 +6,10 @@
 //! SmartComp — without the caller changing. This module is that seam:
 //!
 //! * [`Trainer`] — the object-safe trait implemented by
-//!   [`StorageOffloadTrainer`](crate::StorageOffloadTrainer) and
-//!   `smart_infinity::SmartInfinityTrainer`, so callers can hold a
-//!   `Box<dyn Trainer>` and never care where the update runs.
+//!   [`StorageOffloadTrainer`](crate::StorageOffloadTrainer) (update on the
+//!   host) and [`PipelinedTrainer`](crate::PipelinedTrainer) (update in the
+//!   CSDs), so callers can hold a `Box<dyn Trainer>` and never care where
+//!   the update runs.
 //! * [`StepReport`] — per-step telemetry (bytes moved, compression
 //!   keep-count, threads used) returned by every step, replacing the
 //!   per-engine accessors that previously each spoke their own dialect.
@@ -27,15 +28,15 @@ use std::error::Error;
 use std::fmt;
 use tensorlib::FlatTensor;
 
-/// Per-stage byte telemetry of one pipelined training step.
+/// Per-stage byte telemetry of one near-storage training step.
 ///
-/// The pipelined execution backend splits each device shard's step into three
+/// The near-storage trainer splits each device shard's step into three
 /// stages — **write** (gradient ingest over the host interconnect),
 /// **update** (CSD-internal optimizer update) and **read-back** (refreshed
-/// FP16 parameters upstream) — and overlaps the stages of different shards.
-/// This report records how many bytes each stage moved and how many pipeline
-/// lanes ran concurrently; serial backends leave it `None` on the
-/// [`StepReport`].
+/// FP16 parameters upstream) — and overlaps the stages of different shards
+/// when it has more than one worker. This report records how many bytes each
+/// stage moved and how many lanes ran concurrently; the host baseline leaves
+/// it `None` on the [`StepReport`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct StageReport {
     /// Bytes the write stage pushed downstream over the shared host
@@ -151,8 +152,9 @@ pub struct StepReport {
     /// `avx2`, chosen at runtime by CPU feature detection (see
     /// [`tensorlib::KernelPath::active`]).
     pub kernel_path: tensorlib::KernelPath,
-    /// Per-stage overlap telemetry of the pipelined execution backend;
-    /// `None` for backends that execute the step's phases serially.
+    /// Per-stage telemetry of a near-storage step
+    /// ([`StageReport::is_overlapped`] says whether lanes ran concurrently);
+    /// `None` for the host baseline.
     pub stages: Option<StageReport>,
     /// Recovery telemetry when injected faults fired during this step;
     /// `None` when the step ran fault-free.
@@ -169,12 +171,6 @@ impl StepReport {
     /// interconnect.
     pub fn is_compressed(&self) -> bool {
         self.compression_kept.is_some()
-    }
-
-    /// Whether the step was executed by a pipelined backend (per-stage
-    /// telemetry is present).
-    pub fn is_pipelined(&self) -> bool {
-        self.stages.is_some()
     }
 
     /// Whether injected faults fired (and were recovered from) this step.
@@ -290,6 +286,18 @@ impl From<CompressError> for TrainError {
     }
 }
 
+/// The one gradient-length check every substrate shares: a dense gradient (or
+/// gradient source) must cover exactly the trainer's parameters.
+pub(crate) fn check_len(what: &str, got: usize, expected: usize) -> Result<(), TrainError> {
+    if got == expected {
+        Ok(())
+    } else {
+        Err(TrainError::config(format!(
+            "{what} has {got} elements but the trainer holds {expected} parameters"
+        )))
+    }
+}
+
 /// One functional training substrate: something that owns an FP16 working
 /// copy plus an offloaded FP32 master copy and can apply a dense gradient.
 ///
@@ -303,7 +311,9 @@ pub trait Trainer: fmt::Debug {
     ///
     /// # Errors
     ///
-    /// Returns a [`TrainError`] wrapping whatever substrate operation failed.
+    /// Returns [`TrainError::Config`] if `grads.len()` differs from the
+    /// number of parameters, or a [`TrainError`] wrapping whatever substrate
+    /// operation failed.
     fn step(&mut self, grads: &FlatTensor) -> Result<StepReport, TrainError>;
 
     /// The FP16 working copy of the parameters (what the GPU computes with).
@@ -356,16 +366,14 @@ pub trait Trainer: fmt::Debug {
     ///
     /// # Errors
     ///
-    /// Returns a [`TrainError`] wrapping whatever substrate operation failed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source's parameter count differs from the trainer's.
+    /// Returns [`TrainError::Config`] if the source's parameter count differs
+    /// from the trainer's, or a [`TrainError`] wrapping whatever substrate
+    /// operation failed.
     fn step_from(
         &mut self,
         source: &mut dyn crate::GradientSource,
     ) -> Result<StepReport, TrainError> {
-        assert_eq!(source.num_params(), self.num_params(), "gradient source size mismatch");
+        check_len("gradient source", source.num_params(), self.num_params())?;
         let grads = source.gradients(self.steps_completed() + 1, self.params_fp16());
         self.step(&grads)
     }
@@ -419,7 +427,7 @@ mod tests {
         };
         assert_eq!(dense.storage_bytes_total(), 28);
         assert!(!dense.is_compressed());
-        assert!(!dense.is_pipelined());
+        assert!(dense.stages.is_none());
         let sparse = StepReport { compression_kept: Some(10), ..StepReport::default() };
         assert!(sparse.is_compressed());
     }
@@ -430,9 +438,6 @@ mod tests {
         assert_eq!(stages.total_bytes(), 40);
         assert!(stages.is_overlapped());
         assert!(!StageReport { lanes: 1, ..StageReport::default() }.is_overlapped());
-        let report = StepReport { stages: Some(stages), ..StepReport::default() };
-        assert!(report.is_pipelined());
-        assert_eq!(report.stages.unwrap().update_bytes, 28);
     }
 
     #[test]

@@ -57,7 +57,7 @@ fn main() -> Result<(), TrainError> {
 
     // The capability axes compose beyond the paper's ladder: the same
     // machine with the handler optimization turned *off* but compression
-    // kept on — a configuration the old closed Method enum could not express.
+    // kept on.
     let su_c = RunSpec::new(
         campaign.specs[0].model.clone(),
         campaign.specs[0].machine.clone(),
@@ -127,15 +127,16 @@ fn main() -> Result<(), TrainError> {
     println!("  SmartUpdate parameters identical to baseline: {identical}");
     assert!(identical, "SmartUpdate must be bit-identical to the baseline");
 
-    // The pipelined backend overlaps write → update → read-back across the
-    // CSDs and is still bit-identical to the baseline; its StepReport breaks
-    // the bytes down per stage.
+    // With four workers the near-storage trainer overlaps write → update →
+    // read-back across the CSDs — for every in-storage method, pipelined or
+    // not — and is still bit-identical to the baseline; its StepReport
+    // breaks the bytes down per stage.
     let pipelined_identical =
         trainers[3].params_fp16().as_slice() == trainers[0].params_fp16().as_slice();
-    assert!(pipelined_identical, "the pipelined backend must be bit-identical too");
-    let stages = last_reports[3].stages.expect("pipelined backend reports stage telemetry");
+    assert!(pipelined_identical, "overlapped lanes must be bit-identical too");
+    let stages = last_reports[3].stages.expect("near-storage steps report stage telemetry");
     println!(
-        "  Pipelined backend identical to baseline: {pipelined_identical} \
+        "  SU+O+P identical to baseline: {pipelined_identical} \
          (lanes: {}, write/update/read-back: {}/{}/{} B)",
         stages.lanes, stages.write_bytes, stages.update_bytes, stages.read_back_bytes
     );

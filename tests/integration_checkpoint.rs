@@ -11,14 +11,14 @@
 
 use parcore::ParExecutor;
 use smart_infinity::{
-    Campaign, CampaignProgress, FaultSpec, MachineConfig, MachineSpec, Method, MethodSpec,
-    ModelConfig, ModelSpec, RunSpec, Session, SessionBuilder, TrainerCheckpoint,
+    Campaign, CampaignProgress, FaultSpec, MachineConfig, MachineSpec, MethodSpec, ModelConfig,
+    ModelSpec, RunSpec, Session, SessionBuilder, TrainerCheckpoint,
 };
 use tensorlib::FlatTensor;
 
 const N: usize = 2000;
 
-fn builder(method: impl Into<MethodSpec>, devices: usize) -> SessionBuilder {
+fn builder(method: MethodSpec, devices: usize) -> SessionBuilder {
     Session::builder(ModelConfig::gpt2_0_34b(), MachineConfig::smart_infinity(devices), method)
         .with_threads(2)
         .with_subgroup_elems(400)
@@ -33,9 +33,9 @@ fn checkpoint_roundtrip_resumes_bit_identically_in_every_mode() {
     let grads: Vec<FlatTensor> = (0..5).map(|s| FlatTensor::randn(N, 0.01, 40 + s)).collect();
 
     let modes: Vec<(MethodSpec, bool)> = vec![
-        (MethodSpec::from(Method::Baseline), false),
-        (MethodSpec::from(Method::SmartUpdate), false),
-        (MethodSpec::from(Method::SmartComp { keep_ratio: 0.1 }), true),
+        (MethodSpec::baseline(), false),
+        (MethodSpec::smart_update(), false),
+        (MethodSpec::smart_comp(0.1), true),
         (MethodSpec::pipelined(None), false),
         (MethodSpec::pipelined(Some(0.1)), true),
     ];
@@ -132,19 +132,16 @@ fn checkpoint_restore_under_fault_injection_matches_the_straight_run() {
 fn halted_campaign_resumes_bit_identically_through_json() {
     let mut faults = FaultSpec::empty(3);
     faults.straggler_factor = Some(2.0);
-    let specs: Vec<RunSpec> = [
-        MethodSpec::baseline(),
-        MethodSpec::from(Method::SmartUpdate),
-        MethodSpec::from(Method::SmartComp { keep_ratio: 0.01 }),
-    ]
-    .into_iter()
-    .map(|method| {
-        let mut spec =
-            RunSpec::new(ModelSpec::preset("GPT2-0.34B"), MachineSpec::devices(4), method);
-        spec.faults = Some(faults.clone());
-        spec
-    })
-    .collect();
+    let specs: Vec<RunSpec> =
+        [MethodSpec::baseline(), MethodSpec::smart_update(), MethodSpec::smart_comp(0.01)]
+            .into_iter()
+            .map(|method| {
+                let mut spec =
+                    RunSpec::new(ModelSpec::preset("GPT2-0.34B"), MachineSpec::devices(4), method);
+                spec.faults = Some(faults.clone());
+                spec
+            })
+            .collect();
     let campaign = Campaign::new(specs).with_name("kill-resume");
     let pool = ParExecutor::serial();
 

@@ -3,8 +3,8 @@
 //! gradients — working together through the public API.
 
 use smart_infinity::{
-    HandlerMode, MachineConfig, Method, ModelConfig, OptimizerKind, Session, SmartInfinityEngine,
-    Workload,
+    HandlerMode, MachineConfig, MethodSpec, ModelConfig, OptimizerKind, Session,
+    SmartInfinityEngine, Workload,
 };
 use ztrain::realtrain::{Dataset, MlpGradientSource, MlpModel};
 use ztrain::BaselineEngine;
@@ -14,7 +14,7 @@ fn full_ladder_reproduces_the_headline_speedups() {
     let session = Session::builder(
         ModelConfig::gpt2_4b(),
         MachineConfig::smart_infinity(10),
-        Method::Baseline,
+        MethodSpec::baseline(),
     )
     .build();
     let reports = session.experiment().expect("experiment").ladder().expect("simulation");
@@ -88,8 +88,8 @@ fn training_a_real_model_through_the_offload_engines_learns() {
             .with_subgroup_elems(subgroup)
             .build()
     };
-    let mut smart = session(Method::SmartUpdate, 3, 200).trainer(&initial).expect("trainer");
-    let mut baseline = session(Method::Baseline, 2, 300).trainer(&initial).expect("trainer");
+    let mut smart = session(MethodSpec::smart_update(), 3, 200).trainer(&initial).expect("trainer");
+    let mut baseline = session(MethodSpec::baseline(), 2, 300).trainer(&initial).expect("trainer");
     let mut source_a = MlpGradientSource::new(model, dataset.clone(), 16, 5);
     let mut source_b = MlpGradientSource::new(model, dataset.clone(), 16, 5);
     let mut smart_p2p_written = 0u64;
@@ -124,8 +124,9 @@ fn other_optimizers_and_models_run_through_the_same_api() {
                 .with_optimizer(smart_infinity::Optimizer::new(optimizer, Default::default()))
                 .build()
         };
-        let base = session(Method::Baseline).simulate_iteration().expect("simulation");
-        let smart = session(Method::SmartUpdateOptimized).simulate_iteration().expect("simulation");
+        let base = session(MethodSpec::baseline()).simulate_iteration().expect("simulation");
+        let smart =
+            session(MethodSpec::smart_update_optimized()).simulate_iteration().expect("simulation");
         assert!(
             smart.speedup_over(&base) > 1.2,
             "{optimizer:?}: speedup {:.2}",
@@ -144,13 +145,11 @@ fn congested_multi_gpu_topology_is_supported_end_to_end() {
         )
         .build()
     };
-    let base = session(3, Method::Baseline).simulate_iteration().expect("simulation");
-    let smart = session(3, Method::SmartComp { keep_ratio: 0.01 })
-        .simulate_iteration()
-        .expect("simulation");
+    let base = session(3, MethodSpec::baseline()).simulate_iteration().expect("simulation");
+    let smart = session(3, MethodSpec::smart_comp(0.01)).simulate_iteration().expect("simulation");
     let speedup = smart.speedup_over(&base);
     assert!(speedup > 1.3, "congested-topology speedup {speedup:.2}");
     // Multi-GPU tensor parallelism shortens forward compute vs a single GPU.
-    let single = session(1, Method::Baseline).simulate_iteration().expect("simulation");
+    let single = session(1, MethodSpec::baseline()).simulate_iteration().expect("simulation");
     assert!(base.forward_s < single.forward_s);
 }

@@ -10,7 +10,7 @@
 
 use gradcomp::Compressor;
 use optim::{HyperParams, Optimizer, OptimizerKind};
-use smart_infinity::{MachineConfig, Method, ModelConfig, Session, SmartInfinityTrainer};
+use smart_infinity::{MachineConfig, MethodSpec, ModelConfig, PipelinedTrainer, Session, Trainer};
 use tensorlib::{Dtype, FlatTensor};
 use ztrain::SyntheticGradients;
 
@@ -47,7 +47,7 @@ fn every_engine_produces_identical_parameters_for_every_optimizer() {
         let reference = in_memory_reference(&initial, optimizer, &grads);
 
         // Both substrates come out of the same Session front door; only the
-        // Method (and the substrate geometry) differs.
+        // method (and the substrate geometry) differs.
         let session = |method, devices, subgroup| {
             Session::builder(
                 ModelConfig::gpt2_0_34b(),
@@ -59,9 +59,9 @@ fn every_engine_produces_identical_parameters_for_every_optimizer() {
             .build()
         };
         let mut baseline =
-            session(Method::Baseline, 3, 2_500).trainer(&initial).expect("baseline trainer");
+            session(MethodSpec::baseline(), 3, 2_500).trainer(&initial).expect("baseline trainer");
         let mut smart =
-            session(Method::SmartUpdate, 5, 1_111).trainer(&initial).expect("smart trainer");
+            session(MethodSpec::smart_update(), 5, 1_111).trainer(&initial).expect("smart trainer");
         for g in &grads {
             baseline.step(g).expect("baseline step");
             smart.step(g).expect("smart step");
@@ -93,7 +93,7 @@ fn csd_count_and_subgroup_size_never_change_the_result() {
     let mut reference: Option<FlatTensor> = None;
     for (csds, subgroup) in [(1usize, n), (2, 4_000), (3, 1_024), (7, 333), (10, 10_000)] {
         let mut trainer =
-            SmartInfinityTrainer::new(&initial, optimizer, csds, subgroup).expect("trainer");
+            PipelinedTrainer::new(&initial, optimizer, csds, subgroup).expect("trainer");
         for g in &grads {
             trainer.train_step_with_grads(g).expect("step");
         }
@@ -119,9 +119,10 @@ fn smartcomp_equals_training_on_decompressed_gradients() {
     let optimizer = Optimizer::adam_default();
     let keep_ratio = 0.05;
 
-    let mut smart = SmartInfinityTrainer::new(&initial, optimizer, 1, 1_500)
+    let mut smart = PipelinedTrainer::new(&initial, optimizer, 1, 1_500)
         .expect("trainer")
-        .with_compression(keep_ratio);
+        .with_compression(keep_ratio)
+        .expect("keep ratio");
 
     // Reference: manual error feedback + Top-K + decompress + in-memory update.
     let compressor = Compressor::top_k(keep_ratio);
@@ -147,15 +148,16 @@ fn compressed_training_tracks_exact_training_with_error_feedback() {
     let n = 4_096;
     let initial = FlatTensor::randn(n, 0.05, 41);
     let optimizer = Optimizer::adam_default();
-    let mut exact = SmartInfinityTrainer::new(&initial, optimizer, 2, 1_000).expect("trainer");
-    let mut compressed = SmartInfinityTrainer::new(&initial, optimizer, 2, 1_000)
+    let mut exact = PipelinedTrainer::new(&initial, optimizer, 2, 1_000).expect("trainer");
+    let mut compressed = PipelinedTrainer::new(&initial, optimizer, 2, 1_000)
         .expect("trainer")
-        .with_compression(0.05);
+        .with_compression(0.05)
+        .expect("keep ratio");
     let mut src_a = SyntheticGradients::new(n, 0.01, 3);
     let mut src_b = SyntheticGradients::new(n, 0.01, 3);
     for _ in 0..10 {
-        exact.train_step(&mut src_a).expect("step");
-        compressed.train_step(&mut src_b).expect("step");
+        exact.step_from(&mut src_a).expect("step");
+        compressed.step_from(&mut src_b).expect("step");
     }
     let a = exact.master_params().expect("params");
     let b = compressed.master_params().expect("params");
@@ -169,7 +171,7 @@ fn fp16_working_copy_is_the_rounded_master_copy_everywhere() {
     let n = 2_000;
     let initial = FlatTensor::randn(n, 0.05, 55);
     let optimizer = Optimizer::adam_default();
-    let mut smart = SmartInfinityTrainer::new(&initial, optimizer, 4, 499).expect("trainer");
+    let mut smart = PipelinedTrainer::new(&initial, optimizer, 4, 499).expect("trainer");
     smart.train_step_with_grads(&FlatTensor::randn(n, 0.01, 56)).expect("step");
     let master = smart.master_params().expect("params");
     let expected = FlatTensor::from_bytes(&master.to_bytes(Dtype::F16), Dtype::F16);

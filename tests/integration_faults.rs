@@ -10,9 +10,7 @@
 //! * recovered transients, wear-outs and dropouts never change the numbers.
 
 use proptest::prelude::*;
-use smart_infinity::{
-    FaultSpec, MachineConfig, Method, MethodSpec, ModelConfig, Session, SessionBuilder,
-};
+use smart_infinity::{FaultSpec, MachineConfig, MethodSpec, ModelConfig, Session, SessionBuilder};
 use tensorlib::FlatTensor;
 
 const N: usize = 1500;
@@ -21,20 +19,20 @@ const N: usize = 1500;
 // a 1500-element tensor spreads over several subgroups per shard, but the
 // same override applied to the timed model of a 0.34B-parameter workload
 // would explode it into millions of per-subgroup events.
-fn builder(method: impl Into<MethodSpec>, devices: usize, threads: usize) -> SessionBuilder {
+fn builder(method: MethodSpec, devices: usize, threads: usize) -> SessionBuilder {
     timed_builder(method, devices, threads).with_subgroup_elems(300)
 }
 
-fn timed_builder(method: impl Into<MethodSpec>, devices: usize, threads: usize) -> SessionBuilder {
+fn timed_builder(method: MethodSpec, devices: usize, threads: usize) -> SessionBuilder {
     Session::builder(ModelConfig::gpt2_0_34b(), MachineConfig::smart_infinity(devices), method)
         .with_threads(threads)
 }
 
 fn exec_modes() -> Vec<MethodSpec> {
     vec![
-        MethodSpec::from(Method::Baseline),
-        MethodSpec::from(Method::SmartUpdate),
-        MethodSpec::from(Method::SmartComp { keep_ratio: 0.05 }),
+        MethodSpec::baseline(),
+        MethodSpec::smart_update(),
+        MethodSpec::smart_comp(0.05),
         MethodSpec::pipelined(None),
         MethodSpec::pipelined(Some(0.05)),
     ]
@@ -126,7 +124,7 @@ proptest! {
 
 /// The same `RunSpec` + `FaultSpec` seed reproduces the same fault events,
 /// the same recovery work and the same final parameters for every worker
-/// count of the pipelined execution backend.
+/// count of the near-storage trainer.
 #[test]
 fn seeded_faults_are_deterministic_across_worker_counts() {
     let initial = FlatTensor::randn(N, 0.05, 17);
@@ -171,7 +169,7 @@ fn timed_fault_effects_slow_the_iteration_deterministically() {
     faults.straggler_factor = Some(3.0);
     faults.link_bandwidth_factor = Some(0.25);
 
-    for method in [MethodSpec::from(Method::Baseline), MethodSpec::from(Method::SmartUpdate)] {
+    for method in [MethodSpec::baseline(), MethodSpec::smart_update()] {
         let clean = timed_builder(method, 4, 1).build().simulate_iteration().unwrap();
         let degraded = timed_builder(method, 4, 1)
             .with_faults(faults.clone())
@@ -200,7 +198,10 @@ fn invalid_fault_specs_are_rejected_up_front() {
     let initial = FlatTensor::randn(64, 0.05, 1);
     let mut faults = FaultSpec::empty(1);
     faults.transient_per_mille = Some(1001);
-    let err =
-        builder(Method::Baseline, 1, 1).with_faults(faults).build().trainer(&initial).unwrap_err();
+    let err = builder(MethodSpec::baseline(), 1, 1)
+        .with_faults(faults)
+        .build()
+        .trainer(&initial)
+        .unwrap_err();
     assert!(err.to_string().contains("per_mille"), "{err}");
 }

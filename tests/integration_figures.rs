@@ -4,13 +4,13 @@
 //! so refactoring cannot silently break them.)
 
 use smart_infinity::{
-    CostModel, GpuSpec, IterationReport, MachineConfig, Method, ModelConfig, Optimizer,
+    CostModel, GpuSpec, IterationReport, MachineConfig, MethodSpec, ModelConfig, Optimizer,
     OptimizerKind, Session, TrafficMethod, TrafficModel, Workload,
 };
 use ztrain::BaselineEngine;
 
 /// One timed iteration through the Session front door.
-fn simulate(model: ModelConfig, machine: MachineConfig, method: Method) -> IterationReport {
+fn simulate(model: ModelConfig, machine: MachineConfig, method: MethodSpec) -> IterationReport {
     Session::builder(model, machine, method).build().simulate_iteration().expect("simulation")
 }
 
@@ -78,8 +78,8 @@ fn fig9_and_fig10_speedups_hold_across_scales() {
         let mut speedups = Vec::new();
         for n in [6usize, 10] {
             let machine = MachineConfig::smart_infinity(n);
-            let base = simulate(model.clone(), machine.clone(), Method::Baseline);
-            let smart = simulate(model.clone(), machine, Method::SmartComp { keep_ratio: 0.01 });
+            let base = simulate(model.clone(), machine.clone(), MethodSpec::baseline());
+            let smart = simulate(model.clone(), machine, MethodSpec::smart_comp(0.01));
             speedups.push(smart.speedup_over(&base));
         }
         assert!(
@@ -104,9 +104,8 @@ fn fig9_and_fig10_speedups_hold_across_scales() {
 fn fig11_faster_gpu_increases_the_speedup() {
     let speedup_for = |gpu: GpuSpec| {
         let machine = MachineConfig::smart_infinity(10).with_gpu(gpu);
-        let base = simulate(ModelConfig::gpt2_4b(), machine.clone(), Method::Baseline);
-        let smart =
-            simulate(ModelConfig::gpt2_4b(), machine, Method::SmartComp { keep_ratio: 0.01 });
+        let base = simulate(ModelConfig::gpt2_4b(), machine.clone(), MethodSpec::baseline());
+        let smart = simulate(ModelConfig::gpt2_4b(), machine, MethodSpec::smart_comp(0.01));
         smart.speedup_over(&base)
     };
     let a5000 = speedup_for(GpuSpec::a5000());
@@ -125,8 +124,9 @@ fn fig12_other_optimizers_still_speed_up() {
                 .with_optimizer(Optimizer::new(optimizer, Default::default()))
                 .build()
         };
-        let base = session(Method::Baseline).simulate_iteration().expect("simulation");
-        let smart = session(Method::SmartUpdateOptimized).simulate_iteration().expect("simulation");
+        let base = session(MethodSpec::baseline()).simulate_iteration().expect("simulation");
+        let smart =
+            session(MethodSpec::smart_update_optimized()).simulate_iteration().expect("simulation");
         smart.speedup_over(&base)
     };
     let adam = speedup_for(OptimizerKind::Adam);
@@ -146,8 +146,8 @@ fn fig13_other_model_families_speed_up() {
         ModelConfig::vit_0_63b(),
     ] {
         let machine = MachineConfig::smart_infinity(10);
-        let base = simulate(model.clone(), machine.clone(), Method::Baseline);
-        let smart = simulate(model.clone(), machine, Method::SmartComp { keep_ratio: 0.01 });
+        let base = simulate(model.clone(), machine.clone(), MethodSpec::baseline());
+        let smart = simulate(model.clone(), machine, MethodSpec::smart_comp(0.01));
         let speedup = smart.speedup_over(&base);
         assert!(speedup > 1.3 && speedup < 3.0, "{}: {:.2}", model.name(), speedup);
     }
@@ -171,21 +171,18 @@ fn fig15_cost_efficiency_crossover() {
     let cost = CostModel::default();
     let gpu = GpuSpec::a5000();
     let flops = workload.training_flops();
-    let efficiency = |n: usize, method: Method| {
+    let efficiency = |n: usize, method: MethodSpec| {
         let t =
             simulate(ModelConfig::gpt2_4b(), MachineConfig::smart_infinity(n), method).total_s();
-        let system = match method {
-            Method::Baseline => cost.baseline_system_usd(&gpu, n),
-            _ => cost.smart_infinity_system_usd(&gpu, n),
+        let system = if method.uses_csds() {
+            cost.smart_infinity_system_usd(&gpu, n)
+        } else {
+            cost.baseline_system_usd(&gpu, n)
         };
         CostModel::gflops_per_dollar(flops / t, system)
     };
-    assert!(
-        efficiency(1, Method::Baseline) > efficiency(1, Method::SmartComp { keep_ratio: 0.01 })
-    );
-    assert!(
-        efficiency(10, Method::SmartComp { keep_ratio: 0.01 }) > efficiency(10, Method::Baseline)
-    );
+    assert!(efficiency(1, MethodSpec::baseline()) > efficiency(1, MethodSpec::smart_comp(0.01)));
+    assert!(efficiency(10, MethodSpec::smart_comp(0.01)) > efficiency(10, MethodSpec::baseline()));
 }
 
 /// Fig. 16: stronger compression monotonically reduces the iteration time,
@@ -197,7 +194,7 @@ fn fig16_compression_ratio_sensitivity() {
         let t = simulate(
             ModelConfig::gpt2_4b(),
             MachineConfig::smart_infinity(10),
-            Method::SmartComp { keep_ratio: transfer / 2.0 },
+            MethodSpec::smart_comp(transfer / 2.0),
         )
         .total_s();
         assert!(t <= last * 1.001, "time must not increase as compression strengthens");
@@ -212,12 +209,9 @@ fn fig17_congested_topology_shape() {
     let default_machine = MachineConfig::smart_infinity(10);
     let congested_machine = MachineConfig::congested_multi_gpu(10, 3);
     let speedup = |machine: &MachineConfig| {
-        let base = simulate(ModelConfig::gpt2_1_16b(), machine.clone(), Method::Baseline);
-        let smart = simulate(
-            ModelConfig::gpt2_1_16b(),
-            machine.clone(),
-            Method::SmartComp { keep_ratio: 0.01 },
-        );
+        let base = simulate(ModelConfig::gpt2_1_16b(), machine.clone(), MethodSpec::baseline());
+        let smart =
+            simulate(ModelConfig::gpt2_1_16b(), machine.clone(), MethodSpec::smart_comp(0.01));
         smart.speedup_over(&base)
     };
     let default_speedup = speedup(&default_machine);
@@ -230,8 +224,9 @@ fn fig17_congested_topology_shape() {
     // The congested placement routes GPU traffic over the shared switch, so
     // its backward (grad-offload) phase is relatively more expensive than in
     // the default topology with the same per-GPU traffic.
-    let default_base = simulate(ModelConfig::gpt2_1_16b(), default_machine, Method::Baseline);
-    let congested_base = simulate(ModelConfig::gpt2_1_16b(), congested_machine, Method::Baseline);
+    let default_base = simulate(ModelConfig::gpt2_1_16b(), default_machine, MethodSpec::baseline());
+    let congested_base =
+        simulate(ModelConfig::gpt2_1_16b(), congested_machine, MethodSpec::baseline());
     assert!(
         congested_base.backward_s / congested_base.forward_s
             > default_base.backward_s / default_base.forward_s

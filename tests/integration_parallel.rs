@@ -7,13 +7,13 @@
 use gradcomp::Compressor;
 use optim::{HyperParams, Optimizer, OptimizerKind};
 use parcore::ParExecutor;
-use smart_infinity::{MachineConfig, Method, ModelConfig, Session, Trainer};
+use smart_infinity::{MachineConfig, MethodSpec, ModelConfig, Session, Trainer};
 use tensorlib::FlatTensor;
 use ztrain::SyntheticGradients;
 
 /// Builds the functional trainer for `method` through the Session front door.
 fn trainer_for(
-    method: Method,
+    method: MethodSpec,
     devices: usize,
     subgroup: usize,
     threads: usize,
@@ -43,7 +43,7 @@ fn threaded_smart_infinity_matches_the_serial_baseline_bit_for_bit() {
     let initial = FlatTensor::randn(n, 0.05, 1001);
 
     // Reference: the single-threaded ZeRO-Infinity-style baseline.
-    let mut baseline = trainer_for(Method::Baseline, 2, 3000, 1, optimizer, &initial);
+    let mut baseline = trainer_for(MethodSpec::baseline(), 2, 3000, 1, optimizer, &initial);
     let mut source = SyntheticGradients::new(n, 0.01, 2002);
     for _ in 0..3 {
         baseline.step_from(&mut source).unwrap();
@@ -51,7 +51,8 @@ fn threaded_smart_infinity_matches_the_serial_baseline_bit_for_bit() {
     let reference = baseline.master_params().unwrap();
 
     for threads in thread_counts() {
-        let mut smart = trainer_for(Method::SmartUpdate, 3, 1100, threads, optimizer, &initial);
+        let mut smart =
+            trainer_for(MethodSpec::smart_update(), 3, 1100, threads, optimizer, &initial);
         let mut source = SyntheticGradients::new(n, 0.01, 2002);
         for _ in 0..3 {
             let report = smart.step_from(&mut source).unwrap();
@@ -76,14 +77,7 @@ fn threaded_compressed_training_is_deterministic_across_thread_counts() {
     let optimizer = Optimizer::adam_default();
     let initial = FlatTensor::randn(n, 0.05, 7);
     let run = |threads: usize| {
-        let mut t = trainer_for(
-            Method::SmartComp { keep_ratio: 0.02 },
-            2,
-            900,
-            threads,
-            optimizer,
-            &initial,
-        );
+        let mut t = trainer_for(MethodSpec::smart_comp(0.02), 2, 900, threads, optimizer, &initial);
         let mut source = SyntheticGradients::new(n, 0.01, 8);
         for _ in 0..4 {
             t.step_from(&mut source).unwrap();

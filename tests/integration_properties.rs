@@ -6,7 +6,7 @@
 use gradcomp::Compressor;
 use optim::{HyperParams, Optimizer, OptimizerKind};
 use proptest::prelude::*;
-use smart_infinity::{MachineConfig, Method, ModelConfig, Session, Workload};
+use smart_infinity::{MachineConfig, MethodSpec, ModelConfig, Session, Workload};
 use tensorlib::FlatTensor;
 
 fn arb_optimizer() -> impl Strategy<Value = OptimizerKind> {
@@ -47,8 +47,8 @@ proptest! {
             .with_subgroup_elems(subgroup)
             .build()
         };
-        let mut baseline = session(Method::Baseline, 2, block).trainer(&initial).unwrap();
-        let mut smart = session(Method::SmartUpdate, csds, subgroup).trainer(&initial).unwrap();
+        let mut baseline = session(MethodSpec::baseline(), 2, block).trainer(&initial).unwrap();
+        let mut smart = session(MethodSpec::smart_update(), csds, subgroup).trainer(&initial).unwrap();
         let base_report = baseline.step(&grads).unwrap();
         let smart_report = smart.step(&grads).unwrap();
         let baseline_params = baseline.master_params().unwrap();
@@ -123,15 +123,15 @@ proptest! {
         let session = |method, devices: usize| {
             Session::builder(model.clone(), MachineConfig::smart_infinity(devices), method).build()
         };
-        let base = session(Method::Baseline, devices).simulate_iteration().unwrap();
+        let base = session(MethodSpec::baseline(), devices).simulate_iteration().unwrap();
         let smart =
-            session(Method::SmartComp { keep_ratio: 0.01 }, devices).simulate_iteration().unwrap();
+            session(MethodSpec::smart_comp(0.01), devices).simulate_iteration().unwrap();
         prop_assert!(base.forward_s > 0.0 && base.backward_s > 0.0 && base.update_s > 0.0);
         prop_assert!(smart.forward_s > 0.0 && smart.backward_s > 0.0 && smart.update_s > 0.0);
         let speedup = smart.speedup_over(&base);
         prop_assert!(speedup > 0.8 && speedup < 4.0, "speedup {speedup:.2}");
 
-        let more = session(Method::SmartComp { keep_ratio: 0.01 }, devices + 1)
+        let more = session(MethodSpec::smart_comp(0.01), devices + 1)
             .simulate_iteration()
             .unwrap();
         prop_assert!(more.total_s() <= smart.total_s() * 1.02, "adding a CSD must not hurt");

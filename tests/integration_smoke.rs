@@ -62,15 +62,15 @@ fn canonical_reexports_point_at_the_home_crates() {
     assert_eq!(report.step, 0);
 }
 
-/// The Session front door assembles end to end: one `Method` produces both a
+/// The Session front door assembles end to end: one `MethodSpec` produces both a
 /// timed iteration report and a live functional trainer.
 #[test]
 fn session_builds_both_views_from_one_method() {
-    use smart_infinity::{FlatTensor, Method, Session, Trainer};
+    use smart_infinity::{FlatTensor, MethodSpec, Session, Trainer};
     let session = Session::builder(
         llm::ModelConfig::gpt2_0_34b(),
         MachineConfig::smart_infinity(2),
-        Method::SmartUpdate,
+        MethodSpec::smart_update(),
     )
     .build();
     let timed = session.simulate_iteration().expect("timed view");

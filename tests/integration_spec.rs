@@ -1,12 +1,12 @@
 //! Integration suite for the spec-driven front door: `RunSpec` JSON round
-//! trips, enum-vs-spec bit-equivalence across both stacks, centralized
+//! trips, builder-vs-JSON bit-equivalence across both stacks, centralized
 //! `TrainError::Config` validation from the builder *and* the JSON path, and
 //! the `Campaign` runner over the checked-in spec files.
 
 use parcore::ParExecutor;
 use proptest::prelude::*;
 use smart_infinity::{
-    Campaign, CompressionSpec, FlatTensor, HandlerMode, MachineSpec, Method, MethodSpec, ModelSpec,
+    Campaign, CompressionSpec, FlatTensor, HandlerMode, MachineSpec, MethodSpec, ModelSpec,
     RunSpec, SelectionMethod, TrainError, WorkloadSpec,
 };
 use ztrain::SyntheticGradients;
@@ -105,35 +105,35 @@ proptest! {
         prop_assert_eq!(&pretty, &spec);
     }
 
-    /// Every `Method` variant, routed through its `MethodSpec` *and through
-    /// JSON*, produces a bit-identical trainer and an identical timed
-    /// iteration report.
+    /// Every named ablation point, built directly and routed through a
+    /// `RunSpec` *and through JSON*, produces a bit-identical trainer and an
+    /// identical timed iteration report.
     #[test]
-    fn enum_and_spec_built_sessions_are_bit_identical(
+    fn builder_and_json_built_sessions_are_bit_identical(
         variant in 0usize..6,
         devices in 1usize..6,
         threads in 1usize..4,
     ) {
         let method = [
-            Method::Baseline,
-            Method::SmartUpdate,
-            Method::SmartUpdateOptimized,
-            Method::SmartComp { keep_ratio: 0.02 },
-            Method::SmartInfinityPipelined { keep_ratio: None },
-            Method::SmartInfinityPipelined { keep_ratio: Some(0.02) },
+            MethodSpec::baseline(),
+            MethodSpec::smart_update(),
+            MethodSpec::smart_update_optimized(),
+            MethodSpec::smart_comp(0.02),
+            MethodSpec::pipelined(None),
+            MethodSpec::pipelined(Some(0.02)),
         ][variant];
         let model = smart_infinity::ModelConfig::gpt2_0_34b();
         let machine = smart_infinity::MachineConfig::smart_infinity(devices);
 
-        // Enum-built: the compat path through Session::builder(.., Method).
-        let enum_session = smart_infinity::Session::builder(model, machine, method)
+        // Builder-built: straight through Session::builder.
+        let built_session = smart_infinity::Session::builder(model, machine, method)
             .with_threads(threads)
             .build();
         // Spec-built: the data path, round-tripped through JSON text.
         let spec = RunSpec::new(
             ModelSpec::preset("GPT2-0.34B"),
             MachineSpec::devices(devices),
-            MethodSpec::from(method),
+            method,
         )
         .with_threads(threads);
         let spec_session = RunSpec::from_json(&spec.to_json()).expect("round trip")
@@ -141,24 +141,24 @@ proptest! {
 
         // Functional view: bit-identical parameters after 3 steps.
         let initial = FlatTensor::randn(1_200, 0.05, 11);
-        let mut from_enum = enum_session.trainer(&initial).expect("enum trainer");
+        let mut from_builder = built_session.trainer(&initial).expect("builder trainer");
         let mut from_spec = spec_session.trainer(&initial).expect("spec trainer");
         let mut src_a = SyntheticGradients::new(1_200, 0.01, 23);
         let mut src_b = SyntheticGradients::new(1_200, 0.01, 23);
         for _ in 0..3 {
-            let a = from_enum.step_from(&mut src_a).expect("step");
+            let a = from_builder.step_from(&mut src_a).expect("step");
             let b = from_spec.step_from(&mut src_b).expect("step");
             prop_assert_eq!(a.gradient_bytes, b.gradient_bytes);
             prop_assert_eq!(a.compression_kept, b.compression_kept);
         }
-        prop_assert_eq!(from_enum.params_fp16().as_slice(), from_spec.params_fp16().as_slice());
-        let enum_master = from_enum.master_params().expect("params");
+        prop_assert_eq!(from_builder.params_fp16().as_slice(), from_spec.params_fp16().as_slice());
+        let builder_master = from_builder.master_params().expect("params");
         let spec_master = from_spec.master_params().expect("params");
-        prop_assert_eq!(enum_master.as_slice(), spec_master.as_slice());
+        prop_assert_eq!(builder_master.as_slice(), spec_master.as_slice());
 
         // Timed view: identical phase breakdowns.
         prop_assert_eq!(
-            enum_session.simulate_iteration().expect("timed"),
+            built_session.simulate_iteration().expect("timed"),
             spec_session.simulate_iteration().expect("timed")
         );
     }

@@ -5,14 +5,14 @@
 use csd::CsdError;
 use simkit::SimError;
 use smart_infinity::{
-    FlatTensor, MachineConfig, Method, ModelConfig, Session, SmartInfinityTrainer, StepReport,
+    FlatTensor, MachineConfig, MethodSpec, ModelConfig, PipelinedTrainer, Session, StepReport,
     TrainError, Trainer,
 };
 use ssd::SsdError;
 use std::error::Error;
 use ztrain::{StorageOffloadTrainer, SyntheticGradients};
 
-fn session(method: Method, devices: usize) -> Session {
+fn session(method: MethodSpec, devices: usize) -> Session {
     Session::builder(ModelConfig::gpt2_0_34b(), MachineConfig::smart_infinity(devices), method)
         .build()
 }
@@ -27,8 +27,8 @@ fn dyn_trainer_dispatch_is_equivalent_across_substrates() {
     let initial = FlatTensor::randn(n, 0.05, 42);
 
     let mut trainers: Vec<Box<dyn Trainer>> = vec![
-        session(Method::Baseline, 3).trainer(&initial).expect("baseline trainer"),
-        session(Method::SmartUpdate, 3).trainer(&initial).expect("smart trainer"),
+        session(MethodSpec::baseline(), 3).trainer(&initial).expect("baseline trainer"),
+        session(MethodSpec::smart_update(), 3).trainer(&initial).expect("smart trainer"),
     ];
     let mut last = vec![StepReport::default(); trainers.len()];
     for step in 0..steps {
@@ -81,7 +81,7 @@ fn step_reports_sum_to_the_cumulative_accessors() {
     assert_eq!(read_sum, baseline.storage_bytes_read());
     assert_eq!(write_sum, baseline.storage_bytes_written() - setup);
 
-    let mut smart = SmartInfinityTrainer::new(&initial, optimizer, 3, 1_000).expect("trainer");
+    let mut smart = PipelinedTrainer::new(&initial, optimizer, 3, 1_000).expect("trainer");
     let mut read_sum = 0;
     let mut write_sum = 0;
     for step in 0..3u64 {
@@ -103,7 +103,7 @@ fn compressed_step_reports_account_for_the_topk_stream() {
     let keep_ratio = 0.05;
     let initial = FlatTensor::randn(n, 0.05, 9);
     let mut trainer =
-        session(Method::SmartComp { keep_ratio }, 4).trainer(&initial).expect("trainer");
+        session(MethodSpec::smart_comp(keep_ratio), 4).trainer(&initial).expect("trainer");
     let mut source = SyntheticGradients::new(n, 0.01, 11);
     let report = trainer.step_from(&mut source).expect("step");
     // 4 even shards of 2000 elements, 5% kept each.
@@ -128,7 +128,7 @@ fn threads_knob_is_reported_and_never_changes_results() {
         let mut trainer = Session::builder(
             ModelConfig::gpt2_0_34b(),
             MachineConfig::smart_infinity(2),
-            Method::SmartUpdate,
+            MethodSpec::smart_update(),
         )
         .with_threads(threads)
         .build()
@@ -169,7 +169,7 @@ fn train_error_conversions_and_source_round_trips() {
     assert_eq!(e.source().and_then(|s| s.downcast_ref::<SimError>()), Some(&sim));
 
     // Config errors originate at the unified layer and have no source.
-    let e = session(Method::SmartComp { keep_ratio: 2.0 }, 2)
+    let e = session(MethodSpec::smart_comp(2.0), 2)
         .trainer(&FlatTensor::zeros(16))
         .expect_err("invalid keep ratio");
     assert!(matches!(e, TrainError::Config { .. }));
@@ -184,7 +184,7 @@ fn question_mark_spans_the_functional_and_timed_stacks() {
         let s = Session::builder(
             ModelConfig::gpt2_0_34b(),
             MachineConfig::smart_infinity(2),
-            Method::SmartUpdate,
+            MethodSpec::smart_update(),
         )
         .build();
         let timed = s.simulate_iteration()?; // SimError -> TrainError
@@ -204,8 +204,8 @@ fn question_mark_spans_the_functional_and_timed_stacks() {
 fn step_from_equals_step_with_explicit_gradients() {
     let n = 2_000;
     let initial = FlatTensor::randn(n, 0.05, 31);
-    let mut via_source = session(Method::Baseline, 2).trainer(&initial).expect("trainer");
-    let mut via_grads = session(Method::Baseline, 2).trainer(&initial).expect("trainer");
+    let mut via_source = session(MethodSpec::baseline(), 2).trainer(&initial).expect("trainer");
+    let mut via_grads = session(MethodSpec::baseline(), 2).trainer(&initial).expect("trainer");
     let mut source = SyntheticGradients::new(n, 0.01, 77);
     let mut mirror = SyntheticGradients::new(n, 0.01, 77);
     use ztrain::GradientSource;
