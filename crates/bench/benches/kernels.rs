@@ -9,7 +9,7 @@ use optim::{HyperParams, Optimizer, OptimizerKind};
 use parcore::ParExecutor;
 use simkit::{FlowSpec, Simulation};
 use std::hint::black_box;
-use tensorlib::{Dtype, FlatTensor};
+use tensorlib::{le_bytes, Dtype, FlatTensor};
 
 const KERNEL_ELEMS: usize = 1 << 20;
 
@@ -106,6 +106,29 @@ fn bench_half_precision(c: &mut Criterion) {
     g.finish();
 }
 
+/// The FP32 wire codec: the borrowed byte view (one `memcpy`) against the
+/// per-element scalar loop it replaced, in both directions.
+fn bench_f32_bytes(c: &mut Criterion) {
+    let mut g = c.benchmark_group("f32_bytes");
+    let values = FlatTensor::randn(KERNEL_ELEMS, 1.0, 7);
+    g.throughput(Throughput::Bytes((KERNEL_ELEMS * 4) as u64));
+    let mut wire = vec![0u8; KERNEL_ELEMS * 4];
+    g.bench_function("encode_view", |b| {
+        b.iter(|| le_bytes::encode(values.as_slice(), black_box(&mut wire)));
+    });
+    g.bench_function("encode_scalar", |b| {
+        b.iter(|| le_bytes::encode_scalar(values.as_slice(), black_box(&mut wire)));
+    });
+    let mut decoded = vec![0.0f32; KERNEL_ELEMS];
+    g.bench_function("decode_view", |b| {
+        b.iter(|| le_bytes::decode(&wire, black_box(&mut decoded)));
+    });
+    g.bench_function("decode_scalar", |b| {
+        b.iter(|| le_bytes::decode_scalar(&wire, black_box(&mut decoded)));
+    });
+    g.finish();
+}
+
 fn bench_simulation_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("discrete_event_engine");
     g.bench_function("thousand_contending_flows", |b| {
@@ -164,6 +187,7 @@ criterion_group!(
     bench_compression,
     bench_parallel_backend,
     bench_half_precision,
+    bench_f32_bytes,
     bench_simulation_engine,
     bench_functional_trainers
 );

@@ -2,7 +2,7 @@
 //! traffic accounting.
 
 use crate::decompressor::Decompressor;
-use crate::dram::{DeviceDram, DramError};
+use crate::dram::{BufferId, DeviceDram, DramError};
 use crate::updater::Updater;
 use faultkit::FaultInjector;
 use gradcomp::{CompressError, CompressedGradient};
@@ -10,9 +10,12 @@ use optim::Optimizer;
 use parcore::ParExecutor;
 use serde::{Deserialize, Serialize};
 use ssd::{SsdDevice, SsdError};
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
-use tensorlib::{Dtype, FlatTensor};
+use std::sync::Arc;
+use tensorlib::le_bytes::{fill_from_le_bytes, with_le_bytes};
+use tensorlib::{f16, FlatTensor};
 
 /// Errors produced by the functional CSD update path.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,6 +136,96 @@ pub struct SubgroupUpdate<'a> {
     pub compressed: Option<&'a CompressedGradient>,
 }
 
+/// The SSD region names and FPGA-DRAM buffer labels of one shard, built once
+/// (when the shard is first stored to) instead of on every operation.
+#[derive(Debug, Clone)]
+struct ShardNames {
+    master: String,
+    grad: String,
+    aux: Vec<String>,
+    // Working-set buffer labels, in allocation order: gradient, master, aux….
+    buffers: Vec<Arc<str>>,
+}
+
+impl ShardNames {
+    fn new(shard: &str) -> Self {
+        Self {
+            master: format!("{shard}/master"),
+            grad: format!("{shard}/grad"),
+            aux: Vec::new(),
+            buffers: vec![format!("{shard}/grad-buf").into(), format!("{shard}/master-buf").into()],
+        }
+    }
+
+    /// Makes sure the names of the first `num_aux` auxiliary tensors exist.
+    fn ensure_aux(&mut self, shard: &str, num_aux: usize) {
+        for i in self.aux.len()..num_aux {
+            self.aux.push(format!("{shard}/aux{i}"));
+            self.buffers.push(format!("{shard}/aux{i}-buf").into());
+        }
+    }
+}
+
+/// Device-internal bounded retry for transient faults *inside* a subgroup
+/// update. The update must not be retried whole once its write-back has
+/// partially landed (that would re-apply the optimizer step to an already
+/// updated master), so the device clears transient faults op-by-op — the
+/// FPGA scratch still holds the computed results, exactly like firmware
+/// retrying a failed program operation.
+#[derive(Debug, Clone, Copy, Default)]
+struct FaultAbsorber {
+    budget: u32,
+    retries: u64,
+    backoff_ms: u64,
+}
+
+impl FaultAbsorber {
+    /// Runs one SSD operation, clearing transient faults within the budget.
+    fn retrying(&mut self, mut op: impl FnMut() -> Result<(), SsdError>) -> Result<(), CsdError> {
+        let mut attempt = 0u32;
+        loop {
+            match op() {
+                Ok(()) => return Ok(()),
+                Err(e) if e.is_transient() && attempt < self.budget => {
+                    attempt += 1;
+                    self.retries += 1;
+                    self.backoff_ms += 1u64 << attempt.min(16);
+                }
+                Err(e) => return Err(CsdError::Ssd(e)),
+            }
+        }
+    }
+}
+
+/// One counted SSD read of `out.len()` floats at element `offset` of
+/// `region`, landing straight in `out`.
+fn read_f32(
+    ssd: &mut SsdDevice,
+    region: &str,
+    offset: usize,
+    out: &mut [f32],
+) -> Result<(), SsdError> {
+    // A saturated offset is out of bounds for any region, so it comes back as
+    // the SSD's error.
+    fill_from_le_bytes(out, |bytes| ssd.read_exact_at(region, offset.saturating_mul(4), bytes))
+}
+
+/// The name of the shard's region picked by `pick`, if that region is on the
+/// SSD.
+fn stored_region<'a>(
+    shards: &'a BTreeMap<String, ShardNames>,
+    ssd: &SsdDevice,
+    shard: &str,
+    pick: impl FnOnce(&'a ShardNames) -> Option<&'a String>,
+) -> Result<&'a str, CsdError> {
+    shards
+        .get(shard)
+        .and_then(pick)
+        .filter(|region| ssd.has_region(region))
+        .map(String::as_str)
+        .ok_or_else(|| CsdError::MissingShard { shard: shard.to_string() })
+}
+
 /// A SmartSSD: NVMe SSD, FPGA device memory and the updater/decompressor
 /// kernels, connected by an internal PCIe switch.
 #[derive(Debug, Clone)]
@@ -145,21 +238,15 @@ pub struct CsdDevice {
     executor: ParExecutor,
     stats: CsdTrafficStats,
     dropped: bool,
-    // Device-internal bounded retry for transient faults *inside* a subgroup
-    // update. The update must not be retried whole once its write-back has
-    // partially landed (that would re-apply the optimizer step to an already
-    // updated master), so the device clears transient faults op-by-op — the
-    // FPGA scratch still holds the computed results, exactly like firmware
-    // retrying a failed program operation.
-    retry_budget: u32,
-    fault_retries: u64,
-    fault_backoff_ms: u64,
-    // Per-subgroup scratch buffers: the update loop runs every iteration of
-    // training, so the working set is reused instead of reallocated.
-    io_buf: Vec<u8>,
+    faults: FaultAbsorber,
+    shards: BTreeMap<String, ShardNames>,
+    // Per-subgroup working set: the update loop runs every iteration of
+    // training, so the P2P loads land in (and the write-backs leave from)
+    // these tensors' own memory, reused from one subgroup to the next.
     master_scratch: FlatTensor,
     grad_scratch: FlatTensor,
     aux_scratch: Vec<FlatTensor>,
+    dram_buffers: Vec<BufferId>,
 }
 
 impl CsdDevice {
@@ -176,13 +263,12 @@ impl CsdDevice {
             executor: ParExecutor::serial(),
             stats: CsdTrafficStats::default(),
             dropped: false,
-            retry_budget: 0,
-            fault_retries: 0,
-            fault_backoff_ms: 0,
-            io_buf: Vec::new(),
+            faults: FaultAbsorber::default(),
+            shards: BTreeMap::new(),
             master_scratch: FlatTensor::default(),
             grad_scratch: FlatTensor::default(),
             aux_scratch: Vec::new(),
+            dram_buffers: Vec::new(),
             name,
         }
     }
@@ -246,15 +332,16 @@ impl CsdDevice {
     }
 
     /// Sets the device-internal retry budget for transient faults during a
-    /// subgroup update (see the field comment on `retry_budget`).
+    /// subgroup update (transients are cleared op-by-op inside the device,
+    /// because a half-written subgroup must never be recomputed).
     pub fn set_retry_budget(&mut self, budget: u32) {
-        self.retry_budget = budget;
+        self.faults.budget = budget;
     }
 
     /// Drains the device-internal fault-recovery counters accumulated since
     /// the last call: `(transient retries, modeled backoff in ms)`.
     pub fn take_fault_events(&mut self) -> (u64, u64) {
-        (std::mem::take(&mut self.fault_retries), std::mem::take(&mut self.fault_backoff_ms))
+        (std::mem::take(&mut self.faults.retries), std::mem::take(&mut self.faults.backoff_ms))
     }
 
     /// Suspends (or resumes) transient-fault injection on the underlying SSD
@@ -301,53 +388,13 @@ impl CsdDevice {
         Ok(())
     }
 
-    /// Reads into `io_buf`, clearing transient faults within the retry budget.
-    fn read_at_into_retrying(
-        &mut self,
-        region: &str,
-        byte_off: usize,
-        byte_len: usize,
-    ) -> Result<(), CsdError> {
-        let mut attempt = 0u32;
-        loop {
-            match self.ssd.read_at_into(region, byte_off, byte_len, &mut self.io_buf) {
-                Ok(()) => return Ok(()),
-                Err(e) if e.is_transient() && attempt < self.retry_budget => {
-                    attempt += 1;
-                    self.fault_retries += 1;
-                    self.fault_backoff_ms += 1u64 << attempt.min(16);
-                }
-                Err(e) => return Err(CsdError::Ssd(e)),
-            }
+    /// The names of `shard`, created on first use (naming a shard stores
+    /// nothing on the SSD).
+    fn names_mut(&mut self, shard: &str) -> &mut ShardNames {
+        if !self.shards.contains_key(shard) {
+            self.shards.insert(shard.to_string(), ShardNames::new(shard));
         }
-    }
-
-    /// Writes `io_buf`, clearing transient faults within the retry budget.
-    fn write_at_retrying(&mut self, region: &str, byte_off: usize) -> Result<(), CsdError> {
-        let mut attempt = 0u32;
-        loop {
-            match self.ssd.write_at(region, byte_off, &self.io_buf) {
-                Ok(()) => return Ok(()),
-                Err(e) if e.is_transient() && attempt < self.retry_budget => {
-                    attempt += 1;
-                    self.fault_retries += 1;
-                    self.fault_backoff_ms += 1u64 << attempt.min(16);
-                }
-                Err(e) => return Err(CsdError::Ssd(e)),
-            }
-        }
-    }
-
-    fn master_region(shard: &str) -> String {
-        format!("{shard}/master")
-    }
-
-    fn aux_region(shard: &str, index: usize) -> String {
-        format!("{shard}/aux{index}")
-    }
-
-    fn grad_region(shard: &str) -> String {
-        format!("{shard}/grad")
+        self.shards.get_mut(shard).expect("shard names were just ensured")
     }
 
     /// Initialises a shard on this device: the FP32 master copy of the
@@ -364,10 +411,13 @@ impl CsdDevice {
         optimizer: &Optimizer,
     ) -> Result<(), CsdError> {
         self.check_alive()?;
-        self.ssd.write_region(Self::master_region(shard), params.to_bytes(Dtype::F32))?;
-        for i in 0..optimizer.kind().num_aux() {
-            let zeros = FlatTensor::zeros(params.len());
-            self.ssd.write_region(Self::aux_region(shard, i), zeros.to_bytes(Dtype::F32))?;
+        let num_aux = optimizer.kind().num_aux();
+        self.names_mut(shard).ensure_aux(shard, num_aux);
+        let (ssd, names) = (&mut self.ssd, &self.shards[shard]);
+        with_le_bytes(params.as_slice(), |bytes| ssd.write_region_from(&names.master, bytes))?;
+        for aux in &names.aux[..num_aux] {
+            // FP32 zeros are zero bytes, so the region is born zeroed.
+            ssd.write_region(aux.as_str(), vec![0u8; 4 * params.len()])?;
         }
         Ok(())
     }
@@ -378,10 +428,54 @@ impl CsdDevice {
     /// # Errors
     ///
     /// Returns a capacity error if the SSD cannot hold the gradients.
-    pub fn store_gradients(&mut self, shard: &str, grads: &FlatTensor) -> Result<(), CsdError> {
+    pub fn store_gradients(&mut self, shard: &str, grads: &[f32]) -> Result<(), CsdError> {
         self.check_alive()?;
-        self.ssd.write_region(Self::grad_region(shard), grads.to_bytes(Dtype::F32))?;
+        self.names_mut(shard);
+        let (ssd, names) = (&mut self.ssd, &self.shards[shard]);
+        with_le_bytes(grads, |bytes| ssd.write_region_from(&names.grad, bytes))?;
         Ok(())
+    }
+
+    /// Reads a range of the FP32 master parameters straight into `out` (the
+    /// read-back of the refreshed parameters after the update: one counted
+    /// SSD read, no intermediate buffer).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CsdError::MissingShard`] if the shard was never initialised.
+    pub fn load_parameters_into(
+        &mut self,
+        shard: &str,
+        offset: usize,
+        out: &mut [f32],
+    ) -> Result<(), CsdError> {
+        self.check_alive()?;
+        let region = stored_region(&self.shards, &self.ssd, shard, |names| Some(&names.master))?;
+        Ok(read_f32(&mut self.ssd, region, offset, out)?)
+    }
+
+    /// Reads `out.len()` FP32 master parameters at element `offset` and
+    /// stores each one's FP16-rounded value in `out` — the refreshed FP16
+    /// working copy going upstream. One counted SSD read, rounded straight
+    /// from the region's bytes: bit-identical to
+    /// [`CsdDevice::load_parameters`] followed by
+    /// [`FlatTensor::roundtrip_f16_into`]. `out` is untouched on error.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CsdError::MissingShard`] if the shard was never initialised.
+    pub fn load_parameters_fp16_into(
+        &mut self,
+        shard: &str,
+        offset: usize,
+        out: &mut [f32],
+    ) -> Result<(), CsdError> {
+        self.check_alive()?;
+        let region = stored_region(&self.shards, &self.ssd, shard, |names| Some(&names.master))?;
+        let (byte_off, byte_len) = (offset.saturating_mul(4), out.len().saturating_mul(4));
+        Ok(self.ssd.read_at_with(region, byte_off, byte_len, |bytes| {
+            f16::roundtrip_f32_le_bytes_into(bytes, out)
+        })?)
     }
 
     /// Reads back a range of the FP32 master parameters (what gets sent
@@ -396,13 +490,9 @@ impl CsdDevice {
         offset: usize,
         len: usize,
     ) -> Result<FlatTensor, CsdError> {
-        self.check_alive()?;
-        let region = Self::master_region(shard);
-        if !self.ssd.has_region(&region) {
-            return Err(CsdError::MissingShard { shard: shard.to_string() });
-        }
-        let bytes = self.ssd.read_at(&region, offset * 4, len * 4)?;
-        Ok(FlatTensor::from_bytes(&bytes, Dtype::F32))
+        let mut out = FlatTensor::zeros(len);
+        self.load_parameters_into(shard, offset, out.as_mut_slice())?;
+        Ok(out)
     }
 
     /// Overwrites one whole auxiliary optimizer-state tensor (checkpoint
@@ -420,11 +510,9 @@ impl CsdDevice {
         values: &FlatTensor,
     ) -> Result<(), CsdError> {
         self.check_alive()?;
-        let region = Self::aux_region(shard, aux_index);
-        if !self.ssd.has_region(&region) {
-            return Err(CsdError::MissingShard { shard: shard.to_string() });
-        }
-        self.ssd.write_region(region, values.to_bytes(Dtype::F32))?;
+        let region =
+            stored_region(&self.shards, &self.ssd, shard, |names| names.aux.get(aux_index))?;
+        with_le_bytes(values.as_slice(), |bytes| self.ssd.write_region_from(region, bytes))?;
         Ok(())
     }
 
@@ -443,12 +531,11 @@ impl CsdDevice {
         len: usize,
     ) -> Result<FlatTensor, CsdError> {
         self.check_alive()?;
-        let region = Self::aux_region(shard, aux_index);
-        if !self.ssd.has_region(&region) {
-            return Err(CsdError::MissingShard { shard: shard.to_string() });
-        }
-        let bytes = self.ssd.read_at(&region, offset * 4, len * 4)?;
-        Ok(FlatTensor::from_bytes(&bytes, Dtype::F32))
+        let region =
+            stored_region(&self.shards, &self.ssd, shard, |names| names.aux.get(aux_index))?;
+        let mut out = FlatTensor::zeros(len);
+        read_f32(&mut self.ssd, region, offset, out.as_mut_slice())?;
+        Ok(out)
     }
 
     /// Executes one subgroup update entirely inside the CSD: P2P-load the
@@ -458,77 +545,87 @@ impl CsdDevice {
     ///
     /// # Errors
     ///
-    /// Returns [`CsdError::MissingShard`] if the shard is uninitialised,
+    /// Returns [`CsdError::MissingShard`] if the shard is uninitialised (or
+    /// was initialised for an optimizer with fewer auxiliary tensors),
     /// [`CsdError::Dram`] if the working set does not fit in device memory,
     /// or an [`CsdError::Ssd`] error for out-of-range accesses.
     pub fn update_subgroup(&mut self, request: SubgroupUpdate<'_>) -> Result<(), CsdError> {
         self.check_alive()?;
-        let SubgroupUpdate { shard, offset, len, optimizer, step, compressed } = request;
-        let master_region = Self::master_region(shard);
-        if !self.ssd.has_region(&master_region) {
-            return Err(CsdError::MissingShard { shard: shard.to_string() });
-        }
-        let num_aux = optimizer.kind().num_aux();
-        let subgroup_bytes = (len * 4) as u64;
+        let num_aux = request.optimizer.kind().num_aux();
+        stored_region(&self.shards, &self.ssd, request.shard, |names| Some(&names.master))?;
+        let labels = self.shards[request.shard].buffers.get(..2 + num_aux);
+        let labels =
+            labels.ok_or_else(|| CsdError::MissingShard { shard: request.shard.to_string() })?;
 
         // Allocate the working-set buffers in FPGA DRAM (gradient + master +
-        // every auxiliary state tensor).
-        let mut buffers = Vec::with_capacity(2 + num_aux);
-        buffers.push(self.dram.allocate(format!("{shard}/grad-buf"), subgroup_bytes)?);
-        buffers.push(self.dram.allocate(format!("{shard}/master-buf"), subgroup_bytes)?);
-        for i in 0..num_aux {
-            buffers.push(self.dram.allocate(format!("{shard}/aux{i}-buf"), subgroup_bytes)?);
-        }
-        let result = self.update_subgroup_inner(shard, offset, len, optimizer, step, compressed);
-        for buf in buffers {
+        // every auxiliary state tensor); a length too large to count is too
+        // large to fit.
+        let subgroup_bytes = (request.len as u64).saturating_mul(4);
+        self.dram_buffers.clear();
+        let allocated = labels.iter().try_for_each(|label| {
+            self.dram_buffers.push(self.dram.allocate(Arc::clone(label), subgroup_bytes)?);
+            Ok(())
+        });
+        let result =
+            allocated.map_err(CsdError::Dram).and_then(|()| self.update_subgroup_inner(request));
+        for buffer in self.dram_buffers.drain(..) {
             // Freeing a buffer we just allocated cannot fail.
-            self.dram.free(buf).expect("freshly allocated buffer must be live");
+            self.dram.free(buffer).expect("freshly allocated buffer must be live");
         }
         result
     }
 
-    fn update_subgroup_inner(
-        &mut self,
-        shard: &str,
-        offset: usize,
-        len: usize,
-        optimizer: Optimizer,
-        step: u64,
-        compressed: Option<&CompressedGradient>,
-    ) -> Result<(), CsdError> {
+    fn update_subgroup_inner(&mut self, request: SubgroupUpdate<'_>) -> Result<(), CsdError> {
+        let SubgroupUpdate { shard, offset, len, optimizer, step, compressed } = request;
+        let Self { ssd, faults, stats, master_scratch, grad_scratch, aux_scratch, .. } = self;
+        let names = &self.shards[shard];
         let num_aux = optimizer.kind().num_aux();
-        let byte_off = offset * 4;
-        let byte_len = len * 4;
+        let byte_off = offset.saturating_mul(4);
 
-        // 1. P2P load: master copy and auxiliary states, decoded into the
-        // device's scratch tensors (no per-subgroup allocation).
-        self.read_at_into_retrying(&Self::master_region(shard), byte_off, byte_len)?;
-        FlatTensor::from_bytes_into(&self.io_buf, Dtype::F32, &mut self.master_scratch);
-        self.stats.p2p_read_bytes += byte_len as u64;
-        self.aux_scratch.resize(num_aux, FlatTensor::default());
-        for i in 0..num_aux {
-            self.read_at_into_retrying(&Self::aux_region(shard, i), byte_off, byte_len)?;
-            FlatTensor::from_bytes_into(&self.io_buf, Dtype::F32, &mut self.aux_scratch[i]);
-            self.stats.p2p_read_bytes += byte_len as u64;
+        // The scratch tensors are sized from the request, so a subgroup that
+        // does not lie inside the stored shard is refused before they grow.
+        let region_len = ssd.region_len(&names.master).unwrap_or(0);
+        let end = len.checked_mul(4).and_then(|l| l.checked_add(byte_off));
+        if end.map_or(true, |end| end > region_len) {
+            return Err(CsdError::Ssd(SsdError::OutOfBounds {
+                region: names.master.clone(),
+                offset: byte_off,
+                len: len.saturating_mul(4),
+                region_len,
+            }));
+        }
+        let byte_len = 4 * len as u64;
+
+        // 1. P2P load: master copy and auxiliary states land in the device's
+        // scratch tensors' own memory (no staging buffer, no allocation).
+        aux_scratch.resize(num_aux, FlatTensor::default());
+        let states = std::iter::once(&mut *master_scratch).chain(aux_scratch.iter_mut());
+        for (region, tensor) in std::iter::once(&names.master).chain(&names.aux).zip(states) {
+            tensor.resize(len, 0.0);
+            fill_from_le_bytes(tensor.as_mut_slice(), |bytes| {
+                faults.retrying(|| ssd.read_exact_at(region, byte_off, bytes))
+            })?;
+            stats.p2p_read_bytes += byte_len;
         }
 
         // 2. Gradients: either decompress the compressed stream or load dense.
+        grad_scratch.resize(len, 0.0);
         match compressed {
             Some(c) => {
-                self.grad_scratch.resize(len, 0.0);
-                self.decompressor.decompress_subgroup(c, offset, self.grad_scratch.as_mut_slice());
+                self.decompressor.decompress_subgroup(c, offset, grad_scratch.as_mut_slice());
                 // Only the subgroup's share of the compressed stream crosses the switch.
                 let share = if c.original_len() == 0 {
                     0
                 } else {
                     (c.compressed_bytes() as u128 * len as u128 / c.original_len() as u128) as u64
                 };
-                self.stats.p2p_read_bytes += share;
+                stats.p2p_read_bytes += share;
             }
             None => {
-                self.read_at_into_retrying(&Self::grad_region(shard), byte_off, byte_len)?;
-                FlatTensor::from_bytes_into(&self.io_buf, Dtype::F32, &mut self.grad_scratch);
-                self.stats.p2p_read_bytes += byte_len as u64;
+                fill_from_le_bytes(grad_scratch.as_mut_slice(), |bytes| {
+                    faults.retrying(|| ssd.read_exact_at(&names.grad, byte_off, bytes))
+                })?;
+                stats.p2p_read_bytes += byte_len;
             }
         };
 
@@ -537,25 +634,24 @@ impl CsdDevice {
         self.updater.run_with(
             &self.executor,
             &optimizer,
-            self.master_scratch.as_mut_slice(),
-            &self.grad_scratch,
-            &mut self.aux_scratch,
+            master_scratch.as_mut_slice(),
+            grad_scratch,
+            aux_scratch,
             step,
         );
-        self.stats.updates_run += 1;
-        self.stats.elements_updated += len as u64;
+        stats.updates_run += 1;
+        stats.elements_updated += len as u64;
 
-        // 4. P2P write-back: master first (needed upstream), then auxiliaries.
-        // Transient write faults are cleared device-internally (the scratch
-        // tensors still hold the results), so the caller never observes a
-        // half-written subgroup.
-        self.master_scratch.to_bytes_into(Dtype::F32, &mut self.io_buf);
-        self.write_at_retrying(&Self::master_region(shard), byte_off)?;
-        self.stats.p2p_write_bytes += byte_len as u64;
-        for i in 0..num_aux {
-            self.aux_scratch[i].to_bytes_into(Dtype::F32, &mut self.io_buf);
-            self.write_at_retrying(&Self::aux_region(shard, i), byte_off)?;
-            self.stats.p2p_write_bytes += byte_len as u64;
+        // 4. P2P write-back, straight from the scratch tensors' memory: master
+        // first (needed upstream), then auxiliaries. Transient write faults
+        // are cleared device-internally (the scratch tensors still hold the
+        // results), so the caller never observes a half-written subgroup.
+        let states = std::iter::once(&*master_scratch).chain(aux_scratch.iter());
+        for (region, tensor) in std::iter::once(&names.master).chain(&names.aux).zip(states) {
+            with_le_bytes(tensor.as_slice(), |bytes| {
+                faults.retrying(|| ssd.write_at(region, byte_off, bytes))
+            })?;
+            stats.p2p_write_bytes += byte_len;
         }
         Ok(())
     }
@@ -612,7 +708,7 @@ mod tests {
 
         let mut csd = device();
         csd.store_initial_state("s", &params, &optimizer).unwrap();
-        csd.store_gradients("s", &grads).unwrap();
+        csd.store_gradients("s", grads.as_slice()).unwrap();
         // Process in three uneven subgroups, as the tasklet chunker would.
         for (offset, len) in [(0usize, 400usize), (400, 350), (750, 250)] {
             csd.update_subgroup(SubgroupUpdate {
@@ -674,7 +770,7 @@ mod tests {
         let optimizer = Optimizer::adam_default();
         let params = FlatTensor::zeros(1024);
         csd.store_initial_state("s", &params, &optimizer).unwrap();
-        csd.store_gradients("s", &FlatTensor::zeros(1024)).unwrap();
+        csd.store_gradients("s", &[0.0; 1024]).unwrap();
         let err = csd
             .update_subgroup(SubgroupUpdate {
                 shard: "s",
@@ -701,6 +797,58 @@ mod tests {
     }
 
     #[test]
+    fn a_subgroup_that_disagrees_with_the_stored_regions_is_an_error_not_a_panic() {
+        let optimizer = Optimizer::adam_default();
+        // Device memory as unbounded as the trainers configure it, so the
+        // working-set check does not refuse the absurd length first.
+        let mut csd = CsdDevice::new("csd0", 1 << 26, u64::MAX / 4);
+        csd.store_initial_state("s", &FlatTensor::randn(64, 0.02, 1), &optimizer).unwrap();
+        csd.store_gradients("s", &[0.5; 64]).unwrap();
+        let mut request =
+            SubgroupUpdate { shard: "s", offset: 0, len: 64, optimizer, step: 1, compressed: None };
+        // Past the end of the shard, by offset or by a length no buffer could
+        // hold: refused before the scratch tensors grow.
+        for (offset, len) in [(1usize, 64usize), (64, 1), (0, usize::MAX / 256), (usize::MAX, 1)] {
+            let err = csd.update_subgroup(SubgroupUpdate { offset, len, ..request }).unwrap_err();
+            assert!(matches!(err, CsdError::Ssd(SsdError::OutOfBounds { .. })), "{err}");
+        }
+        // A gradient region shorter than the shard it belongs to.
+        csd.store_gradients("s", &[0.5; 40]).unwrap();
+        let err = csd.update_subgroup(request).unwrap_err();
+        assert!(matches!(err, CsdError::Ssd(SsdError::OutOfBounds { .. })), "{err}");
+        assert_eq!(csd.dram().used_bytes(), 0, "no leaked buffers after the failures");
+        // ... which a subgroup inside it does not trip over.
+        request.len = 40;
+        csd.update_subgroup(request).unwrap();
+    }
+
+    #[test]
+    fn fp16_read_back_matches_load_then_round() {
+        let n = 3000;
+        let optimizer = Optimizer::adam_default();
+        let params = FlatTensor::randn(n, 3.0, 61);
+        let mut csd = device();
+        csd.store_initial_state("s", &params, &optimizer).unwrap();
+        let reads_before = csd.ssd().read_ops();
+        let mut direct = vec![9.0f32; 2000];
+        csd.load_parameters_fp16_into("s", 500, &mut direct).unwrap();
+        assert_eq!(csd.ssd().read_ops(), reads_before + 1, "one counted read");
+        let mut expected = vec![0.0f32; 2000];
+        csd.load_parameters("s", 500, 2000).unwrap().roundtrip_f16_into(&mut expected);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&direct), bits(&expected));
+        let mut exact = vec![0.0f32; 2000];
+        csd.load_parameters_into("s", 500, &mut exact).unwrap();
+        assert_eq!(exact, params.as_slice()[500..2500]);
+        // Failures are typed and leave the destination alone.
+        let err = csd.load_parameters_fp16_into("s", 2000, &mut direct).unwrap_err();
+        assert!(matches!(err, CsdError::Ssd(SsdError::OutOfBounds { .. })), "{err}");
+        let err = csd.load_parameters_fp16_into("nope", 0, &mut direct).unwrap_err();
+        assert!(matches!(err, CsdError::MissingShard { .. }), "{err}");
+        assert_eq!(bits(&direct), bits(&expected));
+    }
+
+    #[test]
     fn threaded_device_updates_are_bit_identical_to_serial() {
         let n = 4096;
         let optimizer = Optimizer::adam_default();
@@ -711,7 +859,7 @@ mod tests {
             csd.set_threads(threads);
             assert_eq!(csd.executor().num_threads(), threads.max(1));
             csd.store_initial_state("s", &params, &optimizer).unwrap();
-            csd.store_gradients("s", &grads).unwrap();
+            csd.store_gradients("s", grads.as_slice()).unwrap();
             for (offset, len) in [(0usize, 1500usize), (1500, 1500), (3000, 1096)] {
                 csd.update_subgroup(SubgroupUpdate {
                     shard: "s",
@@ -736,7 +884,7 @@ mod tests {
         let mut csd = device();
         let optimizer = Optimizer::adam_default();
         csd.store_initial_state("s", &FlatTensor::zeros(64), &optimizer).unwrap();
-        csd.store_gradients("s", &FlatTensor::zeros(64)).unwrap();
+        csd.store_gradients("s", &[0.0; 64]).unwrap();
         csd.update_subgroup(SubgroupUpdate {
             shard: "s",
             offset: 0,
@@ -757,7 +905,7 @@ mod tests {
         let optimizer = Optimizer::adam_default();
         let params = FlatTensor::randn(64, 0.02, 41);
         csd.store_initial_state("s", &params, &optimizer).unwrap();
-        csd.store_gradients("s", &FlatTensor::zeros(64)).unwrap();
+        csd.store_gradients("s", &[0.0; 64]).unwrap();
 
         csd.inject_dropout();
         assert!(csd.is_dropped());
@@ -765,7 +913,7 @@ mod tests {
         assert!(matches!(err, CsdError::Dropout { ref device } if device == "csd0"));
         assert!(err.needs_rebuild());
         assert!(!err.is_transient());
-        assert!(csd.store_gradients("s", &FlatTensor::zeros(64)).is_err());
+        assert!(csd.store_gradients("s", &[0.0; 64]).is_err());
         assert!(csd
             .update_subgroup(SubgroupUpdate {
                 shard: "s",
@@ -794,12 +942,12 @@ mod tests {
         assert!(csd.is_worn_out());
         // Reads still succeed on worn media; writes fail.
         assert!(csd.load_parameters("s", 0, 32).is_ok());
-        let err = csd.store_gradients("s", &FlatTensor::zeros(32)).unwrap_err();
+        let err = csd.store_gradients("s", &[0.0; 32]).unwrap_err();
         assert!(matches!(err, CsdError::Ssd(SsdError::WornOut { .. })));
         assert!(err.needs_rebuild());
         csd.rebuild();
         assert!(!csd.is_worn_out());
-        csd.store_gradients("s", &FlatTensor::zeros(32)).unwrap();
+        csd.store_gradients("s", &[0.0; 32]).unwrap();
     }
 
     #[test]
@@ -811,14 +959,14 @@ mod tests {
         let plan = FaultPlan::new(spec);
         let mut csd = device();
         csd.set_fault_injector(plan.injector(0));
-        let err = csd.store_gradients("s", &FlatTensor::zeros(8)).unwrap_err();
+        let err = csd.store_gradients("s", &[0.0; 8]).unwrap_err();
         assert!(err.is_transient());
         assert!(matches!(err, CsdError::Ssd(SsdError::Injected { .. })));
         // The source chain reaches the injected-fault leaf.
         let ssd_err = err.source().expect("csd error wraps ssd error");
         assert!(ssd_err.source().is_some(), "ssd error chains to the injected fault");
         // Retry within the burst cap succeeds.
-        csd.store_gradients("s", &FlatTensor::zeros(8)).unwrap();
+        csd.store_gradients("s", &[0.0; 8]).unwrap();
     }
 
     #[test]
@@ -829,7 +977,7 @@ mod tests {
         let grads = FlatTensor::randn(n, 0.01, 52);
         let mut csd = device();
         csd.store_initial_state("s", &params, &optimizer).unwrap();
-        csd.store_gradients("s", &grads).unwrap();
+        csd.store_gradients("s", grads.as_slice()).unwrap();
         // Before any update the aux tensors are zeroed.
         let aux0 = csd.load_optimizer_state("s", 0, 0, n).unwrap();
         assert!(aux0.as_slice().iter().all(|&x| x == 0.0));

@@ -11,6 +11,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of an allocated device-memory buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -57,7 +58,7 @@ impl Error for DramError {}
 #[derive(Debug, Clone)]
 pub struct DeviceDram {
     capacity: u64,
-    buffers: BTreeMap<u64, (String, u64)>,
+    buffers: BTreeMap<u64, (Arc<str>, u64)>,
     next_id: u64,
     peak_used: u64,
 }
@@ -98,12 +99,18 @@ impl DeviceDram {
         self.buffers.len()
     }
 
-    /// Allocates a named buffer of `bytes` bytes.
+    /// Allocates a named buffer of `bytes` bytes. The label is shared, not
+    /// copied, so a caller that allocates the same buffers every iteration
+    /// can build its labels once.
     ///
     /// # Errors
     ///
     /// Returns [`DramError::OutOfMemory`] if the allocation does not fit.
-    pub fn allocate(&mut self, name: impl Into<String>, bytes: u64) -> Result<BufferId, DramError> {
+    pub fn allocate(
+        &mut self,
+        name: impl Into<Arc<str>>,
+        bytes: u64,
+    ) -> Result<BufferId, DramError> {
         let available = self.available_bytes();
         if bytes > available {
             return Err(DramError::OutOfMemory { requested: bytes, available });

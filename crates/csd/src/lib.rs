@@ -62,7 +62,7 @@ mod tests {
         // CSD path: states live on the SSD, the FPGA updates them via P2P.
         let mut csd = CsdDevice::new("csd0", 1 << 30, 64 << 20);
         csd.store_initial_state("shard", &params, &optimizer).unwrap();
-        csd.store_gradients("shard", &grads).unwrap();
+        csd.store_gradients("shard", grads.as_slice()).unwrap();
         csd.update_subgroup(SubgroupUpdate {
             shard: "shard",
             offset: 0,

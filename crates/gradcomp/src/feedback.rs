@@ -46,8 +46,8 @@ impl ErrorFeedback {
     ///
     /// Panics if `grads.len()` differs from the accumulator length.
     pub fn apply(&self, grads: &FlatTensor) -> FlatTensor {
-        let mut corrected = grads.clone();
-        self.apply_in_place(&mut corrected);
+        let mut corrected = FlatTensor::default();
+        self.apply_into(grads.as_slice(), &mut corrected);
         corrected
     }
 
@@ -60,6 +60,22 @@ impl ErrorFeedback {
     pub fn apply_in_place(&self, grads: &mut FlatTensor) {
         assert_eq!(grads.len(), self.residual.len(), "gradient length mismatch");
         grads.axpby(1.0, 1.0, &self.residual);
+    }
+
+    /// Writes `grads + residual` into `corrected` (resized to fit, allocation
+    /// reused) in a single pass — [`ErrorFeedback::apply_in_place`] without
+    /// first copying the gradient slice into the buffer. Bit-identical to it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grads.len()` differs from the accumulator length.
+    pub fn apply_into(&self, grads: &[f32], corrected: &mut FlatTensor) {
+        assert_eq!(grads.len(), self.residual.len(), "gradient length mismatch");
+        corrected.resize(grads.len(), 0.0);
+        let sums = grads.iter().zip(self.residual.as_slice());
+        for (out, (g, r)) in corrected.as_mut_slice().iter_mut().zip(sums) {
+            *out = g + r;
+        }
     }
 
     /// Updates the residual after compression: the new residual is the part of
@@ -187,6 +203,13 @@ mod tests {
             let mut corrected_b = grads;
             fb_inplace.apply_in_place(&mut corrected_b);
             assert_eq!(corrected_b, corrected_a, "corrected diverged at step {step}");
+            // Fused path: the gradient is a window of a larger tensor and the
+            // destination a dirty buffer of another size.
+            let mut whole = FlatTensor::full(100, 7.0);
+            whole.write_slice(20, FlatTensor::randn(64, 1.0, 900 + step).as_slice());
+            let mut corrected_c = FlatTensor::full(5, -1.0);
+            fb_inplace.apply_into(&whole.as_slice()[20..84], &mut corrected_c);
+            assert_eq!(corrected_c, corrected_a, "fused corrected diverged at step {step}");
             let compressed_b = compressor.compress(&corrected_b);
             fb_inplace.update(&corrected_b, &compressed_b);
             assert_eq!(compressed_b, compressed_a, "compressed diverged at step {step}");

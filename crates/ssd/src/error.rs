@@ -34,6 +34,18 @@ pub enum SsdError {
         /// Size of the region.
         region_len: usize,
     },
+    /// A whole-region transfer found a region whose length disagrees with
+    /// the caller's buffer (for a RAID member: with its share of the stripes).
+    LengthMismatch {
+        /// Device name.
+        device: String,
+        /// Region name.
+        region: String,
+        /// Bytes the transfer expected the region to hold.
+        expected: usize,
+        /// Bytes the region holds.
+        actual: usize,
+    },
     /// The RAID array was configured with zero member devices.
     EmptyArray,
     /// A fault plan injected a transient failure into this operation.
@@ -72,8 +84,12 @@ impl fmt::Display for SsdError {
             }
             SsdError::OutOfBounds { region, offset, len, region_len } => write!(
                 f,
-                "access [{offset}, {}) out of bounds for region {region} of {region_len} bytes",
-                offset + len
+                "access of {len} bytes at offset {offset} out of bounds for region {region} of \
+                 {region_len} bytes"
+            ),
+            SsdError::LengthMismatch { device, region, expected, actual } => write!(
+                f,
+                "region {region} on device {device} holds {actual} bytes, expected {expected}"
             ),
             SsdError::EmptyArray => write!(f, "RAID array must contain at least one device"),
             SsdError::Injected { device, fault } => {
@@ -107,6 +123,13 @@ mod tests {
         assert!(e.to_string().contains("grad"));
         let e = SsdError::OutOfBounds { region: "p".into(), offset: 4, len: 8, region_len: 6 };
         assert!(e.to_string().contains("out of bounds"));
+        let e = SsdError::LengthMismatch {
+            device: "ssd1".into(),
+            region: "r".into(),
+            expected: 8,
+            actual: 5,
+        };
+        assert!(e.to_string().contains("holds 5 bytes, expected 8"));
         assert!(SsdError::EmptyArray.to_string().contains("at least one"));
         let e = SsdError::WornOut { device: "ssd2".into() };
         assert!(e.to_string().contains("worn out"));

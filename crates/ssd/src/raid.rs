@@ -143,61 +143,82 @@ impl RaidArray {
         self.devices[index].rebuild()
     }
 
-    /// How many bytes of a `total`-byte logical region land on each device.
-    pub fn bytes_per_device(&self, total: usize) -> Vec<usize> {
+    /// How many bytes of a `total`-byte logical region land on member
+    /// `device`: whole stripes dealt round-robin, the short last stripe (if
+    /// any) to whichever member is next.
+    fn share_of(&self, total: usize, device: usize) -> usize {
         let n = self.devices.len();
         let full_stripes = total / self.stripe_bytes;
-        let remainder = total % self.stripe_bytes;
-        let mut per_device = vec![(full_stripes / n) * self.stripe_bytes; n];
-        for d in per_device.iter_mut().take(full_stripes % n) {
-            *d += self.stripe_bytes;
+        let mut share = (full_stripes / n) * self.stripe_bytes;
+        if device < full_stripes % n {
+            share += self.stripe_bytes;
+        } else if device == full_stripes % n {
+            share += total % self.stripe_bytes;
         }
-        if remainder > 0 {
-            per_device[full_stripes % n] += remainder;
-        }
-        per_device
+        share
     }
 
-    /// Writes a logical region, striping it across the member devices.
+    /// How many bytes of a `total`-byte logical region land on each device.
+    pub fn bytes_per_device(&self, total: usize) -> Vec<usize> {
+        (0..self.devices.len()).map(|device| self.share_of(total, device)).collect()
+    }
+
+    /// Writes a logical region, striping it across the member devices: one
+    /// whole-region write per member, in member order, each stripe copied
+    /// once from `data` into the member's (reused) region buffer.
     ///
     /// # Errors
     ///
-    /// Propagates capacity errors from the member devices.
+    /// Propagates capacity and fault errors from the member devices; members
+    /// before the failing one have been written.
     pub fn write_region(&mut self, region: &str, data: &[u8]) -> Result<(), SsdError> {
         let n = self.devices.len();
-        let mut per_device: Vec<Vec<u8>> = vec![Vec::new(); n];
-        for (i, chunk) in data.chunks(self.stripe_bytes).enumerate() {
-            per_device[i % n].extend_from_slice(chunk);
-        }
-        for (device, shard) in self.devices.iter_mut().zip(per_device) {
-            device.write_region(region, shard)?;
+        for device in 0..n {
+            let share = self.share_of(data.len(), device);
+            let buf = self.devices[device].begin_region_write(region, share)?;
+            for stripe in data.chunks(self.stripe_bytes).skip(device).step_by(n) {
+                buf.extend_from_slice(stripe);
+            }
+            debug_assert_eq!(buf.len(), share, "stripes dealt to a member add up to its share");
         }
         Ok(())
     }
 
-    /// Reads a logical region back, reassembling the stripes.
+    /// Reads a logical region back into `out`, whose length says how long the
+    /// region is: one whole-region read per member, in member order, each
+    /// stripe copied once from the member's region buffer to its place in
+    /// `out`.
     ///
     /// # Errors
     ///
-    /// Returns [`SsdError::UnknownRegion`] if any member lacks the region.
-    pub fn read_region(&mut self, region: &str) -> Result<Vec<u8>, SsdError> {
+    /// Returns [`SsdError::UnknownRegion`] if a member lacks the region and
+    /// [`SsdError::LengthMismatch`] if a member's region is not its share of
+    /// `out.len()` bytes; `out` is then partly overwritten.
+    pub fn read_region_into(&mut self, region: &str, out: &mut [u8]) -> Result<(), SsdError> {
         let n = self.devices.len();
-        let shards: Vec<Vec<u8>> =
-            self.devices.iter_mut().map(|d| d.read_region(region)).collect::<Result<_, _>>()?;
-        let total: usize = shards.iter().map(Vec::len).sum();
-        let mut out = Vec::with_capacity(total);
-        let mut offsets = vec![0usize; n];
-        let mut device = 0usize;
-        while out.len() < total {
-            let shard = &shards[device];
-            let off = offsets[device];
-            if off < shard.len() {
-                let take = self.stripe_bytes.min(shard.len() - off);
-                out.extend_from_slice(&shard[off..off + take]);
-                offsets[device] += take;
+        let stripe_bytes = self.stripe_bytes;
+        for device in 0..n {
+            let share = self.share_of(out.len(), device);
+            let shard = self.devices[device].read_whole_region(region, share)?;
+            // The member's k-th stripe is the logical region's (k·n + device)-th.
+            for (k, stripe) in shard.chunks(stripe_bytes).enumerate() {
+                let at = (k * n + device) * stripe_bytes;
+                out[at..at + stripe.len()].copy_from_slice(stripe);
             }
-            device = (device + 1) % n;
         }
+        Ok(())
+    }
+
+    /// Reads a logical region back, reassembling the stripes. The region's
+    /// length is the sum of what the members hold.
+    ///
+    /// # Errors
+    ///
+    /// As [`RaidArray::read_region_into`].
+    pub fn read_region(&mut self, region: &str) -> Result<Vec<u8>, SsdError> {
+        let total = self.devices.iter().filter_map(|d| d.region_len(region)).sum();
+        let mut out = vec![0u8; total];
+        self.read_region_into(region, &mut out)?;
         Ok(out)
     }
 
@@ -330,6 +351,91 @@ mod tests {
         assert_eq!(raid.bytes_per_device(50), vec![50]);
     }
 
+    /// The array's whole-region transfer as it was before the gather/scatter:
+    /// every member's shard assembled in a fresh `Vec` and handed to
+    /// `SsdDevice::write_region`, then `SsdDevice::read_region` per member and
+    /// a round-robin reassembly.
+    fn legacy_round_trip(raid: &mut RaidArray, region: &str, data: &[u8]) -> Vec<u8> {
+        let n = raid.devices.len();
+        let mut per_device: Vec<Vec<u8>> = vec![Vec::new(); n];
+        for (i, chunk) in data.chunks(raid.stripe_bytes).enumerate() {
+            per_device[i % n].extend_from_slice(chunk);
+        }
+        for (device, shard) in raid.devices.iter_mut().zip(per_device) {
+            device.write_region(region, shard).unwrap();
+        }
+        let shards: Vec<Vec<u8>> =
+            raid.devices.iter_mut().map(|d| d.read_region(region).unwrap()).collect();
+        let total: usize = shards.iter().map(Vec::len).sum();
+        let mut out = Vec::with_capacity(total);
+        let mut offsets = vec![0usize; n];
+        let mut device = 0usize;
+        while out.len() < total {
+            let (shard, off) = (&shards[device], offsets[device]);
+            if off < shard.len() {
+                let take = raid.stripe_bytes.min(shard.len() - off);
+                out.extend_from_slice(&shard[off..off + take]);
+                offsets[device] += take;
+            }
+            device = (device + 1) % n;
+        }
+        out
+    }
+
+    #[test]
+    fn a_member_region_of_the_wrong_length_is_an_error_not_a_panic() {
+        let mut raid = array(3, 8);
+        let data: Vec<u8> = (0..100u8).collect();
+        raid.write_region("r", &data).unwrap();
+        // Member 1 loses the tail of its shard behind the array's back.
+        let short = raid.devices[1].read_region("r").unwrap()[..20].to_vec();
+        raid.devices[1].write_region("r", short).unwrap();
+        let reads_before: Vec<u64> = raid.devices().iter().map(SsdDevice::read_ops).collect();
+        let mut out = vec![0u8; data.len()];
+        let err = raid.read_region_into("r", &mut out).unwrap_err();
+        assert_eq!(
+            err,
+            SsdError::LengthMismatch {
+                device: "ssd1".into(),
+                region: "r".into(),
+                expected: 32,
+                actual: 20
+            }
+        );
+        assert!(!err.is_transient());
+        // Member 0 was read (and counted) before the mismatch was found.
+        let reads: Vec<u64> = raid.devices().iter().map(SsdDevice::read_ops).collect();
+        assert_eq!(reads, vec![reads_before[0] + 1, reads_before[1], reads_before[2]]);
+        // The allocating read sizes itself from what the members hold, and
+        // finds the same inconsistency; a caller expecting another length
+        // altogether is told so by the first member.
+        assert!(matches!(raid.read_region("r"), Err(SsdError::LengthMismatch { .. })));
+        assert!(matches!(
+            raid.read_region_into("r", &mut [0u8; 64]),
+            Err(SsdError::LengthMismatch { .. })
+        ));
+        assert!(matches!(
+            raid.read_region_into("nope", &mut out),
+            Err(SsdError::UnknownRegion { .. })
+        ));
+    }
+
+    #[test]
+    fn rewriting_a_region_reuses_the_members_buffers_and_tracks_capacity() {
+        let mut raid = array(2, 4);
+        raid.write_region("r", &[7u8; 64]).unwrap();
+        raid.write_region("r", &[8u8; 24]).unwrap();
+        assert_eq!(raid.bytes_per_device(24), vec![12, 12]);
+        assert!(raid.devices().iter().all(|d| d.used_bytes() == 12));
+        let mut out = [0u8; 24];
+        raid.read_region_into("r", &mut out).unwrap();
+        assert_eq!(out, [8u8; 24]);
+        // An empty region exists on every member and reads back empty.
+        raid.write_region("e", &[]).unwrap();
+        raid.read_region_into("e", &mut []).unwrap();
+        assert_eq!(raid.read_region("e").unwrap(), Vec::<u8>::new());
+    }
+
     proptest! {
         /// Write/read round-trips through any array shape preserve the data,
         /// and the per-device byte split always sums to the total.
@@ -348,6 +454,43 @@ mod tests {
             let max = per.iter().max().copied().unwrap_or(0);
             let min = per.iter().min().copied().unwrap_or(0);
             prop_assert!(max - min <= stripe);
+        }
+
+        /// Gather/scatter moves the same bytes with the same per-member
+        /// operations as the transfer it replaced: equal data, equal member
+        /// regions and equal op and byte counters on every member, for every
+        /// array shape (stripes that are not multiples of four, empty
+        /// regions and short last stripes included), also when a region is
+        /// overwritten by one of another length.
+        #[test]
+        fn gather_scatter_matches_the_legacy_round_trip(
+            first in proptest::collection::vec(any::<u8>(), 0..1500),
+            second in proptest::collection::vec(any::<u8>(), 0..1500),
+            n in 1usize..8,
+            stripe in 1usize..128,
+        ) {
+            let mut new = array(n, stripe);
+            let mut legacy = array(n, stripe);
+            for data in [&first, &second] {
+                new.write_region("r", data).unwrap();
+                let mut gathered = vec![0xA5u8; data.len()];
+                new.read_region_into("r", &mut gathered).unwrap();
+                prop_assert_eq!(&gathered, data);
+                prop_assert_eq!(&legacy_round_trip(&mut legacy, "r", data), data);
+                for (a, b) in new.devices.iter().zip(&legacy.devices) {
+                    prop_assert_eq!(a.read_ops(), b.read_ops());
+                    prop_assert_eq!(a.write_ops(), b.write_ops());
+                    prop_assert_eq!(a.bytes_read(), b.bytes_read());
+                    prop_assert_eq!(a.bytes_written(), b.bytes_written());
+                    prop_assert_eq!(a.used_bytes(), b.used_bytes());
+                    // The stored shards themselves, read from copies so the
+                    // counters under comparison do not move.
+                    let (mut a, mut b) = (a.clone(), b.clone());
+                    prop_assert_eq!(a.read_region("r").unwrap(), b.read_region("r").unwrap());
+                }
+            }
+            // The allocating read is the same gather.
+            prop_assert_eq!(&new.read_region("r").unwrap(), &second);
         }
     }
 }

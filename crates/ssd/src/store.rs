@@ -21,6 +21,9 @@ pub struct SsdDevice {
     name: String,
     capacity: u64,
     regions: BTreeMap<String, Vec<u8>>,
+    // Sum of the region lengths, maintained by every operation that changes
+    // one (the capacity check runs on every whole-region write).
+    used: u64,
     reads: u64,
     writes: u64,
     bytes_read: u64,
@@ -32,6 +35,17 @@ pub struct SsdDevice {
     retry_budget: u32,
     fault_retries: u64,
     fault_backoff_ms: u64,
+}
+
+/// Which bytes of a region a read addresses.
+#[derive(Debug, Clone, Copy)]
+enum Span {
+    /// The whole region, whatever its length.
+    Whole,
+    /// The whole region, which must have exactly this length.
+    WholeOf(usize),
+    /// `len` bytes starting at `offset`.
+    Range { offset: usize, len: usize },
 }
 
 impl SsdDevice {
@@ -52,7 +66,7 @@ impl SsdDevice {
 
     /// Bytes currently stored across all regions.
     pub fn used_bytes(&self) -> u64 {
-        self.regions.values().map(|v| v.len() as u64).sum()
+        self.used
     }
 
     /// Number of read operations served.
@@ -192,7 +206,14 @@ impl SsdDevice {
         self.regions.keys().cloned().collect()
     }
 
-    /// Writes (creates or replaces) an entire region.
+    /// Length in bytes of the named region, if it exists. Not an I/O
+    /// operation: no fault gate, no counters.
+    pub fn region_len(&self, region: &str) -> Option<usize> {
+        self.regions.get(region).map(Vec::len)
+    }
+
+    /// Writes (creates or replaces) an entire region, taking ownership of
+    /// `data` as the region's storage.
     ///
     /// # Errors
     ///
@@ -202,10 +223,31 @@ impl SsdDevice {
         region: impl Into<String>,
         data: Vec<u8>,
     ) -> Result<(), SsdError> {
-        self.check_write_faults()?;
         let region = region.into();
-        let existing = self.regions.get(&region).map_or(0, |v| v.len() as u64);
-        let new_used = self.used_bytes() - existing + data.len() as u64;
+        self.admit_region_write(&region, data.len())?;
+        self.regions.insert(region, data);
+        Ok(())
+    }
+
+    /// Writes (creates or replaces) an entire region from a borrowed buffer,
+    /// reusing the region's existing allocation: one copy, and no allocation
+    /// once the region has reached its size.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SsdError::CapacityExceeded`] if the device would overflow.
+    pub fn write_region_from(&mut self, region: &str, data: &[u8]) -> Result<(), SsdError> {
+        self.begin_region_write(region, data.len())?.extend_from_slice(data);
+        Ok(())
+    }
+
+    /// The gate every whole-region write passes, in this order: fault gate,
+    /// capacity check, then the op and byte counters and the used-capacity
+    /// counter move as if `len` bytes had replaced the region.
+    fn admit_region_write(&mut self, region: &str, len: usize) -> Result<(), SsdError> {
+        self.check_write_faults()?;
+        let existing = self.region_len(region).unwrap_or(0) as u64;
+        let new_used = self.used - existing + len as u64;
         if new_used > self.capacity {
             return Err(SsdError::CapacityExceeded {
                 device: self.name.clone(),
@@ -213,10 +255,29 @@ impl SsdDevice {
                 capacity: self.capacity,
             });
         }
+        self.used = new_used;
         self.writes += 1;
-        self.bytes_written += data.len() as u64;
-        self.regions.insert(region, data);
+        self.bytes_written += len as u64;
         Ok(())
+    }
+
+    /// Admits a whole-region write of `len` bytes and returns the region's
+    /// emptied buffer, which the caller must extend by exactly `len` bytes
+    /// (the RAID scatter appends its stripes here, straight from the
+    /// caller's data).
+    pub(crate) fn begin_region_write(
+        &mut self,
+        region: &str,
+        len: usize,
+    ) -> Result<&mut Vec<u8>, SsdError> {
+        self.admit_region_write(region, len)?;
+        if !self.regions.contains_key(region) {
+            self.regions.insert(region.to_string(), Vec::new());
+        }
+        let buf = self.regions.get_mut(region).expect("region was just ensured");
+        buf.clear();
+        buf.reserve_exact(len);
+        Ok(buf)
     }
 
     /// Overwrites a byte range inside an existing region.
@@ -230,18 +291,66 @@ impl SsdDevice {
             device: self.name.clone(),
             region: region.to_string(),
         })?;
-        if offset + data.len() > buf.len() {
+        let region_len = buf.len();
+        let window = offset.checked_add(data.len()).and_then(|end| buf.get_mut(offset..end));
+        let Some(window) = window else {
             return Err(SsdError::OutOfBounds {
                 region: region.to_string(),
                 offset,
                 len: data.len(),
-                region_len: buf.len(),
+                region_len,
             });
-        }
-        buf[offset..offset + data.len()].copy_from_slice(data);
+        };
+        window.copy_from_slice(data);
         self.writes += 1;
         self.bytes_written += data.len() as u64;
         Ok(())
+    }
+
+    /// The one read path: fault gate, lookup, bounds check, then the op and
+    /// byte counters, in that order. The bytes are lent, so each caller makes
+    /// the single copy it needs.
+    fn counted_read(&mut self, region: &str, span: Span) -> Result<&[u8], SsdError> {
+        self.check_read_faults()?;
+        let data = self.regions.get(region).ok_or_else(|| SsdError::UnknownRegion {
+            device: self.name.clone(),
+            region: region.to_string(),
+        })?;
+        let bytes = match span {
+            Span::Whole => data.as_slice(),
+            Span::WholeOf(expected) if expected == data.len() => data.as_slice(),
+            Span::WholeOf(expected) => {
+                return Err(SsdError::LengthMismatch {
+                    device: self.name.clone(),
+                    region: region.to_string(),
+                    expected,
+                    actual: data.len(),
+                })
+            }
+            Span::Range { offset, len } => offset
+                .checked_add(len)
+                .and_then(|end| data.get(offset..end))
+                .ok_or_else(|| SsdError::OutOfBounds {
+                    region: region.to_string(),
+                    offset,
+                    len,
+                    region_len: data.len(),
+                })?,
+        };
+        self.reads += 1;
+        self.bytes_read += bytes.len() as u64;
+        Ok(bytes)
+    }
+
+    /// One counted read of the whole region, which must be exactly
+    /// `expected_len` bytes long (the RAID gather copies the stripes out of
+    /// the lent bytes, straight into the caller's buffer).
+    pub(crate) fn read_whole_region(
+        &mut self,
+        region: &str,
+        expected_len: usize,
+    ) -> Result<&[u8], SsdError> {
+        self.counted_read(region, Span::WholeOf(expected_len))
     }
 
     /// Reads an entire region.
@@ -250,14 +359,7 @@ impl SsdDevice {
     ///
     /// Returns [`SsdError::UnknownRegion`] if the region does not exist.
     pub fn read_region(&mut self, region: &str) -> Result<Vec<u8>, SsdError> {
-        self.check_read_faults()?;
-        let data = self.regions.get(region).ok_or_else(|| SsdError::UnknownRegion {
-            device: self.name.clone(),
-            region: region.to_string(),
-        })?;
-        self.reads += 1;
-        self.bytes_read += data.len() as u64;
-        Ok(data.clone())
+        self.counted_read(region, Span::Whole).map(<[u8]>::to_vec)
     }
 
     /// Reads a byte range from a region.
@@ -271,14 +373,11 @@ impl SsdDevice {
         offset: usize,
         len: usize,
     ) -> Result<Vec<u8>, SsdError> {
-        let mut out = Vec::new();
-        self.read_at_into(region, offset, len, &mut out)?;
-        Ok(out)
+        self.counted_read(region, Span::Range { offset, len }).map(<[u8]>::to_vec)
     }
 
     /// Reads a byte range from a region into an existing buffer, replacing
-    /// its contents and reusing its allocation (the per-subgroup scratch
-    /// pattern of the CSD update loop).
+    /// its contents and reusing its allocation.
     ///
     /// # Errors
     ///
@@ -291,29 +390,54 @@ impl SsdDevice {
         len: usize,
         out: &mut Vec<u8>,
     ) -> Result<(), SsdError> {
-        self.check_read_faults()?;
-        let data = self.regions.get(region).ok_or_else(|| SsdError::UnknownRegion {
-            device: self.name.clone(),
-            region: region.to_string(),
-        })?;
-        if offset + len > data.len() {
-            return Err(SsdError::OutOfBounds {
-                region: region.to_string(),
-                offset,
-                len,
-                region_len: data.len(),
-            });
-        }
-        self.reads += 1;
-        self.bytes_read += len as u64;
+        let bytes = self.counted_read(region, Span::Range { offset, len })?;
         out.clear();
-        out.extend_from_slice(&data[offset..offset + len]);
+        out.extend_from_slice(bytes);
         Ok(())
+    }
+
+    /// Reads the `out.len()` bytes at `offset` of a region straight into
+    /// `out` — the destination-passing form of [`SsdDevice::read_at`]: one
+    /// copy, no allocation (the per-subgroup P2P load of the CSD update
+    /// fills its scratch tensors through this).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SsdError::UnknownRegion`] or [`SsdError::OutOfBounds`]; the
+    /// buffer is left unchanged on error.
+    pub fn read_exact_at(
+        &mut self,
+        region: &str,
+        offset: usize,
+        out: &mut [u8],
+    ) -> Result<(), SsdError> {
+        out.copy_from_slice(self.counted_read(region, Span::Range { offset, len: out.len() })?);
+        Ok(())
+    }
+
+    /// One counted read of `len` bytes at `offset` of a region, lent to
+    /// `consume` in place: for a reader that transforms the bytes on their
+    /// way out (the FP16 read-back rounds them) instead of copying them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SsdError::UnknownRegion`] or [`SsdError::OutOfBounds`], in
+    /// which case `consume` is not called.
+    pub fn read_at_with<R>(
+        &mut self,
+        region: &str,
+        offset: usize,
+        len: usize,
+        consume: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, SsdError> {
+        self.counted_read(region, Span::Range { offset, len }).map(consume)
     }
 
     /// Deletes a region, returning whether it existed.
     pub fn delete_region(&mut self, region: &str) -> bool {
-        self.regions.remove(region).is_some()
+        let removed = self.regions.remove(region);
+        self.used -= removed.as_ref().map_or(0, |data| data.len() as u64);
+        removed.is_some()
     }
 
     /// Resets the read/write statistics (not the stored data).
@@ -475,6 +599,69 @@ mod tests {
         let clean = pattern(0);
         assert!(clean.iter().any(|&n| n > 0));
         assert_eq!(pattern(7), clean, "suspended ops must not shift the fault schedule");
+    }
+
+    #[test]
+    fn used_bytes_tracks_every_operation_that_changes_a_region() {
+        let sum = |ssd: &SsdDevice| -> u64 {
+            ssd.region_names().iter().map(|r| ssd.region_len(r).unwrap() as u64).sum()
+        };
+        let mut ssd = SsdDevice::new("ssd0", 100);
+        ssd.write_region("a", vec![0; 40]).unwrap();
+        ssd.write_region_from("b", &[1; 30]).unwrap();
+        assert_eq!((ssd.used_bytes(), sum(&ssd)), (70, 70));
+        // Replacing (shrinking, growing) moves the counter by the difference.
+        ssd.write_region_from("a", &[2; 10]).unwrap();
+        ssd.write_region("b", vec![3; 60]).unwrap();
+        assert_eq!((ssd.used_bytes(), sum(&ssd)), (70, 70));
+        // A refused write changes nothing.
+        assert!(matches!(
+            ssd.write_region_from("a", &[0; 41]),
+            Err(SsdError::CapacityExceeded { requested: 101, capacity: 100, .. })
+        ));
+        assert_eq!((ssd.used_bytes(), ssd.write_ops()), (70, 4));
+        assert_eq!(ssd.read_region("a").unwrap(), vec![2; 10]);
+        // Partial writes, rebuilds and deletions keep it exact.
+        ssd.write_at("b", 5, &[9; 5]).unwrap();
+        assert_eq!(ssd.rebuild(), 70);
+        assert_eq!(ssd.used_bytes(), 70);
+        assert!(ssd.delete_region("b"));
+        assert!(!ssd.delete_region("b"));
+        assert_eq!((ssd.used_bytes(), sum(&ssd)), (10, 10));
+        ssd.write_region_from("c", &[0; 90]).unwrap();
+        assert_eq!(ssd.used_bytes(), 100);
+    }
+
+    #[test]
+    fn destination_passing_reads_count_like_the_allocating_ones() {
+        let mut ssd = SsdDevice::new("ssd0", 100);
+        ssd.write_region_from("p", &(0u8..10).collect::<Vec<_>>()).unwrap();
+        let mut window = [0u8; 3];
+        ssd.read_exact_at("p", 2, &mut window).unwrap();
+        assert_eq!(window, [2, 3, 4]);
+        let doubled = ssd.read_at_with("p", 8, 2, |b| b.iter().map(|v| v * 2).collect::<Vec<_>>());
+        assert_eq!(doubled.unwrap(), vec![16, 18]);
+        assert_eq!((ssd.read_ops(), ssd.bytes_read()), (2, 5));
+        // Errors are typed, leave the destination alone and count nothing —
+        // including offsets whose end does not fit in a `usize`.
+        for offset in [9usize, usize::MAX] {
+            assert!(matches!(
+                ssd.read_exact_at("p", offset, &mut window),
+                Err(SsdError::OutOfBounds { .. })
+            ));
+            assert!(matches!(
+                ssd.write_at("p", offset, &[0; 3]),
+                Err(SsdError::OutOfBounds { .. })
+            ));
+        }
+        let mut called = false;
+        assert!(matches!(
+            ssd.read_at_with("q", 0, 1, |_| called = true),
+            Err(SsdError::UnknownRegion { .. })
+        ));
+        assert!(!called);
+        assert_eq!(window, [2, 3, 4]);
+        assert_eq!((ssd.read_ops(), ssd.bytes_read(), ssd.write_ops()), (2, 5, 1));
     }
 
     proptest! {

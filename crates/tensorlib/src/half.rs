@@ -211,6 +211,26 @@ impl f16 {
         assert!(path.is_available(), "kernel path {path} is not available on this CPU");
         crate::simd::f16_roundtrip_bulk(path, src, dst);
     }
+
+    /// [`Self::roundtrip_slice_into`] reading its input in the FP32 wire form
+    /// (`4 * dst.len()` little-endian bytes, at any alignment): the read-back
+    /// of freshly updated FP32 parameters as the FP16 working copy, without a
+    /// decoded FP32 tensor in between. The bytes are decoded a cache-resident
+    /// block at a time, so `src` is streamed once and `dst` written once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src.len() != 4 * dst.len()`.
+    pub fn roundtrip_f32_le_bytes_into(src: &[u8], dst: &mut [f32]) {
+        assert_eq!(src.len(), 4 * dst.len(), "byte length mismatch");
+        const BLOCK: usize = 1024;
+        let mut block = [0.0f32; BLOCK];
+        for (bytes, out) in src.chunks(4 * BLOCK).zip(dst.chunks_mut(BLOCK)) {
+            let decoded = &mut block[..out.len()];
+            crate::le_bytes::decode(bytes, decoded);
+            Self::roundtrip_slice_into(decoded, out);
+        }
+    }
 }
 
 /// The full binary16 → binary32 conversion table, built once on first use.
@@ -345,6 +365,22 @@ mod tests {
         f16::from_f32_slice_into(&src, &mut bulk);
         for (s, b) in src.iter().zip(&bulk) {
             assert_eq!(b.to_bits(), f16::from_f32(*s).to_bits(), "value {s}");
+        }
+    }
+
+    #[test]
+    fn roundtrip_from_wire_bytes_matches_decode_then_roundtrip() {
+        // Lengths around the internal block size, from an odd byte address.
+        for len in [0usize, 1, 7, 1023, 1024, 1025, 2048, 3001] {
+            let values: Vec<f32> = (0..len).map(|i| (i as f32 - 900.0) * 0.37).collect();
+            let mut wire = vec![0u8; 1 + 4 * len];
+            crate::le_bytes::encode(&values, &mut wire[1..]);
+            let mut expected = vec![0.0f32; len];
+            f16::roundtrip_slice_into(&values, &mut expected);
+            let mut direct = vec![9.0f32; len];
+            f16::roundtrip_f32_le_bytes_into(&wire[1..], &mut direct);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&direct), bits(&expected), "len {len}");
         }
     }
 

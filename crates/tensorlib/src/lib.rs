@@ -19,14 +19,19 @@
 //! * [`simd`] — the runtime-dispatched kernel-path layer ([`KernelPath`]):
 //!   AVX2/SSE2 `std::arch` paths behind `is_x86_feature_detected!`, with the
 //!   scalar loops as the always-available, bit-identical fallback.
+//! * [`le_bytes`] — the one `f32` ⇄ little-endian-bytes primitive: on a
+//!   little-endian target a tensor's memory is its wire form, so transfers
+//!   borrow it instead of converting.
 
-// `unsafe` is denied crate-wide; only the `simd` module overrides it with a
-// scoped allow for `std::arch` intrinsics (`forbid` would not permit that).
+// `unsafe` is denied crate-wide; only the `simd` module (`std::arch`
+// intrinsics) and the `le_bytes` module (the float-slice byte views)
+// override it with a scoped allow (`forbid` would not permit that).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod chunk;
 mod half;
+pub mod le_bytes;
 mod partition;
 pub mod simd;
 mod tensor;

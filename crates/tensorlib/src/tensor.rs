@@ -1,6 +1,7 @@
 //! Flat `f32` tensors and byte-level precision conversions.
 
 use crate::half::f16;
+use crate::le_bytes;
 use crate::simd::KernelPath;
 use rand::distributions::Distribution;
 use rand::SeedableRng;
@@ -105,13 +106,8 @@ impl FlatTensor {
     /// allocator.
     pub fn to_bytes_into(&self, dtype: Dtype, out: &mut Vec<u8>) {
         out.clear();
-        out.reserve(self.data.len() * dtype.bytes_per_element());
         match dtype {
-            Dtype::F32 => {
-                for v in &self.data {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-            }
+            Dtype::F32 => le_bytes::with_le_bytes(&self.data, |bytes| out.extend_from_slice(bytes)),
             Dtype::F16 => {
                 // Bulk conversion on the detected SIMD path; bit-identical
                 // to the per-element `f16::from_f32` encode.
@@ -127,7 +123,7 @@ impl FlatTensor {
     ///
     /// Panics if `bytes.len()` is not a multiple of the element size.
     pub fn from_bytes(bytes: &[u8], dtype: Dtype) -> Self {
-        let mut out = FlatTensor::default();
+        let mut out = FlatTensor::zeros(bytes.len() / dtype.bytes_per_element());
         Self::from_bytes_into(bytes, dtype, &mut out);
         out
     }
@@ -146,21 +142,14 @@ impl FlatTensor {
             "byte length {} is not a multiple of element size {esize}",
             bytes.len()
         );
-        let n = bytes.len() / esize;
-        out.data.clear();
-        out.data.reserve(n);
+        out.data.resize(bytes.len() / esize, 0.0);
         match dtype {
-            Dtype::F32 => {
-                out.data.extend(
-                    bytes.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
-                );
-            }
+            Dtype::F32 => le_bytes::decode(bytes, &mut out.data),
+            // Bulk decode on the detected SIMD path — bit-identical to
+            // decoding each pattern through `f16::to_f32`, with no
+            // intermediate buffer.
             Dtype::F16 => {
-                // Bulk decode on the detected SIMD path — bit-identical to
-                // decoding each pattern through `f16::to_f32`, with no
-                // intermediate buffer.
-                out.data.resize(n, 0.0);
-                crate::simd::f16_bytes_to_f32_bulk(KernelPath::active(), bytes, &mut out.data);
+                crate::simd::f16_bytes_to_f32_bulk(KernelPath::active(), bytes, &mut out.data)
             }
         }
     }

@@ -13,11 +13,67 @@ use crate::trainer::{check_len, DegradedReport, StepReport, TrainError, Trainer}
 use faultkit::FaultPlan;
 use optim::{Optimizer, OptimizerKind};
 use ssd::{RaidArray, SsdDevice, SsdError};
-use tensorlib::{Chunker, Dtype, FlatTensor};
+use tensorlib::le_bytes::{fill_from_le_bytes, with_le_bytes};
+use tensorlib::{Chunker, FlatTensor, Subgroup};
 
 /// Rebuilds whichever RAID member wore out (no-op if none did).
 fn rebuild_worn(raid: &mut RaidArray) -> u64 {
     raid.worn_member().map_or(0, |i| raid.rebuild_member(i))
+}
+
+/// The RAID array plus the recovery policy every storage operation of the
+/// trainer is wrapped in. Tensors cross it as their own memory: a write lends
+/// the floats' bytes to the scatter, a read gathers straight into them.
+struct Storage<'a> {
+    raid: &'a mut RaidArray,
+    retries: u32,
+    degraded: &'a mut DegradedReport,
+}
+
+impl Storage<'_> {
+    /// Writes `values` as the whole of `region`. Whole-region writes are
+    /// idempotent, so a retry (or a post-rebuild replay) lands on exactly the
+    /// same bytes.
+    fn write(&mut self, region: &str, values: &[f32]) -> Result<(), SsdError> {
+        with_le_bytes(values, |bytes| {
+            recover(self.retries, self.degraded, self.raid, rebuild_worn, |raid| {
+                raid.write_region(region, bytes)
+            })
+        })
+    }
+
+    /// Reads the whole of `region`, which must hold exactly `out.len()`
+    /// floats, into `out`.
+    fn read(&mut self, region: &str, out: &mut [f32]) -> Result<(), SsdError> {
+        fill_from_le_bytes(out, |bytes| {
+            recover(self.retries, self.degraded, self.raid, rebuild_worn, |raid| {
+                raid.read_region_into(region, bytes)
+            })
+        })
+    }
+}
+
+/// The region names of one block, built once at construction.
+#[derive(Debug)]
+struct BlockRegions {
+    master: String,
+    grad: String,
+    aux: Vec<String>,
+}
+
+impl BlockRegions {
+    fn new(block: usize, num_aux: usize) -> Self {
+        Self {
+            master: format!("block{block}/master"),
+            grad: format!("block{block}/grad"),
+            aux: (0..num_aux).map(|aux| format!("block{block}/aux{aux}")).collect(),
+        }
+    }
+}
+
+/// The elements of `values` that `block` covers.
+fn block_of<'a>(values: &'a [f32], block: &Subgroup) -> &'a [f32] {
+    &values[block.offset..block.offset + block.len]
 }
 
 /// Produces the flat gradient for one training step.
@@ -71,24 +127,18 @@ pub struct StorageOffloadTrainer {
     params_fp16: FlatTensor,
     optimizer: Optimizer,
     chunker: Chunker,
+    // One entry per block of `chunker`, in block order.
+    regions: Vec<BlockRegions>,
+    // The per-block working set of the CPU update, reused across blocks and
+    // steps: storage reads land in these tensors' own memory.
+    master: FlatTensor,
+    block_grads: FlatTensor,
+    aux: Vec<FlatTensor>,
     step: u64,
     fault_plan: Option<FaultPlan>,
 }
 
 impl StorageOffloadTrainer {
-    /// Region name of the FP32 master copy for a block.
-    fn master_region(block: usize) -> String {
-        format!("block{block}/master")
-    }
-
-    fn aux_region(block: usize, aux: usize) -> String {
-        format!("block{block}/aux{aux}")
-    }
-
-    fn grad_region(block: usize) -> String {
-        format!("block{block}/grad")
-    }
-
     /// Creates a trainer: stores the FP32 master copy and zeroed optimizer
     /// states on a fresh RAID0 array of `num_ssds` devices and keeps an FP16
     /// working copy in (simulated) host memory.
@@ -106,21 +156,35 @@ impl StorageOffloadTrainer {
             (0..num_ssds.max(1)).map(|i| SsdDevice::new(format!("ssd{i}"), u64::MAX / 4)).collect();
         let mut raid = RaidArray::new(devices, 1 << 20)?;
         let chunker = Chunker::new(initial_params.len(), block_elems.max(1));
+        let num_aux = optimizer.kind().num_aux();
+        let mut regions = Vec::with_capacity(chunker.num_subgroups());
+        let zeros = FlatTensor::zeros(chunker.max_subgroup_len());
+        let mut setup = DegradedReport::default();
+        let mut storage = Storage { raid: &mut raid, retries: 0, degraded: &mut setup };
         for block in chunker.subgroups() {
-            let master = initial_params.slice(block.offset, block.len);
-            raid.write_region(&Self::master_region(block.index), &master.to_bytes(Dtype::F32))?;
-            for aux in 0..optimizer.kind().num_aux() {
-                let zeros = FlatTensor::zeros(block.len);
-                raid.write_region(
-                    &Self::aux_region(block.index, aux),
-                    &zeros.to_bytes(Dtype::F32),
-                )?;
+            let names = BlockRegions::new(block.index, num_aux);
+            storage.write(&names.master, block_of(initial_params.as_slice(), &block))?;
+            for aux in &names.aux {
+                storage.write(aux, &zeros.as_slice()[..block.len])?;
             }
+            regions.push(names);
         }
         // The FP16 working copy is derived from the master copy, exactly as
         // mixed-precision training does.
-        let params_fp16 = FlatTensor::from_bytes(&initial_params.to_bytes(Dtype::F16), Dtype::F16);
-        Ok(Self { raid, params_fp16, optimizer, chunker, step: 0, fault_plan: None })
+        let mut params_fp16 = FlatTensor::zeros(initial_params.len());
+        initial_params.roundtrip_f16_into(params_fp16.as_mut_slice());
+        Ok(Self {
+            raid,
+            params_fp16,
+            optimizer,
+            chunker,
+            regions,
+            master: FlatTensor::default(),
+            block_grads: FlatTensor::default(),
+            aux: vec![FlatTensor::default(); num_aux],
+            step: 0,
+            fault_plan: None,
+        })
     }
 
     /// Installs a fault plan: deterministic per-device injectors on the RAID
@@ -187,10 +251,11 @@ impl StorageOffloadTrainer {
 
     fn master_params_inner(&mut self) -> Result<FlatTensor, SsdError> {
         let mut out = FlatTensor::zeros(self.chunker.total());
-        for block in self.chunker.subgroups() {
-            let bytes = self.raid.read_region(&Self::master_region(block.index))?;
-            let tensor = FlatTensor::from_bytes(&bytes, Dtype::F32);
-            out.write_slice(block.offset, tensor.as_slice());
+        let mut deg = DegradedReport::default();
+        let mut storage = Storage { raid: &mut self.raid, retries: 0, degraded: &mut deg };
+        for (block, names) in self.chunker.subgroups().zip(&self.regions) {
+            let dst = &mut out.as_mut_slice()[block.offset..block.offset + block.len];
+            storage.read(&names.master, dst)?;
         }
         Ok(out)
     }
@@ -200,71 +265,57 @@ impl StorageOffloadTrainer {
     /// to storage, then uploads states + gradients per block, updates them on
     /// the CPU and offloads the refreshed states.
     ///
+    /// Every byte the storage counters count is copied exactly once — between
+    /// a tensor's own memory and the RAID members' region buffers — and a
+    /// step past the first allocates nothing.
+    ///
     /// # Errors
     ///
     /// Returns [`TrainError::Config`] if `grads.len()` differs from the
     /// number of parameters, and a wrapped [`SsdError`] if any storage
-    /// operation fails.
+    /// operation fails (a stored region whose length disagrees with its
+    /// block included).
     pub fn train_step_with_grads(&mut self, grads: &FlatTensor) -> Result<StepReport, TrainError> {
         check_len("gradient", grads.len(), self.num_params())?;
         let counters_before = self.raid.counters();
         self.step += 1;
         self.trigger_scheduled_faults();
-        let retries = self.max_retries();
         let mut deg = DegradedReport::default();
+        // Every storage operation is wrapped in the recovery policy.
+        let retries = self.max_retries();
+        let mut storage = Storage { raid: &mut self.raid, retries, degraded: &mut deg };
         // Backward: offload the gradients of each block to storage (Fig. 1b).
-        // Every storage operation is wrapped in the recovery policy; RAID
-        // region writes are idempotent whole-region writes, so a retry (or a
-        // post-rebuild replay) lands on exactly the same bytes.
-        for block in self.chunker.subgroups() {
-            let g = grads.slice(block.offset, block.len);
-            let bytes = g.to_bytes(Dtype::F32);
-            let region = Self::grad_region(block.index);
-            recover(retries, &mut deg, &mut self.raid, rebuild_worn, |raid| {
-                raid.write_region(&region, &bytes)
-            })?;
+        for (block, names) in self.chunker.subgroups().zip(&self.regions) {
+            storage.write(&names.grad, block_of(grads.as_slice(), &block))?;
         }
         // Update: per block, upload states+gradients, update on the CPU,
         // offload the states and refresh the FP16 working copy (Fig. 1c).
-        for block in self.chunker.subgroups() {
-            let region = Self::master_region(block.index);
-            let master_bytes = recover(retries, &mut deg, &mut self.raid, rebuild_worn, |raid| {
-                raid.read_region(&region)
-            })?;
-            let mut master = FlatTensor::from_bytes(&master_bytes, Dtype::F32);
-            let mut aux = Vec::with_capacity(self.optimizer.kind().num_aux());
-            for a in 0..self.optimizer.kind().num_aux() {
-                let region = Self::aux_region(block.index, a);
-                let bytes = recover(retries, &mut deg, &mut self.raid, rebuild_worn, |raid| {
-                    raid.read_region(&region)
-                })?;
-                aux.push(FlatTensor::from_bytes(&bytes, Dtype::F32));
+        for (block, names) in self.chunker.subgroups().zip(&self.regions) {
+            self.master.resize(block.len, 0.0);
+            storage.read(&names.master, self.master.as_mut_slice())?;
+            for (region, aux) in names.aux.iter().zip(&mut self.aux) {
+                aux.resize(block.len, 0.0);
+                storage.read(region, aux.as_mut_slice())?;
             }
-            let region = Self::grad_region(block.index);
-            let grad_bytes = recover(retries, &mut deg, &mut self.raid, rebuild_worn, |raid| {
-                raid.read_region(&region)
-            })?;
-            let block_grads = FlatTensor::from_bytes(&grad_bytes, Dtype::F32);
+            self.block_grads.resize(block.len, 0.0);
+            storage.read(&names.grad, self.block_grads.as_mut_slice())?;
 
-            self.optimizer.step(master.as_mut_slice(), &block_grads, &mut aux, self.step);
+            self.optimizer.step(
+                self.master.as_mut_slice(),
+                &self.block_grads,
+                &mut self.aux,
+                self.step,
+            );
 
-            let region = Self::master_region(block.index);
-            let bytes = master.to_bytes(Dtype::F32);
-            recover(retries, &mut deg, &mut self.raid, rebuild_worn, |raid| {
-                raid.write_region(&region, &bytes)
-            })?;
-            for (a, aux_tensor) in aux.iter().enumerate() {
-                let region = Self::aux_region(block.index, a);
-                let bytes = aux_tensor.to_bytes(Dtype::F32);
-                recover(retries, &mut deg, &mut self.raid, rebuild_worn, |raid| {
-                    raid.write_region(&region, &bytes)
-                })?;
+            storage.write(&names.master, self.master.as_slice())?;
+            for (region, aux) in names.aux.iter().zip(&self.aux) {
+                storage.write(region, aux.as_slice())?;
             }
             // Refresh the FP16 working copy from the new master values,
             // rounding straight into the working-copy buffer (no intermediate
             // byte stream or temporary tensor).
             let dst = &mut self.params_fp16.as_mut_slice()[block.offset..block.offset + block.len];
-            master.roundtrip_f16_into(dst);
+            self.master.roundtrip_f16_into(dst);
         }
         // Transient faults are absorbed per member op inside the RAID (see
         // `RaidArray::install_fault_injectors`); fold the absorbed events into
@@ -329,21 +380,18 @@ impl Trainer for StorageOffloadTrainer {
         // checkpointed-then-resumed run would see a shifted fault schedule
         // relative to an uninterrupted one.
         self.raid.suspend_faults(true);
+        let mut storage = Storage { raid: &mut self.raid, retries, degraded: &mut deg };
         // Blocks are contiguous chunks in order, so concatenating per-block
         // reads yields the global tensors.
         let result: Result<(), SsdError> = (|| {
-            for block in self.chunker.subgroups() {
-                let region = Self::master_region(block.index);
-                let bytes = recover(retries, &mut deg, &mut self.raid, rebuild_worn, |raid| {
-                    raid.read_region(&region)
-                })?;
-                master_bits.extend(tensor_to_bits(&FlatTensor::from_bytes(&bytes, Dtype::F32)));
-                for (a, bits) in aux_bits.iter_mut().enumerate() {
-                    let region = Self::aux_region(block.index, a);
-                    let bytes = recover(retries, &mut deg, &mut self.raid, rebuild_worn, |raid| {
-                        raid.read_region(&region)
-                    })?;
-                    bits.extend(tensor_to_bits(&FlatTensor::from_bytes(&bytes, Dtype::F32)));
+            let mut block_values = FlatTensor::default();
+            for (block, names) in self.chunker.subgroups().zip(&self.regions) {
+                block_values.resize(block.len, 0.0);
+                storage.read(&names.master, block_values.as_mut_slice())?;
+                master_bits.extend(tensor_to_bits(&block_values));
+                for (region, bits) in names.aux.iter().zip(&mut aux_bits) {
+                    storage.read(region, block_values.as_mut_slice())?;
+                    bits.extend(tensor_to_bits(&block_values));
                 }
             }
             Ok(())
@@ -365,28 +413,21 @@ impl Trainer for StorageOffloadTrainer {
         let retries = self.max_retries();
         let mut deg = DegradedReport::default();
         let master = bits_to_tensor(&checkpoint.master_bits);
+        let aux: Vec<FlatTensor> = checkpoint.aux_bits.iter().map(|b| bits_to_tensor(b)).collect();
         self.raid.suspend_faults(true);
+        let mut storage = Storage { raid: &mut self.raid, retries, degraded: &mut deg };
         let result: Result<(), SsdError> = (|| {
-            for block in self.chunker.subgroups() {
-                let region = Self::master_region(block.index);
-                let bytes = master.slice(block.offset, block.len).to_bytes(Dtype::F32);
-                recover(retries, &mut deg, &mut self.raid, rebuild_worn, |raid| {
-                    raid.write_region(&region, &bytes)
-                })?;
-                for (a, bits) in checkpoint.aux_bits.iter().enumerate() {
-                    let region = Self::aux_region(block.index, a);
-                    let aux = bits_to_tensor(&bits[block.offset..block.offset + block.len]);
-                    let bytes = aux.to_bytes(Dtype::F32);
-                    recover(retries, &mut deg, &mut self.raid, rebuild_worn, |raid| {
-                        raid.write_region(&region, &bytes)
-                    })?;
+            for (block, names) in self.chunker.subgroups().zip(&self.regions) {
+                storage.write(&names.master, block_of(master.as_slice(), &block))?;
+                for (region, aux) in names.aux.iter().zip(&aux) {
+                    storage.write(region, block_of(aux.as_slice(), &block))?;
                 }
             }
             Ok(())
         })();
         self.raid.suspend_faults(false);
         result?;
-        self.params_fp16 = FlatTensor::from_bytes(&master.to_bytes(Dtype::F16), Dtype::F16);
+        master.roundtrip_f16_into(self.params_fp16.as_mut_slice());
         self.step = checkpoint.step;
         Ok(())
     }
@@ -396,6 +437,7 @@ impl Trainer for StorageOffloadTrainer {
 mod tests {
     use super::*;
     use optim::HyperParams;
+    use tensorlib::Dtype;
 
     fn reference_training(
         initial: &FlatTensor,
@@ -594,6 +636,37 @@ mod tests {
         let e = t.step_from(&mut SyntheticGradients::new(11, 0.01, 1)).unwrap_err();
         assert!(matches!(e, TrainError::Config { .. }), "{e}");
         assert_eq!(t.steps_completed(), 0, "a rejected gradient must not advance the step");
+    }
+
+    #[test]
+    fn a_stored_region_of_the_wrong_length_fails_the_step_with_a_typed_error() {
+        let n = 1000;
+        let initial = FlatTensor::randn(n, 0.05, 61);
+        let grads = FlatTensor::randn(n, 0.01, 62);
+        let mut t =
+            StorageOffloadTrainer::new(&initial, Optimizer::adam_default(), 3, 400).unwrap();
+        Trainer::step(&mut t, &grads).unwrap();
+        // Block 1 is 400 floats, all on member 0 (the stripe is 1 MiB).
+        // Overwrite its first moment with a region one float short, then with
+        // one that is not even a whole number of floats.
+        let good = t.raid.read_region("block1/aux0").unwrap();
+        assert_eq!(good.len(), 1600);
+        for short in [1596usize, 1599, 0] {
+            t.raid.write_region("block1/aux0", &good[..short]).unwrap();
+            let err = Trainer::step(&mut t, &grads).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    TrainError::Storage(SsdError::LengthMismatch { expected: 1600, actual, .. })
+                        if actual == short
+                ),
+                "{err}"
+            );
+        }
+        // With the region put right the same trainer carries on (it kept its
+        // working set through the failed steps).
+        t.raid.write_region("block1/aux0", &good).unwrap();
+        Trainer::step(&mut t, &grads).unwrap();
     }
 
     #[test]

@@ -36,7 +36,7 @@ use faultkit::FaultPlan;
 use gradcomp::{Compressor, ErrorFeedback};
 use optim::Optimizer;
 use parcore::ParExecutor;
-use tensorlib::{Chunker, Dtype, FlatTensor, Partitioner, Shard};
+use tensorlib::{Chunker, FlatTensor, Partitioner, Shard};
 
 /// The distributed starting state of a near-storage run: the flattened
 /// parameters contiguously sharded across fresh CSD models, with the FP32
@@ -96,7 +96,8 @@ pub struct PipelinedTrainer {
     params_fp16: FlatTensor,
     compressor: Option<Compressor>,
     feedback: Vec<ErrorFeedback>,
-    // One gradient scratch buffer per lane, reused across steps.
+    // One error-corrected-gradient buffer per lane, reused across steps
+    // (SmartComp only: a dense gradient goes to its device unstaged).
     scratch: Vec<FlatTensor>,
     subgroup_elems: usize,
     pool: ParExecutor,
@@ -128,7 +129,8 @@ impl PipelinedTrainer {
         }
         let (partitioner, csds, feedback) =
             init_csd_shards(initial_params, &optimizer, num_csds).map_err(TrainError::from)?;
-        let params_fp16 = FlatTensor::from_bytes(&initial_params.to_bytes(Dtype::F16), Dtype::F16);
+        let mut params_fp16 = FlatTensor::zeros(initial_params.len());
+        initial_params.roundtrip_f16_into(params_fp16.as_mut_slice());
         let scratch = vec![FlatTensor::default(); num_csds];
         Ok(Self {
             csds,
@@ -275,10 +277,11 @@ impl PipelinedTrainer {
             }
             // Reassembly is maintenance traffic: it observes state rather than
             // training, so it must neither fail on nor consume fault decisions.
+            let dst = &mut out.as_mut_slice()[shard.offset..shard.offset + shard.len];
             csd.suspend_faults(true);
-            let result = csd.load_parameters("shard", 0, shard.len);
+            let result = csd.load_parameters_into("shard", 0, dst);
             csd.suspend_faults(false);
-            out.write_slice(shard.offset, result?.as_slice());
+            result?;
         }
         Ok(out)
     }
@@ -397,14 +400,16 @@ impl PipelinedTrainer {
         let mut deg = DegradedReport::default();
 
         // Stage 1 — write: the shard's gradient crosses the host interconnect
-        // downstream, dense or as the Top-K stream (error feedback, then a
-        // selection on the lane's share of the workers — the device's
-        // executor — that is bit-identical for any worker count).
-        grads.slice_into(shard.offset, shard.len, scratch);
+        // downstream, dense (straight from the caller's tensor) or as the
+        // Top-K stream (error feedback applied in the same pass that takes
+        // the shard's slice, then a selection on the lane's share of the
+        // workers — the device's executor — that is bit-identical for any
+        // worker count).
+        let shard_grads = &grads.as_slice()[shard.offset..shard.offset + shard.len];
         let compressed = match &compressor {
             None => None,
             Some(c) => {
-                feedback.apply_in_place(scratch);
+                feedback.apply_into(shard_grads, scratch);
                 let compressed = c.try_compress_par(scratch, &csd.executor())?;
                 feedback.update(scratch, &compressed);
                 Some(compressed)
@@ -418,7 +423,7 @@ impl PipelinedTrainer {
             // Whole-region gradient writes are idempotent, so the recovery
             // wrapper may retry them freely.
             recover(max_retries, &mut deg, csd, CsdDevice::rebuild, |csd| {
-                csd.store_gradients("shard", scratch)
+                csd.store_gradients("shard", shard_grads)
             })?;
         }
 
@@ -441,11 +446,11 @@ impl PipelinedTrainer {
         }
 
         // Stage 3 — read-back: the refreshed FP16 working copy returns to
-        // host memory, rounded straight into this lane's output slice.
-        let updated = recover(max_retries, &mut deg, csd, CsdDevice::rebuild, |csd| {
-            csd.load_parameters("shard", 0, shard.len)
+        // host memory, rounded straight from the device's region bytes into
+        // this lane's output slice.
+        recover(max_retries, &mut deg, csd, CsdDevice::rebuild, |csd| {
+            csd.load_parameters_fp16_into("shard", 0, fp16_out)
         })?;
-        updated.roundtrip_f16_into(fp16_out);
 
         // Fold the device-internal transient retries into the lane's report.
         let (retries, backoff_ms) = csd.take_fault_events();
@@ -565,7 +570,7 @@ impl Trainer for PipelinedTrainer {
                 self.feedback[shard.device].restore_residual(&residual);
             }
         }
-        self.params_fp16 = FlatTensor::from_bytes(&master.to_bytes(Dtype::F16), Dtype::F16);
+        master.roundtrip_f16_into(self.params_fp16.as_mut_slice());
         self.step = checkpoint.step;
         Ok(())
     }
@@ -919,6 +924,32 @@ mod tests {
         let e = t.step_from(&mut SyntheticGradients::new(5, 0.01, 1)).unwrap_err();
         assert!(matches!(e, TrainError::Config { .. }), "{e}");
         assert_eq!(t.steps_completed(), 0, "a rejected gradient must not advance the step");
+    }
+
+    #[test]
+    fn a_stored_region_of_the_wrong_length_fails_the_step_with_a_typed_error() {
+        let n = 1200;
+        let optimizer = Optimizer::adam_default();
+        let initial = FlatTensor::randn(n, 0.05, 61);
+        let grads = FlatTensor::randn(n, 0.01, 62);
+        for keep in [None, Some(0.1)] {
+            let mut t = PipelinedTrainer::new(&initial, optimizer, 3, 150).unwrap();
+            if let Some(k) = keep {
+                t = t.with_compression(k).unwrap();
+            }
+            Trainer::step(&mut t, &grads).unwrap();
+            // Device 1 owns 400 parameters; re-initialise its shard one short.
+            let shard = initial.slice(400, 400);
+            t.csds[1].store_initial_state("shard", &shard.slice(0, 399), &optimizer).unwrap();
+            let err = Trainer::step(&mut t, &grads).unwrap_err();
+            assert!(
+                matches!(err, TrainError::Device(CsdError::Ssd(ssd::SsdError::OutOfBounds { .. }))),
+                "{keep:?}: {err}"
+            );
+            // With the shard put right the same trainer carries on.
+            t.csds[1].store_initial_state("shard", &shard, &optimizer).unwrap();
+            Trainer::step(&mut t, &grads).unwrap();
+        }
     }
 
     #[test]

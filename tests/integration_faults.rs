@@ -161,6 +161,86 @@ fn seeded_faults_are_deterministic_across_worker_counts() {
     }
 }
 
+/// The op-index streams the fault injectors see are exactly those of the
+/// decode → update → encode byte path this one replaced: with a seeded plan
+/// (transients, one wear-out, one dropout) every step's recovery work, byte
+/// counters and the final parameters equal the values recorded from the
+/// commit before the gather/scatter byte path (`367248b`), for both trainers.
+#[test]
+fn the_fault_stream_is_unchanged_op_for_op() {
+    let initial = FlatTensor::randn(N, 0.05, 71);
+    let mut faults = FaultSpec::empty(2024);
+    faults.transient_per_mille = Some(200);
+    faults.ssd_wearout_step = Some(2);
+    faults.csd_dropout_step = Some(3);
+    let fnv = |values: &[f32]| {
+        values.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+            (h ^ u64::from(v.to_bits())).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    let run = |method: MethodSpec| {
+        let mut trainer =
+            builder(method, 3, 2).with_faults(faults.clone()).build().trainer(&initial).unwrap();
+        let mut lines = Vec::new();
+        for step in 0..5u64 {
+            let report = trainer.step(&FlatTensor::randn(N, 0.01, 80 + step)).unwrap();
+            let d = report.degraded.unwrap_or_default();
+            lines.push(format!(
+                "t{} r{} b{} d{} m{} R{} W{}",
+                d.transient_faults,
+                d.retries,
+                d.backoff_ms,
+                d.devices_rebuilt,
+                d.rebuild_bytes,
+                report.storage_bytes_read,
+                report.storage_bytes_written
+            ));
+        }
+        let master = trainer.master_params().unwrap();
+        let fp16 = fnv(trainer.params_fp16().as_slice());
+        lines.push(format!("{:016x} {fp16:016x}", fnv(master.as_slice())));
+        lines
+    };
+    let golden: [(MethodSpec, [&str; 6]); 3] = [
+        (
+            MethodSpec::baseline(),
+            [
+                "t35 r35 b94 d0 m0 R24000 W24000",
+                "t29 r30 b72 d1 m24000 R48000 W48000",
+                "t37 r37 b104 d0 m0 R24000 W24000",
+                "t42 r42 b114 d0 m0 R24000 W24000",
+                "t45 r45 b120 d0 m0 R24000 W24000",
+                "9c718b20fd550cc0 0597f44f9807a4d5",
+            ],
+        ),
+        (
+            MethodSpec::pipelined(None),
+            [
+                "t23 r23 b64 d0 m0 R24000 W18000",
+                "t15 r16 b46 d1 m8000 R24000 W18000",
+                "t10 r11 b26 d1 m8000 R24000 W18000",
+                "t10 r10 b26 d0 m0 R24000 W18000",
+                "t17 r17 b46 d0 m0 R24000 W18000",
+                "9c718b20fd550cc0 0597f44f9807a4d5",
+            ],
+        ),
+        (
+            MethodSpec::pipelined(Some(0.05)),
+            [
+                "t13 r13 b34 d0 m0 R18600 W18000",
+                "t10 r11 b26 d1 m6000 R22320 W18000",
+                "t14 r15 b38 d1 m6000 R18600 W18000",
+                "t7 r7 b16 d0 m0 R18600 W18000",
+                "t7 r7 b18 d0 m0 R18600 W18000",
+                "04f153a40a0bf729 68ed457e93cb24d5",
+            ],
+        ),
+    ];
+    for (method, expected) in golden {
+        assert_eq!(run(method), expected, "{method:?}");
+    }
+}
+
 /// Timed fault effects (a straggler CSD, a derated host uplink) slow the
 /// simulated iteration down and do so deterministically.
 #[test]
