@@ -4,7 +4,7 @@
 //! (the functional layer), complementing the modelled throughputs of Fig. 14.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use gradcomp::Compressor;
+use gradcomp::{CompressLane, Compressor, ErrorFeedback};
 use optim::{HyperParams, Optimizer, OptimizerKind};
 use parcore::ParExecutor;
 use simkit::{FlowSpec, Simulation};
@@ -47,10 +47,6 @@ fn bench_compression(c: &mut Criterion) {
             let compressor = Compressor::top_k(keep);
             b.iter(|| black_box(compressor.compress(&grads)));
         });
-        g.bench_with_input(BenchmarkId::new("topk_threshold", keep), &keep, |b, &keep| {
-            let compressor = Compressor::threshold_top_k(keep, 4096);
-            b.iter(|| black_box(compressor.compress(&grads)));
-        });
     }
     let compressed = Compressor::top_k(0.01).compress(&grads);
     let decompressor = csd::Decompressor::default();
@@ -60,6 +56,36 @@ fn bench_compression(c: &mut Criterion) {
             decompressor.decompress_into(&compressed, &mut out);
             black_box(out[0]);
         });
+    });
+    g.finish();
+}
+
+/// SmartComp's whole compress stage as one lane of the trainer runs it, warm:
+/// accumulate the step's gradient into the residual, select the top 1 % from
+/// it into the lane's stream, zero the kept coordinates.
+fn bench_smartcomp_stage(c: &mut Criterion) {
+    let mut g = c.benchmark_group("smartcomp_stage");
+    g.throughput(Throughput::Elements(KERNEL_ELEMS as u64));
+    let grads: Vec<FlatTensor> =
+        (0..4).map(|s| FlatTensor::randn(KERNEL_ELEMS, 0.01, 30 + s)).collect();
+    g.bench_function("accumulate_select_clear_1pct", |b| {
+        let compressor = Compressor::top_k(0.01);
+        let pool = ParExecutor::serial();
+        let mut feedback = ErrorFeedback::new(KERNEL_ELEMS);
+        let mut lane = CompressLane::default();
+        let mut step = 0usize;
+        let mut stage = || {
+            step += 1;
+            feedback
+                .compress_into(grads[step % 4].as_slice(), &compressor, &pool, &mut lane)
+                .expect("1 Mi elements fit the index space");
+            lane.stream().num_selected()
+        };
+        // The first steps touch the residual's pages and size the lane.
+        for _ in 0..4 {
+            stage();
+        }
+        b.iter(stage);
     });
     g.finish();
 }
@@ -185,6 +211,7 @@ criterion_group!(
     kernels,
     bench_updater_kernels,
     bench_compression,
+    bench_smartcomp_stage,
     bench_parallel_backend,
     bench_half_precision,
     bench_f32_bytes,

@@ -547,12 +547,21 @@ impl CsdDevice {
     ///
     /// Returns [`CsdError::MissingShard`] if the shard is uninitialised (or
     /// was initialised for an optimizer with fewer auxiliary tensors),
-    /// [`CsdError::Dram`] if the working set does not fit in device memory,
-    /// or an [`CsdError::Ssd`] error for out-of-range accesses.
+    /// [`CsdError::Compression`] if the subgroup reaches past the end of the
+    /// compressed stream's gradient (refused before anything is read, written
+    /// or counted), [`CsdError::Dram`] if the working set does not fit in
+    /// device memory, or an [`CsdError::Ssd`] error for out-of-range accesses.
     pub fn update_subgroup(&mut self, request: SubgroupUpdate<'_>) -> Result<(), CsdError> {
         self.check_alive()?;
         let num_aux = request.optimizer.kind().num_aux();
         stored_region(&self.shards, &self.ssd, request.shard, |names| Some(&names.master))?;
+        if let Some(stream) = request.compressed {
+            let SubgroupUpdate { offset, len, .. } = request;
+            let original_len = stream.original_len();
+            if offset.checked_add(len).map_or(true, |end| end > original_len) {
+                return Err(CompressError::SubgroupOutOfRange { offset, len, original_len }.into());
+            }
+        }
         let labels = self.shards[request.shard].buffers.get(..2 + num_aux);
         let labels =
             labels.ok_or_else(|| CsdError::MissingShard { shard: request.shard.to_string() })?;
@@ -820,6 +829,40 @@ mod tests {
         // ... which a subgroup inside it does not trip over.
         request.len = 40;
         csd.update_subgroup(request).unwrap();
+    }
+
+    #[test]
+    fn a_stream_shorter_than_the_subgroup_is_an_error_before_anything_moves() {
+        let optimizer = Optimizer::adam_default();
+        let mut csd = CsdDevice::new("csd0", 1 << 26, u64::MAX / 4);
+        csd.store_initial_state("s", &FlatTensor::randn(64, 0.02, 1), &optimizer).unwrap();
+        // Compressed from 40 elements, offered to a 64-element shard.
+        let short = Compressor::top_k(0.25).compress(&FlatTensor::randn(40, 0.01, 2));
+        let full = Compressor::top_k(0.25).compress(&FlatTensor::randn(64, 0.01, 3));
+        let request = SubgroupUpdate {
+            shard: "s",
+            offset: 0,
+            len: 64,
+            optimizer,
+            step: 1,
+            compressed: Some(&short),
+        };
+        let counters = |csd: &CsdDevice| {
+            let ssd = csd.ssd();
+            (csd.stats(), ssd.read_ops(), ssd.write_ops(), ssd.bytes_read(), ssd.bytes_written())
+        };
+        let before = counters(&csd);
+        for (offset, len) in [(0usize, 64usize), (8, 33), (40, 1), (usize::MAX, 2)] {
+            let err = csd.update_subgroup(SubgroupUpdate { offset, len, ..request }).unwrap_err();
+            let expected = CompressError::SubgroupOutOfRange { offset, len, original_len: 40 };
+            assert_eq!(err, CsdError::Compression(expected), "{err}");
+        }
+        assert_eq!(counters(&csd), before, "a refused update reads, writes and counts nothing");
+        assert_eq!(csd.dram().used_bytes(), 0);
+        // A subgroup the short stream does cover, and the full stream, go through.
+        csd.update_subgroup(SubgroupUpdate { len: 40, ..request }).unwrap();
+        csd.update_subgroup(SubgroupUpdate { compressed: Some(&full), ..request }).unwrap();
+        assert_eq!(csd.stats().updates_run, 2);
     }
 
     #[test]

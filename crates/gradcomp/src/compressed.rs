@@ -36,6 +36,16 @@ pub enum CompressError {
         /// Length of the dense gradient.
         original_len: usize,
     },
+    /// A subgroup to decompress reaches past the end of the dense gradient
+    /// the stream was compressed from.
+    SubgroupOutOfRange {
+        /// Element offset of the subgroup.
+        offset: usize,
+        /// Number of elements in the subgroup.
+        len: usize,
+        /// Length of the dense gradient.
+        original_len: usize,
+    },
 }
 
 impl fmt::Display for CompressError {
@@ -50,11 +60,23 @@ impl fmt::Display for CompressError {
             CompressError::IndexOutOfRange { index, original_len } => {
                 write!(f, "index {index} out of range {original_len}")
             }
+            CompressError::SubgroupOutOfRange { offset, len, original_len } => {
+                write!(f, "subgroup of {len} at {offset} exceeds gradient length {original_len}")
+            }
         }
     }
 }
 
 impl Error for CompressError {}
+
+/// The length guard of every way a compressed stream comes to be: the index
+/// stream is u32 on the wire, so a longer gradient has no representation.
+pub(crate) fn check_index_space(original_len: usize) -> Result<(), CompressError> {
+    if original_len > u32::MAX as usize {
+        return Err(CompressError::IndexSpaceExceeded { original_len });
+    }
+    Ok(())
+}
 
 /// A sparsified gradient: the positions and values of the selected elements
 /// of a flat gradient vector of length `original_len`.
@@ -103,13 +125,23 @@ impl CompressedGradient {
                 values: values.len(),
             });
         }
-        if original_len > u32::MAX as usize {
-            return Err(CompressError::IndexSpaceExceeded { original_len });
-        }
+        check_index_space(original_len)?;
         if let Some(&index) = indices.iter().find(|&&i| (i as usize) >= original_len) {
             return Err(CompressError::IndexOutOfRange { index, original_len });
         }
         Ok(Self { indices, values, original_len })
+    }
+
+    /// Refills the stream in place (allocations reused) with the `selected`
+    /// coordinates of `grads`. The caller has checked `grads.len()` against
+    /// the index space; an index outside `grads` panics on the value read.
+    pub(crate) fn refill(&mut self, selected: &[u32], grads: &[f32]) {
+        debug_assert!(grads.len() <= u32::MAX as usize);
+        self.indices.clear();
+        self.indices.extend_from_slice(selected);
+        self.values.clear();
+        self.values.extend(selected.iter().map(|&i| grads[i as usize]));
+        self.original_len = grads.len();
     }
 
     /// Number of selected (non-zero) elements.

@@ -1,27 +1,18 @@
-//! Gradient selection strategies: exact Top-K, threshold-accelerated Top-K
-//! and Random-K, each with a shard-parallel exact Top-K variant that is
-//! bit-identical to the serial selection.
+//! Gradient selection strategies: exact Top-K — one sampled-threshold
+//! selection, serial or chunked across workers, bit-identical to a full
+//! selection either way — and Random-K.
 
-use crate::compressed::{CompressError, CompressedGradient};
+use crate::compressed::{check_index_space, CompressError, CompressedGradient};
 use parcore::ParExecutor;
 use serde::{Deserialize, Serialize};
-use tensorlib::FlatTensor;
+use tensorlib::{FlatTensor, KernelPath};
 
 /// How the kept coordinates are selected.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum SelectionMethod {
-    /// Exact Top-K by magnitude (full sort / selection). This is what the
-    /// paper's GPU-side compressor does (Section IV-C).
+    /// Exact Top-K by magnitude. This is what the paper's GPU-side compressor
+    /// does (Section IV-C).
     TopK,
-    /// Exact Top-K accelerated by a magnitude threshold estimated from a
-    /// strided sample: the estimate prunes the candidate set before the final
-    /// selection, so the result keeps **exactly `k` elements and is
-    /// bit-identical to [`SelectionMethod::TopK`]** — a mis-estimated
-    /// threshold only costs an extra pass, never a wrong selection.
-    ThresholdTopK {
-        /// Number of elements sampled to estimate the threshold.
-        sample_size: usize,
-    },
     /// Uniformly random selection with a deterministic seed (baseline from the
     /// sparsification literature; much worse for accuracy at the same ratio).
     RandomK {
@@ -37,6 +28,26 @@ pub enum SelectionMethod {
 /// compressor.
 pub fn valid_keep_ratio(keep_ratio: f64) -> bool {
     keep_ratio > 0.0 && keep_ratio <= 1.0
+}
+
+/// The reusable state of one compression lane: the selection's sample buffer
+/// and candidate lists, and the compressed stream they produce. A caller that
+/// compresses a shard every step keeps one of these per shard and hands it to
+/// [`Compressor::try_compress_into`], so a warm step allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct CompressLane {
+    sample: Vec<f32>,
+    candidates: Vec<u32>,
+    // One list per chunk, filled by the workers of a chunked selection.
+    chunk_candidates: Vec<Vec<u32>>,
+    stream: CompressedGradient,
+}
+
+impl CompressLane {
+    /// The stream written by the last compression into this lane.
+    pub fn stream(&self) -> &CompressedGradient {
+        &self.stream
+    }
 }
 
 /// A gradient compressor: a selection method plus the fraction of elements kept.
@@ -56,16 +67,6 @@ impl Compressor {
     /// Panics if `keep_ratio` is not in `(0, 1]`.
     pub fn top_k(keep_ratio: f64) -> Self {
         Self::new(keep_ratio, SelectionMethod::TopK)
-    }
-
-    /// Threshold-estimating Top-K (see [`SelectionMethod::ThresholdTopK`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keep_ratio` is not in `(0, 1]` or `sample_size` is zero.
-    pub fn threshold_top_k(keep_ratio: f64, sample_size: usize) -> Self {
-        assert!(sample_size > 0, "sample size must be positive");
-        Self::new(keep_ratio, SelectionMethod::ThresholdTopK { sample_size })
     }
 
     /// Random-K selection with the given seed.
@@ -135,12 +136,11 @@ impl Compressor {
         self.try_compress_par_chunked(grads, &ParExecutor::serial(), 1)
     }
 
-    /// Compresses a dense gradient, running the exact Top-K selection in
-    /// parallel on `pool` (one chunk per worker; gradients too small to
-    /// amortise the thread spawns run inline, see
-    /// [`ParExecutor::workers_for`]). Bit-identical to
-    /// [`Compressor::compress`]; the threshold and random selections are
-    /// sequential scans and run serially regardless of the executor.
+    /// Compresses a dense gradient, scanning for Top-K candidates in parallel
+    /// on `pool` (one chunk per worker; gradients too small to amortise the
+    /// thread spawns run inline, see [`ParExecutor::workers_for`]).
+    /// Bit-identical to [`Compressor::compress`]; the random selection runs
+    /// serially regardless of the executor.
     ///
     /// # Panics
     ///
@@ -181,9 +181,7 @@ impl Compressor {
         self.try_compress_par_chunked(grads, pool, num_chunks).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Compressor::compress_par_chunked`]: the length guard runs
-    /// *before* any index is narrowed to u32, so the selection can never
-    /// silently truncate an offset on a >4-billion-element shard.
+    /// Fallible [`Compressor::compress_par_chunked`].
     ///
     /// # Errors
     ///
@@ -199,132 +197,163 @@ impl Compressor {
         pool: &ParExecutor,
         num_chunks: usize,
     ) -> Result<CompressedGradient, CompressError> {
+        let mut lane = CompressLane::default();
+        self.try_compress_into(grads.as_slice(), pool, num_chunks, &mut lane)?;
+        Ok(lane.stream)
+    }
+
+    /// Compresses `grads` into `lane`'s stream, reusing the lane's buffers:
+    /// what every other entry point calls with a fresh lane. The length guard
+    /// runs *before* any index is narrowed to u32, so the selection can never
+    /// silently truncate an offset on a >4-billion-element shard.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CompressError::IndexSpaceExceeded`] if the gradient is
+    /// longer than `u32::MAX` elements; the lane is untouched then.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_chunks` is zero.
+    pub fn try_compress_into(
+        &self,
+        grads: &[f32],
+        pool: &ParExecutor,
+        num_chunks: usize,
+        lane: &mut CompressLane,
+    ) -> Result<(), CompressError> {
         assert!(num_chunks > 0, "chunk count must be positive");
         let n = grads.len();
-        if n > u32::MAX as usize {
-            return Err(CompressError::IndexSpaceExceeded { original_len: n });
-        }
+        check_index_space(n)?;
         let k = self.num_kept(n);
-        if n == 0 {
-            return Ok(CompressedGradient::default());
+        lane.candidates.clear();
+        if n > 0 {
+            match self.method {
+                SelectionMethod::TopK => top_k(grads, k, pool, num_chunks, lane),
+                SelectionMethod::RandomK { seed } => random_k(n, k, seed, &mut lane.candidates),
+            }
         }
-        let selected: Vec<u32> = match self.method {
-            SelectionMethod::TopK if num_chunks > 1 => {
-                par_exact_top_k(grads.as_slice(), k, pool, num_chunks)
-            }
-            SelectionMethod::TopK => exact_top_k(grads.as_slice(), k),
-            SelectionMethod::ThresholdTopK { sample_size } => {
-                threshold_top_k(grads.as_slice(), k, sample_size)
-            }
-            SelectionMethod::RandomK { seed } => random_k(n, k, seed),
-        };
-        let values = selected.iter().map(|&i| grads.as_slice()[i as usize]).collect();
-        CompressedGradient::try_new(selected, values, n)
+        lane.stream.refill(&lane.candidates, grads);
+        Ok(())
     }
 }
 
-/// The total order used by every Top-K selection: descending magnitude,
-/// ties broken by ascending index. `total_cmp` keeps the order total even
-/// for NaN magnitudes (they sort above infinity, i.e. are selected first) —
-/// a partial comparator would cycle on NaN-bearing gradients and make the
-/// serial and parallel selections diverge. Under a total order the top-k
-/// *set* is unique, which is what makes the parallel selection bit-identical.
+/// The total order used by the Top-K selection: descending magnitude, ties
+/// broken by ascending index. `total_cmp` keeps the order total even for NaN
+/// magnitudes (they sort above infinity, i.e. are selected first) — a partial
+/// comparator would cycle on NaN-bearing gradients. Under a total order the
+/// top-k *set* is unique, which is what makes every way of finding it — any
+/// cut, any chunk count — bit-identical.
 fn magnitude_order(grads: &[f32], a: u32, b: u32) -> std::cmp::Ordering {
     let ma = grads[a as usize].abs();
     let mb = grads[b as usize].abs();
     mb.total_cmp(&ma).then(a.cmp(&b))
 }
 
-/// Exact Top-K selection by magnitude; ties broken by index for determinism.
-fn exact_top_k(grads: &[f32], k: usize) -> Vec<u32> {
-    let mut indices: Vec<u32> = (0..grads.len() as u32).collect();
-    // Partial selection: the k largest magnitudes first.
-    indices.select_nth_unstable_by(k.saturating_sub(1), |&a, &b| magnitude_order(grads, a, b));
-    let mut top: Vec<u32> = indices[..k].to_vec();
-    top.sort_unstable();
-    top
+/// Magnitudes sampled (at a fixed stride) to estimate the selection's cut.
+/// Taking and ranking 16 Ki of them costs about a fifth of one filter pass
+/// over a 1 Mi-element shard, and at the paper's 1 % keep it puts ~160
+/// members of the top-k set in the sample — enough for the margin of
+/// [`conservative_rank`] to admit only about a third more candidates than
+/// the `k` that are kept.
+const SAMPLE_LEN: usize = 1 << 14;
+
+/// Shards shorter than this are selected without a sample: it would read a
+/// quarter or more of the shard to save a selection that is already small.
+const SAMPLE_FLOOR: usize = 4 * SAMPLE_LEN;
+
+/// The stride an `n`-element shard is sampled at: odd, so that it does not
+/// lock onto power-of-two row lengths.
+fn sample_stride(n: usize) -> usize {
+    (n / SAMPLE_LEN) | 1
 }
 
-/// Shard-parallel exact Top-K: each chunk runs `select_nth_unstable` over its
-/// own index range, then the per-chunk candidates are merged with one final
-/// selection over at most `num_chunks · k` survivors.
-///
-/// Because [`magnitude_order`] is a total order, the global top-k set is
-/// unique and every global winner necessarily wins within its own chunk, so
-/// the merged result is **bit-identical** to [`exact_top_k`] for every chunk
-/// count (the property tests assert this).
-fn par_exact_top_k(grads: &[f32], k: usize, pool: &ParExecutor, num_chunks: usize) -> Vec<u32> {
-    let ranges = parcore::chunk_bounds(grads.len(), num_chunks);
-    let candidates: Vec<Vec<u32>> = pool.map(ranges, |_, range| {
-        let mut local: Vec<u32> = (range.start as u32..range.end as u32).collect();
-        if local.len() > k {
-            local
-                .select_nth_unstable_by(k.saturating_sub(1), |&a, &b| magnitude_order(grads, a, b));
-            local.truncate(k);
-        }
-        local
-    });
-    let mut merged: Vec<u32> = candidates.into_iter().flatten().collect();
-    if merged.len() > k {
-        merged.select_nth_unstable_by(k.saturating_sub(1), |&a, &b| magnitude_order(grads, a, b));
-        merged.truncate(k);
-    }
-    merged.sort_unstable();
-    merged
+/// The sample rank at which the cut is taken. Of `sample_len` strided samples
+/// of an `n`-element shard, `e = k · sample_len / n` are expected to belong
+/// to the top-`k` set, with a standard deviation of at most `√e`. A cut at
+/// rank `r` is too high — fewer than `k` elements reach it — only if more
+/// than `r` of the samples are top-`k` members, so `r = e + 4·√e + 8` makes a
+/// miss a more-than-4σ event (the constant keeps the margin when `e` is
+/// small), while about `k · r / e` candidates pass.
+fn conservative_rank(k: usize, n: usize, sample_len: usize) -> usize {
+    let expected = k as f64 * sample_len as f64 / n as f64;
+    (expected + 4.0 * expected.sqrt() + 8.0).ceil() as usize
 }
 
-/// Threshold-accelerated exact Top-K: estimate the k-th magnitude from a
-/// strided sample, collect every element at or above the estimate, and finish
-/// with an exact selection over the (usually small) candidate set.
+/// Exact Top-K selection by magnitude into `lane.candidates` (ascending
+/// index): estimate a conservative cut from a strided sample, collect every
+/// element not below it with the SIMD filter, and run the exact selection
+/// over those candidates only.
 ///
-/// The previous version stopped scanning after `max(2k, 16)` accepted
-/// elements and returned whatever had been collected, which over-selected
-/// (up to 2k elements) and — worse — selected by *index* order rather than
-/// magnitude on adversarial distributions: a too-low threshold estimate made
-/// it keep the first 2k above-threshold coordinates and drop the true top
-/// magnitudes sitting at higher indices, while a too-high estimate silently
-/// under-selected. Both tails are now exact:
-///
-/// * If at least `k` candidates pass the estimate, the true top-k set passes
-///   too (each of its magnitudes is ≥ the k-th largest ≥ the threshold), so
-///   an exact selection *within the candidates* equals the global
-///   [`exact_top_k`]. NaNs never compare below a threshold and are always
-///   kept as candidates, matching their position in [`magnitude_order`].
-/// * If fewer than `k` candidates pass (overestimated threshold), fall back
-///   to the global exact selection.
-///
-/// Either way the result keeps exactly `k` elements and is bit-identical to
-/// [`SelectionMethod::TopK`]; the sample only buys the cheap common case.
-#[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must be a candidate, so !(x < t) is intended
-fn threshold_top_k(grads: &[f32], k: usize, sample_size: usize) -> Vec<u32> {
+/// The result never depends on the estimate. If at least `k` elements pass
+/// the cut, every member of the top-`k` set passes too (its magnitude is at
+/// least the `k`-th largest, which is at least the cut; NaN never compares
+/// below anything and sorts first in [`magnitude_order`]), so selecting among
+/// the candidates is selecting among all. If fewer pass, the cut is lowered
+/// and the scan repeated; the last cut, `0.0`, admits every element, which is
+/// the full selection. A bad estimate costs a pass, never a wrong set.
+fn top_k(grads: &[f32], k: usize, pool: &ParExecutor, num_chunks: usize, lane: &mut CompressLane) {
     let n = grads.len();
-    let stride = (n / sample_size.min(n)).max(1);
-    let mut sample: Vec<f32> = grads.iter().step_by(stride).map(|v| v.abs()).collect();
-    sample.sort_unstable_by(|a, b| b.total_cmp(a));
-    let target_rank = ((k as f64 / n as f64) * sample.len() as f64).round() as usize;
-    let threshold = sample[target_rank.min(sample.len() - 1)];
-    let mut candidates: Vec<u32> = Vec::with_capacity(k.saturating_mul(2).max(16));
-    // SIMD-accelerated `!(|v| < t)` scan; NaN magnitudes (and a NaN
-    // threshold) land in the candidate set on every kernel path.
-    crate::simd::filter_not_less(
-        tensorlib::KernelPath::active(),
-        grads,
-        threshold,
-        &mut candidates,
-    );
-    if candidates.len() < k {
-        return exact_top_k(grads, k);
+    lane.sample.clear();
+    if n >= SAMPLE_FLOOR && k < n / 4 {
+        lane.sample.extend(grads.iter().step_by(sample_stride(n)).map(|v| v.abs()));
     }
+    let mut rank = conservative_rank(k, n, lane.sample.len());
+    loop {
+        // Past the end of the sample (or with none taken) nothing is cut.
+        let cut = if rank < lane.sample.len() {
+            *lane.sample.select_nth_unstable_by(rank, |a, b| b.total_cmp(a)).1
+        } else {
+            0.0
+        };
+        collect_candidates(grads, cut, pool, num_chunks, lane);
+        if lane.candidates.len() >= k {
+            break;
+        }
+        rank = rank.saturating_mul(4);
+    }
+    let candidates = &mut lane.candidates;
     if candidates.len() > k {
         candidates.select_nth_unstable_by(k - 1, |&a, &b| magnitude_order(grads, a, b));
         candidates.truncate(k);
     }
     candidates.sort_unstable();
-    candidates
 }
 
-/// Deterministic pseudo-random selection of k distinct indices.
-fn random_k(n: usize, k: usize, seed: u64) -> Vec<u32> {
+/// Fills `lane.candidates` with every index (ascending) whose magnitude is
+/// not below `cut`. With more than one chunk the workers of `pool` each
+/// filter a contiguous range into their own list and the lists are
+/// concatenated in range order — the same list a single scan produces.
+fn collect_candidates(
+    grads: &[f32],
+    cut: f32,
+    pool: &ParExecutor,
+    num_chunks: usize,
+    lane: &mut CompressLane,
+) {
+    let path = KernelPath::active();
+    let CompressLane { candidates, chunk_candidates, .. } = lane;
+    candidates.clear();
+    if num_chunks == 1 {
+        crate::simd::filter_not_less(path, grads, cut, candidates);
+        return;
+    }
+    let ranges = parcore::chunk_bounds(grads.len(), num_chunks);
+    if chunk_candidates.len() < ranges.len() {
+        chunk_candidates.resize_with(ranges.len(), Vec::new);
+    }
+    let chunks: Vec<_> = ranges.iter().zip(chunk_candidates.iter_mut()).collect();
+    pool.for_each(chunks, |_, (range, list)| {
+        list.clear();
+        crate::simd::filter_not_less(path, &grads[range.clone()], cut, list);
+    });
+    for (range, list) in ranges.iter().zip(chunk_candidates.iter()) {
+        candidates.extend(list.iter().map(|&i| range.start as u32 + i));
+    }
+}
+
+/// Deterministic pseudo-random selection of k distinct indices (ascending).
+fn random_k(n: usize, k: usize, seed: u64, selected: &mut Vec<u32>) {
     // SplitMix64-based index shuffle: pick k distinct pseudo-random positions.
     let mut state = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut next = || {
@@ -338,13 +367,37 @@ fn random_k(n: usize, k: usize, seed: u64) -> Vec<u32> {
     while picked.len() < k {
         picked.insert((next() % n as u64) as u32);
     }
-    picked.into_iter().collect()
+    selected.extend(picked);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The selection this module replaced, kept as the oracle: one
+    /// `select_nth` over every index under the same total order.
+    fn oracle_top_k(grads: &[f32], k: usize) -> Vec<u32> {
+        let mut indices: Vec<u32> = (0..grads.len() as u32).collect();
+        indices.select_nth_unstable_by(k.saturating_sub(1), |&a, &b| magnitude_order(grads, a, b));
+        indices.truncate(k);
+        indices.sort_unstable();
+        indices
+    }
+
+    /// Compresses serially and holds the stream against the oracle: the same
+    /// indices, and the gradient's own bits as values.
+    fn compress_checked(grads: &FlatTensor, ratio: f64) -> CompressedGradient {
+        let compressor = Compressor::top_k(ratio);
+        let c = compressor.compress(grads);
+        let expected = oracle_top_k(grads.as_slice(), compressor.num_kept(grads.len()));
+        assert_eq!(c.indices(), expected.as_slice(), "n={} ratio={ratio}", grads.len());
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let picked: Vec<f32> = expected.iter().map(|&i| grads.as_slice()[i as usize]).collect();
+        assert_eq!(bits(c.values()), bits(&picked), "n={} ratio={ratio}", grads.len());
+        assert_eq!(c.original_len(), grads.len());
+        c
+    }
 
     #[test]
     fn top_k_keeps_the_largest_magnitudes() {
@@ -383,7 +436,7 @@ mod tests {
     #[test]
     fn empty_gradient_compresses_to_empty() {
         let c = Compressor::top_k(0.1).compress(&FlatTensor::zeros(0));
-        assert_eq!(c.num_selected(), 0);
+        assert_eq!(c, CompressedGradient::default());
         assert_eq!(Compressor::top_k(0.1).num_kept(0), 0);
     }
 
@@ -402,50 +455,78 @@ mod tests {
     }
 
     #[test]
+    fn the_cut_admits_a_modest_surplus_of_candidates() {
+        // The margin's derivation, observed: at 1 % of a 1 Mi-element normal
+        // shard the cut passes at least k and well under 2k candidates.
+        let n = 1 << 20;
+        let grads = FlatTensor::randn(n, 0.01, 17);
+        let k = Compressor::top_k(0.01).num_kept(n);
+        let mut sample: Vec<f32> =
+            grads.as_slice().iter().step_by(sample_stride(n)).map(|v| v.abs()).collect();
+        let rank = conservative_rank(k, n, sample.len());
+        let cut = *sample.select_nth_unstable_by(rank, |a, b| b.total_cmp(a)).1;
+        let passing = grads.as_slice().iter().filter(|v| v.abs() >= cut).count();
+        assert!(passing >= k && passing < 2 * k, "k={k} passing={passing} rank={rank}");
+    }
+
+    #[test]
     fn threshold_top_k_equals_exact_selection() {
-        let grads = FlatTensor::randn(10_000, 1.0, 3);
-        let exact = Compressor::top_k(0.01).compress(&grads);
-        let accelerated = Compressor::threshold_top_k(0.01, 512).compress(&grads);
-        assert_eq!(accelerated, exact);
+        // Above the sampling floor, ragged against every vector width.
+        for (n, ratio) in [(SAMPLE_FLOOR + 3, 0.01), (3 * SAMPLE_FLOOR + 1, 0.001)] {
+            compress_checked(&FlatTensor::randn(n, 1.0, 3), ratio);
+        }
     }
 
     #[test]
     fn threshold_top_k_is_exact_on_adversarial_magnitude_distributions() {
-        // Adversarial for the old early-exit: the sample sees only the sea of
-        // large-but-not-largest magnitudes at low indices, so the estimated
-        // threshold is low and the scan used to stop before ever reaching the
-        // true top magnitudes parked at the highest indices.
-        let n = 4096;
-        let mut values = vec![1.0f32; n];
-        for (j, v) in values.iter_mut().rev().take(8).enumerate() {
-            *v = 100.0 + j as f32;
+        let n = SAMPLE_FLOOR + 17;
+        let stride = sample_stride(n);
+        // A sea of equal magnitudes with the true top parked at the highest
+        // indices, between sample points: the sample sees only the sea, the
+        // cut ties with it, and every element is a candidate.
+        let mut sea = vec![1.0f32; n];
+        let mut spikes = Vec::new();
+        for (j, i) in (0..n).rev().filter(|i| i % stride != 0).take(8).enumerate() {
+            sea[i] = 100.0 + j as f32;
+            spikes.push(i as u32);
         }
-        let grads = FlatTensor::from_vec(values);
-        for (ratio, sample) in [(0.001, 16), (0.002, 64), (0.01, 4), (0.25, 7)] {
-            let compressor = Compressor::threshold_top_k(ratio, sample);
-            let exact = Compressor::top_k(ratio).compress(&grads);
-            let accelerated = compressor.compress(&grads);
-            assert_eq!(accelerated, exact, "ratio={ratio} sample={sample}");
-            assert_eq!(accelerated.num_selected(), compressor.num_kept(n));
+        let sea = FlatTensor::from_vec(sea);
+        for ratio in [0.001, 0.002, 0.01, 0.2] {
+            let c = compress_checked(&sea, ratio);
+            assert!(spikes.iter().all(|s| c.indices().contains(s)), "ratio={ratio}: spike lost");
         }
-        // The 8 planted spikes must always survive a selection of k >= 8.
-        let c = Compressor::threshold_top_k(0.002, 64).compress(&grads);
-        for spike in (n - 8)..n {
-            assert!(c.indices().contains(&(spike as u32)), "spike {spike} dropped");
+        // Large values on every sample point and nowhere else: the sample
+        // sees nothing but them, so every cut it offers is too high for a k
+        // beyond their number and the selection ends at the full scan.
+        let on_stride = FlatTensor::from_fn(n, |i| {
+            if i % stride == 0 {
+                1000.0 + (i % 7) as f32
+            } else {
+                ((i * 31) % 101) as f32 * 0.01
+            }
+        });
+        for ratio in [0.001, 0.05, 0.24] {
+            compress_checked(&on_stride, ratio);
         }
     }
 
     #[test]
     fn threshold_top_k_keeps_nan_magnitudes_like_exact_top_k() {
-        let mut values: Vec<f32> = (0..2048).map(|i| ((i as f32) * 0.31).cos()).collect();
-        values[7] = f32::NAN;
-        values[2000] = -f32::NAN;
+        let n = SAMPLE_FLOOR + 5;
+        let stride = sample_stride(n);
+        let mut values: Vec<f32> = (0..n).map(|i| ((i as f32) * 0.31).cos()).collect();
+        values[7 * stride] = f32::NAN; // one the sample sees
+        values[7 * stride + 1] = -f32::NAN; // and one it does not
+        values[n - 2] = f32::NEG_INFINITY;
         let grads = FlatTensor::from_vec(values);
-        let exact = Compressor::top_k(0.01).compress(&grads);
-        let accelerated = Compressor::threshold_top_k(0.01, 32).compress(&grads);
-        assert_eq!(accelerated.indices(), exact.indices());
-        assert!(accelerated.indices().contains(&7));
-        assert!(accelerated.indices().contains(&2000));
+        let c = compress_checked(&grads, 0.01);
+        for special in [7 * stride, 7 * stride + 1, n - 2] {
+            assert!(c.indices().contains(&(special as u32)), "index {special} dropped");
+        }
+        // Enough NaNs in the sample to make the cut itself NaN: nothing
+        // compares below it, everything is a candidate, the set is the same.
+        let poisoned = FlatTensor::from_fn(n, |i| if i % 3 == 0 { f32::NAN } else { i as f32 });
+        compress_checked(&poisoned, 0.01);
     }
 
     #[test]
@@ -454,7 +535,7 @@ mod tests {
         let cpus = ParExecutor::current().num_threads();
         for ratio in [0.001, 0.01, 0.2, 1.0] {
             let compressor = Compressor::top_k(ratio);
-            let serial = compressor.compress(&grads);
+            let serial = compress_checked(&grads, ratio);
             for chunks in [1usize, 2, 7, cpus.max(2)] {
                 for threads in [1usize, 2, 4] {
                     let pool = ParExecutor::new(threads);
@@ -512,54 +593,81 @@ mod tests {
 
     #[test]
     fn threshold_top_k_handles_k_at_least_n() {
-        // keep_ratio 1.0 → k == n: every element is kept, exactly once.
-        let grads = FlatTensor::randn(100, 1.0, 5);
-        let c = Compressor::threshold_top_k(1.0, 16).compress(&grads);
-        assert_eq!(c.num_selected(), 100);
-        assert_eq!(c.decompress(), grads);
+        // keep_ratio 1.0 → k == n: every element is kept, exactly once, on
+        // either side of the sampling floor.
+        for n in [100, SAMPLE_FLOOR + 1] {
+            let grads = FlatTensor::randn(n, 1.0, 5);
+            let c = Compressor::top_k(1.0).compress(&grads);
+            assert_eq!(c.num_selected(), n);
+            assert_eq!(c.decompress(), grads);
+        }
         // Tiny tensors where k == n == 1.
-        let single = Compressor::threshold_top_k(0.9, 4).compress(&FlatTensor::full(1, 2.0));
+        let single = Compressor::top_k(0.9).compress(&FlatTensor::full(1, 2.0));
         assert_eq!(single.num_selected(), 1);
         assert_eq!(single.indices(), &[0]);
     }
 
     #[test]
     fn threshold_top_k_handles_all_equal_magnitudes() {
-        // Every |g| equals the threshold, so every element is a candidate;
-        // the final selection must keep exactly k, lowest indices first
-        // (the serial tie-break), not an early-exit-dependent prefix.
-        let grads = FlatTensor::full(500, -2.5);
-        let compressor = Compressor::threshold_top_k(0.02, 64);
-        let a = compressor.compress(&grads);
-        assert_eq!(a, compressor.compress(&grads));
-        let expected: Vec<u32> = (0..10).collect(); // k = 500 * 0.02
-        assert_eq!(a.indices(), expected.as_slice());
-        assert_eq!(a, Compressor::top_k(0.02).compress(&grads));
+        // Every |g| equals the cut, so every element is a candidate; the
+        // final selection must keep exactly k, lowest indices first (the
+        // tie-break of the total order). All-zero is the same case.
+        for value in [-2.5f32, 0.0] {
+            let grads = FlatTensor::full(SAMPLE_FLOOR + 9, value);
+            let c = compress_checked(&grads, 0.02);
+            let expected: Vec<u32> = (0..c.num_selected() as u32).collect();
+            assert_eq!(c.indices(), expected.as_slice());
+        }
     }
 
     #[test]
     fn threshold_top_k_handles_sample_size_larger_than_n() {
-        // sample_size > n: the stride clamps to 1 (full scan of all n
-        // elements), which makes the estimate exact.
+        // Shards shorter than the sample (and up to the floor) take no
+        // sample: the zero cut admits everything and the selection is full.
         let grads = FlatTensor::from_vec(vec![0.1, -5.0, 0.2, 3.0, -0.05, 4.0]);
-        let c = Compressor::threshold_top_k(0.5, 1000).compress(&grads);
-        assert_eq!(c, Compressor::top_k(0.5).compress(&grads));
-        assert_eq!(c.indices(), &[1, 3, 5]);
+        assert_eq!(compress_checked(&grads, 0.5).indices(), &[1, 3, 5]);
+        // Both sides of the floor, and of the k < n/4 rule, agree with the oracle.
+        for n in [SAMPLE_LEN + 1, SAMPLE_FLOOR - 1, SAMPLE_FLOOR] {
+            for ratio in [0.01, 0.249, 0.251] {
+                compress_checked(&FlatTensor::randn(n, 1.0, n as u64), ratio);
+            }
+        }
     }
 
     #[test]
     fn fallible_compression_matches_the_panicking_path() {
         let grads = FlatTensor::randn(5_000, 1.0, 11);
         let pool = ParExecutor::new(2);
-        for compressor in [
-            Compressor::top_k(0.01),
-            Compressor::threshold_top_k(0.05, 64),
-            Compressor::random_k(0.1, 3),
-        ] {
+        // One lane serves every call: each refill replaces the last stream.
+        let mut lane = CompressLane::default();
+        for compressor in [Compressor::top_k(0.01), Compressor::random_k(0.1, 3)] {
             let infallible = compressor.compress(&grads);
             assert_eq!(compressor.try_compress(&grads).unwrap(), infallible);
             assert_eq!(compressor.try_compress_par(&grads, &pool).unwrap(), infallible);
             assert_eq!(compressor.try_compress_par_chunked(&grads, &pool, 3).unwrap(), infallible);
+            for chunks in [1usize, 3] {
+                compressor.try_compress_into(grads.as_slice(), &pool, chunks, &mut lane).unwrap();
+                assert_eq!(lane.stream(), &infallible, "chunks={chunks}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_warm_lane_is_refilled_without_growing() {
+        let compressor = Compressor::top_k(0.01);
+        let mut lane = CompressLane::default();
+        let pool = ParExecutor::serial();
+        let grads: Vec<FlatTensor> =
+            (0..3).map(|s| FlatTensor::randn(4 * SAMPLE_FLOOR, 0.01, 70 + s)).collect();
+        compressor.try_compress_into(grads[0].as_slice(), &pool, 1, &mut lane).unwrap();
+        let sample_capacity = lane.sample.capacity();
+        let k = lane.stream().num_selected();
+        for g in &grads[1..] {
+            compressor.try_compress_into(g.as_slice(), &pool, 1, &mut lane).unwrap();
+            assert_eq!(lane.stream(), &compressor.compress(g));
+            assert_eq!(lane.sample.capacity(), sample_capacity);
+            // The candidate list stays a small multiple of what is kept.
+            assert!(lane.candidates.capacity() < 4 * k, "{}", lane.candidates.capacity());
         }
     }
 
@@ -616,23 +724,21 @@ mod tests {
             prop_assert!(err <= zero_err + 1e-12);
         }
 
-        /// The threshold-accelerated selection keeps exactly k elements and
-        /// equals the exact Top-K for random tensors, ratios and sample
-        /// sizes (quantised values make duplicate magnitudes — the tie-heavy
-        /// regime the old early-exit mis-handled — common).
+        /// The sampled selection keeps exactly k elements and equals the
+        /// full selection on tie-heavy shards above the sampling floor: a
+        /// random pattern of quantised values, repeated, so that a large
+        /// share of the shard ties exactly at the cut whatever the ratio.
         #[test]
         fn threshold_top_k_keeps_exactly_k_and_matches_exact(
-            values in proptest::collection::vec(-5.0f32..5.0, 1..500),
-            ratio in 0.01f64..1.0,
-            sample_size in 1usize..600,
+            pattern in proptest::collection::vec(-5.0f32..5.0, 1..500),
+            ratio in 0.001f64..0.25,
+            extra in 0usize..64,
         ) {
-            let grads = FlatTensor::from_vec(
-                values.iter().map(|v| (v * 4.0).round() / 4.0).collect(),
-            );
-            let compressor = Compressor::threshold_top_k(ratio, sample_size);
-            let accelerated = compressor.compress(&grads);
-            prop_assert_eq!(accelerated.num_selected(), compressor.num_kept(grads.len()));
-            prop_assert_eq!(accelerated, Compressor::top_k(ratio).compress(&grads));
+            let grads = FlatTensor::from_fn(SAMPLE_FLOOR + extra, |i| {
+                (pattern[i % pattern.len()] * 4.0).round() / 4.0
+            });
+            let c = compress_checked(&grads, ratio);
+            prop_assert_eq!(c.num_selected(), Compressor::top_k(ratio).num_kept(grads.len()));
         }
 
         /// Parallel Top-K equals serial Top-K for random tensors, ratios,
@@ -649,7 +755,7 @@ mod tests {
                 values.iter().map(|v| (v * 4.0).round() / 4.0).collect(),
             );
             let compressor = Compressor::top_k(ratio);
-            let serial = compressor.compress(&grads);
+            let serial = compress_checked(&grads, ratio);
             let par = compressor.compress_par_chunked(&grads, &ParExecutor::new(threads), chunks);
             prop_assert_eq!(par, serial);
         }

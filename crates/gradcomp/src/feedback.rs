@@ -5,7 +5,9 @@
 //! and added back to the gradient at step `t+1`, so that every coordinate is
 //! eventually communicated and convergence is preserved.
 
-use crate::compressed::CompressedGradient;
+use crate::compressed::{check_index_space, CompressError, CompressedGradient};
+use crate::compressor::{CompressLane, Compressor};
+use parcore::ParExecutor;
 use serde::{Deserialize, Serialize};
 use tensorlib::FlatTensor;
 
@@ -40,14 +42,15 @@ impl ErrorFeedback {
     /// to the compressor.
     ///
     /// Allocates a fresh tensor; hot paths that already own their gradient
-    /// buffer should prefer [`ErrorFeedback::apply_in_place`].
+    /// buffer should prefer [`ErrorFeedback::apply_in_place`], and a caller
+    /// that compresses every step [`ErrorFeedback::compress_into`].
     ///
     /// # Panics
     ///
     /// Panics if `grads.len()` differs from the accumulator length.
     pub fn apply(&self, grads: &FlatTensor) -> FlatTensor {
-        let mut corrected = FlatTensor::default();
-        self.apply_into(grads.as_slice(), &mut corrected);
+        let mut corrected = grads.clone();
+        self.apply_in_place(&mut corrected);
         corrected
     }
 
@@ -62,20 +65,40 @@ impl ErrorFeedback {
         grads.axpby(1.0, 1.0, &self.residual);
     }
 
-    /// Writes `grads + residual` into `corrected` (resized to fit, allocation
-    /// reused) in a single pass — [`ErrorFeedback::apply_in_place`] without
-    /// first copying the gradient slice into the buffer. Bit-identical to it.
+    /// One whole compress stage on this accumulator's own memory: the
+    /// gradient is accumulated into the residual (`residual += grads`, one
+    /// pass), which makes **the residual the corrected gradient**; the
+    /// compressor selects from it into `lane`'s stream; the transmitted
+    /// coordinates are zeroed, which leaves exactly the untransmitted part.
+    /// Bit-identical — stream and residual — to
+    /// [`ErrorFeedback::apply_in_place`], [`Compressor::compress_par`] and
+    /// [`ErrorFeedback::update`] in sequence, without the corrected-gradient
+    /// buffer and its copy back.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CompressError::IndexSpaceExceeded`] if the gradient is
+    /// longer than `u32::MAX` elements; the residual is untouched then.
     ///
     /// # Panics
     ///
     /// Panics if `grads.len()` differs from the accumulator length.
-    pub fn apply_into(&self, grads: &[f32], corrected: &mut FlatTensor) {
+    pub fn compress_into(
+        &mut self,
+        grads: &[f32],
+        compressor: &Compressor,
+        pool: &ParExecutor,
+        lane: &mut CompressLane,
+    ) -> Result<(), CompressError> {
         assert_eq!(grads.len(), self.residual.len(), "gradient length mismatch");
-        corrected.resize(grads.len(), 0.0);
-        let sums = grads.iter().zip(self.residual.as_slice());
-        for (out, (g, r)) in corrected.as_mut_slice().iter_mut().zip(sums) {
-            *out = g + r;
+        check_index_space(grads.len())?;
+        let residual = self.residual.as_mut_slice();
+        for (r, g) in residual.iter_mut().zip(grads) {
+            *r += g;
         }
+        compressor.try_compress_into(residual, pool, pool.workers_for(grads.len()), lane)?;
+        clear_transmitted(residual, lane.stream());
+        Ok(())
     }
 
     /// Updates the residual after compression: the new residual is the part of
@@ -94,10 +117,7 @@ impl ErrorFeedback {
         assert_eq!(corrected.len(), self.residual.len(), "gradient length mismatch");
         assert_eq!(transmitted.original_len(), self.residual.len(), "compressed length mismatch");
         self.residual.as_mut_slice().copy_from_slice(corrected.as_slice());
-        let residual = self.residual.as_mut_slice();
-        for &i in transmitted.indices() {
-            residual[i as usize] = 0.0;
-        }
+        clear_transmitted(self.residual.as_mut_slice(), transmitted);
     }
 
     /// Clears the residual (used when a step is skipped due to overflow).
@@ -117,10 +137,17 @@ impl ErrorFeedback {
     }
 }
 
+/// Zeroes the transmitted coordinates of a corrected gradient, which leaves
+/// the residual.
+fn clear_transmitted(corrected: &mut [f32], transmitted: &CompressedGradient) {
+    for &i in transmitted.indices() {
+        corrected[i as usize] = 0.0;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compressor::Compressor;
     use proptest::prelude::*;
 
     #[test]
@@ -193,23 +220,32 @@ mod tests {
         let compressor = Compressor::top_k(0.3);
         let mut fb_alloc = ErrorFeedback::new(64);
         let mut fb_inplace = ErrorFeedback::new(64);
+        let mut fb_fused = ErrorFeedback::new(64);
+        let mut lane = CompressLane::default();
         for step in 0..6u64 {
             let grads = FlatTensor::randn(64, 1.0, 900 + step);
             // Allocating path.
             let corrected_a = fb_alloc.apply(&grads);
             let compressed_a = compressor.compress(&corrected_a);
             fb_alloc.update(&corrected_a, &compressed_a);
+            // Fused path: the gradient is a window of a larger tensor, the
+            // residual is the corrected gradient, the lane is reused.
+            let mut whole = FlatTensor::full(100, 7.0);
+            whole.write_slice(20, grads.as_slice());
+            fb_fused
+                .compress_into(
+                    &whole.as_slice()[20..84],
+                    &compressor,
+                    &ParExecutor::serial(),
+                    &mut lane,
+                )
+                .unwrap();
+            assert_eq!(lane.stream(), &compressed_a, "fused stream diverged at step {step}");
+            assert_eq!(fb_fused.residual(), fb_alloc.residual(), "fused residual diverged");
             // In-place path: mutate an owned copy of the gradient buffer.
             let mut corrected_b = grads;
             fb_inplace.apply_in_place(&mut corrected_b);
             assert_eq!(corrected_b, corrected_a, "corrected diverged at step {step}");
-            // Fused path: the gradient is a window of a larger tensor and the
-            // destination a dirty buffer of another size.
-            let mut whole = FlatTensor::full(100, 7.0);
-            whole.write_slice(20, FlatTensor::randn(64, 1.0, 900 + step).as_slice());
-            let mut corrected_c = FlatTensor::full(5, -1.0);
-            fb_inplace.apply_into(&whole.as_slice()[20..84], &mut corrected_c);
-            assert_eq!(corrected_c, corrected_a, "fused corrected diverged at step {step}");
             let compressed_b = compressor.compress(&corrected_b);
             fb_inplace.update(&corrected_b, &compressed_b);
             assert_eq!(compressed_b, compressed_a, "compressed diverged at step {step}");

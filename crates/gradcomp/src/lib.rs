@@ -11,12 +11,14 @@
 //!
 //! * [`CompressedGradient`] — the index/value container with byte accounting
 //!   and fallible construction ([`CompressError`]) for untrusted sizes.
-//! * [`Compressor`] — exact Top-K (sort-based), threshold-accelerated exact
-//!   Top-K (cheaper, bit-identical) and Random-K selection, each with
-//!   `try_*` variants that error instead of aborting on shards longer than
-//!   the u32 index space.
+//! * [`Compressor`] — exact Top-K (a sampled cut prunes the candidates, the
+//!   exact selection runs over what is left; the result never depends on the
+//!   sample) and Random-K selection, with `try_*` variants that error instead
+//!   of aborting on shards longer than the u32 index space and a
+//!   [`CompressLane`] that makes a per-step caller allocation-free.
 //! * [`ErrorFeedback`] — the residual accumulator used by sparsified training
-//!   so that dropped gradient mass is re-injected at the next step.
+//!   so that dropped gradient mass is re-injected at the next step;
+//!   [`ErrorFeedback::compress_into`] is the whole compress stage in place.
 //! * [`LowRankCompressor`] — the PowerSGD-style low-rank alternative the paper
 //!   weighs against Top-K (Section IV-C), provided for comparison/ablation.
 //!
@@ -47,7 +49,7 @@ mod lowrank;
 mod simd;
 
 pub use compressed::{CompressError, CompressedGradient};
-pub use compressor::{valid_keep_ratio, Compressor, SelectionMethod};
+pub use compressor::{valid_keep_ratio, CompressLane, Compressor, SelectionMethod};
 pub use feedback::ErrorFeedback;
 pub use lowrank::{LowRankCompressor, LowRankGradient};
 

@@ -1,7 +1,7 @@
-//! SIMD candidate filtering for the threshold-accelerated Top-K selection.
+//! SIMD candidate filtering for the Top-K selection.
 //!
-//! The hot scan in `threshold_top_k` keeps every index whose magnitude is
-//! **not less than** the estimated threshold — `!(|v| < t)` rather than
+//! The selection's one pass over a shard keeps every index whose magnitude is
+//! **not less than** the estimated cut — `!(|v| < t)` rather than
 //! `|v| >= t` so NaN magnitudes (and a NaN threshold) stay in the candidate
 //! set. The vector bodies use ordered less-than compares
 //! (`_CMP_LT_OQ` / `cmpltps`), which are false on NaN exactly like Rust's

@@ -77,17 +77,13 @@ impl CompressionSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`TrainError::Config`] for an out-of-range keep ratio or a
-    /// zero threshold sample size.
+    /// Returns [`TrainError::Config`] for an out-of-range keep ratio.
     pub fn validate(&self) -> Result<(), TrainError> {
         if !gradcomp::valid_keep_ratio(self.keep_ratio) {
             return Err(TrainError::config(format!(
                 "compression keep ratio must be in (0, 1], got {}",
                 self.keep_ratio
             )));
-        }
-        if let Some(SelectionMethod::ThresholdTopK { sample_size: 0 }) = self.selection {
-            return Err(TrainError::config("threshold Top-K needs a positive sample size"));
         }
         Ok(())
     }
@@ -808,11 +804,6 @@ mod tests {
                 "keep ratio {bad_ratio} must be rejected"
             );
         }
-        let zero_sample = MethodSpec::smart_update_optimized().with_compression(
-            CompressionSpec::top_k(0.01)
-                .with_selection(SelectionMethod::ThresholdTopK { sample_size: 0 }),
-        );
-        assert!(matches!(zero_sample.validate(), Err(TrainError::Config { .. })));
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::recover::recover;
 use crate::trainer::{check_len, DegradedReport, StageReport, StepReport, TrainError, Trainer};
 use csd::{CsdDevice, CsdError, CsdTrafficStats, SubgroupUpdate};
 use faultkit::FaultPlan;
-use gradcomp::{Compressor, ErrorFeedback};
+use gradcomp::{CompressLane, Compressor, ErrorFeedback};
 use optim::Optimizer;
 use parcore::ParExecutor;
 use tensorlib::{Chunker, FlatTensor, Partitioner, Shard};
@@ -68,7 +68,7 @@ struct Lane<'a> {
     shard: Shard,
     csd: &'a mut CsdDevice,
     feedback: &'a mut ErrorFeedback,
-    scratch: &'a mut FlatTensor,
+    compress: &'a mut CompressLane,
     fp16_out: &'a mut [f32],
 }
 
@@ -96,9 +96,9 @@ pub struct PipelinedTrainer {
     params_fp16: FlatTensor,
     compressor: Option<Compressor>,
     feedback: Vec<ErrorFeedback>,
-    // One error-corrected-gradient buffer per lane, reused across steps
+    // One selection state + Top-K stream per lane, refilled every step
     // (SmartComp only: a dense gradient goes to its device unstaged).
-    scratch: Vec<FlatTensor>,
+    compress: Vec<CompressLane>,
     subgroup_elems: usize,
     pool: ParExecutor,
     step: u64,
@@ -131,7 +131,6 @@ impl PipelinedTrainer {
             init_csd_shards(initial_params, &optimizer, num_csds).map_err(TrainError::from)?;
         let mut params_fp16 = FlatTensor::zeros(initial_params.len());
         initial_params.roundtrip_f16_into(params_fp16.as_mut_slice());
-        let scratch = vec![FlatTensor::default(); num_csds];
         Ok(Self {
             csds,
             partitioner,
@@ -139,7 +138,7 @@ impl PipelinedTrainer {
             params_fp16,
             compressor: None,
             feedback,
-            scratch,
+            compress: vec![CompressLane::default(); num_csds],
             subgroup_elems,
             pool: ParExecutor::serial(),
             step: 0,
@@ -198,9 +197,8 @@ impl PipelinedTrainer {
         Ok(self.with_compressor(Compressor::top_k(keep_ratio)))
     }
 
-    /// Enables SmartComp with an explicit coordinate selector (exact Top-K,
-    /// threshold-accelerated Top-K, Random-K) instead of the default exact
-    /// Top-K.
+    /// Enables SmartComp with an explicit coordinate selector (Random-K)
+    /// instead of the default exact Top-K.
     pub fn with_compressor(mut self, compressor: Compressor) -> Self {
         self.compressor = Some(compressor);
         self
@@ -319,13 +317,13 @@ impl PipelinedTrainer {
         let max_retries = self.max_retries();
 
         // Carve the step into lanes: shard i owns csds[i], feedback[i],
-        // scratch[i] and its contiguous slice of the FP16 working copy.
+        // compress[i] and its contiguous slice of the FP16 working copy.
         let shards = self.partitioner.shards().to_vec();
         let mut lanes = Vec::with_capacity(shards.len());
         let mut fp16_rest = self.params_fp16.as_mut_slice();
         let mut csds = self.csds.iter_mut();
         let mut feedback = self.feedback.iter_mut();
-        let mut scratch = self.scratch.iter_mut();
+        let mut compress = self.compress.iter_mut();
         for shard in shards {
             let (fp16_out, rest) = fp16_rest.split_at_mut(shard.len);
             fp16_rest = rest;
@@ -333,7 +331,7 @@ impl PipelinedTrainer {
                 shard,
                 csd: csds.next().expect("one CSD per shard"),
                 feedback: feedback.next().expect("one residual per shard"),
-                scratch: scratch.next().expect("one scratch buffer per shard"),
+                compress: compress.next().expect("one compress lane per shard"),
                 fp16_out,
             });
         }
@@ -389,7 +387,7 @@ impl PipelinedTrainer {
         step: u64,
         max_retries: u32,
     ) -> Result<LaneReport, CsdError> {
-        let Lane { shard, csd, feedback, scratch, fp16_out } = lane;
+        let Lane { shard, csd, feedback, compress, fp16_out } = lane;
         if shard.len == 0 {
             return Ok(LaneReport::default());
         }
@@ -401,21 +399,19 @@ impl PipelinedTrainer {
 
         // Stage 1 — write: the shard's gradient crosses the host interconnect
         // downstream, dense (straight from the caller's tensor) or as the
-        // Top-K stream (error feedback applied in the same pass that takes
-        // the shard's slice, then a selection on the lane's share of the
-        // workers — the device's executor — that is bit-identical for any
-        // worker count).
+        // Top-K stream: one pass accumulates the shard's slice into the
+        // residual, which is then the corrected gradient the selection reads
+        // (on the lane's share of the workers — the device's executor —
+        // bit-identical for any worker count) and the kept coordinates leave.
         let shard_grads = &grads.as_slice()[shard.offset..shard.offset + shard.len];
         let compressed = match &compressor {
             None => None,
             Some(c) => {
-                feedback.apply_into(shard_grads, scratch);
-                let compressed = c.try_compress_par(scratch, &csd.executor())?;
-                feedback.update(scratch, &compressed);
-                Some(compressed)
+                feedback.compress_into(shard_grads, c, &csd.executor(), compress)?;
+                Some(compress.stream())
             }
         };
-        let (write_bytes, kept) = match &compressed {
+        let (write_bytes, kept) = match compressed {
             None => (4 * shard.len as u64, 0),
             Some(c) => (c.compressed_bytes() as u64, c.num_selected() as u64),
         };
@@ -440,7 +436,7 @@ impl PipelinedTrainer {
                     len: subgroup.len,
                     optimizer,
                     step,
-                    compressed: compressed.as_ref(),
+                    compressed,
                 })
             })?;
         }

@@ -1,6 +1,7 @@
 //! Steady state allocates nothing: once a functional trainer is warm, a step
 //! moves every counted byte between memory that already exists — the caller's
-//! gradient, the trainer's scratch tensors, the devices' region buffers.
+//! gradient, the trainer's scratch tensors, the devices' region buffers, and
+//! under SmartComp each lane's residual, selection state and Top-K stream.
 //!
 //! A counting `#[global_allocator]` records the largest request made while it
 //! is armed (this test crate is outside the library crates'
@@ -8,10 +9,6 @@
 //! subgroup-sized buffer at the sizes used here, and above the bookkeeping a
 //! step legitimately allocates (the step report, the lane list, thread
 //! handles).
-//!
-//! SmartComp is out of scope: Top-K selection builds a fresh index vector per
-//! shard per step inside `gradcomp`, which is selection scratch, not the byte
-//! path this suite pins.
 
 use smart_infinity::{MachineConfig, MethodSpec, ModelConfig, Session};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -75,7 +72,9 @@ fn a_warm_step_of_either_trainer_allocates_nothing_large() {
     assert!(seen >= 1 << 20, "the counting allocator is not installed (saw {seen})");
 
     // 1 Mi parameters: 4 MiB tensors, 1 MiB blocks on the host substrate,
-    // 1 MiB shards in 256 KiB subgroups on the near-storage one.
+    // 1 MiB shards in 256 KiB subgroups on the near-storage one. A 256 Ki-
+    // element shard is above the Top-K selection's sampling floor, and an
+    // index vector over it would be 1 MiB.
     let n = 1 << 20;
     let initial = FlatTensor::randn(n, 0.05, 5);
     let grads: Vec<FlatTensor> = (0..4).map(|s| FlatTensor::randn(n, 0.01, 50 + s)).collect();
@@ -83,6 +82,8 @@ fn a_warm_step_of_either_trainer_allocates_nothing_large() {
         ("host baseline", MethodSpec::baseline(), 1 << 18, 1),
         ("near-storage, serial lanes", MethodSpec::smart_update(), 1 << 16, 1),
         ("near-storage, overlapped lanes", MethodSpec::pipelined(None), 1 << 16, 2),
+        ("SmartComp, serial lanes", MethodSpec::pipelined(Some(0.01)), 1 << 16, 1),
+        ("SmartComp, overlapped lanes", MethodSpec::pipelined(Some(0.01)), 1 << 16, 2),
     ] {
         let mut trainer = None;
         let cold = largest_allocation_during(|| {

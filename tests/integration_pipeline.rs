@@ -259,27 +259,160 @@ proptest! {
         prop_assert_eq!(ref_fp16.as_slice(), pipelined.params_fp16().as_slice());
     }
 
-    /// Property: the fixed sampled Top-K tail keeps exactly `k` elements and
-    /// matches the exact selection even on adversarial (tie-heavy, spiked)
-    /// magnitude distributions.
-    #[test]
-    fn sampled_top_k_tail_is_exact(
-        base in proptest::collection::vec(-2.0f32..2.0, 50..400),
-        spikes in proptest::collection::vec(0usize..400, 0..8),
-        ratio in 0.01f64..0.5,
-        sample_size in 1usize..128,
-    ) {
-        // Quantise for ties, then plant large-magnitude spikes anywhere —
-        // including past where the old early-exit stopped scanning.
-        let mut values: Vec<f32> = base.iter().map(|v| (v * 8.0).round() / 8.0).collect();
-        let n = values.len();
-        for (j, s) in spikes.iter().enumerate() {
-            values[s % n] = 50.0 + j as f32;
+}
+
+// ---------------------------------------------------------------------------
+// The sampled Top-K selection against a full selection
+// ---------------------------------------------------------------------------
+
+/// The selection `gradcomp` used before it sampled a cut, kept here as the
+/// oracle: one `select_nth` over every index, by magnitude descending
+/// (`total_cmp`, so NaN first) and index ascending.
+fn oracle_top_k(grads: &[f32], k: usize) -> Vec<u32> {
+    let mut indices: Vec<u32> = (0..grads.len() as u32).collect();
+    indices.select_nth_unstable_by(k.saturating_sub(1), |&a, &b| {
+        let (ma, mb) = (grads[a as usize].abs(), grads[b as usize].abs());
+        mb.total_cmp(&ma).then(a.cmp(&b))
+    });
+    indices.truncate(k);
+    indices.sort_unstable();
+    indices
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// `gradcomp` samples a shard of at least this many elements, every
+/// `(n / 16 Ki) | 1`-th one (its private `SAMPLE_FLOOR` and stride; the two
+/// stride cases below only bite while these stay in step with it).
+const SAMPLE_FLOOR: usize = 1 << 16;
+
+fn sample_stride(n: usize) -> usize {
+    (n / (1 << 14)) | 1
+}
+
+/// A cheap deterministic hash of an index, uniform in `[0, 1)`.
+fn unit_hash(i: usize) -> f32 {
+    ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as f32 / (1u64 << 24) as f32
+}
+
+/// Shards on which a sampled cut has every chance to be wrong. `k` shapes the
+/// cases that must put their structure at the cut itself.
+fn adversarial_shards(n: usize, k: usize) -> Vec<(&'static str, FlatTensor)> {
+    let stride = sample_stride(n);
+    let normal = FlatTensor::randn(n, 0.01, 9);
+    let base = normal.as_slice();
+    let specials = [
+        f32::NAN,
+        -f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        -0.0,
+        f32::MIN_POSITIVE / 4.0, // subnormal
+        -f32::from_bits(1),      // the smallest one
+    ];
+    vec![
+        ("normal", normal.clone()),
+        ("all equal", FlatTensor::full(n, -2.5)),
+        ("all zero", FlatTensor::zeros(n)),
+        ("1-in-97 sparse", FlatTensor::from_fn(n, |i| if i % 97 == 0 { base[i] } else { 0.0 })),
+        // k/2 large values, then half the shard tied at exactly 1.0: the
+        // k-th magnitude sits inside the tie, far more than 25 % of the shard.
+        (
+            "tied at the cut",
+            FlatTensor::from_fn(n, |i| {
+                let u = unit_hash(i);
+                if u < 0.5 * k as f32 / n as f32 {
+                    2.0 + u
+                } else if u < 0.75 {
+                    if i % 2 == 0 {
+                        1.0
+                    } else {
+                        -1.0
+                    }
+                } else {
+                    u * 0.5
+                }
+            }),
+        ),
+        (
+            "specials mixed in",
+            FlatTensor::from_fn(n, |i| if i % 11 == 3 { specials[(i / 11) % 7] } else { base[i] }),
+        ),
+        // The sample sees none of the large values, so its cut is far too low.
+        (
+            "large only between sample points",
+            FlatTensor::from_fn(n, |i| if i % stride == 1 { 50.0 + unit_hash(i) } else { base[i] }),
+        ),
+        // The sample sees nothing but large values, so its cuts are too high
+        // for any k beyond their number.
+        (
+            "large only on sample points",
+            FlatTensor::from_fn(n, |i| if i % stride == 0 { 50.0 + unit_hash(i) } else { base[i] }),
+        ),
+    ]
+}
+
+/// The sampled selection is the full selection — same indices, same value
+/// bits — wherever the sample can mislead it, for every keep ratio, chunk
+/// count and executor mode.
+#[test]
+fn sampled_top_k_tail_is_exact() {
+    let n = SAMPLE_FLOOR + 37;
+    for ratio in [0.001, 0.01, 0.1, 0.24, 0.5, 1.0] {
+        let compressor = Compressor::top_k(ratio);
+        let k = compressor.num_kept(n);
+        for (case, grads) in adversarial_shards(n, k) {
+            let expected = oracle_top_k(grads.as_slice(), k);
+            let expected_bits: Vec<u32> =
+                expected.iter().map(|&i| grads.as_slice()[i as usize].to_bits()).collect();
+            let check = |c: &CompressedGradient, how: &str| {
+                assert_eq!(c.indices(), expected.as_slice(), "{case} ratio={ratio} {how}");
+                assert_eq!(bits(c.values()), expected_bits, "{case} ratio={ratio} {how}");
+                assert_eq!(c.original_len(), n);
+            };
+            check(&compressor.compress(&grads), "serial");
+            for chunks in 1usize..=8 {
+                for pool in [ParExecutor::new(3), ParExecutor::deterministic(3)] {
+                    let c = compressor.compress_par_chunked(&grads, &pool, chunks);
+                    check(&c, &format!("chunks={chunks} {:?}", pool.mode()));
+                }
+            }
         }
-        let grads = FlatTensor::from_vec(values);
-        let accelerated = Compressor::threshold_top_k(ratio, sample_size).compress(&grads);
-        let exact = Compressor::top_k(ratio).compress(&grads);
-        prop_assert_eq!(accelerated.num_selected(), Compressor::top_k(ratio).num_kept(n));
-        prop_assert_eq!(accelerated, exact);
+    }
+}
+
+/// The compress stage the trainer runs — accumulate into the residual,
+/// select from it, clear what was sent — is the three-call sequence it
+/// replaced, bit for bit, stream and residual, step after step.
+#[test]
+fn the_in_place_compress_stage_equals_apply_compress_update() {
+    let n = 2 * SAMPLE_FLOOR + 9_001; // two chunks on a two-worker lane
+    let compressor = Compressor::top_k(0.01);
+    let pool = ParExecutor::new(2);
+    let mut reference = ErrorFeedback::new(n);
+    let mut in_place = ErrorFeedback::new(n);
+    let mut lane = gradcomp::CompressLane::default();
+    for step in 0..6u64 {
+        let mut grads = FlatTensor::randn(n, 0.01, 500 + step);
+        if step == 3 {
+            // A poisoned step: NaN meets a finite residual, and stays put.
+            grads.as_mut_slice()[77] = f32::NAN;
+            grads.as_mut_slice()[n - 5] = f32::NEG_INFINITY;
+        }
+        let mut corrected = grads.clone();
+        reference.apply_in_place(&mut corrected);
+        let compressed = compressor.compress(&corrected);
+        reference.update(&corrected, &compressed);
+
+        in_place.compress_into(grads.as_slice(), &compressor, &pool, &mut lane).unwrap();
+        assert_eq!(lane.stream().indices(), compressed.indices(), "step {step}");
+        assert_eq!(bits(lane.stream().values()), bits(compressed.values()), "step {step}");
+        assert_eq!(
+            bits(in_place.residual().as_slice()),
+            bits(reference.residual().as_slice()),
+            "residual after step {step}"
+        );
     }
 }

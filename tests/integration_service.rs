@@ -16,13 +16,7 @@ use smart_infinity::{
 
 /// Builds a coherent `MethodSpec` from sampled axes (the invalid
 /// combinations are covered by the submit-rejection tests).
-fn method_from(
-    axes: u8,
-    keep_ratio: f64,
-    selector: u8,
-    sample_size: usize,
-    seed: u64,
-) -> MethodSpec {
+fn method_from(axes: u8, keep_ratio: f64, selector: u8, seed: u64) -> MethodSpec {
     let mut method = match axes % 4 {
         0 => MethodSpec::baseline(),
         1 => MethodSpec::smart_update(),
@@ -32,7 +26,7 @@ fn method_from(
     if method.in_storage_update && axes & 0x10 != 0 {
         let selection = match selector % 3 {
             0 => None,
-            1 => Some(SelectionMethod::ThresholdTopK { sample_size }),
+            1 => Some(SelectionMethod::TopK), // the default, spelled out
             _ => Some(SelectionMethod::RandomK { seed }),
         };
         let mut compression = CompressionSpec::top_k(keep_ratio);
@@ -74,7 +68,6 @@ proptest! {
         axes in 0u8..32,
         keep_ratio in 0.001f64..1.0,
         selector in 0u8..3,
-        sample_size in 1usize..10_000,
         seed in proptest::arbitrary::any::<u64>(),
         preset in 0usize..20,
         devices in 1usize..12,
@@ -82,7 +75,7 @@ proptest! {
         batch in 0usize..5,
         fault_seed in proptest::arbitrary::any::<u64>(),
     ) {
-        let method = method_from(axes, keep_ratio, selector, sample_size, seed);
+        let method = method_from(axes, keep_ratio, selector, seed);
         let mut spec = RunSpec::new(
             ModelSpec::preset(ModelSpec::preset_names()[preset]),
             MachineSpec::devices(devices),
