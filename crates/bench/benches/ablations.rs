@@ -6,9 +6,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use llm::{ModelConfig, Workload};
 use optim::OptimizerKind;
-use smart_infinity::{HandlerMode, SmartInfinityEngine};
+use smart_infinity::{HandlerMode, MethodSpec, SmartInfinityEngine};
 use std::hint::black_box;
-use ztrain::{BaselineEngine, MachineConfig};
+use ztrain::MachineConfig;
 
 fn bench_handler_vs_subgroup_size(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_handler");
@@ -23,6 +23,7 @@ fn bench_handler_vs_subgroup_size(c: &mut Criterion) {
                         MachineConfig::smart_infinity(10),
                         workload.clone(),
                         OptimizerKind::Adam,
+                        &MethodSpec::smart_update_optimized(),
                     )
                     .with_handler(handler)
                     .with_subgroup_elems(subgroup)
@@ -79,10 +80,11 @@ fn bench_baseline_block_streaming(c: &mut Criterion) {
             &workload,
             |b, workload| {
                 b.iter(|| {
-                    BaselineEngine::new(
+                    SmartInfinityEngine::new(
                         MachineConfig::baseline_raid0(6),
                         workload.clone(),
                         OptimizerKind::Adam,
+                        &MethodSpec::baseline(),
                     )
                     .simulate_iteration()
                     .expect("simulation")

@@ -8,13 +8,12 @@ use optim::OptimizerKind;
 use parcore::ParExecutor;
 use serde::{Deserialize, Serialize};
 use smart_infinity::{
-    Campaign, CampaignReport, CampaignService, Experiment, MachineSpec, MethodSpec, ModelSpec,
-    RunSpec, ServiceConfig, ServiceError, ServiceReport, Session, SmartInfinityEngine,
-    TrafficMethod, TrafficModel,
+    Campaign, CampaignReport, CampaignService, MachineSpec, MethodSpec, ModelSpec, RunSpec,
+    ServiceConfig, ServiceError, ServiceReport, SmartInfinityEngine, TrafficMethod, TrafficModel,
 };
 use tensorlib::KernelPath;
 use ztrain::realtrain::{train_classifier, Dataset, MlpModel, TrainConfig};
-use ztrain::{BaselineEngine, IterationReport, MachineConfig, PipelinedTrainer};
+use ztrain::{IterationReport, MachineConfig, PipelinedTrainer};
 
 /// A labelled per-phase breakdown row.
 #[derive(Debug, Clone, Serialize)]
@@ -48,6 +47,17 @@ pub fn render_breakdown(title: &str, rows: &[BreakdownRow]) -> String {
     out
 }
 
+/// The timed engine of `method` under Adam — the one way the figures below
+/// reach the timed model.
+fn engine(machine: MachineConfig, workload: &Workload, method: MethodSpec) -> SmartInfinityEngine {
+    SmartInfinityEngine::new(machine, workload.clone(), OptimizerKind::Adam, &method)
+}
+
+/// One simulated iteration of `method` under Adam.
+fn simulate(machine: MachineConfig, workload: &Workload, method: MethodSpec) -> IterationReport {
+    engine(machine, workload, method).simulate_iteration().expect("simulation")
+}
+
 // ---------------------------------------------------------------------------
 // Figure 3
 // ---------------------------------------------------------------------------
@@ -59,13 +69,9 @@ pub fn fig3a() -> Vec<BreakdownRow> {
         .into_iter()
         .map(|model| {
             let label = model.name().to_string();
-            let report = BaselineEngine::new(
-                MachineConfig::baseline_raid0(1),
-                Workload::paper_default(model),
-                OptimizerKind::Adam,
-            )
-            .simulate_iteration()
-            .expect("baseline simulation");
+            let workload = Workload::paper_default(model);
+            let report =
+                simulate(MachineConfig::baseline_raid0(1), &workload, MethodSpec::baseline());
             BreakdownRow { label, report, speedup: 1.0 }
         })
         .collect()
@@ -89,15 +95,8 @@ pub fn fig3b() -> Vec<ScalingPoint> {
     let times: Vec<(usize, f64)> = [1usize, 2, 4, 6, 8, 10]
         .into_iter()
         .map(|n| {
-            let t = BaselineEngine::new(
-                MachineConfig::baseline_raid0(n),
-                workload.clone(),
-                OptimizerKind::Adam,
-            )
-            .simulate_iteration()
-            .expect("baseline simulation")
-            .total_s();
-            (n, t)
+            let machine = MachineConfig::baseline_raid0(n);
+            (n, simulate(machine, &workload, MethodSpec::baseline()).total_s())
         })
         .collect();
     let t1 = times[0].1;
@@ -207,17 +206,16 @@ fn ladder_rows(
     optimizer: OptimizerKind,
     methods: &[MethodSpec],
 ) -> Vec<BreakdownRow> {
-    let experiment = Experiment::new(machine, workload).with_optimizer(optimizer);
-    experiment
-        .compare_specs(methods)
-        .expect("simulation")
-        .into_iter()
-        .map(|r| BreakdownRow {
-            label: format!("{label_prefix} {}", r.label),
-            report: r.report,
-            speedup: r.speedup,
-        })
-        .collect()
+    // Each method runs once; the first report is the group's reference.
+    let mut rows: Vec<BreakdownRow> = Vec::with_capacity(methods.len());
+    for method in methods {
+        let report = SmartInfinityEngine::new(machine.clone(), workload.clone(), optimizer, method)
+            .simulate_iteration()
+            .expect("simulation");
+        let speedup = report.speedup_over(rows.first().map_or(&report, |first| &first.report));
+        rows.push(BreakdownRow { label: format!("{label_prefix} {method}"), report, speedup });
+    }
+    rows
 }
 
 /// Fig. 9: breakdown and speedup of the full ablation ladder for GPT-2
@@ -287,14 +285,8 @@ pub fn fig11a() -> Vec<CsdScalingPoint> {
     let mut points = Vec::new();
     let workload = Workload::paper_default(ModelConfig::gpt2_4b());
     for gpu in [GpuSpec::a5000(), GpuSpec::a100()] {
-        let base_1 = BaselineEngine::new(
-            MachineConfig::baseline_raid0(1).with_gpu(gpu.clone()),
-            workload.clone(),
-            OptimizerKind::Adam,
-        )
-        .simulate_iteration()
-        .expect("simulation")
-        .total_s();
+        let one_ssd = MachineConfig::baseline_raid0(1).with_gpu(gpu.clone());
+        let base_1 = simulate(one_ssd, &workload, MethodSpec::baseline()).total_s();
         for n in [1usize, 2, 4, 6, 8, 10] {
             let machine = MachineConfig::smart_infinity(n).with_gpu(gpu.clone());
             for method in [
@@ -302,11 +294,7 @@ pub fn fig11a() -> Vec<CsdScalingPoint> {
                 MethodSpec::smart_update_optimized(),
                 MethodSpec::smart_comp(0.01),
             ] {
-                let t = Session::builder(ModelConfig::gpt2_4b(), machine.clone(), method)
-                    .build()
-                    .simulate_iteration()
-                    .expect("simulation")
-                    .total_s();
+                let t = simulate(machine.clone(), &workload, method).total_s();
                 points.push(CsdScalingPoint {
                     gpu: gpu.name.clone(),
                     method: method.to_string(),
@@ -462,13 +450,7 @@ pub fn fig15() -> Vec<CostPoint> {
     for gpu in [GpuSpec::a5000(), GpuSpec::a100()] {
         for n in [1usize, 2, 4, 6, 8, 10] {
             let machine = MachineConfig::smart_infinity(n).with_gpu(gpu.clone());
-            let run = |method: MethodSpec| {
-                Session::builder(ModelConfig::gpt2_4b(), machine.clone(), method)
-                    .build()
-                    .simulate_iteration()
-                    .expect("simulation")
-                    .total_s()
-            };
+            let run = |method| simulate(machine.clone(), &workload, method).total_s();
             let base_t = run(MethodSpec::baseline());
             let smart_t = run(MethodSpec::smart_comp(0.01));
             points.push(CostPoint {
@@ -542,12 +524,8 @@ pub fn tab4(epochs: usize) -> Vec<FinetuneRow> {
     let models = [ModelConfig::bert_0_34b(), ModelConfig::gpt2_0_77b(), ModelConfig::gpt2_1_6b()];
     let mut rows = Vec::new();
     for model in models {
-        let run = |method: MethodSpec| {
-            Session::builder(model.clone(), MachineConfig::smart_infinity(6), method)
-                .build()
-                .simulate_iteration()
-                .expect("simulation")
-        };
+        let workload = Workload::paper_default(model.clone());
+        let run = |method| simulate(MachineConfig::smart_infinity(6), &workload, method);
         let base = run(MethodSpec::baseline());
         let mut push = |method: MethodSpec, label: String, keep: Option<f64>| {
             let report = run(method);
@@ -591,12 +569,8 @@ pub fn fig16() -> Vec<CompressionSensitivityPoint> {
     let mut points = Vec::new();
     for model in [ModelConfig::bert_0_34b(), ModelConfig::gpt2_4b()] {
         for n in [6usize, 10] {
-            let run = |method: MethodSpec| {
-                Session::builder(model.clone(), MachineConfig::smart_infinity(n), method)
-                    .build()
-                    .simulate_iteration()
-                    .expect("simulation")
-            };
+            let workload = Workload::paper_default(model.clone());
+            let run = |method| simulate(MachineConfig::smart_infinity(n), &workload, method);
             let su_o = run(MethodSpec::smart_update_optimized());
             points.push(CompressionSensitivityPoint {
                 model: model.name().to_string(),
@@ -627,21 +601,13 @@ pub fn fig16() -> Vec<CompressionSensitivityPoint> {
 pub fn fig17() -> Vec<BreakdownRow> {
     let mut rows = Vec::new();
     for gpus in 1..=3usize {
-        let experiment = Experiment::new(
+        rows.extend(ladder_rows(
+            &format!("{gpus}xA4000"),
             MachineConfig::congested_multi_gpu(10, gpus),
             Workload::paper_default(ModelConfig::gpt2_1_16b()),
-        );
-        rows.extend(
-            experiment
-                .compare_specs(&[MethodSpec::baseline(), MethodSpec::smart_comp(0.01)])
-                .expect("simulation")
-                .into_iter()
-                .map(|r| BreakdownRow {
-                    label: format!("{gpus}xA4000 {}", r.label),
-                    report: r.report,
-                    speedup: r.speedup,
-                }),
-        );
+            OptimizerKind::Adam,
+            &[MethodSpec::baseline(), MethodSpec::smart_comp(0.01)],
+        ));
     }
     rows
 }
@@ -675,24 +641,21 @@ pub fn pipeline_overlap() -> Vec<PipelineRow> {
     let workload = Workload::paper_default(ModelConfig::gpt2_4b());
     let mut rows = Vec::new();
     for n in [6usize, 10] {
-        let engine = || {
-            SmartInfinityEngine::new(
-                MachineConfig::smart_infinity(n),
-                workload.clone(),
-                OptimizerKind::Adam,
-            )
-        };
-        let serial = engine().simulate_iteration_stages().expect("simulation");
+        // The serial schedule comes first: it is the reference of its group.
         let configs = [
-            (format!("#SSD={n} SU+O (serial)"), engine()),
-            (format!("#SSD={n} SU+O+P"), engine().with_pipelining()),
-            (format!("#SSD={n} SU+O+P+C(2%)"), engine().with_pipelining().with_compression(0.01)),
+            ("SU+O (serial)", MethodSpec::smart_update_optimized()),
+            ("SU+O+P", MethodSpec::pipelined(None)),
+            ("SU+O+P+C(2%)", MethodSpec::pipelined(Some(0.01))),
         ];
-        for (label, engine) in configs {
-            let timing = engine.simulate_iteration_stages().expect("simulation");
+        let mut serial = None;
+        for (label, method) in configs {
+            let timing = engine(MachineConfig::smart_infinity(n), &workload, method)
+                .simulate_iteration_stages()
+                .expect("simulation");
+            let serial = serial.get_or_insert(timing.report);
             rows.push(PipelineRow {
-                label,
-                speedup_over_serial: timing.report.speedup_over(&serial.report),
+                label: format!("#SSD={n} {label}"),
+                speedup_over_serial: timing.report.speedup_over(serial),
                 update_overlap_s: timing.update_overlap_s,
                 uplink_write_busy_s: timing.uplink_write_busy_s,
                 uplink_readback_busy_s: timing.uplink_readback_busy_s,

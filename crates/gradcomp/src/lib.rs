@@ -19,8 +19,6 @@
 //! * [`ErrorFeedback`] — the residual accumulator used by sparsified training
 //!   so that dropped gradient mass is re-injected at the next step;
 //!   [`ErrorFeedback::compress_into`] is the whole compress stage in place.
-//! * [`LowRankCompressor`] — the PowerSGD-style low-rank alternative the paper
-//!   weighs against Top-K (Section IV-C), provided for comparison/ablation.
 //!
 //! # Example
 //!
@@ -45,13 +43,11 @@
 mod compressed;
 mod compressor;
 mod feedback;
-mod lowrank;
 mod simd;
 
 pub use compressed::{CompressError, CompressedGradient};
 pub use compressor::{valid_keep_ratio, CompressLane, Compressor, SelectionMethod};
 pub use feedback::ErrorFeedback;
-pub use lowrank::{LowRankCompressor, LowRankGradient};
 
 #[cfg(test)]
 mod tests {

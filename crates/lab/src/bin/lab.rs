@@ -39,8 +39,8 @@ commands:
            plan each experiment and resolve every trial's effective spec
            (the CI guard for checked-in specs/experiments/)
 
-The experiment argument is an experiment.json / experiment.yaml file or a
-directory containing one.";
+The experiment argument is an experiment.json file or a directory containing
+one.";
 
 fn usage_error(message: &str) -> ExitCode {
     eprintln!("{message}");

@@ -1,6 +1,6 @@
 //! The experiment config: dataset, variants, repeats, runtime defaults.
 
-use crate::{yamlish, LabError};
+use crate::LabError;
 use serde::{Deserialize, Serialize, Value};
 use std::path::{Path, PathBuf};
 
@@ -15,7 +15,7 @@ pub struct Variant {
     pub delta: Option<Value>,
 }
 
-/// The `experiment.json` / `experiment.yaml` document.
+/// The `experiment.json` document.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentConfig {
     /// The experiment's name.
@@ -110,24 +110,21 @@ impl ExperimentConfig {
         Ok(config)
     }
 
-    /// Loads and validates a config file; `.yaml` / `.yml` files go through
-    /// the [`yamlish`] subset reader, everything else is JSON.
+    /// Loads and validates a JSON config file.
     ///
     /// # Errors
     ///
-    /// [`LabError`] for unreadable files and invalid documents.
+    /// [`LabError`] for unreadable files, invalid documents, and — by name,
+    /// before anything is read — `.yaml` / `.yml` paths: experiment configs
+    /// are JSON only.
     pub fn load(path: &Path) -> Result<Self, LabError> {
+        let in_file = |e: String| LabError::config(format!("{}: {e}", path.display()));
+        if matches!(path.extension().and_then(|e| e.to_str()), Some("yaml" | "yml")) {
+            return Err(in_file("experiment configs are JSON (experiment.json), not YAML".into()));
+        }
         let text = std::fs::read_to_string(path).map_err(|e| LabError::io(path, e))?;
-        let is_yaml =
-            matches!(path.extension().and_then(|e| e.to_str()), Some("yaml") | Some("yml"));
-        let value = if is_yaml {
-            yamlish::parse(&text)
-                .map_err(|e| LabError::config(format!("{}: {e}", path.display())))?
-        } else {
-            serde_json::parse(&text)
-                .map_err(|e| LabError::config(format!("{}: {e}", path.display())))?
-        };
-        Self::from_value(&value).map_err(|e| LabError::config(format!("{}: {e}", path.display())))
+        let value = serde_json::parse(&text).map_err(|e| in_file(e.to_string()))?;
+        Self::from_value(&value).map_err(|e| in_file(e.to_string()))
     }
 }
 
@@ -144,28 +141,15 @@ pub struct ExperimentPaths {
 
 impl ExperimentPaths {
     /// Resolves `path` — either an experiment file or a directory holding
-    /// `experiment.json` / `experiment.yaml` / `experiment.yml` — and the
-    /// config's dataset location.
+    /// `experiment.json` — and the config's dataset location.
     ///
     /// # Errors
     ///
     /// [`LabError`] when no experiment file exists at `path` or the config
     /// fails to load.
     pub fn resolve(path: &Path) -> Result<(Self, ExperimentConfig), LabError> {
-        let config_path = if path.is_dir() {
-            ["experiment.json", "experiment.yaml", "experiment.yml"]
-                .iter()
-                .map(|name| path.join(name))
-                .find(|candidate| candidate.is_file())
-                .ok_or_else(|| {
-                    LabError::config(format!(
-                        "{}: no experiment.json / experiment.yaml found",
-                        path.display()
-                    ))
-                })?
-        } else {
-            path.to_path_buf()
-        };
+        let config_path =
+            if path.is_dir() { path.join("experiment.json") } else { path.to_path_buf() };
         let config = ExperimentConfig::load(&config_path)?;
         let base_dir = config_path.parent().unwrap_or(Path::new(".")).to_path_buf();
         let tasks = base_dir.join(config.dataset());
@@ -199,5 +183,15 @@ mod tests {
         assert!(config(r#"{"name": "x", "defaults": [1], "variants": [{"name": "a"}]}"#).is_err());
         assert!(config(r#"{"name": "x", "dataset": "", "variants": [{"name": "a"}]}"#).is_err());
         assert!(config(r#"{"name": "x", "variants": [{"name": "a"}], "extra": 1}"#).is_err());
+    }
+
+    #[test]
+    fn yaml_paths_are_refused_by_name() {
+        // Refused before the file is opened: the path does not exist.
+        for name in ["experiment.yaml", "no/such/dir/experiment.yml"] {
+            let err = ExperimentConfig::load(Path::new(name)).expect_err("YAML is not accepted");
+            assert!(matches!(err, LabError::Config(_)), "{err:?}");
+            assert!(err.to_string().contains("experiment configs are JSON"), "{err}");
+        }
     }
 }

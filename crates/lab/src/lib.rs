@@ -15,10 +15,9 @@
 //!   through the contract with no new code.
 //! * A **runner** reads `tasks.jsonl` (pure domain payloads, `task_id`
 //!   required) plus `experiment.json` (dataset, variants as RFC 7386
-//!   JSON-merge deltas over the spec, repeats, runtime defaults; a strict
-//!   YAML subset is accepted via [`yamlish`]), plans the full trial matrix
-//!   deterministically ([`plan`]), executes trials through the
-//!   [`smart_infinity::CampaignService`] for dedup/caching ([`runner`]),
+//!   JSON-merge deltas over the spec, repeats, runtime defaults), plans the
+//!   full trial matrix deterministically ([`plan`]), executes trials through
+//!   the [`smart_infinity::CampaignService`] for dedup/caching ([`runner`]),
 //!   journals every completed trial to an append-only `trials.jsonl`, and
 //!   emits per-variant JSONL analysis tables ([`analysis`]).
 //!
@@ -44,7 +43,6 @@ pub mod experiment;
 pub mod harness;
 pub mod plan;
 pub mod runner;
-pub mod yamlish;
 
 mod error;
 

@@ -1,14 +1,11 @@
-//! # optim — optimizers and mixed-precision machinery
+//! # optim — optimizer kernels
 //!
 //! Storage-offloaded training spends most of its time moving *optimizer
 //! state*: with Adam, every parameter drags along an FP32 master copy, a
 //! momentum and a variance (6M bytes for an M-byte FP16 model, paper
 //! Section II-A). This crate implements the optimizers the paper evaluates —
 //! Adam (default), AdamW, SGD with momentum and AdaGrad (Section VII-F) — as
-//! element-wise kernels over flat slices, plus the mixed-precision support
-//! the update path depends on: dynamic loss scaling, NaN/Inf overflow
-//! detection and global-norm gradient clipping (the constraints that prevent
-//! overlapping gradient offload with the update, Section IV-C).
+//! element-wise kernels over flat slices.
 //!
 //! The same kernels are executed by the host CPU baseline (`ztrain`) and by
 //! the CSD FPGA updater model (`csd`), which is exactly the paper's
@@ -35,7 +32,6 @@
 #![warn(missing_docs)]
 
 mod kernels;
-mod mixed;
 mod optimizer;
 mod simd;
 
@@ -44,7 +40,6 @@ pub use kernels::{
     par_adagrad_step, par_adam_step, par_adamw_step, par_sgd_momentum_step, sgd_momentum_step,
     sgd_momentum_step_with,
 };
-pub use mixed::{clip_global_norm, GradScaler, OverflowStatus};
 pub use optimizer::{HyperParams, Optimizer, OptimizerKind};
 
 #[cfg(test)]

@@ -1,13 +1,17 @@
-//! The timed Smart-Infinity engine: SmartUpdate, the internal data-transfer
-//! handler, SmartComp and the pipelined execution backend on the
-//! discrete-event platform.
+//! The timed engine: one discrete-event model of a training iteration for
+//! every method — the host-update baseline, SmartUpdate, the internal
+//! data-transfer handler, SmartComp and the pipelined execution backend.
 
 use crate::spec::MethodSpec;
+use fabric::StorageKind;
 use llm::Workload;
 use optim::OptimizerKind;
 use serde::{Deserialize, Serialize};
-use simkit::SimError;
-use ztrain::schedule::{build_iteration_graph, GraphKnobs, IterPhases, PlatformLowering, SiteMap};
+use simkit::{DagTaskId, LinkId, Scheduler, SimError, Timeline};
+use ztrain::schedule::{
+    build_iteration_graph, GraphKnobs, HostUpdateScheduler, IterLayout, IterPhases,
+    PlatformLowering, SiteMap,
+};
 use ztrain::{IterationReport, MachineConfig, TimedPlatform};
 
 /// How the CSD-internal data transfer handler schedules tasklets
@@ -48,27 +52,43 @@ pub struct PipelineTiming {
     pub update_overlap_s: f64,
 }
 
-/// The timed model of a Smart-Infinity training iteration.
+/// The timed model of one training iteration, for every method.
 ///
-/// Construct with [`SmartInfinityEngine::new`], optionally select the naive
-/// handler, enable SmartComp or enable the pipelined backend, then call
-/// [`simulate_iteration`](SmartInfinityEngine::simulate_iteration).
+/// Built from a machine, a workload, an optimizer and a [`MethodSpec`]. The
+/// method alone decides where the update runs and how it is scheduled:
+///
+/// | update runs | storage   | graph knobs                 | scheduler             | iteration ends at |
+/// |-------------|-----------|-----------------------------|-----------------------|-------------------|
+/// | on the host | plain SSD | `host_update()`             | `HostUpdateScheduler` | `up_end`          |
+/// | in the CSDs | CSD       | `in_storage(keep, subgroup)`| `method_scheduler`    | `phase_end`       |
+///
+/// so `machine.storage` is not an input: the same devices act as RAID0 SSDs
+/// under the baseline and as CSDs under SmartUpdate (the paper runs its
+/// baseline on the NVMe inside each SmartSSD). The handler and subgroup
+/// overrides are ablation knobs of the in-storage update; a host-update
+/// method has neither and ignores them.
 #[derive(Debug, Clone)]
 pub struct SmartInfinityEngine {
     machine: MachineConfig,
     workload: Workload,
     optimizer: OptimizerKind,
+    method: MethodSpec,
     handler: HandlerMode,
-    /// Top-K keep ratio when SmartComp is enabled.
-    keep_ratio: Option<f64>,
     /// Maximum number of parameters per FPGA subgroup (tasklet).
     subgroup_elems: usize,
-    /// Whether the pipelined execution backend is modelled: each device's
-    /// update chain starts as soon as *its own* shard gradients have landed,
-    /// instead of waiting for the global end-of-backward barrier.
-    pipelined: bool,
     /// Active fault-plan effects: a straggler FPGA and/or a derated uplink.
     fault_effects: Option<faultkit::TimedFaultEffects>,
+}
+
+/// One executed iteration: the timeline plus what the read-outs need.
+struct TimedRun {
+    timeline: Timeline,
+    phases: IterPhases,
+    /// End of the backward phase, seconds.
+    t_bw: f64,
+    report: IterationReport,
+    /// The shared host interconnect, (downstream, upstream).
+    uplinks: (LinkId, LinkId),
 }
 
 impl SmartInfinityEngine {
@@ -82,28 +102,37 @@ impl SmartInfinityEngine {
     /// (eliminated by the pre-allocating optimized handler).
     pub const NAIVE_TASKLET_OVERHEAD_S: f64 = 0.02;
 
-    /// Creates an engine with the optimized handler and no compression.
+    /// Creates the engine of `method` with the handler the method implies.
     ///
     /// # Panics
     ///
-    /// Panics if the machine's storage devices are not CSDs.
-    pub fn new(machine: MachineConfig, workload: Workload, optimizer: OptimizerKind) -> Self {
-        assert!(machine.is_csd(), "Smart-Infinity requires CSD storage devices");
+    /// Panics if the method does not [`validate`](MethodSpec::validate) —
+    /// the session front door rejects such a spec as a
+    /// [`ztrain::TrainError`] before it gets here.
+    pub fn new(
+        machine: MachineConfig,
+        workload: Workload,
+        optimizer: OptimizerKind,
+        method: &MethodSpec,
+    ) -> Self {
+        if let Err(e) = method.validate() {
+            panic!("invalid method spec: {e}");
+        }
         Self {
             machine,
             workload,
             optimizer,
-            handler: HandlerMode::Optimized,
-            keep_ratio: None,
+            method: *method,
+            handler: method.implied_handler(),
             subgroup_elems: Self::DEFAULT_SUBGROUP_ELEMS,
-            pipelined: false,
             fault_effects: None,
         }
     }
 
     /// Applies a fault plan's timed effects: the straggler device's FPGA
-    /// kernels run slower and/or the shared host uplink is derated. Empty
-    /// effects are a no-op, so the fault-free timing is untouched.
+    /// kernels run slower and/or the shared host uplink is derated (a
+    /// host-update method has no FPGA kernel, so only the derating bites).
+    /// Empty effects are a no-op, so the fault-free timing is untouched.
     #[must_use]
     pub fn with_fault_effects(mut self, effects: faultkit::TimedFaultEffects) -> Self {
         if !effects.is_empty() {
@@ -112,42 +141,10 @@ impl SmartInfinityEngine {
         self
     }
 
-    /// Selects the handler mode (naive corresponds to the paper's plain "SU").
+    /// Overrides the handler mode the method implies (e.g. SmartComp under
+    /// the naive handler, as an ablation).
     pub fn with_handler(mut self, handler: HandlerMode) -> Self {
         self.handler = handler;
-        self
-    }
-
-    /// Configures the engine straight from a method's capability axes:
-    /// `overlap` selects the handler, `compression` the keep ratio,
-    /// `pipelined` the stage-overlapping schedule. This is the one place the
-    /// timed view maps [`MethodSpec`] onto engine knobs; later builder calls
-    /// (e.g. a [`HandlerMode`] ablation override) still win.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid keep ratio; validate the spec first
-    /// ([`MethodSpec::validate`] — the session and experiment front doors
-    /// always do).
-    pub fn with_method_spec(mut self, spec: &MethodSpec) -> Self {
-        self = self.with_handler(spec.implied_handler());
-        if let Some(keep_ratio) = spec.keep_ratio() {
-            self = self.with_compression(keep_ratio);
-        }
-        if spec.pipelined {
-            self = self.with_pipelining();
-        }
-        self
-    }
-
-    /// Enables SmartComp with the given Top-K keep ratio.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keep_ratio` is not in `(0, 1]`.
-    pub fn with_compression(mut self, keep_ratio: f64) -> Self {
-        assert!(gradcomp::valid_keep_ratio(keep_ratio), "keep ratio must be in (0, 1]");
-        self.keep_ratio = Some(keep_ratio);
         self
     }
 
@@ -177,34 +174,13 @@ impl SmartInfinityEngine {
         self.handler
     }
 
-    /// The SmartComp keep ratio, if compression is enabled.
-    pub fn keep_ratio(&self) -> Option<f64> {
-        self.keep_ratio
-    }
-
-    /// Enables the pipelined execution backend: gradient offload targets the
-    /// devices that actually own each block's flattened parameters, and every
-    /// device's near-storage update chain starts as soon as its own shard
-    /// gradients have landed — so the update stage overlaps the remaining
-    /// backward offload and the shared uplink is contended *per stage*
-    /// instead of per step.
-    pub fn with_pipelining(mut self) -> Self {
-        self.pipelined = true;
-        self
-    }
-
-    /// Whether the pipelined backend is modelled.
-    pub fn is_pipelined(&self) -> bool {
-        self.pipelined
-    }
-
     /// Simulates one training iteration and returns the phase breakdown.
     ///
     /// # Errors
     ///
     /// Propagates [`SimError`] from the simulation kernel.
     pub fn simulate_iteration(&self) -> Result<IterationReport, SimError> {
-        Ok(self.simulate_iteration_stages()?.report)
+        Ok(self.run()?.report)
     }
 
     /// Simulates one training iteration and additionally reports the
@@ -215,27 +191,61 @@ impl SmartInfinityEngine {
     ///
     /// Propagates [`SimError`] from the simulation kernel.
     pub fn simulate_iteration_stages(&self) -> Result<PipelineTiming, SimError> {
-        let mut plat = TimedPlatform::new_with_faults(&self.machine, self.fault_effects.as_ref());
+        let TimedRun { timeline, phases, t_bw, report, uplinks: (down, up) } = self.run()?;
+        Ok(PipelineTiming {
+            report,
+            uplink_write_busy_s: timeline.link_busy_time_in_phase(down, phases.backward),
+            uplink_readback_busy_s: timeline.link_busy_time_in_phase(up, phases.update),
+            // Actual update-stage work (union of its task intervals) that ran
+            // before the backward phase finished — not the idle-inclusive
+            // window since the first update task started.
+            update_overlap_s: timeline.phase_busy_time_before(phases.update, t_bw),
+        })
+    }
+
+    /// What the devices are and which tasks exist, from the method.
+    fn placement(&self) -> (StorageKind, GraphKnobs) {
+        if self.method.uses_csds() {
+            let knobs = GraphKnobs::in_storage(self.method.keep_ratio(), self.subgroup_elems);
+            (StorageKind::Csd, knobs)
+        } else {
+            (StorageKind::PlainSsd, GraphKnobs::host_update())
+        }
+    }
+
+    /// Who schedules the graph and which node ends the iteration, from the
+    /// method: striped vs owner-routed gradient scatters, sequential vs
+    /// overlapped tasklet chains — see [`crate::sched`].
+    fn schedule<'g>(&self, layout: &'g IterLayout) -> (Box<dyn Scheduler + 'g>, DagTaskId) {
+        if self.method.uses_csds() {
+            let scheduler =
+                crate::sched::method_scheduler(self.handler, self.method.pipelined, layout);
+            (scheduler, layout.phase_end.expect("in-storage graphs carry an iteration end"))
+        } else {
+            (Box::new(HostUpdateScheduler::new(layout)), layout.up_end)
+        }
+    }
+
+    /// The one timed run path: platform → phases → graph → schedule →
+    /// lowering → simulation → phase read-out.
+    fn run(&self) -> Result<TimedRun, SimError> {
+        let (storage, knobs) = self.placement();
+        let machine = MachineConfig { storage, ..self.machine.clone() };
+        let mut plat = TimedPlatform::new_with_faults(&machine, self.fault_effects.as_ref());
         let phases = IterPhases {
             forward: plat.add_phase("forward"),
             backward: plat.add_phase("backward+grad_offload"),
             update: plat.add_phase("update+opt_transfer"),
         };
-        let bw_phase = phases.backward;
-        let up_phase = phases.update;
         let sites = SiteMap::new(plat.num_gpus(), plat.num_devices());
-        let knobs = GraphKnobs::in_storage(self.keep_ratio, self.subgroup_elems);
         let graph = build_iteration_graph(&self.workload, sites, self.optimizer, &knobs, phases);
         let resources = plat.resource_catalog();
-        // The method schedule: striped vs owner-routed gradient scatters,
-        // sequential vs overlapped tasklet chains — see `crate::sched`.
-        let mut scheduler =
-            crate::sched::method_scheduler(self.handler, self.pipelined, &graph.layout);
+        let (mut scheduler, end) = self.schedule(&graph.layout);
         let outcome = {
             let mut lowering = PlatformLowering::new(&mut plat);
             simkit::execute(&graph.dag, &resources, scheduler.as_mut(), &mut lowering)?
         };
-        let (uplink_down, uplink_up) = plat.host_uplink_links();
+        let uplinks = plat.host_uplink_links();
 
         let timeline = plat.run()?;
         let finish = |id| {
@@ -244,17 +254,9 @@ impl SmartInfinityEngine {
         };
         let t_fw = finish(graph.layout.fw_end);
         let t_bw = finish(graph.layout.bw_end);
-        let t_end =
-            finish(graph.layout.phase_end.expect("in-storage graphs carry an iteration end"));
-        Ok(PipelineTiming {
-            report: IterationReport::new(t_fw, t_bw - t_fw, t_end - t_bw),
-            uplink_write_busy_s: timeline.link_busy_time_in_phase(uplink_down, bw_phase),
-            uplink_readback_busy_s: timeline.link_busy_time_in_phase(uplink_up, up_phase),
-            // Actual update-stage work (union of its task intervals) that ran
-            // before the backward phase finished — not the idle-inclusive
-            // window since the first update task started.
-            update_overlap_s: timeline.phase_busy_time_before(up_phase, t_bw),
-        })
+        let t_end = finish(end);
+        let report = IterationReport::new(t_fw, t_bw - t_fw, t_end - t_bw);
+        Ok(TimedRun { timeline, phases, t_bw, report, uplinks })
     }
 }
 
@@ -262,55 +264,77 @@ impl SmartInfinityEngine {
 mod tests {
     use super::*;
     use llm::ModelConfig;
-    use ztrain::BaselineEngine;
 
     fn workload() -> Workload {
         Workload::paper_default(ModelConfig::gpt2_4b())
     }
 
-    fn engine(n_csds: usize) -> SmartInfinityEngine {
+    fn small_workload() -> Workload {
+        Workload::new(ModelConfig::gpt2_0_34b(), 4, 1024)
+    }
+
+    fn engine(n_csds: usize, method: MethodSpec) -> SmartInfinityEngine {
         SmartInfinityEngine::new(
             MachineConfig::smart_infinity(n_csds),
             workload(),
             OptimizerKind::Adam,
+            &method,
         )
     }
 
-    #[test]
-    #[should_panic(expected = "requires CSD storage")]
-    fn plain_ssd_machine_is_rejected() {
-        SmartInfinityEngine::new(MachineConfig::baseline_raid0(4), workload(), OptimizerKind::Adam);
+    /// One iteration of the host-update baseline.
+    fn baseline(
+        machine: MachineConfig,
+        workload: Workload,
+        optimizer: OptimizerKind,
+    ) -> IterationReport {
+        SmartInfinityEngine::new(machine, workload, optimizer, &MethodSpec::baseline())
+            .simulate_iteration()
+            .unwrap()
+    }
+
+    fn raid0(n_ssds: usize) -> MachineConfig {
+        MachineConfig::baseline_raid0(n_ssds)
     }
 
     #[test]
     fn builders_record_configuration() {
-        let e = engine(4).with_handler(HandlerMode::Naive).with_compression(0.05);
+        let e = engine(4, MethodSpec::smart_comp(0.05));
+        assert_eq!(e.handler(), HandlerMode::Optimized, "the method implies the handler");
+        let e = e.with_handler(HandlerMode::Naive);
         assert_eq!(e.handler(), HandlerMode::Naive);
-        assert_eq!(e.keep_ratio(), Some(0.05));
         assert_eq!(e.machine().num_devices, 4);
         assert_eq!(e.workload().batch_size(), 4);
     }
 
     #[test]
+    #[should_panic(expected = "invalid method spec")]
+    fn incoherent_method_is_rejected() {
+        engine(4, MethodSpec { overlap: false, ..MethodSpec::pipelined(None) });
+    }
+
+    #[test]
     fn optimized_handler_is_at_least_as_fast_as_naive() {
-        let naive = engine(6).with_handler(HandlerMode::Naive).simulate_iteration().unwrap();
+        let naive = engine(6, MethodSpec::smart_update()).simulate_iteration().unwrap();
         let optimized =
-            engine(6).with_handler(HandlerMode::Optimized).simulate_iteration().unwrap();
+            engine(6, MethodSpec::smart_update_optimized()).simulate_iteration().unwrap();
         assert!(optimized.update_s <= naive.update_s * 1.001);
         assert!(optimized.update_s < naive.update_s, "overlap must buy something");
     }
 
     #[test]
     fn compression_shrinks_the_backward_offload() {
-        let plain = engine(10).simulate_iteration().unwrap();
-        let compressed = engine(10).with_compression(0.01).simulate_iteration().unwrap();
+        let plain = engine(10, MethodSpec::smart_update_optimized()).simulate_iteration().unwrap();
+        let compressed = engine(10, MethodSpec::smart_comp(0.01)).simulate_iteration().unwrap();
         assert!(compressed.backward_s < plain.backward_s);
         assert!(compressed.total_s() < plain.total_s());
     }
 
     #[test]
     fn smart_infinity_scales_with_csds_while_baseline_does_not() {
-        let total = |n: usize| engine(n).simulate_iteration().unwrap().total_s();
+        let total = |n: usize| {
+            engine(n, MethodSpec::smart_update_optimized()).simulate_iteration().unwrap().total_s()
+        };
         let t2 = total(2);
         let t4 = total(4);
         let t8 = total(8);
@@ -322,11 +346,8 @@ mod tests {
     fn single_csd_is_not_faster_than_the_single_ssd_baseline() {
         // Paper Section VII-E: with one CSD there is no aggregate-bandwidth
         // benefit and a slight slowdown is expected.
-        let base =
-            BaselineEngine::new(MachineConfig::baseline_raid0(1), workload(), OptimizerKind::Adam)
-                .simulate_iteration()
-                .unwrap();
-        let smart = engine(1).simulate_iteration().unwrap();
+        let base = baseline(raid0(1), workload(), OptimizerKind::Adam);
+        let smart = engine(1, MethodSpec::smart_update_optimized()).simulate_iteration().unwrap();
         let speedup = smart.speedup_over(&base);
         assert!(speedup <= 1.02, "single-CSD speedup should not exceed ~1x, got {speedup:.2}");
         assert!(speedup > 0.6, "the slowdown should be bounded, got {speedup:.2}");
@@ -334,10 +355,9 @@ mod tests {
 
     #[test]
     fn pipelining_overlaps_update_with_backward() {
-        let serial = engine(6).simulate_iteration_stages().unwrap();
-        let pipe = engine(6).with_pipelining().simulate_iteration_stages().unwrap();
-        assert!(!engine(6).is_pipelined());
-        assert!(engine(6).with_pipelining().is_pipelined());
+        let serial =
+            engine(6, MethodSpec::smart_update_optimized()).simulate_iteration_stages().unwrap();
+        let pipe = engine(6, MethodSpec::pipelined(None)).simulate_iteration_stages().unwrap();
         // The serial schedule starts every update at the end-of-backward
         // barrier; the pipelined schedule starts each device as soon as its
         // own shard gradients landed.
@@ -357,32 +377,99 @@ mod tests {
             assert!(timing.uplink_readback_busy_s > 0.0);
         }
         // simulate_iteration is the stages run's phase report.
-        let report = engine(6).with_pipelining().simulate_iteration().unwrap();
+        let report = engine(6, MethodSpec::pipelined(None)).simulate_iteration().unwrap();
         assert_eq!(report, pipe.report);
     }
 
     #[test]
     fn pipelining_composes_with_compression_and_the_naive_handler() {
-        let pipe = engine(8).with_pipelining().simulate_iteration().unwrap();
-        let pipe_comp = engine(8).with_pipelining().with_compression(0.01);
-        assert!(pipe_comp.is_pipelined());
-        assert_eq!(pipe_comp.keep_ratio(), Some(0.01));
-        let pipe_comp = pipe_comp.simulate_iteration().unwrap();
+        let pipe = engine(8, MethodSpec::pipelined(None)).simulate_iteration().unwrap();
+        let pipe_comp = engine(8, MethodSpec::pipelined(Some(0.01))).simulate_iteration().unwrap();
         assert!(pipe_comp.total_s() < pipe.total_s(), "compression still helps when pipelined");
         // The naive handler's per-tasklet overhead hurts the pipelined
         // schedule exactly like the serial one.
-        let naive =
-            engine(8).with_pipelining().with_handler(HandlerMode::Naive).simulate_iteration();
+        let naive = engine(8, MethodSpec::pipelined(None))
+            .with_handler(HandlerMode::Naive)
+            .simulate_iteration();
         assert!(naive.unwrap().total_s() > pipe.total_s());
     }
 
     #[test]
     fn update_phase_no_longer_dominates_with_many_csds() {
-        let report = engine(10).with_compression(0.01).simulate_iteration().unwrap();
+        let report = engine(10, MethodSpec::smart_comp(0.01)).simulate_iteration().unwrap();
         assert!(
             report.update_fraction() < 0.7,
             "update should no longer take >70% of the iteration, got {:.2}",
             report.update_fraction()
         );
+    }
+
+    // --- the host-update baseline on the same engine ------------------------
+
+    #[test]
+    fn report_phases_are_positive_and_ordered() {
+        let engine = SmartInfinityEngine::new(
+            MachineConfig::baseline_raid0(2),
+            small_workload(),
+            OptimizerKind::Adam,
+            &MethodSpec::baseline(),
+        );
+        let timing = engine.simulate_iteration_stages().unwrap();
+        let report = engine.simulate_iteration().unwrap();
+        assert_eq!(report, timing.report);
+        assert!(report.forward_s > 0.0);
+        assert!(report.backward_s > 0.0);
+        assert!(report.update_s > 0.0);
+        // Backward costs at least as much compute as forward plus the offload.
+        assert!(report.backward_s > report.forward_s);
+        // The stage read-out is defined for the host update too: gradients go
+        // down the uplink, states come back up, and nothing of the update
+        // starts before the end-of-backward barrier.
+        assert!(timing.uplink_write_busy_s > 0.0);
+        assert!(timing.uplink_readback_busy_s > 0.0);
+        assert_eq!(timing.update_overlap_s, 0.0);
+    }
+
+    #[test]
+    fn update_time_shrinks_with_more_ssds_until_saturation() {
+        let time_update =
+            |n: usize| baseline(raid0(n), small_workload(), OptimizerKind::Adam).update_s;
+        let u1 = time_update(1);
+        let u2 = time_update(2);
+        let u4 = time_update(4);
+        let u8 = time_update(8);
+        assert!(u1 > 1.5 * u2, "1 -> 2 SSDs should nearly halve the update: {u1} vs {u2}");
+        assert!(u2 > u4);
+        // Saturation: 4 -> 8 gives little.
+        assert!(u4 / u8 < 1.35, "u4={u4} u8={u8}");
+    }
+
+    #[test]
+    fn sgd_moves_less_state_than_adam() {
+        let adam = baseline(raid0(4), small_workload(), OptimizerKind::Adam);
+        let sgd = baseline(raid0(4), small_workload(), OptimizerKind::SgdMomentum);
+        assert!(sgd.update_s < adam.update_s);
+        // Forward/backward are unaffected by the optimizer choice.
+        assert!((sgd.forward_s - adam.forward_s).abs() < 1e-6);
+    }
+
+    #[test]
+    fn faster_gpu_shrinks_compute_but_not_update() {
+        let a5000 = baseline(raid0(6), workload(), OptimizerKind::Adam);
+        let a100 =
+            baseline(raid0(6).with_gpu(llm::GpuSpec::a100()), workload(), OptimizerKind::Adam);
+        assert!(a100.forward_s < a5000.forward_s);
+        assert!((a100.update_s - a5000.update_s).abs() / a5000.update_s < 0.05);
+        // The update fraction therefore grows on the faster GPU (Section VII-E).
+        assert!(a100.update_fraction() > a5000.update_fraction());
+    }
+
+    #[test]
+    fn larger_models_take_proportionally_longer() {
+        let total = |model: ModelConfig| {
+            baseline(raid0(4), Workload::paper_default(model), OptimizerKind::Adam).total_s()
+        };
+        let ratio = total(ModelConfig::gpt2_8_3b()) / total(ModelConfig::gpt2_2_5b());
+        assert!(ratio > 2.5 && ratio < 4.5, "expected roughly 3.3x, got {ratio:.2}");
     }
 }

@@ -1,118 +1,54 @@
-//! The Smart-Infinity method schedules as named [`Scheduler`]s, plus the
-//! scheduler comparison harness behind `figures -- sched`.
+//! The Smart-Infinity method schedules, plus the scheduler comparison
+//! harness behind `figures -- sched`.
 //!
-//! The timed engines all execute the *same* iteration graph
+//! Every method executes the *same* iteration graph
 //! ([`ztrain::schedule::build_iteration_graph`]); what the paper's ladder
-//! varies is the schedule. Each rung is a thin named wrapper around
-//! [`MethodPolicy`] with the routing/synchronisation pair that method uses:
+//! varies is the schedule. Each rung is a [`MethodPolicy`] with the
+//! routing/synchronisation pair that method uses:
 //!
-//! | scheduler        | method | routing      | tasklet chain |
-//! |------------------|--------|--------------|---------------|
-//! | `host-update`    | BASE   | striped      | — (host CPU)  |
-//! | `serial-naive`   | SU     | striped      | sequential    |
-//! | `serial-overlap` | SU+O   | striped      | overlapped    |
-//! | `pipelined`      | SU+O+P | owner-routed | overlapped    |
+//! | scheduler         | method | routing      | tasklet chain |
+//! |-------------------|--------|--------------|---------------|
+//! | `host-update`     | BASE   | striped      | — (host CPU)  |
+//! | `serial-naive`    | SU     | striped      | sequential    |
+//! | `serial-overlap`  | SU+O   | striped      | overlapped    |
+//! | `pipelined`       | SU+O+P | owner-routed | overlapped    |
+//! | `pipelined-naive` | —      | owner-routed | sequential    |
 //!
-//! (`pipelined-naive` — owner routing under the sequential handler — exists
-//! as the ablation the session's handler override reaches.)
+//! `host-update` is [`ztrain::schedule::HostUpdateScheduler`]; the in-storage
+//! rows are [`method_scheduler`]'s table. `pipelined-naive` is the ablation
+//! only the session's handler override reaches.
 
 use crate::engine_timed::SmartInfinityEngine;
-use crate::spec::{MethodSpec, RunSpec};
+use crate::spec::{CompressionSpec, MethodSpec, RunSpec};
 use crate::HandlerMode;
 use serde::Serialize;
-use simkit::{Dag, DagTaskId, Decision, Scheduler, SystemView};
+use simkit::Scheduler;
 use ztrain::schedule::{ChainSync, IterLayout, MethodPolicy, OffloadRouting};
 use ztrain::{IterationReport, TrainError};
 
-/// `SU`: striped gradient offload, sequential tasklet chains with the naive
-/// handler's per-tasklet buffer-allocation overhead.
-#[derive(Debug)]
-pub struct SerialNaiveScheduler<'a>(MethodPolicy<'a>);
-
-impl<'a> SerialNaiveScheduler<'a> {
-    /// A serial-naive scheduler over an in-storage iteration layout.
-    pub fn new(layout: &'a IterLayout) -> Self {
-        Self(MethodPolicy::in_storage(
-            layout,
-            OffloadRouting::Striped,
-            ChainSync::Sequential { setup_s: SmartInfinityEngine::NAIVE_TASKLET_OVERHEAD_S },
-            "serial-naive",
-        ))
-    }
-}
-
-/// `SU+O`: striped gradient offload, overlapped tasklet chains (buffer
-/// reuse).
-#[derive(Debug)]
-pub struct SerialOverlapScheduler<'a>(MethodPolicy<'a>);
-
-impl<'a> SerialOverlapScheduler<'a> {
-    /// A serial-overlap scheduler over an in-storage iteration layout.
-    pub fn new(layout: &'a IterLayout) -> Self {
-        Self(MethodPolicy::in_storage(
-            layout,
-            OffloadRouting::Striped,
-            ChainSync::Overlapped,
-            "serial-overlap",
-        ))
-    }
-}
-
-/// `SU+O+P`: owner-routed gradient offload — each device's update chain
-/// starts as soon as *its own* shard gradients have landed — with the
-/// tasklet chain synchronisation of the given handler.
-#[derive(Debug)]
-pub struct PipelinedScheduler<'a>(MethodPolicy<'a>);
-
-impl<'a> PipelinedScheduler<'a> {
-    /// A pipelined scheduler over an in-storage iteration layout.
-    pub fn new(layout: &'a IterLayout, handler: HandlerMode) -> Self {
-        let (chain, name) = match handler {
-            HandlerMode::Optimized => (ChainSync::Overlapped, "pipelined"),
-            HandlerMode::Naive => (
-                ChainSync::Sequential { setup_s: SmartInfinityEngine::NAIVE_TASKLET_OVERHEAD_S },
-                "pipelined-naive",
-            ),
-        };
-        Self(MethodPolicy::in_storage(layout, OffloadRouting::OwnerRouted, chain, name))
-    }
-}
-
-macro_rules! delegate_scheduler {
-    ($ty:ident) => {
-        impl Scheduler for $ty<'_> {
-            fn name(&self) -> &'static str {
-                self.0.name()
-            }
-
-            fn on_task_ready(
-                &mut self,
-                task: DagTaskId,
-                dag: &Dag,
-                system: &SystemView<'_>,
-            ) -> Vec<Decision> {
-                self.0.on_task_ready(task, dag, system)
-            }
-        }
-    };
-}
-
-delegate_scheduler!(SerialNaiveScheduler);
-delegate_scheduler!(SerialOverlapScheduler);
-delegate_scheduler!(PipelinedScheduler);
-
-/// Selects the method scheduler the engine's `(handler, pipelined)` axes
-/// imply, boxed for uniform dispatch.
+/// The scheduler of an in-storage method, from its `(handler, pipelined)`
+/// axes. The handler picks the tasklet chain synchronisation: the naive one
+/// allocates fresh buffers per tasklet and pays
+/// [`SmartInfinityEngine::NAIVE_TASKLET_OVERHEAD_S`], the optimized one
+/// reuses them. Pipelining picks the gradient routing: owner-routed, so each
+/// device's update chain starts as soon as *its own* shard gradients have
+/// landed, instead of striped behind the end-of-backward barrier.
 pub fn method_scheduler<'a>(
     handler: HandlerMode,
     pipelined: bool,
     layout: &'a IterLayout,
 ) -> Box<dyn Scheduler + 'a> {
-    match (handler, pipelined) {
-        (_, true) => Box::new(PipelinedScheduler::new(layout, handler)),
-        (HandlerMode::Naive, false) => Box::new(SerialNaiveScheduler::new(layout)),
-        (HandlerMode::Optimized, false) => Box::new(SerialOverlapScheduler::new(layout)),
-    }
+    use ChainSync::Overlapped;
+    use OffloadRouting::{OwnerRouted, Striped};
+    let sequential =
+        ChainSync::Sequential { setup_s: SmartInfinityEngine::NAIVE_TASKLET_OVERHEAD_S };
+    let (routing, chain, name) = match (handler, pipelined) {
+        (HandlerMode::Naive, false) => (Striped, sequential, "serial-naive"),
+        (HandlerMode::Optimized, false) => (Striped, Overlapped, "serial-overlap"),
+        (HandlerMode::Optimized, true) => (OwnerRouted, Overlapped, "pipelined"),
+        (HandlerMode::Naive, true) => (OwnerRouted, sequential, "pipelined-naive"),
+    };
+    Box::new(MethodPolicy::in_storage(layout, routing, chain, name))
 }
 
 /// One row of a scheduler comparison: a scheduler's name, the method axes it
@@ -142,13 +78,7 @@ pub struct SchedulerRun {
 /// validate for some rung (e.g. a cluster machine, which requires the
 /// in-storage update path and so cannot run `host-update`).
 pub fn compare_schedulers(spec: &RunSpec) -> Result<Vec<SchedulerRun>, TrainError> {
-    let keep = spec.method.keep_ratio();
-    let rungs: [(&'static str, MethodSpec); 4] = [
-        ("host-update", MethodSpec::baseline()),
-        ("serial-naive", carry_compression(MethodSpec::smart_update(), keep)),
-        ("serial-overlap", carry_compression(MethodSpec::smart_update_optimized(), keep)),
-        ("pipelined", MethodSpec::pipelined(keep)),
-    ];
+    let rungs = rungs(spec.method.keep_ratio());
     let mut rows = Vec::with_capacity(rungs.len());
     for (scheduler, method) in rungs {
         let mut run = spec.clone();
@@ -160,11 +90,16 @@ pub fn compare_schedulers(spec: &RunSpec) -> Result<Vec<SchedulerRun>, TrainErro
     Ok(rows)
 }
 
-fn carry_compression(method: MethodSpec, keep_ratio: Option<f64>) -> MethodSpec {
-    match keep_ratio {
-        Some(k) => method.with_compression(crate::spec::CompressionSpec::top_k(k)),
-        None => method,
-    }
+/// The comparison's rows: each scheduler's name beside the method that gets
+/// it, with the spec's compression carried onto the in-storage rungs.
+fn rungs(keep: Option<f64>) -> [(&'static str, MethodSpec); 4] {
+    let compression = keep.map(CompressionSpec::top_k);
+    [
+        ("host-update", MethodSpec::baseline()),
+        ("serial-naive", MethodSpec { compression, ..MethodSpec::smart_update() }),
+        ("serial-overlap", MethodSpec { compression, ..MethodSpec::smart_update_optimized() }),
+        ("pipelined", MethodSpec { compression, ..MethodSpec::pipelined(None) }),
+    ]
 }
 
 #[cfg(test)]
@@ -172,51 +107,49 @@ mod tests {
     use super::*;
     use crate::spec::{MachineSpec, ModelSpec};
 
+    /// The names `compare_schedulers` prints are the names of the schedulers
+    /// the engine gives those methods — one table, no drift.
     #[test]
     fn scheduler_names_cover_the_ladder() {
+        use ztrain::schedule::{
+            build_iteration_graph, GraphKnobs, HostUpdateScheduler, IterPhases, SiteMap,
+        };
         let spec = RunSpec::new(
             ModelSpec::preset("GPT2-0.34B"),
             MachineSpec::devices(2),
             MethodSpec::smart_update_optimized(),
         );
         let session = spec.session().unwrap();
-        let engine = SmartInfinityEngine::new(
-            session.machine().clone(),
-            session.workload().clone(),
-            optim::OptimizerKind::Adam,
-        );
-        // Build the shared graph once and check each wrapper reports its name.
-        let mut plat = ztrain::TimedPlatform::new(engine.machine());
-        let phases = ztrain::schedule::IterPhases {
+        let mut plat = ztrain::TimedPlatform::new(session.machine());
+        let phases = IterPhases {
             forward: plat.add_phase("fw"),
             backward: plat.add_phase("bw"),
             update: plat.add_phase("up"),
         };
-        let graph = ztrain::schedule::build_iteration_graph(
-            engine.workload(),
-            ztrain::schedule::SiteMap::new(plat.num_gpus(), plat.num_devices()),
-            optim::OptimizerKind::Adam,
-            &ztrain::schedule::GraphKnobs::in_storage(None, 100_000_000),
-            phases,
-        );
-        assert_eq!(SerialNaiveScheduler::new(&graph.layout).name(), "serial-naive");
-        assert_eq!(SerialOverlapScheduler::new(&graph.layout).name(), "serial-overlap");
-        assert_eq!(
-            PipelinedScheduler::new(&graph.layout, HandlerMode::Optimized).name(),
-            "pipelined"
-        );
-        assert_eq!(
-            PipelinedScheduler::new(&graph.layout, HandlerMode::Naive).name(),
-            "pipelined-naive"
-        );
-        assert_eq!(
-            method_scheduler(HandlerMode::Naive, false, &graph.layout).name(),
-            "serial-naive"
-        );
-        assert_eq!(
-            method_scheduler(HandlerMode::Optimized, true, &graph.layout).name(),
-            "pipelined"
-        );
+        let sites = SiteMap::new(plat.num_gpus(), plat.num_devices());
+        let graph = |knobs: GraphKnobs| {
+            let optimizer = optim::OptimizerKind::Adam;
+            build_iteration_graph(session.workload(), sites, optimizer, &knobs, phases)
+        };
+        let host = graph(GraphKnobs::host_update());
+        let smart = graph(GraphKnobs::in_storage(None, 100_000_000));
+        let name_of = |method: &MethodSpec| {
+            if method.uses_csds() {
+                method_scheduler(method.implied_handler(), method.pipelined, &smart.layout).name()
+            } else {
+                HostUpdateScheduler::new(&host.layout).name()
+            }
+        };
+        let rows = compare_schedulers(&spec).unwrap();
+        for (row, (scheduler, method)) in rows.iter().zip(rungs(None)) {
+            assert_eq!(row.scheduler, scheduler);
+            assert_eq!(row.scheduler, name_of(&method), "{method}");
+            assert_eq!(row.method, method.to_string());
+        }
+        // The fourth (handler, pipelined) pair is no rung of the ladder: only
+        // the handler override reaches it.
+        let ablation = method_scheduler(HandlerMode::Naive, true, &smart.layout);
+        assert_eq!(ablation.name(), "pipelined-naive");
     }
 
     #[test]

@@ -19,16 +19,13 @@
 
 use crate::cluster::ClusterSpec;
 use crate::engine_timed::{HandlerMode, SmartInfinityEngine};
-use crate::experiment::Experiment;
 use crate::spec::MethodSpec;
-use fabric::StorageKind;
 use faultkit::{FaultPlan, FaultSpec, TimedFaultEffects};
 use llm::{ModelConfig, Workload};
 use optim::Optimizer;
 use tensorlib::FlatTensor;
 use ztrain::{
-    BaselineEngine, IterationReport, MachineConfig, PipelinedTrainer, StorageOffloadTrainer,
-    TrainError, Trainer,
+    IterationReport, MachineConfig, PipelinedTrainer, StorageOffloadTrainer, TrainError, Trainer,
 };
 
 /// Builder for a [`Session`]; see [`Session::builder`].
@@ -312,55 +309,25 @@ impl Session {
             let grad_bytes = 2.0 * self.model.num_params() as f64;
             return Ok(crate::cluster::simulate_allreduce(&cluster, &per_host, grad_bytes)?);
         }
-        let effects = self.timed_fault_effects();
-        if !self.method.uses_csds() {
-            // No in-storage compute to slow or hand off to: of the overrides
-            // only the fault plan's uplink derating applies to the baseline.
-            let machine = MachineConfig { storage: StorageKind::PlainSsd, ..self.machine.clone() };
-            let mut engine =
-                BaselineEngine::new(machine, self.workload.clone(), self.optimizer.kind());
-            if let Some(effects) = effects {
-                engine = engine.with_fault_effects(effects);
-            }
-            return Ok(engine.simulate_iteration()?);
-        }
-        // Build the timed engine from the spec, then apply the overrides: the
-        // ablation handler (if any) and the fault plan's timed effects.
-        let machine = MachineConfig { storage: StorageKind::Csd, ..self.machine.clone() };
-        let mut engine =
-            SmartInfinityEngine::new(machine, self.workload.clone(), self.optimizer.kind())
-                .with_method_spec(&self.method);
+        // The one engine, built from the method, then the overrides: the
+        // ablation handler, the subgroup capacity (a host-update method has
+        // neither and ignores both) and the fault plan's timed effects.
+        let mut engine = SmartInfinityEngine::new(
+            self.machine.clone(),
+            self.workload.clone(),
+            self.optimizer.kind(),
+            &self.method,
+        );
         if let Some(handler) = self.handler {
             engine = engine.with_handler(handler);
         }
         if let Some(elems) = self.subgroup_elems {
             engine = engine.with_subgroup_elems(elems);
         }
-        if let Some(effects) = effects {
+        if let Some(effects) = self.timed_fault_effects() {
             engine = engine.with_fault_effects(effects);
         }
         Ok(engine.simulate_iteration()?)
-    }
-
-    /// The timed sweep view of this configuration: an [`Experiment`] with the
-    /// session's machine, workload, optimizer and subgroup capacity, for
-    /// multi-method ladders ([`Experiment::compare_specs`],
-    /// [`Experiment::ladder`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TrainError::Config`] for the same invalid knobs
-    /// [`Session::simulate_iteration`] rejects (zero devices, zero subgroup
-    /// capacity, out-of-range keep ratio) — the lower-level [`Experiment`]
-    /// asserts on them instead.
-    pub fn experiment(&self) -> Result<Experiment, TrainError> {
-        self.validate()?;
-        let mut experiment = Experiment::new(self.machine.clone(), self.workload.clone())
-            .with_optimizer(self.optimizer.kind());
-        if let Some(elems) = self.subgroup_elems {
-            experiment = experiment.with_subgroup_elems(elems);
-        }
-        Ok(experiment)
     }
 }
 
@@ -495,9 +462,6 @@ mod tests {
             assert!(matches!(err, TrainError::Config { .. }), "{err}");
             assert!(err.to_string().contains("subgroup"), "{err}");
             let err = s.simulate_iteration().expect_err("zero subgroup");
-            assert!(matches!(err, TrainError::Config { .. }), "{err}");
-            // The sweep front-end rejects it too instead of asserting later.
-            let err = s.experiment().expect_err("zero subgroup");
             assert!(matches!(err, TrainError::Config { .. }), "{err}");
         }
     }
@@ -668,15 +632,104 @@ mod tests {
         }
     }
 
+    // --- the method ladder on the timed view ---------------------------------
+
+    /// One timed iteration of `method` on six devices (GPT-2 4.0B).
+    fn timed(method: MethodSpec) -> IterationReport {
+        Session::builder(ModelConfig::gpt2_4b(), MachineConfig::smart_infinity(6), method)
+            .build()
+            .simulate_iteration()
+            .expect("simulation")
+    }
+
     #[test]
-    fn timed_view_matches_the_experiment_front_end() {
-        let s = session(MethodSpec::smart_comp(0.01));
-        let via_session = s.simulate_iteration().expect("simulation");
-        let via_experiment = s
-            .experiment()
-            .expect("experiment")
-            .run_spec(&MethodSpec::smart_comp(0.01))
-            .expect("simulation");
-        assert_eq!(via_session, via_experiment);
+    fn labels_match_the_paper() {
+        let labels: Vec<String> =
+            MethodSpec::ladder().into_iter().map(|m| session(m).method().to_string()).collect();
+        assert_eq!(labels, ["BASE", "SU", "SU+O", "SU+O+C(2%)"]);
+    }
+
+    #[test]
+    fn off_ladder_specs_compose_and_incoherent_ones_are_rejected() {
+        // Off the paper's ladder: compression under the naive handler (SU+C).
+        // It must be slower than SU+O+C and faster than plain SU.
+        let su_c = MethodSpec::smart_update().with_compression(crate::CompressionSpec::top_k(0.01));
+        let su_c_t = timed(su_c).total_s();
+        let su_t = timed(MethodSpec::smart_update()).total_s();
+        let su_o_c_t = timed(MethodSpec::smart_comp(0.01)).total_s();
+        assert!(su_o_c_t < su_c_t && su_c_t < su_t, "{su_o_c_t} < {su_c_t} < {su_t}");
+        // An incoherent spec is rejected up front, not deep in the engine.
+        let bad = MethodSpec { overlap: false, ..MethodSpec::pipelined(None) };
+        let err = session(bad).simulate_iteration().expect_err("incoherent axes");
+        assert!(matches!(err, TrainError::Config { .. }), "{err}");
+    }
+
+    #[test]
+    fn pipelined_method_is_at_least_as_fast_as_its_serial_counterpart() {
+        let su_o = timed(MethodSpec::smart_update_optimized());
+        let pipe = timed(MethodSpec::pipelined(None));
+        assert!(
+            pipe.total_s() <= su_o.total_s() * 1.001,
+            "{} vs {}",
+            pipe.total_s(),
+            su_o.total_s()
+        );
+        let comp = timed(MethodSpec::smart_comp(0.01));
+        let pipe_comp = timed(MethodSpec::pipelined(Some(0.01)));
+        assert!(pipe_comp.total_s() <= comp.total_s() * 1.001);
+        assert!(pipe_comp.total_s() < pipe.total_s(), "compression still helps when pipelined");
+    }
+
+    #[test]
+    fn ladder_reports_baseline_speedup_of_one() {
+        let reports: Vec<IterationReport> = MethodSpec::ladder().into_iter().map(timed).collect();
+        assert_eq!(reports.len(), 4);
+        assert!((reports[0].speedup_over(&reports[0]) - 1.0).abs() < 1e-9);
+        assert!(reports.iter().skip(1).all(|r| r.speedup_over(&reports[0]) > 1.0));
+    }
+
+    #[test]
+    fn optimizer_override_affects_the_baseline_state_volume() {
+        let adam = timed(MethodSpec::baseline());
+        let sgd = Session::builder(
+            ModelConfig::gpt2_4b(),
+            MachineConfig::smart_infinity(6),
+            MethodSpec::baseline(),
+        )
+        .with_optimizer(Optimizer::new(optim::OptimizerKind::SgdMomentum, Default::default()))
+        .build()
+        .simulate_iteration()
+        .expect("simulation");
+        assert!(sgd.update_s < adam.update_s);
+    }
+
+    /// Storage follows the method, not the machine: the same devices are
+    /// RAID0 SSDs under a host-update method and CSDs under an in-storage
+    /// one, whatever `MachineConfig::storage` says, and a host-update method
+    /// has no handler or subgroup for the overrides to change.
+    #[test]
+    fn storage_kind_and_overrides_follow_the_method() {
+        let bits = |r: IterationReport| [r.forward_s, r.backward_s, r.update_s].map(f64::to_bits);
+        let on = |machine: MachineConfig, method: MethodSpec| {
+            Session::builder(ModelConfig::gpt2_0_34b(), machine, method)
+        };
+        for method in [MethodSpec::baseline(), MethodSpec::pipelined(Some(0.01))] {
+            let on_csds = on(MachineConfig::smart_infinity(3), method).build();
+            let on_ssds = on(MachineConfig::baseline_raid0(3), method).build();
+            assert_eq!(
+                bits(on_csds.simulate_iteration().expect("timed")),
+                bits(on_ssds.simulate_iteration().expect("timed")),
+                "{method}"
+            );
+        }
+        let plain = on(MachineConfig::smart_infinity(3), MethodSpec::baseline()).build();
+        let overridden = on(MachineConfig::smart_infinity(3), MethodSpec::baseline())
+            .with_handler(HandlerMode::Optimized)
+            .with_subgroup_elems(1_000_000)
+            .build();
+        assert_eq!(
+            bits(plain.simulate_iteration().expect("timed")),
+            bits(overridden.simulate_iteration().expect("timed")),
+        );
     }
 }

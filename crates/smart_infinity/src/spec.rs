@@ -403,8 +403,9 @@ impl Deserialize for ModelSpec {
 /// optional GPU/topology overrides on the paper's test-bed presets.
 ///
 /// Whether the devices act as plain RAID0 SSDs or as CSDs is **not** part of
-/// the machine spec — it follows from the method's capability axes, exactly
-/// as [`crate::Experiment`] flips [`fabric::StorageKind`] per method.
+/// the machine spec — it follows from the method's capability axes: the
+/// timed engine ([`crate::SmartInfinityEngine`]) sets [`fabric::StorageKind`]
+/// from [`MethodSpec::uses_csds`] and ignores what the machine carries.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MachineSpec {
     /// Number of storage devices behind the expansion switch.

@@ -5,7 +5,7 @@ use llm::{CpuSpec, GpuSpec};
 use serde::{Deserialize, Serialize};
 use ssd::BandwidthProfile;
 
-/// Everything the timed engines need to know about the machine: which GPU(s),
+/// Everything the timed engine needs to know about the machine: which GPU(s),
 /// the host CPU's update throughput, how many storage devices of which kind,
 /// their bandwidths, and where everything sits in the PCIe topology.
 ///
@@ -24,7 +24,9 @@ pub struct MachineConfig {
     pub ssd: BandwidthProfile,
     /// Number of storage devices behind the expansion switch.
     pub num_devices: usize,
-    /// Plain SSDs (baseline / RAID0) or CSDs (Smart-Infinity).
+    /// Plain SSDs (baseline / RAID0) or CSDs (Smart-Infinity). What a
+    /// [`crate::TimedPlatform`] built from this config installs; the timed
+    /// engine in `smart_infinity` sets it from the method, not from here.
     pub storage: StorageKind,
     /// Default or congested GPU placement.
     pub topology: TopologyKind,

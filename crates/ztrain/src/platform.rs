@@ -1,5 +1,4 @@
-//! The discrete-event scaffold shared by the baseline and Smart-Infinity
-//! timed engines.
+//! The discrete-event scaffold the timed engine lowers every method onto.
 
 use crate::machine::MachineConfig;
 use fabric::{InstalledFabric, Platform};

@@ -1,6 +1,6 @@
 //! The shared iteration task graph and the method schedulers over it.
 //!
-//! Every timed engine in the workspace — the ZeRO-Infinity baseline and all
+//! Every method the timed engine runs — the ZeRO-Infinity baseline and all
 //! Smart-Infinity variants — describes one training iteration as the *same*
 //! [`simkit::Dag`]: forward pass, backward pass, per-block gradient offload
 //! towards the storage class, and a parameter/optimizer update placed either

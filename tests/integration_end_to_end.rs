@@ -1,5 +1,5 @@
 //! End-to-end integration: the full Smart-Infinity stack — model zoo,
-//! machine configuration, timed engines, functional engines and real
+//! machine configuration, timed engine, functional trainers and real
 //! gradients — working together through the public API.
 
 use smart_infinity::{
@@ -7,30 +7,33 @@ use smart_infinity::{
     SmartInfinityEngine, Workload,
 };
 use ztrain::realtrain::{Dataset, MlpGradientSource, MlpModel};
-use ztrain::BaselineEngine;
 
 #[test]
 fn full_ladder_reproduces_the_headline_speedups() {
-    let session = Session::builder(
-        ModelConfig::gpt2_4b(),
-        MachineConfig::smart_infinity(10),
-        MethodSpec::baseline(),
-    )
-    .build();
-    let reports = session.experiment().expect("experiment").ladder().expect("simulation");
+    let ladder = MethodSpec::ladder();
+    let reports: Vec<_> = ladder
+        .iter()
+        .map(|&method| {
+            Session::builder(ModelConfig::gpt2_4b(), MachineConfig::smart_infinity(10), method)
+                .build()
+                .simulate_iteration()
+                .expect("simulation")
+        })
+        .collect();
     assert_eq!(reports.len(), 4);
+    let speedups: Vec<f64> = reports.iter().map(|r| r.speedup_over(&reports[0])).collect();
     // BASE, SU, SU+O, SU+O+C in increasing speedup order.
-    for pair in reports.windows(2) {
+    for i in 1..speedups.len() {
         assert!(
-            pair[1].speedup >= pair[0].speedup,
+            speedups[i] >= speedups[i - 1],
             "{} ({:.2}x) should not be slower than {} ({:.2}x)",
-            pair[1].label,
-            pair[1].speedup,
-            pair[0].label,
-            pair[0].speedup
+            ladder[i],
+            speedups[i],
+            ladder[i - 1],
+            speedups[i - 1]
         );
     }
-    let final_speedup = reports.last().unwrap().speedup;
+    let final_speedup = *speedups.last().unwrap();
     assert!(
         final_speedup > 1.5 && final_speedup < 3.0,
         "SU+O+C speedup at 10 CSDs: {final_speedup:.2}"
@@ -41,20 +44,24 @@ fn full_ladder_reproduces_the_headline_speedups() {
 fn breakdown_phases_follow_the_paper_shape() {
     // Baseline: update dominates. Smart-Infinity: it no longer does.
     let workload = Workload::paper_default(ModelConfig::gpt2_8_4b());
-    let base = BaselineEngine::new(
+    let base = SmartInfinityEngine::new(
         MachineConfig::baseline_raid0(6),
         workload.clone(),
         OptimizerKind::Adam,
+        &MethodSpec::baseline(),
     )
     .simulate_iteration()
     .expect("simulation");
     assert!(base.update_fraction() > 0.6, "baseline update fraction {:.2}", base.update_fraction());
 
-    let smart =
-        SmartInfinityEngine::new(MachineConfig::smart_infinity(10), workload, OptimizerKind::Adam)
-            .with_compression(0.01)
-            .simulate_iteration()
-            .expect("simulation");
+    let smart = SmartInfinityEngine::new(
+        MachineConfig::smart_infinity(10),
+        workload,
+        OptimizerKind::Adam,
+        &MethodSpec::smart_comp(0.01),
+    )
+    .simulate_iteration()
+    .expect("simulation");
     assert!(smart.update_fraction() < base.update_fraction());
     assert!(smart.total_s() < base.total_s());
 }
@@ -62,15 +69,18 @@ fn breakdown_phases_follow_the_paper_shape() {
 #[test]
 fn handler_modes_and_compression_compose_through_the_builder() {
     let workload = Workload::paper_default(ModelConfig::bert_4b());
-    let engine =
-        SmartInfinityEngine::new(MachineConfig::smart_infinity(6), workload, OptimizerKind::AdamW)
-            .with_handler(HandlerMode::Naive)
-            .with_compression(0.05)
-            .with_subgroup_elems(50_000_000);
-    assert_eq!(engine.handler(), HandlerMode::Naive);
-    assert_eq!(engine.keep_ratio(), Some(0.05));
-    let report = engine.simulate_iteration().expect("simulation");
+    let engine = |method: MethodSpec| {
+        let machine = MachineConfig::smart_infinity(6);
+        SmartInfinityEngine::new(machine, workload.clone(), OptimizerKind::AdamW, &method)
+            .with_subgroup_elems(50_000_000)
+    };
+    // SmartComp with the handler forced to naive is the off-ladder SU+C.
+    let overridden = engine(MethodSpec::smart_comp(0.05)).with_handler(HandlerMode::Naive);
+    assert_eq!(overridden.handler(), HandlerMode::Naive);
+    let su_c = MethodSpec { overlap: false, ..MethodSpec::smart_comp(0.05) };
+    let report = overridden.simulate_iteration().expect("simulation");
     assert!(report.total_s() > 0.0);
+    assert_eq!(report, engine(su_c).simulate_iteration().expect("simulation"));
 }
 
 #[test]

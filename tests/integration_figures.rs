@@ -7,7 +7,6 @@ use smart_infinity::{
     CostModel, GpuSpec, IterationReport, MachineConfig, MethodSpec, ModelConfig, Optimizer,
     OptimizerKind, Session, TrafficMethod, TrafficModel, Workload,
 };
-use ztrain::BaselineEngine;
 
 /// One timed iteration through the Session front door.
 fn simulate(model: ModelConfig, machine: MachineConfig, method: MethodSpec) -> IterationReport {
@@ -15,27 +14,15 @@ fn simulate(model: ModelConfig, machine: MachineConfig, method: MethodSpec) -> I
 }
 
 fn baseline_total(n_ssds: usize, model: ModelConfig) -> f64 {
-    BaselineEngine::new(
-        MachineConfig::baseline_raid0(n_ssds),
-        Workload::paper_default(model),
-        OptimizerKind::Adam,
-    )
-    .simulate_iteration()
-    .expect("simulation")
-    .total_s()
+    simulate(model, MachineConfig::baseline_raid0(n_ssds), MethodSpec::baseline()).total_s()
 }
 
 /// Fig. 3(a): the update phase dominates baseline training across model sizes.
 #[test]
 fn fig3a_update_dominates_for_all_model_sizes() {
     for model in [ModelConfig::gpt2_2_5b(), ModelConfig::gpt2_8_3b(), ModelConfig::gpt2_20_5b()] {
-        let report = BaselineEngine::new(
-            MachineConfig::baseline_raid0(1),
-            Workload::paper_default(model.clone()),
-            OptimizerKind::Adam,
-        )
-        .simulate_iteration()
-        .expect("simulation");
+        let report =
+            simulate(model.clone(), MachineConfig::baseline_raid0(1), MethodSpec::baseline());
         assert!(
             report.update_fraction() > 0.6,
             "{}: update fraction {:.2}",

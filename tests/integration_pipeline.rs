@@ -156,13 +156,13 @@ fn lane_fan_out_is_derived_from_workers_and_devices() {
 fn timed_pipeline_charges_stage_bytes_over_fabric_links() {
     let machine = MachineConfig::smart_infinity(6);
     let workload = smart_infinity::Workload::paper_default(ModelConfig::gpt2_4b());
-    let serial = SmartInfinityEngine::new(machine.clone(), workload.clone(), OptimizerKind::Adam)
-        .simulate_iteration_stages()
-        .unwrap();
-    let pipelined = SmartInfinityEngine::new(machine, workload, OptimizerKind::Adam)
-        .with_pipelining()
-        .simulate_iteration_stages()
-        .unwrap();
+    let stages = |method: MethodSpec| {
+        SmartInfinityEngine::new(machine.clone(), workload.clone(), OptimizerKind::Adam, &method)
+            .simulate_iteration_stages()
+            .unwrap()
+    };
+    let serial = stages(MethodSpec::smart_update_optimized());
+    let pipelined = stages(MethodSpec::pipelined(None));
     assert_eq!(serial.update_overlap_s, 0.0, "serial schedule has no overlap");
     assert!(pipelined.update_overlap_s > 0.0, "pipelined schedule overlaps: {pipelined:?}");
     assert!(pipelined.report.total_s() < serial.report.total_s());

@@ -8,6 +8,9 @@
 //! spans machine shapes (device counts, congested multi-GPU), models,
 //! method axes (handler × compression × pipelining), optimizers, subgroup
 //! capacities and fault effects — every knob that reaches the timed path.
+//! Every row runs on the one engine: host-update rows as
+//! `MethodSpec::baseline()`, in-storage rows as a method plus the handler
+//! override.
 //!
 //! To re-bless after an *intentional* timing-model change:
 //!
@@ -18,9 +21,9 @@
 use faultkit::TimedFaultEffects;
 use llm::{ModelConfig, Workload};
 use optim::OptimizerKind;
-use smart_infinity::{HandlerMode, SmartInfinityEngine};
+use smart_infinity::{HandlerMode, MethodSpec, SmartInfinityEngine};
 use std::path::PathBuf;
-use ztrain::{BaselineEngine, MachineConfig};
+use ztrain::MachineConfig;
 
 /// One grid point: a label plus the named timing fields it produced.
 type GoldenCase = (String, Vec<(&'static str, f64)>);
@@ -83,16 +86,22 @@ impl SmartKnobs {
         label
     }
 
+    /// The in-storage method with this grid point's compression and
+    /// pipelining axes; the handler is applied as an override, so the grid
+    /// also reaches the off-ladder pairs (naive + pipelined).
+    fn method(&self) -> MethodSpec {
+        match (self.pipelined, self.keep) {
+            (true, keep) => MethodSpec::pipelined(keep),
+            (false, Some(keep)) => MethodSpec::smart_comp(keep),
+            (false, None) => MethodSpec::smart_update_optimized(),
+        }
+    }
+
     fn run(&self, machine: &MachineConfig, workload: &Workload) -> Vec<(&'static str, f64)> {
+        let method = self.method();
         let mut engine =
-            SmartInfinityEngine::new(machine.clone(), workload.clone(), self.optimizer)
+            SmartInfinityEngine::new(machine.clone(), workload.clone(), self.optimizer, &method)
                 .with_handler(self.handler);
-        if let Some(keep) = self.keep {
-            engine = engine.with_compression(keep);
-        }
-        if self.pipelined {
-            engine = engine.with_pipelining();
-        }
         if let Some(sub) = self.subgroup {
             engine = engine.with_subgroup_elems(sub);
         }
@@ -111,8 +120,32 @@ impl SmartKnobs {
     }
 }
 
-/// Runs the whole grid against the *current* engines. Every grid point is a
-/// configuration the production front doors (session/experiment) can reach.
+/// One host-update (`MethodSpec::baseline()`) grid point on the same engine.
+fn run_baseline(
+    machine: &MachineConfig,
+    workload: &Workload,
+    optimizer: OptimizerKind,
+    faults: TimedFaultEffects,
+) -> Vec<(&'static str, f64)> {
+    let engine = SmartInfinityEngine::new(
+        machine.clone(),
+        workload.clone(),
+        optimizer,
+        &MethodSpec::baseline(),
+    );
+    let report = engine
+        .with_fault_effects(faults)
+        .simulate_iteration()
+        .expect("baseline grid case must simulate");
+    vec![
+        ("forward", report.forward_s),
+        ("backward", report.backward_s),
+        ("update", report.update_s),
+    ]
+}
+
+/// Runs the whole grid against the *current* engine. Every grid point is a
+/// configuration the session front door can reach.
 fn run_grid() -> Vec<GoldenCase> {
     let mut cases: Vec<GoldenCase> = Vec::new();
     let models = [("gpt2_0.34b", ModelConfig::gpt2_0_34b()), ("gpt2_4b", ModelConfig::gpt2_4b())];
@@ -196,62 +229,36 @@ fn run_grid() -> Vec<GoldenCase> {
         ));
     }
 
-    // --- Baseline engine: RAID0 machines x models x optimizers ------------
+    // --- Host-update method: RAID0 machines x models x optimizers ---------
+    // Storage follows the method, so the congested preset (CSDs by default)
+    // serves as the plain-SSD machine of the `cong4x2-plain` rows.
     let base_machines: [(&str, MachineConfig); 5] = [
         ("raid1", MachineConfig::baseline_raid0(1)),
         ("raid2", MachineConfig::baseline_raid0(2)),
         ("raid4", MachineConfig::baseline_raid0(4)),
         ("raid8", MachineConfig::baseline_raid0(8)),
-        ("cong4x2-plain", {
-            let mut m = MachineConfig::congested_multi_gpu(4, 2);
-            m.storage = fabric::StorageKind::PlainSsd;
-            m
-        }),
+        ("cong4x2-plain", MachineConfig::congested_multi_gpu(4, 2)),
     ];
+    let no_faults = TimedFaultEffects::default();
     for (mname, machine) in &base_machines {
         for (wname, model) in &models {
             let workload = Workload::paper_default(model.clone());
-            let report = BaselineEngine::new(machine.clone(), workload, OptimizerKind::Adam)
-                .simulate_iteration()
-                .expect("baseline grid case must simulate");
             cases.push((
                 format!("base|{mname}|{wname}|adam"),
-                vec![
-                    ("forward", report.forward_s),
-                    ("backward", report.backward_s),
-                    ("update", report.update_s),
-                ],
+                run_baseline(machine, &workload, OptimizerKind::Adam, no_faults),
             ));
         }
     }
+    let raid4 = MachineConfig::baseline_raid0(4);
     for opt in [OptimizerKind::SgdMomentum, OptimizerKind::AdaGrad] {
-        let report = BaselineEngine::new(MachineConfig::baseline_raid0(4), gpt2_4b.clone(), opt)
-            .simulate_iteration()
-            .expect("baseline grid case must simulate");
         cases.push((
             format!("base|raid4|gpt2_4b|{}", optimizer_name(opt)),
-            vec![
-                ("forward", report.forward_s),
-                ("backward", report.backward_s),
-                ("update", report.update_s),
-            ],
+            run_baseline(&raid4, &gpt2_4b, opt, no_faults),
         ));
     }
-    let report =
-        BaselineEngine::new(MachineConfig::baseline_raid0(4), gpt2_4b, OptimizerKind::Adam)
-            .with_fault_effects(TimedFaultEffects {
-                uplink_bandwidth_factor: Some(0.5),
-                ..TimedFaultEffects::default()
-            })
-            .simulate_iteration()
-            .expect("baseline grid case must simulate");
     cases.push((
         "base|raid4|gpt2_4b|adam-uplink0.5".to_string(),
-        vec![
-            ("forward", report.forward_s),
-            ("backward", report.backward_s),
-            ("update", report.update_s),
-        ],
+        run_baseline(&raid4, &gpt2_4b, OptimizerKind::Adam, derated),
     ));
     cases
 }

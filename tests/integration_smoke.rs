@@ -6,7 +6,8 @@
 
 use llm::{ModelConfig, Workload};
 use optim::OptimizerKind;
-use ztrain::{BaselineEngine, MachineConfig, TimedPlatform};
+use smart_infinity::{MethodSpec, SmartInfinityEngine};
+use ztrain::{MachineConfig, TimedPlatform};
 
 /// A `TimedPlatform` can be built from a preset machine and driven directly:
 /// one flow into storage, one update on the device, a finite makespan.
@@ -31,10 +32,11 @@ fn timed_platform_builds_and_runs_one_round_trip() {
 /// internally consistent phase breakdown.
 #[test]
 fn baseline_iteration_has_a_finite_makespan() {
-    let report = BaselineEngine::new(
+    let report = SmartInfinityEngine::new(
         MachineConfig::baseline_raid0(2),
         Workload::paper_default(ModelConfig::gpt2_0_34b()),
         OptimizerKind::Adam,
+        &MethodSpec::baseline(),
     )
     .simulate_iteration()
     .expect("baseline simulation");
