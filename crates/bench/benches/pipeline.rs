@@ -49,5 +49,34 @@ fn bench_pipelined_step(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_pipelined_step);
+/// The two regimes of the CSD's tile-streaming update (`csd`'s private 8 Ki-
+/// element tile): subgroups smaller than a tile, where the per-subgroup
+/// gates, DRAM accounting and stream search are all there is to amortise,
+/// and subgroups of many tiles, where the streaming loop is. One serial
+/// SmartComp step each, so a regression of either shows in the smoke output.
+fn bench_subgroup_regimes(c: &mut Criterion) {
+    let mut g = c.benchmark_group("pipelined_step_subgroup");
+    g.sample_size(10);
+    for (label, elems, subgroup) in
+        [("below_tile_2Ki", STEP_ELEMS, 1usize << 11), ("above_tile_1Mi", 1 << 22, 1 << 20)]
+    {
+        g.throughput(Throughput::Bytes((elems * 4) as u64));
+        let initial = FlatTensor::randn(elems, 0.02, 1);
+        let grads = FlatTensor::randn(elems, 0.01, 2);
+        g.bench_function(label, |b| {
+            let mut trainer =
+                PipelinedTrainer::new(&initial, Optimizer::adam_default(), DEVICES, subgroup)
+                    .expect("trainer")
+                    .with_compression(0.01)
+                    .expect("keep ratio");
+            b.iter(|| {
+                let report = trainer.train_step_with_grads(&grads).expect("step");
+                black_box(report.stages);
+            });
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_pipelined_step, bench_subgroup_regimes);
 criterion_main!(benches);

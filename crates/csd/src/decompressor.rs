@@ -6,6 +6,21 @@
 //! named by its index. It contains no arithmetic — "only requires routing the
 //! value to the right location" — which is why its resource cost in Table III
 //! is marginal.
+//!
+//! # `chunk_pairs` and the host tile
+//!
+//! The hardware blocks the *input*: [`Decompressor::chunk_pairs`] (the
+//! paper's `S`) pairs are staged in BRAM per load, however much dense
+//! gradient they cover (at 1 % keep, 4096 pairs span ~400 Ki elements), and
+//! the scatter lands in a subgroup-sized buffer in FPGA DRAM. The host model
+//! of [`crate::CsdDevice::update_subgroup`] blocks the *output* instead: it
+//! produces the dense gradient one cache-sized tile of elements at a time and
+//! takes from the stream whatever pairs fall inside the tile (~80 at 1 %
+//! keep), so no subgroup-sized gradient buffer exists on the host. Both walk
+//! the stream once, front to back, which the ascending-index invariant of
+//! [`CompressedGradient`] allows; `chunk_pairs` therefore shapes only the
+//! timed model and the loop blocking of [`Decompressor::decompress_into`],
+//! never a result.
 
 use gradcomp::CompressedGradient;
 use serde::{Deserialize, Serialize};
@@ -69,7 +84,8 @@ impl Decompressor {
 
     /// Decompresses only the elements belonging to the subgroup
     /// `[subgroup_offset, subgroup_offset + out.len())` of the original
-    /// gradient (the partition-masking step of Fig. 7).
+    /// gradient (the partition-masking step of Fig. 7): one binary search for
+    /// the subgroup's first pair, then a walk over its pairs only.
     ///
     /// # Panics
     ///
@@ -86,14 +102,7 @@ impl Decompressor {
             subgroup_offset + out.len(),
             compressed.original_len()
         );
-        out.fill(0.0);
-        let end = subgroup_offset + out.len();
-        for (&i, &v) in compressed.indices().iter().zip(compressed.values()) {
-            let i = i as usize;
-            if i >= subgroup_offset && i < end {
-                out[i - subgroup_offset] = v;
-            }
-        }
+        StreamCursor::at(compressed, subgroup_offset).scatter_next(subgroup_offset, out);
     }
 
     /// Sustained decompression throughput measured in bytes of *dense*
@@ -111,6 +120,42 @@ impl Decompressor {
     /// compressed stream with the given keep ratio.
     pub fn decompress_time_secs(&self, keep_ratio: f64, num_elements: usize) -> f64 {
         num_elements as f64 * 4.0 / self.throughput_bytes_per_sec(keep_ratio)
+    }
+}
+
+/// A position in a compressed stream: the pairs not yet scattered. Because
+/// the indices ascend, consecutive tiles of the dense gradient consume
+/// consecutive runs of pairs, so a tile costs its own pairs and nothing else.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StreamCursor<'a> {
+    indices: &'a [u32],
+    values: &'a [f32],
+}
+
+impl<'a> StreamCursor<'a> {
+    /// The pairs of `compressed` at or after element `start`.
+    pub(crate) fn at(compressed: &'a CompressedGradient, start: usize) -> Self {
+        let (indices, values) = (compressed.indices(), compressed.values());
+        let first = indices.partition_point(|&i| (i as usize) < start);
+        Self { indices: &indices[first..], values: &values[first..] }
+    }
+
+    /// Zeroes `out`, the dense gradient of elements `[start, start +
+    /// out.len())`, scatters the pairs that fall inside it and moves past
+    /// them. `start` must not precede the cursor's position.
+    pub(crate) fn scatter_next(&mut self, start: usize, out: &mut [f32]) {
+        out.fill(0.0);
+        let end = start + out.len();
+        let mut taken = 0;
+        for (&i, &v) in self.indices.iter().zip(self.values) {
+            if i as usize >= end {
+                break;
+            }
+            out[i as usize - start] = v;
+            taken += 1;
+        }
+        self.indices = &self.indices[taken..];
+        self.values = &self.values[taken..];
     }
 }
 
@@ -176,6 +221,43 @@ mod tests {
     }
 
     proptest! {
+        /// Stitched subgroups equal the full decompression for both selectors
+        /// at sparse and dense keep ratios — including subgroups that hold no
+        /// pair at all and a stream whose pairs all sit inside one subgroup.
+        #[test]
+        fn stitched_subgroups_equal_the_full_decompression_for_any_stream(
+            len in 1usize..3000,
+            subgroup in 1usize..700,
+            seed in 0u64..500,
+            cluster in 0usize..3000,
+        ) {
+            let grads = FlatTensor::randn(len, 1.0, seed);
+            // A stream whose pairs all sit in one short run: every subgroup
+            // outside it sees an empty walk.
+            let run = cluster % len..(cluster % len + 1 + len / 50).min(len);
+            let clustered = CompressedGradient::new(
+                run.clone().map(|i| i as u32).collect(),
+                grads.as_slice()[run].to_vec(),
+                len,
+            );
+            let streams = [
+                Compressor::top_k(0.001).compress(&grads),
+                Compressor::top_k(0.3).compress(&grads),
+                Compressor::random_k(0.02, seed).compress(&grads),
+                clustered,
+            ];
+            let d = Decompressor::default();
+            for compressed in &streams {
+                let full = compressed.decompress();
+                let mut stitched = vec![f32::NAN; len];
+                for piece in stitched.chunks_mut(subgroup).enumerate() {
+                    d.decompress_subgroup(compressed, piece.0 * subgroup, piece.1);
+                }
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&stitched), bits(full.as_slice()));
+            }
+        }
+
         /// Stitching per-subgroup decompressions together reproduces the full
         /// dense gradient for any subgroup size.
         #[test]

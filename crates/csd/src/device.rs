@@ -1,7 +1,7 @@
 //! The assembled SmartSSD device: SSD + FPGA DRAM + kernels + internal P2P
 //! traffic accounting.
 
-use crate::decompressor::Decompressor;
+use crate::decompressor::{Decompressor, StreamCursor};
 use crate::dram::{BufferId, DeviceDram, DramError};
 use crate::updater::Updater;
 use faultkit::FaultInjector;
@@ -9,12 +9,12 @@ use gradcomp::{CompressError, CompressedGradient};
 use optim::Optimizer;
 use parcore::ParExecutor;
 use serde::{Deserialize, Serialize};
-use ssd::{SsdDevice, SsdError};
+use ssd::{LentWindows, SsdDevice, SsdError};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
-use tensorlib::le_bytes::{fill_from_le_bytes, with_le_bytes};
+use tensorlib::le_bytes::{self, fill_from_le_bytes, with_le_bytes};
 use tensorlib::{f16, FlatTensor};
 
 /// Errors produced by the functional CSD update path.
@@ -167,11 +167,15 @@ impl ShardNames {
 }
 
 /// Device-internal bounded retry for transient faults *inside* a subgroup
-/// update. The update must not be retried whole once its write-back has
-/// partially landed (that would re-apply the optimizer step to an already
-/// updated master), so the device clears transient faults op-by-op — the
-/// FPGA scratch still holds the computed results, exactly like firmware
-/// retrying a failed program operation.
+/// update, gate by gate — exactly like firmware retrying one failed flash
+/// operation rather than the command it belongs to. The update passes every
+/// read and write gate before a byte of state moves, so it is all-or-nothing:
+/// a gate that exhausts the budget (or hits worn-out media) fails the update
+/// with every state region byte-identical to before the call, and the
+/// caller's whole-op retry recomputes the step from un-updated state. What
+/// this absorber adds over that retry is convergence: a whole-op retry would
+/// re-run the already-passed gates at fresh op indices, where new fault
+/// bursts can fire.
 #[derive(Debug, Clone, Copy, Default)]
 struct FaultAbsorber {
     budget: u32,
@@ -226,6 +230,78 @@ fn stored_region<'a>(
         .ok_or_else(|| CsdError::MissingShard { shard: shard.to_string() })
 }
 
+/// Elements per host tile of the streaming update. A tile of every state
+/// tensor plus the gradient (4 × 32 KiB for Adam) stays in L2 from its decode
+/// to its encode. Not a knob: a probe was flat from 2 Ki to 32 Ki elements
+/// and 25 % slower at 128 Ki.
+const TILE: usize = 8 * 1024;
+
+/// One updater worker's working set: a tile of the master copy, of the
+/// gradient and of every auxiliary state tensor.
+#[derive(Debug, Clone, Default)]
+struct TileScratch {
+    master: FlatTensor,
+    grad: FlatTensor,
+    aux: Vec<FlatTensor>,
+}
+
+/// Where a span's dense gradient tiles come from.
+enum GradSource<'a> {
+    /// The span's window of the dense gradient region.
+    Dense(&'a [u8]),
+    /// The Top-K stream, positioned at the span's first element.
+    Stream(StreamCursor<'a>),
+}
+
+/// One worker's share of a subgroup update: a contiguous run of tiles of the
+/// admitted state windows, streamed front to back with no further dispatch.
+struct TileSpan<'a> {
+    // Shard element offset of the span's first element.
+    start: usize,
+    // This span's bytes of the master window, then of each auxiliary window.
+    states: Vec<&'a mut [u8]>,
+    grad: GradSource<'a>,
+    scratch: &'a mut TileScratch,
+}
+
+impl TileSpan<'_> {
+    /// Per tile: decode the state, produce the gradient, run the updater
+    /// kernel, encode the state back over the bytes it came from.
+    ///
+    /// `pool` is the device's executor, passed down only because building a
+    /// [`ParExecutor`] samples the CPU count (a system call, ~15 µs — more
+    /// than the kernel spends on a tile): a tile is far below the fan-out
+    /// threshold, so the kernel runs inline on this worker.
+    fn stream(self, updater: Updater, pool: &ParExecutor, optimizer: &Optimizer, step: u64) {
+        let TileSpan { start, mut states, mut grad, scratch } = self;
+        let TileScratch { master, grad: grad_tile, aux } = scratch;
+        let elems = states[0].len() / 4;
+        for first in (0..elems).step_by(TILE) {
+            let n = TILE.min(elems - first);
+            let bytes = 4 * first..4 * (first + n);
+            let tensors = std::iter::once(&mut *master).chain(aux.iter_mut());
+            for (tensor, window) in tensors.zip(&states) {
+                tensor.resize(n, 0.0);
+                le_bytes::decode(&window[bytes.clone()], tensor.as_mut_slice());
+            }
+            grad_tile.resize(n, 0.0);
+            match &mut grad {
+                GradSource::Dense(window) => {
+                    le_bytes::decode(&window[bytes.clone()], grad_tile.as_mut_slice());
+                }
+                GradSource::Stream(cursor) => {
+                    cursor.scatter_next(start + first, grad_tile.as_mut_slice());
+                }
+            }
+            updater.run_with(pool, optimizer, master.as_mut_slice(), grad_tile, aux, step);
+            let tensors = std::iter::once(&*master).chain(aux.iter());
+            for (tensor, window) in tensors.zip(&mut states) {
+                le_bytes::encode(tensor.as_slice(), &mut window[bytes.clone()]);
+            }
+        }
+    }
+}
+
 /// A SmartSSD: NVMe SSD, FPGA device memory and the updater/decompressor
 /// kernels, connected by an internal PCIe switch.
 #[derive(Debug, Clone)]
@@ -240,12 +316,10 @@ pub struct CsdDevice {
     dropped: bool,
     faults: FaultAbsorber,
     shards: BTreeMap<String, ShardNames>,
-    // Per-subgroup working set: the update loop runs every iteration of
-    // training, so the P2P loads land in (and the write-backs leave from)
-    // these tensors' own memory, reused from one subgroup to the next.
-    master_scratch: FlatTensor,
-    grad_scratch: FlatTensor,
-    aux_scratch: Vec<FlatTensor>,
+    // One tile-sized working set per updater worker, reused from one
+    // subgroup to the next: the state streams through these in place, so
+    // nothing subgroup-sized exists on the host.
+    tile_scratch: Vec<TileScratch>,
     dram_buffers: Vec<BufferId>,
 }
 
@@ -265,9 +339,7 @@ impl CsdDevice {
             dropped: false,
             faults: FaultAbsorber::default(),
             shards: BTreeMap::new(),
-            master_scratch: FlatTensor::default(),
-            grad_scratch: FlatTensor::default(),
-            aux_scratch: Vec::new(),
+            tile_scratch: Vec::new(),
             dram_buffers: Vec::new(),
             name,
         }
@@ -332,8 +404,8 @@ impl CsdDevice {
     }
 
     /// Sets the device-internal retry budget for transient faults during a
-    /// subgroup update (transients are cleared op-by-op inside the device,
-    /// because a half-written subgroup must never be recomputed).
+    /// subgroup update (transients are cleared gate by gate inside the
+    /// device; an update whose gate cannot be cleared has changed nothing).
     pub fn set_retry_budget(&mut self, budget: u32) {
         self.faults.budget = budget;
     }
@@ -543,6 +615,12 @@ impl CsdDevice {
     /// decompressor (if the gradients are compressed) and the updater, then
     /// P2P-write the new state back to the SSD.
     ///
+    /// The transfers are admitted and counted one by one, all of them before
+    /// any state moves; the state then streams through cache-sized tiles in
+    /// one pass (decompress → update → write back per tile, the dataflow of
+    /// the paper's Fig. 7), so the update is all-or-nothing: on any error
+    /// every state region is byte-identical to before the call.
+    ///
     /// # Errors
     ///
     /// Returns [`CsdError::MissingShard`] if the shard is uninitialised (or
@@ -586,82 +664,68 @@ impl CsdDevice {
 
     fn update_subgroup_inner(&mut self, request: SubgroupUpdate<'_>) -> Result<(), CsdError> {
         let SubgroupUpdate { shard, offset, len, optimizer, step, compressed } = request;
-        let Self { ssd, faults, stats, master_scratch, grad_scratch, aux_scratch, .. } = self;
-        let names = &self.shards[shard];
+        let Self { ssd, faults, stats, tile_scratch, shards, .. } = self;
+        let names = &shards[shard];
         let num_aux = optimizer.kind().num_aux();
-        let byte_off = offset.saturating_mul(4);
+        // A saturated offset or length is out of bounds for any region, so it
+        // comes back as the SSD's error from the first gate.
+        let (byte_off, byte_len) = (offset.saturating_mul(4), len.saturating_mul(4));
 
-        // The scratch tensors are sized from the request, so a subgroup that
-        // does not lie inside the stored shard is refused before they grow.
-        let region_len = ssd.region_len(&names.master).unwrap_or(0);
-        let end = len.checked_mul(4).and_then(|l| l.checked_add(byte_off));
-        if end.map_or(true, |end| end > region_len) {
-            return Err(CsdError::Ssd(SsdError::OutOfBounds {
-                region: names.master.clone(),
-                offset: byte_off,
-                len: len.saturating_mul(4),
-                region_len,
-            }));
+        // 1. Every gate, in the order the P2P transfers are counted: load the
+        // master copy and the auxiliary states, load the dense gradient (a
+        // compressed one arrived with the request), write the master copy
+        // back (needed upstream first), then the auxiliaries. Transient faults
+        // are cleared gate by gate; nothing has moved if one cannot be.
+        let mut txn = ssd.begin_update();
+        for region in std::iter::once(&names.master).chain(&names.aux[..num_aux]) {
+            faults.retrying(|| txn.admit_read(region, byte_off, byte_len))?;
+            stats.p2p_read_bytes += byte_len as u64;
         }
-        let byte_len = 4 * len as u64;
-
-        // 1. P2P load: master copy and auxiliary states land in the device's
-        // scratch tensors' own memory (no staging buffer, no allocation).
-        aux_scratch.resize(num_aux, FlatTensor::default());
-        let states = std::iter::once(&mut *master_scratch).chain(aux_scratch.iter_mut());
-        for (region, tensor) in std::iter::once(&names.master).chain(&names.aux).zip(states) {
-            tensor.resize(len, 0.0);
-            fill_from_le_bytes(tensor.as_mut_slice(), |bytes| {
-                faults.retrying(|| ssd.read_exact_at(region, byte_off, bytes))
-            })?;
-            stats.p2p_read_bytes += byte_len;
-        }
-
-        // 2. Gradients: either decompress the compressed stream or load dense.
-        grad_scratch.resize(len, 0.0);
         match compressed {
+            // Only the subgroup's share of the compressed stream crosses the switch.
             Some(c) => {
-                self.decompressor.decompress_subgroup(c, offset, grad_scratch.as_mut_slice());
-                // Only the subgroup's share of the compressed stream crosses the switch.
-                let share = if c.original_len() == 0 {
-                    0
-                } else {
-                    (c.compressed_bytes() as u128 * len as u128 / c.original_len() as u128) as u64
-                };
-                stats.p2p_read_bytes += share;
+                let pairs_bytes = c.compressed_bytes() as u128 * len as u128;
+                let share = pairs_bytes.checked_div(c.original_len() as u128).unwrap_or(0);
+                stats.p2p_read_bytes += share as u64;
             }
             None => {
-                fill_from_le_bytes(grad_scratch.as_mut_slice(), |bytes| {
-                    faults.retrying(|| ssd.read_exact_at(&names.grad, byte_off, bytes))
-                })?;
-                stats.p2p_read_bytes += byte_len;
+                faults.retrying(|| txn.admit_read(&names.grad, byte_off, byte_len))?;
+                stats.p2p_read_bytes += byte_len as u64;
             }
-        };
+        }
+        for window in 0..=num_aux {
+            faults.retrying(|| txn.admit_write(window))?;
+            stats.p2p_write_bytes += byte_len as u64;
+        }
+        let LentWindows { read_write: mut states, read_only } = txn.lend();
 
-        // 3. Update on the FPGA: the PE-array parallelism maps onto the
-        // host executor's worker threads (bit-identical for any count).
-        self.updater.run_with(
-            &self.executor,
-            &optimizer,
-            master_scratch.as_mut_slice(),
-            grad_scratch,
-            aux_scratch,
-            step,
-        );
+        // 2. One pass over the admitted windows. The PE-array parallelism
+        // maps onto the host executor's workers (bit-identical for any
+        // count): each takes one contiguous run of tiles.
+        let runs = parcore::chunk_bounds(len.div_ceil(TILE), self.executor.workers_for(len));
+        if tile_scratch.len() < runs.len() {
+            tile_scratch.resize_with(runs.len(), TileScratch::default);
+        }
+        let mut spans = Vec::with_capacity(runs.len());
+        for (run, scratch) in runs.iter().zip(tile_scratch.iter_mut()) {
+            let first = run.start * TILE;
+            let span_bytes = 4 * ((run.end * TILE).min(len) - first);
+            let grad = match compressed {
+                Some(c) => GradSource::Stream(StreamCursor::at(c, offset + first)),
+                None => GradSource::Dense(&read_only[0][4 * first..4 * first + span_bytes]),
+            };
+            let states = states.iter_mut().map(|window| {
+                let (span, rest) = std::mem::take(window).split_at_mut(span_bytes);
+                *window = rest;
+                span
+            });
+            scratch.aux.resize(num_aux, FlatTensor::default());
+            spans.push(TileSpan { start: offset + first, states: states.collect(), grad, scratch });
+        }
+        let (updater, pool) = (self.updater, self.executor);
+        pool.for_each(spans, |_, span| span.stream(updater, &pool, &optimizer, step));
         stats.updates_run += 1;
         stats.elements_updated += len as u64;
-
-        // 4. P2P write-back, straight from the scratch tensors' memory: master
-        // first (needed upstream), then auxiliaries. Transient write faults
-        // are cleared device-internally (the scratch tensors still hold the
-        // results), so the caller never observes a half-written subgroup.
-        let states = std::iter::once(&*master_scratch).chain(aux_scratch.iter());
-        for (region, tensor) in std::iter::once(&names.master).chain(&names.aux).zip(states) {
-            with_le_bytes(tensor.as_slice(), |bytes| {
-                faults.retrying(|| ssd.write_at(region, byte_off, bytes))
-            })?;
-            stats.p2p_write_bytes += byte_len;
-        }
         Ok(())
     }
 }
@@ -816,7 +880,7 @@ mod tests {
         let mut request =
             SubgroupUpdate { shard: "s", offset: 0, len: 64, optimizer, step: 1, compressed: None };
         // Past the end of the shard, by offset or by a length no buffer could
-        // hold: refused before the scratch tensors grow.
+        // hold: refused at the first gate.
         for (offset, len) in [(1usize, 64usize), (64, 1), (0, usize::MAX / 256), (usize::MAX, 1)] {
             let err = csd.update_subgroup(SubgroupUpdate { offset, len, ..request }).unwrap_err();
             assert!(matches!(err, CsdError::Ssd(SsdError::OutOfBounds { .. })), "{err}");
@@ -893,33 +957,138 @@ mod tests {
 
     #[test]
     fn threaded_device_updates_are_bit_identical_to_serial() {
-        let n = 4096;
         let optimizer = Optimizer::adam_default();
-        let params = FlatTensor::randn(n, 0.02, 31);
-        let grads = FlatTensor::randn(n, 0.01, 32);
-        let run = |threads: usize| {
-            let mut csd = device();
-            csd.set_threads(threads);
-            assert_eq!(csd.executor().num_threads(), threads.max(1));
-            csd.store_initial_state("s", &params, &optimizer).unwrap();
-            csd.store_gradients("s", grads.as_slice()).unwrap();
-            for (offset, len) in [(0usize, 1500usize), (1500, 1500), (3000, 1096)] {
-                csd.update_subgroup(SubgroupUpdate {
-                    shard: "s",
-                    offset,
-                    len,
-                    optimizer,
-                    step: 1,
-                    compressed: None,
-                })
-                .unwrap();
+        // Dense and compressed requests; subgroups inside one tile, and a
+        // subgroup with a ragged last tile; last, a subgroup long enough that
+        // the workers really get a span of tiles each (the fan-out needs
+        // `MIN_ELEMS_PER_WORKER` elements per worker), so span boundaries and
+        // the per-span stream cursor are in play.
+        let wide = 7 * parcore::MIN_ELEMS_PER_WORKER + 3 * TILE + 17;
+        let cases: [(usize, &[usize]); 3] =
+            [(4096, &[1500, 1500, 1096]), (3 * TILE + 400, &[383, 3 * TILE + 17]), (wide, &[wide])];
+        for (n, subgroups) in cases {
+            let params = FlatTensor::randn(n, 0.02, 31);
+            let grads = FlatTensor::randn(n, 0.01, 32);
+            for stream in [None, Some(Compressor::top_k(0.01).compress(&grads))] {
+                let run = |threads: usize| {
+                    let mut csd = CsdDevice::new("csd0", 1 << 30, 1 << 30);
+                    csd.set_threads(threads);
+                    assert_eq!(csd.executor().num_threads(), threads.max(1));
+                    // As many cores as workers, whatever this machine has.
+                    csd.executor = csd.executor.with_assumed_cpus(threads);
+                    csd.store_initial_state("s", &params, &optimizer).unwrap();
+                    csd.store_gradients("s", grads.as_slice()).unwrap();
+                    let mut offset = 0;
+                    for &len in subgroups {
+                        let compressed = stream.as_ref();
+                        csd.update_subgroup(SubgroupUpdate {
+                            shard: "s",
+                            offset,
+                            len,
+                            optimizer,
+                            step: 1,
+                            compressed,
+                        })
+                        .unwrap();
+                        offset += len;
+                    }
+                    assert_eq!(offset, n);
+                    let workers = csd.executor.workers_for(*subgroups.last().unwrap());
+                    assert_eq!(csd.tile_scratch.len(), workers, "one tile set per worker");
+                    let state = |csd: &mut CsdDevice, i| csd.load_optimizer_state("s", i, 0, n);
+                    let aux = [state(&mut csd, 0).unwrap(), state(&mut csd, 1).unwrap()];
+                    (csd.load_parameters("s", 0, n).unwrap(), aux, csd.stats())
+                };
+                let serial = run(1);
+                // The serial device against the host optimizer on the whole shard.
+                let dense = stream.as_ref().map_or_else(|| grads.clone(), |c| c.decompress());
+                let mut host = params.clone();
+                let mut host_aux = optimizer.init_aux(n);
+                optimizer.step(host.as_mut_slice(), &dense, &mut host_aux, 1);
+                assert_eq!(serial.0.as_slice(), host.as_slice(), "n={n}");
+                assert_eq!(serial.1.as_slice(), host_aux.as_slice(), "n={n}");
+                for threads in [2usize, 4, 7] {
+                    assert_eq!(run(threads), serial, "n={n} threads={threads}");
+                }
             }
-            csd.load_parameters("s", 0, n).unwrap()
-        };
-        let serial = run(1);
-        for threads in [2usize, 4, 7] {
-            assert_eq!(run(threads).as_slice(), serial.as_slice(), "threads={threads}");
         }
+        assert_eq!(ParExecutor::new(7).with_assumed_cpus(7).workers_for(wide), 7);
+    }
+
+    #[test]
+    fn a_write_gate_past_the_retry_budget_leaves_every_state_region_untouched() {
+        use faultkit::{FaultOpKind, FaultPlan, FaultSpec};
+        let n = 600;
+        let budget = 1;
+        let optimizer = Optimizer::adam_default();
+        let params = FlatTensor::randn(n, 0.02, 71);
+        let grads = FlatTensor::randn(n, 0.01, 72);
+        // The gates of one dense Adam update, in order. Find a plan under
+        // which the second write gate is the first to need more retries than
+        // the budget allows.
+        let (r, w) = (FaultOpKind::Read, FaultOpKind::Write);
+        let gates = [r, r, r, r, w, w];
+        let plan = (0..10_000)
+            .map(|seed| {
+                let mut spec = FaultSpec::empty(seed);
+                spec.transient_per_mille = Some(400);
+                spec.max_transient_burst = Some(3);
+                FaultPlan::new(spec)
+            })
+            .find(|plan| {
+                let mut injector = plan.injector(0);
+                let mut burst = |kind| (0..).take_while(|_| injector.check(kind).is_err()).count();
+                let bursts: Vec<usize> = gates.iter().map(|&kind| burst(kind)).collect();
+                bursts[..5].iter().all(|&b| b <= budget) && bursts[5] > budget
+            })
+            .expect("some seed fails the second write gate first");
+
+        let mut csd = device();
+        csd.store_initial_state("s", &params, &optimizer).unwrap();
+        csd.store_gradients("s", grads.as_slice()).unwrap();
+        let regions = |csd: &CsdDevice| {
+            let mut ssd = csd.ssd().clone();
+            ssd.suspend_faults(true);
+            ssd.region_names().iter().map(|r| ssd.read_region(r).unwrap()).collect::<Vec<_>>()
+        };
+        let ops = |csd: &CsdDevice| (csd.ssd().read_ops(), csd.ssd().write_ops());
+        let (before, ops_before) = (regions(&csd), ops(&csd));
+        csd.set_fault_injector(plan.injector(0));
+        csd.set_retry_budget(budget as u32);
+        let request =
+            SubgroupUpdate { shard: "s", offset: 0, len: n, optimizer, step: 1, compressed: None };
+        let err = csd.update_subgroup(request).unwrap_err();
+        assert!(err.is_transient(), "{err}");
+
+        // Five gates passed and were counted — four reads, the master write —
+        // yet not one byte of state moved and no update ran.
+        assert!(regions(&csd) == before, "a failed update moved state bytes");
+        assert_eq!(ops(&csd), (ops_before.0 + 4, ops_before.1 + 1));
+        let expected = CsdTrafficStats {
+            p2p_read_bytes: 16 * n as u64,
+            p2p_write_bytes: 4 * n as u64,
+            updates_run: 0,
+            elements_updated: 0,
+        };
+        assert_eq!(csd.stats(), expected);
+        assert_eq!(csd.dram().used_bytes(), 0);
+
+        // So the caller's whole-op retry applies the step exactly once.
+        let mut attempts = 0;
+        while csd.update_subgroup(request).is_err() {
+            attempts += 1;
+            assert!(attempts < 8, "the transient faults did not heal");
+        }
+        let mut host = params.clone();
+        let mut host_aux = optimizer.init_aux(n);
+        optimizer.step(host.as_mut_slice(), &grads, &mut host_aux, 1);
+        csd.suspend_faults(true);
+        assert_eq!(csd.load_parameters("s", 0, n).unwrap().as_slice(), host.as_slice());
+        for (i, aux) in host_aux.iter().enumerate() {
+            let stored = csd.load_optimizer_state("s", i, 0, n).unwrap();
+            assert_eq!(stored.as_slice(), aux.as_slice(), "aux {i}");
+        }
+        assert_eq!(csd.stats().updates_run, 1);
     }
 
     #[test]

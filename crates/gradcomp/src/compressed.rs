@@ -36,6 +36,12 @@ pub enum CompressError {
         /// Length of the dense gradient.
         original_len: usize,
     },
+    /// An index is not greater than the one before it: the stream must name
+    /// each coordinate once, in ascending order.
+    IndexOutOfOrder {
+        /// Position in the index list of the first offending index.
+        position: usize,
+    },
     /// A subgroup to decompress reaches past the end of the dense gradient
     /// the stream was compressed from.
     SubgroupOutOfRange {
@@ -60,6 +66,9 @@ impl fmt::Display for CompressError {
             CompressError::IndexOutOfRange { index, original_len } => {
                 write!(f, "index {index} out of range {original_len}")
             }
+            CompressError::IndexOutOfOrder { position } => {
+                write!(f, "index at position {position} is not above the index before it")
+            }
             CompressError::SubgroupOutOfRange { offset, len, original_len } => {
                 write!(f, "subgroup of {len} at {offset} exceeds gradient length {original_len}")
             }
@@ -78,12 +87,24 @@ pub(crate) fn check_index_space(original_len: usize) -> Result<(), CompressError
     Ok(())
 }
 
+/// Position of the first index that is not above its predecessor, if any.
+fn first_out_of_order(indices: &[u32]) -> Option<usize> {
+    indices.windows(2).position(|pair| pair[0] >= pair[1]).map(|p| p + 1)
+}
+
 /// A sparsified gradient: the positions and values of the selected elements
 /// of a flat gradient vector of length `original_len`.
 ///
 /// This is exactly the representation the SmartComp decompressor consumes
 /// (paper Fig. 7, upper half): the FPGA walks the index list and scatters the
 /// values into a zero-initialised gradient buffer.
+///
+/// **Invariant: the indices are strictly ascending** (so each coordinate is
+/// named at most once). Both selectors emit them that way and
+/// [`CompressedGradient::try_new`] checks it; it is what lets a decompressor
+/// find a subgroup's pairs with one binary search and then walk the stream
+/// front to back, a tile at a time, instead of scanning all of it per
+/// subgroup.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct CompressedGradient {
     indices: Vec<u32>,
@@ -97,9 +118,9 @@ impl CompressedGradient {
     /// # Panics
     ///
     /// Panics if the lists have different lengths, if any index is out of
-    /// range, or if `original_len` exceeds `u32::MAX`. Callers that must not
-    /// abort on untrusted sizes (the training front-ends) use
-    /// [`CompressedGradient::try_new`].
+    /// range or not above its predecessor, or if `original_len` exceeds
+    /// `u32::MAX`. Callers that must not abort on untrusted sizes (the
+    /// training front-ends) use [`CompressedGradient::try_new`].
     pub fn new(indices: Vec<u32>, values: Vec<f32>, original_len: usize) -> Self {
         Self::try_new(indices, values, original_len).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -112,8 +133,9 @@ impl CompressedGradient {
     ///
     /// Returns [`CompressError::LengthMismatch`] for unequal lists,
     /// [`CompressError::IndexSpaceExceeded`] when `original_len` does not fit
-    /// the u32 index space, and [`CompressError::IndexOutOfRange`] for an
-    /// index pointing outside the dense gradient.
+    /// the u32 index space, [`CompressError::IndexOutOfRange`] for an index
+    /// pointing outside the dense gradient, and
+    /// [`CompressError::IndexOutOfOrder`] for a repeated or descending index.
     pub fn try_new(
         indices: Vec<u32>,
         values: Vec<f32>,
@@ -129,14 +151,19 @@ impl CompressedGradient {
         if let Some(&index) = indices.iter().find(|&&i| (i as usize) >= original_len) {
             return Err(CompressError::IndexOutOfRange { index, original_len });
         }
+        if let Some(position) = first_out_of_order(&indices) {
+            return Err(CompressError::IndexOutOfOrder { position });
+        }
         Ok(Self { indices, values, original_len })
     }
 
     /// Refills the stream in place (allocations reused) with the `selected`
-    /// coordinates of `grads`. The caller has checked `grads.len()` against
-    /// the index space; an index outside `grads` panics on the value read.
+    /// coordinates of `grads`, which the selectors list in ascending order.
+    /// The caller has checked `grads.len()` against the index space; an index
+    /// outside `grads` panics on the value read.
     pub(crate) fn refill(&mut self, selected: &[u32], grads: &[f32]) {
         debug_assert!(grads.len() <= u32::MAX as usize);
+        debug_assert_eq!(first_out_of_order(selected), None, "selection must be ascending");
         self.indices.clear();
         self.indices.extend_from_slice(selected);
         self.values.clear();
@@ -275,6 +302,13 @@ mod tests {
             CompressedGradient::try_new(vec![], vec![], oversized),
             Err(CompressError::IndexSpaceExceeded { original_len: oversized })
         );
+        // Descending and repeated indices both break the ascending invariant.
+        for (indices, position) in [(vec![2, 1, 3], 1), (vec![0, 2, 2], 2), (vec![0, 5, 7, 6], 3)] {
+            let values = vec![1.0; indices.len()];
+            let e = CompressedGradient::try_new(indices, values, 8).unwrap_err();
+            assert_eq!(e, CompressError::IndexOutOfOrder { position });
+            assert!(e.to_string().contains(&format!("position {position}")));
+        }
         // The error messages are what `new` panics with.
         let e = CompressedGradient::try_new(vec![3], vec![1.0], 2).unwrap_err();
         assert!(e.to_string().contains("index 3 out of range 2"));

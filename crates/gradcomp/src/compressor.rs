@@ -690,6 +690,29 @@ mod tests {
         Compressor::top_k(1.5);
     }
 
+    /// Top-K and Random-K streams of a `len`-element gradient, at several
+    /// keep ratios, are strictly ascending and pass `try_new` unchanged.
+    fn assert_selections_ascend(len: usize, seed: u64, chunks: usize) {
+        let grads = FlatTensor::randn(len, 1.0, seed);
+        for ratio in [0.001, 0.01, 0.05, 0.3, 1.0] {
+            for compressor in [Compressor::top_k(ratio), Compressor::random_k(ratio, seed)] {
+                let c = compressor.compress_par_chunked(&grads, &ParExecutor::new(2), chunks);
+                assert_eq!(c.num_selected(), compressor.num_kept(len));
+                assert!(c.indices().windows(2).all(|p| p[0] < p[1]), "{compressor:?}");
+                let (indices, values) = (c.indices().to_vec(), c.values().to_vec());
+                assert_eq!(CompressedGradient::try_new(indices, values, len), Ok(c));
+            }
+        }
+    }
+
+    #[test]
+    fn sampled_selections_are_strictly_ascending_too() {
+        // Above the sampling floor the cut, the lowering loop and the
+        // per-chunk candidate lists are all in play.
+        assert_selections_ascend(SAMPLE_FLOOR + 37, 5, 1);
+        assert_selections_ascend(SAMPLE_FLOOR + 37, 6, 3);
+    }
+
     proptest! {
         /// Top-K selection keeps exactly k elements and every kept magnitude is
         /// at least as large as every dropped magnitude.
@@ -709,6 +732,18 @@ mod tests {
                     prop_assert!(v.abs() <= min_kept + 1e-6);
                 }
             }
+        }
+
+        /// Both selectors emit strictly ascending indices at every keep ratio:
+        /// the stream invariant `CompressedGradient::try_new` checks holds by
+        /// construction.
+        #[test]
+        fn every_selection_is_strictly_ascending(
+            len in 1usize..3000,
+            seed in 0u64..1000,
+            chunks in 1usize..4,
+        ) {
+            assert_selections_ascend(len, seed, chunks);
         }
 
         /// Decompressed Top-K error is never larger than dropping everything.

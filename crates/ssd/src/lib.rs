@@ -35,7 +35,7 @@ mod store;
 pub use bandwidth::{BandwidthProfile, MediaLinks};
 pub use error::SsdError;
 pub use raid::{RaidArray, StorageCounters};
-pub use store::SsdDevice;
+pub use store::{LentWindows, SsdDevice, UpdateTxn};
 
 #[cfg(test)]
 mod tests {

@@ -286,25 +286,37 @@ impl SsdDevice {
     ///
     /// Returns [`SsdError::UnknownRegion`] or [`SsdError::OutOfBounds`].
     pub fn write_at(&mut self, region: &str, offset: usize, data: &[u8]) -> Result<(), SsdError> {
+        self.counted_write(region, offset, data.len())?.copy_from_slice(data);
+        Ok(())
+    }
+
+    /// The one partial-write path: fault gate, lookup, bounds check, then the
+    /// op and byte counters, in that order. The window is lent, so the caller
+    /// fills the `len` bytes it was counted for.
+    fn counted_write(
+        &mut self,
+        region: &str,
+        offset: usize,
+        len: usize,
+    ) -> Result<&mut [u8], SsdError> {
         self.check_write_faults()?;
         let buf = self.regions.get_mut(region).ok_or_else(|| SsdError::UnknownRegion {
             device: self.name.clone(),
             region: region.to_string(),
         })?;
         let region_len = buf.len();
-        let window = offset.checked_add(data.len()).and_then(|end| buf.get_mut(offset..end));
+        let window = offset.checked_add(len).and_then(|end| buf.get_mut(offset..end));
         let Some(window) = window else {
             return Err(SsdError::OutOfBounds {
                 region: region.to_string(),
                 offset,
-                len: data.len(),
+                len,
                 region_len,
             });
         };
-        window.copy_from_slice(data);
         self.writes += 1;
-        self.bytes_written += data.len() as u64;
-        Ok(())
+        self.bytes_written += len as u64;
+        Ok(window)
     }
 
     /// The one read path: fault gate, lookup, bounds check, then the op and
@@ -398,8 +410,8 @@ impl SsdDevice {
 
     /// Reads the `out.len()` bytes at `offset` of a region straight into
     /// `out` — the destination-passing form of [`SsdDevice::read_at`]: one
-    /// copy, no allocation (the per-subgroup P2P load of the CSD update
-    /// fills its scratch tensors through this).
+    /// copy, no allocation (the CSD's parameter and optimizer-state loads
+    /// fill the caller's tensor through this).
     ///
     /// # Errors
     ///
@@ -433,6 +445,12 @@ impl SsdDevice {
         self.counted_read(region, Span::Range { offset, len }).map(consume)
     }
 
+    /// Opens an in-place update of byte windows of existing regions — see
+    /// [`UpdateTxn`].
+    pub fn begin_update(&mut self) -> UpdateTxn<'_> {
+        UpdateTxn { ssd: self, windows: Vec::new() }
+    }
+
     /// Deletes a region, returning whether it existed.
     pub fn delete_region(&mut self, region: &str) -> bool {
         let removed = self.regions.remove(region);
@@ -446,6 +464,117 @@ impl SsdDevice {
         self.writes = 0;
         self.bytes_read = 0;
         self.bytes_written = 0;
+    }
+}
+
+/// One window of an [`UpdateTxn`]: `len` bytes at `offset` of `region`,
+/// admitted for reading and, once `writable`, for being written back.
+#[derive(Debug, Clone, Copy)]
+struct TxnWindow<'a> {
+    region: &'a str,
+    offset: usize,
+    len: usize,
+    writable: bool,
+}
+
+/// An in-place update of byte windows of existing regions, for a reader that
+/// transforms a region where it lies instead of copying it out and back (the
+/// CSD updater streams optimizer state through cache-sized tiles this way).
+///
+/// The transaction has two phases. First every access is *admitted*, one
+/// region at a time, through exactly the gate of the matching stand-alone
+/// operation — [`UpdateTxn::admit_read`] is [`SsdDevice::read_at`] and
+/// [`UpdateTxn::admit_write`] is [`SsdDevice::write_at`] up to the point where
+/// bytes would move: fault decision, lookup, bounds check, op and byte
+/// counters. A refused admission leaves the transaction as it was, so the
+/// caller retries or gives up per gate. Then [`UpdateTxn::lend`] hands out the
+/// admitted windows, and only those: bytes that were not gated and counted
+/// for exactly that access never leave the device, and nothing is modified
+/// unless every gate the caller wanted has passed.
+#[derive(Debug)]
+pub struct UpdateTxn<'a> {
+    ssd: &'a mut SsdDevice,
+    windows: Vec<TxnWindow<'a>>,
+}
+
+/// The windows an [`UpdateTxn`] admitted, each exactly the bytes its gates
+/// counted, in admission order within each list.
+#[derive(Debug)]
+pub struct LentWindows<'a> {
+    /// Windows admitted for reading and for being written back.
+    pub read_write: Vec<&'a mut [u8]>,
+    /// Windows admitted for reading only.
+    pub read_only: Vec<&'a [u8]>,
+}
+
+impl<'a> UpdateTxn<'a> {
+    /// Admits one counted read of `len` bytes at `offset` of `region`; on
+    /// success the window joins the transaction under the next number
+    /// (0, 1, …).
+    ///
+    /// # Errors
+    ///
+    /// Returns what [`SsdDevice::read_at`] would: an injected fault,
+    /// [`SsdError::UnknownRegion`] or [`SsdError::OutOfBounds`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the transaction already holds a window of `region` (two
+    /// windows of one buffer cannot both be lent).
+    pub fn admit_read(
+        &mut self,
+        region: &'a str,
+        offset: usize,
+        len: usize,
+    ) -> Result<(), SsdError> {
+        assert!(
+            self.windows.iter().all(|w| w.region != region),
+            "region {region} admitted twice in one update transaction"
+        );
+        self.ssd.counted_read(region, Span::Range { offset, len })?;
+        self.windows.push(TxnWindow { region, offset, len, writable: false });
+        Ok(())
+    }
+
+    /// Admits one counted write of exactly the bytes of window number
+    /// `window`, which [`UpdateTxn::lend`] then lends mutably.
+    ///
+    /// # Errors
+    ///
+    /// Returns what [`SsdDevice::write_at`] would: [`SsdError::WornOut`] or an
+    /// injected fault (the lookup and bounds check cannot fail again).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no read has been admitted under that number.
+    pub fn admit_write(&mut self, window: usize) -> Result<(), SsdError> {
+        let TxnWindow { region, offset, len, .. } = self.windows[window];
+        self.ssd.counted_write(region, offset, len)?;
+        self.windows[window].writable = true;
+        Ok(())
+    }
+
+    /// Ends the admission phase and lends the admitted windows for as long
+    /// as the device stays borrowed. Walks the device's regions once.
+    pub fn lend(self) -> LentWindows<'a> {
+        let UpdateTxn { ssd, windows } = self;
+        let mut slots: Vec<Option<&'a mut [u8]>> = windows.iter().map(|_| None).collect();
+        for (name, buf) in &mut ssd.regions {
+            if let Some(k) = windows.iter().position(|w| w.region == name) {
+                // In bounds: both gates checked this range against this buffer.
+                slots[k] = Some(&mut buf[windows[k].offset..windows[k].offset + windows[k].len]);
+            }
+        }
+        let mut lent = LentWindows { read_write: Vec::new(), read_only: Vec::new() };
+        for (window, bytes) in windows.iter().zip(slots) {
+            let bytes = bytes.expect("an admitted region exists");
+            if window.writable {
+                lent.read_write.push(bytes);
+            } else {
+                lent.read_only.push(bytes);
+            }
+        }
+        lent
     }
 }
 
@@ -662,6 +791,79 @@ mod tests {
         assert!(!called);
         assert_eq!(window, [2, 3, 4]);
         assert_eq!((ssd.read_ops(), ssd.bytes_read(), ssd.write_ops()), (2, 5, 1));
+    }
+
+    #[test]
+    fn an_update_transaction_counts_like_the_stand_alone_ops_and_lends_only_what_it_admitted() {
+        let mut ssd = SsdDevice::new("ssd0", 100);
+        let mut plain = SsdDevice::new("ssd0", 100);
+        for dev in [&mut ssd, &mut plain] {
+            dev.write_region("a", (0u8..10).collect()).unwrap();
+            dev.write_region("b", (10u8..20).collect()).unwrap();
+            dev.write_region("c", vec![7; 4]).unwrap();
+        }
+        // The stand-alone sequence: R a, R b, W a.
+        let a = plain.read_at("a", 2, 4).unwrap();
+        plain.read_at("b", 0, 3).unwrap();
+        plain.write_at("a", 2, &a.iter().map(|v| v + 100).collect::<Vec<_>>()).unwrap();
+
+        let mut txn = ssd.begin_update();
+        txn.admit_read("a", 2, 4).unwrap();
+        // Refused admissions are typed, count nothing and add no window.
+        assert!(matches!(txn.admit_read("q", 0, 1), Err(SsdError::UnknownRegion { .. })));
+        for offset in [8usize, usize::MAX] {
+            assert!(matches!(txn.admit_read("c", offset, 3), Err(SsdError::OutOfBounds { .. })));
+        }
+        txn.admit_read("b", 0, 3).unwrap();
+        txn.admit_write(0).unwrap();
+        let LentWindows { mut read_write, read_only } = txn.lend();
+        assert_eq!((read_write.len(), read_only.len()), (1, 1));
+        assert_eq!(read_only[0], [10, 11, 12]);
+        assert_eq!(read_write[0], [2, 3, 4, 5]);
+        read_write[0].iter_mut().for_each(|v| *v += 100);
+
+        let counters =
+            |d: &SsdDevice| (d.read_ops(), d.write_ops(), d.bytes_read(), d.bytes_written());
+        assert_eq!(counters(&ssd), counters(&plain));
+        for region in ["a", "b", "c"] {
+            assert_eq!(ssd.regions[region], plain.regions[region], "{region}");
+        }
+    }
+
+    #[test]
+    fn a_refused_write_gate_leaves_the_transaction_retryable_and_the_bytes_alone() {
+        use faultkit::{FaultPlan, FaultSpec};
+        let mut spec = FaultSpec::empty(11);
+        spec.transient_per_mille = Some(1000); // every op faults once per burst
+        spec.max_transient_burst = Some(1);
+        let mut ssd = SsdDevice::new("ssd0", 100);
+        ssd.write_region("a", vec![1; 8]).unwrap();
+        ssd.set_fault_injector(FaultPlan::new(spec).injector(0));
+        let mut txn = ssd.begin_update();
+        assert!(txn.admit_read("a", 0, 8).unwrap_err().is_transient());
+        txn.admit_read("a", 0, 8).unwrap();
+        assert!(txn.admit_write(0).unwrap_err().is_transient());
+        // Given up here: the window was never admitted for writing, so it is
+        // lent read-only and nothing was written or counted as written.
+        let lent = txn.lend();
+        assert!(lent.read_write.is_empty());
+        assert_eq!(lent.read_only, [&[1u8; 8][..]]);
+        assert_eq!((ssd.read_ops(), ssd.write_ops(), ssd.bytes_written()), (1, 1, 8));
+        // Worn-out media refuses the write gate too.
+        ssd.inject_wearout();
+        let mut txn = ssd.begin_update();
+        while txn.admit_read("a", 0, 8).is_err() {}
+        assert!(matches!(txn.admit_write(0), Err(SsdError::WornOut { .. })));
+    }
+
+    #[test]
+    #[should_panic(expected = "admitted twice")]
+    fn one_region_cannot_hold_two_windows_of_a_transaction() {
+        let mut ssd = SsdDevice::new("ssd0", 100);
+        ssd.write_region("a", vec![0; 8]).unwrap();
+        let mut txn = ssd.begin_update();
+        txn.admit_read("a", 0, 2).unwrap();
+        let _ = txn.admit_read("a", 4, 2);
     }
 
     proptest! {

@@ -7,7 +7,8 @@
 //! workspace shares:
 //!
 //! * [`KernelPath`] — which implementation tier runs: `scalar` (the portable
-//!   reference loops), `sse2` (x86-64 baseline, 4-wide) or `avx2` (8-wide).
+//!   reference loops), `sse2` (x86-64 baseline, 4-wide) or `avx2` (8-wide,
+//!   with F16C for the binary16 conversions).
 //! * [`KernelPath::active`] — the tier picked once per process via
 //!   `is_x86_feature_detected!`, overridable with the
 //!   `SMART_INFINITY_KERNEL_PATH` environment variable (useful for A/B
@@ -18,11 +19,13 @@
 //!
 //! **Every vector path is bit-identical to the scalar reference** — including
 //! round-to-nearest-even ties, subnormals, signed zeros, saturation to
-//! infinity and NaN canonicalisation (the scalar converter canonicalises NaN
-//! payloads, which is exactly why the hardware F16C instructions are *not*
-//! used: `vcvtps2ph` preserves payload bits and would diverge). The
-//! exhaustive suites in this module and in `half.rs` assert equality over
-//! all 65536 binary16 bit patterns and over adversarial f32 classes.
+//! infinity and NaN canonicalisation. The scalar converter drops NaN
+//! payloads; the hardware F16C instructions the `avx2` tier converts with
+//! (`vcvtps2ph` / `vcvtph2ps`) keep them, so that tier clears the payload
+//! bits of NaN lanes afterwards and agrees everywhere else by IEEE 754. The
+//! suites in this module and in `half.rs` assert equality over all 65536
+//! binary16 bit patterns, over adversarial f32 classes and (release mode,
+//! `--ignored`) over all 2³² binary32 bit patterns.
 //!
 //! This is the only module in the crate allowed to use `unsafe` (for
 //! `std::arch` intrinsics); the crate root remains `deny(unsafe_code)`.
@@ -51,7 +54,8 @@ pub enum KernelPath {
     Scalar,
     /// 4-wide `std::arch` x86-64 SSE2 intrinsics.
     Sse2,
-    /// 8-wide `std::arch` x86-64 AVX2 intrinsics.
+    /// 8-wide `std::arch` x86-64 AVX2 intrinsics, plus F16C for the binary16
+    /// conversions (every AVX2 CPU shipped has both).
     Avx2,
 }
 
@@ -89,7 +93,9 @@ impl KernelPath {
             #[cfg(target_arch = "x86_64")]
             KernelPath::Sse2 => is_x86_feature_detected!("sse2"),
             #[cfg(target_arch = "x86_64")]
-            KernelPath::Avx2 => is_x86_feature_detected!("avx2"),
+            KernelPath::Avx2 => {
+                is_x86_feature_detected!("avx2") && is_x86_feature_detected!("f16c")
+            }
             #[cfg(not(target_arch = "x86_64"))]
             _ => false,
         }
@@ -255,148 +261,47 @@ pub(crate) fn f32_to_f16_bytes_bulk(path: KernelPath, src: &[f32], dst: &mut [u8
     }
 }
 
-/// 8-wide AVX2 conversions. The arithmetic mirrors the scalar converters
-/// case by case; see the comments on each step for the equivalence argument.
+/// 8-wide conversions on the F16C instructions. Hardware and the scalar
+/// converters both implement IEEE 754 round-to-nearest-even, so they agree on
+/// every finite value, infinity and zero; only NaN lanes need a fix-up, since
+/// hardware keeps (the top of) a payload the scalar converters drop.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use crate::half::f16;
     use std::arch::x86_64::*;
 
-    /// Round-to-nearest-even on the dropped low 13 bits (the f32→f16
-    /// mantissa narrowing), mirroring `round_shift_right(m, 13)`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn rtne_shift13(mant: __m256i) -> __m256i {
-        let truncated = _mm256_srli_epi32::<13>(mant);
-        let dropped = _mm256_and_si256(mant, _mm256_set1_epi32(0x1FFF));
-        let halfway = _mm256_set1_epi32(0x1000);
-        // All quantities are < 2^13, so signed 32-bit compares are exact.
-        let above = _mm256_cmpgt_epi32(dropped, halfway);
-        let odd = _mm256_cmpeq_epi32(
-            _mm256_and_si256(truncated, _mm256_set1_epi32(1)),
-            _mm256_set1_epi32(1),
-        );
-        let tie = _mm256_and_si256(_mm256_cmpeq_epi32(dropped, halfway), odd);
-        // A set mask is -1 per lane; subtracting it adds the rounding unit.
-        _mm256_sub_epi32(truncated, _mm256_or_si256(above, tie))
-    }
-
-    /// Round-to-nearest-even with a per-lane shift in `[14, 24]` (the
-    /// subnormal narrowing), mirroring `round_shift_right(m, shift)`.
-    /// Lanes whose shift is outside that range produce garbage that the
-    /// caller blends away (variable shifts with counts ≥ 32 yield 0, so
-    /// there is no UB either way).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn rtne_shift_var(value: __m256i, shift: __m256i) -> __m256i {
-        let one = _mm256_set1_epi32(1);
-        let truncated = _mm256_srlv_epi32(value, shift);
-        let low_mask = _mm256_sub_epi32(_mm256_sllv_epi32(one, shift), one);
-        let dropped = _mm256_and_si256(value, low_mask);
-        let halfway = _mm256_sllv_epi32(one, _mm256_sub_epi32(shift, one));
-        // Values are < 2^24, so signed compares are exact.
-        let above = _mm256_cmpgt_epi32(dropped, halfway);
-        let odd = _mm256_cmpeq_epi32(_mm256_and_si256(truncated, one), one);
-        let tie = _mm256_and_si256(_mm256_cmpeq_epi32(dropped, halfway), odd);
-        _mm256_sub_epi32(truncated, _mm256_or_si256(above, tie))
-    }
-
-    /// Narrows eight u32 lanes (each ≤ 0xFFFF) to eight packed u16s.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn pack_u32_to_u16(v: __m256i) -> __m128i {
-        // packus saturates per 128-bit lane; our values fit, so this is a
-        // pure narrowing. The permute stitches the two lane-local halves.
-        let packed = _mm256_packus_epi32(v, v);
-        let ordered = _mm256_permute4x64_epi64::<0b00_00_10_00>(packed);
-        _mm256_castsi256_si128(ordered)
-    }
-
     /// Eight `f32 → f16` conversions, bit-identical to `f16::from_f32`.
     #[inline]
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,f16c")]
     unsafe fn from_f32x8(v: __m256) -> __m128i {
-        let bits = _mm256_castps_si256(v);
-        let sign = _mm256_and_si256(_mm256_srli_epi32::<16>(bits), _mm256_set1_epi32(0x8000));
-        let exp = _mm256_and_si256(_mm256_srli_epi32::<23>(bits), _mm256_set1_epi32(0xFF));
-        let mant = _mm256_and_si256(bits, _mm256_set1_epi32(0x007F_FFFF));
-
-        // Normal range (f32 exponent 113..=142): `(half_exp << 10) + rounded`.
-        // The *add* is what makes the scalar mantissa-overflow branch
-        // implicit: a round-up past 10 bits carries into the exponent, and
-        // half_exp 30 carrying to 31 lands exactly on the infinity pattern.
-        let half_exp = _mm256_sub_epi32(exp, _mm256_set1_epi32(112));
-        let normal = _mm256_add_epi32(_mm256_slli_epi32::<10>(half_exp), rtne_shift13(mant));
-
-        // Subnormal range (f32 exponent 102..=112): shift the mantissa with
-        // its implicit leading one right by `126 - exp` ∈ [14, 24]. A round
-        // up to 0x400 lands exactly on the smallest normal, as in scalar.
-        let full = _mm256_or_si256(mant, _mm256_set1_epi32(0x0080_0000));
-        let shift = _mm256_sub_epi32(_mm256_set1_epi32(126), exp);
-        let subnormal = rtne_shift_var(full, shift);
-
-        // Exponent 255: infinity keeps 0x7C00, any NaN canonicalises to
-        // 0x7E00 (payload dropped, exactly like the scalar converter).
-        let mant_zero = _mm256_cmpeq_epi32(mant, _mm256_setzero_si256());
-        let special =
-            _mm256_blendv_epi8(_mm256_set1_epi32(0x7E00), _mm256_set1_epi32(0x7C00), mant_zero);
-
-        // Each threshold mask is a superset of the next, so layering the
-        // blends widest-class-first resolves every lane to its own case.
-        let is_subnormal = _mm256_cmpgt_epi32(exp, _mm256_set1_epi32(101));
-        let is_normal = _mm256_cmpgt_epi32(exp, _mm256_set1_epi32(112));
-        let is_overflow = _mm256_cmpgt_epi32(exp, _mm256_set1_epi32(142));
-        let is_special = _mm256_cmpeq_epi32(exp, _mm256_set1_epi32(0xFF));
-        let mut res = _mm256_setzero_si256(); // underflow → signed zero
-        res = _mm256_blendv_epi8(res, subnormal, is_subnormal);
-        res = _mm256_blendv_epi8(res, normal, is_normal);
-        res = _mm256_blendv_epi8(res, _mm256_set1_epi32(0x7C00), is_overflow);
-        res = _mm256_blendv_epi8(res, special, is_special);
-        pack_u32_to_u16(_mm256_or_si256(res, sign))
+        let h = _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(v);
+        // A NaN comes out quieted (0x0200 set) with the top nine payload
+        // bits kept: clearing those leaves `sign | 0x7E00`, the scalar
+        // converter's canonical NaN. Magnitudes are ≤ 0x7FFF, so the signed
+        // 16-bit compare is exact.
+        let magnitude = _mm_and_si128(h, _mm_set1_epi16(0x7FFF));
+        let is_nan = _mm_cmpgt_epi16(magnitude, _mm_set1_epi16(0x7C00));
+        _mm_andnot_si128(_mm_and_si128(is_nan, _mm_set1_epi16(0x01FF)), h)
     }
 
     /// Eight `f16 → f32` conversions, bit-identical to `f16::to_f32`.
     #[inline]
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,f16c")]
     unsafe fn to_f32x8(h: __m128i) -> __m256 {
-        let bits = _mm256_cvtepu16_epi32(h);
-        let sign = _mm256_slli_epi32::<16>(_mm256_and_si256(bits, _mm256_set1_epi32(0x8000)));
-        let exp = _mm256_and_si256(_mm256_srli_epi32::<10>(bits), _mm256_set1_epi32(0x1F));
-        let mant = _mm256_and_si256(bits, _mm256_set1_epi32(0x03FF));
-
-        // Normal: rebias the exponent, widen the mantissa.
-        let normal = _mm256_or_si256(
-            _mm256_slli_epi32::<23>(_mm256_add_epi32(exp, _mm256_set1_epi32(112))),
-            _mm256_slli_epi32::<13>(mant),
-        );
-        // Subnormal (and zero): value = mant · 2⁻²⁴ — exact, because the
-        // ≤10-bit integer converts exactly and the power-of-two scale only
-        // shifts the exponent. This replaces the scalar normalisation loop.
-        let scale = _mm256_set1_ps(f32::from_bits(0x3380_0000)); // 2^-24
-        let subnormal = _mm256_castps_si256(_mm256_mul_ps(_mm256_cvtepi32_ps(mant), scale));
-        // Exponent 31: infinity, or the canonical quiet NaN (payload
-        // dropped, exactly like the scalar converter).
-        let mant_zero = _mm256_cmpeq_epi32(mant, _mm256_setzero_si256());
-        let inf_nan = _mm256_blendv_epi8(
-            _mm256_set1_epi32(0x7FC0_0000u32 as i32),
-            _mm256_set1_epi32(0x7F80_0000u32 as i32),
-            mant_zero,
-        );
-
-        let exp_zero = _mm256_cmpeq_epi32(exp, _mm256_setzero_si256());
-        let exp_max = _mm256_cmpeq_epi32(exp, _mm256_set1_epi32(0x1F));
-        let mut res = normal;
-        res = _mm256_blendv_epi8(res, subnormal, exp_zero);
-        res = _mm256_blendv_epi8(res, inf_nan, exp_max);
-        _mm256_castsi256_ps(_mm256_or_si256(res, sign))
+        let v = _mm256_cvtph_ps(h);
+        // As above: a NaN arrives quieted (0x0040_0000 set) with its payload
+        // shifted up; clearing the payload leaves `sign | 0x7FC0_0000`.
+        let payload = _mm256_castsi256_ps(_mm256_set1_epi32(0x003F_FFFF));
+        let is_nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(v, v);
+        _mm256_andnot_ps(_mm256_and_ps(is_nan, payload), v)
     }
 
     /// Bulk `f32 → f16`, writing LE u16 pairs to `dst` (unaligned).
     ///
     /// # Safety
     ///
-    /// Caller guarantees AVX2 and `2 * src.len()` writable bytes at `dst`.
-    #[target_feature(enable = "avx2")]
+    /// Caller guarantees AVX2 + F16C and `2 * src.len()` writable bytes at `dst`.
+    #[target_feature(enable = "avx2,f16c")]
     pub(super) unsafe fn f32_to_f16(src: &[f32], dst: *mut u8) {
         let n = src.len();
         let mut i = 0;
@@ -417,8 +322,8 @@ mod avx2 {
     ///
     /// # Safety
     ///
-    /// Caller guarantees AVX2 and `2 * dst.len()` readable bytes at `src`.
-    #[target_feature(enable = "avx2")]
+    /// Caller guarantees AVX2 + F16C and `2 * dst.len()` readable bytes at `src`.
+    #[target_feature(enable = "avx2,f16c")]
     pub(super) unsafe fn f16_to_f32(src: *const u8, dst: &mut [f32]) {
         let n = dst.len();
         let mut i = 0;
@@ -438,14 +343,17 @@ mod avx2 {
     ///
     /// # Safety
     ///
-    /// Caller guarantees AVX2; slice lengths are equal (asserted upstream).
-    #[target_feature(enable = "avx2")]
+    /// Caller guarantees AVX2 + F16C; slice lengths are equal (asserted upstream).
+    #[target_feature(enable = "avx2,f16c")]
     pub(super) unsafe fn f16_roundtrip(src: &[f32], dst: &mut [f32]) {
         let n = src.len();
         let mut i = 0;
         while i + 8 <= n {
-            let v = to_f32x8(from_f32x8(_mm256_loadu_ps(src.as_ptr().add(i))));
-            _mm256_storeu_ps(dst.as_mut_ptr().add(i), v);
+            // No fix-up between the conversions: `to_f32x8` drops whatever
+            // payload a NaN half carries.
+            let h =
+                _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(_mm256_loadu_ps(src.as_ptr().add(i)));
+            _mm256_storeu_ps(dst.as_mut_ptr().add(i), to_f32x8(h));
             i += 8;
         }
         while i < n {
@@ -657,16 +565,24 @@ mod tests {
         assert_eq!(KernelPath::detect(), *available.iter().max().unwrap());
     }
 
-    /// Adversarial f32 inputs: every exponent × mantissa patterns that sit
-    /// on the RTNE tie boundaries, both signs, plus the classic specials.
+    /// Adversarial f32 inputs: every exponent, both signs, and mantissas on
+    /// and next to every rounding boundary — all-zeros, all-ones, and for each
+    /// bit position `b` the halfway pattern `1 << b` and its two neighbours,
+    /// under an even and an odd kept bit (the normal narrowing drops 13 bits,
+    /// the subnormal one 14 to 24). At exponent 255 the same mantissas are
+    /// signalling (top bit clear) and quiet NaN payloads.
     fn adversarial_f32_inputs() -> Vec<f32> {
+        let mut mants = vec![0u32, 0x007F_FFFF, 0x0FFF, 0x1FFF, 0x3000, 0x5F_F000, 0x7F_E000];
+        for b in 0..23 {
+            for kept in [0u32, 2 << b] {
+                for delta in [-1i32, 0, 1] {
+                    mants.push(((kept | 1 << b) as i32 + delta) as u32 & 0x007F_FFFF);
+                }
+            }
+        }
         let mut out = Vec::new();
-        let mant_patterns = [
-            0u32, 1, 0x0FFF, 0x1000, 0x1001, 0x1FFF, 0x2000, 0x3000, 0x0800, 0x200000, 0x3FFFFF,
-            0x400000, 0x5FF000, 0x7FE000, 0x7FF000, 0x7FFFFF,
-        ];
         for exp in 0u32..=255 {
-            for &mant in &mant_patterns {
+            for &mant in &mants {
                 for sign in [0u32, 0x8000_0000] {
                     out.push(f32::from_bits(sign | (exp << 23) | mant));
                 }
@@ -675,6 +591,52 @@ mod tests {
         // Every f16-representable value as an f32 (covers exact round trips).
         out.extend((0..=u16::MAX).map(|b| f16::from_bits(b).to_f32()));
         out
+    }
+
+    /// `f32 → f16` and the FP16 round trip of `inputs` on every available
+    /// path against `Scalar`, bit for bit.
+    fn assert_paths_match_scalar(inputs: &[f32]) {
+        let n = inputs.len();
+        let (mut halves, mut got_halves) = (vec![f16::ZERO; n], vec![f16::ZERO; n]);
+        let (mut rounded, mut got_rounded) = (vec![0.0f32; n], vec![0.0f32; n]);
+        f16::from_f32_slice_into_with(KernelPath::Scalar, inputs, &mut halves);
+        f16::roundtrip_slice_into_with(KernelPath::Scalar, inputs, &mut rounded);
+        for path in KernelPath::available() {
+            f16::from_f32_slice_into_with(path, inputs, &mut got_halves);
+            f16::roundtrip_slice_into_with(path, inputs, &mut got_rounded);
+            for (i, x) in inputs.iter().enumerate() {
+                let x = x.to_bits();
+                assert_eq!(got_halves[i], halves[i], "{path}: from_f32({x:#010x})");
+                let (got, want) = (got_rounded[i].to_bits(), rounded[i].to_bits());
+                assert_eq!(got, want, "{path}: roundtrip({x:#010x})");
+            }
+        }
+    }
+
+    #[test]
+    fn adversarial_and_strided_f32_patterns_match_scalar_on_every_path() {
+        assert_paths_match_scalar(&adversarial_f32_inputs());
+        // A coprime stride through all 2³² patterns (65 536 of them), at a
+        // length that leaves a ragged vector tail.
+        let strided: Vec<f32> =
+            (0..=u16::MAX as u32).map(|i| i.wrapping_mul(65_521)).map(f32::from_bits).collect();
+        assert_paths_match_scalar(&strided[..strided.len() - 3]);
+    }
+
+    /// Every one of the 2³² `f32` bit patterns. Release mode only
+    /// (`cargo test --release -p tensorlib -- --ignored`, about 80 s: most of it
+    /// is the scalar reference itself).
+    #[test]
+    #[ignore = "sweeps all 2^32 f32 bit patterns; run in release mode"]
+    fn all_f32_bit_patterns_match_scalar_on_every_path() {
+        const BLOCK: u32 = 1 << 14; // small enough that the allocator recycles the scratch
+        let mut inputs = vec![0.0f32; BLOCK as usize];
+        for block in 0..=u32::MAX / BLOCK {
+            for (i, x) in inputs.iter_mut().enumerate() {
+                *x = f32::from_bits(block * BLOCK + i as u32);
+            }
+            assert_paths_match_scalar(&inputs);
+        }
     }
 
     #[test]

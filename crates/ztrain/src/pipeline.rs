@@ -425,9 +425,10 @@ impl PipelinedTrainer {
 
         // Stage 2 — update: subgroup-by-subgroup near-storage optimizer step
         // over CSD-internal P2P. Transient faults are cleared *inside* the
-        // device (a half-written subgroup must never be recomputed from
-        // already-updated state); the wrapper here only handles dead devices,
-        // whose first failing operation precedes any write-back.
+        // device, gate by gate, and an update moves no state until every gate
+        // has passed — so whatever error reaches the wrapper here (a dead
+        // device, an exhausted budget) left the subgroup un-updated, and
+        // repeating the whole operation steps it exactly once.
         for subgroup in Chunker::new(shard.len, subgroup_elems).subgroups() {
             recover(max_retries, &mut deg, csd, CsdDevice::rebuild, |csd| {
                 csd.update_subgroup(SubgroupUpdate {
