@@ -155,25 +155,34 @@ fn bench_f32_bytes(c: &mut Criterion) {
     g.finish();
 }
 
+/// A thousand flows over ten device links, every third chained to its
+/// predecessor, no two of one size, so every finish is an event of its own.
+/// With `uplink` they all cross one shared host link: the active flows are a
+/// single component and every start or finish refills all of it. Without,
+/// each device is a component of its own and a change refills one of ten.
+fn thousand_flows(uplink: bool) -> f64 {
+    let mut sim = Simulation::new();
+    let shared = uplink.then(|| sim.add_link("shared", 16e9));
+    let devices: Vec<_> = (0..10).map(|i| sim.add_link(format!("dev{i}"), 3e9)).collect();
+    let mut prev = None;
+    for i in 0..1000usize {
+        let path = shared.into_iter().chain([devices[i % 10]]).collect();
+        let mut spec = FlowSpec::new(path, 1e8 + 1e5 * i as f64);
+        if let Some(p) = prev {
+            if i % 3 == 0 {
+                spec = spec.after(&[p]);
+            }
+        }
+        prev = Some(sim.flow(spec));
+    }
+    sim.run().expect("simulation").makespan()
+}
+
 fn bench_simulation_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("discrete_event_engine");
-    g.bench_function("thousand_contending_flows", |b| {
-        b.iter(|| {
-            let mut sim = Simulation::new();
-            let shared = sim.add_link("shared", 16e9);
-            let mut prev = None;
-            for i in 0..1000usize {
-                let dev = sim.add_link(format!("dev{}", i % 10), 3e9);
-                let mut spec = FlowSpec::new(vec![shared, dev], 1e8);
-                if let Some(p) = prev {
-                    if i % 3 == 0 {
-                        spec = spec.after(&[p]);
-                    }
-                }
-                prev = Some(sim.flow(spec));
-            }
-            black_box(sim.run().expect("simulation").makespan())
-        });
+    g.bench_function("thousand_contending_flows", |b| b.iter(|| black_box(thousand_flows(true))));
+    g.bench_function("thousand_flows_ten_disjoint_devices", |b| {
+        b.iter(|| black_box(thousand_flows(false)))
     });
     g.finish();
 }

@@ -37,7 +37,7 @@
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Minimum elements a worker must receive before fanning a kernel out pays
 /// for its scoped-thread spawns. At ~1 GElem/s for an element-wise optimizer
@@ -85,9 +85,12 @@ impl Default for ParExecutor {
     }
 }
 
-/// The machine's available parallelism (at least 1).
+/// The machine's available parallelism (at least 1), sampled once per
+/// process: the query is a system call plus cgroup reads, and executors are
+/// built per optimizer step and per service.
 fn detect_cpus() -> usize {
-    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
 impl ParExecutor {
@@ -134,7 +137,7 @@ impl ParExecutor {
         self.num_threads
     }
 
-    /// The CPU count sampled at construction (or assumed via
+    /// The machine's CPU count, sampled once per process (or assumed via
     /// [`ParExecutor::with_assumed_cpus`]).
     pub fn num_cpus(&self) -> usize {
         self.num_cpus

@@ -9,6 +9,8 @@ use crate::timeline::{TaskRecord, Timeline};
 use crate::TIME_EPS;
 use std::collections::VecDeque;
 
+mod oracle;
+
 #[derive(Debug, Clone)]
 struct Link {
     #[allow(dead_code)]
@@ -21,19 +23,6 @@ struct Resource {
     #[allow(dead_code)]
     name: String,
     rate: f64,
-}
-
-/// State of one task during execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TaskState {
-    /// Waiting for dependencies.
-    Pending,
-    /// Dependencies satisfied; waiting in a resource queue (compute only).
-    Queued,
-    /// Currently progressing.
-    Active,
-    /// Finished.
-    Done,
 }
 
 /// A discrete-event simulation: links, resources, phases and a task DAG.
@@ -123,12 +112,18 @@ impl Simulation {
 
     /// Adds a flow task (bytes over a path of shared links).
     ///
-    /// Referencing an unknown link or dependency, or a negative byte count,
-    /// poisons the simulation; the error is reported by [`Simulation::run`].
+    /// Referencing an unknown link or dependency, a negative byte count, or
+    /// an empty path with bytes to move, poisons the simulation; the error is
+    /// reported by [`Simulation::run`].
     pub fn flow(&mut self, spec: FlowSpec) -> TaskId {
         if !(spec.bytes >= 0.0 && spec.bytes.is_finite()) {
             self.poison(SimError::InvalidParameter {
                 message: format!("flow bytes must be non-negative, got {}", spec.bytes),
+            });
+        }
+        if spec.path.is_empty() && spec.bytes > 0.0 {
+            self.poison(SimError::InvalidParameter {
+                message: format!("a flow of {} bytes needs at least one link", spec.bytes),
             });
         }
         for l in &spec.path {
@@ -227,6 +222,22 @@ impl Simulation {
         self.tasks.len() - 1
     }
 
+    /// Per-link flow membership, so the timeline can answer stage-level
+    /// occupancy queries (which flows kept a link busy, and when).
+    fn link_tasks(&self) -> Vec<Vec<TaskId>> {
+        let mut link_tasks: Vec<Vec<TaskId>> = vec![Vec::new(); self.links.len()];
+        for (id, task) in self.tasks.iter().enumerate() {
+            if let TaskKind::Flow { path, bytes } = &task.kind {
+                if *bytes > 0.0 {
+                    for l in path {
+                        link_tasks[l.0].push(id);
+                    }
+                }
+            }
+        }
+        link_tasks
+    }
+
     /// Executes the task DAG and returns the resulting timeline.
     ///
     /// # Errors
@@ -239,28 +250,100 @@ impl Simulation {
         if let Some(err) = &self.poison {
             return Err(err.clone());
         }
-        Runner::new(self).run()
+        let timeline = Runner::new(self).run()?;
+        debug_assert_eq!(oracle::check(self, &timeline), Ok(()));
+        Ok(timeline)
     }
 }
 
 /// Remaining-work bookkeeping for one task during execution.
 #[derive(Debug, Clone)]
 struct Progress {
-    state: TaskState,
+    done: bool,
     remaining: f64,
     unmet_deps: usize,
     start: f64,
     finish: f64,
 }
 
+/// The links a task crosses (none unless it is a flow).
+fn path_of(task: &Task) -> &[LinkId] {
+    match &task.kind {
+        TaskKind::Flow { path, .. } => path,
+        _ => &[],
+    }
+}
+
+/// Who waits on each task, as one CSR pair: the dependents of `t`, in the
+/// order their `deps` were declared, are `list[start[t]..start[t + 1]]`.
+struct Dependents {
+    start: Vec<usize>,
+    list: Vec<TaskId>,
+}
+
+impl Dependents {
+    fn of(tasks: &[Task]) -> Self {
+        let mut start = vec![0usize; tasks.len() + 1];
+        for task in tasks {
+            for &d in &task.deps {
+                start[d + 1] += 1;
+            }
+        }
+        for t in 0..tasks.len() {
+            start[t + 1] += start[t];
+        }
+        let mut fill = start.clone();
+        let mut list = vec![0; start[tasks.len()]];
+        for (id, task) in tasks.iter().enumerate() {
+            for &d in &task.deps {
+                list[fill[d]] = id;
+                fill[d] += 1;
+            }
+        }
+        Self { start, list }
+    }
+
+    fn of_task(&self, task: TaskId) -> &[TaskId] {
+        &self.list[self.start[task]..self.start[task + 1]]
+    }
+}
+
+/// Executes one [`Simulation`]. The work per event follows what the event
+/// changed: rates are recomputed only after a flow started or finished, and
+/// only for the links connected to it; every vector below is sized once in
+/// [`Runner::new`] (or grows to a high-water mark) and reused.
+///
+/// The float operations and their order are part of the contract — the
+/// timed goldens pin the bits — so every active task still takes
+/// `remaining -= rate * dt` on every event, in activation order.
 struct Runner<'a> {
     sim: &'a Simulation,
     progress: Vec<Progress>,
-    dependents: Vec<Vec<TaskId>>,
+    dependents: Dependents,
     queues: Vec<VecDeque<TaskId>>,
     active_flows: Vec<TaskId>,
     active_compute: Vec<TaskId>,
     active_delays: Vec<TaskId>,
+    newly_ready: VecDeque<TaskId>,
+    /// Tasks that finished in the current event, in completion order.
+    completed: Vec<TaskId>,
+    /// Per task, the rate it progresses at while active: the resource's rate
+    /// for a compute, 1 for a delay (seconds per second), the current
+    /// max-min fair share for a flow.
+    rate: Vec<f64>,
+    /// Per link, the active flows crossing it, one entry per mention in the
+    /// flow's path. Order is irrelevant: a filling round subtracts one and
+    /// the same share for each entry.
+    users: Vec<Vec<TaskId>>,
+    /// Links whose user list changed since the rates were last refreshed.
+    dirty: Vec<usize>,
+    // Scratch of `refresh_rates`, meaningful only for links of `component`.
+    component: Vec<usize>,
+    in_component: Vec<bool>,
+    cap: Vec<f64>,
+    unfrozen: Vec<usize>,
+    /// Per flow, the filling round that froze it (0 while unfrozen).
+    frozen_in: Vec<u32>,
     now: f64,
     done: usize,
 }
@@ -268,67 +351,75 @@ struct Runner<'a> {
 impl<'a> Runner<'a> {
     fn new(sim: &'a Simulation) -> Self {
         let n = sim.tasks.len();
-        let mut dependents = vec![Vec::new(); n];
         let mut progress = Vec::with_capacity(n);
-        for (id, task) in sim.tasks.iter().enumerate() {
-            for &d in &task.deps {
-                dependents[d].push(id);
-            }
-            let remaining = match &task.kind {
-                TaskKind::Flow { bytes, .. } => *bytes,
-                TaskKind::Compute { work, .. } => *work,
-                TaskKind::Delay { seconds } => *seconds,
-                TaskKind::Barrier => 0.0,
+        let mut rate = Vec::with_capacity(n);
+        for task in &sim.tasks {
+            let (remaining, r) = match &task.kind {
+                TaskKind::Flow { bytes, .. } => (*bytes, 0.0),
+                TaskKind::Compute { resource, work } => (*work, sim.resources[resource.0].rate),
+                TaskKind::Delay { seconds } => (*seconds, 1.0),
+                TaskKind::Barrier => (0.0, 0.0),
             };
             progress.push(Progress {
-                state: TaskState::Pending,
+                done: false,
                 remaining,
                 unmet_deps: task.deps.len(),
                 start: 0.0,
                 finish: 0.0,
             });
+            rate.push(r);
         }
+        let links = sim.links.len();
         Self {
             sim,
             progress,
-            dependents,
+            dependents: Dependents::of(&sim.tasks),
             queues: vec![VecDeque::new(); sim.resources.len()],
             active_flows: Vec::new(),
             active_compute: Vec::new(),
             active_delays: Vec::new(),
+            newly_ready: VecDeque::new(),
+            completed: Vec::new(),
+            rate,
+            users: vec![Vec::new(); links],
+            dirty: Vec::new(),
+            component: Vec::with_capacity(links),
+            in_component: vec![false; links],
+            cap: vec![0.0; links],
+            unfrozen: vec![0; links],
+            frozen_in: vec![0; n],
             now: 0.0,
             done: 0,
         }
     }
 
     fn run(mut self) -> Result<Timeline, SimError> {
+        let n = self.sim.tasks.len();
         // Start every task with no dependencies.
-        let mut newly_ready: VecDeque<TaskId> =
-            (0..self.sim.tasks.len()).filter(|&id| self.progress[id].unmet_deps == 0).collect();
+        self.newly_ready.extend((0..n).filter(|&id| self.progress[id].unmet_deps == 0));
         loop {
             // Make ready tasks runnable (may complete zero-work tasks immediately).
-            while let Some(id) = newly_ready.pop_front() {
-                let completed = self.activate(id);
-                for c in completed {
-                    newly_ready.extend(self.complete(c));
+            while let Some(id) = self.newly_ready.pop_front() {
+                if self.activate(id) {
+                    self.complete(id);
                 }
             }
-            if self.done == self.sim.tasks.len() {
+            if self.done == n {
                 break;
             }
-            // Compute rates, find the next completion, advance time.
-            let step = self.next_step();
-            let Some(dt) = step else {
+            // Bring the rates up to date, find the next completion, advance time.
+            self.refresh_rates();
+            let Some(dt) = self.next_step() else {
                 let stuck: Vec<usize> = self
                     .progress
                     .iter()
                     .enumerate()
-                    .filter(|(_, p)| p.state != TaskState::Done)
+                    .filter(|(_, p)| !p.done)
                     .map(|(i, _)| i)
                     .collect();
                 return Err(SimError::DependencyCycle { stuck_tasks: stuck });
             };
-            self.advance(dt, &mut newly_ready);
+            self.advance(dt);
         }
         let records = self
             .progress
@@ -336,209 +427,197 @@ impl<'a> Runner<'a> {
             .zip(self.sim.tasks.iter())
             .map(|(p, t)| TaskRecord { start: p.start, finish: p.finish, phase: t.phase })
             .collect();
-        // Per-link flow membership, so the timeline can answer stage-level
-        // occupancy queries (which flows kept a link busy, and when).
-        let mut link_tasks: Vec<Vec<TaskId>> = vec![Vec::new(); self.sim.links.len()];
-        for (id, task) in self.sim.tasks.iter().enumerate() {
-            if let TaskKind::Flow { path, bytes } = &task.kind {
-                if *bytes > 0.0 {
-                    for l in path {
-                        link_tasks[l.0].push(id);
-                    }
-                }
-            }
-        }
-        Ok(Timeline::new(records, self.now, self.sim.phases.clone(), link_tasks))
+        Ok(Timeline::new(records, self.now, self.sim.phases.clone(), self.sim.link_tasks()))
     }
 
-    /// Moves a ready task into the running state. Returns tasks that complete
-    /// instantly (barriers, zero-byte flows, zero-work computes).
-    fn activate(&mut self, id: TaskId) -> Vec<TaskId> {
-        let task = &self.sim.tasks[id];
+    /// Moves a ready task into the running state. Returns `true` if it
+    /// completes instantly (barriers, zero-byte flows, zero-work computes).
+    fn activate(&mut self, id: TaskId) -> bool {
         self.progress[id].start = self.now;
-        match &task.kind {
-            TaskKind::Barrier => {
-                return vec![id];
-            }
+        match &self.sim.tasks[id].kind {
+            TaskKind::Barrier => return true,
             TaskKind::Flow { bytes, .. } => {
                 if *bytes <= 0.0 {
-                    return vec![id];
+                    return true;
                 }
-                self.progress[id].state = TaskState::Active;
                 self.active_flows.push(id);
+                self.flow_started(id);
             }
             TaskKind::Delay { seconds } => {
                 if *seconds <= 0.0 {
-                    return vec![id];
+                    return true;
                 }
-                self.progress[id].state = TaskState::Active;
                 self.active_delays.push(id);
             }
             TaskKind::Compute { resource, work } => {
                 if *work <= 0.0 {
-                    return vec![id];
+                    return true;
                 }
-                self.progress[id].state = TaskState::Queued;
                 let q = &mut self.queues[resource.0];
                 q.push_back(id);
                 // Head of queue becomes active.
                 if q.len() == 1 {
-                    self.progress[id].state = TaskState::Active;
                     self.active_compute.push(id);
                 }
             }
         }
-        Vec::new()
+        false
     }
 
-    /// Marks a task done and returns the dependents that became ready.
-    fn complete(&mut self, id: TaskId) -> Vec<TaskId> {
-        self.progress[id].state = TaskState::Done;
+    /// Marks a task done and appends the dependents that became ready to
+    /// `newly_ready`.
+    fn complete(&mut self, id: TaskId) {
+        self.progress[id].done = true;
         self.progress[id].finish = self.now;
         self.done += 1;
-        // If it was a compute task, promote the next task in the queue.
-        if let TaskKind::Compute { resource, .. } = &self.sim.tasks[id].kind {
-            let q = &mut self.queues[resource.0];
-            if q.front() == Some(&id) {
-                q.pop_front();
-            } else {
-                q.retain(|&t| t != id);
-            }
-            if let Some(&next) = q.front() {
-                if self.progress[next].state == TaskState::Queued {
-                    self.progress[next].state = TaskState::Active;
+        match &self.sim.tasks[id].kind {
+            // A compute that held its resource hands it to the next in the
+            // queue (zero-work computes never enter one).
+            TaskKind::Compute { resource, work } if *work > 0.0 => {
+                let q = &mut self.queues[resource.0];
+                let head = q.pop_front();
+                debug_assert_eq!(head, Some(id), "only the head of a queue is ever active");
+                if let Some(&next) = q.front() {
                     self.progress[next].start = self.now;
                     self.active_compute.push(next);
                 }
             }
+            TaskKind::Flow { bytes, .. } if *bytes > 0.0 => self.flow_finished(id),
+            _ => {}
         }
-        let mut ready = Vec::new();
-        for &dep in &self.dependents[id] {
+        for &dep in self.dependents.of_task(id) {
             let p = &mut self.progress[dep];
             p.unmet_deps -= 1;
             if p.unmet_deps == 0 {
-                ready.push(dep);
+                self.newly_ready.push_back(dep);
             }
         }
-        ready
     }
 
-    /// Max-min fair rate allocation for the currently active flows.
-    fn flow_rates(&self) -> Vec<(TaskId, f64)> {
-        let mut remaining_cap: Vec<f64> = self.sim.links.iter().map(|l| l.bandwidth).collect();
-        let mut link_users: Vec<Vec<usize>> = vec![Vec::new(); self.sim.links.len()];
-        // Index into active_flows.
-        for (fi, &task) in self.active_flows.iter().enumerate() {
-            if let TaskKind::Flow { path, .. } = &self.sim.tasks[task].kind {
-                for l in path {
-                    link_users[l.0].push(fi);
+    /// Enters an activated flow into the user list of every link it crosses.
+    fn flow_started(&mut self, id: TaskId) {
+        for l in path_of(&self.sim.tasks[id]) {
+            self.users[l.0].push(id);
+            self.dirty.push(l.0);
+        }
+    }
+
+    /// Takes a finished flow out of the user lists again.
+    fn flow_finished(&mut self, id: TaskId) {
+        for l in path_of(&self.sim.tasks[id]) {
+            let users = &mut self.users[l.0];
+            let at = users.iter().position(|&t| t == id).expect("an active flow uses its links");
+            users.swap_remove(at);
+            self.dirty.push(l.0);
+        }
+    }
+
+    /// Max-min fair rates (progressive filling) for the flows whose share can
+    /// have changed since the last call: those in the connected component —
+    /// links joined by a shared active flow — of a link that gained or lost
+    /// a user. Components do not exchange capacity, so every other flow's
+    /// stored rate is still exactly what a full recomputation would give.
+    fn refresh_rates(&mut self) {
+        if self.dirty.is_empty() {
+            return;
+        }
+        let tasks = &self.sim.tasks;
+        let mut join = |component: &mut Vec<usize>, l: usize| {
+            if !std::mem::replace(&mut self.in_component[l], true) {
+                component.push(l);
+            }
+        };
+        self.component.clear();
+        for l in self.dirty.drain(..) {
+            join(&mut self.component, l);
+        }
+        let mut next = 0;
+        while next < self.component.len() {
+            let l = self.component[next];
+            next += 1;
+            self.cap[l] = self.sim.links[l].bandwidth;
+            self.unfrozen[l] = self.users[l].len();
+            for &flow in &self.users[l] {
+                self.frozen_in[flow] = 0;
+                self.rate[flow] = 0.0;
+                for m in path_of(&tasks[flow]) {
+                    join(&mut self.component, m.0);
                 }
             }
         }
-        let n = self.active_flows.len();
-        let mut rate = vec![f64::INFINITY; n];
-        let mut frozen = vec![false; n];
-        let mut unfrozen_on_link: Vec<usize> = link_users.iter().map(|users| users.len()).collect();
+        let mut round = 0;
         loop {
-            // Find the bottleneck link: smallest fair share among links with unfrozen users.
-            let mut best: Option<(usize, f64)> = None;
-            for (li, users) in link_users.iter().enumerate() {
-                if users.is_empty() || unfrozen_on_link[li] == 0 {
+            round += 1;
+            // The bottleneck is the smallest fair share among links with
+            // unfrozen users, the lowest link index on a tie.
+            let mut best: Option<(f64, usize)> = None;
+            for &l in &self.component {
+                if self.unfrozen[l] == 0 {
                     continue;
                 }
-                let share = remaining_cap[li] / unfrozen_on_link[li] as f64;
-                if best.map_or(true, |(_, s)| share < s) {
-                    best = Some((li, share));
+                let share = self.cap[l] / self.unfrozen[l] as f64;
+                if best.map_or(true, |(s, b)| share < s || (share == s && l < b)) {
+                    best = Some((share, l));
                 }
             }
-            let Some((bottleneck, share)) = best else { break };
-            // Freeze every unfrozen flow on that link at the fair share.
-            let users: Vec<usize> =
-                link_users[bottleneck].iter().copied().filter(|&fi| !frozen[fi]).collect();
-            for fi in users {
-                frozen[fi] = true;
-                rate[fi] = share;
+            let Some((share, bottleneck)) = best else { break };
+            // Freeze every flow on that link that was unfrozen when the round
+            // began, once per entry: a path that names the link twice is
+            // served twice.
+            for &flow in &self.users[bottleneck] {
+                if self.frozen_in[flow] != 0 && self.frozen_in[flow] != round {
+                    continue;
+                }
+                self.frozen_in[flow] = round;
+                self.rate[flow] = share;
                 // Subtract its rate from every link it crosses.
-                if let TaskKind::Flow { path, .. } = &self.sim.tasks[self.active_flows[fi]].kind {
-                    for l in path {
-                        remaining_cap[l.0] = (remaining_cap[l.0] - share).max(0.0);
-                        unfrozen_on_link[l.0] = unfrozen_on_link[l.0].saturating_sub(1);
-                    }
+                for m in path_of(&tasks[flow]) {
+                    self.cap[m.0] = (self.cap[m.0] - share).max(0.0);
+                    self.unfrozen[m.0] = self.unfrozen[m.0].saturating_sub(1);
                 }
             }
         }
-        self.active_flows
-            .iter()
-            .enumerate()
-            .map(|(fi, &task)| {
-                let r = if rate[fi].is_finite() { rate[fi] } else { 0.0 };
-                (task, r)
-            })
-            .collect()
+        for &l in &self.component {
+            self.in_component[l] = false;
+        }
     }
 
     /// Returns the time until the next task completion, or `None` if nothing
-    /// is active (deadlock if tasks remain).
+    /// is progressing (deadlock if tasks remain).
     fn next_step(&self) -> Option<f64> {
         let mut dt = f64::INFINITY;
-        for (task, rate) in self.flow_rates() {
-            if rate > 0.0 {
-                dt = dt.min(self.progress[task].remaining / rate);
-            }
-        }
-        for &task in &self.active_compute {
-            if let TaskKind::Compute { resource, .. } = &self.sim.tasks[task].kind {
-                let rate = self.sim.resources[resource.0].rate;
-                dt = dt.min(self.progress[task].remaining / rate);
-            }
-        }
-        for &task in &self.active_delays {
-            dt = dt.min(self.progress[task].remaining);
-        }
-        if dt.is_finite() {
-            Some(dt)
-        } else {
-            None
-        }
-    }
-
-    /// Advances virtual time by `dt`, decrements remaining work and collects
-    /// completions into `newly_ready`.
-    fn advance(&mut self, dt: f64, newly_ready: &mut VecDeque<TaskId>) {
-        self.now += dt;
-        let rates = self.flow_rates();
-        let mut completed = Vec::new();
-        for (task, rate) in rates {
-            let p = &mut self.progress[task];
-            p.remaining -= rate * dt;
-            if p.remaining <= TIME_EPS * rate.max(1.0) {
-                completed.push(task);
-            }
-        }
-        for &task in &self.active_compute.clone() {
-            if let TaskKind::Compute { resource, .. } = &self.sim.tasks[task].kind {
-                let rate = self.sim.resources[resource.0].rate;
-                let p = &mut self.progress[task];
-                p.remaining -= rate * dt;
-                if p.remaining <= TIME_EPS * rate.max(1.0) {
-                    completed.push(task);
+        for set in [&self.active_flows, &self.active_compute, &self.active_delays] {
+            for &task in set {
+                let rate = self.rate[task];
+                if rate > 0.0 {
+                    dt = dt.min(self.progress[task].remaining / rate);
                 }
             }
         }
-        for &task in &self.active_delays.clone() {
-            let p = &mut self.progress[task];
-            p.remaining -= dt;
-            if p.remaining <= TIME_EPS {
-                completed.push(task);
-            }
+        dt.is_finite().then_some(dt)
+    }
+
+    /// Advances virtual time by `dt`, decrements remaining work and completes
+    /// what finished: flows, then computes, then delays, each in activation
+    /// order (that order decides the FIFO order on the resources).
+    fn advance(&mut self, dt: f64) {
+        self.now += dt;
+        self.completed.clear();
+        for set in [&mut self.active_flows, &mut self.active_compute, &mut self.active_delays] {
+            // One order-keeping pass: progress every task, keep the unfinished.
+            set.retain(|&task| {
+                let rate = self.rate[task];
+                let p = &mut self.progress[task];
+                p.remaining -= rate * dt;
+                let finished = p.remaining <= TIME_EPS * rate.max(1.0);
+                if finished {
+                    self.completed.push(task);
+                }
+                !finished
+            });
         }
-        for task in &completed {
-            self.active_flows.retain(|t| t != task);
-            self.active_compute.retain(|t| t != task);
-            self.active_delays.retain(|t| t != task);
-        }
-        for task in completed {
-            newly_ready.extend(self.complete(task));
+        for i in 0..self.completed.len() {
+            self.complete(self.completed[i]);
         }
     }
 }
@@ -547,6 +626,8 @@ impl<'a> Runner<'a> {
 mod tests {
     use super::*;
     use crate::{ComputeSpec, FlowSpec};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     #[test]
     fn max_min_fairness_respects_bottleneck_links() {
@@ -696,11 +777,191 @@ mod tests {
     }
 
     #[test]
+    fn empty_path_flow_with_bytes_is_a_typed_error() {
+        let mut sim = Simulation::new();
+        // With nothing to move an empty path is legal and finishes at once.
+        let idle = sim.flow(FlowSpec::new(vec![], 0.0));
+        assert_eq!(sim.run().unwrap().finish_time(idle), 0.0);
+        sim.flow(FlowSpec::new(vec![], 1.0));
+        match sim.run().unwrap_err() {
+            SimError::InvalidParameter { message } => {
+                assert!(message.contains("at least one link"), "got: {message}");
+            }
+            other => panic!("expected InvalidParameter, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn first_poison_error_wins() {
         let mut sim = Simulation::new();
         sim.add_link("bad", f64::NAN);
         sim.flow(FlowSpec::new(vec![LinkId(9)], -1.0));
         let err = sim.run().unwrap_err();
         assert!(matches!(err, SimError::InvalidParameter { .. }), "got {err:?}");
+    }
+
+    impl Runner<'_> {
+        /// The reference the incremental rates are held to: max-min fair
+        /// allocation recomputed from nothing but the active set, over every
+        /// link (the engine's own `flow_rates` before rates became state).
+        fn reference_flow_rates(&self) -> Vec<(TaskId, f64)> {
+            let mut remaining_cap: Vec<f64> = self.sim.links.iter().map(|l| l.bandwidth).collect();
+            let mut link_users: Vec<Vec<usize>> = vec![Vec::new(); self.sim.links.len()];
+            // Index into active_flows.
+            for (fi, &task) in self.active_flows.iter().enumerate() {
+                if let TaskKind::Flow { path, .. } = &self.sim.tasks[task].kind {
+                    for l in path {
+                        link_users[l.0].push(fi);
+                    }
+                }
+            }
+            let n = self.active_flows.len();
+            let mut rate = vec![f64::INFINITY; n];
+            let mut frozen = vec![false; n];
+            let mut unfrozen_on_link: Vec<usize> =
+                link_users.iter().map(|users| users.len()).collect();
+            loop {
+                // Find the bottleneck link: smallest fair share among links with unfrozen users.
+                let mut best: Option<(usize, f64)> = None;
+                for (li, users) in link_users.iter().enumerate() {
+                    if users.is_empty() || unfrozen_on_link[li] == 0 {
+                        continue;
+                    }
+                    let share = remaining_cap[li] / unfrozen_on_link[li] as f64;
+                    if best.map_or(true, |(_, s)| share < s) {
+                        best = Some((li, share));
+                    }
+                }
+                let Some((bottleneck, share)) = best else { break };
+                // Freeze every unfrozen flow on that link at the fair share.
+                let users: Vec<usize> =
+                    link_users[bottleneck].iter().copied().filter(|&fi| !frozen[fi]).collect();
+                for fi in users {
+                    frozen[fi] = true;
+                    rate[fi] = share;
+                    // Subtract its rate from every link it crosses.
+                    if let TaskKind::Flow { path, .. } = &self.sim.tasks[self.active_flows[fi]].kind
+                    {
+                        for l in path {
+                            remaining_cap[l.0] = (remaining_cap[l.0] - share).max(0.0);
+                            unfrozen_on_link[l.0] = unfrozen_on_link[l.0].saturating_sub(1);
+                        }
+                    }
+                }
+            }
+            self.active_flows
+                .iter()
+                .enumerate()
+                .map(|(fi, &task)| {
+                    let r = if rate[fi].is_finite() { rate[fi] } else { 0.0 };
+                    (task, r)
+                })
+                .collect()
+        }
+
+        /// Starts the flow if it is idle, finishes it if it is active, then
+        /// requires every active flow's stored rate to equal the reference
+        /// bit for bit.
+        fn toggle_and_compare(&mut self, flow: TaskId) -> Result<(), String> {
+            if let Some(at) = self.active_flows.iter().position(|&t| t == flow) {
+                self.active_flows.remove(at);
+                self.flow_finished(flow);
+            } else {
+                self.active_flows.push(flow);
+                self.flow_started(flow);
+            }
+            self.refresh_rates();
+            for (task, want) in self.reference_flow_rates() {
+                let got = self.rate[task];
+                if got.to_bits() != want.to_bits() {
+                    return Err(format!("flow {task}: incremental {got:e}, reference {want:e}"));
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// One idle flow per path over links of the given bandwidths.
+    fn idle_flows(bandwidths: &[f64], paths: &[Vec<usize>]) -> Simulation {
+        let mut sim = Simulation::new();
+        for (i, &bw) in bandwidths.iter().enumerate() {
+            sim.add_link(format!("l{i}"), bw);
+        }
+        for path in paths {
+            sim.flow(FlowSpec::new(path.iter().map(|&l| LinkId(l)).collect(), 1.0));
+        }
+        sim
+    }
+
+    #[test]
+    fn incremental_rates_follow_merges_splits_ties_and_departures() {
+        // Links 0-1 and 2-3 are two islands of equal bandwidth (share ties
+        // across links); link 4 is a third; link 5 is slower than the rest.
+        let sim = idle_flows(
+            &[6.0, 6.0, 6.0, 6.0, 9.0, 1.0],
+            &[
+                vec![0, 1],       // 0: island A
+                vec![1],          // 1: island A
+                vec![2, 3],       // 2: island B
+                vec![3],          // 3: island B
+                vec![4],          // 4: island C, the only user of link 4
+                vec![1, 2],       // 5: bridge, merges A and B
+                vec![0, 2, 4, 5], // 6: many links, merges everything
+                vec![5, 5],       // 7: names a link twice
+            ],
+        );
+        let mut runner = Runner::new(&sim);
+        // Starts: three disjoint components, then the merges.
+        for flow in 0..8 {
+            runner.toggle_and_compare(flow).unwrap();
+        }
+        assert_eq!(runner.rate[6], 1.0 / 3.0, "the slow link bounds the long flow");
+        // Finishes: the bridges go (one component splits into three), then
+        // link 4 loses its last user, then the rest.
+        for flow in [6, 5, 4, 7, 0, 2, 1, 3] {
+            runner.toggle_and_compare(flow).unwrap();
+        }
+        assert!(runner.users.iter().all(Vec::is_empty));
+        // A component that nothing touched keeps its rates without being visited.
+        runner.toggle_and_compare(3).unwrap();
+        let before = runner.rate[3];
+        runner.toggle_and_compare(4).unwrap();
+        assert_eq!(runner.component, vec![4], "only link 4 was recomputed");
+        assert_eq!(runner.rate[3].to_bits(), before.to_bits());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
+
+        /// Random starts and finishes over random link sets: after every
+        /// step the per-component incremental rates equal a full
+        /// recomputation at `to_bits`. Most flows stay on two neighbouring
+        /// links (several disjoint components, equal bandwidths, a link
+        /// named twice); every fourth one wanders over up to five links
+        /// (starts that merge components, finishes that split them).
+        #[test]
+        fn incremental_rates_equal_a_full_recomputation_bit_for_bit(
+            bandwidths in vec(prop_oneof![Just(1.0), Just(3.0), Just(3.0), Just(7.5), Just(16e9)], 2..14),
+            shapes in vec((0usize..64, vec(0usize..14, 1..6)), 1..24),
+            toggles in vec(0usize..1000, 1..96),
+        ) {
+            let links = bandwidths.len();
+            let paths: Vec<Vec<usize>> = shapes
+                .iter()
+                .map(|(anchor, hops)| {
+                    if anchor % 4 == 0 {
+                        hops.iter().map(|h| h % links).collect()
+                    } else {
+                        hops.iter().take(2).map(|h| (anchor + h % 2) % links).collect()
+                    }
+                })
+                .collect();
+            let sim = idle_flows(&bandwidths, &paths);
+            let mut runner = Runner::new(&sim);
+            for toggle in toggles {
+                let outcome = runner.toggle_and_compare(toggle % paths.len());
+                prop_assert!(outcome.is_ok(), "{} (paths {:?})", outcome.unwrap_err(), paths);
+            }
+        }
     }
 }

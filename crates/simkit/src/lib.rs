@@ -5,8 +5,13 @@
 //! LLM training; it only understands three primitives:
 //!
 //! * **Links** — capacities (bytes/second) that are *shared* among the flows
-//!   crossing them. Bandwidth is divided with max-min fairness, recomputed at
-//!   every flow arrival and completion (progressive filling).
+//!   crossing them. Bandwidth is divided with max-min fairness (progressive
+//!   filling), recomputed at every flow arrival and completion and only then,
+//!   for the connected component of links the flow touched — links joined by
+//!   a shared active flow; every other flow keeps its rate. The order of the
+//!   floating-point operations (bottleneck by smallest share, lowest link
+//!   index on a tie; every active task advanced on every event) is part of
+//!   the contract: timelines are reproducible to the bit.
 //! * **Resources** — serial processing units (a CPU core doing AVX updates, a
 //!   GPU running a forward pass, an FPGA updater kernel). Tasks queue FIFO and
 //!   the head of the queue proceeds at the resource's configured rate.
