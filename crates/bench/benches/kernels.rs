@@ -1,15 +1,19 @@
 //! Microbenchmarks of the functional kernels: the FPGA updater arithmetic,
-//! the Top-K compressor/decompressor, half-precision conversion and the
-//! discrete-event engine itself. These measure the *real* Rust implementations
-//! (the functional layer), complementing the modelled throughputs of Fig. 14.
+//! the Top-K compressor/decompressor, half-precision conversion, and the
+//! discrete-event engine with the graph build and lowering in front of it.
+//! These measure the *real* Rust implementations (the functional layer),
+//! complementing the modelled throughputs of Fig. 14.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gradcomp::{CompressLane, Compressor, ErrorFeedback};
 use optim::{HyperParams, Optimizer, OptimizerKind};
 use parcore::ParExecutor;
 use simkit::{FlowSpec, Simulation};
+use smart_infinity::{method_scheduler, MethodSpec, ModelConfig, SmartInfinityEngine, Workload};
 use std::hint::black_box;
 use tensorlib::{le_bytes, Dtype, FlatTensor};
+use ztrain::schedule::{build_iteration_graph, GraphKnobs, IterPhases, PlatformLowering, SiteMap};
+use ztrain::{MachineConfig, TimedPlatform};
 
 const KERNEL_ELEMS: usize = 1 << 20;
 
@@ -178,8 +182,34 @@ fn thousand_flows(uplink: bool) -> f64 {
     sim.run().expect("simulation").makespan()
 }
 
+/// Builds one GPT2-33.0B, 10-CSD, SU+O+P+C iteration graph and lowers it
+/// onto a fresh `TimedPlatform` without running it: what every timed run
+/// pays before the engine starts. Returns the number of DAG tasks.
+fn lower_iteration(workload: &Workload) -> usize {
+    let method = MethodSpec::pipelined(Some(0.01));
+    let mut plat = TimedPlatform::new(&MachineConfig::smart_infinity(10));
+    let phases = IterPhases {
+        forward: plat.add_phase("forward"),
+        backward: plat.add_phase("backward+grad_offload"),
+        update: plat.add_phase("update+opt_transfer"),
+    };
+    let sites = SiteMap::new(plat.num_gpus(), plat.num_devices());
+    let knobs =
+        GraphKnobs::in_storage(method.keep_ratio(), SmartInfinityEngine::DEFAULT_SUBGROUP_ELEMS);
+    let graph = build_iteration_graph(workload, sites, OptimizerKind::Adam, &knobs, phases);
+    let resources = plat.resource_catalog();
+    let mut scheduler = method_scheduler(method.implied_handler(), method.pipelined, &graph.layout);
+    let mut lowering = PlatformLowering::new(&mut plat);
+    simkit::execute(&graph.dag, &resources, scheduler.as_mut(), &mut lowering).expect("lowering");
+    graph.dag.len()
+}
+
 fn bench_simulation_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("discrete_event_engine");
+    let workload = Workload::paper_default(ModelConfig::gpt2_33b());
+    g.bench_function("lower_gpt2_33b_ten_csds_su_o_p_c", |b| {
+        b.iter(|| black_box(lower_iteration(&workload)))
+    });
     g.bench_function("thousand_contending_flows", |b| b.iter(|| black_box(thousand_flows(true))));
     g.bench_function("thousand_flows_ten_disjoint_devices", |b| {
         b.iter(|| black_box(thousand_flows(false)))

@@ -17,6 +17,13 @@
 //!   synchronisation is a *policy choice*: the scheduler decides which
 //!   concrete events realise the edge (e.g. a global barrier vs per-device
 //!   completion) and supplies them as [`crate::Anchor`]s on its decisions.
+//!
+//! Task and data names are diagnostics: error messages and
+//! [`crate::DirectLowering`]'s labels read them, nothing else does, so graph
+//! builders pass static stems and every message that names a task also
+//! prints its index.
+
+use std::borrow::Cow;
 
 use crate::error::SimError;
 use crate::task::PhaseId;
@@ -84,7 +91,7 @@ pub enum DagWork {
 #[derive(Debug, Clone)]
 pub struct DagTask {
     /// Human-readable name for debugging and error messages.
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// The work this task performs.
     pub work: DagWork,
     /// Phase the lowered simulation task is attributed to.
@@ -105,7 +112,7 @@ pub struct DagTask {
 #[derive(Debug, Clone)]
 pub struct DataItem {
     /// Human-readable name.
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// Size in bytes (informational; transfer sizing lives in [`DagWork`]).
     pub bytes: f64,
     /// The task that produces this item.
@@ -159,7 +166,7 @@ impl Dag {
     }
 
     /// Adds a task with no edges and returns its id.
-    pub fn add_task(&mut self, name: impl Into<String>, work: DagWork) -> DagTaskId {
+    pub fn add_task(&mut self, name: impl Into<Cow<'static, str>>, work: DagWork) -> DagTaskId {
         let id = DagTaskId(self.tasks.len());
         if let DagWork::Compute { amount, .. } = work {
             if !(amount.is_finite() && amount >= 0.0) {
@@ -209,7 +216,7 @@ impl Dag {
     pub fn add_output(
         &mut self,
         task: DagTaskId,
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         bytes: f64,
         site: Option<usize>,
     ) -> DataId {
@@ -281,38 +288,98 @@ impl Dag {
         preds
     }
 
+    /// The indices [`Dag::predecessors`] lists, without allocating.
+    fn preds<'d>(&'d self, task: &'d DagTask) -> impl Iterator<Item = usize> + 'd {
+        let producers = task.inputs.iter().map(|d| self.data[d.0].producer.0);
+        producers.chain(task.after.iter().map(|a| a.0))
+    }
+
     /// Checks the graph is well-formed: no poisoned references, and no cycle
     /// through structural edges.
     pub fn validate(&self) -> Result<(), SimError> {
+        self.structure().map(drop)
+    }
+
+    /// The structural edges as a CSR of dependents plus each task's
+    /// predecessor count, after the checks of [`Dag::validate`]. Duplicate
+    /// edges are counted once per declaration, as [`Dag::predecessors`]
+    /// lists them.
+    pub(crate) fn structure(&self) -> Result<Structure, SimError> {
         if let Some(err) = &self.poison {
             return Err(err.clone());
         }
-        // Kahn's algorithm over hard edges.
         let n = self.tasks.len();
-        let mut indegree = vec![0usize; n];
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (id, degree) in indegree.iter_mut().enumerate() {
-            for pred in self.predecessors(DagTaskId(id)) {
-                *degree += 1;
-                dependents[pred.0].push(id);
+        let mut unmet = vec![0usize; n];
+        let mut offsets = vec![0usize; n + 1];
+        for (t, task) in self.tasks.iter().enumerate() {
+            for p in self.preds(task) {
+                unmet[t] += 1;
+                offsets[p + 1] += 1;
             }
         }
-        let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+        for t in 0..n {
+            offsets[t + 1] += offsets[t];
+        }
+        let mut fill = offsets[..n].to_vec();
+        let mut dependents = vec![0usize; offsets[n]];
+        for (t, task) in self.tasks.iter().enumerate() {
+            for p in self.preds(task) {
+                dependents[fill[p]] = t;
+                fill[p] += 1;
+            }
+        }
+        let structure = Structure { offsets, dependents, unmet };
+        // Kahn's algorithm over the structural edges.
+        let mut left = structure.unmet.clone();
+        let mut ready: Vec<usize> = (0..n).filter(|&t| left[t] == 0).collect();
         let mut visited = 0usize;
         while let Some(t) = ready.pop() {
             visited += 1;
-            for &d in &dependents[t] {
-                indegree[d] -= 1;
-                if indegree[d] == 0 {
+            for &d in structure.dependents(t) {
+                left[d] -= 1;
+                if left[d] == 0 {
                     ready.push(d);
                 }
             }
         }
         if visited != n {
-            let stuck: Vec<usize> = (0..n).filter(|&i| indegree[i] > 0).collect();
+            let stuck: Vec<usize> = (0..n).filter(|&t| left[t] > 0).collect();
             return Err(SimError::DependencyCycle { stuck_tasks: stuck });
         }
-        Ok(())
+        Ok(structure)
+    }
+}
+
+/// Structural edges of a validated [`Dag`], built in one pass over its tasks.
+#[derive(Debug)]
+pub(crate) struct Structure {
+    /// Task `t`'s dependents are `dependents[offsets[t]..offsets[t + 1]]`.
+    offsets: Vec<usize>,
+    /// One entry per structural edge, duplicates included.
+    dependents: Vec<usize>,
+    /// Structural edges into each task whose source is not scheduled yet:
+    /// all of them as built; [`Structure::release`] counts them down.
+    unmet: Vec<usize>,
+}
+
+impl Structure {
+    /// The tasks with a structural edge from `task`, once per edge.
+    fn dependents(&self, task: usize) -> &[usize] {
+        &self.dependents[self.offsets[task]..self.offsets[task + 1]]
+    }
+
+    /// Whether every structural predecessor of `task` has been released.
+    pub(crate) fn is_ready(&self, task: usize) -> bool {
+        self.unmet[task] == 0
+    }
+
+    /// Records that `task` is scheduled: each of its dependents has one
+    /// unmet edge fewer per edge from it.
+    pub(crate) fn release(&mut self, task: usize) {
+        let Self { offsets, dependents, unmet } = self;
+        for &d in &dependents[offsets[task]..offsets[task + 1]] {
+            unmet[d] -= 1;
+        }
     }
 }
 

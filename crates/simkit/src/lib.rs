@@ -30,6 +30,11 @@
 //! [`Simulation`] by [`execute`] through a [`Lowering`]. The four
 //! Smart-Infinity method schedules are `Scheduler` implementations over one
 //! shared iteration DAG; see the `ztrain` and `smart_infinity` crates.
+//! [`execute`]'s sweep order (ready tasks by ascending id, a task readied
+//! earlier in the same sweep offered in that sweep, resource-free callbacks
+//! only on a stall) is part of the contract: it fixes the order of the
+//! lowering calls and so every simulation task id. DAG task and data names
+//! are diagnostics only — error messages print them beside the task index.
 //!
 //! # Example
 //!

@@ -23,7 +23,7 @@
 //! over the same graph with the same scheduler therefore produce the same
 //! simulation, task id for task id.
 
-use crate::dag::{Dag, DagTaskId, DagWork, SITE_STORAGE};
+use crate::dag::{Dag, DagTaskId, DagWork, Structure, SITE_STORAGE};
 use crate::engine::Simulation;
 use crate::error::SimError;
 use crate::resource::Resource;
@@ -45,7 +45,8 @@ pub enum Anchor {
 /// Each entry issues one flow of `bytes` towards (or from) `site`. With
 /// `join` set, a barrier over all flows becomes the lowered task's main
 /// result; without it, the flows complete independently and downstream
-/// decisions synchronise on individual sites via [`Anchor::TaskAtSite`].
+/// decisions synchronise on individual sites via [`Anchor::TaskAtSite`], so
+/// a plan names each site at most once ([`execute`] rejects a repeat).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScatterPlan {
     /// `(site, bytes)` pairs, one flow each, issued in order.
@@ -134,11 +135,6 @@ impl SystemView<'_> {
     /// Whether a DAG task has already been scheduled.
     pub fn is_scheduled(&self, task: DagTaskId) -> bool {
         self.scheduled.get(task.index()).copied().unwrap_or(false)
-    }
-
-    /// How many DAG tasks have been scheduled so far.
-    pub fn scheduled_count(&self) -> usize {
-        self.scheduled.iter().filter(|&&s| s).count()
     }
 }
 
@@ -235,18 +231,20 @@ impl ScheduleOutcome {
 struct Executor<'a> {
     dag: &'a Dag,
     resources: &'a [Resource],
+    structure: Structure,
     lowered: Vec<Option<Lowered>>,
     scheduled: Vec<bool>,
     deferred: Vec<bool>,
+    /// Dependencies of the decision being applied, reused across decisions.
+    deps: Vec<TaskId>,
+    /// Scatter sites of the decision being applied, sorted to find repeats.
+    scatter_sites: Vec<usize>,
     done: usize,
 }
 
 impl<'a> Executor<'a> {
-    fn is_ready(&self, task: usize) -> bool {
-        self.dag
-            .predecessors(DagTaskId(task))
-            .iter()
-            .all(|p| self.scheduled.get(p.index()).copied().unwrap_or(false))
+    fn name(&self, task: usize) -> &'a str {
+        &self.dag.tasks()[task].name
     }
 
     fn resolve_anchor(&self, anchor: Anchor) -> Result<TaskId, SimError> {
@@ -273,17 +271,20 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Resolves the full dependency list for a decision: hard inputs (with
-    /// per-site refinement), then after-edges, then decision anchors.
-    fn resolve_deps(&self, decision: &ScheduleDecision) -> Result<Vec<TaskId>, SimError> {
-        let task = self.dag.task(decision.task).expect("validated id");
-        let mut deps = Vec::new();
+    /// Resolves the full dependency list for a decision into `self.deps`:
+    /// hard inputs (with per-site refinement), then after-edges, then
+    /// decision anchors.
+    fn resolve_deps(&mut self, decision: &ScheduleDecision) -> Result<(), SimError> {
+        let idx = decision.task.index();
+        let dag = self.dag;
+        let task = &dag.tasks()[idx];
+        self.deps.clear();
         for &input in &task.inputs {
-            let item = self.dag.data(input).expect("validated id");
+            let item = dag.data(input).expect("validated id");
             let produced = self.lowered[item.producer.index()].as_ref().ok_or_else(|| {
                 SimError::InvalidParameter {
                     message: format!(
-                        "task '{}' scheduled before producer of its input '{}'",
+                        "dag task {idx} ('{}') scheduled before the producer of its input '{}'",
                         task.name, item.name
                     ),
                 }
@@ -292,19 +293,41 @@ impl<'a> Executor<'a> {
                 Some(site) => produced.at_site(site).unwrap_or(produced.main),
                 None => produced.main,
             };
-            deps.push(dep);
+            self.deps.push(dep);
         }
         for &pred in &task.after {
             let produced =
                 self.lowered[pred.index()].as_ref().ok_or_else(|| SimError::InvalidParameter {
-                    message: format!("task '{}' scheduled before its predecessor", task.name),
+                    message: format!(
+                        "dag task {idx} ('{}') scheduled before its predecessor",
+                        task.name
+                    ),
                 })?;
-            deps.push(produced.main);
+            self.deps.push(produced.main);
         }
         for &anchor in &decision.after {
-            deps.push(self.resolve_anchor(anchor)?);
+            let dep = self.resolve_anchor(anchor)?;
+            self.deps.push(dep);
         }
-        Ok(deps)
+        Ok(())
+    }
+
+    /// Rejects a plan that names a site twice: [`Lowered::at_site`] would
+    /// find only the first of its flows.
+    fn check_scatter(&mut self, idx: usize, plan: &ScatterPlan) -> Result<(), SimError> {
+        self.scatter_sites.clear();
+        self.scatter_sites.extend(plan.transfers.iter().map(|&(site, _)| site));
+        self.scatter_sites.sort_unstable();
+        match self.scatter_sites.windows(2).find(|w| w[0] == w[1]) {
+            None => Ok(()),
+            Some(w) => Err(SimError::InvalidParameter {
+                message: format!(
+                    "scatter plan of dag task {idx} ('{}') names site {} twice",
+                    self.name(idx),
+                    w[0]
+                ),
+            }),
+        }
     }
 
     fn apply(
@@ -332,33 +355,43 @@ impl<'a> Executor<'a> {
                         return Err(SimError::InvalidParameter {
                             message: format!(
                                 "scheduler scheduled dag task {idx} ('{}') twice",
-                                self.dag.task(sd.task).expect("validated id").name
+                                self.name(idx)
                             ),
                         });
                     }
-                    if !self.is_ready(idx) {
+                    if !self.structure.is_ready(idx) {
                         return Err(SimError::InvalidParameter {
                             message: format!(
                                 "scheduler scheduled dag task {idx} ('{}') before its \
                                  structural predecessors",
-                                self.dag.task(sd.task).expect("validated id").name
+                                self.name(idx)
                             ),
                         });
                     }
-                    let mut deps = self.resolve_deps(&sd)?;
-                    if let Some(setup) = &sd.setup {
-                        let mut setup_deps = Vec::new();
-                        for &anchor in &setup.after {
-                            setup_deps.push(self.resolve_anchor(anchor)?);
-                        }
-                        let phase = self.dag.task(sd.task).expect("validated id").phase;
-                        let delay = lowering.lower_delay(setup.seconds, &setup_deps, phase)?;
-                        deps.push(delay);
+                    if let Some(plan) = &sd.scatter {
+                        self.check_scatter(idx, plan)?;
                     }
-                    let lowered = lowering.lower(self.dag, sd.task, sd.scatter.as_ref(), &deps)?;
+                    self.resolve_deps(&sd)?;
+                    if let Some(setup) = &sd.setup {
+                        // The setup's anchors resolve behind the task's
+                        // deps; the delay then takes their place.
+                        let mark = self.deps.len();
+                        for &anchor in &setup.after {
+                            let dep = self.resolve_anchor(anchor)?;
+                            self.deps.push(dep);
+                        }
+                        let phase = self.dag.tasks()[idx].phase;
+                        let delay =
+                            lowering.lower_delay(setup.seconds, &self.deps[mark..], phase)?;
+                        self.deps.truncate(mark);
+                        self.deps.push(delay);
+                    }
+                    let lowered =
+                        lowering.lower(self.dag, sd.task, sd.scatter.as_ref(), &self.deps)?;
                     self.lowered[idx] = Some(lowered);
                     self.scheduled[idx] = true;
                     self.deferred[idx] = false;
+                    self.structure.release(idx);
                     self.done += 1;
                     progress = true;
                 }
@@ -368,46 +401,60 @@ impl<'a> Executor<'a> {
     }
 }
 
+/// Every concrete site the graph's work names, ascending: the sites a stall
+/// offers to [`Scheduler::on_resource_free`].
+fn stall_sites(dag: &Dag) -> Vec<usize> {
+    let mut sites = Vec::new();
+    for task in dag.tasks() {
+        match task.work {
+            DagWork::Compute { site, .. } => sites.push(site),
+            DagWork::Transfer { from, to, .. } => sites.extend([from, to]),
+            DagWork::Delay { .. } | DagWork::Join => {}
+        }
+    }
+    sites.retain(|&s| s != SITE_STORAGE);
+    sites.sort_unstable();
+    sites.dedup();
+    sites
+}
+
 /// Runs `scheduler` over `dag`, lowering its decisions through `lowering`.
 ///
-/// Ready tasks are offered to the scheduler in ascending id order; when a
-/// sweep makes no progress and tasks remain, each site is offered via
-/// [`Scheduler::on_resource_free`] before the executor gives up with
-/// [`SimError::SchedulerStalled`].
+/// Ready tasks are offered to the scheduler in ascending id order, and a
+/// task readied by a decision earlier in the same sweep is offered in that
+/// sweep when its id is higher; when a sweep makes no progress and tasks
+/// remain, each site is offered via [`Scheduler::on_resource_free`] before
+/// the executor gives up with [`SimError::SchedulerStalled`]. This order is
+/// part of the contract: it fixes the order of the [`Lowering`] calls and so
+/// the id of every simulation task.
+///
+/// A [`ScatterPlan`] that names a site twice is rejected with
+/// [`SimError::InvalidParameter`] before anything of its task is lowered.
 pub fn execute(
     dag: &Dag,
     resources: &[Resource],
     scheduler: &mut dyn Scheduler,
     lowering: &mut dyn Lowering,
 ) -> Result<ScheduleOutcome, SimError> {
-    dag.validate()?;
+    let structure = dag.structure()?;
     let n = dag.len();
     let mut exec = Executor {
         dag,
         resources,
+        structure,
         lowered: (0..n).map(|_| None).collect(),
         scheduled: vec![false; n],
         deferred: vec![false; n],
+        deps: Vec::new(),
+        scatter_sites: Vec::new(),
         done: 0,
     };
-    // All sites mentioned by the graph, for resource-free sweeps.
-    let mut sites: Vec<usize> = dag
-        .tasks()
-        .iter()
-        .flat_map(|t| match t.work {
-            DagWork::Compute { site, .. } => vec![site],
-            DagWork::Transfer { from, to, .. } => vec![from, to],
-            _ => Vec::new(),
-        })
-        .filter(|&s| s != SITE_STORAGE)
-        .collect();
-    sites.sort_unstable();
-    sites.dedup();
+    let mut sites: Option<Vec<usize>> = None;
 
     while exec.done < n {
         let mut progress = false;
         for t in 0..n {
-            if exec.scheduled[t] || exec.deferred[t] || !exec.is_ready(t) {
+            if exec.scheduled[t] || exec.deferred[t] || !exec.structure.is_ready(t) {
                 continue;
             }
             let decisions = {
@@ -421,7 +468,7 @@ pub fn execute(
         }
         // Stalled: sweep resource-free callbacks to release deferred work.
         let mut freed = false;
-        for &site in &sites {
+        for &site in sites.get_or_insert_with(|| stall_sites(dag)).iter() {
             let decisions = {
                 let view = SystemView { resources: exec.resources, scheduled: &exec.scheduled };
                 scheduler.on_resource_free(site, dag, &view)
@@ -556,7 +603,8 @@ impl Lowering for DirectLowering<'_> {
                     if from == SITE_STORAGE || to == SITE_STORAGE {
                         return Err(SimError::InvalidParameter {
                             message: format!(
-                                "storage-class transfer '{}' requires a scatter plan",
+                                "storage-class transfer dag task {} ('{}') requires a scatter plan",
+                                task.index(),
                                 node.name
                             ),
                         });
@@ -613,6 +661,9 @@ impl Lowering for DirectLowering<'_> {
         Ok(self.sim.delay(spec))
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -786,6 +837,19 @@ mod tests {
         let flow = outcome.at_site(w, 3).expect("owner write exists");
         // All 90 B over one 10 B/s link: 9 s after the 1 s compute.
         assert_eq!(tl.finish_time(flow).to_bits(), 10.0f64.to_bits());
+    }
+
+    #[test]
+    fn scatter_plan_naming_a_site_twice_is_rejected_before_lowering() {
+        let (dag, _a, _w, _done) = fanout_dag();
+        let mut sim = Simulation::new();
+        let mut lowering = testbed(&mut sim);
+        let mut policy = ScatterPolicy { sites: vec![3, 2, 3], join: false };
+        let err = execute(&dag, &[], &mut policy, &mut lowering).unwrap_err();
+        let SimError::InvalidParameter { message } = err else { panic!("got {err:?}") };
+        assert!(message.contains("dag task 1 ('offload')") && message.contains("site 3 twice"));
+        // Only the producer's compute was lowered; no flow of the plan was.
+        assert_eq!(sim.run().expect("runs cleanly").records().len(), 1);
     }
 
     /// Defers every non-compute task until the stall sweep fires.

@@ -1,0 +1,522 @@
+//! The executor as it was before the CSR ready counts, kept as the reference
+//! [`super::execute`] is held to: a Kahn pass that builds `Vec<Vec<usize>>`
+//! over [`Dag::predecessors`], an `is_ready` that scans the predecessors of
+//! every offered task, and a fresh dependency list per decision. Same sweep
+//! order, same errors, same [`Lowering`] calls.
+
+use super::*;
+
+struct Executor<'a> {
+    dag: &'a Dag,
+    resources: &'a [Resource],
+    lowered: Vec<Option<Lowered>>,
+    scheduled: Vec<bool>,
+    deferred: Vec<bool>,
+    done: usize,
+}
+
+impl Executor<'_> {
+    fn is_ready(&self, task: usize) -> bool {
+        self.dag
+            .predecessors(DagTaskId(task))
+            .iter()
+            .all(|p| self.scheduled.get(p.index()).copied().unwrap_or(false))
+    }
+
+    fn resolve_anchor(&self, anchor: Anchor) -> Result<TaskId, SimError> {
+        match anchor {
+            Anchor::Task(t) => match self.lowered.get(t.index()).and_then(|l| l.as_ref()) {
+                Some(l) => Ok(l.main),
+                None => Err(SimError::InvalidParameter {
+                    message: format!("anchor references unscheduled dag task {}", t.index()),
+                }),
+            },
+            Anchor::TaskAtSite(t, site) => {
+                let Some(l) = self.lowered.get(t.index()).and_then(|l| l.as_ref()) else {
+                    return Err(SimError::InvalidParameter {
+                        message: format!("anchor references unscheduled dag task {}", t.index()),
+                    });
+                };
+                l.at_site(site).ok_or_else(|| SimError::InvalidParameter {
+                    message: format!(
+                        "dag task {} has no lowered sub-result at site {site}",
+                        t.index()
+                    ),
+                })
+            }
+        }
+    }
+
+    fn resolve_deps(&self, decision: &ScheduleDecision) -> Result<Vec<TaskId>, SimError> {
+        let idx = decision.task.index();
+        let task = self.dag.task(decision.task).expect("validated id");
+        let mut deps = Vec::new();
+        for &input in &task.inputs {
+            let item = self.dag.data(input).expect("validated id");
+            let produced = self.lowered[item.producer.index()].as_ref().ok_or_else(|| {
+                SimError::InvalidParameter {
+                    message: format!(
+                        "dag task {idx} ('{}') scheduled before the producer of its input '{}'",
+                        task.name, item.name
+                    ),
+                }
+            })?;
+            let dep = match item.site {
+                Some(site) => produced.at_site(site).unwrap_or(produced.main),
+                None => produced.main,
+            };
+            deps.push(dep);
+        }
+        for &pred in &task.after {
+            let produced =
+                self.lowered[pred.index()].as_ref().ok_or_else(|| SimError::InvalidParameter {
+                    message: format!(
+                        "dag task {idx} ('{}') scheduled before its predecessor",
+                        task.name
+                    ),
+                })?;
+            deps.push(produced.main);
+        }
+        for &anchor in &decision.after {
+            deps.push(self.resolve_anchor(anchor)?);
+        }
+        Ok(deps)
+    }
+
+    fn apply(
+        &mut self,
+        decisions: Vec<Decision>,
+        lowering: &mut dyn Lowering,
+    ) -> Result<bool, SimError> {
+        let mut progress = false;
+        for decision in decisions {
+            match decision {
+                Decision::Defer(t) => {
+                    if t.index() >= self.dag.len() {
+                        return Err(SimError::UnknownId { kind: "dag task", index: t.index() });
+                    }
+                    if !self.scheduled[t.index()] {
+                        self.deferred[t.index()] = true;
+                    }
+                }
+                Decision::Schedule(sd) => {
+                    let idx = sd.task.index();
+                    if idx >= self.dag.len() {
+                        return Err(SimError::UnknownId { kind: "dag task", index: idx });
+                    }
+                    if self.scheduled[idx] {
+                        return Err(SimError::InvalidParameter {
+                            message: format!(
+                                "scheduler scheduled dag task {idx} ('{}') twice",
+                                self.dag.task(sd.task).expect("validated id").name
+                            ),
+                        });
+                    }
+                    if !self.is_ready(idx) {
+                        return Err(SimError::InvalidParameter {
+                            message: format!(
+                                "scheduler scheduled dag task {idx} ('{}') before its \
+                                 structural predecessors",
+                                self.dag.task(sd.task).expect("validated id").name
+                            ),
+                        });
+                    }
+                    let mut deps = self.resolve_deps(&sd)?;
+                    if let Some(setup) = &sd.setup {
+                        let mut setup_deps = Vec::new();
+                        for &anchor in &setup.after {
+                            setup_deps.push(self.resolve_anchor(anchor)?);
+                        }
+                        let phase = self.dag.task(sd.task).expect("validated id").phase;
+                        let delay = lowering.lower_delay(setup.seconds, &setup_deps, phase)?;
+                        deps.push(delay);
+                    }
+                    let lowered = lowering.lower(self.dag, sd.task, sd.scatter.as_ref(), &deps)?;
+                    self.lowered[idx] = Some(lowered);
+                    self.scheduled[idx] = true;
+                    self.deferred[idx] = false;
+                    self.done += 1;
+                    progress = true;
+                }
+            }
+        }
+        Ok(progress)
+    }
+}
+
+/// Kahn's algorithm over [`Dag::predecessors`]. The graphs the tests build
+/// are never poisoned, so the poison check of [`Dag::validate`] is left out.
+fn validate(dag: &Dag) -> Result<(), SimError> {
+    let n = dag.len();
+    let mut indegree = vec![0usize; n];
+    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (id, degree) in indegree.iter_mut().enumerate() {
+        for pred in dag.predecessors(DagTaskId(id)) {
+            *degree += 1;
+            dependents[pred.0].push(id);
+        }
+    }
+    let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+    let mut visited = 0usize;
+    while let Some(t) = ready.pop() {
+        visited += 1;
+        for &d in &dependents[t] {
+            indegree[d] -= 1;
+            if indegree[d] == 0 {
+                ready.push(d);
+            }
+        }
+    }
+    if visited != n {
+        let stuck: Vec<usize> = (0..n).filter(|&i| indegree[i] > 0).collect();
+        return Err(SimError::DependencyCycle { stuck_tasks: stuck });
+    }
+    Ok(())
+}
+
+/// The old body of [`super::execute`].
+pub(super) fn execute(
+    dag: &Dag,
+    resources: &[Resource],
+    scheduler: &mut dyn Scheduler,
+    lowering: &mut dyn Lowering,
+) -> Result<ScheduleOutcome, SimError> {
+    validate(dag)?;
+    let n = dag.len();
+    let mut exec = Executor {
+        dag,
+        resources,
+        lowered: (0..n).map(|_| None).collect(),
+        scheduled: vec![false; n],
+        deferred: vec![false; n],
+        done: 0,
+    };
+    let mut sites: Vec<usize> = dag
+        .tasks()
+        .iter()
+        .flat_map(|t| match t.work {
+            DagWork::Compute { site, .. } => vec![site],
+            DagWork::Transfer { from, to, .. } => vec![from, to],
+            _ => Vec::new(),
+        })
+        .filter(|&s| s != SITE_STORAGE)
+        .collect();
+    sites.sort_unstable();
+    sites.dedup();
+
+    while exec.done < n {
+        let mut progress = false;
+        for t in 0..n {
+            if exec.scheduled[t] || exec.deferred[t] || !exec.is_ready(t) {
+                continue;
+            }
+            let decisions = {
+                let view = SystemView { resources: exec.resources, scheduled: &exec.scheduled };
+                scheduler.on_task_ready(DagTaskId(t), dag, &view)
+            };
+            progress |= exec.apply(decisions, lowering)?;
+        }
+        if exec.done == n || progress {
+            continue;
+        }
+        let mut freed = false;
+        for &site in &sites {
+            let decisions = {
+                let view = SystemView { resources: exec.resources, scheduled: &exec.scheduled };
+                scheduler.on_resource_free(site, dag, &view)
+            };
+            freed |= exec.apply(decisions, lowering)?;
+        }
+        if !freed {
+            let pending: Vec<usize> = (0..n).filter(|&t| !exec.scheduled[t]).collect();
+            return Err(SimError::SchedulerStalled { pending_tasks: pending });
+        }
+    }
+    Ok(ScheduleOutcome {
+        lowered: exec.lowered.into_iter().map(|l| l.expect("all tasks scheduled")).collect(),
+    })
+}
+
+mod tests {
+    use super::super::execute as csr_execute;
+    use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// One call a [`Recorder`] received.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Call {
+        Lower { task: usize, scatter: Option<ScatterPlan>, deps: Vec<TaskId> },
+        Delay { seconds: f64, deps: Vec<TaskId>, phase: Option<PhaseId> },
+    }
+
+    /// A lowering that records every call and hands out consecutive ids:
+    /// one per scatter flow, then the main.
+    #[derive(Default)]
+    struct Recorder {
+        calls: Vec<Call>,
+        next: TaskId,
+    }
+
+    impl Recorder {
+        fn id(&mut self) -> TaskId {
+            self.next += 1;
+            self.next - 1
+        }
+    }
+
+    impl Lowering for Recorder {
+        fn lower(
+            &mut self,
+            _dag: &Dag,
+            task: DagTaskId,
+            scatter: Option<&ScatterPlan>,
+            deps: &[TaskId],
+        ) -> Result<Lowered, SimError> {
+            self.calls.push(Call::Lower {
+                task: task.index(),
+                scatter: scatter.cloned(),
+                deps: deps.to_vec(),
+            });
+            let per_site = scatter
+                .map(|p| p.transfers.iter().map(|&(site, _)| (site, self.id())).collect())
+                .unwrap_or_default();
+            Ok(Lowered { main: self.id(), per_site })
+        }
+
+        fn lower_delay(
+            &mut self,
+            seconds: f64,
+            deps: &[TaskId],
+            phase: Option<PhaseId>,
+        ) -> Result<TaskId, SimError> {
+            self.calls.push(Call::Delay { seconds, deps: deps.to_vec(), phase });
+            Ok(self.id())
+        }
+    }
+
+    /// The two scatter sites of the storage class.
+    const STORAGE_SITES: [usize; 2] = [10, 11];
+
+    /// A graph of `n` tasks of every work kind, one output each, and edges
+    /// drawn from `dice`: hard inputs, after-edges and soft inputs, mostly
+    /// to an earlier task, now and then to any task (a higher id, itself, a
+    /// cycle), now and then declared twice.
+    fn random_dag(n: usize, dice: &[u32]) -> Dag {
+        let mut roll = dice.iter().copied().cycle();
+        let mut roll = move || roll.next().expect("dice are never empty") as usize;
+        let mut dag = Dag::new();
+        let mut outputs = Vec::with_capacity(n);
+        for _ in 0..n {
+            let r = roll();
+            let work = match r % 5 {
+                0 => DagWork::Compute { site: r / 5 % 4, amount: 1.0 },
+                1 => DagWork::Transfer { from: r / 5 % 4, to: r / 20 % 4, bytes: 8.0 },
+                2 => DagWork::Transfer { from: 0, to: SITE_STORAGE, bytes: 8.0 },
+                3 => DagWork::Delay { seconds: 0.5 },
+                _ => DagWork::Join,
+            };
+            let t = dag.add_task("t", work);
+            if r % 3 == 0 {
+                dag.set_phase(t, PhaseId(r % 2));
+            }
+            let site = [None, Some(0), Some(STORAGE_SITES[1])][r / 7 % 3];
+            outputs.push(dag.add_output(t, "out", 8.0, site));
+        }
+        for t in 0..n {
+            let task = DagTaskId(t);
+            for _ in 0..roll() % 4 {
+                let e = roll();
+                let src = if e % 19 == 0 {
+                    e / 4 % n
+                } else if t > 0 {
+                    e / 4 % t
+                } else {
+                    continue;
+                };
+                for _ in 0..1 + usize::from(e % 7 == 0) {
+                    match e % 4 {
+                        0 | 1 => dag.connect(task, outputs[src]),
+                        2 => dag.add_after(task, DagTaskId(src)),
+                        _ => dag.connect_soft(task, outputs[src]),
+                    }
+                }
+            }
+        }
+        dag
+    }
+
+    /// A deterministic policy driven by `dice`, shaped like `DeferUntilFree`:
+    /// it defers non-compute work until a stall and then releases the first
+    /// unscheduled task whose predecessors are all scheduled, waits for soft
+    /// inputs, anchors them on their producers (per site when scattered),
+    /// charges setup delays and scatters storage transfers; now and then it
+    /// schedules a task twice or a task that is not ready, or holds
+    /// everything at a stall. It logs every callback it gets.
+    struct DicePolicy<'d> {
+        dice: &'d [u32],
+        next: usize,
+        log: Vec<(bool, usize)>,
+    }
+
+    impl DicePolicy<'_> {
+        fn roll(&mut self) -> usize {
+            self.next += 1;
+            self.dice[(self.next - 1) % self.dice.len()] as usize
+        }
+
+        fn decision(&mut self, task: DagTaskId, dag: &Dag) -> ScheduleDecision {
+            let r = self.roll();
+            let node = dag.task(task).expect("offered tasks exist");
+            let mut d = ScheduleDecision::new(task);
+            for &item in &node.soft_inputs {
+                let producer = dag.data(item).expect("connected items exist").producer;
+                let scattered = matches!(
+                    dag.task(producer).expect("producers exist").work,
+                    DagWork::Transfer { to: SITE_STORAGE, .. }
+                );
+                d = d.after(if scattered && r % 2 == 0 {
+                    Anchor::TaskAtSite(producer, STORAGE_SITES[r / 2 % 2])
+                } else {
+                    Anchor::Task(producer)
+                });
+            }
+            if let DagWork::Transfer { to: SITE_STORAGE, bytes, .. } = node.work {
+                let transfers = match r / 4 % 3 {
+                    0 => vec![(STORAGE_SITES[1], bytes)],
+                    1 => STORAGE_SITES.iter().map(|&s| (s, bytes / 2.0)).collect(),
+                    _ => Vec::new(),
+                };
+                d = d.scatter(ScatterPlan { transfers, join: r % 3 == 0 });
+            }
+            if r % 5 == 0 {
+                let after = d.after.clone();
+                d = d.setup(SetupDelay { seconds: 0.25, after });
+            }
+            d
+        }
+    }
+
+    impl Scheduler for DicePolicy<'_> {
+        fn name(&self) -> &'static str {
+            "dice"
+        }
+
+        fn on_task_ready(
+            &mut self,
+            task: DagTaskId,
+            dag: &Dag,
+            system: &SystemView<'_>,
+        ) -> Vec<Decision> {
+            self.log.push((true, task.index()));
+            let r = self.roll();
+            let schedule = |id| Decision::Schedule(ScheduleDecision::new(id));
+            match r % 40 {
+                0 => return vec![schedule(task), schedule(task)],
+                1 => return vec![schedule(DagTaskId(r / 40 % dag.len()))],
+                _ => {}
+            }
+            let node = dag.task(task).expect("offered tasks exist");
+            if !matches!(node.work, DagWork::Compute { .. }) && r % 4 == 0 {
+                return vec![Decision::Defer(task)];
+            }
+            let soft_ready = node.soft_inputs.iter().all(|&item| {
+                system.is_scheduled(dag.data(item).expect("connected items exist").producer)
+            });
+            if !soft_ready {
+                return Vec::new();
+            }
+            vec![Decision::Schedule(self.decision(task, dag))]
+        }
+
+        fn on_resource_free(
+            &mut self,
+            site: usize,
+            dag: &Dag,
+            system: &SystemView<'_>,
+        ) -> Vec<Decision> {
+            self.log.push((false, site));
+            if self.roll() % 8 == 0 {
+                return Vec::new();
+            }
+            for idx in 0..dag.len() {
+                let id = DagTaskId(idx);
+                let ready = dag.predecessors(id).iter().all(|&p| system.is_scheduled(p));
+                if !system.is_scheduled(id) && ready {
+                    return vec![Decision::Schedule(self.decision(id, dag))];
+                }
+            }
+            Vec::new()
+        }
+    }
+
+    type Execute = fn(
+        &Dag,
+        &[Resource],
+        &mut dyn Scheduler,
+        &mut dyn Lowering,
+    ) -> Result<ScheduleOutcome, SimError>;
+
+    /// Everything an executor shows: what it returned, every lowering call
+    /// and every scheduler callback, in order.
+    type Trace =
+        (Result<Vec<(TaskId, Vec<(usize, TaskId)>)>, SimError>, Vec<Call>, Vec<(bool, usize)>);
+
+    fn trace(execute: Execute, dag: &Dag, scheduler: &mut DicePolicy<'_>) -> Trace {
+        let mut recorder = Recorder::default();
+        let outcome = execute(dag, &[], scheduler, &mut recorder)
+            .map(|o| o.lowered.into_iter().map(|l| (l.main, l.per_site)).collect());
+        (outcome, recorder.calls, std::mem::take(&mut scheduler.log))
+    }
+
+    fn both(dag: &Dag, dice: &[u32]) -> (Trace, Trace) {
+        let csr = trace(csr_execute, dag, &mut DicePolicy { dice, next: 0, log: Vec::new() });
+        let old = trace(execute, dag, &mut DicePolicy { dice, next: 0, log: Vec::new() });
+        (csr, old)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        /// Over random graphs and a random deferring, faulty policy, the
+        /// executor makes the reference's lowering calls with the same deps,
+        /// sees the same callbacks, and returns the same outcome or error.
+        #[test]
+        fn the_executor_matches_the_reference_call_for_call(
+            n in 1usize..24,
+            dice in vec(0u32..1_000_000, 8..96),
+        ) {
+            let dag = random_dag(n, &dice);
+            let (csr, old) = both(&dag, &dice);
+            prop_assert_eq!(csr, old);
+        }
+    }
+
+    /// Each error the reference raises, raised the same way: scheduled
+    /// before its predecessors, scheduled twice, a stall with its pending
+    /// list, a cycle with its stuck list.
+    #[test]
+    fn the_executor_matches_the_reference_on_every_error() {
+        let mut kinds = [0usize; 5];
+        for seed in 0..2000u32 {
+            let dice: Vec<u32> =
+                (0..48u32).map(|i| (seed * 48 + i).wrapping_mul(2_654_435_761) >> 8).collect();
+            let dag = random_dag(1 + seed as usize % 16, &dice);
+            let (csr, old) = both(&dag, &dice);
+            assert_eq!(csr, old, "seed {seed}");
+            let kind = match &csr.0 {
+                Ok(_) => 0,
+                Err(SimError::InvalidParameter { message }) if message.contains("twice") => 1,
+                Err(SimError::InvalidParameter { message }) if message.contains("before its") => 2,
+                Err(SimError::SchedulerStalled { .. }) => 3,
+                Err(SimError::DependencyCycle { .. }) => 4,
+                Err(_) => continue,
+            };
+            kinds[kind] += 1;
+        }
+        assert!(
+            kinds.iter().all(|&k| k > 0),
+            "outcomes seen (ok, twice, early, stall, cycle): {kinds:?}"
+        );
+    }
+}

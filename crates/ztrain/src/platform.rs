@@ -1,7 +1,9 @@
 //! The discrete-event scaffold the timed engine lowers every method onto.
 
+use std::collections::HashMap;
+
 use crate::machine::MachineConfig;
-use fabric::{InstalledFabric, Platform};
+use fabric::{InstalledFabric, NodeId, Platform};
 use faultkit::TimedFaultEffects;
 use simkit::{
     ComputeSpec, FlowSpec, LinkId, PhaseId, ResourceId, SimError, Simulation, TaskId, Timeline,
@@ -28,6 +30,23 @@ pub struct TimedPlatform {
     fpga_decompress: Vec<ResourceId>,
     config: MachineConfig,
     fault_effects: TimedFaultEffects,
+    /// Full link paths of the routes transfers have used, filled on first
+    /// use: one entry per endpoint pair served, never a table over all
+    /// nodes. The topology is fixed once installed, so no entry goes stale.
+    routes: HashMap<Route, Vec<LinkId>>,
+}
+
+/// The endpoint pair of a transfer helper, by component index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Route {
+    HostToGpu(usize),
+    GpuToHost(usize),
+    GpuToGpu(usize, usize),
+    HostToSsd(usize),
+    SsdToHost(usize),
+    SsdToFpga(usize),
+    FpgaToSsd(usize),
+    GpuToSsd(usize, usize),
 }
 
 impl TimedPlatform {
@@ -110,6 +129,7 @@ impl TimedPlatform {
             fpga_decompress,
             config: config.clone(),
             fault_effects: effects,
+            routes: HashMap::new(),
         }
     }
 
@@ -315,7 +335,57 @@ impl TimedPlatform {
 
     // ---- transfer helpers --------------------------------------------------
 
-    fn flow(&mut self, path: Vec<LinkId>, bytes: f64, deps: &[TaskId], phase: PhaseId) -> TaskId {
+    /// The fabric path of `route` with the SSD media link it crosses
+    /// appended, resolved once per platform.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `route` names an FPGA of a plain-SSD platform.
+    fn path(&mut self, route: Route) -> Vec<LinkId> {
+        if let Some(path) = self.routes.get(&route) {
+            return path.clone();
+        }
+        let p = &self.platform;
+        let fpga = |dev: usize, what: &str| -> NodeId {
+            p.devices[dev].fpga.unwrap_or_else(|| panic!("{what} requires a CSD platform"))
+        };
+        let (from, to, media, what) = match route {
+            Route::HostToGpu(g) => (p.host, p.gpus[g], None, "host and GPU"),
+            Route::GpuToHost(g) => (p.gpus[g], p.host, None, "host and GPU"),
+            Route::GpuToGpu(a, b) => (p.gpus[a], p.gpus[b], None, "GPUs"),
+            Route::HostToSsd(d) => {
+                (p.host, p.devices[d].ssd, Some(self.media[d].write), "host and SSD")
+            }
+            Route::SsdToHost(d) => {
+                (p.devices[d].ssd, p.host, Some(self.media[d].read), "host and SSD")
+            }
+            Route::SsdToFpga(d) => (
+                p.devices[d].ssd,
+                fpga(d, "ssd_to_fpga"),
+                Some(self.media[d].read),
+                "CSD internal ports",
+            ),
+            Route::FpgaToSsd(d) => (
+                fpga(d, "fpga_to_ssd"),
+                p.devices[d].ssd,
+                Some(self.media[d].write),
+                "CSD internal ports",
+            ),
+            Route::GpuToSsd(g, d) => {
+                (p.gpus[g], p.devices[d].ssd, Some(self.media[d].write), "GPU and SSD")
+            }
+        };
+        let mut path = self
+            .fabric
+            .path(from, to)
+            .unwrap_or_else(|e| panic!("{what} are always connected: {e}"));
+        path.extend(media);
+        self.routes.insert(route, path.clone());
+        path
+    }
+
+    fn flow(&mut self, route: Route, bytes: f64, deps: &[TaskId], phase: PhaseId) -> TaskId {
+        let path = self.path(route);
         self.sim.flow(FlowSpec::new(path, bytes).after(deps).phase(phase))
     }
 
@@ -327,11 +397,7 @@ impl TimedPlatform {
         deps: &[TaskId],
         phase: PhaseId,
     ) -> TaskId {
-        let path = self
-            .fabric
-            .path(self.platform.host, self.platform.gpus[gpu])
-            .expect("host and GPU are always connected");
-        self.flow(path, bytes, deps, phase)
+        self.flow(Route::HostToGpu(gpu), bytes, deps, phase)
     }
 
     /// GPU → host memory transfer (activation checkpoint / gradient staging).
@@ -342,11 +408,7 @@ impl TimedPlatform {
         deps: &[TaskId],
         phase: PhaseId,
     ) -> TaskId {
-        let path = self
-            .fabric
-            .path(self.platform.gpus[gpu], self.platform.host)
-            .expect("host and GPU are always connected");
-        self.flow(path, bytes, deps, phase)
+        self.flow(Route::GpuToHost(gpu), bytes, deps, phase)
     }
 
     /// GPU ↔ GPU transfer (tensor-parallel activation exchange).
@@ -358,11 +420,7 @@ impl TimedPlatform {
         deps: &[TaskId],
         phase: PhaseId,
     ) -> TaskId {
-        let path = self
-            .fabric
-            .path(self.platform.gpus[from], self.platform.gpus[to])
-            .expect("GPUs are always connected");
-        self.flow(path, bytes, deps, phase)
+        self.flow(Route::GpuToGpu(from, to), bytes, deps, phase)
     }
 
     /// Host memory → SSD write on device `dev` (limited by the PCIe path and
@@ -374,12 +432,7 @@ impl TimedPlatform {
         deps: &[TaskId],
         phase: PhaseId,
     ) -> TaskId {
-        let mut path = self
-            .fabric
-            .path(self.platform.host, self.platform.devices[dev].ssd)
-            .expect("host and SSD are always connected");
-        path.push(self.media[dev].write);
-        self.flow(path, bytes, deps, phase)
+        self.flow(Route::HostToSsd(dev), bytes, deps, phase)
     }
 
     /// SSD → host memory read on device `dev`.
@@ -390,12 +443,7 @@ impl TimedPlatform {
         deps: &[TaskId],
         phase: PhaseId,
     ) -> TaskId {
-        let mut path = self
-            .fabric
-            .path(self.platform.devices[dev].ssd, self.platform.host)
-            .expect("host and SSD are always connected");
-        path.push(self.media[dev].read);
-        self.flow(path, bytes, deps, phase)
+        self.flow(Route::SsdToHost(dev), bytes, deps, phase)
     }
 
     /// CSD-internal P2P read: SSD → FPGA on device `dev`, never touching the
@@ -411,11 +459,7 @@ impl TimedPlatform {
         deps: &[TaskId],
         phase: PhaseId,
     ) -> TaskId {
-        let ports = &self.platform.devices[dev];
-        let fpga = ports.fpga.expect("ssd_to_fpga requires a CSD platform");
-        let mut path = self.fabric.path(ports.ssd, fpga).expect("CSD internal ports are connected");
-        path.push(self.media[dev].read);
-        self.flow(path, bytes, deps, phase)
+        self.flow(Route::SsdToFpga(dev), bytes, deps, phase)
     }
 
     /// CSD-internal P2P write: FPGA → SSD on device `dev`.
@@ -430,11 +474,7 @@ impl TimedPlatform {
         deps: &[TaskId],
         phase: PhaseId,
     ) -> TaskId {
-        let ports = &self.platform.devices[dev];
-        let fpga = ports.fpga.expect("fpga_to_ssd requires a CSD platform");
-        let mut path = self.fabric.path(fpga, ports.ssd).expect("CSD internal ports are connected");
-        path.push(self.media[dev].write);
-        self.flow(path, bytes, deps, phase)
+        self.flow(Route::FpgaToSsd(dev), bytes, deps, phase)
     }
 
     /// GPU → SSD transfer (gradient offload path in the congested topology,
@@ -447,12 +487,7 @@ impl TimedPlatform {
         deps: &[TaskId],
         phase: PhaseId,
     ) -> TaskId {
-        let mut path = self
-            .fabric
-            .path(self.platform.gpus[gpu], self.platform.devices[dev].ssd)
-            .expect("GPU and SSD are always connected");
-        path.push(self.media[dev].write);
-        self.flow(path, bytes, deps, phase)
+        self.flow(Route::GpuToSsd(gpu, dev), bytes, deps, phase)
     }
 }
 
@@ -622,5 +657,133 @@ mod tests {
         assert_eq!(notes.len(), 1);
         assert_eq!(notes[0].site, "host-uplink");
         assert!(notes[0].detail.contains("10.0%"));
+    }
+
+    /// Calls one transfer helper twice on a fresh platform (a miss, then a
+    /// hit) and returns the one path its memo then holds.
+    fn memoised(
+        config: &MachineConfig,
+        effects: Option<&TimedFaultEffects>,
+        helper: impl Fn(&mut TimedPlatform, PhaseId) -> TaskId,
+    ) -> Vec<LinkId> {
+        let mut plat = TimedPlatform::new_with_faults(config, effects);
+        let p = phase(&mut plat);
+        helper(&mut plat, p);
+        helper(&mut plat, p);
+        assert_eq!(plat.routes.len(), 1);
+        plat.routes.into_values().next().expect("one route")
+    }
+
+    #[test]
+    fn every_transfer_helper_takes_the_fresh_fabric_path_plus_its_media_link() {
+        let derated = TimedFaultEffects {
+            uplink_bandwidth_factor: Some(0.5),
+            ..TimedFaultEffects::default()
+        };
+        for (config, effects) in [
+            (MachineConfig::smart_infinity(10), None),
+            (MachineConfig::congested_multi_gpu(4, 2), None),
+            (MachineConfig::baseline_raid0(4), None),
+            (MachineConfig::smart_infinity(10), Some(&derated)),
+        ] {
+            let fresh = TimedPlatform::new_with_faults(&config, effects);
+            let (p, media) = (&fresh.platform, &fresh.media);
+            let path = |from, to, link: Option<LinkId>| {
+                let mut path = fresh.fabric.path(from, to).expect("connected");
+                path.extend(link);
+                path
+            };
+            let check = |helper: &dyn Fn(&mut TimedPlatform, PhaseId) -> TaskId, want| {
+                assert_eq!(memoised(&config, effects, helper), want);
+            };
+            for g in 0..p.gpus.len() {
+                check(&|t, ph| t.host_to_gpu(g, 1.0, &[], ph), path(p.host, p.gpus[g], None));
+                check(&|t, ph| t.gpu_to_host(g, 1.0, &[], ph), path(p.gpus[g], p.host, None));
+                for h in 0..p.gpus.len() {
+                    check(
+                        &|t, ph| t.gpu_to_gpu(g, h, 1.0, &[], ph),
+                        path(p.gpus[g], p.gpus[h], None),
+                    );
+                }
+                for (d, ports) in p.devices.iter().enumerate() {
+                    check(
+                        &|t, ph| t.gpu_to_ssd(g, d, 1.0, &[], ph),
+                        path(p.gpus[g], ports.ssd, Some(media[d].write)),
+                    );
+                }
+            }
+            for (d, ports) in p.devices.iter().enumerate() {
+                check(
+                    &|t, ph| t.host_to_ssd(d, 1.0, &[], ph),
+                    path(p.host, ports.ssd, Some(media[d].write)),
+                );
+                check(
+                    &|t, ph| t.ssd_to_host(d, 1.0, &[], ph),
+                    path(ports.ssd, p.host, Some(media[d].read)),
+                );
+                if let Some(fpga) = ports.fpga {
+                    check(
+                        &|t, ph| t.ssd_to_fpga(d, 1.0, &[], ph),
+                        path(ports.ssd, fpga, Some(media[d].read)),
+                    );
+                    check(
+                        &|t, ph| t.fpga_to_ssd(d, 1.0, &[], ph),
+                        path(fpga, ports.ssd, Some(media[d].write)),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_4096_device_graph_memoises_only_the_endpoint_pairs_it_serves() {
+        use crate::schedule::{
+            build_iteration_graph, ChainSync, GraphKnobs, IterPhases, MethodPolicy, OffloadRouting,
+            PlatformLowering, SiteMap,
+        };
+        use simkit::{DagWork, SITE_STORAGE};
+
+        let mut plat = TimedPlatform::new(&MachineConfig::smart_infinity(4096));
+        let phases = IterPhases {
+            forward: plat.add_phase("fw"),
+            backward: plat.add_phase("bw"),
+            update: plat.add_phase("up"),
+        };
+        let sites = SiteMap::new(plat.num_gpus(), plat.num_devices());
+        let graph = build_iteration_graph(
+            &llm::Workload::new(llm::ModelConfig::gpt2_0_34b(), 4, 1024),
+            sites,
+            optim::OptimizerKind::Adam,
+            &GraphKnobs::in_storage(None, 100_000_000),
+            phases,
+        );
+        let mut policy = MethodPolicy::in_storage(
+            &graph.layout,
+            OffloadRouting::OwnerRouted,
+            ChainSync::Overlapped,
+            "pipelined",
+        );
+        let resources = plat.resource_catalog();
+        simkit::execute(&graph.dag, &resources, &mut policy, &mut PlatformLowering::new(&mut plat))
+            .expect("the graph lowers");
+        // The endpoint pairs the graph's transfers can name: a storage-class
+        // transfer is counted towards every device a plan could place it on.
+        let devices: Vec<usize> = (0..sites.num_devices).map(|d| sites.dev(d)).collect();
+        let mut served = std::collections::HashSet::new();
+        for task in graph.dag.tasks() {
+            if let DagWork::Transfer { from, to, .. } = task.work {
+                match (from == SITE_STORAGE, to == SITE_STORAGE) {
+                    (true, _) => served.extend(devices.iter().map(|&d| (d, to))),
+                    (_, true) => served.extend(devices.iter().map(|&d| (from, d))),
+                    _ => {
+                        served.insert((from, to));
+                    }
+                }
+            }
+        }
+        // Every device loads, writes back and sends upstream; every one
+        // receives gradients.
+        assert!(plat.routes.len() >= 4 * 4096, "{} routes", plat.routes.len());
+        assert!(plat.routes.len() <= served.len(), "{} > {}", plat.routes.len(), served.len());
     }
 }

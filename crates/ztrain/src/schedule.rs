@@ -17,8 +17,6 @@
 //! legacy timelines bit for bit (pinned by the golden tests in
 //! `smart_infinity/tests/integration_sched.rs`).
 
-use std::collections::HashMap;
-
 use crate::platform::TimedPlatform;
 use llm::Workload;
 use optim::OptimizerKind;
@@ -288,6 +286,35 @@ pub struct IterationGraph {
     pub layout: IterLayout,
 }
 
+/// The task and data names of one streaming pass. Names are diagnostics
+/// only, so each is a static stem; error messages add the task index.
+struct PassNames {
+    load: &'static str,
+    weights: &'static str,
+    compute: &'static str,
+    acts: &'static str,
+    actxfer: &'static str,
+    end: &'static str,
+}
+
+const FORWARD: PassNames = PassNames {
+    load: "fw.load",
+    weights: "fw.weights",
+    compute: "fw.compute",
+    acts: "fw.acts",
+    actxfer: "fw.actxfer",
+    end: "fw.end",
+};
+
+const BACKWARD: PassNames = PassNames {
+    load: "bw.load",
+    weights: "bw.weights",
+    compute: "bw.compute",
+    acts: "bw.acts",
+    actxfer: "bw.actxfer",
+    end: "bw.end",
+};
+
 /// Builds the forward or backward parameter-streaming pass: for each block,
 /// stream the FP16 parameters from host memory to the GPU(s) and run the
 /// block's compute, overlapping the next block's transfer with the current
@@ -300,7 +327,7 @@ fn build_pass(
     phase: PhaseId,
     pass_dep: Option<DagTaskId>,
     flops_multiplier: f64,
-    label: &str,
+    names: &PassNames,
 ) -> DagTaskId {
     let n_gpus = sites.num_gpus;
     let blocks = workload.block_bytes_fp16();
@@ -312,14 +339,14 @@ fn build_pass(
     let mut prev_compute: Vec<Option<DagTaskId>> = vec![None; n_gpus];
     let mut prev_load: Vec<Option<DagTaskId>> = vec![None; n_gpus];
     let mut last: Vec<DagTaskId> = Vec::new();
-    for (b, block_bytes) in blocks.iter().copied().enumerate() {
+    for block_bytes in blocks.iter().copied() {
         let block_bytes = block_bytes as f64;
         let block_flops = block_bytes * flops_per_byte;
         let mut block_tasks = Vec::new();
         for gpu in 0..n_gpus {
             // Tensor parallelism: each GPU streams 1/n of the block weights.
             let load = dag.add_task(
-                format!("{label}.load.b{b}.g{gpu}"),
+                names.load,
                 DagWork::Transfer {
                     from: sites.host(),
                     to: sites.gpu(gpu),
@@ -335,13 +362,13 @@ fn build_pass(
             }
             let weights = dag.add_output(
                 load,
-                format!("{label}.weights.b{b}.g{gpu}"),
+                names.weights,
                 block_bytes / n_gpus as f64,
                 Some(sites.gpu(gpu)),
             );
             prev_load[gpu] = Some(load);
             let compute = dag.add_task(
-                format!("{label}.compute.b{b}.g{gpu}"),
+                names.compute,
                 DagWork::Compute { site: sites.gpu(gpu), amount: block_flops / n_gpus as f64 },
             );
             dag.set_phase(compute, phase);
@@ -353,14 +380,10 @@ fn build_pass(
             block_tasks.push(compute);
             // Tensor-parallel activation exchange with GPU 0 after the block.
             if n_gpus > 1 && gpu != 0 {
-                let acts = dag.add_output(
-                    compute,
-                    format!("{label}.acts.b{b}.g{gpu}"),
-                    act_bytes_per_block,
-                    Some(sites.gpu(gpu)),
-                );
+                let acts =
+                    dag.add_output(compute, names.acts, act_bytes_per_block, Some(sites.gpu(gpu)));
                 let xfer = dag.add_task(
-                    format!("{label}.actxfer.b{b}.g{gpu}"),
+                    names.actxfer,
                     DagWork::Transfer {
                         from: sites.gpu(gpu),
                         to: sites.gpu(0),
@@ -374,7 +397,7 @@ fn build_pass(
         }
         last = block_tasks;
     }
-    let end = dag.add_task(format!("{label}.end"), DagWork::Join);
+    let end = dag.add_task(names.end, DagWork::Join);
     for t in last {
         dag.add_after(end, t);
     }
@@ -394,9 +417,9 @@ pub fn build_iteration_graph(
     phases: IterPhases,
 ) -> IterationGraph {
     let mut dag = Dag::new();
-    let fw_end = build_pass(&mut dag, workload, sites, phases.forward, None, 1.0, "fw");
+    let fw_end = build_pass(&mut dag, workload, sites, phases.forward, None, 1.0, &FORWARD);
     let bw_compute_end =
-        build_pass(&mut dag, workload, sites, phases.backward, Some(fw_end), 2.0, "bw");
+        build_pass(&mut dag, workload, sites, phases.backward, Some(fw_end), 2.0, &BACKWARD);
 
     // Backward gradient offload: per block, (compress →) stage to host →
     // scatter towards the storage class. The scatter's placement — striped
@@ -409,7 +432,7 @@ pub fn build_iteration_graph(
     let partitioner = Partitioner::contiguous(total_params, n_dev);
     let mut blocks: Vec<BlockPlan> = Vec::new();
     let mut cursor = 0usize; // flattened-parameter offset of the block
-    for (b, block_m) in block_sizes.iter().copied().enumerate() {
+    for block_m in block_sizes.iter().copied() {
         let block_params = (block_m / 2) as usize;
         let block_start = cursor.min(total_params);
         let block_end = (cursor + block_params).min(total_params);
@@ -420,20 +443,18 @@ pub fn build_iteration_graph(
         // few extra passes over the block's gradients.
         let (head, compress, stage) = if compressed {
             let sort_flops = 16.0 * (block_m / 2.0);
-            let compress = dag.add_task(
-                format!("compress.b{b}"),
-                DagWork::Compute { site: sites.gpu(0), amount: sort_flops },
-            );
+            let compress = dag
+                .add_task("compress", DagWork::Compute { site: sites.gpu(0), amount: sort_flops });
             dag.set_phase(compress, phases.backward);
             dag.add_after(compress, fw_end);
             let compact = dag.add_output(
                 compress,
-                format!("topk.b{b}"),
+                "topk",
                 block_m * transfer_ratio.max(0.02),
                 Some(sites.gpu(0)),
             );
             let stage = dag.add_task(
-                format!("stage.b{b}"),
+                "stage",
                 DagWork::Transfer {
                     from: sites.gpu(0),
                     to: sites.host(),
@@ -445,7 +466,7 @@ pub fn build_iteration_graph(
             (compress, Some(compress), stage)
         } else {
             let stage = dag.add_task(
-                format!("stage.b{b}"),
+                "stage",
                 DagWork::Transfer { from: sites.gpu(0), to: sites.host(), bytes: block_m },
             );
             dag.set_phase(stage, phases.backward);
@@ -454,12 +475,12 @@ pub fn build_iteration_graph(
         };
         let staged = dag.add_output(
             stage,
-            format!("grads.b{b}@host"),
+            "grads@host",
             dense_grad_bytes * transfer_ratio,
             Some(sites.host()),
         );
         let scatter = dag.add_task(
-            format!("offload.b{b}"),
+            "offload",
             DagWork::Transfer {
                 from: sites.host(),
                 to: SITE_STORAGE,
@@ -468,12 +489,8 @@ pub fn build_iteration_graph(
         );
         dag.set_phase(scatter, phases.backward);
         dag.connect(scatter, staged);
-        let stored = dag.add_output(
-            scatter,
-            format!("grads.b{b}@storage"),
-            dense_grad_bytes * transfer_ratio,
-            None,
-        );
+        let stored =
+            dag.add_output(scatter, "grads@storage", dense_grad_bytes * transfer_ratio, None);
         let striped: Vec<(usize, f64)> = (0..n_dev)
             .map(|d| (sites.dev(d), dense_grad_bytes * transfer_ratio / n_dev as f64))
             .collect();
@@ -499,24 +516,23 @@ pub fn build_iteration_graph(
     let (up_end, phase_end, devices, host_updates) = match knobs.placement {
         UpdatePlacement::InStorage => {
             let state_bytes_per_param = optimizer.state_bytes_per_param() as f64;
+            // Per device, the blocks routed to it, in block order.
+            let mut owned_by: Vec<Vec<&BlockPlan>> = vec![Vec::new(); n_dev];
+            for plan in &blocks {
+                for &(site, _) in &plan.owned {
+                    owned_by[site - sites.dev(0)].push(plan);
+                }
+            }
             let mut devices: Vec<DevicePlan> = Vec::new();
             let mut chain_ends: Vec<DagTaskId> = Vec::new();
-            for dev in 0..n_dev {
+            for (dev, routed) in owned_by.iter().enumerate() {
                 let shard = partitioner.shard(dev);
                 if shard.len == 0 {
                     continue;
                 }
                 let site = sites.dev(dev);
-                let grad_scatters: Vec<DagTaskId> = blocks
-                    .iter()
-                    .filter(|p| p.owned.iter().any(|&(s, _)| s == site))
-                    .map(|p| p.scatter)
-                    .collect();
-                let owning: Vec<DataId> = blocks
-                    .iter()
-                    .filter(|p| p.owned.iter().any(|&(s, _)| s == site))
-                    .map(|p| p.stored)
-                    .collect();
+                let grad_scatters: Vec<DagTaskId> = routed.iter().map(|p| p.scatter).collect();
+                let owning: Vec<DataId> = routed.iter().map(|p| p.stored).collect();
                 let chunker = Chunker::new(shard.len, knobs.subgroup_elems);
                 let mut chains: Vec<ChainPlan> = Vec::new();
                 for subgroup in chunker.subgroups() {
@@ -531,7 +547,7 @@ pub fn build_iteration_graph(
 
                     // 1. P2P load of gradients + optimizer states (media → FPGA).
                     let load = dag.add_task(
-                        format!("load.d{dev}.s{s}"),
+                        "load",
                         DagWork::Transfer {
                             from: site,
                             to: sites.fpga(dev),
@@ -549,21 +565,21 @@ pub fn build_iteration_graph(
                     }
                     let loaded = dag.add_output(
                         load,
-                        format!("states.d{dev}.s{s}@fpga"),
+                        "states@fpga",
                         state_bytes + grad_load_bytes,
                         Some(sites.fpga(dev)),
                     );
                     // 2. Decompression (SmartComp only), then the update kernel.
                     let (update_src, decompress) = if compressed {
                         let dec = dag.add_task(
-                            format!("decompress.d{dev}.s{s}"),
+                            "decompress",
                             DagWork::Compute { site: sites.decomp(dev), amount: dense_grad_bytes },
                         );
                         dag.set_phase(dec, phases.update);
                         dag.connect(dec, loaded);
                         let dense = dag.add_output(
                             dec,
-                            format!("dense_grads.d{dev}.s{s}"),
+                            "dense_grads",
                             dense_grad_bytes,
                             Some(sites.fpga(dev)),
                         );
@@ -572,7 +588,7 @@ pub fn build_iteration_graph(
                         (loaded, None)
                     };
                     let update = dag.add_task(
-                        format!("update.d{dev}.s{s}"),
+                        "update",
                         DagWork::Compute {
                             site: sites.fpga(dev),
                             amount: state_bytes + dense_grad_bytes,
@@ -582,13 +598,13 @@ pub fn build_iteration_graph(
                     dag.connect(update, update_src);
                     let updated = dag.add_output(
                         update,
-                        format!("states.d{dev}.s{s}@fpga.fresh"),
+                        "states@fpga.fresh",
                         state_bytes,
                         Some(sites.fpga(dev)),
                     );
                     // 3. Urgent parameter write-back, then upstream to host.
                     let wb_param = dag.add_task(
-                        format!("wb_param.d{dev}.s{s}"),
+                        "wb_param",
                         DagWork::Transfer {
                             from: sites.fpga(dev),
                             to: site,
@@ -597,14 +613,10 @@ pub fn build_iteration_graph(
                     );
                     dag.set_phase(wb_param, phases.update);
                     dag.connect(wb_param, updated);
-                    let params_ssd = dag.add_output(
-                        wb_param,
-                        format!("params.d{dev}.s{s}@media"),
-                        param_writeback_bytes,
-                        Some(site),
-                    );
+                    let params_ssd =
+                        dag.add_output(wb_param, "params@media", param_writeback_bytes, Some(site));
                     let upstream = dag.add_task(
-                        format!("upstream.d{dev}.s{s}"),
+                        "upstream",
                         DagWork::Transfer { from: site, to: sites.host(), bytes: upstream_bytes },
                     );
                     dag.set_phase(upstream, phases.update);
@@ -614,7 +626,7 @@ pub fn build_iteration_graph(
                     // waits on the update kernel or on the urgent write-back
                     // is the handler policy's call.
                     let wb_state = dag.add_task(
-                        format!("wb_state.d{dev}.s{s}"),
+                        "wb_state",
                         DagWork::Transfer {
                             from: sites.fpga(dev),
                             to: site,
@@ -623,7 +635,7 @@ pub fn build_iteration_graph(
                     );
                     dag.set_phase(wb_state, phases.update);
                     dag.connect_soft(wb_state, updated);
-                    let chain_end = dag.add_task(format!("chain_end.d{dev}.s{s}"), DagWork::Join);
+                    let chain_end = dag.add_task("chain_end", DagWork::Join);
                     dag.add_after(chain_end, upstream);
                     dag.add_after(chain_end, wb_state);
                     chains.push(ChainPlan {
@@ -652,7 +664,7 @@ pub fn build_iteration_graph(
             let state_per_m = optimizer.state_size_in_m(); // 6 for Adam, 4 for SGD/AdaGrad
             let mut host_updates: Vec<HostUpdatePlan> = Vec::new();
             let mut prev_gather: Option<DagTaskId> = None;
-            for (b, block_m) in block_sizes.iter().copied().enumerate() {
+            for block_m in block_sizes.iter().copied() {
                 let block_m = block_m as f64; // FP16 bytes of this block = "1M"
                 let upload_bytes = (state_per_m + 2.0) * block_m; // states + FP32 gradients
                 let offload_bytes = state_per_m * block_m;
@@ -660,7 +672,7 @@ pub fn build_iteration_graph(
                 // overlaps the CPU update and offload of the previous one
                 // (DeepSpeed's double-buffered pipeline).
                 let gather = dag.add_task(
-                    format!("gather.b{b}"),
+                    "gather",
                     DagWork::Transfer { from: SITE_STORAGE, to: sites.host(), bytes: upload_bytes },
                 );
                 dag.set_phase(gather, phases.update);
@@ -669,28 +681,20 @@ pub fn build_iteration_graph(
                     dag.add_after(gather, p);
                 }
                 prev_gather = Some(gather);
-                let gathered = dag.add_output(
-                    gather,
-                    format!("states.b{b}@host"),
-                    upload_bytes,
-                    Some(sites.host()),
-                );
+                let gathered =
+                    dag.add_output(gather, "states@host", upload_bytes, Some(sites.host()));
                 // CPU update streams states + gradients through the AVX kernel.
                 let update = dag.add_task(
-                    format!("cpu_update.b{b}"),
+                    "cpu_update",
                     DagWork::Compute { site: sites.host(), amount: upload_bytes },
                 );
                 dag.set_phase(update, phases.update);
                 dag.connect(update, gathered);
-                let fresh = dag.add_output(
-                    update,
-                    format!("states.b{b}@host.fresh"),
-                    offload_bytes,
-                    Some(sites.host()),
-                );
+                let fresh =
+                    dag.add_output(update, "states@host.fresh", offload_bytes, Some(sites.host()));
                 // Striped offload of the refreshed optimizer states.
                 let offload = dag.add_task(
-                    format!("writeback.b{b}"),
+                    "writeback",
                     DagWork::Transfer {
                         from: sites.host(),
                         to: SITE_STORAGE,
@@ -793,6 +797,14 @@ enum Role {
     HostUpEnd,
 }
 
+/// Gives `task` its role, growing the table to reach it.
+fn set_role(roles: &mut Vec<Option<Role>>, task: DagTaskId, role: Role) {
+    if roles.len() <= task.index() {
+        roles.resize(task.index() + 1, None);
+    }
+    roles[task.index()] = Some(role);
+}
+
 /// A method schedule over the shared iteration graph: one of the paper's
 /// execution strategies, expressed as placement + ordering decisions.
 ///
@@ -810,20 +822,21 @@ pub struct MethodPolicy<'a> {
     routing: OffloadRouting,
     chain: ChainSync,
     layout: &'a IterLayout,
-    roles: HashMap<usize, Role>,
+    /// The role of each DAG task, by task index.
+    roles: Vec<Option<Role>>,
 }
 
 impl<'a> MethodPolicy<'a> {
     /// The ZeRO-Infinity baseline schedule: striped gradient offload and the
     /// double-buffered host-CPU update pipeline.
     pub fn host_update(layout: &'a IterLayout) -> Self {
-        let mut roles = HashMap::new();
+        let mut roles = Vec::new();
         Self::insert_block_roles(&mut roles, layout);
         for (b, plan) in layout.host_updates.iter().enumerate() {
-            roles.insert(plan.gather.index(), Role::HostGather(b));
-            roles.insert(plan.offload.index(), Role::HostOffload(b));
+            set_role(&mut roles, plan.gather, Role::HostGather(b));
+            set_role(&mut roles, plan.offload, Role::HostOffload(b));
         }
-        roles.insert(layout.up_end.index(), Role::HostUpEnd);
+        set_role(&mut roles, layout.up_end, Role::HostUpEnd);
         Self {
             name: "host-update",
             routing: OffloadRouting::Striped,
@@ -841,23 +854,23 @@ impl<'a> MethodPolicy<'a> {
         chain: ChainSync,
         name: &'static str,
     ) -> Self {
-        let mut roles = HashMap::new();
+        let mut roles = Vec::new();
         Self::insert_block_roles(&mut roles, layout);
         for (di, dev) in layout.devices.iter().enumerate() {
             for (ci, c) in dev.chains.iter().enumerate() {
-                roles.insert(c.load.index(), Role::ChainLoad { device: di, chain: ci });
-                roles.insert(c.wb_state.index(), Role::ChainWbState { device: di, chain: ci });
+                set_role(&mut roles, c.load, Role::ChainLoad { device: di, chain: ci });
+                set_role(&mut roles, c.wb_state, Role::ChainWbState { device: di, chain: ci });
             }
         }
         Self { name, routing, chain, layout, roles }
     }
 
-    fn insert_block_roles(roles: &mut HashMap<usize, Role>, layout: &IterLayout) {
+    fn insert_block_roles(roles: &mut Vec<Option<Role>>, layout: &IterLayout) {
         for (b, plan) in layout.blocks.iter().enumerate() {
-            roles.insert(plan.head.index(), Role::BlockHead(b));
-            roles.insert(plan.scatter.index(), Role::BlockScatter(b));
+            set_role(roles, plan.head, Role::BlockHead(b));
+            set_role(roles, plan.scatter, Role::BlockScatter(b));
         }
-        roles.insert(layout.bw_end.index(), Role::BwEnd);
+        set_role(roles, layout.bw_end, Role::BwEnd);
     }
 
     /// The layout this policy schedules over.
@@ -893,7 +906,7 @@ impl Scheduler for MethodPolicy<'_> {
         _dag: &Dag,
         _system: &SystemView<'_>,
     ) -> Vec<Decision> {
-        let Some(role) = self.roles.get(&task.index()).copied() else {
+        let Some(role) = self.roles.get(task.index()).copied().flatten() else {
             return vec![Decision::Schedule(ScheduleDecision::new(task))];
         };
         let decision = match role {
@@ -1045,9 +1058,13 @@ impl<'a> PlatformLowering<'a> {
         self.sites.classify(site).ok_or(SimError::UnknownId { kind: "site", index: site })
     }
 
-    fn require_phase(task: &simkit::DagTask) -> Result<PhaseId, SimError> {
+    fn require_phase(id: DagTaskId, task: &simkit::DagTask) -> Result<PhaseId, SimError> {
         task.phase.ok_or_else(|| SimError::InvalidParameter {
-            message: format!("task '{}' carries work but no phase attribution", task.name),
+            message: format!(
+                "dag task {} ('{}') carries work but no phase attribution",
+                id.index(),
+                task.name
+            ),
         })
     }
 
@@ -1113,11 +1130,11 @@ impl Lowering for PlatformLowering<'_> {
         match node.work {
             DagWork::Join => Ok(Lowered::single(self.plat.barrier(deps))),
             DagWork::Delay { seconds } => {
-                let phase = Self::require_phase(node)?;
+                let phase = Self::require_phase(task, node)?;
                 Ok(Lowered::single(self.plat.delay(seconds, deps, phase)))
             }
             DagWork::Compute { site, amount } => {
-                let phase = Self::require_phase(node)?;
+                let phase = Self::require_phase(task, node)?;
                 let id = match self.classify(site)? {
                     SiteKind::Host => self.plat.cpu_update(amount, deps, phase),
                     SiteKind::Gpu(g) => self.plat.gpu_compute(g, amount, deps, phase),
@@ -1126,7 +1143,8 @@ impl Lowering for PlatformLowering<'_> {
                     SiteKind::Storage(_) => {
                         return Err(SimError::InvalidParameter {
                             message: format!(
-                                "task '{}': storage media cannot run compute",
+                                "dag task {} ('{}'): storage media cannot run compute",
+                                task.index(),
                                 node.name
                             ),
                         })
@@ -1135,11 +1153,13 @@ impl Lowering for PlatformLowering<'_> {
                 Ok(Lowered::single(id))
             }
             DagWork::Transfer { from, to, bytes } => {
-                let phase = Self::require_phase(node)?;
+                let phase = Self::require_phase(task, node)?;
                 if from == SITE_STORAGE || to == SITE_STORAGE {
                     let plan = scatter.ok_or_else(|| SimError::InvalidParameter {
                         message: format!(
-                            "task '{}': storage-class transfer scheduled without a scatter plan",
+                            "dag task {} ('{}'): storage-class transfer scheduled without a \
+                             scatter plan",
+                            task.index(),
                             node.name
                         ),
                     })?;
@@ -1173,7 +1193,8 @@ impl Lowering for PlatformLowering<'_> {
                     (f, t) => {
                         return Err(SimError::InvalidParameter {
                             message: format!(
-                                "task '{}': no fabric route from {f:?} to {t:?}",
+                                "dag task {} ('{}'): no fabric route from {f:?} to {t:?}",
+                                task.index(),
                                 node.name
                             ),
                         })
