@@ -1,0 +1,243 @@
+//! The bit-identity gate: every deterministic output of the `figures` and
+//! `lab` front ends, rendered, normalised and hashed into one line each of
+//! `tests/golden/outputs.manifest`.
+//!
+//! The outputs are the ones a change to the timed or functional stack used
+//! to be diffed against its parent on by hand: `figures --quick --json` for
+//! every figure id, `figures campaign` on each `specs/*.json`, `figures
+//! sched specs/ladder.json`, the fault campaign halted after two runs and
+//! resumed, and `lab run` (journal and analysis tables) plus `lab plan` on
+//! the checked-in experiments. Each is hashed with the FNV-1a of
+//! [`smart_infinity::fnv1a`], so a failure names the output that moved.
+//!
+//! What depends on the machine and not on the model is normalised first:
+//! worker and CPU counts and the `parallel_valid` caveat of a campaign, and
+//! the scratch paths printed in banners. Not hashed at all, with the reason:
+//! [`EXCLUDED`].
+//!
+//! To re-bless after an *intentional* change of what the model computes:
+//!
+//! ```text
+//! cargo test -p bench --test outputs_manifest -- --ignored bless
+//! ```
+
+use lab::runner::load_tasks;
+use lab::{plan_trials, run_experiment, ExperimentPaths, RunOptions, ServiceExecutor};
+use smart_infinity::fnv1a;
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+/// The `figures` ids whose text and JSON are hashed: every id of `figures
+/// all` but the [`EXCLUDED`] ones.
+const FIGURES: [&str; 13] = [
+    "fig3a", "fig3b", "tab1", "tab3", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
+    "fig17", "pipeline",
+];
+
+/// The `figures` ids left out, and why.
+const EXCLUDED: [(&str, &str); 3] = [
+    ("perf", "wall-clock throughputs of the host it runs on"),
+    ("tab4", "trains through libm exp/ln, whose last bits are not fixed across platforms"),
+    ("fig16", "trains through libm exp/ln, whose last bits are not fixed across platforms"),
+];
+
+/// The campaign files of `specs/`, by stem.
+const CAMPAIGNS: [&str; 6] = ["ladder", "scaling", "compression", "cluster", "faults", "serve"];
+
+/// The checked-in `lab` experiments.
+const EXPERIMENTS: [&str; 3] = ["mini", "ladder", "hetero"];
+
+fn repo_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+fn manifest_path() -> PathBuf {
+    repo_root().join("tests/golden/outputs.manifest")
+}
+
+/// Every output as `(name, normalised content)`, in a fixed order. `scratch`
+/// is emptied first and receives the files the front ends write.
+struct Outputs {
+    scratch: PathBuf,
+    entries: Vec<(String, String)>,
+}
+
+impl Outputs {
+    /// Normalises `text` and records it under `name`.
+    fn add(&mut self, name: String, text: &str) {
+        let text = normalise(text, &self.scratch.to_string_lossy());
+        self.entries.push((name, text));
+    }
+
+    /// Records every file of `dir` (not its subdirectories), by name, under
+    /// `group/`.
+    fn add_dir(&mut self, group: &str, dir: &Path) {
+        let entries = std::fs::read_dir(dir).expect("output dir");
+        let mut files: Vec<PathBuf> =
+            entries.map(|e| e.expect("entry").path()).filter(|p| p.is_file()).collect();
+        files.sort();
+        for file in files {
+            let text = std::fs::read_to_string(&file).expect("output file");
+            let name = file.file_name().expect("file name").to_string_lossy().into_owned();
+            self.add(format!("{group}/{name}"), &text);
+        }
+    }
+
+    /// A fresh empty directory under the scratch root.
+    fn dir(&self, name: &str) -> PathBuf {
+        let dir = self.scratch.join(name);
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        dir
+    }
+
+    /// Runs the `figures` binary from the repository root and returns its
+    /// stdout; a non-zero exit fails the test with its stderr.
+    fn figures(&self, args: &[&str]) -> String {
+        let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+            .args(args)
+            .current_dir(repo_root())
+            .output()
+            .expect("spawn figures");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "figures {args:?} failed: {stderr}");
+        String::from_utf8(out.stdout).expect("utf-8 stdout")
+    }
+
+    /// `figures [--quick] --json DIR <args>`: its stdout and every JSON file.
+    fn figures_group(&mut self, group: &str, quick: bool, args: &[&str]) {
+        let dir = self.dir(group);
+        let dir_arg = dir.to_string_lossy().into_owned();
+        let mut full = if quick { vec!["--quick"] } else { Vec::new() };
+        full.extend(["--json", &dir_arg]);
+        full.extend(args);
+        let stdout = self.figures(&full);
+        self.add(format!("{group}/stdout"), &stdout);
+        self.add_dir(group, &dir);
+    }
+}
+
+/// Blanks what depends on the machine, not on the model: the worker and
+/// CPU counts of a campaign (banner and JSON), its no-concurrency note, and
+/// the scratch root in printed paths.
+fn normalise(text: &str, scratch: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    for line in text.lines() {
+        if line.starts_with("NOTE: specs ran without real concurrency")
+            || line.starts_with("identical either way")
+        {
+            continue;
+        }
+        let line = line.replace(scratch, "<scratch>");
+        let trimmed = line.trim_start();
+        let key = ["\"num_cpus\":", "\"threads\":", "\"parallel_valid\":"]
+            .into_iter()
+            .find(|key| trimmed.starts_with(key));
+        if let Some(key) = key {
+            let indent = &line[..line.len() - trimmed.len()];
+            let comma = if trimmed.ends_with(',') { "," } else { "" };
+            out.push_str(&format!("{indent}{key} <machine>{comma}"));
+        } else if let (true, Some(at)) = (line.starts_with("Campaign"), line.find(" specs on ")) {
+            out.push_str(&line[..at]);
+            out.push_str(" specs on <machine>");
+        } else {
+            out.push_str(&line);
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// Renders every output of the gate into a fresh `scratch` directory.
+fn render(scratch: PathBuf) -> Vec<(String, String)> {
+    let _ = std::fs::remove_dir_all(&scratch);
+    let mut outputs = Outputs { scratch, entries: Vec::new() };
+
+    for id in FIGURES {
+        outputs.figures_group(&format!("figures/{id}"), true, &[id]);
+    }
+    for stem in CAMPAIGNS {
+        let file = format!("specs/{stem}.json");
+        outputs.figures_group(&format!("campaign/{stem}"), false, &["campaign", &file]);
+    }
+    outputs.figures_group("sched/ladder", false, &["sched", "specs/ladder.json"]);
+
+    // The fault campaign killed after two runs, then resumed: the resumed
+    // report must equal the straight one (`campaign/faults`).
+    let checkpoint = outputs.dir("faults").join("checkpoint.json");
+    let checkpoint = checkpoint.to_string_lossy().into_owned();
+    let halted =
+        ["--checkpoint", &checkpoint, "--halt-after", "2", "campaign", "specs/faults.json"];
+    let stdout = outputs.figures(&halted);
+    outputs.add("faults/halted/stdout".to_string(), &stdout);
+    let saved = std::fs::read_to_string(&checkpoint).expect("the halted run writes a checkpoint");
+    outputs.add("faults/halted/checkpoint.json".to_string(), &saved);
+    let resume = ["--checkpoint", &checkpoint, "campaign", "specs/faults.json"];
+    outputs.figures_group("faults/resumed", false, &resume);
+    assert!(!Path::new(&checkpoint).exists(), "a completed campaign consumes its checkpoint");
+
+    for name in EXPERIMENTS {
+        let experiment = repo_root().join("specs/experiments").join(name);
+        let (paths, config) = ExperimentPaths::resolve(&experiment).expect("experiment resolves");
+        let tasks = load_tasks(&paths.tasks).expect("tasks load");
+        let plan: String = plan_trials(&tasks, &config)
+            .iter()
+            .map(|t| {
+                format!("{} {} {} {} {}\n", t.index, t.trial_id, t.task_id, t.variant, t.repeat)
+            })
+            .collect();
+        outputs.add(format!("lab/{name}/plan"), &plan);
+        let out = outputs.dir(&format!("lab/{name}"));
+        let options = RunOptions { shard: None, halt_after: None };
+        run_experiment(&experiment, &out, &options, &mut ServiceExecutor::new(2))
+            .expect("experiment runs");
+        outputs.add_dir(&format!("lab/{name}"), &out);
+        outputs.add_dir(&format!("lab/{name}/analysis"), &out.join("analysis"));
+    }
+    outputs.entries
+}
+
+/// The manifest text: a header naming the exclusions, then one
+/// `name fnv1a-hex` line per output.
+fn manifest(entries: &[(String, String)]) -> String {
+    let mut out = String::from(
+        "# Bit-identity manifest: FNV-1a of every deterministic output, normalised.\n\
+         # Re-bless: cargo test -p bench --test outputs_manifest -- --ignored bless\n",
+    );
+    for (id, reason) in EXCLUDED {
+        out.push_str(&format!("# excluded: figures {id} ({reason})\n"));
+    }
+    for (name, text) in entries {
+        out.push_str(&format!("{name} {:016x}\n", fnv1a(text.as_bytes())));
+    }
+    out
+}
+
+fn scratch(test: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(test)
+}
+
+/// Re-captures the manifest from the current tree. Run explicitly (`--
+/// --ignored bless`) only after an intentional change of the outputs.
+#[test]
+#[ignore = "re-blesses the manifest; run only after an intentional output change"]
+fn bless_outputs_manifest() {
+    let text = manifest(&render(scratch("bless")));
+    std::fs::write(manifest_path(), text).expect("write manifest");
+}
+
+/// Every deterministic output hashes as the checked-in manifest says; a
+/// failure lists each output that moved.
+#[test]
+fn every_deterministic_output_matches_the_manifest() {
+    let golden = std::fs::read_to_string(manifest_path())
+        .expect("manifest missing; run the bless test to create it");
+    let fresh = manifest(&render(scratch("check")));
+    if golden == fresh {
+        return;
+    }
+    let golden: Vec<&str> = golden.lines().collect();
+    let moved: Vec<&str> = fresh.lines().filter(|line| !golden.contains(line)).collect();
+    let gone: Vec<&str> =
+        golden.iter().copied().filter(|line| !fresh.lines().any(|l| l == *line)).collect();
+    panic!("outputs moved against the manifest:\n  now: {moved:#?}\n  was: {gone:#?}");
+}
