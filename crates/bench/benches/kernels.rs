@@ -170,22 +170,17 @@ fn thousand_flows(uplink: bool) -> f64 {
     let devices: Vec<_> = (0..10).map(|i| sim.add_link(format!("dev{i}"), 3e9)).collect();
     let mut prev = None;
     for i in 0..1000usize {
-        let path = shared.into_iter().chain([devices[i % 10]]).collect();
-        let mut spec = FlowSpec::new(path, 1e8 + 1e5 * i as f64);
-        if let Some(p) = prev {
-            if i % 3 == 0 {
-                spec = spec.after(&[p]);
-            }
-        }
-        prev = Some(sim.flow(spec));
+        let path: Vec<_> = shared.into_iter().chain([devices[i % 10]]).collect();
+        let dep = prev.filter(|_| i % 3 == 0);
+        prev = Some(sim.flow(FlowSpec::new(path, 1e8 + 1e5 * i as f64).after(dep.as_slice())));
     }
     sim.run().expect("simulation").makespan()
 }
 
 /// Builds one GPT2-33.0B, 10-CSD, SU+O+P+C iteration graph and lowers it
 /// onto a fresh `TimedPlatform` without running it: what every timed run
-/// pays before the engine starts. Returns the number of DAG tasks.
-fn lower_iteration(workload: &Workload) -> usize {
+/// pays before the engine starts. Returns the platform, ready to run.
+fn lower_iteration(workload: &Workload) -> TimedPlatform {
     let method = MethodSpec::pipelined(Some(0.01));
     let mut plat = TimedPlatform::new(&MachineConfig::smart_infinity(10));
     let phases = IterPhases {
@@ -201,7 +196,7 @@ fn lower_iteration(workload: &Workload) -> usize {
     let mut scheduler = method_scheduler(method.implied_handler(), method.pipelined, &graph.layout);
     let mut lowering = PlatformLowering::new(&mut plat);
     simkit::execute(&graph.dag, &resources, scheduler.as_mut(), &mut lowering).expect("lowering");
-    graph.dag.len()
+    plat
 }
 
 fn bench_simulation_engine(c: &mut Criterion) {
@@ -209,6 +204,11 @@ fn bench_simulation_engine(c: &mut Criterion) {
     let workload = Workload::paper_default(ModelConfig::gpt2_33b());
     g.bench_function("lower_gpt2_33b_ten_csds_su_o_p_c", |b| {
         b.iter(|| black_box(lower_iteration(&workload)))
+    });
+    // The same graph through the engine: the paper's traffic shape, where
+    // the synthetic cases below are one or ten links.
+    g.bench_function("run_gpt2_33b_ten_csds_su_o_p_c", |b| {
+        b.iter(|| black_box(lower_iteration(&workload).run().expect("simulation").makespan()))
     });
     g.bench_function("thousand_contending_flows", |b| b.iter(|| black_box(thousand_flows(true))));
     g.bench_function("thousand_flows_ten_disjoint_devices", |b| {

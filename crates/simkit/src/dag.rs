@@ -26,7 +26,7 @@
 use std::borrow::Cow;
 
 use crate::error::SimError;
-use crate::task::PhaseId;
+use crate::task::{PhaseId, Span};
 
 /// Identifier for a task in a [`Dag`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -87,7 +87,8 @@ pub enum DagWork {
     Join,
 }
 
-/// A task in the graph: its work, phase attribution and edges.
+/// A task in the graph: its work and phase attribution. Its edges live in
+/// the graph's arenas: [`Dag::inputs`], [`Dag::soft_inputs`], [`Dag::after`].
 #[derive(Debug, Clone)]
 pub struct DagTask {
     /// Human-readable name for debugging and error messages.
@@ -96,16 +97,9 @@ pub struct DagTask {
     pub work: DagWork,
     /// Phase the lowered simulation task is attributed to.
     pub phase: Option<PhaseId>,
-    /// Hard data inputs: producers must be scheduled first, and the executor
-    /// wires the producers' lowered tasks in as dependencies.
-    pub inputs: Vec<DataId>,
-    /// Soft data inputs: dataflow whose synchronisation the scheduler
-    /// realises through decision anchors instead of structural edges.
-    pub soft_inputs: Vec<DataId>,
-    /// Structural ordering edges with no data attached.
-    pub after: Vec<DagTaskId>,
-    /// Data items this task produces.
-    pub outputs: Vec<DataId>,
+    inputs: Span,
+    soft_inputs: Span,
+    after: Span,
 }
 
 /// A data item: a named payload produced by one task.
@@ -132,6 +126,11 @@ pub struct DataItem {
 pub struct Dag {
     tasks: Vec<DagTask>,
     data: Vec<DataItem>,
+    /// The edge arenas: each task's hard inputs, soft inputs and
+    /// after-edges are one contiguous run of each.
+    inputs: Vec<DataId>,
+    soft_inputs: Vec<DataId>,
+    after: Vec<DagTaskId>,
     poison: Option<SimError>,
 }
 
@@ -197,10 +196,9 @@ impl Dag {
             name: name.into(),
             work,
             phase: None,
-            inputs: Vec::new(),
-            soft_inputs: Vec::new(),
-            after: Vec::new(),
-            outputs: Vec::new(),
+            inputs: Span::default(),
+            soft_inputs: Span::default(),
+            after: Span::default(),
         });
         id
     }
@@ -222,9 +220,7 @@ impl Dag {
     ) -> DataId {
         let id = DataId(self.data.len());
         self.data.push(DataItem { name: name.into(), bytes, producer: task, site });
-        if self.check_task(task) {
-            self.tasks[task.0].outputs.push(id);
-        }
+        self.check_task(task);
         id
     }
 
@@ -232,7 +228,7 @@ impl Dag {
     /// item's producer.
     pub fn connect(&mut self, consumer: DagTaskId, item: DataId) {
         if self.check_task(consumer) && self.check_data(item) {
-            self.tasks[consumer.0].inputs.push(item);
+            self.tasks[consumer.0].inputs.push(&mut self.inputs, item);
         }
     }
 
@@ -240,14 +236,14 @@ impl Dag {
     /// chooses the synchronisation realising it (via decision anchors).
     pub fn connect_soft(&mut self, consumer: DagTaskId, item: DataId) {
         if self.check_task(consumer) && self.check_data(item) {
-            self.tasks[consumer.0].soft_inputs.push(item);
+            self.tasks[consumer.0].soft_inputs.push(&mut self.soft_inputs, item);
         }
     }
 
     /// Adds a structural ordering edge: `task` runs after `pred`.
     pub fn add_after(&mut self, task: DagTaskId, pred: DagTaskId) {
         if self.check_task(task) && self.check_task(pred) {
-            self.tasks[task.0].after.push(pred);
+            self.tasks[task.0].after.push(&mut self.after, pred);
         }
     }
 
@@ -276,22 +272,39 @@ impl Dag {
         &self.tasks
     }
 
+    /// The hard data inputs of a task, in declaration order (none for an
+    /// unknown id): their producers must be scheduled first, and the
+    /// executor wires the producers' lowered tasks in as dependencies.
+    pub fn inputs(&self, id: DagTaskId) -> &[DataId] {
+        self.tasks.get(id.0).map_or(&[], |t| t.inputs.of(&self.inputs))
+    }
+
+    /// The soft data inputs of a task, in declaration order (none for an
+    /// unknown id): dataflow whose synchronisation the scheduler realises
+    /// through decision anchors instead of structural edges.
+    pub fn soft_inputs(&self, id: DagTaskId) -> &[DataId] {
+        self.tasks.get(id.0).map_or(&[], |t| t.soft_inputs.of(&self.soft_inputs))
+    }
+
+    /// The after-edges of a task, in declaration order (none for an unknown
+    /// id): structural ordering with no data attached.
+    pub fn after(&self, id: DagTaskId) -> &[DagTaskId] {
+        self.tasks.get(id.0).map_or(&[], |t| t.after.of(&self.after))
+    }
+
     /// Structural predecessors of a task: hard-input producers first (in
     /// declaration order), then after-edges. May contain duplicates.
     pub fn predecessors(&self, id: DagTaskId) -> Vec<DagTaskId> {
-        let Some(task) = self.tasks.get(id.0) else {
-            return Vec::new();
-        };
         let mut preds: Vec<DagTaskId> =
-            task.inputs.iter().map(|d| self.data[d.0].producer).collect();
-        preds.extend(task.after.iter().copied());
+            self.inputs(id).iter().map(|d| self.data[d.0].producer).collect();
+        preds.extend_from_slice(self.after(id));
         preds
     }
 
     /// The indices [`Dag::predecessors`] lists, without allocating.
-    fn preds<'d>(&'d self, task: &'d DagTask) -> impl Iterator<Item = usize> + 'd {
-        let producers = task.inputs.iter().map(|d| self.data[d.0].producer.0);
-        producers.chain(task.after.iter().map(|a| a.0))
+    fn preds(&self, task: &DagTask) -> impl Iterator<Item = usize> + '_ {
+        let producers = task.inputs.of(&self.inputs).iter().map(|d| self.data[d.0].producer.0);
+        producers.chain(task.after.of(&self.after).iter().map(|a| a.0))
     }
 
     /// Checks the graph is well-formed: no poisoned references, and no cycle
@@ -386,6 +399,8 @@ impl Structure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     #[test]
     fn build_and_query_a_small_graph() {
@@ -400,7 +415,8 @@ mod tests {
         assert_eq!(dag.len(), 3);
         assert_eq!(dag.predecessors(b), vec![a]);
         assert_eq!(dag.predecessors(c), vec![b]);
-        assert_eq!(dag.task(a).unwrap().outputs, vec![out]);
+        assert_eq!(dag.inputs(b), [out]);
+        assert_eq!(dag.after(c), [b]);
         dag.validate().expect("well-formed graph");
     }
 
@@ -440,6 +456,55 @@ mod tests {
         let b = dag.add_task("b", DagWork::Join);
         dag.connect_soft(b, out);
         assert!(dag.predecessors(b).is_empty());
-        assert_eq!(dag.task(b).unwrap().soft_inputs, vec![out]);
+        assert_eq!(dag.soft_inputs(b), [out]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Edges declared in any order — mostly on the newest task, now and
+        /// then on an older one, so its run moves to the arena's tail — read
+        /// back through the three accessors and `predecessors` exactly as
+        /// per-task lists have them.
+        #[test]
+        fn the_edge_arenas_read_back_as_per_task_lists(
+            ops in vec((0usize..4, (0usize..64, 0usize..64)), 1..160),
+        ) {
+            let mut dag = Dag::new();
+            // Per task: hard inputs, soft inputs, after-edges, by index.
+            let mut model: Vec<[Vec<usize>; 3]> = Vec::new();
+            for (op, (a, b)) in ops {
+                if op == 0 || dag.is_empty() {
+                    let t = dag.add_task("t", DagWork::Join);
+                    // Task i produces data item i.
+                    dag.add_output(t, "out", 1.0, None);
+                    model.push(Default::default());
+                    continue;
+                }
+                let n = dag.len();
+                let task = if a % 3 == 0 { a % n } else { n - 1 };
+                let src = b % n;
+                match op {
+                    1 => dag.connect(DagTaskId(task), DataId(src)),
+                    2 => dag.connect_soft(DagTaskId(task), DataId(src)),
+                    _ => dag.add_after(DagTaskId(task), DagTaskId(src)),
+                }
+                model[task][op - 1].push(src);
+            }
+            dag.validate().map(drop).or_else(|e| match e {
+                SimError::DependencyCycle { .. } => Ok(()),
+                other => Err(other),
+            }).expect("nothing is poisoned");
+            for (t, [inputs, soft, after]) in model.iter().enumerate() {
+                let id = DagTaskId(t);
+                let data = |list: &[usize]| list.iter().map(|&i| DataId(i)).collect::<Vec<_>>();
+                let tasks = |list: &[usize]| list.iter().map(|&i| DagTaskId(i)).collect::<Vec<_>>();
+                prop_assert_eq!(dag.inputs(id).to_vec(), data(inputs));
+                prop_assert_eq!(dag.soft_inputs(id).to_vec(), data(soft));
+                prop_assert_eq!(dag.after(id).to_vec(), tasks(after));
+                let preds = tasks(&inputs.iter().chain(after).copied().collect::<Vec<_>>());
+                prop_assert_eq!(dag.predecessors(id), preds);
+            }
+        }
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::error::SimError;
 use crate::task::{
-    ComputeSpec, DelaySpec, FlowSpec, LinkId, PhaseId, ResourceId, Task, TaskId, TaskKind,
+    ComputeSpec, DelaySpec, FlowSpec, LinkId, PhaseId, ResourceId, Span, Task, TaskId, TaskKind,
 };
 use crate::timeline::{TaskRecord, Timeline};
 use crate::TIME_EPS;
@@ -27,6 +27,12 @@ struct Resource {
 
 /// A discrete-event simulation: links, resources, phases and a task DAG.
 ///
+/// Every dependency names a task added before, so the DAG is acyclic by
+/// construction. Tasks keep their dependencies and link paths as spans into
+/// two arenas the simulation owns: a task holds no heap memory of its own
+/// (a label aside), and dropping a simulation frees the arenas, not a
+/// vector per task.
+///
 /// Malformed graphs — non-positive link bandwidths, unknown dependency or
 /// link or resource ids, negative work amounts — do not panic. The first
 /// such error *poisons* the simulation and is returned by
@@ -40,6 +46,10 @@ pub struct Simulation {
     resources: Vec<Resource>,
     phases: Vec<String>,
     tasks: Vec<Task>,
+    /// Every task's dependencies, in task order.
+    deps: Vec<TaskId>,
+    /// Every flow's link path, in task order.
+    paths: Vec<LinkId>,
     poison: Option<SimError>,
 }
 
@@ -126,18 +136,14 @@ impl Simulation {
                 message: format!("a flow of {} bytes needs at least one link", spec.bytes),
             });
         }
-        for l in &spec.path {
+        for l in spec.path.iter() {
             if l.0 >= self.links.len() {
                 self.poison(SimError::UnknownId { kind: "link", index: l.0 });
             }
         }
-        self.validate_deps(&spec.deps);
-        self.push(Task {
-            kind: TaskKind::Flow { path: spec.path, bytes: spec.bytes },
-            deps: spec.deps,
-            phase: spec.phase,
-            label: spec.label,
-        })
+        let path = Span::append(&mut self.paths, &spec.path);
+        let kind = TaskKind::Flow { path, bytes: spec.bytes };
+        self.push(kind, &spec.deps, spec.phase, spec.label)
     }
 
     /// Adds a compute task (work units on a serial resource).
@@ -154,13 +160,8 @@ impl Simulation {
         if spec.resource.0 >= self.resources.len() {
             self.poison(SimError::UnknownId { kind: "resource", index: spec.resource.0 });
         }
-        self.validate_deps(&spec.deps);
-        self.push(Task {
-            kind: TaskKind::Compute { resource: spec.resource, work: spec.work },
-            deps: spec.deps,
-            phase: spec.phase,
-            label: spec.label,
-        })
+        let kind = TaskKind::Compute { resource: spec.resource, work: spec.work };
+        self.push(kind, &spec.deps, spec.phase, spec.label)
     }
 
     /// Adds a fixed delay task.
@@ -173,13 +174,7 @@ impl Simulation {
                 message: format!("delay must be non-negative, got {}", spec.seconds),
             });
         }
-        self.validate_deps(&spec.deps);
-        self.push(Task {
-            kind: TaskKind::Delay { seconds: spec.seconds },
-            deps: spec.deps,
-            phase: spec.phase,
-            label: spec.label,
-        })
+        self.push(TaskKind::Delay { seconds: spec.seconds }, &spec.deps, spec.phase, spec.label)
     }
 
     /// Adds a zero-duration barrier that completes when all `deps` have completed.
@@ -187,52 +182,60 @@ impl Simulation {
     /// An unknown dependency id poisons the simulation; the error is
     /// reported by [`Simulation::run`].
     pub fn barrier(&mut self, deps: &[TaskId]) -> TaskId {
-        self.validate_deps(deps);
-        self.push(Task { kind: TaskKind::Barrier, deps: deps.to_vec(), phase: None, label: None })
+        self.push(TaskKind::Barrier, deps, None, None)
     }
 
-    /// Adds an extra dependency edge `dependency -> task` after both tasks
-    /// have been created.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownId`] if either id is out of range. Cycles
-    /// created this way are detected when [`Simulation::run`] executes.
-    pub fn add_dependency(&mut self, task: TaskId, dependency: TaskId) -> Result<(), SimError> {
-        if task >= self.tasks.len() {
-            return Err(SimError::UnknownId { kind: "task", index: task });
+    /// Appends a task whose dependencies are `deps`; an unknown (so not
+    /// earlier) dependency poisons the simulation.
+    fn push(
+        &mut self,
+        kind: TaskKind,
+        deps: &[TaskId],
+        phase: Option<PhaseId>,
+        label: Option<String>,
+    ) -> TaskId {
+        let id = self.tasks.len();
+        if let Some(&d) = deps.iter().find(|&&d| d >= id) {
+            self.poison(SimError::UnknownId { kind: "task", index: d });
         }
-        if dependency >= self.tasks.len() {
-            return Err(SimError::UnknownId { kind: "task", index: dependency });
-        }
-        self.tasks[task].deps.push(dependency);
-        Ok(())
+        let deps = Span::append(&mut self.deps, deps);
+        self.tasks.push(Task { kind, deps, phase, label });
+        id
     }
 
-    fn validate_deps(&mut self, deps: &[TaskId]) {
-        for &d in deps {
-            if d >= self.tasks.len() {
-                self.poison(SimError::UnknownId { kind: "task", index: d });
-            }
-        }
+    /// The tasks `task` waits on.
+    pub(crate) fn deps_of(&self, task: &Task) -> &[TaskId] {
+        task.deps.of(&self.deps)
     }
 
-    fn push(&mut self, task: Task) -> TaskId {
-        self.tasks.push(task);
-        self.tasks.len() - 1
+    /// The links a task crosses (none unless it is a flow).
+    pub(crate) fn path_of(&self, task: &Task) -> &[LinkId] {
+        match task.kind {
+            TaskKind::Flow { path, .. } => path.of(&self.paths),
+            _ => &[],
+        }
     }
 
     /// Per-link flow membership, so the timeline can answer stage-level
-    /// occupancy queries (which flows kept a link busy, and when).
+    /// occupancy queries (which flows kept a link busy, and when). Each
+    /// list is sized by a first counting pass.
     fn link_tasks(&self) -> Vec<Vec<TaskId>> {
-        let mut link_tasks: Vec<Vec<TaskId>> = vec![Vec::new(); self.links.len()];
-        for (id, task) in self.tasks.iter().enumerate() {
-            if let TaskKind::Flow { path, bytes } = &task.kind {
-                if *bytes > 0.0 {
-                    for l in path {
-                        link_tasks[l.0].push(id);
-                    }
-                }
+        let moving = || {
+            self.tasks.iter().enumerate().filter_map(|(id, task)| match task.kind {
+                TaskKind::Flow { path, bytes } if bytes > 0.0 => Some((id, path.of(&self.paths))),
+                _ => None,
+            })
+        };
+        let mut counts = vec![0usize; self.links.len()];
+        for (_, path) in moving() {
+            for l in path {
+                counts[l.0] += 1;
+            }
+        }
+        let mut link_tasks: Vec<Vec<TaskId>> = counts.into_iter().map(Vec::with_capacity).collect();
+        for (id, path) in moving() {
+            for l in path {
+                link_tasks[l.0].push(id);
             }
         }
         link_tasks
@@ -266,14 +269,6 @@ struct Progress {
     finish: f64,
 }
 
-/// The links a task crosses (none unless it is a flow).
-fn path_of(task: &Task) -> &[LinkId] {
-    match &task.kind {
-        TaskKind::Flow { path, .. } => path,
-        _ => &[],
-    }
-}
-
 /// Who waits on each task, as one CSR pair: the dependents of `t`, in the
 /// order their `deps` were declared, are `list[start[t]..start[t + 1]]`.
 struct Dependents {
@@ -282,20 +277,19 @@ struct Dependents {
 }
 
 impl Dependents {
-    fn of(tasks: &[Task]) -> Self {
-        let mut start = vec![0usize; tasks.len() + 1];
-        for task in tasks {
-            for &d in &task.deps {
-                start[d + 1] += 1;
-            }
+    fn of(sim: &Simulation) -> Self {
+        let n = sim.tasks.len();
+        let mut start = vec![0usize; n + 1];
+        for &d in &sim.deps {
+            start[d + 1] += 1;
         }
-        for t in 0..tasks.len() {
+        for t in 0..n {
             start[t + 1] += start[t];
         }
         let mut fill = start.clone();
-        let mut list = vec![0; start[tasks.len()]];
-        for (id, task) in tasks.iter().enumerate() {
-            for &d in &task.deps {
+        let mut list = vec![0; start[n]];
+        for (id, task) in sim.tasks.iter().enumerate() {
+            for &d in sim.deps_of(task) {
                 list[fill[d]] = id;
                 fill[d] += 1;
             }
@@ -344,6 +338,10 @@ struct Runner<'a> {
     unfrozen: Vec<usize>,
     /// Per flow, the filling round that froze it (0 while unfrozen).
     frozen_in: Vec<u32>,
+    /// Per flow, the last refresh that reset it (0: none yet).
+    seen_in: Vec<u64>,
+    /// Refreshes run so far, the stamp of the current one.
+    refreshes: u64,
     now: f64,
     done: usize,
 }
@@ -373,7 +371,7 @@ impl<'a> Runner<'a> {
         Self {
             sim,
             progress,
-            dependents: Dependents::of(&sim.tasks),
+            dependents: Dependents::of(sim),
             queues: vec![VecDeque::new(); sim.resources.len()],
             active_flows: Vec::new(),
             active_compute: Vec::new(),
@@ -388,6 +386,8 @@ impl<'a> Runner<'a> {
             cap: vec![0.0; links],
             unfrozen: vec![0; links],
             frozen_in: vec![0; n],
+            seen_in: vec![0; n],
+            refreshes: 0,
             now: 0.0,
             done: 0,
         }
@@ -496,7 +496,8 @@ impl<'a> Runner<'a> {
 
     /// Enters an activated flow into the user list of every link it crosses.
     fn flow_started(&mut self, id: TaskId) {
-        for l in path_of(&self.sim.tasks[id]) {
+        let sim = self.sim;
+        for l in sim.path_of(&sim.tasks[id]) {
             self.users[l.0].push(id);
             self.dirty.push(l.0);
         }
@@ -504,7 +505,8 @@ impl<'a> Runner<'a> {
 
     /// Takes a finished flow out of the user lists again.
     fn flow_finished(&mut self, id: TaskId) {
-        for l in path_of(&self.sim.tasks[id]) {
+        let sim = self.sim;
+        for l in sim.path_of(&sim.tasks[id]) {
             let users = &mut self.users[l.0];
             let at = users.iter().position(|&t| t == id).expect("an active flow uses its links");
             users.swap_remove(at);
@@ -517,11 +519,14 @@ impl<'a> Runner<'a> {
     /// links joined by a shared active flow — of a link that gained or lost
     /// a user. Components do not exchange capacity, so every other flow's
     /// stored rate is still exactly what a full recomputation would give.
+    /// Each flow of the component is reset, and its links joined, once: on
+    /// the first of its links the walk reaches.
     fn refresh_rates(&mut self) {
         if self.dirty.is_empty() {
             return;
         }
-        let tasks = &self.sim.tasks;
+        self.refreshes += 1;
+        let sim = self.sim;
         let mut join = |component: &mut Vec<usize>, l: usize| {
             if !std::mem::replace(&mut self.in_component[l], true) {
                 component.push(l);
@@ -538,9 +543,12 @@ impl<'a> Runner<'a> {
             self.cap[l] = self.sim.links[l].bandwidth;
             self.unfrozen[l] = self.users[l].len();
             for &flow in &self.users[l] {
+                if std::mem::replace(&mut self.seen_in[flow], self.refreshes) == self.refreshes {
+                    continue;
+                }
                 self.frozen_in[flow] = 0;
                 self.rate[flow] = 0.0;
-                for m in path_of(&tasks[flow]) {
+                for m in sim.path_of(&sim.tasks[flow]) {
                     join(&mut self.component, m.0);
                 }
             }
@@ -571,7 +579,7 @@ impl<'a> Runner<'a> {
                 self.frozen_in[flow] = round;
                 self.rate[flow] = share;
                 // Subtract its rate from every link it crosses.
-                for m in path_of(&tasks[flow]) {
+                for m in sim.path_of(&sim.tasks[flow]) {
                     self.cap[m.0] = (self.cap[m.0] - share).max(0.0);
                     self.unfrozen[m.0] = self.unfrozen[m.0].saturating_sub(1);
                 }
@@ -625,9 +633,9 @@ impl<'a> Runner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ComputeSpec, FlowSpec};
     use proptest::collection::vec;
     use proptest::prelude::*;
+    use std::borrow::Cow;
 
     #[test]
     fn max_min_fairness_respects_bottleneck_links() {
@@ -734,14 +742,26 @@ mod tests {
     }
 
     #[test]
-    fn add_dependency_rejects_unknown_ids() {
+    fn specs_borrow_their_slices_and_a_second_after_extends_them() {
         let mut sim = Simulation::new();
-        let r = sim.add_resource("r", 1.0);
-        let a = sim.compute(ComputeSpec::new(r, 1.0));
-        assert!(sim.add_dependency(a, 99).is_err());
-        assert!(sim.add_dependency(99, a).is_err());
-        assert_eq!(sim.task_count(), 1);
-        assert_eq!(sim.link_count(), 0);
+        let a = sim.add_link("a", 10.0);
+        let b = sim.add_link("b", 5.0);
+        let path = [a, b];
+        let first = sim.flow(FlowSpec::new(&path[..1], 10.0));
+        let second = sim.delay(DelaySpec::new(1.5));
+        let (early, late) = ([first], [second]);
+        let spec = FlowSpec::new(&path[..], 10.0).after(&early);
+        assert!(matches!((&spec.path, &spec.deps), (Cow::Borrowed(_), Cow::Borrowed(_))));
+        let spec = spec.after(&late);
+        assert_eq!(*spec.deps, [first, second]);
+        let third = sim.flow(spec);
+        assert_eq!(sim.deps_of(&sim.tasks[third]), [first, second]);
+        assert_eq!(sim.path_of(&sim.tasks[third]), path);
+        assert_eq!(sim.path_of(&sim.tasks[second]), []);
+        let tl = sim.run().unwrap();
+        // The first flow takes 1 s on link a, the delay 1.5 s; the third
+        // then moves 10 B at link b's 5 B/s.
+        assert_eq!((tl.start_time(third), tl.finish_time(third)), (1.5, 3.5));
     }
 
     #[test]
@@ -809,10 +829,8 @@ mod tests {
             let mut link_users: Vec<Vec<usize>> = vec![Vec::new(); self.sim.links.len()];
             // Index into active_flows.
             for (fi, &task) in self.active_flows.iter().enumerate() {
-                if let TaskKind::Flow { path, .. } = &self.sim.tasks[task].kind {
-                    for l in path {
-                        link_users[l.0].push(fi);
-                    }
+                for l in self.sim.path_of(&self.sim.tasks[task]) {
+                    link_users[l.0].push(fi);
                 }
             }
             let n = self.active_flows.len();
@@ -840,12 +858,9 @@ mod tests {
                     frozen[fi] = true;
                     rate[fi] = share;
                     // Subtract its rate from every link it crosses.
-                    if let TaskKind::Flow { path, .. } = &self.sim.tasks[self.active_flows[fi]].kind
-                    {
-                        for l in path {
-                            remaining_cap[l.0] = (remaining_cap[l.0] - share).max(0.0);
-                            unfrozen_on_link[l.0] = unfrozen_on_link[l.0].saturating_sub(1);
-                        }
+                    for l in self.sim.path_of(&self.sim.tasks[self.active_flows[fi]]) {
+                        remaining_cap[l.0] = (remaining_cap[l.0] - share).max(0.0);
+                        unfrozen_on_link[l.0] = unfrozen_on_link[l.0].saturating_sub(1);
                     }
                 }
             }
@@ -888,7 +903,7 @@ mod tests {
             sim.add_link(format!("l{i}"), bw);
         }
         for path in paths {
-            sim.flow(FlowSpec::new(path.iter().map(|&l| LinkId(l)).collect(), 1.0));
+            sim.flow(FlowSpec::new(path.iter().map(|&l| LinkId(l)).collect::<Vec<_>>(), 1.0));
         }
         sim
     }
@@ -937,8 +952,10 @@ mod tests {
         /// step the per-component incremental rates equal a full
         /// recomputation at `to_bits`. Most flows stay on two neighbouring
         /// links (several disjoint components, equal bandwidths, a link
-        /// named twice); every fourth one wanders over up to five links
-        /// (starts that merge components, finishes that split them).
+        /// named twice); every fourth one wanders over up to six links, an
+        /// eighth naming its first link again (starts that merge
+        /// components, finishes that split them, one flow reached from
+        /// several links of its component in one refresh).
         #[test]
         fn incremental_rates_equal_a_full_recomputation_bit_for_bit(
             bandwidths in vec(prop_oneof![Just(1.0), Just(3.0), Just(3.0), Just(7.5), Just(16e9)], 2..14),
@@ -950,7 +967,11 @@ mod tests {
                 .iter()
                 .map(|(anchor, hops)| {
                     if anchor % 4 == 0 {
-                        hops.iter().map(|h| h % links).collect()
+                        let mut path: Vec<usize> = hops.iter().map(|h| h % links).collect();
+                        if anchor % 8 == 0 {
+                            path.push(path[0]);
+                        }
+                        path
                     } else {
                         hops.iter().take(2).map(|h| (anchor + h % 2) % links).collect()
                     }

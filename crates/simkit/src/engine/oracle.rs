@@ -20,8 +20,9 @@ fn slack(rate: f64, seconds: f64) -> f64 {
 /// The least time a task can take and the rate that sets it: `work / rate`
 /// on its resource, `bytes` over the narrowest link of its path, the delay.
 fn floor(sim: &Simulation, task: &Task) -> (f64, f64) {
-    match &task.kind {
-        TaskKind::Flow { path, bytes } if *bytes > 0.0 => {
+    match task.kind {
+        TaskKind::Flow { bytes, .. } if bytes > 0.0 => {
+            let path = sim.path_of(task);
             let narrowest =
                 path.iter().map(|l| sim.links[l.0].bandwidth).fold(f64::INFINITY, f64::min);
             (bytes / narrowest, narrowest)
@@ -30,7 +31,7 @@ fn floor(sim: &Simulation, task: &Task) -> (f64, f64) {
             let rate = sim.resources[resource.0].rate;
             (work / rate, rate)
         }
-        TaskKind::Delay { seconds } => (*seconds, 1.0),
+        TaskKind::Delay { seconds } => (seconds, 1.0),
         TaskKind::Flow { .. } | TaskKind::Barrier => (0.0, 1.0),
     }
 }
@@ -48,7 +49,7 @@ pub(crate) fn check(sim: &Simulation, timeline: &Timeline) -> Result<(), String>
     // dependency finished; times are copies of one clock, so no tolerance.
     let mut ready = vec![0.0f64; records.len()];
     for (id, (task, rec)) in sim.tasks.iter().zip(records).enumerate() {
-        ready[id] = task.deps.iter().map(|&d| records[d].finish).fold(0.0, f64::max);
+        ready[id] = sim.deps_of(task).iter().map(|&d| records[d].finish).fold(0.0, f64::max);
         if rec.start < ready[id] {
             return Err(format!(
                 "task {id} starts at {} before its last dependency finishes at {}",
@@ -130,7 +131,7 @@ pub(crate) fn check(sim: &Simulation, timeline: &Timeline) -> Result<(), String>
 /// The longest dependency chain of task floors, each shortened by its own
 /// slack: no run of `sim` can finish sooner.
 fn critical_path_bound(sim: &Simulation) -> f64 {
-    let dependents = Dependents::of(&sim.tasks);
+    let dependents = Dependents::of(sim);
     let mut unmet: Vec<usize> = sim.tasks.iter().map(|t| t.deps.len()).collect();
     let mut order: Vec<TaskId> = (0..unmet.len()).filter(|&t| unmet[t] == 0).collect();
     // Until a task is visited `earliest` holds the latest bound among its
@@ -268,7 +269,8 @@ mod tests {
                     sim.compute(ComputeSpec::new(resource, size * scale).after(deps))
                 }
                 _ => {
-                    let path = (0..1 + dice.roll(3)).map(|_| links[dice.roll(4)]).collect();
+                    let path: Vec<LinkId> =
+                        (0..1 + dice.roll(3)).map(|_| links[dice.roll(4)]).collect();
                     sim.flow(FlowSpec::new(path, size).after(deps))
                 }
             }

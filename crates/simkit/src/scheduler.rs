@@ -7,7 +7,8 @@
 //! - The **[`Dag`]** holds the policy-invariant structure: tasks, hard data
 //!   edges, after-edges, and soft (policy-realised) dataflow.
 //! - The **[`Scheduler`]** is called back as tasks become ready (and, when it
-//!   defers work, as resources free up) and answers with [`Decision`]s:
+//!   defers work, as resources free up) and answers by pushing [`Decision`]s
+//!   into a buffer the executor owns and drains:
 //!   which task to schedule, which extra synchronisation [`Anchor`]s to wait
 //!   on, how to scatter storage-class transfers across concrete devices
 //!   ([`ScatterPlan`]), and any setup latency to charge first
@@ -140,19 +141,25 @@ impl SystemView<'_> {
 
 /// A scheduling policy over a [`Dag`]. Object-safe: engines select one at
 /// run time from method axes and pass it as `&mut dyn Scheduler`.
+///
+/// Callbacks answer by pushing [`Decision`]s onto `out`, a buffer the
+/// executor owns: it arrives empty and is drained, in push order, after
+/// the call.
 pub trait Scheduler {
     /// Short policy name, used in reports and comparison tables.
     fn name(&self) -> &'static str;
 
     /// Called once per task when its structural predecessors are all
     /// scheduled. May answer with decisions for this task, for other ready
-    /// tasks, or defer.
+    /// tasks, or defer; pushing nothing holds the task until it is offered
+    /// again.
     fn on_task_ready(
         &mut self,
         task: DagTaskId,
         dag: &Dag,
         system: &SystemView<'_>,
-    ) -> Vec<Decision>;
+        out: &mut Vec<Decision>,
+    );
 
     /// Called for each site when scheduling stalls with deferred tasks
     /// outstanding — the hook where a deferring policy releases held work.
@@ -161,9 +168,9 @@ pub trait Scheduler {
         site: usize,
         dag: &Dag,
         system: &SystemView<'_>,
-    ) -> Vec<Decision> {
-        let _ = (site, dag, system);
-        Vec::new()
+        out: &mut Vec<Decision>,
+    ) {
+        let _ = (site, dag, system, out);
     }
 }
 
@@ -279,7 +286,7 @@ impl<'a> Executor<'a> {
         let dag = self.dag;
         let task = &dag.tasks()[idx];
         self.deps.clear();
-        for &input in &task.inputs {
+        for &input in dag.inputs(decision.task) {
             let item = dag.data(input).expect("validated id");
             let produced = self.lowered[item.producer.index()].as_ref().ok_or_else(|| {
                 SimError::InvalidParameter {
@@ -295,7 +302,7 @@ impl<'a> Executor<'a> {
             };
             self.deps.push(dep);
         }
-        for &pred in &task.after {
+        for &pred in dag.after(decision.task) {
             let produced =
                 self.lowered[pred.index()].as_ref().ok_or_else(|| SimError::InvalidParameter {
                     message: format!(
@@ -330,13 +337,14 @@ impl<'a> Executor<'a> {
         }
     }
 
+    /// Applies and drains `decisions`, in order.
     fn apply(
         &mut self,
-        decisions: Vec<Decision>,
+        decisions: &mut Vec<Decision>,
         lowering: &mut dyn Lowering,
     ) -> Result<bool, SimError> {
         let mut progress = false;
-        for decision in decisions {
+        for decision in decisions.drain(..) {
             match decision {
                 Decision::Defer(t) => {
                     if t.index() >= self.dag.len() {
@@ -450,6 +458,8 @@ pub fn execute(
         done: 0,
     };
     let mut sites: Option<Vec<usize>> = None;
+    // The scheduler's answers, one callback's at a time.
+    let mut decisions = Vec::new();
 
     while exec.done < n {
         let mut progress = false;
@@ -457,11 +467,9 @@ pub fn execute(
             if exec.scheduled[t] || exec.deferred[t] || !exec.structure.is_ready(t) {
                 continue;
             }
-            let decisions = {
-                let view = SystemView { resources: exec.resources, scheduled: &exec.scheduled };
-                scheduler.on_task_ready(DagTaskId(t), dag, &view)
-            };
-            progress |= exec.apply(decisions, lowering)?;
+            let view = SystemView { resources: exec.resources, scheduled: &exec.scheduled };
+            scheduler.on_task_ready(DagTaskId(t), dag, &view, &mut decisions);
+            progress |= exec.apply(&mut decisions, lowering)?;
         }
         if exec.done == n || progress {
             continue;
@@ -469,11 +477,9 @@ pub fn execute(
         // Stalled: sweep resource-free callbacks to release deferred work.
         let mut freed = false;
         for &site in sites.get_or_insert_with(|| stall_sites(dag)).iter() {
-            let decisions = {
-                let view = SystemView { resources: exec.resources, scheduled: &exec.scheduled };
-                scheduler.on_resource_free(site, dag, &view)
-            };
-            freed |= exec.apply(decisions, lowering)?;
+            let view = SystemView { resources: exec.resources, scheduled: &exec.scheduled };
+            scheduler.on_resource_free(site, dag, &view, &mut decisions);
+            freed |= exec.apply(&mut decisions, lowering)?;
         }
         if !freed {
             let pending: Vec<usize> = (0..n).filter(|&t| !exec.scheduled[t]).collect();
@@ -502,22 +508,19 @@ impl Scheduler for FifoScheduler {
         task: DagTaskId,
         dag: &Dag,
         system: &SystemView<'_>,
-    ) -> Vec<Decision> {
-        let node = dag.task(task).expect("offered tasks exist");
-        let soft_ok = node
-            .soft_inputs
+        out: &mut Vec<Decision>,
+    ) {
+        let soft = dag.soft_inputs(task);
+        let soft_ok = soft
             .iter()
             .all(|&d| dag.data(d).map(|item| system.is_scheduled(item.producer)).unwrap_or(false));
         if !soft_ok {
             // Wait until the producers of soft inputs are scheduled too.
-            return Vec::new();
+            return;
         }
-        let anchors: Vec<Anchor> = node
-            .soft_inputs
-            .iter()
-            .filter_map(|&d| dag.data(d).map(|item| Anchor::Task(item.producer)))
-            .collect();
-        vec![Decision::Schedule(ScheduleDecision::new(task).after_all(anchors))]
+        let anchors =
+            soft.iter().filter_map(|&d| dag.data(d).map(|item| Anchor::Task(item.producer)));
+        out.push(Decision::Schedule(ScheduleDecision::new(task).after_all(anchors)));
     }
 }
 
@@ -759,7 +762,8 @@ mod tests {
             task: DagTaskId,
             dag: &Dag,
             _system: &SystemView<'_>,
-        ) -> Vec<Decision> {
+            out: &mut Vec<Decision>,
+        ) {
             let node = dag.task(task).unwrap();
             let mut decision = ScheduleDecision::new(task);
             if let DagWork::Transfer { to: SITE_STORAGE, bytes, .. } = node.work {
@@ -769,20 +773,18 @@ mod tests {
                     join: self.join,
                 });
             }
-            if !node.soft_inputs.is_empty() {
-                // Realise soft inputs: anchor on the producer (its main is the
-                // join barrier when joined) or on each per-site write.
-                for &item in &node.soft_inputs {
-                    let producer = dag.data(item).unwrap().producer;
-                    if self.join {
-                        decision = decision.after(Anchor::Task(producer));
-                    } else {
-                        decision = decision
-                            .after_all(self.sites.iter().map(|&s| Anchor::TaskAtSite(producer, s)));
-                    }
+            // Realise soft inputs: anchor on the producer (its main is the
+            // join barrier when joined) or on each per-site write.
+            for &item in dag.soft_inputs(task) {
+                let producer = dag.data(item).unwrap().producer;
+                if self.join {
+                    decision = decision.after(Anchor::Task(producer));
+                } else {
+                    decision = decision
+                        .after_all(self.sites.iter().map(|&s| Anchor::TaskAtSite(producer, s)));
                 }
             }
-            vec![Decision::Schedule(decision)]
+            out.push(Decision::Schedule(decision));
         }
     }
 
@@ -867,13 +869,12 @@ mod tests {
             task: DagTaskId,
             dag: &Dag,
             _system: &SystemView<'_>,
-        ) -> Vec<Decision> {
-            match dag.task(task).unwrap().work {
-                DagWork::Compute { .. } => {
-                    vec![Decision::Schedule(ScheduleDecision::new(task))]
-                }
-                _ => vec![Decision::Defer(task)],
-            }
+            out: &mut Vec<Decision>,
+        ) {
+            out.push(match dag.task(task).unwrap().work {
+                DagWork::Compute { .. } => Decision::Schedule(ScheduleDecision::new(task)),
+                _ => Decision::Defer(task),
+            });
         }
 
         fn on_resource_free(
@@ -881,17 +882,18 @@ mod tests {
             _site: usize,
             dag: &Dag,
             system: &SystemView<'_>,
-        ) -> Vec<Decision> {
+            out: &mut Vec<Decision>,
+        ) {
             // Release the first deferred-and-ready task.
             for idx in 0..dag.len() {
                 let id = DagTaskId(idx);
                 let ready = dag.predecessors(id).iter().all(|&p| system.is_scheduled(p));
                 if !system.is_scheduled(id) && ready {
                     self.releases += 1;
-                    return vec![Decision::Schedule(ScheduleDecision::new(id))];
+                    out.push(Decision::Schedule(ScheduleDecision::new(id)));
+                    return;
                 }
             }
-            Vec::new()
         }
     }
 
@@ -925,8 +927,9 @@ mod tests {
             task: DagTaskId,
             _dag: &Dag,
             _system: &SystemView<'_>,
-        ) -> Vec<Decision> {
-            vec![Decision::Defer(task)]
+            out: &mut Vec<Decision>,
+        ) {
+            out.push(Decision::Defer(task));
         }
     }
 
@@ -953,11 +956,10 @@ mod tests {
             task: DagTaskId,
             _dag: &Dag,
             _system: &SystemView<'_>,
-        ) -> Vec<Decision> {
-            vec![
-                Decision::Schedule(ScheduleDecision::new(task)),
-                Decision::Schedule(ScheduleDecision::new(task)),
-            ]
+            out: &mut Vec<Decision>,
+        ) {
+            out.push(Decision::Schedule(ScheduleDecision::new(task)));
+            out.push(Decision::Schedule(ScheduleDecision::new(task)));
         }
     }
 

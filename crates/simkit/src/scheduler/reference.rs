@@ -1,8 +1,9 @@
 //! The executor as it was before the CSR ready counts, kept as the reference
 //! [`super::execute`] is held to: a Kahn pass that builds `Vec<Vec<usize>>`
 //! over [`Dag::predecessors`], an `is_ready` that scans the predecessors of
-//! every offered task, and a fresh dependency list per decision. Same sweep
-//! order, same errors, same [`Lowering`] calls.
+//! every offered task, a fresh dependency list per decision, and a fresh
+//! decision buffer per callback. Same sweep order, same errors, same
+//! [`Lowering`] calls.
 
 use super::*;
 
@@ -51,7 +52,7 @@ impl Executor<'_> {
         let idx = decision.task.index();
         let task = self.dag.task(decision.task).expect("validated id");
         let mut deps = Vec::new();
-        for &input in &task.inputs {
+        for &input in self.dag.inputs(decision.task) {
             let item = self.dag.data(input).expect("validated id");
             let produced = self.lowered[item.producer.index()].as_ref().ok_or_else(|| {
                 SimError::InvalidParameter {
@@ -67,7 +68,7 @@ impl Executor<'_> {
             };
             deps.push(dep);
         }
-        for &pred in &task.after {
+        for &pred in self.dag.after(decision.task) {
             let produced =
                 self.lowered[pred.index()].as_ref().ok_or_else(|| SimError::InvalidParameter {
                     message: format!(
@@ -210,10 +211,9 @@ pub(super) fn execute(
             if exec.scheduled[t] || exec.deferred[t] || !exec.is_ready(t) {
                 continue;
             }
-            let decisions = {
-                let view = SystemView { resources: exec.resources, scheduled: &exec.scheduled };
-                scheduler.on_task_ready(DagTaskId(t), dag, &view)
-            };
+            let mut decisions = Vec::new();
+            let view = SystemView { resources: exec.resources, scheduled: &exec.scheduled };
+            scheduler.on_task_ready(DagTaskId(t), dag, &view, &mut decisions);
             progress |= exec.apply(decisions, lowering)?;
         }
         if exec.done == n || progress {
@@ -221,10 +221,9 @@ pub(super) fn execute(
         }
         let mut freed = false;
         for &site in &sites {
-            let decisions = {
-                let view = SystemView { resources: exec.resources, scheduled: &exec.scheduled };
-                scheduler.on_resource_free(site, dag, &view)
-            };
+            let mut decisions = Vec::new();
+            let view = SystemView { resources: exec.resources, scheduled: &exec.scheduled };
+            scheduler.on_resource_free(site, dag, &view, &mut decisions);
             freed |= exec.apply(decisions, lowering)?;
         }
         if !freed {
@@ -301,7 +300,9 @@ mod tests {
     /// A graph of `n` tasks of every work kind, one output each, and edges
     /// drawn from `dice`: hard inputs, after-edges and soft inputs, mostly
     /// to an earlier task, now and then to any task (a higher id, itself, a
-    /// cycle), now and then declared twice.
+    /// cycle), now and then declared twice. The edges are declared taking
+    /// turns from the two ends of the list, so a task's edges are often
+    /// extended after a later task's (the arenas move its run to the tail).
     fn random_dag(n: usize, dice: &[u32]) -> Dag {
         let mut roll = dice.iter().copied().cycle();
         let mut roll = move || roll.next().expect("dice are never empty") as usize;
@@ -323,8 +324,8 @@ mod tests {
             let site = [None, Some(0), Some(STORAGE_SITES[1])][r / 7 % 3];
             outputs.push(dag.add_output(t, "out", 8.0, site));
         }
+        let mut edges = std::collections::VecDeque::new();
         for t in 0..n {
-            let task = DagTaskId(t);
             for _ in 0..roll() % 4 {
                 let e = roll();
                 let src = if e % 19 == 0 {
@@ -334,12 +335,17 @@ mod tests {
                 } else {
                     continue;
                 };
-                for _ in 0..1 + usize::from(e % 7 == 0) {
-                    match e % 4 {
-                        0 | 1 => dag.connect(task, outputs[src]),
-                        2 => dag.add_after(task, DagTaskId(src)),
-                        _ => dag.connect_soft(task, outputs[src]),
-                    }
+                edges.push_back((DagTaskId(t), e, src));
+            }
+        }
+        let mut front = true;
+        while let Some((task, e, src)) = if front { edges.pop_front() } else { edges.pop_back() } {
+            front = !front;
+            for _ in 0..1 + usize::from(e % 7 == 0) {
+                match e % 4 {
+                    0 | 1 => dag.connect(task, outputs[src]),
+                    2 => dag.add_after(task, DagTaskId(src)),
+                    _ => dag.connect_soft(task, outputs[src]),
                 }
             }
         }
@@ -369,7 +375,7 @@ mod tests {
             let r = self.roll();
             let node = dag.task(task).expect("offered tasks exist");
             let mut d = ScheduleDecision::new(task);
-            for &item in &node.soft_inputs {
+            for &item in dag.soft_inputs(task) {
                 let producer = dag.data(item).expect("connected items exist").producer;
                 let scattered = matches!(
                     dag.task(producer).expect("producers exist").work,
@@ -407,26 +413,26 @@ mod tests {
             task: DagTaskId,
             dag: &Dag,
             system: &SystemView<'_>,
-        ) -> Vec<Decision> {
+            out: &mut Vec<Decision>,
+        ) {
             self.log.push((true, task.index()));
             let r = self.roll();
             let schedule = |id| Decision::Schedule(ScheduleDecision::new(id));
             match r % 40 {
-                0 => return vec![schedule(task), schedule(task)],
-                1 => return vec![schedule(DagTaskId(r / 40 % dag.len()))],
+                0 => return out.extend([schedule(task), schedule(task)]),
+                1 => return out.push(schedule(DagTaskId(r / 40 % dag.len()))),
                 _ => {}
             }
             let node = dag.task(task).expect("offered tasks exist");
             if !matches!(node.work, DagWork::Compute { .. }) && r % 4 == 0 {
-                return vec![Decision::Defer(task)];
+                return out.push(Decision::Defer(task));
             }
-            let soft_ready = node.soft_inputs.iter().all(|&item| {
+            let soft_ready = dag.soft_inputs(task).iter().all(|&item| {
                 system.is_scheduled(dag.data(item).expect("connected items exist").producer)
             });
-            if !soft_ready {
-                return Vec::new();
+            if soft_ready {
+                out.push(Decision::Schedule(self.decision(task, dag)));
             }
-            vec![Decision::Schedule(self.decision(task, dag))]
         }
 
         fn on_resource_free(
@@ -434,19 +440,19 @@ mod tests {
             site: usize,
             dag: &Dag,
             system: &SystemView<'_>,
-        ) -> Vec<Decision> {
+            out: &mut Vec<Decision>,
+        ) {
             self.log.push((false, site));
             if self.roll() % 8 == 0 {
-                return Vec::new();
+                return;
             }
             for idx in 0..dag.len() {
                 let id = DagTaskId(idx);
                 let ready = dag.predecessors(id).iter().all(|&p| system.is_scheduled(p));
                 if !system.is_scheduled(id) && ready {
-                    return vec![Decision::Schedule(self.decision(id, dag))];
+                    return out.push(Decision::Schedule(self.decision(id, dag)));
                 }
             }
-            Vec::new()
         }
     }
 

@@ -2,6 +2,7 @@
 //! builders used to populate a [`crate::Simulation`].
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Identifier of a task inside one [`crate::Simulation`].
 pub type TaskId = usize;
@@ -39,14 +40,15 @@ impl PhaseId {
     }
 }
 
-/// What a task does while it is active.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TaskKind {
+/// What a task does while it is active. Paths live in the simulation's
+/// path arena; the task keeps its [`Span`] into it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum TaskKind {
     /// Moves `bytes` across every link of `path` simultaneously; the rate is
     /// the max-min fair share of the most contended link on the path.
     Flow {
         /// Links traversed by the flow. Order is irrelevant.
-        path: Vec<LinkId>,
+        path: Span,
         /// Payload size in bytes.
         bytes: f64,
     },
@@ -66,27 +68,81 @@ pub enum TaskKind {
     Barrier,
 }
 
-/// Specification of a bandwidth-sharing flow task.
+/// A run of entries in an arena: a task's dependencies or path in a
+/// [`crate::Simulation`], a task's edges in a [`crate::Dag`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct Span {
+    start: usize,
+    end: usize,
+}
+
+impl Span {
+    /// Appends `items` to `arena` and returns where they landed.
+    pub(crate) fn append<T: Copy>(arena: &mut Vec<T>, items: &[T]) -> Self {
+        let start = arena.len();
+        arena.extend_from_slice(items);
+        Self { start, end: arena.len() }
+    }
+
+    /// Appends `item` to the run. A run that does not end the arena is
+    /// first moved to its tail, leaving its old entries unused; builders
+    /// almost always extend the newest run, so this is rare, and the order
+    /// of entries is kept either way.
+    pub(crate) fn push<T: Copy>(&mut self, arena: &mut Vec<T>, item: T) {
+        if self.end != arena.len() {
+            let start = arena.len();
+            arena.extend_from_within(self.start..self.end);
+            self.start = start;
+        }
+        arena.push(item);
+        self.end = arena.len();
+    }
+
+    /// The entries of `arena` this span covers.
+    pub(crate) fn of<T>(self, arena: &[T]) -> &[T] {
+        &arena[self.start..self.end]
+    }
+
+    /// Number of entries covered.
+    pub(crate) fn len(self) -> usize {
+        self.end - self.start
+    }
+}
+
+/// Appends `more` to `deps`, borrowing it while `deps` is still empty.
+fn extend<'a>(deps: &mut Cow<'a, [TaskId]>, more: &'a [TaskId]) {
+    if deps.is_empty() {
+        *deps = Cow::Borrowed(more);
+    } else {
+        deps.to_mut().extend_from_slice(more);
+    }
+}
+
+/// Specification of a bandwidth-sharing flow task. The path and the
+/// dependencies are borrowed when given as slices; the simulation copies
+/// them into its arenas when the flow is added.
 #[derive(Debug, Clone)]
-pub struct FlowSpec {
-    pub(crate) path: Vec<LinkId>,
+pub struct FlowSpec<'a> {
+    pub(crate) path: Cow<'a, [LinkId]>,
     pub(crate) bytes: f64,
-    pub(crate) deps: Vec<TaskId>,
+    pub(crate) deps: Cow<'a, [TaskId]>,
     pub(crate) phase: Option<PhaseId>,
     pub(crate) label: Option<String>,
 }
 
-impl FlowSpec {
-    /// Creates a flow moving `bytes` across the given link path.
+impl<'a> FlowSpec<'a> {
+    /// Creates a flow moving `bytes` across the given link path (a `Vec`,
+    /// or a borrowed slice).
     ///
     /// A zero-byte flow completes instantly (after its dependencies).
-    pub fn new(path: Vec<LinkId>, bytes: f64) -> Self {
-        Self { path, bytes, deps: Vec::new(), phase: None, label: None }
+    pub fn new(path: impl Into<Cow<'a, [LinkId]>>, bytes: f64) -> Self {
+        Self { path: path.into(), bytes, deps: Cow::Borrowed(&[]), phase: None, label: None }
     }
 
-    /// Adds dependencies that must complete before the flow starts.
-    pub fn after(mut self, deps: &[TaskId]) -> Self {
-        self.deps.extend_from_slice(deps);
+    /// Adds dependencies that must complete before the flow starts. The
+    /// first call borrows `deps`; a later one copies both lists.
+    pub fn after(mut self, deps: &'a [TaskId]) -> Self {
+        extend(&mut self.deps, deps);
         self
     }
 
@@ -105,23 +161,24 @@ impl FlowSpec {
 
 /// Specification of a serial compute task.
 #[derive(Debug, Clone)]
-pub struct ComputeSpec {
+pub struct ComputeSpec<'a> {
     pub(crate) resource: ResourceId,
     pub(crate) work: f64,
-    pub(crate) deps: Vec<TaskId>,
+    pub(crate) deps: Cow<'a, [TaskId]>,
     pub(crate) phase: Option<PhaseId>,
     pub(crate) label: Option<String>,
 }
 
-impl ComputeSpec {
+impl<'a> ComputeSpec<'a> {
     /// Creates a compute task performing `work` units on `resource`.
     pub fn new(resource: ResourceId, work: f64) -> Self {
-        Self { resource, work, deps: Vec::new(), phase: None, label: None }
+        Self { resource, work, deps: Cow::Borrowed(&[]), phase: None, label: None }
     }
 
     /// Adds dependencies that must complete before the task is enqueued.
-    pub fn after(mut self, deps: &[TaskId]) -> Self {
-        self.deps.extend_from_slice(deps);
+    /// The first call borrows `deps`; a later one copies both lists.
+    pub fn after(mut self, deps: &'a [TaskId]) -> Self {
+        extend(&mut self.deps, deps);
         self
     }
 
@@ -140,22 +197,23 @@ impl ComputeSpec {
 
 /// Specification of a fixed virtual-time delay.
 #[derive(Debug, Clone)]
-pub struct DelaySpec {
+pub struct DelaySpec<'a> {
     pub(crate) seconds: f64,
-    pub(crate) deps: Vec<TaskId>,
+    pub(crate) deps: Cow<'a, [TaskId]>,
     pub(crate) phase: Option<PhaseId>,
     pub(crate) label: Option<String>,
 }
 
-impl DelaySpec {
+impl<'a> DelaySpec<'a> {
     /// Creates a delay of `seconds` virtual seconds.
     pub fn new(seconds: f64) -> Self {
-        Self { seconds, deps: Vec::new(), phase: None, label: None }
+        Self { seconds, deps: Cow::Borrowed(&[]), phase: None, label: None }
     }
 
-    /// Adds dependencies that must complete before the delay starts.
-    pub fn after(mut self, deps: &[TaskId]) -> Self {
-        self.deps.extend_from_slice(deps);
+    /// Adds dependencies that must complete before the delay starts. The
+    /// first call borrows `deps`; a later one copies both lists.
+    pub fn after(mut self, deps: &'a [TaskId]) -> Self {
+        extend(&mut self.deps, deps);
         self
     }
 
@@ -172,11 +230,12 @@ impl DelaySpec {
     }
 }
 
-/// Internal task representation stored by the simulation.
+/// Internal task representation stored by the simulation: spans into its
+/// arenas, no heap of its own but an optional label.
 #[derive(Debug, Clone)]
 pub(crate) struct Task {
     pub(crate) kind: TaskKind,
-    pub(crate) deps: Vec<TaskId>,
+    pub(crate) deps: Span,
     pub(crate) phase: Option<PhaseId>,
     pub(crate) label: Option<String>,
 }
@@ -191,9 +250,9 @@ mod tests {
             .after(&[1, 2])
             .phase(PhaseId(7))
             .label("grad offload");
-        assert_eq!(spec.path, vec![LinkId(0), LinkId(3)]);
+        assert_eq!(*spec.path, [LinkId(0), LinkId(3)]);
         assert_eq!(spec.bytes, 42.0);
-        assert_eq!(spec.deps, vec![1, 2]);
+        assert_eq!(*spec.deps, [1, 2]);
         assert_eq!(spec.phase, Some(PhaseId(7)));
         assert_eq!(spec.label.as_deref(), Some("grad offload"));
     }
@@ -203,7 +262,7 @@ mod tests {
         let spec = ComputeSpec::new(ResourceId(2), 1e9).after(&[0]).phase(PhaseId(1));
         assert_eq!(spec.resource, ResourceId(2));
         assert_eq!(spec.work, 1e9);
-        assert_eq!(spec.deps, vec![0]);
+        assert_eq!(*spec.deps, [0]);
         assert_eq!(spec.phase, Some(PhaseId(1)));
     }
 

@@ -184,12 +184,13 @@ impl Scheduler for ClusterScheduler {
         task: DagTaskId,
         _dag: &Dag,
         _system: &SystemView<'_>,
-    ) -> Vec<Decision> {
+        out: &mut Vec<Decision>,
+    ) {
         let mut decision = ScheduleDecision::new(task);
         if task == self.reduce {
             decision = decision.after_all(self.exchanges.iter().map(|&t| Anchor::Task(t)));
         }
-        vec![Decision::Schedule(decision)]
+        out.push(Decision::Schedule(decision));
     }
 }
 

@@ -423,6 +423,12 @@ pub struct MachineSpec {
     pub cluster: Option<crate::cluster::ClusterSpec>,
 }
 
+/// The most storage devices a machine may have. Routes are resolved by a
+/// search over the whole topology per endpoint pair, so a machine costs
+/// O(devices × nodes) to lower onto: 4 096 devices (the largest machine any
+/// test builds) take about a second, 200 000 would not finish.
+const MAX_DEVICES: usize = 4096;
+
 impl MachineSpec {
     /// The paper's test-bed with `devices` storage devices.
     pub fn devices(devices: usize) -> Self {
@@ -474,11 +480,17 @@ impl MachineSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`TrainError::Config`] for zero devices/GPUs or an unknown
-    /// GPU preset.
+    /// Returns [`TrainError::Config`] for zero devices/GPUs, more than 4 096
+    /// devices, or an unknown GPU preset.
     pub fn resolve(&self) -> Result<MachineConfig, TrainError> {
         if self.devices == 0 {
             return Err(TrainError::config("machine must have at least one storage device"));
+        }
+        if self.devices > MAX_DEVICES {
+            return Err(TrainError::config(format!(
+                "machine has {} storage devices, at most {MAX_DEVICES} are supported",
+                self.devices
+            )));
         }
         if self.num_gpus == Some(0) {
             return Err(TrainError::config("machine must have at least one GPU"));
@@ -858,6 +870,31 @@ mod tests {
         assert_eq!(parsed, spec);
         let parsed = RunSpec::from_json(&spec.to_json_pretty()).expect("pretty round trip");
         assert_eq!(parsed, spec);
+    }
+
+    /// An accepted spec may not hang: past the device bound the spec is a
+    /// typed error at once, and a machine at the bound still resolves.
+    #[test]
+    fn device_counts_past_the_bound_are_rejected_at_once() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let run = |devices: usize| {
+                let json = format!(
+                    r#"{{"model":"GPT2-0.34B","machine":{{"devices":{devices}}},
+                        "method":{{"offload":true,"in_storage_update":true,"overlap":true,
+                                  "pipelined":true}}}}"#
+                );
+                RunSpec::from_json(&json).expect("the spec parses").session().map(drop)
+            };
+            tx.send((run(200_000), run(4096))).expect("the test waits");
+        });
+        let limit = std::time::Duration::from_secs(10);
+        let (past, at) = rx.recv_timeout(limit).expect("both specs are answered within 10 s");
+        worker.join().expect("the worker does not panic");
+        let err = past.expect_err("200 000 devices are past the bound");
+        assert!(matches!(err, TrainError::Config { .. }), "{err}");
+        assert!(err.to_string().contains("at most 4096"), "{err}");
+        at.expect("4 096 devices resolve");
     }
 
     #[test]

@@ -335,58 +335,56 @@ impl TimedPlatform {
 
     // ---- transfer helpers --------------------------------------------------
 
-    /// The fabric path of `route` with the SSD media link it crosses
-    /// appended, resolved once per platform.
+    /// Adds a flow over `route`. Its path is resolved on first use and then
+    /// lent from the memo, never copied.
     ///
     /// # Panics
     ///
     /// Panics if `route` names an FPGA of a plain-SSD platform.
-    fn path(&mut self, route: Route) -> Vec<LinkId> {
-        if let Some(path) = self.routes.get(&route) {
-            return path.clone();
-        }
-        let p = &self.platform;
+    fn flow(&mut self, route: Route, bytes: f64, deps: &[TaskId], phase: PhaseId) -> TaskId {
+        let Self { sim, routes, platform, fabric, media, .. } = self;
+        let path =
+            routes.entry(route).or_insert_with(|| Self::resolve(platform, fabric, media, route));
+        sim.flow(FlowSpec::new(path.as_slice(), bytes).after(deps).phase(phase))
+    }
+
+    /// The fabric path of `route` with the SSD media link it crosses
+    /// appended.
+    fn resolve(
+        p: &Platform,
+        fabric: &InstalledFabric,
+        media: &[MediaLinks],
+        route: Route,
+    ) -> Vec<LinkId> {
         let fpga = |dev: usize, what: &str| -> NodeId {
             p.devices[dev].fpga.unwrap_or_else(|| panic!("{what} requires a CSD platform"))
         };
-        let (from, to, media, what) = match route {
+        let (from, to, link, what) = match route {
             Route::HostToGpu(g) => (p.host, p.gpus[g], None, "host and GPU"),
             Route::GpuToHost(g) => (p.gpus[g], p.host, None, "host and GPU"),
             Route::GpuToGpu(a, b) => (p.gpus[a], p.gpus[b], None, "GPUs"),
-            Route::HostToSsd(d) => {
-                (p.host, p.devices[d].ssd, Some(self.media[d].write), "host and SSD")
-            }
-            Route::SsdToHost(d) => {
-                (p.devices[d].ssd, p.host, Some(self.media[d].read), "host and SSD")
-            }
+            Route::HostToSsd(d) => (p.host, p.devices[d].ssd, Some(media[d].write), "host and SSD"),
+            Route::SsdToHost(d) => (p.devices[d].ssd, p.host, Some(media[d].read), "host and SSD"),
             Route::SsdToFpga(d) => (
                 p.devices[d].ssd,
                 fpga(d, "ssd_to_fpga"),
-                Some(self.media[d].read),
+                Some(media[d].read),
                 "CSD internal ports",
             ),
             Route::FpgaToSsd(d) => (
                 fpga(d, "fpga_to_ssd"),
                 p.devices[d].ssd,
-                Some(self.media[d].write),
+                Some(media[d].write),
                 "CSD internal ports",
             ),
             Route::GpuToSsd(g, d) => {
-                (p.gpus[g], p.devices[d].ssd, Some(self.media[d].write), "GPU and SSD")
+                (p.gpus[g], p.devices[d].ssd, Some(media[d].write), "GPU and SSD")
             }
         };
-        let mut path = self
-            .fabric
-            .path(from, to)
-            .unwrap_or_else(|e| panic!("{what} are always connected: {e}"));
-        path.extend(media);
-        self.routes.insert(route, path.clone());
+        let mut path =
+            fabric.path(from, to).unwrap_or_else(|e| panic!("{what} are always connected: {e}"));
+        path.extend(link);
         path
-    }
-
-    fn flow(&mut self, route: Route, bytes: f64, deps: &[TaskId], phase: PhaseId) -> TaskId {
-        let path = self.path(route);
-        self.sim.flow(FlowSpec::new(path, bytes).after(deps).phase(phase))
     }
 
     /// Host memory → GPU transfer (parameter/activation upload).

@@ -905,9 +905,10 @@ impl Scheduler for MethodPolicy<'_> {
         task: DagTaskId,
         _dag: &Dag,
         _system: &SystemView<'_>,
-    ) -> Vec<Decision> {
+        out: &mut Vec<Decision>,
+    ) {
         let Some(role) = self.roles.get(task.index()).copied().flatten() else {
-            return vec![Decision::Schedule(ScheduleDecision::new(task))];
+            return out.push(Decision::Schedule(ScheduleDecision::new(task)));
         };
         let decision = match role {
             Role::BlockHead(b) => {
@@ -1006,7 +1007,7 @@ impl Scheduler for MethodPolicy<'_> {
                 ScheduleDecision::new(task).after_all(anchors)
             }
         };
-        vec![Decision::Schedule(decision)]
+        out.push(Decision::Schedule(decision));
     }
 }
 
@@ -1033,8 +1034,9 @@ impl Scheduler for HostUpdateScheduler<'_> {
         task: DagTaskId,
         dag: &Dag,
         system: &SystemView<'_>,
-    ) -> Vec<Decision> {
-        self.0.on_task_ready(task, dag, system)
+        out: &mut Vec<Decision>,
+    ) {
+        self.0.on_task_ready(task, dag, system, out);
     }
 }
 
