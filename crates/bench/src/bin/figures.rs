@@ -7,7 +7,6 @@
 //! cargo run -p bench --release --bin figures -- --json results/ all
 //! cargo run -p bench --release --bin figures -- campaign specs/ladder.json
 //! cargo run -p bench --release --bin figures -- --check campaign specs/*.json
-//! cargo run -p bench --release --bin figures -- --checkpoint ckpt.json --halt-after 2 campaign specs/faults.json
 //! cargo run -p bench --release --bin figures -- sched specs/ladder.json
 //! cargo run -p bench --release --bin figures -- serve specs/serve.json --clients 3
 //! cargo run -p bench --release --bin figures -- --clients 2 --passes 2 --expect-dedup serve specs/ladder.json
@@ -19,13 +18,11 @@
 //! written as one JSON file per experiment (used to fill in EXPERIMENTS.md).
 //! `campaign` loads each given `*.json` spec file, runs every spec in it
 //! concurrently on `parcore` workers and prints the per-spec breakdown;
-//! `--check` only parses and validates the files (the CI guard for the
-//! checked-in `specs/`). With `--checkpoint <path>` the campaign becomes
-//! resumable: an existing checkpoint file is loaded and its completed runs
-//! are reused verbatim, and `--halt-after N` stops after N fresh runs and
-//! writes the checkpoint back — killing and re-invoking the same command
-//! finishes the campaign with bit-identical results to an uninterrupted run.
-//! A completed campaign deletes its checkpoint file.
+//! `--check` only parses and validates the files. A campaign runs in one
+//! go; to kill and resume a sweep, run it as a `lab` experiment of
+//! campaign-ref tasks (`lab run --experiment specs/experiments/faults --out
+//! DIR --halt-after 2`, then the same command without `--halt-after`), whose
+//! journal keeps every finished trial.
 //!
 //! `sched` loads the same spec files and runs every spec's model / machine /
 //! workload under *each* of the four method schedulers (`host-update`,
@@ -51,7 +48,7 @@
 
 use bench::harness;
 use serde::Serialize;
-use smart_infinity::{Campaign, CampaignCheckpoint, CampaignProgress};
+use smart_infinity::Campaign;
 use std::path::{Path, PathBuf};
 
 const ALL: &[&str] = &[
@@ -65,8 +62,7 @@ const ALL: &[&str] = &[
 fn usage() -> String {
     format!(
         "usage: figures [--json DIR] [--quick] <all | experiment id ...>\n\
-         \x20      figures [--json DIR] [--check] [--checkpoint CKPT.json [--halt-after N]] \
-         campaign <spec.json> [spec.json ...]\n\
+         \x20      figures [--json DIR] [--check] campaign <spec.json> [spec.json ...]\n\
          \x20      figures [--json DIR] sched <spec.json> [spec.json ...]\n\
          \x20      figures [--json DIR] [--clients N] [--passes N] [--queue-depth N] \
          [--admission-batch N] [--expect-dedup] serve <spec.json> [spec.json ...]\n\
@@ -74,7 +70,7 @@ fn usage() -> String {
          \n\
          subcommands:\n\
          \x20 campaign    run every spec of each campaign file concurrently\n\
-         \x20             (--check validates only; --checkpoint makes the run resumable)\n\
+         \x20             (--check validates only)\n\
          \x20 sched       run each spec under all four method schedulers and compare\n\
          \x20 serve       drive spec files through the campaignd service and report\n\
          \x20             dedup, cache-hit rate, queue depth and latency distributions\n\
@@ -91,8 +87,6 @@ fn usage() -> String {
          \x20 --check FILE.json     perf: compare against the checked-in baseline\n\
          \x20 --tolerance F         perf gate tolerance (default 0.15)\n\
          \x20 --bless               perf: overwrite the baseline with a fresh snapshot\n\
-         \x20 --checkpoint FILE     campaign: load/store resumable progress\n\
-         \x20 --halt-after N        campaign: stop after N fresh runs (needs --checkpoint)\n\
          \x20 --clients N           serve: number of simulated clients\n\
          \x20 --passes N            serve: submissions of the full spec list per client\n\
          \x20 --queue-depth N       serve: service queue depth\n\
@@ -123,8 +117,6 @@ fn main() {
     let mut expect_dedup = false;
     let mut quick = false;
     let mut check = false;
-    let mut checkpoint: Option<PathBuf> = None;
-    let mut halt_after: Option<usize> = None;
     let mut gate = PerfGateOpts::default();
     let mut iter = args.into_iter().peekable();
     while let Some(arg) = iter.next() {
@@ -132,18 +124,6 @@ fn main() {
             "--help" | "-h" => {
                 println!("{}", usage());
                 std::process::exit(0);
-            }
-            "--checkpoint" => {
-                let path = iter
-                    .next()
-                    .unwrap_or_else(|| usage_error("--checkpoint requires a file argument"));
-                checkpoint = Some(PathBuf::from(path));
-            }
-            "--halt-after" => {
-                let n = iter.next().and_then(|t| t.parse::<usize>().ok()).unwrap_or_else(|| {
-                    usage_error("--halt-after requires a positive integer argument")
-                });
-                halt_after = Some(n);
             }
             "--json" => {
                 let dir = iter
@@ -213,12 +193,6 @@ fn main() {
     if let Some(bad) = selected.iter().find(|id| !ALL.contains(&id.as_str())) {
         usage_error(&format!("unknown experiment id `{bad}`"));
     }
-    if halt_after.is_some() && checkpoint.is_none() {
-        usage_error("--halt-after needs --checkpoint <path> to store the partial progress");
-    }
-    if checkpoint.is_some() && campaign_paths.len() != 1 {
-        usage_error("--checkpoint tracks exactly one campaign spec file");
-    }
     if let Some(dir) = &json_dir {
         std::fs::create_dir_all(dir).expect("create json output directory");
     }
@@ -226,13 +200,7 @@ fn main() {
         run_one(&id, quick, json_dir.as_deref(), &gate);
     }
     for path in campaign_paths {
-        run_campaign(
-            Path::new(&path),
-            check,
-            json_dir.as_deref(),
-            checkpoint.as_deref(),
-            halt_after,
-        );
+        run_campaign(Path::new(&path), check, json_dir.as_deref());
     }
     for path in serve_paths {
         run_serve(Path::new(&path), &serve, expect_dedup, json_dir.as_deref());
@@ -304,10 +272,10 @@ fn run_sched(path: &Path, json: Option<&Path>) {
 
 /// Consumes the next token as a positive integer or exits with usage help.
 fn required_usize(iter: &mut std::iter::Peekable<std::vec::IntoIter<String>>, flag: &str) -> usize {
-    iter.next().and_then(|t| t.parse::<usize>().ok()).filter(|&n| n > 0).unwrap_or_else(|| {
-        eprintln!("{flag} requires a positive integer argument");
-        std::process::exit(2);
-    })
+    iter.next()
+        .and_then(|t| t.parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| usage_error(&format!("{flag} requires a positive integer argument")))
 }
 
 /// Drives one spec file through the `campaignd` service with N simulated
@@ -387,13 +355,7 @@ impl Default for PerfGateOpts {
     }
 }
 
-fn run_campaign(
-    path: &Path,
-    check: bool,
-    json: Option<&Path>,
-    checkpoint: Option<&Path>,
-    halt_after: Option<usize>,
-) {
+fn run_campaign(path: &Path, check: bool, json: Option<&Path>) {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {}: {e}", path.display());
         std::process::exit(2);
@@ -410,51 +372,10 @@ fn run_campaign(
         println!("OK {} ({} specs)", path.display(), campaign.specs.len());
         return;
     }
-    // An existing checkpoint file holds the completed leading runs of an
-    // earlier (halted or killed) invocation of the same campaign; resume it.
-    let resume_from = checkpoint.filter(|p| p.exists()).map(|p| {
-        let text = std::fs::read_to_string(p).unwrap_or_else(|e| {
-            eprintln!("cannot read checkpoint {}: {e}", p.display());
-            std::process::exit(2);
-        });
-        let ckpt: CampaignCheckpoint = serde_json::from_str(&text).unwrap_or_else(|e| {
-            eprintln!("invalid campaign checkpoint {}: {e}", p.display());
-            std::process::exit(2);
-        });
-        println!("resuming from {} ({} completed run(s))", p.display(), ckpt.completed.len());
-        ckpt
+    let report = campaign.run().unwrap_or_else(|e| {
+        eprintln!("{}: {e}", path.display());
+        std::process::exit(1);
     });
-    let progress = campaign
-        .run_resumable(&parcore::ParExecutor::current(), resume_from, halt_after)
-        .unwrap_or_else(|e| {
-            eprintln!("{}: {e}", path.display());
-            std::process::exit(1);
-        });
-    let report = match progress {
-        CampaignProgress::Complete(report) => {
-            if let Some(ckpt_path) = checkpoint.filter(|p| p.exists()) {
-                // The checkpoint is consumed: the campaign is complete.
-                let _ = std::fs::remove_file(ckpt_path);
-            }
-            report
-        }
-        CampaignProgress::Halted(ckpt) => {
-            let ckpt_path = checkpoint.expect("--halt-after requires --checkpoint");
-            let pretty = serde_json::to_string_pretty(&ckpt).expect("serialise checkpoint");
-            std::fs::write(ckpt_path, pretty).unwrap_or_else(|e| {
-                eprintln!("cannot write checkpoint {}: {e}", ckpt_path.display());
-                std::process::exit(2);
-            });
-            println!(
-                "halted after {} of {} run(s); checkpoint written to {} — re-invoke the same \
-                 command to resume",
-                ckpt.completed.len(),
-                campaign.specs.len(),
-                ckpt_path.display()
-            );
-            return;
-        }
-    };
     println!("{}", harness::render_campaign(&report));
     let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("campaign");
     write_json(json, &format!("campaign_{stem}"), &report);

@@ -1,0 +1,19 @@
+//! The `figures` argument contract: an argument error exits with status 2
+//! and prints the usage table to stderr.
+
+use std::process::Command;
+
+#[test]
+fn a_zero_client_count_exits_2_with_the_usage_table() {
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["--clients", "0", "serve", "specs/ladder.json"])
+        .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+        .output()
+        .expect("spawn figures");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--clients requires a positive integer argument"), "{stderr}");
+    assert!(stderr.contains("usage: figures"), "{stderr}");
+    assert!(stderr.contains("--admission-batch N   serve: admissions per drain step"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing runs before the argument error");
+}

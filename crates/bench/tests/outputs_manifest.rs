@@ -5,10 +5,17 @@
 //! The outputs are the ones a change to the timed or functional stack used
 //! to be diffed against its parent on by hand: `figures --quick --json` for
 //! every figure id, `figures campaign` on each `specs/*.json`, `figures
-//! sched specs/ladder.json`, the fault campaign halted after two runs and
-//! resumed, and `lab run` (journal and analysis tables) plus `lab plan` on
-//! the checked-in experiments. Each is hashed with the FNV-1a of
-//! [`smart_infinity::fnv1a`], so a failure names the output that moved.
+//! sched specs/ladder.json`, and `lab run` (journal and analysis tables)
+//! plus `lab plan` on each `specs/experiments/*/`. Spec files and
+//! experiments are found by listing those directories, so a new one is
+//! gated as soon as it is checked in. Each output is hashed with the FNV-1a
+//! of [`smart_infinity::fnv1a`], so a failure names the output that moved.
+//!
+//! Rendering also checks what has no hash of its own: every campaign runs
+//! (an invalid spec fails `figures campaign`), every `lab run` journals no
+//! `error` record, and every experiment killed after two trials and resumed
+//! ends with the straight run's journal and tables, byte for byte, after
+//! which a third invocation executes nothing.
 //!
 //! What depends on the machine and not on the model is normalised first:
 //! worker and CPU counts and the `parallel_valid` caveat of a campaign, and
@@ -21,8 +28,8 @@
 //! cargo test -p bench --test outputs_manifest -- --ignored bless
 //! ```
 
-use lab::runner::load_tasks;
-use lab::{plan_trials, run_experiment, ExperimentPaths, RunOptions, ServiceExecutor};
+use lab::runner::{load_tasks, ANALYSIS_DIR, JOURNAL_FILE};
+use lab::{plan_trials, run_experiment, ExperimentPaths, RunOptions, RunSummary, ServiceExecutor};
 use smart_infinity::fnv1a;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -41,14 +48,34 @@ const EXCLUDED: [(&str, &str); 3] = [
     ("fig16", "trains through libm exp/ln, whose last bits are not fixed across platforms"),
 ];
 
-/// The campaign files of `specs/`, by stem.
-const CAMPAIGNS: [&str; 6] = ["ladder", "scaling", "compression", "cluster", "faults", "serve"];
-
-/// The checked-in `lab` experiments.
-const EXPERIMENTS: [&str; 3] = ["mini", "ladder", "hetero"];
-
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// The entries of `dir` that `keep` accepts, sorted by path.
+fn listing(dir: &Path, keep: impl Fn(&Path) -> bool) -> Vec<PathBuf> {
+    let entries = std::fs::read_dir(dir).expect("listable dir");
+    let mut paths: Vec<PathBuf> =
+        entries.map(|e| e.expect("entry").path()).filter(|p| keep(p)).collect();
+    paths.sort();
+    paths
+}
+
+/// The last component of `path`, without its extension.
+fn stem(path: &Path) -> String {
+    path.file_stem().expect("named path").to_string_lossy().into_owned()
+}
+
+/// One `lab run` invocation, as its own process would make it: a fresh
+/// executor, nothing carried over but the journal in `out`.
+fn lab_run(experiment: &Path, out: &Path, halt_after: Option<usize>) -> RunSummary {
+    let options = RunOptions { shard: None, halt_after };
+    run_experiment(experiment, out, &options, &mut ServiceExecutor::new(2))
+        .unwrap_or_else(|e| panic!("lab run {}: {e}", experiment.display()))
+}
+
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
 fn manifest_path() -> PathBuf {
@@ -72,14 +99,9 @@ impl Outputs {
     /// Records every file of `dir` (not its subdirectories), by name, under
     /// `group/`.
     fn add_dir(&mut self, group: &str, dir: &Path) {
-        let entries = std::fs::read_dir(dir).expect("output dir");
-        let mut files: Vec<PathBuf> =
-            entries.map(|e| e.expect("entry").path()).filter(|p| p.is_file()).collect();
-        files.sort();
-        for file in files {
-            let text = std::fs::read_to_string(&file).expect("output file");
+        for file in listing(dir, Path::is_file) {
             let name = file.file_name().expect("file name").to_string_lossy().into_owned();
-            self.add(format!("{group}/{name}"), &text);
+            self.add(format!("{group}/{name}"), &read(&file));
         }
     }
 
@@ -155,28 +177,16 @@ fn render(scratch: PathBuf) -> Vec<(String, String)> {
     for id in FIGURES {
         outputs.figures_group(&format!("figures/{id}"), true, &[id]);
     }
-    for stem in CAMPAIGNS {
-        let file = format!("specs/{stem}.json");
-        outputs.figures_group(&format!("campaign/{stem}"), false, &["campaign", &file]);
+    let is_json = |p: &Path| p.is_file() && p.extension().is_some_and(|e| e == "json");
+    for file in listing(&repo_root().join("specs"), is_json) {
+        let name = stem(&file);
+        let file = format!("specs/{name}.json");
+        outputs.figures_group(&format!("campaign/{name}"), false, &["campaign", &file]);
     }
     outputs.figures_group("sched/ladder", false, &["sched", "specs/ladder.json"]);
 
-    // The fault campaign killed after two runs, then resumed: the resumed
-    // report must equal the straight one (`campaign/faults`).
-    let checkpoint = outputs.dir("faults").join("checkpoint.json");
-    let checkpoint = checkpoint.to_string_lossy().into_owned();
-    let halted =
-        ["--checkpoint", &checkpoint, "--halt-after", "2", "campaign", "specs/faults.json"];
-    let stdout = outputs.figures(&halted);
-    outputs.add("faults/halted/stdout".to_string(), &stdout);
-    let saved = std::fs::read_to_string(&checkpoint).expect("the halted run writes a checkpoint");
-    outputs.add("faults/halted/checkpoint.json".to_string(), &saved);
-    let resume = ["--checkpoint", &checkpoint, "campaign", "specs/faults.json"];
-    outputs.figures_group("faults/resumed", false, &resume);
-    assert!(!Path::new(&checkpoint).exists(), "a completed campaign consumes its checkpoint");
-
-    for name in EXPERIMENTS {
-        let experiment = repo_root().join("specs/experiments").join(name);
+    for experiment in listing(&repo_root().join("specs/experiments"), Path::is_dir) {
+        let name = stem(&experiment);
         let (paths, config) = ExperimentPaths::resolve(&experiment).expect("experiment resolves");
         let tasks = load_tasks(&paths.tasks).expect("tasks load");
         let plan: String = plan_trials(&tasks, &config)
@@ -187,13 +197,33 @@ fn render(scratch: PathBuf) -> Vec<(String, String)> {
             .collect();
         outputs.add(format!("lab/{name}/plan"), &plan);
         let out = outputs.dir(&format!("lab/{name}"));
-        let options = RunOptions { shard: None, halt_after: None };
-        run_experiment(&experiment, &out, &options, &mut ServiceExecutor::new(2))
-            .expect("experiment runs");
+        let straight = lab_run(&experiment, &out, None);
+        assert_eq!(straight.errors, 0, "lab/{name} journaled error records");
         outputs.add_dir(&format!("lab/{name}"), &out);
-        outputs.add_dir(&format!("lab/{name}/analysis"), &out.join("analysis"));
+        outputs.add_dir(&format!("lab/{name}/{ANALYSIS_DIR}"), &out.join(ANALYSIS_DIR));
+
+        // Killed after two trials, resumed, then invoked once more.
+        let resumed = outputs.dir(&format!("resumed/{name}"));
+        assert!(lab_run(&experiment, &resumed, Some(2)).halted, "lab/{name} must halt");
+        lab_run(&experiment, &resumed, None);
+        let idle = lab_run(&experiment, &resumed, None);
+        assert_eq!(idle.executed, 0, "lab/{name}: a finished journal re-executes nothing");
+        assert!(
+            journal_and_tables(&resumed) == journal_and_tables(&out),
+            "lab/{name}: the resumed journal or analysis differs from the straight run's"
+        );
     }
     outputs.entries
+}
+
+/// The journal and every analysis table of a `lab run` output directory, as
+/// `(file name, bytes)`.
+fn journal_and_tables(out: &Path) -> Vec<(String, String)> {
+    let tables = listing(&out.join(ANALYSIS_DIR), Path::is_file);
+    std::iter::once(out.join(JOURNAL_FILE))
+        .chain(tables)
+        .map(|file| (file.file_name().expect("file").to_string_lossy().into_owned(), read(&file)))
+        .collect()
 }
 
 /// The manifest text: a header naming the exclusions, then one

@@ -37,7 +37,6 @@ commands:
            recompute the analysis tables from an existing (merged) journal
   validate <file|dir> [...]
            plan each experiment and resolve every trial's effective spec
-           (the CI guard for checked-in specs/experiments/)
 
 The experiment argument is an experiment.json file or a directory containing
 one.";

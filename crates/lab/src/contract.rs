@@ -5,6 +5,7 @@ use crate::LabError;
 use serde::{Deserialize, Serialize, Value};
 use smart_infinity::{canonical_json, Campaign, CampaignRef, RunSpec};
 use std::path::Path;
+use ztrain::IterationReport;
 
 /// One line of `tasks.jsonl`: a required `task_id` plus a pure domain
 /// payload — every *other* key of the object. The payload is either an
@@ -121,10 +122,49 @@ pub struct HarnessResult {
     pub error: Option<String>,
 }
 
+/// The built-in harness's metrics bag: the method label and the phase
+/// breakdown of the simulated iteration.
+#[derive(Serialize)]
+struct PhaseMetrics {
+    method: String,
+    forward_s: f64,
+    backward_s: f64,
+    update_s: f64,
+    total_s: f64,
+}
+
 impl HarnessResult {
     /// Whether the harness reported success.
     pub fn is_success(&self) -> bool {
         self.outcome == "success"
+    }
+
+    /// The built-in harness's result for one simulated iteration: objective
+    /// `iteration_s` plus the `PhaseMetrics` bag. Both the `lab harness`
+    /// program and the runner's journal records are built from it.
+    pub(crate) fn simulated(method: String, report: &IterationReport) -> Self {
+        HarnessResult {
+            outcome: "success".to_string(),
+            objective: Some(Objective { name: "iteration_s".to_string(), value: report.total_s() }),
+            metrics: to_value(&PhaseMetrics {
+                method,
+                forward_s: report.forward_s,
+                backward_s: report.backward_s,
+                update_s: report.update_s,
+                total_s: report.total_s(),
+            }),
+            error: None,
+        }
+    }
+
+    /// An `error`-outcome result carrying `message`.
+    pub(crate) fn failure(message: String) -> Self {
+        HarnessResult {
+            outcome: "error".to_string(),
+            objective: None,
+            metrics: Value::Object(Vec::new()),
+            error: Some(message),
+        }
     }
 }
 

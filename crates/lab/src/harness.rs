@@ -8,45 +8,10 @@
 //! [`smart_infinity::Session`] and reports the simulated iteration time as
 //! its objective.
 
-use crate::contract::{resolve_payload, to_value, HarnessResult, Objective};
+use crate::contract::{resolve_payload, HarnessResult};
 use crate::LabError;
-use serde::{Serialize, Value};
-use smart_infinity::RunSpec;
+use serde::Value;
 use std::path::Path;
-use ztrain::IterationReport;
-
-#[derive(Debug, Serialize)]
-struct PhaseMetrics {
-    method: String,
-    forward_s: f64,
-    backward_s: f64,
-    update_s: f64,
-    total_s: f64,
-}
-
-fn success(spec: &RunSpec, report: IterationReport) -> HarnessResult {
-    HarnessResult {
-        outcome: "success".to_string(),
-        objective: Some(Objective { name: "iteration_s".to_string(), value: report.total_s() }),
-        metrics: to_value(&PhaseMetrics {
-            method: spec.method.to_string(),
-            forward_s: report.forward_s,
-            backward_s: report.backward_s,
-            update_s: report.update_s,
-            total_s: report.total_s(),
-        }),
-        error: None,
-    }
-}
-
-fn failure(message: String) -> HarnessResult {
-    HarnessResult {
-        outcome: "error".to_string(),
-        objective: None,
-        metrics: Value::Object(Vec::new()),
-        error: Some(message),
-    }
-}
 
 /// Runs one task document (already parsed); campaign refs resolve relative
 /// to `base_dir`. Domain failures come back as an `error`-outcome
@@ -63,11 +28,11 @@ pub fn run_task(task: &Value, base_dir: &Path) -> HarnessResult {
     };
     let spec = match resolve_payload(&payload, base_dir) {
         Ok(spec) => spec,
-        Err(e) => return failure(e.to_string()),
+        Err(e) => return HarnessResult::failure(e.to_string()),
     };
     match spec.session().and_then(|session| session.simulate_iteration()) {
-        Ok(report) => success(&spec, report),
-        Err(e) => failure(e.to_string()),
+        Ok(report) => HarnessResult::simulated(spec.method.to_string(), &report),
+        Err(e) => HarnessResult::failure(e.to_string()),
     }
 }
 
@@ -87,7 +52,7 @@ pub fn run_harness(task_path: &Path, result_path: &Path) -> Result<HarnessResult
             let base_dir = task_path.parent().unwrap_or(Path::new("."));
             run_task(&task, base_dir)
         }
-        Err(e) => failure(format!("invalid task document: {e}")),
+        Err(e) => HarnessResult::failure(format!("invalid task document: {e}")),
     };
     let mut rendered =
         serde_json::to_string_pretty(&result).expect("result serialization is infallible");

@@ -29,7 +29,9 @@
 //!   order, whitespace, and number spelling.
 //! * **Resume.** A killed run is re-invoked with the same arguments; trials
 //!   whose ids already appear in the journal are never re-executed, and the
-//!   final analysis tables are byte-identical to an uninterrupted run.
+//!   final analysis tables are byte-identical to an uninterrupted run. This
+//!   is the workspace's one kill/resume path: a campaign file is resumed by
+//!   running it as campaign-ref tasks (`specs/experiments/faults`).
 //! * **Sharding.** `--shard i/N` partitions the plan by trial index modulo
 //!   `N`; the N journals merged with `lab merge` are bit-identical to a
 //!   single-process journal after canonical (byte-wise) sort.

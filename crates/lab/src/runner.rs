@@ -1,12 +1,12 @@
 //! The experiment runner: resolve specs, execute trials through the
 //! campaign service, journal results, resume, shard, merge.
 
-use crate::contract::{resolve_payload, to_value, Objective, Task, TrialRecord};
+use crate::contract::{resolve_payload, HarnessResult, Task, TrialRecord};
 use crate::{
     analysis_tables, json_merge, plan_trials, ExperimentPaths, LabError, PlannedTrial, Shard,
 };
 use parcore::ParExecutor;
-use serde::{Serialize, Value};
+use serde::Value;
 use smart_infinity::{CampaignService, RunSpec, ServiceConfig, ServiceReport};
 use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
@@ -338,48 +338,22 @@ pub struct RunSummary {
     pub warnings: Vec<String>,
 }
 
-/// Phase metrics of the built-in harness, journaled per successful trial.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-struct PhaseMetrics {
-    method: String,
-    forward_s: f64,
-    backward_s: f64,
-    update_s: f64,
-    total_s: f64,
-}
-
-/// The journal record of one executed trial.
-pub(crate) fn record_for(trial: &PlannedTrial, result: Result<RunOutcome, String>) -> TrialRecord {
-    match result {
-        Ok(outcome) => TrialRecord {
-            trial_id: trial.trial_id.clone(),
-            task_id: trial.task_id.clone(),
-            variant: trial.variant.clone(),
-            repeat: trial.repeat,
-            outcome: "success".to_string(),
-            objective: Some(Objective {
-                name: "iteration_s".to_string(),
-                value: outcome.report.total_s(),
-            }),
-            metrics: to_value(&PhaseMetrics {
-                method: outcome.method,
-                forward_s: outcome.report.forward_s,
-                backward_s: outcome.report.backward_s,
-                update_s: outcome.report.update_s,
-                total_s: outcome.report.total_s(),
-            }),
-            error: None,
-        },
-        Err(message) => TrialRecord {
-            trial_id: trial.trial_id.clone(),
-            task_id: trial.task_id.clone(),
-            variant: trial.variant.clone(),
-            repeat: trial.repeat,
-            outcome: "error".to_string(),
-            objective: None,
-            metrics: Value::Object(Vec::new()),
-            error: Some(message),
-        },
+/// The journal record of one executed trial: the trial's identity plus the
+/// built-in harness's result for it.
+fn record_for(trial: &PlannedTrial, result: Result<RunOutcome, String>) -> TrialRecord {
+    let result = match result {
+        Ok(outcome) => HarnessResult::simulated(outcome.method, &outcome.report),
+        Err(message) => HarnessResult::failure(message),
+    };
+    TrialRecord {
+        trial_id: trial.trial_id.clone(),
+        task_id: trial.task_id.clone(),
+        variant: trial.variant.clone(),
+        repeat: trial.repeat,
+        outcome: result.outcome,
+        objective: result.objective,
+        metrics: result.metrics,
+        error: result.error,
     }
 }
 

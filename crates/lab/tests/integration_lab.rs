@@ -13,7 +13,9 @@ use std::path::{Path, PathBuf};
 const MINI: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/experiments/mini");
 const LADDER: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/experiments/ladder");
 const HETERO: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/experiments/hetero");
+const FAULTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/experiments/faults");
 const LADDER_CAMPAIGN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/ladder.json");
+const FAULTS_CAMPAIGN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/faults.json");
 
 /// A fresh per-test scratch directory under the system temp dir (the
 /// workspace has no tempfile crate; the process id plus a per-test tag keeps
@@ -201,36 +203,42 @@ fn resume_reexecutes_nothing_and_reproduces_analysis_bytes() {
 // Agreement with the existing front doors (real executor)
 // ---------------------------------------------------------------------------
 
-/// The ladder experiment re-expresses `specs/ladder.json` through the harness
-/// contract (each task a campaign ref); its journaled objectives must be
-/// bit-identical to `Campaign::run` over the same file.
+/// The ladder and faults experiments re-express `specs/ladder.json` and
+/// `specs/faults.json` through the harness contract (each task a campaign
+/// ref); their journaled objectives must be bit-identical to `Campaign::run`
+/// over the same file, fault injection included.
 #[test]
 fn lab_ladder_objectives_match_campaign_run_bit_for_bit() {
-    let out = scratch("ladder");
-    let mut executor = lab::ServiceExecutor::new(2);
-    let summary = run_experiment(Path::new(LADDER), &out, &RunOptions::default(), &mut executor)
-        .expect("ladder run");
-    assert_eq!(summary.errors, 0);
-    assert!(summary.analysis_written);
+    let inputs = [("ladder", LADDER, LADDER_CAMPAIGN), ("faults", FAULTS, FAULTS_CAMPAIGN)];
+    for (tag, experiment, campaign_file) in inputs {
+        let out = scratch(tag);
+        let mut executor = lab::ServiceExecutor::new(2);
+        let summary =
+            run_experiment(Path::new(experiment), &out, &RunOptions::default(), &mut executor)
+                .expect("experiment run");
+        assert_eq!(summary.errors, 0, "{experiment}");
+        assert!(summary.analysis_written);
 
-    let campaign = Campaign::from_json(&read(Path::new(LADDER_CAMPAIGN))).expect("campaign");
-    let report = campaign.run().expect("campaign runs");
-    assert_eq!(report.runs.len(), summary.planned);
+        let campaign = Campaign::from_json(&read(Path::new(campaign_file))).expect("campaign");
+        let report = campaign.run().expect("campaign runs");
+        assert_eq!(report.runs.len(), summary.planned, "{experiment}");
 
-    let (records, warning) = lab::read_journal(&out.join("trials.jsonl")).expect("journal");
-    assert!(warning.is_none());
-    // The tasks file lists the rungs in campaign order (indices 0..6), and
-    // the plan is task-major, so record i corresponds to campaign run i.
-    for (record, run) in records.iter().zip(&report.runs) {
-        let objective = record.objective.as_ref().expect("success record");
-        assert_eq!(objective.name, "iteration_s");
-        assert_eq!(
-            objective.value,
-            run.report.total_s(),
-            "task `{}` vs campaign `{}`",
-            record.task_id,
-            run.label
-        );
+        let (records, warning) = lab::read_journal(&out.join("trials.jsonl")).expect("journal");
+        assert!(warning.is_none());
+        // The tasks file lists the specs in campaign order (indices 0..n),
+        // and the plan is task-major, so record i corresponds to campaign
+        // run i.
+        for (record, run) in records.iter().zip(&report.runs) {
+            let objective = record.objective.as_ref().expect("success record");
+            assert_eq!(objective.name, "iteration_s");
+            assert_eq!(
+                objective.value.to_bits(),
+                run.report.total_s().to_bits(),
+                "task `{}` vs campaign `{}`",
+                record.task_id,
+                run.label
+            );
+        }
     }
 }
 

@@ -14,6 +14,7 @@
 //! every worker count — parallelism only changes wall-clock time, exactly
 //! like the functional execution backends.
 
+use crate::session::Session;
 use crate::spec::RunSpec;
 use parcore::ParExecutor;
 use serde::{Deserialize, Serialize};
@@ -62,29 +63,6 @@ pub struct CampaignReport {
     pub parallel_valid: bool,
     /// Per-spec results, in spec order.
     pub runs: Vec<RunReport>,
-}
-
-/// A partially-run campaign: the reports of the specs that finished, in spec
-/// order. The `figures -- campaign --checkpoint <path>` runner serializes
-/// this after every completed run, so a killed campaign resumes exactly where
-/// it stopped — completed reports (including the speedup reference, the
-/// first run) are reused verbatim, never recomputed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CampaignCheckpoint {
-    /// The campaign's name; must match the campaign being resumed.
-    pub name: Option<String>,
-    /// Reports of the completed leading specs.
-    pub completed: Vec<RunReport>,
-}
-
-/// The outcome of a resumable campaign step: either every spec has a report,
-/// or the run halted early with a checkpoint to resume from.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CampaignProgress {
-    /// All specs completed; the full report.
-    Complete(CampaignReport),
-    /// Halted after the requested number of runs; resume from this.
-    Halted(CampaignCheckpoint),
 }
 
 /// A reference to one spec inside a campaign document — the second task
@@ -203,21 +181,28 @@ impl Campaign {
         serde_json::to_string_pretty(self).expect("campaign serialization is infallible")
     }
 
-    /// Validates every spec without running anything — the cheap CI check
-    /// that a checked-in spec file still resolves.
+    /// Validates every spec without running anything — the cheap check that
+    /// a spec file still resolves.
     ///
     /// # Errors
     ///
     /// Returns the first spec's [`TrainError::Config`], prefixed with its
     /// label.
     pub fn validate(&self) -> Result<(), TrainError> {
+        self.sessions().map(drop)
+    }
+
+    /// Resolves every spec into its session, in spec order; the first
+    /// invalid spec's error carries its label.
+    fn sessions(&self) -> Result<Vec<Session>, TrainError> {
         if self.specs.is_empty() {
             return Err(TrainError::config("a campaign needs at least one run spec"));
         }
-        for (index, spec) in self.specs.iter().enumerate() {
-            spec.session().map_err(|e| label_error(index, spec, e))?;
-        }
-        Ok(())
+        self.specs
+            .iter()
+            .enumerate()
+            .map(|(index, spec)| spec.session().map_err(|e| label_error(index, spec, e)))
+            .collect()
     }
 
     /// Runs the campaign with one worker per available CPU.
@@ -241,116 +226,38 @@ impl Campaign {
     /// validated before anything runs) and a wrapped simulation error
     /// otherwise.
     pub fn run_on(&self, pool: &ParExecutor) -> Result<CampaignReport, TrainError> {
-        match self.run_resumable(pool, None, None)? {
-            CampaignProgress::Complete(report) => Ok(report),
-            CampaignProgress::Halted(_) => unreachable!("no halt limit was given"),
-        }
-    }
-
-    /// Runs the campaign resumably: completed reports from `resume_from` are
-    /// reused verbatim, at most `halt_after` of the remaining specs run (all
-    /// of them when `None`), and the result is either the finished
-    /// [`CampaignReport`] or a [`CampaignCheckpoint`] to resume from.
-    /// Because the simulations are deterministic, a campaign finished across
-    /// any number of halt/resume cycles reports bit-identical results to one
-    /// uninterrupted run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TrainError::Config`] for any invalid spec (all specs are
-    /// validated before anything runs), for a checkpoint that does not match
-    /// this campaign, and a wrapped simulation error otherwise.
-    pub fn run_resumable(
-        &self,
-        pool: &ParExecutor,
-        resume_from: Option<CampaignCheckpoint>,
-        halt_after: Option<usize>,
-    ) -> Result<CampaignProgress, TrainError> {
-        if self.specs.is_empty() {
-            return Err(TrainError::config("a campaign needs at least one run spec"));
-        }
-        let mut completed = match resume_from {
-            None => Vec::new(),
-            Some(checkpoint) => {
-                if checkpoint.name != self.name {
-                    return Err(TrainError::config(format!(
-                        "checkpoint belongs to campaign {:?}, not {:?}",
-                        checkpoint.name, self.name
-                    )));
-                }
-                if checkpoint.completed.len() > self.specs.len() {
-                    return Err(TrainError::config(format!(
-                        "checkpoint has {} completed runs but the campaign only has {} specs",
-                        checkpoint.completed.len(),
-                        self.specs.len()
-                    )));
-                }
-                for (report, spec) in checkpoint.completed.iter().zip(&self.specs) {
-                    if report.label != spec.label() {
-                        return Err(TrainError::config(format!(
-                            "checkpoint entry `{}` does not match spec `{}`; \
-                             the campaign changed since the checkpoint was written",
-                            report.label,
-                            spec.label()
-                        )));
-                    }
-                }
-                checkpoint.completed
-            }
-        };
-        // Resolve and validate everything (including already-completed and
-        // not-yet-scheduled specs) up front, so errors carry the spec's label
-        // and the parallel phase cannot fail on configuration.
-        let sessions = self
+        // Every spec resolves before anything runs, so errors carry the
+        // spec's label and the parallel phase cannot fail on configuration.
+        let sessions = self.sessions()?;
+        let reports = pool
+            .map(sessions, |_, session| session.simulate_iteration())
+            .into_iter()
+            .zip(self.specs.iter().enumerate())
+            .map(|(result, (index, spec))| result.map_err(|e| label_error(index, spec, e)))
+            .collect::<Result<Vec<_>, TrainError>>()?;
+        // `sessions` rejects an empty campaign, so there is a first report.
+        let first = reports[0];
+        let runs = self
             .specs
             .iter()
-            .enumerate()
-            .map(|(index, spec)| spec.session().map_err(|e| label_error(index, spec, e)))
-            .collect::<Result<Vec<_>, TrainError>>()?;
-        let done = completed.len();
-        let remaining = self.specs.len() - done;
-        let batch = halt_after.map_or(remaining, |n| n.min(remaining));
-        if batch == 0 && remaining > 0 {
-            // Nothing to do this cycle (halt_after == 0): hand back the
-            // checkpoint unchanged instead of indexing into empty results.
-            return Ok(CampaignProgress::Halted(CampaignCheckpoint {
-                name: self.name.clone(),
-                completed,
-            }));
-        }
-        let batch_sessions: Vec<_> = sessions.into_iter().skip(done).take(batch).collect();
-        let results = pool.map(batch_sessions, |_, session| session.simulate_iteration());
-        let reports = results
-            .into_iter()
-            .zip(self.specs[done..].iter().enumerate())
-            .map(|(result, (offset, spec))| result.map_err(|e| label_error(done + offset, spec, e)))
-            .collect::<Result<Vec<_>, TrainError>>()?;
-        // The speedup reference is the campaign's first report — reused from
-        // the checkpoint when resuming (f64s survive the JSON round trip
-        // exactly, so resumed speedups are bit-identical too).
-        let first = completed.first().map(|r| r.report).unwrap_or_else(|| reports[0]);
-        completed.extend(self.specs[done..].iter().zip(reports).map(|(spec, report)| RunReport {
-            label: spec.label(),
-            model: spec.model.to_string(),
-            method: spec.method.to_string(),
-            devices: spec.machine.devices,
-            speedup_over_first: report.speedup_over(&first),
-            report,
-        }));
-        if completed.len() < self.specs.len() {
-            return Ok(CampaignProgress::Halted(CampaignCheckpoint {
-                name: self.name.clone(),
-                completed,
-            }));
-        }
+            .zip(reports)
+            .map(|(spec, report)| RunReport {
+                label: spec.label(),
+                model: spec.model.to_string(),
+                method: spec.method.to_string(),
+                devices: spec.machine.devices,
+                speedup_over_first: report.speedup_over(&first),
+                report,
+            })
+            .collect();
         let num_cpus = ParExecutor::current().num_threads();
-        Ok(CampaignProgress::Complete(CampaignReport {
+        Ok(CampaignReport {
             name: self.name.clone(),
             num_cpus,
             threads: pool.num_threads(),
             parallel_valid: num_cpus > 1 && pool.num_threads() > 1,
-            runs: completed,
-        }))
+            runs,
+        })
     }
 }
 
@@ -386,56 +293,6 @@ mod tests {
         assert!(serial.runs[3].speedup_over_first > 1.0, "SU+O+C beats BASE");
         assert_eq!(serial.runs[3].method, "SU+O+C(2%)");
         assert_eq!(serial.name.as_deref(), Some("ladder"));
-    }
-
-    #[test]
-    fn halted_and_resumed_campaigns_report_bit_identically() {
-        let campaign = ladder_campaign();
-        let pool = ParExecutor::serial();
-        let straight = campaign.run_on(&pool).expect("straight run");
-
-        // Run two specs, "kill", round-trip the checkpoint through JSON (the
-        // on-disk form), then resume the remaining two.
-        let halted = match campaign.run_resumable(&pool, None, Some(2)).expect("first cycle") {
-            CampaignProgress::Halted(checkpoint) => checkpoint,
-            CampaignProgress::Complete(_) => panic!("must halt after 2 of 4"),
-        };
-        assert_eq!(halted.completed.len(), 2);
-        let json = serde_json::to_string(&halted).expect("checkpoint serializes");
-        let reloaded: CampaignCheckpoint = serde_json::from_str(&json).expect("parses back");
-        assert_eq!(reloaded, halted);
-        let resumed = match campaign.run_resumable(&pool, Some(reloaded), None).expect("resume") {
-            CampaignProgress::Complete(report) => report,
-            CampaignProgress::Halted(_) => panic!("no halt limit on the resume"),
-        };
-        assert_eq!(resumed.runs, straight.runs, "resume must not change any number");
-    }
-
-    #[test]
-    fn mismatched_checkpoints_are_rejected() {
-        let campaign = ladder_campaign();
-        let pool = ParExecutor::serial();
-        let halted = match campaign.run_resumable(&pool, None, Some(1)).expect("one run") {
-            CampaignProgress::Halted(checkpoint) => checkpoint,
-            CampaignProgress::Complete(_) => panic!("must halt"),
-        };
-        // Wrong campaign name.
-        let renamed = CampaignCheckpoint { name: Some("other".into()), ..halted.clone() };
-        let err = campaign.run_resumable(&pool, Some(renamed), None).expect_err("name mismatch");
-        assert!(err.to_string().contains("belongs to campaign"), "{err}");
-        // The campaign changed under the checkpoint.
-        let mut reordered = campaign.clone();
-        reordered.specs.swap(0, 1);
-        let err =
-            reordered.run_resumable(&pool, Some(halted.clone()), None).expect_err("label mismatch");
-        assert!(err.to_string().contains("does not match spec"), "{err}");
-        // More completed runs than specs.
-        let mut short = campaign.clone();
-        short.specs.truncate(1);
-        let mut fat = halted;
-        fat.completed.extend(fat.completed.clone());
-        let err = short.run_resumable(&pool, Some(fat), None).expect_err("too many runs");
-        assert!(err.to_string().contains("completed runs"), "{err}");
     }
 
     #[test]

@@ -98,9 +98,7 @@ mod session;
 mod spec;
 mod traffic;
 
-pub use campaign::{
-    Campaign, CampaignCheckpoint, CampaignProgress, CampaignRef, CampaignReport, RunReport,
-};
+pub use campaign::{Campaign, CampaignRef, CampaignReport, RunReport};
 pub use canon::{canonical_json, fnv1a};
 pub use cluster::{ClusterScheduler, ClusterSpec, StragglerSpec};
 pub use engine_timed::{HandlerMode, PipelineTiming, SmartInfinityEngine};

@@ -1,18 +1,18 @@
-//! Checkpoint/restore integration tests through the [`Trainer`] seam and the
-//! resumable [`Campaign`] runner:
+//! Checkpoint/restore integration tests through the `Trainer` seam:
 //!
 //! * checkpoint → JSON → restore → continue is bit-identical to an
 //!   uninterrupted run for every checkpointable trainer, including the
 //!   error-feedback residual state of the compression pipeline;
 //! * a checkpoint taken mid-run under fault injection still resumes to the
-//!   same final parameters (recovery is numerically invisible);
-//! * a campaign halted mid-flight and resumed from its serialized checkpoint
-//!   reports bit-identically to one uninterrupted run.
+//!   same final parameters (recovery is numerically invisible).
+//!
+//! Kill and resume of a whole sweep is `lab`'s journal, not a trainer
+//! checkpoint; the bit-identity gate (`crates/bench/tests/outputs_manifest.rs`)
+//! halts and resumes every checked-in experiment, the fault campaign among
+//! them.
 
-use parcore::ParExecutor;
 use smart_infinity::{
-    Campaign, CampaignProgress, FaultSpec, MachineConfig, MachineSpec, MethodSpec, ModelConfig,
-    ModelSpec, RunSpec, Session, SessionBuilder, TrainerCheckpoint,
+    FaultSpec, MachineConfig, MethodSpec, ModelConfig, Session, SessionBuilder, TrainerCheckpoint,
 };
 use tensorlib::FlatTensor;
 
@@ -123,42 +123,4 @@ fn checkpoint_restore_under_fault_injection_matches_the_straight_run() {
         resumed.master_params().unwrap().as_slice()
     );
     assert_eq!(straight.params_fp16().as_slice(), resumed.params_fp16().as_slice());
-}
-
-/// A campaign killed mid-flight resumes from its serialized checkpoint and
-/// finishes with a report bit-identical to one uninterrupted run — the
-/// headless kill/resume flow CI drives through the `figures` binary.
-#[test]
-fn halted_campaign_resumes_bit_identically_through_json() {
-    let mut faults = FaultSpec::empty(3);
-    faults.straggler_factor = Some(2.0);
-    let specs: Vec<RunSpec> =
-        [MethodSpec::baseline(), MethodSpec::smart_update(), MethodSpec::smart_comp(0.01)]
-            .into_iter()
-            .map(|method| {
-                let mut spec =
-                    RunSpec::new(ModelSpec::preset("GPT2-0.34B"), MachineSpec::devices(4), method);
-                spec.faults = Some(faults.clone());
-                spec
-            })
-            .collect();
-    let campaign = Campaign::new(specs).with_name("kill-resume");
-    let pool = ParExecutor::serial();
-
-    let straight = campaign.run_on(&pool).unwrap();
-
-    let halted = match campaign.run_resumable(&pool, None, Some(1)).unwrap() {
-        CampaignProgress::Halted(ckpt) => ckpt,
-        CampaignProgress::Complete(_) => panic!("halt_after=1 of 3 must halt"),
-    };
-    assert_eq!(halted.completed.len(), 1);
-
-    // Kill the process: all that survives is the serialized checkpoint.
-    let json = serde_json::to_string(&halted).unwrap();
-    let revived = serde_json::from_str(&json).unwrap();
-    let finished = match campaign.run_resumable(&pool, Some(revived), None).unwrap() {
-        CampaignProgress::Complete(report) => report,
-        CampaignProgress::Halted(_) => panic!("no halt limit on the resume leg"),
-    };
-    assert_eq!(finished.runs, straight.runs);
 }
