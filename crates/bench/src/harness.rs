@@ -998,7 +998,7 @@ pub struct KernelPerf {
     /// Kernel name.
     pub kernel: String,
     /// SIMD path the kernel's hot loop dispatched to when measured
-    /// (`scalar`, `sse2` or `avx2`) — snapshots from machines with different
+    /// (`scalar` or `avx2`) — snapshots from machines with different
     /// vector units are not directly comparable, and the perf gate skips
     /// absolute-throughput checks when the paths differ.
     pub kernel_path: KernelPath,
@@ -1765,9 +1765,10 @@ mod tests {
         // A baseline blessed on an AVX2 box checked against a scalar-only
         // runner: absolute rates are incomparable, so path drift is a note,
         // not a failure.
-        let baseline = synthetic_snapshot(true);
+        let mut baseline = synthetic_snapshot(true);
+        baseline.kernel_path = KernelPath::Avx2;
         let mut fresh = baseline.clone();
-        fresh.kernel_path = KernelPath::Sse2;
+        fresh.kernel_path = KernelPath::Scalar;
         for k in &mut fresh.kernels {
             k.serial_elems_per_sec *= 0.4;
             k.parallel_elems_per_sec *= 0.4;

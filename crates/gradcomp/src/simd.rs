@@ -3,10 +3,15 @@
 //! The selection's one pass over a shard keeps every index whose magnitude is
 //! **not less than** the estimated cut — `!(|v| < t)` rather than
 //! `|v| >= t` so NaN magnitudes (and a NaN threshold) stay in the candidate
-//! set. The vector bodies use ordered less-than compares
-//! (`_CMP_LT_OQ` / `cmpltps`), which are false on NaN exactly like Rust's
-//! scalar `<`, then invert the lane mask — so the selected index set is
-//! identical to the scalar scan for every input, NaNs and ties included.
+//! set. The AVX2 body uses an ordered less-than compare (`_CMP_LT_OQ`), which
+//! is false on NaN exactly like Rust's scalar `<`, then inverts the lane
+//! mask — so the selected index set is identical to the scalar scan for every
+//! input, NaNs and ties included.
+//!
+//! The AVX2 body stays hand-written: at the low survivor rates the Top-K cut
+//! leaves, its movemask loop is much faster than the scalar scan compiled for
+//! AVX2, which the compiler does not vectorise. The scalar tier runs the
+//! scalar scan.
 //!
 //! This is the only module in the crate allowed to use `unsafe` (for
 //! `std::arch` intrinsics); the crate root remains `deny(unsafe_code)`.
@@ -18,19 +23,16 @@ use tensorlib::KernelPath;
 pub(crate) fn filter_not_less(path: KernelPath, grads: &[f32], threshold: f32, out: &mut Vec<u32>) {
     debug_assert!(path.is_available());
     #[cfg(target_arch = "x86_64")]
-    match path {
+    if path == KernelPath::Avx2 {
         // Safety: `is_available` is checked by `KernelPath::active()` /
         // asserted by test callers.
-        KernelPath::Avx2 => return unsafe { x86::filter_avx2(grads, threshold, out) },
-        KernelPath::Sse2 => return unsafe { x86::filter_sse2(grads, threshold, out) },
-        KernelPath::Scalar => {}
+        return unsafe { x86::filter_avx2(grads, threshold, out) };
     }
-    let _ = path;
     filter_scalar(grads, threshold, 0, out);
 }
 
-/// Scalar reference scan; `base` offsets the emitted indices so the SIMD
-/// drivers can reuse it for ragged tails.
+/// Scalar reference scan; `base` offsets the emitted indices so the AVX2
+/// driver can reuse it for its ragged tail.
 pub(crate) fn filter_scalar(grads: &[f32], threshold: f32, base: usize, out: &mut Vec<u32>) {
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
     for (i, v) in grads.iter().enumerate() {
@@ -68,30 +70,6 @@ mod x86 {
                 keep &= keep - 1;
             }
             i += 8;
-        }
-        filter_scalar(&grads[i..], threshold, i, out);
-    }
-
-    /// # Safety
-    ///
-    /// Caller guarantees SSE2 is available.
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn filter_sse2(grads: &[f32], threshold: f32, out: &mut Vec<u32>) {
-        let n = grads.len();
-        let abs_mask = _mm_castsi128_ps(_mm_set1_epi32(0x7FFF_FFFF));
-        let t = _mm_set1_ps(threshold);
-        let mut i = 0;
-        while i + 4 <= n {
-            let v = _mm_loadu_ps(grads.as_ptr().add(i));
-            // `cmpltps` is an ordered compare: false on NaN, like scalar `<`.
-            let lt = _mm_cmplt_ps(_mm_and_ps(v, abs_mask), t);
-            let mut keep = (!_mm_movemask_ps(lt)) & 0xF;
-            while keep != 0 {
-                let lane = keep.trailing_zeros() as usize;
-                out.push((i + lane) as u32);
-                keep &= keep - 1;
-            }
-            i += 4;
         }
         filter_scalar(&grads[i..], threshold, i, out);
     }

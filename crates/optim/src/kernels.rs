@@ -13,11 +13,16 @@
 //! **bit-identical** to the serial ones for every chunk count — a property
 //! the tests assert explicitly.
 //!
-//! On x86_64 every kernel additionally has AVX2 and SSE2 vector bodies
-//! (`crate::simd`), selected at runtime via [`KernelPath::active`]. The
-//! vector bodies replay the scalar arithmetic operation-for-operation, so
-//! they too are bit-identical — the `*_step_with` variants let callers and
-//! tests pin an explicit path.
+//! Each kernel has one body, its scalar loop, and the compiler is the lane
+//! abstraction. [`KernelPath::Scalar`] runs the body as compiled for the
+//! build target (4 lanes of SSE2 on x86-64); [`KernelPath::Avx2`] runs it
+//! through a `#[target_feature(enable = "avx2")]` wrapper, which compiles the
+//! same loop 8 lanes wide. Every operation in the loop is IEEE-754 correctly
+//! rounded and nothing is contracted into a fused multiply-add, so the two
+//! instantiations are bit-identical for every input. The tier is picked at
+//! runtime via [`KernelPath::active`]; the `*_step_with` variants let callers
+//! and tests pin an explicit path. Another vector width is one more wrapper
+//! around the same body.
 
 use parcore::ParExecutor;
 use tensorlib::KernelPath;
@@ -82,13 +87,21 @@ pub fn adam_step_with(
     assert_eq!(n, grads.len(), "gradient length mismatch");
     let bias1 = 1.0 - beta1.powi(t as i32);
     let bias2 = 1.0 - beta2.powi(t as i32);
-    crate::simd::adam(path, params, momentum, variance, grads, lr, beta1, beta2, eps, bias1, bias2);
+    #[cfg(target_arch = "x86_64")]
+    if path == KernelPath::Avx2 {
+        // SAFETY: `path.is_available()` is asserted above, so the CPU has AVX2.
+        #[allow(unsafe_code)]
+        return unsafe {
+            adam_avx2(params, momentum, variance, grads, lr, beta1, beta2, eps, bias1, bias2)
+        };
+    }
+    adam_scalar(params, momentum, variance, grads, lr, beta1, beta2, eps, bias1, bias2);
 }
 
-/// Scalar Adam body with precomputed bias factors: the bit-exact reference
-/// the SIMD lanes replay, and the tail loop for ragged vector remainders.
+/// The Adam body with precomputed bias factors, compiled once per tier.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn adam_scalar(
+#[inline(always)]
+fn adam_scalar(
     params: &mut [f32],
     momentum: &mut [f32],
     variance: &mut [f32],
@@ -110,6 +123,25 @@ pub(crate) fn adam_scalar(
         let v_hat = variance[i] / bias2;
         params[i] -= lr * m_hat / (v_hat.sqrt() + eps);
     }
+}
+
+/// [`adam_scalar`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+fn adam_avx2(
+    params: &mut [f32],
+    momentum: &mut [f32],
+    variance: &mut [f32],
+    grads: &[f32],
+    lr: f32,
+    beta1: f32,
+    beta2: f32,
+    eps: f32,
+    bias1: f32,
+    bias2: f32,
+) {
+    adam_scalar(params, momentum, variance, grads, lr, beta1, beta2, eps, bias1, bias2);
 }
 
 /// One AdamW step (Loshchilov & Hutter, 2019): Adam with decoupled weight decay.
@@ -173,8 +205,27 @@ pub fn adamw_step_with(
     assert_eq!(n, grads.len(), "gradient length mismatch");
     let bias1 = 1.0 - beta1.powi(t as i32);
     let bias2 = 1.0 - beta2.powi(t as i32);
-    crate::simd::adamw(
-        path,
+    #[cfg(target_arch = "x86_64")]
+    if path == KernelPath::Avx2 {
+        // SAFETY: `path.is_available()` is asserted above, so the CPU has AVX2.
+        #[allow(unsafe_code)]
+        return unsafe {
+            adamw_avx2(
+                params,
+                momentum,
+                variance,
+                grads,
+                lr,
+                beta1,
+                beta2,
+                eps,
+                weight_decay,
+                bias1,
+                bias2,
+            )
+        };
+    }
+    adamw_scalar(
         params,
         momentum,
         variance,
@@ -189,9 +240,10 @@ pub fn adamw_step_with(
     );
 }
 
-/// Scalar AdamW body with precomputed bias factors (reference and tail loop).
+/// The AdamW body with precomputed bias factors, compiled once per tier.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn adamw_scalar(
+#[inline(always)]
+fn adamw_scalar(
     params: &mut [f32],
     momentum: &mut [f32],
     variance: &mut [f32],
@@ -213,6 +265,38 @@ pub(crate) fn adamw_scalar(
         // Decoupled weight decay applied directly to the parameter.
         params[i] -= lr * (m_hat / (v_hat.sqrt() + eps) + weight_decay * params[i]);
     }
+}
+
+/// [`adamw_scalar`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+fn adamw_avx2(
+    params: &mut [f32],
+    momentum: &mut [f32],
+    variance: &mut [f32],
+    grads: &[f32],
+    lr: f32,
+    beta1: f32,
+    beta2: f32,
+    eps: f32,
+    weight_decay: f32,
+    bias1: f32,
+    bias2: f32,
+) {
+    adamw_scalar(
+        params,
+        momentum,
+        variance,
+        grads,
+        lr,
+        beta1,
+        beta2,
+        eps,
+        weight_decay,
+        bias1,
+        bias2,
+    );
 }
 
 /// One SGD-with-momentum step.
@@ -249,11 +333,18 @@ pub fn sgd_momentum_step_with(
     let n = params.len();
     assert_eq!(n, momentum_buf.len(), "momentum length mismatch");
     assert_eq!(n, grads.len(), "gradient length mismatch");
-    crate::simd::sgd_momentum(path, params, momentum_buf, grads, lr, momentum);
+    #[cfg(target_arch = "x86_64")]
+    if path == KernelPath::Avx2 {
+        // SAFETY: `path.is_available()` is asserted above, so the CPU has AVX2.
+        #[allow(unsafe_code)]
+        return unsafe { sgd_momentum_avx2(params, momentum_buf, grads, lr, momentum) };
+    }
+    sgd_momentum_scalar(params, momentum_buf, grads, lr, momentum);
 }
 
-/// Scalar SGD-with-momentum body (reference and tail loop).
-pub(crate) fn sgd_momentum_scalar(
+/// The SGD-with-momentum body, compiled once per tier.
+#[inline(always)]
+fn sgd_momentum_scalar(
     params: &mut [f32],
     momentum_buf: &mut [f32],
     grads: &[f32],
@@ -265,6 +356,19 @@ pub(crate) fn sgd_momentum_scalar(
         momentum_buf[i] = momentum * momentum_buf[i] + grads[i];
         params[i] -= lr * momentum_buf[i];
     }
+}
+
+/// [`sgd_momentum_scalar`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn sgd_momentum_avx2(
+    params: &mut [f32],
+    momentum_buf: &mut [f32],
+    grads: &[f32],
+    lr: f32,
+    momentum: f32,
+) {
+    sgd_momentum_scalar(params, momentum_buf, grads, lr, momentum);
 }
 
 /// One AdaGrad step (Duchi et al., 2011).
@@ -294,22 +398,30 @@ pub fn adagrad_step_with(
     let n = params.len();
     assert_eq!(n, accumulator.len(), "accumulator length mismatch");
     assert_eq!(n, grads.len(), "gradient length mismatch");
-    crate::simd::adagrad(path, params, accumulator, grads, lr, eps);
+    #[cfg(target_arch = "x86_64")]
+    if path == KernelPath::Avx2 {
+        // SAFETY: `path.is_available()` is asserted above, so the CPU has AVX2.
+        #[allow(unsafe_code)]
+        return unsafe { adagrad_avx2(params, accumulator, grads, lr, eps) };
+    }
+    adagrad_scalar(params, accumulator, grads, lr, eps);
 }
 
-/// Scalar AdaGrad body (reference and tail loop).
-pub(crate) fn adagrad_scalar(
-    params: &mut [f32],
-    accumulator: &mut [f32],
-    grads: &[f32],
-    lr: f32,
-    eps: f32,
-) {
+/// The AdaGrad body, compiled once per tier.
+#[inline(always)]
+fn adagrad_scalar(params: &mut [f32], accumulator: &mut [f32], grads: &[f32], lr: f32, eps: f32) {
     for i in 0..params.len() {
         let g = grads[i];
         accumulator[i] += g * g;
         params[i] -= lr * g / (accumulator[i].sqrt() + eps);
     }
+}
+
+/// [`adagrad_scalar`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn adagrad_avx2(params: &mut [f32], accumulator: &mut [f32], grads: &[f32], lr: f32, eps: f32) {
+    adagrad_scalar(params, accumulator, grads, lr, eps);
 }
 
 /// One chunk of an Adam-family update: three mutable state views plus the
@@ -752,28 +864,42 @@ mod tests {
 
     #[test]
     fn vector_paths_handle_every_length_tail() {
-        // Lengths 0..=19 cover empty, sub-width, exact-width and ragged cases
-        // for both the 4-wide and 8-wide kernels.
-        for n in 0..20usize {
+        // The compiler picks each tier's main loop (width times unroll) and
+        // remainder; lengths 0..=70 cover empty, sub-width, exact-width and
+        // ragged cases up to 8 lanes unrolled four times, for every kernel.
+        for n in 0..=70usize {
             let grads: Vec<f32> = (0..n).map(|i| ((i as f32) - 7.5) * 0.3).collect();
             let init: Vec<f32> = (0..n).map(|i| (i as f32) * 0.1).collect();
-            let (mut p0, mut m0, mut v0) = (init.clone(), vec![0.0f32; n], vec![0.0f32; n]);
-            adam_step_with(
-                KernelPath::Scalar,
-                &mut p0,
-                &mut m0,
-                &mut v0,
-                &grads,
-                0.01,
-                0.9,
-                0.999,
-                1e-8,
-                1,
-            );
-            for path in KernelPath::available() {
+            let run = |path: KernelPath| {
                 let (mut p, mut m, mut v) = (init.clone(), vec![0.0f32; n], vec![0.0f32; n]);
                 adam_step_with(path, &mut p, &mut m, &mut v, &grads, 0.01, 0.9, 0.999, 1e-8, 1);
-                assert_bits_eq(&p, &p0, &format!("adam n={n} {path}"));
+                let (mut pw, mut mw, mut vw) = (init.clone(), vec![0.1f32; n], vec![0.2f32; n]);
+                adamw_step_with(
+                    path, &mut pw, &mut mw, &mut vw, &grads, 0.01, 0.9, 0.999, 1e-8, 0.1, 2,
+                );
+                let (mut ps, mut bs) = (init.clone(), vec![0.3f32; n]);
+                sgd_momentum_step_with(path, &mut ps, &mut bs, &grads, 0.1, 0.9);
+                let (mut pa, mut aa) = (init.clone(), vec![0.4f32; n]);
+                adagrad_step_with(path, &mut pa, &mut aa, &grads, 0.1, 1e-10);
+                [p, m, v, pw, mw, vw, ps, bs, pa, aa]
+            };
+            let names = [
+                "adam p",
+                "adam m",
+                "adam v",
+                "adamw p",
+                "adamw m",
+                "adamw v",
+                "sgd p",
+                "sgd buf",
+                "adagrad p",
+                "adagrad acc",
+            ];
+            let reference = run(KernelPath::Scalar);
+            for path in KernelPath::available() {
+                for ((got, want), what) in run(path).iter().zip(&reference).zip(names) {
+                    assert_bits_eq(got, want, &format!("{what} n={n} {path}"));
+                }
             }
         }
     }

@@ -26,14 +26,13 @@
 //! assert!(params.as_slice()[0] < 1.0); // moved against the gradient
 //! ```
 
-// `unsafe` is denied crate-wide; only the `simd` module overrides it with a
-// scoped allow for `std::arch` intrinsics (`forbid` would not permit that).
+// `unsafe` is denied crate-wide; only the four AVX2 calls in `kernels`
+// override it with a scoped allow (`forbid` would not permit that).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod kernels;
 mod optimizer;
-mod simd;
 
 pub use kernels::{
     adagrad_step, adagrad_step_with, adam_step, adam_step_with, adamw_step, adamw_step_with,

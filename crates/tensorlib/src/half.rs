@@ -167,8 +167,8 @@ impl f16 {
 
     /// Bulk [`Self::to_f32`]: converts `src` into `dst` element-wise on the
     /// auto-detected SIMD path. The scalar tier reads a lazily built
-    /// 65536-entry lookup table; the SSE2/AVX2 tiers recompute the expansion
-    /// in integer registers. All tiers are bit-identical to [`Self::to_f32`]
+    /// 65536-entry lookup table; the AVX2 tier converts with the F16C
+    /// instruction. Both tiers are bit-identical to [`Self::to_f32`]
     /// (asserted exhaustively over every bit pattern).
     ///
     /// # Panics

@@ -14,7 +14,7 @@
 //! that target's implementation and, everywhere, the oracle the tests compare
 //! the borrowed views against.
 //!
-//! Besides [`crate::simd`] this is the only module in the crate allowed to
+//! Besides the private `simd` module this is the only module in the crate allowed to
 //! use `unsafe`: the two private reborrows of an `f32` slice as its bytes.
 #![allow(unsafe_code)]
 

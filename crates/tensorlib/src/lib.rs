@@ -16,9 +16,10 @@
 //!   sized to the accelerator device memory.
 //! * [`Partitioner`] — splits the flattened model across multiple devices
 //!   (the multi-CSD workload distribution).
-//! * [`simd`] — the runtime-dispatched kernel-path layer ([`KernelPath`]):
-//!   AVX2/SSE2 `std::arch` paths behind `is_x86_feature_detected!`, with the
-//!   scalar loops as the always-available, bit-identical fallback.
+//! * [`KernelPath`] — the runtime-dispatched kernel tier: `avx2` behind
+//!   `is_x86_feature_detected!` (F16C intrinsics for the binary16
+//!   conversions), with the scalar loops as the always-available,
+//!   bit-identical fallback.
 //! * [`le_bytes`] — the one `f32` ⇄ little-endian-bytes primitive: on a
 //!   little-endian target a tensor's memory is its wire form, so transfers
 //!   borrow it instead of converting.
@@ -33,7 +34,7 @@ mod chunk;
 mod half;
 pub mod le_bytes;
 mod partition;
-pub mod simd;
+mod simd;
 mod tensor;
 
 pub use chunk::{Chunker, Subgroup};

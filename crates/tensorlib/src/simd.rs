@@ -7,25 +7,25 @@
 //! workspace shares:
 //!
 //! * [`KernelPath`] — which implementation tier runs: `scalar` (the portable
-//!   reference loops), `sse2` (x86-64 baseline, 4-wide) or `avx2` (8-wide,
-//!   with F16C for the binary16 conversions).
+//!   reference loops, which the compiler vectorises for the build target) or
+//!   `avx2` (the same loops compiled for AVX2, with F16C for the binary16
+//!   conversions).
 //! * [`KernelPath::active`] — the tier picked once per process via
-//!   `is_x86_feature_detected!`, overridable with the
-//!   `SMART_INFINITY_KERNEL_PATH` environment variable (useful for A/B
-//!   benchmarking and for exercising the narrow paths on a wide machine).
+//!   `is_x86_feature_detected!`.
 //! * The bulk binary16 conversion kernels behind
 //!   [`f16::from_f32_slice_into`](crate::f16::from_f32_slice_into) and
-//!   friends.
+//!   friends. They keep hand intrinsics on the `avx2` tier because the
+//!   compiler cannot derive `vcvtps2ph` / `vcvtph2ps` from the software
+//!   converter.
 //!
-//! **Every vector path is bit-identical to the scalar reference** — including
-//! round-to-nearest-even ties, subnormals, signed zeros, saturation to
-//! infinity and NaN canonicalisation. The scalar converter drops NaN
-//! payloads; the hardware F16C instructions the `avx2` tier converts with
-//! (`vcvtps2ph` / `vcvtph2ps`) keep them, so that tier clears the payload
-//! bits of NaN lanes afterwards and agrees everywhere else by IEEE 754. The
-//! suites in this module and in `half.rs` assert equality over all 65536
-//! binary16 bit patterns, over adversarial f32 classes and (release mode,
-//! `--ignored`) over all 2³² binary32 bit patterns.
+//! **Both tiers are bit-identical** — including round-to-nearest-even ties,
+//! subnormals, signed zeros, saturation to infinity and NaN
+//! canonicalisation. The scalar converter drops NaN payloads; the hardware
+//! F16C instructions keep them, so the `avx2` tier clears the payload bits of
+//! NaN lanes afterwards and agrees everywhere else by IEEE 754. The suites in
+//! this module and in `half.rs` assert equality over all 65536 binary16 bit
+//! patterns, over adversarial f32 classes and (release mode, `--ignored`)
+//! over all 2³² binary32 bit patterns.
 //!
 //! This is the only module in the crate allowed to use `unsafe` (for
 //! `std::arch` intrinsics); the crate root remains `deny(unsafe_code)`.
@@ -36,39 +36,32 @@ use serde::{de, Deserialize, Serialize, Value};
 use std::fmt;
 use std::sync::OnceLock;
 
-/// Environment variable that forces a kernel path (`scalar`, `sse2` or
-/// `avx2`). An unknown or unavailable value falls back to detection rather
-/// than aborting, so a stale setting can never break training.
-pub const KERNEL_PATH_ENV: &str = "SMART_INFINITY_KERNEL_PATH";
-
 /// Which SIMD implementation tier a kernel runs on.
 ///
 /// Ordered from narrowest to widest; [`KernelPath::detect`] picks the widest
 /// available tier at runtime, so binaries built without `-C target-cpu`
 /// still use AVX2 where the CPU has it and fall back cleanly where it
-/// doesn't. All tiers produce bit-identical results.
+/// doesn't. Both tiers produce bit-identical results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub enum KernelPath {
-    /// Portable scalar reference loops; always available.
+    /// Portable scalar loops, compiled for the build target (SSE2 on
+    /// x86-64); always available.
     #[default]
     Scalar,
-    /// 4-wide `std::arch` x86-64 SSE2 intrinsics.
-    Sse2,
-    /// 8-wide `std::arch` x86-64 AVX2 intrinsics, plus F16C for the binary16
-    /// conversions (every AVX2 CPU shipped has both).
+    /// The same loops compiled for AVX2 (8 lanes), plus F16C intrinsics for
+    /// the binary16 conversions (every AVX2 CPU shipped has both).
     Avx2,
 }
 
 impl KernelPath {
     /// All paths, narrowest first.
-    pub const ALL: [KernelPath; 3] = [KernelPath::Scalar, KernelPath::Sse2, KernelPath::Avx2];
+    pub const ALL: [KernelPath; 2] = [KernelPath::Scalar, KernelPath::Avx2];
 
-    /// The lowercase wire name (`"scalar"`, `"sse2"`, `"avx2"`) used in
-    /// `StepReport`, the perf snapshot schema and the env override.
+    /// The lowercase wire name (`"scalar"`, `"avx2"`) used in `StepReport`
+    /// and the perf snapshot schema.
     pub fn as_str(self) -> &'static str {
         match self {
             KernelPath::Scalar => "scalar",
-            KernelPath::Sse2 => "sse2",
             KernelPath::Avx2 => "avx2",
         }
     }
@@ -78,7 +71,6 @@ impl KernelPath {
     pub fn parse(name: &str) -> Option<Self> {
         match name.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(KernelPath::Scalar),
-            "sse2" => Some(KernelPath::Sse2),
             "avx2" => Some(KernelPath::Avx2),
             _ => None,
         }
@@ -91,13 +83,11 @@ impl KernelPath {
         match self {
             KernelPath::Scalar => true,
             #[cfg(target_arch = "x86_64")]
-            KernelPath::Sse2 => is_x86_feature_detected!("sse2"),
-            #[cfg(target_arch = "x86_64")]
             KernelPath::Avx2 => {
                 is_x86_feature_detected!("avx2") && is_x86_feature_detected!("f16c")
             }
             #[cfg(not(target_arch = "x86_64"))]
-            _ => false,
+            KernelPath::Avx2 => false,
         }
     }
 
@@ -108,23 +98,16 @@ impl KernelPath {
         Self::ALL.into_iter().filter(|p| p.is_available()).collect()
     }
 
-    /// The widest available path, ignoring the env override.
+    /// The widest available path.
     pub fn detect() -> Self {
         *Self::available().last().expect("scalar is always available")
     }
 
-    /// The path every auto-dispatching kernel uses, decided once per process:
-    /// [`KERNEL_PATH_ENV`] if set to an available path, else
-    /// [`KernelPath::detect`].
+    /// The path every auto-dispatching kernel uses: [`KernelPath::detect`],
+    /// decided once per process.
     pub fn active() -> Self {
         static ACTIVE: OnceLock<KernelPath> = OnceLock::new();
-        *ACTIVE.get_or_init(|| match std::env::var(KERNEL_PATH_ENV) {
-            Ok(name) => match Self::parse(&name) {
-                Some(path) if path.is_available() => path,
-                _ => Self::detect(),
-            },
-            Err(_) => Self::detect(),
-        })
+        *ACTIVE.get_or_init(Self::detect)
     }
 }
 
@@ -145,7 +128,7 @@ impl Deserialize for KernelPath {
         match value {
             Value::String(s) => KernelPath::parse(s).ok_or_else(|| {
                 de::Error::custom(format!(
-                    "KernelPath: unknown kernel path `{s}` (expected scalar, sse2 or avx2)"
+                    "KernelPath: unknown kernel path `{s}` (expected scalar or avx2)"
                 ))
             }),
             other => Err(de::Error::expected("a string", other, "KernelPath")),
@@ -155,8 +138,8 @@ impl Deserialize for KernelPath {
 
 // ---------------------------------------------------------------------------
 // Bulk binary16 conversion drivers. Each takes an explicit path (asserted
-// available by the public `_with` wrappers in `half.rs`) and falls back to
-// the scalar reference loop off x86-64.
+// available by the public `_with` wrappers in `half.rs`) and runs the scalar
+// reference loop unless that path is `avx2`.
 // ---------------------------------------------------------------------------
 
 /// Bulk `f32 → f16`, bit-identical to per-element [`f16::from_f32`].
@@ -164,13 +147,10 @@ pub(crate) fn f32_to_f16_bulk(path: KernelPath, src: &[f32], dst: &mut [f16]) {
     assert_eq!(src.len(), dst.len(), "conversion length mismatch");
     debug_assert!(path.is_available());
     #[cfg(target_arch = "x86_64")]
-    match path {
+    if path == KernelPath::Avx2 {
         // Safety: availability is checked by the caller (`is_available`).
-        KernelPath::Avx2 => return unsafe { avx2::f32_to_f16(src, dst.as_mut_ptr().cast()) },
-        KernelPath::Sse2 => return unsafe { sse2::f32_to_f16(src, dst.as_mut_ptr().cast()) },
-        KernelPath::Scalar => {}
+        return unsafe { avx2::f32_to_f16(src, dst.as_mut_ptr().cast()) };
     }
-    let _ = path;
     for (d, &s) in dst.iter_mut().zip(src) {
         *d = f16::from_f32(s);
     }
@@ -181,15 +161,12 @@ pub(crate) fn f16_to_f32_bulk(path: KernelPath, src: &[f16], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "conversion length mismatch");
     debug_assert!(path.is_available());
     #[cfg(target_arch = "x86_64")]
-    match path {
+    if path == KernelPath::Avx2 {
         // Safety: availability is checked by the caller; `f16` is
         // `repr(transparent)` over `u16`, so the byte view is its LE wire
         // form on x86-64.
-        KernelPath::Avx2 => return unsafe { avx2::f16_to_f32(src.as_ptr().cast(), dst) },
-        KernelPath::Sse2 => return unsafe { sse2::f16_to_f32(src.as_ptr().cast(), dst) },
-        KernelPath::Scalar => {}
+        return unsafe { avx2::f16_to_f32(src.as_ptr().cast(), dst) };
     }
-    let _ = path;
     let table = f16_to_f32_table();
     for (d, &s) in dst.iter_mut().zip(src) {
         *d = table[s.to_bits() as usize];
@@ -203,13 +180,10 @@ pub(crate) fn f16_roundtrip_bulk(path: KernelPath, src: &[f32], dst: &mut [f32])
     assert_eq!(src.len(), dst.len(), "conversion length mismatch");
     debug_assert!(path.is_available());
     #[cfg(target_arch = "x86_64")]
-    match path {
+    if path == KernelPath::Avx2 {
         // Safety: availability is checked by the caller.
-        KernelPath::Avx2 => return unsafe { avx2::f16_roundtrip(src, dst) },
-        KernelPath::Sse2 => return unsafe { sse2::f16_roundtrip(src, dst) },
-        KernelPath::Scalar => {}
+        return unsafe { avx2::f16_roundtrip(src, dst) };
     }
-    let _ = path;
     let table = f16_to_f32_table();
     for (d, &s) in dst.iter_mut().zip(src) {
         *d = table[f16::from_f32(s).to_bits() as usize];
@@ -226,13 +200,10 @@ pub(crate) fn f16_bytes_to_f32_bulk(path: KernelPath, bytes: &[u8], dst: &mut [f
     assert_eq!(bytes.len(), 2 * dst.len(), "byte length mismatch");
     debug_assert!(path.is_available());
     #[cfg(target_arch = "x86_64")]
-    match path {
+    if path == KernelPath::Avx2 {
         // Safety: availability is checked by the caller; loads are unaligned.
-        KernelPath::Avx2 => return unsafe { avx2::f16_to_f32(bytes.as_ptr(), dst) },
-        KernelPath::Sse2 => return unsafe { sse2::f16_to_f32(bytes.as_ptr(), dst) },
-        KernelPath::Scalar => {}
+        return unsafe { avx2::f16_to_f32(bytes.as_ptr(), dst) };
     }
-    let _ = path;
     let table = f16_to_f32_table();
     for (d, pair) in dst.iter_mut().zip(bytes.chunks_exact(2)) {
         *d = table[u16::from_le_bytes([pair[0], pair[1]]) as usize];
@@ -249,13 +220,10 @@ pub(crate) fn f32_to_f16_bytes_bulk(path: KernelPath, src: &[f32], dst: &mut [u8
     assert_eq!(dst.len(), 2 * src.len(), "byte length mismatch");
     debug_assert!(path.is_available());
     #[cfg(target_arch = "x86_64")]
-    match path {
+    if path == KernelPath::Avx2 {
         // Safety: availability is checked by the caller; stores are unaligned.
-        KernelPath::Avx2 => return unsafe { avx2::f32_to_f16(src, dst.as_mut_ptr()) },
-        KernelPath::Sse2 => return unsafe { sse2::f32_to_f16(src, dst.as_mut_ptr()) },
-        KernelPath::Scalar => {}
+        return unsafe { avx2::f32_to_f16(src, dst.as_mut_ptr()) };
     }
-    let _ = path;
     for (pair, &s) in dst.chunks_exact_mut(2).zip(src) {
         pair.copy_from_slice(&f16::from_f32(s).to_bits().to_le_bytes());
     }
@@ -363,172 +331,6 @@ mod avx2 {
     }
 }
 
-/// 4-wide SSE2 baseline. The `f16 → f32` direction is fully vectorised;
-/// `f32 → f16` vectorises the normal/overflow/special cases and falls back
-/// to the scalar converter for subnormal-range lanes, which need per-lane
-/// variable shifts that SSE2 lacks. Still bit-identical everywhere.
-#[cfg(target_arch = "x86_64")]
-mod sse2 {
-    use crate::half::f16;
-    use std::arch::x86_64::*;
-
-    /// `mask ? a : b` per bit (SSE2 has no blendv).
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn blend(mask: __m128i, a: __m128i, b: __m128i) -> __m128i {
-        _mm_or_si128(_mm_and_si128(mask, a), _mm_andnot_si128(mask, b))
-    }
-
-    /// Round-to-nearest-even on the dropped low 13 bits.
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn rtne_shift13(mant: __m128i) -> __m128i {
-        let truncated = _mm_srli_epi32::<13>(mant);
-        let dropped = _mm_and_si128(mant, _mm_set1_epi32(0x1FFF));
-        let halfway = _mm_set1_epi32(0x1000);
-        let above = _mm_cmpgt_epi32(dropped, halfway);
-        let odd = _mm_cmpeq_epi32(_mm_and_si128(truncated, _mm_set1_epi32(1)), _mm_set1_epi32(1));
-        let tie = _mm_and_si128(_mm_cmpeq_epi32(dropped, halfway), odd);
-        _mm_sub_epi32(truncated, _mm_or_si128(above, tie))
-    }
-
-    /// Four `f32 → f16` conversions for the non-subnormal cases, plus a
-    /// 4-bit mask of the subnormal-range lanes (f32 exponent 102..=112)
-    /// the caller must redo with the scalar converter.
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn from_f32x4_partial(v: __m128) -> (__m128i, i32) {
-        let bits = _mm_castps_si128(v);
-        let sign = _mm_and_si128(_mm_srli_epi32::<16>(bits), _mm_set1_epi32(0x8000));
-        let exp = _mm_and_si128(_mm_srli_epi32::<23>(bits), _mm_set1_epi32(0xFF));
-        let mant = _mm_and_si128(bits, _mm_set1_epi32(0x007F_FFFF));
-
-        let half_exp = _mm_sub_epi32(exp, _mm_set1_epi32(112));
-        let normal = _mm_add_epi32(_mm_slli_epi32::<10>(half_exp), rtne_shift13(mant));
-
-        let mant_zero = _mm_cmpeq_epi32(mant, _mm_setzero_si128());
-        let special = blend(mant_zero, _mm_set1_epi32(0x7C00), _mm_set1_epi32(0x7E00));
-
-        let is_subnormal = _mm_cmpgt_epi32(exp, _mm_set1_epi32(101));
-        let is_normal = _mm_cmpgt_epi32(exp, _mm_set1_epi32(112));
-        let is_overflow = _mm_cmpgt_epi32(exp, _mm_set1_epi32(142));
-        let is_special = _mm_cmpeq_epi32(exp, _mm_set1_epi32(0xFF));
-        let mut res = _mm_setzero_si128(); // underflow → signed zero
-        res = blend(is_normal, normal, res);
-        res = blend(is_overflow, _mm_set1_epi32(0x7C00), res);
-        res = blend(is_special, special, res);
-        res = _mm_or_si128(res, sign);
-        let subnormal_lanes =
-            _mm_movemask_ps(_mm_castsi128_ps(_mm_andnot_si128(is_normal, is_subnormal)));
-        (res, subnormal_lanes)
-    }
-
-    /// Four `f16 → f32` conversions, bit-identical to `f16::to_f32`.
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn to_f32x4(h: __m128i) -> __m128 {
-        let bits = _mm_unpacklo_epi16(h, _mm_setzero_si128());
-        let sign = _mm_slli_epi32::<16>(_mm_and_si128(bits, _mm_set1_epi32(0x8000)));
-        let exp = _mm_and_si128(_mm_srli_epi32::<10>(bits), _mm_set1_epi32(0x1F));
-        let mant = _mm_and_si128(bits, _mm_set1_epi32(0x03FF));
-
-        let normal = _mm_or_si128(
-            _mm_slli_epi32::<23>(_mm_add_epi32(exp, _mm_set1_epi32(112))),
-            _mm_slli_epi32::<13>(mant),
-        );
-        let scale = _mm_set1_ps(f32::from_bits(0x3380_0000)); // 2^-24, exact
-        let subnormal = _mm_castps_si128(_mm_mul_ps(_mm_cvtepi32_ps(mant), scale));
-        let mant_zero = _mm_cmpeq_epi32(mant, _mm_setzero_si128());
-        let inf_nan = blend(
-            mant_zero,
-            _mm_set1_epi32(0x7F80_0000u32 as i32),
-            _mm_set1_epi32(0x7FC0_0000u32 as i32),
-        );
-
-        let exp_zero = _mm_cmpeq_epi32(exp, _mm_setzero_si128());
-        let exp_max = _mm_cmpeq_epi32(exp, _mm_set1_epi32(0x1F));
-        let mut res = blend(exp_zero, subnormal, normal);
-        res = blend(exp_max, inf_nan, res);
-        _mm_castsi128_ps(_mm_or_si128(res, sign))
-    }
-
-    /// Bulk `f32 → f16`, writing LE u16 pairs to `dst` (unaligned).
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees `2 * src.len()` writable bytes at `dst`.
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn f32_to_f16(src: &[f32], dst: *mut u8) {
-        let n = src.len();
-        let mut i = 0;
-        let mut tmp = [0u32; 4];
-        while i + 4 <= n {
-            let (res, subnormal_lanes) = from_f32x4_partial(_mm_loadu_ps(src.as_ptr().add(i)));
-            _mm_storeu_si128(tmp.as_mut_ptr().cast(), res);
-            for (lane, &r) in tmp.iter().enumerate() {
-                let h = if subnormal_lanes & (1 << lane) != 0 {
-                    f16::from_f32(src[i + lane]).to_bits()
-                } else {
-                    r as u16
-                };
-                let b = h.to_le_bytes();
-                *dst.add(2 * (i + lane)) = b[0];
-                *dst.add(2 * (i + lane) + 1) = b[1];
-            }
-            i += 4;
-        }
-        while i < n {
-            let b = f16::from_f32(src[i]).to_bits().to_le_bytes();
-            *dst.add(2 * i) = b[0];
-            *dst.add(2 * i + 1) = b[1];
-            i += 1;
-        }
-    }
-
-    /// Bulk `f16 → f32`, reading LE u16 pairs from `src` (unaligned).
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees `2 * dst.len()` readable bytes at `src`.
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn f16_to_f32(src: *const u8, dst: &mut [f32]) {
-        let n = dst.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            let h = _mm_loadl_epi64(src.add(2 * i).cast());
-            _mm_storeu_ps(dst.as_mut_ptr().add(i), to_f32x4(h));
-            i += 4;
-        }
-        while i < n {
-            let bits = u16::from_le_bytes([*src.add(2 * i), *src.add(2 * i + 1)]);
-            dst[i] = f16::from_bits(bits).to_f32();
-            i += 1;
-        }
-    }
-
-    /// Bulk FP16 round trip.
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees SSE2; slice lengths are equal (asserted upstream).
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn f16_roundtrip(src: &[f32], dst: &mut [f32]) {
-        let n = src.len();
-        let mut i = 0;
-        let mut tmp = [0u16; 4];
-        while i + 4 <= n {
-            f32_to_f16(&src[i..i + 4], tmp.as_mut_ptr().cast());
-            let h = _mm_loadl_epi64(tmp.as_ptr().cast());
-            _mm_storeu_ps(dst.as_mut_ptr().add(i), to_f32x4(h));
-            i += 4;
-        }
-        while i < n {
-            dst[i] = f16::from_f32(src[i]).to_f32();
-            i += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -541,6 +343,7 @@ mod tests {
             assert_eq!(path.to_string(), path.as_str());
         }
         assert_eq!(KernelPath::parse("neon"), None);
+        assert_eq!(KernelPath::parse("sse2"), None);
         assert_eq!(KernelPath::default(), KernelPath::Scalar);
     }
 
@@ -549,9 +352,12 @@ mod tests {
         let mut out = String::new();
         KernelPath::Avx2.write_json(&mut out);
         assert_eq!(out, "\"avx2\"");
-        let back = KernelPath::read_json(&Value::String("sse2".into())).unwrap();
-        assert_eq!(back, KernelPath::Sse2);
-        assert!(KernelPath::read_json(&Value::String("mmx".into())).is_err());
+        let back = KernelPath::read_json(&Value::String("avx2".into())).unwrap();
+        assert_eq!(back, KernelPath::Avx2);
+        for removed in ["mmx", "sse2"] {
+            let err = KernelPath::read_json(&Value::String(removed.into())).unwrap_err();
+            assert!(err.to_string().contains("expected scalar or avx2"), "{err}");
+        }
         assert!(KernelPath::read_json(&Value::Null).is_err());
     }
 
@@ -624,7 +430,7 @@ mod tests {
     }
 
     /// Every one of the 2³² `f32` bit patterns. Release mode only
-    /// (`cargo test --release -p tensorlib -- --ignored`, about 80 s: most of it
+    /// (`cargo test --release -p tensorlib -- --ignored`, about 50 s: most of it
     /// is the scalar reference itself).
     #[test]
     #[ignore = "sweeps all 2^32 f32 bit patterns; run in release mode"]

@@ -148,8 +148,8 @@ pub struct StepReport {
     /// Host worker threads the execution backend used for this step.
     pub threads: usize,
     /// SIMD kernel path the hot loops (optimizer update, f16 conversion,
-    /// candidate filtering) dispatched to this step — `scalar`, `sse2` or
-    /// `avx2`, chosen at runtime by CPU feature detection (see
+    /// candidate filtering) dispatched to this step — `scalar` or `avx2`,
+    /// chosen at runtime by CPU feature detection (see
     /// [`tensorlib::KernelPath::active`]).
     pub kernel_path: tensorlib::KernelPath,
     /// Per-stage telemetry of a near-storage step
