@@ -496,7 +496,7 @@ pub struct FinetuneRow {
 
 /// The compression settings of Table IV: transfer ratios 10%, 5%, 2%, 1%
 /// (keep ratios of half that).
-pub fn tab4_transfer_ratios() -> Vec<f64> {
+pub(crate) fn tab4_transfer_ratios() -> Vec<f64> {
     vec![0.10, 0.05, 0.02, 0.01]
 }
 
@@ -1038,7 +1038,7 @@ pub struct CampaignPerf {
 
 impl CampaignPerf {
     /// `true` when the measured campaign injected faults into any spec.
-    pub fn has_faults(&self) -> bool {
+    pub(crate) fn has_faults(&self) -> bool {
         self.fault_specs.unwrap_or(0) > 0
     }
 }

@@ -246,6 +246,21 @@ fn scratch(test: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(test)
 }
 
+/// Every experiment id `figures --help` lists is hashed ([`FIGURES`]) or
+/// excluded with a reason ([`EXCLUDED`]), and none is both: a new id fails
+/// here until it is one or the other.
+#[test]
+fn every_figure_id_is_hashed_or_excluded() {
+    let out = Command::new(env!("CARGO_BIN_EXE_figures")).arg("--help").output().expect("spawn");
+    let help = String::from_utf8(out.stdout).expect("utf-8 help");
+    let ids = help.lines().skip_while(|line| *line != "experiment ids:").nth(1);
+    let mut listed: Vec<&str> = ids.expect("the help lists the ids").split_whitespace().collect();
+    let mut gated: Vec<&str> = FIGURES.into_iter().chain(EXCLUDED.map(|(id, _)| id)).collect();
+    listed.sort_unstable();
+    gated.sort_unstable();
+    assert_eq!(gated, listed, "FIGURES and EXCLUDED must partition the figure ids");
+}
+
 /// Re-captures the manifest from the current tree. Run explicitly (`--
 /// --ignored bless`) only after an intentional change of the outputs.
 #[test]

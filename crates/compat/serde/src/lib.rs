@@ -196,7 +196,7 @@ impl Number {
     }
 
     /// The number as an `i64`, if it is an integer in range.
-    pub fn as_i64(&self) -> Option<i64> {
+    pub(crate) fn as_i64(&self) -> Option<i64> {
         self.0.parse().ok()
     }
 }
@@ -304,7 +304,7 @@ pub mod de {
 
         /// Prefixes the error with the field it occurred under.
         #[must_use]
-        pub fn in_field(self, field: &str) -> Self {
+        pub(crate) fn in_field(self, field: &str) -> Self {
             Error::custom(format!("{field}: {}", self.message))
         }
     }

@@ -115,12 +115,6 @@ impl Decompressor {
         let scatter = self.pairs_per_cycle * self.clock_hz / keep_ratio * 4.0;
         scatter.min(self.dram_bytes_per_sec)
     }
-
-    /// Time to produce a dense subgroup of `num_elements` gradients from a
-    /// compressed stream with the given keep ratio.
-    pub fn decompress_time_secs(&self, keep_ratio: f64, num_elements: usize) -> f64 {
-        num_elements as f64 * 4.0 / self.throughput_bytes_per_sec(keep_ratio)
-    }
 }
 
 /// A position in a compressed stream: the pairs not yet scattered. Because
@@ -203,7 +197,6 @@ mod tests {
         let dense = d.throughput_bytes_per_sec(1.0);
         let sparse = d.throughput_bytes_per_sec(0.01);
         assert!(dense < sparse);
-        assert!(d.decompress_time_secs(1.0, 1000) > d.decompress_time_secs(0.01, 1000));
     }
 
     #[test]

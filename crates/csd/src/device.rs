@@ -345,11 +345,6 @@ impl CsdDevice {
         }
     }
 
-    /// A SmartSSD with its production capacities (4 TB SSD, 4 GB FPGA DRAM).
-    pub fn smartssd(name: impl Into<String>) -> Self {
-        Self::new(name, 4_000_000_000_000, 4 * (1 << 30))
-    }
-
     /// Device name.
     pub fn name(&self) -> &str {
         &self.name
@@ -358,11 +353,6 @@ impl CsdDevice {
     /// The underlying SSD.
     pub fn ssd(&self) -> &SsdDevice {
         &self.ssd
-    }
-
-    /// The FPGA device memory.
-    pub fn dram(&self) -> &DeviceDram {
-        &self.dram
     }
 
     /// The updater kernel configuration.
@@ -426,11 +416,6 @@ impl CsdDevice {
     /// [`CsdError::Dropout`] until [`CsdDevice::rebuild`] is called.
     pub fn inject_dropout(&mut self) {
         self.dropped = true;
-    }
-
-    /// Whether the device is currently dropped out.
-    pub fn is_dropped(&self) -> bool {
-        self.dropped
     }
 
     /// Wears out the underlying SSD media: reads keep working, writes fail
@@ -742,9 +727,9 @@ mod tests {
 
     #[test]
     fn accessors_and_constructors() {
-        let csd = CsdDevice::smartssd("csd7");
+        let csd = CsdDevice::new("csd7", 4_000_000_000_000, 4 * (1 << 30));
         assert_eq!(csd.name(), "csd7");
-        assert_eq!(csd.dram().capacity(), 4 * (1 << 30));
+        assert_eq!(csd.dram.available_bytes(), 4 * (1 << 30));
         assert_eq!(csd.ssd().capacity(), 4_000_000_000_000);
         assert_eq!(csd.stats(), CsdTrafficStats::default());
         assert!(csd.updater().num_pes > 0);
@@ -856,7 +841,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, CsdError::Dram(DramError::OutOfMemory { .. })));
         // No leaked buffers after the failure.
-        assert_eq!(csd.dram().used_bytes(), 0);
+        assert_eq!(csd.dram.used_bytes(), 0);
         // A subgroup that fits succeeds.
         csd.update_subgroup(SubgroupUpdate {
             shard: "s",
@@ -889,7 +874,7 @@ mod tests {
         csd.store_gradients("s", &[0.5; 40]).unwrap();
         let err = csd.update_subgroup(request).unwrap_err();
         assert!(matches!(err, CsdError::Ssd(SsdError::OutOfBounds { .. })), "{err}");
-        assert_eq!(csd.dram().used_bytes(), 0, "no leaked buffers after the failures");
+        assert_eq!(csd.dram.used_bytes(), 0, "no leaked buffers after the failures");
         // ... which a subgroup inside it does not trip over.
         request.len = 40;
         csd.update_subgroup(request).unwrap();
@@ -922,7 +907,7 @@ mod tests {
             assert_eq!(err, CsdError::Compression(expected), "{err}");
         }
         assert_eq!(counters(&csd), before, "a refused update reads, writes and counts nothing");
-        assert_eq!(csd.dram().used_bytes(), 0);
+        assert_eq!(csd.dram.used_bytes(), 0);
         // A subgroup the short stream does cover, and the full stream, go through.
         csd.update_subgroup(SubgroupUpdate { len: 40, ..request }).unwrap();
         csd.update_subgroup(SubgroupUpdate { compressed: Some(&full), ..request }).unwrap();
@@ -1071,7 +1056,7 @@ mod tests {
             elements_updated: 0,
         };
         assert_eq!(csd.stats(), expected);
-        assert_eq!(csd.dram().used_bytes(), 0);
+        assert_eq!(csd.dram.used_bytes(), 0);
 
         // So the caller's whole-op retry applies the step exactly once.
         let mut attempts = 0;
@@ -1120,7 +1105,7 @@ mod tests {
         csd.store_gradients("s", &[0.0; 64]).unwrap();
 
         csd.inject_dropout();
-        assert!(csd.is_dropped());
+        assert!(csd.dropped);
         let err = csd.load_parameters("s", 0, 64).unwrap_err();
         assert!(matches!(err, CsdError::Dropout { ref device } if device == "csd0"));
         assert!(err.needs_rebuild());
@@ -1140,7 +1125,7 @@ mod tests {
         // Rebuild brings the device back with its media contents intact.
         let migrated = csd.rebuild();
         assert!(migrated > 0);
-        assert!(!csd.is_dropped());
+        assert!(!csd.dropped);
         let back = csd.load_parameters("s", 0, 64).unwrap();
         assert_eq!(back.as_slice(), params.as_slice());
     }

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 /// Identifier of an allocated device-memory buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct BufferId(u64);
+pub(crate) struct BufferId(u64);
 
 /// Errors produced by the device DRAM allocator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,27 +56,16 @@ impl Error for DramError {}
 /// keep their working sets in ordinary vectors); it exists to model the
 /// memory-capacity constraint that shapes the transfer handler design.
 #[derive(Debug, Clone)]
-pub struct DeviceDram {
+pub(crate) struct DeviceDram {
     capacity: u64,
     buffers: BTreeMap<u64, (Arc<str>, u64)>,
     next_id: u64,
-    peak_used: u64,
 }
 
 impl DeviceDram {
     /// Creates a device memory of the given capacity in bytes.
     pub fn new(capacity: u64) -> Self {
-        Self { capacity, buffers: BTreeMap::new(), next_id: 0, peak_used: 0 }
-    }
-
-    /// The SmartSSD's 4 GB DDR4.
-    pub fn smartssd_default() -> Self {
-        Self::new(4 * (1 << 30))
-    }
-
-    /// Total capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
+        Self { capacity, buffers: BTreeMap::new(), next_id: 0 }
     }
 
     /// Bytes currently allocated.
@@ -85,18 +74,8 @@ impl DeviceDram {
     }
 
     /// Bytes still available.
-    pub fn available_bytes(&self) -> u64 {
+    pub(crate) fn available_bytes(&self) -> u64 {
         self.capacity - self.used_bytes()
-    }
-
-    /// High-water mark of allocated bytes since creation.
-    pub fn peak_used_bytes(&self) -> u64 {
-        self.peak_used
-    }
-
-    /// Number of live buffers.
-    pub fn num_buffers(&self) -> usize {
-        self.buffers.len()
     }
 
     /// Allocates a named buffer of `bytes` bytes. The label is shared, not
@@ -106,7 +85,7 @@ impl DeviceDram {
     /// # Errors
     ///
     /// Returns [`DramError::OutOfMemory`] if the allocation does not fit.
-    pub fn allocate(
+    pub(crate) fn allocate(
         &mut self,
         name: impl Into<Arc<str>>,
         bytes: u64,
@@ -118,7 +97,6 @@ impl DeviceDram {
         let id = self.next_id;
         self.next_id += 1;
         self.buffers.insert(id, (name.into(), bytes));
-        self.peak_used = self.peak_used.max(self.used_bytes());
         Ok(BufferId(id))
     }
 
@@ -130,11 +108,6 @@ impl DeviceDram {
     /// has already been freed.
     pub fn free(&mut self, buffer: BufferId) -> Result<(), DramError> {
         self.buffers.remove(&buffer.0).map(|_| ()).ok_or(DramError::UnknownBuffer { id: buffer.0 })
-    }
-
-    /// Size of a live buffer in bytes.
-    pub fn buffer_size(&self, buffer: BufferId) -> Option<u64> {
-        self.buffers.get(&buffer.0).map(|(_, b)| *b)
     }
 }
 
@@ -149,12 +122,8 @@ mod tests {
         let b = dram.allocate("grad", 300).unwrap();
         assert_eq!(dram.used_bytes(), 700);
         assert_eq!(dram.available_bytes(), 300);
-        assert_eq!(dram.num_buffers(), 2);
-        assert_eq!(dram.buffer_size(a), Some(400));
         dram.free(a).unwrap();
         assert_eq!(dram.used_bytes(), 300);
-        assert_eq!(dram.peak_used_bytes(), 700);
-        assert_eq!(dram.buffer_size(a), None);
         dram.free(b).unwrap();
         assert_eq!(dram.used_bytes(), 0);
     }
@@ -176,12 +145,6 @@ mod tests {
         assert!(matches!(dram.free(a), Err(DramError::UnknownBuffer { .. })));
     }
 
-    #[test]
-    fn smartssd_default_has_four_gigabytes() {
-        let dram = DeviceDram::smartssd_default();
-        assert_eq!(dram.capacity(), 4 * (1 << 30));
-    }
-
     /// The memory-capacity argument behind the transfer handler (Section IV-B):
     /// pre-allocating one buffer set for the largest subgroup fits, but naive
     /// double-buffering of full subgroups does not.
@@ -194,11 +157,10 @@ mod tests {
         let one_set = subgroup_params * 18;
 
         let mut dram = DeviceDram::new(dram_capacity);
-        let first = dram.allocate("set0", one_set).unwrap();
+        let _first = dram.allocate("set0", one_set).unwrap();
         // Naive overlapping: allocate a second full set while the first is live.
         assert!(matches!(dram.allocate("set1", one_set), Err(DramError::OutOfMemory { .. })));
         // Handler approach: keep the pre-allocated set and reuse it.
-        assert_eq!(dram.buffer_size(first), Some(one_set));
-        assert!(dram.used_bytes() <= dram_capacity);
+        assert_eq!(dram.used_bytes(), one_set);
     }
 }

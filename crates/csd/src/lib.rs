@@ -15,9 +15,10 @@
 //!   buffer, processing `S`-sized chunks that fit in BRAM.
 //! * [`FpgaResources`] / [`KernelResourceModel`] — the KU15P resource budget
 //!   and per-kernel utilisation that reproduces Table III.
-//! * [`DeviceDram`] — the 4 GB FPGA DRAM with explicit buffer management;
-//!   demonstrates why naive transfer overlapping runs out of memory and the
-//!   handler's pre-allocated buffer reuse does not (Section IV-B).
+//! * The 4 GB FPGA DRAM, a buffer allocator inside [`CsdDevice`] that fails
+//!   with [`DramError`]; it shows why naive transfer overlapping runs out of
+//!   memory and the handler's pre-allocated buffer reuse does not (Section
+//!   IV-B).
 //! * [`CsdDevice`] — one SmartSSD: SSD + DRAM + kernels + internal-P2P
 //!   traffic counters, with a functional `update_subgroup` path used by the
 //!   Smart-Infinity functional engine.
@@ -33,7 +34,7 @@ mod updater;
 
 pub use decompressor::Decompressor;
 pub use device::{CsdDevice, CsdError, CsdTrafficStats, SubgroupUpdate};
-pub use dram::{BufferId, DeviceDram, DramError};
+pub use dram::DramError;
 pub use resource::{FpgaResources, KernelResourceModel, ResourceUtilization};
 pub use updater::Updater;
 

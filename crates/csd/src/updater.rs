@@ -53,7 +53,7 @@ impl Updater {
     }
 
     /// Peak arithmetic rate of the PE array in elements per second.
-    pub fn compute_elements_per_sec(&self, kind: OptimizerKind) -> f64 {
+    pub(crate) fn compute_elements_per_sec(&self, kind: OptimizerKind) -> f64 {
         (self.num_pes * self.axpby_per_pe) as f64 * self.clock_hz / Self::ops_per_element(kind)
     }
 
@@ -63,11 +63,6 @@ impl Updater {
     pub fn throughput_bytes_per_sec(&self, kind: OptimizerKind) -> f64 {
         let compute = self.compute_elements_per_sec(kind) * Self::bytes_per_element(kind);
         compute.min(self.dram_bytes_per_sec)
-    }
-
-    /// Time to update a subgroup of `num_elements` parameters.
-    pub fn update_time_secs(&self, kind: OptimizerKind, num_elements: usize) -> f64 {
-        num_elements as f64 * Self::bytes_per_element(kind) / self.throughput_bytes_per_sec(kind)
     }
 
     /// Functionally applies one optimizer step to a subgroup held in device
@@ -146,17 +141,6 @@ mod tests {
     fn a_tiny_pe_array_becomes_compute_bound() {
         let updater = Updater { num_pes: 1, axpby_per_pe: 1, ..Updater::default() };
         assert!(updater.throughput_bytes_per_sec(OptimizerKind::Adam) < updater.dram_bytes_per_sec);
-    }
-
-    #[test]
-    fn update_time_scales_linearly_with_subgroup_size() {
-        let updater = Updater::default();
-        let t1 = updater.update_time_secs(OptimizerKind::Adam, 1_000_000);
-        let t2 = updater.update_time_secs(OptimizerKind::Adam, 2_000_000);
-        assert!((t2 / t1 - 2.0).abs() < 1e-9);
-        // SGD streams fewer bytes per element, so the same subgroup is faster.
-        let t_sgd = updater.update_time_secs(OptimizerKind::SgdMomentum, 1_000_000);
-        assert!(t_sgd < t1);
     }
 
     #[test]

@@ -23,15 +23,6 @@ pub enum FabricError {
         /// Description of the problem.
         message: String,
     },
-    /// The endpoints are connected in the healthy fabric, but every path
-    /// between them crosses a failed link: the fabric is partitioned until
-    /// the link is restored.
-    Partitioned {
-        /// Source node index.
-        from: usize,
-        /// Destination node index.
-        to: usize,
-    },
 }
 
 impl fmt::Display for FabricError {
@@ -42,10 +33,6 @@ impl fmt::Display for FabricError {
                 write!(f, "no route between node {from} and node {to}")
             }
             FabricError::InvalidEdge { message } => write!(f, "invalid edge: {message}"),
-            FabricError::Partitioned { from, to } => write!(
-                f,
-                "fabric partitioned: every path from node {from} to node {to} crosses a failed link"
-            ),
         }
     }
 }
@@ -63,6 +50,5 @@ mod tests {
         assert!(FabricError::InvalidEdge { message: "self loop".into() }
             .to_string()
             .contains("self loop"));
-        assert!(FabricError::Partitioned { from: 1, to: 4 }.to_string().contains("partitioned"));
     }
 }

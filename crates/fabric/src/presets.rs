@@ -95,12 +95,6 @@ impl PlatformSpec {
         }
     }
 
-    /// Overrides the link rates.
-    pub fn with_rates(mut self, rates: LinkRates) -> Self {
-        self.rates = rates;
-        self
-    }
-
     /// Builds the topology described by this spec.
     ///
     /// # Errors
@@ -266,10 +260,8 @@ mod tests {
     #[test]
     fn rates_can_be_overridden() {
         let rates = LinkRates { host_uplink: 1.0e9, ..LinkRates::default() };
-        let platform = PlatformSpec::default_smart_infinity(1, StorageKind::PlainSsd)
-            .with_rates(rates)
-            .build()
-            .unwrap();
+        let spec = PlatformSpec::default_smart_infinity(1, StorageKind::PlainSsd);
+        let platform = PlatformSpec { rates, ..spec }.build().unwrap();
         let uplink = platform.topology.route(platform.host, platform.expansion).unwrap();
         assert_eq!(platform.topology.edge_bandwidth(uplink[0]), 1.0e9);
     }

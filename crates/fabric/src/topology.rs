@@ -1,4 +1,8 @@
 //! Topology graph, shortest-path routing and installation into a simulation.
+//!
+//! Links do not fail. A faulty link is modelled as a slow one: the fault
+//! axis derates it with [`Topology::degrade_edge`], and routing is a plain
+//! fewest-hop search over every edge.
 
 use crate::error::FabricError;
 use serde::{Deserialize, Serialize};
@@ -56,7 +60,6 @@ struct Edge {
     b: NodeId,
     bandwidth: f64,
     name: String,
-    failed: bool,
 }
 
 /// An undirected graph of PCIe endpoints, switches and links.
@@ -105,7 +108,7 @@ impl Topology {
             });
         }
         let name = format!("{}<->{}", self.nodes[a.0].name, self.nodes[b.0].name);
-        self.edges.push(Edge { a, b, bandwidth, name, failed: false });
+        self.edges.push(Edge { a, b, bandwidth, name });
         let id = EdgeId(self.edges.len() - 1);
         self.adjacency[a.0].push((b, id));
         self.adjacency[b.0].push((a, id));
@@ -122,23 +125,13 @@ impl Topology {
         self.edges.len()
     }
 
-    /// Display name of a node.
-    pub fn node_name(&self, node: NodeId) -> &str {
-        &self.nodes[node.0].name
-    }
-
-    /// Role of a node.
-    pub fn node_kind(&self, node: NodeId) -> NodeKind {
-        self.nodes[node.0].kind
-    }
-
     /// Bandwidth of an edge in bytes per second (per direction).
     pub fn edge_bandwidth(&self, edge: EdgeId) -> f64 {
         self.edges[edge.0].bandwidth
     }
 
     /// The two endpoints of an edge, in the order they were connected.
-    pub fn edge_endpoints(&self, edge: EdgeId) -> (NodeId, NodeId) {
+    pub(crate) fn edge_endpoints(&self, edge: EdgeId) -> (NodeId, NodeId) {
         let e = &self.edges[edge.0];
         (e.a, e.b)
     }
@@ -161,34 +154,6 @@ impl Topology {
         let e = &mut self.edges[edge.0];
         e.bandwidth *= factor;
         Ok(e.bandwidth)
-    }
-
-    /// Marks an edge as failed: routing refuses to cross it until
-    /// [`Topology::restore_edge`] brings it back.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FabricError::InvalidEdge`] for an unknown edge.
-    pub fn fail_edge(&mut self, edge: EdgeId) -> Result<(), FabricError> {
-        self.check_edge(edge)?;
-        self.edges[edge.0].failed = true;
-        Ok(())
-    }
-
-    /// Restores a failed edge.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FabricError::InvalidEdge`] for an unknown edge.
-    pub fn restore_edge(&mut self, edge: EdgeId) -> Result<(), FabricError> {
-        self.check_edge(edge)?;
-        self.edges[edge.0].failed = false;
-        Ok(())
-    }
-
-    /// Whether an edge is currently failed.
-    pub fn edge_is_failed(&self, edge: EdgeId) -> bool {
-        self.edges.get(edge.0).is_some_and(|e| e.failed)
     }
 
     /// The edge directly connecting two nodes, if one exists (the first such
@@ -231,7 +196,7 @@ impl Topology {
                 break;
             }
             for &(next, edge) in &self.adjacency[cur.0] {
-                if !visited[next.0] && !self.edges[edge.index()].failed {
+                if !visited[next.0] {
                     visited[next.0] = true;
                     prev[next.0] = Some((cur, edge));
                     queue.push_back(next);
@@ -239,11 +204,6 @@ impl Topology {
             }
         }
         if !visited[to.0] {
-            // Distinguish a genuinely disconnected pair from one that is only
-            // unreachable because links are down.
-            if self.reachable_ignoring_failures(from, to) {
-                return Err(FabricError::Partitioned { from: from.0, to: to.0 });
-            }
             return Err(FabricError::NoRoute { from: from.0, to: to.0 });
         }
         let mut path = Vec::new();
@@ -292,26 +252,6 @@ impl Topology {
         } else {
             Err(FabricError::InvalidEdge { message: format!("unknown edge id {}", edge.0) })
         }
-    }
-
-    /// BFS reachability over the *healthy* graph (failed edges included).
-    fn reachable_ignoring_failures(&self, from: NodeId, to: NodeId) -> bool {
-        let mut visited = vec![false; self.nodes.len()];
-        let mut queue = VecDeque::new();
-        visited[from.0] = true;
-        queue.push_back(from);
-        while let Some(cur) = queue.pop_front() {
-            if cur == to {
-                return true;
-            }
-            for &(next, _) in &self.adjacency[cur.0] {
-                if !visited[next.0] {
-                    visited[next.0] = true;
-                    queue.push_back(next);
-                }
-            }
-        }
-        false
     }
 }
 
@@ -445,28 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn failed_links_partition_the_fabric_until_restored() {
-        let (mut t, a, b, c) = line_topology();
-        let bc = t.edge_between(b, c).unwrap();
-        t.fail_edge(bc).unwrap();
-        assert!(t.edge_is_failed(bc));
-        // a<->b still routes; a<->c is partitioned (not "no route": the
-        // healthy fabric connects them).
-        assert!(t.route(a, b).is_ok());
-        assert_eq!(t.route(a, c), Err(FabricError::Partitioned { from: 0, to: 2 }));
-        t.restore_edge(bc).unwrap();
-        assert!(!t.edge_is_failed(bc));
-        assert_eq!(t.route(a, c).unwrap().len(), 2);
-        // A pair with no physical connection still reports NoRoute.
-        let mut t2 = Topology::new();
-        let x = t2.add_node("x", NodeKind::Host);
-        let y = t2.add_node("y", NodeKind::SsdPort);
-        assert_eq!(t2.route(x, y), Err(FabricError::NoRoute { from: 0, to: 1 }));
-        assert!(matches!(t2.fail_edge(EdgeId(0)), Err(FabricError::InvalidEdge { .. })));
-        assert!(!t2.edge_is_failed(EdgeId(0)));
-    }
-
-    #[test]
     fn edge_between_finds_direct_links_only() {
         let (t, a, b, c) = line_topology();
         let ab = t.edge_between(a, b).expect("direct edge");
@@ -484,8 +402,6 @@ mod tests {
         assert_eq!(t.nodes_of_kind(NodeKind::Switch), vec![b]);
         assert_eq!(t.nodes_of_kind(NodeKind::SsdPort), vec![c]);
         assert_eq!(t.nodes_of_kind(NodeKind::Gpu), Vec::<NodeId>::new());
-        assert_eq!(t.node_kind(b), NodeKind::Switch);
-        assert_eq!(t.node_name(c), "c");
         assert_eq!(t.node_count(), 3);
         assert_eq!(t.edge_count(), 2);
     }

@@ -30,9 +30,9 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Default retry budget for transient faults.
-pub const DEFAULT_MAX_RETRIES: u32 = 4;
+pub(crate) const DEFAULT_MAX_RETRIES: u32 = 4;
 /// Default cap on consecutive injected failures of a single operation.
-pub const DEFAULT_MAX_BURST: u32 = 2;
+pub(crate) const DEFAULT_MAX_BURST: u32 = 2;
 
 /// The fault axis of a run, as plain serializable data.
 ///
@@ -218,7 +218,7 @@ impl FaultPlan {
     }
 
     /// Which device (if any) straggles, given the fleet size.
-    pub fn straggler_device(&self, num_devices: usize) -> Option<usize> {
+    pub(crate) fn straggler_device(&self, num_devices: usize) -> Option<usize> {
         self.spec.straggler_factor.map(|_| {
             (mix(self.spec.seed ^ 0x5354_5241_4747_4c52) % num_devices.max(1) as u64) as usize
         })
@@ -346,11 +346,6 @@ impl FaultInjector {
             0
         }
     }
-
-    /// Per-device operations successfully completed so far.
-    pub fn ops_completed(&self) -> u64 {
-        self.op_index
-    }
 }
 
 #[cfg(test)]
@@ -386,7 +381,7 @@ mod tests {
                 failures += 1;
             }
         }
-        assert_eq!(inj.ops_completed(), ops);
+        assert_eq!(inj.op_index, ops);
         // ~10% of ops fail, each with a burst of 1..=2 -> 10%..20% of ops.
         let rate = f64::from(failures) / ops as f64;
         assert!((0.05..0.3).contains(&rate), "failure rate {rate}");

@@ -202,15 +202,6 @@ impl CompressedGradient {
         self.original_len * 4
     }
 
-    /// Transferred bytes as a fraction of the dense gradient (the paper's
-    /// "compression ratio c%"; 1.0 or more means compression is not helping).
-    pub fn compression_ratio(&self) -> f64 {
-        if self.original_len == 0 {
-            return 0.0;
-        }
-        self.compressed_bytes() as f64 / self.dense_bytes() as f64
-    }
-
     /// Scatters the values into a new dense tensor (zeros elsewhere). This is
     /// the reference semantics the FPGA decompressor must match.
     pub fn decompress(&self) -> FlatTensor {
@@ -254,17 +245,15 @@ mod tests {
         let c = CompressedGradient::new(vec![0, 1, 2], vec![1.0, 2.0, 3.0], 300);
         assert_eq!(c.compressed_bytes(), 24);
         assert_eq!(c.dense_bytes(), 1200);
-        assert!((c.compression_ratio() - 0.02).abs() < 1e-9);
     }
 
     #[test]
     fn empty_compression_is_all_zeros() {
         let c = CompressedGradient::new(vec![], vec![], 4);
         assert_eq!(c.decompress().as_slice(), &[0.0; 4]);
-        assert_eq!(c.compression_ratio(), 0.0);
         let empty = CompressedGradient::default();
         assert_eq!(empty.original_len(), 0);
-        assert_eq!(empty.compression_ratio(), 0.0);
+        assert_eq!(empty.compressed_bytes(), 0);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub fn valid_keep_ratio(keep_ratio: f64) -> bool {
 /// The reusable state of one compression lane: the selection's sample buffer
 /// and candidate lists, and the compressed stream they produce. A caller that
 /// compresses a shard every step keeps one of these per shard and hands it to
-/// [`Compressor::try_compress_into`], so a warm step allocates nothing.
+/// [`crate::ErrorFeedback::compress_into`], so a warm step allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct CompressLane {
     sample: Vec<f32>,
@@ -145,23 +145,9 @@ impl Compressor {
     /// # Panics
     ///
     /// Panics if the gradient is longer than `u32::MAX` elements; see
-    /// [`Compressor::try_compress_par`].
+    /// [`Compressor::try_compress`].
     pub fn compress_par(&self, grads: &FlatTensor, pool: &ParExecutor) -> CompressedGradient {
         self.compress_par_chunked(grads, pool, pool.workers_for(grads.len()))
-    }
-
-    /// Fallible [`Compressor::compress_par`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompressError::IndexSpaceExceeded`] if the gradient is
-    /// longer than `u32::MAX` elements.
-    pub fn try_compress_par(
-        &self,
-        grads: &FlatTensor,
-        pool: &ParExecutor,
-    ) -> Result<CompressedGradient, CompressError> {
-        self.try_compress_par_chunked(grads, pool, pool.workers_for(grads.len()))
     }
 
     /// Compresses with an explicit Top-K chunk count (independent of the
@@ -191,7 +177,7 @@ impl Compressor {
     /// # Panics
     ///
     /// Panics if `num_chunks` is zero.
-    pub fn try_compress_par_chunked(
+    pub(crate) fn try_compress_par_chunked(
         &self,
         grads: &FlatTensor,
         pool: &ParExecutor,
@@ -215,7 +201,7 @@ impl Compressor {
     /// # Panics
     ///
     /// Panics if `num_chunks` is zero.
-    pub fn try_compress_into(
+    pub(crate) fn try_compress_into(
         &self,
         grads: &[f32],
         pool: &ParExecutor,
@@ -643,7 +629,6 @@ mod tests {
         for compressor in [Compressor::top_k(0.01), Compressor::random_k(0.1, 3)] {
             let infallible = compressor.compress(&grads);
             assert_eq!(compressor.try_compress(&grads).unwrap(), infallible);
-            assert_eq!(compressor.try_compress_par(&grads, &pool).unwrap(), infallible);
             assert_eq!(compressor.try_compress_par_chunked(&grads, &pool, 3).unwrap(), infallible);
             for chunks in [1usize, 3] {
                 compressor.try_compress_into(grads.as_slice(), &pool, chunks, &mut lane).unwrap();

@@ -120,11 +120,6 @@ impl ErrorFeedback {
         clear_transmitted(self.residual.as_mut_slice(), transmitted);
     }
 
-    /// Clears the residual (used when a step is skipped due to overflow).
-    pub fn reset(&mut self) {
-        self.residual.fill(0.0);
-    }
-
     /// Overwrites the residual with checkpointed values, so a restored
     /// trainer continues with exactly the error-feedback state it saved.
     ///
@@ -156,7 +151,7 @@ mod tests {
         fb.restore_residual(&FlatTensor::from_vec(vec![0.5, -1.5, 2.0]));
         assert_eq!(fb.residual().as_slice(), &[0.5, -1.5, 2.0]);
         let saved = fb.residual().clone();
-        fb.reset();
+        fb.restore_residual(&FlatTensor::zeros(3));
         assert_eq!(fb.residual().as_slice(), &[0.0, 0.0, 0.0]);
         fb.restore_residual(&saved);
         assert_eq!(fb.residual().as_slice(), &[0.5, -1.5, 2.0]);
@@ -195,17 +190,6 @@ mod tests {
         assert_eq!(corrected2.as_slice(), &[1.0, 0.0, 2.0, 0.0]);
         let compressed2 = compressor.compress(&corrected2);
         assert_eq!(compressed2.indices(), &[0, 2]);
-    }
-
-    #[test]
-    fn reset_clears_the_residual() {
-        let mut fb = ErrorFeedback::new(2);
-        let g = FlatTensor::from_vec(vec![5.0, 6.0]);
-        let c = Compressor::top_k(0.5).compress(&g);
-        fb.update(&g, &c);
-        assert!(fb.residual().l2_norm() > 0.0);
-        fb.reset();
-        assert_eq!(fb.residual().l2_norm(), 0.0);
     }
 
     #[test]

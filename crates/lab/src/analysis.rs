@@ -13,7 +13,7 @@ use std::path::Path;
 /// successful trials (all zeros when none succeeded; `objective` is the
 /// measured name and drops out of the canonical line when unknown).
 #[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct AnalysisRow {
+pub(crate) struct AnalysisRow {
     /// The variant the row aggregates.
     pub variant: String,
     /// The task, for `variant_tasks.jsonl` rows; absent in the per-variant

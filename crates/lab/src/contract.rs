@@ -203,7 +203,7 @@ impl TrialRecord {
     /// Canonical form drops the absent optionals and normalizes key order
     /// and number spellings, which is what makes journal lines comparable
     /// across runs.
-    pub fn to_line(&self) -> String {
+    pub(crate) fn to_line(&self) -> String {
         canonical_json(&to_value(self))
     }
 
@@ -229,7 +229,7 @@ pub(crate) fn to_value<T: Serialize + ?Sized>(value: &T) -> Value {
 /// `delta` deletes the key, and every non-object `delta` replaces `base`
 /// wholesale. This is the operator experiment variants apply over a task's
 /// spec: `defaults ⊕ task ⊕ variant.delta`.
-pub fn json_merge(base: &Value, delta: &Value) -> Value {
+pub(crate) fn json_merge(base: &Value, delta: &Value) -> Value {
     match delta {
         Value::Object(delta_pairs) => {
             let mut merged: Vec<(String, Value)> = match base {

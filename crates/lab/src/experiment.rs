@@ -4,8 +4,12 @@ use crate::LabError;
 use serde::{Deserialize, Serialize, Value};
 use std::path::{Path, PathBuf};
 
+/// The most repeats an experiment may ask for. The simulations are
+/// deterministic, so repeats past a few only grow the plan and the journal.
+const MAX_REPEATS: usize = 1000;
+
 /// One experiment variant: a named RFC 7386 merge delta applied over every
-/// task's spec ([`crate::json_merge`]).
+/// task's spec.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Variant {
     /// The variant's name, unique within the experiment; the key analysis
@@ -23,9 +27,9 @@ pub struct ExperimentConfig {
     /// The tasks file, relative to the experiment file's directory
     /// (default `tasks.jsonl`).
     pub dataset: Option<String>,
-    /// How many times each (task, variant) pair runs (default 1). The
-    /// simulations are deterministic, so repeats exercise the runner's
-    /// dedup/caching path rather than sampling noise.
+    /// How many times each (task, variant) pair runs (default 1, at most
+    /// 1000). The simulations are deterministic, so repeats exercise the
+    /// runner's dedup/caching path rather than sampling noise.
     pub repeats: Option<usize>,
     /// The experiment seed, folded into every trial id (default 0).
     /// Changing it invalidates all journal entries.
@@ -57,12 +61,15 @@ impl ExperimentConfig {
     ///
     /// # Errors
     ///
-    /// [`LabError::Config`] for zero repeats, an empty dataset name, no
-    /// variants, duplicate or empty variant names, and non-object
-    /// `defaults` / `delta` values.
+    /// [`LabError::Config`] for zero or more than 1000 repeats, an empty
+    /// dataset name, no variants, duplicate or empty variant names, and
+    /// non-object `defaults` / `delta` values.
     pub fn validate(&self) -> Result<(), LabError> {
-        if self.repeats == Some(0) {
-            return Err(LabError::config("repeats must be at least 1"));
+        if !(1..=MAX_REPEATS).contains(&self.repeats()) {
+            return Err(LabError::config(format!(
+                "repeats must be 1 to {MAX_REPEATS}, got {}",
+                self.repeats()
+            )));
         }
         if self.dataset.as_deref() == Some("") {
             return Err(LabError::config("dataset must not be empty"));
@@ -177,6 +184,9 @@ mod tests {
     fn validation_rejects_bad_configs() {
         assert!(config(r#"{"name": "x", "variants": []}"#).is_err());
         assert!(config(r#"{"name": "x", "repeats": 0, "variants": [{"name": "a"}]}"#).is_err());
+        // A repeat count the plan could not even allocate.
+        let huge = r#"{"name": "x", "repeats": 18446744073709551615, "variants": [{"name": "a"}]}"#;
+        assert!(matches!(config(huge), Err(LabError::Config(_))));
         assert!(config(r#"{"name": "x", "variants": [{"name": "a"}, {"name": "a"}]}"#).is_err());
         assert!(config(r#"{"name": "x", "variants": [{"name": ""}]}"#).is_err());
         assert!(config(r#"{"name": "x", "variants": [{"name": "a", "delta": 3}]}"#).is_err());

@@ -17,7 +17,7 @@ use std::path::Path;
 /// to `base_dir`. Domain failures come back as an `error`-outcome
 /// [`HarnessResult`], never as `Err` — the contract's result file always
 /// gets written.
-pub fn run_task(task: &Value, base_dir: &Path) -> HarnessResult {
+pub(crate) fn run_task(task: &Value, base_dir: &Path) -> HarnessResult {
     // A task file may carry the dataset form's `task_id`; it is not part of
     // the payload.
     let payload = match task {

@@ -49,7 +49,7 @@ pub mod runner;
 mod error;
 
 pub use analysis::{analysis_tables, write_analysis, AnalysisTables};
-pub use contract::{json_merge, HarnessResult, Objective, Task, TrialRecord};
+pub use contract::{HarnessResult, Objective, Task, TrialRecord};
 pub use error::LabError;
 pub use experiment::{ExperimentConfig, ExperimentPaths, Variant};
 pub use plan::{plan_trials, PlannedTrial, Shard};

@@ -1,10 +1,8 @@
 //! The experiment runner: resolve specs, execute trials through the
 //! campaign service, journal results, resume, shard, merge.
 
-use crate::contract::{resolve_payload, HarnessResult, Task, TrialRecord};
-use crate::{
-    analysis_tables, json_merge, plan_trials, ExperimentPaths, LabError, PlannedTrial, Shard,
-};
+use crate::contract::{json_merge, resolve_payload, HarnessResult, Task, TrialRecord};
+use crate::{analysis_tables, plan_trials, ExperimentPaths, LabError, PlannedTrial, Shard};
 use parcore::ParExecutor;
 use serde::Value;
 use smart_infinity::{CampaignService, RunSpec, ServiceConfig, ServiceReport};

@@ -25,7 +25,7 @@ mod model;
 mod workload;
 
 pub use cost::CostModel;
-pub use machine::{CpuSpec, GpuSpec, SsdSpec};
+pub use machine::{CpuSpec, GpuSpec};
 pub use model::{ModelConfig, ModelFamily};
 pub use workload::Workload;
 

@@ -81,36 +81,6 @@ impl CpuSpec {
     }
 }
 
-/// NVMe SSD performance characteristics (shared with the `ssd` crate's
-/// bandwidth model; duplicated here only as a *specification*).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SsdSpec {
-    /// Marketing name.
-    pub name: String,
-    /// Sequential read bandwidth in bytes/second.
-    pub read_bytes_per_sec: f64,
-    /// Sequential write bandwidth in bytes/second.
-    pub write_bytes_per_sec: f64,
-    /// Capacity in bytes.
-    pub capacity_bytes: u64,
-    /// Street price in USD.
-    pub price_usd: f64,
-}
-
-impl SsdSpec {
-    /// The 4 TB NVMe SSD inside a SmartSSD (also used stand-alone as the
-    /// RAID0 baseline device). Bandwidths follow Fig. 14's SSD read/write bars.
-    pub fn smartssd_nvme() -> Self {
-        Self {
-            name: "SmartSSD NVMe 4TB".to_string(),
-            read_bytes_per_sec: 3.3e9,
-            write_bytes_per_sec: 2.6e9,
-            capacity_bytes: 4_000_000_000_000,
-            price_usd: 400.0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,8 +102,5 @@ mod tests {
         let cpu = CpuSpec::xeon_gold_6342();
         assert!(cpu.update_bytes_per_sec > 1e9);
         assert!(cpu.memory_bytes >= 512 * (1 << 30));
-        let ssd = SsdSpec::smartssd_nvme();
-        assert!(ssd.read_bytes_per_sec > ssd.write_bytes_per_sec);
-        assert_eq!(ssd.capacity_bytes, 4_000_000_000_000);
     }
 }

@@ -173,10 +173,22 @@ impl ModelConfig {
         Self::vit("ViT-0.63B", 32, 1280)
     }
 
+    /// The parameter counts [`ModelConfig::gpt2_scaled`] accepts: one
+    /// million to one trillion. The shape arithmetic overflows far above
+    /// the top; the largest preset is 33 B.
+    pub const SCALED_PARAMS: std::ops::RangeInclusive<f64> = 1e6..=1e12;
+
     /// A GPT-2-family configuration scaled to approximately `target_params`
     /// parameters (used for sweeps over arbitrary sizes).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target_params` is outside [`ModelConfig::SCALED_PARAMS`].
     pub fn gpt2_scaled(target_params: f64) -> Self {
-        assert!(target_params > 1e6, "target must be at least one million parameters");
+        assert!(
+            Self::SCALED_PARAMS.contains(&target_params),
+            "target must be one million to one trillion parameters, got {target_params}"
+        );
         // Fix the aspect ratio layers = hidden / 32 (Megatron-style) and solve
         // 12 * L * H^2 ~= target  =>  H = (target * 32 / 12)^(1/3).
         let hidden_f = (target_params * 32.0 / 12.0).powf(1.0 / 3.0);
@@ -194,45 +206,25 @@ impl ModelConfig {
         &self.name
     }
 
-    /// The model family.
-    pub fn family(&self) -> ModelFamily {
-        self.family
-    }
-
-    /// Number of transformer layers.
-    pub fn num_layers(&self) -> usize {
-        self.num_layers
-    }
-
     /// Hidden (embedding) dimension.
     pub fn hidden_size(&self) -> usize {
         self.hidden_size
     }
 
-    /// Number of attention heads.
-    pub fn num_heads(&self) -> usize {
-        self.num_heads
-    }
-
-    /// Vocabulary size (patch-projection inputs for ViT).
-    pub fn vocab_size(&self) -> usize {
-        self.vocab_size
-    }
-
     /// Maximum sequence length the model is configured for.
-    pub fn max_seq_len(&self) -> usize {
+    pub(crate) fn max_seq_len(&self) -> usize {
         self.max_seq_len
     }
 
     /// Parameters in one transformer layer: 12·H² weights (QKV + output
     /// projection + two 4H MLP matrices) plus 13·H biases and layer norms.
-    pub fn params_per_layer(&self) -> u64 {
+    pub(crate) fn params_per_layer(&self) -> u64 {
         let h = self.hidden_size as u64;
         12 * h * h + 13 * h
     }
 
     /// Parameters in the embedding (token + position) and final layer norm.
-    pub fn embedding_params(&self) -> u64 {
+    pub(crate) fn embedding_params(&self) -> u64 {
         let h = self.hidden_size as u64;
         (self.vocab_size as u64) * h + (self.max_seq_len as u64) * h + 2 * h
     }
@@ -244,22 +236,17 @@ impl ModelConfig {
 
     /// Forward FLOPs for one token: ~2 FLOPs per parameter in the dense
     /// layers plus the attention score/context computation.
-    pub fn flops_per_token_forward(&self, seq_len: usize) -> f64 {
+    pub(crate) fn flops_per_token_forward(&self, seq_len: usize) -> f64 {
         let dense = 2.0 * (self.params_per_layer() * self.num_layers as u64) as f64;
         let attention = 4.0 * self.num_layers as f64 * seq_len as f64 * self.hidden_size as f64;
         let embedding = 2.0 * self.hidden_size as f64 * self.vocab_size as f64;
         dense + attention + embedding
     }
 
-    /// Training FLOPs for one token (forward + backward ≈ 3× forward).
-    pub fn flops_per_token_training(&self, seq_len: usize) -> f64 {
-        3.0 * self.flops_per_token_forward(seq_len)
-    }
-
     /// Splits the model into per-layer blocks (the unit the offload engines
     /// move between GPU, host memory and storage). The embedding parameters
     /// are folded into the first block.
-    pub fn block_param_counts(&self) -> Vec<u64> {
+    pub(crate) fn block_param_counts(&self) -> Vec<u64> {
         let mut blocks = vec![self.params_per_layer(); self.num_layers];
         blocks[0] += self.embedding_params();
         blocks
@@ -319,7 +306,7 @@ mod tests {
     fn blocks_sum_to_total_params() {
         let cfg = ModelConfig::gpt2_4b();
         let blocks = cfg.block_param_counts();
-        assert_eq!(blocks.len(), cfg.num_layers());
+        assert_eq!(blocks.len(), cfg.num_layers);
         assert_eq!(blocks.iter().sum::<u64>(), cfg.num_params());
         assert!(blocks[0] > blocks[1]); // embedding folded into the first block
     }
@@ -330,21 +317,16 @@ mod tests {
         let large = ModelConfig::gpt2_4b();
         assert!(large.flops_per_token_forward(1024) > 5.0 * small.flops_per_token_forward(1024));
         assert!(small.flops_per_token_forward(2048) > small.flops_per_token_forward(512));
-        assert!(
-            (small.flops_per_token_training(1024) / small.flops_per_token_forward(1024) - 3.0)
-                .abs()
-                < 1e-9
-        );
     }
 
     #[test]
     fn accessors_expose_configuration() {
         let cfg = ModelConfig::bloom_3b();
-        assert_eq!(cfg.family(), ModelFamily::Bloom);
-        assert_eq!(cfg.num_layers(), 30);
+        assert_eq!(cfg.family, ModelFamily::Bloom);
+        assert_eq!(cfg.num_layers, 30);
         assert_eq!(cfg.hidden_size(), 2560);
-        assert_eq!(cfg.num_heads(), 20);
-        assert_eq!(cfg.vocab_size(), 250_880);
+        assert_eq!(cfg.num_heads, 20);
+        assert_eq!(cfg.vocab_size, 250_880);
         assert_eq!(cfg.max_seq_len(), 2048);
         assert_eq!(cfg.name(), "BLOOM-3B");
     }

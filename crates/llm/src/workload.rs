@@ -58,7 +58,7 @@ impl Workload {
     }
 
     /// Tokens processed per iteration.
-    pub fn tokens_per_iteration(&self) -> usize {
+    pub(crate) fn tokens_per_iteration(&self) -> usize {
         self.batch_size * self.seq_len
     }
 
@@ -78,20 +78,13 @@ impl Workload {
         kind.state_bytes_per_param() as u64 * self.model.num_params()
     }
 
-    /// Activation checkpoint bytes stored in host memory per iteration
-    /// (one activation tensor per layer boundary: batch × seq × hidden, FP16).
-    pub fn activation_bytes(&self) -> u64 {
-        2 * (self.batch_size * self.seq_len * self.model.hidden_size()) as u64
-            * self.model.num_layers() as u64
-    }
-
     /// Forward-pass FLOPs for one iteration.
     pub fn forward_flops(&self) -> f64 {
         self.model.flops_per_token_forward(self.seq_len) * self.tokens_per_iteration() as f64
     }
 
     /// Backward-pass FLOPs for one iteration (≈ 2× forward).
-    pub fn backward_flops(&self) -> f64 {
+    pub(crate) fn backward_flops(&self) -> f64 {
         2.0 * self.forward_flops()
     }
 
@@ -138,14 +131,7 @@ mod tests {
         let w = Workload::paper_default(ModelConfig::bert_4b());
         let blocks = w.block_bytes_fp16();
         assert_eq!(blocks.iter().sum::<u64>(), w.model_bytes_fp16());
-        assert_eq!(blocks.len(), w.model().num_layers());
-    }
-
-    #[test]
-    fn activations_scale_with_batch_and_depth() {
-        let small = Workload::new(ModelConfig::gpt2_0_34b(), 1, 512);
-        let big = Workload::new(ModelConfig::gpt2_0_34b(), 4, 512);
-        assert_eq!(big.activation_bytes(), 4 * small.activation_bytes());
+        assert_eq!(blocks.len(), 50, "one block per BERT-4.0B layer");
     }
 
     #[test]

@@ -35,7 +35,7 @@ use tensorlib::KernelPath;
 ///
 /// Panics if the slices have mismatched lengths or `t == 0`.
 #[allow(clippy::too_many_arguments)]
-pub fn adam_step(
+pub(crate) fn adam_step(
     params: &mut [f32],
     momentum: &mut [f32],
     variance: &mut [f32],
@@ -67,7 +67,7 @@ pub fn adam_step(
 /// Panics under the same conditions as [`adam_step`], or if `path` is not
 /// available on this CPU.
 #[allow(clippy::too_many_arguments)]
-pub fn adam_step_with(
+pub(crate) fn adam_step_with(
     path: KernelPath,
     params: &mut [f32],
     momentum: &mut [f32],
@@ -150,7 +150,7 @@ fn adam_avx2(
 ///
 /// Panics if the slices have mismatched lengths or `t == 0`.
 #[allow(clippy::too_many_arguments)]
-pub fn adamw_step(
+pub(crate) fn adamw_step(
     params: &mut [f32],
     momentum: &mut [f32],
     variance: &mut [f32],
@@ -184,7 +184,7 @@ pub fn adamw_step(
 /// Panics under the same conditions as [`adamw_step`], or if `path` is not
 /// available on this CPU.
 #[allow(clippy::too_many_arguments)]
-pub fn adamw_step_with(
+pub(crate) fn adamw_step_with(
     path: KernelPath,
     params: &mut [f32],
     momentum: &mut [f32],
@@ -304,7 +304,7 @@ fn adamw_avx2(
 /// # Panics
 ///
 /// Panics if the slices have mismatched lengths.
-pub fn sgd_momentum_step(
+pub(crate) fn sgd_momentum_step(
     params: &mut [f32],
     momentum_buf: &mut [f32],
     grads: &[f32],
@@ -321,7 +321,7 @@ pub fn sgd_momentum_step(
 ///
 /// Panics under the same conditions as [`sgd_momentum_step`], or if `path` is
 /// not available on this CPU.
-pub fn sgd_momentum_step_with(
+pub(crate) fn sgd_momentum_step_with(
     path: KernelPath,
     params: &mut [f32],
     momentum_buf: &mut [f32],
@@ -376,7 +376,13 @@ fn sgd_momentum_avx2(
 /// # Panics
 ///
 /// Panics if the slices have mismatched lengths.
-pub fn adagrad_step(params: &mut [f32], accumulator: &mut [f32], grads: &[f32], lr: f32, eps: f32) {
+pub(crate) fn adagrad_step(
+    params: &mut [f32],
+    accumulator: &mut [f32],
+    grads: &[f32],
+    lr: f32,
+    eps: f32,
+) {
     adagrad_step_with(KernelPath::active(), params, accumulator, grads, lr, eps);
 }
 
@@ -386,7 +392,7 @@ pub fn adagrad_step(params: &mut [f32], accumulator: &mut [f32], grads: &[f32], 
 ///
 /// Panics under the same conditions as [`adagrad_step`], or if `path` is not
 /// available on this CPU.
-pub fn adagrad_step_with(
+pub(crate) fn adagrad_step_with(
     path: KernelPath,
     params: &mut [f32],
     accumulator: &mut [f32],
@@ -466,7 +472,7 @@ fn zip3_chunks<'a>(
 ///
 /// Panics under the same conditions as [`adam_step`], or if `num_chunks` is 0.
 #[allow(clippy::too_many_arguments)]
-pub fn par_adam_step(
+pub(crate) fn par_adam_step(
     pool: &ParExecutor,
     num_chunks: usize,
     params: &mut [f32],
@@ -500,7 +506,7 @@ pub fn par_adam_step(
 ///
 /// Panics under the same conditions as [`adamw_step`], or if `num_chunks` is 0.
 #[allow(clippy::too_many_arguments)]
-pub fn par_adamw_step(
+pub(crate) fn par_adamw_step(
     pool: &ParExecutor,
     num_chunks: usize,
     params: &mut [f32],
@@ -545,7 +551,7 @@ pub fn par_adamw_step(
 ///
 /// Panics under the same conditions as [`sgd_momentum_step`], or if
 /// `num_chunks` is 0.
-pub fn par_sgd_momentum_step(
+pub(crate) fn par_sgd_momentum_step(
     pool: &ParExecutor,
     num_chunks: usize,
     params: &mut [f32],
@@ -572,7 +578,7 @@ pub fn par_sgd_momentum_step(
 ///
 /// Panics under the same conditions as [`adagrad_step`], or if `num_chunks`
 /// is 0.
-pub fn par_adagrad_step(
+pub(crate) fn par_adagrad_step(
     pool: &ParExecutor,
     num_chunks: usize,
     params: &mut [f32],

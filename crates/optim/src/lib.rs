@@ -34,11 +34,6 @@
 mod kernels;
 mod optimizer;
 
-pub use kernels::{
-    adagrad_step, adagrad_step_with, adam_step, adam_step_with, adamw_step, adamw_step_with,
-    par_adagrad_step, par_adam_step, par_adamw_step, par_sgd_momentum_step, sgd_momentum_step,
-    sgd_momentum_step_with,
-};
 pub use optimizer::{HyperParams, Optimizer, OptimizerKind};
 
 #[cfg(test)]

@@ -30,15 +30,6 @@ impl OptimizerKind {
         }
     }
 
-    /// Names of the auxiliary state tensors, in the order `init_aux` creates them.
-    pub fn aux_names(self) -> &'static [&'static str] {
-        match self {
-            OptimizerKind::Adam | OptimizerKind::AdamW => &["momentum", "variance"],
-            OptimizerKind::SgdMomentum => &["momentum"],
-            OptimizerKind::AdaGrad => &["variance"],
-        }
-    }
-
     /// Bytes of optimizer state stored per parameter: FP32 master copy plus
     /// every auxiliary FP32 tensor. Adam: 12 B = "6M" in the paper's unit
     /// where M is the FP16 parameter size (2 B per parameter).
@@ -104,11 +95,6 @@ impl Optimizer {
         self.kind
     }
 
-    /// The hyper-parameters.
-    pub fn hyper_params(&self) -> HyperParams {
-        self.hp
-    }
-
     /// Allocates zero-initialised auxiliary state for `num_params` parameters.
     pub fn init_aux(&self, num_params: usize) -> Vec<FlatTensor> {
         (0..self.kind.num_aux()).map(|_| FlatTensor::zeros(num_params)).collect()
@@ -155,7 +141,7 @@ impl Optimizer {
     ///
     /// Panics under the same conditions as [`Optimizer::step`], or if
     /// `num_chunks` is zero.
-    pub fn par_step_chunked(
+    pub(crate) fn par_step_chunked(
         &self,
         pool: &ParExecutor,
         num_chunks: usize,
@@ -242,8 +228,6 @@ mod tests {
         assert_eq!(OptimizerKind::AdamW.num_aux(), 2);
         assert_eq!(OptimizerKind::SgdMomentum.num_aux(), 1);
         assert_eq!(OptimizerKind::AdaGrad.num_aux(), 1);
-        assert_eq!(OptimizerKind::Adam.aux_names(), &["momentum", "variance"]);
-        assert_eq!(OptimizerKind::AdaGrad.aux_names(), &["variance"]);
     }
 
     #[test]
@@ -261,7 +245,6 @@ mod tests {
         let hp = HyperParams { lr: 0.1, ..HyperParams::default() };
         let opt = Optimizer::new(OptimizerKind::Adam, hp);
         assert_eq!(opt.kind(), OptimizerKind::Adam);
-        assert_eq!(opt.hyper_params(), hp);
         let mut params = FlatTensor::from_vec(vec![0.0, 0.0]);
         let mut aux = opt.init_aux(2);
         assert_eq!(aux.len(), 2);

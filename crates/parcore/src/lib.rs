@@ -16,8 +16,7 @@
 //! * **Determinism of results** — work items are indexed; every combinator
 //!   returns (or applies) results **in item order** regardless of which
 //!   worker ran them, and the chunk boundaries produced by [`chunk_bounds`]
-//!   and [`weighted_chunk_bounds`] depend only on their arguments, never on
-//!   thread scheduling. Kernels built on top of this are bit-identical to
+//!   depend only on their arguments, never on thread scheduling. Kernels built on top of this are bit-identical to
 //!   their serial counterparts (asserted by the `optim` and `gradcomp` test
 //!   suites) in **both** execution modes.
 //! * **Size-aware scheduling** — by default items are work-stolen
@@ -148,11 +147,6 @@ impl ParExecutor {
         self.mode
     }
 
-    /// Whether this executor runs everything inline.
-    pub fn is_serial(&self) -> bool {
-        self.num_threads == 1
-    }
-
     /// Worker count actually worth using for an element-wise kernel over
     /// `len` elements: capped so every worker gets at least
     /// [`MIN_ELEMS_PER_WORKER`] elements, and clamped to the machine's CPU
@@ -260,20 +254,6 @@ impl ParExecutor {
         F: Fn(usize, T) + Sync,
     {
         self.map(items, f);
-    }
-
-    /// [`ParExecutor::for_each`] with per-item cost estimates (see
-    /// [`ParExecutor::map_weighted`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights.len() != items.len()`.
-    pub fn for_each_weighted<T, F>(&self, items: Vec<T>, weights: &[usize], f: F)
-    where
-        T: Send,
-        F: Fn(usize, T) + Sync,
-    {
-        self.map_weighted(items, weights, f);
     }
 
     /// Runs pre-dealt per-worker queues to completion and re-assembles the
@@ -386,58 +366,6 @@ pub fn chunk_bounds(len: usize, num_chunks: usize) -> Vec<Range<usize>> {
         ranges.push(start..start + size);
         start += size;
     }
-    ranges
-}
-
-/// Splits `0..weights.len()` into at most `num_chunks` contiguous ranges of
-/// approximately equal **total weight** (`weights[i]` is the relative cost of
-/// item `i`). Greedy cumulative partition: chunk `c` closes once the running
-/// weight reaches `total · (c+1) / num_chunks`, except that enough items are
-/// always reserved to keep every remaining chunk non-empty. Depends only on
-/// the arguments, never on scheduling; with uniform weights it degenerates to
-/// [`chunk_bounds`]-style near-even splits, and an all-zero weight vector
-/// falls back to [`chunk_bounds`] exactly.
-///
-/// Use this instead of [`chunk_bounds`] when items have skewed costs (e.g.
-/// parameter shards of very different sizes) so no chunk carries most of the
-/// total work.
-///
-/// # Panics
-///
-/// Panics if `num_chunks` is zero.
-pub fn weighted_chunk_bounds(weights: &[usize], num_chunks: usize) -> Vec<Range<usize>> {
-    assert!(num_chunks > 0, "chunk count must be positive");
-    let len = weights.len();
-    if len == 0 {
-        return Vec::new();
-    }
-    let total: u128 = weights.iter().map(|&w| w as u128).sum();
-    if total == 0 {
-        return chunk_bounds(len, num_chunks);
-    }
-    let chunks = num_chunks.min(len);
-    let mut ranges = Vec::with_capacity(chunks);
-    let mut start = 0usize;
-    let mut cum: u128 = 0;
-    let mut produced = 0usize;
-    for (i, &w) in weights.iter().enumerate() {
-        cum += w as u128;
-        let consumed = i + 1;
-        let remaining_chunks = chunks - produced - 1;
-        if remaining_chunks == 0 {
-            break; // the final chunk swallows everything left
-        }
-        let target = total * (produced as u128 + 1) / chunks as u128;
-        // Close early if every remaining chunk needs one of the remaining
-        // items to stay non-empty.
-        let must_close = len - consumed == remaining_chunks;
-        if cum >= target || must_close {
-            ranges.push(start..consumed);
-            start = consumed;
-            produced += 1;
-        }
-    }
-    ranges.push(start..len);
     ranges
 }
 
@@ -588,11 +516,9 @@ mod tests {
 
     #[test]
     fn executor_constructors_and_accessors() {
-        assert!(ParExecutor::serial().is_serial());
         assert_eq!(ParExecutor::serial().num_threads(), 1);
         assert_eq!(ParExecutor::new(0).num_threads(), 1, "zero clamps to one");
         assert_eq!(ParExecutor::new(6).num_threads(), 6);
-        assert!(!ParExecutor::new(2).is_serial());
         assert!(ParExecutor::current().num_threads() >= 1);
         assert_eq!(ParExecutor::default(), ParExecutor::current());
         assert_eq!(ParExecutor::new(3).mode(), ExecMode::WorkStealing);
@@ -668,62 +594,6 @@ mod tests {
     #[should_panic(expected = "weight length mismatch")]
     fn map_weighted_rejects_mismatched_weights() {
         ParExecutor::new(2).map_weighted(vec![1, 2, 3], &[1, 2], |_, x| x);
-    }
-
-    #[test]
-    fn weighted_chunk_bounds_tile_and_balance() {
-        // Uniform weights behave like near-even splits.
-        let uniform = vec![1usize; 12];
-        let bounds = weighted_chunk_bounds(&uniform, 4);
-        assert_eq!(bounds, vec![0..3, 3..6, 6..9, 9..12]);
-        // All-zero weights fall back to chunk_bounds exactly.
-        assert_eq!(weighted_chunk_bounds(&[0; 10], 3), chunk_bounds(10, 3));
-        assert_eq!(weighted_chunk_bounds(&[], 3), Vec::<Range<usize>>::new());
-        // One huge item: it gets its own chunk and the rest split the tail.
-        let skewed = [1000usize, 1, 1, 1, 1, 1];
-        let bounds = weighted_chunk_bounds(&skewed, 3);
-        assert_eq!(bounds[0], 0..1, "the heavy head closes the first chunk immediately");
-        // Generic properties: exact tiling, non-empty chunks, count <= requested.
-        let cases: Vec<Vec<usize>> = vec![
-            vec![5, 1, 1, 1, 8, 1, 1, 1, 1, 1],
-            (0..97).map(|i| (i * 37) % 13).collect(),
-            vec![usize::MAX / 4; 8], // large weights must not overflow
-            vec![7],
-        ];
-        for weights in &cases {
-            for chunks in [1usize, 2, 3, 7, 16] {
-                let bounds = weighted_chunk_bounds(weights, chunks);
-                assert!(bounds.len() <= chunks, "chunks={chunks} weights={weights:?}");
-                assert!(bounds.iter().all(|r| !r.is_empty()));
-                let mut expected = 0;
-                for b in &bounds {
-                    assert_eq!(b.start, expected, "chunks={chunks} weights={weights:?}");
-                    expected = b.end;
-                }
-                assert_eq!(expected, weights.len(), "chunks={chunks} weights={weights:?}");
-            }
-        }
-        // Balance: for the strided case no chunk should carry more than
-        // total/chunks plus one item's worth of slack.
-        let weights: Vec<usize> = (0..97).map(|i| (i * 37) % 13 + 1).collect();
-        let total: usize = weights.iter().sum();
-        let max_w = *weights.iter().max().unwrap();
-        for chunks in [2usize, 4, 8] {
-            let bounds = weighted_chunk_bounds(&weights, chunks);
-            for b in &bounds {
-                let w: usize = weights[b.clone()].iter().sum();
-                assert!(
-                    w <= total / chunks + max_w,
-                    "chunk {b:?} weight {w} exceeds fair share (chunks={chunks})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk count must be positive")]
-    fn weighted_zero_chunks_panics() {
-        weighted_chunk_bounds(&[1, 2], 0);
     }
 
     #[test]

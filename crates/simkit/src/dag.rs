@@ -292,16 +292,8 @@ impl Dag {
         self.tasks.get(id.0).map_or(&[], |t| t.after.of(&self.after))
     }
 
-    /// Structural predecessors of a task: hard-input producers first (in
-    /// declaration order), then after-edges. May contain duplicates.
-    pub fn predecessors(&self, id: DagTaskId) -> Vec<DagTaskId> {
-        let mut preds: Vec<DagTaskId> =
-            self.inputs(id).iter().map(|d| self.data[d.0].producer).collect();
-        preds.extend_from_slice(self.after(id));
-        preds
-    }
-
-    /// The indices [`Dag::predecessors`] lists, without allocating.
+    /// The structural predecessors of a task, by index: hard-input producers
+    /// first (in declaration order), then after-edges. May repeat a task.
     fn preds(&self, task: &DagTask) -> impl Iterator<Item = usize> + '_ {
         let producers = task.inputs.of(&self.inputs).iter().map(|d| self.data[d.0].producer.0);
         producers.chain(task.after.of(&self.after).iter().map(|a| a.0))
@@ -315,8 +307,7 @@ impl Dag {
 
     /// The structural edges as a CSR of dependents plus each task's
     /// predecessor count, after the checks of [`Dag::validate`]. Duplicate
-    /// edges are counted once per declaration, as [`Dag::predecessors`]
-    /// lists them.
+    /// edges are counted once per declaration.
     pub(crate) fn structure(&self) -> Result<Structure, SimError> {
         if let Some(err) = &self.poison {
             return Err(err.clone());
@@ -413,8 +404,7 @@ mod tests {
         dag.add_after(c, b);
 
         assert_eq!(dag.len(), 3);
-        assert_eq!(dag.predecessors(b), vec![a]);
-        assert_eq!(dag.predecessors(c), vec![b]);
+        assert_eq!(dag.data(out).map(|item| item.producer), Some(a));
         assert_eq!(dag.inputs(b), [out]);
         assert_eq!(dag.after(c), [b]);
         dag.validate().expect("well-formed graph");
@@ -455,7 +445,7 @@ mod tests {
         let out = dag.add_output(a, "a.out", 8.0, None);
         let b = dag.add_task("b", DagWork::Join);
         dag.connect_soft(b, out);
-        assert!(dag.predecessors(b).is_empty());
+        assert!(dag.inputs(b).is_empty() && dag.after(b).is_empty());
         assert_eq!(dag.soft_inputs(b), [out]);
     }
 
@@ -464,8 +454,8 @@ mod tests {
 
         /// Edges declared in any order — mostly on the newest task, now and
         /// then on an older one, so its run moves to the arena's tail — read
-        /// back through the three accessors and `predecessors` exactly as
-        /// per-task lists have them.
+        /// back through the three accessors exactly as per-task lists have
+        /// them.
         #[test]
         fn the_edge_arenas_read_back_as_per_task_lists(
             ops in vec((0usize..4, (0usize..64, 0usize..64)), 1..160),
@@ -502,8 +492,6 @@ mod tests {
                 prop_assert_eq!(dag.inputs(id).to_vec(), data(inputs));
                 prop_assert_eq!(dag.soft_inputs(id).to_vec(), data(soft));
                 prop_assert_eq!(dag.after(id).to_vec(), tasks(after));
-                let preds = tasks(&inputs.iter().chain(after).copied().collect::<Vec<_>>());
-                prop_assert_eq!(dag.predecessors(id), preds);
             }
         }
     }

@@ -100,11 +100,6 @@ impl Simulation {
         PhaseId(self.phases.len() - 1)
     }
 
-    /// Number of tasks added so far.
-    pub fn task_count(&self) -> usize {
-        self.tasks.len()
-    }
-
     /// Number of links registered so far.
     pub fn link_count(&self) -> usize {
         self.links.len()
@@ -116,7 +111,7 @@ impl Simulation {
     }
 
     /// The label attached to a task, if any (useful when debugging schedules).
-    pub fn task_label(&self, task: TaskId) -> Option<&str> {
+    pub(crate) fn task_label(&self, task: TaskId) -> Option<&str> {
         self.tasks.get(task).and_then(|t| t.label.as_deref())
     }
 
@@ -671,7 +666,7 @@ mod tests {
         assert!((tl.finish_time(a) - 2.0).abs() < 1e-9);
         assert!((tl.finish_time(b) - 4.0).abs() < 1e-9);
         assert!((tl.finish_time(c) - 6.0).abs() < 1e-9);
-        assert!(tl.start_time(b) >= tl.finish_time(a) - 1e-9);
+        assert!(tl.records()[b].start >= tl.finish_time(a) - 1e-9);
     }
 
     #[test]
@@ -761,7 +756,7 @@ mod tests {
         let tl = sim.run().unwrap();
         // The first flow takes 1 s on link a, the delay 1.5 s; the third
         // then moves 10 B at link b's 5 B/s.
-        assert_eq!((tl.start_time(third), tl.finish_time(third)), (1.5, 3.5));
+        assert_eq!((tl.records()[third].start, tl.finish_time(third)), (1.5, 3.5));
     }
 
     #[test]

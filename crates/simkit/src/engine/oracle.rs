@@ -36,6 +36,14 @@ fn floor(sim: &Simulation, task: &Task) -> (f64, f64) {
     }
 }
 
+/// How a message names task `id`: its index, and its label when it has one.
+fn task_name(sim: &Simulation, id: TaskId) -> String {
+    match sim.task_label(id) {
+        Some(label) => format!("task {id} ({label})"),
+        None => format!("task {id}"),
+    }
+}
+
 /// Checks a finished run against its simulation; the error names the first
 /// broken condition.
 pub(crate) fn check(sim: &Simulation, timeline: &Timeline) -> Result<(), String> {
@@ -52,14 +60,18 @@ pub(crate) fn check(sim: &Simulation, timeline: &Timeline) -> Result<(), String>
         ready[id] = sim.deps_of(task).iter().map(|&d| records[d].finish).fold(0.0, f64::max);
         if rec.start < ready[id] {
             return Err(format!(
-                "task {id} starts at {} before its last dependency finishes at {}",
-                rec.start, ready[id]
+                "{} starts at {} before its last dependency finishes at {}",
+                task_name(sim, id),
+                rec.start,
+                ready[id]
             ));
         }
         if rec.finish < rec.start {
             return Err(format!(
-                "task {id} finishes at {} before its start {}",
-                rec.finish, rec.start
+                "{} finishes at {} before its start {}",
+                task_name(sim, id),
+                rec.finish,
+                rec.start
             ));
         }
         let (least, rate) = floor(sim, task);
@@ -68,7 +80,8 @@ pub(crate) fn check(sim: &Simulation, timeline: &Timeline) -> Result<(), String>
         let flow = matches!(task.kind, TaskKind::Flow { .. });
         let late = !flow && rec.duration() > least + slack(rate, least);
         if early || late {
-            return Err(format!("task {id} lasts {} s, its work is {least} s", rec.duration()));
+            let name = task_name(sim, id);
+            return Err(format!("{name} lasts {} s, its work is {least} s", rec.duration()));
         }
     }
 
@@ -225,7 +238,8 @@ mod tests {
         let late = sim.compute(ComputeSpec::new(cpu, 2.0).after(&[wait]));
         let early = sim.compute(ComputeSpec::new(cpu, 2.0));
         let timeline = sim.run().unwrap();
-        assert_eq!((timeline.start_time(early), timeline.start_time(late)), (0.0, 2.0));
+        let start = |task: TaskId| timeline.records()[task].start;
+        assert_eq!((start(early), start(late)), (0.0, 2.0));
         let rec = |start, finish| TaskRecord { start, finish, phase: None };
         let swapped = vec![rec(0.0, 1.0), rec(1.0, 3.0), rec(3.0, 5.0)];
         let forged = Timeline::new(swapped, 5.0, Vec::new(), sim.link_tasks());

@@ -76,21 +76,19 @@ pub use engine::Simulation;
 pub use error::SimError;
 pub use resource::{Resource, SpeedupCurve};
 pub use scheduler::{
-    execute, Anchor, Decision, DirectLowering, FifoScheduler, Lowered, Lowering, ScatterPlan,
-    ScheduleDecision, ScheduleOutcome, Scheduler, SetupDelay, SystemView,
+    execute, Anchor, Decision, DirectLowering, Lowered, Lowering, ScatterPlan, ScheduleDecision,
+    ScheduleOutcome, Scheduler, SetupDelay, SystemView,
 };
 pub use task::{ComputeSpec, DelaySpec, FlowSpec, LinkId, PhaseId, ResourceId, TaskId};
-pub use timeline::{FaultAnnotation, PhaseBreakdown, TaskRecord, Timeline};
+pub use timeline::{FaultAnnotation, TaskRecord, Timeline};
 
-/// Convenience constant: one gigabyte in bytes.
-pub const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
 /// Convenience constant: one gigabyte (decimal, as used for bandwidths) in bytes.
 pub const GB: f64 = 1e9;
 /// Convenience constant: one megabyte (decimal) in bytes.
 pub const MB: f64 = 1e6;
 
 /// Floating point tolerance used when comparing simulated times.
-pub const TIME_EPS: f64 = 1e-9;
+pub(crate) const TIME_EPS: f64 = 1e-9;
 
 #[cfg(test)]
 mod tests {
@@ -151,8 +149,8 @@ mod tests {
         let b = sim.compute(ComputeSpec::new(cpu, 100.0).after(&[a]));
         let c = sim.flow(FlowSpec::new(vec![link], 100.0).after(&[b]));
         let tl = sim.run().unwrap();
-        assert!((tl.start_time(b) - 10.0).abs() < 1e-9);
-        assert!((tl.start_time(c) - 20.0).abs() < 1e-9);
+        assert!((tl.records()[b].start - 10.0).abs() < 1e-9);
+        assert!((tl.records()[c].start - 20.0).abs() < 1e-9);
         assert!((tl.makespan() - 30.0).abs() < 1e-9);
     }
 
@@ -174,9 +172,7 @@ mod tests {
         let a = sim.flow(FlowSpec::new(vec![link], 100.0).phase(fw));
         let _b = sim.flow(FlowSpec::new(vec![link], 100.0).phase(bw).after(&[a]));
         let tl = sim.run().unwrap();
-        let breakdown = tl.phase_breakdown();
-        assert!((breakdown.busy_time(fw) - 10.0).abs() < 1e-9);
-        assert!((breakdown.busy_time(bw) - 10.0).abs() < 1e-9);
-        assert!((breakdown.total() - 20.0).abs() < 1e-9);
+        assert!((tl.phase_busy_time_before(fw, f64::INFINITY) - 10.0).abs() < 1e-9);
+        assert!((tl.phase_busy_time_before(bw, f64::INFINITY) - 10.0).abs() < 1e-9);
     }
 }

@@ -50,8 +50,9 @@ impl SpeedupCurve {
 ///
 /// `speed` is the single-core processing rate in work units per second (the
 /// unit is whatever the site's tasks are measured in — FLOPs for a GPU,
-/// bytes for an updater kernel). The serial rate a placement achieves is
-/// [`Resource::rate_with`], i.e. `speed x speedup(cores)`.
+/// bytes for an updater kernel). The serial rate a placement of `cores`
+/// cores achieves is `speed x speedup(cores)`; [`Resource::full_rate`] is
+/// that rate with every core.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Resource {
     /// Human-readable name ("gpu0", "fpga3-updater", "sg2042-cpu").
@@ -86,7 +87,7 @@ impl Resource {
     }
 
     /// The effective serial rate when `cores` cores are assigned.
-    pub fn rate_with(&self, cores: u32) -> f64 {
+    pub(crate) fn rate_with(&self, cores: u32) -> f64 {
         self.speed * self.speedup.factor(cores.min(self.cores))
     }
 

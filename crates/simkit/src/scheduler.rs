@@ -121,21 +121,15 @@ pub enum Decision {
     Defer(DagTaskId),
 }
 
-/// Read-only view of scheduling state handed to scheduler callbacks.
+/// Read-only view of the platform handed to scheduler callbacks.
 pub struct SystemView<'a> {
     resources: &'a [Resource],
-    scheduled: &'a [bool],
 }
 
 impl SystemView<'_> {
     /// The resource descriptions the executor was given.
     pub fn resources(&self) -> &[Resource] {
         self.resources
-    }
-
-    /// Whether a DAG task has already been scheduled.
-    pub fn is_scheduled(&self, task: DagTaskId) -> bool {
-        self.scheduled.get(task.index()).copied().unwrap_or(false)
     }
 }
 
@@ -190,7 +184,7 @@ impl Lowered {
     }
 
     /// The sub-result at `site`, if any.
-    pub fn at_site(&self, site: usize) -> Option<TaskId> {
+    pub(crate) fn at_site(&self, site: usize) -> Option<TaskId> {
         self.per_site.iter().find(|(s, _)| *s == site).map(|(_, t)| *t)
     }
 }
@@ -227,11 +221,6 @@ impl ScheduleOutcome {
     /// The main lowered task of a DAG task.
     pub fn task(&self, id: DagTaskId) -> Option<TaskId> {
         self.lowered.get(id.index()).map(|l| l.main)
-    }
-
-    /// The per-site sub-result of a DAG task.
-    pub fn at_site(&self, id: DagTaskId, site: usize) -> Option<TaskId> {
-        self.lowered.get(id.index()).and_then(|l| l.at_site(site))
     }
 }
 
@@ -467,7 +456,7 @@ pub fn execute(
             if exec.scheduled[t] || exec.deferred[t] || !exec.structure.is_ready(t) {
                 continue;
             }
-            let view = SystemView { resources: exec.resources, scheduled: &exec.scheduled };
+            let view = SystemView { resources: exec.resources };
             scheduler.on_task_ready(DagTaskId(t), dag, &view, &mut decisions);
             progress |= exec.apply(&mut decisions, lowering)?;
         }
@@ -477,7 +466,7 @@ pub fn execute(
         // Stalled: sweep resource-free callbacks to release deferred work.
         let mut freed = false;
         for &site in sites.get_or_insert_with(|| stall_sites(dag)).iter() {
-            let view = SystemView { resources: exec.resources, scheduled: &exec.scheduled };
+            let view = SystemView { resources: exec.resources };
             scheduler.on_resource_free(site, dag, &view, &mut decisions);
             freed |= exec.apply(&mut decisions, lowering)?;
         }
@@ -489,39 +478,6 @@ pub fn execute(
     Ok(ScheduleOutcome {
         lowered: exec.lowered.into_iter().map(|l| l.expect("all tasks scheduled")).collect(),
     })
-}
-
-/// The default policy: schedules every task the moment it is offered,
-/// realising soft inputs as dependencies on their producers' main results.
-/// Storage-class transfers are not placed (no scatter plan), so graphs using
-/// [`SITE_STORAGE`] need a placement-aware scheduler.
-#[derive(Debug, Default)]
-pub struct FifoScheduler;
-
-impl Scheduler for FifoScheduler {
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-
-    fn on_task_ready(
-        &mut self,
-        task: DagTaskId,
-        dag: &Dag,
-        system: &SystemView<'_>,
-        out: &mut Vec<Decision>,
-    ) {
-        let soft = dag.soft_inputs(task);
-        let soft_ok = soft
-            .iter()
-            .all(|&d| dag.data(d).map(|item| system.is_scheduled(item.producer)).unwrap_or(false));
-        if !soft_ok {
-            // Wait until the producers of soft inputs are scheduled too.
-            return;
-        }
-        let anchors =
-            soft.iter().filter_map(|&d| dag.data(d).map(|item| Anchor::Task(item.producer)));
-        out.push(Decision::Schedule(ScheduleDecision::new(task).after_all(anchors)));
-    }
 }
 
 /// A direct lowering onto a plain [`Simulation`]: sites index straight into
@@ -673,6 +629,44 @@ mod tests {
     use super::*;
     use crate::dag::DataId;
 
+    /// Schedules every task the moment it is offered, realising soft inputs
+    /// as dependencies on their producers' main results. Storage-class
+    /// transfers are not placed (no scatter plan).
+    #[derive(Default)]
+    struct FifoScheduler {
+        scheduled: Vec<bool>,
+    }
+
+    impl Scheduler for FifoScheduler {
+        fn name(&self) -> &'static str {
+            "fifo"
+        }
+
+        fn on_task_ready(
+            &mut self,
+            task: DagTaskId,
+            dag: &Dag,
+            _system: &SystemView<'_>,
+            out: &mut Vec<Decision>,
+        ) {
+            self.scheduled.resize(dag.len(), false);
+            let soft = dag.soft_inputs(task);
+            let producer = |d: &DataId| dag.data(*d).expect("connected items exist").producer;
+            if !soft.iter().all(|d| self.scheduled[producer(d).index()]) {
+                // Wait until the producers of soft inputs are scheduled too.
+                return;
+            }
+            self.scheduled[task.index()] = true;
+            let anchors = soft.iter().map(|d| Anchor::Task(producer(d)));
+            out.push(Decision::Schedule(ScheduleDecision::new(task).after_all(anchors)));
+        }
+    }
+
+    /// The per-site sub-result `site` of DAG task `id`.
+    fn at_site(outcome: &ScheduleOutcome, id: DagTaskId, site: usize) -> Option<TaskId> {
+        outcome.lowered[id.index()].at_site(site)
+    }
+
     /// A two-site test bed: compute resources at sites 0 and 1 plus three
     /// storage device sites (2, 3, 4), each behind its own link.
     fn testbed(sim: &mut Simulation) -> DirectLowering<'_> {
@@ -708,8 +702,8 @@ mod tests {
 
         let mut sim = Simulation::new();
         let mut lowering = testbed(&mut sim);
-        let outcome =
-            execute(&dag, &[], &mut FifoScheduler, &mut lowering).expect("schedules cleanly");
+        let outcome = execute(&dag, &[], &mut FifoScheduler::default(), &mut lowering)
+            .expect("schedules cleanly");
         let tl = sim.run().expect("runs cleanly");
         assert_eq!(tl.finish_time(outcome.task(a).unwrap()).to_bits(), 5.0f64.to_bits());
         assert_eq!(tl.finish_time(outcome.task(b).unwrap()).to_bits(), 15.0f64.to_bits());
@@ -734,8 +728,8 @@ mod tests {
 
         let mut sim = Simulation::new();
         let mut lowering = testbed(&mut sim);
-        let outcome =
-            execute(&dag, &[], &mut FifoScheduler, &mut lowering).expect("schedules cleanly");
+        let outcome = execute(&dag, &[], &mut FifoScheduler::default(), &mut lowering)
+            .expect("schedules cleanly");
         let tl = sim.run().expect("runs cleanly");
         // a: 2 s. Shared 4 B/s link: both flows at 2 B/s; b (8 B) done at
         // t=6, c then gets 4 B/s for its remaining 8 B -> t=8.
@@ -815,7 +809,7 @@ mod tests {
             let tl = sim.run().expect("runs cleanly");
             assert_eq!(tl.finish_time(outcome.task(a).unwrap()).to_bits(), 1.0f64.to_bits());
             for site in [2, 3, 4] {
-                let flow = outcome.at_site(w, site).expect("per-site write exists");
+                let flow = at_site(&outcome, w, site).expect("per-site write exists");
                 assert_eq!(tl.finish_time(flow).to_bits(), 4.0f64.to_bits());
             }
             assert_eq!(
@@ -834,9 +828,9 @@ mod tests {
         let mut policy = ScatterPolicy { sites: vec![3], join: false };
         let outcome = execute(&dag, &[], &mut policy, &mut lowering).expect("schedules cleanly");
         let tl = sim.run().expect("runs cleanly");
-        assert!(outcome.at_site(w, 2).is_none());
-        assert!(outcome.at_site(w, 4).is_none());
-        let flow = outcome.at_site(w, 3).expect("owner write exists");
+        assert!(at_site(&outcome, w, 2).is_none());
+        assert!(at_site(&outcome, w, 4).is_none());
+        let flow = at_site(&outcome, w, 3).expect("owner write exists");
         // All 90 B over one 10 B/s link: 9 s after the 1 s compute.
         assert_eq!(tl.finish_time(flow).to_bits(), 10.0f64.to_bits());
     }
@@ -857,6 +851,7 @@ mod tests {
     /// Defers every non-compute task until the stall sweep fires.
     struct DeferUntilFree {
         releases: usize,
+        scheduled: Vec<bool>,
     }
 
     impl Scheduler for DeferUntilFree {
@@ -871,8 +866,12 @@ mod tests {
             _system: &SystemView<'_>,
             out: &mut Vec<Decision>,
         ) {
+            self.scheduled.resize(dag.len(), false);
             out.push(match dag.task(task).unwrap().work {
-                DagWork::Compute { .. } => Decision::Schedule(ScheduleDecision::new(task)),
+                DagWork::Compute { .. } => {
+                    self.scheduled[task.index()] = true;
+                    Decision::Schedule(ScheduleDecision::new(task))
+                }
                 _ => Decision::Defer(task),
             });
         }
@@ -881,14 +880,16 @@ mod tests {
             &mut self,
             _site: usize,
             dag: &Dag,
-            system: &SystemView<'_>,
+            _system: &SystemView<'_>,
             out: &mut Vec<Decision>,
         ) {
             // Release the first deferred-and-ready task.
             for idx in 0..dag.len() {
                 let id = DagTaskId(idx);
-                let ready = dag.predecessors(id).iter().all(|&p| system.is_scheduled(p));
-                if !system.is_scheduled(id) && ready {
+                let ready =
+                    reference::predecessors(dag, id).iter().all(|p| self.scheduled[p.index()]);
+                if !self.scheduled[idx] && ready {
+                    self.scheduled[idx] = true;
                     self.releases += 1;
                     out.push(Decision::Schedule(ScheduleDecision::new(id)));
                     return;
@@ -907,7 +908,7 @@ mod tests {
 
         let mut sim = Simulation::new();
         let mut lowering = testbed(&mut sim);
-        let mut policy = DeferUntilFree { releases: 0 };
+        let mut policy = DeferUntilFree { releases: 0, scheduled: Vec::new() };
         let outcome = execute(&dag, &[], &mut policy, &mut lowering).expect("schedules cleanly");
         assert_eq!(policy.releases, 1, "transfer released by the stall sweep");
         let tl = sim.run().expect("runs cleanly");
@@ -980,7 +981,7 @@ mod tests {
         let _ = t;
         let mut sim = Simulation::new();
         let mut lowering = testbed(&mut sim);
-        let err = execute(&dag, &[], &mut FifoScheduler, &mut lowering).unwrap_err();
+        let err = execute(&dag, &[], &mut FifoScheduler::default(), &mut lowering).unwrap_err();
         assert!(matches!(err, SimError::InvalidParameter { .. }), "got {err:?}");
     }
 
@@ -991,7 +992,7 @@ mod tests {
         dag.connect(a, DataId(9));
         let mut sim = Simulation::new();
         let mut lowering = testbed(&mut sim);
-        let err = execute(&dag, &[], &mut FifoScheduler, &mut lowering).unwrap_err();
+        let err = execute(&dag, &[], &mut FifoScheduler::default(), &mut lowering).unwrap_err();
         assert!(matches!(err, SimError::UnknownId { kind: "data item", index: 9 }));
     }
 }

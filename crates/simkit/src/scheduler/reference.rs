@@ -1,11 +1,21 @@
 //! The executor as it was before the CSR ready counts, kept as the reference
 //! [`super::execute`] is held to: a Kahn pass that builds `Vec<Vec<usize>>`
-//! over [`Dag::predecessors`], an `is_ready` that scans the predecessors of
+//! over [`predecessors`], an `is_ready` that scans the predecessors of
 //! every offered task, a fresh dependency list per decision, and a fresh
 //! decision buffer per callback. Same sweep order, same errors, same
 //! [`Lowering`] calls.
 
 use super::*;
+use crate::dag::DataId;
+
+/// Structural predecessors of a task: hard-input producers first (in
+/// declaration order), then after-edges. May contain duplicates.
+pub(super) fn predecessors(dag: &Dag, id: DagTaskId) -> Vec<DagTaskId> {
+    let producer = |d: &DataId| dag.data(*d).expect("validated id").producer;
+    let mut preds: Vec<DagTaskId> = dag.inputs(id).iter().map(producer).collect();
+    preds.extend_from_slice(dag.after(id));
+    preds
+}
 
 struct Executor<'a> {
     dag: &'a Dag,
@@ -18,8 +28,7 @@ struct Executor<'a> {
 
 impl Executor<'_> {
     fn is_ready(&self, task: usize) -> bool {
-        self.dag
-            .predecessors(DagTaskId(task))
+        predecessors(self.dag, DagTaskId(task))
             .iter()
             .all(|p| self.scheduled.get(p.index()).copied().unwrap_or(false))
     }
@@ -145,14 +154,14 @@ impl Executor<'_> {
     }
 }
 
-/// Kahn's algorithm over [`Dag::predecessors`]. The graphs the tests build
+/// Kahn's algorithm over [`predecessors`]. The graphs the tests build
 /// are never poisoned, so the poison check of [`Dag::validate`] is left out.
 fn validate(dag: &Dag) -> Result<(), SimError> {
     let n = dag.len();
     let mut indegree = vec![0usize; n];
     let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (id, degree) in indegree.iter_mut().enumerate() {
-        for pred in dag.predecessors(DagTaskId(id)) {
+        for pred in predecessors(dag, DagTaskId(id)) {
             *degree += 1;
             dependents[pred.0].push(id);
         }
@@ -212,7 +221,7 @@ pub(super) fn execute(
                 continue;
             }
             let mut decisions = Vec::new();
-            let view = SystemView { resources: exec.resources, scheduled: &exec.scheduled };
+            let view = SystemView { resources: exec.resources };
             scheduler.on_task_ready(DagTaskId(t), dag, &view, &mut decisions);
             progress |= exec.apply(decisions, lowering)?;
         }
@@ -222,7 +231,7 @@ pub(super) fn execute(
         let mut freed = false;
         for &site in &sites {
             let mut decisions = Vec::new();
-            let view = SystemView { resources: exec.resources, scheduled: &exec.scheduled };
+            let view = SystemView { resources: exec.resources };
             scheduler.on_resource_free(site, dag, &view, &mut decisions);
             freed |= exec.apply(decisions, lowering)?;
         }
@@ -363,6 +372,9 @@ mod tests {
         dice: &'d [u32],
         next: usize,
         log: Vec<(bool, usize)>,
+        /// The tasks it has scheduled; a run ends at the first decision the
+        /// executor rejects, so this is the executor's record too.
+        scheduled: Vec<bool>,
     }
 
     impl DicePolicy<'_> {
@@ -372,6 +384,7 @@ mod tests {
         }
 
         fn decision(&mut self, task: DagTaskId, dag: &Dag) -> ScheduleDecision {
+            self.scheduled[task.index()] = true;
             let r = self.roll();
             let node = dag.task(task).expect("offered tasks exist");
             let mut d = ScheduleDecision::new(task);
@@ -412,15 +425,20 @@ mod tests {
             &mut self,
             task: DagTaskId,
             dag: &Dag,
-            system: &SystemView<'_>,
+            _system: &SystemView<'_>,
             out: &mut Vec<Decision>,
         ) {
             self.log.push((true, task.index()));
+            self.scheduled.resize(dag.len(), false);
             let r = self.roll();
             let schedule = |id| Decision::Schedule(ScheduleDecision::new(id));
             match r % 40 {
                 0 => return out.extend([schedule(task), schedule(task)]),
-                1 => return out.push(schedule(DagTaskId(r / 40 % dag.len()))),
+                1 => {
+                    let id = DagTaskId(r / 40 % dag.len());
+                    self.scheduled[id.index()] = true;
+                    return out.push(schedule(id));
+                }
                 _ => {}
             }
             let node = dag.task(task).expect("offered tasks exist");
@@ -428,7 +446,7 @@ mod tests {
                 return out.push(Decision::Defer(task));
             }
             let soft_ready = dag.soft_inputs(task).iter().all(|&item| {
-                system.is_scheduled(dag.data(item).expect("connected items exist").producer)
+                self.scheduled[dag.data(item).expect("connected items exist").producer.index()]
             });
             if soft_ready {
                 out.push(Decision::Schedule(self.decision(task, dag)));
@@ -439,17 +457,18 @@ mod tests {
             &mut self,
             site: usize,
             dag: &Dag,
-            system: &SystemView<'_>,
+            _system: &SystemView<'_>,
             out: &mut Vec<Decision>,
         ) {
             self.log.push((false, site));
+            self.scheduled.resize(dag.len(), false);
             if self.roll() % 8 == 0 {
                 return;
             }
             for idx in 0..dag.len() {
                 let id = DagTaskId(idx);
-                let ready = dag.predecessors(id).iter().all(|&p| system.is_scheduled(p));
-                if !system.is_scheduled(id) && ready {
+                let ready = predecessors(dag, id).iter().all(|p| self.scheduled[p.index()]);
+                if !self.scheduled[idx] && ready {
                     return out.push(Decision::Schedule(self.decision(id, dag)));
                 }
             }
@@ -476,8 +495,16 @@ mod tests {
     }
 
     fn both(dag: &Dag, dice: &[u32]) -> (Trace, Trace) {
-        let csr = trace(csr_execute, dag, &mut DicePolicy { dice, next: 0, log: Vec::new() });
-        let old = trace(execute, dag, &mut DicePolicy { dice, next: 0, log: Vec::new() });
+        let csr = trace(
+            csr_execute,
+            dag,
+            &mut DicePolicy { dice, next: 0, log: Vec::new(), scheduled: Vec::new() },
+        );
+        let old = trace(
+            execute,
+            dag,
+            &mut DicePolicy { dice, next: 0, log: Vec::new(), scheduled: Vec::new() },
+        );
         (csr, old)
     }
 

@@ -1,9 +1,8 @@
-//! Simulation results: per-task records, makespan, per-phase breakdowns and
+//! Simulation results: per-task records, makespan, per-phase busy time and
 //! per-link occupancy.
 
 use crate::task::{LinkId, PhaseId, TaskId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Start and finish time of one completed task.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -20,50 +19,6 @@ impl TaskRecord {
     /// Duration of the task in virtual seconds.
     pub fn duration(&self) -> f64 {
         self.finish - self.start
-    }
-}
-
-/// Per-phase busy time: the measure of the union of execution intervals of all
-/// tasks tagged with that phase. Overlapping tasks of the same phase are not
-/// double counted.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct PhaseBreakdown {
-    busy: BTreeMap<usize, f64>,
-    names: BTreeMap<usize, String>,
-}
-
-impl PhaseBreakdown {
-    /// Busy time of a phase in virtual seconds (0 if the phase saw no work).
-    pub fn busy_time(&self, phase: PhaseId) -> f64 {
-        self.busy.get(&phase.index()).copied().unwrap_or(0.0)
-    }
-
-    /// Busy time looked up by phase name (0 if unknown).
-    pub fn busy_time_by_name(&self, name: &str) -> f64 {
-        for (idx, n) in &self.names {
-            if n == name {
-                return self.busy.get(idx).copied().unwrap_or(0.0);
-            }
-        }
-        0.0
-    }
-
-    /// Sum of all phase busy times.
-    pub fn total(&self) -> f64 {
-        self.busy.values().sum()
-    }
-
-    /// Iterates over `(phase name, busy seconds)` pairs in phase-id order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> + '_ {
-        self.busy.iter().map(move |(idx, busy)| {
-            let name = self.names.get(idx).map(String::as_str).unwrap_or("<unnamed>");
-            (name, *busy)
-        })
-    }
-
-    pub(crate) fn insert(&mut self, phase: usize, name: String, busy: f64) {
-        self.busy.insert(phase, busy);
-        self.names.insert(phase, name);
     }
 }
 
@@ -152,16 +107,6 @@ impl Timeline {
         &self.fault_annotations
     }
 
-    /// Virtual time at which the task started.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `task` is not a valid task id of the simulation that produced
-    /// this timeline.
-    pub fn start_time(&self, task: TaskId) -> f64 {
-        self.records[task].start
-    }
-
     /// Virtual time at which the task finished.
     ///
     /// # Panics
@@ -185,31 +130,6 @@ impl Timeline {
     /// Completion time of the whole DAG.
     pub fn makespan(&self) -> f64 {
         self.makespan
-    }
-
-    /// Latest finish time among the given tasks (0 when empty).
-    pub fn finish_of(&self, tasks: &[TaskId]) -> f64 {
-        tasks.iter().map(|&t| self.finish_time(t)).fold(0.0, f64::max)
-    }
-
-    /// Computes the per-phase breakdown (union of execution intervals per phase).
-    pub fn phase_breakdown(&self) -> PhaseBreakdown {
-        let mut per_phase: BTreeMap<usize, Vec<(f64, f64)>> = BTreeMap::new();
-        for rec in &self.records {
-            if let Some(phase) = rec.phase {
-                if rec.finish > rec.start {
-                    per_phase.entry(phase.index()).or_default().push((rec.start, rec.finish));
-                }
-            }
-        }
-        let mut breakdown = PhaseBreakdown::default();
-        for (phase, intervals) in per_phase {
-            let busy = union_measure(intervals);
-            let name =
-                self.phase_names.get(phase).cloned().unwrap_or_else(|| format!("phase{phase}"));
-            breakdown.insert(phase, name, busy);
-        }
-        breakdown
     }
 
     /// The intervals during which `link` carried at least one flow matching
@@ -274,10 +194,9 @@ mod tests {
             vec!["update".to_string()],
             Vec::new(),
         );
-        let b = tl.phase_breakdown();
-        assert!((b.busy_time(PhaseId(0)) - 10.0).abs() < 1e-12);
-        assert!((b.busy_time_by_name("update") - 10.0).abs() < 1e-12);
-        assert_eq!(b.busy_time_by_name("missing"), 0.0);
+        let busy = |phase| tl.phase_busy_time_before(PhaseId(phase), f64::INFINITY);
+        assert!((busy(0) - 10.0).abs() < 1e-12);
+        assert_eq!(busy(1), 0.0);
     }
 
     #[test]
@@ -288,13 +207,9 @@ mod tests {
             vec!["fw".to_string(), "bw".to_string()],
             Vec::new(),
         );
-        let b = tl.phase_breakdown();
-        assert!((b.busy_time(PhaseId(0)) - 4.0).abs() < 1e-12);
-        assert!((b.busy_time(PhaseId(1)) - 2.0).abs() < 1e-12);
-        assert!((b.total() - 6.0).abs() < 1e-12);
-        let pairs: Vec<_> = b.iter().collect();
-        assert_eq!(pairs.len(), 2);
-        assert_eq!(pairs[0].0, "fw");
+        let busy = |phase| tl.phase_busy_time_before(PhaseId(phase), f64::INFINITY);
+        assert!((busy(0) - 4.0).abs() < 1e-12);
+        assert!((busy(1) - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -303,11 +218,10 @@ mod tests {
     }
 
     #[test]
-    fn finish_of_takes_max() {
+    fn records_are_looked_up_by_task_id() {
         let tl =
             Timeline::new(vec![rec(0.0, 1.0, None), rec(0.0, 5.0, None)], 5.0, vec![], Vec::new());
-        assert!((tl.finish_of(&[0, 1]) - 5.0).abs() < 1e-12);
-        assert_eq!(tl.finish_of(&[]), 0.0);
+        assert_eq!(tl.finish_time(1), 5.0);
         assert!(tl.record(0).is_some());
         assert!(tl.record(7).is_none());
         assert_eq!(tl.records().len(), 2);

@@ -85,16 +85,6 @@ pub struct CampaignRef {
 }
 
 impl CampaignRef {
-    /// References `campaign` by spec index.
-    pub fn by_index(campaign: impl Into<String>, index: usize) -> Self {
-        CampaignRef { campaign: campaign.into(), index: Some(index), label: None }
-    }
-
-    /// References `campaign` by spec label.
-    pub fn by_label(campaign: impl Into<String>, label: impl Into<String>) -> Self {
-        CampaignRef { campaign: campaign.into(), index: None, label: Some(label.into()) }
-    }
-
     /// Selects the referenced spec out of the loaded campaign.
     ///
     /// # Errors

@@ -14,7 +14,7 @@
 //! builders had no way to say "every host's exchange must land before the
 //! reduction, but each host's update chases only its own broadcast". That
 //! asymmetric synchronisation — all-in on the way up, per-host on the way
-//! down — is the [`ClusterScheduler`]'s placement decision, and what lets a
+//! down — is the cluster scheduler's placement decision, and what lets a
 //! straggler host delay the reduction without serialising the other hosts'
 //! updates behind the slowest one.
 
@@ -76,16 +76,9 @@ impl ClusterSpec {
         }
     }
 
-    /// Marks one host as a straggler.
-    #[must_use]
-    pub fn with_straggler(mut self, host: usize, factor: f64) -> Self {
-        self.straggler = Some(StragglerSpec { host, factor });
-        self
-    }
-
     /// Sets the per-host NIC bandwidth in Gb/s.
     #[must_use]
-    pub fn with_interconnect_gbps(mut self, gbps: f64) -> Self {
+    pub(crate) fn with_interconnect_gbps(mut self, gbps: f64) -> Self {
         self.interconnect_gbps = Some(gbps);
         self
     }
@@ -169,7 +162,7 @@ impl ClusterSpec {
 /// dataflow), while each host's broadcast and update chase only their own
 /// structural inputs.
 #[derive(Debug)]
-pub struct ClusterScheduler {
+pub(crate) struct ClusterScheduler {
     reduce: DagTaskId,
     exchanges: Vec<DagTaskId>,
 }
@@ -378,13 +371,18 @@ mod tests {
         IterationReport::new(1.0, 2.0, 3.0)
     }
 
+    /// Four hosts, of which `host` runs `factor` times slower.
+    fn straggling(host: usize, factor: f64) -> ClusterSpec {
+        ClusterSpec { straggler: Some(StragglerSpec { host, factor }), ..ClusterSpec::hosts(4) }
+    }
+
     #[test]
     fn cluster_validation_rejects_bad_shapes() {
         let method = MethodSpec::smart_update_optimized();
         assert!(ClusterSpec::hosts(1).validate(&method).is_err());
         assert!(ClusterSpec::hosts(4).validate(&method).is_ok());
-        assert!(ClusterSpec::hosts(4).with_straggler(4, 2.0).validate(&method).is_err());
-        assert!(ClusterSpec::hosts(4).with_straggler(1, 0.5).validate(&method).is_err());
+        assert!(straggling(4, 2.0).validate(&method).is_err());
+        assert!(straggling(1, 0.5).validate(&method).is_err());
         let mut slow_net = ClusterSpec::hosts(4);
         slow_net.interconnect_gbps = Some(0.0);
         assert!(slow_net.validate(&method).is_err());
@@ -412,12 +410,7 @@ mod tests {
     #[test]
     fn straggler_delays_the_reduction_but_not_other_hosts_updates() {
         let base = simulate_allreduce(&ClusterSpec::hosts(4), &per_host(), 8.0 * GB).unwrap();
-        let straggled = simulate_allreduce(
-            &ClusterSpec::hosts(4).with_straggler(2, 3.0),
-            &per_host(),
-            8.0 * GB,
-        )
-        .unwrap();
+        let straggled = simulate_allreduce(&straggling(2, 3.0), &per_host(), 8.0 * GB).unwrap();
         // The slowest host's forward gates the cluster forward phase...
         assert!((straggled.forward_s - 3.0 * per_host().forward_s).abs() < 1e-9);
         // ...and the allreduce barrier makes the whole iteration pay for it.

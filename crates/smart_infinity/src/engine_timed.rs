@@ -100,7 +100,7 @@ impl SmartInfinityEngine {
     /// Per-tasklet overhead of the naive handler: OpenCL buffer allocation,
     /// registration for P2P and kernel launch before any byte can move
     /// (eliminated by the pre-allocating optimized handler).
-    pub const NAIVE_TASKLET_OVERHEAD_S: f64 = 0.02;
+    pub(crate) const NAIVE_TASKLET_OVERHEAD_S: f64 = 0.02;
 
     /// Creates the engine of `method` with the handler the method implies.
     ///

@@ -100,7 +100,7 @@ mod traffic;
 
 pub use campaign::{Campaign, CampaignRef, CampaignReport, RunReport};
 pub use canon::{canonical_json, fnv1a};
-pub use cluster::{ClusterScheduler, ClusterSpec, StragglerSpec};
+pub use cluster::{ClusterSpec, StragglerSpec};
 pub use engine_timed::{HandlerMode, PipelineTiming, SmartInfinityEngine};
 pub use sched::{compare_schedulers, method_scheduler, SchedulerRun};
 pub use service::{

@@ -28,9 +28,8 @@ use ztrain::{IterationReport, TrainError};
 
 /// The scheduler of an in-storage method, from its `(handler, pipelined)`
 /// axes. The handler picks the tasklet chain synchronisation: the naive one
-/// allocates fresh buffers per tasklet and pays
-/// [`SmartInfinityEngine::NAIVE_TASKLET_OVERHEAD_S`], the optimized one
-/// reuses them. Pipelining picks the gradient routing: owner-routed, so each
+/// allocates fresh buffers per tasklet and pays a fixed overhead for each
+/// (20 ms), the optimized one reuses them. Pipelining picks the gradient routing: owner-routed, so each
 /// device's update chain starts as soon as *its own* shard gradients have
 /// landed, instead of striped behind the end-of-backward barrier.
 pub fn method_scheduler<'a>(

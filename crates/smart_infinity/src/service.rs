@@ -98,7 +98,7 @@ impl ServiceConfig {
 
     /// Replaces the result-cache capacity (clamped to at least 1).
     #[must_use]
-    pub fn with_cache_capacity(mut self, cache_capacity: usize) -> Self {
+    pub(crate) fn with_cache_capacity(mut self, cache_capacity: usize) -> Self {
         self.cache_capacity = cache_capacity.max(1);
         self
     }

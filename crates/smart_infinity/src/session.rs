@@ -28,6 +28,12 @@ use ztrain::{
     IterationReport, MachineConfig, PipelinedTrainer, StorageOffloadTrainer, TrainError, Trainer,
 };
 
+/// The most update tasklets (subgroups, over all devices) a timed iteration
+/// may have. Each costs about 3 KB of graph and simulation state, so a run at
+/// the bound holds about 200 MB; the largest any checked-in spec or test
+/// builds has 330.
+const MAX_TASKLETS: u64 = 1 << 16;
+
 /// Builder for a [`Session`]; see [`Session::builder`].
 #[derive(Debug, Clone)]
 pub struct SessionBuilder {
@@ -106,7 +112,7 @@ impl SessionBuilder {
     /// [`crate::cluster::simulate_allreduce`] layers the gradient allreduce
     /// on top. Requires an in-storage method (validated on use); ignored by
     /// the functional trainers, which model one server.
-    pub fn with_cluster(mut self, cluster: ClusterSpec) -> Self {
+    pub(crate) fn with_cluster(mut self, cluster: ClusterSpec) -> Self {
         self.cluster = Some(cluster);
         self
     }
@@ -295,10 +301,25 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns a [`TrainError`] for invalid knobs or a wrapped
-    /// simulation-kernel failure.
+    /// Returns a [`TrainError`] for invalid knobs, an in-storage iteration
+    /// of more than 65 536 tasklets, or a wrapped simulation-kernel failure.
     pub fn simulate_iteration(&self) -> Result<IterationReport, TrainError> {
         self.validate()?;
+        if self.method.uses_csds() {
+            // Every tasklet is a chain of graph and simulation tasks: count
+            // them before any is built.
+            let devices = self.machine.num_devices as u64;
+            let subgroup =
+                self.subgroup_elems.unwrap_or(SmartInfinityEngine::DEFAULT_SUBGROUP_ELEMS);
+            let per_device = self.model.num_params().div_ceil(devices).div_ceil(subgroup as u64);
+            let tasklets = devices.saturating_mul(per_device);
+            if tasklets > MAX_TASKLETS {
+                return Err(TrainError::config(format!(
+                    "{tasklets} update tasklets per iteration ({devices} devices, subgroups of \
+                     {subgroup} parameters), at most {MAX_TASKLETS} are supported"
+                )));
+            }
+        }
         if let Some(cluster) = self.cluster {
             // Per-host iteration with the cluster layer stripped; the
             // cluster DAG then wraps it in the data-parallel allreduce of
@@ -731,5 +752,33 @@ mod tests {
             bits(plain.simulate_iteration().expect("timed")),
             bits(overridden.simulate_iteration().expect("timed")),
         );
+    }
+
+    /// An accepted spec may not exhaust memory: a subgroup of one parameter
+    /// (hundreds of millions of tasklets) is a typed error at once, and an
+    /// iteration at the tasklet bound still simulates.
+    #[test]
+    fn tasklet_counts_past_the_bound_are_rejected_at_once() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let run = |subgroup: u64| {
+                let json = format!(
+                    r#"{{"model":"GPT2-0.34B","machine":{{"devices":2}},"subgroup_elems":{subgroup},
+                        "method":{{"offload":true,"in_storage_update":true,"overlap":true,
+                                  "pipelined":true}}}}"#
+                );
+                let spec = crate::RunSpec::from_json(&json).expect("the spec parses");
+                spec.session().expect("the spec is valid").simulate_iteration().map(drop)
+            };
+            let shard = ModelConfig::gpt2_0_34b().num_params().div_ceil(2);
+            tx.send((run(1), run(shard.div_ceil(MAX_TASKLETS / 2)))).expect("the test waits");
+        });
+        let limit = std::time::Duration::from_secs(20);
+        let (past, at) = rx.recv_timeout(limit).expect("both specs are answered within 20 s");
+        worker.join().expect("the worker does not panic");
+        let err = past.expect_err("one-parameter subgroups are past the bound");
+        assert!(matches!(err, TrainError::Config { .. }), "{err}");
+        assert!(err.to_string().contains("at most 65536"), "{err}");
+        at.expect("an iteration at the bound simulates");
     }
 }

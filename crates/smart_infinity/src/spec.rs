@@ -59,7 +59,7 @@ impl CompressionSpec {
     }
 
     /// The effective selector: the explicit choice, or exact Top-K.
-    pub fn selection_method(&self) -> SelectionMethod {
+    pub(crate) fn selection_method(&self) -> SelectionMethod {
         self.selection.unwrap_or(SelectionMethod::TopK)
     }
 
@@ -280,7 +280,8 @@ pub enum ModelSpec {
     /// A synthetic GPT-2 scaled to approximately this many billions of
     /// parameters ([`ModelConfig::gpt2_scaled`]).
     ScaledGpt2 {
-        /// Approximate parameter count in billions (min 0.001).
+        /// Approximate parameter count in billions, 0.001 to 1000
+        /// ([`ModelConfig::SCALED_PARAMS`]).
         billions: f64,
     },
 }
@@ -344,13 +345,13 @@ impl ModelSpec {
                     ))
                 }),
             ModelSpec::ScaledGpt2 { billions } => {
-                if !(billions.is_finite() && *billions >= 0.001) {
+                let params = billions * 1e9;
+                if !ModelConfig::SCALED_PARAMS.contains(&params) {
                     return Err(TrainError::config(format!(
-                        "scaled GPT-2 size must be at least 0.001 billion parameters, \
-                         got {billions}"
+                        "scaled GPT-2 size must be 0.001 to 1000 billion parameters, got {billions}"
                     )));
                 }
-                Ok(ModelConfig::gpt2_scaled(billions * 1e9))
+                Ok(ModelConfig::gpt2_scaled(params))
             }
         }
     }
@@ -453,7 +454,7 @@ impl MachineSpec {
 
     /// Scales the machine out to a data-parallel cluster.
     #[must_use]
-    pub fn with_cluster(mut self, cluster: crate::cluster::ClusterSpec) -> Self {
+    pub(crate) fn with_cluster(mut self, cluster: crate::cluster::ClusterSpec) -> Self {
         self.cluster = Some(cluster);
         self
     }

@@ -75,11 +75,6 @@ impl RaidArray {
         self.devices.len()
     }
 
-    /// Stripe (chunk) size in bytes.
-    pub fn stripe_bytes(&self) -> usize {
-        self.stripe_bytes
-    }
-
     /// Immutable access to the member devices.
     pub fn devices(&self) -> &[SsdDevice] {
         &self.devices
@@ -156,11 +151,6 @@ impl RaidArray {
             share += total % self.stripe_bytes;
         }
         share
-    }
-
-    /// How many bytes of a `total`-byte logical region land on each device.
-    pub fn bytes_per_device(&self, total: usize) -> Vec<usize> {
-        (0..self.devices.len()).map(|device| self.share_of(total, device)).collect()
     }
 
     /// Writes a logical region, striping it across the member devices: one
@@ -251,6 +241,11 @@ mod tests {
         RaidArray::new(devices, stripe).unwrap()
     }
 
+    /// How many bytes of a `total`-byte logical region land on each device.
+    fn bytes_per_device(raid: &RaidArray, total: usize) -> Vec<usize> {
+        (0..raid.devices.len()).map(|device| raid.share_of(total, device)).collect()
+    }
+
     #[test]
     fn empty_array_is_rejected() {
         assert_eq!(RaidArray::new(vec![], 64).unwrap_err(), SsdError::EmptyArray);
@@ -263,16 +258,16 @@ mod tests {
         raid.write_region("r", &data).unwrap();
         assert_eq!(raid.read_region("r").unwrap(), data);
         assert_eq!(raid.num_devices(), 3);
-        assert_eq!(raid.stripe_bytes(), 4);
+        assert_eq!(raid.stripe_bytes, 4);
     }
 
     #[test]
     fn striping_balances_bytes_across_devices() {
         let raid = array(4, 10);
-        let per = raid.bytes_per_device(100);
+        let per = bytes_per_device(&raid, 100);
         assert_eq!(per.iter().sum::<usize>(), 100);
         assert_eq!(per, vec![30, 30, 20, 20]);
-        let per = raid.bytes_per_device(7);
+        let per = bytes_per_device(&raid, 7);
         assert_eq!(per, vec![7, 0, 0, 0]);
     }
 
@@ -348,7 +343,7 @@ mod tests {
         let data: Vec<u8> = (0..50u8).collect();
         raid.write_region("r", &data).unwrap();
         assert_eq!(raid.read_region("r").unwrap(), data);
-        assert_eq!(raid.bytes_per_device(50), vec![50]);
+        assert_eq!(bytes_per_device(&raid, 50), vec![50]);
     }
 
     /// The array's whole-region transfer as it was before the gather/scatter:
@@ -425,7 +420,7 @@ mod tests {
         let mut raid = array(2, 4);
         raid.write_region("r", &[7u8; 64]).unwrap();
         raid.write_region("r", &[8u8; 24]).unwrap();
-        assert_eq!(raid.bytes_per_device(24), vec![12, 12]);
+        assert_eq!(bytes_per_device(&raid, 24), vec![12, 12]);
         assert!(raid.devices().iter().all(|d| d.used_bytes() == 12));
         let mut out = [0u8; 24];
         raid.read_region_into("r", &mut out).unwrap();
@@ -448,7 +443,7 @@ mod tests {
             let mut raid = array(n, stripe);
             raid.write_region("r", &data).unwrap();
             prop_assert_eq!(raid.read_region("r").unwrap(), data.clone());
-            let per = raid.bytes_per_device(data.len());
+            let per = bytes_per_device(&raid, data.len());
             prop_assert_eq!(per.iter().sum::<usize>(), data.len());
             // Balanced within one stripe.
             let max = per.iter().max().copied().unwrap_or(0);

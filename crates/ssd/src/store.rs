@@ -30,7 +30,6 @@ pub struct SsdDevice {
     bytes_written: u64,
     fault: Option<FaultInjector>,
     worn_out: bool,
-    rebuilds: u32,
     faults_suspended: bool,
     retry_budget: u32,
     fault_retries: u64,
@@ -133,11 +132,6 @@ impl SsdDevice {
         self.worn_out
     }
 
-    /// How many times this device slot has been rebuilt onto a replacement.
-    pub fn rebuilds(&self) -> u32 {
-        self.rebuilds
-    }
-
     /// Rebuilds the device onto a replacement: every region is read from the
     /// still-readable old media and written to fresh flash (the RAID-style
     /// rebuild traffic shows up in the byte counters), and the worn-out flag
@@ -150,7 +144,6 @@ impl SsdDevice {
         self.bytes_read += bytes;
         self.bytes_written += bytes;
         self.worn_out = false;
-        self.rebuilds += 1;
         bytes
     }
 
@@ -208,7 +201,7 @@ impl SsdDevice {
 
     /// Length in bytes of the named region, if it exists. Not an I/O
     /// operation: no fault gate, no counters.
-    pub fn region_len(&self, region: &str) -> Option<usize> {
+    pub(crate) fn region_len(&self, region: &str) -> Option<usize> {
         self.regions.get(region).map(Vec::len)
     }
 
@@ -374,20 +367,6 @@ impl SsdDevice {
         self.counted_read(region, Span::Whole).map(<[u8]>::to_vec)
     }
 
-    /// Reads a byte range from a region.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SsdError::UnknownRegion`] or [`SsdError::OutOfBounds`].
-    pub fn read_at(
-        &mut self,
-        region: &str,
-        offset: usize,
-        len: usize,
-    ) -> Result<Vec<u8>, SsdError> {
-        self.counted_read(region, Span::Range { offset, len }).map(<[u8]>::to_vec)
-    }
-
     /// Reads a byte range from a region into an existing buffer, replacing
     /// its contents and reusing its allocation.
     ///
@@ -409,8 +388,8 @@ impl SsdDevice {
     }
 
     /// Reads the `out.len()` bytes at `offset` of a region straight into
-    /// `out` — the destination-passing form of [`SsdDevice::read_at`]: one
-    /// copy, no allocation (the CSD's parameter and optimizer-state loads
+    /// `out` — a ranged read in destination-passing form: one copy, no
+    /// allocation (the CSD's parameter and optimizer-state loads
     /// fill the caller's tensor through this).
     ///
     /// # Errors
@@ -451,13 +430,6 @@ impl SsdDevice {
         UpdateTxn { ssd: self, windows: Vec::new() }
     }
 
-    /// Deletes a region, returning whether it existed.
-    pub fn delete_region(&mut self, region: &str) -> bool {
-        let removed = self.regions.remove(region);
-        self.used -= removed.as_ref().map_or(0, |data| data.len() as u64);
-        removed.is_some()
-    }
-
     /// Resets the read/write statistics (not the stored data).
     pub fn reset_stats(&mut self) {
         self.reads = 0;
@@ -483,7 +455,7 @@ struct TxnWindow<'a> {
 ///
 /// The transaction has two phases. First every access is *admitted*, one
 /// region at a time, through exactly the gate of the matching stand-alone
-/// operation — [`UpdateTxn::admit_read`] is [`SsdDevice::read_at`] and
+/// operation — [`UpdateTxn::admit_read`] is [`SsdDevice::read_at_into`] and
 /// [`UpdateTxn::admit_write`] is [`SsdDevice::write_at`] up to the point where
 /// bytes would move: fault decision, lookup, bounds check, op and byte
 /// counters. A refused admission leaves the transaction as it was, so the
@@ -514,7 +486,7 @@ impl<'a> UpdateTxn<'a> {
     ///
     /// # Errors
     ///
-    /// Returns what [`SsdDevice::read_at`] would: an injected fault,
+    /// Returns what [`SsdDevice::read_at_into`] would: an injected fault,
     /// [`SsdError::UnknownRegion`] or [`SsdError::OutOfBounds`].
     ///
     /// # Panics
@@ -612,12 +584,12 @@ mod tests {
     fn partial_reads_and_writes_address_correct_bytes() {
         let mut ssd = SsdDevice::new("ssd0", 100);
         ssd.write_region("p", (0u8..10).collect()).unwrap();
-        assert_eq!(ssd.read_at("p", 2, 3).unwrap(), vec![2, 3, 4]);
+        assert_eq!(ssd.read_at_with("p", 2, 3, <[u8]>::to_vec).unwrap(), vec![2, 3, 4]);
         ssd.write_at("p", 8, &[99, 100]).unwrap();
-        assert_eq!(ssd.read_at("p", 8, 2).unwrap(), vec![99, 100]);
-        assert!(matches!(ssd.read_at("p", 9, 5), Err(SsdError::OutOfBounds { .. })));
+        assert_eq!(ssd.read_at_with("p", 8, 2, <[u8]>::to_vec).unwrap(), vec![99, 100]);
+        assert!(matches!(ssd.read_at_with("p", 9, 5, |_| ()), Err(SsdError::OutOfBounds { .. })));
         assert!(matches!(ssd.write_at("p", 9, &[0; 5]), Err(SsdError::OutOfBounds { .. })));
-        assert!(matches!(ssd.read_at("q", 0, 1), Err(SsdError::UnknownRegion { .. })));
+        assert!(matches!(ssd.read_at_with("q", 0, 1, |_| ()), Err(SsdError::UnknownRegion { .. })));
         assert!(matches!(ssd.write_at("q", 0, &[1]), Err(SsdError::UnknownRegion { .. })));
     }
 
@@ -626,7 +598,7 @@ mod tests {
         let mut ssd = SsdDevice::new("ssd0", 1000);
         ssd.write_region("a", vec![0; 100]).unwrap();
         ssd.read_region("a").unwrap();
-        ssd.read_at("a", 0, 10).unwrap();
+        ssd.read_at_with("a", 0, 10, |_| ()).unwrap();
         assert_eq!(ssd.write_ops(), 1);
         assert_eq!(ssd.read_ops(), 2);
         assert_eq!(ssd.bytes_written(), 100);
@@ -634,16 +606,6 @@ mod tests {
         ssd.reset_stats();
         assert_eq!(ssd.bytes_read(), 0);
         assert_eq!(ssd.read_ops(), 0);
-    }
-
-    #[test]
-    fn delete_frees_space() {
-        let mut ssd = SsdDevice::new("ssd0", 10);
-        ssd.write_region("a", vec![0; 10]).unwrap();
-        assert!(ssd.delete_region("a"));
-        assert!(!ssd.delete_region("a"));
-        assert_eq!(ssd.used_bytes(), 0);
-        ssd.write_region("b", vec![0; 10]).unwrap();
     }
 
     #[test]
@@ -660,7 +622,6 @@ mod tests {
         let migrated = ssd.rebuild();
         assert_eq!(migrated, 100);
         assert!(!ssd.is_worn_out());
-        assert_eq!(ssd.rebuilds(), 1);
         // Rebuild traffic shows up in both directions.
         assert_eq!(ssd.bytes_read(), before.0 + 100);
         assert_eq!(ssd.bytes_written(), before.1 + 100);
@@ -750,12 +711,11 @@ mod tests {
         ));
         assert_eq!((ssd.used_bytes(), ssd.write_ops()), (70, 4));
         assert_eq!(ssd.read_region("a").unwrap(), vec![2; 10]);
-        // Partial writes, rebuilds and deletions keep it exact.
+        // Partial writes, rebuilds and emptied regions keep it exact.
         ssd.write_at("b", 5, &[9; 5]).unwrap();
         assert_eq!(ssd.rebuild(), 70);
         assert_eq!(ssd.used_bytes(), 70);
-        assert!(ssd.delete_region("b"));
-        assert!(!ssd.delete_region("b"));
+        ssd.write_region_from("b", &[]).unwrap();
         assert_eq!((ssd.used_bytes(), sum(&ssd)), (10, 10));
         ssd.write_region_from("c", &[0; 90]).unwrap();
         assert_eq!(ssd.used_bytes(), 100);
@@ -803,8 +763,8 @@ mod tests {
             dev.write_region("c", vec![7; 4]).unwrap();
         }
         // The stand-alone sequence: R a, R b, W a.
-        let a = plain.read_at("a", 2, 4).unwrap();
-        plain.read_at("b", 0, 3).unwrap();
+        let a = plain.read_at_with("a", 2, 4, <[u8]>::to_vec).unwrap();
+        plain.read_at_with("b", 0, 3, |_| ()).unwrap();
         plain.write_at("a", 2, &a.iter().map(|v| v + 100).collect::<Vec<_>>()).unwrap();
 
         let mut txn = ssd.begin_update();

@@ -77,17 +77,6 @@ impl Chunker {
             Subgroup { index, offset, len }
         })
     }
-
-    /// The subgroup containing element `element`, if it is in range.
-    pub fn subgroup_of(&self, element: usize) -> Option<Subgroup> {
-        if element >= self.total {
-            return None;
-        }
-        let index = element / self.capacity;
-        let offset = index * self.capacity;
-        let len = self.capacity.min(self.total - offset);
-        Some(Subgroup { index, offset, len })
-    }
 }
 
 #[cfg(test)]
@@ -121,17 +110,6 @@ mod tests {
         assert_eq!(c.num_subgroups(), 0);
         assert_eq!(c.max_subgroup_len(), 0);
         assert_eq!(c.subgroups().count(), 0);
-        assert_eq!(c.subgroup_of(0), None);
-    }
-
-    #[test]
-    fn subgroup_of_finds_containing_chunk() {
-        let c = Chunker::new(10, 4);
-        assert_eq!(c.subgroup_of(0).unwrap().index, 0);
-        assert_eq!(c.subgroup_of(3).unwrap().index, 0);
-        assert_eq!(c.subgroup_of(4).unwrap().index, 1);
-        assert_eq!(c.subgroup_of(9).unwrap(), Subgroup { index: 2, offset: 8, len: 2 });
-        assert_eq!(c.subgroup_of(10), None);
     }
 
     #[test]
@@ -153,15 +131,6 @@ mod tests {
                 expected_offset += sg.len;
             }
             prop_assert_eq!(expected_offset, total);
-        }
-
-        /// Every element belongs to exactly the subgroup reported by subgroup_of.
-        #[test]
-        fn subgroup_of_is_consistent(total in 1usize..5000, capacity in 1usize..200, elem_frac in 0.0f64..1.0) {
-            let c = Chunker::new(total, capacity);
-            let elem = ((total as f64 - 1.0) * elem_frac) as usize;
-            let sg = c.subgroup_of(elem).unwrap();
-            prop_assert!(sg.offset <= elem && elem < sg.offset + sg.len);
         }
     }
 }

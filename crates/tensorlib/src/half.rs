@@ -25,7 +25,6 @@ use std::fmt;
 /// assert!(f16::from_f32(1e6).to_f32().is_infinite()); // overflow saturates to inf
 /// ```
 #[allow(non_camel_case_types)]
-#[repr(transparent)] // guaranteed u16 layout: the SIMD module views slices as raw bits
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct f16(u16);
 
@@ -38,8 +37,6 @@ impl f16 {
     pub const MAX: f16 = f16(0x7BFF);
     /// Canonical quiet NaN.
     pub const NAN: f16 = f16(0x7E00);
-    /// Positive zero.
-    pub const ZERO: f16 = f16(0x0000);
 
     /// Reinterprets raw bits as a half-precision value.
     pub const fn from_bits(bits: u16) -> Self {
@@ -126,11 +123,6 @@ impl f16 {
         f32::from_bits(bits)
     }
 
-    /// Whether this value is NaN.
-    pub fn is_nan(self) -> bool {
-        (self.0 & 0x7C00) == 0x7C00 && (self.0 & 0x03FF) != 0
-    }
-
     /// Whether this value is positive or negative infinity.
     pub fn is_infinite(self) -> bool {
         (self.0 & 0x7FFF) == 0x7C00
@@ -141,54 +133,6 @@ impl f16 {
         (self.0 & 0x7C00) != 0x7C00
     }
 
-    /// Bulk [`Self::from_f32`]: converts `src` into `dst` element-wise on the
-    /// auto-detected SIMD path ([`KernelPath::active`]). Bit-identical to the
-    /// scalar conversion (round-to-nearest-even, saturation, NaN and
-    /// subnormal handling included) on every path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn from_f32_slice_into(src: &[f32], dst: &mut [f16]) {
-        Self::from_f32_slice_into_with(KernelPath::active(), src, dst);
-    }
-
-    /// [`Self::from_f32_slice_into`] on an explicit kernel path (equivalence
-    /// suites and benchmarks pin paths with this).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths or `path` is not
-    /// available on this CPU.
-    pub fn from_f32_slice_into_with(path: KernelPath, src: &[f32], dst: &mut [f16]) {
-        assert!(path.is_available(), "kernel path {path} is not available on this CPU");
-        crate::simd::f32_to_f16_bulk(path, src, dst);
-    }
-
-    /// Bulk [`Self::to_f32`]: converts `src` into `dst` element-wise on the
-    /// auto-detected SIMD path. The scalar tier reads a lazily built
-    /// 65536-entry lookup table; the AVX2 tier converts with the F16C
-    /// instruction. Both tiers are bit-identical to [`Self::to_f32`]
-    /// (asserted exhaustively over every bit pattern).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn to_f32_slice_into(src: &[f16], dst: &mut [f32]) {
-        Self::to_f32_slice_into_with(KernelPath::active(), src, dst);
-    }
-
-    /// [`Self::to_f32_slice_into`] on an explicit kernel path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths or `path` is not
-    /// available on this CPU.
-    pub fn to_f32_slice_into_with(path: KernelPath, src: &[f16], dst: &mut [f32]) {
-        assert!(path.is_available(), "kernel path {path} is not available on this CPU");
-        crate::simd::f16_to_f32_bulk(path, src, dst);
-    }
-
     /// Bulk FP16 round trip: writes `f16::from_f32(s).to_f32()` for every
     /// element of `src` into `dst`, staying in vector registers on the SIMD
     /// paths. This is the mixed-precision working-copy refresh — the hottest
@@ -197,7 +141,7 @@ impl f16 {
     /// # Panics
     ///
     /// Panics if the slices have different lengths.
-    pub fn roundtrip_slice_into(src: &[f32], dst: &mut [f32]) {
+    pub(crate) fn roundtrip_slice_into(src: &[f32], dst: &mut [f32]) {
         Self::roundtrip_slice_into_with(KernelPath::active(), src, dst);
     }
 
@@ -207,15 +151,15 @@ impl f16 {
     ///
     /// Panics if the slices have different lengths or `path` is not
     /// available on this CPU.
-    pub fn roundtrip_slice_into_with(path: KernelPath, src: &[f32], dst: &mut [f32]) {
+    pub(crate) fn roundtrip_slice_into_with(path: KernelPath, src: &[f32], dst: &mut [f32]) {
         assert!(path.is_available(), "kernel path {path} is not available on this CPU");
         crate::simd::f16_roundtrip_bulk(path, src, dst);
     }
 
-    /// [`Self::roundtrip_slice_into`] reading its input in the FP32 wire form
-    /// (`4 * dst.len()` little-endian bytes, at any alignment): the read-back
-    /// of freshly updated FP32 parameters as the FP16 working copy, without a
-    /// decoded FP32 tensor in between. The bytes are decoded a cache-resident
+    /// The FP16 round trip (`f16::from_f32(x).to_f32()` per element) of an
+    /// input in the FP32 wire form (`4 * dst.len()` little-endian bytes, at
+    /// any alignment): the read-back of freshly updated FP32 parameters as
+    /// the FP16 working copy, without a decoded FP32 tensor in between. The bytes are decoded a cache-resident
     /// block at a time, so `src` is streamed once and `dst` written once.
     ///
     /// # Panics
@@ -275,6 +219,7 @@ impl fmt::Display for f16 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::{f16_bytes_to_f32_bulk, f32_to_f16_bytes_bulk};
     use proptest::prelude::*;
 
     #[test]
@@ -289,16 +234,16 @@ mod tests {
 
     #[test]
     fn special_values() {
-        assert!(f16::from_f32(f32::NAN).is_nan());
+        assert!(f16::from_f32(f32::NAN).to_f32().is_nan());
         assert!(f16::from_f32(f32::INFINITY).is_infinite());
         assert!(f16::from_f32(f32::NEG_INFINITY).is_infinite());
         assert!(f16::from_f32(1e30).is_infinite(), "overflow must saturate to inf");
         assert_eq!(f16::from_f32(-0.0).to_bits(), 0x8000);
         assert_eq!(f16::from_f32(0.0).to_bits(), 0x0000);
         assert_eq!(f16::MAX.to_f32(), 65504.0);
-        assert!(f16::NAN.is_nan());
+        assert!(f16::NAN.to_f32().is_nan());
         assert!(!f16::NAN.is_finite());
-        assert!(f16::ZERO.is_finite());
+        assert!(f16::default().is_finite());
         assert_eq!(f16::INFINITY.to_f32(), f32::INFINITY);
         assert_eq!(f16::NEG_INFINITY.to_f32(), f32::NEG_INFINITY);
     }
@@ -334,11 +279,11 @@ mod tests {
     fn bulk_to_f32_matches_scalar_for_every_bit_pattern() {
         // Exhaustive: all 65536 half-precision values, including NaNs,
         // infinities and subnormals, compared bit-for-bit.
-        let src: Vec<f16> = (0..=u16::MAX).map(f16::from_bits).collect();
-        let mut bulk = vec![0.0f32; src.len()];
-        f16::to_f32_slice_into(&src, &mut bulk);
-        for (h, b) in src.iter().zip(&bulk) {
-            assert_eq!(b.to_bits(), h.to_f32().to_bits(), "bits {:#06x}", h.to_bits());
+        let src: Vec<u8> = (0..=u16::MAX).flat_map(u16::to_le_bytes).collect();
+        let mut bulk = vec![0.0f32; src.len() / 2];
+        f16_bytes_to_f32_bulk(KernelPath::active(), &src, &mut bulk);
+        for (bits, b) in (0..=u16::MAX).zip(&bulk) {
+            assert_eq!(b.to_bits(), f16::from_bits(bits).to_f32().to_bits(), "bits {bits:#06x}");
         }
     }
 
@@ -361,10 +306,10 @@ mod tests {
         .into_iter()
         .chain((0..1000).map(|i| (i as f32 - 500.0) * 7.3))
         .collect();
-        let mut bulk = vec![f16::ZERO; src.len()];
-        f16::from_f32_slice_into(&src, &mut bulk);
-        for (s, b) in src.iter().zip(&bulk) {
-            assert_eq!(b.to_bits(), f16::from_f32(*s).to_bits(), "value {s}");
+        let mut bulk = vec![0u8; 2 * src.len()];
+        f32_to_f16_bytes_bulk(KernelPath::active(), &src, &mut bulk);
+        for (s, b) in src.iter().zip(bulk.chunks_exact(2)) {
+            assert_eq!(b, f16::from_f32(*s).to_bits().to_le_bytes(), "value {s}");
         }
     }
 
@@ -385,9 +330,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "conversion length mismatch")]
+    #[should_panic(expected = "byte length mismatch")]
     fn bulk_conversion_length_mismatch_panics() {
-        f16::to_f32_slice_into(&[f16::ZERO; 2], &mut [0.0f32; 3]);
+        f16_bytes_to_f32_bulk(KernelPath::active(), &[0; 4], &mut [0.0f32; 3]);
     }
 
     proptest! {
@@ -409,7 +354,7 @@ mod tests {
         #[test]
         fn bits_roundtrip_identity(bits in 0u16..=0xFFFF) {
             let h = f16::from_bits(bits);
-            prop_assume!(!h.is_nan());
+            prop_assume!(!h.to_f32().is_nan());
             let rt = f16::from_f32(h.to_f32());
             prop_assert_eq!(rt.to_bits(), bits);
         }

@@ -102,11 +102,6 @@ impl Partitioner {
             Err(_) => unreachable!("contiguous shards cover every in-range element"),
         }
     }
-
-    /// The largest shard size (0 when there are no elements).
-    pub fn max_shard_len(&self) -> usize {
-        self.shards.iter().map(|s| s.len).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -120,7 +115,6 @@ mod tests {
         assert_eq!(p.num_devices(), 4);
         assert!(p.shards().iter().all(|s| s.len == 3));
         assert_eq!(p.total(), 12);
-        assert_eq!(p.max_shard_len(), 3);
     }
 
     #[test]
@@ -129,7 +123,6 @@ mod tests {
         let lens: Vec<_> = p.shards().iter().map(|s| s.len).collect();
         assert_eq!(lens, vec![4, 3, 3]);
         assert_eq!(p.shard(1), Shard { device: 1, offset: 4, len: 3 });
-        assert_eq!(p.max_shard_len(), 4);
     }
 
     #[test]

@@ -12,11 +12,10 @@
 //!   conversions).
 //! * [`KernelPath::active`] — the tier picked once per process via
 //!   `is_x86_feature_detected!`.
-//! * The bulk binary16 conversion kernels behind
-//!   [`f16::from_f32_slice_into`](crate::f16::from_f32_slice_into) and
-//!   friends. They keep hand intrinsics on the `avx2` tier because the
-//!   compiler cannot derive `vcvtps2ph` / `vcvtph2ps` from the software
-//!   converter.
+//! * The bulk binary16 conversion kernels behind the FP16 wire form of
+//!   [`FlatTensor`](crate::FlatTensor) and the working-copy round trip. They
+//!   keep hand intrinsics on the `avx2` tier because the compiler cannot
+//!   derive `vcvtps2ph` / `vcvtph2ps` from the software converter.
 //!
 //! **Both tiers are bit-identical** — including round-to-nearest-even ties,
 //! subnormals, signed zeros, saturation to infinity and NaN
@@ -38,8 +37,8 @@ use std::sync::OnceLock;
 
 /// Which SIMD implementation tier a kernel runs on.
 ///
-/// Ordered from narrowest to widest; [`KernelPath::detect`] picks the widest
-/// available tier at runtime, so binaries built without `-C target-cpu`
+/// Ordered from narrowest to widest; [`KernelPath::active`] is the widest
+/// tier available at runtime, so binaries built without `-C target-cpu`
 /// still use AVX2 where the CPU has it and fall back cleanly where it
 /// doesn't. Both tiers produce bit-identical results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
@@ -99,11 +98,11 @@ impl KernelPath {
     }
 
     /// The widest available path.
-    pub fn detect() -> Self {
+    pub(crate) fn detect() -> Self {
         *Self::available().last().expect("scalar is always available")
     }
 
-    /// The path every auto-dispatching kernel uses: [`KernelPath::detect`],
+    /// The path every auto-dispatching kernel uses: the widest available,
     /// decided once per process.
     pub fn active() -> Self {
         static ACTIVE: OnceLock<KernelPath> = OnceLock::new();
@@ -138,40 +137,9 @@ impl Deserialize for KernelPath {
 
 // ---------------------------------------------------------------------------
 // Bulk binary16 conversion drivers. Each takes an explicit path (asserted
-// available by the public `_with` wrappers in `half.rs`) and runs the scalar
-// reference loop unless that path is `avx2`.
+// available by the caller) and runs the scalar reference loop unless that
+// path is `avx2`.
 // ---------------------------------------------------------------------------
-
-/// Bulk `f32 → f16`, bit-identical to per-element [`f16::from_f32`].
-pub(crate) fn f32_to_f16_bulk(path: KernelPath, src: &[f32], dst: &mut [f16]) {
-    assert_eq!(src.len(), dst.len(), "conversion length mismatch");
-    debug_assert!(path.is_available());
-    #[cfg(target_arch = "x86_64")]
-    if path == KernelPath::Avx2 {
-        // Safety: availability is checked by the caller (`is_available`).
-        return unsafe { avx2::f32_to_f16(src, dst.as_mut_ptr().cast()) };
-    }
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = f16::from_f32(s);
-    }
-}
-
-/// Bulk `f16 → f32`, bit-identical to per-element [`f16::to_f32`].
-pub(crate) fn f16_to_f32_bulk(path: KernelPath, src: &[f16], dst: &mut [f32]) {
-    assert_eq!(src.len(), dst.len(), "conversion length mismatch");
-    debug_assert!(path.is_available());
-    #[cfg(target_arch = "x86_64")]
-    if path == KernelPath::Avx2 {
-        // Safety: availability is checked by the caller; `f16` is
-        // `repr(transparent)` over `u16`, so the byte view is its LE wire
-        // form on x86-64.
-        return unsafe { avx2::f16_to_f32(src.as_ptr().cast(), dst) };
-    }
-    let table = f16_to_f32_table();
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = table[s.to_bits() as usize];
-    }
-}
 
 /// Bulk FP16 round trip (`f32 → f16 → f32`) without materialising the
 /// intermediate halves; bit-identical to
@@ -403,16 +371,17 @@ mod tests {
     /// path against `Scalar`, bit for bit.
     fn assert_paths_match_scalar(inputs: &[f32]) {
         let n = inputs.len();
-        let (mut halves, mut got_halves) = (vec![f16::ZERO; n], vec![f16::ZERO; n]);
+        let (mut halves, mut got_halves) = (vec![0u8; 2 * n], vec![0u8; 2 * n]);
         let (mut rounded, mut got_rounded) = (vec![0.0f32; n], vec![0.0f32; n]);
-        f16::from_f32_slice_into_with(KernelPath::Scalar, inputs, &mut halves);
+        f32_to_f16_bytes_bulk(KernelPath::Scalar, inputs, &mut halves);
         f16::roundtrip_slice_into_with(KernelPath::Scalar, inputs, &mut rounded);
         for path in KernelPath::available() {
-            f16::from_f32_slice_into_with(path, inputs, &mut got_halves);
+            f32_to_f16_bytes_bulk(path, inputs, &mut got_halves);
             f16::roundtrip_slice_into_with(path, inputs, &mut got_rounded);
             for (i, x) in inputs.iter().enumerate() {
                 let x = x.to_bits();
-                assert_eq!(got_halves[i], halves[i], "{path}: from_f32({x:#010x})");
+                let (got, want) = (&got_halves[2 * i..2 * i + 2], &halves[2 * i..2 * i + 2]);
+                assert_eq!(got, want, "{path}: from_f32({x:#010x})");
                 let (got, want) = (got_rounded[i].to_bits(), rounded[i].to_bits());
                 assert_eq!(got, want, "{path}: roundtrip({x:#010x})");
             }
@@ -448,56 +417,38 @@ mod tests {
     #[test]
     fn from_f32_bulk_is_bit_identical_across_paths() {
         let inputs = adversarial_f32_inputs();
-        let mut reference = vec![f16::ZERO; inputs.len()];
-        f32_to_f16_bulk(KernelPath::Scalar, &inputs, &mut reference);
-        for (x, r) in inputs.iter().zip(&reference) {
-            assert_eq!(r.to_bits(), f16::from_f32(*x).to_bits(), "scalar bulk vs scalar");
-        }
         for path in KernelPath::available() {
-            let mut got = vec![f16::ZERO; inputs.len()];
-            f32_to_f16_bulk(path, &inputs, &mut got);
-            for ((x, r), g) in inputs.iter().zip(&reference).zip(&got) {
-                assert_eq!(g.to_bits(), r.to_bits(), "{path}: input {:#010x} ({x})", x.to_bits());
+            let mut got = vec![0u8; 2 * inputs.len()];
+            f32_to_f16_bytes_bulk(path, &inputs, &mut got);
+            for (x, g) in inputs.iter().zip(got.chunks_exact(2)) {
+                let want = f16::from_f32(*x).to_bits().to_le_bytes();
+                assert_eq!(g, want, "{path}: input {:#010x} ({x})", x.to_bits());
             }
         }
     }
 
     #[test]
     fn to_f32_bulk_is_bit_identical_across_paths_for_every_bit_pattern() {
-        let inputs: Vec<f16> = (0..=u16::MAX).map(f16::from_bits).collect();
+        let inputs: Vec<u8> = (0..=u16::MAX).flat_map(u16::to_le_bytes).collect();
         for path in KernelPath::available() {
-            let mut got = vec![0.0f32; inputs.len()];
-            f16_to_f32_bulk(path, &inputs, &mut got);
-            for (h, g) in inputs.iter().zip(&got) {
-                assert_eq!(g.to_bits(), h.to_f32().to_bits(), "{path}: bits {:#06x}", h.to_bits());
+            let mut got = vec![0.0f32; inputs.len() / 2];
+            f16_bytes_to_f32_bulk(path, &inputs, &mut got);
+            for (bits, g) in (0..=u16::MAX).zip(&got) {
+                let want = f16::from_bits(bits).to_f32().to_bits();
+                assert_eq!(g.to_bits(), want, "{path}: bits {bits:#06x}");
             }
         }
     }
 
     #[test]
-    fn byte_and_roundtrip_drivers_match_the_slice_drivers() {
+    fn roundtrip_driver_matches_the_scalar_round_trip() {
         let inputs = adversarial_f32_inputs();
-        let mut reference = vec![f16::ZERO; inputs.len()];
-        f32_to_f16_bulk(KernelPath::Scalar, &inputs, &mut reference);
         for path in KernelPath::available() {
-            // f32 → LE bytes.
-            let mut bytes = vec![0u8; 2 * inputs.len()];
-            f32_to_f16_bytes_bulk(path, &inputs, &mut bytes);
-            for (i, r) in reference.iter().enumerate() {
-                let got = u16::from_le_bytes([bytes[2 * i], bytes[2 * i + 1]]);
-                assert_eq!(got, r.to_bits(), "{path}: encode index {i}");
-            }
-            // LE bytes → f32.
-            let mut decoded = vec![0.0f32; inputs.len()];
-            f16_bytes_to_f32_bulk(path, &bytes, &mut decoded);
-            for (i, (r, d)) in reference.iter().zip(&decoded).enumerate() {
-                assert_eq!(d.to_bits(), r.to_f32().to_bits(), "{path}: decode index {i}");
-            }
-            // In-register round trip.
             let mut rt = vec![0.0f32; inputs.len()];
             f16_roundtrip_bulk(path, &inputs, &mut rt);
-            for (i, (r, g)) in reference.iter().zip(&rt).enumerate() {
-                assert_eq!(g.to_bits(), r.to_f32().to_bits(), "{path}: roundtrip index {i}");
+            for (i, (x, g)) in inputs.iter().zip(&rt).enumerate() {
+                let want = f16::from_f32(*x).to_f32().to_bits();
+                assert_eq!(g.to_bits(), want, "{path}: roundtrip index {i}");
             }
         }
     }
@@ -523,16 +474,12 @@ mod tests {
         // Lengths around the vector widths exercise every tail size.
         for n in 0..=19 {
             let inputs: Vec<f32> = (0..n).map(|i| (i as f32) * 1.7 - 3.0).collect();
-            let mut reference = vec![f16::ZERO; n];
-            f32_to_f16_bulk(KernelPath::Scalar, &inputs, &mut reference);
+            let mut reference = vec![0u8; 2 * n];
+            f32_to_f16_bytes_bulk(KernelPath::Scalar, &inputs, &mut reference);
             for path in KernelPath::available() {
-                let mut got = vec![f16::ZERO; n];
-                f32_to_f16_bulk(path, &inputs, &mut got);
-                assert_eq!(
-                    got.iter().map(|h| h.to_bits()).collect::<Vec<_>>(),
-                    reference.iter().map(|h| h.to_bits()).collect::<Vec<_>>(),
-                    "{path}: n={n}"
-                );
+                let mut got = vec![0u8; 2 * n];
+                f32_to_f16_bytes_bulk(path, &inputs, &mut got);
+                assert_eq!(got, reference, "{path}: n={n}");
             }
         }
     }

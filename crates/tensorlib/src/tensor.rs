@@ -87,11 +87,6 @@ impl FlatTensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns the underlying vector.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Serialises the tensor to little-endian bytes in the given precision.
     /// FP16 serialisation performs round-to-nearest-even per element.
     pub fn to_bytes(&self, dtype: Dtype) -> Vec<u8> {
@@ -130,7 +125,7 @@ impl FlatTensor {
 
     /// Deserialises into an existing tensor, replacing its contents and
     /// reusing its allocation. The FP16 path decodes through the bulk SIMD
-    /// conversion ([`crate::f16::to_f32_slice_into`]'s fast path).
+    /// conversion.
     ///
     /// # Panics
     ///
@@ -202,16 +197,6 @@ impl FlatTensor {
     /// The L2 norm of the tensor.
     pub fn l2_norm(&self) -> f32 {
         self.data.iter().map(|v| (*v as f64) * (*v as f64)).sum::<f64>().sqrt() as f32
-    }
-
-    /// Sum of squares as `f64` (used to accumulate global norms across blocks).
-    pub fn sum_of_squares(&self) -> f64 {
-        self.data.iter().map(|v| (*v as f64) * (*v as f64)).sum()
-    }
-
-    /// The maximum absolute value (0 for an empty tensor).
-    pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, v| m.max(v.abs()))
     }
 
     /// Whether any element is NaN or infinite (the check performed before the
@@ -324,7 +309,7 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
         let collected: FlatTensor = (0..4).map(|i| i as f32).collect();
-        assert_eq!(collected.into_vec(), vec![0.0, 1.0, 2.0, 3.0]);
+        assert_eq!(collected.as_slice(), &[0.0, 1.0, 2.0, 3.0]);
     }
 
     #[test]
@@ -431,8 +416,6 @@ mod tests {
     fn reductions_are_correct() {
         let t = FlatTensor::from_vec(vec![3.0, -4.0]);
         assert!((t.l2_norm() - 5.0).abs() < 1e-6);
-        assert!((t.sum_of_squares() - 25.0).abs() < 1e-9);
-        assert_eq!(t.max_abs(), 4.0);
         assert!(!t.has_nan_or_inf());
         let mut bad = t.clone();
         bad.as_mut_slice()[0] = f32::NAN;

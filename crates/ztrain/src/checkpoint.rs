@@ -103,7 +103,11 @@ impl TrainerCheckpoint {
     ///
     /// Returns [`TrainError::Config`] if the parameter count or aux-slot
     /// count does not match.
-    pub fn check_matches(&self, num_params: usize, num_aux: usize) -> Result<(), TrainError> {
+    pub(crate) fn check_matches(
+        &self,
+        num_params: usize,
+        num_aux: usize,
+    ) -> Result<(), TrainError> {
         self.validate()?;
         if self.num_params as usize != num_params {
             return Err(TrainError::config(format!(

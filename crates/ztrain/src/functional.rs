@@ -11,7 +11,7 @@ use crate::checkpoint::{bits_to_tensor, tensor_to_bits, TrainerCheckpoint};
 use crate::recover::recover;
 use crate::trainer::{check_len, DegradedReport, StepReport, TrainError, Trainer};
 use faultkit::FaultPlan;
-use optim::{Optimizer, OptimizerKind};
+use optim::Optimizer;
 use ssd::{RaidArray, SsdDevice, SsdError};
 use tensorlib::le_bytes::{fill_from_le_bytes, with_le_bytes};
 use tensorlib::{Chunker, FlatTensor, Subgroup};
@@ -217,11 +217,6 @@ impl StorageOffloadTrainer {
     /// Number of parameters being trained.
     pub fn num_params(&self) -> usize {
         self.chunker.total()
-    }
-
-    /// The optimizer in use.
-    pub fn optimizer_kind(&self) -> OptimizerKind {
-        self.optimizer.kind()
     }
 
     /// Number of completed steps.
@@ -436,7 +431,7 @@ impl Trainer for StorageOffloadTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use optim::HyperParams;
+    use optim::{HyperParams, OptimizerKind};
     use tensorlib::Dtype;
 
     fn reference_training(
@@ -468,7 +463,7 @@ mod tests {
         assert_eq!(trainer.master_params().unwrap().as_slice(), reference.as_slice());
         assert_eq!(trainer.steps_completed(), 5);
         assert_eq!(trainer.num_params(), n);
-        assert_eq!(trainer.optimizer_kind(), OptimizerKind::Adam);
+        assert_eq!(trainer.optimizer.kind(), OptimizerKind::Adam);
     }
 
     #[test]

@@ -83,28 +83,8 @@ impl MachineConfig {
         self
     }
 
-    /// Replaces the per-device SSD bandwidth profile.
-    pub fn with_ssd(mut self, ssd: BandwidthProfile) -> Self {
-        self.ssd = ssd;
-        self
-    }
-
-    /// Replaces the PCIe link rates.
-    pub fn with_rates(mut self, rates: LinkRates) -> Self {
-        self.rates = rates;
-        self
-    }
-
-    /// Overrides the FPGA kernel throughputs (updater, decompressor), in
-    /// bytes per second.
-    pub fn with_fpga_throughput(mut self, update: f64, decompress: f64) -> Self {
-        self.fpga_update_bytes_per_sec = update;
-        self.fpga_decompress_bytes_per_sec = decompress;
-        self
-    }
-
     /// The fabric platform spec corresponding to this machine.
-    pub fn platform_spec(&self) -> PlatformSpec {
+    pub(crate) fn platform_spec(&self) -> PlatformSpec {
         PlatformSpec {
             num_devices: self.num_devices,
             storage: self.storage,
@@ -144,13 +124,8 @@ mod tests {
 
     #[test]
     fn builders_override_fields() {
-        let m = MachineConfig::baseline_raid0(2)
-            .with_gpu(GpuSpec::a100())
-            .with_ssd(BandwidthProfile::new(1.0e9, 0.5e9))
-            .with_fpga_throughput(9.0e9, 4.0e9);
+        let m = MachineConfig::baseline_raid0(2).with_gpu(GpuSpec::a100());
         assert_eq!(m.gpu.name, "A100");
-        assert_eq!(m.ssd.read_bytes_per_sec, 1.0e9);
-        assert_eq!(m.fpga_update_bytes_per_sec, 9.0e9);
         let spec = m.platform_spec();
         assert_eq!(spec.num_devices, 2);
         assert_eq!(spec.storage, StorageKind::PlainSsd);

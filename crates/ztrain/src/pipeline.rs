@@ -773,7 +773,7 @@ mod tests {
             for step in 0..4u64 {
                 let grads = FlatTensor::randn(n, 0.01, 300 + step);
                 let report = t.train_step_with_grads(&grads).unwrap();
-                if report.is_degraded() {
+                if report.degraded.is_some() {
                     degraded_steps += 1;
                 }
             }

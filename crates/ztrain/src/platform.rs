@@ -284,7 +284,7 @@ impl TimedPlatform {
     // ---- compute helpers ---------------------------------------------------
 
     /// GPU compute task (`flops` floating point operations on GPU `gpu`).
-    pub fn gpu_compute(
+    pub(crate) fn gpu_compute(
         &mut self,
         gpu: usize,
         flops: f64,
@@ -296,7 +296,7 @@ impl TimedPlatform {
     }
 
     /// Host-CPU optimizer update over `bytes` of state+gradient.
-    pub fn cpu_update(&mut self, bytes: f64, deps: &[TaskId], phase: PhaseId) -> TaskId {
+    pub(crate) fn cpu_update(&mut self, bytes: f64, deps: &[TaskId], phase: PhaseId) -> TaskId {
         let spec = ComputeSpec::new(self.cpu_update, bytes).after(deps).phase(phase);
         self.sim.compute(spec)
     }
@@ -322,7 +322,7 @@ impl TimedPlatform {
     /// # Panics
     ///
     /// Panics if the platform was built with plain SSDs.
-    pub fn fpga_decompress(
+    pub(crate) fn fpga_decompress(
         &mut self,
         dev: usize,
         bytes: f64,
@@ -388,7 +388,7 @@ impl TimedPlatform {
     }
 
     /// Host memory → GPU transfer (parameter/activation upload).
-    pub fn host_to_gpu(
+    pub(crate) fn host_to_gpu(
         &mut self,
         gpu: usize,
         bytes: f64,
@@ -399,7 +399,7 @@ impl TimedPlatform {
     }
 
     /// GPU → host memory transfer (activation checkpoint / gradient staging).
-    pub fn gpu_to_host(
+    pub(crate) fn gpu_to_host(
         &mut self,
         gpu: usize,
         bytes: f64,
@@ -410,7 +410,7 @@ impl TimedPlatform {
     }
 
     /// GPU ↔ GPU transfer (tensor-parallel activation exchange).
-    pub fn gpu_to_gpu(
+    pub(crate) fn gpu_to_gpu(
         &mut self,
         from: usize,
         to: usize,
@@ -434,7 +434,7 @@ impl TimedPlatform {
     }
 
     /// SSD → host memory read on device `dev`.
-    pub fn ssd_to_host(
+    pub(crate) fn ssd_to_host(
         &mut self,
         dev: usize,
         bytes: f64,
@@ -450,7 +450,7 @@ impl TimedPlatform {
     /// # Panics
     ///
     /// Panics if the platform was built with plain SSDs.
-    pub fn ssd_to_fpga(
+    pub(crate) fn ssd_to_fpga(
         &mut self,
         dev: usize,
         bytes: f64,
@@ -465,7 +465,7 @@ impl TimedPlatform {
     /// # Panics
     ///
     /// Panics if the platform was built with plain SSDs.
-    pub fn fpga_to_ssd(
+    pub(crate) fn fpga_to_ssd(
         &mut self,
         dev: usize,
         bytes: f64,
@@ -477,7 +477,7 @@ impl TimedPlatform {
 
     /// GPU → SSD transfer (gradient offload path in the congested topology,
     /// where the GPU and the device share the expansion switch).
-    pub fn gpu_to_ssd(
+    pub(crate) fn gpu_to_ssd(
         &mut self,
         gpu: usize,
         dev: usize,

@@ -111,7 +111,12 @@ impl MlpModel {
     /// # Panics
     ///
     /// Panics if the batch is empty or shapes are inconsistent.
-    pub fn loss_and_grad(&self, params: &FlatTensor, x: &[f32], y: &[usize]) -> (f32, FlatTensor) {
+    pub(crate) fn loss_and_grad(
+        &self,
+        params: &FlatTensor,
+        x: &[f32],
+        y: &[usize],
+    ) -> (f32, FlatTensor) {
         let n = y.len();
         assert!(n > 0, "batch must be non-empty");
         assert_eq!(x.len(), n * self.input_dim, "feature shape mismatch");
@@ -279,13 +284,8 @@ impl Dataset {
     }
 
     /// Number of training samples.
-    pub fn train_len(&self) -> usize {
+    pub(crate) fn train_len(&self) -> usize {
         self.train_y.len()
-    }
-
-    /// Number of held-out samples.
-    pub fn test_len(&self) -> usize {
-        self.test_y.len()
     }
 }
 
@@ -497,8 +497,8 @@ mod tests {
         let a = Dataset::gaussian_blobs("t", 100, 8, 2, 0.3, 9);
         let b = Dataset::gaussian_blobs("t", 100, 8, 2, 0.3, 9);
         assert_eq!(a, b);
-        assert_eq!(a.train_len() + a.test_len(), 200);
-        assert!(a.train_len() > a.test_len());
+        assert_eq!(a.train_len() + a.test_y.len(), 200);
+        assert!(a.train_len() > a.test_y.len());
         assert_eq!(a.train_x.len(), a.train_len() * 8);
         let suite = Dataset::glue_like_suite(1);
         assert_eq!(suite.len(), 4);

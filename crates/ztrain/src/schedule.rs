@@ -43,7 +43,7 @@ pub struct SiteMap {
 
 /// What kind of component a concrete site index denotes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SiteKind {
+pub(crate) enum SiteKind {
     /// The host CPU + DRAM.
     Host,
     /// GPU `g`.
@@ -99,7 +99,7 @@ impl SiteMap {
     }
 
     /// Decodes a concrete site index back into the component it denotes.
-    pub fn classify(&self, site: usize) -> Option<SiteKind> {
+    pub(crate) fn classify(&self, site: usize) -> Option<SiteKind> {
         if site == 0 {
             return Some(SiteKind::Host);
         }

@@ -89,13 +89,13 @@ pub struct DegradedReport {
 
 impl DegradedReport {
     /// Whether any recovery work actually happened.
-    pub fn is_degraded(&self) -> bool {
+    pub(crate) fn is_degraded(&self) -> bool {
         *self != DegradedReport::default()
     }
 
     /// Merges another report's counters into this one (used when a step is
     /// assembled from several recovered operations).
-    pub fn absorb(&mut self, other: &DegradedReport) {
+    pub(crate) fn absorb(&mut self, other: &DegradedReport) {
         self.transient_faults += other.transient_faults;
         self.retries += other.retries;
         self.backoff_ms += other.backoff_ms;
@@ -105,7 +105,7 @@ impl DegradedReport {
 
     /// Converts to the optional form used on [`StepReport`]: `None` when no
     /// recovery happened, so fault-free reports stay bit-identical.
-    pub fn into_option(self) -> Option<DegradedReport> {
+    pub(crate) fn into_option(self) -> Option<DegradedReport> {
         if self.is_degraded() {
             Some(self)
         } else {
@@ -171,11 +171,6 @@ impl StepReport {
     /// interconnect.
     pub fn is_compressed(&self) -> bool {
         self.compression_kept.is_some()
-    }
-
-    /// Whether injected faults fired (and were recovered from) this step.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded.is_some()
     }
 }
 
@@ -460,12 +455,12 @@ mod tests {
 
     #[test]
     fn fabric_errors_convert_and_chain() {
-        let e: TrainError = FabricError::Partitioned { from: 0, to: 5 }.into();
+        let e: TrainError = FabricError::NoRoute { from: 0, to: 5 }.into();
         assert!(e.to_string().starts_with("fabric error"));
         let origin = e.source().expect("fabric layer");
         assert_eq!(
             origin.downcast_ref::<FabricError>(),
-            Some(&FabricError::Partitioned { from: 0, to: 5 })
+            Some(&FabricError::NoRoute { from: 0, to: 5 })
         );
         assert!(!e.is_transient());
         assert!(!e.needs_rebuild());
@@ -521,7 +516,7 @@ mod tests {
         assert_eq!(total.rebuild_bytes, 64);
         assert_eq!(total.into_option(), Some(total));
         let report = StepReport { degraded: Some(total), ..StepReport::default() };
-        assert!(report.is_degraded());
-        assert!(!StepReport::default().is_degraded());
+        assert!(report.degraded.is_some());
+        assert!(StepReport::default().degraded.is_none());
     }
 }

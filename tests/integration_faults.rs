@@ -18,7 +18,8 @@ const N: usize = 1500;
 // Two builders on purpose: the functional trainers want a small subgroup so
 // a 1500-element tensor spreads over several subgroups per shard, but the
 // same override applied to the timed model of a 0.34B-parameter workload
-// would explode it into millions of per-subgroup events.
+// would ask for millions of tasklets, past the bound `simulate_iteration`
+// rejects.
 fn builder(method: MethodSpec, devices: usize, threads: usize) -> SessionBuilder {
     timed_builder(method, devices, threads).with_subgroup_elems(300)
 }

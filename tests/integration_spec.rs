@@ -207,12 +207,20 @@ fn invalid_specs_are_config_errors_from_both_builder_and_json_paths() {
         r#"{"model":"GPT9-999B","machine":{"devices":3},
             "method":{"offload":true,"in_storage_update":false,"overlap":false,
                       "pipelined":false}}"#,
+        // a scaled model past the upper bound (its shape arithmetic overflows)
+        r#"{"model":{"scaled_gpt2_billions":1e300},"machine":{"devices":3},
+            "method":{"offload":true,"in_storage_update":false,"overlap":false,
+                      "pipelined":false}}"#,
     ];
     for json in json_cases {
         let spec = RunSpec::from_json(json).expect("parses fine; fails validation");
         let err = spec.session().expect_err("invalid spec");
         assert!(matches!(err, TrainError::Config { .. }), "{json}: {err}");
     }
+    // The smallest scaled model the field documents resolves.
+    let smallest = r#"{"model":{"scaled_gpt2_billions":0.001},"machine":{"devices":3},
+        "method":{"offload":true,"in_storage_update":false,"overlap":false,"pipelined":false}}"#;
+    RunSpec::from_json(smallest).expect("parses").session().expect("0.001 B resolves");
 
     // JSON path: malformed documents and typos are Config errors too.
     let err = RunSpec::from_json("{not json").expect_err("parse error");
