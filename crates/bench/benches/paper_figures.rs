@@ -1,7 +1,8 @@
-//! Criterion benchmarks: one group per paper table/figure. Each benchmark
-//! regenerates the corresponding experiment end to end on the discrete-event
-//! platform, so `cargo bench` both times the harness and re-derives every
-//! headline number.
+//! Criterion benchmarks: one group per paper table/figure that is still code.
+//! Each benchmark regenerates the corresponding experiment end to end, so
+//! `cargo bench` both times the harness and re-derives its headline numbers.
+//! The sweep figures are `lab` experiments (`specs/experiments/fig*`) and
+//! are not benchmarked here.
 
 use bench::harness;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -9,22 +10,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 fn bench_motivation(c: &mut Criterion) {
     let mut g = c.benchmark_group("motivation");
     g.sample_size(10);
-    g.bench_function("fig03a_baseline_breakdown", |b| b.iter(harness::fig3a));
-    g.bench_function("fig03b_raid0_scaling", |b| b.iter(harness::fig3b));
     g.bench_function("tab01_interconnect_traffic", |b| b.iter(harness::tab1));
     g.bench_function("tab03_fpga_resources", |b| b.iter(harness::tab3));
-    g.finish();
-}
-
-fn bench_speedup_figures(c: &mut Criterion) {
-    let mut g = c.benchmark_group("speedup");
-    g.sample_size(10);
-    g.bench_function("fig09_ablation_ladder", |b| b.iter(harness::fig9));
-    g.bench_function("fig10_larger_models", |b| b.iter(harness::fig10));
-    g.bench_function("fig11a_csd_scaling", |b| b.iter(harness::fig11a));
-    g.bench_function("fig11b_breakdown_10ssd", |b| b.iter(harness::fig11b));
-    g.bench_function("fig12_other_optimizers", |b| b.iter(harness::fig12));
-    g.bench_function("fig13_bloom_vit", |b| b.iter(harness::fig13));
     g.finish();
 }
 
@@ -33,8 +20,6 @@ fn bench_analysis_figures(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("fig14_kernel_throughput", |b| b.iter(harness::fig14));
     g.bench_function("fig15_cost_efficiency", |b| b.iter(harness::fig15));
-    g.bench_function("fig16_compression_sensitivity", |b| b.iter(harness::fig16));
-    g.bench_function("fig17_congested_topology", |b| b.iter(harness::fig17));
     g.finish();
 }
 
@@ -47,11 +32,5 @@ fn bench_finetuning(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    figures,
-    bench_motivation,
-    bench_speedup_figures,
-    bench_analysis_figures,
-    bench_finetuning
-);
+criterion_group!(figures, bench_motivation, bench_analysis_figures, bench_finetuning);
 criterion_main!(figures);

@@ -1,9 +1,11 @@
-//! Regenerates every table and figure of the Smart-Infinity evaluation, and
-//! runs spec-driven campaigns.
+//! Regenerates the tables and figures of the Smart-Infinity evaluation that
+//! are not sweeps, and runs spec-driven campaigns. The sweep figures (3a,
+//! 3b, 9, 10, 11, 12, 13, 16, 17) are `lab` experiments instead: `lab run
+//! --experiment specs/experiments/fig9 --out DIR`.
 //!
 //! ```text
 //! cargo run -p bench --release --bin figures -- all
-//! cargo run -p bench --release --bin figures -- fig9 fig11 tab4
+//! cargo run -p bench --release --bin figures -- tab1 fig14 tab4
 //! cargo run -p bench --release --bin figures -- --json results/ all
 //! cargo run -p bench --release --bin figures -- campaign specs/ladder.json
 //! cargo run -p bench --release --bin figures -- --check campaign specs/*.json
@@ -51,10 +53,7 @@ use serde::Serialize;
 use smart_infinity::Campaign;
 use std::path::{Path, PathBuf};
 
-const ALL: &[&str] = &[
-    "fig3a", "fig3b", "tab1", "tab3", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
-    "tab4", "fig16", "fig17", "pipeline", "perf",
-];
+const ALL: &[&str] = &["tab1", "tab3", "fig14", "fig15", "tab4", "pipeline", "perf"];
 
 /// The one authoritative usage table: every subcommand, every experiment id,
 /// every flag. Printed to stdout on `--help` and to stderr (before a non-zero
@@ -188,8 +187,8 @@ fn main() {
         usage_error("no experiment, campaign, sched or serve argument given");
     }
     // Reject unknown experiment ids up front, before any experiment runs:
-    // a typo in the middle of `figures fig9 fg11 tab4` must not burn time on
-    // fig9 first and then die halfway through.
+    // a typo in the middle of `figures fig14 fg15 tab4` must not burn time on
+    // fig14 first and then die halfway through.
     if let Some(bad) = selected.iter().find(|id| !ALL.contains(&id.as_str())) {
         usage_error(&format!("unknown experiment id `{bad}`"));
     }
@@ -391,27 +390,6 @@ fn write_json<T: Serialize>(dir: Option<&std::path::Path>, id: &str, value: &T) 
 
 fn run_one(id: &str, quick: bool, json: Option<&std::path::Path>, gate: &PerfGateOpts) {
     match id {
-        "fig3a" => {
-            let rows = harness::fig3a();
-            println!(
-                "{}",
-                harness::render_breakdown(
-                    "Figure 3(a): baseline breakdown, 1 SSD (update dominates)",
-                    &rows
-                )
-            );
-            write_json(json, id, &rows);
-        }
-        "fig3b" => {
-            let points = harness::fig3b();
-            println!("Figure 3(b): RAID0 normalised speedup (GPT-2 4.0B)");
-            println!("{:>6} {:>10} {:>10}", "#SSDs", "time (s)", "speedup");
-            for p in &points {
-                println!("{:>6} {:>10.2} {:>9.2}x", p.num_devices, p.total_s, p.normalized_speedup);
-            }
-            println!();
-            write_json(json, id, &points);
-        }
         "tab1" => {
             let rows = harness::tab1();
             println!("Table I: system-interconnect traffic per iteration (in M units)");
@@ -444,54 +422,6 @@ fn run_one(id: &str, quick: bool, json: Option<&std::path::Path>, gate: &PerfGat
                 );
             }
             println!();
-            write_json(json, id, &rows);
-        }
-        "fig9" => {
-            let rows = harness::fig9();
-            println!(
-                "{}",
-                harness::render_breakdown(
-                    "Figure 9: ablation ladder (GPT-2 / BERT, 6 & 10 SSDs)",
-                    &rows
-                )
-            );
-            write_json(json, id, &rows);
-        }
-        "fig10" => {
-            let rows = harness::fig10();
-            println!(
-                "{}",
-                harness::render_breakdown("Figure 10: larger models (16.6B - 33.0B)", &rows)
-            );
-            write_json(json, id, &rows);
-        }
-        "fig11" => {
-            let points = harness::fig11a();
-            println!("Figure 11(a): scalability with #CSDs (normalised to 1-SSD baseline)");
-            println!("{:<8} {:<12} {:>6} {:>10}", "GPU", "method", "#SSDs", "speedup");
-            for p in &points {
-                println!(
-                    "{:<8} {:<12} {:>6} {:>9.2}x",
-                    p.gpu, p.method, p.num_devices, p.normalized_speedup
-                );
-            }
-            println!();
-            let rows = harness::fig11b();
-            println!("{}", harness::render_breakdown("Figure 11(b): breakdown at 10 SSDs", &rows));
-            write_json(json, "fig11a", &points);
-            write_json(json, "fig11b", &rows);
-        }
-        "fig12" => {
-            let rows = harness::fig12();
-            println!(
-                "{}",
-                harness::render_breakdown("Figure 12: other optimizers (SGD, AdaGrad)", &rows)
-            );
-            write_json(json, id, &rows);
-        }
-        "fig13" => {
-            let rows = harness::fig13();
-            println!("{}", harness::render_breakdown("Figure 13: BLOOM and ViT", &rows));
             write_json(json, id, &rows);
         }
         "fig14" => {
@@ -548,30 +478,6 @@ fn run_one(id: &str, quick: bool, json: Option<&std::path::Path>, gate: &PerfGat
                 );
             }
             println!();
-            write_json(json, id, &rows);
-        }
-        "fig16" => {
-            let points = harness::fig16();
-            println!("Figure 16: iteration-time sensitivity to compression ratio");
-            println!("{:<12} {:>6} {:<8} {:>10}", "model", "#SSDs", "ratio", "time (s)");
-            for p in &points {
-                println!(
-                    "{:<12} {:>6} {:<8} {:>10.2}",
-                    p.model, p.num_devices, p.setting, p.total_s
-                );
-            }
-            println!();
-            write_json(json, id, &points);
-        }
-        "fig17" => {
-            let rows = harness::fig17();
-            println!(
-                "{}",
-                harness::render_breakdown(
-                    "Figure 17: congested multi-GPU topology (GPT-2 1.16B, 10 CSDs)",
-                    &rows
-                )
-            );
             write_json(json, id, &rows);
         }
         "pipeline" => {

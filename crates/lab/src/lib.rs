@@ -3,7 +3,9 @@
 //! The repo's other front doors each own an ad-hoc slice of "run many specs
 //! and compare": [`smart_infinity::Campaign`] runs a fixed list,
 //! [`smart_infinity::CampaignService`] serves one spec at a time, and the
-//! `figures` binary hard-codes the paper's experiments. This crate is the
+//! `figures` binary hard-codes the paper's experiments that are not sweeps
+//! (the sweep figures are experiments of this crate, `specs/experiments/fig*`,
+//! with their claims in `expect.jsonl`). This crate is the
 //! layer that turns those into a regression-checked dataset pipeline, built
 //! around two file-level contracts (the AgentLab shape):
 //!
