@@ -1483,6 +1483,82 @@ mod tests {
         assert!(rendered.contains("6 specs"), "{rendered}");
     }
 
+    /// A fresh `lab` run of the checked-in sweep figure `id`
+    /// (`specs/experiments/<id>`), the path that replaced its harness
+    /// function: one journal record per (task, variant).
+    fn sweep(id: &str) -> Vec<lab::TrialRecord> {
+        let experiment = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../specs/experiments")
+            .join(id);
+        let out = std::env::temp_dir().join(format!("bench-sweep-{}-{id}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&out);
+        let summary = lab::run_experiment(
+            &experiment,
+            &out,
+            &lab::RunOptions::default(),
+            &mut lab::ServiceExecutor::new(2),
+        )
+        .unwrap_or_else(|e| panic!("lab run {id}: {e}"));
+        assert_eq!(summary.errors, 0, "{id} journaled error records");
+        let records = lab::read_journal(&out.join(lab::runner::JOURNAL_FILE)).expect("journal").0;
+        let _ = std::fs::remove_dir_all(&out);
+        records
+    }
+
+    /// The simulated seconds of `task` under `variant`: the `iteration_s`
+    /// objective, or the named phase metric.
+    fn seconds(records: &[lab::TrialRecord], task: &str, variant: &str, metric: &str) -> f64 {
+        let record = records
+            .iter()
+            .find(|r| r.task_id == task && r.variant == variant)
+            .unwrap_or_else(|| panic!("no trial {task}/{variant}"));
+        match metric {
+            "iteration_s" => record.objective.as_ref().expect("objective").value,
+            _ => match record.metrics.get(metric) {
+                Some(serde::Value::Number(n)) => n.as_f64(),
+                other => panic!("{task}/{variant} {metric}: {other:?}"),
+            },
+        }
+    }
+
+    #[test]
+    fn fig3_shapes_hold() {
+        let rows = sweep("fig3a");
+        assert_eq!(rows.len(), 3);
+        for r in &rows {
+            let fraction = seconds(&rows, &r.task_id, "base", "update_s")
+                / seconds(&rows, &r.task_id, "base", "iteration_s");
+            assert!(fraction > 0.6, "{}: update fraction {fraction:.2}", r.task_id);
+        }
+        let scaling = sweep("fig3b");
+        assert_eq!(scaling.len(), 6);
+        let normalized_speedup = |task| {
+            seconds(&scaling, "d1", "base", "iteration_s")
+                / seconds(&scaling, task, "base", "iteration_s")
+        };
+        assert!(normalized_speedup("d10") < normalized_speedup("d4") * 1.15, "RAID0 must saturate");
+    }
+
+    #[test]
+    fn fig16_times_decrease_with_stronger_compression() {
+        let points = sweep("fig16");
+        assert_eq!(points.len(), 20, "4 model x device points, 5 settings each");
+        let su_o = seconds(&points, "gpt2-4.0b-d10", "su_o", "iteration_s");
+        let one_pct = seconds(&points, "gpt2-4.0b-d10", "su_o_c1", "iteration_s");
+        assert!(one_pct < su_o);
+    }
+
+    #[test]
+    fn fig17_congested_topology_still_speeds_up() {
+        let rows = sweep("fig17");
+        assert_eq!(rows.len(), 8, "1-3 congested A4000s and the default topology, BASE and SU+O+C");
+        for task in ["a4000x1", "a4000x2", "a4000x3"] {
+            let speedup = seconds(&rows, task, "base", "iteration_s")
+                / seconds(&rows, task, "su_o_c", "iteration_s");
+            assert!(speedup > 1.2, "{task}: {speedup:.2}");
+        }
+    }
+
     #[test]
     fn tab1_matches_the_paper() {
         let rows = tab1();
