@@ -96,11 +96,11 @@ impl Decompressor {
         subgroup_offset: usize,
         out: &mut [f32],
     ) {
+        let original_len = compressed.original_len();
         assert!(
-            subgroup_offset + out.len() <= compressed.original_len(),
-            "subgroup [{subgroup_offset}, {}) exceeds gradient length {}",
-            subgroup_offset + out.len(),
-            compressed.original_len()
+            subgroup_offset.checked_add(out.len()).is_some_and(|end| end <= original_len),
+            "subgroup of {} elements at {subgroup_offset} exceeds gradient length {original_len}",
+            out.len()
         );
         StreamCursor::at(compressed, subgroup_offset).scatter_next(subgroup_offset, out);
     }
@@ -211,6 +211,15 @@ mod tests {
         let compressed = Compressor::top_k(0.5).compress(&FlatTensor::zeros(10));
         let mut out = vec![0.0f32; 8];
         Decompressor::default().decompress_subgroup(&compressed, 5, &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds gradient length")]
+    fn a_subgroup_whose_end_overflows_panics_with_the_bounds_message() {
+        // offset + len wraps to 6, which an unchecked sum would accept.
+        let compressed = Compressor::top_k(0.5).compress(&FlatTensor::zeros(10));
+        let mut out = vec![0.0f32; 8];
+        Decompressor::default().decompress_subgroup(&compressed, usize::MAX - 1, &mut out);
     }
 
     proptest! {

@@ -230,19 +230,22 @@ fn stored_region<'a>(
         .ok_or_else(|| CsdError::MissingShard { shard: shard.to_string() })
 }
 
-/// Elements per host tile of the streaming update. A tile of every state
-/// tensor plus the gradient (4 × 32 KiB for Adam) stays in L2 from its decode
-/// to its encode. Not a knob: a probe was flat from 2 Ki to 32 Ki elements
-/// and 25 % slower at 128 Ki.
+/// Elements per tile of the in-place update: a Top-K stream is scattered
+/// into one tile of dense gradient (32 KiB), which the kernel consumes while
+/// it is still in cache, stepping the same tile of every state window beside
+/// it. Not a knob: a `train_smart` step read the same within noise from 2 Ki
+/// to 128 Ki elements (three 8 s `sibench` runs each, 2-vCPU x86-64 guest).
 const TILE: usize = 8 * 1024;
 
-/// One updater worker's working set: a tile of the master copy, of the
-/// gradient and of every auxiliary state tensor.
+/// One updater worker's host buffers, reused from one subgroup to the next.
+/// The state is stepped where the SSD lends it, so what is left is `grad`, a
+/// tile of dense gradient scattered from a Top-K stream, and the staging
+/// `le_bytes` needs for a window it cannot view in place (a big-endian host
+/// or a misaligned window; `grad` stages a dense gradient window then).
 #[derive(Debug, Clone, Default)]
 struct TileScratch {
-    master: FlatTensor,
-    grad: FlatTensor,
-    aux: Vec<FlatTensor>,
+    grad: Vec<f32>,
+    staging: Vec<f32>,
 }
 
 /// Where a span's dense gradient tiles come from.
@@ -254,7 +257,7 @@ enum GradSource<'a> {
 }
 
 /// One worker's share of a subgroup update: a contiguous run of tiles of the
-/// admitted state windows, streamed front to back with no further dispatch.
+/// admitted state windows, stepped front to back with no further dispatch.
 struct TileSpan<'a> {
     // Shard element offset of the span's first element.
     start: usize,
@@ -265,38 +268,35 @@ struct TileSpan<'a> {
 }
 
 impl TileSpan<'_> {
-    /// Per tile: decode the state, produce the gradient, run the updater
-    /// kernel, encode the state back over the bytes it came from.
-    ///
-    /// `pool` is the device's executor, passed down only because building a
-    /// [`ParExecutor`] samples the CPU count (a system call, ~15 µs — more
-    /// than the kernel spends on a tile): a tile is far below the fan-out
-    /// threshold, so the kernel runs inline on this worker.
-    fn stream(self, updater: Updater, pool: &ParExecutor, optimizer: &Optimizer, step: u64) {
+    /// Per tile: produce the gradient (viewed in its dense window, or
+    /// decompressed from the stream into the tile buffer), then run the
+    /// updater kernel on the tile of the state windows where it lies. A tile
+    /// is far below the kernel's fan-out threshold, so it runs inline on this
+    /// worker.
+    fn stream(self, optimizer: &Optimizer, step: u64) {
         let TileSpan { start, mut states, mut grad, scratch } = self;
-        let TileScratch { master, grad: grad_tile, aux } = scratch;
+        let TileScratch { grad: grad_tile, staging } = scratch;
         let elems = states[0].len() / 4;
         for first in (0..elems).step_by(TILE) {
             let n = TILE.min(elems - first);
             let bytes = 4 * first..4 * (first + n);
-            let tensors = std::iter::once(&mut *master).chain(aux.iter_mut());
-            for (tensor, window) in tensors.zip(&states) {
-                tensor.resize(n, 0.0);
-                le_bytes::decode(&window[bytes.clone()], tensor.as_mut_slice());
-            }
-            grad_tile.resize(n, 0.0);
+            let mut windows: Vec<&mut [u8]> =
+                states.iter_mut().map(|window| &mut window[bytes.clone()]).collect();
+            let mut kernel = |grad: &[f32]| {
+                le_bytes::with_floats_mut(&mut windows, staging, |views| {
+                    let (master, aux) = views.split_first_mut().expect("the master window leads");
+                    optimizer.step_slices(master, grad, aux, step);
+                });
+            };
             match &mut grad {
                 GradSource::Dense(window) => {
-                    le_bytes::decode(&window[bytes.clone()], grad_tile.as_mut_slice());
+                    le_bytes::with_floats(&window[bytes], grad_tile, kernel)
                 }
                 GradSource::Stream(cursor) => {
-                    cursor.scatter_next(start + first, grad_tile.as_mut_slice());
+                    grad_tile.resize(n, 0.0);
+                    cursor.scatter_next(start + first, grad_tile);
+                    kernel(grad_tile.as_slice());
                 }
-            }
-            updater.run_with(pool, optimizer, master.as_mut_slice(), grad_tile, aux, step);
-            let tensors = std::iter::once(&*master).chain(aux.iter());
-            for (tensor, window) in tensors.zip(&mut states) {
-                le_bytes::encode(tensor.as_slice(), &mut window[bytes.clone()]);
             }
         }
     }
@@ -316,8 +316,8 @@ pub struct CsdDevice {
     dropped: bool,
     faults: FaultAbsorber,
     shards: BTreeMap<String, ShardNames>,
-    // One tile-sized working set per updater worker, reused from one
-    // subgroup to the next: the state streams through these in place, so
+    // One tile-sized set of buffers per updater worker, reused from one
+    // subgroup to the next: the state is stepped where the SSD lends it, so
     // nothing subgroup-sized exists on the host.
     tile_scratch: Vec<TileScratch>,
     dram_buffers: Vec<BufferId>,
@@ -601,10 +601,11 @@ impl CsdDevice {
     /// P2P-write the new state back to the SSD.
     ///
     /// The transfers are admitted and counted one by one, all of them before
-    /// any state moves; the state then streams through cache-sized tiles in
-    /// one pass (decompress → update → write back per tile, the dataflow of
-    /// the paper's Fig. 7), so the update is all-or-nothing: on any error
-    /// every state region is byte-identical to before the call.
+    /// any state moves. The updater kernel then steps the admitted windows in
+    /// place, one cache-sized tile at a time (decompress → update per tile,
+    /// the dataflow of the paper's Fig. 7); no copy of the state is made. So
+    /// the update is all-or-nothing: on any error every state region is
+    /// byte-identical to before the call.
     ///
     /// # Errors
     ///
@@ -704,11 +705,9 @@ impl CsdDevice {
                 *window = rest;
                 span
             });
-            scratch.aux.resize(num_aux, FlatTensor::default());
             spans.push(TileSpan { start: offset + first, states: states.collect(), grad, scratch });
         }
-        let (updater, pool) = (self.updater, self.executor);
-        pool.for_each(spans, |_, span| span.stream(updater, &pool, &optimizer, step));
+        self.executor.for_each(spans, |_, span| span.stream(&optimizer, step));
         stats.updates_run += 1;
         stats.elements_updated += len as u64;
         Ok(())
@@ -753,72 +752,107 @@ mod tests {
         assert!(csd.load_parameters("nope", 0, 1).is_err());
     }
 
+    const ALL_KINDS: [OptimizerKind; 4] = [
+        OptimizerKind::Adam,
+        OptimizerKind::AdamW,
+        OptimizerKind::SgdMomentum,
+        OptimizerKind::AdaGrad,
+    ];
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The device's master copy and every auxiliary tensor of shard `s`
+    /// equal, bit for bit, what the host optimizer left.
+    fn assert_state_matches_host(
+        csd: &mut CsdDevice,
+        host_params: &FlatTensor,
+        host_aux: &[FlatTensor],
+        what: &str,
+    ) {
+        let n = host_params.len();
+        let updated = csd.load_parameters("s", 0, n).unwrap();
+        assert_eq!(bits(updated.as_slice()), bits(host_params.as_slice()), "{what} master");
+        for (i, host) in host_aux.iter().enumerate() {
+            let aux = csd.load_optimizer_state("s", i, 0, n).unwrap();
+            assert_eq!(bits(aux.as_slice()), bits(host.as_slice()), "{what} aux {i}");
+        }
+    }
+
     #[test]
     fn multi_subgroup_update_matches_single_host_update() {
+        // Two steps over every optimizer: two aux windows for Adam and AdamW,
+        // one for SGD-momentum and AdaGrad.
         let n = 1000;
-        let optimizer = Optimizer::new(OptimizerKind::AdamW, HyperParams::default());
         let params = FlatTensor::randn(n, 0.02, 9);
         let grads = FlatTensor::randn(n, 0.01, 10);
-
-        let mut host_params = params.clone();
-        let mut host_aux = optimizer.init_aux(n);
-        optimizer.step(host_params.as_mut_slice(), &grads, &mut host_aux, 1);
-
-        let mut csd = device();
-        csd.store_initial_state("s", &params, &optimizer).unwrap();
-        csd.store_gradients("s", grads.as_slice()).unwrap();
-        // Process in three uneven subgroups, as the tasklet chunker would.
-        for (offset, len) in [(0usize, 400usize), (400, 350), (750, 250)] {
-            csd.update_subgroup(SubgroupUpdate {
-                shard: "s",
-                offset,
-                len,
-                optimizer,
-                step: 1,
-                compressed: None,
-            })
-            .unwrap();
+        for kind in ALL_KINDS {
+            let optimizer = Optimizer::new(kind, HyperParams::default());
+            let mut host_params = params.clone();
+            let mut host_aux = optimizer.init_aux(n);
+            let mut csd = device();
+            csd.store_initial_state("s", &params, &optimizer).unwrap();
+            csd.store_gradients("s", grads.as_slice()).unwrap();
+            for step in 1..=2 {
+                optimizer.step(host_params.as_mut_slice(), &grads, &mut host_aux, step);
+                // Three uneven subgroups, as the tasklet chunker would cut them.
+                for (offset, len) in [(0usize, 400usize), (400, 350), (750, 250)] {
+                    let request = SubgroupUpdate {
+                        shard: "s",
+                        offset,
+                        len,
+                        optimizer,
+                        step,
+                        compressed: None,
+                    };
+                    csd.update_subgroup(request).unwrap();
+                }
+            }
+            assert_state_matches_host(&mut csd, &host_params, &host_aux, &format!("{kind:?}"));
+            let stats = csd.stats();
+            assert_eq!(stats.updates_run, 6);
+            assert_eq!(stats.elements_updated, 2 * n as u64);
+            // Read the gradient and every state tensor, write the state back:
+            // Adam 16 / 12 B per element, SGD-momentum and AdaGrad 12 / 8.
+            let state = kind.state_bytes_per_param() as u64;
+            assert_eq!(stats.p2p_read_bytes, 2 * (4 + state) * n as u64, "{kind:?}");
+            assert_eq!(stats.p2p_write_bytes, 2 * state * n as u64, "{kind:?}");
         }
-        let updated = csd.load_parameters("s", 0, n).unwrap();
-        assert_eq!(updated.as_slice(), host_params.as_slice());
-        let stats = csd.stats();
-        assert_eq!(stats.updates_run, 3);
-        assert_eq!(stats.elements_updated, n as u64);
-        // Adam: read grad + master + 2 aux = 16 B/elem, write master + 2 aux = 12 B/elem.
-        assert_eq!(stats.p2p_read_bytes, 16 * n as u64);
-        assert_eq!(stats.p2p_write_bytes, 12 * n as u64);
     }
 
     #[test]
     fn compressed_update_matches_decompressed_dense_update() {
-        let n = 2048;
-        let optimizer = Optimizer::adam_default();
+        // Two whole tiles and a ragged one, so the stream crosses tile edges.
+        let n = 2 * TILE + 300;
         let params = FlatTensor::randn(n, 0.02, 21);
         let grads = FlatTensor::randn(n, 0.01, 22);
         let compressed = Compressor::top_k(0.05).compress(&grads);
         let dense_equivalent = compressed.decompress();
+        for kind in ALL_KINDS {
+            // Reference: host update using the *decompressed* gradients.
+            let optimizer = Optimizer::new(kind, HyperParams::default());
+            let mut host_params = params.clone();
+            let mut host_aux = optimizer.init_aux(n);
+            optimizer.step(host_params.as_mut_slice(), &dense_equivalent, &mut host_aux, 1);
 
-        // Reference: host update using the *decompressed* gradients.
-        let mut host_params = params.clone();
-        let mut host_aux = optimizer.init_aux(n);
-        optimizer.step(host_params.as_mut_slice(), &dense_equivalent, &mut host_aux, 1);
-
-        let mut csd = device();
-        csd.store_initial_state("s", &params, &optimizer).unwrap();
-        csd.update_subgroup(SubgroupUpdate {
-            shard: "s",
-            offset: 0,
-            len: n,
-            optimizer,
-            step: 1,
-            compressed: Some(&compressed),
-        })
-        .unwrap();
-        let updated = csd.load_parameters("s", 0, n).unwrap();
-        assert_eq!(updated.as_slice(), host_params.as_slice());
-        // Compressed gradients move far fewer bytes over the internal switch
-        // than the dense 4·n gradient would.
-        assert!(csd.stats().p2p_read_bytes < (16 * n as u64));
+            let mut csd = device();
+            csd.store_initial_state("s", &params, &optimizer).unwrap();
+            csd.update_subgroup(SubgroupUpdate {
+                shard: "s",
+                offset: 0,
+                len: n,
+                optimizer,
+                step: 1,
+                compressed: Some(&compressed),
+            })
+            .unwrap();
+            assert_state_matches_host(&mut csd, &host_params, &host_aux, &format!("{kind:?}"));
+            // Compressed gradients move far fewer bytes over the internal
+            // switch than the dense 4·n gradient would.
+            let dense_read = (4 + kind.state_bytes_per_param() as u64) * n as u64;
+            assert!(csd.stats().p2p_read_bytes < dense_read, "{kind:?}");
+        }
     }
 
     #[test]

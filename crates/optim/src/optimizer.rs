@@ -110,6 +110,17 @@ impl Optimizer {
     /// tensors of the same length as `params`, or if `grads` has a different
     /// length, or if `t == 0` for Adam-family optimizers.
     pub fn step(&self, params: &mut [f32], grads: &FlatTensor, aux: &mut [FlatTensor], t: u64) {
+        self.par_step_chunked(&ParExecutor::serial(), 1, params, grads.as_slice(), aux, t);
+    }
+
+    /// [`Optimizer::step`] on borrowed slices: the same kernel, for state
+    /// that lives in someone else's memory (a CSD updates the windows its
+    /// SSD lends it in place). Bit-identical to [`Optimizer::step`].
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`Optimizer::step`].
+    pub fn step_slices(&self, params: &mut [f32], grads: &[f32], aux: &mut [&mut [f32]], t: u64) {
         self.par_step_chunked(&ParExecutor::serial(), 1, params, grads, aux, t);
     }
 
@@ -130,7 +141,8 @@ impl Optimizer {
         aux: &mut [FlatTensor],
         t: u64,
     ) {
-        self.par_step_chunked(pool, pool.workers_for(params.len()), params, grads, aux, t);
+        let num_chunks = pool.workers_for(params.len());
+        self.par_step_chunked(pool, num_chunks, params, grads.as_slice(), aux, t);
     }
 
     /// Applies one update step in place with an explicit chunk count
@@ -146,8 +158,8 @@ impl Optimizer {
         pool: &ParExecutor,
         num_chunks: usize,
         params: &mut [f32],
-        grads: &FlatTensor,
-        aux: &mut [FlatTensor],
+        grads: &[f32],
+        aux: &mut [impl AsMut<[f32]>],
         t: u64,
     ) {
         assert_eq!(
@@ -165,9 +177,9 @@ impl Optimizer {
                     pool,
                     num_chunks,
                     params,
-                    m[0].as_mut_slice(),
-                    v[0].as_mut_slice(),
-                    grads.as_slice(),
+                    m[0].as_mut(),
+                    v[0].as_mut(),
+                    grads,
                     hp.lr,
                     hp.beta1,
                     hp.beta2,
@@ -181,9 +193,9 @@ impl Optimizer {
                     pool,
                     num_chunks,
                     params,
-                    m[0].as_mut_slice(),
-                    v[0].as_mut_slice(),
-                    grads.as_slice(),
+                    m[0].as_mut(),
+                    v[0].as_mut(),
+                    grads,
                     hp.lr,
                     hp.beta1,
                     hp.beta2,
@@ -197,8 +209,8 @@ impl Optimizer {
                     pool,
                     num_chunks,
                     params,
-                    aux[0].as_mut_slice(),
-                    grads.as_slice(),
+                    aux[0].as_mut(),
+                    grads,
                     hp.lr,
                     hp.momentum,
                 );
@@ -208,8 +220,8 @@ impl Optimizer {
                     pool,
                     num_chunks,
                     params,
-                    aux[0].as_mut_slice(),
-                    grads.as_slice(),
+                    aux[0].as_mut(),
+                    grads,
                     hp.lr,
                     hp.eps,
                 );
@@ -309,7 +321,7 @@ mod tests {
                         &pool,
                         chunks,
                         par.as_mut_slice(),
-                        &grads,
+                        grads.as_slice(),
                         &mut par_aux,
                         t,
                     );
@@ -327,6 +339,19 @@ mod tests {
                 opt.par_step(&pool, par.as_mut_slice(), &grads, &mut par_aux, t);
             }
             assert_eq!(par.as_slice(), serial.as_slice(), "{kind:?} par_step");
+            // step_slices (borrowed aux) is the same dispatch.
+            let mut lent = FlatTensor::from_fn(n, |i| (i as f32) * 1e-3);
+            let mut lent_aux = opt.init_aux(n);
+            for t in 1..=2 {
+                let mut aux: Vec<&mut [f32]> =
+                    lent_aux.iter_mut().map(FlatTensor::as_mut_slice).collect();
+                opt.step_slices(lent.as_mut_slice(), grads.as_slice(), &mut aux, t);
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(lent.as_slice()), bits(serial.as_slice()), "{kind:?} step_slices");
+            for (a, b) in lent_aux.iter().zip(&serial_aux) {
+                assert_eq!(bits(a.as_slice()), bits(b.as_slice()), "{kind:?} step_slices aux");
+            }
         }
     }
 }

@@ -14,8 +14,18 @@
 //! that target's implementation and, everywhere, the oracle the tests compare
 //! the borrowed views against.
 //!
-//! Besides the private `simd` module this is the only module in the crate allowed to
-//! use `unsafe`: the two private reborrows of an `f32` slice as its bytes.
+//! The other direction lends bytes as floats: [`with_floats`] and
+//! [`with_floats_mut`] hand a reader or an in-place updater the floats that
+//! little-endian byte windows encode. A 4-byte-aligned window on a
+//! little-endian target *is* those floats, so it is viewed where it lies;
+//! any other window is staged through a caller-owned buffer (decode, call
+//! and, for the writable form, encode back), so a warm caller never
+//! allocates either way.
+//!
+//! Besides the private `simd` module this is the only module in the crate
+//! allowed to use `unsafe`: the private reborrows of an `f32` slice as its
+//! bytes and of an aligned little-endian byte window as its floats, each
+//! shared and exclusive.
 #![allow(unsafe_code)]
 
 /// Scalar reference encode: `dst` receives each float's little-endian bytes.
@@ -60,6 +70,94 @@ fn memory_of_mut(values: &mut [f32]) -> &mut [u8] {
     unsafe {
         std::slice::from_raw_parts_mut(values.as_mut_ptr().cast(), std::mem::size_of_val(values))
     }
+}
+
+/// Whether `bytes` is, where it lies, the floats it encodes: a little-endian
+/// target, an `f32`-aligned start and a whole number of floats.
+fn viewable(bytes: &[u8]) -> bool {
+    cfg!(target_endian = "little")
+        && bytes.len() % 4 == 0
+        && bytes.as_ptr().align_offset(std::mem::align_of::<f32>()) == 0
+}
+
+/// The floats `bytes` encodes, viewed in place when `viewable`.
+fn floats_of(bytes: &[u8]) -> Option<&[f32]> {
+    // SAFETY: `viewable` checked that the target is little-endian (so the
+    // bytes are the floats' own memory layout), that the start is aligned
+    // for `f32` and that the length is whole floats. Every bit pattern is a
+    // valid `f32`, and the returned borrow inherits the lifetime and
+    // sharedness of `bytes`.
+    viewable(bytes)
+        .then(|| unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast(), bytes.len() / 4) })
+}
+
+/// The floats `bytes` encodes, viewed in place and writable when `viewable`.
+fn floats_of_mut(bytes: &mut [u8]) -> Option<&mut [f32]> {
+    // SAFETY: as in `floats_of` (the endianness, alignment and length checks
+    // of `viewable`); in addition every bit pattern written through the view
+    // is valid bytes, and the exclusive borrow of `bytes` is held for as long
+    // as the returned one lives.
+    viewable(bytes).then(|| unsafe {
+        std::slice::from_raw_parts_mut(bytes.as_mut_ptr().cast(), bytes.len() / 4)
+    })
+}
+
+/// Calls `f` with the floats the little-endian bytes `window` encodes: the
+/// window itself when it can be viewed in place (a little-endian target and
+/// a 4-byte-aligned start), otherwise `staging` after a decode into it.
+///
+/// # Panics
+///
+/// Panics if `window.len()` is not a multiple of 4.
+pub fn with_floats<R>(window: &[u8], staging: &mut Vec<f32>, f: impl FnOnce(&[f32]) -> R) -> R {
+    if let Some(view) = floats_of(window) {
+        return f(view);
+    }
+    assert_eq!(window.len() % 4, 0, "a byte window is not whole floats");
+    staging.resize(window.len() / 4, 0.0);
+    decode_scalar(window, staging);
+    f(staging.as_slice())
+}
+
+/// Calls `f` with writable floats for each little-endian byte window, in
+/// order, and leaves in each window the encoding of what `f` left in its
+/// floats. When every window can be viewed in place (a little-endian target
+/// and 4-byte-aligned starts) `f` updates the windows themselves; otherwise
+/// all of them are decoded into `staging`, `f` runs on that, and each is
+/// encoded back.
+///
+/// # Panics
+///
+/// Panics if a window's length is not a multiple of 4.
+pub fn with_floats_mut<R>(
+    windows: &mut [&mut [u8]],
+    staging: &mut Vec<f32>,
+    f: impl FnOnce(&mut [&mut [f32]]) -> R,
+) -> R {
+    if let Some(mut views) =
+        windows.iter_mut().map(|w| floats_of_mut(w)).collect::<Option<Vec<_>>>()
+    {
+        return f(&mut views);
+    }
+    staging.clear();
+    for window in windows.iter() {
+        assert_eq!(window.len() % 4, 0, "a byte window is not whole floats");
+        let at = staging.len();
+        staging.resize(at + window.len() / 4, 0.0);
+        decode_scalar(window, &mut staging[at..]);
+    }
+    let mut rest = staging.as_mut_slice();
+    let mut views = Vec::with_capacity(windows.len());
+    for window in windows.iter() {
+        let (view, tail) = std::mem::take(&mut rest).split_at_mut(window.len() / 4);
+        views.push(view);
+        rest = tail;
+    }
+    let result = f(&mut views);
+    for (window, view) in windows.iter_mut().zip(views) {
+        encode_scalar(view, window);
+    }
+    result
 }
 
 /// Calls `f` with the little-endian bytes of `values` (`4 * values.len()` of
@@ -205,6 +303,45 @@ mod tests {
                 decode(&unaligned[byte_skip..], &mut target[skip..]);
                 prop_assert_eq!(bits(&target[skip..]), bits(&expected));
                 prop_assert!(target[..skip].iter().all(|v| *v == 1.5), "decode wrote outside its window");
+
+                // Lend as floats: an aligned window is viewed in place, one
+                // 1-3 bytes off is staged (and stages its aligned partner
+                // with it). Either way `f` sees what the scalar decode gives,
+                // and each window ends holding exactly what decode → f →
+                // encode leaves; `with_floats` then reads that back.
+                let flip = |v: &mut [f32], mask: u32| {
+                    v.iter_mut().for_each(|x| *x = f32::from_bits(x.to_bits() ^ mask));
+                };
+                let partner = &backing[skip + 1..skip + 1 + len];
+                let (mut want_a, mut want_b) = (window.to_vec(), partner.to_vec());
+                flip(&mut want_a, 0x8000_0001);
+                flip(&mut want_b, 0x4000_0002);
+                let (mut want_a_bytes, mut want_b_bytes) = (vec![0u8; 4 * len], vec![0u8; 4 * len]);
+                encode_scalar(&want_a, &mut want_a_bytes);
+                encode_scalar(&want_b, &mut want_b_bytes);
+                for lag in 0..4usize {
+                    let mut words = vec![0.0f32; 2 * len + 2];
+                    let (a, b) = memory_of_mut(&mut words).split_at_mut(4 * len + 4);
+                    let mut windows = [&mut a[lag..lag + 4 * len], &mut b[..4 * len]];
+                    encode_scalar(window, windows[0]);
+                    encode_scalar(partner, windows[1]);
+                    let in_place = cfg!(target_endian = "little") && lag == 0;
+                    prop_assert_eq!(viewable(windows[0]), in_place, "lag {}", lag);
+                    let mut staging = Vec::new();
+                    let seen = with_floats_mut(&mut windows, &mut staging, |views| {
+                        let seen: Vec<Vec<u32>> = views.iter().map(|v| bits(v)).collect();
+                        flip(views[0], 0x8000_0001);
+                        flip(views[1], 0x4000_0002);
+                        seen
+                    });
+                    prop_assert_eq!(&seen[0], &raw[skip..skip + len]);
+                    prop_assert_eq!(&seen[1], &raw[skip + 1..skip + 1 + len]);
+                    prop_assert_eq!(&*windows[0], want_a_bytes.as_slice(), "lag {}", lag);
+                    prop_assert_eq!(&*windows[1], want_b_bytes.as_slice(), "lag {}", lag);
+                    prop_assert_eq!(staging.is_empty(), in_place || len == 0, "lag {}", lag);
+                    let read = with_floats(windows[0], &mut staging, bits);
+                    prop_assert_eq!(read, bits(&want_a), "lag {}", lag);
+                }
             }
         }
     }

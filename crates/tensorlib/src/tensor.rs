@@ -272,6 +272,12 @@ impl AsRef<[f32]> for FlatTensor {
     }
 }
 
+impl AsMut<[f32]> for FlatTensor {
+    fn as_mut(&mut self) -> &mut [f32] {
+        &mut self.data
+    }
+}
+
 impl FromIterator<f32> for FlatTensor {
     fn from_iter<I: IntoIterator<Item = f32>>(iter: I) -> Self {
         Self { data: iter.into_iter().collect() }
