@@ -7,11 +7,10 @@
 
 use llm::{CostModel, GpuSpec, ModelConfig, Workload};
 use optim::OptimizerKind;
-use parcore::ParExecutor;
 use serde::{Deserialize, Serialize};
 use smart_infinity::{
-    Campaign, CampaignReport, CampaignService, MachineSpec, MethodSpec, ModelSpec, RunSpec,
-    ServiceConfig, ServiceError, ServiceReport, SmartInfinityEngine, TrafficMethod, TrafficModel,
+    Campaign, MachineSpec, MethodSpec, ModelSpec, RunSpec, SmartInfinityEngine, TrafficMethod,
+    TrafficModel,
 };
 use tensorlib::KernelPath;
 use ztrain::realtrain::{train_classifier, Dataset, MlpModel, TrainConfig};
@@ -367,12 +366,12 @@ pub fn render_pipeline(rows: &[PipelineRow]) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Campaigns: spec-driven sweeps
+// The reference ladder
 // ---------------------------------------------------------------------------
 
-/// The reference campaign the perf snapshot times: the paper's ablation
-/// ladder plus both pipelined points (GPT-2 4.0B, 6 devices) — the same six
-/// specs `specs/ladder.json` checks in.
+/// The reference ladder the perf snapshot times: the paper's ablation ladder
+/// plus both pipelined points (GPT-2 4.0B, 6 devices) — the same six specs
+/// `specs/ladder.json` checks in.
 pub fn ladder_campaign() -> Campaign {
     let mut methods = MethodSpec::ladder();
     methods.push(MethodSpec::pipelined(None));
@@ -386,275 +385,6 @@ pub fn ladder_campaign() -> Campaign {
             .collect(),
     )
     .with_name("ladder")
-}
-
-/// Renders a campaign report as a fixed-width text table.
-pub fn render_campaign(report: &CampaignReport) -> String {
-    let mut out = format!(
-        "Campaign{}: {} specs on {} worker(s), {} CPU(s)\n",
-        report.name.as_deref().map(|n| format!(" `{n}`")).unwrap_or_default(),
-        report.runs.len(),
-        report.threads,
-        report.num_cpus
-    );
-    if !report.parallel_valid {
-        out.push_str(
-            "NOTE: specs ran without real concurrency (1 worker or 1 CPU); results are\n\
-             identical either way — only wall-clock differs on a multi-core box.\n",
-        );
-    }
-    out.push_str(&format!(
-        "{:<34} {:>8} {:>10} {:>10} {:>10} {:>9}\n",
-        "spec", "FW (s)", "BW+Grad(s)", "Update(s)", "Total (s)", "Speedup"
-    ));
-    for r in &report.runs {
-        out.push_str(&format!(
-            "{:<34} {:>8.2} {:>10.2} {:>10.2} {:>10.2} {:>8.2}x\n",
-            r.label,
-            r.report.forward_s,
-            r.report.backward_s,
-            r.report.update_s,
-            r.report.total_s(),
-            r.speedup_over_first
-        ));
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// campaignd: the serve driver (`figures -- serve`)
-// ---------------------------------------------------------------------------
-
-/// Options of the [`serve_campaign`] driver.
-#[derive(Debug, Clone, Copy)]
-pub struct ServeOpts {
-    /// Number of simulated client threads submitting concurrently.
-    pub clients: usize,
-    /// Full passes over the spec list each client submits (pass 2+ of an
-    /// unchanged list must be 100% cache hits).
-    pub passes: usize,
-    /// Service queue depth ([`ServiceConfig::queue_depth`]).
-    pub queue_depth: usize,
-    /// Admission batch size ([`ServiceConfig::admission_batch`]).
-    pub admission_batch: usize,
-}
-
-impl Default for ServeOpts {
-    /// 2 clients, 2 passes, default service knobs.
-    fn default() -> Self {
-        let config = ServiceConfig::default();
-        ServeOpts {
-            clients: 2,
-            passes: 2,
-            queue_depth: config.queue_depth,
-            admission_batch: config.admission_batch,
-        }
-    }
-}
-
-/// Offered load and cache behaviour of one pass over the spec list.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct ServePass {
-    /// 1-based pass number.
-    pub pass: usize,
-    /// Submissions accepted during this pass (all clients).
-    pub submitted: u64,
-    /// Of those, answered from the content-addressed cache.
-    pub cache_hits: u64,
-}
-
-/// The result of driving a campaign through the `campaignd` service.
-#[derive(Debug, Clone, Serialize)]
-pub struct ServeOutcome {
-    /// The campaign's name, if any.
-    pub campaign: Option<String>,
-    /// Simulated clients.
-    pub clients: usize,
-    /// Specs each client submitted per pass (the spec-list length, which may
-    /// contain canonical duplicates on purpose).
-    pub specs_per_pass: usize,
-    /// Distinct canonical specs in the list — the ceiling on executions.
-    pub unique_specs: usize,
-    /// Unique-spec executions actually run; equals `unique_specs` when dedup
-    /// held (every duplicate was coalesced or served from cache).
-    pub executions: u64,
-    /// Per-pass offered load and cache hits.
-    pub passes: Vec<ServePass>,
-    /// CPUs available to the process when the serve ran.
-    pub num_cpus: usize,
-    /// Worker threads of the executor the service dispatched on.
-    pub threads: usize,
-    /// Whether concurrent execution could actually help on this host (same
-    /// caveat as [`CampaignReport::parallel_valid`]: on a 1-CPU box the
-    /// latency numbers time-slice one core, so wall-clock comparisons — and
-    /// the dormant speedup-ratio perf gate — are not meaningful there).
-    pub parallel_valid: bool,
-    /// The service-wide telemetry (counters, per-client fairness, latency
-    /// distributions).
-    pub report: ServiceReport,
-}
-
-/// Drives `campaign` through a fresh [`CampaignService`]: `opts.clients`
-/// threads each submit the full spec list `opts.passes` times (each client
-/// starts at a rotated offset so the overlap is in-flight, not only cached)
-/// and await every result. Pass boundaries are barriers — every job of a
-/// pass completes before the next pass starts — so with an unchanged spec
-/// list every pass after the first is answered entirely from cache. A
-/// [`ServiceError::QueueFull`] rejection makes the client settle its oldest
-/// outstanding job (draining the queue) and resubmit.
-///
-/// # Errors
-///
-/// Returns the first [`ServiceError`] a client hit that back-pressure cannot
-/// resolve: an invalid spec, or a failed execution.
-pub fn serve_campaign(
-    campaign: &Campaign,
-    opts: &ServeOpts,
-    pool: &ParExecutor,
-) -> Result<ServeOutcome, ServiceError> {
-    let service = CampaignService::new(ServiceConfig::new(opts.queue_depth, opts.admission_batch));
-    let clients = opts.clients.max(1);
-    let specs_per_pass = campaign.specs.len();
-    let unique_specs = {
-        let mut canon: Vec<String> =
-            campaign.specs.iter().map(smart_infinity::RunSpec::canonical_json).collect();
-        canon.sort();
-        canon.dedup();
-        canon.len()
-    };
-    let mut passes = Vec::new();
-    for pass in 1..=opts.passes.max(1) {
-        let before = service.report();
-        std::thread::scope(|scope| -> Result<(), ServiceError> {
-            let handles: Vec<_> = (0..clients)
-                .map(|client| {
-                    let service = &service;
-                    scope.spawn(move || -> Result<(), ServiceError> {
-                        let mut outstanding = std::collections::VecDeque::new();
-                        for k in 0..specs_per_pass {
-                            let spec = &campaign.specs[(client + k) % specs_per_pass];
-                            loop {
-                                match service.submit(client, spec) {
-                                    Ok(id) => {
-                                        outstanding.push_back(id);
-                                        break;
-                                    }
-                                    Err(ServiceError::QueueFull { .. }) => {
-                                        match outstanding.pop_front() {
-                                            Some(id) => {
-                                                service.await_result(id, pool)?;
-                                            }
-                                            None => {
-                                                service.tick(pool);
-                                            }
-                                        }
-                                    }
-                                    Err(error) => return Err(error),
-                                }
-                            }
-                        }
-                        for id in outstanding {
-                            service.await_result(id, pool)?;
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            for handle in handles {
-                handle.join().expect("serve client panicked")?;
-            }
-            Ok(())
-        })?;
-        let after = service.report();
-        passes.push(ServePass {
-            pass,
-            submitted: after.submitted - before.submitted,
-            cache_hits: after.cache_hits - before.cache_hits,
-        });
-    }
-    let num_cpus = ParExecutor::current().num_threads();
-    Ok(ServeOutcome {
-        campaign: campaign.name.clone(),
-        clients,
-        specs_per_pass,
-        unique_specs,
-        executions: service.executions(),
-        passes,
-        num_cpus,
-        threads: pool.num_threads(),
-        parallel_valid: num_cpus > 1 && pool.num_threads() > 1,
-        report: service.report(),
-    })
-}
-
-/// Renders a serve outcome as text: per-pass hit rates, the dedup proof,
-/// per-client fairness and the latency distributions.
-pub fn render_serve(outcome: &ServeOutcome) -> String {
-    let mut out = format!(
-        "campaignd serve{}: {} client(s) x {} pass(es) x {} spec(s) ({} unique) \
-         on {} worker(s), {} CPU(s)\n",
-        outcome.campaign.as_deref().map(|n| format!(" `{n}`")).unwrap_or_default(),
-        outcome.clients,
-        outcome.passes.len(),
-        outcome.specs_per_pass,
-        outcome.unique_specs,
-        outcome.threads,
-        outcome.num_cpus
-    );
-    if !outcome.parallel_valid {
-        out.push_str(
-            "NOTE: dispatched without real concurrency (1 worker or 1 CPU); dedup and cache\n\
-             behaviour are identical — only the latency numbers are not comparable across\n\
-             machines (the same caveat that keeps the BENCH_2 speedup-ratio gate dormant).\n",
-        );
-    }
-    for pass in &outcome.passes {
-        let pct = if pass.submitted == 0 {
-            0.0
-        } else {
-            100.0 * pass.cache_hits as f64 / pass.submitted as f64
-        };
-        out.push_str(&format!(
-            "pass {}: {} submitted, {} cache hit(s) ({pct:.0}%)\n",
-            pass.pass, pass.submitted, pass.cache_hits
-        ));
-    }
-    let r = &outcome.report;
-    out.push_str(&format!(
-        "executions {} (unique specs {}), coalesced {}, rejected {}, failed {}\n",
-        outcome.executions, outcome.unique_specs, r.coalesced, r.rejected, r.failed
-    ));
-    out.push_str(&format!(
-        "service totals: {} submitted, {} cache hit(s) ({:.0}% hit rate), queue depth {}\n",
-        r.submitted,
-        r.cache_hits,
-        100.0 * r.cache_hit_rate(),
-        r.queue_depth
-    ));
-    out.push_str(&format!(
-        "{:<8} {:>10} {:>10} {:>10} {:>9} {:>12}\n",
-        "client", "submitted", "completed", "hits", "rejected", "max wait (s)"
-    ));
-    for (client, stats) in r.clients.iter().enumerate() {
-        out.push_str(&format!(
-            "{:<8} {:>10} {:>10} {:>10} {:>9} {:>12.4}\n",
-            client,
-            stats.submitted,
-            stats.completed,
-            stats.cache_hits,
-            stats.rejected,
-            stats.max_queue_wait_s
-        ));
-    }
-    out.push_str(&format!(
-        "queue wait (s): mean {:.4}  p50 {:.4}  p95 {:.4}  max {:.4}\n",
-        r.queue_wait.mean_s, r.queue_wait.p50_s, r.queue_wait.p95_s, r.queue_wait.max_s
-    ));
-    out.push_str(&format!(
-        "run time  (s): mean {:.4}  p50 {:.4}  p95 {:.4}  max {:.4}\n",
-        r.run_time.mean_s, r.run_time.p50_s, r.run_time.p95_s, r.run_time.max_s
-    ));
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -693,8 +423,8 @@ pub struct KernelPerf {
     pub per_thread_elems_per_sec: Vec<ThreadPoint>,
 }
 
-/// Wall-clock of the reference spec campaign ([`ladder_campaign`]), serial
-/// vs fanned out on `parcore` workers.
+/// Wall-clock of the reference ladder ([`ladder_campaign`]), serial vs
+/// fanned out on `parcore` workers.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CampaignPerf {
     /// Number of specs in the campaign.
@@ -748,7 +478,7 @@ pub struct PerfSnapshot {
     pub f16_from_bytes_elems_per_sec: f64,
     /// In-memory FP16 round-trip rate (`roundtrip_f16_into`).
     pub f16_roundtrip_elems_per_sec: f64,
-    /// The spec-campaign runner, serial vs parallel over the ladder.
+    /// The reference ladder's timed iterations, serial vs parallel.
     pub campaign: CampaignPerf,
 }
 
@@ -891,24 +621,26 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
         std::hint::black_box(rounded[0]);
     });
 
-    // The spec-campaign runner: the checked-in ladder, serial vs fanned out.
-    let serial = ParExecutor::serial();
-    let campaign = ladder_campaign();
-    let campaign_serial = best_secs(reps, || {
-        let report = campaign.run_on(&serial).expect("campaign");
-        std::hint::black_box(report.runs.len());
-    });
-    let campaign_parallel = best_secs(reps, || {
-        let report = campaign.run_on(&pool).expect("campaign");
-        std::hint::black_box(report.runs.len());
-    });
-    let fault_specs = campaign.specs.iter().filter(|s| s.faults.is_some()).count();
+    // The checked-in ladder, each spec's timed iteration, serial vs fanned
+    // out on the workers.
+    let specs = ladder_campaign().specs;
+    let time_ladder = |exec: &ParExecutor| {
+        best_secs(reps, || {
+            let sessions: Vec<_> =
+                specs.iter().map(|spec| spec.session().expect("ladder spec")).collect();
+            let reports =
+                exec.map(sessions, |_, session| session.simulate_iteration().expect("simulation"));
+            std::hint::black_box(reports.len());
+        })
+    };
+    let campaign_serial = time_ladder(&ParExecutor::serial());
+    let campaign_parallel = time_ladder(&pool);
     let campaign = CampaignPerf {
-        specs: campaign.specs.len(),
+        specs: specs.len(),
         serial_s: campaign_serial,
         parallel_s: campaign_parallel,
         speedup: parallel_valid.then(|| campaign_serial / campaign_parallel),
-        fault_specs: Some(fault_specs),
+        fault_specs: Some(specs.iter().filter(|s| s.faults.is_some()).count()),
     };
 
     PerfSnapshot {
@@ -1469,18 +1201,21 @@ mod tests {
 
     #[test]
     fn ladder_campaign_runs_and_renders() {
+        // The specs `perf` times: each runs, and every point after BASE
+        // beats it.
         let campaign = ladder_campaign();
         assert_eq!(campaign.specs.len(), 6, "ladder + both pipelined points");
-        // The checked-in specs/ladder.json is exactly this campaign.
         let parsed = Campaign::from_json(&campaign.to_json_pretty()).expect("round trip");
         assert_eq!(parsed, campaign);
-        let report = campaign.run_on(&parcore::ParExecutor::new(4)).expect("campaign run");
-        assert_eq!(report.runs.len(), 6);
-        assert!((report.runs[0].speedup_over_first - 1.0).abs() < 1e-12);
-        assert!(report.runs.iter().skip(1).all(|r| r.speedup_over_first > 1.0));
-        let rendered = render_campaign(&report);
-        assert!(rendered.contains("SU+O+P+C(2%)"), "{rendered}");
-        assert!(rendered.contains("6 specs"), "{rendered}");
+        let totals: Vec<f64> = campaign
+            .specs
+            .iter()
+            .map(|spec| {
+                spec.session().and_then(|s| s.simulate_iteration()).expect("runs").total_s()
+            })
+            .collect();
+        assert!(totals.iter().skip(1).all(|&t| t < totals[0]), "{totals:?}");
+        assert_eq!(campaign.specs[5].method.to_string(), "SU+O+P+C(2%)");
     }
 
     /// A fresh `lab` run of the checked-in sweep figure `id`

@@ -4,16 +4,16 @@
 use std::process::Command;
 
 #[test]
-fn a_zero_client_count_exits_2_with_the_usage_table() {
+fn a_bad_tolerance_exits_2_with_the_usage_table() {
     let out = Command::new(env!("CARGO_BIN_EXE_figures"))
-        .args(["--clients", "0", "serve", "specs/ladder.json"])
+        .args(["--tolerance", "nope", "perf"])
         .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
         .output()
         .expect("spawn figures");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("--clients requires a positive integer argument"), "{stderr}");
+    assert!(stderr.contains("--tolerance requires a fractional argument"), "{stderr}");
     assert!(stderr.contains("usage: figures"), "{stderr}");
-    assert!(stderr.contains("--admission-batch N   serve: admissions per drain step"), "{stderr}");
+    assert!(stderr.contains("--tolerance F         perf gate tolerance"), "{stderr}");
     assert!(out.stdout.is_empty(), "nothing runs before the argument error");
 }

@@ -4,24 +4,22 @@
 //!
 //! The outputs are the ones a change to the timed or functional stack used
 //! to be diffed against its parent on by hand: `figures --quick --json` for
-//! every figure id, `figures campaign` on each `specs/*.json`, `figures
-//! sched specs/ladder.json`, and `lab run` (journal and analysis tables)
-//! plus `lab plan` on each `specs/experiments/*/`, the sweep figures among
-//! them. Spec files and
-//! experiments are found by listing those directories, so a new one is
-//! gated as soon as it is checked in. Each output is hashed with the FNV-1a
-//! of [`smart_infinity::fnv1a`], so a failure names the output that moved.
+//! every figure id, and `lab run` (journal and analysis tables) plus `lab
+//! plan` on each `specs/experiments/*/` — the sweep figures, the scheduler
+//! comparison and one experiment of campaign-ref tasks per `specs/*.json`.
+//! Experiments are found by listing that directory, so a new one is gated as
+//! soon as it is checked in, and every spec file must be named by some
+//! experiment's task ([`every_spec_file_is_run_by_an_experiment`]). Each
+//! output is hashed with the FNV-1a of [`smart_infinity::fnv1a`], so a
+//! failure names the output that moved.
 //!
-//! Rendering also checks what has no hash of its own: every campaign runs
-//! (an invalid spec fails `figures campaign`), every `lab run` journals no
-//! `error` record, and every experiment killed after two trials and resumed
-//! ends with the straight run's journal and tables, byte for byte, after
-//! which a third invocation executes nothing.
+//! Rendering also checks what has no hash of its own: every `lab run`
+//! journals no `error` record, and every experiment killed after two trials
+//! and resumed ends with the straight run's journal and tables, byte for
+//! byte, after which a third invocation executes nothing.
 //!
-//! What depends on the machine and not on the model is normalised first:
-//! worker and CPU counts and the `parallel_valid` caveat of a campaign, and
-//! the scratch paths printed in banners. Not hashed at all, with the reason:
-//! [`EXCLUDED`].
+//! The scratch root printed in paths is normalised first. Not hashed at all,
+//! with the reason: [`EXCLUDED`].
 //!
 //! To re-bless after an *intentional* change of what the model computes:
 //!
@@ -122,12 +120,11 @@ impl Outputs {
         String::from_utf8(out.stdout).expect("utf-8 stdout")
     }
 
-    /// `figures [--quick] --json DIR <args>`: its stdout and every JSON file.
-    fn figures_group(&mut self, group: &str, quick: bool, args: &[&str]) {
+    /// `figures --quick --json DIR <args>`: its stdout and every JSON file.
+    fn figures_group(&mut self, group: &str, args: &[&str]) {
         let dir = self.dir(group);
         let dir_arg = dir.to_string_lossy().into_owned();
-        let mut full = if quick { vec!["--quick"] } else { Vec::new() };
-        full.extend(["--json", &dir_arg]);
+        let mut full = vec!["--quick", "--json", &dir_arg];
         full.extend(args);
         let stdout = self.figures(&full);
         self.add(format!("{group}/stdout"), &stdout);
@@ -135,35 +132,9 @@ impl Outputs {
     }
 }
 
-/// Blanks what depends on the machine, not on the model: the worker and
-/// CPU counts of a campaign (banner and JSON), its no-concurrency note, and
-/// the scratch root in printed paths.
+/// Blanks the scratch root in printed paths.
 fn normalise(text: &str, scratch: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for line in text.lines() {
-        if line.starts_with("NOTE: specs ran without real concurrency")
-            || line.starts_with("identical either way")
-        {
-            continue;
-        }
-        let line = line.replace(scratch, "<scratch>");
-        let trimmed = line.trim_start();
-        let key = ["\"num_cpus\":", "\"threads\":", "\"parallel_valid\":"]
-            .into_iter()
-            .find(|key| trimmed.starts_with(key));
-        if let Some(key) = key {
-            let indent = &line[..line.len() - trimmed.len()];
-            let comma = if trimmed.ends_with(',') { "," } else { "" };
-            out.push_str(&format!("{indent}{key} <machine>{comma}"));
-        } else if let (true, Some(at)) = (line.starts_with("Campaign"), line.find(" specs on ")) {
-            out.push_str(&line[..at]);
-            out.push_str(" specs on <machine>");
-        } else {
-            out.push_str(&line);
-        }
-        out.push('\n');
-    }
-    out
+    text.lines().map(|line| line.replace(scratch, "<scratch>") + "\n").collect()
 }
 
 /// Renders every output of the gate into a fresh `scratch` directory.
@@ -172,15 +143,8 @@ fn render(scratch: PathBuf) -> Vec<(String, String)> {
     let mut outputs = Outputs { scratch, entries: Vec::new() };
 
     for id in FIGURES {
-        outputs.figures_group(&format!("figures/{id}"), true, &[id]);
+        outputs.figures_group(&format!("figures/{id}"), &[id]);
     }
-    let is_json = |p: &Path| p.is_file() && p.extension().is_some_and(|e| e == "json");
-    for file in listing(&repo_root().join("specs"), is_json) {
-        let name = stem(&file);
-        let file = format!("specs/{name}.json");
-        outputs.figures_group(&format!("campaign/{name}"), false, &["campaign", &file]);
-    }
-    outputs.figures_group("sched/ladder", false, &["sched", "specs/ladder.json"]);
 
     for experiment in listing(&repo_root().join("specs/experiments"), Path::is_dir) {
         let name = stem(&experiment);
@@ -256,6 +220,29 @@ fn every_figure_id_is_hashed_or_excluded() {
     listed.sort_unstable();
     gated.sort_unstable();
     assert_eq!(gated, listed, "FIGURES and EXCLUDED must partition the figure ids");
+}
+
+/// Every `specs/*.json` is named by at least one experiment's campaign-ref
+/// task, so every spec file runs, and is hashed, through `lab`.
+#[test]
+fn every_spec_file_is_run_by_an_experiment() {
+    let mut named = Vec::new();
+    for experiment in listing(&repo_root().join("specs/experiments"), Path::is_dir) {
+        let (paths, _) = ExperimentPaths::resolve(&experiment).expect("experiment resolves");
+        for task in load_tasks(&paths.tasks).expect("tasks load") {
+            if let Some(serde::Value::String(file)) = task.payload.get("campaign") {
+                let file = paths.base_dir.join(file);
+                named.push(file.canonicalize().unwrap_or(file));
+            }
+        }
+    }
+    let is_json = |p: &Path| p.is_file() && p.extension().is_some_and(|e| e == "json");
+    let orphans: Vec<String> = listing(&repo_root().join("specs"), is_json)
+        .into_iter()
+        .filter(|file| !named.contains(&file.canonicalize().expect("listed file")))
+        .map(|file| format!("specs/{}.json", stem(&file)))
+        .collect();
+    assert!(orphans.is_empty(), "spec files no experiment's campaign-ref task names: {orphans:?}");
 }
 
 /// Re-captures the manifest from the current tree. Run explicitly (`--

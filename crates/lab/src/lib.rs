@@ -1,13 +1,13 @@
 //! `lab` — the experiment-runner subsystem and its clean harness contract.
 //!
-//! The repo's other front doors each own an ad-hoc slice of "run many specs
-//! and compare": [`smart_infinity::Campaign`] runs a fixed list,
-//! [`smart_infinity::CampaignService`] serves one spec at a time, and the
-//! `figures` binary hard-codes the paper's experiments that are not sweeps
-//! (the sweep figures are experiments of this crate, `specs/experiments/fig*`,
-//! with their claims in `expect.jsonl`). This crate is the
-//! layer that turns those into a regression-checked dataset pipeline, built
-//! around two file-level contracts (the AgentLab shape):
+//! This crate is the workspace's one sweep runner: every list of specs that is
+//! run and compared — the paper's sweep figures (`specs/experiments/fig*`,
+//! with their claims in `expect.jsonl`), each checked-in `specs/*.json`
+//! file, and the scheduler comparison (`specs/experiments/sched`) — is an
+//! experiment of this crate. [`smart_infinity::CampaignService`] executes
+//! the trials, and the `figures` binary keeps only the paper's tables and
+//! figures that are not sweeps. It is built around two file-level contracts
+//! (the AgentLab shape):
 //!
 //! * A **harness** is any program that reads one `task.json` — an inline
 //!   [`smart_infinity::RunSpec`] or a [`smart_infinity::CampaignRef`] — and

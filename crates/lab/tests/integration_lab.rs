@@ -1,6 +1,7 @@
 //! End-to-end contract tests of the `lab` experiment runner: plan purity,
-//! shard-union bit-identity, kill-and-resume byte-identity, and agreement
-//! with the pre-existing `Campaign` front door over the checked-in specs.
+//! shard-union bit-identity, kill-and-resume byte-identity, agreement with
+//! a direct `Session` run of every checked-in spec file, and the `sched`
+//! experiment's variants pinned to the engine's scheduler names.
 
 use lab::{
     merge_journal_lines, plan_trials, run_experiment, ExperimentConfig, FixedExecutor, RunOptions,
@@ -10,12 +11,10 @@ use proptest::prelude::*;
 use smart_infinity::{Campaign, MachineSpec};
 use std::path::{Path, PathBuf};
 
+const SPECS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs");
 const MINI: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/experiments/mini");
-const LADDER: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/experiments/ladder");
 const HETERO: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/experiments/hetero");
-const FAULTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/experiments/faults");
-const LADDER_CAMPAIGN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/ladder.json");
-const FAULTS_CAMPAIGN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/faults.json");
+const SCHED: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/experiments/sched");
 
 /// A fresh per-test scratch directory under the system temp dir (the
 /// workspace has no tempfile crate; the process id plus a per-test tag keeps
@@ -203,43 +202,107 @@ fn resume_reexecutes_nothing_and_reproduces_analysis_bytes() {
 // Agreement with the existing front doors (real executor)
 // ---------------------------------------------------------------------------
 
-/// The ladder and faults experiments re-express `specs/ladder.json` and
-/// `specs/faults.json` through the harness contract (each task a campaign
-/// ref); their journaled objectives must be bit-identical to `Campaign::run`
-/// over the same file, fault injection included.
+/// Each `specs/<name>.json` has an experiment `specs/experiments/<name>` of
+/// campaign-ref tasks, one per spec in file order, under one variant with no
+/// delta. Its journaled values must be bit-identical to a direct
+/// `session().simulate_iteration()` of each spec, fault injection included.
 #[test]
 fn lab_ladder_objectives_match_campaign_run_bit_for_bit() {
-    let inputs = [("ladder", LADDER, LADDER_CAMPAIGN), ("faults", FAULTS, FAULTS_CAMPAIGN)];
-    for (tag, experiment, campaign_file) in inputs {
-        let out = scratch(tag);
+    for name in ["cluster", "compression", "faults", "ladder", "scaling", "serve"] {
+        let experiment = Path::new(SPECS).join("experiments").join(name);
+        let out = scratch(name);
         let mut executor = lab::ServiceExecutor::new(2);
-        let summary =
-            run_experiment(Path::new(experiment), &out, &RunOptions::default(), &mut executor)
-                .expect("experiment run");
-        assert_eq!(summary.errors, 0, "{experiment}");
+        let summary = run_experiment(&experiment, &out, &RunOptions::default(), &mut executor)
+            .expect("experiment run");
+        assert_eq!(summary.errors, 0, "{name}");
         assert!(summary.analysis_written);
 
-        let campaign = Campaign::from_json(&read(Path::new(campaign_file))).expect("campaign");
-        let report = campaign.run().expect("campaign runs");
-        assert_eq!(report.runs.len(), summary.planned, "{experiment}");
+        let file = Path::new(SPECS).join(format!("{name}.json"));
+        let campaign = Campaign::from_json(&read(&file)).expect("campaign");
+        assert_eq!(campaign.specs.len(), summary.planned, "{name}");
 
         let (records, warning) = lab::read_journal(&out.join("trials.jsonl")).expect("journal");
         assert!(warning.is_none());
-        // The tasks file lists the specs in campaign order (indices 0..n),
-        // and the plan is task-major, so record i corresponds to campaign
-        // run i.
-        for (record, run) in records.iter().zip(&report.runs) {
+        // The plan is task-major and the tasks list the specs in file order,
+        // so record i is spec i.
+        for (record, spec) in records.iter().zip(&campaign.specs) {
+            let report = spec.session().and_then(|s| s.simulate_iteration()).expect("spec runs");
             let objective = record.objective.as_ref().expect("success record");
             assert_eq!(objective.name, "iteration_s");
-            assert_eq!(
-                objective.value.to_bits(),
-                run.report.total_s().to_bits(),
-                "task `{}` vs campaign `{}`",
-                record.task_id,
-                run.label
-            );
+            let journaled = |key: &str| match record.metrics.get(key) {
+                Some(serde::Value::Number(n)) => n.as_f64().to_bits(),
+                other => panic!("{name}/{}: {key} is {other:?}", record.task_id),
+            };
+            let expected = [
+                (objective.value.to_bits(), report.total_s().to_bits()),
+                (journaled("forward_s"), report.forward_s.to_bits()),
+                (journaled("backward_s"), report.backward_s.to_bits()),
+                (journaled("update_s"), report.update_s.to_bits()),
+            ];
+            for (got, want) in expected {
+                assert_eq!(
+                    got,
+                    want,
+                    "{name}: task `{}` vs spec `{}`",
+                    record.task_id,
+                    spec.label()
+                );
+            }
         }
     }
+}
+
+/// The `sched` experiment's variants are named after schedulers; each
+/// planned trial must resolve to a spec the engine gives exactly that
+/// scheduler — one table, no drift.
+#[test]
+fn scheduler_names_cover_the_ladder() {
+    use simkit::Scheduler;
+    use smart_infinity::{method_scheduler, HandlerMode, MethodSpec, ModelSpec, RunSpec};
+    use ztrain::schedule::{
+        build_iteration_graph, GraphKnobs, HostUpdateScheduler, IterPhases, SiteMap,
+    };
+    let spec = RunSpec::new(
+        ModelSpec::preset("GPT2-0.34B"),
+        MachineSpec::devices(2),
+        MethodSpec::smart_update_optimized(),
+    );
+    let session = spec.session().unwrap();
+    let mut plat = ztrain::TimedPlatform::new(session.machine());
+    let phases = IterPhases {
+        forward: plat.add_phase("fw"),
+        backward: plat.add_phase("bw"),
+        update: plat.add_phase("up"),
+    };
+    let sites = SiteMap::new(plat.num_gpus(), plat.num_devices());
+    let graph = |knobs: GraphKnobs| {
+        let optimizer = smart_infinity::OptimizerKind::Adam;
+        build_iteration_graph(session.workload(), sites, optimizer, &knobs, phases)
+    };
+    let host = graph(GraphKnobs::host_update());
+    let smart = graph(GraphKnobs::in_storage(None, 100_000_000));
+    let name_of = |method: &MethodSpec| {
+        if method.uses_csds() {
+            method_scheduler(method.implied_handler(), method.pipelined, &smart.layout).name()
+        } else {
+            HostUpdateScheduler::new(&host.layout).name()
+        }
+    };
+    let (paths, config) = lab::ExperimentPaths::resolve(Path::new(SCHED)).expect("resolves");
+    let tasks = lab::runner::load_tasks(&paths.tasks).expect("tasks load");
+    let plan = plan_trials(&tasks, &config);
+    assert_eq!(plan.len(), 12, "three tasks under four schedulers");
+    for trial in &plan {
+        let spec =
+            lab::runner::resolve_trial_spec(trial, config.defaults.as_ref(), &paths.base_dir)
+                .expect("trial resolves");
+        assert_eq!(spec.handler, None, "{}: each scheduler is a handler choice", trial.trial_id);
+        assert_eq!(name_of(&spec.method), trial.variant, "{}", spec.label());
+    }
+    // The fourth (handler, pipelined) pair is no rung of the ladder: only
+    // the handler override reaches it.
+    let ablation = method_scheduler(HandlerMode::Naive, true, &smart.layout);
+    assert_eq!(ablation.name(), "pipelined-naive");
 }
 
 /// The hetero tasks file must stay pinned to the machine presets: drifting

@@ -40,14 +40,13 @@
 //! capability axes — switches both the timed and the functional view, and
 //! both speak [`TrainError`], so `?` works across the whole stack. Every
 //! configuration is also plain data: a [`RunSpec`] loads from JSON, and a
-//! [`Campaign`] sweeps a list of specs concurrently on `parcore` workers.
-//! For service-shaped traffic — many clients, overlapping spec lists —
-//! [`CampaignService`] (`campaignd`) adds a bounded work queue with in-flight
-//! dedup and a content-addressed result cache keyed on
-//! [`RunSpec::canonical_json`].
+//! [`Campaign`] is the `specs/*.json` list of them. Sweeps run as `lab`
+//! experiments, which execute through [`CampaignService`] (`campaignd`): a
+//! bounded work queue with in-flight dedup and a content-addressed result
+//! cache keyed on [`RunSpec::canonical_json`].
 //!
 //! ```
-//! use smart_infinity::{Campaign, FlatTensor, RunSpec, TrainError};
+//! use smart_infinity::{FlatTensor, RunSpec, TrainError};
 //!
 //! # fn main() -> Result<(), TrainError> {
 //! // One run, declared as data: SmartUpdate + optimized handler + SmartComp.
@@ -78,9 +77,12 @@
 //! let report = trainer.step(&FlatTensor::randn(4_096, 0.01, 8))?;
 //! assert!(report.is_compressed() && report.gradient_bytes < 4 * 4_096);
 //!
-//! // Sweep view: both specs as one campaign, run concurrently.
-//! let report = Campaign::new(vec![baseline, spec]).run()?;
-//! assert!(report.runs[1].speedup_over_first > 1.0);
+//! // Sweep view: a plain loop over specs.
+//! let mut totals = Vec::new();
+//! for spec in [baseline, spec] {
+//!     totals.push(spec.session()?.simulate_iteration()?.total_s());
+//! }
+//! assert!(totals[1] < totals[0]);
 //! # Ok(())
 //! # }
 //! ```
@@ -98,14 +100,14 @@ mod session;
 mod spec;
 mod traffic;
 
-pub use campaign::{Campaign, CampaignRef, CampaignReport, RunReport};
+pub use campaign::{Campaign, CampaignRef};
 pub use canon::{canonical_json, fnv1a};
 pub use cluster::{ClusterSpec, StragglerSpec};
 pub use engine_timed::{HandlerMode, PipelineTiming, SmartInfinityEngine};
-pub use sched::{compare_schedulers, method_scheduler, SchedulerRun};
+pub use sched::method_scheduler;
 pub use service::{
     CampaignService, ClientReport, CompletedJob, JobId, JobStatus, JobTelemetry, LatencyStats,
-    ServiceConfig, ServiceError, ServiceReport,
+    RunReport, ServiceConfig, ServiceError, ServiceReport,
 };
 pub use session::{Session, SessionBuilder};
 pub use spec::{CompressionSpec, MachineSpec, MethodSpec, ModelSpec, RunSpec, WorkloadSpec};

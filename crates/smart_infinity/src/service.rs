@@ -1,10 +1,10 @@
 //! `campaignd` — the asynchronous campaign service: a work queue, in-flight
 //! dedup, and a content-addressed result cache over [`RunSpec`] submissions.
 //!
-//! [`crate::Campaign`] is a single blocking batch call: one caller hands over
-//! a spec list and waits. Production traffic looks different — many clients
-//! submit *overlapping* spec lists concurrently, and most of the offered load
-//! is repeated work. [`CampaignService`] is the service layer for that shape:
+//! Many clients submit *overlapping* spec lists concurrently, and most of the
+//! offered load is repeated work (the `lab` runner submits every trial of an
+//! experiment, repeats and shared variants included). [`CampaignService`] is
+//! the service layer for that shape:
 //!
 //! * **submit → [`JobId`] → poll/await** — clients get a handle immediately
 //!   and collect the [`RunReport`] later ([`CampaignService::poll`] never
@@ -37,16 +37,14 @@
 //! content address) rides on every [`CompletedJob`], and
 //! [`CampaignService::report`] aggregates the service-wide view as a
 //! [`ServiceReport`]. Execution itself fans out on [`parcore::ParExecutor`]
-//! workers, exactly like [`crate::Campaign`] — the simulations stay
-//! deterministic, so cached, coalesced and fresh results are all
-//! bit-identical for a given spec.
+//! workers — the simulations stay deterministic, so cached, coalesced and
+//! fresh results are all bit-identical for a given spec.
 //!
 //! The service is thread-safe behind `&self`: any number of client threads
 //! may submit, poll and await concurrently. Dispatch runs on whichever
 //! thread holds the dispatcher role (one at a time); waiters park on a
 //! condvar until the cycle completes.
 
-use crate::campaign::RunReport;
 use crate::spec::RunSpec;
 use parcore::ParExecutor;
 use serde::Serialize;
@@ -130,6 +128,21 @@ pub struct JobTelemetry {
     pub spec_key: u64,
 }
 
+/// One spec's result: its presentation labels beside the timed breakdown.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct RunReport {
+    /// The submitted spec's label ([`RunSpec::label`]).
+    pub label: String,
+    /// The model half of the spec, printed.
+    pub model: String,
+    /// The method's figure label (`BASE`, `SU+O+C(2%)`, ...).
+    pub method: String,
+    /// Number of storage devices.
+    pub devices: usize,
+    /// The per-phase breakdown of one simulated iteration.
+    pub report: IterationReport,
+}
+
 /// A finished job: the report plus how it was produced.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CompletedJob {
@@ -139,8 +152,7 @@ pub struct CompletedJob {
     pub client: usize,
     /// The per-spec result, labelled with *this* submission's label (the
     /// cached [`IterationReport`] payload is shared between canonically
-    /// equal specs; `speedup_over_first` is fixed at 1.0 — a service has no
-    /// ladder reference run).
+    /// equal specs).
     pub report: RunReport,
     /// How the result was produced.
     pub telemetry: JobTelemetry,
@@ -365,7 +377,6 @@ impl CacheEntry {
             method: self.method.clone(),
             devices: self.devices,
             report: self.report,
-            speedup_over_first: 1.0,
         }
     }
 }

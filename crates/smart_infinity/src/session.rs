@@ -15,7 +15,7 @@
 //! Both paths speak [`TrainError`], so a caller can mix them with `?`, and
 //! both validate the spec centrally instead of panicking in a substrate.
 //! Sessions can also be described entirely as data — see [`crate::RunSpec`]
-//! and the JSON-driven [`crate::Campaign`] runner.
+//! and the `specs/*.json` spec lists ([`crate::Campaign`]).
 
 use crate::cluster::ClusterSpec;
 use crate::engine_timed::{HandlerMode, SmartInfinityEngine};

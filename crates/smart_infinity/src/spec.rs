@@ -17,8 +17,9 @@
 //! optimizer, thread count, handler override, subgroup capacity, workload —
 //! so a whole experiment is one JSON document (see the checked-in
 //! `specs/*.json`) that [`RunSpec::from_json`] loads and
-//! [`RunSpec::session`] turns into a ready [`Session`]. Sweeps over lists of
-//! specs run concurrently through [`crate::Campaign`].
+//! [`RunSpec::session`] turns into a ready [`Session`]. Sweeps over specs are
+//! `lab` experiments, whose tasks are inline specs or [`crate::CampaignRef`]s
+//! into those files.
 
 use crate::engine_timed::HandlerMode;
 use crate::session::Session;

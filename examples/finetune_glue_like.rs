@@ -2,13 +2,13 @@
 //! classifiers on the GLUE-like synthetic suite with and without SmartComp's
 //! Top-K gradient compression, and report accuracy next to the iteration-time
 //! speedup of the corresponding fine-tuned LLM. The speedup side is a
-//! spec-driven `Campaign`: a (model x method) grid run concurrently.
+//! (model x method) grid of `RunSpec`s, each simulated once.
 //!
 //! ```text
 //! cargo run --release -p smart_infinity --example finetune_glue_like
 //! ```
 
-use smart_infinity::{Campaign, MachineSpec, MethodSpec, ModelSpec, RunSpec, TrainError};
+use smart_infinity::{MachineSpec, MethodSpec, ModelSpec, RunSpec, TrainError};
 use ztrain::realtrain::{train_classifier, Dataset, MlpModel, TrainConfig};
 
 fn main() -> Result<(), TrainError> {
@@ -51,7 +51,7 @@ fn main() -> Result<(), TrainError> {
     }
 
     // Speedup side: the timed model for the three fine-tuned LLMs of
-    // Table IV, as one (model x method) campaign grid.
+    // Table IV, as one (model x method) grid.
     let models = ["BERT-0.34B", "GPT2-0.77B", "GPT2-1.6B"];
     let methods = [
         MethodSpec::baseline(),
@@ -66,18 +66,20 @@ fn main() -> Result<(), TrainError> {
             })
         })
         .collect();
-    let report = Campaign::new(specs).with_name("finetune speedups").run()?;
+    let mut reports = Vec::with_capacity(specs.len());
+    for spec in &specs {
+        reports.push(spec.session()?.simulate_iteration()?);
+    }
 
     println!("\nIteration-time speedup while fine-tuning (6 storage devices):");
     println!("{:<12} {:>10} {:>12}", "model", "SU+O", "SU+O+C(2%)");
     for (i, model) in models.iter().enumerate() {
-        let rows = &report.runs[3 * i..3 * i + 3];
-        let base = &rows[0].report;
+        let rows = &reports[3 * i..3 * i + 3];
         println!(
             "{:<12} {:>9.2}x {:>11.2}x",
             model,
-            rows[1].report.speedup_over(base),
-            rows[2].report.speedup_over(base)
+            rows[1].speedup_over(&rows[0]),
+            rows[2].speedup_over(&rows[0])
         );
     }
     println!("\nSmartUpdate itself is lossless (bit-identical update); only SmartComp trades");

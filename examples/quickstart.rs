@@ -1,7 +1,7 @@
 //! Quickstart: every training configuration is data — a `RunSpec` — and one
 //! spec drives both the timed view (how long does an iteration take?) and
 //! the functional view (really move the bytes, really update the
-//! parameters). Lists of specs run concurrently as a `Campaign`.
+//! parameters). A list of specs is a plain loop over `RunSpec::session()`.
 //!
 //! ```text
 //! cargo run --release -p smart_infinity --example quickstart
@@ -14,8 +14,8 @@ use smart_infinity::{
 
 fn main() -> Result<(), TrainError> {
     // ------------------------------------------------------------------
-    // 1. Timed view: the checked-in ladder campaign — six method specs on
-    //    6 SmartSSDs — executed concurrently on parcore workers.
+    // 1. Timed view: the checked-in ladder — six method specs on
+    //    6 SmartSSDs — one timed iteration each.
     // ------------------------------------------------------------------
     let ladder_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/ladder.json");
     let text = std::fs::read_to_string(ladder_path)
@@ -31,27 +31,29 @@ fn main() -> Result<(), TrainError> {
         workload.seq_len()
     );
 
-    let report = campaign.run()?;
     println!(
-        "\nCampaign `{}`: {} specs on {} worker(s) ({} CPU(s) visible):",
-        report.name.as_deref().unwrap_or("-"),
-        report.runs.len(),
-        report.threads,
-        report.num_cpus
+        "\nLadder `{}`: {} specs",
+        campaign.name.as_deref().unwrap_or("-"),
+        campaign.specs.len()
     );
     println!(
         "{:<12} {:>8} {:>12} {:>10} {:>10} {:>9}",
         "method", "FW (s)", "BW+Grad (s)", "Update (s)", "Total (s)", "speedup"
     );
-    for r in &report.runs {
+    let mut first = None;
+    for spec in &campaign.specs {
+        let report = spec.session()?.simulate_iteration()?;
+        let base = *first.get_or_insert(report);
+        // The label as a string, so the column width applies to it.
+        let method = spec.method.to_string();
         println!(
             "{:<12} {:>8.2} {:>12.2} {:>10.2} {:>10.2} {:>8.2}x",
-            r.method,
-            r.report.forward_s,
-            r.report.backward_s,
-            r.report.update_s,
-            r.report.total_s(),
-            r.speedup_over_first
+            method,
+            report.forward_s,
+            report.backward_s,
+            report.update_s,
+            report.total_s(),
+            report.speedup_over(&base)
         );
     }
 
@@ -163,8 +165,9 @@ fn main() -> Result<(), TrainError> {
     );
 
     println!(
-        "\nDone. Try `cargo run -p bench --release --bin figures -- campaign specs/scaling.json`\n\
-         or `-- all` for every paper figure."
+        "\nDone. Try `cargo run -p lab --release --bin lab -- run --experiment \
+         specs/experiments/scaling --out out/scaling`\n\
+         or `cargo run -p bench --release --bin figures -- all` for the figures that are code."
     );
     Ok(())
 }

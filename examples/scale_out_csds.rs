@@ -1,9 +1,8 @@
 //! Scale-out study: how iteration time, speedup and cost efficiency evolve as
 //! computational storage devices are added (paper Fig. 11 and Fig. 15).
 //!
-//! The sweep is expressed as a `Campaign` grid — one `RunSpec` per
-//! (device count × method) point — and executed concurrently on `parcore`
-//! workers; a 20-point study is one `run()` call.
+//! The sweep is a grid of `RunSpec`s — one per (device count × method)
+//! point — each simulated once in a plain loop.
 //!
 //! ```text
 //! cargo run --release -p smart_infinity --example scale_out_csds [model-billions]
@@ -13,7 +12,7 @@
 //! parameters (default 4.0).
 
 use smart_infinity::{
-    Campaign, CostModel, GpuSpec, MachineSpec, MethodSpec, ModelSpec, RunSpec, TrainError, Workload,
+    CostModel, GpuSpec, MachineSpec, MethodSpec, ModelSpec, RunSpec, TrainError, Workload,
 };
 
 fn main() -> Result<(), TrainError> {
@@ -30,7 +29,7 @@ fn main() -> Result<(), TrainError> {
         model.num_params() as f64 / 1e9
     );
 
-    // The whole study as one campaign: (1..=10 devices) x (BASE, SU+O+C).
+    // The whole study as one grid: (1..=10 devices) x (BASE, SU+O+C).
     let device_counts: Vec<usize> = (1..=10).collect();
     let specs: Vec<RunSpec> = device_counts
         .iter()
@@ -41,13 +40,11 @@ fn main() -> Result<(), TrainError> {
                 .map(move |m| RunSpec::new(model_spec.clone(), MachineSpec::devices(n), m))
         })
         .collect();
-    let report = Campaign::new(specs).with_name("scale-out").run()?;
-    println!(
-        "(campaign: {} specs on {} worker(s), {} CPU(s) visible)\n",
-        report.runs.len(),
-        report.threads,
-        report.num_cpus
-    );
+    let mut reports = Vec::with_capacity(specs.len());
+    for spec in &specs {
+        reports.push(spec.session()?.simulate_iteration()?);
+    }
+    println!("({} specs)\n", reports.len());
 
     let cost = CostModel::default();
     let gpu = GpuSpec::a5000();
@@ -59,8 +56,8 @@ fn main() -> Result<(), TrainError> {
     );
     let mut crossover: Option<usize> = None;
     for (i, &n) in device_counts.iter().enumerate() {
-        let base = &report.runs[2 * i].report;
-        let smart = &report.runs[2 * i + 1].report;
+        let base = &reports[2 * i];
+        let smart = &reports[2 * i + 1];
         let base_eff =
             CostModel::gflops_per_dollar(flops / base.total_s(), cost.baseline_system_usd(&gpu, n));
         let smart_eff = CostModel::gflops_per_dollar(

@@ -8,7 +8,7 @@
 
 use fabric::{NodeKind, PlatformSpec, StorageKind};
 use simkit::{FlowSpec, Simulation};
-use smart_infinity::{Campaign, MachineSpec, MethodSpec, ModelSpec, RunSpec, TrainError};
+use smart_infinity::{MachineSpec, MethodSpec, ModelSpec, RunSpec, TrainError};
 
 // `?` spans both stacks: the raw simkit runs convert through
 // `TrainError::from(SimError)`, the session runs return `TrainError` already.
@@ -66,8 +66,8 @@ fn main() -> Result<(), TrainError> {
     println!("  to the local FPGA (private P2P): {p2p_done:.2} s");
 
     // ------------------------------------------------------------------
-    // 3. The congested multi-GPU placement of Fig. 17, as one spec-driven
-    //    campaign: a (GPU count x method) grid run concurrently.
+    // 3. The congested multi-GPU placement of Fig. 17, as a (GPU count x
+    //    method) grid of specs.
     // ------------------------------------------------------------------
     println!("\nCongested topology (GPUs behind the same expansion switch as the CSDs):");
     let specs: Vec<RunSpec> = (1..=3usize)
@@ -81,9 +81,12 @@ fn main() -> Result<(), TrainError> {
             })
         })
         .collect();
-    let report = Campaign::new(specs).with_name("congested").run()?;
-    for (i, pair) in report.runs.chunks(2).enumerate() {
-        let (base, smart) = (&pair[0].report, &pair[1].report);
+    let mut reports = Vec::with_capacity(specs.len());
+    for spec in &specs {
+        reports.push(spec.session()?.simulate_iteration()?);
+    }
+    for (i, pair) in reports.chunks(2).enumerate() {
+        let (base, smart) = (&pair[0], &pair[1]);
         println!(
             "  {} x A4000: baseline {:.2} s/iter, Smart-Infinity {:.2} s/iter ({:.2}x)",
             i + 1,

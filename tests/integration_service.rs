@@ -10,8 +10,8 @@ use parcore::{ExecMode, ParExecutor};
 use proptest::prelude::*;
 use serde::Value;
 use smart_infinity::{
-    fnv1a, CampaignService, CompressionSpec, FaultSpec, JobId, JobStatus, MachineSpec, MethodSpec,
-    ModelSpec, RunSpec, SelectionMethod, ServiceConfig, ServiceError, WorkloadSpec,
+    fnv1a, Campaign, CampaignService, CompressionSpec, FaultSpec, JobId, JobStatus, MachineSpec,
+    MethodSpec, ModelSpec, RunSpec, SelectionMethod, ServiceConfig, ServiceError, WorkloadSpec,
 };
 
 /// Builds a coherent `MethodSpec` from sampled axes (the invalid
@@ -178,11 +178,14 @@ fn cache_hits_are_bit_identical_to_fresh_runs_across_modes_and_faults() {
 }
 
 /// Many concurrent clients hammering one overlapping spec list: each unique
-/// spec executes exactly once, nobody starves, and every coalesced/cached
-/// answer carries the same payload.
+/// spec executes exactly once, a second pass is answered entirely from
+/// cache, nobody starves, and every coalesced/cached answer carries the same
+/// payload. The lists are hand-built ladder points and `specs/serve.json`,
+/// whose eight specs are six unique ones spelled with deliberate duplicate
+/// encodings (explicit nulls, relabelled repeats).
 #[test]
 fn concurrent_clients_get_exactly_one_execution_per_unique_spec() {
-    let specs: Vec<RunSpec> = [
+    let ladder: Vec<RunSpec> = [
         MethodSpec::baseline(),
         MethodSpec::smart_update(),
         MethodSpec::smart_update_optimized(),
@@ -191,43 +194,60 @@ fn concurrent_clients_get_exactly_one_execution_per_unique_spec() {
     .into_iter()
     .map(|m| RunSpec::new(ModelSpec::preset("GPT2-0.34B"), MachineSpec::devices(3), m))
     .collect();
-    let service = CampaignService::new(ServiceConfig::new(64, 2));
-    let pool = ParExecutor::new(2);
-    let clients = 6;
-    std::thread::scope(|scope| {
-        for client in 0..clients {
-            let service = &service;
-            let specs = &specs;
-            let pool = &pool;
-            scope.spawn(move || {
-                // Rotated start offsets make the overlap in-flight, not only
-                // cached; two passes make the second all-cache.
-                for pass in 0..2 {
-                    let ids: Vec<JobId> = (0..specs.len())
-                        .map(|k| {
-                            let spec = &specs[(client + k + pass) % specs.len()];
-                            service.submit(client, spec).expect("submit")
-                        })
-                        .collect();
-                    for id in ids {
-                        service.await_result(id, pool).expect("await");
-                    }
+    let serve = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/serve.json");
+    let serve = std::fs::read_to_string(serve).expect("specs/serve.json is checked in");
+    let serve = Campaign::from_json(&serve).expect("serve.json parses").specs;
+    assert_eq!(serve.len(), 8);
+    for (specs, unique) in [(ladder, 4), (serve, 6)] {
+        let mut canon: Vec<String> = specs.iter().map(RunSpec::canonical_json).collect();
+        canon.sort();
+        canon.dedup();
+        assert_eq!(canon.len() as u64, unique, "distinct canonical specs");
+        let service = CampaignService::new(ServiceConfig::new(64, 2));
+        let pool = ParExecutor::new(2);
+        let clients = 6;
+        // Each pass is a barrier: every client's jobs finish before the next
+        // pass starts, so the second pass can only be cache hits.
+        for pass in 0..2 {
+            let before = service.report();
+            std::thread::scope(|scope| {
+                for client in 0..clients {
+                    let (service, specs, pool) = (&service, &specs, &pool);
+                    scope.spawn(move || {
+                        // Rotated start offsets make the overlap in-flight,
+                        // not only cached.
+                        let ids: Vec<JobId> = (0..specs.len())
+                            .map(|k| {
+                                let spec = &specs[(client + k + pass) % specs.len()];
+                                service.submit(client, spec).expect("submit")
+                            })
+                            .collect();
+                        for id in ids {
+                            service.await_result(id, pool).expect("await");
+                        }
+                    });
                 }
             });
+            let after = service.report();
+            let submitted = after.submitted - before.submitted;
+            assert_eq!(submitted, (clients * specs.len()) as u64);
+            if pass == 1 {
+                assert_eq!(after.cache_hits - before.cache_hits, submitted, "pass 2 is all cache");
+            }
         }
-    });
-    assert_eq!(service.executions(), specs.len() as u64, "one execution per unique spec, ever");
-    let report = service.report();
-    assert_eq!(report.submitted, (clients * specs.len() * 2) as u64);
-    assert_eq!(report.cache_hits + report.coalesced + specs.len() as u64, report.submitted);
-    assert_eq!(report.failed, 0);
-    assert_eq!(report.rejected, 0);
-    for (client, stats) in report.clients.iter().enumerate() {
-        assert_eq!(
-            stats.completed,
-            (specs.len() * 2) as u64,
-            "client {client} must complete every job (no starvation)"
-        );
+        assert_eq!(service.executions(), unique, "one execution per unique spec, ever");
+        let report = service.report();
+        assert_eq!(report.submitted, (clients * specs.len() * 2) as u64);
+        assert_eq!(report.cache_hits + report.coalesced + unique, report.submitted);
+        assert_eq!(report.failed, 0);
+        assert_eq!(report.rejected, 0);
+        for (client, stats) in report.clients.iter().enumerate() {
+            assert_eq!(
+                stats.completed,
+                (specs.len() * 2) as u64,
+                "client {client} must complete every job (no starvation)"
+            );
+        }
     }
 }
 

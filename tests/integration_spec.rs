@@ -1,9 +1,8 @@
 //! Integration suite for the spec-driven front door: `RunSpec` JSON round
 //! trips, builder-vs-JSON bit-equivalence across both stacks, centralized
 //! `TrainError::Config` validation from the builder *and* the JSON path, and
-//! the `Campaign` runner over the checked-in spec files.
+//! the checked-in spec files, run directly and as `lab` experiments.
 
-use parcore::ParExecutor;
 use proptest::prelude::*;
 use smart_infinity::{
     Campaign, CompressionSpec, FlatTensor, HandlerMode, MachineSpec, MethodSpec, ModelSpec,
@@ -11,15 +10,7 @@ use smart_infinity::{
 };
 use ztrain::SyntheticGradients;
 
-fn ladder_json() -> String {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/ladder.json");
-    std::fs::read_to_string(path).expect("specs/ladder.json is checked in")
-}
-
-fn spec_json(file: &str) -> String {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/");
-    std::fs::read_to_string(format!("{dir}{file}")).expect("spec file is checked in")
-}
+const SPECS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs");
 
 /// Builds a `MethodSpec` from sampled axes, constrained to coherent
 /// combinations (incoherent ones are covered by the error tests).
@@ -232,62 +223,75 @@ fn invalid_specs_are_config_errors_from_both_builder_and_json_paths() {
 
 #[test]
 fn checked_in_ladder_campaign_runs_concurrently_on_parcore() {
-    let campaign = Campaign::from_json(&ladder_json()).expect("ladder parses");
-    assert!(campaign.specs.len() >= 4, "the acceptance bar: a campaign of >= 4 specs");
-    let parallel = campaign.run_on(&ParExecutor::new(4)).expect("parallel run");
-    let serial = campaign.run_on(&ParExecutor::serial()).expect("serial run");
-    assert_eq!(parallel.threads, 4);
-    assert_eq!(parallel.runs.len(), campaign.specs.len());
-    // Concurrency changes wall-clock only, never results.
-    assert_eq!(parallel.runs, serial.runs);
+    // `specs/ladder.json` as the `ladder` experiment, on four workers.
+    let out = std::env::temp_dir().join(format!("spec-ladder-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&out);
+    let experiment = std::path::Path::new(SPECS).join("experiments/ladder");
+    let summary = lab::run_experiment(
+        &experiment,
+        &out,
+        &lab::RunOptions::default(),
+        &mut lab::ServiceExecutor::new(4),
+    )
+    .expect("ladder experiment runs");
+    assert!(summary.planned >= 4, "the acceptance bar: a sweep of >= 4 specs");
+    assert_eq!(summary.errors, 0);
+    let (records, _) = lab::read_journal(&out.join(lab::runner::JOURNAL_FILE)).expect("journal");
+    let _ = std::fs::remove_dir_all(&out);
+    let total = |record: &lab::TrialRecord| record.objective.as_ref().expect("objective").value;
+    let method = |record: &lab::TrialRecord| match record.metrics.get("method") {
+        Some(serde::Value::String(label)) => label.clone(),
+        other => panic!("{}: method is {other:?}", record.task_id),
+    };
     // The ladder's physics still hold when driven from JSON: every
     // Smart-Infinity point beats BASE, compression beats its dense sibling.
-    assert_eq!(parallel.runs[0].method, "BASE");
-    assert!((parallel.runs[0].speedup_over_first - 1.0).abs() < 1e-12);
-    for run in &parallel.runs[1..] {
-        assert!(run.speedup_over_first > 1.0, "{}: {}", run.label, run.speedup_over_first);
+    assert_eq!(method(&records[0]), "BASE");
+    for record in &records[1..] {
+        assert!(total(record) < total(&records[0]), "{}: {}", record.task_id, total(record));
     }
-    let total = |label: &str| {
-        parallel
-            .runs
-            .iter()
-            .find(|r| r.method == label)
-            .unwrap_or_else(|| panic!("{label} in ladder"))
-            .report
-            .total_s()
+    let by_method = |label: &str| {
+        total(
+            records
+                .iter()
+                .find(|r| method(r) == label)
+                .unwrap_or_else(|| panic!("{label} in ladder")),
+        )
     };
-    assert!(total("SU+O+C(2%)") < total("SU+O"));
-    assert!(total("SU+O+P+C(2%)") < total("SU+O+P"));
-    // The report's host facts are recorded for the perf-snapshot caveat.
-    assert!(parallel.num_cpus >= 1);
-    assert_eq!(parallel.parallel_valid, parallel.num_cpus > 1);
+    assert!(by_method("SU+O+C(2%)") < by_method("SU+O"));
+    assert!(by_method("SU+O+P+C(2%)") < by_method("SU+O+P"));
 }
 
 #[test]
 fn every_checked_in_spec_file_parses_validates_and_runs() {
-    for file in ["ladder.json", "scaling.json", "compression.json", "serve.json"] {
-        let campaign = Campaign::from_json(&spec_json(file)).unwrap_or_else(|e| {
-            panic!("{file}: {e}");
-        });
-        campaign.validate().unwrap_or_else(|e| panic!("{file}: {e}"));
-        let report = campaign.run().unwrap_or_else(|e| panic!("{file}: {e}"));
-        assert_eq!(report.runs.len(), campaign.specs.len(), "{file}");
-        for run in &report.runs {
-            assert!(run.report.total_s() > 0.0, "{file}: {}", run.label);
+    let mut files: Vec<_> = std::fs::read_dir(SPECS)
+        .expect("specs/ is listable")
+        .map(|entry| entry.expect("entry").path())
+        .filter(|path| path.extension().is_some_and(|e| e == "json"))
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 6, "{files:?}");
+    for file in &files {
+        let name = file.display();
+        let text = std::fs::read_to_string(file).expect("spec file reads");
+        let campaign = Campaign::from_json(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(!campaign.specs.is_empty(), "{name}");
+        for spec in &campaign.specs {
+            let report = spec.session().and_then(|s| s.simulate_iteration());
+            let report = report.unwrap_or_else(|e| panic!("{name} `{}`: {e}", spec.label()));
+            assert!(report.total_s() > 0.0, "{name}: {}", spec.label());
         }
     }
     // compression.json exercises the off-ladder SU+C point: the same 1 %
     // Top-K under the optimized handler must beat it under the naive one.
-    let campaign = Campaign::from_json(&spec_json("compression.json")).expect("parses");
-    let report = campaign.run().expect("runs");
+    let text = std::fs::read_to_string(format!("{SPECS}/compression.json")).expect("reads");
+    let campaign = Campaign::from_json(&text).expect("parses");
     let by_name = |needle: &str| {
-        report
-            .runs
+        let spec = campaign
+            .specs
             .iter()
-            .find(|r| r.label.contains(needle))
-            .unwrap_or_else(|| panic!("{needle} in compression.json"))
-            .report
-            .total_s()
+            .find(|s| s.label().contains(needle))
+            .unwrap_or_else(|| panic!("{needle} in compression.json"));
+        spec.session().and_then(|s| s.simulate_iteration()).expect("runs").total_s()
     };
     assert!(by_name("off-ladder") > by_name("SU+O+C 2% transfer"));
     assert_eq!(
@@ -295,15 +299,4 @@ fn every_checked_in_spec_file_parses_validates_and_runs() {
         1,
         "the off-ladder label renders"
     );
-}
-
-#[test]
-fn campaign_reports_serialize_for_the_json_sink() {
-    let campaign = Campaign::from_json(&ladder_json()).expect("ladder parses");
-    let report = campaign.run_on(&ParExecutor::serial()).expect("runs");
-    let json = serde_json::to_string_pretty(&report).expect("serializes");
-    assert!(json.contains("\"parallel_valid\""));
-    assert!(json.contains("SU+O+P+C(2%)"));
-    // The document is valid JSON in the shim's own parser.
-    serde_json::parse(&json).expect("report JSON parses back");
 }
