@@ -10,7 +10,10 @@
 
 use gradcomp::Compressor;
 use optim::{HyperParams, Optimizer, OptimizerKind};
-use smart_infinity::{MachineConfig, MethodSpec, ModelConfig, PipelinedTrainer, Session, Trainer};
+use smart_infinity::{
+    MachineConfig, MethodSpec, ModelConfig, PipelinedTrainer, Session, StorageOffloadTrainer,
+    Trainer,
+};
 use tensorlib::{Dtype, FlatTensor};
 use ztrain::SyntheticGradients;
 
@@ -176,4 +179,33 @@ fn fp16_working_copy_is_the_rounded_master_copy_everywhere() {
     let master = smart.master_params().expect("params");
     let expected = FlatTensor::from_bytes(&master.to_bytes(Dtype::F16), Dtype::F16);
     assert_eq!(smart.params_fp16().as_slice(), expected.as_slice());
+}
+
+/// The host baseline on blocks that really stripe. Under the 1 MiB stripe a
+/// 300 000-element (1.2 MB) block puts its first 262 144 elements on member
+/// 0, the other 37 856 on member 1, and an empty share on member 2. So every
+/// member's windows, the partial last stripe and the FP16 refresh at each
+/// stripe's logical offset are reached. The master copy and the FP16 working
+/// copy equal, under `to_bits`, plain in-memory optimizer steps and their
+/// FP16 rounding.
+#[test]
+fn a_striped_baseline_block_equals_the_in_memory_reference() {
+    let n = 800_000;
+    let initial = FlatTensor::randn(n, 0.05, 91);
+    let grads = gradient_stream(n, 3, 930);
+    let bits = |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for kind in [OptimizerKind::Adam, OptimizerKind::SgdMomentum] {
+        let optimizer = Optimizer::new(kind, HyperParams::default());
+        let reference = in_memory_reference(&initial, optimizer, &grads);
+        let mut fp16 = FlatTensor::zeros(n);
+        reference.roundtrip_f16_into(fp16.as_mut_slice());
+        let mut trainer =
+            StorageOffloadTrainer::new(&initial, optimizer, 3, 300_000).expect("trainer");
+        for g in &grads {
+            trainer.step(g).expect("step");
+        }
+        let master = trainer.master_params().expect("params");
+        assert!(bits(master.as_slice()) == bits(reference.as_slice()), "{kind:?}: master copy");
+        assert!(bits(trainer.params_fp16().as_slice()) == bits(fp16.as_slice()), "{kind:?}: FP16");
+    }
 }

@@ -242,6 +242,58 @@ fn the_fault_stream_is_unchanged_op_for_op() {
     }
 }
 
+/// The same op-for-op pin for a baseline whose blocks really stripe: three
+/// SSDs, 300 000-element (1.2 MB) blocks under the 1 MiB stripe, so a block
+/// lies on members 0 and 1 and member 2 holds an empty share. With
+/// transients and one wear-out, every step's recovery work and byte counters
+/// and the final parameters equal the values recorded from the commit before
+/// the in-place host update (`14ef073`).
+#[test]
+fn the_striped_baseline_fault_stream_is_unchanged_op_for_op() {
+    let n = 800_000;
+    let initial = FlatTensor::randn(n, 0.05, 73);
+    let mut faults = FaultSpec::empty(2025);
+    faults.transient_per_mille = Some(200);
+    faults.ssd_wearout_step = Some(2);
+    let fnv = |values: &[f32]| {
+        values.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+            (h ^ u64::from(v.to_bits())).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    let mut trainer = timed_builder(MethodSpec::baseline(), 3, 1)
+        .with_subgroup_elems(300_000)
+        .with_faults(faults)
+        .build()
+        .trainer(&initial)
+        .unwrap();
+    let mut lines = Vec::new();
+    for step in 0..4u64 {
+        let report = trainer.step(&FlatTensor::randn(n, 0.01, 90 + step)).unwrap();
+        let d = report.degraded.unwrap_or_default();
+        lines.push(format!(
+            "t{} r{} b{} d{} m{} R{} W{}",
+            d.transient_faults,
+            d.retries,
+            d.backoff_ms,
+            d.devices_rebuilt,
+            d.rebuild_bytes,
+            report.storage_bytes_read,
+            report.storage_bytes_written
+        ));
+    }
+    let master = trainer.master_params().unwrap();
+    let fp16 = fnv(trainer.params_fp16().as_slice());
+    lines.push(format!("{:016x} {fp16:016x}", fnv(master.as_slice())));
+    let golden = [
+        "t12 r12 b28 d0 m0 R12800000 W12800000",
+        "t27 r28 b70 d1 m11588608 R24388608 W24388608",
+        "t30 r30 b80 d0 m0 R12800000 W12800000",
+        "t21 r21 b56 d0 m0 R12800000 W12800000",
+        "6ccb439235292735 34b5d65a1c300725",
+    ];
+    assert_eq!(lines, golden);
+}
+
 /// Timed fault effects (a straggler CSD, a derated host uplink) slow the
 /// simulated iteration down and do so deterministically.
 #[test]
