@@ -231,11 +231,9 @@ fn stored_region<'a>(
 }
 
 /// Elements per tile of the in-place update: a Top-K stream is scattered
-/// into one tile of dense gradient (32 KiB), which the kernel consumes while
-/// it is still in cache, stepping the same tile of every state window beside
-/// it. Not a knob: a `train_smart` step read the same within noise from 2 Ki
-/// to 128 Ki elements (three 8 s `sibench` runs each, 2-vCPU x86-64 guest).
-const TILE: usize = 8 * 1024;
+/// into one tile of dense gradient, which the kernel consumes while it is
+/// still in cache, stepping the same tile of every state window beside it.
+const TILE: usize = Optimizer::TILE_ELEMS;
 
 /// One updater worker's host buffers, reused from one subgroup to the next.
 /// The state is stepped where the SSD lends it, so what is left is `grad`, a
@@ -282,12 +280,8 @@ impl TileSpan<'_> {
             let bytes = 4 * first..4 * (first + n);
             let mut windows: Vec<&mut [u8]> =
                 states.iter_mut().map(|window| &mut window[bytes.clone()]).collect();
-            let mut kernel = |grad: &[f32]| {
-                le_bytes::with_floats_mut(&mut windows, staging, |views| {
-                    let (master, aux) = views.split_first_mut().expect("the master window leads");
-                    optimizer.step_slices(master, grad, aux, step);
-                });
-            };
+            let mut kernel =
+                |grad: &[f32]| optimizer.step_le_windows(&mut windows, grad, staging, step);
             match &mut grad {
                 GradSource::Dense(window) => {
                     le_bytes::with_floats(&window[bytes], grad_tile, kernel)

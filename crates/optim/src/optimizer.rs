@@ -4,7 +4,7 @@
 use crate::kernels;
 use parcore::ParExecutor;
 use serde::{Deserialize, Serialize};
-use tensorlib::FlatTensor;
+use tensorlib::{le_bytes, FlatTensor};
 
 /// Which optimizer algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -113,15 +113,38 @@ impl Optimizer {
         self.par_step_chunked(&ParExecutor::serial(), 1, params, grads.as_slice(), aux, t);
     }
 
-    /// [`Optimizer::step`] on borrowed slices: the same kernel, for state
-    /// that lives in someone else's memory (a CSD updates the windows its
-    /// SSD lends it in place). Bit-identical to [`Optimizer::step`].
+    /// Elements per tile of an in-place update: both updaters step one tile
+    /// of every state window with [`Optimizer::step_le_windows`] while the
+    /// tile, and the gradient tile beside it (32 KiB), is still in cache.
+    /// Not a knob: a `train_smart` step read the same within noise from 2 Ki
+    /// to 128 Ki elements (three 8 s `sibench` runs each, 2-vCPU x86-64
+    /// guest).
+    pub const TILE_ELEMS: usize = 8 * 1024;
+
+    /// [`Optimizer::step`] on state held as little-endian FP32 bytes,
+    /// where it lies: `states` is the master window, then one window per
+    /// auxiliary tensor, each `grads.len()` floats long. The windows are
+    /// viewed as floats in place (`le_bytes::with_floats_mut`), and staged
+    /// through `staging` only when they cannot be (a big-endian target or a
+    /// misaligned window). The one tile body of both in-place updaters: the
+    /// CSD's over its SSD's windows and the host baseline's over the RAID
+    /// members'. Bit-identical to [`Optimizer::step`].
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as [`Optimizer::step`].
-    pub fn step_slices(&self, params: &mut [f32], grads: &[f32], aux: &mut [&mut [f32]], t: u64) {
-        self.par_step_chunked(&ParExecutor::serial(), 1, params, grads, aux, t);
+    /// Panics under the same conditions as [`Optimizer::step`], or if
+    /// `states` is empty or a window is not whole floats.
+    pub fn step_le_windows(
+        &self,
+        states: &mut [&mut [u8]],
+        grads: &[f32],
+        staging: &mut Vec<f32>,
+        t: u64,
+    ) {
+        le_bytes::with_floats_mut(states, staging, |views| {
+            let (params, aux) = views.split_first_mut().expect("the master window leads");
+            self.par_step_chunked(&ParExecutor::serial(), 1, params, grads, aux, t);
+        });
     }
 
     /// Applies one update step in place, fanning contiguous chunks of the
@@ -233,6 +256,7 @@ impl Optimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tensorlib::Dtype;
 
     #[test]
     fn aux_layout_matches_algorithm() {
@@ -339,18 +363,35 @@ mod tests {
                 opt.par_step(&pool, par.as_mut_slice(), &grads, &mut par_aux, t);
             }
             assert_eq!(par.as_slice(), serial.as_slice(), "{kind:?} par_step");
-            // step_slices (borrowed aux) is the same dispatch.
-            let mut lent = FlatTensor::from_fn(n, |i| (i as f32) * 1e-3);
-            let mut lent_aux = opt.init_aux(n);
-            for t in 1..=2 {
-                let mut aux: Vec<&mut [f32]> =
-                    lent_aux.iter_mut().map(FlatTensor::as_mut_slice).collect();
-                opt.step_slices(lent.as_mut_slice(), grads.as_slice(), &mut aux, t);
-            }
+            // step_le_windows (state in someone else's memory as little-endian
+            // bytes, stepped where it lies a tile at a time) is the same
+            // kernel, also when a window one byte off alignment is staged.
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(lent.as_slice()), bits(serial.as_slice()), "{kind:?} step_slices");
-            for (a, b) in lent_aux.iter().zip(&serial_aux) {
-                assert_eq!(bits(a.as_slice()), bits(b.as_slice()), "{kind:?} step_slices aux");
+            let expected: Vec<&FlatTensor> = std::iter::once(&serial).chain(&serial_aux).collect();
+            for skew in [0usize, 1] {
+                let mut windows: Vec<Vec<u8>> =
+                    std::iter::once(FlatTensor::from_fn(n, |i| (i as f32) * 1e-3))
+                        .chain(opt.init_aux(n))
+                        .map(|state| [vec![0u8; skew], state.to_bytes(Dtype::F32)].concat())
+                        .collect();
+                let mut staging = Vec::new();
+                for t in 1..=2 {
+                    for first in (0..n).step_by(500) {
+                        let bytes = skew + 4 * first..skew + 4 * (first + 500).min(n);
+                        let mut tile: Vec<&mut [u8]> =
+                            windows.iter_mut().map(|w| &mut w[bytes.clone()]).collect();
+                        let grad = &grads.as_slice()[first..(first + 500).min(n)];
+                        opt.step_le_windows(&mut tile, grad, &mut staging, t);
+                    }
+                }
+                for (window, state) in windows.iter().zip(&expected) {
+                    let stepped = FlatTensor::from_bytes(&window[skew..], Dtype::F32);
+                    assert_eq!(
+                        bits(stepped.as_slice()),
+                        bits(state.as_slice()),
+                        "{kind:?} skew {skew}"
+                    );
+                }
             }
         }
     }

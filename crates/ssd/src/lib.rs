@@ -17,6 +17,10 @@
 //!   so an SSD transfer is limited by both the PCIe path and the NAND media.
 //! * **RAID0**: [`RaidArray`] stripes a logical region across several
 //!   devices, reproducing the baseline's software-RAID configuration.
+//! * **In place**: an updater steps state where the devices hold it. A CSD
+//!   passes each SSD gate through an [`UpdateTxn`]; the host baseline passes
+//!   each striped gate through a [`RaidUpdateTxn`], one [`UpdateTxn`] per
+//!   member. Both admit every transfer first and lend the bytes only after.
 //!
 //! Devices are fail-free unless a `faultkit` plan is installed: transient
 //! per-operation faults ([`SsdError::Injected`]), wear-out to read-only media
@@ -34,7 +38,7 @@ mod store;
 
 pub use bandwidth::{BandwidthProfile, MediaLinks};
 pub use error::SsdError;
-pub use raid::{RaidArray, StorageCounters};
+pub use raid::{LentStripes, RaidArray, RaidUpdateTxn, StorageCounters};
 pub use store::{LentWindows, SsdDevice, UpdateTxn};
 
 #[cfg(test)]

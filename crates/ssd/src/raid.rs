@@ -8,7 +8,7 @@
 //! shared host interconnect saturates (Fig. 3b).
 
 use crate::error::SsdError;
-use crate::store::SsdDevice;
+use crate::store::{LentWindows, SsdDevice, UpdateTxn};
 use faultkit::FaultPlan;
 
 /// A point-in-time snapshot of an array's cumulative byte counters.
@@ -155,17 +155,23 @@ impl RaidArray {
 
     /// Writes a logical region, striping it across the member devices: one
     /// whole-region write per member, in member order, each stripe copied
-    /// once from `data` into the member's (reused) region buffer.
+    /// once from `data` into the member's (reused) region buffer. Every
+    /// member's gate passes before any bytes move.
     ///
     /// # Errors
     ///
-    /// Propagates capacity and fault errors from the member devices; members
-    /// before the failing one have been written.
+    /// Propagates capacity and fault errors from the member devices. Nothing
+    /// is then written, but the members before the failing one have counted
+    /// their write.
     pub fn write_region(&mut self, region: &str, data: &[u8]) -> Result<(), SsdError> {
         let n = self.devices.len();
         for device in 0..n {
             let share = self.share_of(data.len(), device);
-            let buf = self.devices[device].begin_region_write(region, share)?;
+            self.devices[device].admit_region_write(region, share)?;
+        }
+        for device in 0..n {
+            let share = self.share_of(data.len(), device);
+            let buf = self.devices[device].refill_region(region, share);
             for stripe in data.chunks(self.stripe_bytes).skip(device).step_by(n) {
                 buf.extend_from_slice(stripe);
             }
@@ -212,6 +218,14 @@ impl RaidArray {
         Ok(out)
     }
 
+    /// Opens an in-place update of whole logical regions of `len` bytes each
+    /// — see [`RaidUpdateTxn`].
+    pub fn begin_update(&mut self, len: usize) -> RaidUpdateTxn<'_> {
+        let shares = (0..self.devices.len()).map(|device| self.share_of(len, device)).collect();
+        let members = self.devices.iter_mut().map(SsdDevice::begin_update).collect();
+        RaidUpdateTxn { members, shares, stripe_bytes: self.stripe_bytes }
+    }
+
     /// Total bytes written across all members (for traffic accounting).
     pub fn total_bytes_written(&self) -> u64 {
         self.devices.iter().map(SsdDevice::bytes_written).sum()
@@ -227,6 +241,125 @@ impl RaidArray {
         StorageCounters {
             bytes_read: self.total_bytes_read(),
             bytes_written: self.total_bytes_written(),
+        }
+    }
+}
+
+/// An in-place update of whole logical regions of one length, striped over
+/// the members: the array-wide form of [`UpdateTxn`], one per member, for
+/// an updater that steps a region where the members hold it instead of
+/// gathering it into a buffer and scattering it back.
+///
+/// Each logical admission passes, member by member in member order, the
+/// member gate of the matching copying operation:
+/// [`RaidUpdateTxn::admit_read`] is [`RaidArray::read_region_into`] (fault
+/// decision, lookup, exact-length check, counters) and
+/// [`RaidUpdateTxn::admit_write`] is [`RaidArray::write_region`] at the same
+/// length (wear-out, fault decision, capacity, counters). A refused admission
+/// leaves the transaction as it was, except that the members before the
+/// refusing one have counted their op, exactly as the copying operation
+/// would have; a retry runs every member's gate again.
+/// [`RaidUpdateTxn::rebuild_worn`] rebuilds a worn-out member in between.
+/// Then [`RaidUpdateTxn::lend`] hands out every member's admitted windows and
+/// only those, so nothing is modified unless every gate the caller wanted has
+/// passed.
+#[derive(Debug)]
+pub struct RaidUpdateTxn<'a> {
+    members: Vec<UpdateTxn<'a>>,
+    // Each member's share of a logical region.
+    shares: Vec<usize>,
+    stripe_bytes: usize,
+}
+
+impl<'a> RaidUpdateTxn<'a> {
+    /// Admits the whole of logical region `region` for reading; on success
+    /// its windows join the transaction under the next number (0, 1, …).
+    ///
+    /// # Errors
+    ///
+    /// Returns what [`RaidArray::read_region_into`] would: an injected fault,
+    /// [`SsdError::UnknownRegion`] or [`SsdError::LengthMismatch`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the transaction already holds `region`.
+    pub fn admit_read(&mut self, region: &'a str) -> Result<(), SsdError> {
+        for (member, &share) in self.members.iter_mut().zip(&self.shares) {
+            member.gate_whole_read(region, share)?;
+        }
+        for (member, &share) in self.members.iter_mut().zip(&self.shares) {
+            member.join_whole(region, share);
+        }
+        Ok(())
+    }
+
+    /// Admits the region read under number `window` for being written back
+    /// whole.
+    ///
+    /// # Errors
+    ///
+    /// Returns what [`RaidArray::write_region`] would at the same length:
+    /// [`SsdError::WornOut`] or an injected fault.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no read has been admitted under that number.
+    pub fn admit_write(&mut self, window: usize) -> Result<(), SsdError> {
+        for member in &mut self.members {
+            member.gate_whole_write(window)?;
+        }
+        for member in &mut self.members {
+            member.grant_write(window);
+        }
+        Ok(())
+    }
+
+    /// Rebuilds the lowest-indexed worn-out member, as
+    /// [`RaidArray::rebuild_member`] does; returns the bytes migrated (0 if
+    /// no member is worn out). The admitted windows stay admitted.
+    pub fn rebuild_worn(&mut self) -> u64 {
+        self.members.iter_mut().find_map(UpdateTxn::rebuild_if_worn).unwrap_or(0)
+    }
+
+    /// Ends the admission phase and lends every member's admitted windows.
+    pub fn lend(self) -> LentStripes<'a> {
+        let RaidUpdateTxn { members, shares, stripe_bytes } = self;
+        LentStripes {
+            members: members.into_iter().map(UpdateTxn::lend).collect(),
+            shares,
+            stripe_bytes,
+        }
+    }
+}
+
+/// The windows a [`RaidUpdateTxn`] admitted: each member's share of every
+/// admitted logical region.
+#[derive(Debug)]
+pub struct LentStripes<'a> {
+    // Per member, in member order: its windows and its share of a region.
+    members: Vec<LentWindows<'a>>,
+    shares: Vec<usize>,
+    stripe_bytes: usize,
+}
+
+impl LentStripes<'_> {
+    /// Calls `f` once per stripe the logical regions span, member by member
+    /// and stripe by stripe within a member, with the stripe's byte offset in
+    /// the logical regions and that stripe of every window: the read-write
+    /// windows, then the read-only ones, each in admission order. A member's
+    /// `k`-th stripe is the logical regions' `(k·n + member)`-th.
+    pub fn for_each_stripe(self, mut f: impl FnMut(usize, &mut [&mut [u8]], &[&[u8]])) {
+        let LentStripes { members, shares, stripe_bytes } = self;
+        let n = members.len();
+        for (device, (lent, share)) in members.into_iter().zip(shares).enumerate() {
+            let LentWindows { mut read_write, read_only } = lent;
+            for (k, start) in (0..share).step_by(stripe_bytes).enumerate() {
+                let stripe = start..share.min(start + stripe_bytes);
+                let mut states: Vec<&mut [u8]> =
+                    read_write.iter_mut().map(|w| &mut w[stripe.clone()]).collect();
+                let inputs: Vec<&[u8]> = read_only.iter().map(|w| &w[stripe.clone()]).collect();
+                f((k * n + device) * stripe_bytes, &mut states, &inputs);
+            }
         }
     }
 }
@@ -429,6 +562,126 @@ mod tests {
         raid.write_region("e", &[]).unwrap();
         raid.read_region_into("e", &mut []).unwrap();
         assert_eq!(raid.read_region("e").unwrap(), Vec::<u8>::new());
+    }
+
+    /// Every member's op and byte counters and used capacity.
+    fn member_counters(raid: &RaidArray) -> Vec<[u64; 5]> {
+        let counters = |d: &SsdDevice| {
+            [d.read_ops(), d.write_ops(), d.bytes_read(), d.bytes_written(), d.used_bytes()]
+        };
+        raid.devices().iter().map(counters).collect()
+    }
+
+    #[test]
+    fn a_raid_update_transaction_counts_like_the_copying_ops_and_lends_only_what_it_admitted() {
+        // (members, stripe, region length): two stripes on one member and a
+        // partial last stripe; then a partial stripe and a member whose share
+        // is empty.
+        for (n, stripe, len) in [(3usize, 4usize, 30usize), (4, 8, 20)] {
+            let master: Vec<u8> = (0..len as u8).map(|i| i.wrapping_mul(7)).collect();
+            let grad: Vec<u8> = (0..len as u8).map(|i| i ^ 0x5A).collect();
+            let (mut raid, mut plain) = (array(n, stripe), array(n, stripe));
+            for r in [&mut raid, &mut plain] {
+                r.write_region("m", &master).unwrap();
+                r.write_region("g", &grad).unwrap();
+                r.write_region("x", &[1u8; 12]).unwrap();
+            }
+            // The copying sequence: R m, R g, W m.
+            let stepped: Vec<u8> =
+                master.iter().zip(&grad).map(|(m, g)| m.wrapping_add(*g)).collect();
+            plain.read_region_into("m", &mut vec![0u8; len]).unwrap();
+            plain.read_region_into("g", &mut vec![0u8; len]).unwrap();
+            plain.write_region("m", &stepped).unwrap();
+
+            let mut txn = raid.begin_update(len);
+            txn.admit_read("m").unwrap();
+            txn.admit_read("g").unwrap();
+            txn.admit_write(0).unwrap();
+            let mut stripes = Vec::new();
+            txn.lend().for_each_stripe(|at, states, inputs| {
+                // Only the admitted windows, each at its logical offset.
+                assert_eq!((states.len(), inputs.len()), (1, 1));
+                let width = inputs[0].len();
+                assert_eq!(inputs[0], &grad[at..at + width]);
+                assert_eq!(&states[0][..], &master[at..at + width]);
+                for (m, g) in states[0].iter_mut().zip(inputs[0]) {
+                    *m = m.wrapping_add(*g);
+                }
+                stripes.push(at);
+            });
+            stripes.sort_unstable();
+            assert_eq!(stripes, (0..len).step_by(stripe).collect::<Vec<_>>(), "{n} x {stripe}");
+            assert_eq!(member_counters(&raid), member_counters(&plain), "{n} x {stripe}");
+            for region in ["m", "g", "x"] {
+                assert_eq!(raid.clone().read_region(region), plain.clone().read_region(region));
+            }
+        }
+    }
+
+    #[test]
+    fn a_refused_raid_write_gate_moves_no_bytes_and_a_retry_after_the_rebuild_recounts_every_member(
+    ) {
+        let data: Vec<u8> = (0..30u8).collect();
+        let (mut raid, mut plain) = (array(3, 4), array(3, 4));
+        for r in [&mut raid, &mut plain] {
+            r.write_region("m", &data).unwrap();
+            r.inject_wearout(2);
+        }
+        // Refused at member 2 and given up: members 0 and 1 counted their
+        // write, as a failed `write_region` does, but no window turned
+        // writable and no byte moved.
+        plain.read_region_into("m", &mut [0u8; 30]).unwrap();
+        assert!(matches!(plain.write_region("m", &[9u8; 30]), Err(SsdError::WornOut { .. })));
+        let mut txn = raid.begin_update(30);
+        txn.admit_read("m").unwrap();
+        assert!(matches!(txn.admit_write(0), Err(SsdError::WornOut { .. })));
+        txn.lend().for_each_stripe(|_, states, inputs| {
+            assert!(states.is_empty());
+            assert_eq!(inputs.len(), 1);
+        });
+        assert_eq!(member_counters(&raid), member_counters(&plain));
+        assert_eq!(raid.clone().read_region("m").unwrap(), data);
+        // Rebuilt mid-admission, the retried write gate runs on every member
+        // again, as a retried `write_region` does.
+        plain.read_region_into("m", &mut [0u8; 30]).unwrap();
+        assert!(plain.write_region("m", &[9u8; 30]).is_err());
+        plain.rebuild_member(2);
+        plain.write_region("m", &[9u8; 30]).unwrap();
+        let mut txn = raid.begin_update(30);
+        txn.admit_read("m").unwrap();
+        assert!(txn.admit_write(0).is_err());
+        assert_eq!(txn.rebuild_worn(), 8, "member 2's share");
+        assert_eq!(txn.rebuild_worn(), 0, "nothing left to rebuild");
+        txn.admit_write(0).unwrap();
+        txn.lend().for_each_stripe(|_, states, _| states[0].fill(9));
+        assert_eq!(member_counters(&raid), member_counters(&plain));
+        assert_eq!(raid.read_region("m").unwrap(), vec![9u8; 30]);
+    }
+
+    #[test]
+    fn a_raid_update_transaction_refuses_a_member_region_of_the_wrong_length() {
+        let mut raid = array(3, 4);
+        raid.write_region("m", &[3u8; 30]).unwrap();
+        let short = raid.devices[1].read_region("m").unwrap()[..3].to_vec();
+        raid.devices[1].write_region("m", short).unwrap();
+        let before = member_counters(&raid);
+        let mut txn = raid.begin_update(30);
+        let err = txn.admit_read("m").unwrap_err();
+        assert_eq!(
+            err,
+            SsdError::LengthMismatch {
+                device: "ssd1".into(),
+                region: "m".into(),
+                expected: 10,
+                actual: 3
+            }
+        );
+        // Nothing was admitted, so nothing is lent.
+        txn.lend()
+            .for_each_stripe(|_, states, inputs| assert!(states.is_empty() && inputs.is_empty()));
+        // Member 0 was read (and counted) before the mismatch was found.
+        let reads: Vec<u64> = member_counters(&raid).iter().map(|c| c[0]).collect();
+        assert_eq!(reads, [before[0][0] + 1, before[1][0], before[2][0]]);
     }
 
     proptest! {

@@ -218,6 +218,7 @@ impl SsdDevice {
     ) -> Result<(), SsdError> {
         let region = region.into();
         self.admit_region_write(&region, data.len())?;
+        self.resize_used(&region, data.len());
         self.regions.insert(region, data);
         Ok(())
     }
@@ -230,14 +231,17 @@ impl SsdDevice {
     ///
     /// Returns [`SsdError::CapacityExceeded`] if the device would overflow.
     pub fn write_region_from(&mut self, region: &str, data: &[u8]) -> Result<(), SsdError> {
-        self.begin_region_write(region, data.len())?.extend_from_slice(data);
+        self.admit_region_write(region, data.len())?;
+        self.refill_region(region, data.len()).extend_from_slice(data);
         Ok(())
     }
 
     /// The gate every whole-region write passes, in this order: fault gate,
-    /// capacity check, then the op and byte counters and the used-capacity
-    /// counter move as if `len` bytes had replaced the region.
-    fn admit_region_write(&mut self, region: &str, len: usize) -> Result<(), SsdError> {
+    /// capacity check, then the op and byte counters move as if `len` bytes
+    /// had replaced the region. Nothing else changes: the caller then
+    /// replaces the region's bytes ([`SsdDevice::refill_region`]), or, in an
+    /// [`UpdateTxn`], rewrites the same number of them in place.
+    pub(crate) fn admit_region_write(&mut self, region: &str, len: usize) -> Result<(), SsdError> {
         self.check_write_faults()?;
         let existing = self.region_len(region).unwrap_or(0) as u64;
         let new_used = self.used - existing + len as u64;
@@ -248,29 +252,30 @@ impl SsdDevice {
                 capacity: self.capacity,
             });
         }
-        self.used = new_used;
         self.writes += 1;
         self.bytes_written += len as u64;
         Ok(())
     }
 
-    /// Admits a whole-region write of `len` bytes and returns the region's
-    /// emptied buffer, which the caller must extend by exactly `len` bytes
-    /// (the RAID scatter appends its stripes here, straight from the
-    /// caller's data).
-    pub(crate) fn begin_region_write(
-        &mut self,
-        region: &str,
-        len: usize,
-    ) -> Result<&mut Vec<u8>, SsdError> {
-        self.admit_region_write(region, len)?;
+    /// Moves the used-capacity counter as `len` bytes replace the region.
+    fn resize_used(&mut self, region: &str, len: usize) {
+        let existing = self.region_len(region).unwrap_or(0) as u64;
+        self.used = self.used - existing + len as u64;
+    }
+
+    /// Replaces a region that [`SsdDevice::admit_region_write`] admitted for
+    /// `len` bytes by its emptied buffer, which the caller must extend by
+    /// exactly `len` bytes (the RAID scatter appends its stripes here,
+    /// straight from the caller's data).
+    pub(crate) fn refill_region(&mut self, region: &str, len: usize) -> &mut Vec<u8> {
+        self.resize_used(region, len);
         if !self.regions.contains_key(region) {
             self.regions.insert(region.to_string(), Vec::new());
         }
         let buf = self.regions.get_mut(region).expect("region was just ensured");
         buf.clear();
         buf.reserve_exact(len);
-        Ok(buf)
+        buf
     }
 
     /// Overwrites a byte range inside an existing region.
@@ -524,6 +529,47 @@ impl<'a> UpdateTxn<'a> {
         self.ssd.counted_write(region, offset, len)?;
         self.windows[window].writable = true;
         Ok(())
+    }
+
+    /// A RAID member's read gate: the gate [`RaidArray::read_region_into`]
+    /// passes on this member, one counted read of the whole of `region`,
+    /// which must be exactly `len` bytes long. The window joins only once
+    /// every member has passed ([`UpdateTxn::join_whole`]).
+    ///
+    /// [`RaidArray::read_region_into`]: crate::RaidArray::read_region_into
+    pub(crate) fn gate_whole_read(&mut self, region: &str, len: usize) -> Result<(), SsdError> {
+        assert!(
+            self.windows.iter().all(|w| w.region != region),
+            "region {region} admitted twice in one update transaction"
+        );
+        self.ssd.read_whole_region(region, len).map(drop)
+    }
+
+    /// A RAID member's write gate over window number `window`: the gate
+    /// [`RaidArray::write_region`] passes on this member at the same length.
+    /// The window turns writable only once every member has passed
+    /// ([`UpdateTxn::grant_write`]).
+    ///
+    /// [`RaidArray::write_region`]: crate::RaidArray::write_region
+    pub(crate) fn gate_whole_write(&mut self, window: usize) -> Result<(), SsdError> {
+        let TxnWindow { region, len, .. } = self.windows[window];
+        self.ssd.admit_region_write(region, len)
+    }
+
+    /// Adds the whole of `region`, `len` bytes whose read gate has passed,
+    /// under the next window number.
+    pub(crate) fn join_whole(&mut self, region: &'a str, len: usize) {
+        self.windows.push(TxnWindow { region, offset: 0, len, writable: false });
+    }
+
+    /// Marks window number `window`, whose write gate has passed, writable.
+    pub(crate) fn grant_write(&mut self, window: usize) {
+        self.windows[window].writable = true;
+    }
+
+    /// Rebuilds the device if it is worn out; the bytes migrated, if it was.
+    pub(crate) fn rebuild_if_worn(&mut self) -> Option<u64> {
+        self.ssd.is_worn_out().then(|| self.ssd.rebuild())
     }
 
     /// Ends the admission phase and lends the admitted windows for as long

@@ -1,29 +1,33 @@
 //! The functional baseline: storage-offloaded training that really moves the
 //! bytes and really runs the optimizer.
 //!
-//! This engine is deliberately slow and literal. It exists so that the
-//! Smart-Infinity functional engine can be proven numerically equivalent to
-//! the baseline (SmartUpdate) and quantifiably close to it (SmartComp), and
-//! so the per-iteration traffic counters can be checked against the analytic
-//! Table I model.
+//! Every transfer of the baseline's dataflow (Fig. 1b/1c) is a counted RAID
+//! operation, so the per-iteration traffic counters can be checked against
+//! the analytic Table I model, and the Smart-Infinity functional engine can
+//! be proven numerically equivalent to the baseline (SmartUpdate) and
+//! quantifiably close to it (SmartComp). The CPU update itself runs where the
+//! RAID members hold the state: each block's transfers are admitted through
+//! one [`RaidUpdateTxn`], and the kernel steps the lent windows in place.
 
 use crate::checkpoint::{bits_to_tensor, tensor_to_bits, TrainerCheckpoint};
 use crate::recover::recover;
 use crate::trainer::{check_len, DegradedReport, StepReport, TrainError, Trainer};
 use faultkit::FaultPlan;
 use optim::Optimizer;
-use ssd::{RaidArray, SsdDevice, SsdError};
-use tensorlib::le_bytes::{fill_from_le_bytes, with_le_bytes};
-use tensorlib::{Chunker, FlatTensor, Subgroup};
+use ssd::{RaidArray, RaidUpdateTxn, SsdDevice, SsdError};
+use tensorlib::le_bytes::{self, fill_from_le_bytes, with_le_bytes};
+use tensorlib::{f16, Chunker, FlatTensor, Subgroup};
 
 /// Rebuilds whichever RAID member wore out (no-op if none did).
 fn rebuild_worn(raid: &mut RaidArray) -> u64 {
     raid.worn_member().map_or(0, |i| raid.rebuild_member(i))
 }
 
-/// The RAID array plus the recovery policy every storage operation of the
-/// trainer is wrapped in. Tensors cross it as their own memory: a write lends
-/// the floats' bytes to the scatter, a read gathers straight into them.
+/// The RAID array plus the recovery policy every copying storage operation
+/// of the trainer (set-up, gradient offload, checkpoint, restore, reading the
+/// master copy back) is wrapped in. Tensors cross it as their own memory: a
+/// write lends the floats' bytes to the scatter, a read gathers straight
+/// into them.
 struct Storage<'a> {
     raid: &'a mut RaidArray,
     retries: u32,
@@ -50,6 +54,32 @@ impl Storage<'_> {
                 raid.read_region_into(region, bytes)
             })
         })
+    }
+}
+
+/// Steps one stripe of a block in place, one tile at a time, and rounds each
+/// new master tile into `fp16`, the stripe's elements of the FP16 working
+/// copy. `states` is the stripe of the master window, then of each auxiliary
+/// window; `grad` is the stripe of the gradient window. `staging` is what
+/// `le_bytes` needs for a window it cannot view as floats in place (a
+/// big-endian host or a misaligned window), for the gradient and the state.
+fn step_stripe(
+    optimizer: &Optimizer,
+    step: u64,
+    states: &mut [&mut [u8]],
+    grad: &[u8],
+    fp16: &mut [f32],
+    staging: &mut [Vec<f32>; 2],
+) {
+    const TILE: usize = Optimizer::TILE_ELEMS;
+    let [grad_staging, state_staging] = staging;
+    for (first, out) in (0..fp16.len()).step_by(TILE).zip(fp16.chunks_mut(TILE)) {
+        let bytes = 4 * first..4 * (first + out.len());
+        let mut tile: Vec<&mut [u8]> = states.iter_mut().map(|w| &mut w[bytes.clone()]).collect();
+        le_bytes::with_floats(&grad[bytes], grad_staging, |grad| {
+            optimizer.step_le_windows(&mut tile, grad, state_staging, step);
+        });
+        f16::roundtrip_f32_le_bytes_into(tile[0], out);
     }
 }
 
@@ -129,11 +159,6 @@ pub struct StorageOffloadTrainer {
     chunker: Chunker,
     // One entry per block of `chunker`, in block order.
     regions: Vec<BlockRegions>,
-    // The per-block working set of the CPU update, reused across blocks and
-    // steps: storage reads land in these tensors' own memory.
-    master: FlatTensor,
-    block_grads: FlatTensor,
-    aux: Vec<FlatTensor>,
     step: u64,
     fault_plan: Option<FaultPlan>,
 }
@@ -173,18 +198,7 @@ impl StorageOffloadTrainer {
         // mixed-precision training does.
         let mut params_fp16 = FlatTensor::zeros(initial_params.len());
         initial_params.roundtrip_f16_into(params_fp16.as_mut_slice());
-        Ok(Self {
-            raid,
-            params_fp16,
-            optimizer,
-            chunker,
-            regions,
-            master: FlatTensor::default(),
-            block_grads: FlatTensor::default(),
-            aux: vec![FlatTensor::default(); num_aux],
-            step: 0,
-            fault_plan: None,
-        })
+        Ok(Self { raid, params_fp16, optimizer, chunker, regions, step: 0, fault_plan: None })
     }
 
     /// Installs a fault plan: deterministic per-device injectors on the RAID
@@ -257,12 +271,24 @@ impl StorageOffloadTrainer {
 
     /// Runs one training step with an explicitly provided dense gradient and
     /// reports the step's traffic telemetry: offloads the gradients block-wise
-    /// to storage, then uploads states + gradients per block, updates them on
+    /// to storage, then per block uploads states + gradients, updates them on
     /// the CPU and offloads the refreshed states.
     ///
-    /// Every byte the storage counters count is copied exactly once — between
-    /// a tensor's own memory and the RAID members' region buffers — and a
-    /// step past the first allocates nothing.
+    /// The gradient offload copies each block once, from `grads` into the
+    /// RAID members' region buffers. The update copies nothing: each block's
+    /// transfers (read master, auxiliaries and gradient, write master and
+    /// auxiliaries) pass their gates through one [`RaidUpdateTxn`], each
+    /// under the recovery policy, and the kernel then steps the lent windows
+    /// where the members hold them, a cache-sized tile at a time, rounding
+    /// each new master tile into the FP16 working copy. A step past the first
+    /// allocates only the transactions' small window lists, never a buffer
+    /// the size of a block.
+    ///
+    /// Nothing is torn: a block's gradient region moves only once every RAID
+    /// member has passed its offload gate, and the block's state and its part
+    /// of the FP16 working copy only once every gate of its update has
+    /// passed. A step that fails therefore leaves each region either wholly
+    /// rewritten or byte-identical to before.
     ///
     /// # Errors
     ///
@@ -285,32 +311,28 @@ impl StorageOffloadTrainer {
         }
         // Update: per block, upload states+gradients, update on the CPU,
         // offload the states and refresh the FP16 working copy (Fig. 1c).
+        let (optimizer, step) = (self.optimizer, self.step);
+        // Stays empty on a little-endian host, whose stripes and tiles are
+        // all aligned.
+        let mut staging = [Vec::new(), Vec::new()];
         for (block, names) in self.chunker.subgroups().zip(&self.regions) {
-            self.master.resize(block.len, 0.0);
-            storage.read(&names.master, self.master.as_mut_slice())?;
-            for (region, aux) in names.aux.iter().zip(&mut self.aux) {
-                aux.resize(block.len, 0.0);
-                storage.read(region, aux.as_mut_slice())?;
+            let mut txn = self.raid.begin_update(4 * block.len);
+            let reads = std::iter::once(&names.master).chain(&names.aux).chain([&names.grad]);
+            for region in reads {
+                recover(retries, &mut deg, &mut txn, RaidUpdateTxn::rebuild_worn, |txn| {
+                    txn.admit_read(region)
+                })?;
             }
-            self.block_grads.resize(block.len, 0.0);
-            storage.read(&names.grad, self.block_grads.as_mut_slice())?;
-
-            self.optimizer.step(
-                self.master.as_mut_slice(),
-                &self.block_grads,
-                &mut self.aux,
-                self.step,
-            );
-
-            storage.write(&names.master, self.master.as_slice())?;
-            for (region, aux) in names.aux.iter().zip(&self.aux) {
-                storage.write(region, aux.as_slice())?;
+            for window in 0..=names.aux.len() {
+                recover(retries, &mut deg, &mut txn, RaidUpdateTxn::rebuild_worn, |txn| {
+                    txn.admit_write(window)
+                })?;
             }
-            // Refresh the FP16 working copy from the new master values,
-            // rounding straight into the working-copy buffer (no intermediate
-            // byte stream or temporary tensor).
-            let dst = &mut self.params_fp16.as_mut_slice()[block.offset..block.offset + block.len];
-            self.master.roundtrip_f16_into(dst);
+            let fp16 = &mut self.params_fp16.as_mut_slice()[block.offset..block.offset + block.len];
+            txn.lend().for_each_stripe(|at, states, grad| {
+                let elems = &mut fp16[at / 4..at / 4 + grad[0].len() / 4];
+                step_stripe(&optimizer, step, states, grad[0], elems, &mut staging);
+            });
         }
         // Transient faults are absorbed per member op inside the RAID (see
         // `RaidArray::install_fault_injectors`); fold the absorbed events into
@@ -658,10 +680,36 @@ mod tests {
                 "{err}"
             );
         }
-        // With the region put right the same trainer carries on (it kept its
-        // working set through the failed steps).
+        // With the region put right the same trainer carries on.
         t.raid.write_region("block1/aux0", &good).unwrap();
         Trainer::step(&mut t, &grads).unwrap();
+    }
+
+    #[test]
+    fn an_unrecoverable_write_moves_nothing_of_the_failing_block() {
+        let n = 1000;
+        let initial = FlatTensor::randn(n, 0.05, 63);
+        let mut t =
+            StorageOffloadTrainer::new(&initial, Optimizer::adam_default(), 3, 400).unwrap();
+        t.train_step_with_grads(&FlatTensor::randn(n, 0.01, 64)).unwrap();
+        let names: Vec<String> = t
+            .regions
+            .iter()
+            .flat_map(|b| std::iter::once(&b.master).chain(&b.aux).chain([&b.grad]).cloned())
+            .collect();
+        let snapshot = |t: &StorageOffloadTrainer| {
+            let mut raid = t.raid.clone();
+            names.iter().map(|r| raid.read_region(r).unwrap()).collect::<Vec<_>>()
+        };
+        let (regions, fp16) = (snapshot(&t), t.params_fp16().clone());
+        // Without a fault plan nothing retries, so nothing rebuilds member 1.
+        // Its gate refuses the first write (block 0's gradient), after member
+        // 0's passed.
+        t.raid.inject_wearout(1);
+        let err = t.train_step_with_grads(&FlatTensor::randn(n, 0.01, 65)).unwrap_err();
+        assert!(matches!(err, TrainError::Storage(SsdError::WornOut { .. })), "{err}");
+        assert!(snapshot(&t) == regions, "a region moved");
+        assert_eq!(t.params_fp16().as_slice(), fp16.as_slice());
     }
 
     #[test]

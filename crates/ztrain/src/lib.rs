@@ -24,8 +24,10 @@
 //!   runs it, like every other method, into the per-phase
 //!   [`IterationReport`] breakdowns of Fig. 3(a) and Fig. 9.
 //! * [`StorageOffloadTrainer`] — a *functional* baseline that actually moves
-//!   bytes through [`ssd::RaidArray`] and runs the real optimizer kernels, so
-//!   Smart-Infinity's numerical equivalence can be tested end to end.
+//!   and counts bytes through [`ssd::RaidArray`] and runs the real optimizer
+//!   kernels, so Smart-Infinity's numerical equivalence can be tested end to
+//!   end. Its CPU update steps the state where the RAID members hold it,
+//!   through one [`ssd::RaidUpdateTxn`] per block.
 //! * [`PipelinedTrainer`] — the near-storage functional trainer: each device
 //!   shard is a lane (write → compress/update → read-back) dealt to a
 //!   [`parcore::ParExecutor`], bit-identical to the baseline for every worker
