@@ -87,9 +87,15 @@ fn main() {
                 gate.baseline = Some(PathBuf::from(baseline));
             }
             "--tolerance" => {
-                let value = iter.next().and_then(|t| t.parse::<f64>().ok()).unwrap_or_else(|| {
-                    usage_error("--tolerance requires a fractional argument, e.g. 0.15")
-                });
+                // A tolerance of 1 or more puts the gate's floor at or below
+                // zero, so it would pass whatever it measures.
+                let value = iter
+                    .next()
+                    .and_then(|t| t.parse::<f64>().ok())
+                    .filter(|t| (0.0..1.0).contains(t))
+                    .unwrap_or_else(|| {
+                        usage_error("--tolerance requires a fractional argument in [0, 1)")
+                    });
                 gate.tolerance = value;
             }
             "--bless" => gate.bless = true,

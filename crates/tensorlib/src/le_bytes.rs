@@ -6,11 +6,11 @@
 //! tensor's bytes to a writer and [`fill_from_le_bytes`] lets a reader fill
 //! a tensor's bytes directly — one memory pass per transfer, no staging
 //! buffer. Everything else in the workspace that turns floats into bytes or
-//! back ([`encode`], [`decode`], `FlatTensor::{to_bytes, from_bytes}`) is a
+//! back (`FlatTensor::{to_bytes, from_bytes}`, the crate's `decode`) is a
 //! thin caller of those two.
 //!
 //! On a big-endian target both go through a staging buffer and the scalar
-//! codec ([`encode_scalar`], [`decode_scalar`]): a per-element loop, which is
+//! codec (`encode_scalar`, `decode_scalar`): a per-element loop, which is
 //! that target's implementation and, everywhere, the oracle the tests compare
 //! the borrowed views against.
 //!
@@ -33,7 +33,7 @@
 /// # Panics
 ///
 /// Panics if `dst.len() != 4 * src.len()`.
-pub fn encode_scalar(src: &[f32], dst: &mut [u8]) {
+pub(crate) fn encode_scalar(src: &[f32], dst: &mut [u8]) {
     assert_eq!(dst.len(), 4 * src.len(), "byte length mismatch");
     for (d, v) in dst.chunks_exact_mut(4).zip(src) {
         d.copy_from_slice(&v.to_le_bytes());
@@ -46,7 +46,7 @@ pub fn encode_scalar(src: &[f32], dst: &mut [u8]) {
 /// # Panics
 ///
 /// Panics if `src.len() != 4 * dst.len()`.
-pub fn decode_scalar(src: &[u8], dst: &mut [f32]) {
+pub(crate) fn decode_scalar(src: &[u8], dst: &mut [f32]) {
     assert_eq!(src.len(), 4 * dst.len(), "byte length mismatch");
     for (d, c) in dst.iter_mut().zip(src.chunks_exact(4)) {
         *d = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
@@ -189,24 +189,26 @@ pub fn fill_from_le_bytes<R>(values: &mut [f32], fill: impl FnOnce(&mut [u8]) ->
     }
 }
 
-/// Copies the little-endian bytes of `src` into `dst`.
-///
-/// # Panics
-///
-/// Panics if `dst.len() != 4 * src.len()`.
-pub fn encode(src: &[f32], dst: &mut [u8]) {
-    assert_eq!(dst.len(), 4 * src.len(), "byte length mismatch");
-    with_le_bytes(src, |bytes| dst.copy_from_slice(bytes));
-}
-
 /// Copies the floats encoded by the little-endian bytes `src` into `dst`.
 ///
 /// # Panics
 ///
 /// Panics if `src.len() != 4 * dst.len()`.
-pub fn decode(src: &[u8], dst: &mut [f32]) {
+pub(crate) fn decode(src: &[u8], dst: &mut [f32]) {
     assert_eq!(src.len(), 4 * dst.len(), "byte length mismatch");
     fill_from_le_bytes(dst, |bytes| bytes.copy_from_slice(src));
+}
+
+/// Copies the little-endian bytes of `src` into `dst`. Only tests copy;
+/// the crate lends the bytes instead ([`with_le_bytes`]).
+///
+/// # Panics
+///
+/// Panics if `dst.len() != 4 * src.len()`.
+#[cfg(test)]
+pub(crate) fn encode(src: &[f32], dst: &mut [u8]) {
+    assert_eq!(dst.len(), 4 * src.len(), "byte length mismatch");
+    with_le_bytes(src, |bytes| dst.copy_from_slice(bytes));
 }
 
 #[cfg(test)]
