@@ -1,12 +1,15 @@
 //! Regenerates the tables and figures of the Smart-Infinity evaluation that
-//! are not sweeps. Every sweep is a `lab` experiment instead: the sweep
-//! figures (3a, 3b, 9, 10, 11, 12, 13, 16, 17), each checked-in
-//! `specs/*.json` file and the scheduler comparison (`lab run --experiment
-//! specs/experiments/sched --out DIR`).
+//! still need code: `tab1 tab4 pipeline perf`. Every sweep is a `lab`
+//! experiment instead: the sweep figures (3a, 3b, 9, 10, 11, 12, 13, 16, 17),
+//! each checked-in `specs/*.json` file and the scheduler comparison (`lab run
+//! --experiment specs/experiments/sched --out DIR`). Fig. 15 is the fig11
+//! journal priced by `llm::CostModel`, checked by the `Fig. 15:` rows of
+//! `specs/experiments/fig11/expect.jsonl`. Table III and Fig. 14 are
+//! constant, so tests pin them (`csd::resource` and `ztrain::machine`).
 //!
 //! ```text
 //! cargo run -p bench --release --bin figures -- all
-//! cargo run -p bench --release --bin figures -- tab1 fig14 tab4
+//! cargo run -p bench --release --bin figures -- tab1 tab4
 //! cargo run -p bench --release --bin figures -- --json results/ all
 //! cargo run -p bench --release --bin figures -- perf --check BENCH_2.json --tolerance 0.15
 //! cargo run -p bench --release --bin figures -- perf --bless --check BENCH_2.json
@@ -26,7 +29,7 @@ use bench::harness;
 use serde::Serialize;
 use std::path::PathBuf;
 
-const ALL: &[&str] = &["tab1", "tab3", "fig14", "fig15", "tab4", "pipeline", "perf"];
+const ALL: &[&str] = &["tab1", "tab4", "pipeline", "perf"];
 
 /// The one authoritative usage table: every subcommand, every experiment id,
 /// every flag. Printed to stdout on `--help` and to stderr (before a non-zero
@@ -110,8 +113,8 @@ fn main() {
         usage_error("no experiment id given");
     }
     // Reject unknown experiment ids up front, before any experiment runs:
-    // a typo in the middle of `figures fig14 fg15 tab4` must not burn time on
-    // fig14 first and then die halfway through.
+    // a typo in the middle of `figures tab1 tba4 pipeline` must not burn time
+    // on tab1 first and then die halfway through.
     if let Some(bad) = selected.iter().find(|id| !ALL.contains(&id.as_str())) {
         usage_error(&format!("unknown experiment id `{bad}`"));
     }
@@ -169,52 +172,6 @@ fn run_one(id: &str, quick: bool, json: Option<&std::path::Path>, gate: &PerfGat
             }
             println!();
             write_json(json, id, &rows);
-        }
-        "tab3" => {
-            let rows = harness::tab3();
-            println!("Table III: FPGA resource utilisation (KU15P)");
-            println!("{:<16} {:>8} {:>8} {:>8} {:>8}", "module", "LUT%", "BRAM%", "URAM%", "DSP%");
-            for r in &rows {
-                println!(
-                    "{:<16} {:>7.2} {:>8.2} {:>8.2} {:>8.2}",
-                    r.module, r.lut_pct, r.bram_pct, r.uram_pct, r.dsp_pct
-                );
-            }
-            println!();
-            write_json(json, id, &rows);
-        }
-        "fig14" => {
-            let rows = harness::fig14();
-            println!("Figure 14: kernel throughput vs SSD bandwidth (GB/s)");
-            println!(
-                "{:<12} {:>9} {:>14} {:>9} {:>9}",
-                "model", "updater", "decomp+update", "SSD read", "SSD write"
-            );
-            for r in &rows {
-                println!(
-                    "{:<12} {:>9.2} {:>14.2} {:>9.2} {:>9.2}",
-                    r.model,
-                    r.updater_gbps,
-                    r.decompress_update_gbps,
-                    r.ssd_read_gbps,
-                    r.ssd_write_gbps
-                );
-            }
-            println!();
-            write_json(json, id, &rows);
-        }
-        "fig15" => {
-            let points = harness::fig15();
-            println!("Figure 15: cost efficiency (GFLOPS/$), GPT-2 4.0B");
-            println!("{:<8} {:<10} {:>6} {:>12}", "GPU", "method", "#SSDs", "GFLOPS/$");
-            for p in &points {
-                println!(
-                    "{:<8} {:<10} {:>6} {:>12.4}",
-                    p.gpu, p.method, p.num_devices, p.gflops_per_dollar
-                );
-            }
-            println!();
-            write_json(json, id, &points);
         }
         "tab4" => {
             let epochs = if quick { 1 } else { 3 };
@@ -295,9 +252,6 @@ fn run_one(id: &str, quick: bool, json: Option<&std::path::Path>, gate: &PerfGat
             // blessing) is the tracked baseline trajectory: BENCH_2.json.
             write_json(json, "BENCH_2", &snap);
         }
-        other => {
-            eprintln!("unknown experiment id: {other}");
-            std::process::exit(2);
-        }
+        other => unreachable!("`main` checks every id against `ALL`, and `{other}` is not in it"),
     }
 }

@@ -24,9 +24,10 @@
 //! cargo test -p bench --test claims -- --nocapture
 //! ```
 
-use lab::runner::JOURNAL_FILE;
+use lab::runner::{load_tasks, JOURNAL_FILE};
 use lab::{read_journal, run_experiment, Objective, RunOptions, ServiceExecutor, TrialRecord};
 use serde::{Deserialize, Value};
+use smart_infinity::{CostModel, MachineSpec};
 use std::path::{Path, PathBuf};
 
 /// The file beside `experiment.json` that holds an experiment's claims.
@@ -196,6 +197,52 @@ fn every_claim_of_every_experiment_holds() {
     assert!(failures.is_empty(), "claims that do not hold:\n{}", failures.join("\n"));
     assert_eq!(checked, rows, "every line of every {EXPECT_FILE} is a checked row");
     assert!(checked > 0, "no claims found");
+}
+
+/// Fig. 15's rows in `fig11/expect.jsonl`. Smart-Inf has more GFLOPS/$ than
+/// ZeRO-Inf exactly when the SU+O+C speedup exceeds the SmartSSD/SSD
+/// system-price ratio, and each row bounds the speedup by that ratio rounded
+/// outward. This recomputes the ratio from `CostModel` and the task's machine,
+/// so a bound on the wrong side of it fails here even while the row holds.
+#[test]
+fn fig15_crossover_favors_smart_infinity_at_higher_device_counts() {
+    let experiment = repo_root().join("specs/experiments/fig11");
+    let tasks = load_tasks(&experiment.join("tasks.jsonl")).expect("fig11 tasks load");
+    let text = std::fs::read_to_string(experiment.join(EXPECT_FILE)).expect("expect.jsonl reads");
+    let cost = CostModel::default();
+    let number = |bound: &Option<Value>| match bound {
+        None => None,
+        Some(Value::Number(n)) => Some(n.as_f64()),
+        Some(other) => panic!("a Fig. 15 bound is a number, found {other:?}"),
+    };
+    let (mut baseline_wins, mut smart_wins) = (0, 0);
+    for line in text.lines() {
+        let row: Row = serde_json::from_str(line).expect("a row");
+        if !row.claim.starts_with("Fig. 15:") {
+            continue;
+        }
+        let task = row.ratio.first().and_then(|r| r.first()).expect("a task").clone();
+        let speedup = [[task.as_str(), "base"], [task.as_str(), "su_o_c"]];
+        assert_eq!(row.ratio, speedup, "{}: the ratio is the SU+O+C speedup", row.claim);
+        let payload = &tasks.iter().find(|t| t.task_id == task).expect("a fig11 task").payload;
+        let machine: MachineSpec =
+            serde_json::from_value(payload.get("machine").expect("a machine")).expect("parses");
+        let machine = machine.resolve().expect("resolves");
+        let price = cost.smart_infinity_system_usd(&machine.gpu, machine.num_devices)
+            / cost.baseline_system_usd(&machine.gpu, machine.num_devices);
+        match (number(&row.min), number(&row.max)) {
+            (None, Some(max)) => {
+                assert!(max < price, "{}: max {max} is not below {price}", row.claim);
+                baseline_wins += 1;
+            }
+            (Some(min), None) => {
+                assert!(min > price, "{}: min {min} is not above {price}", row.claim);
+                smart_wins += 1;
+            }
+            bounds => panic!("{}: one bound, a min or a max, found {bounds:?}", row.claim),
+        }
+    }
+    assert_eq!((baseline_wins, smart_wins), (4, 4), "1 and 2 devices, then 4 and 10, per GPU");
 }
 
 /// A journal of two trials of task `t`: `base` (1 + 2 + 5 = 8 s) and `fast`

@@ -154,6 +154,30 @@ mod tests {
         assert!(util.luts > base.luts);
     }
 
+    /// Table III as the model prints it: (LUT, BRAM, URAM, DSP) percent of
+    /// the KU15P for the Adam updater and for Adam with the Top-K
+    /// decompressor, pinned bit for bit.
+    #[test]
+    fn tab3_matches_the_paper_within_tolerance() {
+        let model = KernelResourceModel::default();
+        let device = FpgaResources::ku15p();
+        let adam = model.updater(64).percentages(&device);
+        let adam_topk = model.updater_with_decompressor(64).percentages(&device);
+        assert!((adam.0 - 33.66).abs() < 1.5);
+        assert!((adam_topk.2 - 35.94).abs() < 1.5);
+        let bits = |(lut, bram, uram, dsp): (f64, f64, f64, f64)| {
+            [lut.to_bits(), bram.to_bits(), uram.to_bits(), dsp.to_bits()]
+        };
+        assert_eq!(
+            bits(adam),
+            bits((33.77777777777778, 27.134146341463413, 34.375, 11.026422764227643))
+        );
+        assert_eq!(
+            bits(adam_topk),
+            bits((34.23754789272031, 27.134146341463413, 35.9375, 11.026422764227643))
+        );
+    }
+
     #[test]
     fn there_is_headroom_for_extensions() {
         // The paper notes "much room left for extra logic despite the FPGA

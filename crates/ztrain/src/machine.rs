@@ -122,6 +122,24 @@ mod tests {
         assert_eq!(congested.topology, TopologyKind::Congested);
     }
 
+    /// Fig. 14: the FPGA kernels outpace the SSD, so they never become the
+    /// bottleneck; and the timed model's FPGA rates and SSD are the ones the
+    /// kernels and the device report, bit for bit.
+    #[test]
+    fn fig14_kernels_outpace_the_ssd() {
+        let updater = csd::Updater::default().throughput_bytes_per_sec(optim::OptimizerKind::Adam);
+        let decompressor = csd::Decompressor::default().throughput_bytes_per_sec(0.01);
+        let ssd = BandwidthProfile::smartssd_nvme();
+        assert!(updater > 2.0 * ssd.read_bytes_per_sec);
+        assert!(decompressor.min(updater) > ssd.read_bytes_per_sec);
+        assert!(ssd.read_bytes_per_sec > ssd.write_bytes_per_sec);
+
+        let machine = MachineConfig::smart_infinity(1);
+        assert_eq!(machine.fpga_update_bytes_per_sec.to_bits(), updater.to_bits());
+        assert_eq!(machine.fpga_decompress_bytes_per_sec.to_bits(), decompressor.to_bits());
+        assert_eq!(machine.ssd, ssd);
+    }
+
     #[test]
     fn builders_override_fields() {
         let m = MachineConfig::baseline_raid0(2).with_gpu(GpuSpec::a100());
