@@ -14,6 +14,7 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use tensorlib::le_bytes::{self, fill_from_le_bytes, with_le_bytes};
 use tensorlib::{f16, FlatTensor};
 
@@ -115,6 +116,33 @@ pub struct CsdTrafficStats {
     pub updates_run: u64,
     /// Total parameters updated.
     pub elements_updated: u64,
+}
+
+/// Host wall time a device spent in [`CsdDevice::update_subgroup`] since the
+/// last [`CsdDevice::take_update_times`], by layer, in nanoseconds (the
+/// decompressor and updater entries summed over the updater's workers).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct UpdateTimes {
+    /// P2P read gates: master, auxiliaries and a dense gradient admitted.
+    pub read_gates_ns: u64,
+    /// P2P write gates: master and auxiliaries admitted.
+    pub write_gates_ns: u64,
+    /// The decompressor scattering the Top-K stream into gradient tiles.
+    pub decompress_ns: u64,
+    /// The updater kernel stepping the state windows.
+    pub kernel_ns: u64,
+}
+
+/// Runs `f` and adds its wall time to `slot`.
+fn timed<R>(slot: &mut u64, f: impl FnOnce() -> R) -> R {
+    let start = Instant::now();
+    let result = f();
+    *slot += nanos(start.elapsed());
+    result
+}
+
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// One subgroup-update request against a [`CsdDevice`].
@@ -239,11 +267,13 @@ const TILE: usize = Optimizer::TILE_ELEMS;
 /// The state is stepped where the SSD lends it, so what is left is `grad`, a
 /// tile of dense gradient scattered from a Top-K stream, and the staging
 /// `le_bytes` needs for a window it cannot view in place (a big-endian host
-/// or a misaligned window; `grad` stages a dense gradient window then).
+/// or a misaligned window; `grad` stages a dense gradient window then). The
+/// worker's decompressor and kernel times collect in `times`.
 #[derive(Debug, Clone, Default)]
 struct TileScratch {
     grad: Vec<f32>,
     staging: Vec<f32>,
+    times: UpdateTimes,
 }
 
 /// Where a span's dense gradient tiles come from.
@@ -273,22 +303,26 @@ impl TileSpan<'_> {
     /// worker.
     fn stream(self, optimizer: &Optimizer, step: u64) {
         let TileSpan { start, mut states, mut grad, scratch } = self;
-        let TileScratch { grad: grad_tile, staging } = scratch;
+        let TileScratch { grad: grad_tile, staging, times } = scratch;
         let elems = states[0].len() / 4;
         for first in (0..elems).step_by(TILE) {
             let n = TILE.min(elems - first);
             let bytes = 4 * first..4 * (first + n);
             let mut windows: Vec<&mut [u8]> =
                 states.iter_mut().map(|window| &mut window[bytes.clone()]).collect();
-            let mut kernel =
-                |grad: &[f32]| optimizer.step_le_windows(&mut windows, grad, staging, step);
+            let kernel_ns = &mut times.kernel_ns;
+            let mut kernel = |grad: &[f32]| {
+                timed(kernel_ns, || optimizer.step_le_windows(&mut windows, grad, staging, step))
+            };
             match &mut grad {
                 GradSource::Dense(window) => {
                     le_bytes::with_floats(&window[bytes], grad_tile, kernel)
                 }
                 GradSource::Stream(cursor) => {
-                    grad_tile.resize(n, 0.0);
-                    cursor.scatter_next(start + first, grad_tile);
+                    timed(&mut times.decompress_ns, || {
+                        grad_tile.resize(n, 0.0);
+                        cursor.scatter_next(start + first, grad_tile);
+                    });
                     kernel(grad_tile.as_slice());
                 }
             }
@@ -309,6 +343,7 @@ pub struct CsdDevice {
     stats: CsdTrafficStats,
     dropped: bool,
     faults: FaultAbsorber,
+    times: UpdateTimes,
     shards: BTreeMap<String, ShardNames>,
     // One tile-sized set of buffers per updater worker, reused from one
     // subgroup to the next: the state is stepped where the SSD lends it, so
@@ -332,6 +367,7 @@ impl CsdDevice {
             stats: CsdTrafficStats::default(),
             dropped: false,
             faults: FaultAbsorber::default(),
+            times: UpdateTimes::default(),
             shards: BTreeMap::new(),
             tile_scratch: Vec::new(),
             dram_buffers: Vec::new(),
@@ -398,6 +434,12 @@ impl CsdDevice {
     /// the last call: `(transient retries, modeled backoff in ms)`.
     pub fn take_fault_events(&mut self) -> (u64, u64) {
         (std::mem::take(&mut self.faults.retries), std::mem::take(&mut self.faults.backoff_ms))
+    }
+
+    /// Drains the host wall time spent in [`CsdDevice::update_subgroup`]
+    /// since the last call, by layer.
+    pub fn take_update_times(&mut self) -> UpdateTimes {
+        std::mem::take(&mut self.times)
     }
 
     /// Suspends (or resumes) transient-fault injection on the underlying SSD
@@ -644,7 +686,7 @@ impl CsdDevice {
 
     fn update_subgroup_inner(&mut self, request: SubgroupUpdate<'_>) -> Result<(), CsdError> {
         let SubgroupUpdate { shard, offset, len, optimizer, step, compressed } = request;
-        let Self { ssd, faults, stats, tile_scratch, shards, .. } = self;
+        let Self { ssd, faults, stats, times, tile_scratch, shards, .. } = self;
         let names = &shards[shard];
         let num_aux = optimizer.kind().num_aux();
         // A saturated offset or length is out of bounds for any region, so it
@@ -658,7 +700,9 @@ impl CsdDevice {
         // are cleared gate by gate; nothing has moved if one cannot be.
         let mut txn = ssd.begin_update();
         for region in std::iter::once(&names.master).chain(&names.aux[..num_aux]) {
-            faults.retrying(|| txn.admit_read(region, byte_off, byte_len))?;
+            timed(&mut times.read_gates_ns, || {
+                faults.retrying(|| txn.admit_read(region, byte_off, byte_len))
+            })?;
             stats.p2p_read_bytes += byte_len as u64;
         }
         match compressed {
@@ -669,12 +713,14 @@ impl CsdDevice {
                 stats.p2p_read_bytes += share as u64;
             }
             None => {
-                faults.retrying(|| txn.admit_read(&names.grad, byte_off, byte_len))?;
+                timed(&mut times.read_gates_ns, || {
+                    faults.retrying(|| txn.admit_read(&names.grad, byte_off, byte_len))
+                })?;
                 stats.p2p_read_bytes += byte_len as u64;
             }
         }
         for window in 0..=num_aux {
-            faults.retrying(|| txn.admit_write(window))?;
+            timed(&mut times.write_gates_ns, || faults.retrying(|| txn.admit_write(window)))?;
             stats.p2p_write_bytes += byte_len as u64;
         }
         let LentWindows { read_write: mut states, read_only } = txn.lend();
@@ -702,6 +748,11 @@ impl CsdDevice {
             spans.push(TileSpan { start: offset + first, states: states.collect(), grad, scratch });
         }
         self.executor.for_each(spans, |_, span| span.stream(&optimizer, step));
+        for scratch in &mut tile_scratch[..runs.len()] {
+            let worker = std::mem::take(&mut scratch.times);
+            times.decompress_ns += worker.decompress_ns;
+            times.kernel_ns += worker.kernel_ns;
+        }
         stats.updates_run += 1;
         stats.elements_updated += len as u64;
         Ok(())

@@ -33,7 +33,7 @@ mod resource;
 mod updater;
 
 pub use decompressor::Decompressor;
-pub use device::{CsdDevice, CsdError, CsdTrafficStats, SubgroupUpdate};
+pub use device::{CsdDevice, CsdError, CsdTrafficStats, SubgroupUpdate, UpdateTimes};
 pub use dram::DramError;
 pub use resource::{FpgaResources, KernelResourceModel, ResourceUtilization};
 pub use updater::Updater;

@@ -124,8 +124,9 @@ pub use llm::{CostModel, GpuSpec, ModelConfig, Workload};
 pub use optim::{HyperParams, Optimizer, OptimizerKind};
 pub use tensorlib::FlatTensor;
 pub use ztrain::{
-    DegradedReport, GradientSource, IterationReport, MachineConfig, PipelinedTrainer, StageReport,
-    StepReport, StorageOffloadTrainer, SyntheticGradients, TrainError, Trainer, TrainerCheckpoint,
+    DegradedReport, GradientSource, IterationReport, LayerTimes, MachineConfig, PipelinedTrainer,
+    StageReport, StepReport, StorageOffloadTrainer, SyntheticGradients, TrainError, Trainer,
+    TrainerCheckpoint,
 };
 
 // The fault-injection axis: specs carry a [`faultkit::FaultSpec`], sessions

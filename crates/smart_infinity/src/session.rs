@@ -566,7 +566,14 @@ mod tests {
             let mut b = faulted.trainer(&initial).expect("trainer");
             let ra = a.step(&grads).expect("step");
             let rb = b.step(&grads).expect("step");
-            assert_eq!(ra, rb, "an empty plan must not even show up in telemetry");
+            // Everything but the layer wall times, which differ run to run.
+            let bytes_only =
+                |r: ztrain::StepReport| ztrain::StepReport { layers: Default::default(), ..r };
+            assert_eq!(
+                bytes_only(ra),
+                bytes_only(rb),
+                "an empty plan must not even show up in telemetry"
+            );
             assert!(rb.degraded.is_none());
             assert_eq!(a.params_fp16().as_slice(), b.params_fp16().as_slice());
             assert_eq!(

@@ -11,7 +11,9 @@
 
 use crate::checkpoint::{bits_to_tensor, tensor_to_bits, TrainerCheckpoint};
 use crate::recover::recover;
-use crate::trainer::{check_len, DegradedReport, StepReport, TrainError, Trainer};
+use crate::trainer::{
+    check_len, timed, DegradedReport, LayerTimes, StepReport, TrainError, Trainer,
+};
 use faultkit::FaultPlan;
 use optim::Optimizer;
 use ssd::{RaidArray, RaidUpdateTxn, SsdDevice, SsdError};
@@ -63,6 +65,7 @@ impl Storage<'_> {
 /// window; `grad` is the stripe of the gradient window. `staging` is what
 /// `le_bytes` needs for a window it cannot view as floats in place (a
 /// big-endian host or a misaligned window), for the gradient and the state.
+/// The kernel's and the rounding's wall times are added to `layers`.
 fn step_stripe(
     optimizer: &Optimizer,
     step: u64,
@@ -70,16 +73,19 @@ fn step_stripe(
     grad: &[u8],
     fp16: &mut [f32],
     staging: &mut [Vec<f32>; 2],
+    layers: &mut LayerTimes,
 ) {
     const TILE: usize = Optimizer::TILE_ELEMS;
     let [grad_staging, state_staging] = staging;
     for (first, out) in (0..fp16.len()).step_by(TILE).zip(fp16.chunks_mut(TILE)) {
         let bytes = 4 * first..4 * (first + out.len());
         let mut tile: Vec<&mut [u8]> = states.iter_mut().map(|w| &mut w[bytes.clone()]).collect();
-        le_bytes::with_floats(&grad[bytes], grad_staging, |grad| {
-            optimizer.step_le_windows(&mut tile, grad, state_staging, step);
+        timed(&mut layers.kernel_ns, || {
+            le_bytes::with_floats(&grad[bytes], grad_staging, |grad| {
+                optimizer.step_le_windows(&mut tile, grad, state_staging, step);
+            })
         });
-        f16::roundtrip_f32_le_bytes_into(tile[0], out);
+        timed(&mut layers.fp16_ns, || f16::roundtrip_f32_le_bytes_into(tile[0], out));
     }
 }
 
@@ -302,12 +308,15 @@ impl StorageOffloadTrainer {
         self.step += 1;
         self.trigger_scheduled_faults();
         let mut deg = DegradedReport::default();
+        let mut layers = LayerTimes::default();
         // Every storage operation is wrapped in the recovery policy.
         let retries = self.max_retries();
         let mut storage = Storage { raid: &mut self.raid, retries, degraded: &mut deg };
         // Backward: offload the gradients of each block to storage (Fig. 1b).
         for (block, names) in self.chunker.subgroups().zip(&self.regions) {
-            storage.write(&names.grad, block_of(grads.as_slice(), &block))?;
+            timed(&mut layers.region_write_ns, || {
+                storage.write(&names.grad, block_of(grads.as_slice(), &block))
+            })?;
         }
         // Update: per block, upload states+gradients, update on the CPU,
         // offload the states and refresh the FP16 working copy (Fig. 1c).
@@ -319,19 +328,23 @@ impl StorageOffloadTrainer {
             let mut txn = self.raid.begin_update(4 * block.len);
             let reads = std::iter::once(&names.master).chain(&names.aux).chain([&names.grad]);
             for region in reads {
-                recover(retries, &mut deg, &mut txn, RaidUpdateTxn::rebuild_worn, |txn| {
-                    txn.admit_read(region)
+                timed(&mut layers.region_read_ns, || {
+                    recover(retries, &mut deg, &mut txn, RaidUpdateTxn::rebuild_worn, |txn| {
+                        txn.admit_read(region)
+                    })
                 })?;
             }
             for window in 0..=names.aux.len() {
-                recover(retries, &mut deg, &mut txn, RaidUpdateTxn::rebuild_worn, |txn| {
-                    txn.admit_write(window)
+                timed(&mut layers.region_write_ns, || {
+                    recover(retries, &mut deg, &mut txn, RaidUpdateTxn::rebuild_worn, |txn| {
+                        txn.admit_write(window)
+                    })
                 })?;
             }
             let fp16 = &mut self.params_fp16.as_mut_slice()[block.offset..block.offset + block.len];
             txn.lend().for_each_stripe(|at, states, grad| {
                 let elems = &mut fp16[at / 4..at / 4 + grad[0].len() / 4];
-                step_stripe(&optimizer, step, states, grad[0], elems, &mut staging);
+                step_stripe(&optimizer, step, states, grad[0], elems, &mut staging, &mut layers);
             });
         }
         // Transient faults are absorbed per member op inside the RAID (see
@@ -355,6 +368,7 @@ impl StorageOffloadTrainer {
             kernel_path: tensorlib::KernelPath::active(),
             stages: None,
             degraded: deg.into_option(),
+            layers,
         })
     }
 
@@ -594,7 +608,9 @@ mod tests {
             .with_fault_plan(faultkit::FaultPlan::new(faultkit::FaultSpec::empty(99)));
         let a = plain.train_step_with_grads(&grads).unwrap();
         let b = with_empty.train_step_with_grads(&grads).unwrap();
-        assert_eq!(a, b, "step reports must be bit-identical");
+        // Everything but the wall times must be bit-identical.
+        let bytes_only = |r: StepReport| StepReport { layers: LayerTimes::default(), ..r };
+        assert_eq!(bytes_only(a), bytes_only(b), "step reports must be bit-identical");
         assert_eq!(
             plain.master_params().unwrap().as_slice(),
             with_empty.master_params().unwrap().as_slice()

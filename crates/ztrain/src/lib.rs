@@ -32,10 +32,10 @@
 //!   shard is a lane (write → compress/update → read-back) dealt to a
 //!   [`parcore::ParExecutor`], bit-identical to the baseline for every worker
 //!   count and reporting per-stage telemetry.
-//! * [`Trainer`] / [`StepReport`] / [`StageReport`] / [`TrainError`] — the
-//!   unified training contract every functional substrate implements, so
-//!   callers hold a `dyn Trainer` and the `?` operator works across layer
-//!   boundaries.
+//! * [`Trainer`] / [`StepReport`] / [`StageReport`] / [`LayerTimes`] /
+//!   [`TrainError`] — the unified training contract every functional
+//!   substrate implements, so callers hold a `dyn Trainer` and the `?`
+//!   operator works across layer boundaries.
 //! * [`realtrain`] — a small, genuinely trained MLP classifier on synthetic
 //!   data, used to reproduce the accuracy side of the paper's fine-tuning
 //!   study (Table IV, Fig. 16).
@@ -60,4 +60,4 @@ pub use machine::MachineConfig;
 pub use pipeline::{init_csd_shards, PipelinedTrainer};
 pub use platform::TimedPlatform;
 pub use report::IterationReport;
-pub use trainer::{DegradedReport, StageReport, StepReport, TrainError, Trainer};
+pub use trainer::{DegradedReport, LayerTimes, StageReport, StepReport, TrainError, Trainer};

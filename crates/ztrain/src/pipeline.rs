@@ -21,7 +21,9 @@
 //! * **Per-stage telemetry.** Each step's [`StepReport`] carries a
 //!   [`StageReport`]: how many bytes the write, update and read-back stages
 //!   moved and how many lanes were in flight, mirroring the stage-level link
-//!   accounting of the timed engine.
+//!   accounting of the timed engine — and a
+//!   [`LayerTimes`](crate::LayerTimes) table of where the lanes' wall time
+//!   went.
 //!
 //! Construction and stepping are fallible ([`TrainError::Config`]) rather
 //! than asserting: this trainer is reached from user-facing configuration
@@ -30,12 +32,16 @@
 
 use crate::checkpoint::{bits_to_tensor, tensor_to_bits, TrainerCheckpoint};
 use crate::recover::recover;
-use crate::trainer::{check_len, DegradedReport, StageReport, StepReport, TrainError, Trainer};
+use crate::trainer::{
+    check_len, nanos, timed, DegradedReport, LayerTimes, StageReport, StepReport, TrainError,
+    Trainer,
+};
 use csd::{CsdDevice, CsdError, CsdTrafficStats, SubgroupUpdate};
 use faultkit::FaultPlan;
 use gradcomp::{CompressLane, Compressor, ErrorFeedback};
 use optim::Optimizer;
 use parcore::ParExecutor;
+use std::time::Instant;
 use tensorlib::{Chunker, FlatTensor, Partitioner, Shard};
 
 /// The distributed starting state of a near-storage run: the flattened
@@ -81,6 +87,7 @@ struct LaneReport {
     update_write_bytes: u64,
     read_back_bytes: u64,
     degraded: DegradedReport,
+    layers: LayerTimes,
 }
 
 /// The functional Smart-Infinity trainer: the flattened parameters
@@ -341,9 +348,21 @@ impl PipelinedTrainer {
         // size, so heavier shards are scheduled first (and stealable) rather
         // than letting one skewed shard serialize the step.
         let weights: Vec<usize> = lanes.iter().map(|l| l.shard.len).collect();
+        let region = Instant::now();
         let results = self.pool.map_weighted(lanes, &weights, |_, lane| {
-            Self::run_lane(lane, grads, compressor, optimizer, subgroup_elems, step, max_retries)
+            let start = Instant::now();
+            let report = Self::run_lane(
+                lane,
+                grads,
+                compressor,
+                optimizer,
+                subgroup_elems,
+                step,
+                max_retries,
+            );
+            (start, Instant::now(), report)
         });
+        let region = (region, Instant::now());
 
         let mut stages = StageReport {
             lanes: self.pool.num_threads().min(active_lanes).max(1),
@@ -353,7 +372,10 @@ impl PipelinedTrainer {
         let mut storage_bytes_read = 0u64;
         let mut storage_bytes_written = 0u64;
         let mut degraded = DegradedReport::default();
-        for result in results {
+        let mut layers = LayerTimes::default();
+        let mut busy = Vec::with_capacity(results.len());
+        for (start, end, result) in results {
+            busy.push((start, end));
             let lane = result.map_err(TrainError::from)?;
             stages.write_bytes += lane.write_bytes;
             stages.update_bytes += lane.update_read_bytes + lane.update_write_bytes;
@@ -362,7 +384,9 @@ impl PipelinedTrainer {
             storage_bytes_written += lane.update_write_bytes;
             kept += lane.kept;
             degraded.absorb(&lane.degraded);
+            layers.absorb(&lane.layers);
         }
+        layers.dispatch_ns = idle_ns(region, &mut busy);
         Ok(StepReport {
             step,
             gradient_bytes: stages.write_bytes,
@@ -373,6 +397,7 @@ impl PipelinedTrainer {
             kernel_path: tensorlib::KernelPath::active(),
             stages: Some(stages),
             degraded: degraded.into_option(),
+            layers,
         })
     }
 
@@ -392,6 +417,7 @@ impl PipelinedTrainer {
             return Ok(LaneReport::default());
         }
         let before = csd.stats();
+        let mut layers = LayerTimes::default();
         // Recovery is lane-local: each lane owns its device, so retry and
         // rebuild decisions are deterministic regardless of how the lanes are
         // scheduled across worker threads.
@@ -400,14 +426,18 @@ impl PipelinedTrainer {
         // Stage 1 — write: the shard's gradient crosses the host interconnect
         // downstream, dense (straight from the caller's tensor) or as the
         // Top-K stream: one pass accumulates the shard's slice into the
-        // residual, which is then the corrected gradient the selection reads
-        // (on the lane's share of the workers — the device's executor —
-        // bit-identical for any worker count) and the kept coordinates leave.
+        // residual, which is then the corrected gradient, and collects the
+        // candidates the selection keeps from (on the lane's share of the
+        // workers — the device's executor — bit-identical for any worker
+        // count); the kept coordinates leave.
         let shard_grads = &grads.as_slice()[shard.offset..shard.offset + shard.len];
         let compressed = match &compressor {
             None => None,
             Some(c) => {
-                feedback.compress_into(shard_grads, c, &csd.executor(), compress)?;
+                let pool = csd.executor();
+                timed(&mut layers.topk_feedback_ns, || {
+                    feedback.compress_into(shard_grads, c, &pool, compress)
+                })?;
                 Some(compress.stream())
             }
         };
@@ -418,8 +448,10 @@ impl PipelinedTrainer {
         if compressed.is_none() {
             // Whole-region gradient writes are idempotent, so the recovery
             // wrapper may retry them freely.
-            recover(max_retries, &mut deg, csd, CsdDevice::rebuild, |csd| {
-                csd.store_gradients("shard", shard_grads)
+            timed(&mut layers.region_write_ns, || {
+                recover(max_retries, &mut deg, csd, CsdDevice::rebuild, |csd| {
+                    csd.store_gradients("shard", shard_grads)
+                })
             })?;
         }
 
@@ -445,15 +477,23 @@ impl PipelinedTrainer {
         // Stage 3 — read-back: the refreshed FP16 working copy returns to
         // host memory, rounded straight from the device's region bytes into
         // this lane's output slice.
-        recover(max_retries, &mut deg, csd, CsdDevice::rebuild, |csd| {
-            csd.load_parameters_fp16_into("shard", 0, fp16_out)
+        timed(&mut layers.fp16_ns, || {
+            recover(max_retries, &mut deg, csd, CsdDevice::rebuild, |csd| {
+                csd.load_parameters_fp16_into("shard", 0, fp16_out)
+            })
         })?;
 
-        // Fold the device-internal transient retries into the lane's report.
+        // Fold the device-internal transient retries and the update's layer
+        // times into the lane's report.
         let (retries, backoff_ms) = csd.take_fault_events();
         deg.transient_faults += retries;
         deg.retries += retries;
         deg.backoff_ms += backoff_ms;
+        let update = csd.take_update_times();
+        layers.region_read_ns += update.read_gates_ns;
+        layers.region_write_ns += update.write_gates_ns;
+        layers.decompress_ns += update.decompress_ns;
+        layers.kernel_ns += update.kernel_ns;
 
         let after = csd.stats();
         Ok(LaneReport {
@@ -463,8 +503,24 @@ impl PipelinedTrainer {
             update_write_bytes: after.p2p_write_bytes - before.p2p_write_bytes,
             read_back_bytes: 2 * shard.len as u64,
             degraded: deg,
+            layers,
         })
     }
+}
+
+/// The part of `region` (start, end) during which none of the `busy`
+/// intervals ran, in nanoseconds.
+fn idle_ns(region: (Instant, Instant), busy: &mut [(Instant, Instant)]) -> u64 {
+    busy.sort_unstable_by_key(|&(start, _)| start);
+    let (mut covered, mut reach) = (0, region.0);
+    for &(start, end) in busy.iter() {
+        let start = start.max(reach);
+        if end > start {
+            covered += nanos(end - start);
+            reach = end;
+        }
+    }
+    nanos(region.1 - region.0).saturating_sub(covered)
 }
 
 impl Trainer for PipelinedTrainer {
@@ -907,7 +963,18 @@ mod tests {
         let (plain_master, plain_reports) = run(None);
         let (ckpt_master, ckpt_reports) = run(Some(2));
         assert_eq!(plain_master.as_slice(), ckpt_master.as_slice());
-        assert_eq!(plain_reports, ckpt_reports, "fault telemetry must match step for step");
+        // Everything but the wall times must match.
+        let bytes_only = |reports: Vec<StepReport>| {
+            reports
+                .into_iter()
+                .map(|r| StepReport { layers: LayerTimes::default(), ..r })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            bytes_only(plain_reports),
+            bytes_only(ckpt_reports),
+            "fault telemetry must match step for step"
+        );
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   CSDs), so callers can hold a `Box<dyn Trainer>` and never care where
 //!   the update runs.
 //! * [`StepReport`] — per-step telemetry (bytes moved, compression
-//!   keep-count, threads used) returned by every step, replacing the
+//!   keep-count, threads used, and a [`LayerTimes`] table of where the
+//!   step's wall time went) returned by every step, replacing the
 //!   per-engine accessors that previously each spoke their own dialect.
 //! * [`TrainError`] — the workspace-level error type. Every substrate error
 //!   ([`SsdError`], [`CsdError`], [`SimError`]) converts into it, so the `?`
@@ -26,6 +27,7 @@ use simkit::SimError;
 use ssd::SsdError;
 use std::error::Error;
 use std::fmt;
+use std::time::{Duration, Instant};
 use tensorlib::FlatTensor;
 
 /// Per-stage byte telemetry of one near-storage training step.
@@ -62,6 +64,82 @@ impl StageReport {
     pub fn is_overlapped(&self) -> bool {
         self.lanes > 1
     }
+}
+
+/// Where the host wall time of one functional step went, layer by layer, in
+/// nanoseconds. Each entry is summed over the step — and over its lanes
+/// where it has lanes, so with overlapped lanes the entries can add up to
+/// more than the step took. The trainers fill it in around calls they make
+/// anyway; it is always on. It is wall time, so unlike every other field of
+/// [`StepReport`] it differs from run to run: compare reports by their byte
+/// fields, not as a whole.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+pub struct LayerTimes {
+    /// Storage region reads. For the near-storage trainer, the P2P read
+    /// gates of each subgroup update (master, auxiliaries, a dense
+    /// gradient). For the host baseline, the read admissions of each block's
+    /// `RaidUpdateTxn`: gates and counters, not copies, because the kernel
+    /// steps the RAID members' windows where they lie.
+    pub region_read_ns: u64,
+    /// Storage region writes: a dense gradient written to storage (the
+    /// baseline's offload copies it into the RAID members), plus the write
+    /// gates of each update — for the baseline the write admissions of its
+    /// `RaidUpdateTxn`, which copy nothing.
+    pub region_write_ns: u64,
+    /// The optimizer kernel stepping the state windows in place.
+    pub kernel_ns: u64,
+    /// SmartComp's compress stage on the host: error feedback and the Top-K
+    /// selection.
+    pub topk_feedback_ns: u64,
+    /// Decompressing the Top-K stream into dense gradient tiles (in the CSD).
+    pub decompress_ns: u64,
+    /// The FP16 working copy: the near-storage read-back (one counted read,
+    /// rounded as it arrives), or the baseline's rounding of each updated
+    /// tile.
+    pub fp16_ns: u64,
+    /// Lane dispatch: the time inside the step's parallel region during
+    /// which no lane was running (hand-out, wake-up and join). Zero for the
+    /// host baseline, which has no lanes.
+    pub dispatch_ns: u64,
+}
+
+impl LayerTimes {
+    /// Adds another table's entries into this one.
+    pub(crate) fn absorb(&mut self, other: &LayerTimes) {
+        self.region_read_ns += other.region_read_ns;
+        self.region_write_ns += other.region_write_ns;
+        self.kernel_ns += other.kernel_ns;
+        self.topk_feedback_ns += other.topk_feedback_ns;
+        self.decompress_ns += other.decompress_ns;
+        self.fp16_ns += other.fp16_ns;
+        self.dispatch_ns += other.dispatch_ns;
+    }
+
+    /// The seven entries as `(label, nanoseconds)` pairs, in table order.
+    pub fn entries(&self) -> [(&'static str, u64); 7] {
+        [
+            ("region read", self.region_read_ns),
+            ("region write", self.region_write_ns),
+            ("kernel", self.kernel_ns),
+            ("top-k + feedback", self.topk_feedback_ns),
+            ("decompress", self.decompress_ns),
+            ("fp16 pack / read-back", self.fp16_ns),
+            ("lane dispatch", self.dispatch_ns),
+        ]
+    }
+}
+
+/// Runs `f` and adds its wall time to `slot`.
+pub(crate) fn timed<R>(slot: &mut u64, f: impl FnOnce() -> R) -> R {
+    let start = Instant::now();
+    let result = f();
+    *slot += nanos(start.elapsed());
+    result
+}
+
+/// A duration in whole nanoseconds (saturating).
+pub(crate) fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Recovery telemetry of one step that survived injected faults.
@@ -159,6 +237,9 @@ pub struct StepReport {
     /// Recovery telemetry when injected faults fired during this step;
     /// `None` when the step ran fault-free.
     pub degraded: Option<DegradedReport>,
+    /// Where the step's wall time went, by layer (the one field that is not
+    /// deterministic).
+    pub layers: LayerTimes,
 }
 
 impl StepReport {

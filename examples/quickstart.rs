@@ -123,6 +123,20 @@ fn main() -> Result<(), TrainError> {
         );
     }
 
+    // Where the last step's wall time went, layer by layer (summed over the
+    // lanes of the near-storage trainer). Wall time, so it varies run to run.
+    println!("\nLast step by layer, µs (wall time, summed over lanes):");
+    let header: Vec<String> = methods.iter().map(|m| format!("{:>12}", m.to_string())).collect();
+    println!("{:<22}{}", "layer", header.join(""));
+    for row in 0..StepReport::default().layers.entries().len() {
+        let label = last_reports[0].layers.entries()[row].0;
+        let times: Vec<String> = last_reports
+            .iter()
+            .map(|r| format!("{:>12.1}", r.layers.entries()[row].1 as f64 / 1e3))
+            .collect();
+        println!("{label:<22}{}", times.join(""));
+    }
+
     // SmartUpdate is bit-identical to the baseline — checked through the
     // trait objects alone.
     let identical = trainers[1].params_fp16().as_slice() == trainers[0].params_fp16().as_slice();

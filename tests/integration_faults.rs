@@ -10,7 +10,10 @@
 //! * recovered transients, wear-outs and dropouts never change the numbers.
 
 use proptest::prelude::*;
-use smart_infinity::{FaultSpec, MachineConfig, MethodSpec, ModelConfig, Session, SessionBuilder};
+use smart_infinity::{
+    FaultSpec, LayerTimes, MachineConfig, MethodSpec, ModelConfig, Session, SessionBuilder,
+    StepReport,
+};
 use tensorlib::FlatTensor;
 
 const N: usize = 1500;
@@ -67,7 +70,9 @@ proptest! {
             let a = plain.step(&grads).unwrap();
             let b = empty.step(&grads).unwrap();
             prop_assert!(b.degraded.is_none(), "empty plan must not report degradation");
-            prop_assert_eq!(a, b);
+            // Everything but the layer wall times, which differ run to run.
+            let bytes_only = |r: StepReport| StepReport { layers: LayerTimes::default(), ..r };
+            prop_assert_eq!(bytes_only(a), bytes_only(b));
         }
         let plain_params = plain.master_params().unwrap();
         let empty_params = empty.master_params().unwrap();
