@@ -171,6 +171,17 @@ impl CompressedGradient {
         self.original_len = grads.len();
     }
 
+    /// Empties the stream (allocations kept) for a gradient of
+    /// `original_len` elements and lends its index and value lists to a
+    /// selection, which pushes its pairs in ascending index order.
+    pub(crate) fn reset(&mut self, original_len: usize) -> (&mut Vec<u32>, &mut Vec<f32>) {
+        debug_assert!(original_len <= u32::MAX as usize);
+        self.indices.clear();
+        self.values.clear();
+        self.original_len = original_len;
+        (&mut self.indices, &mut self.values)
+    }
+
     /// Number of selected (non-zero) elements.
     pub fn num_selected(&self) -> usize {
         self.indices.len()

@@ -30,16 +30,43 @@ pub fn valid_keep_ratio(keep_ratio: f64) -> bool {
     keep_ratio > 0.0 && keep_ratio <= 1.0
 }
 
-/// The reusable state of one compression lane: the selection's sample buffer
-/// and candidate lists, and the compressed stream they produce. A caller that
-/// compresses a shard every step keeps one of these per shard and hands it to
-/// [`crate::ErrorFeedback::compress_into`], so a warm step allocates nothing.
+/// Every `(index, value)` of a shard that the filter pass let through, in
+/// ascending index order: what the exact selection chooses from.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Candidates {
+    pub(crate) indices: Vec<u32>,
+    pub(crate) values: Vec<f32>,
+}
+
+impl Candidates {
+    pub(crate) fn push(&mut self, index: u32, value: f32) {
+        self.indices.push(index);
+        self.values.push(value);
+    }
+
+    fn len(&self) -> usize {
+        self.indices.len()
+    }
+
+    fn clear(&mut self) {
+        self.indices.clear();
+        self.values.clear();
+    }
+}
+
+/// The reusable state of one compression lane: the selection's sample buffer,
+/// candidate lists and ranking keys, and the compressed stream they produce.
+/// A caller that compresses a shard every step keeps one of these per shard
+/// and hands it to [`crate::ErrorFeedback::compress_into`], so a warm step
+/// allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct CompressLane {
-    sample: Vec<f32>,
-    candidates: Vec<u32>,
+    // The sampled magnitudes, as ranking keys.
+    sample: Vec<u32>,
+    candidates: Candidates,
     // One list per chunk, filled by the workers of a chunked selection.
-    chunk_candidates: Vec<Vec<u32>>,
+    chunk_candidates: Vec<Candidates>,
+    keys: Vec<u32>,
     stream: CompressedGradient,
 }
 
@@ -47,6 +74,45 @@ impl CompressLane {
     /// The stream written by the last compression into this lane.
     pub fn stream(&self) -> &CompressedGradient {
         &self.stream
+    }
+}
+
+/// What a selection reads: a shard as it is, or an error-feedback residual
+/// that the shard's gradient is added into by the selection's first pass.
+pub(crate) enum Source<'a> {
+    Plain(&'a [f32]),
+    Accumulate { residual: &'a mut [f32], grads: &'a [f32] },
+}
+
+impl<'a> Source<'a> {
+    fn len(&self) -> usize {
+        match self {
+            Source::Plain(values) => values.len(),
+            Source::Accumulate { grads, .. } => grads.len(),
+        }
+    }
+
+    /// The ranking key of element `i` (of the sum, for an accumulating
+    /// source), computed without writing anything.
+    fn key(&self, i: usize) -> u32 {
+        match self {
+            Source::Plain(values) => magnitude_key(values[i]),
+            Source::Accumulate { residual, grads } => magnitude_key(residual[i] + grads[i]),
+        }
+    }
+
+    /// The values the selection chooses from, after adding the gradient in
+    /// (one pass) for an accumulating source.
+    fn into_values(self) -> &'a [f32] {
+        match self {
+            Source::Plain(values) => values,
+            Source::Accumulate { residual, grads } => {
+                for (r, g) in residual.iter_mut().zip(grads) {
+                    *r += g;
+                }
+                residual
+            }
+        }
     }
 }
 
@@ -208,32 +274,45 @@ impl Compressor {
         num_chunks: usize,
         lane: &mut CompressLane,
     ) -> Result<(), CompressError> {
-        assert!(num_chunks > 0, "chunk count must be positive");
-        let n = grads.len();
-        check_index_space(n)?;
-        let k = self.num_kept(n);
-        lane.candidates.clear();
-        if n > 0 {
-            match self.method {
-                SelectionMethod::TopK => top_k(grads, k, pool, num_chunks, lane),
-                SelectionMethod::RandomK { seed } => random_k(n, k, seed, &mut lane.candidates),
-            }
-        }
-        lane.stream.refill(&lane.candidates, grads);
+        check_index_space(grads.len())?;
+        self.select_into(Source::Plain(grads), KernelPath::active(), pool, num_chunks, lane);
         Ok(())
     }
-}
 
-/// The total order used by the Top-K selection: descending magnitude, ties
-/// broken by ascending index. `total_cmp` keeps the order total even for NaN
-/// magnitudes (they sort above infinity, i.e. are selected first) — a partial
-/// comparator would cycle on NaN-bearing gradients. Under a total order the
-/// top-k *set* is unique, which is what makes every way of finding it — any
-/// cut, any chunk count — bit-identical.
-fn magnitude_order(grads: &[f32], a: u32, b: u32) -> std::cmp::Ordering {
-    let ma = grads[a as usize].abs();
-    let mb = grads[b as usize].abs();
-    mb.total_cmp(&ma).then(a.cmp(&b))
+    /// The one selection behind every entry point: fills `lane`'s stream from
+    /// `source` on kernel tier `path`, with the Top-K filter split into
+    /// `num_chunks` chunks on `pool`. An accumulating source has its gradient
+    /// added in exactly once, whatever the method. The caller has checked the
+    /// length against the index space.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_chunks` is zero.
+    pub(crate) fn select_into(
+        &self,
+        source: Source<'_>,
+        path: KernelPath,
+        pool: &ParExecutor,
+        num_chunks: usize,
+        lane: &mut CompressLane,
+    ) {
+        assert!(num_chunks > 0, "chunk count must be positive");
+        let n = source.len();
+        debug_assert!(n <= u32::MAX as usize);
+        let k = self.num_kept(n);
+        match self.method {
+            SelectionMethod::TopK => top_k(source, k, path, pool, num_chunks, lane),
+            SelectionMethod::RandomK { seed } => {
+                let values = source.into_values();
+                let indices = &mut lane.candidates.indices;
+                indices.clear();
+                if n > 0 {
+                    random_k(n, k, seed, indices);
+                }
+                lane.stream.refill(indices, values);
+            }
+        }
+    }
 }
 
 /// Magnitudes sampled (at a fixed stride) to estimate the selection's cut.
@@ -246,11 +325,11 @@ const SAMPLE_LEN: usize = 1 << 14;
 
 /// Shards shorter than this are selected without a sample: it would read a
 /// quarter or more of the shard to save a selection that is already small.
-const SAMPLE_FLOOR: usize = 4 * SAMPLE_LEN;
+pub(crate) const SAMPLE_FLOOR: usize = 4 * SAMPLE_LEN;
 
 /// The stride an `n`-element shard is sampled at: odd, so that it does not
 /// lock onto power-of-two row lengths.
-fn sample_stride(n: usize) -> usize {
+pub(crate) fn sample_stride(n: usize) -> usize {
     (n / SAMPLE_LEN) | 1
 }
 
@@ -266,76 +345,164 @@ fn conservative_rank(k: usize, n: usize, sample_len: usize) -> usize {
     (expected + 4.0 * expected.sqrt() + 8.0).ceil() as usize
 }
 
-/// Exact Top-K selection by magnitude into `lane.candidates` (ascending
-/// index): estimate a conservative cut from a strided sample, collect every
-/// element not below it with the SIMD filter, and run the exact selection
-/// over those candidates only.
+/// The cut at sample rank `rank` (descending magnitude): the magnitude whose
+/// key is there. Past the end of the sample (or with none taken) nothing is
+/// cut.
+fn cut_at(sample: &mut [u32], rank: usize) -> f32 {
+    if rank < sample.len() {
+        let at = sample.len() - 1 - rank;
+        f32::from_bits(*sample.select_nth_unstable(at).1)
+    } else {
+        0.0
+    }
+}
+
+/// Exact Top-K selection by magnitude into `lane.stream` (ascending index):
+/// estimate a conservative cut from a strided sample, collect every
+/// `(index, value)` not below it with the SIMD filter, and run the exact
+/// selection over those candidates only. An accumulating source is sampled
+/// as the sums it will hold, and its first filter pass is the accumulation.
 ///
 /// The result never depends on the estimate. If at least `k` elements pass
 /// the cut, every member of the top-`k` set passes too (its magnitude is at
 /// least the `k`-th largest, which is at least the cut; NaN never compares
-/// below anything and sorts first in [`magnitude_order`]), so selecting among
-/// the candidates is selecting among all. If fewer pass, the cut is lowered
-/// and the scan repeated; the last cut, `0.0`, admits every element, which is
-/// the full selection. A bad estimate costs a pass, never a wrong set.
-fn top_k(grads: &[f32], k: usize, pool: &ParExecutor, num_chunks: usize, lane: &mut CompressLane) {
-    let n = grads.len();
-    lane.sample.clear();
-    if n >= SAMPLE_FLOOR && k < n / 4 {
-        lane.sample.extend(grads.iter().step_by(sample_stride(n)).map(|v| v.abs()));
-    }
-    let mut rank = conservative_rank(k, n, lane.sample.len());
-    loop {
-        // Past the end of the sample (or with none taken) nothing is cut.
-        let cut = if rank < lane.sample.len() {
-            *lane.sample.select_nth_unstable_by(rank, |a, b| b.total_cmp(a)).1
-        } else {
-            0.0
-        };
-        collect_candidates(grads, cut, pool, num_chunks, lane);
-        if lane.candidates.len() >= k {
-            break;
-        }
-        rank = rank.saturating_mul(4);
-    }
-    let candidates = &mut lane.candidates;
-    if candidates.len() > k {
-        candidates.select_nth_unstable_by(k - 1, |&a, &b| magnitude_order(grads, a, b));
-        candidates.truncate(k);
-    }
-    candidates.sort_unstable();
-}
-
-/// Fills `lane.candidates` with every index (ascending) whose magnitude is
-/// not below `cut`. With more than one chunk the workers of `pool` each
-/// filter a contiguous range into their own list and the lists are
-/// concatenated in range order — the same list a single scan produces.
-fn collect_candidates(
-    grads: &[f32],
-    cut: f32,
+/// below anything and ranks first), so selecting among the candidates is
+/// selecting among all. If fewer pass, the cut is lowered and the
+/// (accumulated) values filtered again; the last cut, `0.0`, admits every
+/// element, which is the full selection. A bad estimate costs a pass, never
+/// a wrong set.
+fn top_k(
+    source: Source<'_>,
+    k: usize,
+    path: KernelPath,
     pool: &ParExecutor,
     num_chunks: usize,
     lane: &mut CompressLane,
 ) {
-    let path = KernelPath::active();
+    let n = source.len();
+    lane.sample.clear();
+    if n >= SAMPLE_FLOOR && k < n / 4 {
+        lane.sample.extend((0..n).step_by(sample_stride(n)).map(|i| source.key(i)));
+    }
+    let mut rank = conservative_rank(k, n, lane.sample.len());
+    let cut = cut_at(&mut lane.sample, rank);
+    let values = collect_candidates(source, cut, path, pool, num_chunks, lane);
+    while lane.candidates.len() < k {
+        rank = rank.saturating_mul(4);
+        let cut = cut_at(&mut lane.sample, rank);
+        collect_candidates(Source::Plain(values), cut, path, pool, num_chunks, lane);
+    }
+    let CompressLane { candidates, keys, stream, .. } = lane;
+    select_top(candidates, k, keys, stream, n);
+}
+
+/// The ranking key of a value: its magnitude bits (sign cleared) as a `u32`.
+/// For non-negative floats the bit patterns order exactly as `total_cmp`
+/// orders the values, so keys order as `|v|.total_cmp` does — NaN above
+/// infinity (by payload), `-0.0` equal to `0.0`.
+fn magnitude_key(value: f32) -> u32 {
+    value.to_bits() & 0x7FFF_FFFF
+}
+
+/// Keeps the `k` largest candidates by magnitude, ties to the lowest index,
+/// in `stream` as a stream of an `original_len`-element gradient: the `k`-th
+/// largest key is found among plain integers, and one in-order pass keeps
+/// every candidate above it plus the first candidates equal to it — so the
+/// stream comes out in index order with its values, and nothing is sorted or
+/// gathered.
+fn select_top(
+    candidates: &Candidates,
+    k: usize,
+    keys: &mut Vec<u32>,
+    stream: &mut CompressedGradient,
+    original_len: usize,
+) {
+    let (indices, values) = stream.reset(original_len);
+    if candidates.len() == k {
+        indices.extend_from_slice(&candidates.indices);
+        values.extend_from_slice(&candidates.values);
+        return;
+    }
+    keys.clear();
+    keys.extend(candidates.values.iter().map(|&v| magnitude_key(v)));
+    let at = keys.len() - k;
+    let (_, &mut kth, above) = keys.select_nth_unstable(at);
+    let mut ties = k - above.iter().filter(|&&key| key > kth).count();
+    for (&index, &value) in candidates.indices.iter().zip(&candidates.values) {
+        let key = magnitude_key(value);
+        if key > kth || (key == kth && ties > 0) {
+            ties -= usize::from(key == kth);
+            indices.push(index);
+            values.push(value);
+            if indices.len() == k {
+                break;
+            }
+        }
+    }
+}
+
+/// Fills `lane.candidates` with every `(index, value)` (ascending index)
+/// whose magnitude is not below `cut`, accumulating an accumulating source on
+/// the way, and returns the values as they now stand. With more than one
+/// chunk the workers of `pool` each filter a contiguous range into their own
+/// list and the lists are concatenated in range order — the same list a
+/// single scan produces.
+fn collect_candidates<'a>(
+    source: Source<'a>,
+    cut: f32,
+    path: KernelPath,
+    pool: &ParExecutor,
+    num_chunks: usize,
+    lane: &mut CompressLane,
+) -> &'a [f32] {
     let CompressLane { candidates, chunk_candidates, .. } = lane;
     candidates.clear();
     if num_chunks == 1 {
-        crate::simd::filter_not_less(path, grads, cut, candidates);
-        return;
+        return match source {
+            Source::Plain(values) => {
+                crate::simd::filter_not_less(path, values, cut, candidates);
+                values
+            }
+            Source::Accumulate { residual, grads } => {
+                crate::simd::add_filter_not_less(path, residual, grads, cut, candidates);
+                residual
+            }
+        };
     }
-    let ranges = parcore::chunk_bounds(grads.len(), num_chunks);
+    let ranges = parcore::chunk_bounds(source.len(), num_chunks);
     if chunk_candidates.len() < ranges.len() {
-        chunk_candidates.resize_with(ranges.len(), Vec::new);
+        chunk_candidates.resize_with(ranges.len(), Candidates::default);
     }
-    let chunks: Vec<_> = ranges.iter().zip(chunk_candidates.iter_mut()).collect();
-    pool.for_each(chunks, |_, (range, list)| {
-        list.clear();
-        crate::simd::filter_not_less(path, &grads[range.clone()], cut, list);
-    });
+    let lists = chunk_candidates.iter_mut();
+    let values: &[f32] = match source {
+        Source::Plain(values) => {
+            let chunks: Vec<_> = ranges.iter().map(|r| &values[r.clone()]).zip(lists).collect();
+            pool.for_each(chunks, |_, (chunk, list)| {
+                list.clear();
+                crate::simd::filter_not_less(path, chunk, cut, list);
+            });
+            values
+        }
+        Source::Accumulate { residual, grads } => {
+            let mut rest = &mut *residual;
+            let mut chunks = Vec::with_capacity(ranges.len());
+            for (range, list) in ranges.iter().zip(lists) {
+                let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
+                rest = tail;
+                chunks.push((chunk, &grads[range.clone()], list));
+            }
+            pool.for_each(chunks, |_, (chunk, grads, list)| {
+                list.clear();
+                crate::simd::add_filter_not_less(path, chunk, grads, cut, list);
+            });
+            residual
+        }
+    };
     for (range, list) in ranges.iter().zip(chunk_candidates.iter()) {
-        candidates.extend(list.iter().map(|&i| range.start as u32 + i));
+        candidates.indices.extend(list.indices.iter().map(|&i| range.start as u32 + i));
+        candidates.values.extend_from_slice(&list.values);
     }
+    values
 }
 
 /// Deterministic pseudo-random selection of k distinct indices (ascending).
@@ -360,6 +527,17 @@ fn random_k(n: usize, k: usize, seed: u64, selected: &mut Vec<u32>) {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The total order the selection keeps to: descending magnitude, ties
+    /// broken by ascending index. `total_cmp` keeps the order total even for
+    /// NaN magnitudes (they sort above infinity, i.e. are selected first).
+    /// Under a total order the top-k *set* is unique, which is what makes
+    /// every way of finding it — any cut, any chunk count — bit-identical.
+    fn magnitude_order(grads: &[f32], a: u32, b: u32) -> std::cmp::Ordering {
+        let ma = grads[a as usize].abs();
+        let mb = grads[b as usize].abs();
+        mb.total_cmp(&ma).then(a.cmp(&b))
+    }
 
     /// The selection this module replaced, kept as the oracle: one
     /// `select_nth` over every index under the same total order.
@@ -449,8 +627,10 @@ mod tests {
         let k = Compressor::top_k(0.01).num_kept(n);
         let mut sample: Vec<f32> =
             grads.as_slice().iter().step_by(sample_stride(n)).map(|v| v.abs()).collect();
+        let mut keys: Vec<u32> = sample.iter().map(|&m| magnitude_key(m)).collect();
         let rank = conservative_rank(k, n, sample.len());
         let cut = *sample.select_nth_unstable_by(rank, |a, b| b.total_cmp(a)).1;
+        assert_eq!(cut_at(&mut keys, rank).to_bits(), cut.to_bits(), "keys rank like total_cmp");
         let passing = grads.as_slice().iter().filter(|v| v.abs() >= cut).count();
         assert!(passing >= k && passing < 2 * k, "k={k} passing={passing} rank={rank}");
     }
@@ -652,7 +832,8 @@ mod tests {
             assert_eq!(lane.stream(), &compressor.compress(g));
             assert_eq!(lane.sample.capacity(), sample_capacity);
             // The candidate list stays a small multiple of what is kept.
-            assert!(lane.candidates.capacity() < 4 * k, "{}", lane.candidates.capacity());
+            let capacity = lane.candidates.indices.capacity();
+            assert!(capacity < 4 * k && lane.keys.capacity() < 4 * k, "{capacity}");
         }
     }
 
@@ -759,6 +940,35 @@ mod tests {
             });
             let c = compress_checked(&grads, ratio);
             prop_assert_eq!(c.num_selected(), Compressor::top_k(ratio).num_kept(grads.len()));
+        }
+
+        /// The key selection alone, with every element a candidate, keeps
+        /// the oracle's set on tie-heavy input: a few magnitudes of both
+        /// signs, ±0, infinities and NaNs of several payloads, repeated.
+        #[test]
+        fn key_selection_matches_the_oracle_on_tie_heavy_input(
+            pattern in proptest::collection::vec(0usize..12, 1..400),
+            keep in 0.0f64..1.0,
+        ) {
+            const PALETTE: [f32; 12] = [
+                0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0,
+                f32::INFINITY, f32::NEG_INFINITY,
+                f32::from_bits(0x7FC0_0001), f32::from_bits(0xFFC0_0002),
+            ];
+            let values: Vec<f32> = pattern.iter().map(|&p| PALETTE[p]).collect();
+            let n = values.len();
+            let k = 1 + (keep * (n - 1) as f64) as usize;
+            let candidates = Candidates {
+                indices: (0..n as u32).collect(),
+                values: values.clone(),
+            };
+            let (mut keys, mut stream) = (Vec::new(), CompressedGradient::default());
+            select_top(&candidates, k, &mut keys, &mut stream, n);
+            let expected = oracle_top_k(&values, k);
+            prop_assert_eq!(stream.indices(), expected.as_slice());
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let picked: Vec<f32> = expected.iter().map(|&i| values[i as usize]).collect();
+            prop_assert_eq!(bits(stream.values()), bits(&picked));
         }
 
         /// Parallel Top-K equals serial Top-K for random tensors, ratios,

@@ -6,10 +6,10 @@
 //! eventually communicated and convergence is preserved.
 
 use crate::compressed::{check_index_space, CompressError, CompressedGradient};
-use crate::compressor::{CompressLane, Compressor};
+use crate::compressor::{CompressLane, Compressor, Source};
 use parcore::ParExecutor;
 use serde::{Deserialize, Serialize};
-use tensorlib::FlatTensor;
+use tensorlib::{FlatTensor, KernelPath};
 
 /// Residual accumulator for one flat gradient buffer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -66,10 +66,12 @@ impl ErrorFeedback {
     }
 
     /// One whole compress stage on this accumulator's own memory: the
-    /// gradient is accumulated into the residual (`residual += grads`, one
-    /// pass), which makes **the residual the corrected gradient**; the
-    /// compressor selects from it into `lane`'s stream; the transmitted
-    /// coordinates are zeroed, which leaves exactly the untransmitted part.
+    /// gradient is accumulated into the residual (`residual += grads`), which
+    /// makes **the residual the corrected gradient**; the compressor selects
+    /// from it into `lane`'s stream; the transmitted coordinates are zeroed,
+    /// which leaves exactly the untransmitted part. For Top-K the
+    /// accumulation and the candidate filter are one pass over the residual
+    /// (the cut is estimated from sampled sums beforehand, writing nothing).
     /// Bit-identical — stream and residual — to
     /// [`ErrorFeedback::apply_in_place`], [`Compressor::compress_par`] and
     /// [`ErrorFeedback::update`] in sequence, without the corrected-gradient
@@ -90,14 +92,32 @@ impl ErrorFeedback {
         pool: &ParExecutor,
         lane: &mut CompressLane,
     ) -> Result<(), CompressError> {
+        let chunks = pool.workers_for(grads.len());
+        self.compress_with(grads, compressor, KernelPath::active(), pool, chunks, lane)
+    }
+
+    /// [`ErrorFeedback::compress_into`] on an explicit kernel tier and chunk
+    /// count.
+    fn compress_with(
+        &mut self,
+        grads: &[f32],
+        compressor: &Compressor,
+        path: KernelPath,
+        pool: &ParExecutor,
+        num_chunks: usize,
+        lane: &mut CompressLane,
+    ) -> Result<(), CompressError> {
         assert_eq!(grads.len(), self.residual.len(), "gradient length mismatch");
         check_index_space(grads.len())?;
         let residual = self.residual.as_mut_slice();
-        for (r, g) in residual.iter_mut().zip(grads) {
-            *r += g;
-        }
-        compressor.try_compress_into(residual, pool, pool.workers_for(grads.len()), lane)?;
-        clear_transmitted(residual, lane.stream());
+        compressor.select_into(
+            Source::Accumulate { residual, grads },
+            path,
+            pool,
+            num_chunks,
+            lane,
+        );
+        clear_transmitted(self.residual.as_mut_slice(), lane.stream());
         Ok(())
     }
 
@@ -143,6 +163,7 @@ fn clear_transmitted(corrected: &mut [f32], transmitted: &CompressedGradient) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compressor::SAMPLE_FLOOR;
     use proptest::prelude::*;
 
     #[test]
@@ -235,6 +256,98 @@ mod tests {
             assert_eq!(compressed_b, compressed_a, "compressed diverged at step {step}");
             assert_eq!(fb_inplace.residual(), fb_alloc.residual(), "residual diverged at {step}");
         }
+    }
+
+    /// The gradient of step `step` of a shard of kind `kind` for the fused
+    /// stage's property: each kind is a pattern the selection must treat
+    /// exactly.
+    fn adversarial_grads(kind: usize, n: usize, seed: u64, step: u64) -> FlatTensor {
+        let stride = crate::compressor::sample_stride(n);
+        let noise = FlatTensor::randn(n, 1.0, seed.wrapping_mul(31).wrapping_add(step));
+        let noise = noise.as_slice();
+        FlatTensor::from_fn(n, |i| match kind {
+            // Quantised, so that many magnitudes tie with the k-th and small
+            // negatives round to -0.0.
+            0 => (noise[i] * 4.0).round() / 4.0,
+            // NaNs of many payloads and both signs, on the first step only:
+            // a later NaN could meet a NaN left in the residual, and the
+            // payload of NaN + NaN is not specified.
+            1 if step == 0 && i % 97 == 3 => {
+                f32::from_bits(0x7FC0_0000 | (i as u32 & 0x3F_FFFF) | ((i as u32 & 1) << 31))
+            }
+            1 => noise[i],
+            // A sea of equal magnitudes (signs alternate) with the true top
+            // parked between sample points: the cut ties with the sea.
+            2 if i % stride != 0 && i % 1009 == 1 => 50.0 + noise[i].abs(),
+            2 => {
+                if i % 2 == 0 {
+                    1.5
+                } else {
+                    -1.5
+                }
+            }
+            // Large values on every sample point and nowhere else: every cut
+            // the sample offers is too high, so the selection falls back to
+            // refiltering the accumulated residual.
+            3 if i % stride == 0 => 1000.0 + (i % 7) as f32,
+            _ => noise[i] * 0.01,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        /// The fused compress stage equals `apply_in_place` → `try_compress`
+        /// → `update` — stream and residual under `to_bits`, step after step
+        /// — on every kernel tier and at 1–4 chunks: ties at the k-th
+        /// magnitude and ±0, NaN payloads, the all-equal sea, the cut that
+        /// forces the refilter fallback, shards below the sampling floor and
+        /// keep ratios with `k >= n / 4`.
+        #[test]
+        fn compress_into_equals_the_three_step_reference(
+            kind in 0usize..4,
+            small in any::<bool>(),
+            wide in any::<bool>(),
+            extra in 0usize..300,
+            seed in 0u64..1000,
+        ) {
+            let n = if small { 1 + extra * 7 } else { SAMPLE_FLOOR + extra };
+            let ratio = if wide { 0.25 + extra as f64 / 1000.0 } else { 0.002 + extra as f64 / 4000.0 };
+            let compressor = Compressor::top_k(ratio);
+            let pool = ParExecutor::new(2);
+            let grads: Vec<FlatTensor> =
+                (0..3).map(|step| adversarial_grads(kind, n, seed, step)).collect();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let mut reference = ErrorFeedback::new(n);
+            let expected: Vec<(CompressedGradient, Vec<u32>)> = grads
+                .iter()
+                .map(|g| {
+                    let mut corrected = g.clone();
+                    reference.apply_in_place(&mut corrected);
+                    let stream = compressor.try_compress(&corrected).unwrap();
+                    reference.update(&corrected, &stream);
+                    (stream, bits(reference.residual().as_slice()))
+                })
+                .collect();
+            for path in KernelPath::available() {
+                for chunks in 1..=4 {
+                    let mut fused = ErrorFeedback::new(n);
+                    let mut lane = CompressLane::default();
+                    for (step, (g, (stream, residual))) in grads.iter().zip(&expected).enumerate() {
+                        fused
+                            .compress_with(g.as_slice(), &compressor, path, &pool, chunks, &mut lane)
+                            .unwrap();
+                        let at = format!("{path} chunks={chunks} step={step} n={n} k={}",
+                            stream.num_selected());
+                        prop_assert_eq!(lane.stream().indices(), stream.indices(), "{}", at);
+                        prop_assert_eq!(bits(lane.stream().values()), bits(stream.values()), "{}", at);
+                        prop_assert_eq!(lane.stream().original_len(), n);
+                        prop_assert!(bits(fused.residual().as_slice()) == *residual, "{}", at);
+                    }
+                }
+            }
+        }
+
     }
 
     proptest! {

@@ -159,14 +159,20 @@ impl f16 {
     /// The FP16 round trip (`f16::from_f32(x).to_f32()` per element) of an
     /// input in the FP32 wire form (`4 * dst.len()` little-endian bytes, at
     /// any alignment): the read-back of freshly updated FP32 parameters as
-    /// the FP16 working copy, without a decoded FP32 tensor in between. The bytes are decoded a cache-resident
-    /// block at a time, so `src` is streamed once and `dst` written once.
+    /// the FP16 working copy, without a decoded FP32 tensor in between. A
+    /// window that is its own floats (a little-endian target, a 4-byte
+    /// aligned start) is rounded straight from where it lies; any other is
+    /// decoded a cache-resident block at a time. Either way `src` is streamed
+    /// once and `dst` written once.
     ///
     /// # Panics
     ///
     /// Panics if `src.len() != 4 * dst.len()`.
     pub fn roundtrip_f32_le_bytes_into(src: &[u8], dst: &mut [f32]) {
         assert_eq!(src.len(), 4 * dst.len(), "byte length mismatch");
+        if let Some(values) = crate::le_bytes::floats_of(src) {
+            return Self::roundtrip_slice_into(values, dst);
+        }
         const BLOCK: usize = 1024;
         let mut block = [0.0f32; BLOCK];
         for (bytes, out) in src.chunks(4 * BLOCK).zip(dst.chunks_mut(BLOCK)) {
@@ -315,17 +321,29 @@ mod tests {
 
     #[test]
     fn roundtrip_from_wire_bytes_matches_decode_then_roundtrip() {
-        // Lengths around the internal block size, from an odd byte address.
+        // Lengths around the internal block size, at every byte offset from
+        // a 4-byte-aligned address: offset 0 is rounded where it lies, the
+        // other three through the block decode.
+        let specials =
+            [f32::NAN, -0.0, f32::from_bits(0x7F80_0001), f32::from_bits(1), 65520.0, -1e-8];
         for len in [0usize, 1, 7, 1023, 1024, 1025, 2048, 3001] {
-            let values: Vec<f32> = (0..len).map(|i| (i as f32 - 900.0) * 0.37).collect();
-            let mut wire = vec![0u8; 1 + 4 * len];
-            crate::le_bytes::encode(&values, &mut wire[1..]);
+            let values: Vec<f32> = (0..len)
+                .map(|i| if i % 13 == 5 { specials[i % 6] } else { (i as f32 - 900.0) * 0.37 })
+                .collect();
             let mut expected = vec![0.0f32; len];
             f16::roundtrip_slice_into(&values, &mut expected);
-            let mut direct = vec![9.0f32; len];
-            f16::roundtrip_f32_le_bytes_into(&wire[1..], &mut direct);
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&direct), bits(&expected), "len {len}");
+            let mut wire = vec![0u8; 4 * len + 7];
+            let aligned = wire.as_ptr().align_offset(4);
+            for offset in 0..4 {
+                let window = aligned + offset..aligned + offset + 4 * len;
+                crate::le_bytes::encode(&values, &mut wire[window.clone()]);
+                let viewed = crate::le_bytes::floats_of(&wire[window.clone()]).is_some();
+                assert_eq!(viewed, offset == 0 && cfg!(target_endian = "little"), "{offset}");
+                let mut direct = vec![9.0f32; len];
+                f16::roundtrip_f32_le_bytes_into(&wire[window], &mut direct);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&direct), bits(&expected), "len {len} offset {offset}");
+            }
         }
     }
 

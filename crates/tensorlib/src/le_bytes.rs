@@ -81,7 +81,7 @@ fn viewable(bytes: &[u8]) -> bool {
 }
 
 /// The floats `bytes` encodes, viewed in place when `viewable`.
-fn floats_of(bytes: &[u8]) -> Option<&[f32]> {
+pub(crate) fn floats_of(bytes: &[u8]) -> Option<&[f32]> {
     // SAFETY: `viewable` checked that the target is little-endian (so the
     // bytes are the floats' own memory layout), that the start is aligned
     // for `f32` and that the length is whole floats. Every bit pattern is a

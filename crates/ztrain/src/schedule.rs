@@ -84,7 +84,7 @@ impl SiteMap {
     }
 
     /// The site of CSD `d`'s FPGA decompressor.
-    pub fn decomp(&self, d: usize) -> usize {
+    pub(crate) fn decomp(&self, d: usize) -> usize {
         1 + self.num_gpus + 2 * self.num_devices + d
     }
 
