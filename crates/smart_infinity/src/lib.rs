@@ -20,9 +20,10 @@
 //! * **Functional** — [`PipelinedTrainer`] really distributes the flattened
 //!   parameters across [`csd::CsdDevice`] models, really runs the FPGA
 //!   updater/decompressor kernels and really produces updated FP16
-//!   parameters, so SmartUpdate's bit-equivalence to the baseline
-//!   ([`StorageOffloadTrainer`]) and SmartComp's accuracy behaviour are
-//!   testable facts rather than claims.
+//!   parameters. Built with [`PipelinedTrainer::host_update`] instead, the
+//!   same trainer is the baseline, updating on the host over a RAID0 array,
+//!   so SmartUpdate's bit-equivalence to the baseline and SmartComp's
+//!   accuracy behaviour are testable facts rather than claims.
 //!
 //! The three ideas of the paper map to:
 //!
@@ -125,8 +126,7 @@ pub use optim::{HyperParams, Optimizer, OptimizerKind};
 pub use tensorlib::FlatTensor;
 pub use ztrain::{
     DegradedReport, GradientSource, IterationReport, LayerTimes, MachineConfig, PipelinedTrainer,
-    StageReport, StepReport, StorageOffloadTrainer, SyntheticGradients, TrainError, Trainer,
-    TrainerCheckpoint,
+    StageReport, StepReport, SyntheticGradients, TrainError, Trainer, TrainerCheckpoint,
 };
 
 // The fault-injection axis: specs carry a [`faultkit::FaultSpec`], sessions

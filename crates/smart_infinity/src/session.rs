@@ -5,10 +5,10 @@
 //! A [`Session`] makes the [`MethodSpec`] the single switch for both views
 //! of the system:
 //!
-//! * [`Session::trainer`] builds the matching *functional* trainer behind a
-//!   `Box<dyn Trainer>`, chosen by where the update runs: on the host, the
-//!   RAID0 baseline ([`StorageOffloadTrainer`]); in the CSDs, the
-//!   near-storage [`PipelinedTrainer`], compressed when the spec says so.
+//! * [`Session::trainer`] builds the *functional* [`PipelinedTrainer`]
+//!   behind a `Box<dyn Trainer>`, with the update where the spec puts it: on
+//!   the host, the RAID0 baseline; in the CSDs, compressed when the spec
+//!   says so.
 //! * [`Session::simulate_iteration`] runs the *timed* model of the same
 //!   configuration and returns the per-phase breakdown.
 //!
@@ -24,9 +24,7 @@ use faultkit::{FaultPlan, FaultSpec, TimedFaultEffects};
 use llm::{ModelConfig, Workload};
 use optim::Optimizer;
 use tensorlib::FlatTensor;
-use ztrain::{
-    IterationReport, MachineConfig, PipelinedTrainer, StorageOffloadTrainer, TrainError, Trainer,
-};
+use ztrain::{IterationReport, MachineConfig, PipelinedTrainer, TrainError, Trainer};
 
 /// The most update tasklets (subgroups, over all devices) a timed iteration
 /// may have. Each costs about 3 KB of graph and simulation state, so a run at
@@ -70,16 +68,16 @@ impl SessionBuilder {
     /// Forces the internal data-transfer handler mode of the timed
     /// Smart-Infinity engine, overriding the one implied by the method
     /// (e.g. to simulate SmartComp with the naive handler as an ablation).
-    /// Ignored by baseline (non-CSD) methods and by the functional trainers.
+    /// Ignored by baseline (non-CSD) methods and by the functional trainer.
     pub fn with_handler(mut self, handler: HandlerMode) -> Self {
         self.handler = Some(handler);
         self
     }
 
     /// Overrides the subgroup (tasklet) capacity in parameters, for both the
-    /// timed engine and the functional trainers. By default the timed engine
+    /// timed engine and the functional trainer. By default the timed engine
     /// uses [`SmartInfinityEngine::DEFAULT_SUBGROUP_ELEMS`] and the
-    /// functional trainers process each device shard as one subgroup.
+    /// functional trainer processes each device shard as one subgroup.
     ///
     /// A zero capacity is accepted here (builders never fail) and rejected as
     /// [`TrainError::Config`] when the session builds a trainer or simulates
@@ -96,7 +94,7 @@ impl SessionBuilder {
         self
     }
 
-    /// Installs a seeded fault-injection plan: the functional trainers get
+    /// Installs a seeded fault-injection plan: the functional trainer gets
     /// per-device injectors with bounded-retry recovery, and the timed view
     /// applies the plan's straggler / uplink degradation. An empty spec is a
     /// no-op — the run stays byte-identical to a fault-free one. The spec is
@@ -111,7 +109,7 @@ impl SessionBuilder {
     /// this session's single-server iteration and
     /// [`crate::cluster::simulate_allreduce`] layers the gradient allreduce
     /// on top. Requires an in-storage method (validated on use); ignored by
-    /// the functional trainers, which model one server.
+    /// the functional trainer, which models one server.
     pub(crate) fn with_cluster(mut self, cluster: ClusterSpec) -> Self {
         self.cluster = Some(cluster);
         self
@@ -240,12 +238,13 @@ impl Session {
             .filter(|effects| !effects.is_empty())
     }
 
-    /// Builds the functional trainer this session's capability axes select,
-    /// by where the update runs: no `in_storage_update` yields the
-    /// ZeRO-Infinity-style [`StorageOffloadTrainer`] over
-    /// `machine.num_devices` RAID0 SSDs; with it, the near-storage
-    /// [`PipelinedTrainer`] over the same number of CSDs, compressed with the
-    /// spec's selector when the compression axis is enabled. (`overlap` and
+    /// Builds the functional [`PipelinedTrainer`] with the update where this
+    /// session's capability axes put it: without `in_storage_update`, on the
+    /// host over a RAID0 array of `machine.num_devices` SSDs (the
+    /// ZeRO-Infinity-style baseline, [`PipelinedTrainer::host_update`]);
+    /// with it, in the same number of CSDs ([`PipelinedTrainer::new`]),
+    /// compressed with the spec's selector when the compression axis is
+    /// enabled. (`overlap` and
     /// `pipelined` are *timing* axes; they do not change the functional
     /// trainer, whose lanes overlap whenever the session has more than one
     /// worker thread.)
@@ -270,27 +269,22 @@ impl Session {
             )));
         }
         let subgroup = self.functional_subgroup_elems(initial_params.len());
-        let plan = self.fault_plan();
-        if !self.method.uses_csds() {
-            let mut trainer =
-                StorageOffloadTrainer::new(initial_params, self.optimizer, devices, subgroup)?;
-            if let Some(plan) = plan {
-                trainer = trainer.with_fault_plan(plan);
-            }
-            return Ok(Box::new(trainer));
-        }
-        let mut trainer = PipelinedTrainer::new(initial_params, self.optimizer, devices, subgroup)?
-            .with_threads(self.threads);
+        let mut trainer = if self.method.uses_csds() {
+            PipelinedTrainer::new(initial_params, self.optimizer, devices, subgroup)?
+                .with_threads(self.threads)
+        } else {
+            PipelinedTrainer::host_update(initial_params, self.optimizer, devices, subgroup)?
+        };
         if let Some(compression) = &self.method.compression {
             trainer = trainer.with_compressor(compression.compressor());
         }
-        if let Some(plan) = plan {
+        if let Some(plan) = self.fault_plan() {
             trainer = trainer.with_fault_plan(plan);
         }
         Ok(Box::new(trainer))
     }
 
-    /// The subgroup capacity the functional trainers use: the explicit knob,
+    /// The subgroup capacity the functional trainer uses: the explicit knob,
     /// or one subgroup per device shard.
     fn functional_subgroup_elems(&self, num_params: usize) -> usize {
         self.subgroup_elems.unwrap_or_else(|| num_params.div_ceil(self.machine.num_devices).max(1))

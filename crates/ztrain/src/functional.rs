@@ -1,20 +1,19 @@
-//! The functional baseline: storage-offloaded training that really moves the
-//! bytes and really runs the optimizer.
+//! The host placement of the functional trainer: storage-offloaded
+//! training that really moves the bytes and really runs the optimizer, with
+//! the update on the host CPU over a RAID0 array (the ZeRO-Infinity
+//! baseline), plus the gradient sources every trainer steps from.
 //!
 //! Every transfer of the baseline's dataflow (Fig. 1b/1c) is a counted RAID
 //! operation, so the per-iteration traffic counters can be checked against
-//! the analytic Table I model, and the Smart-Infinity functional engine can
-//! be proven numerically equivalent to the baseline (SmartUpdate) and
-//! quantifiably close to it (SmartComp). The CPU update itself runs where the
-//! RAID members hold the state: each block's transfers are admitted through
-//! one [`RaidUpdateTxn`], and the kernel steps the lent windows in place.
+//! the analytic Table I model, and the in-storage placement can be proven
+//! numerically equivalent to this one (SmartUpdate) and quantifiably close
+//! to it (SmartComp). The CPU update itself runs where the RAID members hold
+//! the state: each block's transfers are admitted through one
+//! [`RaidUpdateTxn`], and the kernel steps the lent windows in place.
 
-use crate::checkpoint::{bits_to_tensor, tensor_to_bits, TrainerCheckpoint};
+use crate::pipeline::LaneReport;
 use crate::recover::recover;
-use crate::trainer::{
-    check_len, timed, DegradedReport, LayerTimes, StepReport, TrainError, Trainer,
-};
-use faultkit::FaultPlan;
+use crate::trainer::{timed, DegradedReport, LayerTimes};
 use optim::Optimizer;
 use ssd::{RaidArray, RaidUpdateTxn, SsdDevice, SsdError};
 use tensorlib::le_bytes::{self, fill_from_le_bytes, with_le_bytes};
@@ -154,32 +153,23 @@ impl GradientSource for SyntheticGradients {
     }
 }
 
-/// The functional ZeRO-Infinity-style trainer: FP16 working copy in host
-/// memory, FP32 master copy and optimizer states on a RAID0 array, block-wise
-/// CPU updates.
+/// The host placement's one lane: the FP32 master copy, the optimizer
+/// states and the gradient of every block on a RAID0 array, updated block by
+/// block on the host CPU.
 #[derive(Debug)]
-pub struct StorageOffloadTrainer {
-    raid: RaidArray,
-    params_fp16: FlatTensor,
-    optimizer: Optimizer,
+pub(crate) struct RaidLane {
+    pub(crate) raid: RaidArray,
     chunker: Chunker,
     // One entry per block of `chunker`, in block order.
     regions: Vec<BlockRegions>,
-    step: u64,
-    fault_plan: Option<FaultPlan>,
 }
 
-impl StorageOffloadTrainer {
-    /// Creates a trainer: stores the FP32 master copy and zeroed optimizer
-    /// states on a fresh RAID0 array of `num_ssds` devices and keeps an FP16
-    /// working copy in (simulated) host memory.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`SsdError`] if the devices cannot hold the optimizer state.
-    pub fn new(
+impl RaidLane {
+    /// Stores the FP32 master copy and zeroed optimizer states, in blocks of
+    /// `block_elems`, on a fresh RAID0 array of `num_ssds` devices.
+    pub(crate) fn new(
         initial_params: &FlatTensor,
-        optimizer: Optimizer,
+        optimizer: &Optimizer,
         num_ssds: usize,
         block_elems: usize,
     ) -> Result<Self, SsdError> {
@@ -200,85 +190,12 @@ impl StorageOffloadTrainer {
             }
             regions.push(names);
         }
-        // The FP16 working copy is derived from the master copy, exactly as
-        // mixed-precision training does.
-        let mut params_fp16 = FlatTensor::zeros(initial_params.len());
-        initial_params.roundtrip_f16_into(params_fp16.as_mut_slice());
-        Ok(Self { raid, params_fp16, optimizer, chunker, regions, step: 0, fault_plan: None })
+        Ok(Self { raid, chunker, regions })
     }
 
-    /// Installs a fault plan: deterministic per-device injectors on the RAID
-    /// members, plus scheduled wear-out. An empty plan is a no-op, so the
-    /// fault-free path stays bit-identical.
-    #[must_use]
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        if !plan.is_empty() {
-            self.raid.install_fault_injectors(&plan);
-            self.fault_plan = Some(plan);
-        }
-        self
-    }
-
-    fn max_retries(&self) -> u32 {
-        self.fault_plan.as_ref().map_or(0, FaultPlan::max_retries)
-    }
-
-    /// Fires scheduled wear-out at the start of the step it is planned for.
-    fn trigger_scheduled_faults(&mut self) {
-        if let Some(plan) = &self.fault_plan {
-            if plan.wearout_step() == Some(self.step) {
-                if let Some(dev) = plan.wearout_device(self.raid.num_devices()) {
-                    self.raid.inject_wearout(dev);
-                }
-            }
-        }
-    }
-
-    /// Number of parameters being trained.
-    pub fn num_params(&self) -> usize {
-        self.chunker.total()
-    }
-
-    /// Number of completed steps.
-    pub fn steps_completed(&self) -> u64 {
-        self.step
-    }
-
-    /// The FP16 working copy of the parameters (what the GPU would compute with).
-    pub fn params_fp16(&self) -> &FlatTensor {
-        &self.params_fp16
-    }
-
-    /// Reads the FP32 master copy back from storage.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`SsdError`] if a block region is missing (which would
-    /// indicate a bug in this trainer).
-    pub fn master_params(&mut self) -> Result<FlatTensor, SsdError> {
-        // Reassembly is maintenance traffic: it observes state rather than
-        // training, so it must neither fail on nor consume fault decisions.
-        self.raid.suspend_faults(true);
-        let result = self.master_params_inner();
-        self.raid.suspend_faults(false);
-        result
-    }
-
-    fn master_params_inner(&mut self) -> Result<FlatTensor, SsdError> {
-        let mut out = FlatTensor::zeros(self.chunker.total());
-        let mut deg = DegradedReport::default();
-        let mut storage = Storage { raid: &mut self.raid, retries: 0, degraded: &mut deg };
-        for (block, names) in self.chunker.subgroups().zip(&self.regions) {
-            let dst = &mut out.as_mut_slice()[block.offset..block.offset + block.len];
-            storage.read(&names.master, dst)?;
-        }
-        Ok(out)
-    }
-
-    /// Runs one training step with an explicitly provided dense gradient and
-    /// reports the step's traffic telemetry: offloads the gradients block-wise
-    /// to storage, then per block uploads states + gradients, updates them on
-    /// the CPU and offloads the refreshed states.
+    /// One step: offloads the gradients block-wise to storage, then per
+    /// block uploads states + gradients, updates them on the CPU, offloads
+    /// the refreshed states and refreshes `fp16`, the FP16 working copy.
     ///
     /// The gradient offload copies each block once, from `grads` into the
     /// RAID members' region buffers. The update copies nothing: each block's
@@ -291,26 +208,23 @@ impl StorageOffloadTrainer {
     /// the size of a block.
     ///
     /// Nothing is torn: a block's gradient region moves only once every RAID
-    /// member has passed its offload gate, and the block's state and its part
-    /// of the FP16 working copy only once every gate of its update has
+    /// member has passed its offload gate, and the block's state and its
+    /// part of the FP16 working copy only once every gate of its update has
     /// passed. A step that fails therefore leaves each region either wholly
-    /// rewritten or byte-identical to before.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TrainError::Config`] if `grads.len()` differs from the
-    /// number of parameters, and a wrapped [`SsdError`] if any storage
-    /// operation fails (a stored region whose length disagrees with its
-    /// block included).
-    pub fn train_step_with_grads(&mut self, grads: &FlatTensor) -> Result<StepReport, TrainError> {
-        check_len("gradient", grads.len(), self.num_params())?;
+    /// rewritten or byte-identical to before. A stored region whose length
+    /// disagrees with its block fails the step.
+    pub(crate) fn step(
+        &mut self,
+        grads: &FlatTensor,
+        optimizer: &Optimizer,
+        step: u64,
+        retries: u32,
+        fp16: &mut [f32],
+    ) -> Result<LaneReport, SsdError> {
         let counters_before = self.raid.counters();
-        self.step += 1;
-        self.trigger_scheduled_faults();
         let mut deg = DegradedReport::default();
         let mut layers = LayerTimes::default();
         // Every storage operation is wrapped in the recovery policy.
-        let retries = self.max_retries();
         let mut storage = Storage { raid: &mut self.raid, retries, degraded: &mut deg };
         // Backward: offload the gradients of each block to storage (Fig. 1b).
         for (block, names) in self.chunker.subgroups().zip(&self.regions) {
@@ -320,7 +234,6 @@ impl StorageOffloadTrainer {
         }
         // Update: per block, upload states+gradients, update on the CPU,
         // offload the states and refresh the FP16 working copy (Fig. 1c).
-        let (optimizer, step) = (self.optimizer, self.step);
         // Stays empty on a little-endian host, whose stripes and tiles are
         // all aligned.
         let mut staging = [Vec::new(), Vec::new()];
@@ -341,10 +254,10 @@ impl StorageOffloadTrainer {
                     })
                 })?;
             }
-            let fp16 = &mut self.params_fp16.as_mut_slice()[block.offset..block.offset + block.len];
+            let fp16 = &mut fp16[block.offset..block.offset + block.len];
             txn.lend().for_each_stripe(|at, states, grad| {
                 let elems = &mut fp16[at / 4..at / 4 + grad[0].len() / 4];
-                step_stripe(&optimizer, step, states, grad[0], elems, &mut staging, &mut layers);
+                step_stripe(optimizer, step, states, grad[0], elems, &mut staging, &mut layers);
             });
         }
         // Transient faults are absorbed per member op inside the RAID (see
@@ -355,120 +268,74 @@ impl StorageOffloadTrainer {
         deg.retries += fault_retries;
         deg.backoff_ms += backoff_ms;
         let delta = self.raid.counters().delta_since(&counters_before);
-        Ok(StepReport {
-            step: self.step,
+        Ok(LaneReport {
             // The gradient crosses the shared host interconnect twice on this
-            // substrate: offloaded to storage after backward, read back for
+            // placement: offloaded to storage after backward, read back for
             // the CPU update (Table I's G write + G read).
             gradient_bytes: 8 * grads.len() as u64,
-            storage_bytes_read: delta.bytes_read,
-            storage_bytes_written: delta.bytes_written,
-            compression_kept: None,
-            threads: 1,
-            kernel_path: tensorlib::KernelPath::active(),
-            stages: None,
-            degraded: deg.into_option(),
+            storage_read_bytes: delta.bytes_read,
+            storage_write_bytes: delta.bytes_written,
+            degraded: deg,
             layers,
+            ..LaneReport::default()
         })
     }
 
-    /// Total bytes written to storage since creation.
-    pub fn storage_bytes_written(&self) -> u64 {
-        self.raid.total_bytes_written()
-    }
-
-    /// Total bytes read from storage since creation.
-    pub fn storage_bytes_read(&self) -> u64 {
-        self.raid.total_bytes_read()
-    }
-}
-
-impl Trainer for StorageOffloadTrainer {
-    fn step(&mut self, grads: &FlatTensor) -> Result<StepReport, TrainError> {
-        self.train_step_with_grads(grads)
-    }
-
-    fn params_fp16(&self) -> &FlatTensor {
-        &self.params_fp16
-    }
-
-    fn master_params(&mut self) -> Result<FlatTensor, TrainError> {
-        Ok(StorageOffloadTrainer::master_params(self)?)
-    }
-
-    fn steps_completed(&self) -> u64 {
-        self.step
-    }
-
-    fn checkpoint(&mut self) -> Result<TrainerCheckpoint, TrainError> {
-        let retries = self.max_retries();
-        let mut deg = DegradedReport::default();
-        let num_aux = self.optimizer.kind().num_aux();
-        let n = self.chunker.total();
-        let mut master_bits = Vec::with_capacity(n);
-        let mut aux_bits = vec![Vec::with_capacity(n); num_aux];
-        // Maintenance traffic must not consume fault decisions, or a
-        // checkpointed-then-resumed run would see a shifted fault schedule
-        // relative to an uninterrupted one.
+    /// Moves every block's master copy and auxiliary states between the
+    /// array and `master` / `aux` (read into them, or with `write` written
+    /// from them), with injection suspended on the array.
+    pub(crate) fn transfer_state(
+        &mut self,
+        retries: u32,
+        write: bool,
+        master: &mut [f32],
+        aux: &mut [FlatTensor],
+    ) -> Result<(), SsdError> {
         self.raid.suspend_faults(true);
+        let mut deg = DegradedReport::default();
         let mut storage = Storage { raid: &mut self.raid, retries, degraded: &mut deg };
-        // Blocks are contiguous chunks in order, so concatenating per-block
-        // reads yields the global tensors.
-        let result: Result<(), SsdError> = (|| {
-            let mut block_values = FlatTensor::default();
-            for (block, names) in self.chunker.subgroups().zip(&self.regions) {
-                block_values.resize(block.len, 0.0);
-                storage.read(&names.master, block_values.as_mut_slice())?;
-                master_bits.extend(tensor_to_bits(&block_values));
-                for (region, bits) in names.aux.iter().zip(&mut aux_bits) {
-                    storage.read(region, block_values.as_mut_slice())?;
-                    bits.extend(tensor_to_bits(&block_values));
+        let result = self.chunker.subgroups().zip(&self.regions).try_for_each(|(block, names)| {
+            let range = block.offset..block.offset + block.len;
+            let aux = aux.iter_mut().map(|t| &mut t.as_mut_slice()[range.clone()]);
+            let values = std::iter::once(&mut master[range.clone()]).chain(aux);
+            for (region, values) in std::iter::once(&names.master).chain(&names.aux).zip(values) {
+                if write {
+                    storage.write(region, values)?;
+                } else {
+                    storage.read(region, values)?;
                 }
             }
             Ok(())
-        })();
+        });
         self.raid.suspend_faults(false);
-        result?;
-        Ok(TrainerCheckpoint {
-            step: self.step,
-            num_params: n as u64,
-            master_bits,
-            aux_bits,
-            // The baseline neither compresses gradients nor keeps residuals.
-            residual_bits: Vec::new(),
-        })
-    }
-
-    fn restore(&mut self, checkpoint: &TrainerCheckpoint) -> Result<(), TrainError> {
-        checkpoint.check_matches(self.num_params(), self.optimizer.kind().num_aux())?;
-        let retries = self.max_retries();
-        let mut deg = DegradedReport::default();
-        let master = bits_to_tensor(&checkpoint.master_bits);
-        let aux: Vec<FlatTensor> = checkpoint.aux_bits.iter().map(|b| bits_to_tensor(b)).collect();
-        self.raid.suspend_faults(true);
-        let mut storage = Storage { raid: &mut self.raid, retries, degraded: &mut deg };
-        let result: Result<(), SsdError> = (|| {
-            for (block, names) in self.chunker.subgroups().zip(&self.regions) {
-                storage.write(&names.master, block_of(master.as_slice(), &block))?;
-                for (region, aux) in names.aux.iter().zip(&aux) {
-                    storage.write(region, block_of(aux.as_slice(), &block))?;
-                }
-            }
-            Ok(())
-        })();
-        self.raid.suspend_faults(false);
-        result?;
-        master.roundtrip_f16_into(self.params_fp16.as_mut_slice());
-        self.step = checkpoint.step;
-        Ok(())
+        result
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PipelinedTrainer, StepReport, TrainError, Trainer};
     use optim::{HyperParams, OptimizerKind};
     use tensorlib::Dtype;
+
+    fn host(
+        initial: &FlatTensor,
+        optimizer: Optimizer,
+        num_ssds: usize,
+        block_elems: usize,
+    ) -> PipelinedTrainer {
+        PipelinedTrainer::host_update(initial, optimizer, num_ssds, block_elems).unwrap()
+    }
+
+    /// The bytes of every region the host lane stores, in block order.
+    fn snapshot(t: &mut PipelinedTrainer) -> Vec<Vec<u8>> {
+        let lane = t.raid_lane();
+        let mut raid = lane.raid.clone();
+        let regions = lane.regions.iter();
+        let names = regions.flat_map(|b| std::iter::once(&b.master).chain(&b.aux).chain([&b.grad]));
+        names.map(|r| raid.read_region(r).unwrap()).collect()
+    }
 
     fn reference_training(
         initial: &FlatTensor,
@@ -492,14 +359,14 @@ mod tests {
 
         let reference = reference_training(&initial, optimizer, &grads);
 
-        let mut trainer = StorageOffloadTrainer::new(&initial, optimizer, 3, 700).unwrap();
+        let mut trainer = host(&initial, optimizer, 3, 700);
         for g in &grads {
             trainer.train_step_with_grads(g).unwrap();
         }
         assert_eq!(trainer.master_params().unwrap().as_slice(), reference.as_slice());
         assert_eq!(trainer.steps_completed(), 5);
         assert_eq!(trainer.num_params(), n);
-        assert_eq!(trainer.optimizer.kind(), OptimizerKind::Adam);
+        assert_eq!(trainer.aggregate_stats().updates_run, 0, "the host placement has no CSDs");
     }
 
     #[test]
@@ -511,8 +378,8 @@ mod tests {
         );
         let initial = FlatTensor::randn(n, 0.05, 7);
         let grads = FlatTensor::randn(n, 0.01, 8);
-        let mut small_blocks = StorageOffloadTrainer::new(&initial, optimizer, 2, 64).unwrap();
-        let mut one_block = StorageOffloadTrainer::new(&initial, optimizer, 4, n).unwrap();
+        let mut small_blocks = host(&initial, optimizer, 2, 64);
+        let mut one_block = host(&initial, optimizer, 4, n);
         small_blocks.train_step_with_grads(&grads).unwrap();
         one_block.train_step_with_grads(&grads).unwrap();
         assert_eq!(
@@ -526,7 +393,7 @@ mod tests {
         let n = 256;
         let optimizer = Optimizer::adam_default();
         let initial = FlatTensor::randn(n, 0.05, 3);
-        let mut trainer = StorageOffloadTrainer::new(&initial, optimizer, 1, 128).unwrap();
+        let mut trainer = host(&initial, optimizer, 1, 128);
         let mut source = SyntheticGradients::new(n, 0.01, 77);
         trainer.step_from(&mut source).unwrap();
         let master = trainer.master_params().unwrap();
@@ -539,15 +406,16 @@ mod tests {
         let n = 4096;
         let optimizer = Optimizer::adam_default();
         let initial = FlatTensor::zeros(n);
-        let mut trainer = StorageOffloadTrainer::new(&initial, optimizer, 2, 1024).unwrap();
+        let mut trainer = host(&initial, optimizer, 2, 1024);
         // Setup wrote master (4n) + 2 aux (8n).
-        let setup_written = trainer.storage_bytes_written();
+        let setup_written = trainer.raid_lane().raid.total_bytes_written();
         assert_eq!(setup_written, 12 * n as u64);
         let report = trainer.train_step_with_grads(&FlatTensor::zeros(n)).unwrap();
         // Per step: write grads (4n) + write back states (12n) = 16n  -> "8M" in
         // paper units (M = 2n bytes); read grads + states = 16n.
-        assert_eq!(trainer.storage_bytes_written() - setup_written, 16 * n as u64);
-        assert_eq!(trainer.storage_bytes_read(), 16 * n as u64);
+        let raid = &trainer.raid_lane().raid;
+        assert_eq!(raid.total_bytes_written() - setup_written, 16 * n as u64);
+        assert_eq!(raid.total_bytes_read(), 16 * n as u64);
         // The per-step report carries exactly the same accounting.
         assert_eq!(report.step, 1);
         assert_eq!(report.storage_bytes_written, 16 * n as u64);
@@ -555,6 +423,7 @@ mod tests {
         assert_eq!(report.gradient_bytes, 8 * n as u64);
         assert_eq!(report.compression_kept, None);
         assert_eq!(report.threads, 1);
+        assert_eq!(report.stages, None);
     }
 
     #[test]
@@ -564,10 +433,9 @@ mod tests {
         let initial = FlatTensor::randn(n, 0.05, 15);
         let grads: Vec<FlatTensor> = (0..4).map(|s| FlatTensor::randn(n, 0.01, 60 + s)).collect();
 
-        let mut clean = StorageOffloadTrainer::new(&initial, optimizer, 3, 256).unwrap();
-        let mut faulty = StorageOffloadTrainer::new(&initial, optimizer, 3, 256)
-            .unwrap()
-            .with_fault_plan(faultkit::FaultPlan::new({
+        let mut clean = host(&initial, optimizer, 3, 256);
+        let mut faulty =
+            host(&initial, optimizer, 3, 256).with_fault_plan(faultkit::FaultPlan::new({
                 let mut s = faultkit::FaultSpec::empty(9);
                 s.transient_per_mille = Some(150);
                 s.ssd_wearout_step = Some(3);
@@ -602,9 +470,8 @@ mod tests {
         let optimizer = Optimizer::adam_default();
         let initial = FlatTensor::randn(n, 0.05, 16);
         let grads = FlatTensor::randn(n, 0.01, 17);
-        let mut plain = StorageOffloadTrainer::new(&initial, optimizer, 2, 64).unwrap();
-        let mut with_empty = StorageOffloadTrainer::new(&initial, optimizer, 2, 64)
-            .unwrap()
+        let mut plain = host(&initial, optimizer, 2, 64);
+        let mut with_empty = host(&initial, optimizer, 2, 64)
             .with_fault_plan(faultkit::FaultPlan::new(faultkit::FaultSpec::empty(99)));
         let a = plain.train_step_with_grads(&grads).unwrap();
         let b = with_empty.train_step_with_grads(&grads).unwrap();
@@ -625,14 +492,14 @@ mod tests {
         let grads: Vec<FlatTensor> = (0..6).map(|s| FlatTensor::randn(n, 0.01, 80 + s)).collect();
 
         // Uninterrupted run.
-        let mut straight = StorageOffloadTrainer::new(&initial, optimizer, 2, 200).unwrap();
+        let mut straight = host(&initial, optimizer, 2, 200);
         for g in &grads {
             straight.train_step_with_grads(g).unwrap();
         }
 
         // Interrupted run: checkpoint after 3 steps, restore into a *fresh*
         // trainer (different device count), continue.
-        let mut first = StorageOffloadTrainer::new(&initial, optimizer, 2, 200).unwrap();
+        let mut first = host(&initial, optimizer, 2, 200);
         for g in &grads[..3] {
             first.train_step_with_grads(g).unwrap();
         }
@@ -641,7 +508,7 @@ mod tests {
         let parsed = crate::TrainerCheckpoint::from_json(&json).unwrap();
         assert_eq!(parsed, ckpt);
 
-        let mut resumed = StorageOffloadTrainer::new(&initial, optimizer, 4, 200).unwrap();
+        let mut resumed = host(&initial, optimizer, 4, 200);
         Trainer::restore(&mut resumed, &parsed).unwrap();
         assert_eq!(resumed.steps_completed(), 3);
         for g in &grads[3..] {
@@ -654,16 +521,13 @@ mod tests {
         assert_eq!(resumed.params_fp16().as_slice(), straight.params_fp16().as_slice());
 
         // A mismatched checkpoint is rejected.
-        let mut wrong =
-            StorageOffloadTrainer::new(&FlatTensor::zeros(10), optimizer, 1, 10).unwrap();
+        let mut wrong = host(&FlatTensor::zeros(10), optimizer, 1, 10);
         assert!(Trainer::restore(&mut wrong, &parsed).is_err());
     }
 
     #[test]
     fn wrong_gradient_length_is_a_config_error() {
-        let mut t =
-            StorageOffloadTrainer::new(&FlatTensor::zeros(10), Optimizer::adam_default(), 1, 10)
-                .unwrap();
+        let mut t = host(&FlatTensor::zeros(10), Optimizer::adam_default(), 1, 10);
         let e = t.train_step_with_grads(&FlatTensor::zeros(5)).unwrap_err();
         assert!(matches!(e, TrainError::Config { .. }), "{e}");
         let e = t.step_from(&mut SyntheticGradients::new(11, 0.01, 1)).unwrap_err();
@@ -672,20 +536,36 @@ mod tests {
     }
 
     #[test]
+    fn a_compressor_on_the_host_is_a_config_error_that_moves_nothing() {
+        let n = 1000;
+        let initial = FlatTensor::randn(n, 0.05, 66);
+        let grads = FlatTensor::randn(n, 0.01, 67);
+        let mut t = host(&initial, Optimizer::adam_default(), 3, 400);
+        t.train_step_with_grads(&grads).unwrap();
+        let mut t = t.with_compression(0.1).unwrap();
+        let (regions, fp16) = (snapshot(&mut t), t.params_fp16().clone());
+        let err = t.train_step_with_grads(&grads).unwrap_err();
+        assert!(matches!(err, TrainError::Config { .. }), "{err}");
+        assert!(err.to_string().contains("gradient compression runs in the CSDs"), "{err}");
+        assert_eq!(t.steps_completed(), 1, "a refused step must not advance the count");
+        assert!(snapshot(&mut t) == regions, "a region moved");
+        assert_eq!(t.params_fp16().as_slice(), fp16.as_slice());
+    }
+
+    #[test]
     fn a_stored_region_of_the_wrong_length_fails_the_step_with_a_typed_error() {
         let n = 1000;
         let initial = FlatTensor::randn(n, 0.05, 61);
         let grads = FlatTensor::randn(n, 0.01, 62);
-        let mut t =
-            StorageOffloadTrainer::new(&initial, Optimizer::adam_default(), 3, 400).unwrap();
+        let mut t = host(&initial, Optimizer::adam_default(), 3, 400);
         Trainer::step(&mut t, &grads).unwrap();
         // Block 1 is 400 floats, all on member 0 (the stripe is 1 MiB).
         // Overwrite its first moment with a region one float short, then with
         // one that is not even a whole number of floats.
-        let good = t.raid.read_region("block1/aux0").unwrap();
+        let good = t.raid_lane().raid.read_region("block1/aux0").unwrap();
         assert_eq!(good.len(), 1600);
         for short in [1596usize, 1599, 0] {
-            t.raid.write_region("block1/aux0", &good[..short]).unwrap();
+            t.raid_lane().raid.write_region("block1/aux0", &good[..short]).unwrap();
             let err = Trainer::step(&mut t, &grads).unwrap_err();
             assert!(
                 matches!(
@@ -697,7 +577,7 @@ mod tests {
             );
         }
         // With the region put right the same trainer carries on.
-        t.raid.write_region("block1/aux0", &good).unwrap();
+        t.raid_lane().raid.write_region("block1/aux0", &good).unwrap();
         Trainer::step(&mut t, &grads).unwrap();
     }
 
@@ -705,26 +585,16 @@ mod tests {
     fn an_unrecoverable_write_moves_nothing_of_the_failing_block() {
         let n = 1000;
         let initial = FlatTensor::randn(n, 0.05, 63);
-        let mut t =
-            StorageOffloadTrainer::new(&initial, Optimizer::adam_default(), 3, 400).unwrap();
+        let mut t = host(&initial, Optimizer::adam_default(), 3, 400);
         t.train_step_with_grads(&FlatTensor::randn(n, 0.01, 64)).unwrap();
-        let names: Vec<String> = t
-            .regions
-            .iter()
-            .flat_map(|b| std::iter::once(&b.master).chain(&b.aux).chain([&b.grad]).cloned())
-            .collect();
-        let snapshot = |t: &StorageOffloadTrainer| {
-            let mut raid = t.raid.clone();
-            names.iter().map(|r| raid.read_region(r).unwrap()).collect::<Vec<_>>()
-        };
-        let (regions, fp16) = (snapshot(&t), t.params_fp16().clone());
+        let (regions, fp16) = (snapshot(&mut t), t.params_fp16().clone());
         // Without a fault plan nothing retries, so nothing rebuilds member 1.
         // Its gate refuses the first write (block 0's gradient), after member
         // 0's passed.
-        t.raid.inject_wearout(1);
+        t.raid_lane().raid.inject_wearout(1);
         let err = t.train_step_with_grads(&FlatTensor::randn(n, 0.01, 65)).unwrap_err();
         assert!(matches!(err, TrainError::Storage(SsdError::WornOut { .. })), "{err}");
-        assert!(snapshot(&t) == regions, "a region moved");
+        assert!(snapshot(&mut t) == regions, "a region moved");
         assert_eq!(t.params_fp16().as_slice(), fp16.as_slice());
     }
 

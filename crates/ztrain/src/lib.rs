@@ -1,9 +1,10 @@
 //! # ztrain — storage-offloaded LLM training substrate
 //!
-//! This crate implements the *baseline* the paper compares against — a
-//! ZeRO-Infinity-style storage-offloaded trainer with host-CPU parameter
-//! updates and RAID0 SSDs — plus the shared machinery the timed engine and
-//! the session front door in the `smart_infinity` crate build on:
+//! This crate implements the storage-offloaded trainer — with the update on
+//! the host CPU over RAID0 SSDs, the ZeRO-Infinity-style *baseline* the
+//! paper compares against, or inside each CSD — plus the shared machinery
+//! the timed engine and the session front door in the `smart_infinity`
+//! crate build on:
 //!
 //! * [`MachineConfig`] — the hardware description (GPU, CPU, SSDs/CSDs, PCIe
 //!   topology) of a training server, with presets matching the paper's
@@ -23,19 +24,19 @@
 //!   [`schedule::HostUpdateScheduler`]; `smart_infinity::SmartInfinityEngine`
 //!   runs it, like every other method, into the per-phase
 //!   [`IterationReport`] breakdowns of Fig. 3(a) and Fig. 9.
-//! * [`StorageOffloadTrainer`] — a *functional* baseline that actually moves
-//!   and counts bytes through [`ssd::RaidArray`] and runs the real optimizer
-//!   kernels, so Smart-Infinity's numerical equivalence can be tested end to
-//!   end. Its CPU update steps the state where the RAID members hold it,
-//!   through one [`ssd::RaidUpdateTxn`] per block.
-//! * [`PipelinedTrainer`] — the near-storage functional trainer: each device
-//!   shard is a lane (write → compress/update → read-back) dealt to a
-//!   [`parcore::ParExecutor`], bit-identical to the baseline for every worker
-//!   count and reporting per-stage telemetry.
+//! * [`PipelinedTrainer`] — the *functional* trainer, which actually moves
+//!   and counts bytes and runs the real optimizer kernels, so
+//!   Smart-Infinity's numerical equivalence can be tested end to end. Its
+//!   constructor chooses where the update runs:
+//!   [`PipelinedTrainer::host_update`] steps the baseline's blocks on the
+//!   host CPU where the members of an [`ssd::RaidArray`] hold them (one
+//!   [`ssd::RaidUpdateTxn`] per block); [`PipelinedTrainer::new`] makes each
+//!   CSD shard a lane (write → compress/update → read-back) dealt to a
+//!   [`parcore::ParExecutor`], bit-identical to the host placement for
+//!   every worker count and reporting per-stage telemetry.
 //! * [`Trainer`] / [`StepReport`] / [`StageReport`] / [`LayerTimes`] /
-//!   [`TrainError`] — the unified training contract every functional
-//!   substrate implements, so callers hold a `dyn Trainer` and the `?`
-//!   operator works across layer boundaries.
+//!   [`TrainError`] — the unified training contract, so callers hold a
+//!   `dyn Trainer` and the `?` operator works across layer boundaries.
 //! * [`realtrain`] — a small, genuinely trained MLP classifier on synthetic
 //!   data, used to reproduce the accuracy side of the paper's fine-tuning
 //!   study (Table IV, Fig. 16).
@@ -55,7 +56,7 @@ pub mod schedule;
 mod trainer;
 
 pub use checkpoint::TrainerCheckpoint;
-pub use functional::{GradientSource, StorageOffloadTrainer, SyntheticGradients};
+pub use functional::{GradientSource, SyntheticGradients};
 pub use machine::MachineConfig;
 pub use pipeline::{init_csd_shards, PipelinedTrainer};
 pub use platform::TimedPlatform;

@@ -1,14 +1,18 @@
-//! The near-storage functional trainer.
+//! The functional trainer. Its constructor chooses where the update runs:
+//! on the host over a RAID0 array ([`PipelinedTrainer::host_update`], the
+//! baseline; see `crate::functional`) or in the CSDs
+//! ([`PipelinedTrainer::new`]). The step counter, the FP16 working copy, the
+//! fault plan, checkpoint / restore and the [`StepReport`] are written once;
+//! each placement keeps its own data path and op order.
 //!
 //! Every CSD runs SmartUpdate on its own contiguous shard with no
 //! cross-device dependency (paper Section IV-D), so one per-shard step serves
-//! every near-storage method: [`PipelinedTrainer`] turns each device shard
-//! into a *lane* — write (gradient ingest) → compress/update → read-back —
-//! and deals the lanes to a [`parcore::ParExecutor`]. With one worker the
-//! lanes run one after another; with more they overlap, so the shared host
-//! interconnect stops being a step-granularity bottleneck (Sections
-//! IV-B/IV-D). Which of the two a run gets is a property of the executor,
-//! not of the trainer.
+//! every near-storage method: each device shard is a *lane* — write
+//! (gradient ingest) → compress/update → read-back — and the lanes are dealt
+//! to a [`parcore::ParExecutor`]. With one worker the lanes run one after
+//! another; with more they overlap, so the shared host interconnect stops
+//! being a step-granularity bottleneck (Sections IV-B/IV-D). Which of the two
+//! a run gets is a property of the executor, not of the trainer.
 //!
 //! Two properties are load-bearing and asserted by the test suites:
 //!
@@ -17,11 +21,11 @@
 //!   its own [`CsdDevice`], its own residual, its own slice of the FP16
 //!   working copy. Scheduling therefore cannot change a single bit of the
 //!   result, for any worker-thread or device count: without compression the
-//!   result equals the host baseline's, with it an in-memory reference's.
-//! * **Per-stage telemetry.** Each step's [`StepReport`] carries a
-//!   [`StageReport`]: how many bytes the write, update and read-back stages
-//!   moved and how many lanes were in flight, mirroring the stage-level link
-//!   accounting of the timed engine — and a
+//!   result equals the host placement's, with it an in-memory reference's.
+//! * **Per-stage telemetry.** Each in-storage step's [`StepReport`] carries
+//!   a [`StageReport`]: how many bytes the write, update and read-back
+//!   stages moved and how many lanes were in flight, mirroring the
+//!   stage-level link accounting of the timed engine — and a
 //!   [`LayerTimes`](crate::LayerTimes) table of where the lanes' wall time
 //!   went.
 //!
@@ -31,6 +35,7 @@
 //! must be an error, not an abort.
 
 use crate::checkpoint::{bits_to_tensor, tensor_to_bits, TrainerCheckpoint};
+use crate::functional::RaidLane;
 use crate::recover::recover;
 use crate::trainer::{
     check_len, nanos, timed, DegradedReport, LayerTimes, StageReport, StepReport, TrainError,
@@ -78,44 +83,63 @@ struct Lane<'a> {
     fp16_out: &'a mut [f32],
 }
 
-/// Byte accounting of one lane's trip through the three stages.
+/// Byte accounting of one lane's step, or of a whole step summed over its
+/// lanes. Storage bytes are RAID0 traffic on the host, CSD-internal P2P
+/// traffic in the CSDs.
 #[derive(Debug, Clone, Copy, Default)]
-struct LaneReport {
-    write_bytes: u64,
-    kept: u64,
-    update_read_bytes: u64,
-    update_write_bytes: u64,
-    read_back_bytes: u64,
-    degraded: DegradedReport,
-    layers: LayerTimes,
+pub(crate) struct LaneReport {
+    pub(crate) gradient_bytes: u64,
+    pub(crate) kept: u64,
+    pub(crate) storage_read_bytes: u64,
+    pub(crate) storage_write_bytes: u64,
+    pub(crate) read_back_bytes: u64,
+    pub(crate) degraded: DegradedReport,
+    pub(crate) layers: LayerTimes,
 }
 
-/// The functional Smart-Infinity trainer: the flattened parameters
-/// contiguously sharded across CSD models, FP32 master copies and optimizer
-/// states on each device, and each step executed as one lane per shard.
-/// Results are **bit-identical** for every worker-thread count; only
-/// wall-clock time and the lane count in `StepReport::stages` differ.
+/// Where the update runs, with the storage state each place keeps.
 #[derive(Debug)]
-pub struct PipelinedTrainer {
+enum Placement {
+    /// On the host: one RAID0 lane, its blocks stepped by the host CPU.
+    Host(RaidLane),
+    /// In the CSDs: one lane per device shard, updated in the device.
+    InStorage(CsdLanes),
+}
+
+/// The in-storage placement: one lane per contiguous shard, each with its
+/// own device, residual and compress state.
+#[derive(Debug)]
+struct CsdLanes {
     csds: Vec<CsdDevice>,
     partitioner: Partitioner,
-    optimizer: Optimizer,
-    params_fp16: FlatTensor,
-    compressor: Option<Compressor>,
     feedback: Vec<ErrorFeedback>,
     // One selection state + Top-K stream per lane, refilled every step
     // (SmartComp only: a dense gradient goes to its device unstaged).
     compress: Vec<CompressLane>,
     subgroup_elems: usize,
     pool: ParExecutor,
+}
+
+/// The functional trainer: an FP16 working copy in host memory, the FP32
+/// master copy and optimizer states in storage, and the update either on
+/// the host over a RAID0 array ([`PipelinedTrainer::host_update`]) or in
+/// each CSD on its own shard ([`PipelinedTrainer::new`]). Results are
+/// **bit-identical** for every worker-thread count; only wall-clock time and
+/// the lane count in `StepReport::stages` differ.
+#[derive(Debug)]
+pub struct PipelinedTrainer {
+    placement: Placement,
+    optimizer: Optimizer,
+    params_fp16: FlatTensor,
+    compressor: Option<Compressor>,
     step: u64,
     fault_plan: Option<FaultPlan>,
 }
 
 impl PipelinedTrainer {
-    /// Creates a pipelined trainer: partitions the parameters across
-    /// `num_csds` CSDs and initialises the FP32 master copy and optimizer
-    /// states on each device.
+    /// Creates a trainer that updates in the CSDs: partitions the parameters
+    /// across `num_csds` CSDs and initialises the FP32 master copy and
+    /// optimizer states on each device.
     ///
     /// # Errors
     ///
@@ -134,35 +158,60 @@ impl PipelinedTrainer {
         if subgroup_elems == 0 {
             return Err(TrainError::config("subgroup capacity must be positive"));
         }
-        let (partitioner, csds, feedback) =
-            init_csd_shards(initial_params, &optimizer, num_csds).map_err(TrainError::from)?;
-        let mut params_fp16 = FlatTensor::zeros(initial_params.len());
-        initial_params.roundtrip_f16_into(params_fp16.as_mut_slice());
-        Ok(Self {
+        let (partitioner, csds, feedback) = init_csd_shards(initial_params, &optimizer, num_csds)?;
+        let lanes = CsdLanes {
             csds,
             partitioner,
-            optimizer,
-            params_fp16,
-            compressor: None,
             feedback,
             compress: vec![CompressLane::default(); num_csds],
             subgroup_elems,
             pool: ParExecutor::serial(),
-            step: 0,
-            fault_plan: None,
-        })
+        };
+        Ok(Self::with_placement(initial_params, optimizer, Placement::InStorage(lanes)))
+    }
+
+    /// Creates a trainer that updates on the host: stores the FP32 master
+    /// copy and zeroed optimizer states, in blocks of `block_elems`, on a
+    /// fresh RAID0 array of `num_ssds` devices. Its one lane ignores the
+    /// executor, and with a compressor every step is refused.
+    ///
+    /// # Errors
+    ///
+    /// Returns a wrapped [`ssd::SsdError`] if the devices cannot hold the
+    /// optimizer state.
+    pub fn host_update(
+        initial_params: &FlatTensor,
+        optimizer: Optimizer,
+        num_ssds: usize,
+        block_elems: usize,
+    ) -> Result<Self, TrainError> {
+        let lane = RaidLane::new(initial_params, &optimizer, num_ssds, block_elems)?;
+        Ok(Self::with_placement(initial_params, optimizer, Placement::Host(lane)))
+    }
+
+    fn with_placement(initial: &FlatTensor, optimizer: Optimizer, placement: Placement) -> Self {
+        // The FP16 working copy is derived from the master copy, exactly as
+        // mixed-precision training does.
+        let mut params_fp16 = FlatTensor::zeros(initial.len());
+        initial.roundtrip_f16_into(params_fp16.as_mut_slice());
+        Self { placement, optimizer, params_fp16, compressor: None, step: 0, fault_plan: None }
     }
 
     /// Installs a fault plan: deterministic per-device injectors and a
-    /// device-internal retry budget on every CSD, plus scheduled wear-out /
-    /// dropout. An empty plan is a no-op, so the fault-free path stays
-    /// bit-identical.
+    /// device-internal retry budget on every SSD (the RAID members, or each
+    /// CSD's), plus scheduled wear-out and, in the CSDs, dropout. An empty
+    /// plan is a no-op, so the fault-free path stays bit-identical.
     #[must_use]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         if !plan.is_empty() {
-            for (i, csd) in self.csds.iter_mut().enumerate() {
-                csd.set_fault_injector(plan.injector(i as u64));
-                csd.set_retry_budget(plan.max_retries());
+            match &mut self.placement {
+                Placement::Host(lane) => lane.raid.install_fault_injectors(&plan),
+                Placement::InStorage(lanes) => {
+                    for (i, csd) in lanes.csds.iter_mut().enumerate() {
+                        csd.set_fault_injector(plan.injector(i as u64));
+                        csd.set_retry_budget(plan.max_retries());
+                    }
+                }
             }
             self.fault_plan = Some(plan);
         }
@@ -175,15 +224,22 @@ impl PipelinedTrainer {
 
     /// Fires scheduled wear-out / dropout at the start of their planned step.
     fn trigger_scheduled_faults(&mut self) {
-        if let Some(plan) = &self.fault_plan {
-            if plan.wearout_step() == Some(self.step) {
-                if let Some(d) = plan.wearout_device(self.csds.len()) {
-                    self.csds[d].inject_ssd_wearout();
+        let Some(plan) = &self.fault_plan else { return };
+        let due = |at: Option<u64>, device: Option<usize>| device.filter(|_| at == Some(self.step));
+        match &mut self.placement {
+            Placement::Host(lane) => {
+                let devices = lane.raid.num_devices();
+                if let Some(d) = due(plan.wearout_step(), plan.wearout_device(devices)) {
+                    lane.raid.inject_wearout(d);
                 }
             }
-            if plan.dropout_step() == Some(self.step) {
-                if let Some(d) = plan.dropout_device(self.csds.len()) {
-                    self.csds[d].inject_dropout();
+            Placement::InStorage(lanes) => {
+                let devices = lanes.csds.len();
+                if let Some(d) = due(plan.wearout_step(), plan.wearout_device(devices)) {
+                    lanes.csds[d].inject_ssd_wearout();
+                }
+                if let Some(d) = due(plan.dropout_step(), plan.dropout_device(devices)) {
+                    lanes.csds[d].inject_dropout();
                 }
             }
         }
@@ -229,34 +285,17 @@ impl PipelinedTrainer {
     /// Sets the lane executor explicitly — e.g.
     /// [`ParExecutor::deterministic`] for bit-equivalence suites that want
     /// the lane→worker schedule pinned as well as the results (the results
-    /// are identical in every mode regardless).
+    /// are identical in every mode regardless). The host placement has one
+    /// lane and ignores it.
     pub fn with_executor(mut self, pool: ParExecutor) -> Self {
-        self.pool = pool;
-        let lane_workers = (pool.num_threads() / self.csds.len()).max(1);
-        for csd in &mut self.csds {
-            csd.set_threads(lane_workers);
+        if let Placement::InStorage(lanes) = &mut self.placement {
+            lanes.pool = pool;
+            let lane_workers = (pool.num_threads() / lanes.csds.len()).max(1);
+            for csd in &mut lanes.csds {
+                csd.set_threads(lane_workers);
+            }
         }
         self
-    }
-
-    /// The host worker-thread count of the execution backend.
-    pub fn num_threads(&self) -> usize {
-        self.pool.num_threads()
-    }
-
-    /// Number of parameters being trained.
-    pub fn num_params(&self) -> usize {
-        self.partitioner.total()
-    }
-
-    /// Number of CSDs (pipeline lanes).
-    pub fn num_csds(&self) -> usize {
-        self.csds.len()
-    }
-
-    /// Number of completed steps.
-    pub fn steps_completed(&self) -> u64 {
-        self.step
     }
 
     /// The FP16 working copy of the parameters.
@@ -264,37 +303,12 @@ impl PipelinedTrainer {
         &self.params_fp16
     }
 
-    /// Whether SmartComp is enabled.
-    pub fn is_compressed(&self) -> bool {
-        self.compressor.is_some()
-    }
-
-    /// Reassembles the FP32 master copy from all CSDs.
-    ///
-    /// # Errors
-    ///
-    /// Returns a wrapped [`CsdError`] if a shard read fails.
-    pub fn master_params(&mut self) -> Result<FlatTensor, TrainError> {
-        let mut out = FlatTensor::zeros(self.partitioner.total());
-        for (csd, shard) in self.csds.iter_mut().zip(self.partitioner.shards()) {
-            if shard.len == 0 {
-                continue;
-            }
-            // Reassembly is maintenance traffic: it observes state rather than
-            // training, so it must neither fail on nor consume fault decisions.
-            let dst = &mut out.as_mut_slice()[shard.offset..shard.offset + shard.len];
-            csd.suspend_faults(true);
-            let result = csd.load_parameters_into("shard", 0, dst);
-            csd.suspend_faults(false);
-            result?;
-        }
-        Ok(out)
-    }
-
-    /// Aggregated CSD-internal P2P traffic statistics across all devices.
+    /// Aggregated CSD-internal P2P traffic statistics across all devices
+    /// (all zero on the host placement).
     pub fn aggregate_stats(&self) -> CsdTrafficStats {
         let mut total = CsdTrafficStats::default();
-        for csd in &self.csds {
+        let Placement::InStorage(lanes) = &self.placement else { return total };
+        for csd in &lanes.csds {
             let s = csd.stats();
             total.p2p_read_bytes += s.p2p_read_bytes;
             total.p2p_write_bytes += s.p2p_write_bytes;
@@ -304,44 +318,97 @@ impl PipelinedTrainer {
         total
     }
 
-    /// Runs one training step with an explicitly provided dense gradient.
-    /// The lanes are dealt to the worker pool; the returned [`StepReport`]
-    /// carries the per-stage byte telemetry in [`StepReport::stages`].
+    /// Runs one training step with an explicitly provided dense gradient:
+    /// on the host, the RAID0 lane's offload and block-wise update (see
+    /// `RaidLane::step`); in the CSDs, the lanes dealt to the worker pool,
+    /// with the per-stage byte telemetry in [`StepReport::stages`].
     ///
     /// # Errors
     ///
     /// Returns [`TrainError::Config`] if `grads.len()` differs from the
-    /// number of parameters, and the lowest-indexed lane's error if any
-    /// device operation fails (deterministic regardless of scheduling).
+    /// number of parameters or the host placement has a compressor (neither
+    /// advances the step), and otherwise the storage or device error of the
+    /// first failing operation — in the CSDs the lowest-indexed lane's,
+    /// deterministic regardless of scheduling.
     pub fn train_step_with_grads(&mut self, grads: &FlatTensor) -> Result<StepReport, TrainError> {
         check_len("gradient", grads.len(), self.num_params())?;
+        if self.compressor.is_some() && matches!(self.placement, Placement::Host(_)) {
+            return Err(TrainError::config(
+                "gradient compression runs in the CSDs: enable in_storage_update",
+            ));
+        }
         self.step += 1;
         self.trigger_scheduled_faults();
-        let step = self.step;
-        let optimizer = self.optimizer;
-        let subgroup_elems = self.subgroup_elems;
-        let compressor = self.compressor;
-        let max_retries = self.max_retries();
+        let (optimizer, step, retries) = (self.optimizer, self.step, self.max_retries());
+        let fp16 = self.params_fp16.as_mut_slice();
+        let (total, stages, threads) = match &mut self.placement {
+            Placement::Host(lane) => (lane.step(grads, &optimizer, step, retries, fp16)?, None, 1),
+            Placement::InStorage(lanes) => {
+                let (total, stages) =
+                    lanes.step(grads, self.compressor, optimizer, step, retries, fp16)?;
+                (total, Some(stages), lanes.pool.num_threads())
+            }
+        };
+        Ok(StepReport {
+            step,
+            gradient_bytes: total.gradient_bytes,
+            storage_bytes_read: total.storage_read_bytes,
+            storage_bytes_written: total.storage_write_bytes,
+            compression_kept: self.compressor.map(|_| total.kept),
+            threads,
+            kernel_path: tensorlib::KernelPath::active(),
+            stages,
+            degraded: total.degraded.into_option(),
+            layers: total.layers,
+        })
+    }
 
-        // Carve the step into lanes: shard i owns csds[i], feedback[i],
-        // compress[i] and its contiguous slice of the FP16 working copy.
-        let shards = self.partitioner.shards().to_vec();
-        let mut lanes = Vec::with_capacity(shards.len());
-        let mut fp16_rest = self.params_fp16.as_mut_slice();
-        let mut csds = self.csds.iter_mut();
-        let mut feedback = self.feedback.iter_mut();
-        let mut compress = self.compress.iter_mut();
-        for shard in shards {
-            let (fp16_out, rest) = fp16_rest.split_at_mut(shard.len);
-            fp16_rest = rest;
-            lanes.push(Lane {
-                shard,
-                csd: csds.next().expect("one CSD per shard"),
-                feedback: feedback.next().expect("one residual per shard"),
-                compress: compress.next().expect("one compress lane per shard"),
-                fp16_out,
-            });
+    /// Reads the FP32 master copy, and into each entry of `aux` that
+    /// auxiliary state, back from storage. Maintenance traffic neither fails
+    /// on nor consumes fault decisions, or a checkpointed-then-resumed run
+    /// would see a shifted fault schedule; dead devices are still rebuilt.
+    fn read_state(
+        &mut self,
+        retries: u32,
+        aux: &mut [FlatTensor],
+    ) -> Result<FlatTensor, TrainError> {
+        let mut master = FlatTensor::zeros(self.params_fp16.len());
+        match &mut self.placement {
+            Placement::Host(lane) => {
+                lane.transfer_state(retries, false, master.as_mut_slice(), aux)?
+            }
+            Placement::InStorage(lanes) => lanes.read_state(retries, master.as_mut_slice(), aux)?,
         }
+        Ok(master)
+    }
+}
+
+impl CsdLanes {
+    /// One step: carves the step into one lane per shard and deals the
+    /// lanes to the pool. Returns the lanes' sum and the stage split.
+    fn step(
+        &mut self,
+        grads: &FlatTensor,
+        compressor: Option<Compressor>,
+        optimizer: Optimizer,
+        step: u64,
+        max_retries: u32,
+        fp16: &mut [f32],
+    ) -> Result<(LaneReport, StageReport), TrainError> {
+        let subgroup_elems = self.subgroup_elems;
+        // Shard i owns csds[i], feedback[i], compress[i] and its contiguous
+        // slice of the FP16 working copy.
+        let mut fp16_rest = fp16;
+        let owners = self.csds.iter_mut().zip(&mut self.feedback).zip(&mut self.compress);
+        let shards = self.partitioner.shards().iter();
+        let lanes: Vec<Lane> = shards
+            .zip(owners)
+            .map(|(&shard, ((csd, feedback), compress))| {
+                let (fp16_out, rest) = std::mem::take(&mut fp16_rest).split_at_mut(shard.len);
+                fp16_rest = rest;
+                Lane { shard, csd, feedback, compress, fp16_out }
+            })
+            .collect();
         let active_lanes = lanes.iter().filter(|l| l.shard.len > 0).count();
 
         // Cost-weighted dispatch: a lane's work is proportional to its shard
@@ -364,41 +431,27 @@ impl PipelinedTrainer {
         });
         let region = (region, Instant::now());
 
-        let mut stages = StageReport {
-            lanes: self.pool.num_threads().min(active_lanes).max(1),
-            ..StageReport::default()
-        };
-        let mut kept = 0u64;
-        let mut storage_bytes_read = 0u64;
-        let mut storage_bytes_written = 0u64;
-        let mut degraded = DegradedReport::default();
-        let mut layers = LayerTimes::default();
+        let mut total = LaneReport::default();
         let mut busy = Vec::with_capacity(results.len());
         for (start, end, result) in results {
             busy.push((start, end));
-            let lane = result.map_err(TrainError::from)?;
-            stages.write_bytes += lane.write_bytes;
-            stages.update_bytes += lane.update_read_bytes + lane.update_write_bytes;
-            stages.read_back_bytes += lane.read_back_bytes;
-            storage_bytes_read += lane.update_read_bytes;
-            storage_bytes_written += lane.update_write_bytes;
-            kept += lane.kept;
-            degraded.absorb(&lane.degraded);
-            layers.absorb(&lane.layers);
+            let lane = result?;
+            total.gradient_bytes += lane.gradient_bytes;
+            total.kept += lane.kept;
+            total.storage_read_bytes += lane.storage_read_bytes;
+            total.storage_write_bytes += lane.storage_write_bytes;
+            total.read_back_bytes += lane.read_back_bytes;
+            total.degraded.absorb(&lane.degraded);
+            total.layers.absorb(&lane.layers);
         }
-        layers.dispatch_ns = idle_ns(region, &mut busy);
-        Ok(StepReport {
-            step,
-            gradient_bytes: stages.write_bytes,
-            storage_bytes_read,
-            storage_bytes_written,
-            compression_kept: compressor.map(|_| kept),
-            threads: self.pool.num_threads(),
-            kernel_path: tensorlib::KernelPath::active(),
-            stages: Some(stages),
-            degraded: degraded.into_option(),
-            layers,
-        })
+        total.layers.dispatch_ns = idle_ns(region, &mut busy);
+        let stages = StageReport {
+            write_bytes: total.gradient_bytes,
+            update_bytes: total.storage_read_bytes + total.storage_write_bytes,
+            read_back_bytes: total.read_back_bytes,
+            lanes: self.pool.num_threads().min(active_lanes).max(1),
+        };
+        Ok((total, stages))
     }
 
     /// One lane's trip through the pipeline: write → compress/update →
@@ -441,7 +494,7 @@ impl PipelinedTrainer {
                 Some(compress.stream())
             }
         };
-        let (write_bytes, kept) = match compressed {
+        let (gradient_bytes, kept) = match compressed {
             None => (4 * shard.len as u64, 0),
             Some(c) => (c.compressed_bytes() as u64, c.num_selected() as u64),
         };
@@ -497,14 +550,83 @@ impl PipelinedTrainer {
 
         let after = csd.stats();
         Ok(LaneReport {
-            write_bytes,
+            gradient_bytes,
             kept,
-            update_read_bytes: after.p2p_read_bytes - before.p2p_read_bytes,
-            update_write_bytes: after.p2p_write_bytes - before.p2p_write_bytes,
+            storage_read_bytes: after.p2p_read_bytes - before.p2p_read_bytes,
+            storage_write_bytes: after.p2p_write_bytes - before.p2p_write_bytes,
             read_back_bytes: 2 * shard.len as u64,
             degraded: deg,
             layers,
         })
+    }
+
+    /// Reads every shard's master copy into `master`, and into each entry of
+    /// `aux` that auxiliary state, with injection suspended on each device.
+    fn read_state(
+        &mut self,
+        retries: u32,
+        master: &mut [f32],
+        aux: &mut [FlatTensor],
+    ) -> Result<(), CsdError> {
+        let mut deg = DegradedReport::default();
+        for (csd, shard) in self.csds.iter_mut().zip(self.partitioner.shards()) {
+            if shard.len == 0 {
+                continue;
+            }
+            let range = shard.offset..shard.offset + shard.len;
+            csd.suspend_faults(true);
+            let result = (|| -> Result<(), CsdError> {
+                recover(retries, &mut deg, csd, CsdDevice::rebuild, |csd| {
+                    csd.load_parameters_into("shard", 0, &mut master[range.clone()])
+                })?;
+                for (a, aux) in aux.iter_mut().enumerate() {
+                    let t = recover(retries, &mut deg, csd, CsdDevice::rebuild, |csd| {
+                        csd.load_optimizer_state("shard", a, 0, shard.len)
+                    })?;
+                    aux.as_mut_slice()[range.clone()].copy_from_slice(t.as_slice());
+                }
+                Ok(())
+            })();
+            csd.suspend_faults(false);
+            result?;
+        }
+        Ok(())
+    }
+
+    /// Re-initialises every shard from `master` and `aux`, with injection
+    /// suspended on each device, and restores each lane's error-feedback
+    /// residual from `residual` unless it is empty.
+    fn write_state(
+        &mut self,
+        optimizer: &Optimizer,
+        master: &FlatTensor,
+        aux: &[FlatTensor],
+        residual: &FlatTensor,
+    ) -> Result<(), CsdError> {
+        let shards = self.partitioner.shards();
+        for ((csd, shard), feedback) in self.csds.iter_mut().zip(shards).zip(&mut self.feedback) {
+            if shard.len == 0 {
+                continue;
+            }
+            csd.suspend_faults(true);
+            let result = (|| -> Result<(), CsdError> {
+                csd.store_initial_state(
+                    "shard",
+                    &master.slice(shard.offset, shard.len),
+                    optimizer,
+                )?;
+                for (a, aux) in aux.iter().enumerate() {
+                    csd.store_optimizer_state("shard", a, &aux.slice(shard.offset, shard.len))?;
+                }
+                Ok(())
+            })();
+            csd.suspend_faults(false);
+            result?;
+            if !residual.is_empty() {
+                feedback.restore_residual(&residual.slice(shard.offset, shard.len));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -533,7 +655,7 @@ impl Trainer for PipelinedTrainer {
     }
 
     fn master_params(&mut self) -> Result<FlatTensor, TrainError> {
-        PipelinedTrainer::master_params(self)
+        self.read_state(0, &mut [])
     }
 
     fn steps_completed(&self) -> u64 {
@@ -541,56 +663,26 @@ impl Trainer for PipelinedTrainer {
     }
 
     fn checkpoint(&mut self) -> Result<TrainerCheckpoint, TrainError> {
-        let retries = self.max_retries();
-        let num_aux = self.optimizer.kind().num_aux();
-        let n = self.num_params();
-        let mut master_bits = Vec::with_capacity(n);
-        let mut aux_bits = vec![Vec::with_capacity(n); num_aux];
-        let mut deg = DegradedReport::default();
-        for (csd, shard) in self.csds.iter_mut().zip(self.partitioner.shards()) {
-            if shard.len == 0 {
-                continue;
+        let n = self.params_fp16.len();
+        let mut aux = vec![FlatTensor::zeros(n); self.optimizer.kind().num_aux()];
+        let master = self.read_state(self.max_retries(), &mut aux)?;
+        let residual_bits = match (&self.placement, self.compressor) {
+            (Placement::InStorage(lanes), Some(_)) => {
+                lanes.feedback.iter().flat_map(|f| tensor_to_bits(f.residual())).collect()
             }
-            // Checkpoint reads are maintenance traffic: injection is
-            // suspended so they cannot perturb the deterministic fault
-            // stream of the training ops. Dead devices are still rebuilt.
-            csd.suspend_faults(true);
-            let result = (|| -> Result<(), TrainError> {
-                let t = recover(retries, &mut deg, csd, CsdDevice::rebuild, |csd| {
-                    csd.load_parameters("shard", 0, shard.len)
-                })?;
-                master_bits.extend(tensor_to_bits(&t));
-                for (a, bits) in aux_bits.iter_mut().enumerate() {
-                    let t = recover(retries, &mut deg, csd, CsdDevice::rebuild, |csd| {
-                        csd.load_optimizer_state("shard", a, 0, shard.len)
-                    })?;
-                    bits.extend(tensor_to_bits(&t));
-                }
-                Ok(())
-            })();
-            csd.suspend_faults(false);
-            result?;
-        }
-        let residual_bits = if self.compressor.is_some() {
-            let mut bits = Vec::with_capacity(n);
-            for feedback in &self.feedback {
-                bits.extend(tensor_to_bits(feedback.residual()));
-            }
-            bits
-        } else {
-            Vec::new()
+            _ => Vec::new(),
         };
         Ok(TrainerCheckpoint {
             step: self.step,
             num_params: n as u64,
-            master_bits,
-            aux_bits,
+            master_bits: tensor_to_bits(&master),
+            aux_bits: aux.iter().map(tensor_to_bits).collect(),
             residual_bits,
         })
     }
 
     fn restore(&mut self, checkpoint: &TrainerCheckpoint) -> Result<(), TrainError> {
-        checkpoint.check_matches(self.num_params(), self.optimizer.kind().num_aux())?;
+        checkpoint.check_matches(self.params_fp16.len(), self.optimizer.kind().num_aux())?;
         if self.compressor.is_some() == checkpoint.residual_bits.is_empty() {
             return Err(TrainError::config(if self.compressor.is_some() {
                 "checkpoint has no error-feedback residuals but compression is enabled"
@@ -598,29 +690,17 @@ impl Trainer for PipelinedTrainer {
                 "checkpoint carries error-feedback residuals but compression is disabled"
             }));
         }
-        let master = bits_to_tensor(&checkpoint.master_bits);
-        let optimizer = self.optimizer;
-        for (csd, shard) in self.csds.iter_mut().zip(self.partitioner.shards()) {
-            if shard.len == 0 {
-                continue;
+        let mut master = bits_to_tensor(&checkpoint.master_bits);
+        let mut aux: Vec<FlatTensor> =
+            checkpoint.aux_bits.iter().map(|b| bits_to_tensor(b)).collect();
+        let retries = self.max_retries();
+        match &mut self.placement {
+            Placement::Host(lane) => {
+                lane.transfer_state(retries, true, master.as_mut_slice(), &mut aux)?
             }
-            csd.suspend_faults(true);
-            let result = (|| -> Result<(), TrainError> {
-                let shard_params = master.slice(shard.offset, shard.len);
-                csd.store_initial_state("shard", &shard_params, &optimizer)?;
-                for (a, bits) in checkpoint.aux_bits.iter().enumerate() {
-                    let aux = bits_to_tensor(&bits[shard.offset..shard.offset + shard.len]);
-                    csd.store_optimizer_state("shard", a, &aux)?;
-                }
-                Ok(())
-            })();
-            csd.suspend_faults(false);
-            result?;
-            if !checkpoint.residual_bits.is_empty() {
-                let residual = bits_to_tensor(
-                    &checkpoint.residual_bits[shard.offset..shard.offset + shard.len],
-                );
-                self.feedback[shard.device].restore_residual(&residual);
+            Placement::InStorage(lanes) => {
+                let residual = bits_to_tensor(&checkpoint.residual_bits);
+                lanes.write_state(&self.optimizer, &master, &aux, &residual)?;
             }
         }
         master.roundtrip_f16_into(self.params_fp16.as_mut_slice());
@@ -630,9 +710,28 @@ impl Trainer for PipelinedTrainer {
 }
 
 #[cfg(test)]
+impl PipelinedTrainer {
+    /// The host placement's lane, for tests that reach into its RAID array.
+    pub(crate) fn raid_lane(&mut self) -> &mut RaidLane {
+        match &mut self.placement {
+            Placement::Host(lane) => lane,
+            Placement::InStorage(_) => panic!("not the host placement"),
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::functional::{StorageOffloadTrainer, SyntheticGradients};
+    use crate::functional::SyntheticGradients;
+
+    /// Device `i` of an in-storage trainer.
+    fn csd(t: &mut PipelinedTrainer, i: usize) -> &mut CsdDevice {
+        match &mut t.placement {
+            Placement::InStorage(lanes) => &mut lanes.csds[i],
+            Placement::Host(_) => panic!("the host placement has no CSDs"),
+        }
+    }
 
     #[test]
     fn pipelined_is_bit_identical_to_the_host_baseline() {
@@ -641,7 +740,7 @@ mod tests {
         let n = 5000;
         let optimizer = Optimizer::adam_default();
         let initial = FlatTensor::randn(n, 0.05, 1);
-        let mut baseline = StorageOffloadTrainer::new(&initial, optimizer, 2, 1024).unwrap();
+        let mut baseline = PipelinedTrainer::host_update(&initial, optimizer, 2, 1024).unwrap();
         let mut pipelined =
             PipelinedTrainer::new(&initial, optimizer, 3, 700).unwrap().with_threads(4);
         for step in 0..4u64 {
@@ -655,9 +754,9 @@ mod tests {
         );
         assert_eq!(pipelined.params_fp16().as_slice(), baseline.params_fp16().as_slice());
         assert_eq!(pipelined.steps_completed(), 4);
-        assert_eq!(pipelined.num_csds(), 3);
+        assert!(matches!(&pipelined.placement, Placement::InStorage(l) if l.csds.len() == 3));
         assert_eq!(pipelined.num_params(), n);
-        assert!(!pipelined.is_compressed());
+        assert!(pipelined.compressor.is_none());
     }
 
     #[test]
@@ -671,7 +770,6 @@ mod tests {
                 t = t.with_compression(k).unwrap();
             }
             t = t.with_threads(threads);
-            assert_eq!(t.num_threads(), threads.max(1));
             let mut source = SyntheticGradients::new(n, 0.01, 55);
             let mut last = StepReport::default();
             for _ in 0..3 {
@@ -933,6 +1031,32 @@ mod tests {
     }
 
     #[test]
+    fn residuals_restore_only_into_a_compressed_trainer_of_either_placement() {
+        let n = 1200;
+        let optimizer = Optimizer::adam_default();
+        let initial = FlatTensor::randn(n, 0.05, 45);
+        let mut compressed = PipelinedTrainer::new(&initial, optimizer, 2, 300)
+            .unwrap()
+            .with_compression(0.1)
+            .unwrap();
+        compressed.train_step_with_grads(&FlatTensor::randn(n, 0.01, 46)).unwrap();
+        let ckpt = Trainer::checkpoint(&mut compressed).unwrap();
+        assert!(!ckpt.residual_bits.is_empty());
+        let plain = [
+            PipelinedTrainer::host_update(&initial, optimizer, 2, 300).unwrap(),
+            PipelinedTrainer::new(&initial, optimizer, 2, 300).unwrap(),
+        ];
+        for mut t in plain {
+            let before = t.master_params().unwrap();
+            let err = Trainer::restore(&mut t, &ckpt).unwrap_err();
+            assert!(matches!(err, TrainError::Config { .. }), "{err}");
+            assert!(err.to_string().contains("residuals"), "{err}");
+            assert_eq!(t.steps_completed(), 0);
+            assert_eq!(t.master_params().unwrap().as_slice(), before.as_slice());
+        }
+    }
+
+    #[test]
     fn checkpointing_under_an_active_fault_plan_does_not_shift_the_schedule() {
         // Two identical fault-laden runs; one checkpoints mid-run. Because
         // maintenance traffic suspends injection, both must see the same
@@ -1004,14 +1128,14 @@ mod tests {
             Trainer::step(&mut t, &grads).unwrap();
             // Device 1 owns 400 parameters; re-initialise its shard one short.
             let shard = initial.slice(400, 400);
-            t.csds[1].store_initial_state("shard", &shard.slice(0, 399), &optimizer).unwrap();
+            csd(&mut t, 1).store_initial_state("shard", &shard.slice(0, 399), &optimizer).unwrap();
             let err = Trainer::step(&mut t, &grads).unwrap_err();
             assert!(
                 matches!(err, TrainError::Device(CsdError::Ssd(ssd::SsdError::OutOfBounds { .. }))),
                 "{keep:?}: {err}"
             );
             // With the shard put right the same trainer carries on.
-            t.csds[1].store_initial_state("shard", &shard, &optimizer).unwrap();
+            csd(&mut t, 1).store_initial_state("shard", &shard, &optimizer).unwrap();
             Trainer::step(&mut t, &grads).unwrap();
         }
     }
@@ -1026,7 +1150,7 @@ mod tests {
             .unwrap()
             .with_compression(0.1)
             .unwrap();
-        assert!(compressed.is_compressed());
+        assert!(compressed.compressor.is_some());
         let mut source_a = SyntheticGradients::new(n, 0.01, 7);
         let mut source_b = SyntheticGradients::new(n, 0.01, 7);
         let mut last_exact = StepReport::default();

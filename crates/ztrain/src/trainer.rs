@@ -6,10 +6,9 @@
 //! SmartComp — without the caller changing. This module is that seam:
 //!
 //! * [`Trainer`] — the object-safe trait implemented by
-//!   [`StorageOffloadTrainer`](crate::StorageOffloadTrainer) (update on the
-//!   host) and [`PipelinedTrainer`](crate::PipelinedTrainer) (update in the
-//!   CSDs), so callers can hold a `Box<dyn Trainer>` and never care where
-//!   the update runs.
+//!   [`PipelinedTrainer`](crate::PipelinedTrainer), whose constructor
+//!   chooses where the update runs (on the host or in the CSDs), so callers
+//!   can hold a `Box<dyn Trainer>` and never care which.
 //! * [`StepReport`] — per-step telemetry (bytes moved, compression
 //!   keep-count, threads used, and a [`LayerTimes`] table of where the
 //!   step's wall time went) returned by every step, replacing the
@@ -199,7 +198,7 @@ impl DegradedReport {
 ///
 /// * For the host baseline, `storage_bytes_*` is RAID0 traffic — which all
 ///   crosses the shared host interconnect.
-/// * For the near-storage trainers, `storage_bytes_*` is CSD-internal P2P
+/// * For the in-storage placement, `storage_bytes_*` is CSD-internal P2P
 ///   traffic (SSD ↔ FPGA over the private switch) — the bytes the paper
 ///   keeps *off* the shared interconnect.
 /// * `gradient_bytes` is always the gradient volume that crossed the host
@@ -215,10 +214,10 @@ pub struct StepReport {
     /// gradients count the actual index+value stream.
     pub gradient_bytes: u64,
     /// Bytes read from storage this step (RAID0 reads for the baseline,
-    /// CSD-internal P2P reads for the near-storage trainers).
+    /// CSD-internal P2P reads in the CSDs).
     pub storage_bytes_read: u64,
     /// Bytes written to storage this step (RAID0 writes for the baseline,
-    /// CSD-internal P2P writes for the near-storage trainers).
+    /// CSD-internal P2P writes in the CSDs).
     pub storage_bytes_written: u64,
     /// Number of gradient elements kept by the Top-K selection this step,
     /// summed over shards; `None` when compression is disabled.
@@ -417,11 +416,8 @@ pub trait Trainer: fmt::Debug {
     ///
     /// # Errors
     ///
-    /// Returns [`TrainError::Config`] for substrates that do not support
-    /// checkpointing, or a substrate error if reading the state back fails.
-    fn checkpoint(&mut self) -> Result<crate::TrainerCheckpoint, TrainError> {
-        Err(TrainError::config("this trainer does not support checkpointing"))
-    }
+    /// Returns a substrate error if reading the state back fails.
+    fn checkpoint(&mut self) -> Result<crate::TrainerCheckpoint, TrainError>;
 
     /// Restores the trainer's state from a checkpoint taken by
     /// [`Trainer::checkpoint`], after which continued training is
@@ -430,12 +426,10 @@ pub trait Trainer: fmt::Debug {
     /// # Errors
     ///
     /// Returns [`TrainError::Config`] if the checkpoint does not match this
-    /// trainer (wrong parameter count or state shape) or the substrate does
-    /// not support restore.
-    fn restore(&mut self, checkpoint: &crate::TrainerCheckpoint) -> Result<(), TrainError> {
-        let _ = checkpoint;
-        Err(TrainError::config("this trainer does not support checkpoint restore"))
-    }
+    /// trainer (wrong parameter count or state shape, or error-feedback
+    /// residuals where the trainer compresses nothing, or none where it
+    /// does).
+    fn restore(&mut self, checkpoint: &crate::TrainerCheckpoint) -> Result<(), TrainError>;
 
     /// Runs one training step pulling gradients from a
     /// [`GradientSource`](crate::GradientSource).

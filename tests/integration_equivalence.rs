@@ -10,10 +10,7 @@
 
 use gradcomp::Compressor;
 use optim::{HyperParams, Optimizer, OptimizerKind};
-use smart_infinity::{
-    MachineConfig, MethodSpec, ModelConfig, PipelinedTrainer, Session, StorageOffloadTrainer,
-    Trainer,
-};
+use smart_infinity::{MachineConfig, MethodSpec, ModelConfig, PipelinedTrainer, Session, Trainer};
 use tensorlib::{Dtype, FlatTensor};
 use ztrain::SyntheticGradients;
 
@@ -200,7 +197,7 @@ fn a_striped_baseline_block_equals_the_in_memory_reference() {
         let mut fp16 = FlatTensor::zeros(n);
         reference.roundtrip_f16_into(fp16.as_mut_slice());
         let mut trainer =
-            StorageOffloadTrainer::new(&initial, optimizer, 3, 300_000).expect("trainer");
+            PipelinedTrainer::host_update(&initial, optimizer, 3, 300_000).expect("trainer");
         for g in &grads {
             trainer.step(g).expect("step");
         }

@@ -15,7 +15,7 @@ use smart_infinity::{
 };
 use std::error::Error;
 use tensorlib::{Dtype, Partitioner};
-use ztrain::PipelinedTrainer;
+use ztrain::{PipelinedTrainer, Trainer};
 
 fn pipelined_session(devices: usize, threads: usize, keep_ratio: Option<f64>) -> Session {
     Session::builder(
