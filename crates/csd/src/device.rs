@@ -42,12 +42,6 @@ pub enum CsdError {
 }
 
 impl CsdError {
-    /// Whether bounded retry can clear this error (delegates to the wrapped
-    /// SSD error; dropouts and everything else need rebuild or propagation).
-    pub fn is_transient(&self) -> bool {
-        matches!(self, CsdError::Ssd(e) if e.is_transient())
-    }
-
     /// Whether the error means the device is dead until rebuilt (a dropout,
     /// or worn-out media underneath).
     pub fn needs_rebuild(&self) -> bool {
@@ -194,41 +188,6 @@ impl ShardNames {
     }
 }
 
-/// Device-internal bounded retry for transient faults *inside* a subgroup
-/// update, gate by gate — exactly like firmware retrying one failed flash
-/// operation rather than the command it belongs to. The update passes every
-/// read and write gate before a byte of state moves, so it is all-or-nothing:
-/// a gate that exhausts the budget (or hits worn-out media) fails the update
-/// with every state region byte-identical to before the call, and the
-/// caller's whole-op retry recomputes the step from un-updated state. What
-/// this absorber adds over that retry is convergence: a whole-op retry would
-/// re-run the already-passed gates at fresh op indices, where new fault
-/// bursts can fire.
-#[derive(Debug, Clone, Copy, Default)]
-struct FaultAbsorber {
-    budget: u32,
-    retries: u64,
-    backoff_ms: u64,
-}
-
-impl FaultAbsorber {
-    /// Runs one SSD operation, clearing transient faults within the budget.
-    fn retrying(&mut self, mut op: impl FnMut() -> Result<(), SsdError>) -> Result<(), CsdError> {
-        let mut attempt = 0u32;
-        loop {
-            match op() {
-                Ok(()) => return Ok(()),
-                Err(e) if e.is_transient() && attempt < self.budget => {
-                    attempt += 1;
-                    self.retries += 1;
-                    self.backoff_ms += 1u64 << attempt.min(16);
-                }
-                Err(e) => return Err(CsdError::Ssd(e)),
-            }
-        }
-    }
-}
-
 /// One counted SSD read of `out.len()` floats at element `offset` of
 /// `region`, landing straight in `out`.
 fn read_f32(
@@ -342,7 +301,6 @@ pub struct CsdDevice {
     executor: ParExecutor,
     stats: CsdTrafficStats,
     dropped: bool,
-    faults: FaultAbsorber,
     times: UpdateTimes,
     shards: BTreeMap<String, ShardNames>,
     // One tile-sized set of buffers per updater worker, reused from one
@@ -366,7 +324,6 @@ impl CsdDevice {
             executor: ParExecutor::serial(),
             stats: CsdTrafficStats::default(),
             dropped: false,
-            faults: FaultAbsorber::default(),
             times: UpdateTimes::default(),
             shards: BTreeMap::new(),
             tile_scratch: Vec::new(),
@@ -417,23 +374,26 @@ impl CsdDevice {
         self.ssd.reset_stats();
     }
 
-    /// Installs a deterministic fault injector on the underlying SSD. Faults
-    /// surface as [`CsdError::Ssd`] wrapping [`SsdError::Injected`].
+    /// Installs a deterministic fault injector on the underlying SSD. A fault
+    /// the SSD's retry budget does not clear surfaces as [`CsdError::Ssd`]
+    /// wrapping [`SsdError::Injected`].
     pub fn set_fault_injector(&mut self, injector: FaultInjector) {
         self.ssd.set_fault_injector(injector);
     }
 
-    /// Sets the device-internal retry budget for transient faults during a
-    /// subgroup update (transients are cleared gate by gate inside the
-    /// device; an update whose gate cannot be cleared has changed nothing).
+    /// Sets the retry budget of the underlying SSD (see
+    /// [`SsdDevice::set_retry_budget`]): every SSD operation of every device
+    /// call — a gradient store, each gate of a subgroup update, a read-back —
+    /// is retried in place, behind the device's own switch, so a transient
+    /// the budget clears never reaches the host.
     pub fn set_retry_budget(&mut self, budget: u32) {
-        self.faults.budget = budget;
+        self.ssd.set_retry_budget(budget);
     }
 
-    /// Drains the device-internal fault-recovery counters accumulated since
+    /// Drains the underlying SSD's fault-recovery counters accumulated since
     /// the last call: `(transient retries, modeled backoff in ms)`.
     pub fn take_fault_events(&mut self) -> (u64, u64) {
-        (std::mem::take(&mut self.faults.retries), std::mem::take(&mut self.faults.backoff_ms))
+        self.ssd.take_fault_events()
     }
 
     /// Drains the host wall time spent in [`CsdDevice::update_subgroup`]
@@ -686,7 +646,7 @@ impl CsdDevice {
 
     fn update_subgroup_inner(&mut self, request: SubgroupUpdate<'_>) -> Result<(), CsdError> {
         let SubgroupUpdate { shard, offset, len, optimizer, step, compressed } = request;
-        let Self { ssd, faults, stats, times, tile_scratch, shards, .. } = self;
+        let Self { ssd, stats, times, tile_scratch, shards, .. } = self;
         let names = &shards[shard];
         let num_aux = optimizer.kind().num_aux();
         // A saturated offset or length is out of bounds for any region, so it
@@ -700,9 +660,7 @@ impl CsdDevice {
         // are cleared gate by gate; nothing has moved if one cannot be.
         let mut txn = ssd.begin_update();
         for region in std::iter::once(&names.master).chain(&names.aux[..num_aux]) {
-            timed(&mut times.read_gates_ns, || {
-                faults.retrying(|| txn.admit_read(region, byte_off, byte_len))
-            })?;
+            timed(&mut times.read_gates_ns, || txn.admit_read(region, byte_off, byte_len))?;
             stats.p2p_read_bytes += byte_len as u64;
         }
         match compressed {
@@ -714,13 +672,13 @@ impl CsdDevice {
             }
             None => {
                 timed(&mut times.read_gates_ns, || {
-                    faults.retrying(|| txn.admit_read(&names.grad, byte_off, byte_len))
+                    txn.admit_read(&names.grad, byte_off, byte_len)
                 })?;
                 stats.p2p_read_bytes += byte_len as u64;
             }
         }
         for window in 0..=num_aux {
-            timed(&mut times.write_gates_ns, || faults.retrying(|| txn.admit_write(window)))?;
+            timed(&mut times.write_gates_ns, || txn.admit_write(window))?;
             stats.p2p_write_bytes += byte_len as u64;
         }
         let LentWindows { read_write: mut states, read_only } = txn.lend();
@@ -1097,7 +1055,7 @@ mod tests {
                 let mut spec = FaultSpec::empty(seed);
                 spec.transient_per_mille = Some(400);
                 spec.max_transient_burst = Some(3);
-                FaultPlan::new(spec)
+                FaultPlan::new(spec).unwrap()
             })
             .find(|plan| {
                 let mut injector = plan.injector(0);
@@ -1122,7 +1080,7 @@ mod tests {
         let request =
             SubgroupUpdate { shard: "s", offset: 0, len: n, optimizer, step: 1, compressed: None };
         let err = csd.update_subgroup(request).unwrap_err();
-        assert!(err.is_transient(), "{err}");
+        assert!(matches!(err, CsdError::Ssd(SsdError::Injected { .. })), "{err}");
 
         // Five gates passed and were counted — four reads, the master write —
         // yet not one byte of state moved and no update ran.
@@ -1137,7 +1095,7 @@ mod tests {
         assert_eq!(csd.stats(), expected);
         assert_eq!(csd.dram.used_bytes(), 0);
 
-        // So the caller's whole-op retry applies the step exactly once.
+        // So repeating the whole update applies the step exactly once.
         let mut attempts = 0;
         while csd.update_subgroup(request).is_err() {
             attempts += 1;
@@ -1188,7 +1146,6 @@ mod tests {
         let err = csd.load_parameters("s", 0, 64).unwrap_err();
         assert!(matches!(err, CsdError::Dropout { ref device } if device == "csd0"));
         assert!(err.needs_rebuild());
-        assert!(!err.is_transient());
         assert!(csd.store_gradients("s", &[0.0; 64]).is_err());
         assert!(csd
             .update_subgroup(SubgroupUpdate {
@@ -1232,17 +1189,40 @@ mod tests {
         let mut spec = FaultSpec::empty(11);
         spec.transient_per_mille = Some(1000); // every op faults once per burst
         spec.max_transient_burst = Some(1);
-        let plan = FaultPlan::new(spec);
+        let plan = FaultPlan::new(spec).unwrap();
         let mut csd = device();
         csd.set_fault_injector(plan.injector(0));
         let err = csd.store_gradients("s", &[0.0; 8]).unwrap_err();
-        assert!(err.is_transient());
         assert!(matches!(err, CsdError::Ssd(SsdError::Injected { .. })));
         // The source chain reaches the injected-fault leaf.
         let ssd_err = err.source().expect("csd error wraps ssd error");
         assert!(ssd_err.source().is_some(), "ssd error chains to the injected fault");
         // Retry within the burst cap succeeds.
         csd.store_gradients("s", &[0.0; 8]).unwrap();
+    }
+
+    #[test]
+    fn a_retry_budget_clears_transients_inside_the_device_on_every_op() {
+        use faultkit::{FaultPlan, FaultSpec};
+        let mut spec = FaultSpec::empty(11);
+        spec.transient_per_mille = Some(1000); // every op faults once per burst
+        spec.max_transient_burst = Some(1);
+        let plan = FaultPlan::new(spec).unwrap();
+        let params = FlatTensor::randn(8, 0.02, 13);
+        let mut csd = device();
+        csd.store_initial_state("s", &params, &Optimizer::adam_default()).unwrap();
+        csd.set_fault_injector(plan.injector(0));
+        csd.set_retry_budget(plan.max_retries());
+        // Each op fails once and is retried in place: one retry, 2 ms of
+        // modeled backoff, and nothing reaches the caller.
+        csd.store_gradients("s", &[0.5; 8]).unwrap();
+        assert_eq!(csd.take_fault_events(), (1, 2));
+        let mut fp16 = [0.0f32; 8];
+        csd.load_parameters_fp16_into("s", 0, &mut fp16).unwrap();
+        assert_eq!(csd.take_fault_events(), (1, 2));
+        let mut expected = [0.0f32; 8];
+        params.roundtrip_f16_into(&mut expected);
+        assert_eq!(fp16, expected);
     }
 
     #[test]

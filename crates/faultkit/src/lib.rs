@@ -50,13 +50,14 @@ pub struct FaultSpec {
     /// Maximum consecutive injected failures of one operation (default 2).
     /// Must stay below the retry budget so recovery always converges.
     pub max_transient_burst: Option<u32>,
-    /// Retry budget of the recovery policy (default 4).
+    /// Retry budget of every SSD, which retries one faulted operation in place
+    /// (default 4); it also bounds the trainer's rebuild-then-retry loop.
     pub max_retries: Option<u32>,
-    /// Step (0-based) at which one seed-chosen device's flash wears out
-    /// (writes fail until the device is rebuilt).
+    /// Step (counting from 1, like `StepReport::step`) at which one
+    /// seed-chosen device's flash wears out (writes fail until rebuilt).
     pub ssd_wearout_step: Option<u64>,
-    /// Step (0-based) at which one seed-chosen CSD stops answering
-    /// (every operation fails until the device is rebuilt).
+    /// Step (counting from 1, like `StepReport::step`) at which one
+    /// seed-chosen CSD stops answering (every operation fails until rebuilt).
     pub csd_dropout_step: Option<u64>,
     /// Slowdown factor (>= 1) applied to one seed-chosen straggler device's
     /// in-storage compute in the timed model.
@@ -112,6 +113,14 @@ impl FaultSpec {
                  so bounded retry always converges"
             ));
         }
+        for (field, step) in [
+            ("ssd_wearout_step", self.ssd_wearout_step),
+            ("csd_dropout_step", self.csd_dropout_step),
+        ] {
+            if step == Some(0) {
+                return Err(format!("faults.{field} counts steps from 1, got 0"));
+            }
+        }
         if let Some(f) = self.straggler_factor {
             if !f.is_finite() || f < 1.0 {
                 return Err(format!("faults.straggler_factor must be finite and >= 1, got {f}"));
@@ -159,10 +168,14 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Wraps a spec (callers should [`FaultSpec::validate`] first; the plan
-    /// clamps rather than panics on out-of-range knobs).
-    pub fn new(spec: FaultSpec) -> Self {
-        Self { spec }
+    /// Wraps a spec once it passes [`FaultSpec::validate`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the validation message, which names the offending field.
+    pub fn new(spec: FaultSpec) -> Result<Self, String> {
+        spec.validate()?;
+        Ok(Self { spec })
     }
 
     /// The underlying spec.
@@ -175,7 +188,8 @@ impl FaultPlan {
         self.spec.is_empty()
     }
 
-    /// The retry budget the recovery policy should use.
+    /// The retry budget of every SSD, and the bound on the trainer's
+    /// rebuild-then-retry loop.
     pub fn max_retries(&self) -> u32 {
         self.spec.max_retries.unwrap_or(DEFAULT_MAX_RETRIES)
     }
@@ -185,8 +199,8 @@ impl FaultPlan {
         FaultInjector {
             seed: self.spec.seed,
             device,
-            per_mille: self.spec.transient_per_mille.unwrap_or(0).min(1000),
-            burst_cap: self.spec.max_transient_burst.unwrap_or(DEFAULT_MAX_BURST).max(1),
+            per_mille: self.spec.transient_per_mille.unwrap_or(0),
+            burst_cap: self.spec.max_transient_burst.unwrap_or(DEFAULT_MAX_BURST),
             op_index: 0,
             pending: 0,
             decided: false,
@@ -229,7 +243,7 @@ impl FaultPlan {
         TimedFaultEffects {
             straggler: self
                 .straggler_device(num_devices)
-                .map(|d| (d, self.spec.straggler_factor.unwrap_or(1.0).max(1.0))),
+                .map(|d| (d, self.spec.straggler_factor.unwrap_or(1.0))),
             uplink_bandwidth_factor: self.spec.link_bandwidth_factor,
         }
     }
@@ -358,7 +372,7 @@ mod tests {
 
     #[test]
     fn empty_spec_injects_nothing() {
-        let plan = FaultPlan::new(FaultSpec::empty(7));
+        let plan = FaultPlan::new(FaultSpec::empty(7)).unwrap();
         assert!(plan.is_empty());
         let mut inj = plan.injector(0);
         for _ in 0..10_000 {
@@ -372,7 +386,7 @@ mod tests {
 
     #[test]
     fn transient_faults_fire_at_roughly_the_requested_rate() {
-        let plan = FaultPlan::new(spec(100)); // 10%
+        let plan = FaultPlan::new(spec(100)).unwrap(); // 10%
         let mut inj = plan.injector(3);
         let mut failures = 0u32;
         let ops = 20_000;
@@ -390,7 +404,7 @@ mod tests {
     #[test]
     fn faults_heal_within_the_burst_cap_and_decisions_replay_exactly() {
         // Same seed + device -> identical event sequence, attempt by attempt.
-        let plan = FaultPlan::new(spec(300));
+        let plan = FaultPlan::new(spec(300)).unwrap();
         let run = || {
             let mut inj = plan.injector(1);
             let mut log = Vec::new();
@@ -426,7 +440,7 @@ mod tests {
             link_bandwidth_factor: Some(0.5),
             ..FaultSpec::empty(9)
         };
-        let plan = FaultPlan::new(s);
+        let plan = FaultPlan::new(s).unwrap();
         for n in 1..10 {
             let w = plan.wearout_device(n).unwrap();
             let d = plan.dropout_device(n).unwrap();
@@ -459,6 +473,38 @@ mod tests {
         assert!(bad.validate().unwrap_err().contains("link_bandwidth_factor"));
         let bad = FaultSpec { link_bandwidth_factor: Some(1.5), ..FaultSpec::empty(0) };
         assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn a_scheduled_fault_at_step_zero_is_rejected_by_name() {
+        // Steps count from 1, so a fault at step 0 would never fire.
+        for (field, bad) in [
+            ("ssd_wearout_step", FaultSpec { ssd_wearout_step: Some(0), ..FaultSpec::empty(0) }),
+            ("csd_dropout_step", FaultSpec { csd_dropout_step: Some(0), ..FaultSpec::empty(0) }),
+        ] {
+            let message = bad.validate().unwrap_err();
+            assert!(message.contains(field) && message.contains("from 1"), "{message}");
+        }
+        let first = FaultSpec { ssd_wearout_step: Some(1), csd_dropout_step: Some(1), ..spec(0) };
+        assert!(first.validate().is_ok());
+    }
+
+    #[test]
+    fn a_plan_cannot_be_built_from_an_invalid_spec() {
+        // A burst the retry budget cannot outlast would let a transient
+        // escape every retry, so no plan exists for it.
+        for (burst, retries) in [(2, 2), (4, 3), (1, 1)] {
+            let bad = FaultSpec {
+                max_transient_burst: Some(burst),
+                max_retries: Some(retries),
+                ..spec(500)
+            };
+            let message = FaultPlan::new(bad).unwrap_err();
+            assert!(message.contains("must exceed"), "{message}");
+        }
+        let ok = FaultSpec { max_transient_burst: Some(2), max_retries: Some(3), ..spec(500) };
+        assert_eq!(FaultPlan::new(ok.clone()).unwrap().spec(), &ok);
+        assert!(FaultPlan::new(spec(1001)).is_err());
     }
 
     #[test]

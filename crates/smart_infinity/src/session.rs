@@ -20,7 +20,7 @@
 use crate::cluster::ClusterSpec;
 use crate::engine_timed::{HandlerMode, SmartInfinityEngine};
 use crate::spec::MethodSpec;
-use faultkit::{FaultPlan, FaultSpec, TimedFaultEffects};
+use faultkit::{FaultPlan, FaultSpec};
 use llm::{ModelConfig, Workload};
 use optim::Optimizer;
 use tensorlib::FlatTensor;
@@ -227,15 +227,9 @@ impl Session {
     }
 
     /// The fault plan this session injects, if a non-empty spec is installed.
-    fn fault_plan(&self) -> Option<FaultPlan> {
-        self.faults.as_ref().filter(|spec| !spec.is_empty()).map(|s| FaultPlan::new(s.clone()))
-    }
-
-    /// The timed-model side of the fault plan (straggler, uplink derating).
-    fn timed_fault_effects(&self) -> Option<TimedFaultEffects> {
-        self.fault_plan()
-            .map(|plan| plan.timed_effects(self.machine.num_devices))
-            .filter(|effects| !effects.is_empty())
+    fn fault_plan(&self) -> Result<Option<FaultPlan>, TrainError> {
+        let spec = self.faults.clone().filter(|spec| !spec.is_empty());
+        spec.map(FaultPlan::new).transpose().map_err(TrainError::config)
     }
 
     /// Builds the functional [`PipelinedTrainer`] with the update where this
@@ -278,7 +272,7 @@ impl Session {
         if let Some(compression) = &self.method.compression {
             trainer = trainer.with_compressor(compression.compressor());
         }
-        if let Some(plan) = self.fault_plan() {
+        if let Some(plan) = self.fault_plan()? {
             trainer = trainer.with_fault_plan(plan);
         }
         Ok(Box::new(trainer))
@@ -339,7 +333,9 @@ impl Session {
         if let Some(elems) = self.subgroup_elems {
             engine = engine.with_subgroup_elems(elems);
         }
-        if let Some(effects) = self.timed_fault_effects() {
+        // The timed side of the fault plan: a straggler, a derated uplink.
+        let effects = self.fault_plan()?.map(|plan| plan.timed_effects(self.machine.num_devices));
+        if let Some(effects) = effects.filter(|effects| !effects.is_empty()) {
             engine = engine.with_fault_effects(effects);
         }
         Ok(engine.simulate_iteration()?)

@@ -48,8 +48,9 @@ pub enum SsdError {
     },
     /// The RAID array was configured with zero member devices.
     EmptyArray,
-    /// A fault plan injected a transient failure into this operation.
-    /// Transient faults heal under bounded retry (see `faultkit`).
+    /// A fault plan injected a transient failure into this operation that
+    /// the device's retry budget did not clear (see
+    /// [`SsdDevice::set_retry_budget`](crate::SsdDevice::set_retry_budget)).
     Injected {
         /// Device name.
         device: String,
@@ -62,14 +63,6 @@ pub enum SsdError {
         /// Device name.
         device: String,
     },
-}
-
-impl SsdError {
-    /// Whether bounded retry can clear this error (only injected transient
-    /// faults heal on their own; everything else needs a different recovery).
-    pub fn is_transient(&self) -> bool {
-        matches!(self, SsdError::Injected { .. })
-    }
 }
 
 impl fmt::Display for SsdError {
@@ -133,7 +126,6 @@ mod tests {
         assert!(SsdError::EmptyArray.to_string().contains("at least one"));
         let e = SsdError::WornOut { device: "ssd2".into() };
         assert!(e.to_string().contains("worn out"));
-        assert!(!e.is_transient());
         assert!(e.source().is_none());
     }
 
@@ -146,7 +138,6 @@ mod tests {
             remaining: 1,
         };
         let e = SsdError::Injected { device: "ssd3".into(), fault };
-        assert!(e.is_transient());
         assert!(e.to_string().contains("transient fault on ssd3"));
         let source = e.source().expect("injected fault chains its source");
         assert!(source.downcast_ref::<InjectedFault>().is_some());

@@ -96,12 +96,13 @@ impl SsdDevice {
     /// Sets the device-internal retry budget for injected transient faults.
     ///
     /// With a positive budget the device retries a faulted operation in place
-    /// (accumulating modeled backoff) instead of surfacing the error. Retrying
-    /// at single-operation granularity is what makes recovery converge: a
-    /// multi-device caller (e.g. a striped RAID write) that retried the whole
-    /// logical operation would re-execute already-succeeded member ops at
-    /// fresh op indices, where new fault bursts can fire and exhaust any
-    /// outer budget.
+    /// (accumulating modeled backoff) instead of surfacing the error. This is
+    /// the only place the stack retries a transient — for a RAID member and
+    /// for a CSD's own SSD alike. Retrying at single-operation granularity is
+    /// what makes recovery converge: a caller that retried a whole logical
+    /// operation (a striped RAID write, a gated subgroup update) would
+    /// re-execute already-succeeded ops at fresh op indices, where new fault
+    /// bursts can fire and exhaust any outer budget.
     pub fn set_retry_budget(&mut self, budget: u32) {
         self.retry_budget = budget;
     }
@@ -680,7 +681,8 @@ mod tests {
     fn injected_faults_heal_on_retry_and_replay_deterministically() {
         use faultkit::{FaultPlan, FaultSpec};
         let plan =
-            FaultPlan::new(FaultSpec { transient_per_mille: Some(400), ..FaultSpec::empty(11) });
+            FaultPlan::new(FaultSpec { transient_per_mille: Some(400), ..FaultSpec::empty(11) })
+                .unwrap();
         let run = || {
             let mut ssd = SsdDevice::new("ssd0", 1 << 16);
             ssd.set_fault_injector(plan.injector(0));
@@ -691,7 +693,7 @@ mod tests {
                     match ssd.write_region(format!("r{i}"), vec![i as u8; 16]) {
                         Ok(()) => break,
                         Err(e) => {
-                            assert!(e.is_transient(), "unexpected error {e}");
+                            assert!(matches!(e, SsdError::Injected { .. }), "unexpected error {e}");
                             attempts += 1;
                             assert!(attempts <= 4, "transient fault did not heal");
                         }
@@ -710,7 +712,8 @@ mod tests {
     fn suspended_injectors_neither_fire_nor_advance_the_op_stream() {
         use faultkit::{FaultPlan, FaultSpec};
         let plan =
-            FaultPlan::new(FaultSpec { transient_per_mille: Some(500), ..FaultSpec::empty(23) });
+            FaultPlan::new(FaultSpec { transient_per_mille: Some(500), ..FaultSpec::empty(23) })
+                .unwrap();
         // Reference: the fault pattern over 50 ops with no suspension.
         let pattern = |maintenance_ops: usize| {
             let mut ssd = SsdDevice::new("s", 1 << 20);
@@ -844,11 +847,12 @@ mod tests {
         spec.max_transient_burst = Some(1);
         let mut ssd = SsdDevice::new("ssd0", 100);
         ssd.write_region("a", vec![1; 8]).unwrap();
-        ssd.set_fault_injector(FaultPlan::new(spec).injector(0));
+        ssd.set_fault_injector(FaultPlan::new(spec).unwrap().injector(0));
+        let injected = |e: SsdError| matches!(e, SsdError::Injected { .. });
         let mut txn = ssd.begin_update();
-        assert!(txn.admit_read("a", 0, 8).unwrap_err().is_transient());
+        assert!(injected(txn.admit_read("a", 0, 8).unwrap_err()));
         txn.admit_read("a", 0, 8).unwrap();
-        assert!(txn.admit_write(0).unwrap_err().is_transient());
+        assert!(injected(txn.admit_write(0).unwrap_err()));
         // Given up here: the window was never admitted for writing, so it is
         // lent read-only and nothing was written or counted as written.
         let lent = txn.lend();

@@ -434,13 +434,15 @@ mod tests {
         let grads: Vec<FlatTensor> = (0..4).map(|s| FlatTensor::randn(n, 0.01, 60 + s)).collect();
 
         let mut clean = host(&initial, optimizer, 3, 256);
-        let mut faulty =
-            host(&initial, optimizer, 3, 256).with_fault_plan(faultkit::FaultPlan::new({
+        let mut faulty = host(&initial, optimizer, 3, 256).with_fault_plan(
+            faultkit::FaultPlan::new({
                 let mut s = faultkit::FaultSpec::empty(9);
                 s.transient_per_mille = Some(150);
                 s.ssd_wearout_step = Some(3);
                 s
-            }));
+            })
+            .unwrap(),
+        );
         let mut saw_transient = false;
         let mut saw_rebuild = false;
         for (i, g) in grads.iter().enumerate() {
@@ -472,7 +474,7 @@ mod tests {
         let grads = FlatTensor::randn(n, 0.01, 17);
         let mut plain = host(&initial, optimizer, 2, 64);
         let mut with_empty = host(&initial, optimizer, 2, 64)
-            .with_fault_plan(faultkit::FaultPlan::new(faultkit::FaultSpec::empty(99)));
+            .with_fault_plan(faultkit::FaultPlan::new(faultkit::FaultSpec::empty(99)).unwrap());
         let a = plain.train_step_with_grads(&grads).unwrap();
         let b = with_empty.train_step_with_grads(&grads).unwrap();
         // Everything but the wall times must be bit-identical.

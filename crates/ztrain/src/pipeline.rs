@@ -509,11 +509,11 @@ impl CsdLanes {
         }
 
         // Stage 2 — update: subgroup-by-subgroup near-storage optimizer step
-        // over CSD-internal P2P. Transient faults are cleared *inside* the
-        // device, gate by gate, and an update moves no state until every gate
-        // has passed — so whatever error reaches the wrapper here (a dead
-        // device, an exhausted budget) left the subgroup un-updated, and
-        // repeating the whole operation steps it exactly once.
+        // over CSD-internal P2P. The device's SSD clears transient faults
+        // gate by gate, and an update moves no state until every gate has
+        // passed — so a dead device reaching the wrapper here left the
+        // subgroup un-updated, and repeating the whole operation after the
+        // rebuild steps it exactly once.
         for subgroup in Chunker::new(shard.len, subgroup_elems).subgroups() {
             recover(max_retries, &mut deg, csd, CsdDevice::rebuild, |csd| {
                 csd.update_subgroup(SubgroupUpdate {
@@ -913,6 +913,7 @@ mod tests {
                 s.csd_dropout_step = Some(3);
                 s
             })
+            .unwrap()
         };
         let run = |threads: usize, faults: bool, keep: Option<f64>| {
             let mut t = PipelinedTrainer::new(&initial, optimizer, 3, 500).unwrap();
@@ -1070,6 +1071,7 @@ mod tests {
                 s.transient_per_mille = Some(200);
                 s
             })
+            .unwrap()
         };
         let run = |checkpoint_after: Option<u64>| {
             let mut t =

@@ -1,59 +1,49 @@
-//! Bounded-retry recovery around substrate operations.
+//! Rebuild-then-retry recovery around substrate operations.
 //!
 //! The fault plan injects three classes of failure (see `faultkit`):
-//! transient per-operation faults, worn-out media and device dropouts. This
-//! module implements the recovery policy the trainers wrap around every
-//! storage / device operation:
+//! transient per-operation faults, worn-out media and device dropouts. Only
+//! the last two reach this module:
 //!
-//! * **Transient** faults are retried with exponential backoff, up to
-//!   [`FaultPlan::max_retries`](faultkit::FaultPlan::max_retries) attempts.
-//!   Because a valid plan caps the fault burst below the retry budget,
-//!   recovery from transients is guaranteed — and because the injector
-//!   re-decides only after an operation *succeeds*, the retry sequence is
-//!   deterministic.
+//! * **Transient** faults never leave the device. Every SSD — a RAID member,
+//!   or the one inside a CSD — retries a faulted operation in place with
+//!   modeled exponential backoff, up to
+//!   [`FaultPlan::max_retries`](faultkit::FaultPlan::max_retries) times
+//!   (`ssd::SsdDevice::set_retry_budget`). A valid plan caps the fault burst
+//!   below that budget, so a transient always clears; the trainers fold the
+//!   devices' retry and backoff counters into [`DegradedReport`]. An error
+//!   that does reach [`recover`] as a transient passes through unchanged.
 //! * **Dead-device** errors (worn-out media, dropout) trigger an in-place
 //!   rebuild — migrating the device's regions onto replacement hardware and
-//!   accounting the traffic — then retry the operation.
+//!   accounting the traffic — then retry the operation, at most
+//!   `max_retries` times.
 //! * Anything else propagates unchanged.
-//!
-//! The backoff is *modeled*, not slept: the would-be delay is accumulated
-//! into [`DegradedReport::backoff_ms`] so the telemetry is deterministic and
-//! tests run at full speed.
 
 use crate::trainer::DegradedReport;
 use csd::CsdError;
 use ssd::SsdError;
 
-/// Classification hooks the recovery loop needs from an error type; both
+/// The classification the recovery loop needs from an error type; both
 /// substrate errors the trainers recover from implement it, so [`recover`]
 /// wraps an operation at the layer it naturally fails.
 pub(crate) trait Recoverable {
-    /// Whether bounded retry can clear this error.
-    fn transient(&self) -> bool;
     /// Whether the failing device must be rebuilt before a retry can work.
     fn rebuildable(&self) -> bool;
 }
 
 impl Recoverable for SsdError {
-    fn transient(&self) -> bool {
-        self.is_transient()
-    }
     fn rebuildable(&self) -> bool {
         matches!(self, SsdError::WornOut { .. })
     }
 }
 
 impl Recoverable for CsdError {
-    fn transient(&self) -> bool {
-        self.is_transient()
-    }
     fn rebuildable(&self) -> bool {
         self.needs_rebuild()
     }
 }
 
-/// Runs `op` against `ctx`, absorbing recoverable faults per the policy
-/// above.
+/// Runs `op` against `ctx`, rebuilding a dead device and retrying per the
+/// policy above.
 ///
 /// Both closures receive `ctx` (the substrate — a RAID array, a CSD, …) so
 /// the rebuild path and the operation can share one mutable borrow. `rebuild`
@@ -64,8 +54,8 @@ impl Recoverable for CsdError {
 ///
 /// # Errors
 ///
-/// Returns the final error once `max_retries` attempts are exhausted, or the
-/// original error immediately if it is not recoverable.
+/// Returns the final error once `max_retries` rebuilds are exhausted, or the
+/// original error immediately if it is not a dead device.
 pub(crate) fn recover<C, T, E: Recoverable>(
     max_retries: u32,
     degraded: &mut DegradedReport,
@@ -76,21 +66,13 @@ pub(crate) fn recover<C, T, E: Recoverable>(
     let mut attempt: u32 = 0;
     loop {
         match op(ctx) {
-            Ok(v) => return Ok(v),
-            Err(e) if attempt < max_retries && e.transient() => {
-                attempt += 1;
-                degraded.transient_faults += 1;
-                degraded.retries += 1;
-                // Exponential backoff: 2, 4, 8, ... ms (modeled, not slept).
-                degraded.backoff_ms += 1u64 << attempt.min(16);
-            }
             Err(e) if attempt < max_retries && e.rebuildable() => {
                 attempt += 1;
                 degraded.rebuild_bytes += rebuild(ctx);
                 degraded.devices_rebuilt += 1;
                 degraded.retries += 1;
             }
-            Err(e) => return Err(e),
+            result => return result,
         }
     }
 }
@@ -99,12 +81,33 @@ pub(crate) fn recover<C, T, E: Recoverable>(
 mod tests {
     use super::*;
     use faultkit::{FaultOpKind, FaultPlan, FaultSpec};
+    use ssd::SsdDevice;
 
-    fn always_faulting_plan(seed: u64) -> FaultPlan {
-        let mut s = FaultSpec::empty(seed);
-        s.transient_per_mille = Some(1000);
-        s.max_transient_burst = Some(1);
-        FaultPlan::new(s)
+    /// A plan whose first write fails exactly twice: the hand-checked
+    /// injector stream is Err, Err, Ok.
+    fn first_write_fails_twice() -> FaultPlan {
+        (0..)
+            .map(|seed| {
+                let mut s = FaultSpec::empty(seed);
+                s.transient_per_mille = Some(1000);
+                FaultPlan::new(s).unwrap()
+            })
+            .find(|plan| {
+                let mut injector = plan.injector(0);
+                let stream: Vec<bool> =
+                    (0..3).map(|_| injector.check(FaultOpKind::Write).is_ok()).collect();
+                stream == [false, false, true]
+            })
+            .expect("some seed bursts twice on the first write")
+    }
+
+    /// A device whose first write fails twice, retried in place up to
+    /// `budget` times.
+    fn faulty_device(budget: u32) -> SsdDevice {
+        let mut ssd = SsdDevice::new("d", 1 << 16);
+        ssd.set_fault_injector(first_write_fails_twice().injector(0));
+        ssd.set_retry_budget(budget);
+        ssd
     }
 
     #[test]
@@ -118,29 +121,21 @@ mod tests {
 
     #[test]
     fn transient_faults_retry_with_backoff_until_cleared() {
+        // The device clears the burst of two in place: two retries, 2 + 4 ms
+        // of modeled backoff, and the op never fails at the caller.
+        let mut ssd = faulty_device(4);
         let mut deg = DegradedReport::default();
-        let fault = always_faulting_plan(3).injector(0).check(FaultOpKind::Write).unwrap_err();
-        let mut failures = 2u32;
-        let v = recover(
+        recover(
             4,
             &mut deg,
-            &mut (),
+            &mut ssd,
             |_| panic!("transients never rebuild"),
-            |_| {
-                if failures > 0 {
-                    failures -= 1;
-                    Err(SsdError::Injected { device: "d".into(), fault })
-                } else {
-                    Ok(42)
-                }
-            },
+            |ssd| ssd.write_region("r", vec![1u8; 8]),
         )
         .unwrap();
-        assert_eq!(v, 42);
-        assert_eq!(deg.transient_faults, 2);
-        assert_eq!(deg.retries, 2);
-        assert_eq!(deg.backoff_ms, 2 + 4);
-        assert_eq!(deg.devices_rebuilt, 0);
+        assert_eq!(ssd.take_fault_events(), (2, 2 + 4));
+        assert!(!deg.is_degraded(), "recover saw no fault");
+        assert_eq!(ssd.read_region("r").unwrap(), vec![1u8; 8]);
     }
 
     #[test]
@@ -189,24 +184,42 @@ mod tests {
 
     #[test]
     fn retry_budget_is_bounded() {
+        // A budget of one cannot outlast a burst of two: the device retries
+        // exactly once, then surfaces the fault, and `recover` passes it
+        // straight through — no retry, no rebuild.
+        let mut ssd = faulty_device(1);
         let mut deg = DegradedReport::default();
-        let fault = always_faulting_plan(5).injector(0).check(FaultOpKind::Read).unwrap_err();
+        let err = recover(
+            4,
+            &mut deg,
+            &mut ssd,
+            |_| panic!("a transient is not rebuilt"),
+            |ssd| ssd.write_region("r", vec![1u8; 8]),
+        )
+        .unwrap_err();
+        assert!(matches!(err, SsdError::Injected { .. }), "{err}");
+        assert_eq!(ssd.take_fault_events(), (1, 2), "exactly the budget's retries");
+        assert!(!deg.is_degraded());
+
+        // Rebuilds are bounded too: a device that never comes back is
+        // rebuilt exactly max_retries times before its error surfaces.
+        let mut deg = DegradedReport::default();
         let err = recover(
             2,
             &mut deg,
             &mut (),
             |_| 0,
-            |_| Err::<(), _>(SsdError::Injected { device: "d".into(), fault }),
+            |_| Err::<(), _>(CsdError::Dropout { device: "c".into() }),
         )
         .unwrap_err();
-        assert!(err.transient(), "the final error is surfaced");
-        assert_eq!(deg.retries, 2, "exactly max_retries retries were attempted");
+        assert!(err.needs_rebuild(), "the final error is surfaced");
+        assert_eq!((deg.devices_rebuilt, deg.retries), (2, 2));
     }
 
     #[test]
     fn recovery_works_end_to_end_against_a_real_device() {
         // A worn-out SSD: the first write fails, rebuild clears it, retry lands.
-        let mut ssd = ssd::SsdDevice::new("s", 1 << 16);
+        let mut ssd = SsdDevice::new("s", 1 << 16);
         ssd.write_region("r", vec![1u8; 64]).unwrap();
         ssd.inject_wearout();
         let mut deg = DegradedReport::default();

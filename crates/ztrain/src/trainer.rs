@@ -282,17 +282,6 @@ impl TrainError {
         TrainError::Config { message: message.into() }
     }
 
-    /// Whether bounded retry with backoff can clear this error — true only
-    /// for injected transient faults surfacing from the storage or device
-    /// layer.
-    pub fn is_transient(&self) -> bool {
-        match self {
-            TrainError::Storage(e) => e.is_transient(),
-            TrainError::Device(e) => e.is_transient(),
-            _ => false,
-        }
-    }
-
     /// Whether the error means a device is dead (dropped out or worn-out
     /// media) and must be rebuilt before the operation can succeed.
     pub fn needs_rebuild(&self) -> bool {
@@ -537,7 +526,6 @@ mod tests {
             origin.downcast_ref::<FabricError>(),
             Some(&FabricError::NoRoute { from: 0, to: 5 })
         );
-        assert!(!e.is_transient());
         assert!(!e.needs_rebuild());
     }
 
@@ -549,12 +537,13 @@ mod tests {
             s.max_transient_burst = Some(1);
             s
         })
+        .unwrap()
         .injector(0)
         .check(faultkit::FaultOpKind::Write)
         .unwrap_err();
         let transient: TrainError =
             SsdError::Injected { device: "d".into(), fault: injected }.into();
-        assert!(transient.is_transient() && !transient.needs_rebuild());
+        assert!(!transient.needs_rebuild());
         // The source chain reaches the injected-fault leaf three layers down.
         let ssd = transient.source().expect("storage layer");
         assert!(ssd
@@ -564,12 +553,12 @@ mod tests {
             .is_some());
 
         let worn: TrainError = SsdError::WornOut { device: "d".into() }.into();
-        assert!(!worn.is_transient() && worn.needs_rebuild());
+        assert!(worn.needs_rebuild());
         let dropped: TrainError = CsdError::Dropout { device: "c".into() }.into();
-        assert!(!dropped.is_transient() && dropped.needs_rebuild());
+        assert!(dropped.needs_rebuild());
         let wrapped: TrainError = CsdError::Ssd(SsdError::WornOut { device: "d".into() }).into();
         assert!(wrapped.needs_rebuild());
-        assert!(!TrainError::config("x").is_transient());
+        assert!(!TrainError::config("x").needs_rebuild());
     }
 
     #[test]
