@@ -1,18 +1,21 @@
 //! Analysis tables: per-variant (and per-variant-per-task) objective
 //! aggregates over a completed journal, emitted as canonical JSONL.
 
-use crate::contract::{to_value, TrialRecord};
+use crate::contract::TrialRecord;
 use crate::{LabError, PlannedTrial};
-use serde::Serialize;
-use smart_infinity::{canonical_json, LatencyStats};
+use serde::write_json_string;
+use smart_infinity::{push_canonical_f64, LatencyStats};
 use std::collections::HashMap;
+use std::fmt::Write as _;
+use std::io::{BufWriter, Write as _};
 use std::path::Path;
 
 /// One row of `variants.jsonl` / `variant_tasks.jsonl`: counts plus
 /// nearest-rank order statistics of the objective over the group's
 /// successful trials (all zeros when none succeeded; `objective` is the
 /// measured name and drops out of the canonical line when unknown).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
+#[cfg_attr(test, derive(serde::Serialize))]
 pub(crate) struct AnalysisRow {
     /// The variant the row aggregates.
     pub variant: String,
@@ -37,6 +40,39 @@ pub(crate) struct AnalysisRow {
     pub p95: f64,
     /// Maximum objective over successes.
     pub max: f64,
+}
+
+impl AnalysisRow {
+    /// The row as one canonical JSONL line, written straight from its
+    /// fields: keys in sorted order, and the entries that serialize to null
+    /// (an absent name, a non-finite statistic) dropped.
+    fn to_line(&self) -> String {
+        let mut line = format!("{{\"errors\":{}", self.errors);
+        let float = |line: &mut String, key: &str, x: f64| {
+            if x.is_finite() {
+                line.push_str(key);
+                push_canonical_f64(line, x);
+            }
+        };
+        let string = |line: &mut String, key: &str, text: Option<&str>| {
+            if let Some(text) = text {
+                line.push_str(key);
+                write_json_string(text, line);
+            }
+        };
+        float(&mut line, ",\"max\":", self.max);
+        float(&mut line, ",\"mean\":", self.mean);
+        float(&mut line, ",\"min\":", self.min);
+        string(&mut line, ",\"objective\":", self.objective.as_deref());
+        float(&mut line, ",\"p50\":", self.p50);
+        float(&mut line, ",\"p95\":", self.p95);
+        write!(line, ",\"successes\":{}", self.successes).expect("writing to a String cannot fail");
+        string(&mut line, ",\"task_id\":", self.task_id.as_deref());
+        write!(line, ",\"trials\":{}", self.trials).expect("writing to a String cannot fail");
+        string(&mut line, ",\"variant\":", Some(&self.variant));
+        line.push('}');
+        line
+    }
 }
 
 /// The two analysis tables of one experiment, as canonical JSONL lines.
@@ -104,26 +140,36 @@ pub fn analysis_tables(
     plan: &[PlannedTrial],
     records: &[TrialRecord],
 ) -> Result<AnalysisTables, LabError> {
+    tables(
+        plan.iter().map(|t| (t.trial_id.as_str(), t.task_id.as_str(), t.variant.as_str())),
+        records,
+    )
+}
+
+/// [`analysis_tables`] over the plan's `(trial_id, task_id, variant)` keys.
+pub(crate) fn tables<'p>(
+    plan: impl Iterator<Item = (&'p str, &'p str, &'p str)>,
+    records: &[TrialRecord],
+) -> Result<AnalysisTables, LabError> {
     let by_id: HashMap<&str, &TrialRecord> =
         records.iter().map(|r| (r.trial_id.as_str(), r)).collect();
     // (variant, task) groups in plan order.
     let mut variant_order: Vec<&str> = Vec::new();
     let mut task_order: Vec<&str> = Vec::new();
     let mut groups: HashMap<(&str, &str), Vec<&TrialRecord>> = HashMap::new();
-    for trial in plan {
-        let record = by_id.get(trial.trial_id.as_str()).ok_or_else(|| {
+    for (trial_id, task_id, variant) in plan {
+        let record = by_id.get(trial_id).ok_or_else(|| {
             LabError::config(format!(
-                "trial {} (task `{}`, variant `{}`) has no journal record",
-                trial.trial_id, trial.task_id, trial.variant
+                "trial {trial_id} (task `{task_id}`, variant `{variant}`) has no journal record"
             ))
         })?;
-        if !variant_order.contains(&trial.variant.as_str()) {
-            variant_order.push(&trial.variant);
+        if !variant_order.contains(&variant) {
+            variant_order.push(variant);
         }
-        if !task_order.contains(&trial.task_id.as_str()) {
-            task_order.push(&trial.task_id);
+        if !task_order.contains(&task_id) {
+            task_order.push(task_id);
         }
-        groups.entry((&trial.variant, &trial.task_id)).or_default().push(record);
+        groups.entry((variant, task_id)).or_default().push(record);
     }
     let mut variants = Vec::with_capacity(variant_order.len());
     let mut variant_tasks = Vec::new();
@@ -133,10 +179,10 @@ pub fn analysis_tables(
             .filter_map(|task| groups.get(&(*variant, *task)))
             .flat_map(|group| group.iter().copied())
             .collect();
-        variants.push(canonical_json(&to_value(&row(variant, None, &all)?)));
+        variants.push(row(variant, None, &all)?.to_line());
         for task in &task_order {
             if let Some(group) = groups.get(&(*variant, *task)) {
-                variant_tasks.push(canonical_json(&to_value(&row(variant, Some(task), group)?)));
+                variant_tasks.push(row(variant, Some(task), group)?.to_line());
             }
         }
     }
@@ -155,11 +201,15 @@ pub fn write_analysis(dir: &Path, tables: &AnalysisTables) -> Result<(), LabErro
         [("variants.jsonl", &tables.variants), ("variant_tasks.jsonl", &tables.variant_tasks)]
     {
         let path = dir.join(name);
-        let mut text = lines.join("\n");
-        if !text.is_empty() {
-            text.push('\n');
-        }
-        std::fs::write(&path, text).map_err(|e| LabError::io(&path, e))?;
+        let written = std::fs::File::create(&path).and_then(|file| {
+            let mut out = BufWriter::new(file);
+            for line in lines {
+                out.write_all(line.as_bytes())?;
+                out.write_all(b"\n")?;
+            }
+            out.flush()
+        });
+        written.map_err(|e| LabError::io(&path, e))?;
     }
     Ok(())
 }
@@ -225,6 +275,34 @@ mod tests {
             .expect("row exists");
         assert!(b_t2.contains(r#""errors":2"#), "{b_t2}");
         assert!(!b_t2.contains("objective"), "{b_t2}");
+    }
+
+    #[test]
+    fn rows_equal_the_whole_row_formula() {
+        let row = |task_id: Option<&str>, objective: Option<&str>, x: f64| AnalysisRow {
+            variant: "su \"o\"\nü".to_string(),
+            task_id: task_id.map(str::to_string),
+            trials: 3,
+            successes: 2,
+            errors: 1,
+            objective: objective.map(str::to_string),
+            min: x,
+            mean: 0.1 + 0.2,
+            p50: -x,
+            p95: 1e21,
+            max: f64::INFINITY,
+        };
+        let rows = [
+            row(None, None, 0.0),
+            row(Some("t\\1"), Some("iteration_s"), -0.0),
+            row(Some("✓"), Some("iteration_s"), 1.5e-7),
+            row(None, Some("x"), f64::NAN),
+        ];
+        for row in rows {
+            let text = serde_json::to_string(&row).expect("serializes");
+            let whole = smart_infinity::canonical_json(&serde_json::parse(&text).expect("parses"));
+            assert_eq!(row.to_line(), whole, "{row:?}");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! the JSON-merge operator variants are expressed with.
 
 use crate::LabError;
-use serde::{Deserialize, Serialize, Value};
+use serde::{write_json_string, Deserialize, Number, Serialize, Value};
 use smart_infinity::{canonical_json, Campaign, CampaignRef, RunSpec};
 use std::path::Path;
 use ztrain::IterationReport;
@@ -122,17 +122,6 @@ pub struct HarnessResult {
     pub error: Option<String>,
 }
 
-/// The built-in harness's metrics bag: the method label and the phase
-/// breakdown of the simulated iteration.
-#[derive(Serialize)]
-struct PhaseMetrics {
-    method: String,
-    forward_s: f64,
-    backward_s: f64,
-    update_s: f64,
-    total_s: f64,
-}
-
 impl HarnessResult {
     /// Whether the harness reported success.
     pub fn is_success(&self) -> bool {
@@ -140,19 +129,20 @@ impl HarnessResult {
     }
 
     /// The built-in harness's result for one simulated iteration: objective
-    /// `iteration_s` plus the `PhaseMetrics` bag. Both the `lab harness`
-    /// program and the runner's journal records are built from it.
+    /// `iteration_s` plus a metrics bag of the method label and the phase
+    /// breakdown. Both the `lab harness` program and the runner's journal
+    /// records are built from it.
     pub(crate) fn simulated(method: String, report: &IterationReport) -> Self {
         HarnessResult {
             outcome: "success".to_string(),
             objective: Some(Objective { name: "iteration_s".to_string(), value: report.total_s() }),
-            metrics: to_value(&PhaseMetrics {
-                method,
-                forward_s: report.forward_s,
-                backward_s: report.backward_s,
-                update_s: report.update_s,
-                total_s: report.total_s(),
-            }),
+            metrics: Value::Object(vec![
+                ("method".to_string(), Value::String(method)),
+                ("forward_s".to_string(), float(report.forward_s)),
+                ("backward_s".to_string(), float(report.backward_s)),
+                ("update_s".to_string(), float(report.update_s)),
+                ("total_s".to_string(), float(report.total_s())),
+            ]),
             error: None,
         }
     }
@@ -204,7 +194,58 @@ impl TrialRecord {
     /// and number spellings, which is what makes journal lines comparable
     /// across runs.
     pub(crate) fn to_line(&self) -> String {
-        canonical_json(&to_value(self))
+        let mut line = self.result_entries();
+        self.push_identity(&mut line);
+        line
+    }
+
+    /// The opening of the record's canonical line: `{` and the canonical
+    /// `error`, `metrics`, `objective` and `outcome` entries. They sort
+    /// before every identity key, so the records of one (task, variant)'s
+    /// repeats share this text.
+    pub(crate) fn result_entries(&self) -> String {
+        let objective = self.objective.as_ref().map_or(Value::Null, |objective| {
+            Value::Object(vec![
+                ("name".to_string(), Value::String(objective.name.clone())),
+                ("value".to_string(), float(objective.value)),
+            ])
+        });
+        let mut head = canonical_json(&Value::Object(vec![
+            ("error".to_string(), self.error.clone().map_or(Value::Null, Value::String)),
+            ("metrics".to_string(), self.metrics.clone()),
+            ("objective".to_string(), objective),
+            ("outcome".to_string(), Value::String(self.outcome.clone())),
+        ]));
+        // `outcome` is a string, so the object is never empty: the identity
+        // entries follow a comma.
+        head.pop();
+        head
+    }
+
+    /// Completes a line begun by [`TrialRecord::result_entries`]: the
+    /// `repeat`, `task_id`, `trial_id` and `variant` entries and the closing
+    /// brace.
+    pub(crate) fn push_identity(&self, line: &mut String) {
+        line.push_str(",\"repeat\":");
+        line.push_str(&self.repeat.to_string());
+        for (key, text) in
+            [("task_id", &self.task_id), ("trial_id", &self.trial_id), ("variant", &self.variant)]
+        {
+            line.push(',');
+            write_json_string(key, line);
+            line.push(':');
+            write_json_string(text, line);
+        }
+        line.push('}');
+    }
+
+    /// Whether `other` carries the same result fields, so its line begins
+    /// with the same [`TrialRecord::result_entries`].
+    pub(crate) fn same_result(&self, other: &TrialRecord) -> bool {
+        self.outcome == other.outcome
+            && self.objective == other.objective
+            && self.metrics == other.metrics
+            && self.error == other.error
     }
 
     /// Parses one journal line.
@@ -213,16 +254,30 @@ impl TrialRecord {
     ///
     /// [`LabError::Config`] for malformed lines.
     pub fn parse_line(line: &str) -> Result<Self, LabError> {
-        serde_json::from_str(line)
-            .map_err(|e| LabError::config(format!("invalid journal line: {e}")))
+        let invalid = |e: serde_json::Error| LabError::config(format!("invalid journal line: {e}"));
+        let mut value = serde_json::parse(line).map_err(invalid)?;
+        // `metrics` reads the same from any value, so it is moved out of the
+        // parsed tree instead of deep-copied by the derived reader.
+        let metrics = match &mut value {
+            Value::Object(pairs) => pairs
+                .iter_mut()
+                .find(|(key, _)| key == "metrics")
+                .map(|(_, metrics)| std::mem::replace(metrics, Value::Null)),
+            _ => None,
+        };
+        let record: TrialRecord = serde_json::from_value(&value).map_err(invalid)?;
+        Ok(TrialRecord { metrics: metrics.unwrap_or(Value::Null), ..record })
     }
 }
 
-/// Serializes any [`Serialize`] type into a [`Value`] tree (via its JSON
-/// text — the shim has no direct value serializer).
-pub(crate) fn to_value<T: Serialize + ?Sized>(value: &T) -> Value {
-    let text = serde_json::to_string(value).expect("serialization is infallible");
-    serde_json::parse(&text).expect("serialized JSON parses")
+/// The value tree an `f64` serializes to: a number spelled in its shortest
+/// round-trip form, or `null` when it is not finite (JSON has no NaN).
+pub(crate) fn float(x: f64) -> Value {
+    if x.is_finite() {
+        Value::Number(Number::from_literal(x.to_string()))
+    } else {
+        Value::Null
+    }
 }
 
 /// RFC 7386 JSON merge patch: objects merge recursively, a `null` entry in
@@ -312,6 +367,44 @@ mod tests {
         let back = TrialRecord::parse_line(&line).expect("round trips");
         assert_eq!(back, record);
         assert_eq!(back.to_line(), line);
+    }
+
+    /// The journal line's defining formula: the whole record serialized,
+    /// parsed back and canonicalized.
+    fn whole_record_line(record: &TrialRecord) -> String {
+        canonical_json(&v(&serde_json::to_string(record).expect("serializes")))
+    }
+
+    fn record(trial_id: &str, result: HarnessResult) -> TrialRecord {
+        TrialRecord {
+            trial_id: trial_id.into(),
+            task_id: "task \"q\"\nü".into(),
+            variant: "su\\o".into(),
+            repeat: 2,
+            outcome: result.outcome,
+            objective: result.objective,
+            metrics: result.metrics,
+            error: result.error,
+        }
+    }
+
+    #[test]
+    fn lines_equal_the_whole_record_formula() {
+        let report = |f: f64| IterationReport::new(f, 0.1 + 0.2, 3.0);
+        let mut odd_objective = record("odd", HarnessResult::simulated("SU".into(), &report(1.0)));
+        let mut records = vec![
+            record("ok", HarnessResult::simulated("SU+O+C(2%)".into(), &report(1.5e-7))),
+            record("zero", HarnessResult::simulated("BASE".into(), &report(-0.0))),
+            record("big", HarnessResult::simulated("BASE".into(), &report(1e21))),
+            record("err", HarnessResult::failure("a \"quote\",\na newline, ü ✓ \u{1}".into())),
+        ];
+        for value in [f64::NAN, f64::INFINITY, -0.0, 9_007_199_254_740_993.0] {
+            odd_objective.objective = Some(Objective { name: "iteration_s".into(), value });
+            records.push(odd_objective.clone());
+        }
+        for record in &records {
+            assert_eq!(record.to_line(), whole_record_line(record), "{record:?}");
+        }
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //! campaign service, journal results, resume, shard, merge.
 
 use crate::contract::{json_merge, resolve_payload, HarnessResult, Task, TrialRecord};
-use crate::{analysis_tables, plan_trials, ExperimentPaths, LabError, PlannedTrial, Shard};
+use crate::plan::{plan_cells, TrialCell};
+use crate::{ExperimentPaths, LabError, PlannedTrial, Shard};
 use parcore::ParExecutor;
 use serde::Value;
 use smart_infinity::{CampaignService, RunSpec, ServiceConfig, ServiceReport};
 use std::collections::{HashMap, HashSet};
-use std::io::Write as _;
-use std::path::Path;
+use std::io::{BufWriter, Write};
+use std::path::{Path, PathBuf};
 use ztrain::IterationReport;
 
 /// The name of the append-only journal inside an output directory.
@@ -189,15 +190,42 @@ pub fn read_journal(path: &Path) -> Result<(Vec<TrialRecord>, Option<String>), L
     Ok((records, warning))
 }
 
-/// Rewrites the journal to exactly `records` (used to repair a torn tail
-/// before appending resumes).
-fn rewrite_journal(path: &Path, records: &[TrialRecord]) -> Result<(), LabError> {
-    let mut text = String::new();
+/// Writes `records` as canonical journal lines, one per record. A record's
+/// result entries are rendered once per run of records with equal results
+/// (the repeats of one (task, variant)), and one line buffer is reused.
+fn write_records(out: &mut impl Write, records: &[TrialRecord]) -> std::io::Result<()> {
+    let mut head: Option<(&TrialRecord, String)> = None;
+    let mut line = String::new();
     for record in records {
-        text.push_str(&record.to_line());
-        text.push('\n');
+        let entries = match head.take() {
+            Some((last, entries)) if last.same_result(record) => entries,
+            _ => record.result_entries(),
+        };
+        line.clear();
+        line.push_str(&entries);
+        record.push_identity(&mut line);
+        line.push('\n');
+        out.write_all(line.as_bytes())?;
+        head = Some((record, entries));
     }
-    std::fs::write(path, text).map_err(|e| LabError::io(path, e))
+    Ok(())
+}
+
+/// Rewrites the journal to exactly `records` (used to repair a torn tail
+/// before appending resumes). The lines go to a sibling temp file that is
+/// then renamed over the journal, so a kill during the repair leaves either
+/// the old journal or the repaired one, never a truncated one.
+fn rewrite_journal(path: &Path, records: &[TrialRecord]) -> Result<(), LabError> {
+    let mut temp = path.as_os_str().to_owned();
+    temp.push(".tmp");
+    let temp = PathBuf::from(temp);
+    let written = std::fs::File::create(&temp).and_then(|file| {
+        let mut out = BufWriter::new(file);
+        write_records(&mut out, records)?;
+        out.into_inner().map_err(|e| e.into_error())?.sync_all()
+    });
+    written.map_err(|e| LabError::io(&temp, e))?;
+    std::fs::rename(&temp, path).map_err(|e| LabError::io(path, e))
 }
 
 /// Appends `records` to the journal, one canonical line each, creating the
@@ -207,15 +235,13 @@ fn rewrite_journal(path: &Path, records: &[TrialRecord]) -> Result<(), LabError>
 ///
 /// [`LabError::Io`] when the file cannot be opened or written.
 pub fn append_records(path: &Path, records: &[TrialRecord]) -> Result<(), LabError> {
-    let mut file = std::fs::OpenOptions::new()
+    let file = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
         .open(path)
         .map_err(|e| LabError::io(path, e))?;
-    for record in records {
-        writeln!(file, "{}", record.to_line()).map_err(|e| LabError::io(path, e))?;
-    }
-    file.flush().map_err(|e| LabError::io(path, e))
+    let mut out = BufWriter::new(file);
+    write_records(&mut out, records).and_then(|()| out.flush()).map_err(|e| LabError::io(path, e))
 }
 
 /// Merges journal files: the union of their records, deduplicated by trial
@@ -276,27 +302,72 @@ pub fn resolve_trial_spec(
     defaults: Option<&Value>,
     base_dir: &Path,
 ) -> Result<RunSpec, LabError> {
-    let context = |e: LabError| {
-        LabError::config(format!(
-            "trial {} (task `{}`, variant `{}`): {e}",
-            trial.trial_id, trial.task_id, trial.variant
-        ))
-    };
-    let spec = resolve_payload(&trial.payload, base_dir).map_err(context)?;
+    let context = |e| in_trial(&trial.trial_id, &trial.task_id, &trial.variant, e);
+    let task = task_value(&trial.payload, base_dir).map_err(context)?;
+    let spec = merged_spec(&task, defaults, trial.delta.as_ref()).map_err(context)?;
+    Ok(spec.with_name(trial_name(&trial.task_id, &trial.variant, trial.repeat)))
+}
+
+/// The first step of [`resolve_trial_spec`], a function of the task alone:
+/// the task's spec as a canonical value tree.
+fn task_value(payload: &Value, base_dir: &Path) -> Result<Value, LabError> {
+    let spec = resolve_payload(payload, base_dir)?;
     // The canonical form drops unset optionals; merging the raw serialized
     // form instead would let its explicit nulls delete defaults (RFC 7386
     // treats null as removal).
-    let task_value = serde_json::parse(&spec.canonical_json()).expect("canonical JSON parses");
-    let mut effective = task_value;
-    if let Some(defaults) = defaults {
-        effective = json_merge(defaults, &effective);
+    Ok(serde_json::parse(&spec.canonical_json()).expect("canonical JSON parses"))
+}
+
+/// The second step of [`resolve_trial_spec`], a function of the task and the
+/// variant: `defaults ⊕ task ⊕ delta`, unnamed.
+fn merged_spec(
+    task: &Value,
+    defaults: Option<&Value>,
+    delta: Option<&Value>,
+) -> Result<RunSpec, LabError> {
+    let with_defaults = defaults.map(|defaults| json_merge(defaults, task));
+    let effective = with_defaults.as_ref().unwrap_or(task);
+    let with_delta = delta.map(|delta| json_merge(effective, delta));
+    serde_json::from_value(with_delta.as_ref().unwrap_or(effective))
+        .map_err(|e| LabError::config(format!("merged spec is invalid: {e}")))
+}
+
+/// A resolution failure, prefixed with the trial it failed for.
+fn in_trial(trial_id: &str, task_id: &str, variant: &str, e: LabError) -> LabError {
+    LabError::config(format!("trial {trial_id} (task `{task_id}`, variant `{variant}`): {e}"))
+}
+
+/// A resolved spec's presentation name.
+fn trial_name(task_id: &str, variant: &str, repeat: usize) -> String {
+    format!("{task_id}/{variant}#{repeat}")
+}
+
+/// [`resolve_trial_spec`] for the runner's cells, with both steps memoized:
+/// the task value once per task, the merged spec once per (task, variant).
+/// Failures are not memoized, so every trial's error names that trial.
+struct Resolver<'a> {
+    defaults: Option<&'a Value>,
+    base_dir: &'a Path,
+    tasks: HashMap<&'a str, Value>,
+    specs: HashMap<(&'a str, &'a str), RunSpec>,
+}
+
+impl<'a> Resolver<'a> {
+    fn resolve(&mut self, cell: &TrialCell<'a>) -> Result<RunSpec, LabError> {
+        let (task, variant) = (cell.task, cell.variant);
+        let context = |e| in_trial(&cell.trial_id, &task.task_id, &variant.name, e);
+        let key = (task.task_id.as_str(), variant.name.as_str());
+        if !self.specs.contains_key(&key) {
+            if !self.tasks.contains_key(key.0) {
+                self.tasks
+                    .insert(key.0, task_value(&task.payload, self.base_dir).map_err(context)?);
+            }
+            let spec = merged_spec(&self.tasks[key.0], self.defaults, variant.delta.as_ref())
+                .map_err(context)?;
+            self.specs.insert(key, spec);
+        }
+        Ok(self.specs[&key].clone().with_name(trial_name(key.0, key.1, cell.repeat)))
     }
-    if let Some(delta) = &trial.delta {
-        effective = json_merge(&effective, delta);
-    }
-    let spec: RunSpec = serde_json::from_value(&effective)
-        .map_err(|e| context(LabError::config(format!("merged spec is invalid: {e}"))))?;
-    Ok(spec.with_name(format!("{}/{}#{}", trial.task_id, trial.variant, trial.repeat)))
 }
 
 // ---------------------------------------------------------------------------
@@ -338,20 +409,16 @@ pub struct RunSummary {
 
 /// The journal record of one executed trial: the trial's identity plus the
 /// built-in harness's result for it.
-fn record_for(trial: &PlannedTrial, result: Result<RunOutcome, String>) -> TrialRecord {
-    let result = match result {
-        Ok(outcome) => HarnessResult::simulated(outcome.method, &outcome.report),
-        Err(message) => HarnessResult::failure(message),
-    };
+fn record_for(cell: &TrialCell, result: &HarnessResult) -> TrialRecord {
     TrialRecord {
-        trial_id: trial.trial_id.clone(),
-        task_id: trial.task_id.clone(),
-        variant: trial.variant.clone(),
-        repeat: trial.repeat,
-        outcome: result.outcome,
-        objective: result.objective,
-        metrics: result.metrics,
-        error: result.error,
+        trial_id: cell.trial_id.clone(),
+        task_id: cell.task.task_id.clone(),
+        variant: cell.variant.name.clone(),
+        repeat: cell.repeat,
+        outcome: result.outcome.clone(),
+        objective: result.objective.clone(),
+        metrics: result.metrics.clone(),
+        error: result.error.clone(),
     }
 }
 
@@ -373,7 +440,7 @@ pub fn run_experiment(
 ) -> Result<RunSummary, LabError> {
     let (paths, config) = ExperimentPaths::resolve(experiment)?;
     let tasks = load_tasks(&paths.tasks)?;
-    let plan = plan_trials(&tasks, &config);
+    let plan = plan_cells(&tasks, &config);
 
     std::fs::create_dir_all(out_dir).map_err(|e| LabError::io(out_dir, e))?;
     let journal_path = out_dir.join(JOURNAL_FILE);
@@ -383,13 +450,13 @@ pub fn run_experiment(
         rewrite_journal(&journal_path, &records)?;
         warnings.push(message);
     }
-    let done: HashSet<String> = records.iter().map(|r| r.trial_id.clone()).collect();
+    let done: HashSet<&str> = records.iter().map(|r| r.trial_id.as_str()).collect();
 
-    let in_scope: Vec<&PlannedTrial> =
+    let in_scope: Vec<&TrialCell> =
         plan.iter().filter(|t| options.shard.map_or(true, |s| s.owns(t.index))).collect();
-    let journaled = in_scope.iter().filter(|t| done.contains(&t.trial_id)).count();
-    let mut pending: Vec<&PlannedTrial> =
-        in_scope.iter().copied().filter(|t| !done.contains(&t.trial_id)).collect();
+    let journaled = in_scope.iter().filter(|t| done.contains(t.trial_id.as_str())).count();
+    let mut pending: Vec<&TrialCell> =
+        in_scope.iter().copied().filter(|t| !done.contains(t.trial_id.as_str())).collect();
     let halted = match options.halt_after {
         Some(limit) if pending.len() > limit => {
             pending.truncate(limit);
@@ -399,39 +466,63 @@ pub fn run_experiment(
     };
 
     // Resolve every pending trial's spec; resolution failures become error
-    // records right away, successes go to the executor.
-    let mut executed = Vec::with_capacity(pending.len());
+    // records, successes go to the executor.
+    let mut resolver = Resolver {
+        defaults: config.defaults.as_ref(),
+        base_dir: &paths.base_dir,
+        tasks: HashMap::new(),
+        specs: HashMap::new(),
+    };
     let mut batch = Vec::new();
+    let mut failures = Vec::with_capacity(pending.len());
     for trial in &pending {
-        match resolve_trial_spec(trial, config.defaults.as_ref(), &paths.base_dir) {
-            Ok(spec) => batch.push(((*trial).clone(), spec)),
-            Err(e) => executed.push(record_for(trial, Err(e.to_string()))),
+        match resolver.resolve(trial) {
+            Ok(spec) => {
+                batch.push((trial.to_planned(), spec));
+                failures.push(None);
+            }
+            Err(e) => failures.push(Some(e.to_string())),
         }
     }
     let outcomes = if batch.is_empty() { Vec::new() } else { executor.execute(&batch) };
     debug_assert_eq!(outcomes.len(), batch.len(), "executor must answer every trial");
-    for ((trial, _), outcome) in batch.iter().zip(outcomes) {
-        executed.push(record_for(trial, outcome));
-    }
     // Journal in plan order so straight-through journals need no sort to
-    // compare; the resume/shard comparisons go through canonical sort.
-    executed.sort_by_key(|record| {
-        pending
-            .iter()
-            .position(|t| t.trial_id == record.trial_id)
-            .expect("executed records come from the pending list")
-    });
+    // compare; the resume/shard comparisons go through canonical sort. Each
+    // pending trial takes its resolution failure or the executor's next
+    // outcome, and a harness result is built once per run of equal outcomes
+    // (the repeats of one (task, variant)).
+    let mut outcomes = outcomes.into_iter();
+    let mut executed = Vec::with_capacity(pending.len());
+    let mut last: Option<(Result<RunOutcome, String>, HarnessResult)> = None;
+    for (trial, failure) in pending.iter().zip(failures) {
+        let outcome = match failure {
+            Some(message) => Err(message),
+            None => outcomes.next().expect("executor must answer every trial"),
+        };
+        let result = match last.take() {
+            Some((previous, result)) if previous == outcome => result,
+            _ => match &outcome {
+                Ok(run) => HarnessResult::simulated(run.method.clone(), &run.report),
+                Err(message) => HarnessResult::failure(message.clone()),
+            },
+        };
+        executed.push(record_for(trial, &result));
+        last = Some((outcome, result));
+    }
     append_records(&journal_path, &executed)?;
     let errors = executed.iter().filter(|r| !r.is_success()).count();
-    records.extend(executed.iter().cloned());
+    let executed_count = executed.len();
+    records.extend(executed);
 
     // Analysis: only once the journal covers the full plan (a shard run of
     // N > 1 never does on its own; merge the journals first).
-    let by_id: HashMap<&str, &TrialRecord> =
-        records.iter().map(|r| (r.trial_id.as_str(), r)).collect();
-    let complete = plan.iter().all(|t| by_id.contains_key(t.trial_id.as_str()));
+    let journaled_ids: HashSet<&str> = records.iter().map(|r| r.trial_id.as_str()).collect();
+    let complete = plan.iter().all(|t| journaled_ids.contains(t.trial_id.as_str()));
     let analysis_written = if complete {
-        let tables = analysis_tables(&plan, &records)?;
+        let keys = plan
+            .iter()
+            .map(|t| (t.trial_id.as_str(), t.task.task_id.as_str(), t.variant.name.as_str()));
+        let tables = crate::analysis::tables(keys, &records)?;
         crate::write_analysis(&out_dir.join(ANALYSIS_DIR), &tables)?;
         true
     } else {
@@ -442,7 +533,7 @@ pub fn run_experiment(
         planned: plan.len(),
         in_scope: in_scope.len(),
         journaled,
-        executed: executed.len(),
+        executed: executed_count,
         errors,
         halted,
         analysis_written,

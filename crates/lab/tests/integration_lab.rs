@@ -3,9 +3,10 @@
 //! a direct `Session` run of every checked-in spec file, and the `sched`
 //! experiment's variants pinned to the engine's scheduler names.
 
+use lab::runner::append_records;
 use lab::{
-    merge_journal_lines, plan_trials, run_experiment, ExperimentConfig, FixedExecutor, RunOptions,
-    Shard, Task,
+    merge_journal_lines, plan_trials, run_experiment, ExperimentConfig, FixedExecutor, Objective,
+    RunOptions, Shard, Task, TrialRecord,
 };
 use proptest::prelude::*;
 use smart_infinity::{Campaign, MachineSpec};
@@ -196,6 +197,138 @@ fn resume_reexecutes_nothing_and_reproduces_analysis_bytes() {
             "analysis table {table}"
         );
     }
+}
+
+/// The journal line's defining formula: the whole record serialized, parsed
+/// back and canonicalized.
+fn whole_record_line(record: &TrialRecord) -> String {
+    let text = serde_json::to_string(record).expect("serializes");
+    smart_infinity::canonical_json(&serde_json::parse(&text).expect("parses"))
+}
+
+/// The bytes `append_records` writes are the whole-record lines, one per
+/// record: through runs of equal results, a change of result (so no stale
+/// rendering is reused), equal error texts and error texts that need
+/// escapes, and a second append to the same file.
+#[test]
+fn appended_lines_equal_the_whole_record_formula() {
+    let record = |trial_id: &str, outcome: Result<f64, &str>| {
+        let (objective, metrics, error) = match outcome {
+            Ok(value) => (
+                Some(Objective { name: "iteration_s".into(), value }),
+                serde_json::parse(&format!(r#"{{"method": "SU", "total_s": {value}}}"#))
+                    .expect("parses"),
+                None,
+            ),
+            Err(message) => (None, serde::Value::Object(Vec::new()), Some(message.to_string())),
+        };
+        TrialRecord {
+            trial_id: trial_id.into(),
+            task_id: "t\"1".into(),
+            variant: "ü".into(),
+            repeat: trial_id.len(),
+            outcome: if error.is_some() { "error" } else { "success" }.into(),
+            objective,
+            metrics,
+            error,
+        }
+    };
+    let first = vec![
+        record("a", Ok(1.5)),
+        record("bb", Ok(1.5)),
+        record("ccc", Ok(2.25)),
+        record("d", Ok(1.5)),
+        record("e", Err("a \"quote\",\na newline, non-ASCII ✓")),
+        record("f", Err("a \"quote\",\na newline, non-ASCII ✓")),
+        record("g", Err("another")),
+        record("h", Ok(2.25)),
+    ];
+    let second = vec![record("i", Ok(0.1 + 0.2)), record("j", Err("x"))];
+    let dir = scratch("append-lines");
+    let journal = dir.join("trials.jsonl");
+    append_records(&journal, &first).expect("first append");
+    append_records(&journal, &second).expect("second append");
+    let expected: String =
+        first.iter().chain(&second).map(|r| whole_record_line(r) + "\n").collect();
+    assert_eq!(read(&journal), expected);
+}
+
+/// A trial whose spec fails to resolve is journaled as an `error` record,
+/// and every repeat's error names that repeat's own trial id: a failure is
+/// never answered from the memo of an earlier repeat. Covers a campaign ref
+/// to a missing file (the task step fails) and a delta that leaves the spec
+/// malformed (the merge step fails).
+#[test]
+fn each_repeat_of_an_unresolvable_trial_journals_its_own_id() {
+    let exp = scratch("unresolvable-exp");
+    std::fs::write(
+        exp.join("experiment.json"),
+        r#"{"name": "unresolvable", "repeats": 3,
+            "variants": [{"name": "as_is"},
+                         {"name": "bad", "delta": {"machine": {"devices": "many"}}}]}"#,
+    )
+    .expect("write config");
+    std::fs::write(
+        exp.join("tasks.jsonl"),
+        concat!(
+            r#"{"task_id": "ok", "model": "GPT2-0.34B", "machine": {"devices": 2}, "method": {"offload": true, "in_storage_update": false, "overlap": false, "pipelined": false}}"#,
+            "\n",
+            r#"{"task_id": "gone", "campaign": "missing.json", "index": 0}"#,
+            "\n",
+        ),
+    )
+    .expect("write tasks");
+    let out = scratch("unresolvable-out");
+    let summary = run_experiment(&exp, &out, &RunOptions::default(), &mut FixedExecutor)
+        .expect("per-trial failures do not fail the run");
+    // `ok/as_is` succeeds; `ok/bad`, `gone/as_is` and `gone/bad` fail, 3 repeats each.
+    assert_eq!((summary.planned, summary.errors), (12, 9));
+
+    let text = read(&out.join("trials.jsonl"));
+    let (records, warning) = lab::read_journal(&out.join("trials.jsonl")).expect("journal");
+    assert!(warning.is_none());
+    let expected: String = records.iter().map(|r| whole_record_line(r) + "\n").collect();
+    assert_eq!(text, expected);
+    let ids: Vec<&str> = records.iter().map(|r| r.trial_id.as_str()).collect();
+    for record in records.iter().filter(|r| !r.is_success()) {
+        let error = record.error.as_deref().expect("error records carry their error");
+        assert!(error.starts_with(&format!("trial {} (", record.trial_id)), "{error}");
+        let named: Vec<&&str> = ids.iter().filter(|id| error.contains(**id)).collect();
+        assert_eq!(named, vec![&record.trial_id.as_str()], "{error}");
+    }
+}
+
+/// A journal with a torn final line (a kill mid-append) is repaired before
+/// the resume appends: the repaired and completed journal equals the
+/// straight run's, the warning names the dropped line, and the sibling
+/// temp file the repair writes through is renamed away.
+#[test]
+fn a_torn_journal_is_repaired_through_a_renamed_sibling() {
+    let straight = scratch("torn-straight");
+    run_experiment(Path::new(MINI), &straight, &RunOptions::default(), &mut FixedExecutor)
+        .expect("straight run");
+
+    let torn = scratch("torn-resumed");
+    let options = RunOptions { shard: None, halt_after: Some(3) };
+    run_experiment(Path::new(MINI), &torn, &options, &mut FixedExecutor).expect("halted run");
+    let journal = torn.join("trials.jsonl");
+    let mut text = read(&journal);
+    text.push_str(r#"{"error":"half a li"#);
+    std::fs::write(&journal, text).expect("tear the journal");
+
+    let finish = run_experiment(Path::new(MINI), &torn, &RunOptions::default(), &mut FixedExecutor)
+        .expect("resume run");
+    assert_eq!(finish.journaled, 3);
+    assert_eq!(finish.executed, finish.planned - 3);
+    assert_eq!(finish.warnings.len(), 1, "{:?}", finish.warnings);
+    assert!(finish.warnings[0].contains("torn final journal line"), "{:?}", finish.warnings);
+    assert_eq!(read(&journal), read(&straight.join("trials.jsonl")));
+    let mut entries: Vec<String> = std::fs::read_dir(&torn)
+        .expect("listable")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    entries.sort();
+    assert_eq!(entries, ["analysis", "trials.jsonl"]);
 }
 
 // ---------------------------------------------------------------------------

@@ -89,6 +89,24 @@ fn write_canonical(value: &Value, out: &mut String) {
     }
 }
 
+/// Appends the canonical spelling of a finite `x`: the text
+/// [`canonical_json`] renders for the number `x` serializes to, formatted
+/// once instead of serialized and re-rendered. (A non-finite `f64`
+/// serializes to `null`, so it has no number spelling; a canonical object
+/// drops such an entry.)
+pub fn push_canonical_f64(out: &mut String, x: f64) {
+    debug_assert!(x.is_finite(), "{x} serializes to null, not a number");
+    // `Display` spells a finite f64 as its shortest round-trip decimal,
+    // without an exponent or a trailing `.0`, which `canonical_number` keeps
+    // as it is — except `-0`, which it spells as the integer 0.
+    if x == 0.0 {
+        out.push('0');
+    } else {
+        use std::fmt::Write as _;
+        write!(out, "{x}").expect("writing to a String cannot fail");
+    }
+}
+
 /// One canonical spelling per numeric value: integers in range render through
 /// `u64`/`i64` (so `1`, `1.0` and `1e0` agree and large seeds stay exact),
 /// everything else through `f64`'s shortest round-trip form.
@@ -147,6 +165,32 @@ mod tests {
         assert_eq!(canon("[-3, -3.0]"), "[-3,-3]");
         // u64 seeds outside the exact-f64 range stay exact.
         assert_eq!(canon("[18446744073709551615]"), "[18446744073709551615]");
+    }
+
+    #[test]
+    fn f64_spellings_match_the_rendered_serialization() {
+        let values = [
+            0.0,
+            -0.0,
+            1.0,
+            -3.0,
+            0.1 + 0.2,
+            1.5e-7,
+            5e-324,
+            f64::MIN_POSITIVE,
+            9_007_199_254_740_992.0,
+            -9_007_199_254_740_993.0,
+            1e17,
+            1e21,
+            -1e300,
+            f64::MAX,
+            f64::MIN,
+        ];
+        for x in values {
+            let mut spelled = String::new();
+            push_canonical_f64(&mut spelled, x);
+            assert_eq!(spelled, canonical_number(&x.to_string()), "{x:e}");
+        }
     }
 
     #[test]

@@ -102,7 +102,7 @@ mod spec;
 mod traffic;
 
 pub use campaign::{Campaign, CampaignRef};
-pub use canon::{canonical_json, fnv1a};
+pub use canon::{canonical_json, fnv1a, push_canonical_f64};
 pub use cluster::{ClusterSpec, StragglerSpec};
 pub use engine_timed::{HandlerMode, PipelineTiming, SmartInfinityEngine};
 pub use sched::method_scheduler;
