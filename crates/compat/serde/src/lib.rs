@@ -166,38 +166,67 @@ impl<K: std::fmt::Display, V: Serialize> Serialize for std::collections::BTreeMa
 // ---------------------------------------------------------------------------
 
 /// A JSON number, kept as its source text so integers outside the exact-`f64`
-/// range (e.g. large `u64` seeds) survive a round trip losslessly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Number(String);
+/// range (e.g. large `u64` seeds) survive a round trip losslessly. A literal
+/// of up to 30 bytes (any `u64` or `i64`, or a 17-digit `f64` in exponent
+/// form) is stored in place, so parsing one allocates nothing, and a
+/// [`Value`] stays 32 bytes.
+#[derive(Clone, PartialEq)]
+pub struct Number(Literal);
+
+#[derive(Clone, PartialEq)]
+enum Literal {
+    Inline { len: u8, bytes: [u8; Number::INLINE] },
+    Heap(String),
+}
 
 impl Number {
+    /// The longest literal stored in place.
+    const INLINE: usize = 30;
+
     /// Wraps an already-validated JSON number literal.
     ///
     /// The text must match the JSON number grammar; the parser in the
     /// `serde_json` shim guarantees this for parsed documents.
-    pub fn from_literal(text: impl Into<String>) -> Self {
-        Number(text.into())
+    pub fn from_literal(text: impl AsRef<str> + Into<String>) -> Self {
+        let short = text.as_ref().as_bytes();
+        if short.len() <= Self::INLINE {
+            let mut bytes = [0; Self::INLINE];
+            bytes[..short.len()].copy_from_slice(short);
+            return Number(Literal::Inline { len: short.len() as u8, bytes });
+        }
+        Number(Literal::Heap(text.into()))
     }
 
     /// The source text of the number.
     pub fn as_literal(&self) -> &str {
-        &self.0
+        match &self.0 {
+            Literal::Inline { len, bytes } => std::str::from_utf8(&bytes[..usize::from(*len)])
+                .expect("an inline literal is copied from a str"),
+            Literal::Heap(text) => text,
+        }
     }
 
     /// The number as an `f64` (always succeeds for JSON numbers, with the
     /// usual rounding for values outside the exact range).
     pub fn as_f64(&self) -> f64 {
-        self.0.parse().unwrap_or(f64::NAN)
+        self.as_literal().parse().unwrap_or(f64::NAN)
     }
 
     /// The number as a `u64`, if it is a non-negative integer in range.
     pub fn as_u64(&self) -> Option<u64> {
-        self.0.parse().ok()
+        self.as_literal().parse().ok()
     }
 
     /// The number as an `i64`, if it is an integer in range.
     pub(crate) fn as_i64(&self) -> Option<i64> {
-        self.0.parse().ok()
+        self.as_literal().parse().ok()
+    }
+}
+
+/// Shows the literal, as a `Number(String)` would.
+impl std::fmt::Debug for Number {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Number").field(&self.as_literal()).finish()
     }
 }
 
@@ -540,6 +569,22 @@ pub fn write_json_string(s: &str, out: &mut String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn number_literals_keep_their_text_stored_in_place_or_not() {
+        let long = "1.00000000000000000000000000000001";
+        for text in ["0", "-7", "18446744073709551615", "-2.2250738585072014e-308", long] {
+            let n = Number::from_literal(text);
+            assert_eq!(n.as_literal(), text);
+            assert_eq!(n, Number::from_literal(text.to_string()));
+            assert_eq!(format!("{n:?}"), format!("Number({text:?})"));
+            assert!(matches!(n.0, Literal::Inline { .. }) == (text.len() <= Number::INLINE));
+        }
+        assert_ne!(Number::from_literal("1"), Number::from_literal("1.0"));
+        assert_eq!(std::mem::size_of::<Value>(), 32);
+        assert_eq!(Number::from_literal("18446744073709551615").as_u64(), Some(u64::MAX));
+        assert_eq!(Number::from_literal(long).as_f64(), 1.0);
+    }
 
     #[test]
     fn primitives_render_as_json() {

@@ -26,9 +26,9 @@
 //!
 //! # fn main() -> Result<(), fabric::FabricError> {
 //! let mut topo = Topology::new();
-//! let host = topo.add_node("host", NodeKind::Host);
-//! let sw = topo.add_node("switch", NodeKind::Switch);
-//! let ssd = topo.add_node("ssd0", NodeKind::SsdPort);
+//! let host = topo.add_node(NodeKind::Host);
+//! let sw = topo.add_node(NodeKind::Switch);
+//! let ssd = topo.add_node(NodeKind::SsdPort);
 //! topo.connect(host, sw, 16e9)?;
 //! topo.connect(sw, ssd, 3.3e9)?;
 //!
@@ -61,12 +61,12 @@ mod tests {
     #[test]
     fn shared_uplink_limits_aggregate_bandwidth() {
         let mut topo = Topology::new();
-        let host = topo.add_node("host", NodeKind::Host);
-        let sw = topo.add_node("sw", NodeKind::Switch);
+        let host = topo.add_node(NodeKind::Host);
+        let sw = topo.add_node(NodeKind::Switch);
         topo.connect(host, sw, 10.0).unwrap();
         let mut ssds = Vec::new();
-        for i in 0..4 {
-            let ssd = topo.add_node(format!("ssd{i}"), NodeKind::SsdPort);
+        for _ in 0..4 {
+            let ssd = topo.add_node(NodeKind::SsdPort);
             topo.connect(sw, ssd, 6.0).unwrap();
             ssds.push(ssd);
         }
@@ -86,11 +86,11 @@ mod tests {
     #[test]
     fn p2p_inside_switch_does_not_use_uplink() {
         let mut topo = Topology::new();
-        let host = topo.add_node("host", NodeKind::Host);
-        let sw = topo.add_node("sw", NodeKind::Switch);
+        let host = topo.add_node(NodeKind::Host);
+        let sw = topo.add_node(NodeKind::Switch);
         let up = topo.connect(host, sw, 1.0).unwrap();
-        let a = topo.add_node("fpga", NodeKind::FpgaPort);
-        let b = topo.add_node("ssd", NodeKind::SsdPort);
+        let a = topo.add_node(NodeKind::FpgaPort);
+        let b = topo.add_node(NodeKind::SsdPort);
         topo.connect(sw, a, 8.0).unwrap();
         topo.connect(sw, b, 8.0).unwrap();
         let path = topo.route(a, b).unwrap();

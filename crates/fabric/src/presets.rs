@@ -102,14 +102,22 @@ impl PlatformSpec {
     /// Returns [`FabricError::InvalidEdge`] if any configured bandwidth is
     /// non-positive.
     pub fn build(&self) -> Result<Platform, FabricError> {
+        // Host, expansion switch and uplink, one node and link per GPU, and
+        // per device one (SSD) or three (CSD: switch, SSD, FPGA) of each.
+        let per_device = match self.storage {
+            StorageKind::PlainSsd => 1,
+            StorageKind::Csd => 3,
+        };
+        let links = 1 + self.num_gpus + per_device * self.num_devices;
         let mut topo = Topology::new();
-        let host = topo.add_node("host", NodeKind::Host);
-        let expansion = topo.add_node("expansion-switch", NodeKind::Switch);
+        topo.reserve(links + 1, links);
+        let host = topo.add_node(NodeKind::Host);
+        let expansion = topo.add_node(NodeKind::Switch);
         topo.connect(host, expansion, self.rates.host_uplink)?;
 
         let mut gpus = Vec::with_capacity(self.num_gpus);
-        for g in 0..self.num_gpus {
-            let gpu = topo.add_node(format!("gpu{g}"), NodeKind::Gpu);
+        for _ in 0..self.num_gpus {
+            let gpu = topo.add_node(NodeKind::Gpu);
             match self.topology {
                 TopologyKind::Default => topo.connect(host, gpu, self.rates.gpu_link)?,
                 TopologyKind::Congested => topo.connect(expansion, gpu, self.rates.gpu_link)?,
@@ -118,19 +126,19 @@ impl PlatformSpec {
         }
 
         let mut devices = Vec::with_capacity(self.num_devices);
-        for d in 0..self.num_devices {
+        for _ in 0..self.num_devices {
             match self.storage {
                 StorageKind::PlainSsd => {
-                    let ssd = topo.add_node(format!("ssd{d}"), NodeKind::SsdPort);
+                    let ssd = topo.add_node(NodeKind::SsdPort);
                     topo.connect(expansion, ssd, self.rates.device_link)?;
                     devices.push(DevicePorts { ssd, fpga: None, internal_switch: None });
                 }
                 StorageKind::Csd => {
-                    let internal = topo.add_node(format!("csd{d}-switch"), NodeKind::Switch);
+                    let internal = topo.add_node(NodeKind::Switch);
                     topo.connect(expansion, internal, self.rates.device_link)?;
-                    let ssd = topo.add_node(format!("csd{d}-ssd"), NodeKind::SsdPort);
+                    let ssd = topo.add_node(NodeKind::SsdPort);
                     topo.connect(internal, ssd, self.rates.csd_internal_ssd)?;
-                    let fpga = topo.add_node(format!("csd{d}-fpga"), NodeKind::FpgaPort);
+                    let fpga = topo.add_node(NodeKind::FpgaPort);
                     topo.connect(internal, fpga, self.rates.csd_internal_fpga)?;
                     devices.push(DevicePorts {
                         ssd,

@@ -7,7 +7,6 @@
 use crate::error::FabricError;
 use serde::{Deserialize, Serialize};
 use simkit::{LinkId, Simulation};
-use std::collections::VecDeque;
 
 /// Identifier of a node (endpoint or switch) in a [`Topology`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -49,20 +48,16 @@ pub enum NodeKind {
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
-struct Node {
-    name: String,
-    kind: NodeKind,
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
 struct Edge {
     a: NodeId,
     b: NodeId,
     bandwidth: f64,
-    name: String,
 }
 
 /// An undirected graph of PCIe endpoints, switches and links.
+///
+/// Nodes are identified by id and role, edges by id; platform builders keep
+/// the ids of the nodes they name (see [`crate::Platform`]).
 ///
 /// Links are undirected and full-duplex is *not* modeled separately: the paper's
 /// contention effects (shared uplink saturation) are per-direction dominated by
@@ -72,9 +67,8 @@ struct Edge {
 /// media links appended to flow paths.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Topology {
-    nodes: Vec<Node>,
+    nodes: Vec<NodeKind>,
     edges: Vec<Edge>,
-    adjacency: Vec<Vec<(NodeId, EdgeId)>>,
 }
 
 impl Topology {
@@ -83,10 +77,15 @@ impl Topology {
         Self::default()
     }
 
-    /// Adds a node with the given display name and role.
-    pub fn add_node(&mut self, name: impl Into<String>, kind: NodeKind) -> NodeId {
-        self.nodes.push(Node { name: name.into(), kind });
-        self.adjacency.push(Vec::new());
+    /// Makes room for `nodes` more nodes and `edges` more edges.
+    pub(crate) fn reserve(&mut self, nodes: usize, edges: usize) {
+        self.nodes.reserve(nodes);
+        self.edges.reserve(edges);
+    }
+
+    /// Adds a node with the given role.
+    pub fn add_node(&mut self, kind: NodeKind) -> NodeId {
+        self.nodes.push(kind);
         NodeId(self.nodes.len() - 1)
     }
 
@@ -107,12 +106,8 @@ impl Topology {
                 message: format!("bandwidth must be positive, got {bandwidth}"),
             });
         }
-        let name = format!("{}<->{}", self.nodes[a.0].name, self.nodes[b.0].name);
-        self.edges.push(Edge { a, b, bandwidth, name });
-        let id = EdgeId(self.edges.len() - 1);
-        self.adjacency[a.0].push((b, id));
-        self.adjacency[b.0].push((a, id));
-        Ok(id)
+        self.edges.push(Edge { a, b, bandwidth });
+        Ok(EdgeId(self.edges.len() - 1))
     }
 
     /// Number of nodes.
@@ -128,12 +123,6 @@ impl Topology {
     /// Bandwidth of an edge in bytes per second (per direction).
     pub fn edge_bandwidth(&self, edge: EdgeId) -> f64 {
         self.edges[edge.0].bandwidth
-    }
-
-    /// The two endpoints of an edge, in the order they were connected.
-    pub(crate) fn edge_endpoints(&self, edge: EdgeId) -> (NodeId, NodeId) {
-        let e = &self.edges[edge.0];
-        (e.a, e.b)
     }
 
     /// Degrades an edge to `factor` of its current bandwidth (a flaky or
@@ -161,17 +150,12 @@ impl Topology {
     /// physical link — e.g. the shared host uplink — so its per-stage
     /// occupancy can be queried from a simulation timeline.
     pub fn edge_between(&self, a: NodeId, b: NodeId) -> Option<EdgeId> {
-        self.adjacency.get(a.0)?.iter().find(|&&(next, _)| next == b).map(|&(_, edge)| edge)
+        self.edges.iter().position(|e| (e.a, e.b) == (a, b) || (e.a, e.b) == (b, a)).map(EdgeId)
     }
 
     /// All nodes of a given kind, in creation order.
     pub fn nodes_of_kind(&self, kind: NodeKind) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.kind == kind)
-            .map(|(i, _)| NodeId(i))
-            .collect()
+        (0..self.nodes.len()).filter(|&i| self.nodes[i] == kind).map(NodeId).collect()
     }
 
     /// Shortest path (fewest hops) between two nodes, as a list of edges.
@@ -181,38 +165,10 @@ impl Topology {
     /// Returns [`FabricError::UnknownNode`] for invalid ids and
     /// [`FabricError::NoRoute`] if the nodes are disconnected.
     pub fn route(&self, from: NodeId, to: NodeId) -> Result<Vec<EdgeId>, FabricError> {
-        self.check_node(from)?;
-        self.check_node(to)?;
-        if from == to {
-            return Ok(Vec::new());
-        }
-        let mut prev: Vec<Option<(NodeId, EdgeId)>> = vec![None; self.nodes.len()];
-        let mut visited = vec![false; self.nodes.len()];
-        let mut queue = VecDeque::new();
-        visited[from.0] = true;
-        queue.push_back(from);
-        while let Some(cur) = queue.pop_front() {
-            if cur == to {
-                break;
-            }
-            for &(next, edge) in &self.adjacency[cur.0] {
-                if !visited[next.0] {
-                    visited[next.0] = true;
-                    prev[next.0] = Some((cur, edge));
-                    queue.push_back(next);
-                }
-            }
-        }
-        if !visited[to.0] {
-            return Err(FabricError::NoRoute { from: from.0, to: to.0 });
-        }
+        let adjacency = Adjacency::of(self);
+        let mut search = Search::new(self.nodes.len());
         let mut path = Vec::new();
-        let mut cur = to;
-        while cur != from {
-            let (p, e) = prev[cur.0].expect("BFS predecessor must exist on reached node");
-            path.push(e);
-            cur = p;
-        }
+        search.walk(&adjacency, from, to, |edge, _| path.push(edge))?;
         path.reverse();
         Ok(path)
     }
@@ -229,13 +185,13 @@ impl Topology {
         let links = self
             .edges
             .iter()
-            .map(|e| {
-                let fwd = sim.add_link(format!("{}:fwd", e.name), e.bandwidth);
-                let rev = sim.add_link(format!("{}:rev", e.name), e.bandwidth);
-                (fwd, rev)
-            })
+            .map(|e| (sim.add_link(e.bandwidth), sim.add_link(e.bandwidth)))
             .collect();
-        InstalledFabric { topology: self.clone(), links }
+        InstalledFabric {
+            links,
+            adjacency: Adjacency::of(self),
+            search: Search::new(self.nodes.len()),
+        }
     }
 
     fn check_node(&self, node: NodeId) -> Result<(), FabricError> {
@@ -255,6 +211,109 @@ impl Topology {
     }
 }
 
+/// Every node's incident edges in one flat list: node `n`'s are
+/// `entries[start[n]..start[n + 1]]`, in edge creation order (the order the
+/// search visits them), each as `(neighbour, edge, forward)` where
+/// `forward` says the edge is crossed from its first endpoint to its second.
+#[derive(Debug, Clone)]
+struct Adjacency {
+    start: Vec<usize>,
+    entries: Vec<(NodeId, EdgeId, bool)>,
+}
+
+impl Adjacency {
+    fn of(topology: &Topology) -> Self {
+        let n = topology.nodes.len();
+        let mut start = vec![0usize; n + 1];
+        for e in &topology.edges {
+            start[e.a.0 + 1] += 1;
+            start[e.b.0 + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut fill = start[..n].to_vec();
+        let mut entries = vec![(NodeId(0), EdgeId(0), false); start[n]];
+        for (id, e) in topology.edges.iter().enumerate() {
+            entries[fill[e.a.0]] = (e.b, EdgeId(id), true);
+            fill[e.a.0] += 1;
+            entries[fill[e.b.0]] = (e.a, EdgeId(id), false);
+            fill[e.b.0] += 1;
+        }
+        Self { start, entries }
+    }
+
+    fn of_node(&self, node: NodeId) -> &[(NodeId, EdgeId, bool)] {
+        &self.entries[self.start[node.0]..self.start[node.0 + 1]]
+    }
+}
+
+/// Breadth-first search state, sized once per topology and reused: the
+/// fewest-hop search visits neighbours in edge creation order, so the path it
+/// finds between two nodes is always the same.
+#[derive(Debug, Clone)]
+struct Search {
+    visited: Vec<bool>,
+    /// The `(node, edge, forward)` step each reached node was reached by.
+    prev: Vec<(NodeId, EdgeId, bool)>,
+    queue: Vec<NodeId>,
+}
+
+impl Search {
+    fn new(nodes: usize) -> Self {
+        Self {
+            visited: vec![false; nodes],
+            prev: vec![(NodeId(0), EdgeId(0), false); nodes],
+            queue: Vec::with_capacity(nodes),
+        }
+    }
+
+    /// Searches from `from` until `to` is reached, then hands `visit` each
+    /// edge of the path with its direction, from `to` back to `from`.
+    fn walk(
+        &mut self,
+        adjacency: &Adjacency,
+        from: NodeId,
+        to: NodeId,
+        mut visit: impl FnMut(EdgeId, bool),
+    ) -> Result<(), FabricError> {
+        let n = self.visited.len();
+        for node in [from, to] {
+            if node.0 >= n {
+                return Err(FabricError::UnknownNode { index: node.0 });
+            }
+        }
+        self.visited.fill(false);
+        self.queue.clear();
+        self.visited[from.0] = true;
+        self.queue.push(from);
+        let mut head = 0;
+        while let Some(&cur) = self.queue.get(head) {
+            head += 1;
+            if cur == to {
+                break;
+            }
+            for &(next, edge, forward) in adjacency.of_node(cur) {
+                if !self.visited[next.0] {
+                    self.visited[next.0] = true;
+                    self.prev[next.0] = (cur, edge, forward);
+                    self.queue.push(next);
+                }
+            }
+        }
+        if !self.visited[to.0] {
+            return Err(FabricError::NoRoute { from: from.0, to: to.0 });
+        }
+        let mut cur = to;
+        while cur != from {
+            let (p, edge, forward) = self.prev[cur.0];
+            visit(edge, forward);
+            cur = p;
+        }
+        Ok(())
+    }
+}
+
 /// A topology whose edges have been registered with a [`Simulation`].
 ///
 /// Produced by [`Topology::install`]; translates endpoint pairs into
@@ -262,8 +321,9 @@ impl Topology {
 /// backed by two directional capacities (PCIe full duplex).
 #[derive(Debug, Clone)]
 pub struct InstalledFabric {
-    topology: Topology,
     links: Vec<(LinkId, LinkId)>,
+    adjacency: Adjacency,
+    search: Search,
 }
 
 impl InstalledFabric {
@@ -275,21 +335,42 @@ impl InstalledFabric {
     ///
     /// Same conditions as [`Topology::route`].
     pub fn path(&self, from: NodeId, to: NodeId) -> Result<Vec<LinkId>, FabricError> {
-        let edges = self.topology.route(from, to)?;
-        let mut current = from;
-        let mut path = Vec::with_capacity(edges.len());
-        for edge in edges {
-            let (a, b) = self.topology.edge_endpoints(edge);
-            let (fwd, rev) = self.links[edge.index()];
-            if current == a {
-                path.push(fwd);
-                current = b;
-            } else {
-                path.push(rev);
-                current = a;
-            }
-        }
+        let mut path = Vec::new();
+        let mut search = Search::new(self.search.visited.len());
+        Self::walk(&self.links, &self.adjacency, &mut search, from, to, &mut path)?;
         Ok(path)
+    }
+
+    /// Appends the links of [`InstalledFabric::path`] to `out`, with the
+    /// search state this fabric keeps: no allocation beyond `out`'s growth.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Topology::route`]; `out` is left as it was.
+    pub fn extend_path(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        out: &mut Vec<LinkId>,
+    ) -> Result<(), FabricError> {
+        Self::walk(&self.links, &self.adjacency, &mut self.search, from, to, out)
+    }
+
+    fn walk(
+        links: &[(LinkId, LinkId)],
+        adjacency: &Adjacency,
+        search: &mut Search,
+        from: NodeId,
+        to: NodeId,
+        out: &mut Vec<LinkId>,
+    ) -> Result<(), FabricError> {
+        let start = out.len();
+        search.walk(adjacency, from, to, |edge, forward| {
+            let (fwd, rev) = links[edge.0];
+            out.push(if forward { fwd } else { rev });
+        })?;
+        out[start..].reverse();
+        Ok(())
     }
 
     /// The pair of directional simulation links backing a topology edge
@@ -297,22 +378,25 @@ impl InstalledFabric {
     pub fn links_of_edge(&self, edge: EdgeId) -> (LinkId, LinkId) {
         self.links[edge.index()]
     }
-
-    /// The underlying topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    impl Topology {
+        /// The two endpoints of an edge, in the order they were connected.
+        fn edge_endpoints(&self, edge: EdgeId) -> (NodeId, NodeId) {
+            let e = &self.edges[edge.0];
+            (e.a, e.b)
+        }
+    }
+
     fn line_topology() -> (Topology, NodeId, NodeId, NodeId) {
         let mut t = Topology::new();
-        let a = t.add_node("a", NodeKind::Host);
-        let b = t.add_node("b", NodeKind::Switch);
-        let c = t.add_node("c", NodeKind::SsdPort);
+        let a = t.add_node(NodeKind::Host);
+        let b = t.add_node(NodeKind::Switch);
+        let c = t.add_node(NodeKind::SsdPort);
         t.connect(a, b, 10.0).unwrap();
         t.connect(b, c, 5.0).unwrap();
         (t, a, b, c)
@@ -336,10 +420,10 @@ mod tests {
     #[test]
     fn route_prefers_fewest_hops() {
         let mut t = Topology::new();
-        let a = t.add_node("a", NodeKind::Host);
-        let b = t.add_node("b", NodeKind::Switch);
-        let c = t.add_node("c", NodeKind::Switch);
-        let d = t.add_node("d", NodeKind::SsdPort);
+        let a = t.add_node(NodeKind::Host);
+        let b = t.add_node(NodeKind::Switch);
+        let c = t.add_node(NodeKind::Switch);
+        let d = t.add_node(NodeKind::SsdPort);
         // Long path a-b-c-d and a direct shortcut a-d.
         t.connect(a, b, 1.0).unwrap();
         t.connect(b, c, 1.0).unwrap();
@@ -351,16 +435,16 @@ mod tests {
     #[test]
     fn disconnected_nodes_have_no_route() {
         let mut t = Topology::new();
-        let a = t.add_node("a", NodeKind::Host);
-        let b = t.add_node("b", NodeKind::SsdPort);
+        let a = t.add_node(NodeKind::Host);
+        let b = t.add_node(NodeKind::SsdPort);
         assert_eq!(t.route(a, b), Err(FabricError::NoRoute { from: 0, to: 1 }));
     }
 
     #[test]
     fn invalid_edges_are_rejected() {
         let mut t = Topology::new();
-        let a = t.add_node("a", NodeKind::Host);
-        let b = t.add_node("b", NodeKind::SsdPort);
+        let a = t.add_node(NodeKind::Host);
+        let b = t.add_node(NodeKind::SsdPort);
         assert!(matches!(t.connect(a, a, 1.0), Err(FabricError::InvalidEdge { .. })));
         assert!(matches!(t.connect(a, b, 0.0), Err(FabricError::InvalidEdge { .. })));
         assert!(matches!(t.connect(a, b, f64::NAN), Err(FabricError::InvalidEdge { .. })));
@@ -421,7 +505,6 @@ mod tests {
         assert_eq!(sim.link_bandwidth(down[1]), 5.0);
         // Opposite directions of the same edge use different capacities.
         assert!(down.iter().all(|l| !up.contains(l)));
-        assert_eq!(inst.topology().node_count(), 3);
         assert_eq!(t.edge_endpoints(t.route(a, c).unwrap()[0]).0, a);
     }
 
@@ -436,5 +519,114 @@ mod tests {
         // Each direction gets the full 5 B/s of the bottleneck edge.
         assert!((tl.finish_time(down) - 10.0).abs() < 1e-9);
         assert!((tl.finish_time(up) - 10.0).abs() < 1e-9);
+    }
+
+    /// Fewest-hop routing as it was before the flat adjacency and the
+    /// reused search state: one `Vec` of `(neighbour, edge)` per node in
+    /// edge creation order, a fresh BFS per route, and the direction of
+    /// each edge recovered by walking the path. The reference the routes
+    /// are held to.
+    fn reference_path(t: &Topology, from: NodeId, to: NodeId) -> Result<Vec<EdgeId>, FabricError> {
+        let n = t.node_count();
+        for node in [from, to] {
+            if node.0 >= n {
+                return Err(FabricError::UnknownNode { index: node.0 });
+            }
+        }
+        if from == to {
+            return Ok(Vec::new());
+        }
+        let mut adjacency: Vec<Vec<(NodeId, EdgeId)>> = vec![Vec::new(); n];
+        for (id, e) in t.edges.iter().enumerate() {
+            adjacency[e.a.0].push((e.b, EdgeId(id)));
+            adjacency[e.b.0].push((e.a, EdgeId(id)));
+        }
+        let mut prev: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
+        let mut visited = vec![false; n];
+        let mut queue = std::collections::VecDeque::new();
+        visited[from.0] = true;
+        queue.push_back(from);
+        while let Some(cur) = queue.pop_front() {
+            if cur == to {
+                break;
+            }
+            for &(next, edge) in &adjacency[cur.0] {
+                if !visited[next.0] {
+                    visited[next.0] = true;
+                    prev[next.0] = Some((cur, edge));
+                    queue.push_back(next);
+                }
+            }
+        }
+        if !visited[to.0] {
+            return Err(FabricError::NoRoute { from: from.0, to: to.0 });
+        }
+        let mut path = Vec::new();
+        let mut cur = to;
+        while cur != from {
+            let (p, e) = prev[cur.0].expect("reached");
+            path.push(e);
+            cur = p;
+        }
+        path.reverse();
+        Ok(path)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 256,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Over random multigraphs (parallel edges, both orientations,
+        /// unreachable nodes), every ordered node pair and an unknown node:
+        /// `Topology::route` returns the reference's edges, and one installed
+        /// fabric, its search state reused from query to query, appends the
+        /// directional links of those edges, the same as `path` returns.
+        #[test]
+        fn routes_equal_the_reference_bfs_for_every_pair(
+            n in 1usize..12,
+            pairs in proptest::collection::vec((0usize..12, 0usize..12), 0..24),
+        ) {
+            let mut t = Topology::new();
+            for _ in 0..n {
+                t.add_node(NodeKind::Switch);
+            }
+            for (a, b) in pairs {
+                let _ = t.connect(NodeId(a % n), NodeId(b % (n + 1)), 1.0 + a as f64);
+            }
+            let mut sim = Simulation::new();
+            let mut inst = t.install(&mut sim);
+            let sentinel = sim.add_link(1.0);
+            let mut out = vec![sentinel];
+            for from in (0..=n).map(NodeId) {
+                for to in (0..=n).map(NodeId) {
+                    let want = reference_path(&t, from, to);
+                    proptest::prop_assert_eq!(&t.route(from, to), &want);
+                    let want_links = want.map(|edges| {
+                        let mut current = from;
+                        edges
+                            .iter()
+                            .map(|&e| {
+                                let (a, b) = t.edge_endpoints(e);
+                                let (fwd, rev) = inst.links_of_edge(e);
+                                if current == a {
+                                    current = b;
+                                    fwd
+                                } else {
+                                    current = a;
+                                    rev
+                                }
+                            })
+                            .collect::<Vec<_>>()
+                    });
+                    proptest::prop_assert_eq!(&inst.path(from, to), &want_links);
+                    let appended = inst.extend_path(from, to, &mut out).map(|()| out[1..].to_vec());
+                    proptest::prop_assert_eq!(&appended, &want_links);
+                    proptest::prop_assert_eq!(out[0], sentinel);
+                    out.truncate(1);
+                }
+            }
+        }
     }
 }

@@ -256,17 +256,52 @@ impl TrialRecord {
     pub fn parse_line(line: &str) -> Result<Self, LabError> {
         let invalid = |e: serde_json::Error| LabError::config(format!("invalid journal line: {e}"));
         let mut value = serde_json::parse(line).map_err(invalid)?;
-        // `metrics` reads the same from any value, so it is moved out of the
-        // parsed tree instead of deep-copied by the derived reader.
-        let metrics = match &mut value {
-            Value::Object(pairs) => pairs
-                .iter_mut()
-                .find(|(key, _)| key == "metrics")
-                .map(|(_, metrics)| std::mem::replace(metrics, Value::Null)),
-            _ => None,
+        // The derived reader copies every string and tree it reads. The
+        // record's strings and its metrics are moved out of the parsed line
+        // first, leaving empty strings (still type-checked, copied for free)
+        // and a null, and moved into the record after it is read.
+        let mut metrics = Value::Null;
+        let mut strings: [(&str, String); 6] = [
+            ("trial_id", String::new()),
+            ("task_id", String::new()),
+            ("variant", String::new()),
+            ("outcome", String::new()),
+            ("error", String::new()),
+            ("name", String::new()),
+        ];
+        let mut take = |pairs: &mut [(String, Value)]| {
+            for (key, field) in pairs {
+                match field {
+                    Value::String(text) => {
+                        if let Some((_, slot)) = strings.iter_mut().find(|(name, _)| name == key) {
+                            *slot = std::mem::take(text);
+                        }
+                    }
+                    _ if key == "metrics" => metrics = std::mem::replace(field, Value::Null),
+                    _ => {}
+                }
+            }
         };
+        if let Value::Object(pairs) = &mut value {
+            take(pairs);
+            if let Some((_, Value::Object(objective))) =
+                pairs.iter_mut().find(|(key, _)| key == "objective")
+            {
+                take(objective);
+            }
+        }
         let record: TrialRecord = serde_json::from_value(&value).map_err(invalid)?;
-        Ok(TrialRecord { metrics: metrics.unwrap_or(Value::Null), ..record })
+        let [trial_id, task_id, variant, outcome, error, name] = strings.map(|(_, text)| text);
+        Ok(TrialRecord {
+            trial_id,
+            task_id,
+            variant,
+            outcome,
+            objective: record.objective.map(|objective| Objective { name, ..objective }),
+            metrics,
+            error: record.error.map(|_| error),
+            ..record
+        })
     }
 }
 

@@ -140,6 +140,25 @@ impl Dag {
         Self::default()
     }
 
+    /// Makes room for `tasks` more tasks, `data` more data items and the
+    /// given numbers of hard inputs, soft inputs and after-edges, so that a
+    /// builder that knows its graph's size fills the arenas without
+    /// regrowing them.
+    pub fn reserve(
+        &mut self,
+        tasks: usize,
+        data: usize,
+        inputs: usize,
+        soft_inputs: usize,
+        after: usize,
+    ) {
+        self.tasks.reserve_exact(tasks);
+        self.data.reserve_exact(data);
+        self.inputs.reserve_exact(inputs);
+        self.soft_inputs.reserve_exact(soft_inputs);
+        self.after.reserve_exact(after);
+    }
+
     fn poison(&mut self, err: SimError) {
         if self.poison.is_none() {
             self.poison = Some(err);
@@ -370,6 +389,11 @@ impl Structure {
     /// The tasks with a structural edge from `task`, once per edge.
     fn dependents(&self, task: usize) -> &[usize] {
         &self.dependents[self.offsets[task]..self.offsets[task + 1]]
+    }
+
+    /// Number of structural edges, duplicates included.
+    pub(crate) fn edges(&self) -> usize {
+        self.dependents.len()
     }
 
     /// Whether every structural predecessor of `task` has been released.

@@ -11,27 +11,14 @@ use std::collections::VecDeque;
 
 mod oracle;
 
-#[derive(Debug, Clone)]
-struct Link {
-    #[allow(dead_code)]
-    name: String,
-    bandwidth: f64,
-}
-
-#[derive(Debug, Clone)]
-struct Resource {
-    #[allow(dead_code)]
-    name: String,
-    rate: f64,
-}
-
 /// A discrete-event simulation: links, resources, phases and a task DAG.
 ///
-/// Every dependency names a task added before, so the DAG is acyclic by
-/// construction. Tasks keep their dependencies and link paths as spans into
-/// two arenas the simulation owns: a task holds no heap memory of its own
-/// (a label aside), and dropping a simulation frees the arenas, not a
-/// vector per task.
+/// Links, resources and phases are ids: a link is its bandwidth, a resource
+/// its rate, a phase a tag, and none carries a name. Every dependency names
+/// a task added before, so the DAG is acyclic by construction. Tasks keep
+/// their dependencies and link paths as spans into two arenas the
+/// simulation owns: a task holds no heap memory of its own (a label aside),
+/// and dropping a simulation frees the arenas, not a vector per task.
 ///
 /// Malformed graphs — non-positive link bandwidths, unknown dependency or
 /// link or resource ids, negative work amounts — do not panic. The first
@@ -42,9 +29,11 @@ struct Resource {
 /// See the [crate-level documentation](crate) for an overview and an example.
 #[derive(Debug, Default)]
 pub struct Simulation {
-    links: Vec<Link>,
-    resources: Vec<Resource>,
-    phases: Vec<String>,
+    /// Every link's bandwidth, by link index.
+    links: Vec<f64>,
+    /// Every resource's rate, by resource index.
+    resources: Vec<f64>,
+    phases: usize,
     tasks: Vec<Task>,
     /// Every task's dependencies, in task order.
     deps: Vec<TaskId>,
@@ -69,13 +58,13 @@ impl Simulation {
     ///
     /// A non-positive or non-finite bandwidth poisons the simulation; the
     /// error is reported by [`Simulation::run`].
-    pub fn add_link(&mut self, name: impl Into<String>, bandwidth: f64) -> LinkId {
+    pub fn add_link(&mut self, bandwidth: f64) -> LinkId {
         if !(bandwidth.is_finite() && bandwidth > 0.0) {
             self.poison(SimError::InvalidParameter {
                 message: format!("link bandwidth must be positive and finite, got {bandwidth}"),
             });
         }
-        self.links.push(Link { name: name.into(), bandwidth });
+        self.links.push(bandwidth);
         LinkId(self.links.len() - 1)
     }
 
@@ -84,20 +73,30 @@ impl Simulation {
     ///
     /// A non-positive or non-finite rate poisons the simulation; the error
     /// is reported by [`Simulation::run`].
-    pub fn add_resource(&mut self, name: impl Into<String>, rate: f64) -> ResourceId {
+    pub fn add_resource(&mut self, rate: f64) -> ResourceId {
         if !(rate.is_finite() && rate > 0.0) {
             self.poison(SimError::InvalidParameter {
                 message: format!("resource rate must be positive and finite, got {rate}"),
             });
         }
-        self.resources.push(Resource { name: name.into(), rate });
+        self.resources.push(rate);
         ResourceId(self.resources.len() - 1)
     }
 
-    /// Registers a named phase used for breakdown reporting.
-    pub fn add_phase(&mut self, name: impl Into<String>) -> PhaseId {
-        self.phases.push(name.into());
-        PhaseId(self.phases.len() - 1)
+    /// Registers a phase used for breakdown reporting: a fresh tag for
+    /// [`FlowSpec::phase`] and friends, read back through the timeline's
+    /// per-phase queries.
+    pub fn add_phase(&mut self) -> PhaseId {
+        self.phases += 1;
+        PhaseId(self.phases - 1)
+    }
+
+    /// Makes room for `tasks` more tasks with `deps` dependencies between
+    /// them, so that a builder that knows (a lower bound of) its graph's
+    /// size fills the arenas without regrowing them from empty.
+    pub fn reserve(&mut self, tasks: usize, deps: usize) {
+        self.tasks.reserve_exact(tasks);
+        self.deps.reserve_exact(deps);
     }
 
     /// Number of links registered so far.
@@ -107,7 +106,7 @@ impl Simulation {
 
     /// Bandwidth of a link in bytes per second.
     pub fn link_bandwidth(&self, link: LinkId) -> f64 {
-        self.links[link.0].bandwidth
+        self.links[link.0]
     }
 
     /// The label attached to a task, if any (useful when debugging schedules).
@@ -212,9 +211,10 @@ impl Simulation {
     }
 
     /// Per-link flow membership, so the timeline can answer stage-level
-    /// occupancy queries (which flows kept a link busy, and when). Each
-    /// list is sized by a first counting pass.
-    fn link_tasks(&self) -> Vec<Vec<TaskId>> {
+    /// occupancy queries (which flows kept a link busy, and when): the flows
+    /// with bytes to move that cross each link, once per mention in their
+    /// path, in task order, as one flat list sized by a counting pass.
+    fn link_tasks(&self) -> Lists {
         let moving = || {
             self.tasks.iter().enumerate().filter_map(|(id, task)| match task.kind {
                 TaskKind::Flow { path, bytes } if bytes > 0.0 => Some((id, path.of(&self.paths))),
@@ -227,13 +227,13 @@ impl Simulation {
                 counts[l.0] += 1;
             }
         }
-        let mut link_tasks: Vec<Vec<TaskId>> = counts.into_iter().map(Vec::with_capacity).collect();
+        let mut lists = Lists::with_room(counts);
         for (id, path) in moving() {
             for l in path {
-                link_tasks[l.0].push(id);
+                lists.push(l.0, id);
             }
         }
-        link_tasks
+        lists
     }
 
     /// Executes the task DAG and returns the resulting timeline.
@@ -251,6 +251,60 @@ impl Simulation {
         let timeline = Runner::new(self).run()?;
         debug_assert_eq!(oracle::check(self, &timeline), Ok(()));
         Ok(timeline)
+    }
+}
+
+/// One list of tasks per key (a link, a resource) in a single arena: key
+/// `k` owns the slots from `start[k]`, sized up front by how many entries
+/// it can ever hold, and holds the tasks in `start[k]..end[k]`.
+#[derive(Debug, Clone)]
+struct Lists {
+    start: Vec<usize>,
+    end: Vec<usize>,
+    items: Vec<TaskId>,
+}
+
+impl Lists {
+    /// Empty lists with room for `room[k]` entries under key `k`.
+    fn with_room(mut room: Vec<usize>) -> Self {
+        let mut next = 0;
+        for r in &mut room {
+            next += std::mem::replace(r, next);
+        }
+        Self { end: room.clone(), start: room, items: vec![0; next] }
+    }
+
+    /// The tasks listed under `key`.
+    fn of(&self, key: usize) -> &[TaskId] {
+        &self.items[self.start[key]..self.end[key]]
+    }
+
+    /// Appends `task` to the list of `key`, which must have room left.
+    fn push(&mut self, key: usize, task: TaskId) {
+        self.items[self.end[key]] = task;
+        self.end[key] += 1;
+    }
+
+    /// Drops the first task of `key`'s list. Its slot is not reused, so a
+    /// list that gets each task once is a FIFO queue.
+    fn pop_front(&mut self, key: usize) {
+        self.start[key] += 1;
+    }
+
+    /// Removes one entry of `task` from `key`'s list, the last entry
+    /// taking its place, as [`Vec::swap_remove`] does.
+    fn swap_remove(&mut self, key: usize, task: TaskId) {
+        let at = self.of(key).iter().position(|&t| t == task).expect("the task is listed");
+        self.end[key] -= 1;
+        self.items.swap(self.start[key] + at, self.end[key]);
+    }
+
+    /// The filled lists as one offset table (`len + 1` entries) over the
+    /// arena: what a [`Timeline`] keeps.
+    fn into_csr(self) -> (Vec<usize>, Vec<TaskId>) {
+        let Self { mut start, items, .. } = self;
+        start.push(items.len());
+        (start, items)
     }
 }
 
@@ -309,7 +363,9 @@ struct Runner<'a> {
     sim: &'a Simulation,
     progress: Vec<Progress>,
     dependents: Dependents,
-    queues: Vec<VecDeque<TaskId>>,
+    /// Per resource, its FIFO queue: the computes that entered it, the
+    /// head first. A compute enters once, so a pop advances the start.
+    queues: Lists,
     active_flows: Vec<TaskId>,
     active_compute: Vec<TaskId>,
     active_delays: Vec<TaskId>,
@@ -323,7 +379,10 @@ struct Runner<'a> {
     /// Per link, the active flows crossing it, one entry per mention in the
     /// flow's path. Order is irrelevant: a filling round subtracts one and
     /// the same share for each entry.
-    users: Vec<Vec<TaskId>>,
+    users: Lists,
+    /// Per link, every flow that crosses it: the timeline's occupancy index
+    /// and the room of `users`.
+    link_tasks: Lists,
     /// Links whose user list changed since the rates were last refreshed.
     dirty: Vec<usize>,
     // Scratch of `refresh_rates`, meaningful only for links of `component`.
@@ -346,10 +405,15 @@ impl<'a> Runner<'a> {
         let n = sim.tasks.len();
         let mut progress = Vec::with_capacity(n);
         let mut rate = Vec::with_capacity(n);
+        // Per resource, the computes that will queue on it.
+        let mut queued = vec![0usize; sim.resources.len()];
         for task in &sim.tasks {
             let (remaining, r) = match &task.kind {
                 TaskKind::Flow { bytes, .. } => (*bytes, 0.0),
-                TaskKind::Compute { resource, work } => (*work, sim.resources[resource.0].rate),
+                TaskKind::Compute { resource, work } => {
+                    queued[resource.0] += usize::from(*work > 0.0);
+                    (*work, sim.resources[resource.0])
+                }
                 TaskKind::Delay { seconds } => (*seconds, 1.0),
                 TaskKind::Barrier => (0.0, 0.0),
             };
@@ -363,18 +427,25 @@ impl<'a> Runner<'a> {
             rate.push(r);
         }
         let links = sim.links.len();
+        let link_tasks = sim.link_tasks();
+        let users = Lists {
+            start: link_tasks.start.clone(),
+            end: link_tasks.start.clone(),
+            items: vec![0; link_tasks.items.len()],
+        };
         Self {
             sim,
             progress,
             dependents: Dependents::of(sim),
-            queues: vec![VecDeque::new(); sim.resources.len()],
+            queues: Lists::with_room(queued),
             active_flows: Vec::new(),
             active_compute: Vec::new(),
             active_delays: Vec::new(),
             newly_ready: VecDeque::new(),
             completed: Vec::new(),
             rate,
-            users: vec![Vec::new(); links],
+            users,
+            link_tasks,
             dirty: Vec::new(),
             component: Vec::with_capacity(links),
             in_component: vec![false; links],
@@ -422,7 +493,8 @@ impl<'a> Runner<'a> {
             .zip(self.sim.tasks.iter())
             .map(|(p, t)| TaskRecord { start: p.start, finish: p.finish, phase: t.phase })
             .collect();
-        Ok(Timeline::new(records, self.now, self.sim.phases.clone(), self.sim.link_tasks()))
+        let (link_start, link_tasks) = self.link_tasks.into_csr();
+        Ok(Timeline::new(records, self.now, link_start, link_tasks))
     }
 
     /// Moves a ready task into the running state. Returns `true` if it
@@ -448,10 +520,10 @@ impl<'a> Runner<'a> {
                 if *work <= 0.0 {
                     return true;
                 }
-                let q = &mut self.queues[resource.0];
-                q.push_back(id);
+                let r = resource.0;
+                self.queues.push(r, id);
                 // Head of queue becomes active.
-                if q.len() == 1 {
+                if self.queues.of(r).len() == 1 {
                     self.active_compute.push(id);
                 }
             }
@@ -469,10 +541,14 @@ impl<'a> Runner<'a> {
             // A compute that held its resource hands it to the next in the
             // queue (zero-work computes never enter one).
             TaskKind::Compute { resource, work } if *work > 0.0 => {
-                let q = &mut self.queues[resource.0];
-                let head = q.pop_front();
-                debug_assert_eq!(head, Some(id), "only the head of a queue is ever active");
-                if let Some(&next) = q.front() {
+                let r = resource.0;
+                debug_assert_eq!(
+                    self.queues.of(r)[0],
+                    id,
+                    "only the head of a queue is ever active"
+                );
+                self.queues.pop_front(r);
+                if let Some(&next) = self.queues.of(r).first() {
                     self.progress[next].start = self.now;
                     self.active_compute.push(next);
                 }
@@ -493,7 +569,7 @@ impl<'a> Runner<'a> {
     fn flow_started(&mut self, id: TaskId) {
         let sim = self.sim;
         for l in sim.path_of(&sim.tasks[id]) {
-            self.users[l.0].push(id);
+            self.users.push(l.0, id);
             self.dirty.push(l.0);
         }
     }
@@ -502,9 +578,7 @@ impl<'a> Runner<'a> {
     fn flow_finished(&mut self, id: TaskId) {
         let sim = self.sim;
         for l in sim.path_of(&sim.tasks[id]) {
-            let users = &mut self.users[l.0];
-            let at = users.iter().position(|&t| t == id).expect("an active flow uses its links");
-            users.swap_remove(at);
+            self.users.swap_remove(l.0, id);
             self.dirty.push(l.0);
         }
     }
@@ -535,9 +609,9 @@ impl<'a> Runner<'a> {
         while next < self.component.len() {
             let l = self.component[next];
             next += 1;
-            self.cap[l] = self.sim.links[l].bandwidth;
-            self.unfrozen[l] = self.users[l].len();
-            for &flow in &self.users[l] {
+            self.cap[l] = self.sim.links[l];
+            self.unfrozen[l] = self.users.of(l).len();
+            for &flow in self.users.of(l) {
                 if std::mem::replace(&mut self.seen_in[flow], self.refreshes) == self.refreshes {
                     continue;
                 }
@@ -567,7 +641,7 @@ impl<'a> Runner<'a> {
             // Freeze every flow on that link that was unfrozen when the round
             // began, once per entry: a path that names the link twice is
             // served twice.
-            for &flow in &self.users[bottleneck] {
+            for &flow in self.users.of(bottleneck) {
                 if self.frozen_in[flow] != 0 && self.frozen_in[flow] != round {
                     continue;
                 }
@@ -637,8 +711,8 @@ mod tests {
         // Two links: A (10 B/s) and B (4 B/s). Flow 1 uses A only, flow 2 uses A+B.
         // Flow 2 is bottlenecked at 4 on B, flow 1 then takes the remaining 6 on A.
         let mut sim = Simulation::new();
-        let a = sim.add_link("a", 10.0);
-        let b = sim.add_link("b", 4.0);
+        let a = sim.add_link(10.0);
+        let b = sim.add_link(4.0);
         let f1 = sim.flow(FlowSpec::new(vec![a], 60.0));
         let f2 = sim.flow(FlowSpec::new(vec![a, b], 40.0));
         let tl = sim.run().unwrap();
@@ -649,7 +723,7 @@ mod tests {
     #[test]
     fn zero_byte_flow_completes_instantly() {
         let mut sim = Simulation::new();
-        let l = sim.add_link("l", 1.0);
+        let l = sim.add_link(1.0);
         let f = sim.flow(FlowSpec::new(vec![l], 0.0));
         let tl = sim.run().unwrap();
         assert_eq!(tl.finish_time(f), 0.0);
@@ -658,7 +732,7 @@ mod tests {
     #[test]
     fn compute_queue_promotes_in_fifo_order() {
         let mut sim = Simulation::new();
-        let r = sim.add_resource("fpga", 2.0);
+        let r = sim.add_resource(2.0);
         let a = sim.compute(ComputeSpec::new(r, 4.0));
         let b = sim.compute(ComputeSpec::new(r, 4.0));
         let c = sim.compute(ComputeSpec::new(r, 4.0));
@@ -672,8 +746,8 @@ mod tests {
     #[test]
     fn flows_on_disjoint_links_do_not_interfere() {
         let mut sim = Simulation::new();
-        let a = sim.add_link("a", 10.0);
-        let b = sim.add_link("b", 10.0);
+        let a = sim.add_link(10.0);
+        let b = sim.add_link(10.0);
         let f1 = sim.flow(FlowSpec::new(vec![a], 100.0));
         let f2 = sim.flow(FlowSpec::new(vec![b], 100.0));
         let tl = sim.run().unwrap();
@@ -689,10 +763,10 @@ mod tests {
         let mut finish_times = Vec::new();
         for n in 1..=6usize {
             let mut sim = Simulation::new();
-            let shared = sim.add_link("pcie", 10.0);
+            let shared = sim.add_link(10.0);
             let mut tasks = Vec::new();
-            for i in 0..n {
-                let ssd = sim.add_link(format!("ssd{i}"), 3.0);
+            for _ in 0..n {
+                let ssd = sim.add_link(3.0);
                 tasks.push(sim.flow(FlowSpec::new(vec![shared, ssd], total_bytes / n as f64)));
             }
             let tl = sim.run().unwrap();
@@ -708,10 +782,10 @@ mod tests {
     #[test]
     fn timeline_reports_link_occupancy_from_real_flows() {
         let mut sim = Simulation::new();
-        let shared = sim.add_link("shared", 10.0);
-        let private = sim.add_link("private", 10.0);
-        let write = sim.add_phase("write");
-        let readback = sim.add_phase("readback");
+        let shared = sim.add_link(10.0);
+        let private = sim.add_link(10.0);
+        let write = sim.add_phase();
+        let readback = sim.add_phase();
         let a = sim.flow(FlowSpec::new(vec![shared], 100.0).phase(write));
         let b = sim.flow(FlowSpec::new(vec![shared, private], 100.0).after(&[a]).phase(readback));
         // Zero-byte flows finish instantly and must not pollute occupancy.
@@ -728,7 +802,7 @@ mod tests {
     #[test]
     fn task_labels_are_retrievable() {
         let mut sim = Simulation::new();
-        let l = sim.add_link("l", 1.0);
+        let l = sim.add_link(1.0);
         let a = sim.flow(FlowSpec::new(vec![l], 1.0).label("grad offload"));
         let b = sim.flow(FlowSpec::new(vec![l], 1.0));
         assert_eq!(sim.task_label(a), Some("grad offload"));
@@ -739,8 +813,8 @@ mod tests {
     #[test]
     fn specs_borrow_their_slices_and_a_second_after_extends_them() {
         let mut sim = Simulation::new();
-        let a = sim.add_link("a", 10.0);
-        let b = sim.add_link("b", 5.0);
+        let a = sim.add_link(10.0);
+        let b = sim.add_link(5.0);
         let path = [a, b];
         let first = sim.flow(FlowSpec::new(&path[..1], 10.0));
         let second = sim.delay(DelaySpec::new(1.5));
@@ -762,7 +836,7 @@ mod tests {
     #[test]
     fn zero_bandwidth_link_is_a_typed_error() {
         let mut sim = Simulation::new();
-        let l = sim.add_link("bad", 0.0);
+        let l = sim.add_link(0.0);
         // Id allocation stays consistent even after the error.
         sim.flow(FlowSpec::new(vec![l], 1.0));
         let err = sim.run().unwrap_err();
@@ -777,7 +851,7 @@ mod tests {
     #[test]
     fn unknown_dependency_is_a_typed_error() {
         let mut sim = Simulation::new();
-        let l = sim.add_link("l", 1.0);
+        let l = sim.add_link(1.0);
         sim.flow(FlowSpec::new(vec![l], 1.0).after(&[42]));
         let err = sim.run().unwrap_err();
         assert_eq!(err, SimError::UnknownId { kind: "task", index: 42 });
@@ -809,7 +883,7 @@ mod tests {
     #[test]
     fn first_poison_error_wins() {
         let mut sim = Simulation::new();
-        sim.add_link("bad", f64::NAN);
+        sim.add_link(f64::NAN);
         sim.flow(FlowSpec::new(vec![LinkId(9)], -1.0));
         let err = sim.run().unwrap_err();
         assert!(matches!(err, SimError::InvalidParameter { .. }), "got {err:?}");
@@ -820,7 +894,7 @@ mod tests {
         /// allocation recomputed from nothing but the active set, over every
         /// link (the engine's own `flow_rates` before rates became state).
         fn reference_flow_rates(&self) -> Vec<(TaskId, f64)> {
-            let mut remaining_cap: Vec<f64> = self.sim.links.iter().map(|l| l.bandwidth).collect();
+            let mut remaining_cap: Vec<f64> = self.sim.links.clone();
             let mut link_users: Vec<Vec<usize>> = vec![Vec::new(); self.sim.links.len()];
             // Index into active_flows.
             for (fi, &task) in self.active_flows.iter().enumerate() {
@@ -894,8 +968,8 @@ mod tests {
     /// One idle flow per path over links of the given bandwidths.
     fn idle_flows(bandwidths: &[f64], paths: &[Vec<usize>]) -> Simulation {
         let mut sim = Simulation::new();
-        for (i, &bw) in bandwidths.iter().enumerate() {
-            sim.add_link(format!("l{i}"), bw);
+        for &bw in bandwidths {
+            sim.add_link(bw);
         }
         for path in paths {
             sim.flow(FlowSpec::new(path.iter().map(|&l| LinkId(l)).collect::<Vec<_>>(), 1.0));
@@ -931,7 +1005,7 @@ mod tests {
         for flow in [6, 5, 4, 7, 0, 2, 1, 3] {
             runner.toggle_and_compare(flow).unwrap();
         }
-        assert!(runner.users.iter().all(Vec::is_empty));
+        assert!((0..sim.links.len()).all(|l| runner.users.of(l).is_empty()));
         // A component that nothing touched keeps its rates without being visited.
         runner.toggle_and_compare(3).unwrap();
         let before = runner.rate[3];

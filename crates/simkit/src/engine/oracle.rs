@@ -23,12 +23,11 @@ fn floor(sim: &Simulation, task: &Task) -> (f64, f64) {
     match task.kind {
         TaskKind::Flow { bytes, .. } if bytes > 0.0 => {
             let path = sim.path_of(task);
-            let narrowest =
-                path.iter().map(|l| sim.links[l.0].bandwidth).fold(f64::INFINITY, f64::min);
+            let narrowest = path.iter().map(|l| sim.links[l.0]).fold(f64::INFINITY, f64::min);
             (bytes / narrowest, narrowest)
         }
         TaskKind::Compute { resource, work } => {
-            let rate = sim.resources[resource.0].rate;
+            let rate = sim.resources[resource.0];
             (work / rate, rate)
         }
         TaskKind::Delay { seconds } => (seconds, 1.0),
@@ -110,7 +109,9 @@ pub(crate) fn check(sim: &Simulation, timeline: &Timeline) -> Result<(), String>
 
     // Links: the bytes carried fit under bandwidth x busy time (one slack
     // per flow that crossed the link), and so under bandwidth x makespan.
-    for (l, (link, flows)) in sim.links.iter().zip(sim.link_tasks()).enumerate() {
+    let link_tasks = sim.link_tasks();
+    for (l, &bandwidth) in sim.links.iter().enumerate() {
+        let flows = link_tasks.of(l);
         let bytes_of = |&t: &TaskId| match sim.tasks[t].kind {
             TaskKind::Flow { bytes, .. } => bytes,
             _ => 0.0,
@@ -118,11 +119,11 @@ pub(crate) fn check(sim: &Simulation, timeline: &Timeline) -> Result<(), String>
         let bytes: f64 = flows.iter().map(bytes_of).sum();
         let flows = flows.len() as f64;
         let busy = timeline.link_busy_time(LinkId(l));
-        let needs = bytes / link.bandwidth;
-        if needs > busy + flows * slack(link.bandwidth, busy) {
+        let needs = bytes / bandwidth;
+        if needs > busy + flows * slack(bandwidth, busy) {
             return Err(format!("link {l} carried {needs} s of bytes in {busy} s of busy time"));
         }
-        if needs > makespan + flows * slack(link.bandwidth, makespan) {
+        if needs > makespan + flows * slack(bandwidth, makespan) {
             return Err(format!("link {l} carried {needs} s of bytes, makespan {makespan}"));
         }
     }
@@ -179,9 +180,9 @@ mod tests {
     /// `more` queue on the resource, `tail` waits for everything.
     fn small() -> (Simulation, Timeline) {
         let mut sim = Simulation::new();
-        let a = sim.add_link("a", 10.0);
-        let b = sim.add_link("b", 4.0);
-        let cpu = sim.add_resource("cpu", 2.0);
+        let a = sim.add_link(10.0);
+        let b = sim.add_link(4.0);
+        let cpu = sim.add_resource(2.0);
         let load = sim.flow(FlowSpec::new(vec![a], 40.0));
         let other = sim.flow(FlowSpec::new(vec![a, b], 20.0));
         let work = sim.compute(ComputeSpec::new(cpu, 6.0).after(&[load]));
@@ -192,12 +193,18 @@ mod tests {
         (sim, timeline)
     }
 
+    /// A timeline of `sim` with the given records and makespan.
+    fn forge(sim: &Simulation, records: Vec<TaskRecord>, makespan: f64) -> Timeline {
+        let (link_start, link_tasks) = sim.link_tasks().into_csr();
+        Timeline::new(records, makespan, link_start, link_tasks)
+    }
+
     /// The timeline of `small()` with one record replaced.
     fn tampered(task: TaskId, start: f64, finish: f64) -> Result<(), String> {
         let (sim, timeline) = small();
         let mut records = timeline.records().to_vec();
         records[task] = TaskRecord { start, finish, phase: None };
-        let forged = Timeline::new(records, timeline.makespan(), Vec::new(), sim.link_tasks());
+        let forged = forge(&sim, records, timeline.makespan());
         check(&sim, &forged)
     }
 
@@ -222,7 +229,7 @@ mod tests {
         broken(5, 10.5, 12.0, "its work is 0 s");
         // A makespan that is not the last finish.
         let records = timeline.records().to_vec();
-        let forged = Timeline::new(records, 11.0, Vec::new(), sim.link_tasks());
+        let forged = forge(&sim, records, 11.0);
         assert!(check(&sim, &forged).unwrap_err().contains("not the last finish"));
         // The longest chain of floors is load (4 s), work (3 s), tail (1.5 s).
         let critical = critical_path_bound(&sim);
@@ -233,7 +240,7 @@ mod tests {
     fn a_queue_served_out_of_order_is_caught() {
         // Two computes, the second ready first: FIFO serves it first.
         let mut sim = Simulation::new();
-        let cpu = sim.add_resource("cpu", 1.0);
+        let cpu = sim.add_resource(1.0);
         let wait = sim.delay(DelaySpec::new(1.0));
         let late = sim.compute(ComputeSpec::new(cpu, 2.0).after(&[wait]));
         let early = sim.compute(ComputeSpec::new(cpu, 2.0));
@@ -242,7 +249,7 @@ mod tests {
         assert_eq!((start(early), start(late)), (0.0, 2.0));
         let rec = |start, finish| TaskRecord { start, finish, phase: None };
         let swapped = vec![rec(0.0, 1.0), rec(1.0, 3.0), rec(3.0, 5.0)];
-        let forged = Timeline::new(swapped, 5.0, Vec::new(), sim.link_tasks());
+        let forged = forge(&sim, swapped, 5.0);
         assert!(check(&sim, &forged).unwrap_err().contains("overtook"));
     }
 
@@ -267,12 +274,9 @@ mod tests {
     fn random_graph(layered: bool, layers: usize, width: usize, faces: &[u32]) -> Simulation {
         let mut dice = Dice { faces, thrown: 0 };
         let mut sim = Simulation::new();
-        let links: Vec<LinkId> =
-            [0.5, 4.0, 4.0, 3e9].iter().map(|&bw| sim.add_link("link", bw)).collect();
-        let resources: Vec<(crate::ResourceId, f64)> = [0.25, 2.0, 1e12]
-            .iter()
-            .map(|&rate| (sim.add_resource("resource", rate), rate.max(1.0)))
-            .collect();
+        let links: Vec<LinkId> = [0.5, 4.0, 4.0, 3e9].iter().map(|&bw| sim.add_link(bw)).collect();
+        let resources: Vec<(crate::ResourceId, f64)> =
+            [0.25, 2.0, 1e12].iter().map(|&rate| (sim.add_resource(rate), rate.max(1.0))).collect();
         let add = |sim: &mut Simulation, dice: &mut Dice, deps: &[TaskId]| {
             let size = dice.roll(6) as f64 * 1.5;
             match dice.roll(8) {

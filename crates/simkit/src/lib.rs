@@ -47,9 +47,9 @@
 //!
 //! # fn main() -> Result<(), simkit::SimError> {
 //! let mut sim = Simulation::new();
-//! let pcie = sim.add_link("pcie", 16e9);
-//! let gpu = sim.add_resource("gpu", 100e12);
-//! let fw = sim.add_phase("forward");
+//! let pcie = sim.add_link(16e9);
+//! let gpu = sim.add_resource(100e12);
+//! let fw = sim.add_phase();
 //!
 //! // Load 2 GB of parameters over PCIe, then run 10 TFLOP of forward compute.
 //! let load = sim.flow(FlowSpec::new(vec![pcie], 2e9).phase(fw));
@@ -76,7 +76,7 @@ pub use engine::Simulation;
 pub use error::SimError;
 pub use resource::{Resource, SpeedupCurve};
 pub use scheduler::{
-    execute, Anchor, Decision, DirectLowering, Lowered, Lowering, ScatterPlan, ScheduleDecision,
+    execute, Anchor, Decision, DirectLowering, Lowering, ScatterPlan, ScheduleDecision,
     ScheduleOutcome, Scheduler, SetupDelay, SystemView,
 };
 pub use task::{ComputeSpec, DelaySpec, FlowSpec, LinkId, PhaseId, ResourceId, TaskId};
@@ -97,7 +97,7 @@ mod tests {
     #[test]
     fn single_flow_takes_bytes_over_bandwidth() {
         let mut sim = Simulation::new();
-        let link = sim.add_link("l", 10.0);
+        let link = sim.add_link(10.0);
         let t = sim.flow(FlowSpec::new(vec![link], 100.0));
         let tl = sim.run().unwrap();
         assert!((tl.finish_time(t) - 10.0).abs() < 1e-9);
@@ -107,7 +107,7 @@ mod tests {
     #[test]
     fn two_flows_share_a_link_fairly() {
         let mut sim = Simulation::new();
-        let link = sim.add_link("l", 10.0);
+        let link = sim.add_link(10.0);
         let a = sim.flow(FlowSpec::new(vec![link], 100.0));
         let b = sim.flow(FlowSpec::new(vec![link], 100.0));
         let tl = sim.run().unwrap();
@@ -119,7 +119,7 @@ mod tests {
     #[test]
     fn shorter_flow_frees_bandwidth_for_the_longer_one() {
         let mut sim = Simulation::new();
-        let link = sim.add_link("l", 10.0);
+        let link = sim.add_link(10.0);
         let short = sim.flow(FlowSpec::new(vec![link], 50.0));
         let long = sim.flow(FlowSpec::new(vec![link], 150.0));
         let tl = sim.run().unwrap();
@@ -132,7 +132,7 @@ mod tests {
     #[test]
     fn compute_tasks_are_serialized_fifo() {
         let mut sim = Simulation::new();
-        let cpu = sim.add_resource("cpu", 10.0);
+        let cpu = sim.add_resource(10.0);
         let a = sim.compute(ComputeSpec::new(cpu, 100.0));
         let b = sim.compute(ComputeSpec::new(cpu, 50.0));
         let tl = sim.run().unwrap();
@@ -143,8 +143,8 @@ mod tests {
     #[test]
     fn dependencies_are_respected() {
         let mut sim = Simulation::new();
-        let link = sim.add_link("l", 10.0);
-        let cpu = sim.add_resource("cpu", 10.0);
+        let link = sim.add_link(10.0);
+        let cpu = sim.add_resource(10.0);
         let a = sim.flow(FlowSpec::new(vec![link], 100.0));
         let b = sim.compute(ComputeSpec::new(cpu, 100.0).after(&[a]));
         let c = sim.flow(FlowSpec::new(vec![link], 100.0).after(&[b]));
@@ -166,9 +166,9 @@ mod tests {
     #[test]
     fn phase_breakdown_accumulates_busy_time() {
         let mut sim = Simulation::new();
-        let link = sim.add_link("l", 10.0);
-        let fw = sim.add_phase("fw");
-        let bw = sim.add_phase("bw");
+        let link = sim.add_link(10.0);
+        let fw = sim.add_phase();
+        let bw = sim.add_phase();
         let a = sim.flow(FlowSpec::new(vec![link], 100.0).phase(fw));
         let _b = sim.flow(FlowSpec::new(vec![link], 100.0).phase(bw).after(&[a]));
         let tl = sim.run().unwrap();

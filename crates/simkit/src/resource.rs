@@ -55,8 +55,6 @@ impl SpeedupCurve {
 /// that rate with every core.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Resource {
-    /// Human-readable name ("gpu0", "fpga3-updater", "sg2042-cpu").
-    pub name: String,
     /// Number of cores available at this site.
     pub cores: u32,
     /// Single-core processing rate in work units per second.
@@ -70,20 +68,14 @@ pub struct Resource {
 
 impl Resource {
     /// Creates a resource description.
-    pub fn new(
-        name: impl Into<String>,
-        cores: u32,
-        speed: f64,
-        memory_bytes: f64,
-        speedup: SpeedupCurve,
-    ) -> Self {
-        Self { name: name.into(), cores, speed, memory_bytes, speedup }
+    pub fn new(cores: u32, speed: f64, memory_bytes: f64, speedup: SpeedupCurve) -> Self {
+        Self { cores, speed, memory_bytes, speedup }
     }
 
     /// Describes a serial fixed-function unit (one core, flat speedup) — the
     /// shape of every resource the flat [`crate::Simulation`] API registers.
-    pub fn serial(name: impl Into<String>, speed: f64) -> Self {
-        Self::new(name, 1, speed, f64::INFINITY, SpeedupCurve::Flat)
+    pub fn serial(speed: f64) -> Self {
+        Self::new(1, speed, f64::INFINITY, SpeedupCurve::Flat)
     }
 
     /// The effective serial rate when `cores` cores are assigned.
@@ -125,7 +117,7 @@ mod tests {
 
     #[test]
     fn resource_rate_caps_at_available_cores() {
-        let r = Resource::new("cpu", 4, 10.0, 1e9, SpeedupCurve::Linear);
+        let r = Resource::new(4, 10.0, 1e9, SpeedupCurve::Linear);
         assert_eq!(r.rate_with(2), 20.0);
         assert_eq!(r.rate_with(16), 40.0, "cannot assign more cores than exist");
         assert_eq!(r.full_rate(), 40.0);
@@ -133,7 +125,7 @@ mod tests {
 
     #[test]
     fn serial_resource_matches_flat_simulation_shape() {
-        let r = Resource::serial("fpga", 7.3e9);
+        let r = Resource::serial(7.3e9);
         assert_eq!(r.cores, 1);
         assert_eq!(r.full_rate(), 7.3e9);
     }

@@ -7,8 +7,8 @@
 //! - The **[`Dag`]** holds the policy-invariant structure: tasks, hard data
 //!   edges, after-edges, and soft (policy-realised) dataflow.
 //! - The **[`Scheduler`]** is called back as tasks become ready (and, when it
-//!   defers work, as resources free up) and answers by pushing [`Decision`]s
-//!   into a buffer the executor owns and drains:
+//!   defers work, as resources free up) and answers by handing [`Decision`]s
+//!   to the executor, which applies each at once:
 //!   which task to schedule, which extra synchronisation [`Anchor`]s to wait
 //!   on, how to scatter storage-class transfers across concrete devices
 //!   ([`ScatterPlan`]), and any setup latency to charge first
@@ -24,11 +24,13 @@
 //! over the same graph with the same scheduler therefore produce the same
 //! simulation, task id for task id.
 
+use std::borrow::Cow;
+
 use crate::dag::{Dag, DagTaskId, DagWork, Structure, SITE_STORAGE};
 use crate::engine::Simulation;
 use crate::error::SimError;
 use crate::resource::Resource;
-use crate::task::{ComputeSpec, DelaySpec, FlowSpec, LinkId, PhaseId, ResourceId, TaskId};
+use crate::task::{ComputeSpec, DelaySpec, FlowSpec, LinkId, PhaseId, ResourceId, Span, TaskId};
 
 /// A synchronisation point a scheduling decision can wait on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,10 +50,13 @@ pub enum Anchor {
 /// result; without it, the flows complete independently and downstream
 /// decisions synchronise on individual sites via [`Anchor::TaskAtSite`], so
 /// a plan names each site at most once ([`execute`] rejects a repeat).
+///
+/// The transfers may be borrowed from anything that outlives the callback
+/// (a layout's precomputed placements), so a decision need copy nothing.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ScatterPlan {
+pub struct ScatterPlan<'a> {
     /// `(site, bytes)` pairs, one flow each, issued in order.
-    pub transfers: Vec<(usize, f64)>,
+    pub transfers: Cow<'a, [(usize, f64)]>,
     /// Whether to join the flows behind a barrier.
     pub join: bool,
 }
@@ -59,53 +64,55 @@ pub struct ScatterPlan {
 /// A fixed latency charged immediately before a task starts — e.g. a
 /// software handler's buffer-allocation overhead.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SetupDelay {
+pub struct SetupDelay<'a> {
     /// Duration in seconds.
     pub seconds: f64,
     /// What the setup itself waits on.
-    pub after: Vec<Anchor>,
+    pub after: Cow<'a, [Anchor]>,
 }
 
-/// A fully specified placement + ordering choice for one DAG task.
+/// A fully specified placement + ordering choice for one DAG task. Its
+/// anchors and placement may borrow from the scheduler: the executor is
+/// done with a decision when the call that handed it over returns.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ScheduleDecision {
+pub struct ScheduleDecision<'a> {
     /// The task being scheduled.
     pub task: DagTaskId,
     /// Extra synchronisation beyond the task's structural edges, resolved in
     /// order and appended after the structural dependencies.
-    pub after: Vec<Anchor>,
+    pub after: Cow<'a, [Anchor]>,
     /// Placement for storage-class transfers; `None` for everything else.
-    pub scatter: Option<ScatterPlan>,
+    pub scatter: Option<ScatterPlan<'a>>,
     /// Setup latency charged before the task.
-    pub setup: Option<SetupDelay>,
+    pub setup: Option<SetupDelay<'a>>,
 }
 
-impl ScheduleDecision {
+impl<'a> ScheduleDecision<'a> {
     /// Schedules `task` with structural dependencies only.
     pub fn new(task: DagTaskId) -> Self {
-        Self { task, after: Vec::new(), scatter: None, setup: None }
+        Self { task, after: Cow::Borrowed(&[]), scatter: None, setup: None }
     }
 
     /// Appends a synchronisation anchor.
     pub fn after(mut self, anchor: Anchor) -> Self {
-        self.after.push(anchor);
+        self.after.to_mut().push(anchor);
         self
     }
 
     /// Appends several synchronisation anchors.
     pub fn after_all(mut self, anchors: impl IntoIterator<Item = Anchor>) -> Self {
-        self.after.extend(anchors);
+        self.after.to_mut().extend(anchors);
         self
     }
 
     /// Sets the scatter placement.
-    pub fn scatter(mut self, plan: ScatterPlan) -> Self {
+    pub fn scatter(mut self, plan: ScatterPlan<'a>) -> Self {
         self.scatter = Some(plan);
         self
     }
 
     /// Sets the setup delay.
-    pub fn setup(mut self, delay: SetupDelay) -> Self {
+    pub fn setup(mut self, delay: SetupDelay<'a>) -> Self {
         self.setup = Some(delay);
         self
     }
@@ -113,9 +120,9 @@ impl ScheduleDecision {
 
 /// What a scheduler answers when called back.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Decision {
+pub enum Decision<'a> {
     /// Lower this task now, with the given placement and ordering.
-    Schedule(ScheduleDecision),
+    Schedule(ScheduleDecision<'a>),
     /// Hold this task back; the scheduler will be re-consulted via
     /// [`Scheduler::on_resource_free`] once scheduling stalls.
     Defer(DagTaskId),
@@ -136,9 +143,10 @@ impl SystemView<'_> {
 /// A scheduling policy over a [`Dag`]. Object-safe: engines select one at
 /// run time from method axes and pass it as `&mut dyn Scheduler`.
 ///
-/// Callbacks answer by pushing [`Decision`]s onto `out`, a buffer the
-/// executor owns: it arrives empty and is drained, in push order, after
-/// the call.
+/// Callbacks answer by handing [`Decision`]s to `out`, which applies each
+/// before it returns, in the order they are handed over. A decision may so
+/// borrow from the scheduler itself — a reused anchor buffer, the layout
+/// the policy was built over — and the callback allocates nothing.
 pub trait Scheduler {
     /// Short policy name, used in reports and comparison tables.
     fn name(&self) -> &'static str;
@@ -152,7 +160,7 @@ pub trait Scheduler {
         task: DagTaskId,
         dag: &Dag,
         system: &SystemView<'_>,
-        out: &mut Vec<Decision>,
+        out: &mut dyn FnMut(Decision<'_>),
     );
 
     /// Called for each site when scheduling stalls with deferred tasks
@@ -162,44 +170,35 @@ pub trait Scheduler {
         site: usize,
         dag: &Dag,
         system: &SystemView<'_>,
-        out: &mut Vec<Decision>,
+        out: &mut dyn FnMut(Decision<'_>),
     ) {
         let _ = (site, dag, system, out);
-    }
-}
-
-/// The concrete simulation tasks one DAG task lowered to.
-#[derive(Debug, Clone)]
-pub struct Lowered {
-    /// The task downstream structural edges attach to.
-    pub main: TaskId,
-    /// Per-site sub-results (scatter flows), for [`Anchor::TaskAtSite`].
-    pub per_site: Vec<(usize, TaskId)>,
-}
-
-impl Lowered {
-    /// A lowering with a single concrete task and no per-site parts.
-    pub fn single(main: TaskId) -> Self {
-        Self { main, per_site: Vec::new() }
-    }
-
-    /// The sub-result at `site`, if any.
-    pub(crate) fn at_site(&self, site: usize) -> Option<TaskId> {
-        self.per_site.iter().find(|(s, _)| *s == site).map(|(_, t)| *t)
     }
 }
 
 /// Translates scheduled DAG tasks into concrete simulation tasks.
 pub trait Lowering {
     /// Lowers `task` with the given scatter placement and resolved
-    /// dependency list.
+    /// dependency list, and returns its main task: the one downstream
+    /// structural edges attach to. Per-site sub-results (scatter flows, for
+    /// [`Anchor::TaskAtSite`]) are appended to `per_site` as `(site, task)`,
+    /// an arena the executor owns across every task of the run.
     fn lower(
         &mut self,
         dag: &Dag,
         task: DagTaskId,
-        scatter: Option<&ScatterPlan>,
+        scatter: Option<&ScatterPlan<'_>>,
         deps: &[TaskId],
-    ) -> Result<Lowered, SimError>;
+        per_site: &mut Vec<(usize, TaskId)>,
+    ) -> Result<TaskId, SimError>;
+
+    /// Called once before any task is lowered, with a lower bound of what
+    /// the lowering will add: every DAG task lowers to at least one task,
+    /// and every structural edge to at least one dependency. The default
+    /// ignores it.
+    fn reserve(&mut self, tasks: usize, deps: usize) {
+        let _ = (tasks, deps);
+    }
 
     /// Lowers a setup delay attributed to `phase`.
     fn lower_delay(
@@ -214,21 +213,43 @@ pub trait Lowering {
 /// simulation tasks.
 #[derive(Debug)]
 pub struct ScheduleOutcome {
-    lowered: Vec<Lowered>,
+    lowered: Lowered,
 }
 
 impl ScheduleOutcome {
     /// The main lowered task of a DAG task.
     pub fn task(&self, id: DagTaskId) -> Option<TaskId> {
-        self.lowered.get(id.index()).map(|l| l.main)
+        self.lowered.main(id.index())
+    }
+}
+
+/// What every scheduled DAG task lowered to: its main task and its span of
+/// per-site sub-results, all of them in one arena.
+#[derive(Debug, Default)]
+struct Lowered {
+    /// Per DAG task, `(main, span into per_site)` once it is scheduled.
+    tasks: Vec<Option<(TaskId, Span)>>,
+    per_site: Vec<(usize, TaskId)>,
+}
+
+impl Lowered {
+    /// The main task of DAG task `t`, once scheduled.
+    fn main(&self, t: usize) -> Option<TaskId> {
+        self.tasks.get(t).copied().flatten().map(|(main, _)| main)
+    }
+
+    /// The sub-result of DAG task `t` at `site`, if any: `Err` when `t` is
+    /// not scheduled yet.
+    fn at_site(&self, t: usize, site: usize) -> Result<Option<TaskId>, ()> {
+        let Some((_, sites)) = self.tasks.get(t).copied().flatten() else { return Err(()) };
+        Ok(sites.of(&self.per_site).iter().find(|(s, _)| *s == site).map(|&(_, t)| t))
     }
 }
 
 struct Executor<'a> {
     dag: &'a Dag,
-    resources: &'a [Resource],
     structure: Structure,
-    lowered: Vec<Option<Lowered>>,
+    lowered: Lowered,
     scheduled: Vec<bool>,
     deferred: Vec<bool>,
     /// Dependencies of the decision being applied, reused across decisions.
@@ -244,20 +265,14 @@ impl<'a> Executor<'a> {
     }
 
     fn resolve_anchor(&self, anchor: Anchor) -> Result<TaskId, SimError> {
+        let unscheduled = |t: DagTaskId| SimError::InvalidParameter {
+            message: format!("anchor references unscheduled dag task {}", t.index()),
+        };
         match anchor {
-            Anchor::Task(t) => match self.lowered.get(t.index()).and_then(|l| l.as_ref()) {
-                Some(l) => Ok(l.main),
-                None => Err(SimError::InvalidParameter {
-                    message: format!("anchor references unscheduled dag task {}", t.index()),
-                }),
-            },
+            Anchor::Task(t) => self.lowered.main(t.index()).ok_or_else(|| unscheduled(t)),
             Anchor::TaskAtSite(t, site) => {
-                let Some(l) = self.lowered.get(t.index()).and_then(|l| l.as_ref()) else {
-                    return Err(SimError::InvalidParameter {
-                        message: format!("anchor references unscheduled dag task {}", t.index()),
-                    });
-                };
-                l.at_site(site).ok_or_else(|| SimError::InvalidParameter {
+                let found = self.lowered.at_site(t.index(), site).map_err(|()| unscheduled(t))?;
+                found.ok_or_else(|| SimError::InvalidParameter {
                     message: format!(
                         "dag task {} has no lowered sub-result at site {site}",
                         t.index()
@@ -270,47 +285,46 @@ impl<'a> Executor<'a> {
     /// Resolves the full dependency list for a decision into `self.deps`:
     /// hard inputs (with per-site refinement), then after-edges, then
     /// decision anchors.
-    fn resolve_deps(&mut self, decision: &ScheduleDecision) -> Result<(), SimError> {
+    fn resolve_deps(&mut self, decision: &ScheduleDecision<'_>) -> Result<(), SimError> {
         let idx = decision.task.index();
         let dag = self.dag;
         let task = &dag.tasks()[idx];
         self.deps.clear();
         for &input in dag.inputs(decision.task) {
             let item = dag.data(input).expect("validated id");
-            let produced = self.lowered[item.producer.index()].as_ref().ok_or_else(|| {
-                SimError::InvalidParameter {
-                    message: format!(
-                        "dag task {idx} ('{}') scheduled before the producer of its input '{}'",
-                        task.name, item.name
-                    ),
-                }
+            let producer = item.producer.index();
+            let main = self.lowered.main(producer).ok_or_else(|| SimError::InvalidParameter {
+                message: format!(
+                    "dag task {idx} ('{}') scheduled before the producer of its input '{}'",
+                    task.name, item.name
+                ),
             })?;
             let dep = match item.site {
-                Some(site) => produced.at_site(site).unwrap_or(produced.main),
-                None => produced.main,
+                Some(site) => self.lowered.at_site(producer, site).ok().flatten().unwrap_or(main),
+                None => main,
             };
             self.deps.push(dep);
         }
         for &pred in dag.after(decision.task) {
-            let produced =
-                self.lowered[pred.index()].as_ref().ok_or_else(|| SimError::InvalidParameter {
+            let main =
+                self.lowered.main(pred.index()).ok_or_else(|| SimError::InvalidParameter {
                     message: format!(
                         "dag task {idx} ('{}') scheduled before its predecessor",
                         task.name
                     ),
                 })?;
-            self.deps.push(produced.main);
+            self.deps.push(main);
         }
-        for &anchor in &decision.after {
+        for &anchor in decision.after.iter() {
             let dep = self.resolve_anchor(anchor)?;
             self.deps.push(dep);
         }
         Ok(())
     }
 
-    /// Rejects a plan that names a site twice: [`Lowered::at_site`] would
+    /// Rejects a plan that names a site twice: [`Anchor::TaskAtSite`] would
     /// find only the first of its flows.
-    fn check_scatter(&mut self, idx: usize, plan: &ScatterPlan) -> Result<(), SimError> {
+    fn check_scatter(&mut self, idx: usize, plan: &ScatterPlan<'_>) -> Result<(), SimError> {
         self.scatter_sites.clear();
         self.scatter_sites.extend(plan.transfers.iter().map(|&(site, _)| site));
         self.scatter_sites.sort_unstable();
@@ -326,75 +340,94 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Applies and drains `decisions`, in order.
-    fn apply(
+    /// Runs one scheduler callback, applying each decision it hands over as
+    /// it comes. Whether any task was scheduled; after an error the rest of
+    /// the callback's decisions are ignored and the error is returned.
+    fn answer(
         &mut self,
-        decisions: &mut Vec<Decision>,
         lowering: &mut dyn Lowering,
+        callback: impl FnOnce(&mut dyn FnMut(Decision<'_>)),
     ) -> Result<bool, SimError> {
-        let mut progress = false;
-        for decision in decisions.drain(..) {
-            match decision {
-                Decision::Defer(t) => {
-                    if t.index() >= self.dag.len() {
-                        return Err(SimError::UnknownId { kind: "dag task", index: t.index() });
-                    }
-                    if !self.scheduled[t.index()] {
-                        self.deferred[t.index()] = true;
-                    }
-                }
-                Decision::Schedule(sd) => {
-                    let idx = sd.task.index();
-                    if idx >= self.dag.len() {
-                        return Err(SimError::UnknownId { kind: "dag task", index: idx });
-                    }
-                    if self.scheduled[idx] {
-                        return Err(SimError::InvalidParameter {
-                            message: format!(
-                                "scheduler scheduled dag task {idx} ('{}') twice",
-                                self.name(idx)
-                            ),
-                        });
-                    }
-                    if !self.structure.is_ready(idx) {
-                        return Err(SimError::InvalidParameter {
-                            message: format!(
-                                "scheduler scheduled dag task {idx} ('{}') before its \
-                                 structural predecessors",
-                                self.name(idx)
-                            ),
-                        });
-                    }
-                    if let Some(plan) = &sd.scatter {
-                        self.check_scatter(idx, plan)?;
-                    }
-                    self.resolve_deps(&sd)?;
-                    if let Some(setup) = &sd.setup {
-                        // The setup's anchors resolve behind the task's
-                        // deps; the delay then takes their place.
-                        let mark = self.deps.len();
-                        for &anchor in &setup.after {
-                            let dep = self.resolve_anchor(anchor)?;
-                            self.deps.push(dep);
-                        }
-                        let phase = self.dag.tasks()[idx].phase;
-                        let delay =
-                            lowering.lower_delay(setup.seconds, &self.deps[mark..], phase)?;
-                        self.deps.truncate(mark);
-                        self.deps.push(delay);
-                    }
-                    let lowered =
-                        lowering.lower(self.dag, sd.task, sd.scatter.as_ref(), &self.deps)?;
-                    self.lowered[idx] = Some(lowered);
-                    self.scheduled[idx] = true;
-                    self.deferred[idx] = false;
-                    self.structure.release(idx);
-                    self.done += 1;
-                    progress = true;
+        let mut outcome = Ok(false);
+        callback(&mut |decision| {
+            if let Ok(progress) = &mut outcome {
+                match self.apply(decision, lowering) {
+                    Ok(scheduled) => *progress |= scheduled,
+                    Err(err) => outcome = Err(err),
                 }
             }
+        });
+        outcome
+    }
+
+    /// Applies one decision; whether it scheduled a task.
+    fn apply(
+        &mut self,
+        decision: Decision<'_>,
+        lowering: &mut dyn Lowering,
+    ) -> Result<bool, SimError> {
+        match decision {
+            Decision::Defer(t) => {
+                if t.index() >= self.dag.len() {
+                    return Err(SimError::UnknownId { kind: "dag task", index: t.index() });
+                }
+                if !self.scheduled[t.index()] {
+                    self.deferred[t.index()] = true;
+                }
+                Ok(false)
+            }
+            Decision::Schedule(sd) => {
+                let idx = sd.task.index();
+                if idx >= self.dag.len() {
+                    return Err(SimError::UnknownId { kind: "dag task", index: idx });
+                }
+                if self.scheduled[idx] {
+                    return Err(SimError::InvalidParameter {
+                        message: format!(
+                            "scheduler scheduled dag task {idx} ('{}') twice",
+                            self.name(idx)
+                        ),
+                    });
+                }
+                if !self.structure.is_ready(idx) {
+                    return Err(SimError::InvalidParameter {
+                        message: format!(
+                            "scheduler scheduled dag task {idx} ('{}') before its \
+                             structural predecessors",
+                            self.name(idx)
+                        ),
+                    });
+                }
+                if let Some(plan) = &sd.scatter {
+                    self.check_scatter(idx, plan)?;
+                }
+                self.resolve_deps(&sd)?;
+                if let Some(setup) = &sd.setup {
+                    // The setup's anchors resolve behind the task's
+                    // deps; the delay then takes their place.
+                    let mark = self.deps.len();
+                    for &anchor in setup.after.iter() {
+                        let dep = self.resolve_anchor(anchor)?;
+                        self.deps.push(dep);
+                    }
+                    let phase = self.dag.tasks()[idx].phase;
+                    let delay = lowering.lower_delay(setup.seconds, &self.deps[mark..], phase)?;
+                    self.deps.truncate(mark);
+                    self.deps.push(delay);
+                }
+                let per_site = &mut self.lowered.per_site;
+                let start = per_site.len();
+                let main =
+                    lowering.lower(self.dag, sd.task, sd.scatter.as_ref(), &self.deps, per_site)?;
+                let sites = Span::since(start, per_site);
+                self.lowered.tasks[idx] = Some((main, sites));
+                self.scheduled[idx] = true;
+                self.deferred[idx] = false;
+                self.structure.release(idx);
+                self.done += 1;
+                Ok(true)
+            }
         }
-        Ok(progress)
     }
 }
 
@@ -435,11 +468,11 @@ pub fn execute(
 ) -> Result<ScheduleOutcome, SimError> {
     let structure = dag.structure()?;
     let n = dag.len();
+    lowering.reserve(n, structure.edges());
     let mut exec = Executor {
         dag,
-        resources,
         structure,
-        lowered: (0..n).map(|_| None).collect(),
+        lowered: Lowered { tasks: vec![None; n], per_site: Vec::new() },
         scheduled: vec![false; n],
         deferred: vec![false; n],
         deps: Vec::new(),
@@ -447,8 +480,7 @@ pub fn execute(
         done: 0,
     };
     let mut sites: Option<Vec<usize>> = None;
-    // The scheduler's answers, one callback's at a time.
-    let mut decisions = Vec::new();
+    let view = SystemView { resources };
 
     while exec.done < n {
         let mut progress = false;
@@ -456,9 +488,8 @@ pub fn execute(
             if exec.scheduled[t] || exec.deferred[t] || !exec.structure.is_ready(t) {
                 continue;
             }
-            let view = SystemView { resources: exec.resources };
-            scheduler.on_task_ready(DagTaskId(t), dag, &view, &mut decisions);
-            progress |= exec.apply(&mut decisions, lowering)?;
+            progress |= exec
+                .answer(lowering, |out| scheduler.on_task_ready(DagTaskId(t), dag, &view, out))?;
         }
         if exec.done == n || progress {
             continue;
@@ -466,18 +497,15 @@ pub fn execute(
         // Stalled: sweep resource-free callbacks to release deferred work.
         let mut freed = false;
         for &site in sites.get_or_insert_with(|| stall_sites(dag)).iter() {
-            let view = SystemView { resources: exec.resources };
-            scheduler.on_resource_free(site, dag, &view, &mut decisions);
-            freed |= exec.apply(&mut decisions, lowering)?;
+            freed |=
+                exec.answer(lowering, |out| scheduler.on_resource_free(site, dag, &view, out))?;
         }
         if !freed {
             let pending: Vec<usize> = (0..n).filter(|&t| !exec.scheduled[t]).collect();
             return Err(SimError::SchedulerStalled { pending_tasks: pending });
         }
     }
-    Ok(ScheduleOutcome {
-        lowered: exec.lowered.into_iter().map(|l| l.expect("all tasks scheduled")).collect(),
-    })
+    Ok(ScheduleOutcome { lowered: exec.lowered })
 }
 
 /// A direct lowering onto a plain [`Simulation`]: sites index straight into
@@ -534,19 +562,20 @@ impl Lowering for DirectLowering<'_> {
         &mut self,
         dag: &Dag,
         task: DagTaskId,
-        scatter: Option<&ScatterPlan>,
+        scatter: Option<&ScatterPlan<'_>>,
         deps: &[TaskId],
-    ) -> Result<Lowered, SimError> {
+        per_site: &mut Vec<(usize, TaskId)>,
+    ) -> Result<TaskId, SimError> {
         let node =
             dag.task(task).ok_or(SimError::UnknownId { kind: "dag task", index: task.index() })?;
         match node.work {
-            DagWork::Join => Ok(Lowered::single(self.sim.barrier(deps))),
+            DagWork::Join => Ok(self.sim.barrier(deps)),
             DagWork::Delay { seconds } => {
                 let mut spec = DelaySpec::new(seconds).after(deps).label(node.name.clone());
                 if let Some(p) = node.phase {
                     spec = spec.phase(p);
                 }
-                Ok(Lowered::single(self.sim.delay(spec)))
+                Ok(self.sim.delay(spec))
             }
             DagWork::Compute { site, amount } => {
                 let resource = self.site_resource(site)?;
@@ -555,7 +584,7 @@ impl Lowering for DirectLowering<'_> {
                 if let Some(p) = node.phase {
                     spec = spec.phase(p);
                 }
-                Ok(Lowered::single(self.sim.compute(spec)))
+                Ok(self.sim.compute(spec))
             }
             DagWork::Transfer { from, to, bytes } => match scatter {
                 None => {
@@ -573,12 +602,11 @@ impl Lowering for DirectLowering<'_> {
                     if let Some(p) = node.phase {
                         spec = spec.phase(p);
                     }
-                    Ok(Lowered::single(self.sim.flow(spec)))
+                    Ok(self.sim.flow(spec))
                 }
                 Some(plan) => {
-                    let mut per_site = Vec::new();
                     let mut flows = Vec::new();
-                    for &(site, part_bytes) in &plan.transfers {
+                    for &(site, part_bytes) in plan.transfers.iter() {
                         let path = if to == SITE_STORAGE {
                             self.route(from, site)?
                         } else {
@@ -601,10 +629,14 @@ impl Lowering for DirectLowering<'_> {
                     } else {
                         *flows.last().expect("non-empty")
                     };
-                    Ok(Lowered { main, per_site })
+                    Ok(main)
                 }
             },
         }
+    }
+
+    fn reserve(&mut self, tasks: usize, deps: usize) {
+        self.sim.reserve(tasks, deps);
     }
 
     fn lower_delay(
@@ -647,7 +679,7 @@ mod tests {
             task: DagTaskId,
             dag: &Dag,
             _system: &SystemView<'_>,
-            out: &mut Vec<Decision>,
+            out: &mut dyn FnMut(Decision<'_>),
         ) {
             self.scheduled.resize(dag.len(), false);
             let soft = dag.soft_inputs(task);
@@ -658,23 +690,22 @@ mod tests {
             }
             self.scheduled[task.index()] = true;
             let anchors = soft.iter().map(|d| Anchor::Task(producer(d)));
-            out.push(Decision::Schedule(ScheduleDecision::new(task).after_all(anchors)));
+            out(Decision::Schedule(ScheduleDecision::new(task).after_all(anchors)));
         }
     }
 
     /// The per-site sub-result `site` of DAG task `id`.
     fn at_site(outcome: &ScheduleOutcome, id: DagTaskId, site: usize) -> Option<TaskId> {
-        outcome.lowered[id.index()].at_site(site)
+        outcome.lowered.at_site(id.index(), site).expect("scheduled")
     }
 
     /// A two-site test bed: compute resources at sites 0 and 1 plus three
     /// storage device sites (2, 3, 4), each behind its own link.
     fn testbed(sim: &mut Simulation) -> DirectLowering<'_> {
-        let r0 = sim.add_resource("site0", 2.0);
-        let r1 = sim.add_resource("site1", 3.0);
-        let l01 = sim.add_link("l01", 4.0);
-        let dev_links: Vec<LinkId> =
-            (0..3).map(|d| sim.add_link(format!("dev{d}"), 10.0)).collect();
+        let r0 = sim.add_resource(2.0);
+        let r1 = sim.add_resource(3.0);
+        let l01 = sim.add_link(4.0);
+        let dev_links: Vec<LinkId> = (0..3).map(|_| sim.add_link(10.0)).collect();
         let mut lowering = DirectLowering::new(sim);
         lowering.map_site(0, r0);
         lowering.map_site(1, r1);
@@ -756,7 +787,7 @@ mod tests {
             task: DagTaskId,
             dag: &Dag,
             _system: &SystemView<'_>,
-            out: &mut Vec<Decision>,
+            out: &mut dyn FnMut(Decision<'_>),
         ) {
             let node = dag.task(task).unwrap();
             let mut decision = ScheduleDecision::new(task);
@@ -778,7 +809,7 @@ mod tests {
                         .after_all(self.sites.iter().map(|&s| Anchor::TaskAtSite(producer, s)));
                 }
             }
-            out.push(Decision::Schedule(decision));
+            out(Decision::Schedule(decision));
         }
     }
 
@@ -864,10 +895,10 @@ mod tests {
             task: DagTaskId,
             dag: &Dag,
             _system: &SystemView<'_>,
-            out: &mut Vec<Decision>,
+            out: &mut dyn FnMut(Decision<'_>),
         ) {
             self.scheduled.resize(dag.len(), false);
-            out.push(match dag.task(task).unwrap().work {
+            out(match dag.task(task).unwrap().work {
                 DagWork::Compute { .. } => {
                     self.scheduled[task.index()] = true;
                     Decision::Schedule(ScheduleDecision::new(task))
@@ -881,7 +912,7 @@ mod tests {
             _site: usize,
             dag: &Dag,
             _system: &SystemView<'_>,
-            out: &mut Vec<Decision>,
+            out: &mut dyn FnMut(Decision<'_>),
         ) {
             // Release the first deferred-and-ready task.
             for idx in 0..dag.len() {
@@ -891,7 +922,7 @@ mod tests {
                 if !self.scheduled[idx] && ready {
                     self.scheduled[idx] = true;
                     self.releases += 1;
-                    out.push(Decision::Schedule(ScheduleDecision::new(id)));
+                    out(Decision::Schedule(ScheduleDecision::new(id)));
                     return;
                 }
             }
@@ -928,9 +959,9 @@ mod tests {
             task: DagTaskId,
             _dag: &Dag,
             _system: &SystemView<'_>,
-            out: &mut Vec<Decision>,
+            out: &mut dyn FnMut(Decision<'_>),
         ) {
-            out.push(Decision::Defer(task));
+            out(Decision::Defer(task));
         }
     }
 
@@ -957,10 +988,10 @@ mod tests {
             task: DagTaskId,
             _dag: &Dag,
             _system: &SystemView<'_>,
-            out: &mut Vec<Decision>,
+            out: &mut dyn FnMut(Decision<'_>),
         ) {
-            out.push(Decision::Schedule(ScheduleDecision::new(task)));
-            out.push(Decision::Schedule(ScheduleDecision::new(task)));
+            out(Decision::Schedule(ScheduleDecision::new(task)));
+            out(Decision::Schedule(ScheduleDecision::new(task)));
         }
     }
 

@@ -17,6 +17,23 @@ pub(super) fn predecessors(dag: &Dag, id: DagTaskId) -> Vec<DagTaskId> {
     preds
 }
 
+/// The concrete simulation tasks one DAG task lowered to.
+#[derive(Debug, Clone)]
+struct Lowered {
+    main: TaskId,
+    per_site: Vec<(usize, TaskId)>,
+}
+
+impl Lowered {
+    fn at_site(&self, site: usize) -> Option<TaskId> {
+        self.per_site.iter().find(|(s, _)| *s == site).map(|(_, t)| *t)
+    }
+}
+
+/// What an executor returns, task by task: the main task and the per-site
+/// sub-results.
+pub(super) type Outcome = Vec<(TaskId, Vec<(usize, TaskId)>)>;
+
 struct Executor<'a> {
     dag: &'a Dag,
     resources: &'a [Resource],
@@ -57,7 +74,7 @@ impl Executor<'_> {
         }
     }
 
-    fn resolve_deps(&self, decision: &ScheduleDecision) -> Result<Vec<TaskId>, SimError> {
+    fn resolve_deps(&self, decision: &ScheduleDecision<'_>) -> Result<Vec<TaskId>, SimError> {
         let idx = decision.task.index();
         let task = self.dag.task(decision.task).expect("validated id");
         let mut deps = Vec::new();
@@ -87,7 +104,7 @@ impl Executor<'_> {
                 })?;
             deps.push(produced.main);
         }
-        for &anchor in &decision.after {
+        for &anchor in decision.after.iter() {
             deps.push(self.resolve_anchor(anchor)?);
         }
         Ok(deps)
@@ -95,7 +112,7 @@ impl Executor<'_> {
 
     fn apply(
         &mut self,
-        decisions: Vec<Decision>,
+        decisions: Vec<Decision<'_>>,
         lowering: &mut dyn Lowering,
     ) -> Result<bool, SimError> {
         let mut progress = false;
@@ -134,15 +151,22 @@ impl Executor<'_> {
                     let mut deps = self.resolve_deps(&sd)?;
                     if let Some(setup) = &sd.setup {
                         let mut setup_deps = Vec::new();
-                        for &anchor in &setup.after {
+                        for &anchor in setup.after.iter() {
                             setup_deps.push(self.resolve_anchor(anchor)?);
                         }
                         let phase = self.dag.task(sd.task).expect("validated id").phase;
                         let delay = lowering.lower_delay(setup.seconds, &setup_deps, phase)?;
                         deps.push(delay);
                     }
-                    let lowered = lowering.lower(self.dag, sd.task, sd.scatter.as_ref(), &deps)?;
-                    self.lowered[idx] = Some(lowered);
+                    let mut per_site = Vec::new();
+                    let main = lowering.lower(
+                        self.dag,
+                        sd.task,
+                        sd.scatter.as_ref(),
+                        &deps,
+                        &mut per_site,
+                    )?;
+                    self.lowered[idx] = Some(Lowered { main, per_site });
                     self.scheduled[idx] = true;
                     self.deferred[idx] = false;
                     self.done += 1;
@@ -184,13 +208,35 @@ fn validate(dag: &Dag) -> Result<(), SimError> {
     Ok(())
 }
 
+/// `plan`, owning its transfers.
+fn owned_plan(plan: ScatterPlan<'_>) -> ScatterPlan<'static> {
+    ScatterPlan { transfers: Cow::Owned(plan.transfers.into_owned()), join: plan.join }
+}
+
+/// `decision`, owning its anchors and placement: the old executor kept a
+/// callback's decisions and applied them after it returned.
+fn owned(decision: Decision<'_>) -> Decision<'static> {
+    match decision {
+        Decision::Defer(t) => Decision::Defer(t),
+        Decision::Schedule(sd) => Decision::Schedule(ScheduleDecision {
+            task: sd.task,
+            after: Cow::Owned(sd.after.into_owned()),
+            scatter: sd.scatter.map(owned_plan),
+            setup: sd.setup.map(|setup| SetupDelay {
+                seconds: setup.seconds,
+                after: Cow::Owned(setup.after.into_owned()),
+            }),
+        }),
+    }
+}
+
 /// The old body of [`super::execute`].
 pub(super) fn execute(
     dag: &Dag,
     resources: &[Resource],
     scheduler: &mut dyn Scheduler,
     lowering: &mut dyn Lowering,
-) -> Result<ScheduleOutcome, SimError> {
+) -> Result<Outcome, SimError> {
     validate(dag)?;
     let n = dag.len();
     let mut exec = Executor {
@@ -222,7 +268,7 @@ pub(super) fn execute(
             }
             let mut decisions = Vec::new();
             let view = SystemView { resources: exec.resources };
-            scheduler.on_task_ready(DagTaskId(t), dag, &view, &mut decisions);
+            scheduler.on_task_ready(DagTaskId(t), dag, &view, &mut |d| decisions.push(owned(d)));
             progress |= exec.apply(decisions, lowering)?;
         }
         if exec.done == n || progress {
@@ -232,7 +278,7 @@ pub(super) fn execute(
         for &site in &sites {
             let mut decisions = Vec::new();
             let view = SystemView { resources: exec.resources };
-            scheduler.on_resource_free(site, dag, &view, &mut decisions);
+            scheduler.on_resource_free(site, dag, &view, &mut |d| decisions.push(owned(d)));
             freed |= exec.apply(decisions, lowering)?;
         }
         if !freed {
@@ -240,9 +286,12 @@ pub(super) fn execute(
             return Err(SimError::SchedulerStalled { pending_tasks: pending });
         }
     }
-    Ok(ScheduleOutcome {
-        lowered: exec.lowered.into_iter().map(|l| l.expect("all tasks scheduled")).collect(),
-    })
+    Ok(exec
+        .lowered
+        .into_iter()
+        .map(|l| l.expect("all tasks scheduled"))
+        .map(|l| (l.main, l.per_site))
+        .collect())
 }
 
 mod tests {
@@ -254,7 +303,7 @@ mod tests {
     /// One call a [`Recorder`] received.
     #[derive(Debug, Clone, PartialEq)]
     enum Call {
-        Lower { task: usize, scatter: Option<ScatterPlan>, deps: Vec<TaskId> },
+        Lower { task: usize, scatter: Option<ScatterPlan<'static>>, deps: Vec<TaskId> },
         Delay { seconds: f64, deps: Vec<TaskId>, phase: Option<PhaseId> },
     }
 
@@ -278,18 +327,19 @@ mod tests {
             &mut self,
             _dag: &Dag,
             task: DagTaskId,
-            scatter: Option<&ScatterPlan>,
+            scatter: Option<&ScatterPlan<'_>>,
             deps: &[TaskId],
-        ) -> Result<Lowered, SimError> {
+            per_site: &mut Vec<(usize, TaskId)>,
+        ) -> Result<TaskId, SimError> {
             self.calls.push(Call::Lower {
                 task: task.index(),
-                scatter: scatter.cloned(),
+                scatter: scatter.cloned().map(owned_plan),
                 deps: deps.to_vec(),
             });
-            let per_site = scatter
-                .map(|p| p.transfers.iter().map(|&(site, _)| (site, self.id())).collect())
-                .unwrap_or_default();
-            Ok(Lowered { main: self.id(), per_site })
+            for &(site, _) in scatter.map_or(&[][..], |p| &p.transfers) {
+                per_site.push((site, self.id()));
+            }
+            Ok(self.id())
         }
 
         fn lower_delay(
@@ -383,7 +433,7 @@ mod tests {
             self.dice[(self.next - 1) % self.dice.len()] as usize
         }
 
-        fn decision(&mut self, task: DagTaskId, dag: &Dag) -> ScheduleDecision {
+        fn decision(&mut self, task: DagTaskId, dag: &Dag) -> ScheduleDecision<'static> {
             self.scheduled[task.index()] = true;
             let r = self.roll();
             let node = dag.task(task).expect("offered tasks exist");
@@ -406,7 +456,7 @@ mod tests {
                     1 => STORAGE_SITES.iter().map(|&s| (s, bytes / 2.0)).collect(),
                     _ => Vec::new(),
                 };
-                d = d.scatter(ScatterPlan { transfers, join: r % 3 == 0 });
+                d = d.scatter(ScatterPlan { transfers: transfers.into(), join: r % 3 == 0 });
             }
             if r % 5 == 0 {
                 let after = d.after.clone();
@@ -426,30 +476,33 @@ mod tests {
             task: DagTaskId,
             dag: &Dag,
             _system: &SystemView<'_>,
-            out: &mut Vec<Decision>,
+            out: &mut dyn FnMut(Decision<'_>),
         ) {
             self.log.push((true, task.index()));
             self.scheduled.resize(dag.len(), false);
             let r = self.roll();
             let schedule = |id| Decision::Schedule(ScheduleDecision::new(id));
             match r % 40 {
-                0 => return out.extend([schedule(task), schedule(task)]),
+                0 => {
+                    out(schedule(task));
+                    return out(schedule(task));
+                }
                 1 => {
                     let id = DagTaskId(r / 40 % dag.len());
                     self.scheduled[id.index()] = true;
-                    return out.push(schedule(id));
+                    return out(schedule(id));
                 }
                 _ => {}
             }
             let node = dag.task(task).expect("offered tasks exist");
             if !matches!(node.work, DagWork::Compute { .. }) && r % 4 == 0 {
-                return out.push(Decision::Defer(task));
+                return out(Decision::Defer(task));
             }
             let soft_ready = dag.soft_inputs(task).iter().all(|&item| {
                 self.scheduled[dag.data(item).expect("connected items exist").producer.index()]
             });
             if soft_ready {
-                out.push(Decision::Schedule(self.decision(task, dag)));
+                out(Decision::Schedule(self.decision(task, dag)));
             }
         }
 
@@ -458,7 +511,7 @@ mod tests {
             site: usize,
             dag: &Dag,
             _system: &SystemView<'_>,
-            out: &mut Vec<Decision>,
+            out: &mut dyn FnMut(Decision<'_>),
         ) {
             self.log.push((false, site));
             self.scheduled.resize(dag.len(), false);
@@ -469,34 +522,45 @@ mod tests {
                 let id = DagTaskId(idx);
                 let ready = predecessors(dag, id).iter().all(|p| self.scheduled[p.index()]);
                 if !self.scheduled[idx] && ready {
-                    return out.push(Decision::Schedule(self.decision(id, dag)));
+                    return out(Decision::Schedule(self.decision(id, dag)));
                 }
             }
         }
     }
 
-    type Execute = fn(
-        &Dag,
-        &[Resource],
-        &mut dyn Scheduler,
-        &mut dyn Lowering,
-    ) -> Result<ScheduleOutcome, SimError>;
+    type Execute =
+        fn(&Dag, &[Resource], &mut dyn Scheduler, &mut dyn Lowering) -> Result<Outcome, SimError>;
+
+    /// The executor under test, its outcome spelled as the reference's.
+    fn csr_outcome(
+        dag: &Dag,
+        resources: &[Resource],
+        scheduler: &mut dyn Scheduler,
+        lowering: &mut dyn Lowering,
+    ) -> Result<Outcome, SimError> {
+        let outcome = csr_execute(dag, resources, scheduler, lowering)?;
+        let lowered = &outcome.lowered;
+        Ok(lowered
+            .tasks
+            .iter()
+            .map(|l| l.expect("all tasks scheduled"))
+            .map(|(main, sites)| (main, sites.of(&lowered.per_site).to_vec()))
+            .collect())
+    }
 
     /// Everything an executor shows: what it returned, every lowering call
     /// and every scheduler callback, in order.
-    type Trace =
-        (Result<Vec<(TaskId, Vec<(usize, TaskId)>)>, SimError>, Vec<Call>, Vec<(bool, usize)>);
+    type Trace = (Result<Outcome, SimError>, Vec<Call>, Vec<(bool, usize)>);
 
     fn trace(execute: Execute, dag: &Dag, scheduler: &mut DicePolicy<'_>) -> Trace {
         let mut recorder = Recorder::default();
-        let outcome = execute(dag, &[], scheduler, &mut recorder)
-            .map(|o| o.lowered.into_iter().map(|l| (l.main, l.per_site)).collect());
+        let outcome = execute(dag, &[], scheduler, &mut recorder);
         (outcome, recorder.calls, std::mem::take(&mut scheduler.log))
     }
 
     fn both(dag: &Dag, dice: &[u32]) -> (Trace, Trace) {
         let csr = trace(
-            csr_execute,
+            csr_outcome,
             dag,
             &mut DicePolicy { dice, next: 0, log: Vec::new(), scheduled: Vec::new() },
         );

@@ -98,6 +98,11 @@ impl Span {
         self.end = arena.len();
     }
 
+    /// The entries appended to `arena` since it was `start` long.
+    pub(crate) fn since<T>(start: usize, arena: &[T]) -> Self {
+        Self { start, end: arena.len() }
+    }
+
     /// The entries of `arena` this span covers.
     pub(crate) fn of<T>(self, arena: &[T]) -> &[T] {
         &arena[self.start..self.end]

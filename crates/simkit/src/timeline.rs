@@ -67,10 +67,11 @@ fn union_measure(mut intervals: Vec<(f64, f64)>) -> f64 {
 pub struct Timeline {
     records: Vec<TaskRecord>,
     makespan: f64,
-    phase_names: Vec<String>,
     /// For every link of the simulation, the flow tasks that crossed it
-    /// (the basis of the per-link occupancy queries).
-    link_tasks: Vec<Vec<TaskId>>,
+    /// (the basis of the per-link occupancy queries): link `l`'s are
+    /// `link_tasks[link_start[l]..link_start[l + 1]]`.
+    link_start: Vec<usize>,
+    link_tasks: Vec<TaskId>,
     /// Fault-model degradations that were active during the run.
     fault_annotations: Vec<FaultAnnotation>,
 }
@@ -79,10 +80,10 @@ impl Timeline {
     pub(crate) fn new(
         records: Vec<TaskRecord>,
         makespan: f64,
-        phase_names: Vec<String>,
-        link_tasks: Vec<Vec<TaskId>>,
+        link_start: Vec<usize>,
+        link_tasks: Vec<TaskId>,
     ) -> Self {
-        Self { records, makespan, phase_names, link_tasks, fault_annotations: Vec::new() }
+        Self { records, makespan, link_start, link_tasks, fault_annotations: Vec::new() }
     }
 
     /// Records a fault-model degradation that was active during this run.
@@ -135,7 +136,9 @@ impl Timeline {
     /// The intervals during which `link` carried at least one flow matching
     /// `keep`, merged and measured as a union.
     fn link_busy_filtered(&self, link: LinkId, keep: impl Fn(&TaskRecord) -> bool) -> f64 {
-        let Some(tasks) = self.link_tasks.get(link.index()) else { return 0.0 };
+        let l = link.index();
+        let Some(&end) = self.link_start.get(l + 1) else { return 0.0 };
+        let tasks = &self.link_tasks[self.link_start[l]..end];
         let intervals: Vec<(f64, f64)> = tasks
             .iter()
             .filter_map(|&t| self.records.get(t))
@@ -191,7 +194,7 @@ mod tests {
         let tl = Timeline::new(
             vec![rec(0.0, 5.0, Some(0)), rec(3.0, 8.0, Some(0)), rec(10.0, 12.0, Some(0))],
             12.0,
-            vec!["update".to_string()],
+            Vec::new(),
             Vec::new(),
         );
         let busy = |phase| tl.phase_busy_time_before(PhaseId(phase), f64::INFINITY);
@@ -204,7 +207,7 @@ mod tests {
         let tl = Timeline::new(
             vec![rec(0.0, 4.0, Some(0)), rec(4.0, 6.0, Some(1)), rec(6.0, 7.0, None)],
             7.0,
-            vec!["fw".to_string(), "bw".to_string()],
+            Vec::new(),
             Vec::new(),
         );
         let busy = |phase| tl.phase_busy_time_before(PhaseId(phase), f64::INFINITY);
@@ -219,8 +222,7 @@ mod tests {
 
     #[test]
     fn records_are_looked_up_by_task_id() {
-        let tl =
-            Timeline::new(vec![rec(0.0, 1.0, None), rec(0.0, 5.0, None)], 5.0, vec![], Vec::new());
+        let tl = Timeline::new(vec![rec(0.0, 1.0, None), rec(0.0, 5.0, None)], 5.0, vec![], vec![]);
         assert_eq!(tl.finish_time(1), 5.0);
         assert!(tl.record(0).is_some());
         assert!(tl.record(7).is_none());
@@ -232,7 +234,7 @@ mod tests {
         let tl = Timeline::new(
             vec![rec(1.0, 3.0, Some(0)), rec(2.0, 6.0, Some(0)), rec(8.0, 9.0, Some(0))],
             9.0,
-            vec!["update".to_string()],
+            Vec::new(),
             Vec::new(),
         );
         let update = PhaseId(0);
@@ -265,8 +267,8 @@ mod tests {
         let tl = Timeline::new(
             vec![rec(0.0, 5.0, Some(0)), rec(3.0, 8.0, Some(0)), rec(7.0, 10.0, Some(1))],
             10.0,
-            vec!["write".to_string(), "readback".to_string()],
-            vec![vec![0, 1, 2], vec![]],
+            vec![0, 3, 3],
+            vec![0, 1, 2],
         );
         let link0 = LinkId(0);
         assert!((tl.link_busy_time(link0) - 10.0).abs() < 1e-12);

@@ -94,7 +94,6 @@ impl ClusterSpec {
         let cores = self.reduce_cores.unwrap_or(DEFAULT_REDUCE_CORES) as u32;
         let serial_fraction = self.serial_fraction.unwrap_or(DEFAULT_SERIAL_FRACTION);
         Resource::new(
-            "reducer",
             cores,
             REDUCE_BYTES_PER_CORE,
             f64::INFINITY,
@@ -177,13 +176,13 @@ impl Scheduler for ClusterScheduler {
         task: DagTaskId,
         _dag: &Dag,
         _system: &SystemView<'_>,
-        out: &mut Vec<Decision>,
+        out: &mut dyn FnMut(Decision<'_>),
     ) {
         let mut decision = ScheduleDecision::new(task);
         if task == self.reduce {
             decision = decision.after_all(self.exchanges.iter().map(|&t| Anchor::Task(t)));
         }
-        out.push(Decision::Schedule(decision));
+        out(Decision::Schedule(decision));
     }
 }
 
@@ -313,12 +312,12 @@ pub fn simulate_allreduce(
     let hub = hosts;
     let mut sim = Simulation::new();
     let phases = ClusterPhases {
-        forward: sim.add_phase("cluster.forward"),
-        backward: sim.add_phase("cluster.backward+allreduce"),
-        update: sim.add_phase("cluster.update"),
+        forward: sim.add_phase(),
+        backward: sim.add_phase(),
+        update: sim.add_phase(),
     };
     let nic_rate = cluster.nic_bytes_per_sec();
-    let backplane = sim.add_link("backplane", nic_rate * hosts as f64 / BACKPLANE_OVERSUBSCRIPTION);
+    let backplane = sim.add_link(nic_rate * hosts as f64 / BACKPLANE_OVERSUBSCRIPTION);
     // Host compute amounts are *seconds* from the single-host simulation, so
     // host resources run at unit rate — except the straggler, whose rate
     // drops by its factor.
@@ -330,13 +329,13 @@ pub fn simulate_allreduce(
             Some(s) if s.host == h => s.factor,
             _ => 1.0,
         };
-        let desc = Resource::serial(format!("host{h}"), 1.0 / slowdown);
-        host_res.push(sim.add_resource(desc.name.clone(), desc.full_rate()));
+        let desc = Resource::serial(1.0 / slowdown);
+        host_res.push(sim.add_resource(desc.full_rate()));
         resources.push(desc);
-        nics.push(sim.add_link(format!("nic{h}"), nic_rate));
+        nics.push(sim.add_link(nic_rate));
     }
     let reducer_desc = cluster.reducer();
-    let reducer = sim.add_resource(reducer_desc.name.clone(), reducer_desc.full_rate());
+    let reducer = sim.add_resource(reducer_desc.full_rate());
     resources.push(reducer_desc);
 
     let (dag, layout) = build_cluster_graph(hosts, per_host, grad_bytes, &phases);

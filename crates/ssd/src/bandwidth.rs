@@ -51,9 +51,9 @@ impl BandwidthProfile {
     }
 
     /// Registers the read and write media links for one device.
-    pub fn install(&self, sim: &mut Simulation, device_name: &str) -> MediaLinks {
-        let read = sim.add_link(format!("{device_name}-media-read"), self.read_bytes_per_sec);
-        let write = sim.add_link(format!("{device_name}-media-write"), self.write_bytes_per_sec);
+    pub fn install(&self, sim: &mut Simulation) -> MediaLinks {
+        let read = sim.add_link(self.read_bytes_per_sec);
+        let write = sim.add_link(self.write_bytes_per_sec);
         MediaLinks { read, write }
     }
 }
@@ -80,7 +80,7 @@ mod tests {
     #[test]
     fn reads_and_writes_use_independent_capacities() {
         let mut sim = Simulation::new();
-        let media = BandwidthProfile::new(10.0, 5.0).install(&mut sim, "d");
+        let media = BandwidthProfile::new(10.0, 5.0).install(&mut sim);
         let r = sim.flow(FlowSpec::new(vec![media.read], 100.0));
         let w = sim.flow(FlowSpec::new(vec![media.write], 100.0));
         let tl = sim.run().unwrap();
@@ -93,7 +93,7 @@ mod tests {
     #[test]
     fn concurrent_reads_share_the_media() {
         let mut sim = Simulation::new();
-        let media = BandwidthProfile::new(10.0, 5.0).install(&mut sim, "d");
+        let media = BandwidthProfile::new(10.0, 5.0).install(&mut sim);
         let a = sim.flow(FlowSpec::new(vec![media.read], 50.0));
         let b = sim.flow(FlowSpec::new(vec![media.read], 50.0));
         let tl = sim.run().unwrap();

@@ -54,7 +54,7 @@ mod tests {
 
         // Timed: the same device described by its bandwidth profile.
         let mut sim = simkit::Simulation::new();
-        let media = BandwidthProfile::smartssd_nvme().install(&mut sim, "ssd0");
+        let media = BandwidthProfile::smartssd_nvme().install(&mut sim);
         let read = sim.flow(simkit::FlowSpec::new(vec![media.read], 3.3e9));
         let write = sim.flow(simkit::FlowSpec::new(vec![media.write], 2.6e9));
         let tl = sim.run().unwrap();

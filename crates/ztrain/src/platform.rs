@@ -1,9 +1,7 @@
 //! The discrete-event scaffold the timed engine lowers every method onto.
 
-use std::collections::HashMap;
-
 use crate::machine::MachineConfig;
-use fabric::{InstalledFabric, NodeId, Platform};
+use fabric::{InstalledFabric, Platform};
 use faultkit::TimedFaultEffects;
 use simkit::{
     ComputeSpec, FlowSpec, LinkId, PhaseId, ResourceId, SimError, Simulation, TaskId, Timeline,
@@ -30,14 +28,17 @@ pub struct TimedPlatform {
     fpga_decompress: Vec<ResourceId>,
     config: MachineConfig,
     fault_effects: TimedFaultEffects,
-    /// Full link paths of the routes transfers have used, filled on first
-    /// use: one entry per endpoint pair served, never a table over all
-    /// nodes. The topology is fixed once installed, so no entry goes stale.
-    routes: HashMap<Route, Vec<LinkId>>,
+    /// Per [`Route::slot`], the span of `route_links` holding that route's
+    /// full link path, filled on first use: one slot per endpoint pair a
+    /// helper can name, never a table over all nodes. The topology is fixed
+    /// once installed, so no entry goes stale.
+    routes: Vec<Option<(usize, usize)>>,
+    /// The resolved paths, back to back.
+    route_links: Vec<LinkId>,
 }
 
 /// The endpoint pair of a transfer helper, by component index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Route {
     HostToGpu(usize),
     GpuToHost(usize),
@@ -47,6 +48,32 @@ enum Route {
     SsdToFpga(usize),
     FpgaToSsd(usize),
     GpuToSsd(usize, usize),
+}
+
+impl Route {
+    /// Number of routes the helpers can name on a machine with `gpus` GPUs
+    /// and `devices` storage devices.
+    fn slots(gpus: usize, devices: usize) -> usize {
+        gpus * (2 + gpus + devices) + 4 * devices
+    }
+
+    /// This route's index among [`Route::slots`] (the GPU routes first,
+    /// then four per device, then the GPU → device pairs), or `None` when
+    /// it names a GPU or device the machine does not have.
+    fn slot(self, gpus: usize, devices: usize) -> Option<usize> {
+        let (g, d) = (|g: usize| (g < gpus).then_some(g), |d: usize| (d < devices).then_some(d));
+        let gpu_routes = gpus * (2 + gpus);
+        Some(match self {
+            Route::HostToGpu(a) => g(a)?,
+            Route::GpuToHost(a) => gpus + g(a)?,
+            Route::GpuToGpu(a, b) => 2 * gpus + g(a)? * gpus + g(b)?,
+            Route::HostToSsd(a) => gpu_routes + 4 * d(a)?,
+            Route::SsdToHost(a) => gpu_routes + 4 * d(a)? + 1,
+            Route::SsdToFpga(a) => gpu_routes + 4 * d(a)? + 2,
+            Route::FpgaToSsd(a) => gpu_routes + 4 * d(a)? + 3,
+            Route::GpuToSsd(a, b) => gpu_routes + 4 * devices + g(a)? * devices + d(b)?,
+        })
+    }
 }
 
 impl TimedPlatform {
@@ -89,31 +116,19 @@ impl TimedPlatform {
         }
         let mut sim = Simulation::new();
         let fabric = platform.topology.install(&mut sim);
-        let media = (0..config.num_devices)
-            .map(|d| config.ssd.install(&mut sim, &format!("dev{d}")))
-            .collect();
-        let gpu_resources = (0..config.num_gpus)
-            .map(|g| sim.add_resource(format!("gpu{g}"), config.gpu.effective_flops))
-            .collect();
-        let cpu_update = sim.add_resource("cpu-update", config.cpu.update_bytes_per_sec);
+        let media = (0..config.num_devices).map(|_| config.ssd.install(&mut sim)).collect();
+        let gpu_resources =
+            (0..config.num_gpus).map(|_| sim.add_resource(config.gpu.effective_flops)).collect();
+        let cpu_update = sim.add_resource(config.cpu.update_bytes_per_sec);
         let (fpga_update, fpga_decompress) = if config.is_csd() {
+            let fpga = |sim: &mut Simulation, rate: f64| -> Vec<ResourceId> {
+                (0..config.num_devices)
+                    .map(|d| sim.add_resource(rate / effects.compute_slowdown(d)))
+                    .collect()
+            };
             (
-                (0..config.num_devices)
-                    .map(|d| {
-                        sim.add_resource(
-                            format!("fpga{d}-updater"),
-                            config.fpga_update_bytes_per_sec / effects.compute_slowdown(d),
-                        )
-                    })
-                    .collect(),
-                (0..config.num_devices)
-                    .map(|d| {
-                        sim.add_resource(
-                            format!("fpga{d}-decompressor"),
-                            config.fpga_decompress_bytes_per_sec / effects.compute_slowdown(d),
-                        )
-                    })
-                    .collect(),
+                fpga(&mut sim, config.fpga_update_bytes_per_sec),
+                fpga(&mut sim, config.fpga_decompress_bytes_per_sec),
             )
         } else {
             (Vec::new(), Vec::new())
@@ -129,7 +144,8 @@ impl TimedPlatform {
             fpga_decompress,
             config: config.clone(),
             fault_effects: effects,
-            routes: HashMap::new(),
+            routes: vec![None; Route::slots(config.num_gpus, config.num_devices)],
+            route_links: Vec::new(),
         }
     }
 
@@ -154,9 +170,11 @@ impl TimedPlatform {
         self.config.num_gpus
     }
 
-    /// Registers a named phase for breakdown reporting.
+    /// Registers a phase for breakdown reporting. `name` says what the
+    /// phase is where it is registered; the timeline reports phases by id.
     pub fn add_phase(&mut self, name: &str) -> PhaseId {
-        self.sim.add_phase(name)
+        let _ = name;
+        self.sim.add_phase()
     }
 
     /// Describes the machine's processing sites as [`simkit::Resource`]s, in
@@ -168,30 +186,15 @@ impl TimedPlatform {
         use simkit::{Resource, SpeedupCurve};
         let c = &self.config;
         let mut out = Vec::with_capacity(1 + c.num_gpus + 3 * c.num_devices);
-        out.push(Resource::new(
-            c.cpu.name.clone(),
-            1,
-            c.cpu.update_bytes_per_sec,
-            c.cpu.memory_bytes as f64,
-            SpeedupCurve::Flat,
-        ));
-        for g in 0..c.num_gpus {
-            out.push(Resource::new(
-                format!("{}#{g}", c.gpu.name),
-                1,
-                c.gpu.effective_flops,
-                c.gpu.memory_bytes as f64,
-                SpeedupCurve::Flat,
-            ));
+        let cpu_memory = c.cpu.memory_bytes as f64;
+        out.push(Resource::new(1, c.cpu.update_bytes_per_sec, cpu_memory, SpeedupCurve::Flat));
+        let gpu_memory = c.gpu.memory_bytes as f64;
+        for _ in 0..c.num_gpus {
+            out.push(Resource::new(1, c.gpu.effective_flops, gpu_memory, SpeedupCurve::Flat));
         }
-        for d in 0..c.num_devices {
-            out.push(Resource::new(
-                format!("dev{d}"),
-                1,
-                c.ssd.read_bytes_per_sec,
-                f64::INFINITY,
-                SpeedupCurve::Flat,
-            ));
+        for _ in 0..c.num_devices {
+            let read = c.ssd.read_bytes_per_sec;
+            out.push(Resource::new(1, read, f64::INFINITY, SpeedupCurve::Flat));
         }
         let csd = c.is_csd();
         for d in 0..c.num_devices {
@@ -200,13 +203,7 @@ impl TimedPlatform {
             } else {
                 0.0
             };
-            out.push(Resource::new(
-                format!("fpga{d}-updater"),
-                1,
-                rate,
-                4.0 * simkit::GB,
-                SpeedupCurve::Flat,
-            ));
+            out.push(Resource::new(1, rate, 4.0 * simkit::GB, SpeedupCurve::Flat));
         }
         for d in 0..c.num_devices {
             let rate = if csd {
@@ -214,13 +211,7 @@ impl TimedPlatform {
             } else {
                 0.0
             };
-            out.push(Resource::new(
-                format!("fpga{d}-decompressor"),
-                1,
-                rate,
-                4.0 * simkit::GB,
-                SpeedupCurve::Flat,
-            ));
+            out.push(Resource::new(1, rate, 4.0 * simkit::GB, SpeedupCurve::Flat));
         }
         out
     }
@@ -237,11 +228,17 @@ impl TimedPlatform {
     /// expansion switch directly.
     pub fn host_uplink_links(&self) -> (LinkId, LinkId) {
         let edge = self
-            .fabric
-            .topology()
+            .platform
+            .topology
             .edge_between(self.platform.host, self.platform.expansion)
             .expect("host and expansion switch are always directly connected");
         self.fabric.links_of_edge(edge)
+    }
+
+    /// Makes room in the simulation for `tasks` more tasks with `deps`
+    /// dependencies between them.
+    pub(crate) fn reserve(&mut self, tasks: usize, deps: usize) {
+        self.sim.reserve(tasks, deps);
     }
 
     /// Adds a barrier completing after all `deps`.
@@ -303,88 +300,99 @@ impl TimedPlatform {
 
     /// FPGA updater kernel on device `dev` over `bytes` of state+gradient.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the platform was built with plain SSDs.
+    /// [`SimError::InvalidParameter`] if the platform was built with plain
+    /// SSDs or has no device `dev`.
     pub fn fpga_update(
         &mut self,
         dev: usize,
         bytes: f64,
         deps: &[TaskId],
         phase: PhaseId,
-    ) -> TaskId {
-        let spec = ComputeSpec::new(self.fpga_update[dev], bytes).after(deps).phase(phase);
-        self.sim.compute(spec)
+    ) -> Result<TaskId, SimError> {
+        let resource = Self::fpga(&self.fpga_update, dev, "updater")?;
+        Ok(self.sim.compute(ComputeSpec::new(resource, bytes).after(deps).phase(phase)))
     }
 
     /// FPGA decompressor kernel on device `dev` producing `bytes` of dense gradient.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the platform was built with plain SSDs.
+    /// As [`TimedPlatform::fpga_update`].
     pub(crate) fn fpga_decompress(
         &mut self,
         dev: usize,
         bytes: f64,
         deps: &[TaskId],
         phase: PhaseId,
-    ) -> TaskId {
-        let spec = ComputeSpec::new(self.fpga_decompress[dev], bytes).after(deps).phase(phase);
-        self.sim.compute(spec)
+    ) -> Result<TaskId, SimError> {
+        let resource = Self::fpga(&self.fpga_decompress, dev, "decompressor")?;
+        Ok(self.sim.compute(ComputeSpec::new(resource, bytes).after(deps).phase(phase)))
+    }
+
+    /// The FPGA `kernel` resource of device `dev`, if the platform has one.
+    fn fpga(resources: &[ResourceId], dev: usize, kernel: &str) -> Result<ResourceId, SimError> {
+        resources.get(dev).copied().ok_or_else(|| SimError::InvalidParameter {
+            message: format!("the FPGA {kernel} of device {dev} requires a CSD platform"),
+        })
     }
 
     // ---- transfer helpers --------------------------------------------------
 
-    /// Adds a flow over `route`. Its path is resolved on first use and then
-    /// lent from the memo, never copied.
+    /// Adds a flow over `route`. Its path is resolved on first use into the
+    /// route arena and then lent from it, never copied.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `route` names an FPGA of a plain-SSD platform.
-    fn flow(&mut self, route: Route, bytes: f64, deps: &[TaskId], phase: PhaseId) -> TaskId {
-        let Self { sim, routes, platform, fabric, media, .. } = self;
-        let path =
-            routes.entry(route).or_insert_with(|| Self::resolve(platform, fabric, media, route));
-        sim.flow(FlowSpec::new(path.as_slice(), bytes).after(deps).phase(phase))
-    }
-
-    /// The fabric path of `route` with the SSD media link it crosses
-    /// appended.
-    fn resolve(
-        p: &Platform,
-        fabric: &InstalledFabric,
-        media: &[MediaLinks],
+    /// [`SimError::InvalidParameter`] naming `route` when the platform does
+    /// not have its endpoints: a GPU or device beyond its counts, or the
+    /// FPGA of a plain-SSD machine.
+    fn flow(
+        &mut self,
         route: Route,
-    ) -> Vec<LinkId> {
-        let fpga = |dev: usize, what: &str| -> NodeId {
-            p.devices[dev].fpga.unwrap_or_else(|| panic!("{what} requires a CSD platform"))
-        };
-        let (from, to, link, what) = match route {
-            Route::HostToGpu(g) => (p.host, p.gpus[g], None, "host and GPU"),
-            Route::GpuToHost(g) => (p.gpus[g], p.host, None, "host and GPU"),
-            Route::GpuToGpu(a, b) => (p.gpus[a], p.gpus[b], None, "GPUs"),
-            Route::HostToSsd(d) => (p.host, p.devices[d].ssd, Some(media[d].write), "host and SSD"),
-            Route::SsdToHost(d) => (p.devices[d].ssd, p.host, Some(media[d].read), "host and SSD"),
-            Route::SsdToFpga(d) => (
-                p.devices[d].ssd,
-                fpga(d, "ssd_to_fpga"),
-                Some(media[d].read),
-                "CSD internal ports",
-            ),
-            Route::FpgaToSsd(d) => (
-                fpga(d, "fpga_to_ssd"),
-                p.devices[d].ssd,
-                Some(media[d].write),
-                "CSD internal ports",
-            ),
-            Route::GpuToSsd(g, d) => {
-                (p.gpus[g], p.devices[d].ssd, Some(media[d].write), "GPU and SSD")
+        bytes: f64,
+        deps: &[TaskId],
+        phase: PhaseId,
+    ) -> Result<TaskId, SimError> {
+        let invalid =
+            |why: &str| SimError::InvalidParameter { message: format!("route {route:?} {why}") };
+        let slot = route
+            .slot(self.config.num_gpus, self.config.num_devices)
+            .ok_or_else(|| invalid("names a GPU or device this platform does not have"))?;
+        let (start, end) = match self.routes[slot] {
+            Some(span) => span,
+            None => {
+                let start = self.route_links.len();
+                self.resolve(route).map_err(|why| invalid(&why))?;
+                let span = (start, self.route_links.len());
+                self.routes[slot] = Some(span);
+                span
             }
         };
-        let mut path =
-            fabric.path(from, to).unwrap_or_else(|e| panic!("{what} are always connected: {e}"));
-        path.extend(link);
-        path
+        let path = &self.route_links[start..end];
+        Ok(self.sim.flow(FlowSpec::new(path, bytes).after(deps).phase(phase)))
+    }
+
+    /// Appends the fabric path of `route`, whose indices are in range, then
+    /// the SSD media link it crosses, to the route arena.
+    fn resolve(&mut self, route: Route) -> Result<(), String> {
+        let p = &self.platform;
+        let media = &self.media;
+        let fpga = |d: usize| p.devices[d].fpga.ok_or("requires a CSD platform");
+        let (from, to, link) = match route {
+            Route::HostToGpu(g) => (p.host, p.gpus[g], None),
+            Route::GpuToHost(g) => (p.gpus[g], p.host, None),
+            Route::GpuToGpu(a, b) => (p.gpus[a], p.gpus[b], None),
+            Route::HostToSsd(d) => (p.host, p.devices[d].ssd, Some(media[d].write)),
+            Route::SsdToHost(d) => (p.devices[d].ssd, p.host, Some(media[d].read)),
+            Route::SsdToFpga(d) => (p.devices[d].ssd, fpga(d)?, Some(media[d].read)),
+            Route::FpgaToSsd(d) => (fpga(d)?, p.devices[d].ssd, Some(media[d].write)),
+            Route::GpuToSsd(g, d) => (p.gpus[g], p.devices[d].ssd, Some(media[d].write)),
+        };
+        self.fabric.extend_path(from, to, &mut self.route_links).map_err(|e| e.to_string())?;
+        self.route_links.extend(link);
+        Ok(())
     }
 
     /// Host memory → GPU transfer (parameter/activation upload).
@@ -394,7 +402,7 @@ impl TimedPlatform {
         bytes: f64,
         deps: &[TaskId],
         phase: PhaseId,
-    ) -> TaskId {
+    ) -> Result<TaskId, SimError> {
         self.flow(Route::HostToGpu(gpu), bytes, deps, phase)
     }
 
@@ -405,7 +413,7 @@ impl TimedPlatform {
         bytes: f64,
         deps: &[TaskId],
         phase: PhaseId,
-    ) -> TaskId {
+    ) -> Result<TaskId, SimError> {
         self.flow(Route::GpuToHost(gpu), bytes, deps, phase)
     }
 
@@ -417,7 +425,7 @@ impl TimedPlatform {
         bytes: f64,
         deps: &[TaskId],
         phase: PhaseId,
-    ) -> TaskId {
+    ) -> Result<TaskId, SimError> {
         self.flow(Route::GpuToGpu(from, to), bytes, deps, phase)
     }
 
@@ -429,7 +437,7 @@ impl TimedPlatform {
         bytes: f64,
         deps: &[TaskId],
         phase: PhaseId,
-    ) -> TaskId {
+    ) -> Result<TaskId, SimError> {
         self.flow(Route::HostToSsd(dev), bytes, deps, phase)
     }
 
@@ -440,38 +448,39 @@ impl TimedPlatform {
         bytes: f64,
         deps: &[TaskId],
         phase: PhaseId,
-    ) -> TaskId {
+    ) -> Result<TaskId, SimError> {
         self.flow(Route::SsdToHost(dev), bytes, deps, phase)
     }
 
     /// CSD-internal P2P read: SSD → FPGA on device `dev`, never touching the
     /// shared host interconnect.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the platform was built with plain SSDs.
+    /// [`SimError::InvalidParameter`] if the platform was built with plain
+    /// SSDs.
     pub(crate) fn ssd_to_fpga(
         &mut self,
         dev: usize,
         bytes: f64,
         deps: &[TaskId],
         phase: PhaseId,
-    ) -> TaskId {
+    ) -> Result<TaskId, SimError> {
         self.flow(Route::SsdToFpga(dev), bytes, deps, phase)
     }
 
     /// CSD-internal P2P write: FPGA → SSD on device `dev`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the platform was built with plain SSDs.
+    /// As [`TimedPlatform::ssd_to_fpga`].
     pub(crate) fn fpga_to_ssd(
         &mut self,
         dev: usize,
         bytes: f64,
         deps: &[TaskId],
         phase: PhaseId,
-    ) -> TaskId {
+    ) -> Result<TaskId, SimError> {
         self.flow(Route::FpgaToSsd(dev), bytes, deps, phase)
     }
 
@@ -484,7 +493,7 @@ impl TimedPlatform {
         bytes: f64,
         deps: &[TaskId],
         phase: PhaseId,
-    ) -> TaskId {
+    ) -> Result<TaskId, SimError> {
         self.flow(Route::GpuToSsd(gpu, dev), bytes, deps, phase)
     }
 }
@@ -504,18 +513,80 @@ mod tests {
         assert_eq!(plat.num_gpus(), 1);
         assert!(!plat.config().is_csd());
         let p = phase(&mut plat);
-        let a = plat.host_to_ssd(0, 1e9, &[], p);
-        let b = plat.ssd_to_host(1, 1e9, &[a], p);
+        let a = plat.host_to_ssd(0, 1e9, &[], p).unwrap();
+        let b = plat.ssd_to_host(1, 1e9, &[a], p).unwrap();
         let tl = plat.run().unwrap();
         assert!(tl.finish_time(b) > tl.finish_time(a));
     }
 
+    /// The message of an `InvalidParameter` error.
+    fn invalid(result: Result<TaskId, SimError>) -> String {
+        match result {
+            Err(SimError::InvalidParameter { message }) => message,
+            other => panic!("expected InvalidParameter, got {other:?}"),
+        }
+    }
+
+    /// A plain-SSD machine has no FPGA: its P2P routes and kernels are a
+    /// typed error naming what is missing, never a panic, and nothing is
+    /// added to the simulation or the route memo.
     #[test]
-    #[should_panic(expected = "requires a CSD platform")]
     fn internal_p2p_on_plain_ssd_panics() {
         let mut plat = TimedPlatform::new(&MachineConfig::baseline_raid0(1));
         let p = phase(&mut plat);
-        plat.ssd_to_fpga(0, 1.0, &[], p);
+        let message = invalid(plat.ssd_to_fpga(0, 1.0, &[], p));
+        assert_eq!(message, "route SsdToFpga(0) requires a CSD platform");
+        assert!(invalid(plat.fpga_to_ssd(0, 1.0, &[], p)).contains("FpgaToSsd(0)"));
+        let message = invalid(plat.fpga_update(0, 1.0, &[], p));
+        assert_eq!(message, "the FPGA updater of device 0 requires a CSD platform");
+        assert!(invalid(plat.fpga_decompress(0, 1.0, &[], p)).contains("decompressor"));
+        // Indices beyond the machine name no route at all.
+        assert!(invalid(plat.host_to_ssd(1, 1.0, &[], p)).contains("does not have"));
+        assert!(invalid(plat.gpu_to_gpu(0, 1, 1.0, &[], p)).contains("does not have"));
+        assert_eq!(resolved(&plat), 0);
+        assert!(plat.route_links.is_empty());
+        assert!(plat.run().unwrap().records().is_empty());
+    }
+
+    /// The same, reached through the public lowering: a graph that names an
+    /// FPGA site on a plain-SSD machine fails to lower with the error.
+    #[test]
+    fn a_graph_naming_an_fpga_on_plain_ssds_fails_to_lower_with_a_typed_error() {
+        use crate::schedule::{PlatformLowering, SiteMap};
+        use simkit::{Dag, DagTaskId, DagWork, Decision, ScheduleDecision, Scheduler, SystemView};
+
+        struct Asap;
+        impl Scheduler for Asap {
+            fn name(&self) -> &'static str {
+                "asap"
+            }
+            fn on_task_ready(
+                &mut self,
+                task: DagTaskId,
+                _: &Dag,
+                _: &SystemView<'_>,
+                out: &mut dyn FnMut(Decision<'_>),
+            ) {
+                out(Decision::Schedule(ScheduleDecision::new(task)));
+            }
+        }
+
+        let mut plat = TimedPlatform::new(&MachineConfig::baseline_raid0(2));
+        let p = phase(&mut plat);
+        let sites = SiteMap::new(plat.num_gpus(), plat.num_devices());
+        for work in [
+            DagWork::Transfer { from: sites.dev(1), to: sites.fpga(1), bytes: 1.0 },
+            DagWork::Compute { site: sites.fpga(0), amount: 1.0 },
+        ] {
+            let mut dag = Dag::new();
+            let task = dag.add_task("p2p", work);
+            dag.set_phase(task, p);
+            let resources = plat.resource_catalog();
+            let err =
+                simkit::execute(&dag, &resources, &mut Asap, &mut PlatformLowering::new(&mut plat))
+                    .expect_err("a plain-SSD machine has no FPGA");
+            assert!(err.to_string().contains("requires a CSD platform"), "{err}");
+        }
     }
 
     #[test]
@@ -527,14 +598,14 @@ mod tests {
         let mut internal = TimedPlatform::new(&config);
         let p = internal.add_phase("p2p");
         for d in 0..8 {
-            internal.ssd_to_fpga(d, 3.0e9, &[], p);
+            internal.ssd_to_fpga(d, 3.0e9, &[], p).unwrap();
         }
         let t_internal = internal.run().unwrap().makespan();
 
         let mut host_side = TimedPlatform::new(&config);
         let p = host_side.add_phase("host");
         for d in 0..8 {
-            host_side.ssd_to_host(d, 3.0e9, &[], p);
+            host_side.ssd_to_host(d, 3.0e9, &[], p).unwrap();
         }
         let t_host = host_side.run().unwrap().makespan();
         assert!(t_internal < 1.05, "internal: {t_internal}");
@@ -547,7 +618,7 @@ mod tests {
         let (down, up) = plat.host_uplink_links();
         assert_ne!(down, up);
         let p = plat.add_phase("write");
-        let w = plat.host_to_ssd(0, 3.2e9, &[], p);
+        let w = plat.host_to_ssd(0, 3.2e9, &[], p).unwrap();
         let tl = plat.run().unwrap();
         // The downlink is busy exactly while the write flows; the opposite
         // direction idles (full duplex).
@@ -562,11 +633,11 @@ mod tests {
     fn gpu_compute_and_transfers_compose() {
         let mut plat = TimedPlatform::new(&MachineConfig::smart_infinity(2));
         let p = plat.add_phase("fw");
-        let load = plat.host_to_gpu(0, 16.0e9, &[], p);
+        let load = plat.host_to_gpu(0, 16.0e9, &[], p).unwrap();
         let compute = plat.gpu_compute(0, 50.0e12, &[load], p);
-        let store = plat.gpu_to_host(0, 1.0e9, &[compute], p);
-        let upd = plat.fpga_update(0, 7.3e9, &[store], p);
-        let dec = plat.fpga_decompress(1, 3.8e9, &[], p);
+        let store = plat.gpu_to_host(0, 1.0e9, &[compute], p).unwrap();
+        let upd = plat.fpga_update(0, 7.3e9, &[store], p).unwrap();
+        let dec = plat.fpga_decompress(1, 3.8e9, &[], p).unwrap();
         let cpu = plat.cpu_update(6.0e9, &[], p);
         let tl = plat.run().unwrap();
         // load: 1 s, compute: 1 s, store: ~0.06 s, update: 1 s.
@@ -585,8 +656,8 @@ mod tests {
         let run = |config: MachineConfig| {
             let mut plat = TimedPlatform::new(&config);
             let p = plat.add_phase("x");
-            plat.gpu_to_host(0, 16.0e9, &[], p);
-            plat.ssd_to_host(0, 3.0e9, &[], p);
+            plat.gpu_to_host(0, 16.0e9, &[], p).unwrap();
+            plat.ssd_to_host(0, 3.0e9, &[], p).unwrap();
             plat.run().unwrap().makespan()
         };
         let default_t = run(MachineConfig::smart_infinity(1));
@@ -599,8 +670,8 @@ mod tests {
         let config = MachineConfig::smart_infinity(2);
         let run = |plat: &mut TimedPlatform| {
             let p = plat.add_phase("x");
-            let u = plat.fpga_update(0, 7.3e9, &[], p);
-            plat.host_to_ssd(1, 4.0e9, &[u], p);
+            let u = plat.fpga_update(0, 7.3e9, &[], p).unwrap();
+            plat.host_to_ssd(1, 4.0e9, &[u], p).unwrap();
             plat.run().unwrap()
         };
         let clean = run(&mut TimedPlatform::new(&config));
@@ -617,8 +688,8 @@ mod tests {
             TimedFaultEffects { straggler: Some((0, 2.0)), ..TimedFaultEffects::default() };
         let mut plat = TimedPlatform::new_with_faults(&config, Some(&effects));
         let p = plat.add_phase("update");
-        let slow = plat.fpga_update(0, 7.3e9, &[], p);
-        let fast = plat.fpga_update(1, 7.3e9, &[], p);
+        let slow = plat.fpga_update(0, 7.3e9, &[], p).unwrap();
+        let fast = plat.fpga_update(1, 7.3e9, &[], p).unwrap();
         let tl = plat.run().unwrap();
         // Device 0 runs its updater at half rate; device 1 is unaffected.
         assert!((tl.finish_time(slow) - 2.0 * tl.finish_time(fast)).abs() < 1e-6);
@@ -632,7 +703,7 @@ mod tests {
         let run = |effects: Option<&TimedFaultEffects>| {
             let mut plat = TimedPlatform::new_with_faults(&config, effects);
             let p = plat.add_phase("x");
-            plat.host_to_ssd(0, 16.0e9, &[], p);
+            plat.host_to_ssd(0, 16.0e9, &[], p).unwrap();
             plat.run().unwrap()
         };
         let clean = run(None);
@@ -657,6 +728,11 @@ mod tests {
         assert!(notes[0].detail.contains("10.0%"));
     }
 
+    /// How many routes the platform has resolved.
+    fn resolved(plat: &TimedPlatform) -> usize {
+        plat.routes.iter().flatten().count()
+    }
+
     /// Calls one transfer helper twice on a fresh platform (a miss, then a
     /// hit) and returns the one path its memo then holds.
     fn memoised(
@@ -668,8 +744,10 @@ mod tests {
         let p = phase(&mut plat);
         helper(&mut plat, p);
         helper(&mut plat, p);
-        assert_eq!(plat.routes.len(), 1);
-        plat.routes.into_values().next().expect("one route")
+        assert_eq!(resolved(&plat), 1);
+        let &(start, end) = plat.routes.iter().flatten().next().expect("one route");
+        assert_eq!(end, plat.route_links.len(), "the hit appended nothing");
+        plat.route_links[start..end].to_vec()
     }
 
     #[test]
@@ -695,37 +773,43 @@ mod tests {
                 assert_eq!(memoised(&config, effects, helper), want);
             };
             for g in 0..p.gpus.len() {
-                check(&|t, ph| t.host_to_gpu(g, 1.0, &[], ph), path(p.host, p.gpus[g], None));
-                check(&|t, ph| t.gpu_to_host(g, 1.0, &[], ph), path(p.gpus[g], p.host, None));
+                check(
+                    &|t, ph| t.host_to_gpu(g, 1.0, &[], ph).unwrap(),
+                    path(p.host, p.gpus[g], None),
+                );
+                check(
+                    &|t, ph| t.gpu_to_host(g, 1.0, &[], ph).unwrap(),
+                    path(p.gpus[g], p.host, None),
+                );
                 for h in 0..p.gpus.len() {
                     check(
-                        &|t, ph| t.gpu_to_gpu(g, h, 1.0, &[], ph),
+                        &|t, ph| t.gpu_to_gpu(g, h, 1.0, &[], ph).unwrap(),
                         path(p.gpus[g], p.gpus[h], None),
                     );
                 }
                 for (d, ports) in p.devices.iter().enumerate() {
                     check(
-                        &|t, ph| t.gpu_to_ssd(g, d, 1.0, &[], ph),
+                        &|t, ph| t.gpu_to_ssd(g, d, 1.0, &[], ph).unwrap(),
                         path(p.gpus[g], ports.ssd, Some(media[d].write)),
                     );
                 }
             }
             for (d, ports) in p.devices.iter().enumerate() {
                 check(
-                    &|t, ph| t.host_to_ssd(d, 1.0, &[], ph),
+                    &|t, ph| t.host_to_ssd(d, 1.0, &[], ph).unwrap(),
                     path(p.host, ports.ssd, Some(media[d].write)),
                 );
                 check(
-                    &|t, ph| t.ssd_to_host(d, 1.0, &[], ph),
+                    &|t, ph| t.ssd_to_host(d, 1.0, &[], ph).unwrap(),
                     path(ports.ssd, p.host, Some(media[d].read)),
                 );
                 if let Some(fpga) = ports.fpga {
                     check(
-                        &|t, ph| t.ssd_to_fpga(d, 1.0, &[], ph),
+                        &|t, ph| t.ssd_to_fpga(d, 1.0, &[], ph).unwrap(),
                         path(ports.ssd, fpga, Some(media[d].read)),
                     );
                     check(
-                        &|t, ph| t.fpga_to_ssd(d, 1.0, &[], ph),
+                        &|t, ph| t.fpga_to_ssd(d, 1.0, &[], ph).unwrap(),
                         path(fpga, ports.ssd, Some(media[d].write)),
                     );
                 }
@@ -781,7 +865,95 @@ mod tests {
         }
         // Every device loads, writes back and sends upstream; every one
         // receives gradients.
-        assert!(plat.routes.len() >= 4 * 4096, "{} routes", plat.routes.len());
-        assert!(plat.routes.len() <= served.len(), "{} > {}", plat.routes.len(), served.len());
+        let routes = resolved(&plat);
+        assert!(routes >= 4 * 4096, "{routes} routes");
+        assert!(routes <= served.len(), "{routes} > {}", served.len());
+    }
+
+    /// Every route a helper can name on a machine, as a helper call.
+    fn every_route(config: &MachineConfig) -> Vec<Route> {
+        let (gpus, devices) = (config.num_gpus, config.num_devices);
+        let mut routes = Vec::new();
+        for g in 0..gpus {
+            routes.extend([Route::HostToGpu(g), Route::GpuToHost(g)]);
+            routes.extend((0..gpus).map(|h| Route::GpuToGpu(g, h)));
+            routes.extend((0..devices).map(|d| Route::GpuToSsd(g, d)));
+        }
+        for d in 0..devices {
+            routes.extend([Route::HostToSsd(d), Route::SsdToHost(d)]);
+            if config.is_csd() {
+                routes.extend([Route::SsdToFpga(d), Route::FpgaToSsd(d)]);
+            }
+        }
+        routes
+    }
+
+    /// The preset machines the route test covers: 1 to 16 devices, plain
+    /// SSDs and CSDs, the default and the congested topology, 1 and 2 GPUs.
+    fn route_machines() -> Vec<MachineConfig> {
+        let mut machines = Vec::new();
+        for devices in [1, 2, 4, 10, 16] {
+            for gpus in [1, 2] {
+                machines.push(MachineConfig {
+                    num_gpus: gpus,
+                    ..MachineConfig::baseline_raid0(devices)
+                });
+                machines.push(MachineConfig {
+                    num_gpus: gpus,
+                    ..MachineConfig::smart_infinity(devices)
+                });
+                machines.push(MachineConfig::congested_multi_gpu(devices, gpus));
+            }
+        }
+        machines
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 96,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// On every preset machine, every route a helper can name, resolved
+        /// in a random order with repeats into one platform's memo, is the
+        /// fabric path on a fresh platform (`InstalledFabric::path`) plus
+        /// the route's media link, and each slot keeps its own.
+        #[test]
+        fn routes_resolved_in_any_order_equal_the_fresh_fabric_path(
+            machine in 0usize..30,
+            order in proptest::collection::vec(0usize..1000, 1..64),
+        ) {
+            let config = &route_machines()[machine];
+            let routes = every_route(config);
+            let mut plat = TimedPlatform::new(config);
+            let p = phase(&mut plat);
+            for pick in order.iter().map(|&o| routes[o % routes.len()]).chain(routes.iter().copied()) {
+                plat.flow(pick, 1.0, &[], p).unwrap();
+            }
+            proptest::prop_assert_eq!(resolved(&plat), routes.len());
+            let fresh = TimedPlatform::new(config);
+            let (fp, media) = (&fresh.platform, &fresh.media);
+            for &route in &routes {
+                let (from, to, link) = match route {
+                    Route::HostToGpu(g) => (fp.host, fp.gpus[g], None),
+                    Route::GpuToHost(g) => (fp.gpus[g], fp.host, None),
+                    Route::GpuToGpu(a, b) => (fp.gpus[a], fp.gpus[b], None),
+                    Route::HostToSsd(d) => (fp.host, fp.devices[d].ssd, Some(media[d].write)),
+                    Route::SsdToHost(d) => (fp.devices[d].ssd, fp.host, Some(media[d].read)),
+                    Route::SsdToFpga(d) => {
+                        (fp.devices[d].ssd, fp.devices[d].fpga.unwrap(), Some(media[d].read))
+                    }
+                    Route::FpgaToSsd(d) => {
+                        (fp.devices[d].fpga.unwrap(), fp.devices[d].ssd, Some(media[d].write))
+                    }
+                    Route::GpuToSsd(g, d) => (fp.gpus[g], fp.devices[d].ssd, Some(media[d].write)),
+                };
+                let mut want = fresh.fabric.path(from, to).unwrap();
+                want.extend(link);
+                let slot = route.slot(config.num_gpus, config.num_devices).unwrap();
+                let (start, end) = plat.routes[slot].unwrap();
+                proptest::prop_assert_eq!(&plat.route_links[start..end], &want[..], "{:?}", route);
+            }
+        }
     }
 }

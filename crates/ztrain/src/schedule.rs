@@ -17,11 +17,14 @@
 //! legacy timelines bit for bit (pinned by the golden tests in
 //! `smart_infinity/tests/integration_sched.rs`).
 
+use std::borrow::Cow;
+use std::ops::Range;
+
 use crate::platform::TimedPlatform;
 use llm::Workload;
 use optim::OptimizerKind;
 use simkit::{
-    Anchor, Dag, DagTaskId, DagWork, DataId, Decision, Lowered, Lowering, PhaseId, ScatterPlan,
+    Anchor, Dag, DagTaskId, DagWork, DataId, Decision, Lowering, PhaseId, ScatterPlan,
     ScheduleDecision, Scheduler, SetupDelay, SimError, SystemView, TaskId, SITE_STORAGE,
 };
 use tensorlib::{Chunker, Partitioner};
@@ -192,12 +195,14 @@ pub struct BlockPlan {
     pub scatter: DagTaskId,
     /// The scattered-gradients data item.
     pub stored: DataId,
-    /// Striped placement: `(device site, bytes)` with every device receiving
-    /// an even slice of the block's gradients.
-    pub striped: Vec<(usize, f64)>,
-    /// Owner-routed placement: `(device site, bytes)` for the devices whose
-    /// contiguous parameter shard intersects this block's flattened range.
-    pub owned: Vec<(usize, f64)>,
+    /// Striped placement, in the layout's `placements`: `(device site,
+    /// bytes)` with every device receiving an even slice of the block's
+    /// gradients.
+    pub striped: Range<usize>,
+    /// Owner-routed placement, in the layout's `placements`: `(device
+    /// site, bytes)` for the devices whose contiguous parameter shard
+    /// intersects this block's flattened range.
+    pub owned: Range<usize>,
 }
 
 /// Layout of one in-storage update tasklet chain (one subgroup of a shard).
@@ -227,10 +232,11 @@ pub struct DevicePlan {
     /// The device's storage site.
     pub site: usize,
     /// Gradient scatters of the blocks whose flattened range intersects this
-    /// device's shard, in block order.
-    pub grad_scatters: Vec<DagTaskId>,
-    /// Tasklet chains, one per subgroup of the device's shard.
-    pub chains: Vec<ChainPlan>,
+    /// device's shard, in block order, in the layout's `grad_scatters`.
+    pub grad_scatters: Range<usize>,
+    /// Tasklet chains, one per subgroup of the device's shard, in
+    /// the layout's `chains`.
+    pub chains: Range<usize>,
 }
 
 /// Layout of one block's host-CPU update (the baseline's upload → update →
@@ -243,10 +249,12 @@ pub struct HostUpdatePlan {
     pub update: DagTaskId,
     /// Striped offload of the refreshed optimizer states.
     pub offload: DagTaskId,
-    /// `(device site, bytes)` placement of the upload.
-    pub upload_striped: Vec<(usize, f64)>,
-    /// `(device site, bytes)` placement of the offload.
-    pub offload_striped: Vec<(usize, f64)>,
+    /// `(device site, bytes)` placement of the upload, in
+    /// the layout's `placements`.
+    pub upload_striped: Range<usize>,
+    /// `(device site, bytes)` placement of the offload, in
+    /// the layout's `placements`.
+    pub offload_striped: Range<usize>,
 }
 
 /// Everything a method scheduler needs to know about the shared iteration
@@ -275,6 +283,30 @@ pub struct IterLayout {
     pub devices: Vec<DevicePlan>,
     /// Per-block host-update plans. Empty for in-storage graphs.
     pub host_updates: Vec<HostUpdatePlan>,
+    /// Every `(device site, bytes)` placement the plans name, back to back:
+    /// a scheduler lends its scatter plans from here.
+    pub(crate) placements: Vec<(usize, f64)>,
+    /// Every device's gradient scatters, back to back.
+    pub(crate) grad_scatters: Vec<DagTaskId>,
+    /// Every device's tasklet chains, back to back.
+    pub(crate) chains: Vec<ChainPlan>,
+}
+
+impl IterLayout {
+    /// The placement a plan names.
+    pub(crate) fn placement(&self, range: &Range<usize>) -> &[(usize, f64)] {
+        &self.placements[range.clone()]
+    }
+
+    /// The gradient scatters device `dev` waits on.
+    pub(crate) fn grad_scatters_of(&self, dev: &DevicePlan) -> &[DagTaskId] {
+        &self.grad_scatters[dev.grad_scatters.clone()]
+    }
+
+    /// The tasklet chains of device `dev`.
+    pub(crate) fn chains_of(&self, dev: &DevicePlan) -> &[ChainPlan] {
+        &self.chains[dev.chains.clone()]
+    }
 }
 
 /// The shared iteration graph plus its layout.
@@ -336,14 +368,15 @@ fn build_pass(
     let act_bytes_per_block =
         2.0 * (workload.batch_size() * workload.seq_len() * workload.model().hidden_size()) as f64;
 
-    let mut prev_compute: Vec<Option<DagTaskId>> = vec![None; n_gpus];
-    let mut prev_load: Vec<Option<DagTaskId>> = vec![None; n_gpus];
-    let mut last: Vec<DagTaskId> = Vec::new();
+    // Per GPU, the previous block's load and compute.
+    let mut prev: Vec<Option<(DagTaskId, DagTaskId)>> = vec![None; n_gpus];
+    // The tasks of the block built last.
+    let mut last: Vec<DagTaskId> = Vec::with_capacity(2 * n_gpus);
     for block_bytes in blocks.iter().copied() {
         let block_bytes = block_bytes as f64;
         let block_flops = block_bytes * flops_per_byte;
-        let mut block_tasks = Vec::new();
-        for gpu in 0..n_gpus {
+        last.clear();
+        for (gpu, prev) in prev.iter_mut().enumerate() {
             // Tensor parallelism: each GPU streams 1/n of the block weights.
             let load = dag.add_task(
                 names.load,
@@ -357,7 +390,7 @@ fn build_pass(
             if let Some(d) = pass_dep {
                 dag.add_after(load, d);
             }
-            if let Some(p) = prev_load[gpu] {
+            if let Some((p, _)) = *prev {
                 dag.add_after(load, p);
             }
             let weights = dag.add_output(
@@ -366,18 +399,17 @@ fn build_pass(
                 block_bytes / n_gpus as f64,
                 Some(sites.gpu(gpu)),
             );
-            prev_load[gpu] = Some(load);
             let compute = dag.add_task(
                 names.compute,
                 DagWork::Compute { site: sites.gpu(gpu), amount: block_flops / n_gpus as f64 },
             );
             dag.set_phase(compute, phase);
             dag.connect(compute, weights);
-            if let Some(p) = prev_compute[gpu] {
+            if let Some((_, p)) = *prev {
                 dag.add_after(compute, p);
             }
-            prev_compute[gpu] = Some(compute);
-            block_tasks.push(compute);
+            *prev = Some((load, compute));
+            last.push(compute);
             // Tensor-parallel activation exchange with GPU 0 after the block.
             if n_gpus > 1 && gpu != 0 {
                 let acts =
@@ -392,16 +424,95 @@ fn build_pass(
                 );
                 dag.set_phase(xfer, phase);
                 dag.connect(xfer, acts);
-                block_tasks.push(xfer);
+                last.push(xfer);
             }
         }
-        last = block_tasks;
     }
     let end = dag.add_task(names.end, DagWork::Join);
-    for t in last {
+    for &t in &last {
         dag.add_after(end, t);
     }
     end
+}
+
+/// Appends `(device site, bytes)` pairs to `placements` and returns where
+/// they landed.
+fn place(
+    placements: &mut Vec<(usize, f64)>,
+    pairs: impl Iterator<Item = (usize, f64)>,
+) -> Range<usize> {
+    let start = placements.len();
+    placements.extend(pairs);
+    start..placements.len()
+}
+
+/// How many tasks, data items and edges of each kind an iteration graph
+/// holds, counted from its shape so its arenas are allocated once.
+#[derive(Debug, Default)]
+struct GraphSize {
+    tasks: usize,
+    data: usize,
+    inputs: usize,
+    soft: usize,
+    after: usize,
+}
+
+impl GraphSize {
+    /// The size of the graph [`build_iteration_graph`] builds over `blocks`
+    /// blocks and `gpus` GPUs, with `chains` tasklet chains and `owned`
+    /// owner-routed placements when the update runs in storage.
+    fn of(
+        blocks: usize,
+        gpus: usize,
+        compressed: bool,
+        placement: UpdatePlacement,
+        chains: usize,
+        owned: usize,
+    ) -> Self {
+        let mut size = Self::default();
+        // Each streaming pass: per block and GPU a load and a compute, plus
+        // an activation exchange per GPU but the first; loads chain on the
+        // previous block's and on the pass dependency (backward only),
+        // computes on the previous block's; the end joins the last block.
+        let exchanges = gpus.saturating_sub(1);
+        let per_block = gpus + exchanges;
+        let last_block = if blocks > 0 { per_block } else { 0 };
+        for pass_dep in [0, 1] {
+            size.tasks += blocks * (gpus + per_block) + 1;
+            size.data += blocks * per_block;
+            size.inputs += blocks * per_block;
+            size.after +=
+                blocks * gpus * pass_dep + 2 * gpus * blocks.saturating_sub(1) + last_block;
+        }
+        // Gradient offload: (compress →) stage → scatter per block, then the
+        // end of backward over the scatters.
+        let c = usize::from(compressed);
+        size.tasks += blocks * (2 + c) + 1;
+        size.data += blocks * (2 + c);
+        size.inputs += blocks * (1 + c);
+        size.after += blocks + 1;
+        size.soft += blocks;
+        match placement {
+            // Per chain: load, (decompress,) update, two write-backs, the
+            // upstream and the chain end; the first load of a device reads
+            // its owned gradients softly. Then the update and iteration ends.
+            UpdatePlacement::InStorage => {
+                size.tasks += chains * (6 + c) + 2;
+                size.data += chains * (3 + c);
+                size.inputs += chains * (3 + c);
+                size.soft += chains + owned;
+                size.after += 3 * chains + 2;
+            }
+            // Per block: gather, CPU update, write-back; then the update end.
+            UpdatePlacement::HostCpu => {
+                size.tasks += 3 * blocks + 1;
+                size.data += 2 * blocks;
+                size.inputs += 2 * blocks;
+                size.after += blocks + blocks.saturating_sub(1);
+            }
+        }
+        size
+    }
 }
 
 /// Builds the shared iteration graph: forward pass, backward pass with
@@ -416,7 +527,60 @@ pub fn build_iteration_graph(
     knobs: &GraphKnobs,
     phases: IterPhases,
 ) -> IterationGraph {
+    let block_sizes = workload.block_bytes_fp16();
+    let n_blocks = block_sizes.len();
+    let n_dev = sites.num_devices;
+    let transfer_ratio = knobs.transfer_ratio();
+    let compressed = knobs.keep_ratio.is_some();
+    let total_params = workload.model().num_params() as usize;
+    let partitioner = Partitioner::contiguous(total_params, n_dev);
+    let chunker = |dev: usize| Chunker::new(partitioner.shard(dev).len, knobs.subgroup_elems);
+
+    // The gradient placements depend on sizes only. Per block, a striped
+    // one over every device and an owned one; the owned ones intersect two
+    // partitions of the same parameter range, so there are at most blocks +
+    // devices - 1 of them in all. A host-update graph adds a striped upload
+    // and offload per block later.
+    let host_stripes = match knobs.placement {
+        UpdatePlacement::HostCpu => 2 * n_blocks * n_dev,
+        UpdatePlacement::InStorage => 0,
+    };
+    let mut placements: Vec<(usize, f64)> =
+        Vec::with_capacity(n_blocks * n_dev + (n_blocks + n_dev).saturating_sub(1) + host_stripes);
+    let mut cursor = 0usize; // flattened-parameter offset of the block
+    let gradient_placements: Vec<(Range<usize>, Range<usize>)> = block_sizes
+        .iter()
+        .map(|&block_m| {
+            let block_params = (block_m / 2) as usize;
+            let block_start = cursor.min(total_params);
+            let block_end = (cursor + block_params).min(total_params);
+            cursor += block_params;
+            let grad_bytes = 2.0 * block_m as f64 * transfer_ratio;
+            let striped = place(
+                &mut placements,
+                (0..n_dev).map(|d| (sites.dev(d), grad_bytes / n_dev as f64)),
+            );
+            let owned = place(
+                &mut placements,
+                (0..n_dev).filter_map(|d| {
+                    let shard = partitioner.shard(d);
+                    let lo = block_start.max(shard.offset);
+                    let hi = block_end.min(shard.offset + shard.len);
+                    (hi > lo).then(|| (sites.dev(d), 4.0 * (hi - lo) as f64 * transfer_ratio))
+                }),
+            );
+            (striped, owned)
+        })
+        .collect();
+    let owned: usize = gradient_placements.iter().map(|(_, owned)| owned.len()).sum();
+    let chains = match knobs.placement {
+        UpdatePlacement::InStorage => (0..n_dev).map(|d| chunker(d).num_subgroups()).sum(),
+        UpdatePlacement::HostCpu => 0,
+    };
+
     let mut dag = Dag::new();
+    let size = GraphSize::of(n_blocks, sites.num_gpus, compressed, knobs.placement, chains, owned);
+    dag.reserve(size.tasks, size.data, size.inputs, size.soft, size.after);
     let fw_end = build_pass(&mut dag, workload, sites, phases.forward, None, 1.0, &FORWARD);
     let bw_compute_end =
         build_pass(&mut dag, workload, sites, phases.backward, Some(fw_end), 2.0, &BACKWARD);
@@ -424,19 +588,8 @@ pub fn build_iteration_graph(
     // Backward gradient offload: per block, (compress →) stage to host →
     // scatter towards the storage class. The scatter's placement — striped
     // or owner-routed — is the scheduler's call.
-    let n_dev = sites.num_devices;
-    let transfer_ratio = knobs.transfer_ratio();
-    let compressed = knobs.keep_ratio.is_some();
-    let block_sizes = workload.block_bytes_fp16();
-    let total_params = workload.model().num_params() as usize;
-    let partitioner = Partitioner::contiguous(total_params, n_dev);
-    let mut blocks: Vec<BlockPlan> = Vec::new();
-    let mut cursor = 0usize; // flattened-parameter offset of the block
-    for block_m in block_sizes.iter().copied() {
-        let block_params = (block_m / 2) as usize;
-        let block_start = cursor.min(total_params);
-        let block_end = (cursor + block_params).min(total_params);
-        cursor += block_params;
+    let mut blocks: Vec<BlockPlan> = Vec::with_capacity(n_blocks);
+    for (block_m, (striped, owned)) in block_sizes.iter().copied().zip(gradient_placements) {
         let block_m = block_m as f64;
         let dense_grad_bytes = 2.0 * block_m;
         // SmartComp: sort/select on the GPU before offloading, modelled as a
@@ -491,19 +644,6 @@ pub fn build_iteration_graph(
         dag.connect(scatter, staged);
         let stored =
             dag.add_output(scatter, "grads@storage", dense_grad_bytes * transfer_ratio, None);
-        let striped: Vec<(usize, f64)> = (0..n_dev)
-            .map(|d| (sites.dev(d), dense_grad_bytes * transfer_ratio / n_dev as f64))
-            .collect();
-        let mut owned: Vec<(usize, f64)> = Vec::new();
-        for d in 0..n_dev {
-            let shard = partitioner.shard(d);
-            let lo = block_start.max(shard.offset);
-            let hi = block_end.min(shard.offset + shard.len);
-            if hi <= lo {
-                continue;
-            }
-            owned.push((sites.dev(d), 4.0 * (hi - lo) as f64 * transfer_ratio));
-        }
         blocks.push(BlockPlan { head, compress, stage, scatter, stored, striped, owned });
     }
     let bw_end = dag.add_task("bw.offload_end", DagWork::Join);
@@ -513,29 +653,29 @@ pub fn build_iteration_graph(
     }
 
     // Update phase.
+    let mut grad_scatters: Vec<DagTaskId> = Vec::new();
+    let mut chain_plans: Vec<ChainPlan> = Vec::new();
     let (up_end, phase_end, devices, host_updates) = match knobs.placement {
         UpdatePlacement::InStorage => {
             let state_bytes_per_param = optimizer.state_bytes_per_param() as f64;
-            // Per device, the blocks routed to it, in block order.
-            let mut owned_by: Vec<Vec<&BlockPlan>> = vec![Vec::new(); n_dev];
-            for plan in &blocks {
-                for &(site, _) in &plan.owned {
-                    owned_by[site - sites.dev(0)].push(plan);
-                }
-            }
-            let mut devices: Vec<DevicePlan> = Vec::new();
-            let mut chain_ends: Vec<DagTaskId> = Vec::new();
-            for (dev, routed) in owned_by.iter().enumerate() {
-                let shard = partitioner.shard(dev);
-                if shard.len == 0 {
+            // Every owned placement names one gradient scatter a device
+            // waits on; the devices' shards are cut into subgroups.
+            grad_scatters.reserve_exact(owned);
+            chain_plans.reserve_exact(chains);
+            let mut devices: Vec<DevicePlan> = Vec::with_capacity(n_dev);
+            for dev in 0..n_dev {
+                if partitioner.shard(dev).len == 0 {
                     continue;
                 }
                 let site = sites.dev(dev);
-                let grad_scatters: Vec<DagTaskId> = routed.iter().map(|p| p.scatter).collect();
-                let owning: Vec<DataId> = routed.iter().map(|p| p.stored).collect();
-                let chunker = Chunker::new(shard.len, knobs.subgroup_elems);
-                let mut chains: Vec<ChainPlan> = Vec::new();
-                for subgroup in chunker.subgroups() {
+                // The blocks routed to this device, in block order.
+                let routed = blocks.iter().filter(|p| {
+                    placements[p.owned.clone()].iter().any(|&(routed_to, _)| routed_to == site)
+                });
+                let first_scatter = grad_scatters.len();
+                grad_scatters.extend(routed.clone().map(|p| p.scatter));
+                let first_chain = chain_plans.len();
+                for subgroup in chunker(dev).subgroups() {
                     let s = subgroup.index;
                     let elems = subgroup.len as f64;
                     let state_bytes = elems * state_bytes_per_param;
@@ -559,8 +699,8 @@ pub fn build_iteration_graph(
                         // The first tasklet consumes the gradients this
                         // device received during backward; when exactly it
                         // may start is the scheduler's call.
-                        for &item in &owning {
-                            dag.connect_soft(load, item);
+                        for plan in routed.clone() {
+                            dag.connect_soft(load, plan.stored);
                         }
                     }
                     let loaded = dag.add_output(
@@ -638,7 +778,7 @@ pub fn build_iteration_graph(
                     let chain_end = dag.add_task("chain_end", DagWork::Join);
                     dag.add_after(chain_end, upstream);
                     dag.add_after(chain_end, wb_state);
-                    chains.push(ChainPlan {
+                    chain_plans.push(ChainPlan {
                         load,
                         decompress,
                         update,
@@ -647,13 +787,17 @@ pub fn build_iteration_graph(
                         wb_state,
                         chain_end,
                     });
-                    chain_ends.push(chain_end);
                 }
-                devices.push(DevicePlan { dev, site, grad_scatters, chains });
+                devices.push(DevicePlan {
+                    dev,
+                    site,
+                    grad_scatters: first_scatter..grad_scatters.len(),
+                    chains: first_chain..chain_plans.len(),
+                });
             }
             let up_end = dag.add_task("update.end", DagWork::Join);
-            for &ce in &chain_ends {
-                dag.add_after(up_end, ce);
+            for chain in &chain_plans {
+                dag.add_after(up_end, chain.chain_end);
             }
             let phase_end = dag.add_task("iter.end", DagWork::Join);
             dag.add_after(phase_end, bw_end);
@@ -662,7 +806,7 @@ pub fn build_iteration_graph(
         }
         UpdatePlacement::HostCpu => {
             let state_per_m = optimizer.state_size_in_m(); // 6 for Adam, 4 for SGD/AdaGrad
-            let mut host_updates: Vec<HostUpdatePlan> = Vec::new();
+            let mut host_updates: Vec<HostUpdatePlan> = Vec::with_capacity(block_sizes.len());
             let mut prev_gather: Option<DagTaskId> = None;
             for block_m in block_sizes.iter().copied() {
                 let block_m = block_m as f64; // FP16 bytes of this block = "1M"
@@ -703,10 +847,14 @@ pub fn build_iteration_graph(
                 );
                 dag.set_phase(offload, phases.update);
                 dag.connect(offload, fresh);
-                let upload_striped: Vec<(usize, f64)> =
-                    (0..n_dev).map(|d| (sites.dev(d), upload_bytes / n_dev as f64)).collect();
-                let offload_striped: Vec<(usize, f64)> =
-                    (0..n_dev).map(|d| (sites.dev(d), offload_bytes / n_dev as f64)).collect();
+                let upload_striped = place(
+                    &mut placements,
+                    (0..n_dev).map(|d| (sites.dev(d), upload_bytes / n_dev as f64)),
+                );
+                let offload_striped = place(
+                    &mut placements,
+                    (0..n_dev).map(|d| (sites.dev(d), offload_bytes / n_dev as f64)),
+                );
                 host_updates.push(HostUpdatePlan {
                     gather,
                     update,
@@ -731,7 +879,12 @@ pub fn build_iteration_graph(
         blocks,
         devices,
         host_updates,
+        placements,
+        grad_scatters,
+        chains: chain_plans,
     };
+    debug_assert_eq!(layout.chains.len(), chains);
+    debug_assert_eq!(dag.len(), size.tasks, "the graph's size is counted right");
     IterationGraph { dag, layout }
 }
 
@@ -797,12 +950,16 @@ enum Role {
     HostUpEnd,
 }
 
-/// Gives `task` its role, growing the table to reach it.
-fn set_role(roles: &mut Vec<Option<Role>>, task: DagTaskId, role: Role) {
-    if roles.len() <= task.index() {
-        roles.resize(task.index() + 1, None);
-    }
+/// Gives `task` its role.
+fn set_role(roles: &mut [Option<Role>], task: DagTaskId, role: Role) {
     roles[task.index()] = Some(role);
+}
+
+/// An empty role table over every task of the graph `layout` describes:
+/// the iteration's last task is its end (`phase_end` for an in-storage
+/// graph, `up_end` for a host-update one).
+fn role_table(layout: &IterLayout) -> Vec<Option<Role>> {
+    vec![None; layout.phase_end.unwrap_or(layout.up_end).index() + 1]
 }
 
 /// A method schedule over the shared iteration graph: one of the paper's
@@ -824,13 +981,15 @@ pub struct MethodPolicy<'a> {
     layout: &'a IterLayout,
     /// The role of each DAG task, by task index.
     roles: Vec<Option<Role>>,
+    /// The anchors of the decision being made, reused from call to call.
+    anchors: Vec<Anchor>,
 }
 
 impl<'a> MethodPolicy<'a> {
     /// The ZeRO-Infinity baseline schedule: striped gradient offload and the
     /// double-buffered host-CPU update pipeline.
     pub fn host_update(layout: &'a IterLayout) -> Self {
-        let mut roles = Vec::new();
+        let mut roles = role_table(layout);
         Self::insert_block_roles(&mut roles, layout);
         for (b, plan) in layout.host_updates.iter().enumerate() {
             set_role(&mut roles, plan.gather, Role::HostGather(b));
@@ -843,6 +1002,7 @@ impl<'a> MethodPolicy<'a> {
             chain: ChainSync::Overlapped,
             layout,
             roles,
+            anchors: Vec::new(),
         }
     }
 
@@ -854,18 +1014,18 @@ impl<'a> MethodPolicy<'a> {
         chain: ChainSync,
         name: &'static str,
     ) -> Self {
-        let mut roles = Vec::new();
+        let mut roles = role_table(layout);
         Self::insert_block_roles(&mut roles, layout);
         for (di, dev) in layout.devices.iter().enumerate() {
-            for (ci, c) in dev.chains.iter().enumerate() {
+            for (ci, c) in layout.chains_of(dev).iter().enumerate() {
                 set_role(&mut roles, c.load, Role::ChainLoad { device: di, chain: ci });
                 set_role(&mut roles, c.wb_state, Role::ChainWbState { device: di, chain: ci });
             }
         }
-        Self { name, routing, chain, layout, roles }
+        Self { name, routing, chain, layout, roles, anchors: Vec::new() }
     }
 
-    fn insert_block_roles(roles: &mut Vec<Option<Role>>, layout: &IterLayout) {
+    fn insert_block_roles(roles: &mut [Option<Role>], layout: &IterLayout) {
         for (b, plan) in layout.blocks.iter().enumerate() {
             set_role(roles, plan.head, Role::BlockHead(b));
             set_role(roles, plan.scatter, Role::BlockScatter(b));
@@ -878,19 +1038,15 @@ impl<'a> MethodPolicy<'a> {
         self.layout
     }
 
-    /// What device `dev`'s first tasklet waits for: the global end of
-    /// backward when striped, the device's own gradient writes when
-    /// owner-routed.
-    fn grad_anchors(&self, dev: &DevicePlan) -> Vec<Anchor> {
-        match self.routing {
-            OffloadRouting::Striped => vec![Anchor::Task(self.layout.bw_end)],
-            OffloadRouting::OwnerRouted => {
-                if dev.grad_scatters.is_empty() {
-                    vec![Anchor::Task(self.layout.bw_end)]
-                } else {
-                    dev.grad_scatters.iter().map(|&s| Anchor::TaskAtSite(s, dev.site)).collect()
-                }
-            }
+    /// Appends what device `dev`'s tasklets wait for to `anchors`: the
+    /// global end of backward when striped, the device's own gradient
+    /// writes when owner-routed.
+    fn grad_anchors(&self, dev: &DevicePlan, anchors: &mut Vec<Anchor>) {
+        let scatters = self.layout.grad_scatters_of(dev);
+        if self.routing == OffloadRouting::Striped || scatters.is_empty() {
+            anchors.push(Anchor::Task(self.layout.bw_end));
+        } else {
+            anchors.extend(scatters.iter().map(|&s| Anchor::TaskAtSite(s, dev.site)));
         }
     }
 }
@@ -905,17 +1061,23 @@ impl Scheduler for MethodPolicy<'_> {
         task: DagTaskId,
         _dag: &Dag,
         _system: &SystemView<'_>,
-        out: &mut Vec<Decision>,
+        out: &mut dyn FnMut(Decision<'_>),
     ) {
+        let layout = self.layout;
+        let mut decision = ScheduleDecision::new(task);
         let Some(role) = self.roles.get(task.index()).copied().flatten() else {
-            return out.push(Decision::Schedule(ScheduleDecision::new(task)));
+            return out(Decision::Schedule(decision));
         };
-        let decision = match role {
+        // The decision's anchors go to the reused buffer; a setup delay's
+        // anchors are the decision's, then one more.
+        let mut anchors = std::mem::take(&mut self.anchors);
+        anchors.clear();
+        let mut setup = None;
+        match role {
             Role::BlockHead(b) => {
-                let mut d = ScheduleDecision::new(task);
                 if b > 0 {
-                    let prev = &self.layout.blocks[b - 1];
-                    d = d.after(match self.routing {
+                    let prev = &layout.blocks[b - 1];
+                    anchors.push(match self.routing {
                         // One staging buffer: wait for the previous block's
                         // joined writes.
                         OffloadRouting::Striped => Anchor::Task(prev.scatter),
@@ -924,90 +1086,82 @@ impl Scheduler for MethodPolicy<'_> {
                         OffloadRouting::OwnerRouted => Anchor::Task(prev.stage),
                     });
                 }
-                d
             }
             Role::BlockScatter(b) => {
-                let plan = &self.layout.blocks[b];
-                let (transfers, join) = match self.routing {
-                    OffloadRouting::Striped => (plan.striped.clone(), true),
-                    OffloadRouting::OwnerRouted => (plan.owned.clone(), false),
+                let plan = &layout.blocks[b];
+                let (range, join) = match self.routing {
+                    OffloadRouting::Striped => (&plan.striped, true),
+                    OffloadRouting::OwnerRouted => (&plan.owned, false),
                 };
-                ScheduleDecision::new(task).scatter(ScatterPlan { transfers, join })
+                let transfers = Cow::Borrowed(layout.placement(range));
+                decision = decision.scatter(ScatterPlan { transfers, join });
             }
-            Role::BwEnd => {
-                let anchors: Vec<Anchor> = match self.routing {
-                    OffloadRouting::Striped => {
-                        self.layout.blocks.iter().map(|p| Anchor::Task(p.scatter)).collect()
+            Role::BwEnd => match self.routing {
+                OffloadRouting::Striped => {
+                    anchors.extend(layout.blocks.iter().map(|p| Anchor::Task(p.scatter)));
+                }
+                OffloadRouting::OwnerRouted => {
+                    for p in &layout.blocks {
+                        let sites = layout.placement(&p.owned).iter();
+                        anchors.extend(sites.map(|&(site, _)| Anchor::TaskAtSite(p.scatter, site)));
                     }
-                    OffloadRouting::OwnerRouted => self
-                        .layout
-                        .blocks
-                        .iter()
-                        .flat_map(|p| {
-                            p.owned.iter().map(|&(site, _)| Anchor::TaskAtSite(p.scatter, site))
-                        })
-                        .collect(),
-                };
-                ScheduleDecision::new(task).after_all(anchors)
-            }
+                }
+            },
             Role::ChainLoad { device, chain } => {
-                let dev = &self.layout.devices[device];
-                let grads = self.grad_anchors(dev);
+                let dev = &layout.devices[device];
+                let chains = layout.chains_of(dev);
+                self.grad_anchors(dev, &mut anchors);
                 match self.chain {
                     ChainSync::Overlapped => {
-                        let mut d = ScheduleDecision::new(task).after_all(grads);
                         if chain > 0 {
-                            d = d.after(Anchor::Task(dev.chains[chain - 1].update));
+                            anchors.push(Anchor::Task(chains[chain - 1].update));
                         }
-                        d
                     }
                     ChainSync::Sequential { setup_s } => {
-                        let mut setup_after = grads.clone();
+                        let grads = anchors.len();
                         if chain > 0 {
-                            setup_after.push(Anchor::Task(dev.chains[chain - 1].chain_end));
+                            anchors.push(Anchor::Task(chains[chain - 1].chain_end));
                         }
-                        ScheduleDecision::new(task)
-                            .after_all(grads)
-                            .setup(SetupDelay { seconds: setup_s, after: setup_after })
+                        setup = Some((setup_s, grads));
                     }
                 }
             }
             Role::ChainWbState { device, chain } => {
-                let c = &self.layout.devices[device].chains[chain];
-                let anchor = match self.chain {
+                let c = &layout.chains_of(&layout.devices[device])[chain];
+                anchors.push(match self.chain {
                     ChainSync::Overlapped => Anchor::Task(c.update),
                     ChainSync::Sequential { .. } => Anchor::Task(c.wb_param),
-                };
-                ScheduleDecision::new(task).after(anchor)
+                });
             }
             Role::HostGather(b) => {
-                let plan = &self.layout.host_updates[b];
-                ScheduleDecision::new(task)
-                    .scatter(ScatterPlan { transfers: plan.upload_striped.clone(), join: true })
+                let transfers =
+                    Cow::Borrowed(layout.placement(&layout.host_updates[b].upload_striped));
+                decision = decision.scatter(ScatterPlan { transfers, join: true });
             }
             Role::HostOffload(b) => {
-                let plan = &self.layout.host_updates[b];
-                ScheduleDecision::new(task)
-                    .scatter(ScatterPlan { transfers: plan.offload_striped.clone(), join: false })
+                let transfers =
+                    Cow::Borrowed(layout.placement(&layout.host_updates[b].offload_striped));
+                decision = decision.scatter(ScatterPlan { transfers, join: false });
             }
             Role::HostUpEnd => {
                 // The phase drains when the last block's offload writes and
                 // CPU update are all done.
-                let last = self
-                    .layout
-                    .host_updates
-                    .last()
-                    .expect("host-update layout has at least one block");
-                let mut anchors: Vec<Anchor> = last
-                    .offload_striped
-                    .iter()
-                    .map(|&(site, _)| Anchor::TaskAtSite(last.offload, site))
-                    .collect();
+                let last =
+                    layout.host_updates.last().expect("host-update layout has at least one block");
+                let offload = layout.placement(&last.offload_striped).iter();
+                anchors.extend(offload.map(|&(site, _)| Anchor::TaskAtSite(last.offload, site)));
                 anchors.push(Anchor::Task(last.update));
-                ScheduleDecision::new(task).after_all(anchors)
             }
-        };
-        out.push(Decision::Schedule(decision));
+        }
+        // A sequential tasklet waits on its gradients; its setup on those
+        // and the previous chain.
+        let after = setup.map_or(anchors.len(), |(_, grads)| grads);
+        decision.after = Cow::Borrowed(&anchors[..after]);
+        if let Some((seconds, _)) = setup {
+            decision.setup = Some(SetupDelay { seconds, after: Cow::Borrowed(&anchors[..]) });
+        }
+        out(Decision::Schedule(decision));
+        self.anchors = anchors;
     }
 }
 
@@ -1034,7 +1188,7 @@ impl Scheduler for HostUpdateScheduler<'_> {
         task: DagTaskId,
         dag: &Dag,
         system: &SystemView<'_>,
-        out: &mut Vec<Decision>,
+        out: &mut dyn FnMut(Decision<'_>),
     ) {
         self.0.on_task_ready(task, dag, system, out);
     }
@@ -1047,13 +1201,15 @@ impl Scheduler for HostUpdateScheduler<'_> {
 pub struct PlatformLowering<'a> {
     plat: &'a mut TimedPlatform,
     sites: SiteMap,
+    /// The flows of the joined scatter being lowered, reused.
+    joined: Vec<TaskId>,
 }
 
 impl<'a> PlatformLowering<'a> {
     /// A lowering onto `plat`, with sites mapped per its machine config.
     pub fn new(plat: &'a mut TimedPlatform) -> Self {
         let sites = SiteMap::new(plat.num_gpus(), plat.num_devices());
-        Self { plat, sites }
+        Self { plat, sites, joined: Vec::new() }
     }
 
     fn classify(&self, site: usize) -> Result<SiteKind, SimError> {
@@ -1070,16 +1226,19 @@ impl<'a> PlatformLowering<'a> {
         })
     }
 
+    /// Lowers a storage-class scatter: one flow per transfer, each also a
+    /// per-site result, and the main task per the plan.
     fn lower_scatter(
         &mut self,
         from: usize,
         to: usize,
-        plan: &ScatterPlan,
+        plan: &ScatterPlan<'_>,
         deps: &[TaskId],
         phase: PhaseId,
-    ) -> Result<Lowered, SimError> {
-        let mut flows: Vec<(usize, TaskId)> = Vec::with_capacity(plan.transfers.len());
-        for &(site, bytes) in &plan.transfers {
+        per_site: &mut Vec<(usize, TaskId)>,
+    ) -> Result<TaskId, SimError> {
+        self.joined.clear();
+        for &(site, bytes) in plan.transfers.iter() {
             let SiteKind::Storage(d) = self.classify(site)? else {
                 return Err(SimError::InvalidParameter {
                     message: format!("scatter target site {site} is not a storage device"),
@@ -1087,8 +1246,8 @@ impl<'a> PlatformLowering<'a> {
             };
             let flow = if to == SITE_STORAGE {
                 match self.classify(from)? {
-                    SiteKind::Host => self.plat.host_to_ssd(d, bytes, deps, phase),
-                    SiteKind::Gpu(g) => self.plat.gpu_to_ssd(g, d, bytes, deps, phase),
+                    SiteKind::Host => self.plat.host_to_ssd(d, bytes, deps, phase)?,
+                    SiteKind::Gpu(g) => self.plat.gpu_to_ssd(g, d, bytes, deps, phase)?,
                     _ => {
                         return Err(SimError::InvalidParameter {
                             message: format!("unsupported scatter source site {from}"),
@@ -1097,7 +1256,7 @@ impl<'a> PlatformLowering<'a> {
                 }
             } else {
                 match self.classify(to)? {
-                    SiteKind::Host => self.plat.ssd_to_host(d, bytes, deps, phase),
+                    SiteKind::Host => self.plat.ssd_to_host(d, bytes, deps, phase)?,
                     _ => {
                         return Err(SimError::InvalidParameter {
                             message: format!("unsupported gather target site {to}"),
@@ -1105,17 +1264,14 @@ impl<'a> PlatformLowering<'a> {
                     }
                 }
             };
-            flows.push((site, flow));
+            per_site.push((site, flow));
+            self.joined.push(flow);
         }
-        let main = if flows.is_empty() {
-            self.plat.barrier(deps)
-        } else if plan.join {
-            let ids: Vec<TaskId> = flows.iter().map(|&(_, t)| t).collect();
-            self.plat.barrier(&ids)
-        } else {
-            flows.last().map(|&(_, t)| t).expect("non-empty flows")
-        };
-        Ok(Lowered { main, per_site: flows })
+        Ok(match self.joined.last() {
+            None => self.plat.barrier(deps),
+            Some(_) if plan.join => self.plat.barrier(&self.joined),
+            Some(&last) => last,
+        })
     }
 }
 
@@ -1124,24 +1280,27 @@ impl Lowering for PlatformLowering<'_> {
         &mut self,
         dag: &Dag,
         task: DagTaskId,
-        scatter: Option<&ScatterPlan>,
+        scatter: Option<&ScatterPlan<'_>>,
         deps: &[TaskId],
-    ) -> Result<Lowered, SimError> {
+        per_site: &mut Vec<(usize, TaskId)>,
+    ) -> Result<TaskId, SimError> {
         let node =
             dag.task(task).ok_or(SimError::UnknownId { kind: "task", index: task.index() })?;
         match node.work {
-            DagWork::Join => Ok(Lowered::single(self.plat.barrier(deps))),
+            DagWork::Join => Ok(self.plat.barrier(deps)),
             DagWork::Delay { seconds } => {
                 let phase = Self::require_phase(task, node)?;
-                Ok(Lowered::single(self.plat.delay(seconds, deps, phase)))
+                Ok(self.plat.delay(seconds, deps, phase))
             }
             DagWork::Compute { site, amount } => {
                 let phase = Self::require_phase(task, node)?;
                 let id = match self.classify(site)? {
                     SiteKind::Host => self.plat.cpu_update(amount, deps, phase),
                     SiteKind::Gpu(g) => self.plat.gpu_compute(g, amount, deps, phase),
-                    SiteKind::Fpga(d) => self.plat.fpga_update(d, amount, deps, phase),
-                    SiteKind::Decompressor(d) => self.plat.fpga_decompress(d, amount, deps, phase),
+                    SiteKind::Fpga(d) => self.plat.fpga_update(d, amount, deps, phase)?,
+                    SiteKind::Decompressor(d) => {
+                        self.plat.fpga_decompress(d, amount, deps, phase)?
+                    }
                     SiteKind::Storage(_) => {
                         return Err(SimError::InvalidParameter {
                             message: format!(
@@ -1152,7 +1311,7 @@ impl Lowering for PlatformLowering<'_> {
                         })
                     }
                 };
-                Ok(Lowered::single(id))
+                Ok(id)
             }
             DagWork::Transfer { from, to, bytes } => {
                 let phase = Self::require_phase(task, node)?;
@@ -1165,9 +1324,9 @@ impl Lowering for PlatformLowering<'_> {
                             node.name
                         ),
                     })?;
-                    return self.lower_scatter(from, to, plan, deps, phase);
+                    return self.lower_scatter(from, to, plan, deps, phase, per_site);
                 }
-                let id = match (self.classify(from)?, self.classify(to)?) {
+                match (self.classify(from)?, self.classify(to)?) {
                     (SiteKind::Host, SiteKind::Gpu(g)) => {
                         self.plat.host_to_gpu(g, bytes, deps, phase)
                     }
@@ -1192,19 +1351,20 @@ impl Lowering for PlatformLowering<'_> {
                     (SiteKind::Fpga(a), SiteKind::Storage(b)) if a == b => {
                         self.plat.fpga_to_ssd(a, bytes, deps, phase)
                     }
-                    (f, t) => {
-                        return Err(SimError::InvalidParameter {
-                            message: format!(
-                                "dag task {} ('{}'): no fabric route from {f:?} to {t:?}",
-                                task.index(),
-                                node.name
-                            ),
-                        })
-                    }
-                };
-                Ok(Lowered::single(id))
+                    (f, t) => Err(SimError::InvalidParameter {
+                        message: format!(
+                            "dag task {} ('{}'): no fabric route from {f:?} to {t:?}",
+                            task.index(),
+                            node.name
+                        ),
+                    }),
+                }
             }
         }
+    }
+
+    fn reserve(&mut self, tasks: usize, deps: usize) {
+        self.plat.reserve(tasks, deps);
     }
 
     fn lower_delay(
@@ -1294,8 +1454,8 @@ mod tests {
         let graph =
             build_iteration_graph(&workload(), sites, optim::OptimizerKind::Adam, &knobs, phases);
         for block in &graph.layout.blocks {
-            let striped: f64 = block.striped.iter().map(|&(_, b)| b).sum();
-            let owned: f64 = block.owned.iter().map(|&(_, b)| b).sum();
+            let striped: f64 = graph.layout.placement(&block.striped).iter().map(|&(_, b)| b).sum();
+            let owned: f64 = graph.layout.placement(&block.owned).iter().map(|&(_, b)| b).sum();
             // Striping conserves the block's dense volume exactly; owner
             // routing conserves the clamped flattened intersection, which can
             // only fall short when parameter-count rounding truncates a block.

@@ -10,10 +10,17 @@
 //! subgroup-sized buffer at the sizes used here, and above the bookkeeping a
 //! step legitimately allocates (the step report, the lane list, thread
 //! handles).
+//!
+//! The same allocator counts the allocations a thread makes while it arms
+//! its own counter: a timed simulation's set-up allocates per simulation,
+//! not per link name, route, scheduling decision or task, and the count of
+//! one simulation is pinned.
 
-use smart_infinity::{MachineConfig, MethodSpec, ModelConfig, Session};
+use smart_infinity::{MachineConfig, MethodSpec, ModelConfig, RunSpec, Session};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use tensorlib::FlatTensor;
 
 struct Counting;
@@ -21,10 +28,19 @@ struct Counting;
 static ARMED: AtomicBool = AtomicBool::new(false);
 static LARGEST: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Allocations (and reallocations) this thread made while counting,
+    /// `None` when it is not counting. Const-initialised, so reading it
+    /// never allocates.
+    static COUNTED: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
 fn record(size: usize) {
     if ARMED.load(Ordering::Relaxed) {
         LARGEST.fetch_max(size, Ordering::Relaxed);
     }
+    // A thread being torn down has no counter left; it is not counting.
+    let _ = COUNTED.try_with(|counted| counted.set(counted.get().map(|n| n + 1)));
 }
 
 // SAFETY: every method forwards to `System` unchanged; the counters are
@@ -64,10 +80,17 @@ fn largest_allocation_during(work: impl FnOnce()) -> usize {
 
 const LARGE: usize = 64 * 1024;
 
-// One test function: the counter is process-wide, so the measured windows
-// must not overlap with another test's set-up.
+/// The largest-request counter is process-wide, so the tests take turns:
+/// no measured window overlaps another test's work.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn take_turn() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[test]
 fn a_warm_step_of_either_trainer_allocates_nothing_large() {
+    let _turn = take_turn();
     // The counter is live and sees what a cold path does.
     let seen = largest_allocation_during(|| drop(std::hint::black_box(vec![1u8; 1 << 20])));
     assert!(seen >= 1 << 20, "the counting allocator is not installed (saw {seen})");
@@ -122,5 +145,50 @@ fn a_warm_step_of_either_trainer_allocates_nothing_large() {
                 "{name}: a warm step allocated {largest} bytes at once (first step: {first})"
             );
         }
+    }
+}
+
+/// The allocations the calling thread makes while `work` runs.
+fn allocations_during(work: impl FnOnce()) -> usize {
+    COUNTED.with(|counted| counted.set(Some(0)));
+    work();
+    COUNTED.with(|counted| counted.replace(None)).expect("armed above")
+}
+
+/// The allocations one `Session::simulate_iteration` of a spec makes (the
+/// session is built first, outside the count). Each bar is the count
+/// measured when the set-up was made to allocate per simulation, plus 10 %;
+/// before, an optimised build made 803 and 3 281. Builds with debug
+/// assertions also check every timeline against the engine's oracle, which
+/// allocates its own working set, so they have bars of their own.
+#[test]
+fn a_timed_iteration_allocates_per_simulation_not_per_name_route_or_decision() {
+    let _turn = take_turn();
+    let seen = allocations_during(|| drop(std::hint::black_box(vec![1u8; 64])));
+    assert_eq!(seen, 1, "the counting allocator is not installed");
+    for (name, spec, bar) in [
+        (
+            "lab_cycle: GPT2-0.34B, 4 CSDs, SU+O+C at 1 %",
+            r#"{"model": "GPT2-0.34B", "machine": {"devices": 4}, "method": {"offload": true,
+                "in_storage_update": true, "overlap": true, "pipelined": false,
+                "compression": {"keep_ratio": 0.01}}}"#,
+            if cfg!(debug_assertions) { 271 } else { 144 },
+        ),
+        (
+            "sim_scale: GPT2-33.0B, 10 CSDs, SU+O+C at 1 %",
+            r#"{"model": "GPT2-33.0B", "machine": {"devices": 10}, "method": {"offload": true,
+                "in_storage_update": true, "overlap": true, "pipelined": false,
+                "compression": {"keep_ratio": 0.01}}}"#,
+            if cfg!(debug_assertions) { 888 } else { 181 },
+        ),
+    ] {
+        let session = RunSpec::from_json(spec).and_then(|s| s.session()).expect("a valid spec");
+        // A first run warms whatever the process initialises once.
+        session.simulate_iteration().expect("simulates");
+        let count = allocations_during(|| {
+            std::hint::black_box(session.simulate_iteration().expect("simulates"));
+        });
+        println!("{name}: {count} allocations");
+        assert!(count <= bar, "{name}: {count} allocations, the bar is {bar}");
     }
 }

@@ -19,8 +19,8 @@ fn timed_platform_builds_and_runs_one_round_trip() {
     assert_eq!(platform.num_gpus(), 1);
 
     let phase = platform.add_phase("smoke");
-    let offload = platform.host_to_ssd(0, 1e9, &[], phase);
-    let update = platform.fpga_update(0, 1e9, &[offload], phase);
+    let offload = platform.host_to_ssd(0, 1e9, &[], phase).expect("a device write");
+    let update = platform.fpga_update(0, 1e9, &[offload], phase).expect("a CSD update");
     let timeline = platform.run().expect("smoke simulation");
     let makespan = timeline.makespan();
     assert!(makespan.is_finite() && makespan > 0.0, "makespan {makespan}");
