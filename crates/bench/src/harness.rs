@@ -14,22 +14,21 @@ use llm::{ModelConfig, Workload};
 use optim::OptimizerKind;
 use serde::{Deserialize, Serialize};
 use smart_infinity::{
-    Campaign, MachineSpec, MethodSpec, ModelSpec, RunSpec, SmartInfinityEngine, TrafficMethod,
-    TrafficModel,
+    Campaign, MachineSpec, MethodSpec, ModelSpec, RunSpec, Session, TrafficMethod, TrafficModel,
 };
 use tensorlib::KernelPath;
 use ztrain::realtrain::{train_classifier, Dataset, MlpModel, TrainConfig};
 use ztrain::{IterationReport, MachineConfig, PipelinedTrainer};
 
-/// The timed engine of `method` under Adam — the one way the figures below
-/// reach the timed model.
-fn engine(machine: MachineConfig, workload: &Workload, method: MethodSpec) -> SmartInfinityEngine {
-    SmartInfinityEngine::new(machine, workload.clone(), OptimizerKind::Adam, &method)
+/// The session of `method` training `model` under Adam — the one way the
+/// figures below reach the timed model.
+fn session(machine: MachineConfig, model: &ModelConfig, method: MethodSpec) -> Session {
+    Session::builder(model.clone(), machine, method).build()
 }
 
 /// One simulated iteration of `method` under Adam.
-fn simulate(machine: MachineConfig, workload: &Workload, method: MethodSpec) -> IterationReport {
-    engine(machine, workload, method).simulate_iteration().expect("simulation")
+fn simulate(machine: MachineConfig, model: &ModelConfig, method: MethodSpec) -> IterationReport {
+    session(machine, model, method).simulate_iteration().expect("simulation")
 }
 
 // ---------------------------------------------------------------------------
@@ -129,8 +128,7 @@ pub fn tab4(epochs: usize) -> Vec<FinetuneRow> {
     let models = [ModelConfig::bert_0_34b(), ModelConfig::gpt2_0_77b(), ModelConfig::gpt2_1_6b()];
     let mut rows = Vec::new();
     for model in models {
-        let workload = Workload::paper_default(model.clone());
-        let run = |method| simulate(MachineConfig::smart_infinity(6), &workload, method);
+        let run = |method| simulate(MachineConfig::smart_infinity(6), &model, method);
         let base = run(MethodSpec::baseline());
         let mut push = |method: MethodSpec, label: String, keep: Option<f64>| {
             let report = run(method);
@@ -181,7 +179,7 @@ pub struct PipelineRow {
 /// pipelined schedule, dense and compressed, at 6 and 10 devices — the
 /// stage-level uplink accounting that complements the paper's method ladder.
 pub fn pipeline_overlap() -> Vec<PipelineRow> {
-    let workload = Workload::paper_default(ModelConfig::gpt2_4b());
+    let model = ModelConfig::gpt2_4b();
     let mut rows = Vec::new();
     for n in [6usize, 10] {
         // The serial schedule comes first: it is the reference of its group.
@@ -192,7 +190,7 @@ pub fn pipeline_overlap() -> Vec<PipelineRow> {
         ];
         let mut serial = None;
         for (label, method) in configs {
-            let timing = engine(MachineConfig::smart_infinity(n), &workload, method)
+            let timing = session(MachineConfig::smart_infinity(n), &model, method)
                 .simulate_iteration_stages()
                 .expect("simulation");
             let serial = serial.get_or_insert(timing.report);

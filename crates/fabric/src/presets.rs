@@ -186,11 +186,6 @@ impl Platform {
     pub fn num_devices(&self) -> usize {
         self.devices.len()
     }
-
-    /// Whether the devices are CSDs (have FPGA ports).
-    pub fn is_csd(&self) -> bool {
-        self.spec.storage == StorageKind::Csd
-    }
 }
 
 #[cfg(test)]
@@ -203,7 +198,7 @@ mod tests {
         let platform =
             PlatformSpec::default_smart_infinity(4, StorageKind::PlainSsd).build().unwrap();
         assert_eq!(platform.num_devices(), 4);
-        assert!(!platform.is_csd());
+        assert_eq!(platform.spec.storage, StorageKind::PlainSsd);
         assert_eq!(platform.gpus.len(), 1);
         // host + expansion + gpu + 4 ssds
         assert_eq!(platform.topology.node_count(), 7);
@@ -213,7 +208,7 @@ mod tests {
     #[test]
     fn csd_platform_has_fpga_ports_and_internal_switches() {
         let platform = PlatformSpec::default_smart_infinity(3, StorageKind::Csd).build().unwrap();
-        assert!(platform.is_csd());
+        assert_eq!(platform.spec.storage, StorageKind::Csd);
         assert_eq!(platform.num_devices(), 3);
         for dev in &platform.devices {
             assert!(dev.fpga.is_some());

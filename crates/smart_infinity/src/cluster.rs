@@ -37,6 +37,16 @@ const REDUCE_BYTES_PER_CORE: f64 = 8.0 * GB;
 /// The backplane carries the sum of the NIC rates divided by this factor
 /// (a 2:1 oversubscribed top-of-rack switch).
 const BACKPLANE_OVERSUBSCRIPTION: f64 = 2.0;
+/// The most hosts a cluster may have. Every host's exchange and broadcast
+/// share the one backplane, so the allreduce costs about hosts² to simulate:
+/// 4 096 hosts take 0.06 s and 14 MB in an optimised build, 16 384 take
+/// 0.7 s and 65 536 take 16 s (on top of the one per-host iteration).
+const MAX_HOSTS: usize = 4096;
+/// The most cores the reduction stage may have. A simulation costs the same
+/// at any core count (1, 4, 65 536 and 2³² − 1 cores each simulate in under
+/// a millisecond in an optimised build), so the bound is the simulator's
+/// core type, `u32`: past it the count used to wrap (2³² cores became 0).
+const MAX_REDUCE_CORES: usize = u32::MAX as usize;
 
 /// One deliberately slow host: its compute (forward, backward, update) runs
 /// `factor`× slower than its peers — the cluster-level straggler scenario.
@@ -52,11 +62,12 @@ pub struct StragglerSpec {
 /// replicas train data-parallel, and the interconnect between them.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ClusterSpec {
-    /// Number of hosts (≥ 2); each is one full single-server machine.
+    /// Number of hosts (2 to 4 096); each is one full single-server machine.
     pub hosts: usize,
     /// Per-host NIC bandwidth in Gb/s (default 100).
     pub interconnect_gbps: Option<f64>,
-    /// Cores of the shared gradient-reduction stage (default 4).
+    /// Cores of the shared gradient-reduction stage (default 4, at most
+    /// 2³² − 1).
     pub reduce_cores: Option<usize>,
     /// Amdahl serial fraction of the reduction kernel (default 0.05).
     pub serial_fraction: Option<f64>,
@@ -90,11 +101,13 @@ impl ClusterSpec {
 
     /// The shared reduction stage as a [`Resource`] description: a
     /// multi-core unit whose throughput follows an Amdahl speedup curve.
+    /// A core count past [`ClusterSpec::validate`]'s bound saturates at
+    /// that bound rather than wrapping.
     fn reducer(&self) -> Resource {
-        let cores = self.reduce_cores.unwrap_or(DEFAULT_REDUCE_CORES) as u32;
+        let cores = self.reduce_cores.unwrap_or(DEFAULT_REDUCE_CORES);
         let serial_fraction = self.serial_fraction.unwrap_or(DEFAULT_SERIAL_FRACTION);
         Resource::new(
-            cores,
+            u32::try_from(cores).unwrap_or(u32::MAX),
             REDUCE_BYTES_PER_CORE,
             f64::INFINITY,
             SpeedupCurve::Amdahl { serial_fraction },
@@ -105,15 +118,19 @@ impl ClusterSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`TrainError::Config`] for fewer than two hosts, a
-    /// non-positive interconnect, invalid reduction knobs, a straggler
-    /// outside the cluster or with a factor below 1, and for methods without
-    /// `in_storage_update` — the cluster layer reduces gradients *between*
-    /// the hosts' in-storage updates, so the host-CPU baseline cannot be
-    /// scaled out this way.
+    /// Returns [`TrainError::Config`] for fewer than two or more than 4 096
+    /// hosts, a non-positive interconnect, invalid reduction knobs (no
+    /// cores, more than 2³² − 1 cores, a serial fraction outside [0, 1)), a
+    /// straggler outside the cluster or with a factor below 1, and for
+    /// methods without `in_storage_update` — the cluster layer reduces
+    /// gradients *between* the hosts' in-storage updates, so the host-CPU
+    /// baseline cannot be scaled out this way.
     pub fn validate(&self, method: &MethodSpec) -> Result<(), TrainError> {
-        if self.hosts < 2 {
-            return Err(TrainError::config("a cluster needs at least two hosts"));
+        if !(2..=MAX_HOSTS).contains(&self.hosts) {
+            return Err(TrainError::config(format!(
+                "cluster has {} hosts, 2 to {MAX_HOSTS} are supported",
+                self.hosts
+            )));
         }
         if let Some(gbps) = self.interconnect_gbps {
             if !(gbps.is_finite() && gbps > 0.0) {
@@ -122,8 +139,10 @@ impl ClusterSpec {
                 )));
             }
         }
-        if self.reduce_cores == Some(0) {
-            return Err(TrainError::config("the reduction stage needs at least one core"));
+        if let Some(cores) = self.reduce_cores.filter(|c| !(1..=MAX_REDUCE_CORES).contains(c)) {
+            return Err(TrainError::config(format!(
+                "the reduction stage has {cores} cores, 1 to {MAX_REDUCE_CORES} are supported"
+            )));
         }
         if let Some(serial) = self.serial_fraction {
             if !(serial.is_finite() && (0.0..1.0).contains(&serial)) {
@@ -394,6 +413,65 @@ mod tests {
         // The host-CPU baseline has no in-storage update to overlap with.
         let err = ClusterSpec::hosts(4).validate(&MethodSpec::baseline()).expect_err("baseline");
         assert!(err.to_string().contains("in_storage_update"), "{err}");
+    }
+
+    /// The answers to a spec of `machine` JSON under SU+O, from a worker
+    /// thread that must finish within `limit_s` seconds.
+    fn answered_within<T: Send + 'static>(
+        limit_s: u64,
+        work: impl FnOnce(&dyn Fn(&str) -> Result<(), TrainError>) -> T + Send + 'static,
+    ) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let run = |machine: &str| {
+                let json = format!(
+                    r#"{{"model":"GPT2-0.34B","machine":{machine},
+                        "method":{{"offload":true,"in_storage_update":true,"overlap":true,
+                                  "pipelined":false}}}}"#
+                );
+                let spec = crate::RunSpec::from_json(&json).expect("the spec parses");
+                spec.session()?.simulate_iteration().map(drop)
+            };
+            tx.send(work(&run)).expect("the test waits");
+        });
+        let limit = std::time::Duration::from_secs(limit_s);
+        let answers = rx.recv_timeout(limit).expect("every spec is answered in time");
+        worker.join().expect("the worker does not panic");
+        answers
+    }
+
+    /// Past the host bound a cluster is a typed error at once, and a cluster
+    /// at the bound still simulates.
+    #[test]
+    fn host_counts_past_the_bound_are_rejected_at_once() {
+        let (past, at) = answered_within(20, |run| {
+            let cluster =
+                |hosts: usize| format!(r#"{{"devices":2,"cluster":{{"hosts":{hosts}}}}}"#);
+            (run(&cluster(1 << 40)), run(&cluster(MAX_HOSTS)))
+        });
+        let err = past.expect_err("2^40 hosts are past the bound");
+        assert!(matches!(err, TrainError::Config { .. }), "{err}");
+        assert!(err.to_string().contains("2 to 4096"), "{err}");
+        at.expect("a cluster of 4 096 hosts simulates");
+    }
+
+    /// Past the core bound (where the count used to wrap: 2³² cores became
+    /// 0, and 2³² + 1 became 1) the spec is a typed error that names the
+    /// bound, and the bound itself simulates.
+    #[test]
+    fn reduction_cores_past_the_bound_are_rejected_at_once() {
+        let (wrapped_to_zero, wrapped_to_one, at) = answered_within(20, |run| {
+            let cores = |cores: u64| {
+                format!(r#"{{"devices":2,"cluster":{{"hosts":4,"reduce_cores":{cores}}}}}"#)
+            };
+            (run(&cores(1 << 32)), run(&cores((1 << 32) + 1)), run(&cores(u32::MAX.into())))
+        });
+        for past in [wrapped_to_zero, wrapped_to_one] {
+            let err = past.expect_err("past the bound");
+            assert!(matches!(err, TrainError::Config { .. }), "{err}");
+            assert!(err.to_string().contains("1 to 4294967295"), "{err}");
+        }
+        at.expect("2^32 - 1 reduction cores simulate");
     }
 
     #[test]

@@ -8,15 +8,16 @@
 //!
 //! The crate provides both views of the system:
 //!
-//! * **Timed** — [`SmartInfinityEngine`] builds a discrete-event model of one
-//!   training iteration on a machine with N SmartSSD-class storage devices
-//!   and reports the forward / backward+gradient-offload / update phase
-//!   breakdown. It is the one timed engine: the [`MethodSpec`] it is built
-//!   from decides whether the devices act as RAID0 SSDs under a host-CPU
-//!   update (the baseline) or as CSDs, and which schedule the iteration graph
-//!   gets, so the whole ladder (BASE → SU → SU+O → SU+O+C) runs one body and
-//!   every figure of the evaluation is produced from it (see the `bench`
-//!   crate).
+//! * **Timed** — [`Session::simulate_iteration`] builds a discrete-event
+//!   model of one training iteration on a machine with N SmartSSD-class
+//!   storage devices and reports the forward / backward+gradient-offload /
+//!   update phase breakdown ([`Session::simulate_iteration_stages`] adds the
+//!   shared interconnect's stage occupancy). It is the one timed front door:
+//!   the session's [`MethodSpec`] decides whether the devices act as RAID0
+//!   SSDs under a host-CPU update (the baseline) or as CSDs, and which
+//!   schedule the iteration graph gets, so the whole ladder (BASE → SU →
+//!   SU+O → SU+O+C) runs one body and every figure of the evaluation is
+//!   produced from it (see the `bench` crate).
 //! * **Functional** — [`PipelinedTrainer`] really distributes the flattened
 //!   parameters across [`csd::CsdDevice`] models, really runs the FPGA
 //!   updater/decompressor kernels and really produces updated FP16
@@ -29,8 +30,8 @@
 //!
 //! | Paper | Here |
 //! |---|---|
-//! | SmartUpdate (Section IV-A) | [`MethodSpec::smart_update`], [`SmartInfinityEngine`], [`PipelinedTrainer`] |
-//! | Internal data-transfer handler (Section IV-B) | [`HandlerMode`], the subgroup pipeline in [`SmartInfinityEngine`] |
+//! | SmartUpdate (Section IV-A) | [`MethodSpec::smart_update`], [`Session::simulate_iteration`], [`PipelinedTrainer`] |
+//! | Internal data-transfer handler (Section IV-B) | [`HandlerMode`], [`SessionBuilder::with_handler`], the tasklet chains of [`method_scheduler`] |
 //! | SmartComp gradient compression (Section IV-C) | [`MethodSpec::smart_comp`], `gradcomp` + `csd::Decompressor` |
 //! | Multi-CSD distribution (Section IV-D) | [`tensorlib::Partitioner`] inside [`PipelinedTrainer`] |
 //! | Cross-CSD phase overlap (Sections IV-B/IV-D) | [`MethodSpec::pipelined`], the lanes of [`PipelinedTrainer`], [`PipelineTiming`] |
@@ -139,10 +140,7 @@ mod tests {
     use super::*;
 
     fn simulate(machine: MachineConfig, model: ModelConfig, method: MethodSpec) -> IterationReport {
-        let workload = Workload::paper_default(model);
-        SmartInfinityEngine::new(machine, workload, OptimizerKind::Adam, &method)
-            .simulate_iteration()
-            .unwrap()
+        Session::builder(model, machine, method).build().simulate_iteration().unwrap()
     }
 
     /// The headline claim: with enough CSDs, Smart-Infinity beats the RAID0

@@ -19,7 +19,7 @@
 //! `specs/experiments/sched` runs the four ladder rows as method variants,
 //! one per scheduler name.
 
-use crate::engine_timed::SmartInfinityEngine;
+use crate::engine_timed::NAIVE_TASKLET_OVERHEAD_S;
 use crate::HandlerMode;
 use simkit::Scheduler;
 use ztrain::schedule::{ChainSync, IterLayout, MethodPolicy, OffloadRouting};
@@ -37,8 +37,7 @@ pub fn method_scheduler<'a>(
 ) -> Box<dyn Scheduler + 'a> {
     use ChainSync::Overlapped;
     use OffloadRouting::{OwnerRouted, Striped};
-    let sequential =
-        ChainSync::Sequential { setup_s: SmartInfinityEngine::NAIVE_TASKLET_OVERHEAD_S };
+    let sequential = ChainSync::Sequential { setup_s: NAIVE_TASKLET_OVERHEAD_S };
     let (routing, chain, name) = match (handler, pipelined) {
         (HandlerMode::Naive, false) => (Striped, sequential, "serial-naive"),
         (HandlerMode::Optimized, false) => (Striped, Overlapped, "serial-overlap"),

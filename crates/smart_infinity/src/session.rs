@@ -10,7 +10,11 @@
 //!   the host, the RAID0 baseline; in the CSDs, compressed when the spec
 //!   says so.
 //! * [`Session::simulate_iteration`] runs the *timed* model of the same
-//!   configuration and returns the per-phase breakdown.
+//!   configuration and returns the per-phase breakdown;
+//!   [`Session::simulate_iteration_stages`] adds how the pipelined stages
+//!   occupied the shared host interconnect. They are the only way into the
+//!   timed model, and the pass borrows the session: no machine, workload or
+//!   session is copied for it.
 //!
 //! Both paths speak [`TrainError`], so a caller can mix them with `?`, and
 //! both validate the spec centrally instead of panicking in a substrate.
@@ -18,7 +22,7 @@
 //! and the `specs/*.json` spec lists ([`crate::Campaign`]).
 
 use crate::cluster::ClusterSpec;
-use crate::engine_timed::{HandlerMode, SmartInfinityEngine};
+use crate::engine_timed::{self, HandlerMode, PipelineTiming, SmartInfinityEngine};
 use crate::spec::MethodSpec;
 use faultkit::{FaultPlan, FaultSpec};
 use llm::{ModelConfig, Workload};
@@ -32,27 +36,26 @@ use ztrain::{IterationReport, MachineConfig, PipelinedTrainer, TrainError, Train
 /// builds has 330.
 const MAX_TASKLETS: u64 = 1 << 16;
 
-/// Builder for a [`Session`]; see [`Session::builder`].
+/// The most GPUs a machine may have. Every block of the iteration runs a
+/// task per GPU and gathers their activations at GPU 0 over shared links, and
+/// the route table has a slot per GPU pair, so the cost grows faster than the
+/// GPU count: with the largest accepted machine and model (4 096 devices, a
+/// 1000-billion-parameter scaled GPT-2), 64 GPUs simulate in 7.5 s and
+/// 150 MB in an optimised build, 256 GPUs in 40 s. Past about 2³² GPUs the
+/// route table's size used to wrap.
+const MAX_GPUS: usize = 64;
+
+/// Builder for a [`Session`]; see [`Session::builder`]. It holds the
+/// session it builds.
 #[derive(Debug, Clone)]
-pub struct SessionBuilder {
-    model: ModelConfig,
-    machine: MachineConfig,
-    method: MethodSpec,
-    optimizer: Optimizer,
-    threads: usize,
-    handler: Option<HandlerMode>,
-    subgroup_elems: Option<usize>,
-    workload: Option<Workload>,
-    faults: Option<FaultSpec>,
-    cluster: Option<ClusterSpec>,
-}
+pub struct SessionBuilder(Session);
 
 impl SessionBuilder {
     /// Overrides the optimizer (default: Adam with the paper's
     /// hyperparameters). The kind drives the timed model's state volume; the
     /// full hyperparameters drive the functional kernels.
     pub fn with_optimizer(mut self, optimizer: Optimizer) -> Self {
-        self.optimizer = optimizer;
+        self.0.optimizer = optimizer;
         self
     }
 
@@ -61,21 +64,21 @@ impl SessionBuilder {
     /// — only wall-clock time. The host baseline is serial by construction
     /// and ignores this knob.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.0.threads = threads.max(1);
         self
     }
 
     /// Forces the internal data-transfer handler mode of the timed
-    /// Smart-Infinity engine, overriding the one implied by the method
+    /// in-storage update, overriding the one implied by the method
     /// (e.g. to simulate SmartComp with the naive handler as an ablation).
     /// Ignored by baseline (non-CSD) methods and by the functional trainer.
     pub fn with_handler(mut self, handler: HandlerMode) -> Self {
-        self.handler = Some(handler);
+        self.0.handler = Some(handler);
         self
     }
 
     /// Overrides the subgroup (tasklet) capacity in parameters, for both the
-    /// timed engine and the functional trainer. By default the timed engine
+    /// timed model and the functional trainer. By default the timed model
     /// uses [`SmartInfinityEngine::DEFAULT_SUBGROUP_ELEMS`] and the
     /// functional trainer processes each device shard as one subgroup.
     ///
@@ -83,14 +86,15 @@ impl SessionBuilder {
     /// [`TrainError::Config`] when the session builds a trainer or simulates
     /// an iteration — it used to panic deep inside the substrate instead.
     pub fn with_subgroup_elems(mut self, elems: usize) -> Self {
-        self.subgroup_elems = Some(elems);
+        self.0.subgroup_elems = Some(elems);
         self
     }
 
     /// Overrides the workload (default: [`Workload::paper_default`] for the
-    /// session's model), e.g. for a non-default batch size.
-    pub fn with_workload(mut self, workload: Workload) -> Self {
-        self.workload = Some(workload);
+    /// session's model), e.g. for a non-default batch size. Its model
+    /// becomes the session's model.
+    pub(crate) fn with_workload(mut self, workload: Workload) -> Self {
+        self.0.workload = workload;
         self
     }
 
@@ -101,7 +105,7 @@ impl SessionBuilder {
     /// validated (like every other knob) when the session builds a trainer or
     /// simulates an iteration.
     pub fn with_faults(mut self, faults: FaultSpec) -> Self {
-        self.faults = Some(faults);
+        self.0.faults = Some(faults);
         self
     }
 
@@ -111,52 +115,28 @@ impl SessionBuilder {
     /// on top. Requires an in-storage method (validated on use); ignored by
     /// the functional trainer, which models one server.
     pub(crate) fn with_cluster(mut self, cluster: ClusterSpec) -> Self {
-        self.cluster = Some(cluster);
+        self.0.cluster = Some(cluster);
         self
     }
 
     /// Finalises the session.
     pub fn build(self) -> Session {
-        let SessionBuilder {
-            model,
-            machine,
-            method,
-            optimizer,
-            threads,
-            handler,
-            subgroup_elems,
-            workload,
-            faults,
-            cluster,
-        } = self;
-        let workload = workload.unwrap_or_else(|| Workload::paper_default(model.clone()));
-        Session {
-            model,
-            machine,
-            method,
-            optimizer,
-            threads,
-            handler,
-            subgroup_elems,
-            workload,
-            faults,
-            cluster,
-        }
+        self.0
     }
 }
 
-/// One training configuration — model, machine, [`MethodSpec`] and knobs —
-/// from which both the functional and the timed view of the system are built.
+/// One training configuration — workload (and with it the model), machine,
+/// [`MethodSpec`] and knobs — from which both the functional and the timed
+/// view of the system are built.
 #[derive(Debug, Clone)]
 pub struct Session {
-    model: ModelConfig,
+    workload: Workload,
     machine: MachineConfig,
     method: MethodSpec,
     optimizer: Optimizer,
     threads: usize,
     handler: Option<HandlerMode>,
     subgroup_elems: Option<usize>,
-    workload: Workload,
     faults: Option<FaultSpec>,
     cluster: Option<ClusterSpec>,
 }
@@ -168,18 +148,17 @@ impl Session {
         machine: MachineConfig,
         method: MethodSpec,
     ) -> SessionBuilder {
-        SessionBuilder {
-            model,
+        SessionBuilder(Session {
+            workload: Workload::paper_default(model),
             machine,
             method,
             optimizer: Optimizer::adam_default(),
             threads: 1,
             handler: None,
             subgroup_elems: None,
-            workload: None,
             faults: None,
             cluster: None,
-        }
+        })
     }
 
     /// The capability axes this session trains with.
@@ -187,9 +166,9 @@ impl Session {
         self.method
     }
 
-    /// The model being trained.
+    /// The model being trained: the workload's.
     pub fn model(&self) -> &ModelConfig {
-        &self.model
+        self.workload.model()
     }
 
     /// The machine configuration.
@@ -207,12 +186,30 @@ impl Session {
         self.optimizer
     }
 
+    /// The handler of the timed in-storage update: the override, or the one
+    /// the method implies.
+    pub(crate) fn handler(&self) -> HandlerMode {
+        self.handler.unwrap_or(self.method.implied_handler())
+    }
+
+    /// The subgroup (tasklet) capacity of the timed in-storage update: the
+    /// override, or [`SmartInfinityEngine::DEFAULT_SUBGROUP_ELEMS`].
+    pub(crate) fn subgroup_elems(&self) -> usize {
+        self.subgroup_elems.unwrap_or(SmartInfinityEngine::DEFAULT_SUBGROUP_ELEMS)
+    }
+
     /// Validates the knobs that would otherwise panic deep inside a
     /// substrate: the machine, the subgroup capacity, and the method's
     /// capability axes (one centralized pass — [`MethodSpec::validate`]).
     pub(crate) fn validate(&self) -> Result<(), TrainError> {
         if self.machine.num_devices == 0 {
             return Err(TrainError::config("machine must have at least one storage device"));
+        }
+        if !(1..=MAX_GPUS).contains(&self.machine.num_gpus) {
+            return Err(TrainError::config(format!(
+                "machine has {} GPUs, 1 to {MAX_GPUS} are supported",
+                self.machine.num_gpus
+            )));
         }
         if self.subgroup_elems == Some(0) {
             return Err(TrainError::config("subgroup capacity must be positive"));
@@ -285,21 +282,56 @@ impl Session {
     }
 
     /// Simulates one training iteration of this configuration on the timed
-    /// stack and returns the per-phase breakdown.
+    /// stack and returns the per-phase breakdown. A cluster session runs the
+    /// one server's iteration, then [`crate::cluster::simulate_allreduce`]
+    /// wraps it in the data-parallel allreduce of one iteration's fp16
+    /// gradients.
     ///
     /// # Errors
     ///
     /// Returns a [`TrainError`] for invalid knobs, an in-storage iteration
     /// of more than 65 536 tasklets, or a wrapped simulation-kernel failure.
     pub fn simulate_iteration(&self) -> Result<IterationReport, TrainError> {
+        let per_host = self.timed_run()?.report;
+        match &self.cluster {
+            None => Ok(per_host),
+            Some(cluster) => {
+                let grad_bytes = 2.0 * self.model().num_params() as f64;
+                Ok(crate::cluster::simulate_allreduce(cluster, &per_host, grad_bytes)?)
+            }
+        }
+    }
+
+    /// Simulates one training iteration like
+    /// [`Session::simulate_iteration`] and additionally reports the
+    /// stage-level occupancy of the shared host interconnect (see
+    /// [`PipelineTiming`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Session::simulate_iteration`], and [`TrainError::Config`] for a
+    /// cluster session: the stages are those of one server's interconnect.
+    pub fn simulate_iteration_stages(&self) -> Result<PipelineTiming, TrainError> {
+        if self.cluster.is_some() {
+            return Err(TrainError::config(
+                "stage timing covers one server's host interconnect; a cluster session has one \
+                 per host",
+            ));
+        }
+        Ok(self.timed_run()?.stages())
+    }
+
+    /// The timed pass of one server, after every check: the knobs, the
+    /// tasklet bound, then the fault plan's timed effects (a straggler, a
+    /// derated uplink).
+    fn timed_run(&self) -> Result<engine_timed::TimedRun, TrainError> {
         self.validate()?;
         if self.method.uses_csds() {
             // Every tasklet is a chain of graph and simulation tasks: count
             // them before any is built.
             let devices = self.machine.num_devices as u64;
-            let subgroup =
-                self.subgroup_elems.unwrap_or(SmartInfinityEngine::DEFAULT_SUBGROUP_ELEMS);
-            let per_device = self.model.num_params().div_ceil(devices).div_ceil(subgroup as u64);
+            let subgroup = self.subgroup_elems();
+            let per_device = self.model().num_params().div_ceil(devices).div_ceil(subgroup as u64);
             let tasklets = devices.saturating_mul(per_device);
             if tasklets > MAX_TASKLETS {
                 return Err(TrainError::config(format!(
@@ -308,37 +340,8 @@ impl Session {
                 )));
             }
         }
-        if let Some(cluster) = self.cluster {
-            // Per-host iteration with the cluster layer stripped; the
-            // cluster DAG then wraps it in the data-parallel allreduce of
-            // one iteration's fp16 gradients.
-            let mut single = self.clone();
-            single.cluster = None;
-            let per_host = single.simulate_iteration()?;
-            let grad_bytes = 2.0 * self.model.num_params() as f64;
-            return Ok(crate::cluster::simulate_allreduce(&cluster, &per_host, grad_bytes)?);
-        }
-        // The one engine, built from the method, then the overrides: the
-        // ablation handler, the subgroup capacity (a host-update method has
-        // neither and ignores both) and the fault plan's timed effects.
-        let mut engine = SmartInfinityEngine::new(
-            self.machine.clone(),
-            self.workload.clone(),
-            self.optimizer.kind(),
-            &self.method,
-        );
-        if let Some(handler) = self.handler {
-            engine = engine.with_handler(handler);
-        }
-        if let Some(elems) = self.subgroup_elems {
-            engine = engine.with_subgroup_elems(elems);
-        }
-        // The timed side of the fault plan: a straggler, a derated uplink.
         let effects = self.fault_plan()?.map(|plan| plan.timed_effects(self.machine.num_devices));
-        if let Some(effects) = effects.filter(|effects| !effects.is_empty()) {
-            engine = engine.with_fault_effects(effects);
-        }
-        Ok(engine.simulate_iteration()?)
+        Ok(engine_timed::run(self, effects.as_ref())?)
     }
 }
 
@@ -721,6 +724,27 @@ mod tests {
         assert!(sgd.update_s < adam.update_s);
     }
 
+    /// A cluster session's iteration wraps the one server's pass in the
+    /// allreduce, and its stage read-out is a typed error: the stages are
+    /// those of one server's host interconnect.
+    #[test]
+    fn a_cluster_session_wraps_the_per_host_pass() {
+        let method = MethodSpec::smart_update_optimized();
+        let single = session(method);
+        let cluster =
+            Session::builder(ModelConfig::gpt2_0_34b(), MachineConfig::smart_infinity(3), method)
+                .with_cluster(ClusterSpec::hosts(4))
+                .build();
+        let per_host = single.simulate_iteration().expect("timed");
+        let grad_bytes = 2.0 * single.model().num_params() as f64;
+        let want =
+            crate::cluster::simulate_allreduce(&ClusterSpec::hosts(4), &per_host, grad_bytes);
+        assert_eq!(cluster.simulate_iteration().expect("timed"), want.expect("allreduce"));
+        assert_eq!(single.simulate_iteration_stages().expect("stages").report, per_host);
+        let err = cluster.simulate_iteration_stages().expect_err("a cluster has no one uplink");
+        assert!(matches!(err, TrainError::Config { .. }), "{err}");
+    }
+
     /// Storage follows the method, not the machine: the same devices are
     /// RAID0 SSDs under a host-update method and CSDs under an in-storage
     /// one, whatever `MachineConfig::storage` says, and a host-update method
@@ -777,5 +801,52 @@ mod tests {
         assert!(matches!(err, TrainError::Config { .. }), "{err}");
         assert!(err.to_string().contains("at most 65536"), "{err}");
         at.expect("an iteration at the bound simulates");
+    }
+
+    /// Past the GPU bound a machine is a typed error at once, whether it
+    /// comes from a spec or is built by hand, and a machine at the bound
+    /// still simulates.
+    #[test]
+    fn gpu_counts_past_the_bound_are_rejected_at_once() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let run = |gpus: usize, congested: bool| {
+                let json = format!(
+                    r#"{{"model":"GPT2-0.34B",
+                        "machine":{{"devices":4,"num_gpus":{gpus},"congested":{congested}}},
+                        "method":{{"offload":true,"in_storage_update":true,"overlap":true,
+                                  "pipelined":true}}}}"#
+                );
+                let spec = crate::RunSpec::from_json(&json).expect("the spec parses");
+                spec.session().and_then(|s| s.simulate_iteration()).map(drop)
+            };
+            let by_hand = Session::builder(
+                ModelConfig::gpt2_0_34b(),
+                MachineConfig { num_gpus: 1 << 40, ..MachineConfig::smart_infinity(4) },
+                MethodSpec::baseline(),
+            )
+            .build()
+            .simulate_iteration()
+            .map(drop);
+            let answers = [
+                run(1 << 40, false),
+                run(1 << 40, true),
+                by_hand,
+                run(MAX_GPUS, false),
+                run(MAX_GPUS, true),
+            ];
+            tx.send(answers).expect("the test waits");
+        });
+        let limit = std::time::Duration::from_secs(20);
+        let [past, past_congested, past_by_hand, at, at_congested] =
+            rx.recv_timeout(limit).expect("every spec is answered within 20 s");
+        worker.join().expect("the worker does not panic");
+        for past in [past, past_congested, past_by_hand] {
+            let err = past.expect_err("2^40 GPUs are past the bound");
+            assert!(matches!(err, TrainError::Config { .. }), "{err}");
+            assert!(err.to_string().contains("1 to 64"), "{err}");
+        }
+        at.expect("64 GPUs simulate");
+        at_congested.expect("64 GPUs on the congested topology simulate");
     }
 }

@@ -406,7 +406,7 @@ impl Deserialize for ModelSpec {
 ///
 /// Whether the devices act as plain RAID0 SSDs or as CSDs is **not** part of
 /// the machine spec — it follows from the method's capability axes: the
-/// timed engine ([`crate::SmartInfinityEngine`]) sets [`fabric::StorageKind`]
+/// timed model ([`Session::simulate_iteration`]) sets [`fabric::StorageKind`]
 /// from [`MethodSpec::uses_csds`] and ignores what the machine carries.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MachineSpec {
@@ -685,7 +685,8 @@ impl RunSpec {
     pub fn session(&self) -> Result<Session, TrainError> {
         let model = self.model.resolve()?;
         let machine = self.machine.resolve()?;
-        let mut builder = Session::builder(model.clone(), machine, self.method);
+        let workload = self.workload.as_ref().map(|w| w.resolve(model.clone())).transpose()?;
+        let mut builder = Session::builder(model, machine, self.method);
         if let Some(kind) = self.optimizer {
             builder = builder.with_optimizer(Optimizer::new(kind, HyperParams::default()));
         }
@@ -698,8 +699,8 @@ impl RunSpec {
         if let Some(elems) = self.subgroup_elems {
             builder = builder.with_subgroup_elems(elems);
         }
-        if let Some(workload) = &self.workload {
-            builder = builder.with_workload(workload.resolve(model)?);
+        if let Some(workload) = workload {
+            builder = builder.with_workload(workload);
         }
         if let Some(faults) = &self.faults {
             builder = builder.with_faults(faults.clone());

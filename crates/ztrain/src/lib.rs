@@ -21,7 +21,7 @@
 //!   graph onto a [`TimedPlatform`]. The timed model of ZeRO-Infinity + RAID0
 //!   (paper Fig. 1: forward, backward + gradient offload, and the CPU update
 //!   with optimizer-state upload/offload) is the host-update graph under
-//!   [`schedule::HostUpdateScheduler`]; `smart_infinity::SmartInfinityEngine`
+//!   [`schedule::HostUpdateScheduler`]; `smart_infinity::Session::simulate_iteration`
 //!   runs it, like every other method, into the per-phase
 //!   [`IterationReport`] breakdowns of Fig. 3(a) and Fig. 9.
 //! * [`PipelinedTrainer`] — the *functional* trainer, which actually moves

@@ -24,9 +24,9 @@ pub struct MachineConfig {
     pub ssd: BandwidthProfile,
     /// Number of storage devices behind the expansion switch.
     pub num_devices: usize,
-    /// Plain SSDs (baseline / RAID0) or CSDs (Smart-Infinity). What a
-    /// [`crate::TimedPlatform`] built from this config installs; the timed
-    /// engine in `smart_infinity` sets it from the method, not from here.
+    /// Plain SSDs (baseline / RAID0) or CSDs (Smart-Infinity). What
+    /// [`crate::TimedPlatform::new`] installs; a `smart_infinity` session
+    /// takes the kind from its method instead, not from here.
     pub storage: StorageKind,
     /// Default or congested GPU placement.
     pub topology: TopologyKind,
@@ -83,20 +83,15 @@ impl MachineConfig {
         self
     }
 
-    /// The fabric platform spec corresponding to this machine.
-    pub(crate) fn platform_spec(&self) -> PlatformSpec {
+    /// The fabric platform spec of this machine with `storage` devices.
+    pub(crate) fn platform_spec(&self, storage: StorageKind) -> PlatformSpec {
         PlatformSpec {
             num_devices: self.num_devices,
-            storage: self.storage,
+            storage,
             num_gpus: self.num_gpus,
             topology: self.topology,
             rates: self.rates,
         }
-    }
-
-    /// Whether the storage devices are CSDs.
-    pub fn is_csd(&self) -> bool {
-        self.storage == StorageKind::Csd
     }
 }
 
@@ -109,11 +104,11 @@ mod tests {
         let base = MachineConfig::baseline_raid0(6);
         assert_eq!(base.num_devices, 6);
         assert_eq!(base.gpu.name, "A5000");
-        assert!(!base.is_csd());
+        assert_eq!(base.storage, StorageKind::PlainSsd);
         assert_eq!(base.topology, TopologyKind::Default);
 
         let smart = MachineConfig::smart_infinity(10);
-        assert!(smart.is_csd());
+        assert_eq!(smart.storage, StorageKind::Csd);
         assert_eq!(smart.num_devices, 10);
 
         let congested = MachineConfig::congested_multi_gpu(10, 3);
@@ -144,7 +139,7 @@ mod tests {
     fn builders_override_fields() {
         let m = MachineConfig::baseline_raid0(2).with_gpu(GpuSpec::a100());
         assert_eq!(m.gpu.name, "A100");
-        let spec = m.platform_spec();
+        let spec = m.platform_spec(m.storage);
         assert_eq!(spec.num_devices, 2);
         assert_eq!(spec.storage, StorageKind::PlainSsd);
     }

@@ -1,7 +1,7 @@
 //! The discrete-event scaffold the timed engine lowers every method onto.
 
 use crate::machine::MachineConfig;
-use fabric::{InstalledFabric, Platform};
+use fabric::{InstalledFabric, Platform, StorageKind};
 use faultkit::TimedFaultEffects;
 use simkit::{
     ComputeSpec, FlowSpec, LinkId, PhaseId, ResourceId, SimError, Simulation, TaskId, Timeline,
@@ -26,7 +26,7 @@ pub struct TimedPlatform {
     cpu_update: ResourceId,
     fpga_update: Vec<ResourceId>,
     fpga_decompress: Vec<ResourceId>,
-    config: MachineConfig,
+    shape: Shape,
     fault_effects: TimedFaultEffects,
     /// Per [`Route::slot`], the span of `route_links` holding that route's
     /// full link path, filled on first use: one slot per endpoint pair a
@@ -35,6 +35,24 @@ pub struct TimedPlatform {
     routes: Vec<Option<(usize, usize)>>,
     /// The resolved paths, back to back.
     route_links: Vec<LinkId>,
+}
+
+/// The counts and rates of the machine a platform was built from: all that
+/// the helpers and [`TimedPlatform::resource_catalog`] read after the
+/// simulation is populated, so no `MachineConfig` (and none of its names) is
+/// kept.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    gpus: usize,
+    devices: usize,
+    csd: bool,
+    gpu_flops: f64,
+    gpu_memory: f64,
+    cpu_update: f64,
+    cpu_memory: f64,
+    ssd_read: f64,
+    fpga_update: f64,
+    fpga_decompress: f64,
 }
 
 /// The endpoint pair of a transfer helper, by component index.
@@ -84,15 +102,16 @@ impl TimedPlatform {
     /// Panics if the machine's platform spec cannot be built (which only
     /// happens for non-positive link bandwidths).
     pub fn new(config: &MachineConfig) -> Self {
-        Self::new_with_faults(config, None)
+        Self::new_with_faults(config, config.storage, None)
     }
 
-    /// Builds the simulation scaffold with a fault plan's timed effects
-    /// applied: the straggler device's FPGA kernels run at `1/factor` of
-    /// their configured rate, and the shared host uplink edge is derated to
-    /// the remaining-bandwidth fraction *before* the fabric is installed.
-    /// `None` (or empty effects) builds exactly the same platform as
-    /// [`TimedPlatform::new`].
+    /// Builds the simulation scaffold with `storage` devices in place of the
+    /// kind `config` carries, and with a fault plan's timed effects applied:
+    /// the straggler device's FPGA kernels run at `1/factor` of their
+    /// configured rate, and the shared host uplink edge is derated to the
+    /// remaining-bandwidth fraction *before* the fabric is installed.
+    /// `config.storage` with `None` (or empty effects) builds exactly the
+    /// same platform as [`TimedPlatform::new`].
     ///
     /// # Panics
     ///
@@ -100,10 +119,15 @@ impl TimedPlatform {
     /// happens for non-positive link bandwidths) or if the effects carry an
     /// out-of-range bandwidth factor (plans built from a validated
     /// `FaultSpec` never do).
-    pub fn new_with_faults(config: &MachineConfig, effects: Option<&TimedFaultEffects>) -> Self {
+    pub fn new_with_faults(
+        config: &MachineConfig,
+        storage: StorageKind,
+        effects: Option<&TimedFaultEffects>,
+    ) -> Self {
         let effects = effects.copied().unwrap_or_default();
+        let csd = storage == StorageKind::Csd;
         let mut platform =
-            config.platform_spec().build().expect("machine link rates must be positive");
+            config.platform_spec(storage).build().expect("machine link rates must be positive");
         if let Some(factor) = effects.uplink_bandwidth_factor {
             let edge = platform
                 .topology
@@ -120,7 +144,7 @@ impl TimedPlatform {
         let gpu_resources =
             (0..config.num_gpus).map(|_| sim.add_resource(config.gpu.effective_flops)).collect();
         let cpu_update = sim.add_resource(config.cpu.update_bytes_per_sec);
-        let (fpga_update, fpga_decompress) = if config.is_csd() {
+        let (fpga_update, fpga_decompress) = if csd {
             let fpga = |sim: &mut Simulation, rate: f64| -> Vec<ResourceId> {
                 (0..config.num_devices)
                     .map(|d| sim.add_resource(rate / effects.compute_slowdown(d)))
@@ -142,32 +166,32 @@ impl TimedPlatform {
             cpu_update,
             fpga_update,
             fpga_decompress,
-            config: config.clone(),
+            shape: Shape {
+                gpus: config.num_gpus,
+                devices: config.num_devices,
+                csd,
+                gpu_flops: config.gpu.effective_flops,
+                gpu_memory: config.gpu.memory_bytes as f64,
+                cpu_update: config.cpu.update_bytes_per_sec,
+                cpu_memory: config.cpu.memory_bytes as f64,
+                ssd_read: config.ssd.read_bytes_per_sec,
+                fpga_update: config.fpga_update_bytes_per_sec,
+                fpga_decompress: config.fpga_decompress_bytes_per_sec,
+            },
             fault_effects: effects,
             routes: vec![None; Route::slots(config.num_gpus, config.num_devices)],
             route_links: Vec::new(),
         }
     }
 
-    /// The timed fault effects this platform was built with (empty when
-    /// fault-free).
-    pub fn fault_effects(&self) -> &TimedFaultEffects {
-        &self.fault_effects
-    }
-
-    /// The machine this platform was built from.
-    pub fn config(&self) -> &MachineConfig {
-        &self.config
-    }
-
     /// Number of storage devices.
     pub fn num_devices(&self) -> usize {
-        self.config.num_devices
+        self.shape.devices
     }
 
     /// Number of GPUs.
     pub fn num_gpus(&self) -> usize {
-        self.config.num_gpus
+        self.shape.gpus
     }
 
     /// Registers a phase for breakdown reporting. `name` says what the
@@ -184,34 +208,20 @@ impl TimedPlatform {
     /// plain-SSD machine carry zero speed (there is nothing to run on).
     pub fn resource_catalog(&self) -> Vec<simkit::Resource> {
         use simkit::{Resource, SpeedupCurve};
-        let c = &self.config;
-        let mut out = Vec::with_capacity(1 + c.num_gpus + 3 * c.num_devices);
-        let cpu_memory = c.cpu.memory_bytes as f64;
-        out.push(Resource::new(1, c.cpu.update_bytes_per_sec, cpu_memory, SpeedupCurve::Flat));
-        let gpu_memory = c.gpu.memory_bytes as f64;
-        for _ in 0..c.num_gpus {
-            out.push(Resource::new(1, c.gpu.effective_flops, gpu_memory, SpeedupCurve::Flat));
+        let c = &self.shape;
+        let mut out = Vec::with_capacity(1 + c.gpus + 3 * c.devices);
+        out.push(Resource::new(1, c.cpu_update, c.cpu_memory, SpeedupCurve::Flat));
+        for _ in 0..c.gpus {
+            out.push(Resource::new(1, c.gpu_flops, c.gpu_memory, SpeedupCurve::Flat));
         }
-        for _ in 0..c.num_devices {
-            let read = c.ssd.read_bytes_per_sec;
-            out.push(Resource::new(1, read, f64::INFINITY, SpeedupCurve::Flat));
+        for _ in 0..c.devices {
+            out.push(Resource::new(1, c.ssd_read, f64::INFINITY, SpeedupCurve::Flat));
         }
-        let csd = c.is_csd();
-        for d in 0..c.num_devices {
-            let rate = if csd {
-                c.fpga_update_bytes_per_sec / self.fault_effects.compute_slowdown(d)
-            } else {
-                0.0
-            };
-            out.push(Resource::new(1, rate, 4.0 * simkit::GB, SpeedupCurve::Flat));
-        }
-        for d in 0..c.num_devices {
-            let rate = if csd {
-                c.fpga_decompress_bytes_per_sec / self.fault_effects.compute_slowdown(d)
-            } else {
-                0.0
-            };
-            out.push(Resource::new(1, rate, 4.0 * simkit::GB, SpeedupCurve::Flat));
+        for rate in [c.fpga_update, c.fpga_decompress] {
+            for d in 0..c.devices {
+                let rate = if c.csd { rate / self.fault_effects.compute_slowdown(d) } else { 0.0 };
+                out.push(Resource::new(1, rate, 4.0 * simkit::GB, SpeedupCurve::Flat));
+            }
         }
         out
     }
@@ -358,7 +368,7 @@ impl TimedPlatform {
         let invalid =
             |why: &str| SimError::InvalidParameter { message: format!("route {route:?} {why}") };
         let slot = route
-            .slot(self.config.num_gpus, self.config.num_devices)
+            .slot(self.shape.gpus, self.shape.devices)
             .ok_or_else(|| invalid("names a GPU or device this platform does not have"))?;
         let (start, end) = match self.routes[slot] {
             Some(span) => span,
@@ -511,7 +521,7 @@ mod tests {
         let mut plat = TimedPlatform::new(&MachineConfig::baseline_raid0(2));
         assert_eq!(plat.num_devices(), 2);
         assert_eq!(plat.num_gpus(), 1);
-        assert!(!plat.config().is_csd());
+        assert!(!plat.shape.csd);
         let p = phase(&mut plat);
         let a = plat.host_to_ssd(0, 1e9, &[], p).unwrap();
         let b = plat.ssd_to_host(1, 1e9, &[a], p).unwrap();
@@ -675,8 +685,11 @@ mod tests {
             plat.run().unwrap()
         };
         let clean = run(&mut TimedPlatform::new(&config));
-        let faulted =
-            run(&mut TimedPlatform::new_with_faults(&config, Some(&TimedFaultEffects::default())));
+        let faulted = run(&mut TimedPlatform::new_with_faults(
+            &config,
+            config.storage,
+            Some(&TimedFaultEffects::default()),
+        ));
         assert_eq!(clean.makespan(), faulted.makespan());
         assert!(faulted.fault_annotations().is_empty());
     }
@@ -686,7 +699,7 @@ mod tests {
         let config = MachineConfig::smart_infinity(2);
         let effects =
             TimedFaultEffects { straggler: Some((0, 2.0)), ..TimedFaultEffects::default() };
-        let mut plat = TimedPlatform::new_with_faults(&config, Some(&effects));
+        let mut plat = TimedPlatform::new_with_faults(&config, config.storage, Some(&effects));
         let p = plat.add_phase("update");
         let slow = plat.fpga_update(0, 7.3e9, &[], p).unwrap();
         let fast = plat.fpga_update(1, 7.3e9, &[], p).unwrap();
@@ -701,7 +714,7 @@ mod tests {
     fn uplink_derating_slows_host_traffic_and_is_annotated() {
         let config = MachineConfig::smart_infinity(1);
         let run = |effects: Option<&TimedFaultEffects>| {
-            let mut plat = TimedPlatform::new_with_faults(&config, effects);
+            let mut plat = TimedPlatform::new_with_faults(&config, config.storage, effects);
             let p = plat.add_phase("x");
             plat.host_to_ssd(0, 16.0e9, &[], p).unwrap();
             plat.run().unwrap()
@@ -740,7 +753,7 @@ mod tests {
         effects: Option<&TimedFaultEffects>,
         helper: impl Fn(&mut TimedPlatform, PhaseId) -> TaskId,
     ) -> Vec<LinkId> {
-        let mut plat = TimedPlatform::new_with_faults(config, effects);
+        let mut plat = TimedPlatform::new_with_faults(config, config.storage, effects);
         let p = phase(&mut plat);
         helper(&mut plat, p);
         helper(&mut plat, p);
@@ -762,7 +775,7 @@ mod tests {
             (MachineConfig::baseline_raid0(4), None),
             (MachineConfig::smart_infinity(10), Some(&derated)),
         ] {
-            let fresh = TimedPlatform::new_with_faults(&config, effects);
+            let fresh = TimedPlatform::new_with_faults(&config, config.storage, effects);
             let (p, media) = (&fresh.platform, &fresh.media);
             let path = |from, to, link: Option<LinkId>| {
                 let mut path = fresh.fabric.path(from, to).expect("connected");
@@ -881,7 +894,7 @@ mod tests {
         }
         for d in 0..devices {
             routes.extend([Route::HostToSsd(d), Route::SsdToHost(d)]);
-            if config.is_csd() {
+            if config.storage == StorageKind::Csd {
                 routes.extend([Route::SsdToFpga(d), Route::FpgaToSsd(d)]);
             }
         }

@@ -3,8 +3,7 @@
 //! gradients — working together through the public API.
 
 use smart_infinity::{
-    HandlerMode, MachineConfig, MethodSpec, ModelConfig, OptimizerKind, Session,
-    SmartInfinityEngine, Workload,
+    HandlerMode, MachineConfig, MethodSpec, ModelConfig, Optimizer, OptimizerKind, Session,
 };
 use ztrain::realtrain::{Dataset, MlpGradientSource, MlpModel};
 
@@ -43,44 +42,43 @@ fn full_ladder_reproduces_the_headline_speedups() {
 #[test]
 fn breakdown_phases_follow_the_paper_shape() {
     // Baseline: update dominates. Smart-Infinity: it no longer does.
-    let workload = Workload::paper_default(ModelConfig::gpt2_8_4b());
-    let base = SmartInfinityEngine::new(
-        MachineConfig::baseline_raid0(6),
-        workload.clone(),
-        OptimizerKind::Adam,
-        &MethodSpec::baseline(),
-    )
-    .simulate_iteration()
-    .expect("simulation");
+    let simulate = |machine, method| {
+        Session::builder(ModelConfig::gpt2_8_4b(), machine, method)
+            .build()
+            .simulate_iteration()
+            .expect("simulation")
+    };
+    let base = simulate(MachineConfig::baseline_raid0(6), MethodSpec::baseline());
     assert!(base.update_fraction() > 0.6, "baseline update fraction {:.2}", base.update_fraction());
 
-    let smart = SmartInfinityEngine::new(
-        MachineConfig::smart_infinity(10),
-        workload,
-        OptimizerKind::Adam,
-        &MethodSpec::smart_comp(0.01),
-    )
-    .simulate_iteration()
-    .expect("simulation");
+    let smart = simulate(MachineConfig::smart_infinity(10), MethodSpec::smart_comp(0.01));
     assert!(smart.update_fraction() < base.update_fraction());
     assert!(smart.total_s() < base.total_s());
 }
 
 #[test]
 fn handler_modes_and_compression_compose_through_the_builder() {
-    let workload = Workload::paper_default(ModelConfig::bert_4b());
-    let engine = |method: MethodSpec| {
-        let machine = MachineConfig::smart_infinity(6);
-        SmartInfinityEngine::new(machine, workload.clone(), OptimizerKind::AdamW, &method)
+    let builder = |method: MethodSpec| {
+        Session::builder(ModelConfig::bert_4b(), MachineConfig::smart_infinity(6), method)
+            .with_optimizer(Optimizer::new(OptimizerKind::AdamW, Default::default()))
             .with_subgroup_elems(50_000_000)
     };
-    // SmartComp with the handler forced to naive is the off-ladder SU+C.
-    let overridden = engine(MethodSpec::smart_comp(0.05)).with_handler(HandlerMode::Naive);
-    assert_eq!(overridden.handler(), HandlerMode::Naive);
-    let su_c = MethodSpec { overlap: false, ..MethodSpec::smart_comp(0.05) };
-    let report = overridden.simulate_iteration().expect("simulation");
-    assert!(report.total_s() > 0.0);
-    assert_eq!(report, engine(su_c).simulate_iteration().expect("simulation"));
+    let simulate = |builder: smart_infinity::SessionBuilder| {
+        let session = builder.build();
+        assert_eq!(session.model(), session.workload().model());
+        session.simulate_iteration().expect("simulation")
+    };
+    // SmartComp with the handler forced to naive is the off-ladder SU+C: the
+    // override reaches the timed model, and only through the handler.
+    let comp = MethodSpec::smart_comp(0.05);
+    let overridden = simulate(builder(comp).with_handler(HandlerMode::Naive));
+    assert!(overridden.total_s() > 0.0);
+    let su_c = MethodSpec { overlap: false, ..comp };
+    assert_eq!(overridden, simulate(builder(su_c)));
+    assert_eq!(simulate(builder(su_c).with_handler(HandlerMode::Naive)), overridden);
+    let native = simulate(builder(comp));
+    assert_eq!(simulate(builder(comp).with_handler(HandlerMode::Optimized)), native);
+    assert!(overridden.total_s() > native.total_s(), "the naive handler costs SU+C time");
 }
 
 #[test]

@@ -10,9 +10,7 @@ use gradcomp::{CompressError, CompressedGradient, Compressor, ErrorFeedback};
 use optim::{HyperParams, Optimizer, OptimizerKind};
 use parcore::ParExecutor;
 use proptest::prelude::*;
-use smart_infinity::{
-    FlatTensor, MachineConfig, MethodSpec, ModelConfig, Session, SmartInfinityEngine, TrainError,
-};
+use smart_infinity::{FlatTensor, MachineConfig, MethodSpec, ModelConfig, Session, TrainError};
 use std::error::Error;
 use tensorlib::{Dtype, Partitioner};
 use ztrain::{PipelinedTrainer, Trainer};
@@ -154,10 +152,9 @@ fn lane_fan_out_is_derived_from_workers_and_devices() {
 /// the shared uplink shows stage-level occupancy in both directions.
 #[test]
 fn timed_pipeline_charges_stage_bytes_over_fabric_links() {
-    let machine = MachineConfig::smart_infinity(6);
-    let workload = smart_infinity::Workload::paper_default(ModelConfig::gpt2_4b());
     let stages = |method: MethodSpec| {
-        SmartInfinityEngine::new(machine.clone(), workload.clone(), OptimizerKind::Adam, &method)
+        Session::builder(ModelConfig::gpt2_4b(), MachineConfig::smart_infinity(6), method)
+            .build()
             .simulate_iteration_stages()
             .unwrap()
     };

@@ -7,10 +7,10 @@
 //! pattern, so the comparison is bit-for-bit, not approximate. The grid
 //! spans machine shapes (device counts, congested multi-GPU), models,
 //! method axes (handler × compression × pipelining), optimizers, subgroup
-//! capacities and fault effects — every knob that reaches the timed path.
-//! Every row runs on the one engine: host-update rows as
-//! `MethodSpec::baseline()`, in-storage rows as a method plus the handler
-//! override.
+//! capacities and fault plans — every knob that reaches the timed path.
+//! Every row is a `Session`, the one timed front door: host-update rows run
+//! `MethodSpec::baseline()` through `simulate_iteration`, in-storage rows a
+//! method plus the handler override through `simulate_iteration_stages`.
 //!
 //! To re-bless after an *intentional* timing-model change:
 //!
@@ -18,10 +18,10 @@
 //! cargo test -p smart_infinity --test integration_sched -- --ignored bless
 //! ```
 
-use faultkit::TimedFaultEffects;
-use llm::{ModelConfig, Workload};
-use optim::OptimizerKind;
-use smart_infinity::{HandlerMode, MethodSpec, SmartInfinityEngine};
+use faultkit::{FaultPlan, FaultSpec, TimedFaultEffects};
+use llm::ModelConfig;
+use optim::{Optimizer, OptimizerKind};
+use smart_infinity::{HandlerMode, MethodSpec, Session};
 use std::path::PathBuf;
 use ztrain::MachineConfig;
 
@@ -41,7 +41,42 @@ fn optimizer_name(opt: OptimizerKind) -> &'static str {
     }
 }
 
-/// The smart-engine knobs of one grid point.
+/// The fault plan of a grid point: the spec its session installs, and the
+/// timed effects the rows were captured with, which name the row.
+#[derive(Clone)]
+struct GridFaults {
+    spec: FaultSpec,
+    effects: TimedFaultEffects,
+}
+
+impl GridFaults {
+    /// `spec`, held to the `captured` effects it has on `devices` devices.
+    fn new(spec: FaultSpec, devices: usize, captured: TimedFaultEffects) -> Self {
+        let effects =
+            FaultPlan::new(spec.clone()).expect("a valid fault spec").timed_effects(devices);
+        assert_eq!(effects, captured, "the spec has the captured timed effects");
+        Self { spec, effects }
+    }
+}
+
+/// A session of `method` on `machine` training `model` (at the paper's
+/// default workload) under `optimizer`, with the grid point's fault plan.
+fn session(
+    machine: &MachineConfig,
+    model: &ModelConfig,
+    method: MethodSpec,
+    optimizer: OptimizerKind,
+    faults: Option<&GridFaults>,
+) -> smart_infinity::SessionBuilder {
+    let mut builder = Session::builder(model.clone(), machine.clone(), method)
+        .with_optimizer(Optimizer::new(optimizer, Default::default()));
+    if let Some(faults) = faults {
+        builder = builder.with_faults(faults.spec.clone());
+    }
+    builder
+}
+
+/// The in-storage knobs of one grid point.
 #[derive(Clone)]
 struct SmartKnobs {
     handler: HandlerMode,
@@ -49,7 +84,7 @@ struct SmartKnobs {
     pipelined: bool,
     subgroup: Option<usize>,
     optimizer: OptimizerKind,
-    faults: Option<TimedFaultEffects>,
+    faults: Option<GridFaults>,
 }
 
 impl SmartKnobs {
@@ -75,7 +110,7 @@ impl SmartKnobs {
         if let Some(sub) = self.subgroup {
             label.push_str(&format!("-sub{sub}"));
         }
-        if let Some(f) = &self.faults {
+        if let Some(GridFaults { effects: f, .. }) = &self.faults {
             if let Some((dev, factor)) = f.straggler {
                 label.push_str(&format!("-strag{dev}x{factor}"));
             }
@@ -97,18 +132,14 @@ impl SmartKnobs {
         }
     }
 
-    fn run(&self, machine: &MachineConfig, workload: &Workload) -> Vec<(&'static str, f64)> {
-        let method = self.method();
-        let mut engine =
-            SmartInfinityEngine::new(machine.clone(), workload.clone(), self.optimizer, &method)
+    fn run(&self, machine: &MachineConfig, model: &ModelConfig) -> Vec<(&'static str, f64)> {
+        let mut builder =
+            session(machine, model, self.method(), self.optimizer, self.faults.as_ref())
                 .with_handler(self.handler);
         if let Some(sub) = self.subgroup {
-            engine = engine.with_subgroup_elems(sub);
+            builder = builder.with_subgroup_elems(sub);
         }
-        if let Some(faults) = &self.faults {
-            engine = engine.with_fault_effects(*faults);
-        }
-        let timing = engine.simulate_iteration_stages().expect("grid case must simulate");
+        let timing = builder.build().simulate_iteration_stages().expect("grid case must simulate");
         vec![
             ("forward", timing.report.forward_s),
             ("backward", timing.report.backward_s),
@@ -120,21 +151,16 @@ impl SmartKnobs {
     }
 }
 
-/// One host-update (`MethodSpec::baseline()`) grid point on the same engine.
+/// One host-update (`MethodSpec::baseline()`) grid point through the same
+/// front door.
 fn run_baseline(
     machine: &MachineConfig,
-    workload: &Workload,
+    model: &ModelConfig,
     optimizer: OptimizerKind,
-    faults: TimedFaultEffects,
+    faults: Option<&GridFaults>,
 ) -> Vec<(&'static str, f64)> {
-    let engine = SmartInfinityEngine::new(
-        machine.clone(),
-        workload.clone(),
-        optimizer,
-        &MethodSpec::baseline(),
-    );
-    let report = engine
-        .with_fault_effects(faults)
+    let report = session(machine, model, MethodSpec::baseline(), optimizer, faults)
+        .build()
         .simulate_iteration()
         .expect("baseline grid case must simulate");
     vec![
@@ -144,8 +170,8 @@ fn run_baseline(
     ]
 }
 
-/// Runs the whole grid against the *current* engine. Every grid point is a
-/// configuration the session front door can reach.
+/// Runs the whole grid against the *current* timed model. Every grid point
+/// is a session.
 fn run_grid() -> Vec<GoldenCase> {
     let mut cases: Vec<GoldenCase> = Vec::new();
     let models = [("gpt2_0.34b", ModelConfig::gpt2_0_34b()), ("gpt2_4b", ModelConfig::gpt2_4b())];
@@ -168,17 +194,16 @@ fn run_grid() -> Vec<GoldenCase> {
     ];
     for (mname, machine) in &machines {
         for (wname, model) in &models {
-            let workload = Workload::paper_default(model.clone());
             for knobs in &axes {
                 let label = format!("smart|{mname}|{wname}|{}", knobs.label());
-                cases.push((label, knobs.run(machine, &workload)));
+                cases.push((label, knobs.run(machine, model)));
             }
         }
     }
 
     // Optimizer, subgroup-capacity and single-device extremes.
     let smart6 = MachineConfig::smart_infinity(6);
-    let gpt2_4b = Workload::paper_default(ModelConfig::gpt2_4b());
+    let gpt2_4b = ModelConfig::gpt2_4b();
     for opt in [OptimizerKind::SgdMomentum, OptimizerKind::AdaGrad] {
         let knobs =
             SmartKnobs { optimizer: opt, ..SmartKnobs::plain(HandlerMode::Optimized, None, false) };
@@ -200,7 +225,7 @@ fn run_grid() -> Vec<GoldenCase> {
         ));
     }
     let smart1 = MachineConfig::smart_infinity(1);
-    let small = Workload::paper_default(ModelConfig::gpt2_0_34b());
+    let small = ModelConfig::gpt2_0_34b();
     for knobs in [
         SmartKnobs::plain(HandlerMode::Optimized, None, false),
         SmartKnobs::plain(HandlerMode::Optimized, None, true),
@@ -210,17 +235,25 @@ fn run_grid() -> Vec<GoldenCase> {
             knobs.run(&smart1, &small),
         ));
     }
-    let bert = Workload::paper_default(ModelConfig::bert_0_34b());
+    let bert = ModelConfig::bert_0_34b();
     let knobs = SmartKnobs::plain(HandlerMode::Optimized, None, true);
     cases.push((format!("smart|smart6|bert_0.34b|{}", knobs.label()), knobs.run(&smart6, &bert)));
 
-    // Fault effects reach the timed path through the same engines.
-    let straggler = TimedFaultEffects { straggler: Some((0, 2.0)), ..TimedFaultEffects::default() };
-    let derated =
-        TimedFaultEffects { uplink_bandwidth_factor: Some(0.5), ..TimedFaultEffects::default() };
+    // Fault plans reach the timed path through the same front door. Seed 2
+    // makes device 0 of 6 the straggler; the uplink plan has no straggler.
+    let straggler = GridFaults::new(
+        FaultSpec { straggler_factor: Some(2.0), ..FaultSpec::empty(2) },
+        6,
+        TimedFaultEffects { straggler: Some((0, 2.0)), ..TimedFaultEffects::default() },
+    );
+    let derated = GridFaults::new(
+        FaultSpec { link_bandwidth_factor: Some(0.5), ..FaultSpec::empty(0) },
+        6,
+        TimedFaultEffects { uplink_bandwidth_factor: Some(0.5), ..TimedFaultEffects::default() },
+    );
     for (faults, base) in [
         (straggler, SmartKnobs::plain(HandlerMode::Optimized, None, true)),
-        (derated, SmartKnobs::plain(HandlerMode::Optimized, None, false)),
+        (derated.clone(), SmartKnobs::plain(HandlerMode::Optimized, None, false)),
     ] {
         let knobs = SmartKnobs { faults: Some(faults), ..base };
         cases.push((
@@ -239,13 +272,11 @@ fn run_grid() -> Vec<GoldenCase> {
         ("raid8", MachineConfig::baseline_raid0(8)),
         ("cong4x2-plain", MachineConfig::congested_multi_gpu(4, 2)),
     ];
-    let no_faults = TimedFaultEffects::default();
     for (mname, machine) in &base_machines {
         for (wname, model) in &models {
-            let workload = Workload::paper_default(model.clone());
             cases.push((
                 format!("base|{mname}|{wname}|adam"),
-                run_baseline(machine, &workload, OptimizerKind::Adam, no_faults),
+                run_baseline(machine, model, OptimizerKind::Adam, None),
             ));
         }
     }
@@ -253,12 +284,14 @@ fn run_grid() -> Vec<GoldenCase> {
     for opt in [OptimizerKind::SgdMomentum, OptimizerKind::AdaGrad] {
         cases.push((
             format!("base|raid4|gpt2_4b|{}", optimizer_name(opt)),
-            run_baseline(&raid4, &gpt2_4b, opt, no_faults),
+            run_baseline(&raid4, &gpt2_4b, opt, None),
         ));
     }
+    // The uplink plan's effects do not depend on the device count.
+    let derated = GridFaults::new(derated.spec, 4, derated.effects);
     cases.push((
         "base|raid4|gpt2_4b|adam-uplink0.5".to_string(),
-        run_baseline(&raid4, &gpt2_4b, OptimizerKind::Adam, derated),
+        run_baseline(&raid4, &gpt2_4b, OptimizerKind::Adam, Some(&derated)),
     ));
     cases
 }

@@ -4,9 +4,8 @@
 //! a broken re-export or a broken platform constructor fails fast with an
 //! obvious message, before the heavier integration suites run.
 
-use llm::{ModelConfig, Workload};
-use optim::OptimizerKind;
-use smart_infinity::{MethodSpec, SmartInfinityEngine};
+use llm::ModelConfig;
+use smart_infinity::{MethodSpec, Session};
 use ztrain::{MachineConfig, TimedPlatform};
 
 /// A `TimedPlatform` can be built from a preset machine and driven directly:
@@ -28,16 +27,16 @@ fn timed_platform_builds_and_runs_one_round_trip() {
     assert!(timeline.finish_time(offload) < timeline.finish_time(update));
 }
 
-/// One baseline iteration through the public engine API produces a finite,
+/// One baseline iteration through the session front door produces a finite,
 /// internally consistent phase breakdown.
 #[test]
 fn baseline_iteration_has_a_finite_makespan() {
-    let report = SmartInfinityEngine::new(
+    let report = Session::builder(
+        ModelConfig::gpt2_0_34b(),
         MachineConfig::baseline_raid0(2),
-        Workload::paper_default(ModelConfig::gpt2_0_34b()),
-        OptimizerKind::Adam,
-        &MethodSpec::baseline(),
+        MethodSpec::baseline(),
     )
+    .build()
     .simulate_iteration()
     .expect("baseline simulation");
     assert!(report.total_s().is_finite() && report.total_s() > 0.0);
