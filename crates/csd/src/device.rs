@@ -4,7 +4,7 @@
 use crate::decompressor::{Decompressor, StreamCursor};
 use crate::dram::{BufferId, DeviceDram, DramError};
 use crate::updater::Updater;
-use faultkit::FaultInjector;
+use faultkit::FaultPlan;
 use gradcomp::{CompressError, CompressedGradient};
 use optim::Optimizer;
 use parcore::ParExecutor;
@@ -177,6 +177,12 @@ impl ShardNames {
             aux: Vec::new(),
             buffers: vec![format!("{shard}/grad-buf").into(), format!("{shard}/master-buf").into()],
         }
+    }
+
+    /// The region of state window `window`: the master copy, then each
+    /// auxiliary tensor.
+    fn window(&self, window: usize) -> Option<&String> {
+        std::iter::once(&self.master).chain(&self.aux).nth(window)
     }
 
     /// Makes sure the names of the first `num_aux` auxiliary tensors exist.
@@ -368,26 +374,16 @@ impl CsdDevice {
         self.stats
     }
 
-    /// Resets the internal traffic statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = CsdTrafficStats::default();
-        self.ssd.reset_stats();
-    }
-
-    /// Installs a deterministic fault injector on the underlying SSD. A fault
-    /// the SSD's retry budget does not clear surfaces as [`CsdError::Ssd`]
-    /// wrapping [`SsdError::Injected`].
-    pub fn set_fault_injector(&mut self, injector: FaultInjector) {
-        self.ssd.set_fault_injector(injector);
-    }
-
-    /// Sets the retry budget of the underlying SSD (see
+    /// Installs the plan's transient-fault injector for device `first` of
+    /// the plan on the underlying SSD, with the plan's retry budget (see
     /// [`SsdDevice::set_retry_budget`]): every SSD operation of every device
     /// call — a gradient store, each gate of a subgroup update, a read-back —
     /// is retried in place, behind the device's own switch, so a transient
-    /// the budget clears never reaches the host.
-    pub fn set_retry_budget(&mut self, budget: u32) {
-        self.ssd.set_retry_budget(budget);
+    /// the budget clears never reaches the host. One it does not clear
+    /// surfaces as [`CsdError::Ssd`] wrapping [`SsdError::Injected`].
+    pub fn install_faults(&mut self, plan: &FaultPlan, first: u64) {
+        self.ssd.set_fault_injector(plan.injector(first));
+        self.ssd.set_retry_budget(plan.max_retries());
     }
 
     /// Drains the underlying SSD's fault-recovery counters accumulated since
@@ -416,13 +412,8 @@ impl CsdDevice {
 
     /// Wears out the underlying SSD media: reads keep working, writes fail
     /// with [`SsdError::WornOut`] until the device is rebuilt.
-    pub fn inject_ssd_wearout(&mut self) {
+    pub fn inject_wearout(&mut self) {
         self.ssd.inject_wearout();
-    }
-
-    /// Whether the underlying SSD media has worn out.
-    pub fn is_worn_out(&self) -> bool {
-        self.ssd.is_worn_out()
     }
 
     /// Rebuilds the device onto replacement hardware: migrates every region
@@ -489,22 +480,46 @@ impl CsdDevice {
         Ok(())
     }
 
-    /// Reads a range of the FP32 master parameters straight into `out` (the
-    /// read-back of the refreshed parameters after the update: one counted
-    /// SSD read, no intermediate buffer).
+    /// Reads `out.len()` FP32 elements at element `offset` of one state
+    /// window of the shard straight into `out` (one counted SSD read, no
+    /// intermediate buffer). Window 0 is the master copy, window `1 + i`
+    /// auxiliary optimizer-state tensor `i`.
     ///
     /// # Errors
     ///
-    /// Returns [`CsdError::MissingShard`] if the shard was never initialised.
-    pub fn load_parameters_into(
+    /// Returns [`CsdError::MissingShard`] if the shard was never initialised
+    /// or has no such window.
+    pub fn load_state_into(
         &mut self,
         shard: &str,
+        window: usize,
         offset: usize,
         out: &mut [f32],
     ) -> Result<(), CsdError> {
         self.check_alive()?;
-        let region = stored_region(&self.shards, &self.ssd, shard, |names| Some(&names.master))?;
+        let region = stored_region(&self.shards, &self.ssd, shard, |names| names.window(window))?;
         Ok(read_f32(&mut self.ssd, region, offset, out)?)
+    }
+
+    /// Overwrites one whole state window of the shard (window 0 the master
+    /// copy, `1 + i` auxiliary tensor `i`) with `values` — checkpoint
+    /// restore: the shard must already be initialised via
+    /// [`CsdDevice::store_initial_state`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CsdError::MissingShard`] if the shard has no such window,
+    /// or a wear-out or capacity error from the SSD.
+    pub fn store_state(
+        &mut self,
+        shard: &str,
+        window: usize,
+        values: &[f32],
+    ) -> Result<(), CsdError> {
+        self.check_alive()?;
+        let region = stored_region(&self.shards, &self.ssd, shard, |names| names.window(window))?;
+        with_le_bytes(values, |bytes| self.ssd.write_region_from(region, bytes))?;
+        Ok(())
     }
 
     /// Reads `out.len()` FP32 master parameters at element `offset` and
@@ -544,50 +559,7 @@ impl CsdDevice {
         len: usize,
     ) -> Result<FlatTensor, CsdError> {
         let mut out = FlatTensor::zeros(len);
-        self.load_parameters_into(shard, offset, out.as_mut_slice())?;
-        Ok(out)
-    }
-
-    /// Overwrites one whole auxiliary optimizer-state tensor (checkpoint
-    /// restore: the shard must already be initialised via
-    /// [`CsdDevice::store_initial_state`], which zeroes the aux regions).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CsdError::MissingShard`] if the shard has no auxiliary
-    /// tensor with that index, or a capacity error from the SSD.
-    pub fn store_optimizer_state(
-        &mut self,
-        shard: &str,
-        aux_index: usize,
-        values: &FlatTensor,
-    ) -> Result<(), CsdError> {
-        self.check_alive()?;
-        let region =
-            stored_region(&self.shards, &self.ssd, shard, |names| names.aux.get(aux_index))?;
-        with_le_bytes(values.as_slice(), |bytes| self.ssd.write_region_from(region, bytes))?;
-        Ok(())
-    }
-
-    /// Reads back a range of one auxiliary optimizer-state tensor (used by
-    /// checkpointing to serialise the exact on-device state).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CsdError::MissingShard`] if the shard was never initialised
-    /// or has no auxiliary tensor with that index.
-    pub fn load_optimizer_state(
-        &mut self,
-        shard: &str,
-        aux_index: usize,
-        offset: usize,
-        len: usize,
-    ) -> Result<FlatTensor, CsdError> {
-        self.check_alive()?;
-        let region =
-            stored_region(&self.shards, &self.ssd, shard, |names| names.aux.get(aux_index))?;
-        let mut out = FlatTensor::zeros(len);
-        read_f32(&mut self.ssd, region, offset, out.as_mut_slice())?;
+        self.load_state_into(shard, 0, offset, out.as_mut_slice())?;
         Ok(out)
     }
 
@@ -766,6 +738,17 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
+    /// The first `n` elements of state window `window` of `shard`.
+    fn load_window(
+        csd: &mut CsdDevice,
+        shard: &str,
+        window: usize,
+        n: usize,
+    ) -> Result<FlatTensor, CsdError> {
+        let mut out = FlatTensor::zeros(n);
+        csd.load_state_into(shard, window, 0, out.as_mut_slice()).map(|()| out)
+    }
+
     /// The device's master copy and every auxiliary tensor of shard `s`
     /// equal, bit for bit, what the host optimizer left.
     fn assert_state_matches_host(
@@ -778,7 +761,7 @@ mod tests {
         let updated = csd.load_parameters("s", 0, n).unwrap();
         assert_eq!(bits(updated.as_slice()), bits(host_params.as_slice()), "{what} master");
         for (i, host) in host_aux.iter().enumerate() {
-            let aux = csd.load_optimizer_state("s", i, 0, n).unwrap();
+            let aux = load_window(csd, "s", 1 + i, n).unwrap();
             assert_eq!(bits(aux.as_slice()), bits(host.as_slice()), "{what} aux {i}");
         }
     }
@@ -967,7 +950,7 @@ mod tests {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&direct), bits(&expected));
         let mut exact = vec![0.0f32; 2000];
-        csd.load_parameters_into("s", 500, &mut exact).unwrap();
+        csd.load_state_into("s", 0, 500, &mut exact).unwrap();
         assert_eq!(exact, params.as_slice()[500..2500]);
         // Failures are typed and leave the destination alone.
         let err = csd.load_parameters_fp16_into("s", 2000, &mut direct).unwrap_err();
@@ -1017,7 +1000,7 @@ mod tests {
                     assert_eq!(offset, n);
                     let workers = csd.executor.workers_for(*subgroups.last().unwrap());
                     assert_eq!(csd.tile_scratch.len(), workers, "one tile set per worker");
-                    let state = |csd: &mut CsdDevice, i| csd.load_optimizer_state("s", i, 0, n);
+                    let state = |csd: &mut CsdDevice, i: usize| load_window(csd, "s", 1 + i, n);
                     let aux = [state(&mut csd, 0).unwrap(), state(&mut csd, 1).unwrap()];
                     (csd.load_parameters("s", 0, n).unwrap(), aux, csd.stats())
                 };
@@ -1075,8 +1058,8 @@ mod tests {
         };
         let ops = |csd: &CsdDevice| (csd.ssd().read_ops(), csd.ssd().write_ops());
         let (before, ops_before) = (regions(&csd), ops(&csd));
-        csd.set_fault_injector(plan.injector(0));
-        csd.set_retry_budget(budget as u32);
+        csd.ssd.set_fault_injector(plan.injector(0));
+        csd.ssd.set_retry_budget(budget as u32);
         let request =
             SubgroupUpdate { shard: "s", offset: 0, len: n, optimizer, step: 1, compressed: None };
         let err = csd.update_subgroup(request).unwrap_err();
@@ -1107,30 +1090,10 @@ mod tests {
         csd.suspend_faults(true);
         assert_eq!(csd.load_parameters("s", 0, n).unwrap().as_slice(), host.as_slice());
         for (i, aux) in host_aux.iter().enumerate() {
-            let stored = csd.load_optimizer_state("s", i, 0, n).unwrap();
+            let stored = load_window(&mut csd, "s", 1 + i, n).unwrap();
             assert_eq!(stored.as_slice(), aux.as_slice(), "aux {i}");
         }
         assert_eq!(csd.stats().updates_run, 1);
-    }
-
-    #[test]
-    fn reset_stats_clears_counters() {
-        let mut csd = device();
-        let optimizer = Optimizer::adam_default();
-        csd.store_initial_state("s", &FlatTensor::zeros(64), &optimizer).unwrap();
-        csd.store_gradients("s", &[0.0; 64]).unwrap();
-        csd.update_subgroup(SubgroupUpdate {
-            shard: "s",
-            offset: 0,
-            len: 64,
-            optimizer,
-            step: 1,
-            compressed: None,
-        })
-        .unwrap();
-        assert!(csd.stats().p2p_read_bytes > 0);
-        csd.reset_stats();
-        assert_eq!(csd.stats(), CsdTrafficStats::default());
     }
 
     #[test]
@@ -1171,15 +1134,13 @@ mod tests {
         let mut csd = device();
         let optimizer = Optimizer::adam_default();
         csd.store_initial_state("s", &FlatTensor::zeros(32), &optimizer).unwrap();
-        csd.inject_ssd_wearout();
-        assert!(csd.is_worn_out());
+        csd.inject_wearout();
         // Reads still succeed on worn media; writes fail.
         assert!(csd.load_parameters("s", 0, 32).is_ok());
         let err = csd.store_gradients("s", &[0.0; 32]).unwrap_err();
         assert!(matches!(err, CsdError::Ssd(SsdError::WornOut { .. })));
         assert!(err.needs_rebuild());
         csd.rebuild();
-        assert!(!csd.is_worn_out());
         csd.store_gradients("s", &[0.0; 32]).unwrap();
     }
 
@@ -1191,7 +1152,7 @@ mod tests {
         spec.max_transient_burst = Some(1);
         let plan = FaultPlan::new(spec).unwrap();
         let mut csd = device();
-        csd.set_fault_injector(plan.injector(0));
+        csd.ssd.set_fault_injector(plan.injector(0));
         let err = csd.store_gradients("s", &[0.0; 8]).unwrap_err();
         assert!(matches!(err, CsdError::Ssd(SsdError::Injected { .. })));
         // The source chain reaches the injected-fault leaf.
@@ -1211,8 +1172,7 @@ mod tests {
         let params = FlatTensor::randn(8, 0.02, 13);
         let mut csd = device();
         csd.store_initial_state("s", &params, &Optimizer::adam_default()).unwrap();
-        csd.set_fault_injector(plan.injector(0));
-        csd.set_retry_budget(plan.max_retries());
+        csd.install_faults(&plan, 0);
         // Each op fails once and is retried in place: one retry, 2 ms of
         // modeled backoff, and nothing reaches the caller.
         csd.store_gradients("s", &[0.5; 8]).unwrap();
@@ -1235,7 +1195,7 @@ mod tests {
         csd.store_initial_state("s", &params, &optimizer).unwrap();
         csd.store_gradients("s", grads.as_slice()).unwrap();
         // Before any update the aux tensors are zeroed.
-        let aux0 = csd.load_optimizer_state("s", 0, 0, n).unwrap();
+        let aux0 = load_window(&mut csd, "s", 1, n).unwrap();
         assert!(aux0.as_slice().iter().all(|&x| x == 0.0));
         csd.update_subgroup(SubgroupUpdate {
             shard: "s",
@@ -1251,18 +1211,20 @@ mod tests {
         let mut host_aux = optimizer.init_aux(n);
         optimizer.step(host_params.as_mut_slice(), &grads, &mut host_aux, 1);
         for (i, host) in host_aux.iter().enumerate().take(optimizer.kind().num_aux()) {
-            let aux = csd.load_optimizer_state("s", i, 0, n).unwrap();
+            let aux = load_window(&mut csd, "s", 1 + i, n).unwrap();
             assert_eq!(aux.as_slice(), host.as_slice(), "aux {i}");
         }
-        // Unknown shard or aux index is reported as a missing shard.
-        assert!(matches!(
-            csd.load_optimizer_state("nope", 0, 0, 1),
-            Err(CsdError::MissingShard { .. })
-        ));
-        assert!(matches!(
-            csd.load_optimizer_state("s", 9, 0, 1),
-            Err(CsdError::MissingShard { .. })
-        ));
+        // A stored window reads back as written, and leaves the others be.
+        csd.store_state("s", 2, host_aux[0].as_slice()).unwrap();
+        assert_eq!(load_window(&mut csd, "s", 2, n).unwrap(), host_aux[0]);
+        assert_eq!(load_window(&mut csd, "s", 0, n).unwrap(), host_params);
+        // Unknown shard or window is reported as a missing shard.
+        for (shard, window) in [("nope", 1), ("s", 10)] {
+            let err = load_window(&mut csd, shard, window, 1).unwrap_err();
+            assert!(matches!(err, CsdError::MissingShard { .. }), "{err}");
+            let err = csd.store_state(shard, window, &[0.0]).unwrap_err();
+            assert!(matches!(err, CsdError::MissingShard { .. }), "{err}");
+        }
     }
 
     #[test]

@@ -146,9 +146,9 @@ impl ErrorFeedback {
     /// # Panics
     ///
     /// Panics if `residual.len()` differs from this feedback's length.
-    pub fn restore_residual(&mut self, residual: &FlatTensor) {
+    pub fn restore_residual(&mut self, residual: &[f32]) {
         assert_eq!(residual.len(), self.residual.len(), "residual length mismatch");
-        self.residual.as_mut_slice().copy_from_slice(residual.as_slice());
+        self.residual.as_mut_slice().copy_from_slice(residual);
     }
 }
 
@@ -169,19 +169,19 @@ mod tests {
     #[test]
     fn restore_residual_round_trips_through_a_saved_copy() {
         let mut fb = ErrorFeedback::new(3);
-        fb.restore_residual(&FlatTensor::from_vec(vec![0.5, -1.5, 2.0]));
+        fb.restore_residual(&[0.5, -1.5, 2.0]);
         assert_eq!(fb.residual().as_slice(), &[0.5, -1.5, 2.0]);
         let saved = fb.residual().clone();
-        fb.restore_residual(&FlatTensor::zeros(3));
+        fb.restore_residual(&[0.0; 3]);
         assert_eq!(fb.residual().as_slice(), &[0.0, 0.0, 0.0]);
-        fb.restore_residual(&saved);
+        fb.restore_residual(saved.as_slice());
         assert_eq!(fb.residual().as_slice(), &[0.5, -1.5, 2.0]);
     }
 
     #[test]
     #[should_panic(expected = "residual length mismatch")]
     fn restore_residual_rejects_wrong_lengths() {
-        ErrorFeedback::new(3).restore_residual(&FlatTensor::zeros(2));
+        ErrorFeedback::new(3).restore_residual(&[0.0; 2]);
     }
 
     #[test]

@@ -36,6 +36,12 @@ use ztrain::{IterationReport, MachineConfig, PipelinedTrainer, TrainError, Train
 /// builds has 330.
 const MAX_TASKLETS: u64 = 1 << 16;
 
+/// The most storage devices a machine may have. Routes are resolved by a
+/// search over the whole topology per endpoint pair, so a machine costs
+/// O(devices × nodes) to lower onto: 4 096 devices (the largest machine any
+/// test builds) take about a second, 200 000 would not finish.
+const MAX_DEVICES: usize = 4096;
+
 /// The most GPUs a machine may have. Every block of the iteration runs a
 /// task per GPU and gathers their activations at GPU 0 over shared links, and
 /// the route table has a slot per GPU pair, so the cost grows faster than the
@@ -204,6 +210,12 @@ impl Session {
     pub(crate) fn validate(&self) -> Result<(), TrainError> {
         if self.machine.num_devices == 0 {
             return Err(TrainError::config("machine must have at least one storage device"));
+        }
+        if self.machine.num_devices > MAX_DEVICES {
+            return Err(TrainError::config(format!(
+                "machine has {} storage devices, at most {MAX_DEVICES} are supported",
+                self.machine.num_devices
+            )));
         }
         if !(1..=MAX_GPUS).contains(&self.machine.num_gpus) {
             return Err(TrainError::config(format!(
@@ -801,6 +813,33 @@ mod tests {
         assert!(matches!(err, TrainError::Config { .. }), "{err}");
         assert!(err.to_string().contains("at most 65536"), "{err}");
         at.expect("an iteration at the bound simulates");
+    }
+
+    /// Past the device bound a hand-built machine is a typed error at once,
+    /// from the timed and the functional front door alike (a spec's machine
+    /// meets the same check: `device_counts_past_the_bound_are_rejected_at_once`).
+    #[test]
+    fn device_counts_past_the_bound_are_rejected_on_the_builder_path() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let session = Session::builder(
+                ModelConfig::gpt2_0_34b(),
+                MachineConfig::smart_infinity(5000),
+                MethodSpec::pipelined(None),
+            )
+            .build();
+            let timed = session.simulate_iteration().map(drop);
+            let functional = session.trainer(&FlatTensor::zeros(5000)).map(drop);
+            tx.send([timed, functional]).expect("the test waits");
+        });
+        let limit = std::time::Duration::from_secs(10);
+        let answers = rx.recv_timeout(limit).expect("both front doors answer within 10 s");
+        worker.join().expect("the worker does not panic");
+        for answer in answers {
+            let err = answer.expect_err("5 000 devices are past the bound");
+            assert!(matches!(err, TrainError::Config { .. }), "{err}");
+            assert!(err.to_string().contains("at most 4096"), "{err}");
+        }
     }
 
     /// Past the GPU bound a machine is a typed error at once, whether it

@@ -425,12 +425,6 @@ pub struct MachineSpec {
     pub cluster: Option<crate::cluster::ClusterSpec>,
 }
 
-/// The most storage devices a machine may have. Routes are resolved by a
-/// search over the whole topology per endpoint pair, so a machine costs
-/// O(devices × nodes) to lower onto: 4 096 devices (the largest machine any
-/// test builds) take about a second, 200 000 would not finish.
-const MAX_DEVICES: usize = 4096;
-
 impl MachineSpec {
     /// The paper's test-bed with `devices` storage devices.
     pub fn devices(devices: usize) -> Self {
@@ -482,17 +476,12 @@ impl MachineSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`TrainError::Config`] for zero devices/GPUs, more than 4 096
-    /// devices, or an unknown GPU preset.
+    /// Returns [`TrainError::Config`] for zero devices/GPUs or an unknown GPU
+    /// preset. The device-count bound is `Session`'s, checked when the
+    /// session is built from the spec.
     pub fn resolve(&self) -> Result<MachineConfig, TrainError> {
         if self.devices == 0 {
             return Err(TrainError::config("machine must have at least one storage device"));
-        }
-        if self.devices > MAX_DEVICES {
-            return Err(TrainError::config(format!(
-                "machine has {} storage devices, at most {MAX_DEVICES} are supported",
-                self.devices
-            )));
         }
         if self.num_gpus == Some(0) {
             return Err(TrainError::config("machine must have at least one GPU"));

@@ -25,7 +25,7 @@
 //! Devices are fail-free unless a `faultkit` plan is installed: transient
 //! per-operation faults ([`SsdError::Injected`]), wear-out to read-only media
 //! ([`SsdError::WornOut`]) and RAID-style rebuild onto a replacement
-//! ([`SsdDevice::rebuild`], [`RaidArray::rebuild_member`]) model the failure
+//! ([`SsdDevice::rebuild`], [`RaidArray::rebuild_worn`]) model the failure
 //! scenarios the recovery policies in `ztrain` are tested against.
 
 #![forbid(unsafe_code)]

@@ -80,8 +80,9 @@ impl RaidArray {
         &self.devices
     }
 
-    /// Installs a per-member transient-fault injector on every device, with
-    /// the plan's retry budget applied *per member operation*.
+    /// Installs the plan's transient-fault injector on every member — member
+    /// `i` is device `first + i` of the plan — with the plan's retry budget
+    /// applied *per member operation*.
     ///
     /// Member-level retry matters because logical RAID operations stripe over
     /// several devices: retrying the whole logical operation would replay
@@ -90,9 +91,9 @@ impl RaidArray {
     /// to converge. A single member op retried in place re-sees the same
     /// deterministic decision, whose burst is validated to stay below the
     /// budget.
-    pub fn install_fault_injectors(&mut self, plan: &FaultPlan) {
-        for (i, device) in self.devices.iter_mut().enumerate() {
-            device.set_fault_injector(plan.injector(i as u64));
+    pub fn install_faults(&mut self, plan: &FaultPlan, first: u64) {
+        for (i, device) in (first..).zip(&mut self.devices) {
+            device.set_fault_injector(plan.injector(i));
             device.set_retry_budget(plan.max_retries());
         }
     }
@@ -123,19 +124,12 @@ impl RaidArray {
         self.devices[index].inject_wearout();
     }
 
-    /// The lowest-indexed worn-out member, if any.
-    pub fn worn_member(&self) -> Option<usize> {
-        self.devices.iter().position(SsdDevice::is_worn_out)
-    }
-
-    /// Rebuilds member `index` onto a replacement device, migrating its
-    /// regions and accounting the rebuild traffic. Returns the bytes moved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn rebuild_member(&mut self, index: usize) -> u64 {
-        self.devices[index].rebuild()
+    /// Rebuilds the lowest-indexed worn-out member onto a replacement device,
+    /// migrating its regions and accounting the rebuild traffic. Returns the
+    /// bytes moved (0 if no member is worn out).
+    pub fn rebuild_worn(&mut self) -> u64 {
+        let worn = self.devices.iter_mut().find(|device| device.is_worn_out());
+        worn.map_or(0, SsdDevice::rebuild)
     }
 
     /// How many bytes of a `total`-byte logical region land on member
@@ -226,21 +220,12 @@ impl RaidArray {
         RaidUpdateTxn { members, shares, stripe_bytes: self.stripe_bytes }
     }
 
-    /// Total bytes written across all members (for traffic accounting).
-    pub fn total_bytes_written(&self) -> u64 {
-        self.devices.iter().map(SsdDevice::bytes_written).sum()
-    }
-
-    /// Total bytes read across all members.
-    pub fn total_bytes_read(&self) -> u64 {
-        self.devices.iter().map(SsdDevice::bytes_read).sum()
-    }
-
-    /// Both cumulative byte counters as one snapshot.
+    /// Both cumulative byte counters, summed over the members, as one
+    /// snapshot.
     pub fn counters(&self) -> StorageCounters {
         StorageCounters {
-            bytes_read: self.total_bytes_read(),
-            bytes_written: self.total_bytes_written(),
+            bytes_read: self.devices.iter().map(SsdDevice::bytes_read).sum(),
+            bytes_written: self.devices.iter().map(SsdDevice::bytes_written).sum(),
         }
     }
 }
@@ -315,7 +300,7 @@ impl<'a> RaidUpdateTxn<'a> {
     }
 
     /// Rebuilds the lowest-indexed worn-out member, as
-    /// [`RaidArray::rebuild_member`] does; returns the bytes migrated (0 if
+    /// [`RaidArray::rebuild_worn`] does; returns the bytes migrated (0 if
     /// no member is worn out). The admitted windows stay admitted.
     pub fn rebuild_worn(&mut self) -> u64 {
         self.members.iter_mut().find_map(UpdateTxn::rebuild_if_worn).unwrap_or(0)
@@ -409,8 +394,7 @@ mod tests {
         let mut raid = array(2, 8);
         raid.write_region("x", &[0u8; 64]).unwrap();
         raid.read_region("x").unwrap();
-        assert_eq!(raid.total_bytes_written(), 64);
-        assert_eq!(raid.total_bytes_read(), 64);
+        assert_eq!(raid.counters(), StorageCounters { bytes_read: 64, bytes_written: 64 });
         assert!(raid.devices().iter().all(|d| d.bytes_written() == 32));
     }
 
@@ -440,14 +424,14 @@ mod tests {
         let data: Vec<u8> = (0..96u8).collect();
         raid.write_region("r", &data).unwrap();
         raid.inject_wearout(1);
-        assert_eq!(raid.worn_member(), Some(1));
+        assert!(raid.devices()[1].is_worn_out());
         // A striped write crosses the worn member and fails.
         assert!(matches!(raid.write_region("r", &data), Err(SsdError::WornOut { .. })));
         // Reads still reassemble (read-only media).
         assert_eq!(raid.read_region("r").unwrap(), data);
-        let migrated = raid.rebuild_member(1);
+        let migrated = raid.rebuild_worn();
         assert_eq!(migrated, 32);
-        assert_eq!(raid.worn_member(), None);
+        assert_eq!(raid.rebuild_worn(), 0, "nothing left to rebuild");
         raid.write_region("r", &data).unwrap();
         assert_eq!(raid.read_region("r").unwrap(), data);
     }
@@ -459,7 +443,7 @@ mod tests {
         let plan =
             FaultPlan::new(FaultSpec { transient_per_mille: Some(500), ..FaultSpec::empty(3) })
                 .unwrap();
-        raid.install_fault_injectors(&plan);
+        raid.install_faults(&plan, 0);
         // Member-level retry absorbs every transient: the striped logical
         // operations all succeed, and the absorbed events are observable.
         for i in 0..100 {
@@ -645,7 +629,7 @@ mod tests {
         // again, as a retried `write_region` does.
         plain.read_region_into("m", &mut [0u8; 30]).unwrap();
         assert!(plain.write_region("m", &[9u8; 30]).is_err());
-        plain.rebuild_member(2);
+        plain.rebuild_worn();
         plain.write_region("m", &[9u8; 30]).unwrap();
         let mut txn = raid.begin_update(30);
         txn.admit_read("m").unwrap();

@@ -129,7 +129,7 @@ impl SsdDevice {
     }
 
     /// Whether the media is currently worn out (read-only).
-    pub fn is_worn_out(&self) -> bool {
+    pub(crate) fn is_worn_out(&self) -> bool {
         self.worn_out
     }
 
@@ -435,14 +435,6 @@ impl SsdDevice {
     pub fn begin_update(&mut self) -> UpdateTxn<'_> {
         UpdateTxn { ssd: self, windows: Vec::new() }
     }
-
-    /// Resets the read/write statistics (not the stored data).
-    pub fn reset_stats(&mut self) {
-        self.reads = 0;
-        self.writes = 0;
-        self.bytes_read = 0;
-        self.bytes_written = 0;
-    }
 }
 
 /// One window of an [`UpdateTxn`]: `len` bytes at `offset` of `region`,
@@ -650,9 +642,6 @@ mod tests {
         assert_eq!(ssd.read_ops(), 2);
         assert_eq!(ssd.bytes_written(), 100);
         assert_eq!(ssd.bytes_read(), 110);
-        ssd.reset_stats();
-        assert_eq!(ssd.bytes_read(), 0);
-        assert_eq!(ssd.read_ops(), 0);
     }
 
     #[test]

@@ -1,28 +1,28 @@
-//! The host placement of the functional trainer: storage-offloaded
-//! training that really moves the bytes and really runs the optimizer, with
-//! the update on the host CPU over a RAID0 array (the ZeRO-Infinity
-//! baseline), plus the gradient sources every trainer steps from.
+//! The host lane of the functional trainer: storage-offloaded training that
+//! really moves the bytes and really runs the optimizer, with the update on
+//! the host CPU over a RAID0 array (the ZeRO-Infinity baseline), plus the
+//! gradient sources every trainer steps from.
 //!
-//! Every transfer of the baseline's dataflow (Fig. 1b/1c) is a counted RAID
-//! operation, so the per-iteration traffic counters can be checked against
-//! the analytic Table I model, and the in-storage placement can be proven
-//! numerically equivalent to this one (SmartUpdate) and quantifiably close
-//! to it (SmartComp). The CPU update itself runs where the RAID members hold
-//! the state: each block's transfers are admitted through one
-//! [`RaidUpdateTxn`], and the kernel steps the lent windows in place.
+//! [`RaidLane`] is one lane (`crate::lane::Lane`) over all the array's
+//! members; [`PipelinedTrainer::host_update`](crate::PipelinedTrainer::host_update)
+//! is the trainer with this one lane. Every transfer of the baseline's
+//! dataflow (Fig. 1b/1c) is a counted RAID operation, so the per-iteration
+//! traffic counters can be checked against the analytic Table I model, and
+//! the in-storage lanes can be proven numerically equivalent to this one
+//! (SmartUpdate) and quantifiably close to it (SmartComp). The CPU update
+//! itself runs where the RAID members hold the state: each block's transfers
+//! are admitted through one [`RaidUpdateTxn`], and the kernel steps the lent
+//! windows in place, serially on the calling thread.
 
-use crate::pipeline::LaneReport;
+use crate::lane::{Lane, LaneReport, ScheduledFault, StepArgs};
 use crate::recover::recover;
-use crate::trainer::{timed, DegradedReport, LayerTimes};
+use crate::trainer::{timed, DegradedReport, LayerTimes, TrainError};
+use faultkit::FaultPlan;
+use gradcomp::Compressor;
 use optim::Optimizer;
-use ssd::{RaidArray, RaidUpdateTxn, SsdDevice, SsdError};
+use ssd::{RaidArray, RaidUpdateTxn, SsdDevice};
 use tensorlib::le_bytes::{self, fill_from_le_bytes, with_le_bytes};
 use tensorlib::{f16, Chunker, FlatTensor, Subgroup};
-
-/// Rebuilds whichever RAID member wore out (no-op if none did).
-fn rebuild_worn(raid: &mut RaidArray) -> u64 {
-    raid.worn_member().map_or(0, |i| raid.rebuild_member(i))
-}
 
 /// The RAID array plus the recovery policy every copying storage operation
 /// of the trainer (set-up, gradient offload, checkpoint, restore, reading the
@@ -39,9 +39,9 @@ impl Storage<'_> {
     /// Writes `values` as the whole of `region`. Whole-region writes are
     /// idempotent, so a retry (or a post-rebuild replay) lands on exactly the
     /// same bytes.
-    fn write(&mut self, region: &str, values: &[f32]) -> Result<(), SsdError> {
+    fn write(&mut self, region: &str, values: &[f32]) -> Result<(), TrainError> {
         with_le_bytes(values, |bytes| {
-            recover(self.retries, self.degraded, self.raid, rebuild_worn, |raid| {
+            recover(self.retries, self.degraded, self.raid, RaidArray::rebuild_worn, |raid| {
                 raid.write_region(region, bytes)
             })
         })
@@ -49,9 +49,9 @@ impl Storage<'_> {
 
     /// Reads the whole of `region`, which must hold exactly `out.len()`
     /// floats, into `out`.
-    fn read(&mut self, region: &str, out: &mut [f32]) -> Result<(), SsdError> {
+    fn read(&mut self, region: &str, out: &mut [f32]) -> Result<(), TrainError> {
         fill_from_le_bytes(out, |bytes| {
-            recover(self.retries, self.degraded, self.raid, rebuild_worn, |raid| {
+            recover(self.retries, self.degraded, self.raid, RaidArray::rebuild_worn, |raid| {
                 raid.read_region_into(region, bytes)
             })
         })
@@ -153,12 +153,12 @@ impl GradientSource for SyntheticGradients {
     }
 }
 
-/// The host placement's one lane: the FP32 master copy, the optimizer
-/// states and the gradient of every block on a RAID0 array, updated block by
-/// block on the host CPU.
+/// The host's one lane: the FP32 master copy, the optimizer states and the
+/// gradient of every block on a RAID0 array, updated block by block on the
+/// host CPU. It keeps no residual: the host runs no compressor.
 #[derive(Debug)]
 pub(crate) struct RaidLane {
-    pub(crate) raid: RaidArray,
+    raid: RaidArray,
     chunker: Chunker,
     // One entry per block of `chunker`, in block order.
     regions: Vec<BlockRegions>,
@@ -172,7 +172,7 @@ impl RaidLane {
         optimizer: &Optimizer,
         num_ssds: usize,
         block_elems: usize,
-    ) -> Result<Self, SsdError> {
+    ) -> Result<Self, TrainError> {
         let devices: Vec<SsdDevice> =
             (0..num_ssds.max(1)).map(|i| SsdDevice::new(format!("ssd{i}"), u64::MAX / 4)).collect();
         let mut raid = RaidArray::new(devices, 1 << 20)?;
@@ -191,6 +191,39 @@ impl RaidLane {
             regions.push(names);
         }
         Ok(Self { raid, chunker, regions })
+    }
+}
+
+impl Lane for RaidLane {
+    fn num_params(&self) -> usize {
+        self.chunker.total()
+    }
+
+    fn num_devices(&self) -> usize {
+        self.raid.num_devices()
+    }
+
+    fn install_faults(&mut self, plan: &FaultPlan, first: u64) {
+        self.raid.install_faults(plan, first);
+    }
+
+    fn fire(&mut self, device: usize, fault: ScheduledFault) {
+        match fault {
+            ScheduledFault::WearOut => self.raid.inject_wearout(device),
+            // Dropout models a CSD's controller hanging or being removed; a
+            // RAID member has no such failure in the model, only its media
+            // wearing out.
+            ScheduledFault::Dropout => {}
+        }
+    }
+
+    fn admit(&self, compressor: Option<Compressor>) -> Result<(), TrainError> {
+        match compressor {
+            None => Ok(()),
+            Some(_) => Err(TrainError::config(
+                "gradient compression runs in the CSDs: enable in_storage_update",
+            )),
+        }
     }
 
     /// One step: offloads the gradients block-wise to storage, then per
@@ -213,14 +246,13 @@ impl RaidLane {
     /// passed. A step that fails therefore leaves each region either wholly
     /// rewritten or byte-identical to before. A stored region whose length
     /// disagrees with its block fails the step.
-    pub(crate) fn step(
+    fn step(
         &mut self,
-        grads: &FlatTensor,
-        optimizer: &Optimizer,
-        step: u64,
-        retries: u32,
+        args: &StepArgs,
+        grads: &[f32],
         fp16: &mut [f32],
-    ) -> Result<LaneReport, SsdError> {
+    ) -> Result<LaneReport, TrainError> {
+        let StepArgs { optimizer, step, retries, .. } = *args;
         let counters_before = self.raid.counters();
         let mut deg = DegradedReport::default();
         let mut layers = LayerTimes::default();
@@ -229,7 +261,7 @@ impl RaidLane {
         // Backward: offload the gradients of each block to storage (Fig. 1b).
         for (block, names) in self.chunker.subgroups().zip(&self.regions) {
             timed(&mut layers.region_write_ns, || {
-                storage.write(&names.grad, block_of(grads.as_slice(), &block))
+                storage.write(&names.grad, block_of(grads, &block))
             })?;
         }
         // Update: per block, upload states+gradients, update on the CPU,
@@ -257,16 +289,9 @@ impl RaidLane {
             let fp16 = &mut fp16[block.offset..block.offset + block.len];
             txn.lend().for_each_stripe(|at, states, grad| {
                 let elems = &mut fp16[at / 4..at / 4 + grad[0].len() / 4];
-                step_stripe(optimizer, step, states, grad[0], elems, &mut staging, &mut layers);
+                step_stripe(&optimizer, step, states, grad[0], elems, &mut staging, &mut layers);
             });
         }
-        // Transient faults are absorbed per member op inside the RAID (see
-        // `RaidArray::install_fault_injectors`); fold the absorbed events into
-        // the step's degradation report.
-        let (fault_retries, backoff_ms) = self.raid.take_fault_events();
-        deg.transient_faults += fault_retries;
-        deg.retries += fault_retries;
-        deg.backoff_ms += backoff_ms;
         let delta = self.raid.counters().delta_since(&counters_before);
         Ok(LaneReport {
             // The gradient crosses the shared host interconnect twice on this
@@ -281,24 +306,21 @@ impl RaidLane {
         })
     }
 
-    /// Moves every block's master copy and auxiliary states between the
-    /// array and `master` / `aux` (read into them, or with `write` written
-    /// from them), with injection suspended on the array.
-    pub(crate) fn transfer_state(
+    fn transfer_state(
         &mut self,
         retries: u32,
         write: bool,
-        master: &mut [f32],
-        aux: &mut [FlatTensor],
-    ) -> Result<(), SsdError> {
+        state: &mut [&mut [f32]],
+        _residual: Option<&mut [f32]>,
+    ) -> Result<(), TrainError> {
         self.raid.suspend_faults(true);
         let mut deg = DegradedReport::default();
         let mut storage = Storage { raid: &mut self.raid, retries, degraded: &mut deg };
         let result = self.chunker.subgroups().zip(&self.regions).try_for_each(|(block, names)| {
             let range = block.offset..block.offset + block.len;
-            let aux = aux.iter_mut().map(|t| &mut t.as_mut_slice()[range.clone()]);
-            let values = std::iter::once(&mut master[range.clone()]).chain(aux);
-            for (region, values) in std::iter::once(&names.master).chain(&names.aux).zip(values) {
+            let regions = std::iter::once(&names.master).chain(&names.aux);
+            for (region, values) in regions.zip(state.iter_mut()) {
+                let values = &mut values[range.clone()];
                 if write {
                     storage.write(region, values)?;
                 } else {
@@ -310,6 +332,16 @@ impl RaidLane {
         self.raid.suspend_faults(false);
         result
     }
+
+    fn take_fault_events(&mut self) -> (u64, u64) {
+        self.raid.take_fault_events()
+    }
+
+    // Kept last: the census reads a file up to its first `#[cfg(test)]`.
+    #[cfg(test)]
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
 }
 
 #[cfg(test)]
@@ -317,6 +349,7 @@ mod tests {
     use super::*;
     use crate::{PipelinedTrainer, StepReport, TrainError, Trainer};
     use optim::{HyperParams, OptimizerKind};
+    use ssd::SsdError;
     use tensorlib::Dtype;
 
     fn host(
@@ -330,7 +363,7 @@ mod tests {
 
     /// The bytes of every region the host lane stores, in block order.
     fn snapshot(t: &mut PipelinedTrainer) -> Vec<Vec<u8>> {
-        let lane = t.raid_lane();
+        let lane = t.lane::<RaidLane>(0);
         let mut raid = lane.raid.clone();
         let regions = lane.regions.iter();
         let names = regions.flat_map(|b| std::iter::once(&b.master).chain(&b.aux).chain([&b.grad]));
@@ -406,16 +439,17 @@ mod tests {
         let n = 4096;
         let optimizer = Optimizer::adam_default();
         let initial = FlatTensor::zeros(n);
-        let mut trainer = host(&initial, optimizer, 2, 1024);
+        // The host's one lane steps serially whatever the executor.
+        let mut trainer = host(&initial, optimizer, 2, 1024).with_threads(4);
         // Setup wrote master (4n) + 2 aux (8n).
-        let setup_written = trainer.raid_lane().raid.total_bytes_written();
+        let setup_written = trainer.lane::<RaidLane>(0).raid.counters().bytes_written;
         assert_eq!(setup_written, 12 * n as u64);
         let report = trainer.train_step_with_grads(&FlatTensor::zeros(n)).unwrap();
         // Per step: write grads (4n) + write back states (12n) = 16n  -> "8M" in
         // paper units (M = 2n bytes); read grads + states = 16n.
-        let raid = &trainer.raid_lane().raid;
-        assert_eq!(raid.total_bytes_written() - setup_written, 16 * n as u64);
-        assert_eq!(raid.total_bytes_read(), 16 * n as u64);
+        let raid = &trainer.lane::<RaidLane>(0).raid;
+        assert_eq!(raid.counters().bytes_written - setup_written, 16 * n as u64);
+        assert_eq!(raid.counters().bytes_read, 16 * n as u64);
         // The per-step report carries exactly the same accounting.
         assert_eq!(report.step, 1);
         assert_eq!(report.storage_bytes_written, 16 * n as u64);
@@ -564,10 +598,10 @@ mod tests {
         // Block 1 is 400 floats, all on member 0 (the stripe is 1 MiB).
         // Overwrite its first moment with a region one float short, then with
         // one that is not even a whole number of floats.
-        let good = t.raid_lane().raid.read_region("block1/aux0").unwrap();
+        let good = t.lane::<RaidLane>(0).raid.read_region("block1/aux0").unwrap();
         assert_eq!(good.len(), 1600);
         for short in [1596usize, 1599, 0] {
-            t.raid_lane().raid.write_region("block1/aux0", &good[..short]).unwrap();
+            t.lane::<RaidLane>(0).raid.write_region("block1/aux0", &good[..short]).unwrap();
             let err = Trainer::step(&mut t, &grads).unwrap_err();
             assert!(
                 matches!(
@@ -579,7 +613,7 @@ mod tests {
             );
         }
         // With the region put right the same trainer carries on.
-        t.raid_lane().raid.write_region("block1/aux0", &good).unwrap();
+        t.lane::<RaidLane>(0).raid.write_region("block1/aux0", &good).unwrap();
         Trainer::step(&mut t, &grads).unwrap();
     }
 
@@ -593,7 +627,7 @@ mod tests {
         // Without a fault plan nothing retries, so nothing rebuilds member 1.
         // Its gate refuses the first write (block 0's gradient), after member
         // 0's passed.
-        t.raid_lane().raid.inject_wearout(1);
+        t.lane::<RaidLane>(0).raid.inject_wearout(1);
         let err = t.train_step_with_grads(&FlatTensor::randn(n, 0.01, 65)).unwrap_err();
         assert!(matches!(err, TrainError::Storage(SsdError::WornOut { .. })), "{err}");
         assert!(snapshot(&mut t) == regions, "a region moved");

@@ -26,14 +26,16 @@
 //!   [`IterationReport`] breakdowns of Fig. 3(a) and Fig. 9.
 //! * [`PipelinedTrainer`] — the *functional* trainer, which actually moves
 //!   and counts bytes and runs the real optimizer kernels, so
-//!   Smart-Infinity's numerical equivalence can be tested end to end. Its
-//!   constructor chooses where the update runs:
-//!   [`PipelinedTrainer::host_update`] steps the baseline's blocks on the
-//!   host CPU where the members of an [`ssd::RaidArray`] hold them (one
-//!   [`ssd::RaidUpdateTxn`] per block); [`PipelinedTrainer::new`] makes each
-//!   CSD shard a lane (write → compress/update → read-back) dealt to a
-//!   [`parcore::ParExecutor`], bit-identical to the host placement for
-//!   every worker count and reporting per-stage telemetry.
+//!   Smart-Infinity's numerical equivalence can be tested end to end. It
+//!   holds a list of lanes behind one crate-private interface (step, state
+//!   I/O, faults) dealt to a [`parcore::ParExecutor`], and where the update
+//!   runs is only its constructor's choice of lanes:
+//!   [`PipelinedTrainer::host_update`] builds one lane whose blocks the host
+//!   CPU steps where the members of an [`ssd::RaidArray`] hold them (one
+//!   [`ssd::RaidUpdateTxn`] per block); [`PipelinedTrainer::new`] one lane
+//!   per CSD shard (write → compress/update → read-back), bit-identical to
+//!   the host lane for every worker count and reporting per-stage
+//!   telemetry.
 //! * [`Trainer`] / [`StepReport`] / [`StageReport`] / [`LayerTimes`] /
 //!   [`TrainError`] — the unified training contract, so callers hold a
 //!   `dyn Trainer` and the `?` operator works across layer boundaries.
@@ -46,6 +48,7 @@
 
 mod checkpoint;
 mod functional;
+mod lane;
 mod machine;
 mod pipeline;
 mod platform;

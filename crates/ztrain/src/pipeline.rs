@@ -1,33 +1,25 @@
-//! The functional trainer. Its constructor chooses where the update runs:
-//! on the host over a RAID0 array ([`PipelinedTrainer::host_update`], the
-//! baseline; see `crate::functional`) or in the CSDs
-//! ([`PipelinedTrainer::new`]). The step counter, the FP16 working copy, the
-//! fault plan, checkpoint / restore and the [`StepReport`] are written once;
-//! each placement keeps its own data path and op order.
+//! The functional trainer: a list of *lanes* and one executor. A lane owns a
+//! contiguous range of the parameters, whose FP32 master copy and optimizer
+//! state live on the lane's own devices, and speaks the crate-private lane
+//! interface (`crate::lane`). Where the update runs is only the
+//! constructor's choice of lanes: [`PipelinedTrainer::host_update`] builds
+//! one RAID0 lane stepped by the host CPU (the baseline; see
+//! `crate::functional`), [`PipelinedTrainer::new`] one [`CsdDevice`] lane
+//! per shard — write (gradient ingest) → compress/update → read-back, with
+//! no cross-device dependency (paper Section IV-D). The step counter, the
+//! FP16 working copy, the fault plan, checkpoint / restore and the
+//! [`StepReport`] are written once, against that interface; each lane keeps
+//! its own op order.
 //!
-//! Every CSD runs SmartUpdate on its own contiguous shard with no
-//! cross-device dependency (paper Section IV-D), so one per-shard step serves
-//! every near-storage method: each device shard is a *lane* — write
-//! (gradient ingest) → compress/update → read-back — and the lanes are dealt
-//! to a [`parcore::ParExecutor`]. With one worker the lanes run one after
-//! another; with more they overlap, so the shared host interconnect stops
-//! being a step-granularity bottleneck (Sections IV-B/IV-D). Which of the two
-//! a run gets is a property of the executor, not of the trainer.
-//!
-//! Two properties are load-bearing and asserted by the test suites:
-//!
-//! * **Bit-identical results.** Every lane does the same per-shard work
-//!   (error feedback, Top-K selection, updater kernels) on disjoint state —
-//!   its own [`CsdDevice`], its own residual, its own slice of the FP16
-//!   working copy. Scheduling therefore cannot change a single bit of the
-//!   result, for any worker-thread or device count: without compression the
-//!   result equals the host placement's, with it an in-memory reference's.
-//! * **Per-stage telemetry.** Each in-storage step's [`StepReport`] carries
-//!   a [`StageReport`]: how many bytes the write, update and read-back
-//!   stages moved and how many lanes were in flight, mirroring the
-//!   stage-level link accounting of the timed engine — and a
-//!   [`LayerTimes`](crate::LayerTimes) table of where the lanes' wall time
-//!   went.
+//! A step carves the gradient and the FP16 copy by lane and deals the lanes
+//! to a [`parcore::ParExecutor`]: with one worker (or one lane) they run
+//! inline, one after another; with more they overlap, so the shared host
+//! interconnect stops being a step-granularity bottleneck (Sections
+//! IV-B/IV-D). Lanes share no state, so scheduling cannot change a bit of
+//! the result for any worker or device count: without compression the
+//! in-storage result equals the host's, with it an in-memory reference's.
+//! An in-storage step also reports a [`StageReport`] (bytes per stage, lanes
+//! in flight), mirroring the timed engine's stage-level link accounting.
 //!
 //! Construction and stepping are fallible ([`TrainError::Config`]) rather
 //! than asserting: this trainer is reached from user-facing configuration
@@ -36,6 +28,7 @@
 
 use crate::checkpoint::{bits_to_tensor, tensor_to_bits, TrainerCheckpoint};
 use crate::functional::RaidLane;
+use crate::lane::{Lane, LaneReport, ScheduledFault, StepArgs};
 use crate::recover::recover;
 use crate::trainer::{
     check_len, nanos, timed, DegradedReport, LayerTimes, StageReport, StepReport, TrainError,
@@ -47,7 +40,7 @@ use gradcomp::{CompressLane, Compressor, ErrorFeedback};
 use optim::Optimizer;
 use parcore::ParExecutor;
 use std::time::Instant;
-use tensorlib::{Chunker, FlatTensor, Partitioner, Shard};
+use tensorlib::{Chunker, FlatTensor, Partitioner};
 
 /// The distributed starting state of a near-storage run: the flattened
 /// parameters contiguously sharded across fresh CSD models, with the FP32
@@ -66,59 +59,15 @@ pub fn init_csd_shards(
     for shard in partitioner.shards() {
         let mut csd = CsdDevice::new(format!("csd{}", shard.device), u64::MAX / 4, u64::MAX / 4);
         let shard_params = initial_params.slice(shard.offset, shard.len);
-        csd.store_initial_state("shard", &shard_params, optimizer)?;
+        csd.store_initial_state(SHARD, &shard_params, optimizer)?;
         csds.push(csd);
     }
     let feedback = partitioner.shards().iter().map(|s| ErrorFeedback::new(s.len)).collect();
     Ok((partitioner, csds, feedback))
 }
 
-/// Everything one pipeline lane may touch: disjoint per-device state, so the
-/// lanes can run concurrently without synchronisation.
-struct Lane<'a> {
-    shard: Shard,
-    csd: &'a mut CsdDevice,
-    feedback: &'a mut ErrorFeedback,
-    compress: &'a mut CompressLane,
-    fp16_out: &'a mut [f32],
-}
-
-/// Byte accounting of one lane's step, or of a whole step summed over its
-/// lanes. Storage bytes are RAID0 traffic on the host, CSD-internal P2P
-/// traffic in the CSDs.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct LaneReport {
-    pub(crate) gradient_bytes: u64,
-    pub(crate) kept: u64,
-    pub(crate) storage_read_bytes: u64,
-    pub(crate) storage_write_bytes: u64,
-    pub(crate) read_back_bytes: u64,
-    pub(crate) degraded: DegradedReport,
-    pub(crate) layers: LayerTimes,
-}
-
-/// Where the update runs, with the storage state each place keeps.
-#[derive(Debug)]
-enum Placement {
-    /// On the host: one RAID0 lane, its blocks stepped by the host CPU.
-    Host(RaidLane),
-    /// In the CSDs: one lane per device shard, updated in the device.
-    InStorage(CsdLanes),
-}
-
-/// The in-storage placement: one lane per contiguous shard, each with its
-/// own device, residual and compress state.
-#[derive(Debug)]
-struct CsdLanes {
-    csds: Vec<CsdDevice>,
-    partitioner: Partitioner,
-    feedback: Vec<ErrorFeedback>,
-    // One selection state + Top-K stream per lane, refilled every step
-    // (SmartComp only: a dense gradient goes to its device unstaged).
-    compress: Vec<CompressLane>,
-    subgroup_elems: usize,
-    pool: ParExecutor,
-}
+/// The name every CSD lane stores its shard under.
+const SHARD: &str = "shard";
 
 /// The functional trainer: an FP16 working copy in host memory, the FP32
 /// master copy and optimizer states in storage, and the update either on
@@ -128,7 +77,8 @@ struct CsdLanes {
 /// the lane count in `StepReport::stages` differ.
 #[derive(Debug)]
 pub struct PipelinedTrainer {
-    placement: Placement,
+    lanes: Vec<Box<dyn Lane>>,
+    pool: ParExecutor,
     optimizer: Optimizer,
     params_fp16: FlatTensor,
     compressor: Option<Compressor>,
@@ -158,22 +108,19 @@ impl PipelinedTrainer {
         if subgroup_elems == 0 {
             return Err(TrainError::config("subgroup capacity must be positive"));
         }
-        let (partitioner, csds, feedback) = init_csd_shards(initial_params, &optimizer, num_csds)?;
-        let lanes = CsdLanes {
-            csds,
-            partitioner,
-            feedback,
-            compress: vec![CompressLane::default(); num_csds],
-            subgroup_elems,
-            pool: ParExecutor::serial(),
-        };
-        Ok(Self::with_placement(initial_params, optimizer, Placement::InStorage(lanes)))
+        let (_, csds, feedback) = init_csd_shards(initial_params, &optimizer, num_csds)?;
+        let lanes = csds.into_iter().zip(feedback).map(|(csd, feedback)| {
+            let compress = CompressLane::default();
+            Box::new(CsdLane { csd, feedback, compress, subgroup_elems }) as Box<dyn Lane>
+        });
+        Ok(Self::with_lanes(initial_params, optimizer, lanes.collect()))
     }
 
     /// Creates a trainer that updates on the host: stores the FP32 master
     /// copy and zeroed optimizer states, in blocks of `block_elems`, on a
-    /// fresh RAID0 array of `num_ssds` devices. Its one lane ignores the
-    /// executor, and with a compressor every step is refused.
+    /// fresh RAID0 array of `num_ssds` devices. Its one lane runs inline on
+    /// the calling thread whatever the executor, and with a compressor every
+    /// step is refused.
     ///
     /// # Errors
     ///
@@ -186,15 +133,16 @@ impl PipelinedTrainer {
         block_elems: usize,
     ) -> Result<Self, TrainError> {
         let lane = RaidLane::new(initial_params, &optimizer, num_ssds, block_elems)?;
-        Ok(Self::with_placement(initial_params, optimizer, Placement::Host(lane)))
+        Ok(Self::with_lanes(initial_params, optimizer, vec![Box::new(lane)]))
     }
 
-    fn with_placement(initial: &FlatTensor, optimizer: Optimizer, placement: Placement) -> Self {
+    fn with_lanes(initial: &FlatTensor, optimizer: Optimizer, lanes: Vec<Box<dyn Lane>>) -> Self {
         // The FP16 working copy is derived from the master copy, exactly as
         // mixed-precision training does.
         let mut params_fp16 = FlatTensor::zeros(initial.len());
         initial.roundtrip_f16_into(params_fp16.as_mut_slice());
-        Self { placement, optimizer, params_fp16, compressor: None, step: 0, fault_plan: None }
+        let pool = ParExecutor::serial();
+        Self { lanes, pool, optimizer, params_fp16, compressor: None, step: 0, fault_plan: None }
     }
 
     /// Installs a fault plan: deterministic per-device injectors and a
@@ -204,14 +152,10 @@ impl PipelinedTrainer {
     #[must_use]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         if !plan.is_empty() {
-            match &mut self.placement {
-                Placement::Host(lane) => lane.raid.install_fault_injectors(&plan),
-                Placement::InStorage(lanes) => {
-                    for (i, csd) in lanes.csds.iter_mut().enumerate() {
-                        csd.set_fault_injector(plan.injector(i as u64));
-                        csd.set_retry_budget(plan.max_retries());
-                    }
-                }
+            let mut first = 0;
+            for lane in &mut self.lanes {
+                lane.install_faults(&plan, first);
+                first += lane.num_devices() as u64;
             }
             self.fault_plan = Some(plan);
         }
@@ -222,26 +166,29 @@ impl PipelinedTrainer {
         self.fault_plan.as_ref().map_or(0, FaultPlan::max_retries)
     }
 
-    /// Fires scheduled wear-out / dropout at the start of their planned step.
+    /// Fires scheduled wear-out / dropout at the start of their planned step,
+    /// on the device the plan picks among all the lanes' devices.
     fn trigger_scheduled_faults(&mut self) {
         let Some(plan) = &self.fault_plan else { return };
-        let due = |at: Option<u64>, device: Option<usize>| device.filter(|_| at == Some(self.step));
-        match &mut self.placement {
-            Placement::Host(lane) => {
-                let devices = lane.raid.num_devices();
-                if let Some(d) = due(plan.wearout_step(), plan.wearout_device(devices)) {
-                    lane.raid.inject_wearout(d);
-                }
+        let devices = self.lanes.iter().map(|lane| lane.num_devices()).sum();
+        let scheduled = [
+            (ScheduledFault::WearOut, plan.wearout_step(), plan.wearout_device(devices)),
+            (ScheduledFault::Dropout, plan.dropout_step(), plan.dropout_device(devices)),
+        ];
+        for (fault, at, device) in scheduled {
+            if let Some(device) = device.filter(|_| at == Some(self.step)) {
+                self.fire(device, fault);
             }
-            Placement::InStorage(lanes) => {
-                let devices = lanes.csds.len();
-                if let Some(d) = due(plan.wearout_step(), plan.wearout_device(devices)) {
-                    lanes.csds[d].inject_ssd_wearout();
-                }
-                if let Some(d) = due(plan.dropout_step(), plan.dropout_device(devices)) {
-                    lanes.csds[d].inject_dropout();
-                }
+        }
+    }
+
+    /// Fires `fault` on `device`, counted over the lanes' devices in order.
+    fn fire(&mut self, mut device: usize, fault: ScheduledFault) {
+        for lane in &mut self.lanes {
+            if device < lane.num_devices() {
+                return lane.fire(device, fault);
             }
+            device -= lane.num_devices();
         }
     }
 
@@ -285,15 +232,17 @@ impl PipelinedTrainer {
     /// Sets the lane executor explicitly — e.g.
     /// [`ParExecutor::deterministic`] for bit-equivalence suites that want
     /// the lane→worker schedule pinned as well as the results (the results
-    /// are identical in every mode regardless). The host placement has one
-    /// lane and ignores it.
+    /// are identical in every mode regardless). The host placement's one
+    /// lane runs serially on the calling thread and keeps the serial
+    /// executor.
     pub fn with_executor(mut self, pool: ParExecutor) -> Self {
-        if let Placement::InStorage(lanes) = &mut self.placement {
-            lanes.pool = pool;
-            let lane_workers = (pool.num_threads() / lanes.csds.len()).max(1);
-            for csd in &mut lanes.csds {
-                csd.set_threads(lane_workers);
-            }
+        let lane_workers = (pool.num_threads() / self.lanes.len()).max(1);
+        let mut threaded = false;
+        for lane in &mut self.lanes {
+            threaded |= lane.set_threads(lane_workers);
+        }
+        if threaded {
+            self.pool = pool;
         }
         self
     }
@@ -307,9 +256,7 @@ impl PipelinedTrainer {
     /// (all zero on the host placement).
     pub fn aggregate_stats(&self) -> CsdTrafficStats {
         let mut total = CsdTrafficStats::default();
-        let Placement::InStorage(lanes) = &self.placement else { return total };
-        for csd in &lanes.csds {
-            let s = csd.stats();
+        for s in self.lanes.iter().map(|lane| lane.stats()) {
             total.p2p_read_bytes += s.p2p_read_bytes;
             total.p2p_write_bytes += s.p2p_write_bytes;
             total.updates_run += s.updates_run;
@@ -319,114 +266,62 @@ impl PipelinedTrainer {
     }
 
     /// Runs one training step with an explicitly provided dense gradient:
-    /// on the host, the RAID0 lane's offload and block-wise update (see
-    /// `RaidLane::step`); in the CSDs, the lanes dealt to the worker pool,
-    /// with the per-stage byte telemetry in [`StepReport::stages`].
+    /// carves the gradient and the FP16 working copy by lane and deals the
+    /// lanes to the executor, heaviest first — on the host the one RAID0
+    /// lane's offload and block-wise update (see `RaidLane::step`), in the
+    /// CSDs a lane per shard, with the per-stage byte telemetry in
+    /// [`StepReport::stages`].
     ///
     /// # Errors
     ///
     /// Returns [`TrainError::Config`] if `grads.len()` differs from the
     /// number of parameters or the host placement has a compressor (neither
     /// advances the step), and otherwise the storage or device error of the
-    /// first failing operation — in the CSDs the lowest-indexed lane's,
-    /// deterministic regardless of scheduling.
+    /// first failing operation — the lowest-indexed lane's, deterministic
+    /// regardless of scheduling.
     pub fn train_step_with_grads(&mut self, grads: &FlatTensor) -> Result<StepReport, TrainError> {
         check_len("gradient", grads.len(), self.num_params())?;
-        if self.compressor.is_some() && matches!(self.placement, Placement::Host(_)) {
-            return Err(TrainError::config(
-                "gradient compression runs in the CSDs: enable in_storage_update",
-            ));
+        for lane in &self.lanes {
+            lane.admit(self.compressor)?;
         }
         self.step += 1;
         self.trigger_scheduled_faults();
-        let (optimizer, step, retries) = (self.optimizer, self.step, self.max_retries());
-        let fp16 = self.params_fp16.as_mut_slice();
-        let (total, stages, threads) = match &mut self.placement {
-            Placement::Host(lane) => (lane.step(grads, &optimizer, step, retries, fp16)?, None, 1),
-            Placement::InStorage(lanes) => {
-                let (total, stages) =
-                    lanes.step(grads, self.compressor, optimizer, step, retries, fp16)?;
-                (total, Some(stages), lanes.pool.num_threads())
-            }
+        let args = StepArgs {
+            optimizer: self.optimizer,
+            step: self.step,
+            retries: self.max_retries(),
+            compressor: self.compressor,
         };
-        Ok(StepReport {
-            step,
-            gradient_bytes: total.gradient_bytes,
-            storage_bytes_read: total.storage_read_bytes,
-            storage_bytes_written: total.storage_write_bytes,
-            compression_kept: self.compressor.map(|_| total.kept),
-            threads,
-            kernel_path: tensorlib::KernelPath::active(),
-            stages,
-            degraded: total.degraded.into_option(),
-            layers: total.layers,
-        })
-    }
 
-    /// Reads the FP32 master copy, and into each entry of `aux` that
-    /// auxiliary state, back from storage. Maintenance traffic neither fails
-    /// on nor consumes fault decisions, or a checkpointed-then-resumed run
-    /// would see a shifted fault schedule; dead devices are still rebuilt.
-    fn read_state(
-        &mut self,
-        retries: u32,
-        aux: &mut [FlatTensor],
-    ) -> Result<FlatTensor, TrainError> {
-        let mut master = FlatTensor::zeros(self.params_fp16.len());
-        match &mut self.placement {
-            Placement::Host(lane) => {
-                lane.transfer_state(retries, false, master.as_mut_slice(), aux)?
-            }
-            Placement::InStorage(lanes) => lanes.read_state(retries, master.as_mut_slice(), aux)?,
-        }
-        Ok(master)
-    }
-}
-
-impl CsdLanes {
-    /// One step: carves the step into one lane per shard and deals the
-    /// lanes to the pool. Returns the lanes' sum and the stage split.
-    fn step(
-        &mut self,
-        grads: &FlatTensor,
-        compressor: Option<Compressor>,
-        optimizer: Optimizer,
-        step: u64,
-        max_retries: u32,
-        fp16: &mut [f32],
-    ) -> Result<(LaneReport, StageReport), TrainError> {
-        let subgroup_elems = self.subgroup_elems;
-        // Shard i owns csds[i], feedback[i], compress[i] and its contiguous
-        // slice of the FP16 working copy.
-        let mut fp16_rest = fp16;
-        let owners = self.csds.iter_mut().zip(&mut self.feedback).zip(&mut self.compress);
-        let shards = self.partitioner.shards().iter();
-        let lanes: Vec<Lane> = shards
-            .zip(owners)
-            .map(|(&shard, ((csd, feedback), compress))| {
-                let (fp16_out, rest) = std::mem::take(&mut fp16_rest).split_at_mut(shard.len);
+        // Lane i owns its contiguous slice of the gradient and of the FP16
+        // working copy.
+        let (mut grads_rest, mut fp16_rest) = (grads.as_slice(), self.params_fp16.as_mut_slice());
+        let work: Vec<_> = (self.lanes.iter_mut())
+            .map(|lane| {
+                let len = lane.num_params();
+                let (grads, rest) = grads_rest.split_at(len);
+                grads_rest = rest;
+                let (fp16, rest) = std::mem::take(&mut fp16_rest).split_at_mut(len);
                 fp16_rest = rest;
-                Lane { shard, csd, feedback, compress, fp16_out }
+                (lane, grads, fp16)
             })
             .collect();
-        let active_lanes = lanes.iter().filter(|l| l.shard.len > 0).count();
-
-        // Cost-weighted dispatch: a lane's work is proportional to its shard
-        // size, so heavier shards are scheduled first (and stealable) rather
-        // than letting one skewed shard serialize the step.
-        let weights: Vec<usize> = lanes.iter().map(|l| l.shard.len).collect();
+        // Cost-weighted dispatch: a lane's work is proportional to its size,
+        // so heavier lanes are scheduled first (and stealable) rather than
+        // letting one skewed shard serialize the step.
+        let weights: Vec<usize> = work.iter().map(|(_, grads, _)| grads.len()).collect();
+        let active_lanes = weights.iter().filter(|&&w| w > 0).count();
         let region = Instant::now();
-        let results = self.pool.map_weighted(lanes, &weights, |_, lane| {
+        let results = self.pool.map_weighted(work, &weights, |_, (lane, grads, fp16)| {
             let start = Instant::now();
-            let report = Self::run_lane(
-                lane,
-                grads,
-                compressor,
-                optimizer,
-                subgroup_elems,
-                step,
-                max_retries,
-            );
+            let report = lane.step(&args, grads, fp16).map(|mut report| {
+                // The transient retries the devices absorbed in place.
+                let (retries, backoff_ms) = lane.take_fault_events();
+                report.degraded.transient_faults += retries;
+                report.degraded.retries += retries;
+                report.degraded.backoff_ms += backoff_ms;
+                report
+            });
             (start, Instant::now(), report)
         });
         let region = (region, Instant::now());
@@ -435,196 +330,48 @@ impl CsdLanes {
         let mut busy = Vec::with_capacity(results.len());
         for (start, end, result) in results {
             busy.push((start, end));
-            let lane = result?;
-            total.gradient_bytes += lane.gradient_bytes;
-            total.kept += lane.kept;
-            total.storage_read_bytes += lane.storage_read_bytes;
-            total.storage_write_bytes += lane.storage_write_bytes;
-            total.read_back_bytes += lane.read_back_bytes;
-            total.degraded.absorb(&lane.degraded);
-            total.layers.absorb(&lane.layers);
+            total.absorb(&result?);
         }
         total.layers.dispatch_ns = idle_ns(region, &mut busy);
-        let stages = StageReport {
+        let stages = total.read_back_bytes.map(|read_back_bytes| StageReport {
             write_bytes: total.gradient_bytes,
             update_bytes: total.storage_read_bytes + total.storage_write_bytes,
-            read_back_bytes: total.read_back_bytes,
+            read_back_bytes,
             lanes: self.pool.num_threads().min(active_lanes).max(1),
-        };
-        Ok((total, stages))
-    }
-
-    /// One lane's trip through the pipeline: write → compress/update →
-    /// read-back, entirely on this lane's own device state.
-    fn run_lane(
-        lane: Lane<'_>,
-        grads: &FlatTensor,
-        compressor: Option<Compressor>,
-        optimizer: Optimizer,
-        subgroup_elems: usize,
-        step: u64,
-        max_retries: u32,
-    ) -> Result<LaneReport, CsdError> {
-        let Lane { shard, csd, feedback, compress, fp16_out } = lane;
-        if shard.len == 0 {
-            return Ok(LaneReport::default());
-        }
-        let before = csd.stats();
-        let mut layers = LayerTimes::default();
-        // Recovery is lane-local: each lane owns its device, so retry and
-        // rebuild decisions are deterministic regardless of how the lanes are
-        // scheduled across worker threads.
-        let mut deg = DegradedReport::default();
-
-        // Stage 1 — write: the shard's gradient crosses the host interconnect
-        // downstream, dense (straight from the caller's tensor) or as the
-        // Top-K stream: one pass accumulates the shard's slice into the
-        // residual, which is then the corrected gradient, and collects the
-        // candidates the selection keeps from (on the lane's share of the
-        // workers — the device's executor — bit-identical for any worker
-        // count); the kept coordinates leave.
-        let shard_grads = &grads.as_slice()[shard.offset..shard.offset + shard.len];
-        let compressed = match &compressor {
-            None => None,
-            Some(c) => {
-                let pool = csd.executor();
-                timed(&mut layers.topk_feedback_ns, || {
-                    feedback.compress_into(shard_grads, c, &pool, compress)
-                })?;
-                Some(compress.stream())
-            }
-        };
-        let (gradient_bytes, kept) = match compressed {
-            None => (4 * shard.len as u64, 0),
-            Some(c) => (c.compressed_bytes() as u64, c.num_selected() as u64),
-        };
-        if compressed.is_none() {
-            // Whole-region gradient writes are idempotent, so the recovery
-            // wrapper may retry them freely.
-            timed(&mut layers.region_write_ns, || {
-                recover(max_retries, &mut deg, csd, CsdDevice::rebuild, |csd| {
-                    csd.store_gradients("shard", shard_grads)
-                })
-            })?;
-        }
-
-        // Stage 2 — update: subgroup-by-subgroup near-storage optimizer step
-        // over CSD-internal P2P. The device's SSD clears transient faults
-        // gate by gate, and an update moves no state until every gate has
-        // passed — so a dead device reaching the wrapper here left the
-        // subgroup un-updated, and repeating the whole operation after the
-        // rebuild steps it exactly once.
-        for subgroup in Chunker::new(shard.len, subgroup_elems).subgroups() {
-            recover(max_retries, &mut deg, csd, CsdDevice::rebuild, |csd| {
-                csd.update_subgroup(SubgroupUpdate {
-                    shard: "shard",
-                    offset: subgroup.offset,
-                    len: subgroup.len,
-                    optimizer,
-                    step,
-                    compressed,
-                })
-            })?;
-        }
-
-        // Stage 3 — read-back: the refreshed FP16 working copy returns to
-        // host memory, rounded straight from the device's region bytes into
-        // this lane's output slice.
-        timed(&mut layers.fp16_ns, || {
-            recover(max_retries, &mut deg, csd, CsdDevice::rebuild, |csd| {
-                csd.load_parameters_fp16_into("shard", 0, fp16_out)
-            })
-        })?;
-
-        // Fold the device-internal transient retries and the update's layer
-        // times into the lane's report.
-        let (retries, backoff_ms) = csd.take_fault_events();
-        deg.transient_faults += retries;
-        deg.retries += retries;
-        deg.backoff_ms += backoff_ms;
-        let update = csd.take_update_times();
-        layers.region_read_ns += update.read_gates_ns;
-        layers.region_write_ns += update.write_gates_ns;
-        layers.decompress_ns += update.decompress_ns;
-        layers.kernel_ns += update.kernel_ns;
-
-        let after = csd.stats();
-        Ok(LaneReport {
-            gradient_bytes,
-            kept,
-            storage_read_bytes: after.p2p_read_bytes - before.p2p_read_bytes,
-            storage_write_bytes: after.p2p_write_bytes - before.p2p_write_bytes,
-            read_back_bytes: 2 * shard.len as u64,
-            degraded: deg,
-            layers,
+        });
+        Ok(StepReport {
+            step: self.step,
+            gradient_bytes: total.gradient_bytes,
+            storage_bytes_read: total.storage_read_bytes,
+            storage_bytes_written: total.storage_write_bytes,
+            compression_kept: self.compressor.map(|_| total.kept),
+            threads: self.pool.num_threads(),
+            kernel_path: tensorlib::KernelPath::active(),
+            stages,
+            degraded: total.degraded.into_option(),
+            layers: total.layers,
         })
     }
 
-    /// Reads every shard's master copy into `master`, and into each entry of
-    /// `aux` that auxiliary state, with injection suspended on each device.
-    fn read_state(
+    /// Moves the master copy (`state[0]`), each auxiliary state and, where
+    /// given, the error-feedback residual between the lanes and these flat
+    /// tensors, lane by lane: read into them, or with `write` written from
+    /// them (see `Lane::transfer_state`).
+    fn transfer_state(
         &mut self,
         retries: u32,
-        master: &mut [f32],
-        aux: &mut [FlatTensor],
-    ) -> Result<(), CsdError> {
-        let mut deg = DegradedReport::default();
-        for (csd, shard) in self.csds.iter_mut().zip(self.partitioner.shards()) {
-            if shard.len == 0 {
-                continue;
-            }
-            let range = shard.offset..shard.offset + shard.len;
-            csd.suspend_faults(true);
-            let result = (|| -> Result<(), CsdError> {
-                recover(retries, &mut deg, csd, CsdDevice::rebuild, |csd| {
-                    csd.load_parameters_into("shard", 0, &mut master[range.clone()])
-                })?;
-                for (a, aux) in aux.iter_mut().enumerate() {
-                    let t = recover(retries, &mut deg, csd, CsdDevice::rebuild, |csd| {
-                        csd.load_optimizer_state("shard", a, 0, shard.len)
-                    })?;
-                    aux.as_mut_slice()[range.clone()].copy_from_slice(t.as_slice());
-                }
-                Ok(())
-            })();
-            csd.suspend_faults(false);
-            result?;
-        }
-        Ok(())
-    }
-
-    /// Re-initialises every shard from `master` and `aux`, with injection
-    /// suspended on each device, and restores each lane's error-feedback
-    /// residual from `residual` unless it is empty.
-    fn write_state(
-        &mut self,
-        optimizer: &Optimizer,
-        master: &FlatTensor,
-        aux: &[FlatTensor],
-        residual: &FlatTensor,
-    ) -> Result<(), CsdError> {
-        let shards = self.partitioner.shards();
-        for ((csd, shard), feedback) in self.csds.iter_mut().zip(shards).zip(&mut self.feedback) {
-            if shard.len == 0 {
-                continue;
-            }
-            csd.suspend_faults(true);
-            let result = (|| -> Result<(), CsdError> {
-                csd.store_initial_state(
-                    "shard",
-                    &master.slice(shard.offset, shard.len),
-                    optimizer,
-                )?;
-                for (a, aux) in aux.iter().enumerate() {
-                    csd.store_optimizer_state("shard", a, &aux.slice(shard.offset, shard.len))?;
-                }
-                Ok(())
-            })();
-            csd.suspend_faults(false);
-            result?;
-            if !residual.is_empty() {
-                feedback.restore_residual(&residual.slice(shard.offset, shard.len));
-            }
+        write: bool,
+        state: &mut [FlatTensor],
+        mut residual: Option<&mut FlatTensor>,
+    ) -> Result<(), TrainError> {
+        let mut start = 0;
+        for lane in &mut self.lanes {
+            let range = start..start + lane.num_params();
+            start = range.end;
+            let mut windows: Vec<&mut [f32]> =
+                state.iter_mut().map(|t| &mut t.as_mut_slice()[range.clone()]).collect();
+            let residual = residual.as_deref_mut().map(|r| &mut r.as_mut_slice()[range.clone()]);
+            lane.transfer_state(retries, write, &mut windows, residual)?;
         }
         Ok(())
     }
@@ -655,7 +402,10 @@ impl Trainer for PipelinedTrainer {
     }
 
     fn master_params(&mut self) -> Result<FlatTensor, TrainError> {
-        self.read_state(0, &mut [])
+        let mut state = [FlatTensor::zeros(self.params_fp16.len())];
+        self.transfer_state(0, false, &mut state, None)?;
+        let [master] = state;
+        Ok(master)
     }
 
     fn steps_completed(&self) -> u64 {
@@ -664,20 +414,15 @@ impl Trainer for PipelinedTrainer {
 
     fn checkpoint(&mut self) -> Result<TrainerCheckpoint, TrainError> {
         let n = self.params_fp16.len();
-        let mut aux = vec![FlatTensor::zeros(n); self.optimizer.kind().num_aux()];
-        let master = self.read_state(self.max_retries(), &mut aux)?;
-        let residual_bits = match (&self.placement, self.compressor) {
-            (Placement::InStorage(lanes), Some(_)) => {
-                lanes.feedback.iter().flat_map(|f| tensor_to_bits(f.residual())).collect()
-            }
-            _ => Vec::new(),
-        };
+        let mut state = vec![FlatTensor::zeros(n); 1 + self.optimizer.kind().num_aux()];
+        let mut residual = self.compressor.map(|_| FlatTensor::zeros(n));
+        self.transfer_state(self.max_retries(), false, &mut state, residual.as_mut())?;
         Ok(TrainerCheckpoint {
             step: self.step,
             num_params: n as u64,
-            master_bits: tensor_to_bits(&master),
-            aux_bits: aux.iter().map(tensor_to_bits).collect(),
-            residual_bits,
+            master_bits: tensor_to_bits(&state[0]),
+            aux_bits: state[1..].iter().map(tensor_to_bits).collect(),
+            residual_bits: residual.as_ref().map(tensor_to_bits).unwrap_or_default(),
         })
     }
 
@@ -690,33 +435,204 @@ impl Trainer for PipelinedTrainer {
                 "checkpoint carries error-feedback residuals but compression is disabled"
             }));
         }
-        let mut master = bits_to_tensor(&checkpoint.master_bits);
-        let mut aux: Vec<FlatTensor> =
-            checkpoint.aux_bits.iter().map(|b| bits_to_tensor(b)).collect();
-        let retries = self.max_retries();
-        match &mut self.placement {
-            Placement::Host(lane) => {
-                lane.transfer_state(retries, true, master.as_mut_slice(), &mut aux)?
-            }
-            Placement::InStorage(lanes) => {
-                let residual = bits_to_tensor(&checkpoint.residual_bits);
-                lanes.write_state(&self.optimizer, &master, &aux, &residual)?;
-            }
-        }
-        master.roundtrip_f16_into(self.params_fp16.as_mut_slice());
+        let bits = std::iter::once(&checkpoint.master_bits).chain(&checkpoint.aux_bits);
+        let mut state: Vec<FlatTensor> = bits.map(|b| bits_to_tensor(b)).collect();
+        let mut residual = self.compressor.map(|_| bits_to_tensor(&checkpoint.residual_bits));
+        self.transfer_state(self.max_retries(), true, &mut state, residual.as_mut())?;
+        state[0].roundtrip_f16_into(self.params_fp16.as_mut_slice());
         self.step = checkpoint.step;
         Ok(())
     }
 }
 
+/// One in-storage lane: a CSD updating its own shard, with the shard's
+/// error-feedback residual (one element per parameter of the shard) and
+/// compress state.
+#[derive(Debug)]
+struct CsdLane {
+    csd: CsdDevice,
+    feedback: ErrorFeedback,
+    // One selection state + Top-K stream, refilled every step (SmartComp
+    // only: a dense gradient goes to its device unstaged).
+    compress: CompressLane,
+    subgroup_elems: usize,
+}
+
+impl Lane for CsdLane {
+    fn num_params(&self) -> usize {
+        self.feedback.len()
+    }
+
+    fn num_devices(&self) -> usize {
+        1
+    }
+
+    fn install_faults(&mut self, plan: &FaultPlan, first: u64) {
+        self.csd.install_faults(plan, first);
+    }
+
+    fn fire(&mut self, _device: usize, fault: ScheduledFault) {
+        match fault {
+            ScheduledFault::WearOut => self.csd.inject_wearout(),
+            ScheduledFault::Dropout => self.csd.inject_dropout(),
+        }
+    }
+
+    fn set_threads(&mut self, workers: usize) -> bool {
+        self.csd.set_threads(workers);
+        true
+    }
+
+    /// One trip through the pipeline: write → compress/update → read-back,
+    /// entirely on this lane's own device state.
+    fn step(
+        &mut self,
+        args: &StepArgs,
+        grads: &[f32],
+        fp16: &mut [f32],
+    ) -> Result<LaneReport, TrainError> {
+        let (len, retries) = (self.num_params(), args.retries);
+        let Self { csd, feedback, compress, subgroup_elems } = self;
+        if len == 0 {
+            return Ok(LaneReport { read_back_bytes: Some(0), ..LaneReport::default() });
+        }
+        let before = csd.stats();
+        let mut layers = LayerTimes::default();
+        // Recovery is lane-local: each lane owns its device, so retry and
+        // rebuild decisions are deterministic regardless of how the lanes are
+        // scheduled across worker threads.
+        let mut deg = DegradedReport::default();
+
+        // Stage 1 — write: the shard's gradient crosses the host interconnect
+        // downstream, dense (straight from the caller's tensor) or as the
+        // Top-K stream: one pass accumulates the shard's slice into the
+        // residual, which is then the corrected gradient, and collects the
+        // candidates the selection keeps from (on the lane's share of the
+        // workers — the device's executor — bit-identical for any worker
+        // count); the kept coordinates leave.
+        let compressed = match &args.compressor {
+            None => None,
+            Some(c) => {
+                let pool = csd.executor();
+                timed(&mut layers.topk_feedback_ns, || {
+                    feedback.compress_into(grads, c, &pool, compress)
+                })
+                .map_err(CsdError::from)?;
+                Some(compress.stream())
+            }
+        };
+        let (gradient_bytes, kept) = match compressed {
+            None => (4 * len as u64, 0),
+            Some(c) => (c.compressed_bytes() as u64, c.num_selected() as u64),
+        };
+        if compressed.is_none() {
+            // Whole-region gradient writes are idempotent, so the recovery
+            // wrapper may retry them freely.
+            timed(&mut layers.region_write_ns, || {
+                recover(retries, &mut deg, csd, CsdDevice::rebuild, |csd| {
+                    csd.store_gradients(SHARD, grads)
+                })
+            })?;
+        }
+
+        // Stage 2 — update: subgroup-by-subgroup near-storage optimizer step
+        // over CSD-internal P2P. The device's SSD clears transient faults
+        // gate by gate, and an update moves no state until every gate has
+        // passed — so a dead device reaching the wrapper here left the
+        // subgroup un-updated, and repeating the whole operation after the
+        // rebuild steps it exactly once.
+        for subgroup in Chunker::new(len, *subgroup_elems).subgroups() {
+            recover(retries, &mut deg, csd, CsdDevice::rebuild, |csd| {
+                csd.update_subgroup(SubgroupUpdate {
+                    shard: SHARD,
+                    offset: subgroup.offset,
+                    len: subgroup.len,
+                    optimizer: args.optimizer,
+                    step: args.step,
+                    compressed,
+                })
+            })?;
+        }
+
+        // Stage 3 — read-back: the refreshed FP16 working copy returns to
+        // host memory, rounded straight from the device's region bytes into
+        // this lane's output slice.
+        timed(&mut layers.fp16_ns, || {
+            recover(retries, &mut deg, csd, CsdDevice::rebuild, |csd| {
+                csd.load_parameters_fp16_into(SHARD, 0, fp16)
+            })
+        })?;
+
+        let update = csd.take_update_times();
+        layers.region_read_ns += update.read_gates_ns;
+        layers.region_write_ns += update.write_gates_ns;
+        layers.decompress_ns += update.decompress_ns;
+        layers.kernel_ns += update.kernel_ns;
+        let after = csd.stats();
+        Ok(LaneReport {
+            gradient_bytes,
+            kept,
+            storage_read_bytes: after.p2p_read_bytes - before.p2p_read_bytes,
+            storage_write_bytes: after.p2p_write_bytes - before.p2p_write_bytes,
+            read_back_bytes: Some(2 * len as u64),
+            degraded: deg,
+            layers,
+        })
+    }
+
+    fn transfer_state(
+        &mut self,
+        retries: u32,
+        write: bool,
+        state: &mut [&mut [f32]],
+        residual: Option<&mut [f32]>,
+    ) -> Result<(), TrainError> {
+        if self.num_params() == 0 {
+            return Ok(());
+        }
+        let csd = &mut self.csd;
+        let mut deg = DegradedReport::default();
+        csd.suspend_faults(true);
+        let result = state.iter_mut().enumerate().try_for_each(|(window, values)| {
+            recover(retries, &mut deg, csd, CsdDevice::rebuild, |csd| {
+                if write {
+                    csd.store_state(SHARD, window, values)
+                } else {
+                    csd.load_state_into(SHARD, window, 0, values)
+                }
+            })
+        });
+        csd.suspend_faults(false);
+        result?;
+        match residual {
+            Some(residual) if write => self.feedback.restore_residual(residual),
+            Some(residual) => residual.copy_from_slice(self.feedback.residual().as_slice()),
+            None => {}
+        }
+        Ok(())
+    }
+
+    fn take_fault_events(&mut self) -> (u64, u64) {
+        self.csd.take_fault_events()
+    }
+
+    fn stats(&self) -> CsdTrafficStats {
+        self.csd.stats()
+    }
+
+    // Kept last: the census reads a file up to its first `#[cfg(test)]`.
+    #[cfg(test)]
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
 #[cfg(test)]
 impl PipelinedTrainer {
-    /// The host placement's lane, for tests that reach into its RAID array.
-    pub(crate) fn raid_lane(&mut self) -> &mut RaidLane {
-        match &mut self.placement {
-            Placement::Host(lane) => lane,
-            Placement::InStorage(_) => panic!("not the host placement"),
-        }
+    /// Lane `i` as the lane type `L` the constructor gave it, for tests that
+    /// reach into its devices.
+    pub(crate) fn lane<L: 'static>(&mut self, i: usize) -> &mut L {
+        self.lanes[i].as_any_mut().downcast_mut().expect("the lane has the asked-for type")
     }
 }
 
@@ -724,14 +640,6 @@ impl PipelinedTrainer {
 mod tests {
     use super::*;
     use crate::functional::SyntheticGradients;
-
-    /// Device `i` of an in-storage trainer.
-    fn csd(t: &mut PipelinedTrainer, i: usize) -> &mut CsdDevice {
-        match &mut t.placement {
-            Placement::InStorage(lanes) => &mut lanes.csds[i],
-            Placement::Host(_) => panic!("the host placement has no CSDs"),
-        }
-    }
 
     #[test]
     fn pipelined_is_bit_identical_to_the_host_baseline() {
@@ -754,7 +662,7 @@ mod tests {
         );
         assert_eq!(pipelined.params_fp16().as_slice(), baseline.params_fp16().as_slice());
         assert_eq!(pipelined.steps_completed(), 4);
-        assert!(matches!(&pipelined.placement, Placement::InStorage(l) if l.csds.len() == 3));
+        assert_eq!(pipelined.lanes.len(), 3);
         assert_eq!(pipelined.num_params(), n);
         assert!(pipelined.compressor.is_none());
     }
@@ -1104,6 +1012,44 @@ mod tests {
     }
 
     #[test]
+    fn a_restore_rebuilds_a_dead_device_and_resumes_bit_identically() {
+        let n = 1500;
+        let optimizer = Optimizer::adam_default();
+        let initial = FlatTensor::randn(n, 0.05, 71);
+        let grads: Vec<FlatTensor> = (0..4).map(|s| FlatTensor::randn(n, 0.01, 700 + s)).collect();
+        let plan = || {
+            let mut spec = faultkit::FaultSpec::empty(19);
+            spec.transient_per_mille = Some(100);
+            faultkit::FaultPlan::new(spec).unwrap()
+        };
+        let host = || PipelinedTrainer::host_update(&initial, optimizer, 3, 400).unwrap();
+        let csds = || PipelinedTrainer::new(&initial, optimizer, 3, 400).unwrap();
+        let bits = |t: &FlatTensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for make in [&host as &dyn Fn() -> PipelinedTrainer, &csds] {
+            let mut straight = make().with_fault_plan(plan());
+            for g in &grads {
+                straight.train_step_with_grads(g).unwrap();
+            }
+            for fault in [ScheduledFault::WearOut, ScheduledFault::Dropout] {
+                let mut t = make().with_fault_plan(plan());
+                t.train_step_with_grads(&grads[0]).unwrap();
+                let ckpt = Trainer::checkpoint(&mut t).unwrap();
+                // Device 1 dies between the checkpoint and the restore (a RAID
+                // member has no dropout, so that one is a no-op on the host).
+                t.fire(1, fault);
+                Trainer::restore(&mut t, &ckpt).unwrap_or_else(|e| panic!("{fault:?}: {e}"));
+                for g in &grads[1..] {
+                    t.train_step_with_grads(g).unwrap();
+                }
+                let label = format!("{} lanes, {fault:?}", t.lanes.len());
+                let (master, expected) = (t.master_params().unwrap(), straight.master_params());
+                assert_eq!(bits(&master), bits(&expected.unwrap()), "{label}");
+                assert_eq!(bits(t.params_fp16()), bits(straight.params_fp16()), "{label}");
+            }
+        }
+    }
+
+    #[test]
     fn wrong_gradient_length_is_a_config_error() {
         let mut t = PipelinedTrainer::new(&FlatTensor::zeros(10), Optimizer::adam_default(), 1, 10)
             .unwrap();
@@ -1130,14 +1076,15 @@ mod tests {
             Trainer::step(&mut t, &grads).unwrap();
             // Device 1 owns 400 parameters; re-initialise its shard one short.
             let shard = initial.slice(400, 400);
-            csd(&mut t, 1).store_initial_state("shard", &shard.slice(0, 399), &optimizer).unwrap();
+            let csd = &mut t.lane::<CsdLane>(1).csd;
+            csd.store_initial_state(SHARD, &shard.slice(0, 399), &optimizer).unwrap();
             let err = Trainer::step(&mut t, &grads).unwrap_err();
             assert!(
                 matches!(err, TrainError::Device(CsdError::Ssd(ssd::SsdError::OutOfBounds { .. }))),
                 "{keep:?}: {err}"
             );
             // With the shard put right the same trainer carries on.
-            csd(&mut t, 1).store_initial_state("shard", &shard, &optimizer).unwrap();
+            t.lane::<CsdLane>(1).csd.store_initial_state(SHARD, &shard, &optimizer).unwrap();
             Trainer::step(&mut t, &grads).unwrap();
         }
     }

@@ -2,7 +2,8 @@
 //!
 //! The fault plan injects three classes of failure (see `faultkit`):
 //! transient per-operation faults, worn-out media and device dropouts. Only
-//! the last two reach this module:
+//! the last two reach this module, each as the [`TrainError`] its device
+//! error converts into:
 //!
 //! * **Transient** faults never leave the device. Every SSD — a RAID member,
 //!   or the one inside a CSD — retries a faulted operation in place with
@@ -12,35 +13,14 @@
 //!   below that budget, so a transient always clears; the trainers fold the
 //!   devices' retry and backoff counters into [`DegradedReport`]. An error
 //!   that does reach [`recover`] as a transient passes through unchanged.
-//! * **Dead-device** errors (worn-out media, dropout) trigger an in-place
+//! * **Dead-device** errors ([`TrainError::needs_rebuild`]: worn-out media,
+//!   dropout) trigger an in-place
 //!   rebuild — migrating the device's regions onto replacement hardware and
 //!   accounting the traffic — then retry the operation, at most
 //!   `max_retries` times.
 //! * Anything else propagates unchanged.
 
-use crate::trainer::DegradedReport;
-use csd::CsdError;
-use ssd::SsdError;
-
-/// The classification the recovery loop needs from an error type; both
-/// substrate errors the trainers recover from implement it, so [`recover`]
-/// wraps an operation at the layer it naturally fails.
-pub(crate) trait Recoverable {
-    /// Whether the failing device must be rebuilt before a retry can work.
-    fn rebuildable(&self) -> bool;
-}
-
-impl Recoverable for SsdError {
-    fn rebuildable(&self) -> bool {
-        matches!(self, SsdError::WornOut { .. })
-    }
-}
-
-impl Recoverable for CsdError {
-    fn rebuildable(&self) -> bool {
-        self.needs_rebuild()
-    }
-}
+use crate::trainer::{DegradedReport, TrainError};
 
 /// Runs `op` against `ctx`, rebuilding a dead device and retrying per the
 /// policy above.
@@ -56,17 +36,17 @@ impl Recoverable for CsdError {
 ///
 /// Returns the final error once `max_retries` rebuilds are exhausted, or the
 /// original error immediately if it is not a dead device.
-pub(crate) fn recover<C, T, E: Recoverable>(
+pub(crate) fn recover<C, T, E: Into<TrainError>>(
     max_retries: u32,
     degraded: &mut DegradedReport,
     ctx: &mut C,
     mut rebuild: impl FnMut(&mut C) -> u64,
     mut op: impl FnMut(&mut C) -> Result<T, E>,
-) -> Result<T, E> {
+) -> Result<T, TrainError> {
     let mut attempt: u32 = 0;
     loop {
-        match op(ctx) {
-            Err(e) if attempt < max_retries && e.rebuildable() => {
+        match op(ctx).map_err(Into::into) {
+            Err(e) if attempt < max_retries && e.needs_rebuild() => {
                 attempt += 1;
                 degraded.rebuild_bytes += rebuild(ctx);
                 degraded.devices_rebuilt += 1;
@@ -80,8 +60,9 @@ pub(crate) fn recover<C, T, E: Recoverable>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csd::CsdError;
     use faultkit::{FaultOpKind, FaultPlan, FaultSpec};
-    use ssd::SsdDevice;
+    use ssd::{SsdDevice, SsdError};
 
     /// A plan whose first write fails exactly twice: the hand-checked
     /// injector stream is Err, Err, Ok.
@@ -178,7 +159,7 @@ mod tests {
             |_| Err::<(), _>(SsdError::EmptyArray),
         )
         .unwrap_err();
-        assert_eq!(err, SsdError::EmptyArray);
+        assert_eq!(err, TrainError::Storage(SsdError::EmptyArray));
         assert!(!deg.is_degraded());
     }
 
@@ -197,7 +178,7 @@ mod tests {
             |ssd| ssd.write_region("r", vec![1u8; 8]),
         )
         .unwrap_err();
-        assert!(matches!(err, SsdError::Injected { .. }), "{err}");
+        assert!(matches!(err, TrainError::Storage(SsdError::Injected { .. })), "{err}");
         assert_eq!(ssd.take_fault_events(), (1, 2), "exactly the budget's retries");
         assert!(!deg.is_degraded());
 

@@ -97,8 +97,8 @@ pub struct LayerTimes {
     /// tile.
     pub fp16_ns: u64,
     /// Lane dispatch: the time inside the step's parallel region during
-    /// which no lane was running (hand-out, wake-up and join). Zero for the
-    /// host baseline, which has no lanes.
+    /// which no lane was running (hand-out, wake-up and join). Next to
+    /// nothing for the host baseline, whose one lane runs inline.
     pub dispatch_ns: u64,
 }
 
