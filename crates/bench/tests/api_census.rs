@@ -32,7 +32,8 @@ const HEADER: &str = "\
 #   crate      named nowhere outside the crate
 #
 # Scope: the library sources of crates/* and crates/compat/*, less src/bin/,
-# everything from a file's first #[cfg(test)] on, and modules declared there
+# everything from a file's first line that starts with #[cfg(test)] on, each
+# item an indented #[cfg(test)] annotates, and modules declared in either
 # (compiled only under cfg(test)). Rows: pub fn, struct, enum, trait, type,
 # const, static, mod and #[macro_export] macros; methods as Type::method. A
 # `pub use` re-export is neither a row nor a reference; #[proc_macro_derive]
@@ -358,7 +359,7 @@ struct Callers {
     outside: HashSet<String>,
     /// Integration tests, of any crate.
     tests: HashSet<String>,
-    /// Library code above the first `#[cfg(test)]`, by crate.
+    /// Library code (see [`split_tests`]), by crate.
     lib: HashMap<String, HashSet<String>>,
     /// Unit tests, by crate.
     unit: HashMap<String, HashSet<String>>,
@@ -422,9 +423,44 @@ fn library_crates() -> Vec<(String, PathBuf)> {
     crates
 }
 
-/// Walks the module tree of `krate` from `file`: rows from the code above
-/// each file's first `#[cfg(test)]`, names from all of it. A module declared
-/// below that line is test code throughout.
+/// Lexes a file into its library code and its test code. The test code is
+/// everything from the first line that starts with `#[cfg(test)]` on, plus
+/// each item an indented `#[cfg(test)]` annotates (a test hook in a trait or
+/// an impl), which hides that item only.
+fn split_tests(text: &str) -> (Lexed<'_>, Lexed<'_>) {
+    let lines = text.split_inclusive('\n');
+    let cut = lines.take_while(|line| !line.starts_with("#[cfg(test)]")).map(str::len).sum();
+    let (mut lib, mut test) = (lex(&text[..cut]), lex(&text[cut..]));
+    let (ident, punct) = (Tok::Ident, Tok::Punct);
+    let cfg_test = [
+        punct(b'#'),
+        punct(b'['),
+        ident("cfg"),
+        punct(b'('),
+        ident("test"),
+        punct(b')'),
+        punct(b']'),
+    ];
+    let mut i = 0;
+    while i + 7 <= lib.tokens.len() {
+        if lib.tokens[i..i + 7] != cfg_test {
+            i += 1;
+            continue;
+        }
+        // The item ends at its body's closing brace, or at its `;`.
+        let mut end = i + 7;
+        while end < lib.tokens.len() && !matches!(lib.tokens[end], Tok::Punct(b'{' | b';')) {
+            end = close_of(&lib.tokens, end) + 1;
+        }
+        let end = close_of(&lib.tokens, end.min(lib.tokens.len() - 1));
+        test.tokens.extend(lib.tokens.drain(i..=end));
+    }
+    (lib, test)
+}
+
+/// Walks the module tree of `krate` from `file`: rows from its library code,
+/// names from all of it (see [`split_tests`]). A module declared in the test
+/// code is test code throughout.
 fn walk(
     krate: &str,
     file: &Path,
@@ -434,14 +470,7 @@ fn walk(
     callers: &mut Callers,
 ) {
     let text = read(file);
-    let mut cut = 0;
-    for line in text.split_inclusive('\n').take_while(|_| !test_only) {
-        if line.trim_start().starts_with("#[cfg(test)]") {
-            break;
-        }
-        cut += line.len();
-    }
-    let (lib, test) = (lex(&text[..cut]), lex(&text[cut..]));
+    let (lib, test) = if test_only { (lex(""), lex(&text)) } else { split_tests(&text) };
     let lib_names = callers.lib.entry(krate.to_string()).or_default();
     add_names(lib_names, &lib.tokens);
     callers.outside.extend(lib.doctest.iter().map(|w| w.to_string()));
@@ -598,4 +627,27 @@ fn the_scanner_reads_items_and_names() {
     add_names(&mut names, &lexed.tokens);
     assert!(names.contains("fake") && names.contains("Plain"));
     assert!(!names.contains("Reexported") && !names.contains("not_a_caller"));
+
+    // An indented `#[cfg(test)]` hides only the item it annotates; one at
+    // the start of a line starts the test code.
+    let src = "impl Plain {
+    #[cfg(test)]
+    fn hook(&mut self) -> &mut dyn Any { self }
+    #[cfg(test)]
+    fn declared(&self);
+    pub fn after_hooks() {}
+}
+#[cfg(test)]
+mod tests { pub fn unit() {} }
+";
+    let (lib, test) = split_tests(src);
+    let scan = scan_items(&lib.tokens, "k", "k");
+    let rows: Vec<String> =
+        scan.items.iter().map(|(path, kind)| format!("{kind} {path}")).collect();
+    assert_eq!(rows, ["fn k::Plain::after_hooks"]);
+    let (mut lib_names, mut test_names) = (HashSet::new(), HashSet::new());
+    add_names(&mut lib_names, &lib.tokens);
+    add_names(&mut test_names, &test.tokens);
+    assert!(!lib_names.contains("hook") && !lib_names.contains("declared"));
+    assert!(["hook", "declared", "Any", "unit"].iter().all(|name| test_names.contains(*name)));
 }

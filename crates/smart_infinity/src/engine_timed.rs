@@ -11,7 +11,7 @@ use simkit::{DagTaskId, LinkId, Scheduler, SimError, Timeline};
 use ztrain::schedule::{
     build_iteration_graph, GraphKnobs, HostUpdateScheduler, IterPhases, PlatformLowering, SiteMap,
 };
-use ztrain::{IterationReport, TimedPlatform};
+use ztrain::{IterationReport, StepPlan, TimedPlatform};
 
 /// How the CSD-internal data transfer handler schedules tasklets
 /// (paper Section IV-B, Fig. 5).
@@ -64,12 +64,9 @@ pub(crate) const NAIVE_TASKLET_OVERHEAD_S: f64 = 0.02;
 pub enum SmartInfinityEngine {}
 
 impl SmartInfinityEngine {
-    /// The subgroup (tasklet) capacity of an in-storage session without
-    /// [`crate::SessionBuilder::with_subgroup_elems`]: the largest parameter
-    /// count whose working set (gradient + master + momentum + variance,
-    /// 20 B/param with the FP16 copy) fits comfortably in the SmartSSD's
-    /// 4 GB FPGA DRAM.
-    pub const DEFAULT_SUBGROUP_ELEMS: usize = 100_000_000;
+    /// [`StepPlan::DEFAULT_UNIT`], the largest default subgroup (tasklet)
+    /// capacity, under the name `benchmark/` uses.
+    pub const DEFAULT_SUBGROUP_ELEMS: usize = StepPlan::DEFAULT_UNIT;
 }
 
 /// One executed iteration: the timeline plus what the read-outs need.
@@ -112,17 +109,18 @@ impl TimedRun {
 /// so `machine.storage` is not an input: the same devices act as RAID0 SSDs
 /// under the baseline and as CSDs under SmartUpdate (the paper runs its
 /// baseline on the NVMe inside each SmartSSD). The session's handler and
-/// subgroup capacity are knobs of the in-storage update; a host-update
-/// method has neither and ignores them. The in-storage scheduler picks
-/// striped or owner-routed gradient scatters and sequential or overlapped
-/// tasklet chains — see [`crate::sched`].
+/// `plan`'s unit (the session's [`StepPlan`]) are knobs of the in-storage
+/// update; a host-update method has neither and ignores them. The in-storage
+/// scheduler picks striped or owner-routed gradient scatters and sequential
+/// or overlapped tasklet chains — see [`crate::sched`].
 pub(crate) fn run(
     session: &Session,
+    plan: &StepPlan,
     effects: Option<&TimedFaultEffects>,
 ) -> Result<TimedRun, SimError> {
     let method = session.method();
     let (storage, knobs) = if method.uses_csds() {
-        (StorageKind::Csd, GraphKnobs::in_storage(method.keep_ratio(), session.subgroup_elems()))
+        (StorageKind::Csd, GraphKnobs::in_storage(method.keep_ratio(), plan.unit_elems()))
     } else {
         (StorageKind::PlainSsd, GraphKnobs::host_update())
     };
@@ -198,7 +196,7 @@ mod tests {
     fn builders_record_configuration() {
         let s = session(4, MethodSpec::smart_comp(0.05));
         assert_eq!(s.handler(), HandlerMode::Optimized, "the method implies the handler");
-        assert_eq!(s.subgroup_elems(), SmartInfinityEngine::DEFAULT_SUBGROUP_ELEMS);
+        assert_eq!(s.validate().unwrap().unit_elems(), SmartInfinityEngine::DEFAULT_SUBGROUP_ELEMS);
         assert_eq!(s.machine().num_devices, 4);
         assert_eq!(s.workload().batch_size(), 4);
         assert_eq!(s.model(), s.workload().model(), "the session's model is its workload's");
@@ -207,7 +205,7 @@ mod tests {
             .with_subgroup_elems(25_000_000)
             .build();
         assert_eq!(s.handler(), HandlerMode::Naive);
-        assert_eq!(s.subgroup_elems(), 25_000_000);
+        assert_eq!(s.validate().unwrap().unit_elems(), 25_000_000);
     }
 
     /// An incoherent method is a typed error through the one front door, in

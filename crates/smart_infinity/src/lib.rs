@@ -33,7 +33,7 @@
 //! | SmartUpdate (Section IV-A) | [`MethodSpec::smart_update`], [`Session::simulate_iteration`], [`PipelinedTrainer`] |
 //! | Internal data-transfer handler (Section IV-B) | [`HandlerMode`], [`SessionBuilder::with_handler`], the tasklet chains of [`method_scheduler`] |
 //! | SmartComp gradient compression (Section IV-C) | [`MethodSpec::smart_comp`], `gradcomp` + `csd::Decompressor` |
-//! | Multi-CSD distribution (Section IV-D) | [`tensorlib::Partitioner`] inside [`PipelinedTrainer`] |
+//! | Multi-CSD distribution (Section IV-D) | [`ztrain::StepPlan`], read by [`PipelinedTrainer`] and the timed graph alike |
 //! | Cross-CSD phase overlap (Sections IV-B/IV-D) | [`MethodSpec::pipelined`], the lanes of [`PipelinedTrainer`], [`PipelineTiming`] |
 //!
 //! # Quick start

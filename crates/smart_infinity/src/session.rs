@@ -22,19 +22,19 @@
 //! and the `specs/*.json` spec lists ([`crate::Campaign`]).
 
 use crate::cluster::ClusterSpec;
-use crate::engine_timed::{self, HandlerMode, PipelineTiming, SmartInfinityEngine};
+use crate::engine_timed::{self, HandlerMode, PipelineTiming};
 use crate::spec::MethodSpec;
 use faultkit::{FaultPlan, FaultSpec};
 use llm::{ModelConfig, Workload};
 use optim::Optimizer;
 use tensorlib::FlatTensor;
-use ztrain::{IterationReport, MachineConfig, PipelinedTrainer, TrainError, Trainer};
+use ztrain::{IterationReport, MachineConfig, PipelinedTrainer, StepPlan, TrainError, Trainer};
 
-/// The most update tasklets (subgroups, over all devices) a timed iteration
-/// may have. Each costs about 3 KB of graph and simulation state, so a run at
-/// the bound holds about 200 MB; the largest any checked-in spec or test
-/// builds has 330.
-const MAX_TASKLETS: u64 = 1 << 16;
+/// The most update tasklets (the units of an iteration's [`StepPlan`], over
+/// all devices) a timed iteration may have. Each costs about 3 KB of graph
+/// and simulation state, so a run at the bound holds about 200 MB; the
+/// largest any checked-in spec or test builds has 330.
+const MAX_TASKLETS: usize = 1 << 16;
 
 /// The most storage devices a machine may have. Routes are resolved by a
 /// search over the whole topology per endpoint pair, so a machine costs
@@ -84,9 +84,10 @@ impl SessionBuilder {
     }
 
     /// Overrides the subgroup (tasklet) capacity in parameters, for both the
-    /// timed model and the functional trainer. By default the timed model
-    /// uses [`SmartInfinityEngine::DEFAULT_SUBGROUP_ELEMS`] and the
-    /// functional trainer processes each device shard as one subgroup.
+    /// timed model and the functional trainer. Both cut a step by the one
+    /// rule of [`StepPlan::cut_into`]: without the override, one subgroup per
+    /// device shard of at most [`StepPlan::DEFAULT_UNIT`] parameters (the
+    /// functional trainer's blocks on the host likewise).
     ///
     /// A zero capacity is accepted here (builders never fail) and rejected as
     /// [`TrainError::Config`] when the session builds a trainer or simulates
@@ -198,16 +199,11 @@ impl Session {
         self.handler.unwrap_or(self.method.implied_handler())
     }
 
-    /// The subgroup (tasklet) capacity of the timed in-storage update: the
-    /// override, or [`SmartInfinityEngine::DEFAULT_SUBGROUP_ELEMS`].
-    pub(crate) fn subgroup_elems(&self) -> usize {
-        self.subgroup_elems.unwrap_or(SmartInfinityEngine::DEFAULT_SUBGROUP_ELEMS)
-    }
-
     /// Validates the knobs that would otherwise panic deep inside a
     /// substrate: the machine, the subgroup capacity, and the method's
-    /// capability axes (one centralized pass — [`MethodSpec::validate`]).
-    pub(crate) fn validate(&self) -> Result<(), TrainError> {
+    /// capability axes (one centralized pass — [`MethodSpec::validate`]),
+    /// and returns the step plan of the model on the machine's devices.
+    pub(crate) fn validate(&self) -> Result<StepPlan, TrainError> {
         if self.machine.num_devices == 0 {
             return Err(TrainError::config("machine must have at least one storage device"));
         }
@@ -223,16 +219,17 @@ impl Session {
                 self.machine.num_gpus
             )));
         }
-        if self.subgroup_elems == Some(0) {
-            return Err(TrainError::config("subgroup capacity must be positive"));
-        }
+        let devices = self.machine.num_devices;
+        let plan =
+            StepPlan::cut_into(self.model().num_params() as usize, devices, self.subgroup_elems)?;
         if let Some(faults) = &self.faults {
             faults.validate().map_err(TrainError::config)?;
         }
         if let Some(cluster) = &self.cluster {
             cluster.validate(&self.method)?;
         }
-        self.method.validate()
+        self.method.validate()?;
+        Ok(plan)
     }
 
     /// The fault plan this session injects, if a non-empty spec is installed.
@@ -271,12 +268,13 @@ impl Session {
                 initial_params.len()
             )));
         }
-        let subgroup = self.functional_subgroup_elems(initial_params.len());
+        let unit =
+            StepPlan::cut_into(initial_params.len(), devices, self.subgroup_elems)?.unit_elems();
         let mut trainer = if self.method.uses_csds() {
-            PipelinedTrainer::new(initial_params, self.optimizer, devices, subgroup)?
+            PipelinedTrainer::new(initial_params, self.optimizer, devices, unit)?
                 .with_threads(self.threads)
         } else {
-            PipelinedTrainer::host_update(initial_params, self.optimizer, devices, subgroup)?
+            PipelinedTrainer::host_update(initial_params, self.optimizer, devices, unit)?
         };
         if let Some(compression) = &self.method.compression {
             trainer = trainer.with_compressor(compression.compressor());
@@ -285,12 +283,6 @@ impl Session {
             trainer = trainer.with_fault_plan(plan);
         }
         Ok(Box::new(trainer))
-    }
-
-    /// The subgroup capacity the functional trainer uses: the explicit knob,
-    /// or one subgroup per device shard.
-    fn functional_subgroup_elems(&self, num_params: usize) -> usize {
-        self.subgroup_elems.unwrap_or_else(|| num_params.div_ceil(self.machine.num_devices).max(1))
     }
 
     /// Simulates one training iteration of this configuration on the timed
@@ -337,23 +329,21 @@ impl Session {
     /// tasklet bound, then the fault plan's timed effects (a straggler, a
     /// derated uplink).
     fn timed_run(&self) -> Result<engine_timed::TimedRun, TrainError> {
-        self.validate()?;
-        if self.method.uses_csds() {
-            // Every tasklet is a chain of graph and simulation tasks: count
-            // them before any is built.
-            let devices = self.machine.num_devices as u64;
-            let subgroup = self.subgroup_elems();
-            let per_device = self.model().num_params().div_ceil(devices).div_ceil(subgroup as u64);
-            let tasklets = devices.saturating_mul(per_device);
-            if tasklets > MAX_TASKLETS {
-                return Err(TrainError::config(format!(
-                    "{tasklets} update tasklets per iteration ({devices} devices, subgroups of \
-                     {subgroup} parameters), at most {MAX_TASKLETS} are supported"
-                )));
-            }
+        let plan = self.validate()?;
+        // Every tasklet is a chain of graph and simulation tasks: count them
+        // before any is built.
+        let tasklets = plan.num_units();
+        if self.method.uses_csds() && tasklets > MAX_TASKLETS {
+            return Err(TrainError::config(format!(
+                "{tasklets} update tasklets per iteration ({} devices, subgroups of {} \
+                 parameters), at most {MAX_TASKLETS} are supported",
+                self.machine.num_devices,
+                plan.unit_elems()
+            )));
         }
-        let effects = self.fault_plan()?.map(|plan| plan.timed_effects(self.machine.num_devices));
-        Ok(engine_timed::run(self, effects.as_ref())?)
+        let effects =
+            self.fault_plan()?.map(|faults| faults.timed_effects(self.machine.num_devices));
+        Ok(engine_timed::run(self, &plan, effects.as_ref())?)
     }
 }
 
@@ -804,7 +794,8 @@ mod tests {
                 spec.session().expect("the spec is valid").simulate_iteration().map(drop)
             };
             let shard = ModelConfig::gpt2_0_34b().num_params().div_ceil(2);
-            tx.send((run(1), run(shard.div_ceil(MAX_TASKLETS / 2)))).expect("the test waits");
+            tx.send((run(1), run(shard.div_ceil(MAX_TASKLETS as u64 / 2))))
+                .expect("the test waits");
         });
         let limit = std::time::Duration::from_secs(20);
         let (past, at) = rx.recv_timeout(limit).expect("both specs are answered within 20 s");
@@ -813,6 +804,29 @@ mod tests {
         assert!(matches!(err, TrainError::Config { .. }), "{err}");
         assert!(err.to_string().contains("at most 65536"), "{err}");
         at.expect("an iteration at the bound simulates");
+    }
+
+    /// The bound counts the plan's exact units: GPT2-1.6B on one device in
+    /// units of 23 767 parameters is 65 537 tasklets, one past the bound, and
+    /// is refused before any graph is built.
+    #[test]
+    fn one_tasklet_past_the_bound_is_refused_at_once() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let json = r#"{"model":"GPT2-1.6B","machine":{"devices":1},"subgroup_elems":23767,
+                "method":{"offload":true,"in_storage_update":true,"overlap":true,"pipelined":true}}"#;
+            let session = crate::RunSpec::from_json(json).and_then(|s| s.session());
+            let session = session.expect("the spec is valid");
+            let units = session.validate().expect("valid").num_units();
+            tx.send((units, session.simulate_iteration().map(drop))).expect("the test waits");
+        });
+        let limit = std::time::Duration::from_secs(10);
+        let (units, answer) = rx.recv_timeout(limit).expect("the spec is answered within 10 s");
+        worker.join().expect("the worker does not panic");
+        assert_eq!(units, MAX_TASKLETS + 1);
+        let err = answer.expect_err("one tasklet past the bound");
+        assert!(matches!(err, TrainError::Config { .. }), "{err}");
+        assert!(err.to_string().contains("65537 update tasklets"), "{err}");
     }
 
     /// Past the device bound a hand-built machine is a typed error at once,

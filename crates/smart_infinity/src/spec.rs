@@ -586,7 +586,9 @@ pub struct RunSpec {
     /// Ablation override of the CSD-internal transfer handler, replacing the
     /// one the method implies (e.g. SmartComp under the naive handler).
     pub handler: Option<HandlerMode>,
-    /// Subgroup (tasklet) capacity override, in parameters.
+    /// Subgroup (tasklet) capacity override, in parameters, for the timed
+    /// model and the functional trainer alike; without it, one subgroup per
+    /// device shard of at most [`ztrain::StepPlan::DEFAULT_UNIT`].
     pub subgroup_elems: Option<usize>,
     /// Workload overrides (batch size, sequence length).
     pub workload: Option<WorkloadSpec>,
@@ -637,7 +639,8 @@ impl RunSpec {
         self
     }
 
-    /// Overrides the subgroup (tasklet) capacity.
+    /// Overrides the subgroup (tasklet) capacity of both stacks' step plan
+    /// (see [`crate::SessionBuilder::with_subgroup_elems`]).
     pub fn with_subgroup_elems(mut self, elems: usize) -> Self {
         self.subgroup_elems = Some(elems);
         self

@@ -159,30 +159,33 @@ impl GradientSource for SyntheticGradients {
 #[derive(Debug)]
 pub(crate) struct RaidLane {
     raid: RaidArray,
-    chunker: Chunker,
-    // One entry per block of `chunker`, in block order.
+    // The blocks: the units of a one-lane `StepPlan`.
+    units: Chunker,
+    // One entry per block, in block order.
     regions: Vec<BlockRegions>,
 }
 
+/// The RAID0 stripe unit, in bytes.
+const STRIPE_BYTES: usize = 1 << 20;
+
 impl RaidLane {
-    /// Stores the FP32 master copy and zeroed optimizer states, in blocks of
-    /// `block_elems`, on a fresh RAID0 array of `num_ssds` devices.
+    /// Stores the FP32 master copy and zeroed optimizer states, in the
+    /// blocks `units` cuts, on a fresh RAID0 array of `num_ssds` devices.
     pub(crate) fn new(
         initial_params: &FlatTensor,
         optimizer: &Optimizer,
         num_ssds: usize,
-        block_elems: usize,
+        units: Chunker,
     ) -> Result<Self, TrainError> {
         let devices: Vec<SsdDevice> =
-            (0..num_ssds.max(1)).map(|i| SsdDevice::new(format!("ssd{i}"), u64::MAX / 4)).collect();
-        let mut raid = RaidArray::new(devices, 1 << 20)?;
-        let chunker = Chunker::new(initial_params.len(), block_elems.max(1));
+            (0..num_ssds).map(|i| SsdDevice::new(format!("ssd{i}"), u64::MAX / 4)).collect();
+        let mut raid = RaidArray::new(devices, STRIPE_BYTES)?;
         let num_aux = optimizer.kind().num_aux();
-        let mut regions = Vec::with_capacity(chunker.num_subgroups());
-        let zeros = FlatTensor::zeros(chunker.max_subgroup_len());
+        let mut regions = Vec::with_capacity(units.num_subgroups());
+        let zeros = FlatTensor::zeros(units.max_subgroup_len());
         let mut setup = DegradedReport::default();
         let mut storage = Storage { raid: &mut raid, retries: 0, degraded: &mut setup };
-        for block in chunker.subgroups() {
+        for block in units.subgroups() {
             let names = BlockRegions::new(block.index, num_aux);
             storage.write(&names.master, block_of(initial_params.as_slice(), &block))?;
             for aux in &names.aux {
@@ -190,15 +193,11 @@ impl RaidLane {
             }
             regions.push(names);
         }
-        Ok(Self { raid, chunker, regions })
+        Ok(Self { raid, units, regions })
     }
 }
 
 impl Lane for RaidLane {
-    fn num_params(&self) -> usize {
-        self.chunker.total()
-    }
-
     fn num_devices(&self) -> usize {
         self.raid.num_devices()
     }
@@ -259,7 +258,7 @@ impl Lane for RaidLane {
         // Every storage operation is wrapped in the recovery policy.
         let mut storage = Storage { raid: &mut self.raid, retries, degraded: &mut deg };
         // Backward: offload the gradients of each block to storage (Fig. 1b).
-        for (block, names) in self.chunker.subgroups().zip(&self.regions) {
+        for (block, names) in self.units.subgroups().zip(&self.regions) {
             timed(&mut layers.region_write_ns, || {
                 storage.write(&names.grad, block_of(grads, &block))
             })?;
@@ -269,7 +268,7 @@ impl Lane for RaidLane {
         // Stays empty on a little-endian host, whose stripes and tiles are
         // all aligned.
         let mut staging = [Vec::new(), Vec::new()];
-        for (block, names) in self.chunker.subgroups().zip(&self.regions) {
+        for (block, names) in self.units.subgroups().zip(&self.regions) {
             let mut txn = self.raid.begin_update(4 * block.len);
             let reads = std::iter::once(&names.master).chain(&names.aux).chain([&names.grad]);
             for region in reads {
@@ -316,7 +315,7 @@ impl Lane for RaidLane {
         self.raid.suspend_faults(true);
         let mut deg = DegradedReport::default();
         let mut storage = Storage { raid: &mut self.raid, retries, degraded: &mut deg };
-        let result = self.chunker.subgroups().zip(&self.regions).try_for_each(|(block, names)| {
+        let result = self.units.subgroups().zip(&self.regions).try_for_each(|(block, names)| {
             let range = block.offset..block.offset + block.len;
             let regions = std::iter::once(&names.master).chain(&names.aux);
             for (region, values) in regions.zip(state.iter_mut()) {
@@ -337,7 +336,6 @@ impl Lane for RaidLane {
         self.raid.take_fault_events()
     }
 
-    // Kept last: the census reads a file up to its first `#[cfg(test)]`.
     #[cfg(test)]
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
@@ -632,6 +630,37 @@ mod tests {
         assert!(matches!(err, TrainError::Storage(SsdError::WornOut { .. })), "{err}");
         assert!(snapshot(&mut t) == regions, "a region moved");
         assert_eq!(t.params_fp16().as_slice(), fp16.as_slice());
+    }
+
+    /// The timed model spreads each of the host baseline's transfers evenly
+    /// over the devices (`schedule::even_share`); a RAID0 array deals whole
+    /// stripe units. For every member and region the two differ by less
+    /// than one unit: with 1.2 MB blocks on 3 SSDs, members 0 and 1 hold
+    /// 1 MiB and 0.15 MB of each region and member 2 none, against 0.4 MB.
+    #[test]
+    fn a_raid_member_holds_its_even_share_within_one_stripe() {
+        use crate::schedule::{even_share, SiteMap};
+        for (n, ssds, block) in
+            [(900_000, 3, 300_000), (2_000_000, 4, 900_000), (700_000, 2, 700_000)]
+        {
+            let mut t = host(&FlatTensor::zeros(n), Optimizer::adam_default(), ssds, block);
+            t.train_step_with_grads(&FlatTensor::zeros(n)).unwrap();
+            let lane = t.lane::<RaidLane>(0);
+            let mut members = lane.raid.devices().to_vec();
+            let regions = lane.regions.iter();
+            for region in
+                regions.flat_map(|b| std::iter::once(&b.master).chain(&b.aux).chain([&b.grad]))
+            {
+                let held: Vec<usize> =
+                    members.iter_mut().map(|m| m.read_region(region).unwrap().len()).collect();
+                let total = held.iter().sum::<usize>() as f64;
+                for (held, (_, share)) in held.iter().zip(even_share(SiteMap::new(1, ssds), total))
+                {
+                    let off = (*held as f64 - share).abs();
+                    assert!(off < STRIPE_BYTES as f64, "{region}: {held} B against {share} B");
+                }
+            }
+        }
     }
 
     #[test]

@@ -63,14 +63,11 @@ impl LaneReport {
     }
 }
 
-/// One lane of the trainer: a contiguous range of the parameters (the
-/// lanes, in order, cover them all) whose master copy and optimizer state
-/// live on the lane's own devices. A lane touches nothing outside itself and
-/// the slices it is handed, so the lanes of a step can run concurrently.
+/// One lane of the trainer: a contiguous range of the parameters (its lane
+/// of the trainer's `StepPlan`) whose master copy and optimizer state live
+/// on the lane's own devices. A lane touches nothing outside itself and the
+/// slices it is handed, so the lanes of a step can run concurrently.
 pub(crate) trait Lane: fmt::Debug + Send {
-    /// How many parameters the lane owns.
-    fn num_params(&self) -> usize;
-
     /// How many devices the lane spans.
     fn num_devices(&self) -> usize;
 
@@ -126,7 +123,6 @@ pub(crate) trait Lane: fmt::Debug + Send {
         CsdTrafficStats::default()
     }
 
-    // Kept last: the census reads a file up to its first `#[cfg(test)]`.
     /// The lane as `Any`, for tests that reach into its devices.
     #[cfg(test)]
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any;

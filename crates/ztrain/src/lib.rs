@@ -36,6 +36,8 @@
 //!   per CSD shard (write → compress/update → read-back), bit-identical to
 //!   the host lane for every worker count and reporting per-stage
 //!   telemetry.
+//! * [`StepPlan`] — how one step cuts the parameters into lanes and update
+//!   units, for the functional trainer and the timed graph alike.
 //! * [`Trainer`] / [`StepReport`] / [`StageReport`] / [`LayerTimes`] /
 //!   [`TrainError`] — the unified training contract, so callers hold a
 //!   `dyn Trainer` and the `?` operator works across layer boundaries.
@@ -51,6 +53,7 @@ mod functional;
 mod lane;
 mod machine;
 mod pipeline;
+mod plan;
 mod platform;
 pub mod realtrain;
 mod recover;
@@ -62,6 +65,7 @@ pub use checkpoint::TrainerCheckpoint;
 pub use functional::{GradientSource, SyntheticGradients};
 pub use machine::MachineConfig;
 pub use pipeline::{init_csd_shards, PipelinedTrainer};
+pub use plan::StepPlan;
 pub use platform::TimedPlatform;
 pub use report::IterationReport;
 pub use trainer::{DegradedReport, LayerTimes, StageReport, StepReport, TrainError, Trainer};

@@ -29,6 +29,7 @@
 use crate::checkpoint::{bits_to_tensor, tensor_to_bits, TrainerCheckpoint};
 use crate::functional::RaidLane;
 use crate::lane::{Lane, LaneReport, ScheduledFault, StepArgs};
+use crate::plan::StepPlan;
 use crate::recover::recover;
 use crate::trainer::{
     check_len, nanos, timed, DegradedReport, LayerTimes, StageReport, StepReport, TrainError,
@@ -48,22 +49,22 @@ use tensorlib::{Chunker, FlatTensor, Partitioner};
 /// error-feedback residual per shard.
 ///
 /// Public so a replay of the per-lane step outside this crate starts from
-/// byte-identical device state.
+/// byte-identical device state. Panics on zero CSDs.
 pub fn init_csd_shards(
     initial_params: &FlatTensor,
     optimizer: &Optimizer,
     num_csds: usize,
 ) -> Result<(Partitioner, Vec<CsdDevice>, Vec<ErrorFeedback>), CsdError> {
-    let partitioner = Partitioner::contiguous(initial_params.len(), num_csds);
+    let plan = StepPlan::cut_into(initial_params.len(), num_csds, None).expect("at least one CSD");
     let mut csds = Vec::with_capacity(num_csds);
-    for shard in partitioner.shards() {
-        let mut csd = CsdDevice::new(format!("csd{}", shard.device), u64::MAX / 4, u64::MAX / 4);
-        let shard_params = initial_params.slice(shard.offset, shard.len);
-        csd.store_initial_state(SHARD, &shard_params, optimizer)?;
+    for lane in 0..num_csds {
+        let mut csd = CsdDevice::new(format!("csd{lane}"), u64::MAX / 4, u64::MAX / 4);
+        let range = plan.lane(lane);
+        csd.store_initial_state(SHARD, &initial_params.slice(range.start, range.len()), optimizer)?;
         csds.push(csd);
     }
-    let feedback = partitioner.shards().iter().map(|s| ErrorFeedback::new(s.len)).collect();
-    Ok((partitioner, csds, feedback))
+    let feedback = (0..num_csds).map(|lane| ErrorFeedback::new(plan.lane(lane).len())).collect();
+    Ok((plan.partitioner(), csds, feedback))
 }
 
 /// The name every CSD lane stores its shard under.
@@ -77,6 +78,8 @@ const SHARD: &str = "shard";
 /// the lane count in `StepReport::stages` differ.
 #[derive(Debug)]
 pub struct PipelinedTrainer {
+    // Lane `i` owns `plan.lane(i)` of the parameters.
+    plan: StepPlan,
     lanes: Vec<Box<dyn Lane>>,
     pool: ParExecutor,
     optimizer: Optimizer,
@@ -94,26 +97,21 @@ impl PipelinedTrainer {
     /// # Errors
     ///
     /// Returns [`TrainError::Config`] for a zero device count or zero
-    /// subgroup capacity, and a wrapped [`CsdError`] if a device cannot hold
-    /// its shard.
+    /// subgroup capacity (see [`StepPlan::cut_into`]), and a wrapped [`CsdError`]
+    /// if a device cannot hold its shard.
     pub fn new(
         initial_params: &FlatTensor,
         optimizer: Optimizer,
         num_csds: usize,
         subgroup_elems: usize,
     ) -> Result<Self, TrainError> {
-        if num_csds == 0 {
-            return Err(TrainError::config("at least one CSD is required"));
-        }
-        if subgroup_elems == 0 {
-            return Err(TrainError::config("subgroup capacity must be positive"));
-        }
+        let plan = StepPlan::cut_into(initial_params.len(), num_csds, Some(subgroup_elems))?;
         let (_, csds, feedback) = init_csd_shards(initial_params, &optimizer, num_csds)?;
-        let lanes = csds.into_iter().zip(feedback).map(|(csd, feedback)| {
+        let lanes = csds.into_iter().zip(feedback).enumerate().map(|(i, (csd, feedback))| {
             let compress = CompressLane::default();
-            Box::new(CsdLane { csd, feedback, compress, subgroup_elems }) as Box<dyn Lane>
+            Box::new(CsdLane { csd, feedback, compress, units: plan.units(i) }) as Box<dyn Lane>
         });
-        Ok(Self::with_lanes(initial_params, optimizer, lanes.collect()))
+        Ok(Self::with_lanes(initial_params, optimizer, plan, lanes.collect()))
     }
 
     /// Creates a trainer that updates on the host: stores the FP32 master
@@ -124,25 +122,33 @@ impl PipelinedTrainer {
     ///
     /// # Errors
     ///
-    /// Returns a wrapped [`ssd::SsdError`] if the devices cannot hold the
-    /// optimizer state.
+    /// Returns [`TrainError::Config`] for a zero device count or zero block
+    /// size, as [`PipelinedTrainer::new`] does, and a wrapped
+    /// [`ssd::SsdError`] if the devices cannot hold the optimizer state.
     pub fn host_update(
         initial_params: &FlatTensor,
         optimizer: Optimizer,
         num_ssds: usize,
         block_elems: usize,
     ) -> Result<Self, TrainError> {
-        let lane = RaidLane::new(initial_params, &optimizer, num_ssds, block_elems)?;
-        Ok(Self::with_lanes(initial_params, optimizer, vec![Box::new(lane)]))
+        let plan =
+            StepPlan::cut_into(initial_params.len(), num_ssds, Some(block_elems))?.one_lane();
+        let lane = RaidLane::new(initial_params, &optimizer, num_ssds, plan.units(0))?;
+        Ok(Self::with_lanes(initial_params, optimizer, plan, vec![Box::new(lane)]))
     }
 
-    fn with_lanes(initial: &FlatTensor, optimizer: Optimizer, lanes: Vec<Box<dyn Lane>>) -> Self {
+    fn with_lanes(
+        initial: &FlatTensor,
+        optimizer: Optimizer,
+        plan: StepPlan,
+        lanes: Vec<Box<dyn Lane>>,
+    ) -> Self {
         // The FP16 working copy is derived from the master copy, exactly as
         // mixed-precision training does.
         let mut params_fp16 = FlatTensor::zeros(initial.len());
         initial.roundtrip_f16_into(params_fp16.as_mut_slice());
-        let pool = ParExecutor::serial();
-        Self { lanes, pool, optimizer, params_fp16, compressor: None, step: 0, fault_plan: None }
+        let (pool, compressor, fault_plan) = (ParExecutor::serial(), None, None);
+        Self { plan, lanes, pool, optimizer, params_fp16, compressor, step: 0, fault_plan }
     }
 
     /// Installs a fault plan: deterministic per-device injectors and a
@@ -295,15 +301,13 @@ impl PipelinedTrainer {
 
         // Lane i owns its contiguous slice of the gradient and of the FP16
         // working copy.
-        let (mut grads_rest, mut fp16_rest) = (grads.as_slice(), self.params_fp16.as_mut_slice());
-        let work: Vec<_> = (self.lanes.iter_mut())
-            .map(|lane| {
-                let len = lane.num_params();
-                let (grads, rest) = grads_rest.split_at(len);
-                grads_rest = rest;
-                let (fp16, rest) = std::mem::take(&mut fp16_rest).split_at_mut(len);
+        let mut fp16_rest = self.params_fp16.as_mut_slice();
+        let work: Vec<_> = (self.lanes.iter_mut().enumerate())
+            .map(|(i, lane)| {
+                let range = self.plan.lane(i);
+                let (fp16, rest) = std::mem::take(&mut fp16_rest).split_at_mut(range.len());
                 fp16_rest = rest;
-                (lane, grads, fp16)
+                (lane, &grads.as_slice()[range], fp16)
             })
             .collect();
         // Cost-weighted dispatch: a lane's work is proportional to its size,
@@ -364,10 +368,8 @@ impl PipelinedTrainer {
         state: &mut [FlatTensor],
         mut residual: Option<&mut FlatTensor>,
     ) -> Result<(), TrainError> {
-        let mut start = 0;
-        for lane in &mut self.lanes {
-            let range = start..start + lane.num_params();
-            start = range.end;
+        for (i, lane) in self.lanes.iter_mut().enumerate() {
+            let range = self.plan.lane(i);
             let mut windows: Vec<&mut [f32]> =
                 state.iter_mut().map(|t| &mut t.as_mut_slice()[range.clone()]).collect();
             let residual = residual.as_deref_mut().map(|r| &mut r.as_mut_slice()[range.clone()]);
@@ -455,14 +457,11 @@ struct CsdLane {
     // One selection state + Top-K stream, refilled every step (SmartComp
     // only: a dense gradient goes to its device unstaged).
     compress: CompressLane,
-    subgroup_elems: usize,
+    // The shard's update units, in order.
+    units: Chunker,
 }
 
 impl Lane for CsdLane {
-    fn num_params(&self) -> usize {
-        self.feedback.len()
-    }
-
     fn num_devices(&self) -> usize {
         1
     }
@@ -491,8 +490,8 @@ impl Lane for CsdLane {
         grads: &[f32],
         fp16: &mut [f32],
     ) -> Result<LaneReport, TrainError> {
-        let (len, retries) = (self.num_params(), args.retries);
-        let Self { csd, feedback, compress, subgroup_elems } = self;
+        let (len, retries) = (grads.len(), args.retries);
+        let Self { csd, feedback, compress, units } = self;
         if len == 0 {
             return Ok(LaneReport { read_back_bytes: Some(0), ..LaneReport::default() });
         }
@@ -541,7 +540,7 @@ impl Lane for CsdLane {
         // passed — so a dead device reaching the wrapper here left the
         // subgroup un-updated, and repeating the whole operation after the
         // rebuild steps it exactly once.
-        for subgroup in Chunker::new(len, *subgroup_elems).subgroups() {
+        for subgroup in units.subgroups() {
             recover(retries, &mut deg, csd, CsdDevice::rebuild, |csd| {
                 csd.update_subgroup(SubgroupUpdate {
                     shard: SHARD,
@@ -587,7 +586,7 @@ impl Lane for CsdLane {
         state: &mut [&mut [f32]],
         residual: Option<&mut [f32]>,
     ) -> Result<(), TrainError> {
-        if self.num_params() == 0 {
+        if self.units.total() == 0 {
             return Ok(());
         }
         let csd = &mut self.csd;
@@ -620,7 +619,6 @@ impl Lane for CsdLane {
         self.csd.stats()
     }
 
-    // Kept last: the census reads a file up to its first `#[cfg(test)]`.
     #[cfg(test)]
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
@@ -771,13 +769,84 @@ mod tests {
     }
 
     #[test]
+    fn both_constructors_refuse_zero_devices_and_a_zero_unit() {
+        let initial = FlatTensor::zeros(16);
+        let optimizer = Optimizer::adam_default();
+        type Build =
+            fn(&FlatTensor, Optimizer, usize, usize) -> Result<PipelinedTrainer, TrainError>;
+        for build in [PipelinedTrainer::new as Build, PipelinedTrainer::host_update] {
+            for (devices, unit, what) in [(0, 8, "at least one"), (2, 0, "must be positive")] {
+                let e = build(&initial, optimizer, devices, unit).unwrap_err();
+                assert!(matches!(e, TrainError::Config { .. }), "{e}");
+                assert!(e.to_string().contains(what), "{e}");
+            }
+        }
+    }
+
+    /// One (parameters, devices, unit) triple, read by both stacks: per
+    /// device, the timed graph's tasklet chains are the CSD lane's
+    /// `update_subgroup` calls, and the gradient bytes the graph routes to the
+    /// device, de-rated by SmartComp's transfer ratio, are the lane's dense
+    /// gradient bytes. SU is dense; SU+O+P+C compresses (overlap and
+    /// pipelining only schedule, so neither cut moves).
+    #[test]
+    fn the_trainer_and_the_timed_graph_cut_a_step_from_one_plan() {
+        use crate::schedule::{build_iteration_graph, GraphKnobs, IterPhases, SiteMap};
+        use crate::{MachineConfig, TimedPlatform};
+        // A GPT-2-shaped model small enough to train: 4 layer blocks.
+        let model = serde_json::from_str(
+            r#"{"name": "tiny", "family": "Gpt2", "num_layers": 4, "hidden_size": 64,
+                "num_heads": 1, "vocab_size": 1000, "max_seq_len": 64}"#,
+        );
+        let workload = llm::Workload::new(model.unwrap(), 1, 64);
+        let n = workload.model().num_params() as usize;
+        let optimizer = Optimizer::adam_default();
+        let (initial, grads) = (FlatTensor::randn(n, 0.05, 5), FlatTensor::randn(n, 0.01, 6));
+        for devices in [1, 3, 4] {
+            for unit in [None, Some(10_000), Some(33_333)] {
+                let plan = StepPlan::cut_into(n, devices, unit).unwrap();
+                for keep in [None, Some(0.01)] {
+                    let mut plat = TimedPlatform::new(&MachineConfig::smart_infinity(devices));
+                    let phases = IterPhases {
+                        forward: plat.add_phase("fw"),
+                        backward: plat.add_phase("bw"),
+                        update: plat.add_phase("up"),
+                    };
+                    let sites = SiteMap::new(plat.num_gpus(), plat.num_devices());
+                    let knobs = GraphKnobs::in_storage(keep, plan.unit_elems());
+                    let kind = optimizer.kind();
+                    let layout =
+                        build_iteration_graph(&workload, sites, kind, &knobs, phases).layout;
+                    let mut t =
+                        PipelinedTrainer::new(&initial, optimizer, devices, plan.unit_elems())
+                            .unwrap();
+                    if let Some(k) = keep {
+                        t = t.with_compression(k).unwrap();
+                    }
+                    t.train_step_with_grads(&grads).unwrap();
+                    let label = format!("{devices} devices, unit {unit:?}, keep {keep:?}");
+                    assert_eq!(layout.devices.len(), devices, "{label}");
+                    for dev in &layout.devices {
+                        let stats = t.lanes[dev.dev].stats();
+                        let chains = layout.chains_of(dev).len() as u64;
+                        assert_eq!(chains, stats.updates_run, "{label}, device {}", dev.dev);
+                        let owned: f64 = (layout.blocks.iter())
+                            .flat_map(|block| layout.placement(&block.owned))
+                            .filter(|&&(site, _)| site == dev.site)
+                            .map(|&(_, bytes)| (bytes / knobs.transfer_ratio()).round())
+                            .sum();
+                        let dense = 4 * stats.elements_updated;
+                        assert_eq!(owned, dense as f64, "{label}, device {}", dev.dev);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn invalid_configuration_is_an_error_not_a_panic() {
         let initial = FlatTensor::zeros(16);
         let optimizer = Optimizer::adam_default();
-        let e = PipelinedTrainer::new(&initial, optimizer, 0, 8).unwrap_err();
-        assert!(matches!(e, TrainError::Config { .. }), "{e}");
-        let e = PipelinedTrainer::new(&initial, optimizer, 2, 0).unwrap_err();
-        assert!(matches!(e, TrainError::Config { .. }), "{e}");
         let e = PipelinedTrainer::new(&initial, optimizer, 2, 8)
             .unwrap()
             .with_compression(0.0)

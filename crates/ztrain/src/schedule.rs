@@ -20,6 +20,7 @@
 use std::borrow::Cow;
 use std::ops::Range;
 
+use crate::plan::StepPlan;
 use crate::platform::TimedPlatform;
 use llm::Workload;
 use optim::OptimizerKind;
@@ -27,7 +28,6 @@ use simkit::{
     Anchor, Dag, DagTaskId, DagWork, DataId, Decision, Lowering, PhaseId, ScatterPlan,
     ScheduleDecision, Scheduler, SetupDelay, SimError, SystemView, TaskId, SITE_STORAGE,
 };
-use tensorlib::{Chunker, Partitioner};
 
 /// Maps the abstract site indices used by iteration DAGs onto the components
 /// of one training server.
@@ -435,6 +435,14 @@ fn build_pass(
     end
 }
 
+/// `bytes` spread evenly over the devices as `(device site, bytes)`: the
+/// timed baseline's striping. RAID0 deals whole stripe units, so a member is
+/// within one unit of this (`a_raid_member_holds_its_even_share_within_one_stripe`).
+pub(crate) fn even_share(sites: SiteMap, bytes: f64) -> impl Iterator<Item = (usize, f64)> {
+    let n = sites.num_devices;
+    (0..n).map(move |d| (sites.dev(d), bytes / n as f64))
+}
+
 /// Appends `(device site, bytes)` pairs to `placements` and returns where
 /// they landed.
 fn place(
@@ -517,9 +525,11 @@ impl GraphSize {
 
 /// Builds the shared iteration graph: forward pass, backward pass with
 /// per-block gradient offload towards the storage class, and the update
-/// placed per `knobs.placement`. Task creation order mirrors the historical
-/// schedule builders exactly, so any policy lowered over this graph in
-/// ready-order reproduces the legacy timelines bit for bit.
+/// placed per `knobs.placement`; gradient owners and in-storage tasklets are
+/// the lanes and units of the model's [`StepPlan`] (devices and
+/// `knobs.subgroup_elems` must be positive). Task creation order mirrors the
+/// historical schedule builders exactly, so any policy lowered over this
+/// graph in ready-order reproduces the legacy timelines bit for bit.
 pub fn build_iteration_graph(
     workload: &Workload,
     sites: SiteMap,
@@ -533,8 +543,8 @@ pub fn build_iteration_graph(
     let transfer_ratio = knobs.transfer_ratio();
     let compressed = knobs.keep_ratio.is_some();
     let total_params = workload.model().num_params() as usize;
-    let partitioner = Partitioner::contiguous(total_params, n_dev);
-    let chunker = |dev: usize| Chunker::new(partitioner.shard(dev).len, knobs.subgroup_elems);
+    let plan = StepPlan::cut_into(total_params, n_dev, Some(knobs.subgroup_elems))
+        .expect("a device and a positive subgroup");
 
     // The gradient placements depend on sizes only. Per block, a striped
     // one over every device and an owned one; the owned ones intersect two
@@ -556,16 +566,12 @@ pub fn build_iteration_graph(
             let block_end = (cursor + block_params).min(total_params);
             cursor += block_params;
             let grad_bytes = 2.0 * block_m as f64 * transfer_ratio;
-            let striped = place(
-                &mut placements,
-                (0..n_dev).map(|d| (sites.dev(d), grad_bytes / n_dev as f64)),
-            );
+            let striped = place(&mut placements, even_share(sites, grad_bytes));
             let owned = place(
                 &mut placements,
                 (0..n_dev).filter_map(|d| {
-                    let shard = partitioner.shard(d);
-                    let lo = block_start.max(shard.offset);
-                    let hi = block_end.min(shard.offset + shard.len);
+                    let lane = plan.lane(d);
+                    let (lo, hi) = (block_start.max(lane.start), block_end.min(lane.end));
                     (hi > lo).then(|| (sites.dev(d), 4.0 * (hi - lo) as f64 * transfer_ratio))
                 }),
             );
@@ -574,7 +580,7 @@ pub fn build_iteration_graph(
         .collect();
     let owned: usize = gradient_placements.iter().map(|(_, owned)| owned.len()).sum();
     let chains = match knobs.placement {
-        UpdatePlacement::InStorage => (0..n_dev).map(|d| chunker(d).num_subgroups()).sum(),
+        UpdatePlacement::InStorage => plan.num_units(),
         UpdatePlacement::HostCpu => 0,
     };
 
@@ -659,12 +665,12 @@ pub fn build_iteration_graph(
         UpdatePlacement::InStorage => {
             let state_bytes_per_param = optimizer.state_bytes_per_param() as f64;
             // Every owned placement names one gradient scatter a device
-            // waits on; the devices' shards are cut into subgroups.
+            // waits on; each device's lane is cut into its units.
             grad_scatters.reserve_exact(owned);
             chain_plans.reserve_exact(chains);
             let mut devices: Vec<DevicePlan> = Vec::with_capacity(n_dev);
             for dev in 0..n_dev {
-                if partitioner.shard(dev).len == 0 {
+                if plan.lane(dev).is_empty() {
                     continue;
                 }
                 let site = sites.dev(dev);
@@ -675,7 +681,7 @@ pub fn build_iteration_graph(
                 let first_scatter = grad_scatters.len();
                 grad_scatters.extend(routed.clone().map(|p| p.scatter));
                 let first_chain = chain_plans.len();
-                for subgroup in chunker(dev).subgroups() {
+                for subgroup in plan.units(dev).subgroups() {
                     let s = subgroup.index;
                     let elems = subgroup.len as f64;
                     let state_bytes = elems * state_bytes_per_param;
@@ -847,14 +853,8 @@ pub fn build_iteration_graph(
                 );
                 dag.set_phase(offload, phases.update);
                 dag.connect(offload, fresh);
-                let upload_striped = place(
-                    &mut placements,
-                    (0..n_dev).map(|d| (sites.dev(d), upload_bytes / n_dev as f64)),
-                );
-                let offload_striped = place(
-                    &mut placements,
-                    (0..n_dev).map(|d| (sites.dev(d), offload_bytes / n_dev as f64)),
-                );
+                let upload_striped = place(&mut placements, even_share(sites, upload_bytes));
+                let offload_striped = place(&mut placements, even_share(sites, offload_bytes));
                 host_updates.push(HostUpdatePlan {
                     gather,
                     update,
