@@ -1,15 +1,17 @@
 //! Regenerates the tables and figures of the Smart-Infinity evaluation that
-//! still need code: `tab1 tab4 pipeline perf`. Every sweep is a `lab`
-//! experiment instead: the sweep figures (3a, 3b, 9, 10, 11, 12, 13, 16, 17),
-//! each checked-in `specs/*.json` file and the scheduler comparison (`lab run
+//! still need code: `tab1 pipeline perf`. Every sweep is a `lab` experiment
+//! instead: the sweep figures (3a, 3b, 9, 10, 11, 12, 13, 16, 17), each
+//! checked-in `specs/*.json` file and the scheduler comparison (`lab run
 //! --experiment specs/experiments/sched --out DIR`). Fig. 15 is the fig11
 //! journal priced by `llm::CostModel`, checked by the `Fig. 15:` rows of
 //! `specs/experiments/fig11/expect.jsonl`. Table III and Fig. 14 are
 //! constant, so tests pin them (`csd::resource` and `ztrain::machine`).
+//! Table IV trains through the functional trainer: `cargo run --release
+//! --example finetune_glue_like`.
 //!
 //! ```text
 //! cargo run -p bench --release --bin figures -- all
-//! cargo run -p bench --release --bin figures -- tab1 tab4
+//! cargo run -p bench --release --bin figures -- tab1 pipeline
 //! cargo run -p bench --release --bin figures -- --json results/ all
 //! cargo run -p bench --release --bin figures -- perf --check BENCH_2.json --tolerance 0.15
 //! cargo run -p bench --release --bin figures -- perf --bless --check BENCH_2.json
@@ -29,7 +31,7 @@ use bench::harness;
 use serde::Serialize;
 use std::path::PathBuf;
 
-const ALL: &[&str] = &["tab1", "tab4", "pipeline", "perf"];
+const ALL: &[&str] = &["tab1", "pipeline", "perf"];
 
 /// The one authoritative usage table: every subcommand, every experiment id,
 /// every flag. Printed to stdout on `--help` and to stderr (before a non-zero
@@ -168,29 +170,6 @@ fn run_one(id: &str, quick: bool, json: Option<&std::path::Path>, gate: &PerfGat
                     r.grad_read_m,
                     r.grad_write_m,
                     r.param_up_m
-                );
-            }
-            println!();
-            write_json(json, id, &rows);
-        }
-        "tab4" => {
-            let epochs = if quick { 1 } else { 3 };
-            let rows = harness::tab4(epochs);
-            println!("Table IV: fine-tuning accuracy (GLUE-like suite) and speedup (#SSDs=6)");
-            println!(
-                "{:<12} {:<16} {:>8} {:>10} {:>9} {:>10} {:>10}",
-                "model", "method", "speedup", "MNLI-like", "QQP-like", "SST2-like", "QNLI-like"
-            );
-            for r in &rows {
-                println!(
-                    "{:<12} {:<16} {:>7.2}x {:>9.2} {:>9.2} {:>10.2} {:>10.2}",
-                    r.model,
-                    r.method,
-                    r.speedup,
-                    r.accuracies_pct[0],
-                    r.accuracies_pct[1],
-                    r.accuracies_pct[2],
-                    r.accuracies_pct[3]
                 );
             }
             println!();

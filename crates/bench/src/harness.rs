@@ -1,14 +1,15 @@
 //! The experiment harness: one function per table or figure of the paper's
-//! evaluation section that still needs code (Table I, Table IV, the pipelined
-//! backend study and the perf snapshot). Each function runs its experiment
-//! and returns a serialisable result that the `figures` binary renders as
-//! text (and JSON). The sweep figures (3a, 3b, 9, 10, 11, 12, 13, 16 and 17)
-//! are `lab` experiments under `specs/experiments/`, with their claims beside
+//! evaluation section that still needs code (Table I, the pipelined backend
+//! study and the perf snapshot). Each function runs its experiment and
+//! returns a serialisable result that the `figures` binary renders as text
+//! (and JSON). The sweep figures (3a, 3b, 9, 10, 11, 12, 13, 16 and 17) are
+//! `lab` experiments under `specs/experiments/`, with their claims beside
 //! them in `expect.jsonl`; Fig. 15 is the fig11 journal priced by
 //! `llm::CostModel` (the `Fig. 15:` rows of `fig11/expect.jsonl`). Table III
 //! and Fig. 14 are constant, so tests pin them: `csd::resource`'s
 //! `tab3_matches_the_paper_within_tolerance` and `ztrain::machine`'s
-//! `fig14_kernels_outpace_the_ssd`.
+//! `fig14_kernels_outpace_the_ssd`. Table IV trains through the functional
+//! trainer, and its one driver is `examples/finetune_glue_like.rs`.
 
 use llm::{ModelConfig, Workload};
 use optim::OptimizerKind;
@@ -17,19 +18,7 @@ use smart_infinity::{
     Campaign, MachineSpec, MethodSpec, ModelSpec, RunSpec, Session, TrafficMethod, TrafficModel,
 };
 use tensorlib::KernelPath;
-use ztrain::realtrain::{train_classifier, Dataset, MlpModel, TrainConfig};
 use ztrain::{IterationReport, MachineConfig, PipelinedTrainer};
-
-/// The session of `method` training `model` under Adam — the one way the
-/// figures below reach the timed model.
-fn session(machine: MachineConfig, model: &ModelConfig, method: MethodSpec) -> Session {
-    Session::builder(model.clone(), machine, method).build()
-}
-
-/// One simulated iteration of `method` under Adam.
-fn simulate(machine: MachineConfig, model: &ModelConfig, method: MethodSpec) -> IterationReport {
-    session(machine, model, method).simulate_iteration().expect("simulation")
-}
 
 // ---------------------------------------------------------------------------
 // Table I
@@ -81,79 +70,6 @@ pub fn tab1() -> Vec<TrafficRow> {
 }
 
 // ---------------------------------------------------------------------------
-// Table IV: fine-tuning accuracy
-// ---------------------------------------------------------------------------
-
-/// Accuracy and speedup of one fine-tuning configuration.
-#[derive(Debug, Clone, Serialize)]
-pub struct FinetuneRow {
-    /// Model being fine-tuned (speedup column) .
-    pub model: String,
-    /// Method label (Baseline / SU+O / SU+O+C at a ratio).
-    pub method: String,
-    /// Iteration-time speedup over the baseline with 6 devices.
-    pub speedup: f64,
-    /// Held-out accuracy per GLUE-like task, in suite order
-    /// (MNLI-like, QQP-like, SST2-like, QNLI-like), in percent.
-    pub accuracies_pct: Vec<f64>,
-}
-
-/// The compression settings of Table IV: transfer ratios 10%, 5%, 2%, 1%
-/// (keep ratios of half that).
-pub(crate) fn tab4_transfer_ratios() -> Vec<f64> {
-    vec![0.10, 0.05, 0.02, 0.01]
-}
-
-/// Table IV: fine-tuning accuracy (real optimisation runs on the GLUE-like
-/// suite) and iteration-time speedup (timed model, 6 devices) for BERT-0.34B,
-/// GPT2-0.77B and GPT2-1.6B across compression ratios.
-///
-/// `epochs` controls the accuracy-run length (3 reproduces the paper's setup;
-/// 1 is enough for a quick smoke run).
-pub fn tab4(epochs: usize) -> Vec<FinetuneRow> {
-    let suite = Dataset::glue_like_suite(2024);
-    let mlp = MlpModel::new(32, 48, 3);
-    // Datasets have different input dims; build one model per dataset.
-    let accuracy_suite = |keep_ratio: Option<f64>| -> Vec<f64> {
-        suite
-            .iter()
-            .map(|ds| {
-                let model = MlpModel::new(ds.input_dim, mlp.hidden_dim, ds.num_classes);
-                let config = TrainConfig { epochs, keep_ratio, ..TrainConfig::default() };
-                train_classifier(&model, ds, &config).test_accuracy * 100.0
-            })
-            .collect()
-    };
-
-    let models = [ModelConfig::bert_0_34b(), ModelConfig::gpt2_0_77b(), ModelConfig::gpt2_1_6b()];
-    let mut rows = Vec::new();
-    for model in models {
-        let run = |method| simulate(MachineConfig::smart_infinity(6), &model, method);
-        let base = run(MethodSpec::baseline());
-        let mut push = |method: MethodSpec, label: String, keep: Option<f64>| {
-            let report = run(method);
-            rows.push(FinetuneRow {
-                model: model.name().to_string(),
-                method: label,
-                speedup: report.speedup_over(&base),
-                accuracies_pct: accuracy_suite(keep),
-            });
-        };
-        push(MethodSpec::baseline(), "Baseline".to_string(), None);
-        push(MethodSpec::smart_update_optimized(), "SU+O".to_string(), None);
-        for transfer in tab4_transfer_ratios() {
-            let keep = transfer / 2.0;
-            push(
-                MethodSpec::smart_comp(keep),
-                format!("SU+O+C ({:.0}%)", transfer * 100.0),
-                Some(keep),
-            );
-        }
-    }
-    rows
-}
-
-// ---------------------------------------------------------------------------
 // Pipelined-backend overlap study (timed view)
 // ---------------------------------------------------------------------------
 
@@ -190,7 +106,9 @@ pub fn pipeline_overlap() -> Vec<PipelineRow> {
         ];
         let mut serial = None;
         for (label, method) in configs {
-            let timing = session(MachineConfig::smart_infinity(n), &model, method)
+            let machine = MachineConfig::smart_infinity(n);
+            let timing = Session::builder(model.clone(), machine, method)
+                .build()
                 .simulate_iteration_stages()
                 .expect("simulation");
             let serial = serial.get_or_insert(timing.report);

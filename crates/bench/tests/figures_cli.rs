@@ -24,9 +24,10 @@ fn a_bad_tolerance_exits_2_with_the_usage_table() {
 
 #[test]
 fn an_unknown_id_exits_2_with_the_usage_table() {
-    // Tests and fig11's claim rows hold Table III, Fig. 14 and Fig. 15, so
-    // their ids are unknown like any typo.
-    for bad in ["tab3", "fig14", "fig15", "tba1"] {
+    // Tests and fig11's claim rows hold Table III, Fig. 14 and Fig. 15, and
+    // the finetune_glue_like example Table IV, so their ids are unknown like
+    // any typo.
+    for bad in ["tab3", "tab4", "fig14", "fig15", "tba1"] {
         let out = Command::new(env!("CARGO_BIN_EXE_figures"))
             .args(["tab1", bad])
             .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
@@ -35,7 +36,7 @@ fn an_unknown_id_exits_2_with_the_usage_table() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{bad}: {stderr}");
         assert!(stderr.contains(&format!("unknown experiment id `{bad}`")), "{bad}: {stderr}");
-        assert!(stderr.contains("\n  tab1 tab4 pipeline perf\n"), "{bad}: {stderr}");
+        assert!(stderr.contains("\n  tab1 pipeline perf\n"), "{bad}: {stderr}");
         assert!(out.stdout.is_empty(), "{bad}: nothing runs before the argument error");
     }
 }

@@ -38,10 +38,7 @@ use std::process::Command;
 const FIGURES: [&str; 2] = ["tab1", "pipeline"];
 
 /// The `figures` ids left out, and why.
-const EXCLUDED: [(&str, &str); 2] = [
-    ("perf", "wall-clock throughputs of the host it runs on"),
-    ("tab4", "trains through libm exp/ln, whose last bits are not fixed across platforms"),
-];
+const EXCLUDED: [(&str, &str); 1] = [("perf", "wall-clock throughputs of the host it runs on")];
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")

@@ -591,8 +591,13 @@ mod tests {
         let n = 1000;
         let initial = FlatTensor::randn(n, 0.05, 61);
         let grads = FlatTensor::randn(n, 0.01, 62);
+        let bits = |t: &FlatTensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut straight = host(&initial, Optimizer::adam_default(), 3, 400);
+        straight.train_step_with_grads(&grads).unwrap();
+        straight.train_step_with_grads(&grads).unwrap();
         let mut t = host(&initial, Optimizer::adam_default(), 3, 400);
         Trainer::step(&mut t, &grads).unwrap();
+        let before = Trainer::checkpoint(&mut t).unwrap();
         // Block 1 is 400 floats, all on member 0 (the stripe is 1 MiB).
         // Overwrite its first moment with a region one float short, then with
         // one that is not even a whole number of floats.
@@ -609,10 +614,17 @@ mod tests {
                 ),
                 "{err}"
             );
+            // With the region put right and the checkpoint restored, the
+            // retried step is the straight run's: master and aux (the
+            // checkpoint's bits) and the FP16 copy.
+            t.lane::<RaidLane>(0).raid.write_region("block1/aux0", &good).unwrap();
+            Trainer::restore(&mut t, &before).unwrap();
+            Trainer::step(&mut t, &grads).unwrap();
+            let (got, want) = (Trainer::checkpoint(&mut t), Trainer::checkpoint(&mut straight));
+            assert_eq!(got.unwrap(), want.unwrap(), "{short}");
+            assert_eq!(bits(t.params_fp16()), bits(straight.params_fp16()), "{short}");
+            Trainer::restore(&mut t, &before).unwrap();
         }
-        // With the region put right the same trainer carries on.
-        t.lane::<RaidLane>(0).raid.write_region("block1/aux0", &good).unwrap();
-        Trainer::step(&mut t, &grads).unwrap();
     }
 
     #[test]

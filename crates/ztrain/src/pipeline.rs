@@ -24,7 +24,9 @@
 //! Construction and stepping are fallible ([`TrainError::Config`]) rather
 //! than asserting: this trainer is reached from user-facing configuration
 //! (`smart_infinity::Session`), where a bad knob or a wrong-length gradient
-//! must be an error, not an abort.
+//! must be an error, not an abort. A step that fails once it has moved state
+//! leaves the step count where it was and poisons the trainer: until a
+//! restore succeeds, every call that reads or advances the state is refused.
 
 use crate::checkpoint::{bits_to_tensor, tensor_to_bits, TrainerCheckpoint};
 use crate::functional::RaidLane;
@@ -86,6 +88,10 @@ pub struct PipelinedTrainer {
     params_fp16: FlatTensor,
     compressor: Option<Compressor>,
     step: u64,
+    // The step in progress once it moves state, left set if it fails: until
+    // a `restore` the stored state is torn, and every call that reads or
+    // advances it is refused.
+    poisoned: Option<u64>,
     fault_plan: Option<FaultPlan>,
 }
 
@@ -148,7 +154,14 @@ impl PipelinedTrainer {
         let mut params_fp16 = FlatTensor::zeros(initial.len());
         initial.roundtrip_f16_into(params_fp16.as_mut_slice());
         let (pool, compressor, fault_plan) = (ParExecutor::serial(), None, None);
-        Self { plan, lanes, pool, optimizer, params_fp16, compressor, step: 0, fault_plan }
+        let (step, poisoned) = (0, None);
+        Self { plan, lanes, pool, optimizer, params_fp16, compressor, step, poisoned, fault_plan }
+    }
+
+    /// Refuses, with [`TrainError::Poisoned`], a trainer whose last step
+    /// failed part-way.
+    fn check_whole(&self) -> Result<(), TrainError> {
+        self.poisoned.map_or(Ok(()), |step| Err(TrainError::Poisoned { step }))
     }
 
     /// Installs a fault plan: deterministic per-device injectors and a
@@ -174,7 +187,7 @@ impl PipelinedTrainer {
 
     /// Fires scheduled wear-out / dropout at the start of their planned step,
     /// on the device the plan picks among all the lanes' devices.
-    fn trigger_scheduled_faults(&mut self) {
+    fn trigger_scheduled_faults(&mut self, step: u64) {
         let Some(plan) = &self.fault_plan else { return };
         let devices = self.lanes.iter().map(|lane| lane.num_devices()).sum();
         let scheduled = [
@@ -182,7 +195,7 @@ impl PipelinedTrainer {
             (ScheduledFault::Dropout, plan.dropout_step(), plan.dropout_device(devices)),
         ];
         for (fault, at, device) in scheduled {
-            if let Some(device) = device.filter(|_| at == Some(self.step)) {
+            if let Some(device) = device.filter(|_| at == Some(step)) {
                 self.fire(device, fault);
             }
         }
@@ -280,21 +293,27 @@ impl PipelinedTrainer {
     ///
     /// # Errors
     ///
-    /// Returns [`TrainError::Config`] if `grads.len()` differs from the
-    /// number of parameters or the host placement has a compressor (neither
-    /// advances the step), and otherwise the storage or device error of the
+    /// Returns [`TrainError::Poisoned`] if an earlier step failed part-way,
+    /// [`TrainError::Config`] if `grads.len()` differs from the number of
+    /// parameters or the host placement has a compressor (none of these
+    /// moves anything), and otherwise the storage or device error of the
     /// first failing operation — the lowest-indexed lane's, deterministic
-    /// regardless of scheduling.
+    /// regardless of scheduling. Such a failure may leave some units
+    /// committed, so the step count stays where it was and the trainer is
+    /// poisoned until a [`Trainer::restore`].
     pub fn train_step_with_grads(&mut self, grads: &FlatTensor) -> Result<StepReport, TrainError> {
+        self.check_whole()?;
         check_len("gradient", grads.len(), self.num_params())?;
         for lane in &self.lanes {
             lane.admit(self.compressor)?;
         }
-        self.step += 1;
-        self.trigger_scheduled_faults();
+        // From here the step moves state; only its success clears the poison.
+        let step = self.step + 1;
+        self.poisoned = Some(step);
+        self.trigger_scheduled_faults(step);
         let args = StepArgs {
             optimizer: self.optimizer,
-            step: self.step,
+            step,
             retries: self.max_retries(),
             compressor: self.compressor,
         };
@@ -343,8 +362,9 @@ impl PipelinedTrainer {
             read_back_bytes,
             lanes: self.pool.num_threads().min(active_lanes).max(1),
         });
+        (self.step, self.poisoned) = (step, None);
         Ok(StepReport {
-            step: self.step,
+            step,
             gradient_bytes: total.gradient_bytes,
             storage_bytes_read: total.storage_read_bytes,
             storage_bytes_written: total.storage_write_bytes,
@@ -404,6 +424,7 @@ impl Trainer for PipelinedTrainer {
     }
 
     fn master_params(&mut self) -> Result<FlatTensor, TrainError> {
+        self.check_whole()?;
         let mut state = [FlatTensor::zeros(self.params_fp16.len())];
         self.transfer_state(0, false, &mut state, None)?;
         let [master] = state;
@@ -415,6 +436,7 @@ impl Trainer for PipelinedTrainer {
     }
 
     fn checkpoint(&mut self) -> Result<TrainerCheckpoint, TrainError> {
+        self.check_whole()?;
         let n = self.params_fp16.len();
         let mut state = vec![FlatTensor::zeros(n); 1 + self.optimizer.kind().num_aux()];
         let mut residual = self.compressor.map(|_| FlatTensor::zeros(n));
@@ -443,6 +465,7 @@ impl Trainer for PipelinedTrainer {
         self.transfer_state(self.max_retries(), true, &mut state, residual.as_mut())?;
         state[0].roundtrip_f16_into(self.params_fp16.as_mut_slice());
         self.step = checkpoint.step;
+        self.poisoned = None;
         Ok(())
     }
 }
@@ -1137,12 +1160,21 @@ mod tests {
         let optimizer = Optimizer::adam_default();
         let initial = FlatTensor::randn(n, 0.05, 61);
         let grads = FlatTensor::randn(n, 0.01, 62);
+        let bits = |t: &FlatTensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for keep in [None, Some(0.1)] {
-            let mut t = PipelinedTrainer::new(&initial, optimizer, 3, 150).unwrap();
-            if let Some(k) = keep {
-                t = t.with_compression(k).unwrap();
-            }
+            let make = || {
+                let t = PipelinedTrainer::new(&initial, optimizer, 3, 150).unwrap();
+                match keep {
+                    Some(k) => t.with_compression(k).unwrap(),
+                    None => t,
+                }
+            };
+            let mut straight = make();
+            straight.train_step_with_grads(&grads).unwrap();
+            straight.train_step_with_grads(&grads).unwrap();
+            let mut t = make();
             Trainer::step(&mut t, &grads).unwrap();
+            let before = Trainer::checkpoint(&mut t).unwrap();
             // Device 1 owns 400 parameters; re-initialise its shard one short.
             let shard = initial.slice(400, 400);
             let csd = &mut t.lane::<CsdLane>(1).csd;
@@ -1152,10 +1184,45 @@ mod tests {
                 matches!(err, TrainError::Device(CsdError::Ssd(ssd::SsdError::OutOfBounds { .. }))),
                 "{keep:?}: {err}"
             );
-            // With the shard put right the same trainer carries on.
+            // With the shard put right and the checkpoint restored, the retried
+            // step is the straight run's: master, aux and residual (the
+            // checkpoint's bits) and the FP16 copy.
             t.lane::<CsdLane>(1).csd.store_initial_state(SHARD, &shard, &optimizer).unwrap();
+            Trainer::restore(&mut t, &before).unwrap();
             Trainer::step(&mut t, &grads).unwrap();
+            let (got, want) = (Trainer::checkpoint(&mut t), Trainer::checkpoint(&mut straight));
+            assert_eq!(got.unwrap(), want.unwrap(), "{keep:?}");
+            assert_eq!(bits(t.params_fp16()), bits(straight.params_fp16()), "{keep:?}");
         }
+    }
+
+    #[test]
+    fn a_failed_step_rolls_the_count_back_and_is_refused_until_a_restore() {
+        let n = 1200;
+        let optimizer = Optimizer::adam_default();
+        let initial = FlatTensor::randn(n, 0.05, 61);
+        let grads = FlatTensor::randn(n, 0.01, 62);
+        let mut t = PipelinedTrainer::new(&initial, optimizer, 3, 150).unwrap();
+        Trainer::step(&mut t, &grads).unwrap();
+        let before = Trainer::checkpoint(&mut t).unwrap();
+        let shard = initial.slice(400, 400);
+        let csd = &mut t.lane::<CsdLane>(1).csd;
+        csd.store_initial_state(SHARD, &shard.slice(0, 399), &optimizer).unwrap();
+        // Lanes 0 and 2 committed the step and lane 1 did not: the count is
+        // the one step all of them completed.
+        Trainer::step(&mut t, &grads).unwrap_err();
+        assert_eq!(t.steps_completed(), 1);
+        // Putting the shard right does not make the torn state whole.
+        t.lane::<CsdLane>(1).csd.store_initial_state(SHARD, &shard, &optimizer).unwrap();
+        let refused = |e: TrainError| assert_eq!(e, TrainError::Poisoned { step: 2 }, "{e}");
+        refused(Trainer::step(&mut t, &grads).unwrap_err());
+        refused(t.step_from(&mut SyntheticGradients::new(n, 0.01, 1)).unwrap_err());
+        refused(t.master_params().unwrap_err());
+        refused(Trainer::checkpoint(&mut t).unwrap_err());
+        assert_eq!(t.steps_completed(), 1);
+        Trainer::restore(&mut t, &before).unwrap();
+        Trainer::step(&mut t, &grads).unwrap();
+        assert_eq!(t.steps_completed(), 2);
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //! the fine-tuning accuracy across compression ratios from 10% down to 1%.
 //! The first claim is established by the equivalence tests; this module
 //! reproduces the second on real optimisation runs: a two-layer MLP
-//! classifier trained on synthetic Gaussian-mixture "GLUE-like" tasks, with
-//! gradients optionally Top-K compressed (plus error feedback) before the
-//! update — exactly the dataflow SmartComp implements on the CSD.
+//! classifier trained on synthetic Gaussian-mixture "GLUE-like" tasks by
+//! [`train_classifier`], which steps the in-storage [`PipelinedTrainer`]
+//! itself. Gradients are taken at its FP16 working copy and, with a keep
+//! ratio, each CSD lane Top-K compresses its own shard's gradients with its
+//! own error feedback, and the CSD decompresses them into its update:
+//! SmartComp's dataflow, not a model of it.
 
-use gradcomp::{Compressor, ErrorFeedback};
 use optim::{HyperParams, Optimizer, OptimizerKind};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -19,6 +21,7 @@ use serde::{Deserialize, Serialize};
 use tensorlib::FlatTensor;
 
 use crate::functional::GradientSource;
+use crate::{PipelinedTrainer, StepPlan, TrainError, Trainer};
 
 /// A two-layer MLP classifier over flat parameters.
 ///
@@ -78,31 +81,24 @@ impl MlpModel {
         self.w2_offset() + self.hidden_dim * self.num_classes
     }
 
-    /// Computes per-class logits for a batch of `x` (row-major, `n × input_dim`).
-    fn logits(&self, params: &FlatTensor, x: &[f32]) -> Vec<f32> {
-        let n = x.len() / self.input_dim;
-        let p = params.as_slice();
+    /// The forward pass of one sample `xi`: the ReLU activations into
+    /// `hidden` and the class logits into `logits`.
+    fn forward(&self, p: &[f32], xi: &[f32], hidden: &mut [f32], logits: &mut [f32]) {
         let (h, c) = (self.hidden_dim, self.num_classes);
-        let mut logits = vec![0.0f32; n * c];
-        let mut hidden = vec![0.0f32; h];
-        for i in 0..n {
-            let xi = &x[i * self.input_dim..(i + 1) * self.input_dim];
-            for (j, hj) in hidden.iter_mut().enumerate() {
-                let mut acc = p[self.b1_offset() + j];
-                for (k, &xk) in xi.iter().enumerate() {
-                    acc += xk * p[k * h + j];
-                }
-                *hj = acc.max(0.0); // ReLU
+        for (j, hj) in hidden.iter_mut().enumerate() {
+            let mut acc = p[self.b1_offset() + j];
+            for (k, &xk) in xi.iter().enumerate() {
+                acc += xk * p[k * h + j];
             }
-            for cls in 0..c {
-                let mut acc = p[self.b2_offset() + cls];
-                for (j, &hj) in hidden.iter().enumerate() {
-                    acc += hj * p[self.w2_offset() + j * c + cls];
-                }
-                logits[i * c + cls] = acc;
-            }
+            *hj = acc.max(0.0); // ReLU
         }
-        logits
+        for (cls, logit) in logits.iter_mut().enumerate() {
+            let mut acc = p[self.b2_offset() + cls];
+            for (j, &hj) in hidden.iter().enumerate() {
+                acc += hj * p[self.w2_offset() + j * c + cls];
+            }
+            *logit = acc;
+        }
     }
 
     /// Mean cross-entropy loss and its gradient with respect to the flat
@@ -129,23 +125,8 @@ impl MlpModel {
         let mut probs = vec![0.0f32; c];
         for i in 0..n {
             let xi = &x[i * self.input_dim..(i + 1) * self.input_dim];
-            // Forward.
-            for (j, hj) in hidden.iter_mut().enumerate() {
-                let mut acc = p[self.b1_offset() + j];
-                for (k, &xk) in xi.iter().enumerate() {
-                    acc += xk * p[k * h + j];
-                }
-                *hj = acc.max(0.0);
-            }
-            let mut max_logit = f32::NEG_INFINITY;
-            for cls in 0..c {
-                let mut acc = p[self.b2_offset() + cls];
-                for (j, &hj) in hidden.iter().enumerate() {
-                    acc += hj * p[self.w2_offset() + j * c + cls];
-                }
-                probs[cls] = acc;
-                max_logit = max_logit.max(acc);
-            }
+            self.forward(p, xi, &mut hidden, &mut probs);
+            let max_logit = probs.iter().fold(f32::NEG_INFINITY, |max, &l| max.max(l));
             let mut denom = 0.0f32;
             for prob in probs.iter_mut() {
                 *prob = (*prob - max_logit).exp();
@@ -184,25 +165,21 @@ impl MlpModel {
 
     /// Classification accuracy on a dataset.
     pub fn accuracy(&self, params: &FlatTensor, x: &[f32], y: &[usize]) -> f64 {
-        let n = y.len();
-        if n == 0 {
+        if y.is_empty() {
             return 0.0;
         }
-        let logits = self.logits(params, x);
-        let c = self.num_classes;
-        let correct = (0..n)
-            .filter(|&i| {
-                let row = &logits[i * c..(i + 1) * c];
-                let pred = row
-                    .iter()
-                    .enumerate()
+        let (mut hidden, mut logits) = (vec![0.0; self.hidden_dim], vec![0.0; self.num_classes]);
+        let correct = (y.iter().enumerate())
+            .filter(|&(i, &label)| {
+                let xi = &x[i * self.input_dim..(i + 1) * self.input_dim];
+                self.forward(params.as_slice(), xi, &mut hidden, &mut logits);
+                let pred = (logits.iter().enumerate())
                     .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                    .map(|(idx, _)| idx)
-                    .unwrap_or(0);
-                pred == y[i]
+                    .map_or(0, |(idx, _)| idx);
+                pred == label
             })
             .count();
-        correct as f64 / n as f64
+        correct as f64 / y.len() as f64
     }
 }
 
@@ -300,11 +277,11 @@ pub struct TrainConfig {
     pub optimizer: OptimizerKind,
     /// Learning rate.
     pub lr: f32,
-    /// If set, gradients are Top-K compressed (with error feedback) to this
-    /// keep ratio before the update — the SmartComp dataflow. `None` trains
-    /// with exact gradients (baseline / SmartUpdate).
+    /// If set, each CSD Top-K compresses its shard's gradients (with its
+    /// error feedback) to this keep ratio before the update — SmartComp.
+    /// `None` trains with exact gradients (baseline / SmartUpdate).
     pub keep_ratio: Option<f64>,
-    /// RNG seed for shuffling and initialisation.
+    /// RNG seed for initialisation and mini-batch sampling.
     pub seed: u64,
 }
 
@@ -328,73 +305,73 @@ pub struct TrainResult {
     pub test_accuracy: f64,
     /// Final accuracy on the training split.
     pub train_accuracy: f64,
-    /// Mean loss of the final epoch.
-    pub final_loss: f32,
-    /// Fraction of gradient volume actually transferred (1.0 without compression).
+    /// Gradient bytes that crossed the host interconnect over the dense
+    /// FP32 volume, `Σ StepReport::gradient_bytes / (steps · 4 · params)`
+    /// (1.0 without compression).
     pub transfer_ratio: f64,
 }
 
-/// Trains `model` on `dataset` and reports the held-out accuracy.
+/// The storage devices of every Table IV run: the table's speedup machine
+/// has six, so six CSDs each compress and update their own shard.
+pub const TABLE_IV_DEVICES: usize = 6;
+
+/// Fine-tunes `model` on `dataset` and reports the held-out accuracy.
 ///
-/// When `config.keep_ratio` is set, each mini-batch gradient is passed through
-/// error-feedback + Top-K compression and then *decompressed* before the
-/// optimizer step, so the parameter update sees exactly the sparsified
-/// gradient the CSD decompressor would reconstruct.
-pub fn train_classifier(model: &MlpModel, dataset: &Dataset, config: &TrainConfig) -> TrainResult {
-    assert_eq!(model.input_dim, dataset.input_dim, "model/dataset input dimension mismatch");
-    assert_eq!(model.num_classes, dataset.num_classes, "model/dataset class count mismatch");
+/// It builds the trainer `smart_infinity::Session::trainer` builds for
+/// SU+O+C (SU+O without a keep ratio): [`PipelinedTrainer::new`] over
+/// [`TABLE_IV_DEVICES`] CSDs with the [`StepPlan`] default unit, each lane
+/// Top-K compressing its shard when `config.keep_ratio` is set. It does not
+/// go through `Session`, because `ztrain` sits below it and a `RunSpec`
+/// carries no learning rate for the fine-tune. The trainer takes `epochs ×
+/// ⌈train_len / batch_size⌉` steps from an [`MlpGradientSource`], whose
+/// gradients are taken at the FP16 working copy, and the accuracies are
+/// read from the FP32 master copy.
+///
+/// # Errors
+///
+/// Returns [`TrainError::Config`] if the model's input dimension or class
+/// count differs from the dataset's, the batch is empty or the keep ratio is
+/// not in `(0, 1]`, and the trainer's error if a step fails.
+pub fn train_classifier(
+    model: &MlpModel,
+    dataset: &Dataset,
+    config: &TrainConfig,
+) -> Result<TrainResult, TrainError> {
+    if (model.input_dim, model.num_classes) != (dataset.input_dim, dataset.num_classes) {
+        return Err(TrainError::config(format!(
+            "a model of {} inputs and {} classes does not fit `{}`, of {} and {}",
+            model.input_dim,
+            model.num_classes,
+            dataset.name,
+            dataset.input_dim,
+            dataset.num_classes
+        )));
+    }
+    if config.batch_size == 0 {
+        return Err(TrainError::config("the batch size must be positive"));
+    }
+    let n = model.num_params();
     let optimizer =
         Optimizer::new(config.optimizer, HyperParams { lr: config.lr, ..Default::default() });
-    let mut params = model.init_params(config.seed);
-    let mut aux = optimizer.init_aux(params.len());
-    let compressor = config.keep_ratio.map(Compressor::top_k);
-    let mut feedback = ErrorFeedback::new(params.len());
-    let mut rng = ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(17));
-    let mut order: Vec<usize> = (0..dataset.train_len()).collect();
-    let mut step = 0u64;
-    let mut final_loss = 0.0f32;
-    for _ in 0..config.epochs {
-        order.shuffle(&mut rng);
-        let mut epoch_loss = 0.0f64;
-        let mut batches = 0usize;
-        for batch in order.chunks(config.batch_size) {
-            let mut x = Vec::with_capacity(batch.len() * dataset.input_dim);
-            let mut y = Vec::with_capacity(batch.len());
-            for &i in batch {
-                x.extend_from_slice(
-                    &dataset.train_x[i * dataset.input_dim..(i + 1) * dataset.input_dim],
-                );
-                y.push(dataset.train_y[i]);
-            }
-            let (loss, grads) = model.loss_and_grad(&params, &x, &y);
-            epoch_loss += loss as f64;
-            batches += 1;
-            step += 1;
-            let effective = match &compressor {
-                None => grads,
-                Some(c) => {
-                    // Allocation-free SmartComp dataflow: correct the owned
-                    // gradient buffer in place, update the residual by
-                    // scatter-zeroing the kept coordinates, then reuse the
-                    // same buffer for the decompressed (sparsified) gradient.
-                    let mut corrected = grads;
-                    feedback.apply_in_place(&mut corrected);
-                    let compressed = c.compress(&corrected);
-                    feedback.update(&corrected, &compressed);
-                    compressed.decompress_into(corrected.as_mut_slice());
-                    corrected
-                }
-            };
-            optimizer.step(params.as_mut_slice(), &effective, &mut aux, step);
-        }
-        final_loss = (epoch_loss / batches.max(1) as f64) as f32;
+    let unit = StepPlan::cut_into(n, TABLE_IV_DEVICES, None)?.unit_elems();
+    let initial = model.init_params(config.seed);
+    let mut trainer = PipelinedTrainer::new(&initial, optimizer, TABLE_IV_DEVICES, unit)?;
+    if let Some(keep) = config.keep_ratio {
+        trainer = trainer.with_compression(keep)?;
     }
-    TrainResult {
-        test_accuracy: model.accuracy(&params, &dataset.test_x, &dataset.test_y),
-        train_accuracy: model.accuracy(&params, &dataset.train_x, &dataset.train_y),
-        final_loss,
-        transfer_ratio: compressor.map_or(1.0, |c| c.transfer_ratio()),
+    let seed = config.seed.wrapping_add(17);
+    let mut source = MlpGradientSource::new(*model, dataset.clone(), config.batch_size, seed);
+    let steps = config.epochs * dataset.train_len().div_ceil(config.batch_size);
+    let mut gradient_bytes = 0;
+    for _ in 0..steps {
+        gradient_bytes += trainer.step_from(&mut source)?.gradient_bytes;
     }
+    let master = trainer.master_params()?;
+    Ok(TrainResult {
+        test_accuracy: model.accuracy(&master, &dataset.test_x, &dataset.test_y),
+        train_accuracy: model.accuracy(&master, &dataset.train_x, &dataset.train_y),
+        transfer_ratio: gradient_bytes as f64 / (4 * steps * n).max(1) as f64,
+    })
 }
 
 /// A [`GradientSource`] backed by a real MLP on a real dataset, so the
@@ -467,7 +444,7 @@ mod tests {
     fn training_reaches_high_accuracy_on_an_easy_task() {
         let dataset = Dataset::gaussian_blobs("easy", 150, 8, 3, 0.15, 42);
         let model = MlpModel::new(8, 16, 3);
-        let result = train_classifier(&model, &dataset, &TrainConfig::default());
+        let result = train_classifier(&model, &dataset, &TrainConfig::default()).unwrap();
         assert!(result.test_accuracy > 0.9, "accuracy {:.3}", result.test_accuracy);
         assert!(result.train_accuracy >= result.test_accuracy - 0.1);
         assert_eq!(result.transfer_ratio, 1.0);
@@ -477,12 +454,13 @@ mod tests {
     fn compressed_training_stays_close_to_exact_training() {
         let dataset = Dataset::gaussian_blobs("medium", 200, 16, 2, 0.4, 7);
         let model = MlpModel::new(16, 24, 2);
-        let exact = train_classifier(&model, &dataset, &TrainConfig::default());
+        let exact = train_classifier(&model, &dataset, &TrainConfig::default()).unwrap();
         let compressed = train_classifier(
             &model,
             &dataset,
             &TrainConfig { keep_ratio: Some(0.05), epochs: 4, ..TrainConfig::default() },
-        );
+        )
+        .unwrap();
         assert!(compressed.transfer_ratio < 0.11);
         assert!(
             compressed.test_accuracy > exact.test_accuracy - 0.06,
@@ -490,6 +468,38 @@ mod tests {
             exact.test_accuracy,
             compressed.test_accuracy
         );
+    }
+
+    /// Each CSD keeps the Top-K of its own shard (5 % rounded, at least one)
+    /// and sends 8 bytes per kept element, so the measured ratio is the sum
+    /// over shards, not 2 × the keep ratio (0.1): 458 parameters on six CSDs
+    /// are shards of 77, 77, 76, 76, 76 and 76, which keep 4 each, so 24 · 8 B
+    /// of 4 · 458 B a step.
+    #[test]
+    fn the_transfer_ratio_is_measured_per_shard() {
+        let dataset = Dataset::gaussian_blobs("medium", 200, 16, 2, 0.4, 7);
+        let model = MlpModel::new(16, 24, 2);
+        assert_eq!(model.num_params(), 458);
+        let config = TrainConfig { keep_ratio: Some(0.05), epochs: 1, ..TrainConfig::default() };
+        let result = train_classifier(&model, &dataset, &config).unwrap();
+        let plan = StepPlan::cut_into(458, TABLE_IV_DEVICES, None).unwrap();
+        let shards: Vec<usize> = (0..TABLE_IV_DEVICES).map(|lane| plan.lane(lane).len()).collect();
+        assert_eq!(shards, [77, 77, 76, 76, 76, 76]);
+        assert_eq!(result.transfer_ratio, (8 * 24) as f64 / (4 * 458) as f64);
+        assert!((result.transfer_ratio - 0.1048).abs() < 1e-4, "{}", result.transfer_ratio);
+    }
+
+    #[test]
+    fn a_model_that_does_not_fit_the_dataset_is_a_config_error() {
+        let dataset = Dataset::gaussian_blobs("t", 20, 8, 2, 0.3, 9);
+        for model in [MlpModel::new(7, 4, 2), MlpModel::new(8, 4, 3)] {
+            let err = train_classifier(&model, &dataset, &TrainConfig::default()).unwrap_err();
+            assert!(matches!(err, TrainError::Config { .. }), "{err}");
+            assert!(err.to_string().contains("does not fit `t`"), "{err}");
+        }
+        let empty_batch = TrainConfig { batch_size: 0, ..TrainConfig::default() };
+        let err = train_classifier(&MlpModel::new(8, 4, 2), &dataset, &empty_batch).unwrap_err();
+        assert!(matches!(err, TrainError::Config { .. }), "{err}");
     }
 
     #[test]

@@ -274,6 +274,13 @@ pub enum TrainError {
         /// What was wrong with the configuration.
         message: String,
     },
+    /// An earlier step failed once it had moved state, so the stored state
+    /// may be torn; the trainer refuses to go on until a
+    /// [`Trainer::restore`] puts a whole state back.
+    Poisoned {
+        /// 1-based index of the step that failed.
+        step: u64,
+    },
 }
 
 impl TrainError {
@@ -301,6 +308,9 @@ impl fmt::Display for TrainError {
             TrainError::Simulation(e) => write!(f, "simulation error: {e}"),
             TrainError::Fabric(e) => write!(f, "fabric error: {e}"),
             TrainError::Config { message } => write!(f, "invalid configuration: {message}"),
+            TrainError::Poisoned { step } => {
+                write!(f, "step {step} failed part-way; restore a checkpoint to go on")
+            }
         }
     }
 }
@@ -312,7 +322,7 @@ impl Error for TrainError {
             TrainError::Device(e) => Some(e),
             TrainError::Simulation(e) => Some(e),
             TrainError::Fabric(e) => Some(e),
-            TrainError::Config { .. } => None,
+            TrainError::Config { .. } | TrainError::Poisoned { .. } => None,
         }
     }
 }
@@ -376,8 +386,9 @@ pub trait Trainer: fmt::Debug {
     /// # Errors
     ///
     /// Returns [`TrainError::Config`] if `grads.len()` differs from the
-    /// number of parameters, or a [`TrainError`] wrapping whatever substrate
-    /// operation failed.
+    /// number of parameters, [`TrainError::Poisoned`] after a step that
+    /// failed part-way, or a [`TrainError`] wrapping whatever substrate
+    /// operation failed (which poisons the trainer; the count stays put).
     fn step(&mut self, grads: &FlatTensor) -> Result<StepReport, TrainError>;
 
     /// The FP16 working copy of the parameters (what the GPU computes with).
@@ -387,7 +398,8 @@ pub trait Trainer: fmt::Debug {
     ///
     /// # Errors
     ///
-    /// Returns a [`TrainError`] if a shard or block read fails.
+    /// Returns [`TrainError::Poisoned`] after a step that failed part-way,
+    /// and a [`TrainError`] if a shard or block read fails.
     fn master_params(&mut self) -> Result<FlatTensor, TrainError>;
 
     /// Number of completed steps.
@@ -405,12 +417,14 @@ pub trait Trainer: fmt::Debug {
     ///
     /// # Errors
     ///
-    /// Returns a substrate error if reading the state back fails.
+    /// Returns [`TrainError::Poisoned`] after a step that failed part-way,
+    /// and a substrate error if reading the state back fails.
     fn checkpoint(&mut self) -> Result<crate::TrainerCheckpoint, TrainError>;
 
     /// Restores the trainer's state from a checkpoint taken by
     /// [`Trainer::checkpoint`], after which continued training is
-    /// bit-identical to a run that was never interrupted.
+    /// bit-identical to a run that was never interrupted. It is the one call
+    /// a poisoned trainer accepts, and its success clears the poison.
     ///
     /// # Errors
     ///
@@ -452,6 +466,9 @@ mod tests {
         assert!(e.to_string().starts_with("simulation error"));
         let e = TrainError::config("zero params");
         assert!(e.to_string().contains("zero params"));
+        let e = TrainError::Poisoned { step: 3 };
+        assert!(e.to_string().starts_with("step 3 failed part-way"));
+        assert!(e.source().is_none());
     }
 
     #[test]
