@@ -119,9 +119,10 @@ pub struct DataItem {
 
 /// A task graph under construction.
 ///
-/// Malformed references (unknown task or data ids) poison the graph rather
-/// than panicking; the first error is reported by [`Dag::validate`] and by
-/// [`crate::execute`].
+/// Malformed references (unknown task or data ids), and an edge arena
+/// past `u32::MAX` entries (spans into the arenas are `u32`), poison the
+/// graph rather than panicking; the first error is reported by
+/// [`Dag::validate`] and by [`crate::execute`].
 #[derive(Debug, Default)]
 pub struct Dag {
     tasks: Vec<DagTask>,
@@ -247,7 +248,9 @@ impl Dag {
     /// item's producer.
     pub fn connect(&mut self, consumer: DagTaskId, item: DataId) {
         if self.check_task(consumer) && self.check_data(item) {
-            self.tasks[consumer.0].inputs.push(&mut self.inputs, item);
+            if let Err(err) = self.tasks[consumer.0].inputs.push(&mut self.inputs, item) {
+                self.poison(err);
+            }
         }
     }
 
@@ -255,14 +258,18 @@ impl Dag {
     /// chooses the synchronisation realising it (via decision anchors).
     pub fn connect_soft(&mut self, consumer: DagTaskId, item: DataId) {
         if self.check_task(consumer) && self.check_data(item) {
-            self.tasks[consumer.0].soft_inputs.push(&mut self.soft_inputs, item);
+            if let Err(err) = self.tasks[consumer.0].soft_inputs.push(&mut self.soft_inputs, item) {
+                self.poison(err);
+            }
         }
     }
 
     /// Adds a structural ordering edge: `task` runs after `pred`.
     pub fn add_after(&mut self, task: DagTaskId, pred: DagTaskId) {
         if self.check_task(task) && self.check_task(pred) {
-            self.tasks[task.0].after.push(&mut self.after, pred);
+            if let Err(err) = self.tasks[task.0].after.push(&mut self.after, pred) {
+                self.poison(err);
+            }
         }
     }
 

@@ -3,7 +3,8 @@
 
 use crate::error::SimError;
 use crate::task::{
-    ComputeSpec, DelaySpec, FlowSpec, LinkId, PhaseId, ResourceId, Span, Task, TaskId, TaskKind,
+    narrow, ComputeSpec, DelaySpec, FlowSpec, LinkId, PhaseId, ResourceId, Span, Task, TaskId,
+    TaskKind,
 };
 use crate::timeline::{TaskRecord, Timeline};
 use crate::TIME_EPS;
@@ -17,14 +18,19 @@ mod oracle;
 /// its rate, a phase a tag, and none carries a name. Every dependency names
 /// a task added before, so the DAG is acyclic by construction. Tasks keep
 /// their dependencies and link paths as spans into two arenas the
-/// simulation owns: a task holds no heap memory of its own (a label aside),
-/// and dropping a simulation frees the arenas, not a vector per task.
+/// simulation owns, and the few tasks with a label keep it in a side list:
+/// a task is a fixed 40-byte record that holds no heap memory of its own,
+/// and dropping a simulation frees the arenas, not a vector per task. The
+/// arenas store task, link and resource indices as `u32`, so a simulation
+/// holds at most `u32::MAX` of each (and of dependencies and path links);
+/// the public ids stay `usize`.
 ///
 /// Malformed graphs — non-positive link bandwidths, unknown dependency or
-/// link or resource ids, negative work amounts — do not panic. The first
-/// such error *poisons* the simulation and is returned by
-/// [`Simulation::run`]; the builder methods stay infallible so that id
-/// allocation remains consistent even after an error.
+/// link or resource ids, negative work amounts, more than `u32::MAX`
+/// entries of anything — do not panic. The first such error *poisons* the
+/// simulation and is returned by [`Simulation::run`]; the builder methods
+/// stay infallible so that id allocation remains consistent even after an
+/// error.
 ///
 /// See the [crate-level documentation](crate) for an overview and an example.
 #[derive(Debug, Default)]
@@ -36,9 +42,11 @@ pub struct Simulation {
     phases: usize,
     tasks: Vec<Task>,
     /// Every task's dependencies, in task order.
-    deps: Vec<TaskId>,
+    deps: Vec<u32>,
     /// Every flow's link path, in task order.
-    paths: Vec<LinkId>,
+    paths: Vec<u32>,
+    /// The labels of the tasks that have one, by ascending task id.
+    labels: Vec<(TaskId, String)>,
     poison: Option<SimError>,
 }
 
@@ -54,6 +62,14 @@ impl Simulation {
         }
     }
 
+    /// Poisons the simulation if `index`, the id about to be handed out,
+    /// does not fit the `u32` its arenas would store it as.
+    fn check_fits(&mut self, index: usize, what: &str) {
+        if let Err(err) = narrow(index, what) {
+            self.poison(err);
+        }
+    }
+
     /// Registers a shared link with the given bandwidth in bytes per second.
     ///
     /// A non-positive or non-finite bandwidth poisons the simulation; the
@@ -64,6 +80,7 @@ impl Simulation {
                 message: format!("link bandwidth must be positive and finite, got {bandwidth}"),
             });
         }
+        self.check_fits(self.links.len(), "links");
         self.links.push(bandwidth);
         LinkId(self.links.len() - 1)
     }
@@ -79,6 +96,7 @@ impl Simulation {
                 message: format!("resource rate must be positive and finite, got {rate}"),
             });
         }
+        self.check_fits(self.resources.len(), "resources");
         self.resources.push(rate);
         ResourceId(self.resources.len() - 1)
     }
@@ -87,16 +105,21 @@ impl Simulation {
     /// [`FlowSpec::phase`] and friends, read back through the timeline's
     /// per-phase queries.
     pub fn add_phase(&mut self) -> PhaseId {
+        self.check_fits(self.phases, "phases");
         self.phases += 1;
         PhaseId(self.phases - 1)
     }
 
     /// Makes room for `tasks` more tasks with `deps` dependencies between
-    /// them, so that a builder that knows (a lower bound of) its graph's
-    /// size fills the arenas without regrowing them from empty.
-    pub fn reserve(&mut self, tasks: usize, deps: usize) {
+    /// them and `path_links` links of flow paths. The counts are a lower
+    /// bound a builder knows of its graph's size, not the size: the arenas
+    /// fill that much without regrowing from empty and grow on past it, and
+    /// whatever they grew beyond their contents is given back once, when
+    /// [`Simulation::run`] starts.
+    pub fn reserve(&mut self, tasks: usize, deps: usize, path_links: usize) {
         self.tasks.reserve_exact(tasks);
         self.deps.reserve_exact(deps);
+        self.paths.reserve_exact(path_links);
     }
 
     /// Number of links registered so far.
@@ -111,7 +134,8 @@ impl Simulation {
 
     /// The label attached to a task, if any (useful when debugging schedules).
     pub(crate) fn task_label(&self, task: TaskId) -> Option<&str> {
-        self.tasks.get(task).and_then(|t| t.label.as_deref())
+        let at = self.labels.binary_search_by_key(&task, |&(id, _)| id).ok()?;
+        Some(&self.labels[at].1)
     }
 
     /// Adds a flow task (bytes over a path of shared links).
@@ -135,7 +159,13 @@ impl Simulation {
                 self.poison(SimError::UnknownId { kind: "link", index: l.0 });
             }
         }
-        let path = Span::append(&mut self.paths, &spec.path);
+        // A link index that does not fit a `u32` is unknown or has poisoned
+        // `add_link`, so its truncation below is never run.
+        let path = Span::append(&mut self.paths, spec.path.iter().map(|l| l.0 as u32));
+        let path = path.unwrap_or_else(|err| {
+            self.poison(err);
+            Span::default()
+        });
         let kind = TaskKind::Flow { path, bytes: spec.bytes };
         self.push(kind, &spec.deps, spec.phase, spec.label)
     }
@@ -154,7 +184,7 @@ impl Simulation {
         if spec.resource.0 >= self.resources.len() {
             self.poison(SimError::UnknownId { kind: "resource", index: spec.resource.0 });
         }
-        let kind = TaskKind::Compute { resource: spec.resource, work: spec.work };
+        let kind = TaskKind::Compute { resource: spec.resource.0 as u32, work: spec.work };
         self.push(kind, &spec.deps, spec.phase, spec.label)
     }
 
@@ -180,7 +210,9 @@ impl Simulation {
     }
 
     /// Appends a task whose dependencies are `deps`; an unknown (so not
-    /// earlier) dependency poisons the simulation.
+    /// earlier) dependency, or an id or phase past `u32::MAX`, poisons the
+    /// simulation. Every index stored below is then either lossless or
+    /// never run.
     fn push(
         &mut self,
         kind: TaskKind,
@@ -189,21 +221,36 @@ impl Simulation {
         label: Option<String>,
     ) -> TaskId {
         let id = self.tasks.len();
+        self.check_fits(id, "tasks");
         if let Some(&d) = deps.iter().find(|&&d| d >= id) {
             self.poison(SimError::UnknownId { kind: "task", index: d });
         }
-        let deps = Span::append(&mut self.deps, deps);
-        self.tasks.push(Task { kind, deps, phase, label });
+        let phase = match phase.map(|p| narrow(p.0, "phases")).transpose() {
+            Ok(phase) => phase,
+            Err(err) => {
+                self.poison(err);
+                None
+            }
+        };
+        let deps = Span::append(&mut self.deps, deps.iter().map(|&d| d as u32));
+        let deps = deps.unwrap_or_else(|err| {
+            self.poison(err);
+            Span::default()
+        });
+        self.tasks.push(Task { kind, deps, phase });
+        if let Some(label) = label {
+            self.labels.push((id, label));
+        }
         id
     }
 
-    /// The tasks `task` waits on.
-    pub(crate) fn deps_of(&self, task: &Task) -> &[TaskId] {
+    /// The tasks `task` waits on, by index.
+    pub(crate) fn deps_of(&self, task: &Task) -> &[u32] {
         task.deps.of(&self.deps)
     }
 
-    /// The links a task crosses (none unless it is a flow).
-    pub(crate) fn path_of(&self, task: &Task) -> &[LinkId] {
+    /// The links a task crosses (none unless it is a flow), by index.
+    pub(crate) fn path_of(&self, task: &Task) -> &[u32] {
         match task.kind {
             TaskKind::Flow { path, .. } => path.of(&self.paths),
             _ => &[],
@@ -221,22 +268,29 @@ impl Simulation {
                 _ => None,
             })
         };
-        let mut counts = vec![0usize; self.links.len()];
+        // One slot more than the links: the timeline's offset table ends
+        // with the total.
+        let mut counts = Vec::with_capacity(self.links.len() + 1);
+        counts.resize(self.links.len(), 0u32);
         for (_, path) in moving() {
-            for l in path {
-                counts[l.0] += 1;
+            for &l in path {
+                counts[l as usize] += 1;
             }
         }
         let mut lists = Lists::with_room(counts);
         for (id, path) in moving() {
-            for l in path {
-                lists.push(l.0, id);
+            for &l in path {
+                lists.push(l as usize, id);
             }
         }
         lists
     }
 
     /// Executes the task DAG and returns the resulting timeline.
+    ///
+    /// The task table is complete once this starts, so it first gives back
+    /// whatever its arenas grew beyond their contents (once: a second run
+    /// finds nothing to give back).
     ///
     /// # Errors
     ///
@@ -248,6 +302,9 @@ impl Simulation {
         if let Some(err) = &self.poison {
             return Err(err.clone());
         }
+        self.tasks.shrink_to_fit();
+        self.deps.shrink_to_fit();
+        self.paths.shrink_to_fit();
         let timeline = Runner::new(self).run()?;
         debug_assert_eq!(oracle::check(self, &timeline), Ok(()));
         Ok(timeline)
@@ -256,32 +313,33 @@ impl Simulation {
 
 /// One list of tasks per key (a link, a resource) in a single arena: key
 /// `k` owns the slots from `start[k]`, sized up front by how many entries
-/// it can ever hold, and holds the tasks in `start[k]..end[k]`.
+/// it can ever hold, and holds the tasks in `start[k]..end[k]`. Offsets and
+/// tasks are `u32`, as the simulation's arenas store them.
 #[derive(Debug, Clone)]
 struct Lists {
-    start: Vec<usize>,
-    end: Vec<usize>,
-    items: Vec<TaskId>,
+    start: Vec<u32>,
+    end: Vec<u32>,
+    items: Vec<u32>,
 }
 
 impl Lists {
     /// Empty lists with room for `room[k]` entries under key `k`.
-    fn with_room(mut room: Vec<usize>) -> Self {
+    fn with_room(mut room: Vec<u32>) -> Self {
         let mut next = 0;
         for r in &mut room {
             next += std::mem::replace(r, next);
         }
-        Self { end: room.clone(), start: room, items: vec![0; next] }
+        Self { end: room.clone(), start: room, items: vec![0; next as usize] }
     }
 
     /// The tasks listed under `key`.
-    fn of(&self, key: usize) -> &[TaskId] {
-        &self.items[self.start[key]..self.end[key]]
+    fn of(&self, key: usize) -> &[u32] {
+        &self.items[self.start[key] as usize..self.end[key] as usize]
     }
 
     /// Appends `task` to the list of `key`, which must have room left.
     fn push(&mut self, key: usize, task: TaskId) {
-        self.items[self.end[key]] = task;
+        self.items[self.end[key] as usize] = task as u32;
         self.end[key] += 1;
     }
 
@@ -294,60 +352,64 @@ impl Lists {
     /// Removes one entry of `task` from `key`'s list, the last entry
     /// taking its place, as [`Vec::swap_remove`] does.
     fn swap_remove(&mut self, key: usize, task: TaskId) {
-        let at = self.of(key).iter().position(|&t| t == task).expect("the task is listed");
+        let at = self.of(key).iter().position(|&t| t as usize == task).expect("the task is listed");
         self.end[key] -= 1;
-        self.items.swap(self.start[key] + at, self.end[key]);
+        self.items.swap(self.start[key] as usize + at, self.end[key] as usize);
     }
 
     /// The filled lists as one offset table (`len + 1` entries) over the
     /// arena: what a [`Timeline`] keeps.
-    fn into_csr(self) -> (Vec<usize>, Vec<TaskId>) {
+    fn into_csr(self) -> (Vec<u32>, Vec<u32>) {
         let Self { mut start, items, .. } = self;
-        start.push(items.len());
+        start.push(items.len() as u32);
         (start, items)
     }
 }
 
-/// Remaining-work bookkeeping for one task during execution.
+/// Remaining-work bookkeeping for one task during execution; its start and
+/// finish times go straight into its timeline record.
 #[derive(Debug, Clone)]
 struct Progress {
-    done: bool,
     remaining: f64,
-    unmet_deps: usize,
-    start: f64,
-    finish: f64,
+    unmet_deps: u32,
+    done: bool,
 }
 
 /// Who waits on each task, as one CSR pair: the dependents of `t`, in the
 /// order their `deps` were declared, are `list[start[t]..start[t + 1]]`.
 struct Dependents {
-    start: Vec<usize>,
-    list: Vec<TaskId>,
+    start: Vec<u32>,
+    list: Vec<u32>,
 }
 
 impl Dependents {
     fn of(sim: &Simulation) -> Self {
         let n = sim.tasks.len();
-        let mut start = vec![0usize; n + 1];
+        // Each task's dependent count lands one slot past it, so that the
+        // running sums are each task's end; filling then walks every start
+        // up to the end before it, and a shift puts the starts back.
+        let mut start = vec![0u32; n + 1];
         for &d in &sim.deps {
-            start[d + 1] += 1;
+            start[d as usize + 1] += 1;
         }
         for t in 0..n {
             start[t + 1] += start[t];
         }
-        let mut fill = start.clone();
-        let mut list = vec![0; start[n]];
+        let mut list = vec![0; sim.deps.len()];
         for (id, task) in sim.tasks.iter().enumerate() {
             for &d in sim.deps_of(task) {
-                list[fill[d]] = id;
-                fill[d] += 1;
+                let slot = &mut start[d as usize];
+                list[*slot as usize] = id as u32;
+                *slot += 1;
             }
         }
+        start.copy_within(0..n, 1);
+        start[0] = 0;
         Self { start, list }
     }
 
-    fn of_task(&self, task: TaskId) -> &[TaskId] {
-        &self.list[self.start[task]..self.start[task + 1]]
+    fn of_task(&self, task: TaskId) -> &[u32] {
+        &self.list[self.start[task] as usize..self.start[task + 1] as usize]
     }
 }
 
@@ -356,12 +418,21 @@ impl Dependents {
 /// only for the links connected to it; every vector below is sized once in
 /// [`Runner::new`] (or grows to a high-water mark) and reused.
 ///
+/// What is alive while it runs: the simulation's task table, fixed since
+/// [`Simulation::run`] gave back its spare room; per task, its progress
+/// (16 bytes), rate, filling stamps and the timeline record it fills in
+/// place; the dependents CSR and the per-link and per-resource lists, all
+/// of `u32`. The records, the makespan and the per-link flow lists become
+/// the [`Timeline`] as they are, and the rest is dropped.
+///
 /// The float operations and their order are part of the contract — the
 /// timed goldens pin the bits — so every active task still takes
 /// `remaining -= rate * dt` on every event, in activation order.
 struct Runner<'a> {
     sim: &'a Simulation,
     progress: Vec<Progress>,
+    /// Per task, its start and finish as they become known, and its phase.
+    records: Vec<TaskRecord>,
     dependents: Dependents,
     /// Per resource, its FIFO queue: the computes that entered it, the
     /// head first. A compute enters once, so a pop advances the start.
@@ -404,26 +475,23 @@ impl<'a> Runner<'a> {
     fn new(sim: &'a Simulation) -> Self {
         let n = sim.tasks.len();
         let mut progress = Vec::with_capacity(n);
+        let mut records = Vec::with_capacity(n);
         let mut rate = Vec::with_capacity(n);
         // Per resource, the computes that will queue on it.
-        let mut queued = vec![0usize; sim.resources.len()];
+        let mut queued = vec![0u32; sim.resources.len()];
         for task in &sim.tasks {
-            let (remaining, r) = match &task.kind {
-                TaskKind::Flow { bytes, .. } => (*bytes, 0.0),
+            let (remaining, r) = match task.kind {
+                TaskKind::Flow { bytes, .. } => (bytes, 0.0),
                 TaskKind::Compute { resource, work } => {
-                    queued[resource.0] += usize::from(*work > 0.0);
-                    (*work, sim.resources[resource.0])
+                    queued[resource as usize] += u32::from(work > 0.0);
+                    (work, sim.resources[resource as usize])
                 }
-                TaskKind::Delay { seconds } => (*seconds, 1.0),
+                TaskKind::Delay { seconds } => (seconds, 1.0),
                 TaskKind::Barrier => (0.0, 0.0),
             };
-            progress.push(Progress {
-                done: false,
-                remaining,
-                unmet_deps: task.deps.len(),
-                start: 0.0,
-                finish: 0.0,
-            });
+            progress.push(Progress { remaining, unmet_deps: task.deps.len() as u32, done: false });
+            let phase = task.phase.map(|p| PhaseId(p as usize));
+            records.push(TaskRecord { start: 0.0, finish: 0.0, phase });
             rate.push(r);
         }
         let links = sim.links.len();
@@ -436,6 +504,7 @@ impl<'a> Runner<'a> {
         Self {
             sim,
             progress,
+            records,
             dependents: Dependents::of(sim),
             queues: Lists::with_room(queued),
             active_flows: Vec::new(),
@@ -487,40 +556,34 @@ impl<'a> Runner<'a> {
             };
             self.advance(dt);
         }
-        let records = self
-            .progress
-            .iter()
-            .zip(self.sim.tasks.iter())
-            .map(|(p, t)| TaskRecord { start: p.start, finish: p.finish, phase: t.phase })
-            .collect();
         let (link_start, link_tasks) = self.link_tasks.into_csr();
-        Ok(Timeline::new(records, self.now, link_start, link_tasks))
+        Ok(Timeline::new(self.records, self.now, link_start, link_tasks))
     }
 
     /// Moves a ready task into the running state. Returns `true` if it
     /// completes instantly (barriers, zero-byte flows, zero-work computes).
     fn activate(&mut self, id: TaskId) -> bool {
-        self.progress[id].start = self.now;
-        match &self.sim.tasks[id].kind {
+        self.records[id].start = self.now;
+        match self.sim.tasks[id].kind {
             TaskKind::Barrier => return true,
             TaskKind::Flow { bytes, .. } => {
-                if *bytes <= 0.0 {
+                if bytes <= 0.0 {
                     return true;
                 }
                 self.active_flows.push(id);
                 self.flow_started(id);
             }
             TaskKind::Delay { seconds } => {
-                if *seconds <= 0.0 {
+                if seconds <= 0.0 {
                     return true;
                 }
                 self.active_delays.push(id);
             }
             TaskKind::Compute { resource, work } => {
-                if *work <= 0.0 {
+                if work <= 0.0 {
                     return true;
                 }
-                let r = resource.0;
+                let r = resource as usize;
                 self.queues.push(r, id);
                 // Head of queue becomes active.
                 if self.queues.of(r).len() == 1 {
@@ -535,32 +598,33 @@ impl<'a> Runner<'a> {
     /// `newly_ready`.
     fn complete(&mut self, id: TaskId) {
         self.progress[id].done = true;
-        self.progress[id].finish = self.now;
+        self.records[id].finish = self.now;
         self.done += 1;
-        match &self.sim.tasks[id].kind {
+        match self.sim.tasks[id].kind {
             // A compute that held its resource hands it to the next in the
             // queue (zero-work computes never enter one).
-            TaskKind::Compute { resource, work } if *work > 0.0 => {
-                let r = resource.0;
+            TaskKind::Compute { resource, work } if work > 0.0 => {
+                let r = resource as usize;
                 debug_assert_eq!(
-                    self.queues.of(r)[0],
+                    self.queues.of(r)[0] as usize,
                     id,
                     "only the head of a queue is ever active"
                 );
                 self.queues.pop_front(r);
                 if let Some(&next) = self.queues.of(r).first() {
-                    self.progress[next].start = self.now;
+                    let next = next as usize;
+                    self.records[next].start = self.now;
                     self.active_compute.push(next);
                 }
             }
-            TaskKind::Flow { bytes, .. } if *bytes > 0.0 => self.flow_finished(id),
+            TaskKind::Flow { bytes, .. } if bytes > 0.0 => self.flow_finished(id),
             _ => {}
         }
         for &dep in self.dependents.of_task(id) {
-            let p = &mut self.progress[dep];
+            let p = &mut self.progress[dep as usize];
             p.unmet_deps -= 1;
             if p.unmet_deps == 0 {
-                self.newly_ready.push_back(dep);
+                self.newly_ready.push_back(dep as usize);
             }
         }
     }
@@ -568,18 +632,18 @@ impl<'a> Runner<'a> {
     /// Enters an activated flow into the user list of every link it crosses.
     fn flow_started(&mut self, id: TaskId) {
         let sim = self.sim;
-        for l in sim.path_of(&sim.tasks[id]) {
-            self.users.push(l.0, id);
-            self.dirty.push(l.0);
+        for &l in sim.path_of(&sim.tasks[id]) {
+            self.users.push(l as usize, id);
+            self.dirty.push(l as usize);
         }
     }
 
     /// Takes a finished flow out of the user lists again.
     fn flow_finished(&mut self, id: TaskId) {
         let sim = self.sim;
-        for l in sim.path_of(&sim.tasks[id]) {
-            self.users.swap_remove(l.0, id);
-            self.dirty.push(l.0);
+        for &l in sim.path_of(&sim.tasks[id]) {
+            self.users.swap_remove(l as usize, id);
+            self.dirty.push(l as usize);
         }
     }
 
@@ -612,13 +676,14 @@ impl<'a> Runner<'a> {
             self.cap[l] = self.sim.links[l];
             self.unfrozen[l] = self.users.of(l).len();
             for &flow in self.users.of(l) {
+                let flow = flow as usize;
                 if std::mem::replace(&mut self.seen_in[flow], self.refreshes) == self.refreshes {
                     continue;
                 }
                 self.frozen_in[flow] = 0;
                 self.rate[flow] = 0.0;
-                for m in sim.path_of(&sim.tasks[flow]) {
-                    join(&mut self.component, m.0);
+                for &m in sim.path_of(&sim.tasks[flow]) {
+                    join(&mut self.component, m as usize);
                 }
             }
         }
@@ -642,15 +707,17 @@ impl<'a> Runner<'a> {
             // began, once per entry: a path that names the link twice is
             // served twice.
             for &flow in self.users.of(bottleneck) {
+                let flow = flow as usize;
                 if self.frozen_in[flow] != 0 && self.frozen_in[flow] != round {
                     continue;
                 }
                 self.frozen_in[flow] = round;
                 self.rate[flow] = share;
                 // Subtract its rate from every link it crosses.
-                for m in sim.path_of(&sim.tasks[flow]) {
-                    self.cap[m.0] = (self.cap[m.0] - share).max(0.0);
-                    self.unfrozen[m.0] = self.unfrozen[m.0].saturating_sub(1);
+                for &m in sim.path_of(&sim.tasks[flow]) {
+                    let m = m as usize;
+                    self.cap[m] = (self.cap[m] - share).max(0.0);
+                    self.unfrozen[m] = self.unfrozen[m].saturating_sub(1);
                 }
             }
         }
@@ -824,8 +891,8 @@ mod tests {
         let spec = spec.after(&late);
         assert_eq!(*spec.deps, [first, second]);
         let third = sim.flow(spec);
-        assert_eq!(sim.deps_of(&sim.tasks[third]), [first, second]);
-        assert_eq!(sim.path_of(&sim.tasks[third]), path);
+        assert_eq!(sim.deps_of(&sim.tasks[third]), [first as u32, second as u32]);
+        assert_eq!(sim.path_of(&sim.tasks[third]), path.map(|l| l.0 as u32));
         assert_eq!(sim.path_of(&sim.tasks[second]), []);
         let tl = sim.run().unwrap();
         // The first flow takes 1 s on link a, the delay 1.5 s; the third
@@ -898,8 +965,8 @@ mod tests {
             let mut link_users: Vec<Vec<usize>> = vec![Vec::new(); self.sim.links.len()];
             // Index into active_flows.
             for (fi, &task) in self.active_flows.iter().enumerate() {
-                for l in self.sim.path_of(&self.sim.tasks[task]) {
-                    link_users[l.0].push(fi);
+                for &l in self.sim.path_of(&self.sim.tasks[task]) {
+                    link_users[l as usize].push(fi);
                 }
             }
             let n = self.active_flows.len();
@@ -927,9 +994,10 @@ mod tests {
                     frozen[fi] = true;
                     rate[fi] = share;
                     // Subtract its rate from every link it crosses.
-                    for l in self.sim.path_of(&self.sim.tasks[self.active_flows[fi]]) {
-                        remaining_cap[l.0] = (remaining_cap[l.0] - share).max(0.0);
-                        unfrozen_on_link[l.0] = unfrozen_on_link[l.0].saturating_sub(1);
+                    for &l in self.sim.path_of(&self.sim.tasks[self.active_flows[fi]]) {
+                        let l = l as usize;
+                        remaining_cap[l] = (remaining_cap[l] - share).max(0.0);
+                        unfrozen_on_link[l] = unfrozen_on_link[l].saturating_sub(1);
                     }
                 }
             }

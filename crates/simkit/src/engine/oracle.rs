@@ -23,11 +23,12 @@ fn floor(sim: &Simulation, task: &Task) -> (f64, f64) {
     match task.kind {
         TaskKind::Flow { bytes, .. } if bytes > 0.0 => {
             let path = sim.path_of(task);
-            let narrowest = path.iter().map(|l| sim.links[l.0]).fold(f64::INFINITY, f64::min);
+            let narrowest =
+                path.iter().map(|&l| sim.links[l as usize]).fold(f64::INFINITY, f64::min);
             (bytes / narrowest, narrowest)
         }
         TaskKind::Compute { resource, work } => {
-            let rate = sim.resources[resource.0];
+            let rate = sim.resources[resource as usize];
             (work / rate, rate)
         }
         TaskKind::Delay { seconds } => (seconds, 1.0),
@@ -56,7 +57,8 @@ pub(crate) fn check(sim: &Simulation, timeline: &Timeline) -> Result<(), String>
     // dependency finished; times are copies of one clock, so no tolerance.
     let mut ready = vec![0.0f64; records.len()];
     for (id, (task, rec)) in sim.tasks.iter().zip(records).enumerate() {
-        ready[id] = sim.deps_of(task).iter().map(|&d| records[d].finish).fold(0.0, f64::max);
+        ready[id] =
+            sim.deps_of(task).iter().map(|&d| records[d as usize].finish).fold(0.0, f64::max);
         if rec.start < ready[id] {
             return Err(format!(
                 "{} starts at {} before its last dependency finishes at {}",
@@ -89,7 +91,7 @@ pub(crate) fn check(sim: &Simulation, timeline: &Timeline) -> Result<(), String>
     for (id, task) in sim.tasks.iter().enumerate() {
         if let TaskKind::Compute { resource, work } = &task.kind {
             if *work > 0.0 {
-                queues[resource.0].push(id);
+                queues[*resource as usize].push(id);
             }
         }
     }
@@ -112,7 +114,7 @@ pub(crate) fn check(sim: &Simulation, timeline: &Timeline) -> Result<(), String>
     let link_tasks = sim.link_tasks();
     for (l, &bandwidth) in sim.links.iter().enumerate() {
         let flows = link_tasks.of(l);
-        let bytes_of = |&t: &TaskId| match sim.tasks[t].kind {
+        let bytes_of = |&t: &u32| match sim.tasks[t as usize].kind {
             TaskKind::Flow { bytes, .. } => bytes,
             _ => 0.0,
         };
@@ -158,6 +160,7 @@ fn critical_path_bound(sim: &Simulation) -> f64 {
         let (least, rate) = floor(sim, &sim.tasks[task]);
         earliest[task] += (least - slack(rate, least)).max(0.0);
         for &next in dependents.of_task(task) {
+            let next = next as usize;
             earliest[next] = earliest[next].max(earliest[task]);
             unmet[next] -= 1;
             if unmet[next] == 0 {

@@ -30,7 +30,9 @@ use crate::dag::{Dag, DagTaskId, DagWork, Structure, SITE_STORAGE};
 use crate::engine::Simulation;
 use crate::error::SimError;
 use crate::resource::Resource;
-use crate::task::{ComputeSpec, DelaySpec, FlowSpec, LinkId, PhaseId, ResourceId, Span, TaskId};
+use crate::task::{
+    narrow, ComputeSpec, DelaySpec, FlowSpec, LinkId, PhaseId, ResourceId, Span, TaskId,
+};
 
 /// A synchronisation point a scheduling decision can wait on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,12 +194,12 @@ pub trait Lowering {
         per_site: &mut Vec<(usize, TaskId)>,
     ) -> Result<TaskId, SimError>;
 
-    /// Called once before any task is lowered, with a lower bound of what
-    /// the lowering will add: every DAG task lowers to at least one task,
-    /// and every structural edge to at least one dependency. The default
-    /// ignores it.
-    fn reserve(&mut self, tasks: usize, deps: usize) {
-        let _ = (tasks, deps);
+    /// Called once before any task is lowered, with about the least the
+    /// lowering will add: every DAG task lowers to at least one task, every
+    /// structural edge to at least one dependency, and every transfer to a
+    /// flow over at least one link. The default ignores it.
+    fn reserve(&mut self, tasks: usize, deps: usize, path_links: usize) {
+        let _ = (tasks, deps, path_links);
     }
 
     /// Lowers a setup delay attributed to `phase`.
@@ -224,18 +226,19 @@ impl ScheduleOutcome {
 }
 
 /// What every scheduled DAG task lowered to: its main task and its span of
-/// per-site sub-results, all of them in one arena.
+/// per-site sub-results, all of them in one arena. The main task is stored
+/// as the `u32` a simulation's arenas hold it as.
 #[derive(Debug, Default)]
 struct Lowered {
     /// Per DAG task, `(main, span into per_site)` once it is scheduled.
-    tasks: Vec<Option<(TaskId, Span)>>,
+    tasks: Vec<Option<(u32, Span)>>,
     per_site: Vec<(usize, TaskId)>,
 }
 
 impl Lowered {
     /// The main task of DAG task `t`, once scheduled.
     fn main(&self, t: usize) -> Option<TaskId> {
-        self.tasks.get(t).copied().flatten().map(|(main, _)| main)
+        self.tasks.get(t).copied().flatten().map(|(main, _)| main as TaskId)
     }
 
     /// The sub-result of DAG task `t` at `site`, if any: `Err` when `t` is
@@ -419,8 +422,8 @@ impl<'a> Executor<'a> {
                 let start = per_site.len();
                 let main =
                     lowering.lower(self.dag, sd.task, sd.scatter.as_ref(), &self.deps, per_site)?;
-                let sites = Span::since(start, per_site);
-                self.lowered.tasks[idx] = Some((main, sites));
+                let sites = Span::since(start, per_site)?;
+                self.lowered.tasks[idx] = Some((narrow(main, "tasks")?, sites));
                 self.scheduled[idx] = true;
                 self.deferred[idx] = false;
                 self.structure.release(idx);
@@ -468,7 +471,8 @@ pub fn execute(
 ) -> Result<ScheduleOutcome, SimError> {
     let structure = dag.structure()?;
     let n = dag.len();
-    lowering.reserve(n, structure.edges());
+    let transfers = dag.tasks().iter().filter(|t| matches!(t.work, DagWork::Transfer { .. }));
+    lowering.reserve(n, structure.edges(), transfers.count());
     let mut exec = Executor {
         dag,
         structure,
@@ -635,8 +639,8 @@ impl Lowering for DirectLowering<'_> {
         }
     }
 
-    fn reserve(&mut self, tasks: usize, deps: usize) {
-        self.sim.reserve(tasks, deps);
+    fn reserve(&mut self, tasks: usize, deps: usize, path_links: usize) {
+        self.sim.reserve(tasks, deps, path_links);
     }
 
     fn lower_delay(

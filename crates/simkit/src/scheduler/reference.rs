@@ -544,7 +544,7 @@ mod tests {
             .tasks
             .iter()
             .map(|l| l.expect("all tasks scheduled"))
-            .map(|(main, sites)| (main, sites.of(&lowered.per_site).to_vec()))
+            .map(|(main, sites)| (main as usize, sites.of(&lowered.per_site).to_vec()))
             .collect())
     }
 

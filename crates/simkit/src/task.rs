@@ -1,6 +1,7 @@
 //! Task, link, resource and phase identifiers plus the task specification
 //! builders used to populate a [`crate::Simulation`].
 
+use crate::error::SimError;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
@@ -41,7 +42,8 @@ impl PhaseId {
 }
 
 /// What a task does while it is active. Paths live in the simulation's
-/// path arena; the task keeps its [`Span`] into it.
+/// path arena; the task keeps its [`Span`] into it. Link and resource
+/// indices are stored as `u32`, as the arenas store them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum TaskKind {
     /// Moves `bytes` across every link of `path` simultaneously; the rate is
@@ -54,8 +56,8 @@ pub(crate) enum TaskKind {
     },
     /// Performs `work` units of computation on a serial resource.
     Compute {
-        /// The resource the task runs on (FIFO order).
-        resource: ResourceId,
+        /// Index of the resource the task runs on (FIFO order).
+        resource: u32,
         /// Work amount, in the resource's rate unit (e.g. FLOPs or bytes).
         work: f64,
     },
@@ -69,48 +71,71 @@ pub(crate) enum TaskKind {
 }
 
 /// A run of entries in an arena: a task's dependencies or path in a
-/// [`crate::Simulation`], a task's edges in a [`crate::Dag`].
+/// [`crate::Simulation`], a task's edges in a [`crate::Dag`]. Its bounds are
+/// `u32`, so an arena holds at most `u32::MAX` entries; a builder whose
+/// arena would outgrow that gets the error of [`narrow`] instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct Span {
-    start: usize,
-    end: usize,
+    start: u32,
+    end: u32,
+}
+
+/// `index` as a stored `u32` position, or the error of a simulation or
+/// graph that would hold more than `u32::MAX` of `what`: its spans and
+/// stored ids are `u32`.
+pub(crate) fn narrow(index: usize, what: &str) -> Result<u32, SimError> {
+    u32::try_from(index).map_err(|_| SimError::InvalidParameter {
+        message: format!("more than {} {what}", u32::MAX),
+    })
 }
 
 impl Span {
-    /// Appends `items` to `arena` and returns where they landed.
-    pub(crate) fn append<T: Copy>(arena: &mut Vec<T>, items: &[T]) -> Self {
-        let start = arena.len();
-        arena.extend_from_slice(items);
-        Self { start, end: arena.len() }
+    /// The entries `start..end`, if both fit a `u32`.
+    fn new(start: usize, end: usize) -> Result<Self, SimError> {
+        Ok(Self { start: narrow(start, "arena entries")?, end: narrow(end, "arena entries")? })
+    }
+
+    /// Appends `items` to `arena` and returns where they landed; an arena
+    /// they would take past `u32::MAX` entries is left as it was.
+    pub(crate) fn append<T>(
+        arena: &mut Vec<T>,
+        items: impl ExactSizeIterator<Item = T>,
+    ) -> Result<Self, SimError> {
+        let span = Self::new(arena.len(), arena.len() + items.len())?;
+        arena.extend(items);
+        Ok(span)
     }
 
     /// Appends `item` to the run. A run that does not end the arena is
     /// first moved to its tail, leaving its old entries unused; builders
     /// almost always extend the newest run, so this is rare, and the order
-    /// of entries is kept either way.
-    pub(crate) fn push<T: Copy>(&mut self, arena: &mut Vec<T>, item: T) {
-        if self.end != arena.len() {
-            let start = arena.len();
-            arena.extend_from_within(self.start..self.end);
-            self.start = start;
+    /// of entries is kept either way. An arena this would take past
+    /// `u32::MAX` entries is left as it was.
+    pub(crate) fn push<T: Copy>(&mut self, arena: &mut Vec<T>, item: T) -> Result<(), SimError> {
+        let at_tail = self.end as usize == arena.len();
+        let start = if at_tail { self.start as usize } else { arena.len() };
+        let span = Self::new(start, start + self.len() + 1)?;
+        if !at_tail {
+            arena.extend_from_within(self.start as usize..self.end as usize);
         }
         arena.push(item);
-        self.end = arena.len();
+        *self = span;
+        Ok(())
     }
 
     /// The entries appended to `arena` since it was `start` long.
-    pub(crate) fn since<T>(start: usize, arena: &[T]) -> Self {
-        Self { start, end: arena.len() }
+    pub(crate) fn since<T>(start: usize, arena: &[T]) -> Result<Self, SimError> {
+        Self::new(start, arena.len())
     }
 
     /// The entries of `arena` this span covers.
     pub(crate) fn of<T>(self, arena: &[T]) -> &[T] {
-        &arena[self.start..self.end]
+        &arena[self.start as usize..self.end as usize]
     }
 
     /// Number of entries covered.
     pub(crate) fn len(self) -> usize {
-        self.end - self.start
+        (self.end - self.start) as usize
     }
 }
 
@@ -235,14 +260,14 @@ impl<'a> DelaySpec<'a> {
     }
 }
 
-/// Internal task representation stored by the simulation: spans into its
-/// arenas, no heap of its own but an optional label.
+/// Internal task representation stored by the simulation: its kind, a
+/// span into the dependency arena and its phase's index, with no heap of
+/// its own (labels live in a side list of the simulation).
 #[derive(Debug, Clone)]
 pub(crate) struct Task {
     pub(crate) kind: TaskKind,
     pub(crate) deps: Span,
-    pub(crate) phase: Option<PhaseId>,
-    pub(crate) label: Option<String>,
+    pub(crate) phase: Option<u32>,
 }
 
 #[cfg(test)]
@@ -269,6 +294,23 @@ mod tests {
         assert_eq!(spec.work, 1e9);
         assert_eq!(*spec.deps, [0]);
         assert_eq!(spec.phase, Some(PhaseId(1)));
+    }
+
+    #[test]
+    fn a_task_is_forty_bytes_and_an_arena_stops_at_u32_max() {
+        assert!(std::mem::size_of::<Task>() <= 40, "{} bytes", std::mem::size_of::<Task>());
+        let last = u32::MAX as usize;
+        assert_eq!(Span::new(last, last).map(Span::len), Ok(0));
+        let too_many =
+            |what| SimError::InvalidParameter { message: format!("more than {last} {what}") };
+        assert_eq!(Span::new(last - 1, last + 1), Err(too_many("arena entries")));
+        assert_eq!(narrow(last + 1, "tasks"), Err(too_many("tasks")));
+        let mut arena = vec![1u32, 2];
+        let mut run = Span::append(&mut arena, [3, 4].into_iter()).unwrap();
+        let mut older = Span::default();
+        older.push(&mut arena, 9).unwrap();
+        run.push(&mut arena, 5).unwrap();
+        assert_eq!((run.of(&arena), older.of(&arena)), (&[3, 4, 5][..], &[9][..]));
     }
 
     #[test]

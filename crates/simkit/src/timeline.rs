@@ -69,9 +69,9 @@ pub struct Timeline {
     makespan: f64,
     /// For every link of the simulation, the flow tasks that crossed it
     /// (the basis of the per-link occupancy queries): link `l`'s are
-    /// `link_tasks[link_start[l]..link_start[l + 1]]`.
-    link_start: Vec<usize>,
-    link_tasks: Vec<TaskId>,
+    /// `link_tasks[link_start[l]..link_start[l + 1]]`, by task index.
+    link_start: Vec<u32>,
+    link_tasks: Vec<u32>,
     /// Fault-model degradations that were active during the run.
     fault_annotations: Vec<FaultAnnotation>,
 }
@@ -80,8 +80,8 @@ impl Timeline {
     pub(crate) fn new(
         records: Vec<TaskRecord>,
         makespan: f64,
-        link_start: Vec<usize>,
-        link_tasks: Vec<TaskId>,
+        link_start: Vec<u32>,
+        link_tasks: Vec<u32>,
     ) -> Self {
         Self { records, makespan, link_start, link_tasks, fault_annotations: Vec::new() }
     }
@@ -138,10 +138,10 @@ impl Timeline {
     fn link_busy_filtered(&self, link: LinkId, keep: impl Fn(&TaskRecord) -> bool) -> f64 {
         let l = link.index();
         let Some(&end) = self.link_start.get(l + 1) else { return 0.0 };
-        let tasks = &self.link_tasks[self.link_start[l]..end];
+        let tasks = &self.link_tasks[self.link_start[l] as usize..end as usize];
         let intervals: Vec<(f64, f64)> = tasks
             .iter()
-            .filter_map(|&t| self.records.get(t))
+            .filter_map(|&t| self.records.get(t as usize))
             .filter(|rec| rec.finish > rec.start && keep(rec))
             .map(|rec| (rec.start, rec.finish))
             .collect();

@@ -7,7 +7,7 @@ use crate::session::Session;
 use fabric::StorageKind;
 use faultkit::TimedFaultEffects;
 use serde::{Deserialize, Serialize};
-use simkit::{DagTaskId, LinkId, Scheduler, SimError, Timeline};
+use simkit::{DagTaskId, LinkId, Scheduler, SimError, TaskId, Timeline};
 use ztrain::schedule::{
     build_iteration_graph, GraphKnobs, HostUpdateScheduler, IterPhases, PlatformLowering, SiteMap,
 };
@@ -113,22 +113,56 @@ impl TimedRun {
 /// update; a host-update method has neither and ignores them. The in-storage
 /// scheduler picks striped or owner-routed gradient scatters and sequential
 /// or overlapped tasklet chains — see [`crate::sched`].
+///
+/// One stage is in memory at a time, as the paper's handler reuses one
+/// buffer per state variable rather than holding whole subgroups twice:
+///
+/// 1. lowering (in `lower`): the platform with its growing simulation, the
+///    graph and its layout, the scheduler, the resource catalog and the
+///    executor's outcome;
+/// 2. the run: the platform with its finished simulation (its task table
+///    trimmed to its contents), the engine's working state (see
+///    `simkit::Simulation::run`) and the timeline it fills, plus the three
+///    lowered task ids the report reads;
+/// 3. the read-out: the timeline, the phases and the uplinks, kept in the
+///    [`TimedRun`]; the platform is dropped on return.
 pub(crate) fn run(
     session: &Session,
     plan: &StepPlan,
     effects: Option<&TimedFaultEffects>,
 ) -> Result<TimedRun, SimError> {
-    let method = session.method();
-    let (storage, knobs) = if method.uses_csds() {
-        (StorageKind::Csd, GraphKnobs::in_storage(method.keep_ratio(), plan.unit_elems()))
-    } else {
-        (StorageKind::PlainSsd, GraphKnobs::host_update())
-    };
+    let storage =
+        if session.method().uses_csds() { StorageKind::Csd } else { StorageKind::PlainSsd };
     let mut plat = TimedPlatform::new_with_faults(session.machine(), storage, effects);
     let phases = IterPhases {
         forward: plat.add_phase("forward"),
         backward: plat.add_phase("backward+grad_offload"),
         update: plat.add_phase("update+opt_transfer"),
+    };
+    let uplinks = plat.host_uplink_links();
+    let ends = lower(session, plan.unit_elems(), &mut plat, phases)?;
+    let timeline = plat.run()?;
+    let [t_fw, t_bw, t_end] = ends.map(|task| timeline.finish_time(task));
+    let report = IterationReport::new(t_fw, t_bw - t_fw, t_end - t_bw);
+    Ok(TimedRun { timeline, phases, t_bw, report, uplinks })
+}
+
+/// Builds the iteration graph, schedules it and lowers it onto `plat`, and
+/// returns the lowered tasks the report reads: the ends of the forward and
+/// backward phases and of the iteration. The graph, its layout, the
+/// scheduler, the resource catalog and the executor's outcome are dropped on
+/// return, before the engine runs: the graph is dead once lowering ends.
+fn lower(
+    session: &Session,
+    unit_elems: usize,
+    plat: &mut TimedPlatform,
+    phases: IterPhases,
+) -> Result<[TaskId; 3], SimError> {
+    let method = session.method();
+    let knobs = if method.uses_csds() {
+        GraphKnobs::in_storage(method.keep_ratio(), unit_elems)
+    } else {
+        GraphKnobs::host_update()
     };
     let sites = SiteMap::new(plat.num_gpus(), plat.num_devices());
     let optimizer = session.optimizer().kind();
@@ -141,22 +175,11 @@ pub(crate) fn run(
     } else {
         (Box::new(HostUpdateScheduler::new(&graph.layout)), graph.layout.up_end)
     };
-    let outcome = {
-        let mut lowering = PlatformLowering::new(&mut plat);
-        simkit::execute(&graph.dag, &resources, scheduler.as_mut(), &mut lowering)?
-    };
-    let uplinks = plat.host_uplink_links();
-
-    let timeline = plat.run()?;
-    let finish = |id| {
-        let task = outcome.task(id).expect("executor schedules every DAG task");
-        timeline.finish_time(task)
-    };
-    let t_fw = finish(graph.layout.fw_end);
-    let t_bw = finish(graph.layout.bw_end);
-    let t_end = finish(end);
-    let report = IterationReport::new(t_fw, t_bw - t_fw, t_end - t_bw);
-    Ok(TimedRun { timeline, phases, t_bw, report, uplinks })
+    let mut lowering = PlatformLowering::new(plat);
+    let outcome = simkit::execute(&graph.dag, &resources, scheduler.as_mut(), &mut lowering)?;
+    let layout = &graph.layout;
+    Ok([layout.fw_end, layout.bw_end, end]
+        .map(|id| outcome.task(id).expect("executor schedules every DAG task")))
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@
 //! restore succeeds, every call that reads or advances the state is refused.
 
 use crate::checkpoint::{bits_to_tensor, tensor_to_bits, TrainerCheckpoint};
-use crate::functional::RaidLane;
+use crate::functional::{GradientSource, RaidLane};
 use crate::lane::{Lane, LaneReport, ScheduledFault, StepArgs};
 use crate::plan::StepPlan;
 use crate::recover::recover;
@@ -159,9 +159,19 @@ impl PipelinedTrainer {
     }
 
     /// Refuses, with [`TrainError::Poisoned`], a trainer whose last step
-    /// failed part-way.
+    /// or restore failed part-way.
     fn check_whole(&self) -> Result<(), TrainError> {
         self.poisoned.map_or(Ok(()), |step| Err(TrainError::Poisoned { step }))
+    }
+
+    /// The refusals of a step with a gradient of `len` elements from
+    /// `what`, none of which moves anything: a poisoned trainer, a length
+    /// other than the parameter count, a lane that does not take the
+    /// compressor.
+    fn admit_step(&self, what: &str, len: usize) -> Result<(), TrainError> {
+        self.check_whole()?;
+        check_len(what, len, self.num_params())?;
+        self.lanes.iter().try_for_each(|lane| lane.admit(self.compressor))
     }
 
     /// Installs a fault plan: deterministic per-device injectors and a
@@ -302,11 +312,7 @@ impl PipelinedTrainer {
     /// committed, so the step count stays where it was and the trainer is
     /// poisoned until a [`Trainer::restore`].
     pub fn train_step_with_grads(&mut self, grads: &FlatTensor) -> Result<StepReport, TrainError> {
-        self.check_whole()?;
-        check_len("gradient", grads.len(), self.num_params())?;
-        for lane in &self.lanes {
-            lane.admit(self.compressor)?;
-        }
+        self.admit_step("gradient", grads.len())?;
         // From here the step moves state; only its success clears the poison.
         let step = self.step + 1;
         self.poisoned = Some(step);
@@ -419,6 +425,15 @@ impl Trainer for PipelinedTrainer {
         self.train_step_with_grads(grads)
     }
 
+    /// Asks `source` for its gradient only once the step would be admitted:
+    /// a refused step (see [`PipelinedTrainer::train_step_with_grads`])
+    /// leaves the source where it was.
+    fn step_from(&mut self, source: &mut dyn GradientSource) -> Result<StepReport, TrainError> {
+        self.admit_step("gradient source", source.num_params())?;
+        let grads = source.gradients(self.step + 1, &self.params_fp16);
+        self.train_step_with_grads(&grads)
+    }
+
     fn params_fp16(&self) -> &FlatTensor {
         &self.params_fp16
     }
@@ -462,6 +477,10 @@ impl Trainer for PipelinedTrainer {
         let bits = std::iter::once(&checkpoint.master_bits).chain(&checkpoint.aux_bits);
         let mut state: Vec<FlatTensor> = bits.map(|b| bits_to_tensor(b)).collect();
         let mut residual = self.compressor.map(|_| bits_to_tensor(&checkpoint.residual_bits));
+        // From here the lanes are rewritten one after another: a failure
+        // part-way leaves some at the checkpoint and the rest where they
+        // were, so only a restore that succeeds makes the trainer whole.
+        self.poisoned = Some(checkpoint.step);
         self.transfer_state(self.max_retries(), true, &mut state, residual.as_mut())?;
         state[0].roundtrip_f16_into(self.params_fp16.as_mut_slice());
         self.step = checkpoint.step;
@@ -1223,6 +1242,102 @@ mod tests {
         Trainer::restore(&mut t, &before).unwrap();
         Trainer::step(&mut t, &grads).unwrap();
         assert_eq!(t.steps_completed(), 2);
+    }
+
+    /// A gradient source that counts the batches it hands out.
+    struct CountingSource {
+        inner: SyntheticGradients,
+        draws: u64,
+    }
+
+    impl GradientSource for CountingSource {
+        fn num_params(&self) -> usize {
+            self.inner.num_params()
+        }
+
+        fn gradients(&mut self, step: u64, params_fp16: &FlatTensor) -> FlatTensor {
+            self.draws += 1;
+            self.inner.gradients(step, params_fp16)
+        }
+    }
+
+    #[test]
+    fn a_refused_step_from_draws_no_batch() {
+        let n = 1200;
+        let optimizer = Optimizer::adam_default();
+        let initial = FlatTensor::randn(n, 0.05, 63);
+        let counting =
+            |len| CountingSource { inner: SyntheticGradients::new(len, 0.01, 9), draws: 0 };
+        // A source of the wrong size, and a host lane that takes no
+        // compressor, are refused before the source is asked.
+        let mut t = PipelinedTrainer::new(&initial, optimizer, 3, 150).unwrap();
+        let mut wrong = counting(n - 1);
+        assert!(matches!(t.step_from(&mut wrong), Err(TrainError::Config { .. })));
+        assert_eq!(wrong.draws, 0);
+        let mut host = PipelinedTrainer::host_update(&initial, optimizer, 2, 300)
+            .unwrap()
+            .with_compression(0.1)
+            .unwrap();
+        let mut source = counting(n);
+        assert!(matches!(host.step_from(&mut source), Err(TrainError::Config { .. })));
+        assert_eq!(source.draws, 0);
+        // A poisoned trainer draws nothing either; the step that failed did.
+        t.step_from(&mut source).unwrap();
+        let shard = initial.slice(400, 400);
+        t.lane::<CsdLane>(1)
+            .csd
+            .store_initial_state(SHARD, &shard.slice(0, 399), &optimizer)
+            .unwrap();
+        t.step_from(&mut source).unwrap_err();
+        assert_eq!(source.draws, 2);
+        let refused = t.step_from(&mut source).unwrap_err();
+        assert_eq!(refused, TrainError::Poisoned { step: 2 });
+        assert_eq!(source.draws, 2);
+    }
+
+    #[test]
+    fn a_restore_that_fails_part_way_poisons_until_one_succeeds() {
+        let n = 1200;
+        let optimizer = Optimizer::adam_default();
+        let initial = FlatTensor::randn(n, 0.05, 64);
+        let grads = [FlatTensor::randn(n, 0.01, 65), FlatTensor::randn(n, 0.01, 66)];
+        let make = || PipelinedTrainer::new(&initial, optimizer, 3, 150).unwrap();
+        let mut straight = make();
+        for g in &grads {
+            straight.train_step_with_grads(g).unwrap();
+        }
+        let mut t = make();
+        Trainer::step(&mut t, &grads[0]).unwrap();
+        let before = Trainer::checkpoint(&mut t).unwrap();
+        // Lane 1 moves onto a device with room for exactly its state one
+        // element short (master copy and two Adam moments): rewriting the
+        // master copy overflows it, which `recover` does not rebuild, after
+        // lane 0 was already rewritten.
+        let short = initial.slice(400, 399);
+        let mut small = CsdDevice::new("csd1", 3 * 4 * 399, u64::MAX / 4);
+        small.store_initial_state(SHARD, &short, &optimizer).unwrap();
+        let healthy = std::mem::replace(&mut t.lane::<CsdLane>(1).csd, small);
+        let err = Trainer::restore(&mut t, &before).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                TrainError::Device(CsdError::Ssd(ssd::SsdError::CapacityExceeded { .. }))
+            ),
+            "{err}"
+        );
+        let refused = |e: TrainError| assert_eq!(e, TrainError::Poisoned { step: 1 }, "{e}");
+        refused(Trainer::step(&mut t, &grads[1]).unwrap_err());
+        refused(t.master_params().unwrap_err());
+        refused(Trainer::checkpoint(&mut t).unwrap_err());
+        // With the lane put right a restore succeeds, and the next step is
+        // the straight run's.
+        t.lane::<CsdLane>(1).csd = healthy;
+        Trainer::restore(&mut t, &before).unwrap();
+        Trainer::step(&mut t, &grads[1]).unwrap();
+        let (got, want) = (Trainer::checkpoint(&mut t), Trainer::checkpoint(&mut straight));
+        assert_eq!(got.unwrap(), want.unwrap());
+        let bits = |t: &FlatTensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(t.params_fp16()), bits(straight.params_fp16()));
     }
 
     #[test]

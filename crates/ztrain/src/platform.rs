@@ -246,9 +246,9 @@ impl TimedPlatform {
     }
 
     /// Makes room in the simulation for `tasks` more tasks with `deps`
-    /// dependencies between them.
-    pub(crate) fn reserve(&mut self, tasks: usize, deps: usize) {
-        self.sim.reserve(tasks, deps);
+    /// dependencies between them and `path_links` links of flow paths.
+    pub(crate) fn reserve(&mut self, tasks: usize, deps: usize, path_links: usize) {
+        self.sim.reserve(tasks, deps, path_links);
     }
 
     /// Adds a barrier completing after all `deps`.

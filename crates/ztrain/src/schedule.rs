@@ -1363,8 +1363,8 @@ impl Lowering for PlatformLowering<'_> {
         }
     }
 
-    fn reserve(&mut self, tasks: usize, deps: usize) {
-        self.plat.reserve(tasks, deps);
+    fn reserve(&mut self, tasks: usize, deps: usize, path_links: usize) {
+        self.plat.reserve(tasks, deps, path_links);
     }
 
     fn lower_delay(

@@ -274,11 +274,12 @@ pub enum TrainError {
         /// What was wrong with the configuration.
         message: String,
     },
-    /// An earlier step failed once it had moved state, so the stored state
-    /// may be torn; the trainer refuses to go on until a
+    /// An earlier step or restore failed once it had moved state, so the
+    /// stored state may be torn; the trainer refuses to go on until a
     /// [`Trainer::restore`] puts a whole state back.
     Poisoned {
-        /// 1-based index of the step that failed.
+        /// 1-based index of the step that failed; after a failed restore,
+        /// the step count of the checkpoint it was putting back.
         step: u64,
     },
 }
@@ -431,17 +432,25 @@ pub trait Trainer: fmt::Debug {
     /// Returns [`TrainError::Config`] if the checkpoint does not match this
     /// trainer (wrong parameter count or state shape, or error-feedback
     /// residuals where the trainer compresses nothing, or none where it
-    /// does).
+    /// does); such a refusal moves nothing. Otherwise a [`TrainError`]
+    /// wrapping the substrate operation that failed once the state was
+    /// being rewritten: that leaves part of it rewritten, and poisons the
+    /// trainer until a restore succeeds.
     fn restore(&mut self, checkpoint: &crate::TrainerCheckpoint) -> Result<(), TrainError>;
 
     /// Runs one training step pulling gradients from a
-    /// [`GradientSource`](crate::GradientSource).
+    /// [`GradientSource`](crate::GradientSource). A step that is refused
+    /// draws nothing from the source (the default checks the parameter
+    /// count first; [`crate::PipelinedTrainer`] also checks the poison and
+    /// its lanes first). A step that fails after it moved state has still
+    /// used its batch: a retry after a restore draws the next one, so only
+    /// a retry through [`Trainer::step`] with the kept gradient replays
+    /// the lost step exactly.
     ///
     /// # Errors
     ///
     /// Returns [`TrainError::Config`] if the source's parameter count differs
-    /// from the trainer's, or a [`TrainError`] wrapping whatever substrate
-    /// operation failed.
+    /// from the trainer's, or what [`Trainer::step`] returns.
     fn step_from(
         &mut self,
         source: &mut dyn crate::GradientSource,

@@ -15,6 +15,13 @@
 //! its own counter: a timed simulation's set-up allocates per simulation,
 //! not per link name, route, scheduling decision or task, and the count of
 //! one simulation is pinned.
+//!
+//! It also tracks the bytes a thread holds and their high-water mark, for
+//! two pins on a timed iteration's footprint: the peak live heap of one
+//! `simulate_iteration` per spec (the pass holds one stage in memory at a
+//! time — the graph is gone before the engine runs), and one iteration at
+//! the 4 096-device bound `Session::validate` enforces, under a time limit
+//! and a heap bar.
 
 use smart_infinity::{MachineConfig, MethodSpec, ModelConfig, RunSpec, Session};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -33,6 +40,10 @@ thread_local! {
     /// `None` when it is not counting. Const-initialised, so reading it
     /// never allocates.
     static COUNTED: Cell<Option<usize>> = const { Cell::new(None) };
+    /// Bytes this thread allocated minus the bytes it freed while tracking,
+    /// and the highest that difference reached; `None` when it is not
+    /// tracking.
+    static LIVE: Cell<Option<(isize, isize)>> = const { Cell::new(None) };
 }
 
 fn record(size: usize) {
@@ -43,25 +54,43 @@ fn record(size: usize) {
     let _ = COUNTED.try_with(|counted| counted.set(counted.get().map(|n| n + 1)));
 }
 
+/// Moves this thread's live-byte count by `delta`, raising its high-water
+/// mark when the count passes it.
+fn track(delta: isize) {
+    let _ = LIVE.try_with(|live| {
+        if let Some((now, peak)) = live.get() {
+            let now = now + delta;
+            live.set(Some((now, peak.max(now))));
+        }
+    });
+}
+
 // SAFETY: every method forwards to `System` unchanged; the counters are
 // lock-free atomics and never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         record(layout.size());
+        track(layout.size() as isize);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         record(layout.size());
+        track(layout.size() as isize);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         record(new_size);
+        // Counted as the new block arriving before the old one leaves: a
+        // copying reallocation holds both.
+        track(new_size as isize);
+        track(-(layout.size() as isize));
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as isize));
         System.dealloc(ptr, layout)
     }
 }
@@ -157,14 +186,15 @@ fn allocations_during(work: impl FnOnce()) -> usize {
 
 /// The allocations one `Session::simulate_iteration` of a spec makes (the
 /// session is built first, outside the count). Each bar is the count
-/// measured once the timed pass borrowed the session instead of copying its
-/// machine, workload (and, for a cluster, the whole session), plus 10 %. An
-/// optimised build made 803 and 3 281 before the set-up allocated per
-/// simulation, then 131, 165 and 410 before the pass borrowed; now 124, 158
-/// and 399. Builds with debug assertions also check every timeline against
-/// the engine's oracle, which allocates its own working set, so they have
-/// bars of their own (247, 808 and 953 before the pass borrowed; now 240,
-/// 801 and 942).
+/// measured once the simulation reserved its path arena and the engine
+/// stopped copying its offset tables, plus 10 %. An optimised build made 803
+/// and 3 281 before the set-up allocated per simulation, then 131, 165 and
+/// 410 before the pass borrowed the session instead of copying its machine,
+/// workload (and, for a cluster, the whole session), then 123, 157 and 398;
+/// now 120, 149 and 393. Builds with debug assertions also check every
+/// timeline against the engine's oracle, which allocates its own working
+/// set, so they have bars of their own (247, 808 and 953 before the pass
+/// borrowed, then 239, 800 and 941; now 235, 791 and 934).
 #[test]
 fn a_timed_iteration_allocates_per_simulation_not_per_name_route_or_decision() {
     let _turn = take_turn();
@@ -176,21 +206,21 @@ fn a_timed_iteration_allocates_per_simulation_not_per_name_route_or_decision() {
             r#"{"model": "GPT2-0.34B", "machine": {"devices": 4}, "method": {"offload": true,
                 "in_storage_update": true, "overlap": true, "pipelined": false,
                 "compression": {"keep_ratio": 0.01}}}"#,
-            if cfg!(debug_assertions) { 264 } else { 136 },
+            if cfg!(debug_assertions) { 259 } else { 132 },
         ),
         (
             "sim_scale: GPT2-33.0B, 10 CSDs, SU+O+C at 1 %",
             r#"{"model": "GPT2-33.0B", "machine": {"devices": 10}, "method": {"offload": true,
                 "in_storage_update": true, "overlap": true, "pipelined": false,
                 "compression": {"keep_ratio": 0.01}}}"#,
-            if cfg!(debug_assertions) { 881 } else { 173 },
+            if cfg!(debug_assertions) { 870 } else { 164 },
         ),
         (
             "sim_scale: GPT2-16.6B, 8 hosts of 10 CSDs, SU+O",
             r#"{"model": "GPT2-16.6B", "machine": {"devices": 10, "cluster": {"hosts": 8}},
                 "method": {"offload": true, "in_storage_update": true, "overlap": true,
                 "pipelined": false}}"#,
-            if cfg!(debug_assertions) { 1036 } else { 438 },
+            if cfg!(debug_assertions) { 1027 } else { 432 },
         ),
     ] {
         let session = RunSpec::from_json(spec).and_then(|s| s.session()).expect("a valid spec");
@@ -202,4 +232,97 @@ fn a_timed_iteration_allocates_per_simulation_not_per_name_route_or_decision() {
         println!("{name}: {count} allocations");
         assert!(count <= bar, "{name}: {count} allocations, the bar is {bar}");
     }
+}
+
+/// The most bytes the calling thread held at once, above what it held when
+/// `work` started, while `work` runs.
+fn peak_live_bytes_during(work: impl FnOnce()) -> usize {
+    LIVE.with(|live| live.set(Some((0, 0))));
+    work();
+    let (_, peak) = LIVE.with(|live| live.replace(None)).expect("tracking since above");
+    peak.max(0) as usize
+}
+
+/// The peak live heap of one `Session::simulate_iteration` of a spec (the
+/// session is built and run once first, outside the measure): what the
+/// thread held at most above what it held before the call. Each bar is the
+/// peak measured once the pass dropped the graph, its layout, the
+/// scheduler and the executor's outcome before the engine runs, and
+/// simkit's task table went compact (40-byte tasks, `u32` arenas sized by
+/// lower bounds and trimmed when the run starts, progress records filled in
+/// place), plus 10 %: 80, 1 185, 1 412 and 599 KiB. Before, the same specs
+/// peaked at 144, 2 135, 2 339 and 1 183 KiB. Builds with debug assertions
+/// measure the same: the engine's oracle runs after the engine's working
+/// state is dropped and needs less, so one bar serves both.
+#[test]
+fn a_timed_iteration_holds_one_stage_in_memory_at_a_time() {
+    let _turn = take_turn();
+    let seen = peak_live_bytes_during(|| drop(std::hint::black_box(vec![1u8; 1 << 16])));
+    assert_eq!(seen, 1 << 16, "the counting allocator is not installed");
+    for (name, spec, bar_kib) in [
+        (
+            "lab_cycle: GPT2-0.34B, 4 CSDs, SU+O+C at 1 %",
+            r#"{"model": "GPT2-0.34B", "machine": {"devices": 4}, "method": {"offload": true,
+                "in_storage_update": true, "overlap": true, "pipelined": false,
+                "compression": {"keep_ratio": 0.01}}}"#,
+            88,
+        ),
+        (
+            "sim_scale: GPT2-33.0B, 10 CSDs, SU+O+C at 1 %",
+            r#"{"model": "GPT2-33.0B", "machine": {"devices": 10}, "method": {"offload": true,
+                "in_storage_update": true, "overlap": true, "pipelined": false,
+                "compression": {"keep_ratio": 0.01}}}"#,
+            1_304,
+        ),
+        (
+            "sim_scale: GPT2-33.0B, 10 CSDs and 2 GPUs congested, SU+O+P+C at 1 %",
+            r#"{"model": "GPT2-33.0B", "machine": {"devices": 10, "num_gpus": 2,
+                "congested": true}, "method": {"offload": true, "in_storage_update": true,
+                "overlap": true, "pipelined": true, "compression": {"keep_ratio": 0.01}}}"#,
+            1_554,
+        ),
+        (
+            "sim_scale: GPT2-16.6B, 8 hosts of 10 CSDs, SU+O",
+            r#"{"model": "GPT2-16.6B", "machine": {"devices": 10, "cluster": {"hosts": 8}},
+                "method": {"offload": true, "in_storage_update": true, "overlap": true,
+                "pipelined": false}}"#,
+            659,
+        ),
+    ] {
+        let session = RunSpec::from_json(spec).and_then(|s| s.session()).expect("a valid spec");
+        session.simulate_iteration().expect("simulates");
+        let peak = peak_live_bytes_during(|| {
+            std::hint::black_box(session.simulate_iteration().expect("simulates"));
+        });
+        let kib = peak.div_ceil(1024);
+        println!("{name}: peak live heap {kib} KiB");
+        assert!(kib <= bar_kib, "{name}: peak live heap {kib} KiB, the bar is {bar_kib} KiB");
+    }
+}
+
+/// One iteration at the device bound `Session::validate` enforces (4 096):
+/// GPT2-33.0B, SU+O+P+C at 1 %, simulated once, cold. It took 1.0 s and
+/// peaked at 22 212 KiB of live heap on a 2-vCPU guest, in an optimised
+/// build and in the test profile alike (32 518 KiB before the pass held
+/// one stage at a time). The time limit is ten times that, generous for a
+/// shared runner; the heap bar is the peak plus 10 %. The bound moves when
+/// routing stops being a whole-topology search per endpoint pair, and this
+/// pin moves with it.
+#[test]
+fn an_iteration_at_the_device_bound_fits_its_time_and_heap() {
+    let _turn = take_turn();
+    let spec = r#"{"model": "GPT2-33.0B", "machine": {"devices": 4096}, "method": {"offload": true,
+        "in_storage_update": true, "overlap": true, "pipelined": true,
+        "compression": {"keep_ratio": 0.01}}}"#;
+    let session = RunSpec::from_json(spec).and_then(|s| s.session()).expect("a valid spec");
+    let start = std::time::Instant::now();
+    let mut report = None;
+    let peak = peak_live_bytes_during(|| {
+        report = Some(session.simulate_iteration().expect("simulates at the bound"));
+    });
+    let (took, kib) = (start.elapsed(), peak.div_ceil(1024));
+    println!("4 096 devices: {took:?}, peak live heap {kib} KiB, {report:?}");
+    assert!(report.is_some_and(|r| r.total_s() > 0.0));
+    assert!(took.as_secs_f64() < 10.0, "an iteration at the bound took {took:?}");
+    assert!(kib <= 24_433, "an iteration at the bound peaked at {kib} KiB");
 }
