@@ -18,12 +18,14 @@ mod oracle;
 /// its rate, a phase a tag, and none carries a name. Every dependency names
 /// a task added before, so the DAG is acyclic by construction. Tasks keep
 /// their dependencies and link paths as spans into two arenas the
-/// simulation owns, and the few tasks with a label keep it in a side list:
-/// a task is a fixed 40-byte record that holds no heap memory of its own,
-/// and dropping a simulation frees the arenas, not a vector per task. The
-/// arenas store task, link and resource indices as `u32`, so a simulation
-/// holds at most `u32::MAX` of each (and of dependencies and path links);
-/// the public ids stay `usize`.
+/// simulation owns, and a label in a side list: a task is a fixed 40-byte
+/// record that holds no heap memory of its own, and dropping a simulation
+/// frees the arenas, not a vector per task. Only a labelled task pays for
+/// the side list (an entry and its string); the timed platform labels
+/// none, while [`DirectLowering`](crate::DirectLowering) labels every task
+/// it lowers. The arenas store task, link and resource indices as `u32`,
+/// so a simulation holds at most `u32::MAX` of each (and of dependencies
+/// and path links); the public ids stay `usize`.
 ///
 /// Malformed graphs — non-positive link bandwidths, unknown dependency or
 /// link or resource ids, negative work amounts, more than `u32::MAX`

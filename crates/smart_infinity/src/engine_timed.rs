@@ -114,8 +114,7 @@ impl TimedRun {
 /// scheduler picks striped or owner-routed gradient scatters and sequential
 /// or overlapped tasklet chains — see [`crate::sched`].
 ///
-/// One stage is in memory at a time, as the paper's handler reuses one
-/// buffer per state variable rather than holding whole subgroups twice:
+/// One stage is in memory at a time:
 ///
 /// 1. lowering (in `lower`): the platform with its growing simulation, the
 ///    graph and its layout, the scheduler, the resource catalog and the
@@ -149,9 +148,8 @@ pub(crate) fn run(
 
 /// Builds the iteration graph, schedules it and lowers it onto `plat`, and
 /// returns the lowered tasks the report reads: the ends of the forward and
-/// backward phases and of the iteration. The graph, its layout, the
-/// scheduler, the resource catalog and the executor's outcome are dropped on
-/// return, before the engine runs: the graph is dead once lowering ends.
+/// backward phases and of the iteration. Everything else it built is
+/// dropped on return.
 fn lower(
     session: &Session,
     unit_elems: usize,

@@ -313,6 +313,11 @@ impl PipelinedTrainer {
     /// poisoned until a [`Trainer::restore`].
     pub fn train_step_with_grads(&mut self, grads: &FlatTensor) -> Result<StepReport, TrainError> {
         self.admit_step("gradient", grads.len())?;
+        self.admitted_step(grads)
+    }
+
+    /// The body of a step that [`PipelinedTrainer::admit_step`] admitted.
+    fn admitted_step(&mut self, grads: &FlatTensor) -> Result<StepReport, TrainError> {
         // From here the step moves state; only its success clears the poison.
         let step = self.step + 1;
         self.poisoned = Some(step);
@@ -425,13 +430,10 @@ impl Trainer for PipelinedTrainer {
         self.train_step_with_grads(grads)
     }
 
-    /// Asks `source` for its gradient only once the step would be admitted:
-    /// a refused step (see [`PipelinedTrainer::train_step_with_grads`])
-    /// leaves the source where it was.
     fn step_from(&mut self, source: &mut dyn GradientSource) -> Result<StepReport, TrainError> {
         self.admit_step("gradient source", source.num_params())?;
         let grads = source.gradients(self.step + 1, &self.params_fp16);
-        self.train_step_with_grads(&grads)
+        self.admitted_step(&grads)
     }
 
     fn params_fp16(&self) -> &FlatTensor {

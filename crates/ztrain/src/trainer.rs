@@ -440,12 +440,10 @@ pub trait Trainer: fmt::Debug {
 
     /// Runs one training step pulling gradients from a
     /// [`GradientSource`](crate::GradientSource). A step that is refused
-    /// draws nothing from the source (the default checks the parameter
-    /// count first; [`crate::PipelinedTrainer`] also checks the poison and
-    /// its lanes first). A step that fails after it moved state has still
-    /// used its batch: a retry after a restore draws the next one, so only
-    /// a retry through [`Trainer::step`] with the kept gradient replays
-    /// the lost step exactly.
+    /// draws nothing from the source. A step that fails after it moved state
+    /// has still used its batch: a retry after a restore draws the next one,
+    /// so only a retry through [`Trainer::step`] with the kept gradient
+    /// replays the lost step exactly.
     ///
     /// # Errors
     ///
@@ -454,11 +452,7 @@ pub trait Trainer: fmt::Debug {
     fn step_from(
         &mut self,
         source: &mut dyn crate::GradientSource,
-    ) -> Result<StepReport, TrainError> {
-        check_len("gradient source", source.num_params(), self.num_params())?;
-        let grads = source.gradients(self.steps_completed() + 1, self.params_fp16());
-        self.step(&grads)
-    }
+    ) -> Result<StepReport, TrainError>;
 }
 
 #[cfg(test)]
