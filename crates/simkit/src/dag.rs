@@ -18,41 +18,39 @@
 //!   concrete events realise the edge (e.g. a global barrier vs per-device
 //!   completion) and supplies them as [`crate::Anchor`]s on its decisions.
 //!
-//! Task and data names are diagnostics: error messages and
-//! [`crate::DirectLowering`]'s labels read them, nothing else does, so graph
-//! builders pass static stems and every message that names a task also
-//! prints its index.
-
-use std::borrow::Cow;
+//! Tasks and data items carry no names: every message that names one
+//! prints its index. Ids, sites and spans are `u32`, so a task is 56 bytes
+//! and a data item 24; a graph past `u32::MAX` tasks, data items or edges
+//! of a kind is refused from the counts, when it is reserved or validated.
 
 use crate::error::SimError;
-use crate::task::{PhaseId, Span};
+use crate::task::{fits_u32, PhaseId, Span};
 
 /// Identifier for a task in a [`Dag`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct DagTaskId(pub(crate) usize);
+pub struct DagTaskId(pub(crate) u32);
 
 impl DagTaskId {
     /// Zero-based position of this task in the graph.
     pub fn index(self) -> usize {
-        self.0
+        self.0 as usize
     }
 }
 
 /// Identifier for a data item produced by a task in a [`Dag`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct DataId(pub(crate) usize);
+pub struct DataId(pub(crate) u32);
 
 impl DataId {
     /// Zero-based position of this data item in the graph.
     pub fn index(self) -> usize {
-        self.0
+        self.0 as usize
     }
 }
 
 /// Site index meaning "the storage class as a whole": the scheduler chooses
 /// the concrete device targets via a [`crate::ScatterPlan`].
-pub const SITE_STORAGE: usize = usize::MAX;
+pub const SITE_STORAGE: u32 = u32::MAX;
 
 /// The work a DAG task performs, in site-relative terms.
 ///
@@ -65,16 +63,16 @@ pub enum DagWork {
     /// Computation of `amount` work units on the resource at `site`.
     Compute {
         /// Processing site the computation is bound to.
-        site: usize,
+        site: u32,
         /// Work in the site's units (FLOPs, bytes, ...).
         amount: f64,
     },
     /// Moving `bytes` from one site to another.
     Transfer {
         /// Originating site.
-        from: usize,
+        from: u32,
         /// Destination site (possibly [`SITE_STORAGE`]).
-        to: usize,
+        to: u32,
         /// Payload size in bytes.
         bytes: f64,
     },
@@ -91,8 +89,6 @@ pub enum DagWork {
 /// the graph's arenas: [`Dag::inputs`], [`Dag::soft_inputs`], [`Dag::after`].
 #[derive(Debug, Clone)]
 pub struct DagTask {
-    /// Human-readable name for debugging and error messages.
-    pub name: Cow<'static, str>,
     /// The work this task performs.
     pub work: DagWork,
     /// Phase the lowered simulation task is attributed to.
@@ -102,11 +98,17 @@ pub struct DagTask {
     after: Span,
 }
 
-/// A data item: a named payload produced by one task.
+impl DagTask {
+    /// Number of structural predecessors (hard inputs and after-edges,
+    /// duplicates included).
+    pub(crate) fn pred_count(&self) -> usize {
+        self.inputs.len() + self.after.len()
+    }
+}
+
+/// A data item: a payload produced by one task.
 #[derive(Debug, Clone)]
 pub struct DataItem {
-    /// Human-readable name.
-    pub name: Cow<'static, str>,
     /// Size in bytes (informational; transfer sizing lives in [`DagWork`]).
     pub bytes: f64,
     /// The task that produces this item.
@@ -114,15 +116,15 @@ pub struct DataItem {
     /// Site the item lives at once produced, when meaningful. Items scattered
     /// across storage carry `None`; per-site availability is resolved through
     /// [`crate::Anchor::TaskAtSite`].
-    pub site: Option<usize>,
+    pub site: Option<u32>,
 }
 
 /// A task graph under construction.
 ///
-/// Malformed references (unknown task or data ids), and an edge arena
-/// past `u32::MAX` entries (spans into the arenas are `u32`), poison the
-/// graph rather than panicking; the first error is reported by
-/// [`Dag::validate`] and by [`crate::execute`].
+/// Malformed references (unknown task or data ids), and more than
+/// `u32::MAX` tasks, data items or edges of a kind (ids and spans into the
+/// arenas are `u32`), poison the graph rather than panicking; the first
+/// error is reported by [`Dag::validate`] and by [`crate::execute`].
 #[derive(Debug, Default)]
 pub struct Dag {
     tasks: Vec<DagTask>,
@@ -144,7 +146,8 @@ impl Dag {
     /// Makes room for `tasks` more tasks, `data` more data items and the
     /// given numbers of hard inputs, soft inputs and after-edges, so that a
     /// builder that knows its graph's size fills the arenas without
-    /// regrowing them.
+    /// regrowing them. Counts that would take the graph past `u32::MAX` of
+    /// any of them poison it and reserve nothing.
     pub fn reserve(
         &mut self,
         tasks: usize,
@@ -153,11 +156,31 @@ impl Dag {
         soft_inputs: usize,
         after: usize,
     ) {
+        let total = |len: usize, more: usize| len.saturating_add(more);
+        let counts = [
+            total(self.tasks.len(), tasks),
+            total(self.data.len(), data),
+            total(self.inputs.len(), inputs),
+            total(self.soft_inputs.len(), soft_inputs),
+            total(self.after.len(), after),
+        ];
+        if let Err(err) = Self::check_counts(counts) {
+            return self.poison(err);
+        }
         self.tasks.reserve_exact(tasks);
         self.data.reserve_exact(data);
         self.inputs.reserve_exact(inputs);
         self.soft_inputs.reserve_exact(soft_inputs);
         self.after.reserve_exact(after);
+    }
+
+    /// The error of task, data item and edge counts past `u32::MAX`.
+    fn check_counts([tasks, data, inputs, soft, after]: [usize; 5]) -> Result<(), SimError> {
+        fits_u32(tasks, "dag tasks")?;
+        fits_u32(data, "data items")?;
+        fits_u32(inputs, "hard inputs")?;
+        fits_u32(soft, "soft inputs")?;
+        fits_u32(after, "after-edges")
     }
 
     fn poison(&mut self, err: SimError) {
@@ -167,26 +190,26 @@ impl Dag {
     }
 
     fn check_task(&mut self, id: DagTaskId) -> bool {
-        if id.0 < self.tasks.len() {
+        if id.index() < self.tasks.len() {
             true
         } else {
-            self.poison(SimError::UnknownId { kind: "dag task", index: id.0 });
+            self.poison(SimError::UnknownId { kind: "dag task", index: id.index() });
             false
         }
     }
 
     fn check_data(&mut self, id: DataId) -> bool {
-        if id.0 < self.data.len() {
+        if id.index() < self.data.len() {
             true
         } else {
-            self.poison(SimError::UnknownId { kind: "data item", index: id.0 });
+            self.poison(SimError::UnknownId { kind: "data item", index: id.index() });
             false
         }
     }
 
     /// Adds a task with no edges and returns its id.
-    pub fn add_task(&mut self, name: impl Into<Cow<'static, str>>, work: DagWork) -> DagTaskId {
-        let id = DagTaskId(self.tasks.len());
+    pub fn add_task(&mut self, work: DagWork) -> DagTaskId {
+        let id = DagTaskId(self.tasks.len() as u32);
         if let DagWork::Compute { amount, .. } = work {
             if !(amount.is_finite() && amount >= 0.0) {
                 self.poison(SimError::InvalidParameter {
@@ -213,7 +236,6 @@ impl Dag {
             }
         }
         self.tasks.push(DagTask {
-            name: name.into(),
             work,
             phase: None,
             inputs: Span::default(),
@@ -226,20 +248,14 @@ impl Dag {
     /// Attributes a task's lowered work to a simulation phase.
     pub fn set_phase(&mut self, task: DagTaskId, phase: PhaseId) {
         if self.check_task(task) {
-            self.tasks[task.0].phase = Some(phase);
+            self.tasks[task.index()].phase = Some(phase);
         }
     }
 
     /// Registers a data item produced by `task` and returns its id.
-    pub fn add_output(
-        &mut self,
-        task: DagTaskId,
-        name: impl Into<Cow<'static, str>>,
-        bytes: f64,
-        site: Option<usize>,
-    ) -> DataId {
-        let id = DataId(self.data.len());
-        self.data.push(DataItem { name: name.into(), bytes, producer: task, site });
+    pub fn add_output(&mut self, task: DagTaskId, bytes: f64, site: Option<u32>) -> DataId {
+        let id = DataId(self.data.len() as u32);
+        self.data.push(DataItem { bytes, producer: task, site });
         self.check_task(task);
         id
     }
@@ -248,9 +264,7 @@ impl Dag {
     /// item's producer.
     pub fn connect(&mut self, consumer: DagTaskId, item: DataId) {
         if self.check_task(consumer) && self.check_data(item) {
-            if let Err(err) = self.tasks[consumer.0].inputs.push(&mut self.inputs, item) {
-                self.poison(err);
-            }
+            self.tasks[consumer.index()].inputs.push(&mut self.inputs, item);
         }
     }
 
@@ -258,18 +272,14 @@ impl Dag {
     /// chooses the synchronisation realising it (via decision anchors).
     pub fn connect_soft(&mut self, consumer: DagTaskId, item: DataId) {
         if self.check_task(consumer) && self.check_data(item) {
-            if let Err(err) = self.tasks[consumer.0].soft_inputs.push(&mut self.soft_inputs, item) {
-                self.poison(err);
-            }
+            self.tasks[consumer.index()].soft_inputs.push(&mut self.soft_inputs, item);
         }
     }
 
     /// Adds a structural ordering edge: `task` runs after `pred`.
     pub fn add_after(&mut self, task: DagTaskId, pred: DagTaskId) {
         if self.check_task(task) && self.check_task(pred) {
-            if let Err(err) = self.tasks[task.0].after.push(&mut self.after, pred) {
-                self.poison(err);
-            }
+            self.tasks[task.index()].after.push(&mut self.after, pred);
         }
     }
 
@@ -285,12 +295,12 @@ impl Dag {
 
     /// The task with the given id, if it exists.
     pub fn task(&self, id: DagTaskId) -> Option<&DagTask> {
-        self.tasks.get(id.0)
+        self.tasks.get(id.index())
     }
 
     /// The data item with the given id, if it exists.
     pub fn data(&self, id: DataId) -> Option<&DataItem> {
-        self.data.get(id.0)
+        self.data.get(id.index())
     }
 
     /// All tasks, in id order.
@@ -302,31 +312,32 @@ impl Dag {
     /// unknown id): their producers must be scheduled first, and the
     /// executor wires the producers' lowered tasks in as dependencies.
     pub fn inputs(&self, id: DagTaskId) -> &[DataId] {
-        self.tasks.get(id.0).map_or(&[], |t| t.inputs.of(&self.inputs))
+        self.tasks.get(id.index()).map_or(&[], |t| t.inputs.of(&self.inputs))
     }
 
     /// The soft data inputs of a task, in declaration order (none for an
     /// unknown id): dataflow whose synchronisation the scheduler realises
     /// through decision anchors instead of structural edges.
     pub fn soft_inputs(&self, id: DagTaskId) -> &[DataId] {
-        self.tasks.get(id.0).map_or(&[], |t| t.soft_inputs.of(&self.soft_inputs))
+        self.tasks.get(id.index()).map_or(&[], |t| t.soft_inputs.of(&self.soft_inputs))
     }
 
     /// The after-edges of a task, in declaration order (none for an unknown
     /// id): structural ordering with no data attached.
     pub fn after(&self, id: DagTaskId) -> &[DagTaskId] {
-        self.tasks.get(id.0).map_or(&[], |t| t.after.of(&self.after))
+        self.tasks.get(id.index()).map_or(&[], |t| t.after.of(&self.after))
     }
 
     /// The structural predecessors of a task, by index: hard-input producers
     /// first (in declaration order), then after-edges. May repeat a task.
     fn preds(&self, task: &DagTask) -> impl Iterator<Item = usize> + '_ {
-        let producers = task.inputs.of(&self.inputs).iter().map(|d| self.data[d.0].producer.0);
-        producers.chain(task.after.of(&self.after).iter().map(|a| a.0))
+        let producers =
+            task.inputs.of(&self.inputs).iter().map(|d| self.data[d.index()].producer.index());
+        producers.chain(task.after.of(&self.after).iter().map(|a| a.index()))
     }
 
-    /// Checks the graph is well-formed: no poisoned references, and no cycle
-    /// through structural edges.
+    /// Checks the graph is well-formed: no poisoned references, no more
+    /// than `u32::MAX` of anything, and no cycle through structural edges.
     pub fn validate(&self) -> Result<(), SimError> {
         self.structure().map(drop)
     }
@@ -338,12 +349,20 @@ impl Dag {
         if let Some(err) = &self.poison {
             return Err(err.clone());
         }
+        Self::check_counts([
+            self.tasks.len(),
+            self.data.len(),
+            self.inputs.len(),
+            self.soft_inputs.len(),
+            self.after.len(),
+        ])?;
+        // Every count below is at most an arena's length, so fits a `u32`.
         let n = self.tasks.len();
-        let mut unmet = vec![0usize; n];
-        let mut offsets = vec![0usize; n + 1];
+        let mut unmet = vec![0u32; n];
+        let mut offsets = vec![0u32; n + 1];
         for (t, task) in self.tasks.iter().enumerate() {
+            unmet[t] = task.pred_count() as u32;
             for p in self.preds(task) {
-                unmet[t] += 1;
                 offsets[p + 1] += 1;
             }
         }
@@ -351,23 +370,23 @@ impl Dag {
             offsets[t + 1] += offsets[t];
         }
         let mut fill = offsets[..n].to_vec();
-        let mut dependents = vec![0usize; offsets[n]];
+        let mut dependents = vec![0u32; offsets[n] as usize];
         for (t, task) in self.tasks.iter().enumerate() {
             for p in self.preds(task) {
-                dependents[fill[p]] = t;
+                dependents[fill[p] as usize] = t as u32;
                 fill[p] += 1;
             }
         }
         let structure = Structure { offsets, dependents, unmet };
         // Kahn's algorithm over the structural edges.
         let mut left = structure.unmet.clone();
-        let mut ready: Vec<usize> = (0..n).filter(|&t| left[t] == 0).collect();
+        let mut ready: Vec<u32> = (0..n as u32).filter(|&t| left[t as usize] == 0).collect();
         let mut visited = 0usize;
         while let Some(t) = ready.pop() {
             visited += 1;
-            for &d in structure.dependents(t) {
-                left[d] -= 1;
-                if left[d] == 0 {
+            for &d in structure.dependents(t as usize) {
+                left[d as usize] -= 1;
+                if left[d as usize] == 0 {
                     ready.push(d);
                 }
             }
@@ -380,27 +399,23 @@ impl Dag {
     }
 }
 
-/// Structural edges of a validated [`Dag`], built in one pass over its tasks.
+/// Structural edges of a validated [`Dag`], built in one pass over its
+/// tasks, all of them `u32` as the graph's arenas are.
 #[derive(Debug)]
 pub(crate) struct Structure {
     /// Task `t`'s dependents are `dependents[offsets[t]..offsets[t + 1]]`.
-    offsets: Vec<usize>,
+    offsets: Vec<u32>,
     /// One entry per structural edge, duplicates included.
-    dependents: Vec<usize>,
+    dependents: Vec<u32>,
     /// Structural edges into each task whose source is not scheduled yet:
     /// all of them as built; [`Structure::release`] counts them down.
-    unmet: Vec<usize>,
+    unmet: Vec<u32>,
 }
 
 impl Structure {
     /// The tasks with a structural edge from `task`, once per edge.
-    fn dependents(&self, task: usize) -> &[usize] {
-        &self.dependents[self.offsets[task]..self.offsets[task + 1]]
-    }
-
-    /// Number of structural edges, duplicates included.
-    pub(crate) fn edges(&self) -> usize {
-        self.dependents.len()
+    fn dependents(&self, task: usize) -> &[u32] {
+        &self.dependents[self.offsets[task] as usize..self.offsets[task + 1] as usize]
     }
 
     /// Whether every structural predecessor of `task` has been released.
@@ -412,8 +427,8 @@ impl Structure {
     /// unmet edge fewer per edge from it.
     pub(crate) fn release(&mut self, task: usize) {
         let Self { offsets, dependents, unmet } = self;
-        for &d in &dependents[offsets[task]..offsets[task + 1]] {
-            unmet[d] -= 1;
+        for &d in &dependents[offsets[task] as usize..offsets[task + 1] as usize] {
+            unmet[d as usize] -= 1;
         }
     }
 }
@@ -427,11 +442,11 @@ mod tests {
     #[test]
     fn build_and_query_a_small_graph() {
         let mut dag = Dag::new();
-        let a = dag.add_task("a", DagWork::Compute { site: 0, amount: 1.0 });
-        let out = dag.add_output(a, "a.out", 8.0, Some(0));
-        let b = dag.add_task("b", DagWork::Transfer { from: 0, to: 1, bytes: 8.0 });
+        let a = dag.add_task(DagWork::Compute { site: 0, amount: 1.0 });
+        let out = dag.add_output(a, 8.0, Some(0));
+        let b = dag.add_task(DagWork::Transfer { from: 0, to: 1, bytes: 8.0 });
         dag.connect(b, out);
-        let c = dag.add_task("c", DagWork::Join);
+        let c = dag.add_task(DagWork::Join);
         dag.add_after(c, b);
 
         assert_eq!(dag.len(), 3);
@@ -444,7 +459,7 @@ mod tests {
     #[test]
     fn unknown_data_reference_poisons_the_graph() {
         let mut dag = Dag::new();
-        let a = dag.add_task("a", DagWork::Join);
+        let a = dag.add_task(DagWork::Join);
         dag.connect(a, DataId(7));
         let err = dag.validate().expect_err("poisoned graph must not validate");
         assert!(matches!(err, SimError::UnknownId { kind: "data item", index: 7 }));
@@ -453,8 +468,8 @@ mod tests {
     #[test]
     fn structural_cycle_is_detected() {
         let mut dag = Dag::new();
-        let a = dag.add_task("a", DagWork::Join);
-        let b = dag.add_task("b", DagWork::Join);
+        let a = dag.add_task(DagWork::Join);
+        let b = dag.add_task(DagWork::Join);
         dag.add_after(a, b);
         dag.add_after(b, a);
         let err = dag.validate().expect_err("cycle must not validate");
@@ -464,7 +479,7 @@ mod tests {
     #[test]
     fn negative_transfer_bytes_poison_the_graph() {
         let mut dag = Dag::new();
-        dag.add_task("t", DagWork::Transfer { from: 0, to: 1, bytes: -4.0 });
+        dag.add_task(DagWork::Transfer { from: 0, to: 1, bytes: -4.0 });
         let err = dag.validate().expect_err("negative bytes must poison");
         assert!(matches!(err, SimError::InvalidParameter { .. }));
     }
@@ -472,12 +487,23 @@ mod tests {
     #[test]
     fn soft_inputs_do_not_create_structural_edges() {
         let mut dag = Dag::new();
-        let a = dag.add_task("a", DagWork::Compute { site: 0, amount: 1.0 });
-        let out = dag.add_output(a, "a.out", 8.0, None);
-        let b = dag.add_task("b", DagWork::Join);
+        let a = dag.add_task(DagWork::Compute { site: 0, amount: 1.0 });
+        let out = dag.add_output(a, 8.0, None);
+        let b = dag.add_task(DagWork::Join);
         dag.connect_soft(b, out);
         assert!(dag.inputs(b).is_empty() && dag.after(b).is_empty());
         assert_eq!(dag.soft_inputs(b), [out]);
+    }
+
+    #[test]
+    fn a_task_is_56_bytes_a_data_item_24_and_counts_stop_at_u32_max() {
+        let (task, item) = (std::mem::size_of::<DagTask>(), std::mem::size_of::<DataItem>());
+        assert!(task <= 56 && item <= 24, "a task is {task} bytes, a data item {item}");
+        let past = u32::MAX as usize + 1;
+        let mut dag = Dag::new();
+        dag.reserve(1, 0, past, 0, 0);
+        let message = format!("more than {} hard inputs", u32::MAX);
+        assert_eq!(dag.validate(), Err(SimError::InvalidParameter { message }));
     }
 
     proptest! {
@@ -496,9 +522,9 @@ mod tests {
             let mut model: Vec<[Vec<usize>; 3]> = Vec::new();
             for (op, (a, b)) in ops {
                 if op == 0 || dag.is_empty() {
-                    let t = dag.add_task("t", DagWork::Join);
+                    let t = dag.add_task(DagWork::Join);
                     // Task i produces data item i.
-                    dag.add_output(t, "out", 1.0, None);
+                    dag.add_output(t, 1.0, None);
                     model.push(Default::default());
                     continue;
                 }
@@ -506,9 +532,9 @@ mod tests {
                 let task = if a % 3 == 0 { a % n } else { n - 1 };
                 let src = b % n;
                 match op {
-                    1 => dag.connect(DagTaskId(task), DataId(src)),
-                    2 => dag.connect_soft(DagTaskId(task), DataId(src)),
-                    _ => dag.add_after(DagTaskId(task), DagTaskId(src)),
+                    1 => dag.connect(DagTaskId(task as u32), DataId(src as u32)),
+                    2 => dag.connect_soft(DagTaskId(task as u32), DataId(src as u32)),
+                    _ => dag.add_after(DagTaskId(task as u32), DagTaskId(src as u32)),
                 }
                 model[task][op - 1].push(src);
             }
@@ -517,9 +543,9 @@ mod tests {
                 other => Err(other),
             }).expect("nothing is poisoned");
             for (t, [inputs, soft, after]) in model.iter().enumerate() {
-                let id = DagTaskId(t);
-                let data = |list: &[usize]| list.iter().map(|&i| DataId(i)).collect::<Vec<_>>();
-                let tasks = |list: &[usize]| list.iter().map(|&i| DagTaskId(i)).collect::<Vec<_>>();
+                let id = DagTaskId(t as u32);
+                let data = |list: &[usize]| list.iter().map(|&i| DataId(i as u32)).collect::<Vec<_>>();
+                let tasks = |list: &[usize]| list.iter().map(|&i| DagTaskId(i as u32)).collect::<Vec<_>>();
                 prop_assert_eq!(dag.inputs(id).to_vec(), data(inputs));
                 prop_assert_eq!(dag.soft_inputs(id).to_vec(), data(soft));
                 prop_assert_eq!(dag.after(id).to_vec(), tasks(after));

@@ -3,7 +3,7 @@
 
 use crate::error::SimError;
 use crate::task::{
-    narrow, ComputeSpec, DelaySpec, FlowSpec, LinkId, PhaseId, ResourceId, Span, Task, TaskId,
+    fits_u32, ComputeSpec, DelaySpec, FlowSpec, LinkId, PhaseId, ResourceId, Span, Task, TaskId,
     TaskKind,
 };
 use crate::timeline::{TaskRecord, Timeline};
@@ -21,11 +21,13 @@ mod oracle;
 /// simulation owns, and a label in a side list: a task is a fixed 40-byte
 /// record that holds no heap memory of its own, and dropping a simulation
 /// frees the arenas, not a vector per task. Only a labelled task pays for
-/// the side list (an entry and its string); the timed platform labels
-/// none, while [`DirectLowering`](crate::DirectLowering) labels every task
-/// it lowers. The arenas store task, link and resource indices as `u32`,
-/// so a simulation holds at most `u32::MAX` of each (and of dependencies
-/// and path links); the public ids stay `usize`.
+/// the side list (an entry and its string); neither the timed platform nor
+/// [`DirectLowering`](crate::DirectLowering) labels a task, and the
+/// engine's oracle names an unlabelled task by its id. The arenas store
+/// task, link, resource and phase indices as `u32`, so a simulation holds
+/// at most `u32::MAX` of each (and of dependencies and path links); the
+/// public task ids stay `usize`. That bound is checked from the counts, by
+/// [`Simulation::reserve`] and when the simulation runs, not per task.
 ///
 /// Malformed graphs — non-positive link bandwidths, unknown dependency or
 /// link or resource ids, negative work amounts, more than `u32::MAX`
@@ -49,6 +51,10 @@ pub struct Simulation {
     paths: Vec<u32>,
     /// The labels of the tasks that have one, by ascending task id.
     labels: Vec<(TaskId, String)>,
+    /// The task, dependency and path-link counts [`Simulation::reserve`]
+    /// was told the simulation would reach; a debug build checks them when
+    /// it runs.
+    reserved: Option<[usize; 3]>,
     poison: Option<SimError>,
 }
 
@@ -64,14 +70,6 @@ impl Simulation {
         }
     }
 
-    /// Poisons the simulation if `index`, the id about to be handed out,
-    /// does not fit the `u32` its arenas would store it as.
-    fn check_fits(&mut self, index: usize, what: &str) {
-        if let Err(err) = narrow(index, what) {
-            self.poison(err);
-        }
-    }
-
     /// Registers a shared link with the given bandwidth in bytes per second.
     ///
     /// A non-positive or non-finite bandwidth poisons the simulation; the
@@ -82,7 +80,6 @@ impl Simulation {
                 message: format!("link bandwidth must be positive and finite, got {bandwidth}"),
             });
         }
-        self.check_fits(self.links.len(), "links");
         self.links.push(bandwidth);
         LinkId(self.links.len() - 1)
     }
@@ -98,7 +95,6 @@ impl Simulation {
                 message: format!("resource rate must be positive and finite, got {rate}"),
             });
         }
-        self.check_fits(self.resources.len(), "resources");
         self.resources.push(rate);
         ResourceId(self.resources.len() - 1)
     }
@@ -107,21 +103,36 @@ impl Simulation {
     /// [`FlowSpec::phase`] and friends, read back through the timeline's
     /// per-phase queries.
     pub fn add_phase(&mut self) -> PhaseId {
-        self.check_fits(self.phases, "phases");
         self.phases += 1;
-        PhaseId(self.phases - 1)
+        PhaseId((self.phases - 1) as u32)
     }
 
-    /// Makes room for `tasks` more tasks with `deps` dependencies between
-    /// them and `path_links` links of flow paths. The counts are a lower
-    /// bound a builder knows of its graph's size, not the size: the arenas
-    /// fill that much without regrowing from empty and grow on past it, and
-    /// whatever they grew beyond their contents is given back once, when
-    /// [`Simulation::run`] starts.
+    /// Makes room for exactly `tasks` more tasks with `deps` dependencies
+    /// between them and `path_links` links of flow paths: what a builder
+    /// that knows its graph adds before it runs, so no arena regrows. A
+    /// debug build checks, when the simulation runs, that the arenas hold
+    /// exactly that much. Counts that would take an arena past `u32::MAX`
+    /// entries poison the simulation and reserve nothing.
     pub fn reserve(&mut self, tasks: usize, deps: usize, path_links: usize) {
+        let total = [
+            self.tasks.len().saturating_add(tasks),
+            self.deps.len().saturating_add(deps),
+            self.paths.len().saturating_add(path_links),
+        ];
+        if let Err(err) = Self::check_counts(total) {
+            return self.poison(err);
+        }
         self.tasks.reserve_exact(tasks);
         self.deps.reserve_exact(deps);
         self.paths.reserve_exact(path_links);
+        self.reserved = Some(total);
+    }
+
+    /// The error of task, dependency and path-link counts past `u32::MAX`.
+    fn check_counts([tasks, deps, paths]: [usize; 3]) -> Result<(), SimError> {
+        fits_u32(tasks, "tasks")?;
+        fits_u32(deps, "dependencies")?;
+        fits_u32(paths, "path links")
     }
 
     /// Number of links registered so far.
@@ -161,13 +172,9 @@ impl Simulation {
                 self.poison(SimError::UnknownId { kind: "link", index: l.0 });
             }
         }
-        // A link index that does not fit a `u32` is unknown or has poisoned
-        // `add_link`, so its truncation below is never run.
+        // A link index that does not fit a `u32` is unknown or poisons the
+        // run, so its truncation below is never read.
         let path = Span::append(&mut self.paths, spec.path.iter().map(|l| l.0 as u32));
-        let path = path.unwrap_or_else(|err| {
-            self.poison(err);
-            Span::default()
-        });
         let kind = TaskKind::Flow { path, bytes: spec.bytes };
         self.push(kind, &spec.deps, spec.phase, spec.label)
     }
@@ -212,9 +219,8 @@ impl Simulation {
     }
 
     /// Appends a task whose dependencies are `deps`; an unknown (so not
-    /// earlier) dependency, or an id or phase past `u32::MAX`, poisons the
-    /// simulation. Every index stored below is then either lossless or
-    /// never run.
+    /// earlier) dependency poisons the simulation. An index stored below
+    /// that does not fit its `u32` poisons the run, so it is never read.
     fn push(
         &mut self,
         kind: TaskKind,
@@ -223,27 +229,22 @@ impl Simulation {
         label: Option<String>,
     ) -> TaskId {
         let id = self.tasks.len();
-        self.check_fits(id, "tasks");
         if let Some(&d) = deps.iter().find(|&&d| d >= id) {
             self.poison(SimError::UnknownId { kind: "task", index: d });
         }
-        let phase = match phase.map(|p| narrow(p.0, "phases")).transpose() {
-            Ok(phase) => phase,
-            Err(err) => {
-                self.poison(err);
-                None
-            }
-        };
         let deps = Span::append(&mut self.deps, deps.iter().map(|&d| d as u32));
-        let deps = deps.unwrap_or_else(|err| {
-            self.poison(err);
-            Span::default()
-        });
         self.tasks.push(Task { kind, deps, phase });
         if let Some(label) = label {
             self.labels.push((id, label));
         }
         id
+    }
+
+    /// The task, dependency and path-link counts the simulation holds, and
+    /// those [`Simulation::reserve`] was told it would reach.
+    #[cfg(test)]
+    pub(crate) fn filled(&self) -> ([usize; 3], Option<[usize; 3]>) {
+        ([self.tasks.len(), self.deps.len(), self.paths.len()], self.reserved)
     }
 
     /// The tasks `task` waits on, by index.
@@ -292,18 +293,30 @@ impl Simulation {
     ///
     /// The task table is complete once this starts, so it first gives back
     /// whatever its arenas grew beyond their contents (once: a second run
-    /// finds nothing to give back).
+    /// finds nothing to give back; a reserved simulation has nothing).
     ///
     /// # Errors
     ///
     /// Returns the first error recorded while building the graph (an
-    /// [`SimError::InvalidParameter`] or [`SimError::UnknownId`]), or
+    /// [`SimError::InvalidParameter`] or [`SimError::UnknownId`]), the
+    /// [`SimError::InvalidParameter`] of more than `u32::MAX` links,
+    /// resources, phases, tasks, dependencies or path links, or
     /// [`SimError::DependencyCycle`] if some tasks can never become ready
     /// (their dependencies form a cycle).
     pub fn run(&mut self) -> Result<Timeline, SimError> {
         if let Some(err) = &self.poison {
             return Err(err.clone());
         }
+        fits_u32(self.links.len(), "links")?;
+        fits_u32(self.resources.len(), "resources")?;
+        fits_u32(self.phases, "phases")?;
+        let counts = [self.tasks.len(), self.deps.len(), self.paths.len()];
+        Self::check_counts(counts)?;
+        debug_assert!(
+            self.reserved.is_none() || self.reserved == Some(counts),
+            "reserved [tasks, deps, path links] {:?}, filled {counts:?}",
+            self.reserved
+        );
         self.tasks.shrink_to_fit();
         self.deps.shrink_to_fit();
         self.paths.shrink_to_fit();
@@ -492,8 +505,7 @@ impl<'a> Runner<'a> {
                 TaskKind::Barrier => (0.0, 0.0),
             };
             progress.push(Progress { remaining, unmet_deps: task.deps.len() as u32, done: false });
-            let phase = task.phase.map(|p| PhaseId(p as usize));
-            records.push(TaskRecord { start: 0.0, finish: 0.0, phase });
+            records.push(TaskRecord { start: 0.0, finish: 0.0, phase: task.phase });
             rate.push(r);
         }
         let links = sim.links.len();

@@ -37,8 +37,11 @@
 //! [`execute`]'s sweep order (ready tasks by ascending id, a task readied
 //! earlier in the same sweep offered in that sweep, resource-free callbacks
 //! only on a stall) is part of the contract: it fixes the order of the
-//! lowering calls and so every simulation task id. DAG task and data names
-//! are diagnostics only — error messages print them beside the task index.
+//! lowering calls and so every simulation task id. DAG tasks and data items
+//! carry no names: error messages print their indices. A scheduler whose
+//! decisions depend on the graph alone previews them
+//! ([`Scheduler::preview`]), and [`execute`] then reserves exactly what
+//! lowering them adds, so no arena regrows while a simulation is built.
 //!
 //! # Example
 //!

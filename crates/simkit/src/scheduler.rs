@@ -30,9 +30,7 @@ use crate::dag::{Dag, DagTaskId, DagWork, Structure, SITE_STORAGE};
 use crate::engine::Simulation;
 use crate::error::SimError;
 use crate::resource::Resource;
-use crate::task::{
-    narrow, ComputeSpec, DelaySpec, FlowSpec, LinkId, PhaseId, ResourceId, Span, TaskId,
-};
+use crate::task::{ComputeSpec, DelaySpec, FlowSpec, LinkId, PhaseId, ResourceId, Span, TaskId};
 
 /// A synchronisation point a scheduling decision can wait on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,7 +40,7 @@ pub enum Anchor {
     Task(DagTaskId),
     /// A per-site sub-result of a DAG task — e.g. the write flow a scatter
     /// issued towards one particular device.
-    TaskAtSite(DagTaskId, usize),
+    TaskAtSite(DagTaskId, u32),
 }
 
 /// Placement of a storage-class transfer onto concrete sites.
@@ -58,7 +56,7 @@ pub enum Anchor {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScatterPlan<'a> {
     /// `(site, bytes)` pairs, one flow each, issued in order.
-    pub transfers: Cow<'a, [(usize, f64)]>,
+    pub transfers: Cow<'a, [(u32, f64)]>,
     /// Whether to join the flows behind a barrier.
     pub join: bool,
 }
@@ -169,12 +167,23 @@ pub trait Scheduler {
     /// outstanding — the hook where a deferring policy releases held work.
     fn on_resource_free(
         &mut self,
-        site: usize,
+        site: u32,
         dag: &Dag,
         system: &SystemView<'_>,
         out: &mut dyn FnMut(Decision<'_>),
     ) {
         let _ = (site, dag, system, out);
+    }
+
+    /// For a policy whose decision for a task depends on the graph alone,
+    /// never on what was scheduled before it: hands `out` the decision it
+    /// will make for `task` when it is offered. [`execute`] asks this of
+    /// every task before anything is lowered, and reserves exactly what
+    /// lowering the decisions adds (see [`Lowering::reserve`]), so no arena
+    /// regrows. The default hands over nothing, for any task, and the
+    /// lowering grows as it goes.
+    fn preview(&mut self, task: DagTaskId, dag: &Dag, out: &mut dyn FnMut(Decision<'_>)) {
+        let _ = (task, dag, out);
     }
 }
 
@@ -182,24 +191,42 @@ pub trait Scheduler {
 pub trait Lowering {
     /// Lowers `task` with the given scatter placement and resolved
     /// dependency list, and returns its main task: the one downstream
-    /// structural edges attach to. Per-site sub-results (scatter flows, for
-    /// [`Anchor::TaskAtSite`]) are appended to `per_site` as `(site, task)`,
-    /// an arena the executor owns across every task of the run.
+    /// structural edges attach to. A plan places a storage-class transfer
+    /// (one touching [`SITE_STORAGE`]) and is ignored for any other task.
+    /// Per-site sub-results (scatter flows, for [`Anchor::TaskAtSite`]) are
+    /// appended to `per_site` as `(site, task)`, an arena the executor owns
+    /// across every task of the run; a task id is stored as the `u32` a
+    /// simulation's arenas hold it as.
     fn lower(
         &mut self,
         dag: &Dag,
         task: DagTaskId,
         scatter: Option<&ScatterPlan<'_>>,
         deps: &[TaskId],
-        per_site: &mut Vec<(usize, TaskId)>,
+        per_site: &mut Vec<(u32, u32)>,
     ) -> Result<TaskId, SimError>;
 
-    /// Called once before any task is lowered, with about the least the
-    /// lowering will add: every DAG task lowers to at least one task, every
-    /// structural edge to at least one dependency, and every transfer to a
-    /// flow over at least one link. The default ignores it.
+    /// Called once before any task is lowered, when the scheduler previews
+    /// its decisions ([`Scheduler::preview`]), with exactly what lowering
+    /// them adds. A DAG task lowers to one task, except a placed
+    /// storage-class transfer: a flow per placement, then a barrier when
+    /// the plan joins them or is empty. A setup delay is one task more.
+    /// Each lowered task depends on the decision's resolved dependencies,
+    /// except a join barrier, on its flows, and a setup delay, on its own
+    /// anchors. The path links are [`Lowering::route_len`] of every flow,
+    /// from the transfer's source to the placement's site for a scatter,
+    /// and from the site to the destination for a gather. The default
+    /// ignores it.
     fn reserve(&mut self, tasks: usize, deps: usize, path_links: usize) {
         let _ = (tasks, deps, path_links);
+    }
+
+    /// The number of links a flow from site `from` to site `to` crosses, 0
+    /// where there is none (lowering that flow fails). [`execute`] counts
+    /// the path links it reserves with it. The default is 0.
+    fn route_len(&mut self, from: u32, to: u32) -> usize {
+        let _ = (from, to);
+        0
     }
 
     /// Lowers a setup delay attributed to `phase`.
@@ -226,13 +253,13 @@ impl ScheduleOutcome {
 }
 
 /// What every scheduled DAG task lowered to: its main task and its span of
-/// per-site sub-results, all of them in one arena. The main task is stored
-/// as the `u32` a simulation's arenas hold it as.
+/// per-site sub-results, all of them in one arena. Tasks and sites are
+/// stored as the `u32` a simulation's and a graph's arenas hold them as.
 #[derive(Debug, Default)]
 struct Lowered {
     /// Per DAG task, `(main, span into per_site)` once it is scheduled.
     tasks: Vec<Option<(u32, Span)>>,
-    per_site: Vec<(usize, TaskId)>,
+    per_site: Vec<(u32, u32)>,
 }
 
 impl Lowered {
@@ -243,9 +270,86 @@ impl Lowered {
 
     /// The sub-result of DAG task `t` at `site`, if any: `Err` when `t` is
     /// not scheduled yet.
-    fn at_site(&self, t: usize, site: usize) -> Result<Option<TaskId>, ()> {
+    fn at_site(&self, t: usize, site: u32) -> Result<Option<TaskId>, ()> {
         let Some((_, sites)) = self.tasks.get(t).copied().flatten() else { return Err(()) };
-        Ok(sites.of(&self.per_site).iter().find(|(s, _)| *s == site).map(|&(_, t)| t))
+        Ok(sites.of(&self.per_site).iter().find(|(s, _)| *s == site).map(|&(_, t)| t as TaskId))
+    }
+}
+
+/// [`Size`] remembers `1 << ROUTE_BITS` route lengths.
+const ROUTE_BITS: u32 = 8;
+
+/// What lowering a run's previewed decisions adds, counted by the rules of
+/// [`Lowering::reserve`]: simulation tasks, dependencies and path links,
+/// and the executor's per-site sub-results.
+#[derive(Debug)]
+struct Size {
+    tasks: usize,
+    deps: usize,
+    path_links: usize,
+    per_site: usize,
+    /// Route lengths the lowering was asked for, `(from, to, len)` by a
+    /// hash of their ends: a graph names few endpoint pairs, so most flows
+    /// are counted without a call.
+    routes: [(u32, u32, usize); 1 << ROUTE_BITS],
+}
+
+impl Size {
+    fn new() -> Self {
+        // No flow asks for a route between two storage classes.
+        let routes = [(SITE_STORAGE, SITE_STORAGE, 0); 1 << ROUTE_BITS];
+        Self { tasks: 0, deps: 0, path_links: 0, per_site: 0, routes }
+    }
+
+    /// [`Lowering::route_len`] from `from` to `to`, asked of the lowering
+    /// only when the pair's slot holds another pair.
+    fn route_len(&mut self, lowering: &mut dyn Lowering, from: u32, to: u32) -> usize {
+        let key = (u64::from(from) << 32 | u64::from(to)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let slot = &mut self.routes[(key >> (64 - ROUTE_BITS)) as usize];
+        if (slot.0, slot.1) != (from, to) {
+            *slot = (from, to, lowering.route_len(from, to));
+        }
+        slot.2
+    }
+
+    /// Adds what lowering `decision` over `dag` adds; a decision for a task
+    /// the graph lacks adds nothing (applying it fails).
+    fn add(&mut self, dag: &Dag, decision: &ScheduleDecision<'_>, lowering: &mut dyn Lowering) {
+        let Some(task) = dag.task(decision.task) else { return };
+        let mut deps = task.pred_count() + decision.after.len();
+        if let Some(setup) = &decision.setup {
+            self.tasks += 1;
+            self.deps += setup.after.len();
+            deps += 1;
+        }
+        match (task.work, &decision.scatter) {
+            (DagWork::Transfer { from, to, .. }, Some(plan))
+                if from == SITE_STORAGE || to == SITE_STORAGE =>
+            {
+                for &(site, _) in plan.transfers.iter() {
+                    let (a, b) = if to == SITE_STORAGE { (from, site) } else { (site, to) };
+                    self.path_links += self.route_len(lowering, a, b);
+                }
+                let flows = plan.transfers.len();
+                self.per_site += flows;
+                self.tasks += flows;
+                self.deps += flows * deps;
+                if flows == 0 {
+                    self.tasks += 1;
+                    self.deps += deps;
+                } else if plan.join {
+                    self.tasks += 1;
+                    self.deps += flows;
+                }
+            }
+            (work, _) => {
+                self.tasks += 1;
+                self.deps += deps;
+                if let DagWork::Transfer { from, to, .. } = work {
+                    self.path_links += self.route_len(lowering, from, to);
+                }
+            }
+        }
     }
 }
 
@@ -258,15 +362,11 @@ struct Executor<'a> {
     /// Dependencies of the decision being applied, reused across decisions.
     deps: Vec<TaskId>,
     /// Scatter sites of the decision being applied, sorted to find repeats.
-    scatter_sites: Vec<usize>,
+    scatter_sites: Vec<u32>,
     done: usize,
 }
 
-impl<'a> Executor<'a> {
-    fn name(&self, task: usize) -> &'a str {
-        &self.dag.tasks()[task].name
-    }
-
+impl Executor<'_> {
     fn resolve_anchor(&self, anchor: Anchor) -> Result<TaskId, SimError> {
         let unscheduled = |t: DagTaskId| SimError::InvalidParameter {
             message: format!("anchor references unscheduled dag task {}", t.index()),
@@ -291,15 +391,14 @@ impl<'a> Executor<'a> {
     fn resolve_deps(&mut self, decision: &ScheduleDecision<'_>) -> Result<(), SimError> {
         let idx = decision.task.index();
         let dag = self.dag;
-        let task = &dag.tasks()[idx];
         self.deps.clear();
         for &input in dag.inputs(decision.task) {
             let item = dag.data(input).expect("validated id");
             let producer = item.producer.index();
             let main = self.lowered.main(producer).ok_or_else(|| SimError::InvalidParameter {
                 message: format!(
-                    "dag task {idx} ('{}') scheduled before the producer of its input '{}'",
-                    task.name, item.name
+                    "dag task {idx} scheduled before the producer of its input {}",
+                    input.index()
                 ),
             })?;
             let dep = match item.site {
@@ -311,10 +410,7 @@ impl<'a> Executor<'a> {
         for &pred in dag.after(decision.task) {
             let main =
                 self.lowered.main(pred.index()).ok_or_else(|| SimError::InvalidParameter {
-                    message: format!(
-                        "dag task {idx} ('{}') scheduled before its predecessor",
-                        task.name
-                    ),
+                    message: format!("dag task {idx} scheduled before its predecessor"),
                 })?;
             self.deps.push(main);
         }
@@ -334,11 +430,7 @@ impl<'a> Executor<'a> {
         match self.scatter_sites.windows(2).find(|w| w[0] == w[1]) {
             None => Ok(()),
             Some(w) => Err(SimError::InvalidParameter {
-                message: format!(
-                    "scatter plan of dag task {idx} ('{}') names site {} twice",
-                    self.name(idx),
-                    w[0]
-                ),
+                message: format!("scatter plan of dag task {idx} names site {} twice", w[0]),
             }),
         }
     }
@@ -386,18 +478,13 @@ impl<'a> Executor<'a> {
                 }
                 if self.scheduled[idx] {
                     return Err(SimError::InvalidParameter {
-                        message: format!(
-                            "scheduler scheduled dag task {idx} ('{}') twice",
-                            self.name(idx)
-                        ),
+                        message: format!("scheduler scheduled dag task {idx} twice"),
                     });
                 }
                 if !self.structure.is_ready(idx) {
                     return Err(SimError::InvalidParameter {
                         message: format!(
-                            "scheduler scheduled dag task {idx} ('{}') before its \
-                             structural predecessors",
-                            self.name(idx)
+                            "scheduler scheduled dag task {idx} before its structural predecessors"
                         ),
                     });
                 }
@@ -422,8 +509,8 @@ impl<'a> Executor<'a> {
                 let start = per_site.len();
                 let main =
                     lowering.lower(self.dag, sd.task, sd.scatter.as_ref(), &self.deps, per_site)?;
-                let sites = Span::since(start, per_site)?;
-                self.lowered.tasks[idx] = Some((narrow(main, "tasks")?, sites));
+                let sites = Span::since(start, per_site);
+                self.lowered.tasks[idx] = Some((main as u32, sites));
                 self.scheduled[idx] = true;
                 self.deferred[idx] = false;
                 self.structure.release(idx);
@@ -436,7 +523,7 @@ impl<'a> Executor<'a> {
 
 /// Every concrete site the graph's work names, ascending: the sites a stall
 /// offers to [`Scheduler::on_resource_free`].
-fn stall_sites(dag: &Dag) -> Vec<usize> {
+fn stall_sites(dag: &Dag) -> Vec<u32> {
     let mut sites = Vec::new();
     for task in dag.tasks() {
         match task.work {
@@ -463,6 +550,11 @@ fn stall_sites(dag: &Dag) -> Vec<usize> {
 ///
 /// A [`ScatterPlan`] that names a site twice is rejected with
 /// [`SimError::InvalidParameter`] before anything of its task is lowered.
+///
+/// When the scheduler previews its decisions ([`Scheduler::preview`]), the
+/// lowering is told exactly what they add before the first is lowered
+/// ([`Lowering::reserve`]), and the executor sizes its own per-site arena
+/// from them too.
 pub fn execute(
     dag: &Dag,
     resources: &[Resource],
@@ -471,19 +563,29 @@ pub fn execute(
 ) -> Result<ScheduleOutcome, SimError> {
     let structure = dag.structure()?;
     let n = dag.len();
-    let transfers = dag.tasks().iter().filter(|t| matches!(t.work, DagWork::Transfer { .. }));
-    lowering.reserve(n, structure.edges(), transfers.count());
+    let mut size = None;
+    for t in 0..n {
+        scheduler.preview(DagTaskId(t as u32), dag, &mut |decision| {
+            if let Decision::Schedule(sd) = decision {
+                size.get_or_insert_with(Size::new).add(dag, &sd, lowering);
+            }
+        });
+    }
+    if let Some(size) = &size {
+        lowering.reserve(size.tasks, size.deps, size.path_links);
+    }
+    let per_site = Vec::with_capacity(size.map_or(0, |size| size.per_site));
     let mut exec = Executor {
         dag,
         structure,
-        lowered: Lowered { tasks: vec![None; n], per_site: Vec::new() },
+        lowered: Lowered { tasks: vec![None; n], per_site },
         scheduled: vec![false; n],
         deferred: vec![false; n],
         deps: Vec::new(),
         scatter_sites: Vec::new(),
         done: 0,
     };
-    let mut sites: Option<Vec<usize>> = None;
+    let mut sites: Option<Vec<u32>> = None;
     let view = SystemView { resources };
 
     while exec.done < n {
@@ -492,8 +594,9 @@ pub fn execute(
             if exec.scheduled[t] || exec.deferred[t] || !exec.structure.is_ready(t) {
                 continue;
             }
-            progress |= exec
-                .answer(lowering, |out| scheduler.on_task_ready(DagTaskId(t), dag, &view, out))?;
+            let task = DagTaskId(t as u32);
+            progress |=
+                exec.answer(lowering, |out| scheduler.on_task_ready(task, dag, &view, out))?;
         }
         if exec.done == n || progress {
             continue;
@@ -513,14 +616,24 @@ pub fn execute(
 }
 
 /// A direct lowering onto a plain [`Simulation`]: sites index straight into
-/// registered compute resources and transfers ride per-route link paths.
+/// registered compute resources and transfers ride per-route link paths,
+/// lent to each flow from the route table. It labels no task.
 ///
 /// Suited to synthetic graphs and flat topologies; richer platforms (media
 /// links, fault annotations) implement [`Lowering`] themselves.
 pub struct DirectLowering<'a> {
     sim: &'a mut Simulation,
     compute: Vec<Option<ResourceId>>,
-    routes: Vec<((usize, usize), Vec<LinkId>)>,
+    routes: Vec<((u32, u32), Vec<LinkId>)>,
+}
+
+/// The path mapped from site `from` to site `to` in `routes`.
+fn route(routes: &[((u32, u32), Vec<LinkId>)], from: u32, to: u32) -> Result<&[LinkId], SimError> {
+    routes.iter().find(|(ends, _)| *ends == (from, to)).map(|(_, path)| &path[..]).ok_or_else(
+        || SimError::InvalidParameter {
+            message: format!("no route mapped from site {from} to site {to}"),
+        },
+    )
 }
 
 impl<'a> DirectLowering<'a> {
@@ -530,7 +643,8 @@ impl<'a> DirectLowering<'a> {
     }
 
     /// Maps a site index to a compute resource.
-    pub fn map_site(&mut self, site: usize, resource: ResourceId) {
+    pub fn map_site(&mut self, site: u32, resource: ResourceId) {
+        let site = site as usize;
         if self.compute.len() <= site {
             self.compute.resize(site + 1, None);
         }
@@ -538,26 +652,13 @@ impl<'a> DirectLowering<'a> {
     }
 
     /// Maps a directed route between two sites to a link path.
-    pub fn map_route(&mut self, from: usize, to: usize, path: Vec<LinkId>) {
+    pub fn map_route(&mut self, from: u32, to: u32, path: Vec<LinkId>) {
         self.routes.push(((from, to), path));
     }
 
-    fn route(&self, from: usize, to: usize) -> Result<Vec<LinkId>, SimError> {
-        self.routes
-            .iter()
-            .find(|((f, t), _)| *f == from && *t == to)
-            .map(|(_, p)| p.clone())
-            .ok_or_else(|| SimError::InvalidParameter {
-                message: format!("no route mapped from site {from} to site {to}"),
-            })
-    }
-
-    fn site_resource(&self, site: usize) -> Result<ResourceId, SimError> {
-        self.compute
-            .get(site)
-            .copied()
-            .flatten()
-            .ok_or(SimError::UnknownId { kind: "site", index: site })
+    fn site_resource(&self, site: u32) -> Result<ResourceId, SimError> {
+        let unknown = SimError::UnknownId { kind: "site", index: site as usize };
+        self.compute.get(site as usize).copied().flatten().ok_or(unknown)
     }
 }
 
@@ -568,79 +669,56 @@ impl Lowering for DirectLowering<'_> {
         task: DagTaskId,
         scatter: Option<&ScatterPlan<'_>>,
         deps: &[TaskId],
-        per_site: &mut Vec<(usize, TaskId)>,
+        per_site: &mut Vec<(u32, u32)>,
     ) -> Result<TaskId, SimError> {
         let node =
             dag.task(task).ok_or(SimError::UnknownId { kind: "dag task", index: task.index() })?;
+        let phase = node.phase;
+        let spec = |path, bytes| FlowSpec { phase, ..FlowSpec::new(path, bytes).after(deps) };
         match node.work {
             DagWork::Join => Ok(self.sim.barrier(deps)),
             DagWork::Delay { seconds } => {
-                let mut spec = DelaySpec::new(seconds).after(deps).label(node.name.clone());
-                if let Some(p) = node.phase {
-                    spec = spec.phase(p);
-                }
-                Ok(self.sim.delay(spec))
+                Ok(self.sim.delay(DelaySpec { phase, ..DelaySpec::new(seconds).after(deps) }))
             }
             DagWork::Compute { site, amount } => {
-                let resource = self.site_resource(site)?;
-                let mut spec =
-                    ComputeSpec::new(resource, amount).after(deps).label(node.name.clone());
-                if let Some(p) = node.phase {
-                    spec = spec.phase(p);
-                }
-                Ok(self.sim.compute(spec))
+                let spec = ComputeSpec::new(self.site_resource(site)?, amount).after(deps);
+                Ok(self.sim.compute(ComputeSpec { phase, ..spec }))
             }
-            DagWork::Transfer { from, to, bytes } => match scatter {
-                None => {
-                    if from == SITE_STORAGE || to == SITE_STORAGE {
-                        return Err(SimError::InvalidParameter {
-                            message: format!(
-                                "storage-class transfer dag task {} ('{}') requires a scatter plan",
-                                task.index(),
-                                node.name
-                            ),
-                        });
-                    }
-                    let path = self.route(from, to)?;
-                    let mut spec = FlowSpec::new(path, bytes).after(deps).label(node.name.clone());
-                    if let Some(p) = node.phase {
-                        spec = spec.phase(p);
-                    }
-                    Ok(self.sim.flow(spec))
+            DagWork::Transfer { from, to, bytes } if from != SITE_STORAGE && to != SITE_STORAGE => {
+                Ok(self.sim.flow(spec(route(&self.routes, from, to)?, bytes)))
+            }
+            DagWork::Transfer { from, to, .. } => {
+                let plan = scatter.ok_or_else(|| SimError::InvalidParameter {
+                    message: format!(
+                        "storage-class transfer dag task {} requires a scatter plan",
+                        task.index()
+                    ),
+                })?;
+                let first = per_site.len();
+                for &(site, part_bytes) in plan.transfers.iter() {
+                    let (a, b) = if to == SITE_STORAGE { (from, site) } else { (site, to) };
+                    let flow = self.sim.flow(spec(route(&self.routes, a, b)?, part_bytes));
+                    per_site.push((site, flow as u32));
                 }
-                Some(plan) => {
-                    let mut flows = Vec::new();
-                    for &(site, part_bytes) in plan.transfers.iter() {
-                        let path = if to == SITE_STORAGE {
-                            self.route(from, site)?
-                        } else {
-                            self.route(site, to)?
-                        };
-                        let mut spec = FlowSpec::new(path, part_bytes)
-                            .after(deps)
-                            .label(format!("{}@{site}", node.name));
-                        if let Some(p) = node.phase {
-                            spec = spec.phase(p);
-                        }
-                        let flow = self.sim.flow(spec);
-                        per_site.push((site, flow));
-                        flows.push(flow);
-                    }
-                    let main = if flows.is_empty() {
-                        self.sim.barrier(deps)
-                    } else if plan.join {
+                let flows = &per_site[first..];
+                Ok(match flows.last() {
+                    None => self.sim.barrier(deps),
+                    Some(_) if plan.join => {
+                        let flows: Vec<TaskId> = flows.iter().map(|&(_, f)| f as TaskId).collect();
                         self.sim.barrier(&flows)
-                    } else {
-                        *flows.last().expect("non-empty")
-                    };
-                    Ok(main)
-                }
-            },
+                    }
+                    Some(&(_, last)) => last as TaskId,
+                })
+            }
         }
     }
 
     fn reserve(&mut self, tasks: usize, deps: usize, path_links: usize) {
         self.sim.reserve(tasks, deps, path_links);
+    }
+
+    fn route_len(&mut self, from: u32, to: u32) -> usize {
+        route(&self.routes, from, to).map_or(0, <[LinkId]>::len)
     }
 
     fn lower_delay(
@@ -649,11 +727,7 @@ impl Lowering for DirectLowering<'_> {
         deps: &[TaskId],
         phase: Option<PhaseId>,
     ) -> Result<TaskId, SimError> {
-        let mut spec = DelaySpec::new(seconds).after(deps).label("setup");
-        if let Some(p) = phase {
-            spec = spec.phase(p);
-        }
-        Ok(self.sim.delay(spec))
+        Ok(self.sim.delay(DelaySpec { phase, ..DelaySpec::new(seconds).after(deps) }))
     }
 }
 
@@ -696,10 +770,17 @@ mod tests {
             let anchors = soft.iter().map(|d| Anchor::Task(producer(d)));
             out(Decision::Schedule(ScheduleDecision::new(task).after_all(anchors)));
         }
+
+        /// The decision is the same whenever it is handed over.
+        fn preview(&mut self, task: DagTaskId, dag: &Dag, out: &mut dyn FnMut(Decision<'_>)) {
+            let producer = |d: &DataId| dag.data(*d).expect("connected items exist").producer;
+            let anchors = dag.soft_inputs(task).iter().map(|d| Anchor::Task(producer(d)));
+            out(Decision::Schedule(ScheduleDecision::new(task).after_all(anchors)));
+        }
     }
 
     /// The per-site sub-result `site` of DAG task `id`.
-    fn at_site(outcome: &ScheduleOutcome, id: DagTaskId, site: usize) -> Option<TaskId> {
+    fn at_site(outcome: &ScheduleOutcome, id: DagTaskId, site: u32) -> Option<TaskId> {
         outcome.lowered.at_site(id.index(), site).expect("scheduled")
     }
 
@@ -710,14 +791,15 @@ mod tests {
         let r1 = sim.add_resource(3.0);
         let l01 = sim.add_link(4.0);
         let dev_links: Vec<LinkId> = (0..3).map(|_| sim.add_link(10.0)).collect();
+        let dev_links = (2..).zip(dev_links);
         let mut lowering = DirectLowering::new(sim);
         lowering.map_site(0, r0);
         lowering.map_site(1, r1);
         lowering.map_route(0, 1, vec![l01]);
         lowering.map_route(1, 0, vec![l01]);
-        for (d, link) in dev_links.iter().enumerate() {
-            lowering.map_route(0, 2 + d, vec![*link]);
-            lowering.map_route(2 + d, 0, vec![*link]);
+        for (site, link) in dev_links {
+            lowering.map_route(0, site, vec![link]);
+            lowering.map_route(site, 0, vec![link]);
         }
         lowering
     }
@@ -727,12 +809,12 @@ mod tests {
         // compute 10 units @ 2/s (5 s) -> transfer 40 B @ 4 B/s (10 s)
         // -> compute 6 units @ 3/s (2 s): finishes at 5, 15, 17.
         let mut dag = Dag::new();
-        let a = dag.add_task("a", DagWork::Compute { site: 0, amount: 10.0 });
-        let out_a = dag.add_output(a, "a.out", 40.0, Some(0));
-        let b = dag.add_task("b", DagWork::Transfer { from: 0, to: 1, bytes: 40.0 });
+        let a = dag.add_task(DagWork::Compute { site: 0, amount: 10.0 });
+        let out_a = dag.add_output(a, 40.0, Some(0));
+        let b = dag.add_task(DagWork::Transfer { from: 0, to: 1, bytes: 40.0 });
         dag.connect(b, out_a);
-        let out_b = dag.add_output(b, "b.out", 40.0, Some(1));
-        let c = dag.add_task("c", DagWork::Compute { site: 1, amount: 6.0 });
+        let out_b = dag.add_output(b, 40.0, Some(1));
+        let c = dag.add_task(DagWork::Compute { site: 1, amount: 6.0 });
         dag.connect(c, out_b);
 
         let mut sim = Simulation::new();
@@ -751,13 +833,13 @@ mod tests {
         // a (2 s) fans out to transfers b (back-to-back on the shared link
         // with c under max-min fairness), joined by d.
         let mut dag = Dag::new();
-        let a = dag.add_task("a", DagWork::Compute { site: 0, amount: 4.0 });
-        let out_a = dag.add_output(a, "act", 1.0, Some(0));
-        let b = dag.add_task("b", DagWork::Transfer { from: 0, to: 1, bytes: 8.0 });
-        let c = dag.add_task("c", DagWork::Transfer { from: 0, to: 1, bytes: 16.0 });
+        let a = dag.add_task(DagWork::Compute { site: 0, amount: 4.0 });
+        let out_a = dag.add_output(a, 1.0, Some(0));
+        let b = dag.add_task(DagWork::Transfer { from: 0, to: 1, bytes: 8.0 });
+        let c = dag.add_task(DagWork::Transfer { from: 0, to: 1, bytes: 16.0 });
         dag.connect(b, out_a);
         dag.connect(c, out_a);
-        let d = dag.add_task("d", DagWork::Join);
+        let d = dag.add_task(DagWork::Join);
         dag.add_after(d, b);
         dag.add_after(d, c);
 
@@ -777,7 +859,7 @@ mod tests {
     /// write across the given sites and realises the consumer's soft input
     /// either as a join barrier or as per-site anchors.
     struct ScatterPolicy {
-        sites: Vec<usize>,
+        sites: Vec<u32>,
         join: bool,
     }
 
@@ -819,13 +901,12 @@ mod tests {
 
     fn fanout_dag() -> (Dag, DagTaskId, DagTaskId, DagTaskId) {
         let mut dag = Dag::new();
-        let a = dag.add_task("produce", DagWork::Compute { site: 0, amount: 2.0 });
-        let grad = dag.add_output(a, "grad", 90.0, None);
-        let w =
-            dag.add_task("offload", DagWork::Transfer { from: 0, to: SITE_STORAGE, bytes: 90.0 });
+        let a = dag.add_task(DagWork::Compute { site: 0, amount: 2.0 });
+        let grad = dag.add_output(a, 90.0, None);
+        let w = dag.add_task(DagWork::Transfer { from: 0, to: SITE_STORAGE, bytes: 90.0 });
         dag.connect(w, grad);
-        let stored = dag.add_output(w, "stored", 90.0, None);
-        let done = dag.add_task("done", DagWork::Join);
+        let stored = dag.add_output(w, 90.0, None);
+        let done = dag.add_task(DagWork::Join);
         dag.connect_soft(done, stored);
         (dag, a, w, done)
     }
@@ -878,7 +959,7 @@ mod tests {
         let mut policy = ScatterPolicy { sites: vec![3, 2, 3], join: false };
         let err = execute(&dag, &[], &mut policy, &mut lowering).unwrap_err();
         let SimError::InvalidParameter { message } = err else { panic!("got {err:?}") };
-        assert!(message.contains("dag task 1 ('offload')") && message.contains("site 3 twice"));
+        assert_eq!(message, "scatter plan of dag task 1 names site 3 twice");
         // Only the producer's compute was lowered; no flow of the plan was.
         assert_eq!(sim.run().expect("runs cleanly").records().len(), 1);
     }
@@ -913,14 +994,14 @@ mod tests {
 
         fn on_resource_free(
             &mut self,
-            _site: usize,
+            _site: u32,
             dag: &Dag,
             _system: &SystemView<'_>,
             out: &mut dyn FnMut(Decision<'_>),
         ) {
             // Release the first deferred-and-ready task.
             for idx in 0..dag.len() {
-                let id = DagTaskId(idx);
+                let id = DagTaskId(idx as u32);
                 let ready =
                     reference::predecessors(dag, id).iter().all(|p| self.scheduled[p.index()]);
                 if !self.scheduled[idx] && ready {
@@ -936,9 +1017,9 @@ mod tests {
     #[test]
     fn deferred_tasks_are_released_via_resource_free() {
         let mut dag = Dag::new();
-        let a = dag.add_task("a", DagWork::Compute { site: 0, amount: 2.0 });
-        let out = dag.add_output(a, "a.out", 8.0, Some(0));
-        let b = dag.add_task("b", DagWork::Transfer { from: 0, to: 1, bytes: 8.0 });
+        let a = dag.add_task(DagWork::Compute { site: 0, amount: 2.0 });
+        let out = dag.add_output(a, 8.0, Some(0));
+        let b = dag.add_task(DagWork::Transfer { from: 0, to: 1, bytes: 8.0 });
         dag.connect(b, out);
 
         let mut sim = Simulation::new();
@@ -972,7 +1053,7 @@ mod tests {
     #[test]
     fn scheduler_that_never_releases_work_stalls_with_typed_error() {
         let mut dag = Dag::new();
-        dag.add_task("a", DagWork::Compute { site: 0, amount: 1.0 });
+        dag.add_task(DagWork::Compute { site: 0, amount: 1.0 });
         let mut sim = Simulation::new();
         let mut lowering = testbed(&mut sim);
         let err = execute(&dag, &[], &mut Staller, &mut lowering).unwrap_err();
@@ -1002,7 +1083,7 @@ mod tests {
     #[test]
     fn double_scheduling_is_rejected() {
         let mut dag = Dag::new();
-        dag.add_task("a", DagWork::Compute { site: 0, amount: 1.0 });
+        dag.add_task(DagWork::Compute { site: 0, amount: 1.0 });
         let mut sim = Simulation::new();
         let mut lowering = testbed(&mut sim);
         let err = execute(&dag, &[], &mut DoubleScheduler, &mut lowering).unwrap_err();
@@ -1012,7 +1093,7 @@ mod tests {
     #[test]
     fn storage_transfer_without_scatter_plan_is_rejected() {
         let mut dag = Dag::new();
-        let t = dag.add_task("w", DagWork::Transfer { from: 0, to: SITE_STORAGE, bytes: 8.0 });
+        let t = dag.add_task(DagWork::Transfer { from: 0, to: SITE_STORAGE, bytes: 8.0 });
         let _ = t;
         let mut sim = Simulation::new();
         let mut lowering = testbed(&mut sim);
@@ -1023,7 +1104,7 @@ mod tests {
     #[test]
     fn poisoned_dag_fails_before_scheduling() {
         let mut dag = Dag::new();
-        let a = dag.add_task("a", DagWork::Join);
+        let a = dag.add_task(DagWork::Join);
         dag.connect(a, DataId(9));
         let mut sim = Simulation::new();
         let mut lowering = testbed(&mut sim);

@@ -21,18 +21,18 @@ pub(super) fn predecessors(dag: &Dag, id: DagTaskId) -> Vec<DagTaskId> {
 #[derive(Debug, Clone)]
 struct Lowered {
     main: TaskId,
-    per_site: Vec<(usize, TaskId)>,
+    per_site: Vec<(u32, u32)>,
 }
 
 impl Lowered {
-    fn at_site(&self, site: usize) -> Option<TaskId> {
-        self.per_site.iter().find(|(s, _)| *s == site).map(|(_, t)| *t)
+    fn at_site(&self, site: u32) -> Option<TaskId> {
+        self.per_site.iter().find(|(s, _)| *s == site).map(|&(_, t)| t as TaskId)
     }
 }
 
 /// What an executor returns, task by task: the main task and the per-site
 /// sub-results.
-pub(super) type Outcome = Vec<(TaskId, Vec<(usize, TaskId)>)>;
+pub(super) type Outcome = Vec<(TaskId, Vec<(u32, u32)>)>;
 
 struct Executor<'a> {
     dag: &'a Dag,
@@ -45,7 +45,7 @@ struct Executor<'a> {
 
 impl Executor<'_> {
     fn is_ready(&self, task: usize) -> bool {
-        predecessors(self.dag, DagTaskId(task))
+        predecessors(self.dag, DagTaskId(task as u32))
             .iter()
             .all(|p| self.scheduled.get(p.index()).copied().unwrap_or(false))
     }
@@ -76,15 +76,14 @@ impl Executor<'_> {
 
     fn resolve_deps(&self, decision: &ScheduleDecision<'_>) -> Result<Vec<TaskId>, SimError> {
         let idx = decision.task.index();
-        let task = self.dag.task(decision.task).expect("validated id");
         let mut deps = Vec::new();
         for &input in self.dag.inputs(decision.task) {
             let item = self.dag.data(input).expect("validated id");
             let produced = self.lowered[item.producer.index()].as_ref().ok_or_else(|| {
                 SimError::InvalidParameter {
                     message: format!(
-                        "dag task {idx} ('{}') scheduled before the producer of its input '{}'",
-                        task.name, item.name
+                        "dag task {idx} scheduled before the producer of its input {}",
+                        input.index()
                     ),
                 }
             })?;
@@ -97,10 +96,7 @@ impl Executor<'_> {
         for &pred in self.dag.after(decision.task) {
             let produced =
                 self.lowered[pred.index()].as_ref().ok_or_else(|| SimError::InvalidParameter {
-                    message: format!(
-                        "dag task {idx} ('{}') scheduled before its predecessor",
-                        task.name
-                    ),
+                    message: format!("dag task {idx} scheduled before its predecessor"),
                 })?;
             deps.push(produced.main);
         }
@@ -133,18 +129,14 @@ impl Executor<'_> {
                     }
                     if self.scheduled[idx] {
                         return Err(SimError::InvalidParameter {
-                            message: format!(
-                                "scheduler scheduled dag task {idx} ('{}') twice",
-                                self.dag.task(sd.task).expect("validated id").name
-                            ),
+                            message: format!("scheduler scheduled dag task {idx} twice"),
                         });
                     }
                     if !self.is_ready(idx) {
                         return Err(SimError::InvalidParameter {
                             message: format!(
-                                "scheduler scheduled dag task {idx} ('{}') before its \
-                                 structural predecessors",
-                                self.dag.task(sd.task).expect("validated id").name
+                                "scheduler scheduled dag task {idx} before its structural \
+                                 predecessors"
                             ),
                         });
                     }
@@ -185,9 +177,9 @@ fn validate(dag: &Dag) -> Result<(), SimError> {
     let mut indegree = vec![0usize; n];
     let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (id, degree) in indegree.iter_mut().enumerate() {
-        for pred in predecessors(dag, DagTaskId(id)) {
+        for pred in predecessors(dag, DagTaskId(id as u32)) {
             *degree += 1;
-            dependents[pred.0].push(id);
+            dependents[pred.index()].push(id);
         }
     }
     let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
@@ -247,7 +239,7 @@ pub(super) fn execute(
         deferred: vec![false; n],
         done: 0,
     };
-    let mut sites: Vec<usize> = dag
+    let mut sites: Vec<u32> = dag
         .tasks()
         .iter()
         .flat_map(|t| match t.work {
@@ -268,7 +260,8 @@ pub(super) fn execute(
             }
             let mut decisions = Vec::new();
             let view = SystemView { resources: exec.resources };
-            scheduler.on_task_ready(DagTaskId(t), dag, &view, &mut |d| decisions.push(owned(d)));
+            let task = DagTaskId(t as u32);
+            scheduler.on_task_ready(task, dag, &view, &mut |d| decisions.push(owned(d)));
             progress |= exec.apply(decisions, lowering)?;
         }
         if exec.done == n || progress {
@@ -329,7 +322,7 @@ mod tests {
             task: DagTaskId,
             scatter: Option<&ScatterPlan<'_>>,
             deps: &[TaskId],
-            per_site: &mut Vec<(usize, TaskId)>,
+            per_site: &mut Vec<(u32, u32)>,
         ) -> Result<TaskId, SimError> {
             self.calls.push(Call::Lower {
                 task: task.index(),
@@ -337,7 +330,7 @@ mod tests {
                 deps: deps.to_vec(),
             });
             for &(site, _) in scatter.map_or(&[][..], |p| &p.transfers) {
-                per_site.push((site, self.id()));
+                per_site.push((site, self.id() as u32));
             }
             Ok(self.id())
         }
@@ -354,7 +347,7 @@ mod tests {
     }
 
     /// The two scatter sites of the storage class.
-    const STORAGE_SITES: [usize; 2] = [10, 11];
+    const STORAGE_SITES: [u32; 2] = [10, 11];
 
     /// A graph of `n` tasks of every work kind, one output each, and edges
     /// drawn from `dice`: hard inputs, after-edges and soft inputs, mostly
@@ -370,18 +363,22 @@ mod tests {
         for _ in 0..n {
             let r = roll();
             let work = match r % 5 {
-                0 => DagWork::Compute { site: r / 5 % 4, amount: 1.0 },
-                1 => DagWork::Transfer { from: r / 5 % 4, to: r / 20 % 4, bytes: 8.0 },
+                0 => DagWork::Compute { site: (r / 5 % 4) as u32, amount: 1.0 },
+                1 => DagWork::Transfer {
+                    from: (r / 5 % 4) as u32,
+                    to: (r / 20 % 4) as u32,
+                    bytes: 8.0,
+                },
                 2 => DagWork::Transfer { from: 0, to: SITE_STORAGE, bytes: 8.0 },
                 3 => DagWork::Delay { seconds: 0.5 },
                 _ => DagWork::Join,
             };
-            let t = dag.add_task("t", work);
+            let t = dag.add_task(work);
             if r % 3 == 0 {
-                dag.set_phase(t, PhaseId(r % 2));
+                dag.set_phase(t, PhaseId((r % 2) as u32));
             }
             let site = [None, Some(0), Some(STORAGE_SITES[1])][r / 7 % 3];
-            outputs.push(dag.add_output(t, "out", 8.0, site));
+            outputs.push(dag.add_output(t, 8.0, site));
         }
         let mut edges = std::collections::VecDeque::new();
         for t in 0..n {
@@ -394,7 +391,7 @@ mod tests {
                 } else {
                     continue;
                 };
-                edges.push_back((DagTaskId(t), e, src));
+                edges.push_back((DagTaskId(t as u32), e, src));
             }
         }
         let mut front = true;
@@ -403,7 +400,7 @@ mod tests {
             for _ in 0..1 + usize::from(e % 7 == 0) {
                 match e % 4 {
                     0 | 1 => dag.connect(task, outputs[src]),
-                    2 => dag.add_after(task, DagTaskId(src)),
+                    2 => dag.add_after(task, DagTaskId(src as u32)),
                     _ => dag.connect_soft(task, outputs[src]),
                 }
             }
@@ -488,7 +485,7 @@ mod tests {
                     return out(schedule(task));
                 }
                 1 => {
-                    let id = DagTaskId(r / 40 % dag.len());
+                    let id = DagTaskId((r / 40 % dag.len()) as u32);
                     self.scheduled[id.index()] = true;
                     return out(schedule(id));
                 }
@@ -508,18 +505,18 @@ mod tests {
 
         fn on_resource_free(
             &mut self,
-            site: usize,
+            site: u32,
             dag: &Dag,
             _system: &SystemView<'_>,
             out: &mut dyn FnMut(Decision<'_>),
         ) {
-            self.log.push((false, site));
+            self.log.push((false, site as usize));
             self.scheduled.resize(dag.len(), false);
             if self.roll() % 8 == 0 {
                 return;
             }
             for idx in 0..dag.len() {
-                let id = DagTaskId(idx);
+                let id = DagTaskId(idx as u32);
                 let ready = predecessors(dag, id).iter().all(|p| self.scheduled[p.index()]);
                 if !self.scheduled[idx] && ready {
                     return out(Decision::Schedule(self.decision(id, dag)));
@@ -570,6 +567,107 @@ mod tests {
             &mut DicePolicy { dice, next: 0, log: Vec::new(), scheduled: Vec::new() },
         );
         (csr, old)
+    }
+
+    /// A policy whose decision for a task is a function of the task and
+    /// the dice: soft inputs anchored on their producers (per site, now and
+    /// then, when scattered), storage transfers scattered over none, one or
+    /// both storage sites, joined or not, and now and then a setup delay.
+    /// It hands a decision over once the producers of the task's soft
+    /// inputs are scheduled, and previews the same decision.
+    struct PurePolicy<'d> {
+        dice: &'d [u32],
+        scheduled: Vec<bool>,
+    }
+
+    impl PurePolicy<'_> {
+        fn decision(&self, task: DagTaskId, dag: &Dag) -> ScheduleDecision<'static> {
+            let r = self.dice[task.index() % self.dice.len()] as usize + task.index();
+            let mut d = ScheduleDecision::new(task);
+            for &item in dag.soft_inputs(task) {
+                let producer = dag.data(item).expect("connected items exist").producer;
+                let scattered = matches!(
+                    dag.task(producer).expect("producers exist").work,
+                    DagWork::Transfer { to: SITE_STORAGE, .. }
+                );
+                d = d.after(if scattered && r % 2 == 0 {
+                    Anchor::TaskAtSite(producer, STORAGE_SITES[r / 2 % 2])
+                } else {
+                    Anchor::Task(producer)
+                });
+            }
+            if let DagWork::Transfer { to: SITE_STORAGE, bytes, .. } = dag.task(task).unwrap().work
+            {
+                let transfers = match r / 4 % 3 {
+                    0 => vec![(STORAGE_SITES[1], bytes)],
+                    1 => STORAGE_SITES.iter().map(|&s| (s, bytes / 2.0)).collect(),
+                    _ => Vec::new(),
+                };
+                d = d.scatter(ScatterPlan { transfers: transfers.into(), join: r % 3 == 0 });
+            }
+            if r % 5 == 0 {
+                let after = d.after.clone();
+                d = d.setup(SetupDelay { seconds: 0.25, after });
+            }
+            d
+        }
+    }
+
+    impl Scheduler for PurePolicy<'_> {
+        fn name(&self) -> &'static str {
+            "pure"
+        }
+
+        fn on_task_ready(
+            &mut self,
+            task: DagTaskId,
+            dag: &Dag,
+            _system: &SystemView<'_>,
+            out: &mut dyn FnMut(Decision<'_>),
+        ) {
+            self.scheduled.resize(dag.len(), false);
+            let producer = |item: &DataId| dag.data(*item).expect("connected").producer.index();
+            if dag.soft_inputs(task).iter().all(|item| self.scheduled[producer(item)]) {
+                self.scheduled[task.index()] = true;
+                out(Decision::Schedule(self.decision(task, dag)));
+            }
+        }
+
+        fn preview(&mut self, task: DagTaskId, dag: &Dag, out: &mut dyn FnMut(Decision<'_>)) {
+            out(Decision::Schedule(self.decision(task, dag)));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Over random graphs, a policy that previews its decisions gets a
+        /// simulation reserved for exactly what its lowering fills, over
+        /// routes of one to three links, whenever the graph lowers.
+        #[test]
+        fn a_previewed_lowering_fills_exactly_what_it_reserved(
+            n in 1usize..24,
+            dice in vec(0u32..1_000_000, 8..96),
+        ) {
+            let dag = random_dag(n, &dice);
+            let mut sim = Simulation::new();
+            let links: Vec<LinkId> = (0..3).map(|_| sim.add_link(1.0)).collect();
+            let resources: Vec<ResourceId> = (0..4).map(|_| sim.add_resource(1.0)).collect();
+            let mut lowering = DirectLowering::new(&mut sim);
+            let sites = (0..4).chain(STORAGE_SITES);
+            for (from, to) in sites.clone().flat_map(|a| sites.clone().map(move |b| (a, b))) {
+                let hops = 1 + (from + to) as usize % 3;
+                lowering.map_route(from, to, links[..hops].to_vec());
+            }
+            for (site, &resource) in (0..).zip(&resources) {
+                lowering.map_site(site, resource);
+            }
+            let mut policy = PurePolicy { dice: &dice, scheduled: Vec::new() };
+            if csr_execute(&dag, &[], &mut policy, &mut lowering).is_ok() {
+                let (filled, reserved) = sim.filled();
+                prop_assert_eq!(Some(filled), reserved);
+            }
+        }
     }
 
     proptest! {

@@ -30,14 +30,15 @@ impl ResourceId {
     }
 }
 
-/// Identifier of a phase label used for timeline breakdowns.
+/// Identifier of a phase label used for timeline breakdowns. It is stored
+/// as the `u32` every arena stores an index as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct PhaseId(pub(crate) usize);
+pub struct PhaseId(pub(crate) u32);
 
 impl PhaseId {
     /// Returns the raw index of the phase within its simulation.
     pub fn index(self) -> usize {
-        self.0
+        self.0 as usize
     }
 }
 
@@ -72,60 +73,52 @@ pub(crate) enum TaskKind {
 
 /// A run of entries in an arena: a task's dependencies or path in a
 /// [`crate::Simulation`], a task's edges in a [`crate::Dag`]. Its bounds are
-/// `u32`, so an arena holds at most `u32::MAX` entries; a builder whose
-/// arena would outgrow that gets the error of [`narrow`] instead.
+/// `u32`, so an arena holds at most `u32::MAX` entries. That bound is
+/// checked once per arena, by [`fits_u32`], where the simulation or graph is
+/// reserved and where it is run; a span built past it is never read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct Span {
     start: u32,
     end: u32,
 }
 
-/// `index` as a stored `u32` position, or the error of a simulation or
-/// graph that would hold more than `u32::MAX` of `what`: its spans and
-/// stored ids are `u32`.
-pub(crate) fn narrow(index: usize, what: &str) -> Result<u32, SimError> {
-    u32::try_from(index).map_err(|_| SimError::InvalidParameter {
-        message: format!("more than {} {what}", u32::MAX),
-    })
+/// The error of a simulation or graph that would hold more than
+/// `u32::MAX` of `what` (its spans and stored ids are `u32`), if `count`
+/// does.
+pub(crate) fn fits_u32(count: usize, what: &str) -> Result<(), SimError> {
+    match u32::try_from(count) {
+        Ok(_) => Ok(()),
+        Err(_) => {
+            Err(SimError::InvalidParameter { message: format!("more than {} {what}", u32::MAX) })
+        }
+    }
 }
 
 impl Span {
-    /// The entries `start..end`, if both fit a `u32`.
-    fn new(start: usize, end: usize) -> Result<Self, SimError> {
-        Ok(Self { start: narrow(start, "arena entries")?, end: narrow(end, "arena entries")? })
-    }
-
-    /// Appends `items` to `arena` and returns where they landed; an arena
-    /// they would take past `u32::MAX` entries is left as it was.
-    pub(crate) fn append<T>(
-        arena: &mut Vec<T>,
-        items: impl ExactSizeIterator<Item = T>,
-    ) -> Result<Self, SimError> {
-        let span = Self::new(arena.len(), arena.len() + items.len())?;
+    /// Appends `items` to `arena` and returns where they landed.
+    pub(crate) fn append<T>(arena: &mut Vec<T>, items: impl Iterator<Item = T>) -> Self {
+        let start = arena.len();
         arena.extend(items);
-        Ok(span)
+        Self::since(start, arena)
     }
 
     /// Appends `item` to the run. A run that does not end the arena is
     /// first moved to its tail, leaving its old entries unused; builders
     /// almost always extend the newest run, so this is rare, and the order
-    /// of entries is kept either way. An arena this would take past
-    /// `u32::MAX` entries is left as it was.
-    pub(crate) fn push<T: Copy>(&mut self, arena: &mut Vec<T>, item: T) -> Result<(), SimError> {
-        let at_tail = self.end as usize == arena.len();
-        let start = if at_tail { self.start as usize } else { arena.len() };
-        let span = Self::new(start, start + self.len() + 1)?;
-        if !at_tail {
+    /// of entries is kept either way.
+    pub(crate) fn push<T: Copy>(&mut self, arena: &mut Vec<T>, item: T) {
+        if self.end as usize != arena.len() {
+            let start = arena.len();
             arena.extend_from_within(self.start as usize..self.end as usize);
+            self.start = start as u32;
         }
         arena.push(item);
-        *self = span;
-        Ok(())
+        self.end = arena.len() as u32;
     }
 
     /// The entries appended to `arena` since it was `start` long.
-    pub(crate) fn since<T>(start: usize, arena: &[T]) -> Result<Self, SimError> {
-        Self::new(start, arena.len())
+    pub(crate) fn since<T>(start: usize, arena: &[T]) -> Self {
+        Self { start: start as u32, end: arena.len() as u32 }
     }
 
     /// The entries of `arena` this span covers.
@@ -261,13 +254,13 @@ impl<'a> DelaySpec<'a> {
 }
 
 /// Internal task representation stored by the simulation: its kind, a
-/// span into the dependency arena and its phase's index, with no heap of
-/// its own (labels live in a side list of the simulation).
+/// span into the dependency arena and its phase, with no heap of its own
+/// (labels live in a side list of the simulation).
 #[derive(Debug, Clone)]
 pub(crate) struct Task {
     pub(crate) kind: TaskKind,
     pub(crate) deps: Span,
-    pub(crate) phase: Option<u32>,
+    pub(crate) phase: Option<PhaseId>,
 }
 
 #[cfg(test)]
@@ -300,16 +293,23 @@ mod tests {
     fn a_task_is_forty_bytes_and_an_arena_stops_at_u32_max() {
         assert!(std::mem::size_of::<Task>() <= 40, "{} bytes", std::mem::size_of::<Task>());
         let last = u32::MAX as usize;
-        assert_eq!(Span::new(last, last).map(Span::len), Ok(0));
         let too_many =
             |what| SimError::InvalidParameter { message: format!("more than {last} {what}") };
-        assert_eq!(Span::new(last - 1, last + 1), Err(too_many("arena entries")));
-        assert_eq!(narrow(last + 1, "tasks"), Err(too_many("tasks")));
+        assert_eq!(fits_u32(last, "tasks"), Ok(()));
+        assert_eq!(fits_u32(last + 1, "tasks"), Err(too_many("tasks")));
+        // Counts past the bound poison a simulation, and nothing is reserved.
+        for (i, what) in ["tasks", "dependencies", "path links"].into_iter().enumerate() {
+            let mut counts = [0; 3];
+            counts[i] = last + 1;
+            let mut sim = crate::Simulation::new();
+            sim.reserve(counts[0], counts[1], counts[2]);
+            assert_eq!(sim.run().map(drop), Err(too_many(what)));
+        }
         let mut arena = vec![1u32, 2];
-        let mut run = Span::append(&mut arena, [3, 4].into_iter()).unwrap();
+        let mut run = Span::append(&mut arena, [3, 4].into_iter());
         let mut older = Span::default();
-        older.push(&mut arena, 9).unwrap();
-        run.push(&mut arena, 5).unwrap();
+        older.push(&mut arena, 9);
+        run.push(&mut arena, 5);
         assert_eq!((run.of(&arena), older.of(&arena)), (&[3, 4, 5][..], &[9][..]));
     }
 

@@ -185,7 +185,7 @@ impl Timeline {
 mod tests {
     use super::*;
 
-    fn rec(start: f64, finish: f64, phase: Option<usize>) -> TaskRecord {
+    fn rec(start: f64, finish: f64, phase: Option<u32>) -> TaskRecord {
         TaskRecord { start, finish, phase: phase.map(PhaseId) }
     }
 

@@ -193,10 +193,15 @@ impl Scheduler for ClusterScheduler {
     fn on_task_ready(
         &mut self,
         task: DagTaskId,
-        _dag: &Dag,
+        dag: &Dag,
         _system: &SystemView<'_>,
         out: &mut dyn FnMut(Decision<'_>),
     ) {
+        self.preview(task, dag, out);
+    }
+
+    /// The decision for a task depends on the task alone.
+    fn preview(&mut self, task: DagTaskId, _dag: &Dag, out: &mut dyn FnMut(Decision<'_>)) {
         let mut decision = ScheduleDecision::new(task);
         if task == self.reduce {
             decision = decision.after_all(self.exchanges.iter().map(|&t| Anchor::Task(t)));
@@ -231,78 +236,65 @@ fn build_cluster_graph(
     phases: &ClusterPhases,
 ) -> (Dag, ClusterLayout) {
     let mut dag = Dag::new();
-    let hub = hosts; // site index of the switch-attached reduction stage
+    // Hosts are sites 0..hosts; the switch-attached reduction stage is next.
+    let hub = hosts as u32;
     let mut fw_tasks = Vec::with_capacity(hosts);
     let mut acts = Vec::with_capacity(hosts);
-    for h in 0..hosts {
-        let t = dag
-            .add_task(format!("fw.h{h}"), DagWork::Compute { site: h, amount: per_host.forward_s });
+    for h in 0..hub {
+        let t = dag.add_task(DagWork::Compute { site: h, amount: per_host.forward_s });
         dag.set_phase(t, phases.forward);
-        acts.push(dag.add_output(t, format!("acts.h{h}"), 0.0, Some(h)));
+        acts.push(dag.add_output(t, 0.0, Some(h)));
         fw_tasks.push(t);
     }
-    let fw_end = dag.add_task("fw.end", DagWork::Join);
+    let fw_end = dag.add_task(DagWork::Join);
     for &t in &fw_tasks {
         dag.add_after(fw_end, t);
     }
     let mut grads = Vec::with_capacity(hosts);
-    for (h, &act) in acts.iter().enumerate() {
-        let t = dag.add_task(
-            format!("bw.h{h}"),
-            DagWork::Compute { site: h, amount: per_host.backward_s },
-        );
+    for (h, &act) in (0..).zip(&acts) {
+        let t = dag.add_task(DagWork::Compute { site: h, amount: per_host.backward_s });
         dag.set_phase(t, phases.backward);
         dag.connect(t, act);
-        grads.push(dag.add_output(t, format!("grads.h{h}"), grad_bytes, Some(h)));
+        grads.push(dag.add_output(t, grad_bytes, Some(h)));
     }
     let mut exchanges = Vec::with_capacity(hosts);
     let mut shards = Vec::with_capacity(hosts);
-    for (h, &grad) in grads.iter().enumerate() {
-        let t = dag.add_task(
-            format!("exchange.h{h}"),
-            DagWork::Transfer { from: h, to: hub, bytes: grad_bytes },
-        );
+    for (h, &grad) in (0..).zip(&grads) {
+        let t = dag.add_task(DagWork::Transfer { from: h, to: hub, bytes: grad_bytes });
         dag.set_phase(t, phases.backward);
         dag.connect(t, grad);
-        shards.push(dag.add_output(t, format!("shard.h{h}"), grad_bytes, Some(hub)));
+        shards.push(dag.add_output(t, grad_bytes, Some(hub)));
         exchanges.push(t);
     }
     // The reduction's dataflow from the exchanges is soft: the scheduler
     // decides the synchronisation realising the allreduce barrier.
-    let reduce =
-        dag.add_task("reduce", DagWork::Compute { site: hub, amount: grad_bytes * hosts as f64 });
+    let reduce = dag.add_task(DagWork::Compute { site: hub, amount: grad_bytes * hosts as f64 });
     dag.set_phase(reduce, phases.backward);
     for &shard in &shards {
         dag.connect_soft(reduce, shard);
     }
-    let reduced = dag.add_output(reduce, "reduced", grad_bytes, Some(hub));
+    let reduced = dag.add_output(reduce, grad_bytes, Some(hub));
     let mut bcasts = Vec::with_capacity(hosts);
     let mut summed = Vec::with_capacity(hosts);
-    for h in 0..hosts {
-        let t = dag.add_task(
-            format!("bcast.h{h}"),
-            DagWork::Transfer { from: hub, to: h, bytes: grad_bytes },
-        );
+    for h in 0..hub {
+        let t = dag.add_task(DagWork::Transfer { from: hub, to: h, bytes: grad_bytes });
         dag.set_phase(t, phases.backward);
         dag.connect(t, reduced);
-        summed.push(dag.add_output(t, format!("summed.h{h}"), grad_bytes, Some(h)));
+        summed.push(dag.add_output(t, grad_bytes, Some(h)));
         bcasts.push(t);
     }
-    let allreduce_end = dag.add_task("allreduce.end", DagWork::Join);
+    let allreduce_end = dag.add_task(DagWork::Join);
     for &t in &bcasts {
         dag.add_after(allreduce_end, t);
     }
     let mut updates = Vec::with_capacity(hosts);
-    for (h, &sum) in summed.iter().enumerate() {
-        let t = dag.add_task(
-            format!("update.h{h}"),
-            DagWork::Compute { site: h, amount: per_host.update_s },
-        );
+    for (h, &sum) in (0..).zip(&summed) {
+        let t = dag.add_task(DagWork::Compute { site: h, amount: per_host.update_s });
         dag.set_phase(t, phases.update);
         dag.connect(t, sum);
         updates.push(t);
     }
-    let iter_end = dag.add_task("iter.end", DagWork::Join);
+    let iter_end = dag.add_task(DagWork::Join);
     for &t in &updates {
         dag.add_after(iter_end, t);
     }
@@ -328,7 +320,7 @@ pub fn simulate_allreduce(
     grad_bytes: f64,
 ) -> Result<IterationReport, SimError> {
     let hosts = cluster.hosts;
-    let hub = hosts;
+    let hub = hosts as u32;
     let mut sim = Simulation::new();
     let phases = ClusterPhases {
         forward: sim.add_phase(),
@@ -362,10 +354,10 @@ pub fn simulate_allreduce(
         ClusterScheduler { reduce: layout.reduce, exchanges: layout.exchanges.clone() };
     let outcome = {
         let mut lowering = DirectLowering::new(&mut sim);
-        for h in 0..hosts {
-            lowering.map_site(h, host_res[h]);
-            lowering.map_route(h, hub, vec![nics[h], backplane]);
-            lowering.map_route(hub, h, vec![backplane, nics[h]]);
+        for (h, (&resource, &nic)) in (0..).zip(host_res.iter().zip(&nics)) {
+            lowering.map_site(h, resource);
+            lowering.map_route(h, hub, vec![nic, backplane]);
+            lowering.map_route(hub, h, vec![backplane, nic]);
         }
         lowering.map_site(hub, reducer);
         execute(&dag, &resources, &mut scheduler, &mut lowering)?

@@ -116,11 +116,13 @@ impl TimedRun {
 ///
 /// One stage is in memory at a time:
 ///
-/// 1. lowering (in `lower`): the platform with its growing simulation, the
-///    graph and its layout, the scheduler, the resource catalog and the
-///    executor's outcome;
+/// 1. lowering (in `lower`): the graph (56-byte tasks, 24-byte data items,
+///    `u32` edges) and its layout, the scheduler, the resource catalog, the
+///    executor's state and outcome, and the platform with its simulation,
+///    whose arenas are reserved once for exactly what the scheduler's
+///    previewed decisions lower to, so none regrows;
 /// 2. the run: the platform with its finished simulation (its task table
-///    trimmed to its contents), the engine's working state (see
+///    exactly its contents), the engine's working state (see
 ///    `simkit::Simulation::run`) and the timeline it fills, plus the three
 ///    lowered task ids the report reads;
 /// 3. the read-out: the timeline, the phases and the uplinks, kept in the

@@ -55,9 +55,9 @@ struct Shape {
     fpga_decompress: f64,
 }
 
-/// The endpoint pair of a transfer helper, by component index.
+/// The endpoint pair of a flow, by component index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Route {
+pub(crate) enum Route {
     HostToGpu(usize),
     GpuToHost(usize),
     GpuToGpu(usize, usize),
@@ -358,30 +358,39 @@ impl TimedPlatform {
     /// [`SimError::InvalidParameter`] naming `route` when the platform does
     /// not have its endpoints: a GPU or device beyond its counts, or the
     /// FPGA of a plain-SSD machine.
-    fn flow(
+    pub(crate) fn flow(
         &mut self,
         route: Route,
         bytes: f64,
         deps: &[TaskId],
         phase: PhaseId,
     ) -> Result<TaskId, SimError> {
+        let (start, end) = self.path(route)?;
+        let path = &self.route_links[start..end];
+        Ok(self.sim.flow(FlowSpec::new(path, bytes).after(deps).phase(phase)))
+    }
+
+    /// The number of links a flow over `route` crosses, 0 when the
+    /// platform does not have its endpoints.
+    pub(crate) fn route_len(&mut self, route: Route) -> usize {
+        self.path(route).map_or(0, |(start, end)| end - start)
+    }
+
+    /// Where `route`'s path lies in the route arena, resolved on first use.
+    fn path(&mut self, route: Route) -> Result<(usize, usize), SimError> {
         let invalid =
             |why: &str| SimError::InvalidParameter { message: format!("route {route:?} {why}") };
         let slot = route
             .slot(self.shape.gpus, self.shape.devices)
             .ok_or_else(|| invalid("names a GPU or device this platform does not have"))?;
-        let (start, end) = match self.routes[slot] {
-            Some(span) => span,
-            None => {
-                let start = self.route_links.len();
-                self.resolve(route).map_err(|why| invalid(&why))?;
-                let span = (start, self.route_links.len());
-                self.routes[slot] = Some(span);
-                span
-            }
-        };
-        let path = &self.route_links[start..end];
-        Ok(self.sim.flow(FlowSpec::new(path, bytes).after(deps).phase(phase)))
+        if let Some(span) = self.routes[slot] {
+            return Ok(span);
+        }
+        let start = self.route_links.len();
+        self.resolve(route).map_err(|why| invalid(&why))?;
+        let span = (start, self.route_links.len());
+        self.routes[slot] = Some(span);
+        Ok(span)
     }
 
     /// Appends the fabric path of `route`, whose indices are in range, then
@@ -405,40 +414,6 @@ impl TimedPlatform {
         Ok(())
     }
 
-    /// Host memory → GPU transfer (parameter/activation upload).
-    pub(crate) fn host_to_gpu(
-        &mut self,
-        gpu: usize,
-        bytes: f64,
-        deps: &[TaskId],
-        phase: PhaseId,
-    ) -> Result<TaskId, SimError> {
-        self.flow(Route::HostToGpu(gpu), bytes, deps, phase)
-    }
-
-    /// GPU → host memory transfer (activation checkpoint / gradient staging).
-    pub(crate) fn gpu_to_host(
-        &mut self,
-        gpu: usize,
-        bytes: f64,
-        deps: &[TaskId],
-        phase: PhaseId,
-    ) -> Result<TaskId, SimError> {
-        self.flow(Route::GpuToHost(gpu), bytes, deps, phase)
-    }
-
-    /// GPU ↔ GPU transfer (tensor-parallel activation exchange).
-    pub(crate) fn gpu_to_gpu(
-        &mut self,
-        from: usize,
-        to: usize,
-        bytes: f64,
-        deps: &[TaskId],
-        phase: PhaseId,
-    ) -> Result<TaskId, SimError> {
-        self.flow(Route::GpuToGpu(from, to), bytes, deps, phase)
-    }
-
     /// Host memory → SSD write on device `dev` (limited by the PCIe path and
     /// the device's write media bandwidth).
     pub fn host_to_ssd(
@@ -449,62 +424,6 @@ impl TimedPlatform {
         phase: PhaseId,
     ) -> Result<TaskId, SimError> {
         self.flow(Route::HostToSsd(dev), bytes, deps, phase)
-    }
-
-    /// SSD → host memory read on device `dev`.
-    pub(crate) fn ssd_to_host(
-        &mut self,
-        dev: usize,
-        bytes: f64,
-        deps: &[TaskId],
-        phase: PhaseId,
-    ) -> Result<TaskId, SimError> {
-        self.flow(Route::SsdToHost(dev), bytes, deps, phase)
-    }
-
-    /// CSD-internal P2P read: SSD → FPGA on device `dev`, never touching the
-    /// shared host interconnect.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidParameter`] if the platform was built with plain
-    /// SSDs.
-    pub(crate) fn ssd_to_fpga(
-        &mut self,
-        dev: usize,
-        bytes: f64,
-        deps: &[TaskId],
-        phase: PhaseId,
-    ) -> Result<TaskId, SimError> {
-        self.flow(Route::SsdToFpga(dev), bytes, deps, phase)
-    }
-
-    /// CSD-internal P2P write: FPGA → SSD on device `dev`.
-    ///
-    /// # Errors
-    ///
-    /// As [`TimedPlatform::ssd_to_fpga`].
-    pub(crate) fn fpga_to_ssd(
-        &mut self,
-        dev: usize,
-        bytes: f64,
-        deps: &[TaskId],
-        phase: PhaseId,
-    ) -> Result<TaskId, SimError> {
-        self.flow(Route::FpgaToSsd(dev), bytes, deps, phase)
-    }
-
-    /// GPU → SSD transfer (gradient offload path in the congested topology,
-    /// where the GPU and the device share the expansion switch).
-    pub(crate) fn gpu_to_ssd(
-        &mut self,
-        gpu: usize,
-        dev: usize,
-        bytes: f64,
-        deps: &[TaskId],
-        phase: PhaseId,
-    ) -> Result<TaskId, SimError> {
-        self.flow(Route::GpuToSsd(gpu, dev), bytes, deps, phase)
     }
 }
 
@@ -524,7 +443,7 @@ mod tests {
         assert!(!plat.shape.csd);
         let p = phase(&mut plat);
         let a = plat.host_to_ssd(0, 1e9, &[], p).unwrap();
-        let b = plat.ssd_to_host(1, 1e9, &[a], p).unwrap();
+        let b = plat.flow(Route::SsdToHost(1), 1e9, &[a], p).unwrap();
         let tl = plat.run().unwrap();
         assert!(tl.finish_time(b) > tl.finish_time(a));
     }
@@ -544,15 +463,15 @@ mod tests {
     fn internal_p2p_on_plain_ssd_panics() {
         let mut plat = TimedPlatform::new(&MachineConfig::baseline_raid0(1));
         let p = phase(&mut plat);
-        let message = invalid(plat.ssd_to_fpga(0, 1.0, &[], p));
+        let message = invalid(plat.flow(Route::SsdToFpga(0), 1.0, &[], p));
         assert_eq!(message, "route SsdToFpga(0) requires a CSD platform");
-        assert!(invalid(plat.fpga_to_ssd(0, 1.0, &[], p)).contains("FpgaToSsd(0)"));
+        assert!(invalid(plat.flow(Route::FpgaToSsd(0), 1.0, &[], p)).contains("FpgaToSsd(0)"));
         let message = invalid(plat.fpga_update(0, 1.0, &[], p));
         assert_eq!(message, "the FPGA updater of device 0 requires a CSD platform");
         assert!(invalid(plat.fpga_decompress(0, 1.0, &[], p)).contains("decompressor"));
         // Indices beyond the machine name no route at all.
         assert!(invalid(plat.host_to_ssd(1, 1.0, &[], p)).contains("does not have"));
-        assert!(invalid(plat.gpu_to_gpu(0, 1, 1.0, &[], p)).contains("does not have"));
+        assert!(invalid(plat.flow(Route::GpuToGpu(0, 1), 1.0, &[], p)).contains("does not have"));
         assert_eq!(resolved(&plat), 0);
         assert!(plat.route_links.is_empty());
         assert!(plat.run().unwrap().records().is_empty());
@@ -589,7 +508,7 @@ mod tests {
             DagWork::Compute { site: sites.fpga(0), amount: 1.0 },
         ] {
             let mut dag = Dag::new();
-            let task = dag.add_task("p2p", work);
+            let task = dag.add_task(work);
             dag.set_phase(task, p);
             let resources = plat.resource_catalog();
             let err =
@@ -608,14 +527,14 @@ mod tests {
         let mut internal = TimedPlatform::new(&config);
         let p = internal.add_phase("p2p");
         for d in 0..8 {
-            internal.ssd_to_fpga(d, 3.0e9, &[], p).unwrap();
+            internal.flow(Route::SsdToFpga(d), 3.0e9, &[], p).unwrap();
         }
         let t_internal = internal.run().unwrap().makespan();
 
         let mut host_side = TimedPlatform::new(&config);
         let p = host_side.add_phase("host");
         for d in 0..8 {
-            host_side.ssd_to_host(d, 3.0e9, &[], p).unwrap();
+            host_side.flow(Route::SsdToHost(d), 3.0e9, &[], p).unwrap();
         }
         let t_host = host_side.run().unwrap().makespan();
         assert!(t_internal < 1.05, "internal: {t_internal}");
@@ -643,9 +562,9 @@ mod tests {
     fn gpu_compute_and_transfers_compose() {
         let mut plat = TimedPlatform::new(&MachineConfig::smart_infinity(2));
         let p = plat.add_phase("fw");
-        let load = plat.host_to_gpu(0, 16.0e9, &[], p).unwrap();
+        let load = plat.flow(Route::HostToGpu(0), 16.0e9, &[], p).unwrap();
         let compute = plat.gpu_compute(0, 50.0e12, &[load], p);
-        let store = plat.gpu_to_host(0, 1.0e9, &[compute], p).unwrap();
+        let store = plat.flow(Route::GpuToHost(0), 1.0e9, &[compute], p).unwrap();
         let upd = plat.fpga_update(0, 7.3e9, &[store], p).unwrap();
         let dec = plat.fpga_decompress(1, 3.8e9, &[], p).unwrap();
         let cpu = plat.cpu_update(6.0e9, &[], p);
@@ -666,8 +585,8 @@ mod tests {
         let run = |config: MachineConfig| {
             let mut plat = TimedPlatform::new(&config);
             let p = plat.add_phase("x");
-            plat.gpu_to_host(0, 16.0e9, &[], p).unwrap();
-            plat.ssd_to_host(0, 3.0e9, &[], p).unwrap();
+            plat.flow(Route::GpuToHost(0), 16.0e9, &[], p).unwrap();
+            plat.flow(Route::SsdToHost(0), 3.0e9, &[], p).unwrap();
             plat.run().unwrap().makespan()
         };
         let default_t = run(MachineConfig::smart_infinity(1));
@@ -787,22 +706,22 @@ mod tests {
             };
             for g in 0..p.gpus.len() {
                 check(
-                    &|t, ph| t.host_to_gpu(g, 1.0, &[], ph).unwrap(),
+                    &|t, ph| t.flow(Route::HostToGpu(g), 1.0, &[], ph).unwrap(),
                     path(p.host, p.gpus[g], None),
                 );
                 check(
-                    &|t, ph| t.gpu_to_host(g, 1.0, &[], ph).unwrap(),
+                    &|t, ph| t.flow(Route::GpuToHost(g), 1.0, &[], ph).unwrap(),
                     path(p.gpus[g], p.host, None),
                 );
                 for h in 0..p.gpus.len() {
                     check(
-                        &|t, ph| t.gpu_to_gpu(g, h, 1.0, &[], ph).unwrap(),
+                        &|t, ph| t.flow(Route::GpuToGpu(g, h), 1.0, &[], ph).unwrap(),
                         path(p.gpus[g], p.gpus[h], None),
                     );
                 }
                 for (d, ports) in p.devices.iter().enumerate() {
                     check(
-                        &|t, ph| t.gpu_to_ssd(g, d, 1.0, &[], ph).unwrap(),
+                        &|t, ph| t.flow(Route::GpuToSsd(g, d), 1.0, &[], ph).unwrap(),
                         path(p.gpus[g], ports.ssd, Some(media[d].write)),
                     );
                 }
@@ -813,16 +732,16 @@ mod tests {
                     path(p.host, ports.ssd, Some(media[d].write)),
                 );
                 check(
-                    &|t, ph| t.ssd_to_host(d, 1.0, &[], ph).unwrap(),
+                    &|t, ph| t.flow(Route::SsdToHost(d), 1.0, &[], ph).unwrap(),
                     path(ports.ssd, p.host, Some(media[d].read)),
                 );
                 if let Some(fpga) = ports.fpga {
                     check(
-                        &|t, ph| t.ssd_to_fpga(d, 1.0, &[], ph).unwrap(),
+                        &|t, ph| t.flow(Route::SsdToFpga(d), 1.0, &[], ph).unwrap(),
                         path(ports.ssd, fpga, Some(media[d].read)),
                     );
                     check(
-                        &|t, ph| t.fpga_to_ssd(d, 1.0, &[], ph).unwrap(),
+                        &|t, ph| t.flow(Route::FpgaToSsd(d), 1.0, &[], ph).unwrap(),
                         path(fpga, ports.ssd, Some(media[d].write)),
                     );
                 }
@@ -863,7 +782,7 @@ mod tests {
             .expect("the graph lowers");
         // The endpoint pairs the graph's transfers can name: a storage-class
         // transfer is counted towards every device a plan could place it on.
-        let devices: Vec<usize> = (0..sites.num_devices).map(|d| sites.dev(d)).collect();
+        let devices: Vec<u32> = (0..sites.num_devices).map(|d| sites.dev(d)).collect();
         let mut served = std::collections::HashSet::new();
         for task in graph.dag.tasks() {
             if let DagWork::Transfer { from, to, .. } = task.work {

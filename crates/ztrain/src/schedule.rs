@@ -21,7 +21,7 @@ use std::borrow::Cow;
 use std::ops::Range;
 
 use crate::plan::StepPlan;
-use crate::platform::TimedPlatform;
+use crate::platform::{Route, TimedPlatform};
 use llm::Workload;
 use optim::OptimizerKind;
 use simkit::{
@@ -35,7 +35,9 @@ use simkit::{
 /// Site 0 is the host; GPUs, storage devices, FPGA updaters and FPGA
 /// decompressors follow in contiguous ranges. [`SITE_STORAGE`] stands for
 /// the storage class as a whole; transfers touching it are placed onto
-/// concrete device sites by the scheduler's [`ScatterPlan`].
+/// concrete device sites by the scheduler's [`ScatterPlan`]. A site is the
+/// `u32` a [`Dag`] stores it as; [`build_iteration_graph`] checks once that
+/// every site of its map fits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SiteMap {
     /// Number of GPUs in the server.
@@ -67,28 +69,28 @@ impl SiteMap {
     }
 
     /// The host site.
-    pub fn host(&self) -> usize {
+    pub fn host(&self) -> u32 {
         0
     }
 
     /// The site of GPU `g`.
-    pub fn gpu(&self, g: usize) -> usize {
-        1 + g
+    pub fn gpu(&self, g: usize) -> u32 {
+        (1 + g) as u32
     }
 
     /// The site of storage device `d`.
-    pub fn dev(&self, d: usize) -> usize {
-        1 + self.num_gpus + d
+    pub fn dev(&self, d: usize) -> u32 {
+        (1 + self.num_gpus + d) as u32
     }
 
     /// The site of CSD `d`'s FPGA updater.
-    pub fn fpga(&self, d: usize) -> usize {
-        1 + self.num_gpus + self.num_devices + d
+    pub fn fpga(&self, d: usize) -> u32 {
+        (1 + self.num_gpus + self.num_devices + d) as u32
     }
 
     /// The site of CSD `d`'s FPGA decompressor.
-    pub(crate) fn decomp(&self, d: usize) -> usize {
-        1 + self.num_gpus + 2 * self.num_devices + d
+    pub(crate) fn decomp(&self, d: usize) -> u32 {
+        (1 + self.num_gpus + 2 * self.num_devices + d) as u32
     }
 
     /// Total number of concrete sites.
@@ -102,11 +104,11 @@ impl SiteMap {
     }
 
     /// Decodes a concrete site index back into the component it denotes.
-    pub(crate) fn classify(&self, site: usize) -> Option<SiteKind> {
+    pub(crate) fn classify(&self, site: u32) -> Option<SiteKind> {
         if site == 0 {
             return Some(SiteKind::Host);
         }
-        let mut s = site - 1;
+        let mut s = site as usize - 1;
         if s < self.num_gpus {
             return Some(SiteKind::Gpu(s));
         }
@@ -230,7 +232,7 @@ pub struct DevicePlan {
     /// Device index.
     pub dev: usize,
     /// The device's storage site.
-    pub site: usize,
+    pub site: u32,
     /// Gradient scatters of the blocks whose flattened range intersects this
     /// device's shard, in block order, in the layout's `grad_scatters`.
     pub grad_scatters: Range<usize>,
@@ -285,7 +287,7 @@ pub struct IterLayout {
     pub host_updates: Vec<HostUpdatePlan>,
     /// Every `(device site, bytes)` placement the plans name, back to back:
     /// a scheduler lends its scatter plans from here.
-    pub(crate) placements: Vec<(usize, f64)>,
+    pub(crate) placements: Vec<(u32, f64)>,
     /// Every device's gradient scatters, back to back.
     pub(crate) grad_scatters: Vec<DagTaskId>,
     /// Every device's tasklet chains, back to back.
@@ -294,7 +296,7 @@ pub struct IterLayout {
 
 impl IterLayout {
     /// The placement a plan names.
-    pub(crate) fn placement(&self, range: &Range<usize>) -> &[(usize, f64)] {
+    pub(crate) fn placement(&self, range: &Range<usize>) -> &[(u32, f64)] {
         &self.placements[range.clone()]
     }
 
@@ -318,35 +320,6 @@ pub struct IterationGraph {
     pub layout: IterLayout,
 }
 
-/// The task and data names of one streaming pass. Names are diagnostics
-/// only, so each is a static stem; error messages add the task index.
-struct PassNames {
-    load: &'static str,
-    weights: &'static str,
-    compute: &'static str,
-    acts: &'static str,
-    actxfer: &'static str,
-    end: &'static str,
-}
-
-const FORWARD: PassNames = PassNames {
-    load: "fw.load",
-    weights: "fw.weights",
-    compute: "fw.compute",
-    acts: "fw.acts",
-    actxfer: "fw.actxfer",
-    end: "fw.end",
-};
-
-const BACKWARD: PassNames = PassNames {
-    load: "bw.load",
-    weights: "bw.weights",
-    compute: "bw.compute",
-    acts: "bw.acts",
-    actxfer: "bw.actxfer",
-    end: "bw.end",
-};
-
 /// Builds the forward or backward parameter-streaming pass: for each block,
 /// stream the FP16 parameters from host memory to the GPU(s) and run the
 /// block's compute, overlapping the next block's transfer with the current
@@ -359,7 +332,6 @@ fn build_pass(
     phase: PhaseId,
     pass_dep: Option<DagTaskId>,
     flops_multiplier: f64,
-    names: &PassNames,
 ) -> DagTaskId {
     let n_gpus = sites.num_gpus;
     let blocks = workload.block_bytes_fp16();
@@ -378,14 +350,11 @@ fn build_pass(
         last.clear();
         for (gpu, prev) in prev.iter_mut().enumerate() {
             // Tensor parallelism: each GPU streams 1/n of the block weights.
-            let load = dag.add_task(
-                names.load,
-                DagWork::Transfer {
-                    from: sites.host(),
-                    to: sites.gpu(gpu),
-                    bytes: block_bytes / n_gpus as f64,
-                },
-            );
+            let load = dag.add_task(DagWork::Transfer {
+                from: sites.host(),
+                to: sites.gpu(gpu),
+                bytes: block_bytes / n_gpus as f64,
+            });
             dag.set_phase(load, phase);
             if let Some(d) = pass_dep {
                 dag.add_after(load, d);
@@ -393,16 +362,11 @@ fn build_pass(
             if let Some((p, _)) = *prev {
                 dag.add_after(load, p);
             }
-            let weights = dag.add_output(
-                load,
-                names.weights,
-                block_bytes / n_gpus as f64,
-                Some(sites.gpu(gpu)),
-            );
-            let compute = dag.add_task(
-                names.compute,
-                DagWork::Compute { site: sites.gpu(gpu), amount: block_flops / n_gpus as f64 },
-            );
+            let weights = dag.add_output(load, block_bytes / n_gpus as f64, Some(sites.gpu(gpu)));
+            let compute = dag.add_task(DagWork::Compute {
+                site: sites.gpu(gpu),
+                amount: block_flops / n_gpus as f64,
+            });
             dag.set_phase(compute, phase);
             dag.connect(compute, weights);
             if let Some((_, p)) = *prev {
@@ -412,23 +376,19 @@ fn build_pass(
             last.push(compute);
             // Tensor-parallel activation exchange with GPU 0 after the block.
             if n_gpus > 1 && gpu != 0 {
-                let acts =
-                    dag.add_output(compute, names.acts, act_bytes_per_block, Some(sites.gpu(gpu)));
-                let xfer = dag.add_task(
-                    names.actxfer,
-                    DagWork::Transfer {
-                        from: sites.gpu(gpu),
-                        to: sites.gpu(0),
-                        bytes: act_bytes_per_block,
-                    },
-                );
+                let acts = dag.add_output(compute, act_bytes_per_block, Some(sites.gpu(gpu)));
+                let xfer = dag.add_task(DagWork::Transfer {
+                    from: sites.gpu(gpu),
+                    to: sites.gpu(0),
+                    bytes: act_bytes_per_block,
+                });
                 dag.set_phase(xfer, phase);
                 dag.connect(xfer, acts);
                 last.push(xfer);
             }
         }
     }
-    let end = dag.add_task(names.end, DagWork::Join);
+    let end = dag.add_task(DagWork::Join);
     for &t in &last {
         dag.add_after(end, t);
     }
@@ -438,7 +398,7 @@ fn build_pass(
 /// `bytes` spread evenly over the devices as `(device site, bytes)`: the
 /// timed baseline's striping. RAID0 deals whole stripe units, so a member is
 /// within one unit of this (`a_raid_member_holds_its_even_share_within_one_stripe`).
-pub(crate) fn even_share(sites: SiteMap, bytes: f64) -> impl Iterator<Item = (usize, f64)> {
+pub(crate) fn even_share(sites: SiteMap, bytes: f64) -> impl Iterator<Item = (u32, f64)> {
     let n = sites.num_devices;
     (0..n).map(move |d| (sites.dev(d), bytes / n as f64))
 }
@@ -446,8 +406,8 @@ pub(crate) fn even_share(sites: SiteMap, bytes: f64) -> impl Iterator<Item = (us
 /// Appends `(device site, bytes)` pairs to `placements` and returns where
 /// they landed.
 fn place(
-    placements: &mut Vec<(usize, f64)>,
-    pairs: impl Iterator<Item = (usize, f64)>,
+    placements: &mut Vec<(u32, f64)>,
+    pairs: impl Iterator<Item = (u32, f64)>,
 ) -> Range<usize> {
     let start = placements.len();
     placements.extend(pairs);
@@ -537,6 +497,7 @@ pub fn build_iteration_graph(
     knobs: &GraphKnobs,
     phases: IterPhases,
 ) -> IterationGraph {
+    assert!(u32::try_from(sites.len()).is_ok(), "a site is stored as a u32 in the Dag");
     let block_sizes = workload.block_bytes_fp16();
     let n_blocks = block_sizes.len();
     let n_dev = sites.num_devices;
@@ -555,7 +516,7 @@ pub fn build_iteration_graph(
         UpdatePlacement::HostCpu => 2 * n_blocks * n_dev,
         UpdatePlacement::InStorage => 0,
     };
-    let mut placements: Vec<(usize, f64)> =
+    let mut placements: Vec<(u32, f64)> =
         Vec::with_capacity(n_blocks * n_dev + (n_blocks + n_dev).saturating_sub(1) + host_stripes);
     let mut cursor = 0usize; // flattened-parameter offset of the block
     let gradient_placements: Vec<(Range<usize>, Range<usize>)> = block_sizes
@@ -587,9 +548,8 @@ pub fn build_iteration_graph(
     let mut dag = Dag::new();
     let size = GraphSize::of(n_blocks, sites.num_gpus, compressed, knobs.placement, chains, owned);
     dag.reserve(size.tasks, size.data, size.inputs, size.soft, size.after);
-    let fw_end = build_pass(&mut dag, workload, sites, phases.forward, None, 1.0, &FORWARD);
-    let bw_compute_end =
-        build_pass(&mut dag, workload, sites, phases.backward, Some(fw_end), 2.0, &BACKWARD);
+    let fw_end = build_pass(&mut dag, workload, sites, phases.forward, None, 1.0);
+    let bw_compute_end = build_pass(&mut dag, workload, sites, phases.backward, Some(fw_end), 2.0);
 
     // Backward gradient offload: per block, (compress →) stage to host →
     // scatter towards the storage class. The scatter's placement — striped
@@ -602,57 +562,42 @@ pub fn build_iteration_graph(
         // few extra passes over the block's gradients.
         let (head, compress, stage) = if compressed {
             let sort_flops = 16.0 * (block_m / 2.0);
-            let compress = dag
-                .add_task("compress", DagWork::Compute { site: sites.gpu(0), amount: sort_flops });
+            let compress =
+                dag.add_task(DagWork::Compute { site: sites.gpu(0), amount: sort_flops });
             dag.set_phase(compress, phases.backward);
             dag.add_after(compress, fw_end);
-            let compact = dag.add_output(
-                compress,
-                "topk",
-                block_m * transfer_ratio.max(0.02),
-                Some(sites.gpu(0)),
-            );
-            let stage = dag.add_task(
-                "stage",
-                DagWork::Transfer {
-                    from: sites.gpu(0),
-                    to: sites.host(),
-                    bytes: block_m * transfer_ratio.max(0.02),
-                },
-            );
+            let compact =
+                dag.add_output(compress, block_m * transfer_ratio.max(0.02), Some(sites.gpu(0)));
+            let stage = dag.add_task(DagWork::Transfer {
+                from: sites.gpu(0),
+                to: sites.host(),
+                bytes: block_m * transfer_ratio.max(0.02),
+            });
             dag.set_phase(stage, phases.backward);
             dag.connect(stage, compact);
             (compress, Some(compress), stage)
         } else {
-            let stage = dag.add_task(
-                "stage",
-                DagWork::Transfer { from: sites.gpu(0), to: sites.host(), bytes: block_m },
-            );
+            let stage = dag.add_task(DagWork::Transfer {
+                from: sites.gpu(0),
+                to: sites.host(),
+                bytes: block_m,
+            });
             dag.set_phase(stage, phases.backward);
             dag.add_after(stage, fw_end);
             (stage, None, stage)
         };
-        let staged = dag.add_output(
-            stage,
-            "grads@host",
-            dense_grad_bytes * transfer_ratio,
-            Some(sites.host()),
-        );
-        let scatter = dag.add_task(
-            "offload",
-            DagWork::Transfer {
-                from: sites.host(),
-                to: SITE_STORAGE,
-                bytes: dense_grad_bytes * transfer_ratio,
-            },
-        );
+        let staged = dag.add_output(stage, dense_grad_bytes * transfer_ratio, Some(sites.host()));
+        let scatter = dag.add_task(DagWork::Transfer {
+            from: sites.host(),
+            to: SITE_STORAGE,
+            bytes: dense_grad_bytes * transfer_ratio,
+        });
         dag.set_phase(scatter, phases.backward);
         dag.connect(scatter, staged);
-        let stored =
-            dag.add_output(scatter, "grads@storage", dense_grad_bytes * transfer_ratio, None);
+        let stored = dag.add_output(scatter, dense_grad_bytes * transfer_ratio, None);
         blocks.push(BlockPlan { head, compress, stage, scatter, stored, striped, owned });
     }
-    let bw_end = dag.add_task("bw.offload_end", DagWork::Join);
+    let bw_end = dag.add_task(DagWork::Join);
     dag.add_after(bw_end, bw_compute_end);
     for plan in &blocks {
         dag.connect_soft(bw_end, plan.stored);
@@ -692,14 +637,11 @@ pub fn build_iteration_graph(
                     let upstream_bytes = elems * 2.0; // FP16 parameters to host memory
 
                     // 1. P2P load of gradients + optimizer states (media → FPGA).
-                    let load = dag.add_task(
-                        "load",
-                        DagWork::Transfer {
-                            from: site,
-                            to: sites.fpga(dev),
-                            bytes: state_bytes + grad_load_bytes,
-                        },
-                    );
+                    let load = dag.add_task(DagWork::Transfer {
+                        from: site,
+                        to: sites.fpga(dev),
+                        bytes: state_bytes + grad_load_bytes,
+                    });
                     dag.set_phase(load, phases.update);
                     if s == 0 {
                         // The first tasklet consumes the gradients this
@@ -709,79 +651,56 @@ pub fn build_iteration_graph(
                             dag.connect_soft(load, plan.stored);
                         }
                     }
-                    let loaded = dag.add_output(
-                        load,
-                        "states@fpga",
-                        state_bytes + grad_load_bytes,
-                        Some(sites.fpga(dev)),
-                    );
+                    let loaded =
+                        dag.add_output(load, state_bytes + grad_load_bytes, Some(sites.fpga(dev)));
                     // 2. Decompression (SmartComp only), then the update kernel.
                     let (update_src, decompress) = if compressed {
-                        let dec = dag.add_task(
-                            "decompress",
-                            DagWork::Compute { site: sites.decomp(dev), amount: dense_grad_bytes },
-                        );
+                        let dec = dag.add_task(DagWork::Compute {
+                            site: sites.decomp(dev),
+                            amount: dense_grad_bytes,
+                        });
                         dag.set_phase(dec, phases.update);
                         dag.connect(dec, loaded);
-                        let dense = dag.add_output(
-                            dec,
-                            "dense_grads",
-                            dense_grad_bytes,
-                            Some(sites.fpga(dev)),
-                        );
+                        let dense = dag.add_output(dec, dense_grad_bytes, Some(sites.fpga(dev)));
                         (dense, Some(dec))
                     } else {
                         (loaded, None)
                     };
-                    let update = dag.add_task(
-                        "update",
-                        DagWork::Compute {
-                            site: sites.fpga(dev),
-                            amount: state_bytes + dense_grad_bytes,
-                        },
-                    );
+                    let update = dag.add_task(DagWork::Compute {
+                        site: sites.fpga(dev),
+                        amount: state_bytes + dense_grad_bytes,
+                    });
                     dag.set_phase(update, phases.update);
                     dag.connect(update, update_src);
-                    let updated = dag.add_output(
-                        update,
-                        "states@fpga.fresh",
-                        state_bytes,
-                        Some(sites.fpga(dev)),
-                    );
+                    let updated = dag.add_output(update, state_bytes, Some(sites.fpga(dev)));
                     // 3. Urgent parameter write-back, then upstream to host.
-                    let wb_param = dag.add_task(
-                        "wb_param",
-                        DagWork::Transfer {
-                            from: sites.fpga(dev),
-                            to: site,
-                            bytes: param_writeback_bytes,
-                        },
-                    );
+                    let wb_param = dag.add_task(DagWork::Transfer {
+                        from: sites.fpga(dev),
+                        to: site,
+                        bytes: param_writeback_bytes,
+                    });
                     dag.set_phase(wb_param, phases.update);
                     dag.connect(wb_param, updated);
-                    let params_ssd =
-                        dag.add_output(wb_param, "params@media", param_writeback_bytes, Some(site));
-                    let upstream = dag.add_task(
-                        "upstream",
-                        DagWork::Transfer { from: site, to: sites.host(), bytes: upstream_bytes },
-                    );
+                    let params_ssd = dag.add_output(wb_param, param_writeback_bytes, Some(site));
+                    let upstream = dag.add_task(DagWork::Transfer {
+                        from: site,
+                        to: sites.host(),
+                        bytes: upstream_bytes,
+                    });
                     dag.set_phase(upstream, phases.update);
                     dag.connect(upstream, params_ssd);
                     // 4. Deferred write-back of the remaining optimizer
                     // states: consumes the updated states, but whether it
                     // waits on the update kernel or on the urgent write-back
                     // is the handler policy's call.
-                    let wb_state = dag.add_task(
-                        "wb_state",
-                        DagWork::Transfer {
-                            from: sites.fpga(dev),
-                            to: site,
-                            bytes: deferred_state_bytes,
-                        },
-                    );
+                    let wb_state = dag.add_task(DagWork::Transfer {
+                        from: sites.fpga(dev),
+                        to: site,
+                        bytes: deferred_state_bytes,
+                    });
                     dag.set_phase(wb_state, phases.update);
                     dag.connect_soft(wb_state, updated);
-                    let chain_end = dag.add_task("chain_end", DagWork::Join);
+                    let chain_end = dag.add_task(DagWork::Join);
                     dag.add_after(chain_end, upstream);
                     dag.add_after(chain_end, wb_state);
                     chain_plans.push(ChainPlan {
@@ -801,11 +720,11 @@ pub fn build_iteration_graph(
                     chains: first_chain..chain_plans.len(),
                 });
             }
-            let up_end = dag.add_task("update.end", DagWork::Join);
+            let up_end = dag.add_task(DagWork::Join);
             for chain in &chain_plans {
                 dag.add_after(up_end, chain.chain_end);
             }
-            let phase_end = dag.add_task("iter.end", DagWork::Join);
+            let phase_end = dag.add_task(DagWork::Join);
             dag.add_after(phase_end, bw_end);
             dag.add_after(phase_end, up_end);
             (up_end, Some(phase_end), devices, Vec::new())
@@ -821,36 +740,30 @@ pub fn build_iteration_graph(
                 // Striped upload from the array; the next block's upload
                 // overlaps the CPU update and offload of the previous one
                 // (DeepSpeed's double-buffered pipeline).
-                let gather = dag.add_task(
-                    "gather",
-                    DagWork::Transfer { from: SITE_STORAGE, to: sites.host(), bytes: upload_bytes },
-                );
+                let gather = dag.add_task(DagWork::Transfer {
+                    from: SITE_STORAGE,
+                    to: sites.host(),
+                    bytes: upload_bytes,
+                });
                 dag.set_phase(gather, phases.update);
                 dag.add_after(gather, bw_end);
                 if let Some(p) = prev_gather {
                     dag.add_after(gather, p);
                 }
                 prev_gather = Some(gather);
-                let gathered =
-                    dag.add_output(gather, "states@host", upload_bytes, Some(sites.host()));
+                let gathered = dag.add_output(gather, upload_bytes, Some(sites.host()));
                 // CPU update streams states + gradients through the AVX kernel.
-                let update = dag.add_task(
-                    "cpu_update",
-                    DagWork::Compute { site: sites.host(), amount: upload_bytes },
-                );
+                let update =
+                    dag.add_task(DagWork::Compute { site: sites.host(), amount: upload_bytes });
                 dag.set_phase(update, phases.update);
                 dag.connect(update, gathered);
-                let fresh =
-                    dag.add_output(update, "states@host.fresh", offload_bytes, Some(sites.host()));
+                let fresh = dag.add_output(update, offload_bytes, Some(sites.host()));
                 // Striped offload of the refreshed optimizer states.
-                let offload = dag.add_task(
-                    "writeback",
-                    DagWork::Transfer {
-                        from: sites.host(),
-                        to: SITE_STORAGE,
-                        bytes: offload_bytes,
-                    },
-                );
+                let offload = dag.add_task(DagWork::Transfer {
+                    from: sites.host(),
+                    to: SITE_STORAGE,
+                    bytes: offload_bytes,
+                });
                 dag.set_phase(offload, phases.update);
                 dag.connect(offload, fresh);
                 let upload_striped = place(&mut placements, even_share(sites, upload_bytes));
@@ -863,7 +776,7 @@ pub fn build_iteration_graph(
                     offload_striped,
                 });
             }
-            let up_end = dag.add_task("update.end", DagWork::Join);
+            let up_end = dag.add_task(DagWork::Join);
             (up_end, None, Vec::new(), host_updates)
         }
     };
@@ -918,34 +831,35 @@ pub enum ChainSync {
 }
 
 /// The scheduling role a DAG task plays, if any. Tasks without a role carry
-/// all their ordering structurally and schedule as-is.
+/// all their ordering structurally and schedule as-is. Its indices are
+/// `u32`, as a graph's are, so a policy's role table holds 12 bytes a task.
 #[derive(Debug, Clone, Copy)]
 enum Role {
     /// First task of gradient-offload block `b` (chains on the previous
     /// block per the routing policy).
-    BlockHead(usize),
+    BlockHead(u32),
     /// Gradient scatter of block `b` (placed per the routing policy).
-    BlockScatter(usize),
+    BlockScatter(u32),
     /// End-of-backward join (synchronises on scatters per the routing).
     BwEnd,
     /// In-storage tasklet load: chain `chain` of `layout.devices[device]`.
     ChainLoad {
         /// Index into [`IterLayout::devices`].
-        device: usize,
+        device: u32,
         /// Chain index within the device.
-        chain: usize,
+        chain: u32,
     },
     /// Deferred state write-back of a tasklet chain.
     ChainWbState {
         /// Index into [`IterLayout::devices`].
-        device: usize,
+        device: u32,
         /// Chain index within the device.
-        chain: usize,
+        chain: u32,
     },
     /// Host-update upload of block `b` (striped from the array).
-    HostGather(usize),
+    HostGather(u32),
     /// Host-update state offload of block `b` (striped to the array).
-    HostOffload(usize),
+    HostOffload(u32),
     /// End-of-update join of the host-update graph.
     HostUpEnd,
 }
@@ -991,7 +905,7 @@ impl<'a> MethodPolicy<'a> {
     pub fn host_update(layout: &'a IterLayout) -> Self {
         let mut roles = role_table(layout);
         Self::insert_block_roles(&mut roles, layout);
-        for (b, plan) in layout.host_updates.iter().enumerate() {
+        for (b, plan) in (0..).zip(&layout.host_updates) {
             set_role(&mut roles, plan.gather, Role::HostGather(b));
             set_role(&mut roles, plan.offload, Role::HostOffload(b));
         }
@@ -1016,8 +930,8 @@ impl<'a> MethodPolicy<'a> {
     ) -> Self {
         let mut roles = role_table(layout);
         Self::insert_block_roles(&mut roles, layout);
-        for (di, dev) in layout.devices.iter().enumerate() {
-            for (ci, c) in layout.chains_of(dev).iter().enumerate() {
+        for (di, dev) in (0..).zip(&layout.devices) {
+            for (ci, c) in (0..).zip(layout.chains_of(dev)) {
                 set_role(&mut roles, c.load, Role::ChainLoad { device: di, chain: ci });
                 set_role(&mut roles, c.wb_state, Role::ChainWbState { device: di, chain: ci });
             }
@@ -1026,7 +940,7 @@ impl<'a> MethodPolicy<'a> {
     }
 
     fn insert_block_roles(roles: &mut [Option<Role>], layout: &IterLayout) {
-        for (b, plan) in layout.blocks.iter().enumerate() {
+        for (b, plan) in (0..).zip(&layout.blocks) {
             set_role(roles, plan.head, Role::BlockHead(b));
             set_role(roles, plan.scatter, Role::BlockScatter(b));
         }
@@ -1049,20 +963,10 @@ impl<'a> MethodPolicy<'a> {
             anchors.extend(scatters.iter().map(|&s| Anchor::TaskAtSite(s, dev.site)));
         }
     }
-}
 
-impl Scheduler for MethodPolicy<'_> {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn on_task_ready(
-        &mut self,
-        task: DagTaskId,
-        _dag: &Dag,
-        _system: &SystemView<'_>,
-        out: &mut dyn FnMut(Decision<'_>),
-    ) {
+    /// Hands `out` the decision for `task`: a function of the task and the
+    /// layout alone, so the same whether it is previewed or made.
+    fn decide(&mut self, task: DagTaskId, out: &mut dyn FnMut(Decision<'_>)) {
         let layout = self.layout;
         let mut decision = ScheduleDecision::new(task);
         let Some(role) = self.roles.get(task.index()).copied().flatten() else {
@@ -1076,7 +980,7 @@ impl Scheduler for MethodPolicy<'_> {
         match role {
             Role::BlockHead(b) => {
                 if b > 0 {
-                    let prev = &layout.blocks[b - 1];
+                    let prev = &layout.blocks[b as usize - 1];
                     anchors.push(match self.routing {
                         // One staging buffer: wait for the previous block's
                         // joined writes.
@@ -1088,7 +992,7 @@ impl Scheduler for MethodPolicy<'_> {
                 }
             }
             Role::BlockScatter(b) => {
-                let plan = &layout.blocks[b];
+                let plan = &layout.blocks[b as usize];
                 let (range, join) = match self.routing {
                     OffloadRouting::Striped => (&plan.striped, true),
                     OffloadRouting::OwnerRouted => (&plan.owned, false),
@@ -1108,8 +1012,9 @@ impl Scheduler for MethodPolicy<'_> {
                 }
             },
             Role::ChainLoad { device, chain } => {
-                let dev = &layout.devices[device];
+                let dev = &layout.devices[device as usize];
                 let chains = layout.chains_of(dev);
+                let chain = chain as usize;
                 self.grad_anchors(dev, &mut anchors);
                 match self.chain {
                     ChainSync::Overlapped => {
@@ -1127,20 +1032,22 @@ impl Scheduler for MethodPolicy<'_> {
                 }
             }
             Role::ChainWbState { device, chain } => {
-                let c = &layout.chains_of(&layout.devices[device])[chain];
+                let c = &layout.chains_of(&layout.devices[device as usize])[chain as usize];
                 anchors.push(match self.chain {
                     ChainSync::Overlapped => Anchor::Task(c.update),
                     ChainSync::Sequential { .. } => Anchor::Task(c.wb_param),
                 });
             }
             Role::HostGather(b) => {
-                let transfers =
-                    Cow::Borrowed(layout.placement(&layout.host_updates[b].upload_striped));
+                let transfers = Cow::Borrowed(
+                    layout.placement(&layout.host_updates[b as usize].upload_striped),
+                );
                 decision = decision.scatter(ScatterPlan { transfers, join: true });
             }
             Role::HostOffload(b) => {
-                let transfers =
-                    Cow::Borrowed(layout.placement(&layout.host_updates[b].offload_striped));
+                let transfers = Cow::Borrowed(
+                    layout.placement(&layout.host_updates[b as usize].offload_striped),
+                );
                 decision = decision.scatter(ScatterPlan { transfers, join: false });
             }
             Role::HostUpEnd => {
@@ -1162,6 +1069,26 @@ impl Scheduler for MethodPolicy<'_> {
         }
         out(Decision::Schedule(decision));
         self.anchors = anchors;
+    }
+}
+
+impl Scheduler for MethodPolicy<'_> {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn on_task_ready(
+        &mut self,
+        task: DagTaskId,
+        _dag: &Dag,
+        _system: &SystemView<'_>,
+        out: &mut dyn FnMut(Decision<'_>),
+    ) {
+        self.decide(task, out);
+    }
+
+    fn preview(&mut self, task: DagTaskId, _dag: &Dag, out: &mut dyn FnMut(Decision<'_>)) {
+        self.decide(task, out);
     }
 }
 
@@ -1192,6 +1119,10 @@ impl Scheduler for HostUpdateScheduler<'_> {
     ) {
         self.0.on_task_ready(task, dag, system, out);
     }
+
+    fn preview(&mut self, task: DagTaskId, dag: &Dag, out: &mut dyn FnMut(Decision<'_>)) {
+        self.0.preview(task, dag, out);
+    }
 }
 
 /// Lowers scheduled DAG tasks onto a [`TimedPlatform`]: computes map to the
@@ -1212,59 +1143,59 @@ impl<'a> PlatformLowering<'a> {
         Self { plat, sites, joined: Vec::new() }
     }
 
-    fn classify(&self, site: usize) -> Result<SiteKind, SimError> {
-        self.sites.classify(site).ok_or(SimError::UnknownId { kind: "site", index: site })
+    fn classify(&self, site: u32) -> Result<SiteKind, SimError> {
+        let unknown = || SimError::UnknownId { kind: "site", index: site as usize };
+        self.sites.classify(site).ok_or_else(unknown)
+    }
+
+    /// The fabric route a flow from site `from` to site `to` takes.
+    fn route(&self, from: u32, to: u32) -> Result<Route, SimError> {
+        use SiteKind::{Fpga, Gpu, Host, Storage};
+        Ok(match (self.classify(from)?, self.classify(to)?) {
+            (Host, Gpu(g)) => Route::HostToGpu(g),
+            (Gpu(g), Host) => Route::GpuToHost(g),
+            (Gpu(a), Gpu(b)) => Route::GpuToGpu(a, b),
+            (Host, Storage(d)) => Route::HostToSsd(d),
+            (Storage(d), Host) => Route::SsdToHost(d),
+            (Gpu(g), Storage(d)) => Route::GpuToSsd(g, d),
+            (Storage(a), Fpga(b)) if a == b => Route::SsdToFpga(a),
+            (Fpga(a), Storage(b)) if a == b => Route::FpgaToSsd(a),
+            (f, t) => {
+                return Err(SimError::InvalidParameter {
+                    message: format!("no fabric route from {f:?} to {t:?}"),
+                })
+            }
+        })
     }
 
     fn require_phase(id: DagTaskId, task: &simkit::DagTask) -> Result<PhaseId, SimError> {
         task.phase.ok_or_else(|| SimError::InvalidParameter {
-            message: format!(
-                "dag task {} ('{}') carries work but no phase attribution",
-                id.index(),
-                task.name
-            ),
+            message: format!("dag task {} carries work but no phase attribution", id.index()),
         })
     }
 
-    /// Lowers a storage-class scatter: one flow per transfer, each also a
-    /// per-site result, and the main task per the plan.
+    /// Lowers a storage-class scatter (towards storage) or gather (from
+    /// it): one flow per transfer, each also a per-site result, and the
+    /// main task per the plan.
     fn lower_scatter(
         &mut self,
-        from: usize,
-        to: usize,
+        (from, to): (u32, u32),
         plan: &ScatterPlan<'_>,
         deps: &[TaskId],
         phase: PhaseId,
-        per_site: &mut Vec<(usize, TaskId)>,
+        per_site: &mut Vec<(u32, u32)>,
     ) -> Result<TaskId, SimError> {
         self.joined.clear();
         for &(site, bytes) in plan.transfers.iter() {
-            let SiteKind::Storage(d) = self.classify(site)? else {
+            if !matches!(self.classify(site)?, SiteKind::Storage(_)) {
                 return Err(SimError::InvalidParameter {
                     message: format!("scatter target site {site} is not a storage device"),
                 });
-            };
-            let flow = if to == SITE_STORAGE {
-                match self.classify(from)? {
-                    SiteKind::Host => self.plat.host_to_ssd(d, bytes, deps, phase)?,
-                    SiteKind::Gpu(g) => self.plat.gpu_to_ssd(g, d, bytes, deps, phase)?,
-                    _ => {
-                        return Err(SimError::InvalidParameter {
-                            message: format!("unsupported scatter source site {from}"),
-                        })
-                    }
-                }
-            } else {
-                match self.classify(to)? {
-                    SiteKind::Host => self.plat.ssd_to_host(d, bytes, deps, phase)?,
-                    _ => {
-                        return Err(SimError::InvalidParameter {
-                            message: format!("unsupported gather target site {to}"),
-                        })
-                    }
-                }
-            };
-            per_site.push((site, flow));
+            }
+            let route =
+                if to == SITE_STORAGE { self.route(from, site) } else { self.route(site, to) };
+            let flow = self.plat.flow(route?, bytes, deps, phase)?;
+            per_site.push((site, flow as u32));
             self.joined.push(flow);
         }
         Ok(match self.joined.last() {
@@ -1282,89 +1213,48 @@ impl Lowering for PlatformLowering<'_> {
         task: DagTaskId,
         scatter: Option<&ScatterPlan<'_>>,
         deps: &[TaskId],
-        per_site: &mut Vec<(usize, TaskId)>,
+        per_site: &mut Vec<(u32, u32)>,
     ) -> Result<TaskId, SimError> {
         let node =
             dag.task(task).ok_or(SimError::UnknownId { kind: "task", index: task.index() })?;
+        let phase = || Self::require_phase(task, node);
         match node.work {
             DagWork::Join => Ok(self.plat.barrier(deps)),
-            DagWork::Delay { seconds } => {
-                let phase = Self::require_phase(task, node)?;
-                Ok(self.plat.delay(seconds, deps, phase))
-            }
-            DagWork::Compute { site, amount } => {
-                let phase = Self::require_phase(task, node)?;
-                let id = match self.classify(site)? {
-                    SiteKind::Host => self.plat.cpu_update(amount, deps, phase),
-                    SiteKind::Gpu(g) => self.plat.gpu_compute(g, amount, deps, phase),
-                    SiteKind::Fpga(d) => self.plat.fpga_update(d, amount, deps, phase)?,
-                    SiteKind::Decompressor(d) => {
-                        self.plat.fpga_decompress(d, amount, deps, phase)?
-                    }
-                    SiteKind::Storage(_) => {
-                        return Err(SimError::InvalidParameter {
-                            message: format!(
-                                "dag task {} ('{}'): storage media cannot run compute",
-                                task.index(),
-                                node.name
-                            ),
-                        })
-                    }
-                };
-                Ok(id)
+            DagWork::Delay { seconds } => Ok(self.plat.delay(seconds, deps, phase()?)),
+            DagWork::Compute { site, amount } => match (phase()?, self.classify(site)?) {
+                (phase, SiteKind::Host) => Ok(self.plat.cpu_update(amount, deps, phase)),
+                (phase, SiteKind::Gpu(g)) => Ok(self.plat.gpu_compute(g, amount, deps, phase)),
+                (phase, SiteKind::Fpga(d)) => self.plat.fpga_update(d, amount, deps, phase),
+                (phase, SiteKind::Decompressor(d)) => {
+                    self.plat.fpga_decompress(d, amount, deps, phase)
+                }
+                (_, SiteKind::Storage(_)) => Err(SimError::InvalidParameter {
+                    message: format!("dag task {}: storage media cannot run compute", task.index()),
+                }),
+            },
+            DagWork::Transfer { from, to, .. } if from == SITE_STORAGE || to == SITE_STORAGE => {
+                let phase = phase()?;
+                let plan = scatter.ok_or_else(|| SimError::InvalidParameter {
+                    message: format!(
+                        "dag task {}: storage-class transfer scheduled without a scatter plan",
+                        task.index()
+                    ),
+                })?;
+                self.lower_scatter((from, to), plan, deps, phase, per_site)
             }
             DagWork::Transfer { from, to, bytes } => {
-                let phase = Self::require_phase(task, node)?;
-                if from == SITE_STORAGE || to == SITE_STORAGE {
-                    let plan = scatter.ok_or_else(|| SimError::InvalidParameter {
-                        message: format!(
-                            "dag task {} ('{}'): storage-class transfer scheduled without a \
-                             scatter plan",
-                            task.index(),
-                            node.name
-                        ),
-                    })?;
-                    return self.lower_scatter(from, to, plan, deps, phase, per_site);
-                }
-                match (self.classify(from)?, self.classify(to)?) {
-                    (SiteKind::Host, SiteKind::Gpu(g)) => {
-                        self.plat.host_to_gpu(g, bytes, deps, phase)
-                    }
-                    (SiteKind::Gpu(g), SiteKind::Host) => {
-                        self.plat.gpu_to_host(g, bytes, deps, phase)
-                    }
-                    (SiteKind::Gpu(a), SiteKind::Gpu(b)) => {
-                        self.plat.gpu_to_gpu(a, b, bytes, deps, phase)
-                    }
-                    (SiteKind::Host, SiteKind::Storage(d)) => {
-                        self.plat.host_to_ssd(d, bytes, deps, phase)
-                    }
-                    (SiteKind::Storage(d), SiteKind::Host) => {
-                        self.plat.ssd_to_host(d, bytes, deps, phase)
-                    }
-                    (SiteKind::Gpu(g), SiteKind::Storage(d)) => {
-                        self.plat.gpu_to_ssd(g, d, bytes, deps, phase)
-                    }
-                    (SiteKind::Storage(a), SiteKind::Fpga(b)) if a == b => {
-                        self.plat.ssd_to_fpga(a, bytes, deps, phase)
-                    }
-                    (SiteKind::Fpga(a), SiteKind::Storage(b)) if a == b => {
-                        self.plat.fpga_to_ssd(a, bytes, deps, phase)
-                    }
-                    (f, t) => Err(SimError::InvalidParameter {
-                        message: format!(
-                            "dag task {} ('{}'): no fabric route from {f:?} to {t:?}",
-                            task.index(),
-                            node.name
-                        ),
-                    }),
-                }
+                let phase = phase()?;
+                self.plat.flow(self.route(from, to)?, bytes, deps, phase)
             }
         }
     }
 
     fn reserve(&mut self, tasks: usize, deps: usize, path_links: usize) {
         self.plat.reserve(tasks, deps, path_links);
+    }
+
+    fn route_len(&mut self, from: u32, to: u32) -> usize {
+        self.route(from, to).map_or(0, |route| self.plat.route_len(route))
     }
 
     fn lower_delay(
@@ -1398,7 +1288,7 @@ mod tests {
         assert_eq!(sites.classify(sites.dev(2)), Some(SiteKind::Storage(2)));
         assert_eq!(sites.classify(sites.fpga(0)), Some(SiteKind::Fpga(0)));
         assert_eq!(sites.classify(sites.decomp(2)), Some(SiteKind::Decompressor(2)));
-        assert_eq!(sites.classify(sites.len()), None);
+        assert_eq!(sites.classify(sites.len() as u32), None);
         assert!(!sites.is_empty());
     }
 

@@ -21,9 +21,11 @@
 //! `simulate_iteration` per spec (the pass holds one stage in memory at a
 //! time — the graph is gone before the engine runs), and one iteration at
 //! the 4 096-device bound `Session::validate` enforces, under a time limit
-//! and a heap bar.
+//! and a heap bar. A last test simulates every checked-in spec, so that a
+//! build with debug assertions checks that lowering reserved exactly what
+//! it added.
 
-use smart_infinity::{MachineConfig, MethodSpec, ModelConfig, RunSpec, Session};
+use smart_infinity::{Campaign, MachineConfig, MethodSpec, ModelConfig, RunSpec, Session};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -191,10 +193,13 @@ fn allocations_during(work: impl FnOnce()) -> usize {
 /// and 3 281 before the set-up allocated per simulation, then 131, 165 and
 /// 410 before the pass borrowed the session instead of copying its machine,
 /// workload (and, for a cluster, the whole session), then 123, 157 and 398;
-/// now 120, 149 and 393. Builds with debug assertions also check every
-/// timeline against the engine's oracle, which allocates its own working
-/// set, so they have bars of their own (247, 808 and 953 before the pass
-/// borrowed, then 239, 800 and 941; now 235, 791 and 934).
+/// then 120, 149 and 393, before lowering reserved its arenas exactly, the
+/// graph dropped its names and `DirectLowering` stopped labelling tasks and
+/// copying route paths; now 107, 132 and 240. Builds with debug assertions
+/// also check every timeline against the engine's oracle, which allocates
+/// its own working set, so they have bars of their own (247, 808 and 953
+/// before the pass borrowed, then 239, 800 and 941, then 235, 791 and 934;
+/// now 222, 774 and 781).
 #[test]
 fn a_timed_iteration_allocates_per_simulation_not_per_name_route_or_decision() {
     let _turn = take_turn();
@@ -206,21 +211,21 @@ fn a_timed_iteration_allocates_per_simulation_not_per_name_route_or_decision() {
             r#"{"model": "GPT2-0.34B", "machine": {"devices": 4}, "method": {"offload": true,
                 "in_storage_update": true, "overlap": true, "pipelined": false,
                 "compression": {"keep_ratio": 0.01}}}"#,
-            if cfg!(debug_assertions) { 259 } else { 132 },
+            if cfg!(debug_assertions) { 245 } else { 118 },
         ),
         (
             "sim_scale: GPT2-33.0B, 10 CSDs, SU+O+C at 1 %",
             r#"{"model": "GPT2-33.0B", "machine": {"devices": 10}, "method": {"offload": true,
                 "in_storage_update": true, "overlap": true, "pipelined": false,
                 "compression": {"keep_ratio": 0.01}}}"#,
-            if cfg!(debug_assertions) { 870 } else { 164 },
+            if cfg!(debug_assertions) { 852 } else { 146 },
         ),
         (
             "sim_scale: GPT2-16.6B, 8 hosts of 10 CSDs, SU+O",
             r#"{"model": "GPT2-16.6B", "machine": {"devices": 10, "cluster": {"hosts": 8}},
                 "method": {"offload": true, "in_storage_update": true, "overlap": true,
                 "pipelined": false}}"#,
-            if cfg!(debug_assertions) { 1027 } else { 432 },
+            if cfg!(debug_assertions) { 860 } else { 264 },
         ),
     ] {
         let session = RunSpec::from_json(spec).and_then(|s| s.session()).expect("a valid spec");
@@ -245,15 +250,18 @@ fn peak_live_bytes_during(work: impl FnOnce()) -> usize {
 
 /// The peak live heap of one `Session::simulate_iteration` of a spec (the
 /// session is built and run once first, outside the measure): what the
-/// thread held at most above what it held before the call. Each bar is the
-/// peak measured once the pass dropped the graph, its layout, the
-/// scheduler and the executor's outcome before the engine runs, and
-/// simkit's task table went compact (40-byte tasks, `u32` arenas sized by
-/// lower bounds and trimmed when the run starts, progress records filled in
-/// place), plus 10 %: 80, 1 185, 1 412 and 599 KiB. Before, the same specs
-/// peaked at 144, 2 135, 2 339 and 1 183 KiB. Builds with debug assertions
-/// measure the same: the engine's oracle runs after the engine's working
-/// state is dropped and needs less, so one bar serves both.
+/// thread held at most above what it held before the call, for
+/// `lab_cycle`'s spec and the six of `sim_scale`. Each bar is the peak
+/// measured once lowering reserved exactly what it adds (no arena regrows)
+/// and the graph went lean (56-byte tasks, 24-byte data items, no names,
+/// `u32` ids, sites and edges), plus 10 %, in the test profile, which
+/// peaks at least as high as an optimised build: 49, 702, 674, 719, 396,
+/// 315 and 214 KiB (an optimised build: 49, 659, 661, 719, 378, 315 and
+/// 214). Before, once the pass dropped the graph, its layout, the scheduler
+/// and the executor's outcome before the engine runs and simkit's task
+/// table went compact, the same specs peaked at 80, 963, 1 185, 1 412, 599,
+/// 602 and 406 KiB, and before that (four of them) at 144, 2 135, 2 339 and
+/// 1 183 KiB.
 #[test]
 fn a_timed_iteration_holds_one_stage_in_memory_at_a_time() {
     let _turn = take_turn();
@@ -265,28 +273,48 @@ fn a_timed_iteration_holds_one_stage_in_memory_at_a_time() {
             r#"{"model": "GPT2-0.34B", "machine": {"devices": 4}, "method": {"offload": true,
                 "in_storage_update": true, "overlap": true, "pipelined": false,
                 "compression": {"keep_ratio": 0.01}}}"#,
-            88,
+            54,
+        ),
+        (
+            "sim_scale: GPT2-33.0B, 10 SSDs, BASE",
+            r#"{"model": "GPT2-33.0B", "machine": {"devices": 10}, "method": {"offload": true,
+                "in_storage_update": false, "overlap": false, "pipelined": false}}"#,
+            772,
         ),
         (
             "sim_scale: GPT2-33.0B, 10 CSDs, SU+O+C at 1 %",
             r#"{"model": "GPT2-33.0B", "machine": {"devices": 10}, "method": {"offload": true,
                 "in_storage_update": true, "overlap": true, "pipelined": false,
                 "compression": {"keep_ratio": 0.01}}}"#,
-            1_304,
+            742,
         ),
         (
             "sim_scale: GPT2-33.0B, 10 CSDs and 2 GPUs congested, SU+O+P+C at 1 %",
             r#"{"model": "GPT2-33.0B", "machine": {"devices": 10, "num_gpus": 2,
                 "congested": true}, "method": {"offload": true, "in_storage_update": true,
                 "overlap": true, "pipelined": true, "compression": {"keep_ratio": 0.01}}}"#,
-            1_554,
+            791,
         ),
         (
             "sim_scale: GPT2-16.6B, 8 hosts of 10 CSDs, SU+O",
             r#"{"model": "GPT2-16.6B", "machine": {"devices": 10, "cluster": {"hosts": 8}},
                 "method": {"offload": true, "in_storage_update": true, "overlap": true,
                 "pipelined": false}}"#,
-            659,
+            436,
+        ),
+        (
+            "sim_scale: GPT2-16.6B, 8 hosts of 10 CSDs, SU+O+P",
+            r#"{"model": "GPT2-16.6B", "machine": {"devices": 10, "cluster": {"hosts": 8}},
+                "method": {"offload": true, "in_storage_update": true, "overlap": true,
+                "pipelined": true}}"#,
+            347,
+        ),
+        (
+            "sim_scale: GPT2-8.3B, 16 hosts of 6 CSDs, SU+O+P+C at 1 %",
+            r#"{"model": "GPT2-8.3B", "machine": {"devices": 6, "cluster": {"hosts": 16}},
+                "method": {"offload": true, "in_storage_update": true, "overlap": true,
+                "pipelined": true, "compression": {"keep_ratio": 0.01}}}"#,
+            236,
         ),
     ] {
         let session = RunSpec::from_json(spec).and_then(|s| s.session()).expect("a valid spec");
@@ -301,10 +329,11 @@ fn a_timed_iteration_holds_one_stage_in_memory_at_a_time() {
 }
 
 /// One iteration at the device bound `Session::validate` enforces (4 096):
-/// GPT2-33.0B, SU+O+P+C at 1 %, simulated once, cold. It took 1.0 s and
-/// peaked at 22 212 KiB of live heap on a 2-vCPU guest, in an optimised
-/// build and in the test profile alike (32 518 KiB before the pass held
-/// one stage at a time). The time limit is ten times that, generous for a
+/// GPT2-33.0B, SU+O+P+C at 1 %, simulated once, cold. It took 0.9 s and
+/// peaked at 17 243 KiB of live heap on a 2-vCPU guest, in an optimised
+/// build and in the test profile alike (22 212 KiB before lowering reserved
+/// exactly and the graph went lean, 32 518 KiB before the pass held one
+/// stage at a time). The time limit is ten times 1.0 s, generous for a
 /// shared runner; the heap bar is the peak plus 10 %. The bound moves when
 /// routing stops being a whole-topology search per endpoint pair, and this
 /// pin moves with it.
@@ -324,5 +353,40 @@ fn an_iteration_at_the_device_bound_fits_its_time_and_heap() {
     println!("4 096 devices: {took:?}, peak live heap {kib} KiB, {report:?}");
     assert!(report.is_some_and(|r| r.total_s() > 0.0));
     assert!(took.as_secs_f64() < 10.0, "an iteration at the bound took {took:?}");
-    assert!(kib <= 24_433, "an iteration at the bound peaked at {kib} KiB");
+    assert!(kib <= 18_968, "an iteration at the bound peaked at {kib} KiB");
+}
+
+/// Lowering a timed iteration reserves exactly what it adds
+/// (`simkit::Lowering::reserve`), so no task, dependency or path-link arena
+/// of its simulation regrows. A build with debug assertions checks that
+/// whenever a simulation runs (`simkit::Simulation::run` compares what its
+/// arenas hold with what was reserved), and this test runs the check over
+/// every spec of `specs/*.json` and the six `sim_scale` specs, clusters
+/// included: their allreduce is lowered by `simkit::DirectLowering`. An
+/// optimised build only simulates them.
+#[test]
+fn lowering_never_regrows_an_arena_for_any_checked_in_spec() {
+    let _turn = take_turn();
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut specs = Vec::new();
+    for entry in std::fs::read_dir(root.join("specs")).expect("the specs directory lists") {
+        let path = entry.expect("a directory entry").path();
+        if path.extension().is_some_and(|ext| ext == "json") {
+            let text = std::fs::read_to_string(&path).expect("a readable campaign");
+            specs.extend(Campaign::from_json(&text).expect("a valid campaign").specs);
+        }
+    }
+    let campaigns = specs.len();
+    assert!(campaigns >= 30, "only {campaigns} specs under specs/");
+    let sim_scale = std::fs::read_to_string(root.join("benchmark/specs/sim_scale.json"))
+        .expect("the sim_scale specs");
+    for line in sim_scale.lines().filter(|line| line.starts_with('{')) {
+        specs.push(RunSpec::from_json(line.trim_end_matches(',')).expect("a valid spec"));
+    }
+    assert_eq!(specs.len() - campaigns, 6, "one sim_scale spec per line");
+    for spec in &specs {
+        let session = spec.session().expect("a valid spec");
+        let report = session.simulate_iteration().expect("simulates");
+        assert!(report.total_s() > 0.0, "{}", spec.label());
+    }
 }
