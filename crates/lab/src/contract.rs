@@ -5,6 +5,7 @@ use crate::LabError;
 use serde::{write_json_string, Deserialize, Number, Serialize, Value};
 use smart_infinity::{canonical_json, Campaign, CampaignRef, RunSpec};
 use std::path::Path;
+use std::sync::Arc;
 use ztrain::IterationReport;
 
 /// One line of `tasks.jsonl`: a required `task_id` plus a pure domain
@@ -17,8 +18,8 @@ pub struct Task {
     /// The task's unique id within its dataset.
     pub task_id: String,
     /// The domain payload: the task object minus `task_id`, always a JSON
-    /// object.
-    pub payload: Value,
+    /// object. Shared, not copied, by every trial planned from the task.
+    pub payload: Arc<Value>,
 }
 
 impl Task {
@@ -58,14 +59,14 @@ impl Task {
         if payload.is_empty() {
             return Err(LabError::config(format!("task `{task_id}` has an empty payload")));
         }
-        Ok(Task { task_id, payload: Value::Object(payload) })
+        Ok(Task { task_id, payload: Arc::new(Value::Object(payload)) })
     }
 
     /// The full task document (payload plus `task_id`) — the value trial ids
     /// hash over.
     pub fn document(&self) -> Value {
         let mut pairs = vec![("task_id".to_string(), Value::String(self.task_id.clone()))];
-        if let Value::Object(payload) = &self.payload {
+        if let Value::Object(payload) = &*self.payload {
             pairs.extend(payload.iter().cloned());
         }
         Value::Object(pairs)

@@ -6,6 +6,7 @@ use crate::{ExperimentConfig, LabError, Variant};
 use serde::{Number, Value};
 use smart_infinity::{canonical_json, fnv1a};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// One planned trial: a (task, variant, repeat) cell of the experiment
 /// matrix plus its stable id.
@@ -21,8 +22,9 @@ pub struct PlannedTrial {
     pub trial_id: String,
     /// The task's id.
     pub task_id: String,
-    /// The task's raw payload (spec or campaign ref), unresolved.
-    pub payload: Value,
+    /// The task's raw payload (spec or campaign ref), unresolved, shared
+    /// with the task and every other trial of it.
+    pub payload: Arc<Value>,
     /// The variant's name.
     pub variant: String,
     /// The variant's merge delta, if any.
@@ -32,8 +34,9 @@ pub struct PlannedTrial {
 }
 
 /// One cell of the trial matrix with its id, borrowing its task and
-/// variant: a [`PlannedTrial`] before the payload and delta are copied into
-/// it. The runner plans cells and copies only the trials it executes.
+/// variant: a [`PlannedTrial`] before it takes its names, a share of the
+/// payload and a copy of the delta. The runner plans cells and makes
+/// trials only of the ones it executes, one wave at a time.
 #[derive(Debug)]
 pub(crate) struct TrialCell<'a> {
     pub(crate) index: usize,
@@ -50,7 +53,7 @@ impl TrialCell<'_> {
             index: self.index,
             trial_id: self.trial_id.clone(),
             task_id: self.task.task_id.clone(),
-            payload: self.task.payload.clone(),
+            payload: Arc::clone(&self.task.payload),
             variant: self.variant.name.clone(),
             delta: self.variant.delta.clone(),
             repeat: self.repeat,
@@ -250,7 +253,9 @@ mod tests {
             let tasks: Vec<Task> = (0..tasks_n)
                 .map(|i| Task {
                     task_id: format!("{}{i}", NAMES[(name_pick + i) % 6]),
-                    payload: v(&format!(r#"{{"model": "GPT2-0.34B", "machine": {{"devices": {i}}}}}"#)),
+                    payload: Arc::new(v(&format!(
+                        r#"{{"model": "GPT2-0.34B", "machine": {{"devices": {i}}}}}"#
+                    ))),
                 })
                 .collect();
 

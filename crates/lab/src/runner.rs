@@ -3,7 +3,7 @@
 
 use crate::contract::{json_merge, resolve_payload, HarnessResult, Task, TrialRecord};
 use crate::plan::{plan_cells, TrialCell};
-use crate::{ExperimentPaths, LabError, PlannedTrial, Shard};
+use crate::{ExperimentPaths, LabError, PlannedTrial, Shard, Variant};
 use parcore::ParExecutor;
 use serde::Value;
 use smart_infinity::{CampaignService, RunSpec, ServiceConfig, ServiceReport};
@@ -17,6 +17,11 @@ pub const JOURNAL_FILE: &str = "trials.jsonl";
 
 /// The name of the analysis subdirectory inside an output directory.
 pub const ANALYSIS_DIR: &str = "analysis";
+
+/// The most trials a run resolves, executes and journals at once: the
+/// service's default `queue_depth`, so one [`ServiceExecutor`] call is one
+/// service wave.
+const WAVE: usize = 64;
 
 // ---------------------------------------------------------------------------
 // Executors
@@ -34,6 +39,11 @@ pub struct RunOutcome {
 /// The execution seam of the runner: turns resolved specs into outcomes.
 /// The production implementation is [`ServiceExecutor`]; [`FixedExecutor`]
 /// is a pure synthetic stand-in for plan-level tests and dry runs.
+///
+/// [`run_experiment`] may call it several times per run: once per wave of
+/// at most 64 trials, the waves in plan order, each call's trials in plan
+/// order, and one wave journaled before the next is resolved. Each call
+/// must answer every trial it was given.
 pub trait Executor {
     /// Executes one batch of resolved trials, returning one result per
     /// entry, in order. Errors are per-trial strings (they become `error`
@@ -342,31 +352,36 @@ fn trial_name(task_id: &str, variant: &str, repeat: usize) -> String {
     format!("{task_id}/{variant}#{repeat}")
 }
 
-/// [`resolve_trial_spec`] for the runner's cells, with both steps memoized:
-/// the task value once per task, the merged spec once per (task, variant).
-/// Failures are not memoized, so every trial's error names that trial.
+/// [`resolve_trial_spec`] for the runner's cells, with both steps memoized
+/// for the cells in hand: the task value of the last task resolved and the
+/// merged spec of its last variant. A run resolves its pending cells in plan
+/// order, which is task-major and then variant-major, so each task's value is
+/// still computed once and each (task, variant)'s spec once. Failures are not
+/// memoized, so every trial's error names that trial.
 struct Resolver<'a> {
     defaults: Option<&'a Value>,
     base_dir: &'a Path,
-    tasks: HashMap<&'a str, Value>,
-    specs: HashMap<(&'a str, &'a str), RunSpec>,
+    task: Option<(&'a Task, Value)>,
+    spec: Option<(&'a Variant, RunSpec)>,
 }
 
 impl<'a> Resolver<'a> {
     fn resolve(&mut self, cell: &TrialCell<'a>) -> Result<RunSpec, LabError> {
         let (task, variant) = (cell.task, cell.variant);
         let context = |e| in_trial(&cell.trial_id, &task.task_id, &variant.name, e);
-        let key = (task.task_id.as_str(), variant.name.as_str());
-        if !self.specs.contains_key(&key) {
-            if !self.tasks.contains_key(key.0) {
-                self.tasks
-                    .insert(key.0, task_value(&task.payload, self.base_dir).map_err(context)?);
-            }
-            let spec = merged_spec(&self.tasks[key.0], self.defaults, variant.delta.as_ref())
-                .map_err(context)?;
-            self.specs.insert(key, spec);
+        if !self.task.as_ref().is_some_and(|(held, _)| std::ptr::eq(*held, task)) {
+            // A memoized spec belongs to the task it was merged from.
+            self.spec = None;
+            self.task = Some((task, task_value(&task.payload, self.base_dir).map_err(context)?));
         }
-        Ok(self.specs[&key].clone().with_name(trial_name(key.0, key.1, cell.repeat)))
+        if !self.spec.as_ref().is_some_and(|(held, _)| std::ptr::eq(*held, variant)) {
+            let value = &self.task.as_ref().expect("resolved above").1;
+            let spec =
+                merged_spec(value, self.defaults, variant.delta.as_ref()).map_err(context)?;
+            self.spec = Some((variant, spec));
+        }
+        let spec = &self.spec.as_ref().expect("resolved above").1;
+        Ok(spec.clone().with_name(trial_name(&task.task_id, &variant.name, cell.repeat)))
     }
 }
 
@@ -427,6 +442,11 @@ fn record_for(cell: &TrialCell, result: &HarnessResult) -> TrialRecord {
 /// and — when the journal covers the whole plan — writes the analysis
 /// tables under `out_dir/analysis/`.
 ///
+/// The journal grows wave by wave: the pending trials are resolved,
+/// executed and appended in plan order, at most 64 at a time, so a run
+/// holds one wave of trials (plus the journal's records) and a kill loses
+/// at most the wave in flight.
+///
 /// # Errors
 ///
 /// [`LabError`] for unloadable inputs, corrupt journals, and output I/O
@@ -465,54 +485,60 @@ pub fn run_experiment(
         _ => false,
     };
 
-    // Resolve every pending trial's spec; resolution failures become error
-    // records, successes go to the executor.
+    // Resolve, execute and journal the pending trials one wave at a time, in
+    // plan order: resolution failures become error records, successes go to
+    // the executor, and each wave's records are appended before the next wave
+    // is resolved. A harness result is built once per run of equal outcomes
+    // (the repeats of one (task, variant)), across waves too.
     let mut resolver = Resolver {
         defaults: config.defaults.as_ref(),
         base_dir: &paths.base_dir,
-        tasks: HashMap::new(),
-        specs: HashMap::new(),
+        task: None,
+        spec: None,
     };
-    let mut batch = Vec::new();
-    let mut failures = Vec::with_capacity(pending.len());
-    for trial in &pending {
-        match resolver.resolve(trial) {
-            Ok(spec) => {
-                batch.push((trial.to_planned(), spec));
-                failures.push(None);
-            }
-            Err(e) => failures.push(Some(e.to_string())),
-        }
-    }
-    let outcomes = if batch.is_empty() { Vec::new() } else { executor.execute(&batch) };
-    debug_assert_eq!(outcomes.len(), batch.len(), "executor must answer every trial");
-    // Journal in plan order so straight-through journals need no sort to
-    // compare; the resume/shard comparisons go through canonical sort. Each
-    // pending trial takes its resolution failure or the executor's next
-    // outcome, and a harness result is built once per run of equal outcomes
-    // (the repeats of one (task, variant)).
-    let mut outcomes = outcomes.into_iter();
-    let mut executed = Vec::with_capacity(pending.len());
     let mut last: Option<(Result<RunOutcome, String>, HarnessResult)> = None;
-    for (trial, failure) in pending.iter().zip(failures) {
-        let outcome = match failure {
-            Some(message) => Err(message),
-            None => outcomes.next().expect("executor must answer every trial"),
-        };
-        let result = match last.take() {
-            Some((previous, result)) if previous == outcome => result,
-            _ => match &outcome {
-                Ok(run) => HarnessResult::simulated(run.method.clone(), &run.report),
-                Err(message) => HarnessResult::failure(message.clone()),
-            },
-        };
-        executed.push(record_for(trial, &result));
-        last = Some((outcome, result));
+    let (mut executed, mut errors) = (0, 0);
+    if pending.is_empty() {
+        // Nothing to run still leaves a journal, as a shard with an empty
+        // slice must.
+        append_records(&journal_path, &[])?;
     }
-    append_records(&journal_path, &executed)?;
-    let errors = executed.iter().filter(|r| !r.is_success()).count();
-    let executed_count = executed.len();
-    records.extend(executed);
+    for wave in pending.chunks(WAVE) {
+        let mut batch = Vec::with_capacity(wave.len());
+        let mut failures = Vec::with_capacity(wave.len());
+        for trial in wave {
+            match resolver.resolve(trial) {
+                Ok(spec) => {
+                    batch.push((trial.to_planned(), spec));
+                    failures.push(None);
+                }
+                Err(e) => failures.push(Some(e.to_string())),
+            }
+        }
+        let outcomes = if batch.is_empty() { Vec::new() } else { executor.execute(&batch) };
+        debug_assert_eq!(outcomes.len(), batch.len(), "executor must answer every trial");
+        let mut outcomes = outcomes.into_iter();
+        let mut wave_records = Vec::with_capacity(wave.len());
+        for (trial, failure) in wave.iter().zip(failures) {
+            let outcome = match failure {
+                Some(message) => Err(message),
+                None => outcomes.next().expect("executor must answer every trial"),
+            };
+            let result = match last.take() {
+                Some((previous, result)) if previous == outcome => result,
+                _ => match &outcome {
+                    Ok(run) => HarnessResult::simulated(run.method.clone(), &run.report),
+                    Err(message) => HarnessResult::failure(message.clone()),
+                },
+            };
+            wave_records.push(record_for(trial, &result));
+            last = Some((outcome, result));
+        }
+        append_records(&journal_path, &wave_records)?;
+        executed += wave_records.len();
+        errors += wave_records.iter().filter(|r| !r.is_success()).count();
+        records.extend(wave_records);
+    }
 
     // Analysis: only once the journal covers the full plan (a shard run of
     // N > 1 never does on its own; merge the journals first).
@@ -533,7 +559,7 @@ pub fn run_experiment(
         planned: plan.len(),
         in_scope: in_scope.len(),
         journaled,
-        executed: executed_count,
+        executed,
         errors,
         halted,
         analysis_written,

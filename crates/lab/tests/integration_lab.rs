@@ -5,17 +5,18 @@
 
 use lab::runner::append_records;
 use lab::{
-    merge_journal_lines, plan_trials, run_experiment, ExperimentConfig, FixedExecutor, Objective,
-    RunOptions, Shard, Task, TrialRecord,
+    merge_journal_lines, plan_trials, run_experiment, Executor, ExperimentConfig, FixedExecutor,
+    Objective, PlannedTrial, RunOptions, RunOutcome, Shard, Task, TrialRecord,
 };
 use proptest::prelude::*;
-use smart_infinity::{Campaign, MachineSpec};
+use smart_infinity::{Campaign, MachineSpec, RunSpec};
 use std::path::{Path, PathBuf};
 
 const SPECS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs");
 const MINI: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/experiments/mini");
 const HETERO: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/experiments/hetero");
 const SCHED: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/experiments/sched");
+const WAVES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/experiments/waves");
 
 /// A fresh per-test scratch directory under the system temp dir (the
 /// workspace has no tempfile crate; the process id plus a per-test tag keeps
@@ -329,6 +330,195 @@ fn a_torn_journal_is_repaired_through_a_renamed_sibling() {
         .collect();
     entries.sort();
     assert_eq!(entries, ["analysis", "trials.jsonl"]);
+}
+
+// ---------------------------------------------------------------------------
+// Wave-by-wave streaming (the 204-trial `waves` experiment)
+// ---------------------------------------------------------------------------
+
+/// The most trials one executor call may be given.
+const WAVE: usize = 64;
+
+/// Answers as [`FixedExecutor`] does, and records for each call the trial ids
+/// it was given and the trial ids the journal held when the call began. A
+/// call numbered `kill_in` (1-based) panics instead of answering, as a
+/// process killed mid-wave would stop.
+struct Recording {
+    journal: PathBuf,
+    kill_in: Option<usize>,
+    calls: Vec<(Vec<String>, Vec<String>)>,
+}
+
+impl Recording {
+    fn new(out: &Path, kill_in: Option<usize>) -> Self {
+        Recording { journal: out.join("trials.jsonl"), kill_in, calls: Vec::new() }
+    }
+}
+
+impl Executor for Recording {
+    fn execute(&mut self, batch: &[(PlannedTrial, RunSpec)]) -> Vec<Result<RunOutcome, String>> {
+        let (records, _) = lab::read_journal(&self.journal).expect("the journal reads");
+        let journaled = records.into_iter().map(|r| r.trial_id).collect();
+        self.calls.push((batch.iter().map(|(t, _)| t.trial_id.clone()).collect(), journaled));
+        assert_ne!(self.kill_in, Some(self.calls.len()), "killed in call {}", self.calls.len());
+        FixedExecutor.execute(batch)
+    }
+}
+
+/// The plan's trial ids in order, restricted to `shard` when one is given.
+fn waves_plan(shard: Option<Shard>) -> Vec<String> {
+    let (paths, config) = lab::ExperimentPaths::resolve(Path::new(WAVES)).expect("resolves");
+    let tasks = lab::runner::load_tasks(&paths.tasks).expect("tasks load");
+    let plan = plan_trials(&tasks, &config);
+    plan.into_iter()
+        .filter(|t| shard.map_or(true, |s| s.owns(t.index)))
+        .map(|t| t.trial_id)
+        .collect()
+}
+
+/// Checks one run's calls against the streaming contract: the calls cover
+/// `pending` in plan order, one wave of at most 64 trials each (⌈pending /
+/// 64⌉ calls), and each call began once the journal held `before` plus the
+/// trials of every earlier call, and nothing else.
+fn assert_streamed(calls: &[(Vec<String>, Vec<String>)], before: &[String], pending: &[String]) {
+    assert_eq!(calls.len(), pending.len().div_ceil(WAVE), "one call per wave");
+    let mut journaled = before.to_vec();
+    let mut given = Vec::new();
+    for (k, (batch, at_start)) in calls.iter().enumerate() {
+        assert!(!batch.is_empty() && batch.len() <= WAVE, "call {k}: {} trials", batch.len());
+        assert_eq!(at_start, &journaled, "call {k} began before the last wave was journaled");
+        journaled.extend(batch.iter().cloned());
+        given.extend(batch.iter().cloned());
+    }
+    assert_eq!(given, pending, "the calls take the pending trials in plan order");
+}
+
+/// An executor is called once per wave of at most 64 trials, in plan order,
+/// and only once the previous wave is in the journal: on a straight run of
+/// the 204-trial experiment (64 + 64 + 64 + 12), on a run halted after 100
+/// trials (64 + 36), and on its resume (64 + 40).
+#[test]
+fn each_wave_is_one_executor_call_in_plan_order_after_the_last_is_journaled() {
+    let plan = waves_plan(None);
+    assert_eq!(plan.len(), 204);
+
+    let straight = scratch("waves-contract-straight");
+    let mut recording = Recording::new(&straight, None);
+    let summary =
+        run_experiment(Path::new(WAVES), &straight, &RunOptions::default(), &mut recording)
+            .expect("straight run");
+    assert_eq!((summary.executed, summary.errors), (204, 0));
+    assert_streamed(&recording.calls, &[], &plan);
+    let sizes: Vec<usize> = recording.calls.iter().map(|(batch, _)| batch.len()).collect();
+    assert_eq!(sizes, [64, 64, 64, 12]);
+
+    let resumed = scratch("waves-contract-resumed");
+    let mut halted = Recording::new(&resumed, None);
+    let options = RunOptions { shard: None, halt_after: Some(100) };
+    run_experiment(Path::new(WAVES), &resumed, &options, &mut halted).expect("halted run");
+    assert_streamed(&halted.calls, &[], &plan[..100]);
+    let mut finish = Recording::new(&resumed, None);
+    run_experiment(Path::new(WAVES), &resumed, &RunOptions::default(), &mut finish)
+        .expect("resume run");
+    assert_streamed(&finish.calls, &plan[..100], &plan[100..]);
+    assert_eq!(read(&resumed.join("trials.jsonl")), read(&straight.join("trials.jsonl")));
+}
+
+/// An executor that dies in its second call (a kill during the second wave)
+/// leaves the first wave journaled, and only that. A resume executes the
+/// other 140 trials and ends with the straight run's journal and analysis
+/// tables, byte for byte.
+#[test]
+fn an_executor_killed_in_its_second_wave_leaves_the_first_journaled() {
+    let plan = waves_plan(None);
+    let straight = scratch("waves-kill-straight");
+    run_experiment(Path::new(WAVES), &straight, &RunOptions::default(), &mut FixedExecutor)
+        .expect("straight run");
+
+    let killed = scratch("waves-kill-resumed");
+    let mut dying = Recording::new(&killed, Some(2));
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_experiment(Path::new(WAVES), &killed, &RunOptions::default(), &mut dying)
+    }));
+    assert!(run.is_err(), "the second call panics");
+    let (records, warning) = lab::read_journal(&killed.join("trials.jsonl")).expect("journal");
+    assert!(warning.is_none());
+    let journaled: Vec<String> = records.into_iter().map(|r| r.trial_id).collect();
+    assert_eq!(journaled, plan[..WAVE], "the first wave, and only it, is journaled");
+
+    let finish =
+        run_experiment(Path::new(WAVES), &killed, &RunOptions::default(), &mut FixedExecutor)
+            .expect("resume run");
+    assert_eq!((finish.journaled, finish.executed), (WAVE, 204 - WAVE));
+    assert!(finish.analysis_written);
+    assert_eq!(read(&killed.join("trials.jsonl")), read(&straight.join("trials.jsonl")));
+    for table in ["variants.jsonl", "variant_tasks.jsonl"] {
+        assert_eq!(
+            read(&killed.join("analysis").join(table)),
+            read(&straight.join("analysis").join(table)),
+            "analysis table {table}"
+        );
+    }
+}
+
+/// The same kill for one shard of three, whose 68-trial slice crosses a
+/// wave (64 + 4): the killed shard keeps its first wave, its resume
+/// executes the other 4 and ends with the uninterrupted shard's journal,
+/// and the three shard journals merge to the straight run's sorted lines,
+/// whose analysis tables equal the straight run's.
+#[test]
+fn a_shard_killed_in_its_second_wave_resumes_to_the_straight_journal() {
+    let straight = scratch("waves-shard-straight");
+    run_experiment(Path::new(WAVES), &straight, &RunOptions::default(), &mut FixedExecutor)
+        .expect("straight run");
+
+    let shard = |index| RunOptions { shard: Some(Shard { index, count: 3 }), halt_after: None };
+    let slice = waves_plan(shard(1).shard);
+    assert_eq!(slice.len(), 68);
+    let uninterrupted = scratch("waves-shard-1-uninterrupted");
+    run_experiment(Path::new(WAVES), &uninterrupted, &shard(1), &mut FixedExecutor)
+        .expect("shard run");
+
+    let killed = scratch("waves-shard-1-killed");
+    let mut dying = Recording::new(&killed, Some(2));
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_experiment(Path::new(WAVES), &killed, &shard(1), &mut dying)
+    }));
+    assert!(run.is_err(), "the second call panics");
+    assert_streamed(&dying.calls, &[], &slice);
+    let (records, _) = lab::read_journal(&killed.join("trials.jsonl")).expect("journal");
+    assert_eq!(records.len(), WAVE, "the shard's first wave is journaled");
+    let finish = run_experiment(Path::new(WAVES), &killed, &shard(1), &mut FixedExecutor)
+        .expect("shard resume");
+    assert_eq!((finish.journaled, finish.executed), (WAVE, 4));
+    assert!(!finish.analysis_written, "a shard of three writes no tables");
+    assert_eq!(read(&killed.join("trials.jsonl")), read(&uninterrupted.join("trials.jsonl")));
+
+    let mut inputs = vec![("1/3".to_string(), read(&killed.join("trials.jsonl")))];
+    for index in [0, 2] {
+        let out = scratch(&format!("waves-shard-{index}"));
+        run_experiment(Path::new(WAVES), &out, &shard(index), &mut FixedExecutor)
+            .expect("shard run");
+        inputs.push((format!("{index}/3"), read(&out.join("trials.jsonl"))));
+    }
+    let merged = merge_journal_lines(&inputs).expect("merge");
+    assert_eq!(merged, sorted_lines(&read(&straight.join("trials.jsonl"))));
+
+    // A journal that covers the plan executes nothing and writes the tables.
+    let analyzed = scratch("waves-shard-merged");
+    let text: String = merged.iter().map(|line| format!("{line}\n")).collect();
+    std::fs::write(analyzed.join("trials.jsonl"), text).expect("write the merged journal");
+    let summary =
+        run_experiment(Path::new(WAVES), &analyzed, &RunOptions::default(), &mut FixedExecutor)
+            .expect("analysis run");
+    assert_eq!((summary.executed, summary.analysis_written), (0, true));
+    for table in ["variants.jsonl", "variant_tasks.jsonl"] {
+        assert_eq!(
+            read(&analyzed.join("analysis").join(table)),
+            read(&straight.join("analysis").join(table)),
+            "analysis table {table}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

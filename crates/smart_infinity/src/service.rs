@@ -336,10 +336,12 @@ struct PendingJob {
 }
 
 /// One unique unit of work: a canonical spec with every job attached to it.
+/// The spec leaves the item when it is admitted and the canonical text when
+/// it completes (into the cache), so a finished item holds neither.
 struct WorkItem {
     canon: String,
     key: u64,
-    spec: RunSpec,
+    spec: Option<RunSpec>,
     jobs: Vec<PendingJob>,
     running: bool,
 }
@@ -477,6 +479,7 @@ impl State {
     fn complete(
         &mut self,
         item_idx: usize,
+        spec: &RunSpec,
         result: Result<IterationReport, TrainError>,
         run_s: f64,
         admitted_at: Instant,
@@ -485,15 +488,16 @@ impl State {
         self.run_time_samples.push(run_s);
         let item = &mut self.items[item_idx];
         item.running = false;
-        self.in_flight.remove(&item.canon);
+        let canon = std::mem::take(&mut item.canon);
+        self.in_flight.remove(&canon);
         let jobs = std::mem::take(&mut item.jobs);
         match result {
             Ok(report) => {
                 let entry = CacheEntry {
                     key: item.key,
-                    model: item.spec.model.to_string(),
-                    method: item.spec.method.to_string(),
-                    devices: item.spec.machine.devices,
+                    model: spec.model.to_string(),
+                    method: spec.method.to_string(),
+                    devices: spec.machine.devices,
                     report,
                     last_used: 0, // stamped by `cache_insert`
                 };
@@ -518,7 +522,6 @@ impl State {
                         },
                     });
                 }
-                let canon = item.canon.clone();
                 self.cache_insert(canon, entry);
             }
             Err(error) => {
@@ -678,7 +681,7 @@ impl CampaignService {
         st.items.push(WorkItem {
             canon: canon.clone(),
             key,
-            spec: spec.clone(),
+            spec: Some(spec.clone()),
             jobs: vec![pending],
             running: false,
         });
@@ -806,18 +809,22 @@ impl CampaignService {
             return 0;
         }
         st.dispatching = true;
-        let specs: Vec<RunSpec> = admitted.iter().map(|&i| st.items[i].spec.clone()).collect();
+        let specs: Vec<RunSpec> = admitted
+            .iter()
+            .map(|&i| st.items[i].spec.take().expect("a queued item holds its spec"))
+            .collect();
         drop(st);
         let admitted_at = Instant::now();
         // The executor integration: each unique spec's timed simulation runs
         // as one parcore work item, with per-item wall-clock measured by the
         // pool itself.
         let results = pool.map_timed(specs, |_, spec| {
-            spec.session().and_then(|session| session.simulate_iteration())
+            let result = spec.session().and_then(|session| session.simulate_iteration());
+            (spec, result)
         });
         let mut st = self.lock();
-        for (&item_idx, (result, run_s)) in admitted.iter().zip(results) {
-            st.complete(item_idx, result, run_s, admitted_at);
+        for (&item_idx, ((spec, result), run_s)) in admitted.iter().zip(results) {
+            st.complete(item_idx, &spec, result, run_s, admitted_at);
         }
         st.dispatching = false;
         drop(st);
