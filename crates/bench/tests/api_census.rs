@@ -10,7 +10,8 @@
 //!
 //! The test fails on any difference from the checked-in file and prints the
 //! rows that moved, so growth of the surface shows up in review. To re-bless
-//! after an intentional change of the surface:
+//! after an intentional change of the surface (the bless refuses a `crate`
+//! row the file does not list already):
 //!
 //! ```text
 //! cargo test -p bench --test api_census -- --ignored bless
@@ -547,11 +548,23 @@ fn census() -> String {
 }
 
 /// Re-writes `API.txt` from the current tree. Run explicitly (`-- --ignored
-/// bless`) after an intentional change of the public surface.
+/// bless`) after an intentional change of the public surface. It refuses a
+/// `crate` row the file does not list already: an item named nowhere
+/// outside its crate is made `pub(crate)` or deleted, not blessed.
 #[test]
 #[ignore = "re-blesses API.txt; run only after an intentional change of the public surface"]
 fn bless_api_census() {
-    std::fs::write(census_path(), census()).expect("write API.txt");
+    let fresh = census();
+    let golden = std::fs::read_to_string(census_path()).unwrap_or_default();
+    let listed: HashSet<&str> = golden.lines().collect();
+    let new_crate_rows: Vec<&str> =
+        fresh.lines().filter(|row| row.starts_with("crate ") && !listed.contains(row)).collect();
+    assert!(
+        new_crate_rows.is_empty(),
+        "these items are named nowhere outside their crate; make each pub(crate) or delete \
+         it:\n{new_crate_rows:#?}"
+    );
+    std::fs::write(census_path(), fresh).expect("write API.txt");
 }
 
 /// Every `pub` item and its reach are as `API.txt` records; a failure lists

@@ -1,7 +1,7 @@
 //! Analysis tables: per-variant (and per-variant-per-task) objective
 //! aggregates over a completed journal, emitted as canonical JSONL.
 
-use crate::contract::TrialRecord;
+use crate::contract::{Objective, TrialRecord};
 use crate::{LabError, PlannedTrial};
 use serde::write_json_string;
 use smart_infinity::{push_canonical_f64, LatencyStats};
@@ -85,12 +85,24 @@ pub struct AnalysisTables {
     pub variant_tasks: Vec<String>,
 }
 
-fn row(
-    variant: &str,
-    task_id: Option<&str>,
-    group: &[&TrialRecord],
-) -> Result<AnalysisRow, LabError> {
-    let successes: Vec<&&TrialRecord> = group.iter().filter(|r| r.is_success()).collect();
+/// What the tables read of one journal record: the trial, whether it
+/// succeeded, and its objective.
+#[derive(Debug)]
+pub(crate) struct TrialRow {
+    pub(crate) trial_id: String,
+    success: bool,
+    objective: Option<Objective>,
+}
+
+impl From<TrialRecord> for TrialRow {
+    fn from(record: TrialRecord) -> Self {
+        let success = record.is_success();
+        Self { trial_id: record.trial_id, success, objective: record.objective }
+    }
+}
+
+fn row(variant: &str, task_id: Option<&str>, group: &[&TrialRow]) -> Result<AnalysisRow, LabError> {
+    let successes: Vec<&&TrialRow> = group.iter().filter(|r| r.success).collect();
     let mut objective = None;
     let mut samples = Vec::with_capacity(successes.len());
     for record in &successes {
@@ -140,23 +152,24 @@ pub fn analysis_tables(
     plan: &[PlannedTrial],
     records: &[TrialRecord],
 ) -> Result<AnalysisTables, LabError> {
+    let rows: Vec<TrialRow> = records.iter().cloned().map(TrialRow::from).collect();
     tables(
         plan.iter().map(|t| (t.trial_id.as_str(), t.task_id.as_str(), t.variant.as_str())),
-        records,
+        &rows,
     )
 }
 
-/// [`analysis_tables`] over the plan's `(trial_id, task_id, variant)` keys.
+/// [`analysis_tables`] over the plan's `(trial_id, task_id, variant)` keys
+/// and the journal's rows.
 pub(crate) fn tables<'p>(
     plan: impl Iterator<Item = (&'p str, &'p str, &'p str)>,
-    records: &[TrialRecord],
+    rows: &[TrialRow],
 ) -> Result<AnalysisTables, LabError> {
-    let by_id: HashMap<&str, &TrialRecord> =
-        records.iter().map(|r| (r.trial_id.as_str(), r)).collect();
+    let by_id: HashMap<&str, &TrialRow> = rows.iter().map(|r| (r.trial_id.as_str(), r)).collect();
     // (variant, task) groups in plan order.
     let mut variant_order: Vec<&str> = Vec::new();
     let mut task_order: Vec<&str> = Vec::new();
-    let mut groups: HashMap<(&str, &str), Vec<&TrialRecord>> = HashMap::new();
+    let mut groups: HashMap<(&str, &str), Vec<&TrialRow>> = HashMap::new();
     for (trial_id, task_id, variant) in plan {
         let record = by_id.get(trial_id).ok_or_else(|| {
             LabError::config(format!(
@@ -174,7 +187,7 @@ pub(crate) fn tables<'p>(
     let mut variants = Vec::with_capacity(variant_order.len());
     let mut variant_tasks = Vec::new();
     for variant in &variant_order {
-        let all: Vec<&TrialRecord> = task_order
+        let all: Vec<&TrialRow> = task_order
             .iter()
             .filter_map(|task| groups.get(&(*variant, *task)))
             .flat_map(|group| group.iter().copied())

@@ -1,6 +1,7 @@
 //! The experiment runner: resolve specs, execute trials through the
 //! campaign service, journal results, resume, shard, merge.
 
+use crate::analysis::TrialRow;
 use crate::contract::{json_merge, resolve_payload, HarnessResult, Task, TrialRecord};
 use crate::plan::{plan_cells, TrialCell};
 use crate::{ExperimentPaths, LabError, PlannedTrial, Shard, Variant};
@@ -444,8 +445,8 @@ fn record_for(cell: &TrialCell, result: &HarnessResult) -> TrialRecord {
 ///
 /// The journal grows wave by wave: the pending trials are resolved,
 /// executed and appended in plan order, at most 64 at a time, so a run
-/// holds one wave of trials (plus the journal's records) and a kill loses
-/// at most the wave in flight.
+/// holds one wave of trials (plus, per journaled trial, its id, success and
+/// objective) and a kill loses at most the wave in flight.
 ///
 /// # Errors
 ///
@@ -464,13 +465,15 @@ pub fn run_experiment(
 
     std::fs::create_dir_all(out_dir).map_err(|e| LabError::io(out_dir, e))?;
     let journal_path = out_dir.join(JOURNAL_FILE);
-    let (mut records, torn) = read_journal(&journal_path)?;
+    let (records, torn) = read_journal(&journal_path)?;
     let mut warnings = Vec::new();
     if let Some(message) = torn {
         rewrite_journal(&journal_path, &records)?;
         warnings.push(message);
     }
-    let done: HashSet<&str> = records.iter().map(|r| r.trial_id.as_str()).collect();
+    // The run keeps of each journaled trial only what the analysis reads.
+    let mut rows: Vec<TrialRow> = records.into_iter().map(TrialRow::from).collect();
+    let done: HashSet<&str> = rows.iter().map(|r| r.trial_id.as_str()).collect();
 
     let in_scope: Vec<&TrialCell> =
         plan.iter().filter(|t| options.shard.map_or(true, |s| s.owns(t.index))).collect();
@@ -537,18 +540,18 @@ pub fn run_experiment(
         append_records(&journal_path, &wave_records)?;
         executed += wave_records.len();
         errors += wave_records.iter().filter(|r| !r.is_success()).count();
-        records.extend(wave_records);
+        rows.extend(wave_records.into_iter().map(TrialRow::from));
     }
 
     // Analysis: only once the journal covers the full plan (a shard run of
     // N > 1 never does on its own; merge the journals first).
-    let journaled_ids: HashSet<&str> = records.iter().map(|r| r.trial_id.as_str()).collect();
+    let journaled_ids: HashSet<&str> = rows.iter().map(|r| r.trial_id.as_str()).collect();
     let complete = plan.iter().all(|t| journaled_ids.contains(t.trial_id.as_str()));
     let analysis_written = if complete {
         let keys = plan
             .iter()
             .map(|t| (t.trial_id.as_str(), t.task.task_id.as_str(), t.variant.name.as_str()));
-        let tables = crate::analysis::tables(keys, &records)?;
+        let tables = crate::analysis::tables(keys, &rows)?;
         crate::write_analysis(&out_dir.join(ANALYSIS_DIR), &tables)?;
         true
     } else {

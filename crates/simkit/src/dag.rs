@@ -2,12 +2,14 @@
 //!
 //! A [`Dag`] describes *what* an application does — computes, transfers,
 //! delays and joins, plus the data items flowing between them — without
-//! fixing *when* or *where* each piece runs. A [`crate::Scheduler`] walks the
-//! graph and emits placement + ordering decisions, which a
+//! fixing *when* or *where* each piece runs. A [`crate::Scheduler`] answers
+//! each task with a placement + ordering decision, which a
 //! [`crate::Lowering`] turns into concrete tasks on the flat
 //! [`crate::Simulation`] substrate (see [`crate::execute`]).
 //!
-//! Two kinds of edges coexist:
+//! Every edge points from a task to one with a lower id: an edge that does
+//! not poisons the graph, so a graph is acyclic by construction and ids are
+//! an order its tasks can be lowered in. Two kinds of edges coexist:
 //!
 //! - **Hard inputs** ([`Dag::connect`]) and **after-edges**
 //!   ([`Dag::add_after`]) are structural: every scheduler must honour them,
@@ -121,7 +123,8 @@ pub struct DataItem {
 
 /// A task graph under construction.
 ///
-/// Malformed references (unknown task or data ids), and more than
+/// Malformed references (unknown task or data ids, an edge to a task that
+/// does not have a lower id), and more than
 /// `u32::MAX` tasks, data items or edges of a kind (ids and spans into the
 /// arenas are `u32`), poison the graph rather than panicking; the first
 /// error is reported by [`Dag::validate`] and by [`crate::execute`].
@@ -260,25 +263,48 @@ impl Dag {
         id
     }
 
+    /// Whether an edge from `task` to `source` may be added: both exist and
+    /// `source` has the lower id. Poisons the graph otherwise.
+    fn check_edge(&mut self, task: DagTaskId, source: DagTaskId) -> bool {
+        if !(self.check_task(task) && self.check_task(source)) {
+            return false;
+        }
+        if source < task {
+            return true;
+        }
+        let (t, s) = (task.index(), source.index());
+        let message = format!("dag task {t} cannot depend on dag task {s}: not a lower id");
+        self.poison(SimError::InvalidParameter { message });
+        false
+    }
+
+    /// Whether `consumer` may take `item` as an input; see
+    /// [`Dag::check_edge`].
+    fn check_input(&mut self, consumer: DagTaskId, item: DataId) -> bool {
+        self.check_data(item) && self.check_edge(consumer, self.data[item.index()].producer)
+    }
+
     /// Declares a hard data input: `consumer` structurally depends on the
-    /// item's producer.
+    /// item's producer, which must have a lower id.
     pub fn connect(&mut self, consumer: DagTaskId, item: DataId) {
-        if self.check_task(consumer) && self.check_data(item) {
+        if self.check_input(consumer, item) {
             self.tasks[consumer.index()].inputs.push(&mut self.inputs, item);
         }
     }
 
     /// Declares a soft data input: the dataflow exists, but the scheduler
-    /// chooses the synchronisation realising it (via decision anchors).
+    /// chooses the synchronisation realising it (via decision anchors). The
+    /// item's producer must have a lower id than `consumer`.
     pub fn connect_soft(&mut self, consumer: DagTaskId, item: DataId) {
-        if self.check_task(consumer) && self.check_data(item) {
+        if self.check_input(consumer, item) {
             self.tasks[consumer.index()].soft_inputs.push(&mut self.soft_inputs, item);
         }
     }
 
-    /// Adds a structural ordering edge: `task` runs after `pred`.
+    /// Adds a structural ordering edge: `task` runs after `pred`, which
+    /// must have a lower id.
     pub fn add_after(&mut self, task: DagTaskId, pred: DagTaskId) {
-        if self.check_task(task) && self.check_task(pred) {
+        if self.check_edge(task, pred) {
             self.tasks[task.index()].after.push(&mut self.after, pred);
         }
     }
@@ -328,24 +354,9 @@ impl Dag {
         self.tasks.get(id.index()).map_or(&[], |t| t.after.of(&self.after))
     }
 
-    /// The structural predecessors of a task, by index: hard-input producers
-    /// first (in declaration order), then after-edges. May repeat a task.
-    fn preds(&self, task: &DagTask) -> impl Iterator<Item = usize> + '_ {
-        let producers =
-            task.inputs.of(&self.inputs).iter().map(|d| self.data[d.index()].producer.index());
-        producers.chain(task.after.of(&self.after).iter().map(|a| a.index()))
-    }
-
-    /// Checks the graph is well-formed: no poisoned references, no more
-    /// than `u32::MAX` of anything, and no cycle through structural edges.
+    /// Checks the graph is well-formed: no poisoned references or edges,
+    /// and no more than `u32::MAX` of anything.
     pub fn validate(&self) -> Result<(), SimError> {
-        self.structure().map(drop)
-    }
-
-    /// The structural edges as a CSR of dependents plus each task's
-    /// predecessor count, after the checks of [`Dag::validate`]. Duplicate
-    /// edges are counted once per declaration.
-    pub(crate) fn structure(&self) -> Result<Structure, SimError> {
         if let Some(err) = &self.poison {
             return Err(err.clone());
         }
@@ -355,81 +366,7 @@ impl Dag {
             self.inputs.len(),
             self.soft_inputs.len(),
             self.after.len(),
-        ])?;
-        // Every count below is at most an arena's length, so fits a `u32`.
-        let n = self.tasks.len();
-        let mut unmet = vec![0u32; n];
-        let mut offsets = vec![0u32; n + 1];
-        for (t, task) in self.tasks.iter().enumerate() {
-            unmet[t] = task.pred_count() as u32;
-            for p in self.preds(task) {
-                offsets[p + 1] += 1;
-            }
-        }
-        for t in 0..n {
-            offsets[t + 1] += offsets[t];
-        }
-        let mut fill = offsets[..n].to_vec();
-        let mut dependents = vec![0u32; offsets[n] as usize];
-        for (t, task) in self.tasks.iter().enumerate() {
-            for p in self.preds(task) {
-                dependents[fill[p] as usize] = t as u32;
-                fill[p] += 1;
-            }
-        }
-        let structure = Structure { offsets, dependents, unmet };
-        // Kahn's algorithm over the structural edges.
-        let mut left = structure.unmet.clone();
-        let mut ready: Vec<u32> = (0..n as u32).filter(|&t| left[t as usize] == 0).collect();
-        let mut visited = 0usize;
-        while let Some(t) = ready.pop() {
-            visited += 1;
-            for &d in structure.dependents(t as usize) {
-                left[d as usize] -= 1;
-                if left[d as usize] == 0 {
-                    ready.push(d);
-                }
-            }
-        }
-        if visited != n {
-            let stuck: Vec<usize> = (0..n).filter(|&t| left[t] > 0).collect();
-            return Err(SimError::DependencyCycle { stuck_tasks: stuck });
-        }
-        Ok(structure)
-    }
-}
-
-/// Structural edges of a validated [`Dag`], built in one pass over its
-/// tasks, all of them `u32` as the graph's arenas are.
-#[derive(Debug)]
-pub(crate) struct Structure {
-    /// Task `t`'s dependents are `dependents[offsets[t]..offsets[t + 1]]`.
-    offsets: Vec<u32>,
-    /// One entry per structural edge, duplicates included.
-    dependents: Vec<u32>,
-    /// Structural edges into each task whose source is not scheduled yet:
-    /// all of them as built; [`Structure::release`] counts them down.
-    unmet: Vec<u32>,
-}
-
-impl Structure {
-    /// The tasks with a structural edge from `task`, once per edge.
-    fn dependents(&self, task: usize) -> &[u32] {
-        &self.dependents[self.offsets[task] as usize..self.offsets[task + 1] as usize]
-    }
-
-    /// Whether every structural predecessor of `task` has been released.
-    pub(crate) fn is_ready(&self, task: usize) -> bool {
-        self.unmet[task] == 0
-    }
-
-    /// Records that `task` is scheduled: each of its dependents has one
-    /// unmet edge fewer per edge from it.
-    pub(crate) fn release(&mut self, task: usize) {
-        let Self { offsets, dependents, unmet } = self;
-        for &d in &dependents[offsets[task] as usize..offsets[task + 1] as usize] {
-            unmet[d as usize] -= 1;
-        }
+        ])
     }
 }
 
@@ -467,13 +404,28 @@ mod tests {
 
     #[test]
     fn structural_cycle_is_detected() {
-        let mut dag = Dag::new();
-        let a = dag.add_task(DagWork::Join);
-        let b = dag.add_task(DagWork::Join);
-        dag.add_after(a, b);
-        dag.add_after(b, a);
-        let err = dag.validate().expect_err("cycle must not validate");
-        assert!(matches!(err, SimError::DependencyCycle { .. }));
+        // The edge that would close a cycle, one to the task itself, and an
+        // input produced by a later task are each refused, and the first
+        // poisons the graph.
+        let refused = |add: fn(&mut Dag, DagTaskId, DagTaskId, DataId)| {
+            let mut dag = Dag::new();
+            let a = dag.add_task(DagWork::Join);
+            let b = dag.add_task(DagWork::Join);
+            let out_b = dag.add_output(b, 1.0, None);
+            dag.add_after(b, a);
+            add(&mut dag, a, b, out_b);
+            assert!(dag.after(a).is_empty() && dag.inputs(a).is_empty());
+            assert!(dag.soft_inputs(a).is_empty() && dag.after(b) == [a]);
+            dag.validate().expect_err("a cycle must not validate")
+        };
+        let message = "dag task 0 cannot depend on dag task 1: not a lower id".to_string();
+        let cycle = SimError::InvalidParameter { message };
+        assert_eq!(refused(|dag, a, b, _| dag.add_after(a, b)), cycle);
+        assert_eq!(refused(|dag, a, _, out_b| dag.connect(a, out_b)), cycle);
+        assert_eq!(refused(|dag, a, _, out_b| dag.connect_soft(a, out_b)), cycle);
+        let message = "dag task 1 cannot depend on dag task 1: not a lower id".to_string();
+        let own = SimError::InvalidParameter { message };
+        assert_eq!(refused(|dag, _, b, _| dag.add_after(b, b)), own);
     }
 
     #[test]
@@ -530,7 +482,11 @@ mod tests {
                 }
                 let n = dag.len();
                 let task = if a % 3 == 0 { a % n } else { n - 1 };
-                let src = b % n;
+                // Every edge points to a lower id; task 0 takes none.
+                if task == 0 {
+                    continue;
+                }
+                let src = b % task;
                 match op {
                     1 => dag.connect(DagTaskId(task as u32), DataId(src as u32)),
                     2 => dag.connect_soft(DagTaskId(task as u32), DataId(src as u32)),
@@ -538,10 +494,7 @@ mod tests {
                 }
                 model[task][op - 1].push(src);
             }
-            dag.validate().map(drop).or_else(|e| match e {
-                SimError::DependencyCycle { .. } => Ok(()),
-                other => Err(other),
-            }).expect("nothing is poisoned");
+            dag.validate().expect("nothing is poisoned");
             for (t, [inputs, soft, after]) in model.iter().enumerate() {
                 let id = DagTaskId(t as u32);
                 let data = |list: &[usize]| list.iter().map(|&i| DataId(i as u32)).collect::<Vec<_>>();

@@ -23,12 +23,6 @@ pub enum SimError {
         /// Description of the invalid parameter.
         message: String,
     },
-    /// A DAG scheduler stopped making progress with tasks still unscheduled
-    /// (it deferred work and never released it).
-    SchedulerStalled {
-        /// DAG tasks left unscheduled when the executor gave up.
-        pending_tasks: Vec<usize>,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -42,9 +36,6 @@ impl fmt::Display for SimError {
             }
             SimError::InvalidParameter { message } => {
                 write!(f, "invalid parameter: {message}")
-            }
-            SimError::SchedulerStalled { pending_tasks } => {
-                write!(f, "scheduler stalled: {} task(s) left unscheduled", pending_tasks.len())
             }
         }
     }

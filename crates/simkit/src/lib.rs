@@ -28,20 +28,18 @@
 //! start/finish times, the makespan, and per-phase busy time.
 //!
 //! On top of the flat substrate sits a scheduling layer: a [`Dag`] of typed
-//! work items connected by data items, [`Resource`] descriptions (cores,
-//! speed, memory, speedup-vs-cores), and an object-safe [`Scheduler`] trait
-//! whose placement + ordering decisions are lowered deterministically onto a
-//! [`Simulation`] by [`execute`] through a [`Lowering`]. The four
-//! Smart-Infinity method schedules are `Scheduler` implementations over one
-//! shared iteration DAG; see the `ztrain` and `smart_infinity` crates.
-//! [`execute`]'s sweep order (ready tasks by ascending id, a task readied
-//! earlier in the same sweep offered in that sweep, resource-free callbacks
-//! only on a stall) is part of the contract: it fixes the order of the
-//! lowering calls and so every simulation task id. DAG tasks and data items
-//! carry no names: error messages print their indices. A scheduler whose
-//! decisions depend on the graph alone previews them
-//! ([`Scheduler::preview`]), and [`execute`] then reserves exactly what
-//! lowering them adds, so no arena regrows while a simulation is built.
+//! work items connected by data items, each edge to a lower id, and an
+//! object-safe [`Scheduler`] trait that answers each task with one
+//! placement + ordering decision. [`execute`] asks every task for its
+//! decision once to count what the decisions lower to, reserves exactly
+//! that (so no arena regrows while a simulation is built), and then lowers
+//! the tasks through a [`Lowering`] in one pass in ascending id order; that
+//! order fixes every simulation task id. The four Smart-Infinity method
+//! schedules are `Scheduler` implementations over one shared iteration DAG;
+//! see the `ztrain` and `smart_infinity` crates. [`Resource`] describes a
+//! site (cores, speed, memory, speedup-vs-cores) for a scheduler that reads
+//! it. DAG tasks and data items carry no names: error messages print their
+//! indices.
 //!
 //! # Example
 //!
@@ -79,8 +77,8 @@ pub use engine::Simulation;
 pub use error::SimError;
 pub use resource::{Resource, SpeedupCurve};
 pub use scheduler::{
-    execute, Anchor, Decision, DirectLowering, Lowering, ScatterPlan, ScheduleDecision,
-    ScheduleOutcome, Scheduler, SetupDelay, SystemView,
+    execute, Anchor, DirectLowering, Lowering, ScatterPlan, ScheduleDecision, ScheduleOutcome,
+    Scheduler, SetupDelay, SystemView,
 };
 pub use task::{ComputeSpec, DelaySpec, FlowSpec, LinkId, PhaseId, ResourceId, TaskId};
 pub use timeline::{FaultAnnotation, TaskRecord, Timeline};

@@ -5,28 +5,25 @@
 //! The division of labour:
 //!
 //! - The **[`Dag`]** holds the policy-invariant structure: tasks, hard data
-//!   edges, after-edges, and soft (policy-realised) dataflow.
-//! - The **[`Scheduler`]** is called back as tasks become ready (and, when it
-//!   defers work, as resources free up) and answers by handing [`Decision`]s
-//!   to the executor, which applies each at once:
-//!   which task to schedule, which extra synchronisation [`Anchor`]s to wait
-//!   on, how to scatter storage-class transfers across concrete devices
-//!   ([`ScatterPlan`]), and any setup latency to charge first
+//!   edges, after-edges, and soft (policy-realised) dataflow. Every edge
+//!   points to a lower id, so the graph is acyclic by construction.
+//! - The **[`Scheduler`]** answers each task with one [`ScheduleDecision`],
+//!   fixed by the graph alone: which extra synchronisation [`Anchor`]s to
+//!   wait on, how to scatter storage-class transfers across concrete
+//!   devices ([`ScatterPlan`]), and any setup latency to charge first
 //!   ([`SetupDelay`]).
-//! - The **[`Lowering`]** translates each scheduled DAG task into concrete
+//! - The **[`Lowering`]** translates each decided DAG task into concrete
 //!   flow/compute/delay/barrier tasks on a [`Simulation`] (or any richer
 //!   platform wrapper around one), so `Timeline`, link occupancy and phase
 //!   accounting keep working unchanged.
 //!
-//! [`execute`] drives the three together deterministically: tasks are
-//! offered to the scheduler in ascending id order among ready tasks, and
-//! decisions are lowered in the order the scheduler emits them. Two runs
-//! over the same graph with the same scheduler therefore produce the same
-//! simulation, task id for task id.
+//! [`execute`] drives the three together in one pass over the tasks in
+//! ascending id order, so two runs over the same graph with the same
+//! scheduler produce the same simulation, task id for task id.
 
 use std::borrow::Cow;
 
-use crate::dag::{Dag, DagTaskId, DagWork, Structure, SITE_STORAGE};
+use crate::dag::{Dag, DagTaskId, DagWork, SITE_STORAGE};
 use crate::engine::Simulation;
 use crate::error::SimError;
 use crate::resource::Resource;
@@ -118,16 +115,6 @@ impl<'a> ScheduleDecision<'a> {
     }
 }
 
-/// What a scheduler answers when called back.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Decision<'a> {
-    /// Lower this task now, with the given placement and ordering.
-    Schedule(ScheduleDecision<'a>),
-    /// Hold this task back; the scheduler will be re-consulted via
-    /// [`Scheduler::on_resource_free`] once scheduling stalls.
-    Defer(DagTaskId),
-}
-
 /// Read-only view of the platform handed to scheduler callbacks.
 pub struct SystemView<'a> {
     resources: &'a [Resource],
@@ -142,49 +129,24 @@ impl SystemView<'_> {
 
 /// A scheduling policy over a [`Dag`]. Object-safe: engines select one at
 /// run time from method axes and pass it as `&mut dyn Scheduler`.
-///
-/// Callbacks answer by handing [`Decision`]s to `out`, which applies each
-/// before it returns, in the order they are handed over. A decision may so
-/// borrow from the scheduler itself — a reused anchor buffer, the layout
-/// the policy was built over — and the callback allocates nothing.
 pub trait Scheduler {
     /// Short policy name, used in reports and comparison tables.
     fn name(&self) -> &'static str;
 
-    /// Called once per task when its structural predecessors are all
-    /// scheduled. May answer with decisions for this task, for other ready
-    /// tasks, or defer; pushing nothing holds the task until it is offered
-    /// again.
-    fn on_task_ready(
+    /// Hands `out` the one decision for `task`, which must name `task`.
+    /// [`execute`] asks this of every task twice, first to count what the
+    /// decisions lower to and then to lower them, so the decision must
+    /// depend on the graph alone, never on what was asked before. `out`
+    /// applies a decision before it returns, so the decision may borrow
+    /// from the scheduler itself — a reused anchor buffer, the layout the
+    /// policy was built over — and the call allocates nothing.
+    fn decide(
         &mut self,
         task: DagTaskId,
         dag: &Dag,
         system: &SystemView<'_>,
-        out: &mut dyn FnMut(Decision<'_>),
+        out: &mut dyn FnMut(ScheduleDecision<'_>),
     );
-
-    /// Called for each site when scheduling stalls with deferred tasks
-    /// outstanding — the hook where a deferring policy releases held work.
-    fn on_resource_free(
-        &mut self,
-        site: u32,
-        dag: &Dag,
-        system: &SystemView<'_>,
-        out: &mut dyn FnMut(Decision<'_>),
-    ) {
-        let _ = (site, dag, system, out);
-    }
-
-    /// For a policy whose decision for a task depends on the graph alone,
-    /// never on what was scheduled before it: hands `out` the decision it
-    /// will make for `task` when it is offered. [`execute`] asks this of
-    /// every task before anything is lowered, and reserves exactly what
-    /// lowering the decisions adds (see [`Lowering::reserve`]), so no arena
-    /// regrows. The default hands over nothing, for any task, and the
-    /// lowering grows as it goes.
-    fn preview(&mut self, task: DagTaskId, dag: &Dag, out: &mut dyn FnMut(Decision<'_>)) {
-        let _ = (task, dag, out);
-    }
 }
 
 /// Translates scheduled DAG tasks into concrete simulation tasks.
@@ -206,17 +168,16 @@ pub trait Lowering {
         per_site: &mut Vec<(u32, u32)>,
     ) -> Result<TaskId, SimError>;
 
-    /// Called once before any task is lowered, when the scheduler previews
-    /// its decisions ([`Scheduler::preview`]), with exactly what lowering
-    /// them adds. A DAG task lowers to one task, except a placed
-    /// storage-class transfer: a flow per placement, then a barrier when
-    /// the plan joins them or is empty. A setup delay is one task more.
-    /// Each lowered task depends on the decision's resolved dependencies,
-    /// except a join barrier, on its flows, and a setup delay, on its own
-    /// anchors. The path links are [`Lowering::route_len`] of every flow,
-    /// from the transfer's source to the placement's site for a scatter,
-    /// and from the site to the destination for a gather. The default
-    /// ignores it.
+    /// Called once before any task is lowered, with exactly what lowering
+    /// the run's decisions adds. A DAG task lowers to one task, except a
+    /// placed storage-class transfer: a flow per placement, then a barrier
+    /// when the plan joins them or is empty. A setup delay is one task
+    /// more. Each lowered task depends on the decision's resolved
+    /// dependencies, except a join barrier, on its flows, and a setup
+    /// delay, on its own anchors. The path links are
+    /// [`Lowering::route_len`] of every flow, from the transfer's source to
+    /// the placement's site for a scatter, and from the site to the
+    /// destination for a gather. The default ignores it.
     fn reserve(&mut self, tasks: usize, deps: usize, path_links: usize) {
         let _ = (tasks, deps, path_links);
     }
@@ -246,40 +207,39 @@ pub struct ScheduleOutcome {
 }
 
 impl ScheduleOutcome {
-    /// The main lowered task of a DAG task.
+    /// The main lowered task of a DAG task; `None` for a task the graph
+    /// lacks.
     pub fn task(&self, id: DagTaskId) -> Option<TaskId> {
-        self.lowered.main(id.index())
+        self.lowered.get(id.index()).map(|(main, _)| main)
     }
 }
 
-/// What every scheduled DAG task lowered to: its main task and its span of
-/// per-site sub-results, all of them in one arena. Tasks and sites are
-/// stored as the `u32` a simulation's and a graph's arenas hold them as.
-#[derive(Debug, Default)]
+/// What every lowered DAG task lowered to, in id order: its main task and
+/// its span of per-site sub-results, all of them in one arena. Tasks and
+/// sites are stored as the `u32` a simulation's and a graph's arenas hold
+/// them as.
+#[derive(Debug)]
 struct Lowered {
-    /// Per DAG task, `(main, span into per_site)` once it is scheduled.
-    tasks: Vec<Option<(u32, Span)>>,
+    tasks: Vec<(u32, Span)>,
     per_site: Vec<(u32, u32)>,
 }
 
 impl Lowered {
-    /// The main task of DAG task `t`, once scheduled.
-    fn main(&self, t: usize) -> Option<TaskId> {
-        self.tasks.get(t).copied().flatten().map(|(main, _)| main as TaskId)
+    /// The main task and per-site sub-results of DAG task `t`, once lowered.
+    fn get(&self, t: usize) -> Option<(TaskId, &[(u32, u32)])> {
+        self.tasks.get(t).map(|&(main, sites)| (main as TaskId, sites.of(&self.per_site)))
     }
+}
 
-    /// The sub-result of DAG task `t` at `site`, if any: `Err` when `t` is
-    /// not scheduled yet.
-    fn at_site(&self, t: usize, site: u32) -> Result<Option<TaskId>, ()> {
-        let Some((_, sites)) = self.tasks.get(t).copied().flatten() else { return Err(()) };
-        Ok(sites.of(&self.per_site).iter().find(|(s, _)| *s == site).map(|&(_, t)| t as TaskId))
-    }
+/// The sub-result at `site` among `sites`, if any.
+fn at_site(sites: &[(u32, u32)], site: u32) -> Option<TaskId> {
+    sites.iter().find(|&&(s, _)| s == site).map(|&(_, t)| t as TaskId)
 }
 
 /// [`Size`] remembers `1 << ROUTE_BITS` route lengths.
 const ROUTE_BITS: u32 = 8;
 
-/// What lowering a run's previewed decisions adds, counted by the rules of
+/// What lowering a run's decisions adds, counted by the rules of
 /// [`Lowering::reserve`]: simulation tasks, dependencies and path links,
 /// and the executor's per-site sub-results.
 #[derive(Debug)]
@@ -353,66 +313,51 @@ impl Size {
     }
 }
 
+/// An [`SimError::InvalidParameter`] with `message`.
+fn invalid(message: String) -> SimError {
+    SimError::InvalidParameter { message }
+}
+
 struct Executor<'a> {
     dag: &'a Dag,
-    structure: Structure,
     lowered: Lowered,
-    scheduled: Vec<bool>,
-    deferred: Vec<bool>,
     /// Dependencies of the decision being applied, reused across decisions.
     deps: Vec<TaskId>,
     /// Scatter sites of the decision being applied, sorted to find repeats.
     scatter_sites: Vec<u32>,
-    done: usize,
 }
 
 impl Executor<'_> {
     fn resolve_anchor(&self, anchor: Anchor) -> Result<TaskId, SimError> {
-        let unscheduled = |t: DagTaskId| SimError::InvalidParameter {
-            message: format!("anchor references unscheduled dag task {}", t.index()),
+        let (t, site) = match anchor {
+            Anchor::Task(t) => (t, None),
+            Anchor::TaskAtSite(t, site) => (t, Some(site)),
         };
-        match anchor {
-            Anchor::Task(t) => self.lowered.main(t.index()).ok_or_else(|| unscheduled(t)),
-            Anchor::TaskAtSite(t, site) => {
-                let found = self.lowered.at_site(t.index(), site).map_err(|()| unscheduled(t))?;
-                found.ok_or_else(|| SimError::InvalidParameter {
-                    message: format!(
-                        "dag task {} has no lowered sub-result at site {site}",
-                        t.index()
-                    ),
-                })
-            }
+        let Some((main, sites)) = self.lowered.get(t.index()) else {
+            return Err(invalid(format!("anchor references unscheduled dag task {}", t.index())));
+        };
+        match site {
+            None => Ok(main),
+            Some(site) => at_site(sites, site).ok_or_else(|| {
+                invalid(format!("dag task {} has no lowered sub-result at site {site}", t.index()))
+            }),
         }
     }
 
     /// Resolves the full dependency list for a decision into `self.deps`:
     /// hard inputs (with per-site refinement), then after-edges, then
-    /// decision anchors.
+    /// decision anchors. Every edge points to a lower id, so its source is
+    /// lowered already.
     fn resolve_deps(&mut self, decision: &ScheduleDecision<'_>) -> Result<(), SimError> {
-        let idx = decision.task.index();
         let dag = self.dag;
         self.deps.clear();
         for &input in dag.inputs(decision.task) {
             let item = dag.data(input).expect("validated id");
-            let producer = item.producer.index();
-            let main = self.lowered.main(producer).ok_or_else(|| SimError::InvalidParameter {
-                message: format!(
-                    "dag task {idx} scheduled before the producer of its input {}",
-                    input.index()
-                ),
-            })?;
-            let dep = match item.site {
-                Some(site) => self.lowered.at_site(producer, site).ok().flatten().unwrap_or(main),
-                None => main,
-            };
-            self.deps.push(dep);
+            let (main, sites) = self.lowered.get(item.producer.index()).expect("a lower id");
+            self.deps.push(item.site.and_then(|site| at_site(sites, site)).unwrap_or(main));
         }
         for &pred in dag.after(decision.task) {
-            let main =
-                self.lowered.main(pred.index()).ok_or_else(|| SimError::InvalidParameter {
-                    message: format!("dag task {idx} scheduled before its predecessor"),
-                })?;
-            self.deps.push(main);
+            self.deps.push(self.lowered.get(pred.index()).expect("a lower id").0);
         }
         for &anchor in decision.after.iter() {
             let dep = self.resolve_anchor(anchor)?;
@@ -429,187 +374,107 @@ impl Executor<'_> {
         self.scatter_sites.sort_unstable();
         match self.scatter_sites.windows(2).find(|w| w[0] == w[1]) {
             None => Ok(()),
-            Some(w) => Err(SimError::InvalidParameter {
-                message: format!("scatter plan of dag task {idx} names site {} twice", w[0]),
-            }),
+            Some(w) => {
+                Err(invalid(format!("scatter plan of dag task {idx} names site {} twice", w[0])))
+            }
         }
     }
 
-    /// Runs one scheduler callback, applying each decision it hands over as
-    /// it comes. Whether any task was scheduled; after an error the rest of
-    /// the callback's decisions are ignored and the error is returned.
-    fn answer(
-        &mut self,
-        lowering: &mut dyn Lowering,
-        callback: impl FnOnce(&mut dyn FnMut(Decision<'_>)),
-    ) -> Result<bool, SimError> {
-        let mut outcome = Ok(false);
-        callback(&mut |decision| {
-            if let Ok(progress) = &mut outcome {
-                match self.apply(decision, lowering) {
-                    Ok(scheduled) => *progress |= scheduled,
-                    Err(err) => outcome = Err(err),
-                }
-            }
-        });
-        outcome
-    }
-
-    /// Applies one decision; whether it scheduled a task.
+    /// Lowers the decision for the next task in id order.
     fn apply(
         &mut self,
-        decision: Decision<'_>,
+        sd: ScheduleDecision<'_>,
         lowering: &mut dyn Lowering,
-    ) -> Result<bool, SimError> {
-        match decision {
-            Decision::Defer(t) => {
-                if t.index() >= self.dag.len() {
-                    return Err(SimError::UnknownId { kind: "dag task", index: t.index() });
-                }
-                if !self.scheduled[t.index()] {
-                    self.deferred[t.index()] = true;
-                }
-                Ok(false)
-            }
-            Decision::Schedule(sd) => {
-                let idx = sd.task.index();
-                if idx >= self.dag.len() {
-                    return Err(SimError::UnknownId { kind: "dag task", index: idx });
-                }
-                if self.scheduled[idx] {
-                    return Err(SimError::InvalidParameter {
-                        message: format!("scheduler scheduled dag task {idx} twice"),
-                    });
-                }
-                if !self.structure.is_ready(idx) {
-                    return Err(SimError::InvalidParameter {
-                        message: format!(
-                            "scheduler scheduled dag task {idx} before its structural predecessors"
-                        ),
-                    });
-                }
-                if let Some(plan) = &sd.scatter {
-                    self.check_scatter(idx, plan)?;
-                }
-                self.resolve_deps(&sd)?;
-                if let Some(setup) = &sd.setup {
-                    // The setup's anchors resolve behind the task's
-                    // deps; the delay then takes their place.
-                    let mark = self.deps.len();
-                    for &anchor in setup.after.iter() {
-                        let dep = self.resolve_anchor(anchor)?;
-                        self.deps.push(dep);
-                    }
-                    let phase = self.dag.tasks()[idx].phase;
-                    let delay = lowering.lower_delay(setup.seconds, &self.deps[mark..], phase)?;
-                    self.deps.truncate(mark);
-                    self.deps.push(delay);
-                }
-                let per_site = &mut self.lowered.per_site;
-                let start = per_site.len();
-                let main =
-                    lowering.lower(self.dag, sd.task, sd.scatter.as_ref(), &self.deps, per_site)?;
-                let sites = Span::since(start, per_site);
-                self.lowered.tasks[idx] = Some((main as u32, sites));
-                self.scheduled[idx] = true;
-                self.deferred[idx] = false;
-                self.structure.release(idx);
-                self.done += 1;
-                Ok(true)
-            }
+    ) -> Result<(), SimError> {
+        let idx = sd.task.index();
+        if let Some(plan) = &sd.scatter {
+            self.check_scatter(idx, plan)?;
         }
-    }
-}
-
-/// Every concrete site the graph's work names, ascending: the sites a stall
-/// offers to [`Scheduler::on_resource_free`].
-fn stall_sites(dag: &Dag) -> Vec<u32> {
-    let mut sites = Vec::new();
-    for task in dag.tasks() {
-        match task.work {
-            DagWork::Compute { site, .. } => sites.push(site),
-            DagWork::Transfer { from, to, .. } => sites.extend([from, to]),
-            DagWork::Delay { .. } | DagWork::Join => {}
+        self.resolve_deps(&sd)?;
+        if let Some(setup) = &sd.setup {
+            // The setup's anchors resolve behind the task's deps; the delay
+            // then takes their place.
+            let mark = self.deps.len();
+            for &anchor in setup.after.iter() {
+                let dep = self.resolve_anchor(anchor)?;
+                self.deps.push(dep);
+            }
+            let phase = self.dag.tasks()[idx].phase;
+            let delay = lowering.lower_delay(setup.seconds, &self.deps[mark..], phase)?;
+            self.deps.truncate(mark);
+            self.deps.push(delay);
         }
+        let per_site = &mut self.lowered.per_site;
+        let start = per_site.len();
+        let main = lowering.lower(self.dag, sd.task, sd.scatter.as_ref(), &self.deps, per_site)?;
+        let sites = Span::since(start, per_site);
+        self.lowered.tasks.push((main as u32, sites));
+        Ok(())
     }
-    sites.retain(|&s| s != SITE_STORAGE);
-    sites.sort_unstable();
-    sites.dedup();
-    sites
 }
 
 /// Runs `scheduler` over `dag`, lowering its decisions through `lowering`.
 ///
-/// Ready tasks are offered to the scheduler in ascending id order, and a
-/// task readied by a decision earlier in the same sweep is offered in that
-/// sweep when its id is higher; when a sweep makes no progress and tasks
-/// remain, each site is offered via [`Scheduler::on_resource_free`] before
-/// the executor gives up with [`SimError::SchedulerStalled`]. This order is
-/// part of the contract: it fixes the order of the [`Lowering`] calls and so
-/// the id of every simulation task.
+/// Every task is asked for its decision once to count what the decisions
+/// lower to, which the lowering is told before the first is lowered
+/// ([`Lowering::reserve`]) and which sizes the executor's own per-site
+/// arena. Then the tasks are lowered in one pass in ascending id order.
+/// This order is part of the contract: it fixes the order of the
+/// [`Lowering`] calls and so the id of every simulation task.
 ///
-/// A [`ScatterPlan`] that names a site twice is rejected with
-/// [`SimError::InvalidParameter`] before anything of its task is lowered.
+/// # Errors
 ///
-/// When the scheduler previews its decisions ([`Scheduler::preview`]), the
-/// lowering is told exactly what they add before the first is lowered
-/// ([`Lowering::reserve`]), and the executor sizes its own per-site arena
-/// from them too.
+/// [`Dag::validate`]'s error before anything is asked. Then
+/// [`SimError::InvalidParameter`] for a task answered with no decision,
+/// with a decision naming another task or with a second decision, for an
+/// anchor on a task not lowered yet or on a site its task has no
+/// sub-result at, and for a [`ScatterPlan`] that names a site twice, the
+/// last before anything of its task is lowered; and any error of the
+/// lowering.
 pub fn execute(
     dag: &Dag,
     resources: &[Resource],
     scheduler: &mut dyn Scheduler,
     lowering: &mut dyn Lowering,
 ) -> Result<ScheduleOutcome, SimError> {
-    let structure = dag.structure()?;
+    dag.validate()?;
     let n = dag.len();
-    let mut size = None;
+    let view = SystemView { resources };
+    let mut size = Size::new();
     for t in 0..n {
-        scheduler.preview(DagTaskId(t as u32), dag, &mut |decision| {
-            if let Decision::Schedule(sd) = decision {
-                size.get_or_insert_with(Size::new).add(dag, &sd, lowering);
-            }
-        });
+        let task = DagTaskId(t as u32);
+        scheduler.decide(task, dag, &view, &mut |sd| size.add(dag, &sd, lowering));
     }
-    if let Some(size) = &size {
-        lowering.reserve(size.tasks, size.deps, size.path_links);
-    }
-    let per_site = Vec::with_capacity(size.map_or(0, |size| size.per_site));
+    lowering.reserve(size.tasks, size.deps, size.path_links);
     let mut exec = Executor {
         dag,
-        structure,
-        lowered: Lowered { tasks: vec![None; n], per_site },
-        scheduled: vec![false; n],
-        deferred: vec![false; n],
+        lowered: Lowered {
+            tasks: Vec::with_capacity(n),
+            per_site: Vec::with_capacity(size.per_site),
+        },
         deps: Vec::new(),
         scatter_sites: Vec::new(),
-        done: 0,
     };
-    let mut sites: Option<Vec<u32>> = None;
-    let view = SystemView { resources };
-
-    while exec.done < n {
-        let mut progress = false;
-        for t in 0..n {
-            if exec.scheduled[t] || exec.deferred[t] || !exec.structure.is_ready(t) {
-                continue;
+    for t in 0..n {
+        let task = DagTaskId(t as u32);
+        let mut decisions = 0;
+        let mut applied = Ok(());
+        scheduler.decide(task, dag, &view, &mut |sd| {
+            decisions += 1;
+            if applied.is_ok() {
+                applied = if sd.task != task {
+                    let other = sd.task.index();
+                    Err(invalid(format!("scheduler offered dag task {t} decided dag task {other}")))
+                } else if decisions > 1 {
+                    Err(invalid(format!("scheduler scheduled dag task {t} twice")))
+                } else {
+                    exec.apply(sd, lowering)
+                };
             }
-            let task = DagTaskId(t as u32);
-            progress |=
-                exec.answer(lowering, |out| scheduler.on_task_ready(task, dag, &view, out))?;
-        }
-        if exec.done == n || progress {
-            continue;
-        }
-        // Stalled: sweep resource-free callbacks to release deferred work.
-        let mut freed = false;
-        for &site in sites.get_or_insert_with(|| stall_sites(dag)).iter() {
-            freed |=
-                exec.answer(lowering, |out| scheduler.on_resource_free(site, dag, &view, out))?;
-        }
-        if !freed {
-            let pending: Vec<usize> = (0..n).filter(|&t| !exec.scheduled[t]).collect();
-            return Err(SimError::SchedulerStalled { pending_tasks: pending });
+        });
+        applied?;
+        if decisions == 0 {
+            return Err(invalid(format!("scheduler made no decision for dag task {t}")));
         }
     }
     Ok(ScheduleOutcome { lowered: exec.lowered })
@@ -739,49 +604,32 @@ mod tests {
     use super::*;
     use crate::dag::DataId;
 
-    /// Schedules every task the moment it is offered, realising soft inputs
-    /// as dependencies on their producers' main results. Storage-class
+    /// Schedules every task as offered, realising soft inputs as
+    /// dependencies on their producers' main results. Storage-class
     /// transfers are not placed (no scatter plan).
-    #[derive(Default)]
-    struct FifoScheduler {
-        scheduled: Vec<bool>,
-    }
+    struct FifoScheduler;
 
     impl Scheduler for FifoScheduler {
         fn name(&self) -> &'static str {
             "fifo"
         }
 
-        fn on_task_ready(
+        fn decide(
             &mut self,
             task: DagTaskId,
             dag: &Dag,
             _system: &SystemView<'_>,
-            out: &mut dyn FnMut(Decision<'_>),
+            out: &mut dyn FnMut(ScheduleDecision<'_>),
         ) {
-            self.scheduled.resize(dag.len(), false);
-            let soft = dag.soft_inputs(task);
-            let producer = |d: &DataId| dag.data(*d).expect("connected items exist").producer;
-            if !soft.iter().all(|d| self.scheduled[producer(d).index()]) {
-                // Wait until the producers of soft inputs are scheduled too.
-                return;
-            }
-            self.scheduled[task.index()] = true;
-            let anchors = soft.iter().map(|d| Anchor::Task(producer(d)));
-            out(Decision::Schedule(ScheduleDecision::new(task).after_all(anchors)));
-        }
-
-        /// The decision is the same whenever it is handed over.
-        fn preview(&mut self, task: DagTaskId, dag: &Dag, out: &mut dyn FnMut(Decision<'_>)) {
             let producer = |d: &DataId| dag.data(*d).expect("connected items exist").producer;
             let anchors = dag.soft_inputs(task).iter().map(|d| Anchor::Task(producer(d)));
-            out(Decision::Schedule(ScheduleDecision::new(task).after_all(anchors)));
+            out(ScheduleDecision::new(task).after_all(anchors));
         }
     }
 
     /// The per-site sub-result `site` of DAG task `id`.
-    fn at_site(outcome: &ScheduleOutcome, id: DagTaskId, site: u32) -> Option<TaskId> {
-        outcome.lowered.at_site(id.index(), site).expect("scheduled")
+    fn site_of(outcome: &ScheduleOutcome, id: DagTaskId, site: u32) -> Option<TaskId> {
+        at_site(outcome.lowered.get(id.index()).expect("lowered").1, site)
     }
 
     /// A two-site test bed: compute resources at sites 0 and 1 plus three
@@ -819,8 +667,8 @@ mod tests {
 
         let mut sim = Simulation::new();
         let mut lowering = testbed(&mut sim);
-        let outcome = execute(&dag, &[], &mut FifoScheduler::default(), &mut lowering)
-            .expect("schedules cleanly");
+        let outcome =
+            execute(&dag, &[], &mut FifoScheduler, &mut lowering).expect("schedules cleanly");
         let tl = sim.run().expect("runs cleanly");
         assert_eq!(tl.finish_time(outcome.task(a).unwrap()).to_bits(), 5.0f64.to_bits());
         assert_eq!(tl.finish_time(outcome.task(b).unwrap()).to_bits(), 15.0f64.to_bits());
@@ -845,8 +693,8 @@ mod tests {
 
         let mut sim = Simulation::new();
         let mut lowering = testbed(&mut sim);
-        let outcome = execute(&dag, &[], &mut FifoScheduler::default(), &mut lowering)
-            .expect("schedules cleanly");
+        let outcome =
+            execute(&dag, &[], &mut FifoScheduler, &mut lowering).expect("schedules cleanly");
         let tl = sim.run().expect("runs cleanly");
         // a: 2 s. Shared 4 B/s link: both flows at 2 B/s; b (8 B) done at
         // t=6, c then gets 4 B/s for its remaining 8 B -> t=8.
@@ -868,12 +716,12 @@ mod tests {
             "scatter-test"
         }
 
-        fn on_task_ready(
+        fn decide(
             &mut self,
             task: DagTaskId,
             dag: &Dag,
             _system: &SystemView<'_>,
-            out: &mut dyn FnMut(Decision<'_>),
+            out: &mut dyn FnMut(ScheduleDecision<'_>),
         ) {
             let node = dag.task(task).unwrap();
             let mut decision = ScheduleDecision::new(task);
@@ -895,7 +743,7 @@ mod tests {
                         .after_all(self.sites.iter().map(|&s| Anchor::TaskAtSite(producer, s)));
                 }
             }
-            out(Decision::Schedule(decision));
+            out(decision);
         }
     }
 
@@ -925,7 +773,7 @@ mod tests {
             let tl = sim.run().expect("runs cleanly");
             assert_eq!(tl.finish_time(outcome.task(a).unwrap()).to_bits(), 1.0f64.to_bits());
             for site in [2, 3, 4] {
-                let flow = at_site(&outcome, w, site).expect("per-site write exists");
+                let flow = site_of(&outcome, w, site).expect("per-site write exists");
                 assert_eq!(tl.finish_time(flow).to_bits(), 4.0f64.to_bits());
             }
             assert_eq!(
@@ -944,9 +792,9 @@ mod tests {
         let mut policy = ScatterPolicy { sites: vec![3], join: false };
         let outcome = execute(&dag, &[], &mut policy, &mut lowering).expect("schedules cleanly");
         let tl = sim.run().expect("runs cleanly");
-        assert!(at_site(&outcome, w, 2).is_none());
-        assert!(at_site(&outcome, w, 4).is_none());
-        let flow = at_site(&outcome, w, 3).expect("owner write exists");
+        assert!(site_of(&outcome, w, 2).is_none());
+        assert!(site_of(&outcome, w, 4).is_none());
+        let flow = site_of(&outcome, w, 3).expect("owner write exists");
         // All 90 B over one 10 B/s link: 9 s after the 1 s compute.
         assert_eq!(tl.finish_time(flow).to_bits(), 10.0f64.to_bits());
     }
@@ -961,77 +809,10 @@ mod tests {
         let SimError::InvalidParameter { message } = err else { panic!("got {err:?}") };
         assert_eq!(message, "scatter plan of dag task 1 names site 3 twice");
         // Only the producer's compute was lowered; no flow of the plan was.
-        assert_eq!(sim.run().expect("runs cleanly").records().len(), 1);
+        assert_eq!(sim.filled().0[0], 1);
     }
 
-    /// Defers every non-compute task until the stall sweep fires.
-    struct DeferUntilFree {
-        releases: usize,
-        scheduled: Vec<bool>,
-    }
-
-    impl Scheduler for DeferUntilFree {
-        fn name(&self) -> &'static str {
-            "defer-test"
-        }
-
-        fn on_task_ready(
-            &mut self,
-            task: DagTaskId,
-            dag: &Dag,
-            _system: &SystemView<'_>,
-            out: &mut dyn FnMut(Decision<'_>),
-        ) {
-            self.scheduled.resize(dag.len(), false);
-            out(match dag.task(task).unwrap().work {
-                DagWork::Compute { .. } => {
-                    self.scheduled[task.index()] = true;
-                    Decision::Schedule(ScheduleDecision::new(task))
-                }
-                _ => Decision::Defer(task),
-            });
-        }
-
-        fn on_resource_free(
-            &mut self,
-            _site: u32,
-            dag: &Dag,
-            _system: &SystemView<'_>,
-            out: &mut dyn FnMut(Decision<'_>),
-        ) {
-            // Release the first deferred-and-ready task.
-            for idx in 0..dag.len() {
-                let id = DagTaskId(idx as u32);
-                let ready =
-                    reference::predecessors(dag, id).iter().all(|p| self.scheduled[p.index()]);
-                if !self.scheduled[idx] && ready {
-                    self.scheduled[idx] = true;
-                    self.releases += 1;
-                    out(Decision::Schedule(ScheduleDecision::new(id)));
-                    return;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn deferred_tasks_are_released_via_resource_free() {
-        let mut dag = Dag::new();
-        let a = dag.add_task(DagWork::Compute { site: 0, amount: 2.0 });
-        let out = dag.add_output(a, 8.0, Some(0));
-        let b = dag.add_task(DagWork::Transfer { from: 0, to: 1, bytes: 8.0 });
-        dag.connect(b, out);
-
-        let mut sim = Simulation::new();
-        let mut lowering = testbed(&mut sim);
-        let mut policy = DeferUntilFree { releases: 0, scheduled: Vec::new() };
-        let outcome = execute(&dag, &[], &mut policy, &mut lowering).expect("schedules cleanly");
-        assert_eq!(policy.releases, 1, "transfer released by the stall sweep");
-        let tl = sim.run().expect("runs cleanly");
-        assert_eq!(tl.finish_time(outcome.task(b).unwrap()).to_bits(), 3.0f64.to_bits());
-    }
-
-    /// Defers everything forever.
+    /// Answers nothing.
     struct Staller;
 
     impl Scheduler for Staller {
@@ -1039,14 +820,13 @@ mod tests {
             "staller"
         }
 
-        fn on_task_ready(
+        fn decide(
             &mut self,
-            task: DagTaskId,
+            _task: DagTaskId,
             _dag: &Dag,
             _system: &SystemView<'_>,
-            out: &mut dyn FnMut(Decision<'_>),
+            _out: &mut dyn FnMut(ScheduleDecision<'_>),
         ) {
-            out(Decision::Defer(task));
         }
     }
 
@@ -1057,26 +837,29 @@ mod tests {
         let mut sim = Simulation::new();
         let mut lowering = testbed(&mut sim);
         let err = execute(&dag, &[], &mut Staller, &mut lowering).unwrap_err();
-        assert_eq!(err, SimError::SchedulerStalled { pending_tasks: vec![0] });
+        let message = "scheduler made no decision for dag task 0".to_string();
+        assert_eq!(err, SimError::InvalidParameter { message });
     }
 
-    /// Schedules the same task twice.
-    struct DoubleScheduler;
+    /// Answers each task with a decision for each of the tasks it maps the
+    /// offered one to.
+    struct DoubleScheduler(fn(DagTaskId) -> Vec<DagTaskId>);
 
     impl Scheduler for DoubleScheduler {
         fn name(&self) -> &'static str {
             "double"
         }
 
-        fn on_task_ready(
+        fn decide(
             &mut self,
             task: DagTaskId,
             _dag: &Dag,
             _system: &SystemView<'_>,
-            out: &mut dyn FnMut(Decision<'_>),
+            out: &mut dyn FnMut(ScheduleDecision<'_>),
         ) {
-            out(Decision::Schedule(ScheduleDecision::new(task)));
-            out(Decision::Schedule(ScheduleDecision::new(task)));
+            for id in (self.0)(task) {
+                out(ScheduleDecision::new(id));
+            }
         }
     }
 
@@ -1084,10 +867,19 @@ mod tests {
     fn double_scheduling_is_rejected() {
         let mut dag = Dag::new();
         dag.add_task(DagWork::Compute { site: 0, amount: 1.0 });
-        let mut sim = Simulation::new();
-        let mut lowering = testbed(&mut sim);
-        let err = execute(&dag, &[], &mut DoubleScheduler, &mut lowering).unwrap_err();
-        assert!(matches!(err, SimError::InvalidParameter { .. }), "got {err:?}");
+        dag.add_task(DagWork::Compute { site: 0, amount: 1.0 });
+        for (policy, message) in [
+            (DoubleScheduler(|t| vec![t, t]), "scheduler scheduled dag task 0 twice"),
+            (
+                DoubleScheduler(|_| vec![DagTaskId(1)]),
+                "scheduler offered dag task 0 decided dag task 1",
+            ),
+        ] {
+            let mut sim = Simulation::new();
+            let mut lowering = testbed(&mut sim);
+            let err = execute(&dag, &[], &mut { policy }, &mut lowering).unwrap_err();
+            assert_eq!(err, SimError::InvalidParameter { message: message.to_string() });
+        }
     }
 
     #[test]
@@ -1097,7 +889,7 @@ mod tests {
         let _ = t;
         let mut sim = Simulation::new();
         let mut lowering = testbed(&mut sim);
-        let err = execute(&dag, &[], &mut FifoScheduler::default(), &mut lowering).unwrap_err();
+        let err = execute(&dag, &[], &mut FifoScheduler, &mut lowering).unwrap_err();
         assert!(matches!(err, SimError::InvalidParameter { .. }), "got {err:?}");
     }
 
@@ -1108,7 +900,7 @@ mod tests {
         dag.connect(a, DataId(9));
         let mut sim = Simulation::new();
         let mut lowering = testbed(&mut sim);
-        let err = execute(&dag, &[], &mut FifoScheduler::default(), &mut lowering).unwrap_err();
+        let err = execute(&dag, &[], &mut FifoScheduler, &mut lowering).unwrap_err();
         assert!(matches!(err, SimError::UnknownId { kind: "data item", index: 9 }));
     }
 }

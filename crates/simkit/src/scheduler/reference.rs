@@ -1,202 +1,80 @@
-//! The executor as it was before the CSR ready counts, kept as the reference
-//! [`super::execute`] is held to: a Kahn pass that builds `Vec<Vec<usize>>`
-//! over [`predecessors`], an `is_ready` that scans the predecessors of
-//! every offered task, a fresh dependency list per decision, and a fresh
-//! decision buffer per callback. Same sweep order, same errors, same
-//! [`Lowering`] calls.
+//! The executor as a plain reading of its contract, kept as the reference
+//! [`super::execute`] is held to: each task's decisions are collected into a
+//! fresh buffer and applied once its callback returns, each lowered task
+//! keeps its own list of per-site sub-results, and each decision resolves a
+//! fresh dependency list. Same callbacks, same errors, same [`Lowering`]
+//! calls.
 
 use super::*;
-use crate::dag::DataId;
-
-/// Structural predecessors of a task: hard-input producers first (in
-/// declaration order), then after-edges. May contain duplicates.
-pub(super) fn predecessors(dag: &Dag, id: DagTaskId) -> Vec<DagTaskId> {
-    let producer = |d: &DataId| dag.data(*d).expect("validated id").producer;
-    let mut preds: Vec<DagTaskId> = dag.inputs(id).iter().map(producer).collect();
-    preds.extend_from_slice(dag.after(id));
-    preds
-}
 
 /// The concrete simulation tasks one DAG task lowered to.
-#[derive(Debug, Clone)]
 struct Lowered {
     main: TaskId,
     per_site: Vec<(u32, u32)>,
-}
-
-impl Lowered {
-    fn at_site(&self, site: u32) -> Option<TaskId> {
-        self.per_site.iter().find(|(s, _)| *s == site).map(|&(_, t)| t as TaskId)
-    }
 }
 
 /// What an executor returns, task by task: the main task and the per-site
 /// sub-results.
 pub(super) type Outcome = Vec<(TaskId, Vec<(u32, u32)>)>;
 
-struct Executor<'a> {
-    dag: &'a Dag,
-    resources: &'a [Resource],
-    lowered: Vec<Option<Lowered>>,
-    scheduled: Vec<bool>,
-    deferred: Vec<bool>,
-    done: usize,
-}
-
-impl Executor<'_> {
-    fn is_ready(&self, task: usize) -> bool {
-        predecessors(self.dag, DagTaskId(task as u32))
-            .iter()
-            .all(|p| self.scheduled.get(p.index()).copied().unwrap_or(false))
-    }
-
-    fn resolve_anchor(&self, anchor: Anchor) -> Result<TaskId, SimError> {
-        match anchor {
-            Anchor::Task(t) => match self.lowered.get(t.index()).and_then(|l| l.as_ref()) {
-                Some(l) => Ok(l.main),
-                None => Err(SimError::InvalidParameter {
-                    message: format!("anchor references unscheduled dag task {}", t.index()),
-                }),
-            },
-            Anchor::TaskAtSite(t, site) => {
-                let Some(l) = self.lowered.get(t.index()).and_then(|l| l.as_ref()) else {
-                    return Err(SimError::InvalidParameter {
-                        message: format!("anchor references unscheduled dag task {}", t.index()),
-                    });
-                };
-                l.at_site(site).ok_or_else(|| SimError::InvalidParameter {
-                    message: format!(
-                        "dag task {} has no lowered sub-result at site {site}",
-                        t.index()
-                    ),
-                })
-            }
-        }
-    }
-
-    fn resolve_deps(&self, decision: &ScheduleDecision<'_>) -> Result<Vec<TaskId>, SimError> {
-        let idx = decision.task.index();
-        let mut deps = Vec::new();
-        for &input in self.dag.inputs(decision.task) {
-            let item = self.dag.data(input).expect("validated id");
-            let produced = self.lowered[item.producer.index()].as_ref().ok_or_else(|| {
-                SimError::InvalidParameter {
-                    message: format!(
-                        "dag task {idx} scheduled before the producer of its input {}",
-                        input.index()
-                    ),
-                }
-            })?;
-            let dep = match item.site {
-                Some(site) => produced.at_site(site).unwrap_or(produced.main),
-                None => produced.main,
-            };
-            deps.push(dep);
-        }
-        for &pred in self.dag.after(decision.task) {
-            let produced =
-                self.lowered[pred.index()].as_ref().ok_or_else(|| SimError::InvalidParameter {
-                    message: format!("dag task {idx} scheduled before its predecessor"),
-                })?;
-            deps.push(produced.main);
-        }
-        for &anchor in decision.after.iter() {
-            deps.push(self.resolve_anchor(anchor)?);
-        }
-        Ok(deps)
-    }
-
-    fn apply(
-        &mut self,
-        decisions: Vec<Decision<'_>>,
-        lowering: &mut dyn Lowering,
-    ) -> Result<bool, SimError> {
-        let mut progress = false;
-        for decision in decisions {
-            match decision {
-                Decision::Defer(t) => {
-                    if t.index() >= self.dag.len() {
-                        return Err(SimError::UnknownId { kind: "dag task", index: t.index() });
-                    }
-                    if !self.scheduled[t.index()] {
-                        self.deferred[t.index()] = true;
-                    }
-                }
-                Decision::Schedule(sd) => {
-                    let idx = sd.task.index();
-                    if idx >= self.dag.len() {
-                        return Err(SimError::UnknownId { kind: "dag task", index: idx });
-                    }
-                    if self.scheduled[idx] {
-                        return Err(SimError::InvalidParameter {
-                            message: format!("scheduler scheduled dag task {idx} twice"),
-                        });
-                    }
-                    if !self.is_ready(idx) {
-                        return Err(SimError::InvalidParameter {
-                            message: format!(
-                                "scheduler scheduled dag task {idx} before its structural \
-                                 predecessors"
-                            ),
-                        });
-                    }
-                    let mut deps = self.resolve_deps(&sd)?;
-                    if let Some(setup) = &sd.setup {
-                        let mut setup_deps = Vec::new();
-                        for &anchor in setup.after.iter() {
-                            setup_deps.push(self.resolve_anchor(anchor)?);
-                        }
-                        let phase = self.dag.task(sd.task).expect("validated id").phase;
-                        let delay = lowering.lower_delay(setup.seconds, &setup_deps, phase)?;
-                        deps.push(delay);
-                    }
-                    let mut per_site = Vec::new();
-                    let main = lowering.lower(
-                        self.dag,
-                        sd.task,
-                        sd.scatter.as_ref(),
-                        &deps,
-                        &mut per_site,
-                    )?;
-                    self.lowered[idx] = Some(Lowered { main, per_site });
-                    self.scheduled[idx] = true;
-                    self.deferred[idx] = false;
-                    self.done += 1;
-                    progress = true;
-                }
-            }
-        }
-        Ok(progress)
+fn resolve_anchor(lowered: &[Lowered], anchor: Anchor) -> Result<TaskId, SimError> {
+    let (t, site) = match anchor {
+        Anchor::Task(t) => (t, None),
+        Anchor::TaskAtSite(t, site) => (t, Some(site)),
+    };
+    let Some(l) = lowered.get(t.index()) else {
+        return Err(SimError::InvalidParameter {
+            message: format!("anchor references unscheduled dag task {}", t.index()),
+        });
+    };
+    match site {
+        None => Ok(l.main),
+        Some(site) => at_site(&l.per_site, site).ok_or_else(|| SimError::InvalidParameter {
+            message: format!("dag task {} has no lowered sub-result at site {site}", t.index()),
+        }),
     }
 }
 
-/// Kahn's algorithm over [`predecessors`]. The graphs the tests build
-/// are never poisoned, so the poison check of [`Dag::validate`] is left out.
-fn validate(dag: &Dag) -> Result<(), SimError> {
-    let n = dag.len();
-    let mut indegree = vec![0usize; n];
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (id, degree) in indegree.iter_mut().enumerate() {
-        for pred in predecessors(dag, DagTaskId(id as u32)) {
-            *degree += 1;
-            dependents[pred.index()].push(id);
+fn apply(
+    dag: &Dag,
+    lowered: &mut Vec<Lowered>,
+    sd: &ScheduleDecision<'_>,
+    lowering: &mut dyn Lowering,
+) -> Result<(), SimError> {
+    if let Some(plan) = &sd.scatter {
+        let mut sites: Vec<u32> = plan.transfers.iter().map(|&(site, _)| site).collect();
+        sites.sort_unstable();
+        if let Some(w) = sites.windows(2).find(|w| w[0] == w[1]) {
+            return Err(SimError::InvalidParameter {
+                message: format!(
+                    "scatter plan of dag task {} names site {} twice",
+                    sd.task.index(),
+                    w[0]
+                ),
+            });
         }
     }
-    let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-    let mut visited = 0usize;
-    while let Some(t) = ready.pop() {
-        visited += 1;
-        for &d in &dependents[t] {
-            indegree[d] -= 1;
-            if indegree[d] == 0 {
-                ready.push(d);
-            }
+    let mut deps = Vec::new();
+    for &input in dag.inputs(sd.task) {
+        let item = dag.data(input).expect("validated id");
+        let produced = &lowered[item.producer.index()];
+        deps.push(item.site.and_then(|s| at_site(&produced.per_site, s)).unwrap_or(produced.main));
+    }
+    deps.extend(dag.after(sd.task).iter().map(|pred| lowered[pred.index()].main));
+    for &anchor in sd.after.iter() {
+        deps.push(resolve_anchor(lowered, anchor)?);
+    }
+    if let Some(setup) = &sd.setup {
+        let mut setup_deps = Vec::new();
+        for &anchor in setup.after.iter() {
+            setup_deps.push(resolve_anchor(lowered, anchor)?);
         }
+        let phase = dag.task(sd.task).expect("validated id").phase;
+        deps.push(lowering.lower_delay(setup.seconds, &setup_deps, phase)?);
     }
-    if visited != n {
-        let stuck: Vec<usize> = (0..n).filter(|&i| indegree[i] > 0).collect();
-        return Err(SimError::DependencyCycle { stuck_tasks: stuck });
-    }
+    let mut per_site = Vec::new();
+    let main = lowering.lower(dag, sd.task, sd.scatter.as_ref(), &deps, &mut per_site)?;
+    lowered.push(Lowered { main, per_site });
     Ok(())
 }
 
@@ -205,86 +83,56 @@ fn owned_plan(plan: ScatterPlan<'_>) -> ScatterPlan<'static> {
     ScatterPlan { transfers: Cow::Owned(plan.transfers.into_owned()), join: plan.join }
 }
 
-/// `decision`, owning its anchors and placement: the old executor kept a
-/// callback's decisions and applied them after it returned.
-fn owned(decision: Decision<'_>) -> Decision<'static> {
-    match decision {
-        Decision::Defer(t) => Decision::Defer(t),
-        Decision::Schedule(sd) => Decision::Schedule(ScheduleDecision {
-            task: sd.task,
-            after: Cow::Owned(sd.after.into_owned()),
-            scatter: sd.scatter.map(owned_plan),
-            setup: sd.setup.map(|setup| SetupDelay {
-                seconds: setup.seconds,
-                after: Cow::Owned(setup.after.into_owned()),
-            }),
+/// `decision`, owning its anchors and placement, so it outlives the
+/// callback that handed it over.
+fn owned(sd: ScheduleDecision<'_>) -> ScheduleDecision<'static> {
+    ScheduleDecision {
+        task: sd.task,
+        after: Cow::Owned(sd.after.into_owned()),
+        scatter: sd.scatter.map(owned_plan),
+        setup: sd.setup.map(|setup| SetupDelay {
+            seconds: setup.seconds,
+            after: Cow::Owned(setup.after.into_owned()),
         }),
     }
 }
 
-/// The old body of [`super::execute`].
+/// The executor's contract, read plainly. The graphs the tests build are
+/// never poisoned, so the check of [`Dag::validate`] is left out, and
+/// nothing is reserved: the first pass only asks.
 pub(super) fn execute(
     dag: &Dag,
     resources: &[Resource],
     scheduler: &mut dyn Scheduler,
     lowering: &mut dyn Lowering,
 ) -> Result<Outcome, SimError> {
-    validate(dag)?;
-    let n = dag.len();
-    let mut exec = Executor {
-        dag,
-        resources,
-        lowered: (0..n).map(|_| None).collect(),
-        scheduled: vec![false; n],
-        deferred: vec![false; n],
-        done: 0,
-    };
-    let mut sites: Vec<u32> = dag
-        .tasks()
-        .iter()
-        .flat_map(|t| match t.work {
-            DagWork::Compute { site, .. } => vec![site],
-            DagWork::Transfer { from, to, .. } => vec![from, to],
-            _ => Vec::new(),
-        })
-        .filter(|&s| s != SITE_STORAGE)
-        .collect();
-    sites.sort_unstable();
-    sites.dedup();
-
-    while exec.done < n {
-        let mut progress = false;
-        for t in 0..n {
-            if exec.scheduled[t] || exec.deferred[t] || !exec.is_ready(t) {
+    let view = SystemView { resources };
+    for t in 0..dag.len() {
+        scheduler.decide(DagTaskId(t as u32), dag, &view, &mut |_| {});
+    }
+    let mut lowered = Vec::new();
+    for t in 0..dag.len() {
+        let task = DagTaskId(t as u32);
+        let mut decisions = Vec::new();
+        scheduler.decide(task, dag, &view, &mut |sd| decisions.push(owned(sd)));
+        if decisions.is_empty() {
+            return Err(SimError::InvalidParameter {
+                message: format!("scheduler made no decision for dag task {t}"),
+            });
+        }
+        for (i, sd) in decisions.iter().enumerate() {
+            let message = if sd.task != task {
+                format!("scheduler offered dag task {t} decided dag task {}", sd.task.index())
+            } else if i > 0 {
+                format!("scheduler scheduled dag task {t} twice")
+            } else {
+                apply(dag, &mut lowered, sd, lowering)?;
                 continue;
-            }
-            let mut decisions = Vec::new();
-            let view = SystemView { resources: exec.resources };
-            let task = DagTaskId(t as u32);
-            scheduler.on_task_ready(task, dag, &view, &mut |d| decisions.push(owned(d)));
-            progress |= exec.apply(decisions, lowering)?;
-        }
-        if exec.done == n || progress {
-            continue;
-        }
-        let mut freed = false;
-        for &site in &sites {
-            let mut decisions = Vec::new();
-            let view = SystemView { resources: exec.resources };
-            scheduler.on_resource_free(site, dag, &view, &mut |d| decisions.push(owned(d)));
-            freed |= exec.apply(decisions, lowering)?;
-        }
-        if !freed {
-            let pending: Vec<usize> = (0..n).filter(|&t| !exec.scheduled[t]).collect();
-            return Err(SimError::SchedulerStalled { pending_tasks: pending });
+            };
+            return Err(SimError::InvalidParameter { message });
         }
     }
-    Ok(exec
-        .lowered
-        .into_iter()
-        .map(|l| l.expect("all tasks scheduled"))
-        .map(|l| (l.main, l.per_site))
-        .collect())
+    Ok(lowered.into_iter().map(|l| (l.main, l.per_site)).collect())
 }
 
 mod tests {
@@ -350,11 +198,11 @@ mod tests {
     const STORAGE_SITES: [u32; 2] = [10, 11];
 
     /// A graph of `n` tasks of every work kind, one output each, and edges
-    /// drawn from `dice`: hard inputs, after-edges and soft inputs, mostly
-    /// to an earlier task, now and then to any task (a higher id, itself, a
-    /// cycle), now and then declared twice. The edges are declared taking
-    /// turns from the two ends of the list, so a task's edges are often
-    /// extended after a later task's (the arenas move its run to the tail).
+    /// drawn from `dice`: hard inputs, after-edges and soft inputs, each to
+    /// an earlier task, now and then declared twice. The edges are declared
+    /// taking turns from the two ends of the list, so a task's edges are
+    /// often extended after a later task's (the arenas move its run to the
+    /// tail).
     fn random_dag(n: usize, dice: &[u32]) -> Dag {
         let mut roll = dice.iter().copied().cycle();
         let mut roll = move || roll.next().expect("dice are never empty") as usize;
@@ -381,17 +229,10 @@ mod tests {
             outputs.push(dag.add_output(t, 8.0, site));
         }
         let mut edges = std::collections::VecDeque::new();
-        for t in 0..n {
+        for t in 1..n {
             for _ in 0..roll() % 4 {
                 let e = roll();
-                let src = if e % 19 == 0 {
-                    e / 4 % n
-                } else if t > 0 {
-                    e / 4 % t
-                } else {
-                    continue;
-                };
-                edges.push_back((DagTaskId(t as u32), e, src));
+                edges.push_back((DagTaskId(t as u32), e, e / 4 % t));
             }
         }
         let mut front = true;
@@ -408,59 +249,51 @@ mod tests {
         dag
     }
 
-    /// A deterministic policy driven by `dice`, shaped like `DeferUntilFree`:
-    /// it defers non-compute work until a stall and then releases the first
-    /// unscheduled task whose predecessors are all scheduled, waits for soft
-    /// inputs, anchors them on their producers (per site when scattered),
-    /// charges setup delays and scatters storage transfers; now and then it
-    /// schedules a task twice or a task that is not ready, or holds
-    /// everything at a stall. It logs every callback it gets.
+    /// The decision roll `r` draws for `task`: soft inputs anchored on
+    /// their producers (per site, now and then, when scattered), storage
+    /// transfers scattered over none, one or both storage sites, joined or
+    /// not, now and then a setup delay, and now and then an anchor on any
+    /// task (one not lowered yet, or itself).
+    fn dice_decision(task: DagTaskId, dag: &Dag, r: usize) -> ScheduleDecision<'static> {
+        let mut d = ScheduleDecision::new(task);
+        for &item in dag.soft_inputs(task) {
+            let producer = dag.data(item).expect("connected items exist").producer;
+            let scattered = matches!(
+                dag.task(producer).expect("producers exist").work,
+                DagWork::Transfer { to: SITE_STORAGE, .. }
+            );
+            d = d.after(if scattered && r % 2 == 0 {
+                Anchor::TaskAtSite(producer, STORAGE_SITES[r / 2 % 2])
+            } else {
+                Anchor::Task(producer)
+            });
+        }
+        if r % 23 == 0 {
+            d = d.after(Anchor::Task(DagTaskId((r / 23 % dag.len()) as u32)));
+        }
+        if let DagWork::Transfer { to: SITE_STORAGE, bytes, .. } = dag.task(task).unwrap().work {
+            let transfers = match r / 4 % 3 {
+                0 => vec![(STORAGE_SITES[1], bytes)],
+                1 => STORAGE_SITES.iter().map(|&s| (s, bytes / 2.0)).collect(),
+                _ => Vec::new(),
+            };
+            d = d.scatter(ScatterPlan { transfers: transfers.into(), join: r % 3 == 0 });
+        }
+        if r % 5 == 0 {
+            let after = d.after.clone();
+            d = d.setup(SetupDelay { seconds: 0.25, after });
+        }
+        d
+    }
+
+    /// A deterministic policy driven by `dice`, rolled once per call: it
+    /// hands over the decision its roll draws ([`dice_decision`]), and now
+    /// and then a second decision, a decision for another task, or none.
+    /// It logs every task it is asked about.
     struct DicePolicy<'d> {
         dice: &'d [u32],
         next: usize,
-        log: Vec<(bool, usize)>,
-        /// The tasks it has scheduled; a run ends at the first decision the
-        /// executor rejects, so this is the executor's record too.
-        scheduled: Vec<bool>,
-    }
-
-    impl DicePolicy<'_> {
-        fn roll(&mut self) -> usize {
-            self.next += 1;
-            self.dice[(self.next - 1) % self.dice.len()] as usize
-        }
-
-        fn decision(&mut self, task: DagTaskId, dag: &Dag) -> ScheduleDecision<'static> {
-            self.scheduled[task.index()] = true;
-            let r = self.roll();
-            let node = dag.task(task).expect("offered tasks exist");
-            let mut d = ScheduleDecision::new(task);
-            for &item in dag.soft_inputs(task) {
-                let producer = dag.data(item).expect("connected items exist").producer;
-                let scattered = matches!(
-                    dag.task(producer).expect("producers exist").work,
-                    DagWork::Transfer { to: SITE_STORAGE, .. }
-                );
-                d = d.after(if scattered && r % 2 == 0 {
-                    Anchor::TaskAtSite(producer, STORAGE_SITES[r / 2 % 2])
-                } else {
-                    Anchor::Task(producer)
-                });
-            }
-            if let DagWork::Transfer { to: SITE_STORAGE, bytes, .. } = node.work {
-                let transfers = match r / 4 % 3 {
-                    0 => vec![(STORAGE_SITES[1], bytes)],
-                    1 => STORAGE_SITES.iter().map(|&s| (s, bytes / 2.0)).collect(),
-                    _ => Vec::new(),
-                };
-                d = d.scatter(ScatterPlan { transfers: transfers.into(), join: r % 3 == 0 });
-            }
-            if r % 5 == 0 {
-                let after = d.after.clone();
-                d = d.setup(SetupDelay { seconds: 0.25, after });
-            }
-            d
-        }
+        log: Vec<usize>,
     }
 
     impl Scheduler for DicePolicy<'_> {
@@ -468,59 +301,24 @@ mod tests {
             "dice"
         }
 
-        fn on_task_ready(
+        fn decide(
             &mut self,
             task: DagTaskId,
             dag: &Dag,
             _system: &SystemView<'_>,
-            out: &mut dyn FnMut(Decision<'_>),
+            out: &mut dyn FnMut(ScheduleDecision<'_>),
         ) {
-            self.log.push((true, task.index()));
-            self.scheduled.resize(dag.len(), false);
-            let r = self.roll();
-            let schedule = |id| Decision::Schedule(ScheduleDecision::new(id));
+            self.log.push(task.index());
+            self.next += 1;
+            let r = self.dice[(self.next - 1) % self.dice.len()] as usize;
             match r % 40 {
                 0 => {
-                    out(schedule(task));
-                    return out(schedule(task));
+                    out(dice_decision(task, dag, r));
+                    out(ScheduleDecision::new(task));
                 }
-                1 => {
-                    let id = DagTaskId((r / 40 % dag.len()) as u32);
-                    self.scheduled[id.index()] = true;
-                    return out(schedule(id));
-                }
-                _ => {}
-            }
-            let node = dag.task(task).expect("offered tasks exist");
-            if !matches!(node.work, DagWork::Compute { .. }) && r % 4 == 0 {
-                return out(Decision::Defer(task));
-            }
-            let soft_ready = dag.soft_inputs(task).iter().all(|&item| {
-                self.scheduled[dag.data(item).expect("connected items exist").producer.index()]
-            });
-            if soft_ready {
-                out(Decision::Schedule(self.decision(task, dag)));
-            }
-        }
-
-        fn on_resource_free(
-            &mut self,
-            site: u32,
-            dag: &Dag,
-            _system: &SystemView<'_>,
-            out: &mut dyn FnMut(Decision<'_>),
-        ) {
-            self.log.push((false, site as usize));
-            self.scheduled.resize(dag.len(), false);
-            if self.roll() % 8 == 0 {
-                return;
-            }
-            for idx in 0..dag.len() {
-                let id = DagTaskId(idx as u32);
-                let ready = predecessors(dag, id).iter().all(|p| self.scheduled[p.index()]);
-                if !self.scheduled[idx] && ready {
-                    return out(Decision::Schedule(self.decision(id, dag)));
-                }
+                1 => out(ScheduleDecision::new(DagTaskId((r / 40 % dag.len()) as u32))),
+                2 => {}
+                _ => out(dice_decision(task, dag, r)),
             }
         }
     }
@@ -537,80 +335,26 @@ mod tests {
     ) -> Result<Outcome, SimError> {
         let outcome = csr_execute(dag, resources, scheduler, lowering)?;
         let lowered = &outcome.lowered;
-        Ok(lowered
-            .tasks
-            .iter()
-            .map(|l| l.expect("all tasks scheduled"))
-            .map(|(main, sites)| (main as usize, sites.of(&lowered.per_site).to_vec()))
+        Ok((0..dag.len())
+            .map(|t| lowered.get(t).expect("every task is lowered"))
+            .map(|(main, sites)| (main, sites.to_vec()))
             .collect())
     }
 
     /// Everything an executor shows: what it returned, every lowering call
     /// and every scheduler callback, in order.
-    type Trace = (Result<Outcome, SimError>, Vec<Call>, Vec<(bool, usize)>);
+    type Trace = (Result<Outcome, SimError>, Vec<Call>, Vec<usize>);
 
-    fn trace(execute: Execute, dag: &Dag, scheduler: &mut DicePolicy<'_>) -> Trace {
+    fn trace(execute: Execute, dag: &Dag, dice: &[u32]) -> Trace {
         let mut recorder = Recorder::default();
-        let outcome = execute(dag, &[], scheduler, &mut recorder);
-        (outcome, recorder.calls, std::mem::take(&mut scheduler.log))
+        let mut policy = DicePolicy { dice, next: 0, log: Vec::new() };
+        let outcome = execute(dag, &[], &mut policy, &mut recorder);
+        (outcome, recorder.calls, policy.log)
     }
 
-    fn both(dag: &Dag, dice: &[u32]) -> (Trace, Trace) {
-        let csr = trace(
-            csr_outcome,
-            dag,
-            &mut DicePolicy { dice, next: 0, log: Vec::new(), scheduled: Vec::new() },
-        );
-        let old = trace(
-            execute,
-            dag,
-            &mut DicePolicy { dice, next: 0, log: Vec::new(), scheduled: Vec::new() },
-        );
-        (csr, old)
-    }
-
-    /// A policy whose decision for a task is a function of the task and
-    /// the dice: soft inputs anchored on their producers (per site, now and
-    /// then, when scattered), storage transfers scattered over none, one or
-    /// both storage sites, joined or not, and now and then a setup delay.
-    /// It hands a decision over once the producers of the task's soft
-    /// inputs are scheduled, and previews the same decision.
+    /// The dice decision for each task, the same on every call.
     struct PurePolicy<'d> {
         dice: &'d [u32],
-        scheduled: Vec<bool>,
-    }
-
-    impl PurePolicy<'_> {
-        fn decision(&self, task: DagTaskId, dag: &Dag) -> ScheduleDecision<'static> {
-            let r = self.dice[task.index() % self.dice.len()] as usize + task.index();
-            let mut d = ScheduleDecision::new(task);
-            for &item in dag.soft_inputs(task) {
-                let producer = dag.data(item).expect("connected items exist").producer;
-                let scattered = matches!(
-                    dag.task(producer).expect("producers exist").work,
-                    DagWork::Transfer { to: SITE_STORAGE, .. }
-                );
-                d = d.after(if scattered && r % 2 == 0 {
-                    Anchor::TaskAtSite(producer, STORAGE_SITES[r / 2 % 2])
-                } else {
-                    Anchor::Task(producer)
-                });
-            }
-            if let DagWork::Transfer { to: SITE_STORAGE, bytes, .. } = dag.task(task).unwrap().work
-            {
-                let transfers = match r / 4 % 3 {
-                    0 => vec![(STORAGE_SITES[1], bytes)],
-                    1 => STORAGE_SITES.iter().map(|&s| (s, bytes / 2.0)).collect(),
-                    _ => Vec::new(),
-                };
-                d = d.scatter(ScatterPlan { transfers: transfers.into(), join: r % 3 == 0 });
-            }
-            if r % 5 == 0 {
-                let after = d.after.clone();
-                d = d.setup(SetupDelay { seconds: 0.25, after });
-            }
-            d
-        }
     }
 
     impl Scheduler for PurePolicy<'_> {
@@ -618,32 +362,24 @@ mod tests {
             "pure"
         }
 
-        fn on_task_ready(
+        fn decide(
             &mut self,
             task: DagTaskId,
             dag: &Dag,
             _system: &SystemView<'_>,
-            out: &mut dyn FnMut(Decision<'_>),
+            out: &mut dyn FnMut(ScheduleDecision<'_>),
         ) {
-            self.scheduled.resize(dag.len(), false);
-            let producer = |item: &DataId| dag.data(*item).expect("connected").producer.index();
-            if dag.soft_inputs(task).iter().all(|item| self.scheduled[producer(item)]) {
-                self.scheduled[task.index()] = true;
-                out(Decision::Schedule(self.decision(task, dag)));
-            }
-        }
-
-        fn preview(&mut self, task: DagTaskId, dag: &Dag, out: &mut dyn FnMut(Decision<'_>)) {
-            out(Decision::Schedule(self.decision(task, dag)));
+            let r = self.dice[task.index() % self.dice.len()] as usize + task.index();
+            out(dice_decision(task, dag, r));
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-        /// Over random graphs, a policy that previews its decisions gets a
-        /// simulation reserved for exactly what its lowering fills, over
-        /// routes of one to three links, whenever the graph lowers.
+        /// Over random graphs, a policy gets a simulation reserved for
+        /// exactly what its lowering fills, over routes of one to three
+        /// links, whenever the graph lowers.
         #[test]
         fn a_previewed_lowering_fills_exactly_what_it_reserved(
             n in 1usize..24,
@@ -662,7 +398,7 @@ mod tests {
             for (site, &resource) in (0..).zip(&resources) {
                 lowering.map_site(site, resource);
             }
-            let mut policy = PurePolicy { dice: &dice, scheduled: Vec::new() };
+            let mut policy = PurePolicy { dice: &dice };
             if csr_execute(&dag, &[], &mut policy, &mut lowering).is_ok() {
                 let (filled, reserved) = sim.filled();
                 prop_assert_eq!(Some(filled), reserved);
@@ -673,45 +409,49 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
 
-        /// Over random graphs and a random deferring, faulty policy, the
-        /// executor makes the reference's lowering calls with the same deps,
-        /// sees the same callbacks, and returns the same outcome or error.
+        /// Over random graphs and a random, faulty policy, the executor
+        /// makes the reference's lowering calls with the same deps, asks the
+        /// same tasks, and returns the same outcome or error.
         #[test]
         fn the_executor_matches_the_reference_call_for_call(
             n in 1usize..24,
             dice in vec(0u32..1_000_000, 8..96),
         ) {
             let dag = random_dag(n, &dice);
-            let (csr, old) = both(&dag, &dice);
-            prop_assert_eq!(csr, old);
+            prop_assert_eq!(trace(csr_outcome, &dag, &dice), trace(execute, &dag, &dice));
         }
     }
 
-    /// Each error the reference raises, raised the same way: scheduled
-    /// before its predecessors, scheduled twice, a stall with its pending
-    /// list, a cycle with its stuck list.
+    /// Each error the reference raises, raised the same way: no decision,
+    /// a second one, one for another task, an anchor on a task not lowered
+    /// yet, and one on a site its task has no sub-result at.
     #[test]
     fn the_executor_matches_the_reference_on_every_error() {
-        let mut kinds = [0usize; 5];
+        let mut kinds = [0usize; 6];
         for seed in 0..2000u32 {
             let dice: Vec<u32> =
                 (0..48u32).map(|i| (seed * 48 + i).wrapping_mul(2_654_435_761) >> 8).collect();
             let dag = random_dag(1 + seed as usize % 16, &dice);
-            let (csr, old) = both(&dag, &dice);
+            let (csr, old) = (trace(csr_outcome, &dag, &dice), trace(execute, &dag, &dice));
             assert_eq!(csr, old, "seed {seed}");
             let kind = match &csr.0 {
                 Ok(_) => 0,
-                Err(SimError::InvalidParameter { message }) if message.contains("twice") => 1,
-                Err(SimError::InvalidParameter { message }) if message.contains("before its") => 2,
-                Err(SimError::SchedulerStalled { .. }) => 3,
-                Err(SimError::DependencyCycle { .. }) => 4,
+                Err(SimError::InvalidParameter { message }) => {
+                    match ["no decision", "twice", "decided", "unscheduled", "sub-result"]
+                        .iter()
+                        .position(|part| message.contains(part))
+                    {
+                        Some(kind) => kind + 1,
+                        None => continue,
+                    }
+                }
                 Err(_) => continue,
             };
             kinds[kind] += 1;
         }
         assert!(
             kinds.iter().all(|&k| k > 0),
-            "outcomes seen (ok, twice, early, stall, cycle): {kinds:?}"
+            "outcomes seen (ok, none, twice, other, unscheduled, no site): {kinds:?}"
         );
     }
 }

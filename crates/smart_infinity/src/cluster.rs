@@ -21,7 +21,7 @@
 use crate::spec::MethodSpec;
 use serde::{Deserialize, Serialize};
 use simkit::{
-    execute, Anchor, Dag, DagTaskId, DagWork, Decision, DirectLowering, Resource, ScheduleDecision,
+    execute, Anchor, Dag, DagTaskId, DagWork, DirectLowering, Resource, ScheduleDecision,
     Scheduler, SimError, Simulation, SpeedupCurve, SystemView, GB,
 };
 use ztrain::{IterationReport, TrainError};
@@ -190,23 +190,19 @@ impl Scheduler for ClusterScheduler {
         "cluster-allreduce"
     }
 
-    fn on_task_ready(
+    /// The decision for a task depends on the task alone.
+    fn decide(
         &mut self,
         task: DagTaskId,
-        dag: &Dag,
+        _dag: &Dag,
         _system: &SystemView<'_>,
-        out: &mut dyn FnMut(Decision<'_>),
+        out: &mut dyn FnMut(ScheduleDecision<'_>),
     ) {
-        self.preview(task, dag, out);
-    }
-
-    /// The decision for a task depends on the task alone.
-    fn preview(&mut self, task: DagTaskId, _dag: &Dag, out: &mut dyn FnMut(Decision<'_>)) {
         let mut decision = ScheduleDecision::new(task);
         if task == self.reduce {
             decision = decision.after_all(self.exchanges.iter().map(|&t| Anchor::Task(t)));
         }
-        out(Decision::Schedule(decision));
+        out(decision);
     }
 }
 

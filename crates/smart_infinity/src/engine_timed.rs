@@ -120,7 +120,7 @@ impl TimedRun {
 ///    `u32` edges) and its layout, the scheduler, the resource catalog, the
 ///    executor's state and outcome, and the platform with its simulation,
 ///    whose arenas are reserved once for exactly what the scheduler's
-///    previewed decisions lower to, so none regrows;
+///    decisions lower to, so none regrows;
 /// 2. the run: the platform with its finished simulation (its task table
 ///    exactly its contents), the engine's working state (see
 ///    `simkit::Simulation::run`) and the timeline it fills, plus the three

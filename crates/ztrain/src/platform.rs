@@ -482,21 +482,21 @@ mod tests {
     #[test]
     fn a_graph_naming_an_fpga_on_plain_ssds_fails_to_lower_with_a_typed_error() {
         use crate::schedule::{PlatformLowering, SiteMap};
-        use simkit::{Dag, DagTaskId, DagWork, Decision, ScheduleDecision, Scheduler, SystemView};
+        use simkit::{Dag, DagTaskId, DagWork, ScheduleDecision, Scheduler, SystemView};
 
         struct Asap;
         impl Scheduler for Asap {
             fn name(&self) -> &'static str {
                 "asap"
             }
-            fn on_task_ready(
+            fn decide(
                 &mut self,
                 task: DagTaskId,
                 _: &Dag,
                 _: &SystemView<'_>,
-                out: &mut dyn FnMut(Decision<'_>),
+                out: &mut dyn FnMut(ScheduleDecision<'_>),
             ) {
-                out(Decision::Schedule(ScheduleDecision::new(task)));
+                out(ScheduleDecision::new(task));
             }
         }
 

@@ -25,8 +25,8 @@ use crate::platform::{Route, TimedPlatform};
 use llm::Workload;
 use optim::OptimizerKind;
 use simkit::{
-    Anchor, Dag, DagTaskId, DagWork, DataId, Decision, Lowering, PhaseId, ScatterPlan,
-    ScheduleDecision, Scheduler, SetupDelay, SimError, SystemView, TaskId, SITE_STORAGE,
+    Anchor, Dag, DagTaskId, DagWork, DataId, Lowering, PhaseId, ScatterPlan, ScheduleDecision,
+    Scheduler, SetupDelay, SimError, SystemView, TaskId, SITE_STORAGE,
 };
 
 /// Maps the abstract site indices used by iteration DAGs onto the components
@@ -489,7 +489,7 @@ impl GraphSize {
 /// the lanes and units of the model's [`StepPlan`] (devices and
 /// `knobs.subgroup_elems` must be positive). Task creation order mirrors the
 /// historical schedule builders exactly, so any policy lowered over this
-/// graph in ready-order reproduces the legacy timelines bit for bit.
+/// graph in id order reproduces the legacy timelines bit for bit.
 pub fn build_iteration_graph(
     workload: &Workload,
     sites: SiteMap,
@@ -963,14 +963,26 @@ impl<'a> MethodPolicy<'a> {
             anchors.extend(scatters.iter().map(|&s| Anchor::TaskAtSite(s, dev.site)));
         }
     }
+}
 
-    /// Hands `out` the decision for `task`: a function of the task and the
-    /// layout alone, so the same whether it is previewed or made.
-    fn decide(&mut self, task: DagTaskId, out: &mut dyn FnMut(Decision<'_>)) {
+impl Scheduler for MethodPolicy<'_> {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// The decision for `task` is a function of the task and the layout
+    /// alone.
+    fn decide(
+        &mut self,
+        task: DagTaskId,
+        _dag: &Dag,
+        _system: &SystemView<'_>,
+        out: &mut dyn FnMut(ScheduleDecision<'_>),
+    ) {
         let layout = self.layout;
         let mut decision = ScheduleDecision::new(task);
         let Some(role) = self.roles.get(task.index()).copied().flatten() else {
-            return out(Decision::Schedule(decision));
+            return out(decision);
         };
         // The decision's anchors go to the reused buffer; a setup delay's
         // anchors are the decision's, then one more.
@@ -1067,28 +1079,8 @@ impl<'a> MethodPolicy<'a> {
         if let Some((seconds, _)) = setup {
             decision.setup = Some(SetupDelay { seconds, after: Cow::Borrowed(&anchors[..]) });
         }
-        out(Decision::Schedule(decision));
+        out(decision);
         self.anchors = anchors;
-    }
-}
-
-impl Scheduler for MethodPolicy<'_> {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn on_task_ready(
-        &mut self,
-        task: DagTaskId,
-        _dag: &Dag,
-        _system: &SystemView<'_>,
-        out: &mut dyn FnMut(Decision<'_>),
-    ) {
-        self.decide(task, out);
-    }
-
-    fn preview(&mut self, task: DagTaskId, _dag: &Dag, out: &mut dyn FnMut(Decision<'_>)) {
-        self.decide(task, out);
     }
 }
 
@@ -1110,18 +1102,14 @@ impl Scheduler for HostUpdateScheduler<'_> {
         self.0.name()
     }
 
-    fn on_task_ready(
+    fn decide(
         &mut self,
         task: DagTaskId,
         dag: &Dag,
         system: &SystemView<'_>,
-        out: &mut dyn FnMut(Decision<'_>),
+        out: &mut dyn FnMut(ScheduleDecision<'_>),
     ) {
-        self.0.on_task_ready(task, dag, system, out);
-    }
-
-    fn preview(&mut self, task: DagTaskId, dag: &Dag, out: &mut dyn FnMut(Decision<'_>)) {
-        self.0.preview(task, dag, out);
+        self.0.decide(task, dag, system, out);
     }
 }
 

@@ -196,11 +196,12 @@ fn allocations_during(work: impl FnOnce()) -> usize {
 /// workload (and, for a cluster, the whole session), then 123, 157 and 398;
 /// then 120, 149 and 393, before lowering reserved its arenas exactly, the
 /// graph dropped its names and `DirectLowering` stopped labelling tasks and
-/// copying route paths; now 107, 132 and 240. Builds with debug assertions
-/// also check every timeline against the engine's oracle, which allocates
-/// its own working set, so they have bars of their own (247, 808 and 953
-/// before the pass borrowed, then 239, 800 and 941, then 235, 791 and 934;
-/// now 222, 774 and 781).
+/// copying route paths; then 107, 132 and 240, before lowering became one
+/// pass in id order with no readiness counts; now 96, 116 and 215. Builds
+/// with debug assertions also check every timeline against the engine's
+/// oracle, which allocates its own working set, so they have bars of their
+/// own (247, 808 and 953 before the pass borrowed, then 239, 800 and 941,
+/// then 235, 791 and 934, then 222, 774 and 781; now 211, 758 and 756).
 #[test]
 fn a_timed_iteration_allocates_per_simulation_not_per_name_route_or_decision() {
     let _turn = take_turn();
@@ -212,21 +213,21 @@ fn a_timed_iteration_allocates_per_simulation_not_per_name_route_or_decision() {
             r#"{"model": "GPT2-0.34B", "machine": {"devices": 4}, "method": {"offload": true,
                 "in_storage_update": true, "overlap": true, "pipelined": false,
                 "compression": {"keep_ratio": 0.01}}}"#,
-            if cfg!(debug_assertions) { 245 } else { 118 },
+            if cfg!(debug_assertions) { 233 } else { 106 },
         ),
         (
             "sim_scale: GPT2-33.0B, 10 CSDs, SU+O+C at 1 %",
             r#"{"model": "GPT2-33.0B", "machine": {"devices": 10}, "method": {"offload": true,
                 "in_storage_update": true, "overlap": true, "pipelined": false,
                 "compression": {"keep_ratio": 0.01}}}"#,
-            if cfg!(debug_assertions) { 852 } else { 146 },
+            if cfg!(debug_assertions) { 834 } else { 128 },
         ),
         (
             "sim_scale: GPT2-16.6B, 8 hosts of 10 CSDs, SU+O",
             r#"{"model": "GPT2-16.6B", "machine": {"devices": 10, "cluster": {"hosts": 8}},
                 "method": {"offload": true, "in_storage_update": true, "overlap": true,
                 "pipelined": false}}"#,
-            if cfg!(debug_assertions) { 860 } else { 264 },
+            if cfg!(debug_assertions) { 832 } else { 237 },
         ),
     ] {
         let session = RunSpec::from_json(spec).and_then(|s| s.session()).expect("a valid spec");
@@ -256,9 +257,12 @@ fn peak_live_bytes_during(work: impl FnOnce()) -> usize {
 /// measured once lowering reserved exactly what it adds (no arena regrows)
 /// and the graph went lean (56-byte tasks, 24-byte data items, no names,
 /// `u32` ids, sites and edges), plus 10 %, in the test profile, which
-/// peaks at least as high as an optimised build: 49, 702, 674, 719, 396,
-/// 315 and 214 KiB (an optimised build: 49, 659, 661, 719, 378, 315 and
-/// 214). Before, once the pass dropped the graph, its layout, the scheduler
+/// peaks at least as high as an optimised build: 49, 702, 674, 649, 396,
+/// 287 and 193 KiB (an optimised build: 47, 659, 622, 649, 378, 287 and
+/// 193). Before lowering became one pass in id order with no readiness
+/// counts, they peaked at 49, 702, 674, 719, 396, 315 and 214 KiB (an
+/// optimised build: 49, 659, 661, 719, 378, 315 and 214). Before, once the
+/// pass dropped the graph, its layout, the scheduler
 /// and the executor's outcome before the engine runs and simkit's task
 /// table went compact, the same specs peaked at 80, 963, 1 185, 1 412, 599,
 /// 602 and 406 KiB, and before that (four of them) at 144, 2 135, 2 339 and
@@ -294,7 +298,7 @@ fn a_timed_iteration_holds_one_stage_in_memory_at_a_time() {
             r#"{"model": "GPT2-33.0B", "machine": {"devices": 10, "num_gpus": 2,
                 "congested": true}, "method": {"offload": true, "in_storage_update": true,
                 "overlap": true, "pipelined": true, "compression": {"keep_ratio": 0.01}}}"#,
-            791,
+            714,
         ),
         (
             "sim_scale: GPT2-16.6B, 8 hosts of 10 CSDs, SU+O",
@@ -308,14 +312,14 @@ fn a_timed_iteration_holds_one_stage_in_memory_at_a_time() {
             r#"{"model": "GPT2-16.6B", "machine": {"devices": 10, "cluster": {"hosts": 8}},
                 "method": {"offload": true, "in_storage_update": true, "overlap": true,
                 "pipelined": true}}"#,
-            347,
+            316,
         ),
         (
             "sim_scale: GPT2-8.3B, 16 hosts of 6 CSDs, SU+O+P+C at 1 %",
             r#"{"model": "GPT2-8.3B", "machine": {"devices": 6, "cluster": {"hosts": 16}},
                 "method": {"offload": true, "in_storage_update": true, "overlap": true,
                 "pipelined": true, "compression": {"keep_ratio": 0.01}}}"#,
-            236,
+            213,
         ),
     ] {
         let session = RunSpec::from_json(spec).and_then(|s| s.session()).expect("a valid spec");
@@ -330,11 +334,12 @@ fn a_timed_iteration_holds_one_stage_in_memory_at_a_time() {
 }
 
 /// One iteration at the device bound `Session::validate` enforces (4 096):
-/// GPT2-33.0B, SU+O+P+C at 1 %, simulated once, cold. It took 0.9 s and
-/// peaked at 17 243 KiB of live heap on a 2-vCPU guest, in an optimised
-/// build and in the test profile alike (22 212 KiB before lowering reserved
-/// exactly and the graph went lean, 32 518 KiB before the pass held one
-/// stage at a time). The time limit is ten times 1.0 s, generous for a
+/// GPT2-33.0B, SU+O+P+C at 1 %, simulated once, cold. It took 0.7 s and
+/// peaked at 16 723 KiB of live heap on a 2-vCPU guest, in an optimised
+/// build and in the test profile alike (17 243 KiB before lowering became
+/// one pass in id order with no readiness counts, 22 212 KiB before
+/// lowering reserved exactly and the graph went lean, 32 518 KiB before the
+/// pass held one stage at a time). The time limit is ten times 1.0 s, generous for a
 /// shared runner; the heap bar is the peak plus 10 %. The bound moves when
 /// routing stops being a whole-topology search per endpoint pair, and this
 /// pin moves with it.
@@ -354,7 +359,7 @@ fn an_iteration_at_the_device_bound_fits_its_time_and_heap() {
     println!("4 096 devices: {took:?}, peak live heap {kib} KiB, {report:?}");
     assert!(report.is_some_and(|r| r.total_s() > 0.0));
     assert!(took.as_secs_f64() < 10.0, "an iteration at the bound took {took:?}");
-    assert!(kib <= 18_968, "an iteration at the bound peaked at {kib} KiB");
+    assert!(kib <= 18_396, "an iteration at the bound peaked at {kib} KiB");
 }
 
 /// Lowering a timed iteration reserves exactly what it adds
@@ -399,10 +404,13 @@ fn lowering_never_regrows_an_arena_for_any_checked_in_spec() {
 /// worker is the calling thread. A first run into another directory warms
 /// whatever the process initialises once. The run resolves, executes and
 /// journals 64 trials at a time, and every trial shares its task's payload,
-/// so what it holds is one wave of trials plus the journal's records and
-/// the service's jobs. Each bar is the measured value plus 10 %: 345 KiB and
-/// 34 103 allocations in an optimised build, 345 KiB and 40 482 in the test
-/// profile. Before the waves, when the run resolved every pending trial into
+/// so what it holds is one wave of trials, the service's jobs and, per
+/// journaled trial, its id, success and objective. Each bar is the measured
+/// value plus 10 %: 278 KiB and 33 375 allocations in an optimised build,
+/// 278 KiB and 39 754 in the test profile. Before the run kept one row per
+/// journaled trial instead of its whole record, and lowering became one
+/// pass in id order, it peaked at 345 KiB with 34 103 allocations (the test
+/// profile: 345 KiB, 40 482). Before the waves, when the run resolved every pending trial into
 /// one batch and each trial copied its task's payload, the same run peaked
 /// at 688 KiB with 36 808 allocations (the test profile: 689 KiB, 43 188).
 #[test]
@@ -428,7 +436,7 @@ fn a_lab_run_holds_one_wave_in_memory_at_a_time() {
     assert_eq!((summary.executed, summary.errors), (204, 0), "{summary:?}");
     let kib = peak.div_ceil(1024);
     println!("lab run of 204 trials: peak live heap {kib} KiB, {count} allocations");
-    let (bar_kib, bar_count) = if cfg!(debug_assertions) { (379, 44_530) } else { (379, 37_513) };
+    let (bar_kib, bar_count) = if cfg!(debug_assertions) { (306, 43_730) } else { (306, 36_713) };
     assert!(kib <= bar_kib, "a lab run peaked at {kib} KiB, the bar is {bar_kib} KiB");
     assert!(count <= bar_count, "a lab run made {count} allocations, the bar is {bar_count}");
     std::fs::remove_dir_all(&scratch).expect("the scratch directory is removable");

@@ -155,3 +155,89 @@ proptest! {
         prop_assert!(model.reduction_over_baseline(TrafficMethod::SmartUpdate) > 1.0);
     }
 }
+
+/// Bytes that steer a JSON parser: structure, literals, numbers, escapes,
+/// whitespace, a two-byte UTF-8 letter and a byte that is never UTF-8.
+const JSON_BYTES: &[u8] = b"{}[]\",:.-+0123456789eEtrufalsn\\/ \t\nu\xc3\xa9\xff";
+
+/// Texts the mutations start from: two run specs, a journal of two
+/// records, and JSON with escapes, exponents and nesting.
+const SEEDS: [&str; 4] = [
+    r#"{"model": "GPT2-33.0B", "machine": {"devices": 10, "num_gpus": 2, "congested": true},
+        "method": {"offload": true, "in_storage_update": true, "overlap": true,
+        "pipelined": true, "compression": {"keep_ratio": 0.01}}}"#,
+    r#"{"name": "c", "model": "GPT2-16.6B", "machine": {"devices": 10, "cluster": {"hosts": 8}},
+        "method": {"offload": true, "in_storage_update": true, "overlap": true,
+        "pipelined": false}, "subgroup_elems": 4096}"#,
+    "{\"metrics\":{\"method\":\"SU+O\"},\"objective\":{\"name\":\"iteration_s\",\"value\":1.5},\
+     \"outcome\":\"success\",\"repeat\":0,\"task_id\":\"t1\",\"trial_id\":\"a1\",\"variant\":\"v\"}\n\
+     {\"error\":\"boom\",\"metrics\":{},\"outcome\":\"error\",\"repeat\":1,\"task_id\":\"t1\",\
+     \"trial_id\":\"a2\",\"variant\":\"v\"}\n",
+    r#"[{"a": "é\n\"", "b": [-0.0, 1e-7, 2E+21, null, true, false]}, {}, [[[]]]]"#,
+];
+
+/// `seed` with each `(kind, (at, byte))` edit applied in turn at byte `at`
+/// (modulo the length): replace the byte there, insert one, delete it, cut
+/// the text there, or repeat its tail (up to 4 KiB). The result is read as
+/// UTF-8, a broken sequence becoming U+FFFD.
+fn mutate(seed: &str, edits: &[(usize, (usize, usize))]) -> String {
+    let mut bytes = seed.as_bytes().to_vec();
+    for &(kind, (at, byte)) in edits {
+        let at = at % (bytes.len() + 1);
+        let byte = JSON_BYTES[byte % JSON_BYTES.len()];
+        match kind {
+            0 if at < bytes.len() => bytes[at] = byte,
+            1 => bytes.insert(at, byte),
+            2 if at < bytes.len() => drop(bytes.remove(at)),
+            3 => bytes.truncate(at),
+            4 if bytes.len() < 4096 => bytes.extend_from_within(at..),
+            _ => {}
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+
+    /// Random text and mutations of well-formed specs, journals and JSON
+    /// never panic a parser: `serde_json::from_str`, `RunSpec::from_json`
+    /// and `lab::read_journal` each answer with a value or a typed error.
+    #[test]
+    fn parsers_answer_any_text_with_a_value_or_a_typed_error(
+        seed in 0usize..SEEDS.len(),
+        edits in proptest::collection::vec((0usize..5, (0usize..4096, 0usize..64)), 0..12),
+        noise in proptest::collection::vec(0usize..64, 0..48),
+    ) {
+        let noise: Vec<u8> = noise.iter().map(|&b| JSON_BYTES[b % JSON_BYTES.len()]).collect();
+        let noise = String::from_utf8_lossy(&noise).into_owned();
+        let text = mutate(SEEDS[seed], &edits);
+        for text in [&noise, &text] {
+            if let Err(e) = serde_json::from_str::<serde_json::Value>(text) {
+                prop_assert!(!e.to_string().is_empty());
+            }
+            if let Err(e) = smart_infinity::RunSpec::from_json(text) {
+                prop_assert!(e.to_string().contains("invalid run spec"), "{e}");
+            }
+        }
+        let journal = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("mutated.jsonl");
+        std::fs::write(&journal, &text).expect("the target's scratch directory is writable");
+        if let Err(e) = lab::read_journal(&journal) {
+            prop_assert!(!e.to_string().is_empty());
+        }
+    }
+}
+
+/// The seeds the mutations start from are well formed: the specs parse,
+/// the journal reads back both its records, and the JSON parses.
+#[test]
+fn the_parser_seeds_are_well_formed() {
+    for spec in &SEEDS[..2] {
+        smart_infinity::RunSpec::from_json(spec).expect("a valid spec");
+    }
+    let journal = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("seed.jsonl");
+    std::fs::write(&journal, SEEDS[2]).expect("the target's scratch directory is writable");
+    let (records, torn) = lab::read_journal(&journal).expect("a valid journal");
+    assert_eq!((records.len(), torn), (2, None));
+    serde_json::from_str::<serde_json::Value>(SEEDS[3]).expect("valid JSON");
+}
