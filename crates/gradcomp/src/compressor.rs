@@ -15,6 +15,12 @@ pub enum SelectionMethod {
     TopK,
     /// Uniformly random selection with a deterministic seed (baseline from the
     /// sparsification literature; much worse for accuracy at the same ratio).
+    /// A compressor draws the same coordinates for every gradient of a given
+    /// length, so the functional trainer draws afresh: step `s` (1-based) of
+    /// lane `l` selects with the seed
+    /// `splitmix64(splitmix64(seed ^ s) ^ l)`, where `splitmix64` is the
+    /// SplitMix64 finalizer. A retried or restored step draws what the
+    /// straight run drew.
     RandomK {
         /// Seed for the deterministic pseudo-random selection.
         seed: u64,

@@ -149,10 +149,9 @@ fn cmd_run(args: &[String]) -> ExitCode {
     }
     let report = executor.report();
     println!(
-        "service: {} execution(s), cache hit rate {:.0}%, queue depth {}",
+        "service: {} execution(s), cache hit rate {:.0}%",
         report.executed,
-        100.0 * report.cache_hit_rate(),
-        report.queue_depth
+        100.0 * report.cache_hit_rate()
     );
     if summary.halted {
         println!(

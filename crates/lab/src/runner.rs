@@ -55,7 +55,10 @@ pub trait Executor {
 /// The production executor: every spec goes through a
 /// [`CampaignService`], so canonically equal specs (repeats, overlapping
 /// variants) are executed once and answered from the content-addressed
-/// cache thereafter.
+/// cache thereafter. Each call submits its batch in waves of at most
+/// `queue_depth` specs (as client 0), drains the wave in one dispatch cycle
+/// on the executor's pool and awaits every job once, so the service holds
+/// one wave of jobs at a time and nothing it has delivered.
 pub struct ServiceExecutor {
     service: CampaignService,
     pool: ParExecutor,
@@ -71,7 +74,7 @@ impl ServiceExecutor {
         }
     }
 
-    /// The service's telemetry (dedup/cache counters, queue depth).
+    /// The service's counters (executions, cache hits, coalesced jobs).
     pub fn report(&self) -> ServiceReport {
         self.service.report()
     }
@@ -80,9 +83,9 @@ impl ServiceExecutor {
 impl Executor for ServiceExecutor {
     fn execute(&mut self, batch: &[(PlannedTrial, RunSpec)]) -> Vec<Result<RunOutcome, String>> {
         let mut results = Vec::with_capacity(batch.len());
-        // Submit in waves of at most `queue_depth` unique items so a large
-        // batch can never hit QueueFull (cache hits and coalesced
-        // submissions don't enqueue, so the bound is conservative).
+        // Submit in waves of at most `queue_depth` specs so a large batch
+        // can never hit QueueFull (cache hits and coalesced submissions
+        // don't queue, so the bound is conservative).
         for wave in batch.chunks(self.service.config().queue_depth) {
             let ids: Vec<_> = wave
                 .iter()

@@ -43,9 +43,10 @@
 //! both speak [`TrainError`], so `?` works across the whole stack. Every
 //! configuration is also plain data: a [`RunSpec`] loads from JSON, and a
 //! [`Campaign`] is the `specs/*.json` list of them. Sweeps run as `lab`
-//! experiments, which execute through [`CampaignService`] (`campaignd`): a
-//! bounded work queue with in-flight dedup and a content-addressed result
-//! cache keyed on [`RunSpec::canonical_json`].
+//! experiments, which execute through [`CampaignService`] (`campaignd`): one
+//! bounded FIFO queue with in-flight dedup in front of a content-addressed
+//! result cache keyed on [`RunSpec::canonical_json`], which forgets each job
+//! once it has delivered it.
 //!
 //! ```
 //! use smart_infinity::{FlatTensor, RunSpec, TrainError};
@@ -108,8 +109,8 @@ pub use cluster::{ClusterSpec, StragglerSpec};
 pub use engine_timed::{HandlerMode, PipelineTiming, SmartInfinityEngine};
 pub use sched::method_scheduler;
 pub use service::{
-    CampaignService, ClientReport, CompletedJob, JobId, JobStatus, JobTelemetry, LatencyStats,
-    RunReport, ServiceConfig, ServiceError, ServiceReport,
+    CampaignService, CompletedJob, JobId, JobStatus, LatencyStats, RunReport, ServiceConfig,
+    ServiceError, ServiceReport,
 };
 pub use session::{Session, SessionBuilder};
 pub use spec::{CompressionSpec, MachineSpec, MethodSpec, ModelSpec, RunSpec, WorkloadSpec};

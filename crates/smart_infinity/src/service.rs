@@ -1,109 +1,77 @@
-//! `campaignd` — the asynchronous campaign service: a work queue, in-flight
-//! dedup, and a content-addressed result cache over [`RunSpec`] submissions.
+//! `campaignd` — the campaign service: a FIFO work queue, in-flight dedup and
+//! a content-addressed result cache over [`RunSpec`] submissions.
 //!
-//! Many clients submit *overlapping* spec lists concurrently, and most of the
-//! offered load is repeated work (the `lab` runner submits every trial of an
-//! experiment, repeats and shared variants included). [`CampaignService`] is
-//! the service layer for that shape:
+//! Most of the load `lab` offers is repeated work (every trial of an
+//! experiment, repeats and shared variants included), so
+//! [`CampaignService`] is a memo in front of [`Session::simulate_iteration`]:
 //!
-//! * **submit → [`JobId`] → poll/await** — clients get a handle immediately
-//!   and collect the [`RunReport`] later ([`CampaignService::poll`] never
-//!   blocks; [`CampaignService::await_result`] drives the queue until the
-//!   job finishes).
-//! * **Content-addressed cache** — results are stored under the spec's
-//!   canonical serialization ([`RunSpec::canonical_json`]; the FNV-1a
-//!   [`RunSpec::cache_key`] is the compact address reported in telemetry).
-//!   A resubmitted spec is answered from cache with a bit-identical report,
-//!   whatever its JSON spelling or label was. The cache is **bounded**: at
-//!   most [`ServiceConfig::cache_capacity`] entries are retained, evicting
-//!   the least-recently-used spec (hits refresh recency); evictions are
-//!   counted in [`ServiceReport::cache_evictions`] and an evicted spec
-//!   simply re-executes on resubmission.
+//! * **submit → [`JobId`] → poll/await** — a submission returns a handle at
+//!   once; [`CampaignService::poll`] never blocks, and
+//!   [`CampaignService::await_result`] drives the queue until the job
+//!   finishes, then hands the [`CompletedJob`] over and forgets the job (a
+//!   later `poll` or `await_result` of that id is
+//!   [`ServiceError::UnknownJob`]).
+//! * **Content-addressed cache** — results are kept under the spec's
+//!   canonical serialization ([`RunSpec::canonical_json`]), so a resubmitted
+//!   spec is answered from the cache with a bit-identical report, whatever
+//!   its JSON spelling or label. Failures are not cached.
 //! * **In-flight dedup** — a spec that is already queued or running is
-//!   *coalesced*: the new job attaches to the existing execution instead of
-//!   enqueuing a second one. Each unique spec executes at most once, ever
-//!   (provable via [`CampaignService::executions`]).
-//! * **Admission batching + per-client round-robin fairness** — each
-//!   dispatch cycle admits up to [`ServiceConfig::admission_batch`] unique
-//!   work items, taking at most one item per client per turn in round-robin
-//!   order, so a client with a deep backlog cannot starve the others.
-//! * **Bounded queue with explicit rejection** — at most
-//!   [`ServiceConfig::queue_depth`] unique work items may wait for
-//!   admission; a submission that would enqueue beyond that is rejected with
-//!   [`ServiceError::QueueFull`] (coalescing and cache hits are always
-//!   admitted — they add no work).
+//!   coalesced: the new job rides on the existing execution. Each unique
+//!   spec executes at most once ([`ServiceReport::executed`]).
+//! * **One bounded FIFO queue** — at most [`ServiceConfig::queue_depth`]
+//!   unique specs wait for execution; a submission that would queue another
+//!   is rejected with [`ServiceError::QueueFull`] (cache hits and coalesced
+//!   submissions add no work and are always accepted). A dispatch cycle
+//!   ([`CampaignService::drain`], or an `await_result` that finds no cycle
+//!   running) runs everything queued, in submission order, on the caller's
+//!   [`ParExecutor`].
 //!
-//! Per-job telemetry (queue wait, run time, cache hit, coalesce count, the
-//! content address) rides on every [`CompletedJob`], and
-//! [`CampaignService::report`] aggregates the service-wide view as a
-//! [`ServiceReport`]. Execution itself fans out on [`parcore::ParExecutor`]
-//! workers — the simulations stay deterministic, so cached, coalesced and
-//! fresh results are all bit-identical for a given spec.
+//! A work item is dropped when it completes, and a job when it is delivered,
+//! so what a service holds between waves is its cache and its counters. The
+//! service is thread-safe behind `&self`: one thread at a time holds the
+//! dispatcher role, and the others park on a condition variable until its
+//! cycle completes. The simulations are deterministic, so cached, coalesced
+//! and fresh results are bit-identical for a given spec.
 //!
-//! The service is thread-safe behind `&self`: any number of client threads
-//! may submit, poll and await concurrently. Dispatch runs on whichever
-//! thread holds the dispatcher role (one at a time); waiters park on a
-//! condvar until the cycle completes.
+//! [`Session::simulate_iteration`]: crate::Session::simulate_iteration
 
 use crate::spec::RunSpec;
 use parcore::ParExecutor;
-use serde::Serialize;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 use ztrain::{IterationReport, TrainError};
 
 // ---------------------------------------------------------------------------
-// Public surface: config, handles, telemetry, errors
+// Public surface: config, handles, reports, errors
 // ---------------------------------------------------------------------------
 
-/// Tuning knobs of a [`CampaignService`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+/// The one bound of a [`CampaignService`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Maximum *unique* work items waiting for admission. A submission that
-    /// would enqueue a new item beyond this is rejected with
-    /// [`ServiceError::QueueFull`]; cache hits and coalesced submissions add
-    /// no work and are always accepted.
+    /// Maximum *unique* specs waiting for execution. A submission that would
+    /// queue another is rejected with [`ServiceError::QueueFull`]; cache hits
+    /// and coalesced submissions add no work and are always accepted.
     pub queue_depth: usize,
-    /// Maximum unique work items admitted per dispatch cycle (the batch that
-    /// runs concurrently on the executor's workers).
-    pub admission_batch: usize,
-    /// Maximum entries retained in the content-addressed result cache.
-    /// Inserting beyond this evicts the least-recently-used entry (cache
-    /// hits refresh recency); evictions are counted in
-    /// [`ServiceReport::cache_evictions`].
-    pub cache_capacity: usize,
 }
 
 impl Default for ServiceConfig {
-    /// 64 queued unique specs, 8-wide admission batches, 256 cached results.
+    /// 64 queued unique specs: one `lab` wave.
     fn default() -> Self {
-        ServiceConfig { queue_depth: 64, admission_batch: 8, cache_capacity: 256 }
+        ServiceConfig { queue_depth: 64 }
     }
 }
 
 impl ServiceConfig {
-    /// A config with the given queue depth and admission batch (both clamped
-    /// to at least 1) and the default cache capacity.
-    pub fn new(queue_depth: usize, admission_batch: usize) -> Self {
-        ServiceConfig {
-            queue_depth: queue_depth.max(1),
-            admission_batch: admission_batch.max(1),
-            ..ServiceConfig::default()
-        }
-    }
-
-    /// Replaces the result-cache capacity (clamped to at least 1).
-    #[must_use]
-    pub(crate) fn with_cache_capacity(mut self, cache_capacity: usize) -> Self {
-        self.cache_capacity = cache_capacity.max(1);
-        self
+    /// A config with the given queue depth (clamped to at least 1).
+    pub fn new(queue_depth: usize) -> Self {
+        ServiceConfig { queue_depth: queue_depth.max(1) }
     }
 }
 
 /// Handle for one submitted job, unique within its service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(u64);
 
 impl fmt::Display for JobId {
@@ -112,24 +80,8 @@ impl fmt::Display for JobId {
     }
 }
 
-/// Per-job telemetry, filled in when the job completes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct JobTelemetry {
-    /// Seconds between submission and admission into a dispatch batch
-    /// (0 for cache hits, which never queue).
-    pub queue_wait_s: f64,
-    /// Seconds the simulation ran (0 for cache hits).
-    pub run_s: f64,
-    /// Whether the result came from the content-addressed cache.
-    pub cache_hit: bool,
-    /// How many *other* jobs shared this job's execution (in-flight dedup).
-    pub coalesced_with: usize,
-    /// The spec's 64-bit content address ([`RunSpec::cache_key`]).
-    pub spec_key: u64,
-}
-
 /// One spec's result: its presentation labels beside the timed breakdown.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// The submitted spec's label ([`RunSpec::label`]).
     pub label: String,
@@ -143,27 +95,22 @@ pub struct RunReport {
     pub report: IterationReport,
 }
 
-/// A finished job: the report plus how it was produced.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// A finished job.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompletedJob {
     /// The job's handle.
     pub id: JobId,
-    /// The submitting client.
-    pub client: usize,
     /// The per-spec result, labelled with *this* submission's label (the
-    /// cached [`IterationReport`] payload is shared between canonically
-    /// equal specs).
+    /// [`IterationReport`] is shared between canonically equal specs).
     pub report: RunReport,
-    /// How the result was produced.
-    pub telemetry: JobTelemetry,
 }
 
 /// The observable state of a job.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobStatus {
-    /// Waiting for admission into a dispatch batch.
+    /// Waiting for a dispatch cycle.
     Queued,
-    /// Admitted; its batch is executing now.
+    /// Its dispatch cycle is executing now.
     Running,
     /// Finished; the result.
     Done(CompletedJob),
@@ -174,16 +121,17 @@ pub enum JobStatus {
 /// Errors of the service API.
 #[derive(Debug)]
 pub enum ServiceError {
-    /// The submitted spec failed validation (never enqueued).
+    /// The submitted spec failed validation (never queued).
     Invalid(TrainError),
     /// The queue is at capacity; resubmit after the backlog drains.
     QueueFull {
-        /// Unique work items currently waiting.
+        /// Unique specs currently waiting.
         queued: usize,
         /// The configured bound ([`ServiceConfig::queue_depth`]).
         depth: usize,
     },
-    /// No such job was ever submitted to this service.
+    /// No such job is held by this service: never issued here, or already
+    /// delivered by [`CampaignService::await_result`].
     UnknownJob(JobId),
     /// The awaited job's execution failed.
     JobFailed {
@@ -216,12 +164,8 @@ impl std::error::Error for ServiceError {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Aggregated reporting
-// ---------------------------------------------------------------------------
-
 /// Order statistics over a latency sample set, in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LatencyStats {
     /// Number of samples.
     pub count: usize,
@@ -257,54 +201,29 @@ impl LatencyStats {
     }
 }
 
-/// Per-client aggregates within a [`ServiceReport`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Default)]
-pub struct ClientReport {
-    /// Accepted submissions from this client.
-    pub submitted: u64,
-    /// Jobs that reached [`JobStatus::Done`].
-    pub completed: u64,
-    /// Of those, answered from the content-addressed cache.
-    pub cache_hits: u64,
-    /// Submissions rejected with [`ServiceError::QueueFull`].
-    pub rejected: u64,
-    /// Longest admission wait any of this client's jobs saw, in seconds —
-    /// the fairness metric: round-robin admission keeps this bounded for
-    /// every client even when one client floods the queue.
-    pub max_queue_wait_s: f64,
-}
-
-/// The service-wide telemetry snapshot ([`CampaignService::report`]).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// The service-wide counters ([`CampaignService::report`]).
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceReport {
     /// Accepted submissions (excludes rejections).
     pub submitted: u64,
-    /// Unique-spec executions actually run — the dedup proof: with caching
-    /// and coalescing, this equals the number of *distinct* canonical specs
-    /// ever admitted, no matter how many times each was submitted.
+    /// Unique-spec executions actually run — the dedup proof: this equals
+    /// the number of distinct canonical specs ever executed, no matter how
+    /// many times each was submitted.
     pub executed: u64,
     /// Submissions answered from the content-addressed cache.
     pub cache_hits: u64,
-    /// Submissions coalesced onto an already queued/running execution.
+    /// Submissions coalesced onto an already queued or running execution.
     pub coalesced: u64,
     /// Submissions rejected because the queue was at capacity.
     pub rejected: u64,
     /// Executions that failed (their jobs report [`JobStatus::Failed`]).
     pub failed: u64,
-    /// Distinct canonical specs currently held in the result cache (never
-    /// exceeds [`ServiceConfig::cache_capacity`]).
+    /// Distinct canonical specs held in the result cache.
     pub cached_specs: usize,
-    /// Results evicted from the cache to stay within
-    /// [`ServiceConfig::cache_capacity`] (least-recently-used first).
-    pub cache_evictions: u64,
-    /// Unique work items still waiting or running.
+    /// Unique specs queued or running.
     pub in_flight: usize,
-    /// Work items currently sitting in the admission queue (not yet running).
-    /// Always ≤ [`ServiceConfig::queue_depth`].
-    pub queue_depth: usize,
-    /// Per-client aggregates, indexed by client id.
-    pub clients: Vec<ClientReport>,
-    /// Admission-wait distribution over executed (non-cache-hit) jobs.
+    /// Queue-wait distribution over the jobs that waited for an execution
+    /// (every accepted submission but a cache hit).
     pub queue_wait: LatencyStats,
     /// Run-time distribution over unique-spec executions.
     pub run_time: LatencyStats,
@@ -326,48 +245,29 @@ impl ServiceReport {
 // Internal state
 // ---------------------------------------------------------------------------
 
-/// One coalesced submission: the job handle plus what it needs to be
-/// completed under its own label and telemetry.
+/// A job waiting on a work item: what it needs to be completed under its own
+/// label.
 struct PendingJob {
     id: JobId,
-    client: usize,
     label: String,
     submitted: Instant,
 }
 
-/// One unique unit of work: a canonical spec with every job attached to it.
-/// The spec leaves the item when it is admitted and the canonical text when
-/// it completes (into the cache), so a finished item holds neither.
+/// One unique spec in flight with every job attached to it. It holds its
+/// spec while queued and gives it up to the dispatch cycle that runs it.
 struct WorkItem {
-    canon: String,
-    key: u64,
     spec: Option<RunSpec>,
     jobs: Vec<PendingJob>,
-    running: bool,
 }
 
-/// What a job record points at.
-enum JobRecord {
-    /// In a work item (queued or running); the index into `State::items`.
-    Pending(usize),
-    /// Finished.
-    Done(CompletedJob),
-    /// Execution failed.
-    Failed(String),
-}
-
-/// A cached result: everything a [`RunReport`] needs except the per-job
-/// label (model/method/devices are semantic, so they are identical for every
-/// canonically-equal spec).
+/// A cached result: everything a [`RunReport`] needs but the per-job label
+/// (model, method and devices are semantic, so they are identical for every
+/// canonically equal spec).
 struct CacheEntry {
-    key: u64,
     model: String,
     method: String,
     devices: usize,
     report: IterationReport,
-    /// Recency stamp for LRU eviction: the value of `State::cache_tick` at
-    /// the last insert or hit.
-    last_used: u64,
 }
 
 impl CacheEntry {
@@ -384,6 +284,26 @@ impl CacheEntry {
 }
 
 #[derive(Default)]
+struct State {
+    next_id: u64,
+    /// Every job issued and not yet delivered. A B-tree frees its nodes as
+    /// jobs leave, so once every job is delivered it holds one empty node,
+    /// whatever the order jobs came and went in.
+    jobs: BTreeMap<JobId, JobStatus>,
+    /// Canonical specs waiting for the next dispatch cycle, oldest first.
+    queue: Vec<String>,
+    /// Canonical spec -> its queued or running work item.
+    in_flight: HashMap<String, WorkItem>,
+    /// Canonical spec -> completed result.
+    cache: HashMap<String, CacheEntry>,
+    /// Whether a dispatch cycle is executing outside the lock.
+    dispatching: bool,
+    counters: Counters,
+    queue_wait_samples: Vec<f64>,
+    run_time_samples: Vec<f64>,
+}
+
+#[derive(Default)]
 struct Counters {
     submitted: u64,
     executed: u64,
@@ -391,184 +311,47 @@ struct Counters {
     coalesced: u64,
     rejected: u64,
     failed: u64,
-    cache_evictions: u64,
-}
-
-struct State {
-    jobs: Vec<JobRecord>,
-    items: Vec<WorkItem>,
-    /// Per-client FIFO of item indices awaiting admission (an item sits in
-    /// the queue of the client that *originated* it; coalesced jobs from
-    /// other clients ride along on the item).
-    client_queues: Vec<VecDeque<usize>>,
-    /// Round-robin admission cursor over `client_queues`.
-    rr_cursor: usize,
-    /// Unique items waiting for admission (bounded by `queue_depth`).
-    queued_items: usize,
-    /// Canonical spec -> in-flight (queued or running) item index.
-    in_flight: HashMap<String, usize>,
-    /// Canonical spec -> completed result, LRU-bounded by `cache_capacity`.
-    cache: HashMap<String, CacheEntry>,
-    /// Retention bound on `cache` ([`ServiceConfig::cache_capacity`]).
-    cache_capacity: usize,
-    /// Monotone recency clock for the cache's LRU order.
-    cache_tick: u64,
-    /// Whether a dispatch cycle is currently executing outside the lock.
-    dispatching: bool,
-    counters: Counters,
-    clients: Vec<ClientReport>,
-    queue_wait_samples: Vec<f64>,
-    run_time_samples: Vec<f64>,
 }
 
 impl State {
-    fn new(cache_capacity: usize) -> Self {
-        State {
-            jobs: Vec::new(),
-            items: Vec::new(),
-            client_queues: Vec::new(),
-            rr_cursor: 0,
-            queued_items: 0,
-            in_flight: HashMap::new(),
-            cache: HashMap::new(),
-            cache_capacity,
-            cache_tick: 0,
-            dispatching: false,
-            counters: Counters::default(),
-            clients: Vec::new(),
-            queue_wait_samples: Vec::new(),
-            run_time_samples: Vec::new(),
-        }
-    }
-
-    fn ensure_client(&mut self, client: usize) {
-        if client >= self.client_queues.len() {
-            self.client_queues.resize_with(client + 1, VecDeque::new);
-            self.clients.resize_with(client + 1, ClientReport::default);
-        }
-    }
-
-    /// Admits up to `batch` queued items, visiting clients round-robin (at
-    /// most one item per client per turn). Returns the admitted item
-    /// indices; the items are marked running.
-    fn admit(&mut self, batch: usize) -> Vec<usize> {
-        let num_clients = self.client_queues.len();
-        let mut admitted = Vec::new();
-        if num_clients == 0 {
-            return admitted;
-        }
-        let mut consecutive_empty = 0;
-        while admitted.len() < batch && consecutive_empty < num_clients {
-            let client = self.rr_cursor;
-            self.rr_cursor = (self.rr_cursor + 1) % num_clients;
-            match self.client_queues[client].pop_front() {
-                Some(item) => {
-                    self.items[item].running = true;
-                    self.queued_items -= 1;
-                    admitted.push(item);
-                    consecutive_empty = 0;
-                }
-                None => consecutive_empty += 1,
-            }
-        }
-        admitted
-    }
-
     /// Completes one executed item: caches the result (or records the
-    /// failure) and resolves every coalesced job.
+    /// failure), resolves every job attached to it and drops the item.
     fn complete(
         &mut self,
-        item_idx: usize,
+        canon: String,
         spec: &RunSpec,
         result: Result<IterationReport, TrainError>,
         run_s: f64,
-        admitted_at: Instant,
+        started: Instant,
     ) {
         self.counters.executed += 1;
         self.run_time_samples.push(run_s);
-        let item = &mut self.items[item_idx];
-        item.running = false;
-        let canon = std::mem::take(&mut item.canon);
-        self.in_flight.remove(&canon);
-        let jobs = std::mem::take(&mut item.jobs);
+        let item = self.in_flight.remove(&canon).expect("a running spec is in flight");
         match result {
             Ok(report) => {
                 let entry = CacheEntry {
-                    key: item.key,
                     model: spec.model.to_string(),
                     method: spec.method.to_string(),
                     devices: spec.machine.devices,
                     report,
-                    last_used: 0, // stamped by `cache_insert`
                 };
-                let coalesced_with = jobs.len().saturating_sub(1);
-                for job in &jobs {
-                    let queue_wait_s = admitted_at.saturating_duration_since(job.submitted);
-                    let queue_wait_s = queue_wait_s.as_secs_f64();
-                    self.queue_wait_samples.push(queue_wait_s);
-                    let stats = &mut self.clients[job.client];
-                    stats.completed += 1;
-                    stats.max_queue_wait_s = stats.max_queue_wait_s.max(queue_wait_s);
-                    self.jobs[job.id.0 as usize] = JobRecord::Done(CompletedJob {
-                        id: job.id,
-                        client: job.client,
-                        report: entry.labelled(job.label.clone()),
-                        telemetry: JobTelemetry {
-                            queue_wait_s,
-                            run_s,
-                            cache_hit: false,
-                            coalesced_with,
-                            spec_key: item.key,
-                        },
-                    });
+                for job in item.jobs {
+                    let wait = started.saturating_duration_since(job.submitted);
+                    self.queue_wait_samples.push(wait.as_secs_f64());
+                    let report = entry.labelled(job.label);
+                    self.jobs.insert(job.id, JobStatus::Done(CompletedJob { id: job.id, report }));
                 }
-                self.cache_insert(canon, entry);
+                self.cache.insert(canon, entry);
             }
             Err(error) => {
-                // Failures are not cached: the error is recorded on every
-                // coalesced job, and a later resubmission gets a fresh try.
+                // Failures are not cached: the error goes to every job of the
+                // item, and a later resubmission gets a fresh try.
                 self.counters.failed += 1;
                 let message = error.to_string();
-                for job in &jobs {
-                    self.jobs[job.id.0 as usize] = JobRecord::Failed(message.clone());
+                for job in item.jobs {
+                    self.jobs.insert(job.id, JobStatus::Failed(message.clone()));
                 }
             }
-        }
-    }
-
-    /// Inserts a freshly-computed result, then evicts least-recently-used
-    /// entries until the cache is back within its capacity.
-    fn cache_insert(&mut self, canon: String, mut entry: CacheEntry) {
-        self.cache_tick += 1;
-        entry.last_used = self.cache_tick;
-        self.cache.insert(canon, entry);
-        while self.cache.len() > self.cache_capacity {
-            let lru = self
-                .cache
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("over-capacity cache is non-empty");
-            self.cache.remove(&lru);
-            self.counters.cache_evictions += 1;
-        }
-    }
-
-    fn snapshot(&self) -> ServiceReport {
-        ServiceReport {
-            submitted: self.counters.submitted,
-            executed: self.counters.executed,
-            cache_hits: self.counters.cache_hits,
-            coalesced: self.counters.coalesced,
-            rejected: self.counters.rejected,
-            failed: self.counters.failed,
-            cached_specs: self.cache.len(),
-            cache_evictions: self.counters.cache_evictions,
-            in_flight: self.in_flight.len(),
-            queue_depth: self.queued_items,
-            clients: self.clients.clone(),
-            queue_wait: LatencyStats::from_samples(&self.queue_wait_samples),
-            run_time: LatencyStats::from_samples(&self.run_time_samples),
         }
     }
 }
@@ -577,14 +360,13 @@ impl State {
 // The service
 // ---------------------------------------------------------------------------
 
-/// The `campaignd` daemon object: submit [`RunSpec`]s, poll or await
+/// The `campaignd` service object: submit [`RunSpec`]s, poll or await
 /// [`RunReport`]s. See the module-level docs for the full contract.
 pub struct CampaignService {
     config: ServiceConfig,
     state: Mutex<State>,
     /// Signalled whenever a dispatch cycle completes (jobs finished, the
-    /// dispatcher role freed) — both waiters in [`CampaignService::poll`]
-    /// loops and would-be dispatchers park here.
+    /// dispatcher role freed); waiting awaiters and drains park here.
     cycle_done: Condvar,
 }
 
@@ -595,13 +377,11 @@ impl Default for CampaignService {
 }
 
 impl CampaignService {
-    /// An empty service with the given knobs.
+    /// An empty service with the given bound.
     pub fn new(config: ServiceConfig) -> Self {
-        let config = ServiceConfig::new(config.queue_depth, config.admission_batch)
-            .with_cache_capacity(config.cache_capacity);
         CampaignService {
-            config,
-            state: Mutex::new(State::new(config.cache_capacity)),
+            config: ServiceConfig::new(config.queue_depth),
+            state: Mutex::new(State::default()),
             cycle_done: Condvar::new(),
         }
     }
@@ -611,86 +391,54 @@ impl CampaignService {
         self.config
     }
 
-    /// Submits a spec on behalf of `client` (client ids are small dense
-    /// integers; the service grows its per-client accounting on demand).
+    /// Submits a spec. The client id is ignored: every caller shares the one
+    /// FIFO queue.
     ///
     /// Never blocks on execution: the result is a handle. A spec whose
-    /// canonical form is already cached completes immediately (cache hit);
-    /// one that is already queued or running coalesces onto the in-flight
-    /// execution; otherwise a new work item is enqueued.
+    /// canonical form is cached completes at once (a cache hit); one that is
+    /// queued or running coalesces onto that execution; otherwise the spec
+    /// joins the back of the queue.
     ///
     /// # Errors
     ///
     /// [`ServiceError::Invalid`] for a spec that fails validation, and
     /// [`ServiceError::QueueFull`] when a new work item would exceed
-    /// [`ServiceConfig::queue_depth`] — the explicit admission-control
-    /// rejection; the client should back off and resubmit.
-    pub fn submit(&self, client: usize, spec: &RunSpec) -> Result<JobId, ServiceError> {
-        // Validate outside the lock: invalid specs are rejected at the door
-        // so the executor can never fail on configuration.
+    /// [`ServiceConfig::queue_depth`]; the client should drain and resubmit.
+    pub fn submit(&self, _client: usize, spec: &RunSpec) -> Result<JobId, ServiceError> {
+        // Validate outside the lock: invalid specs are rejected at the door,
+        // so an execution can never fail on configuration.
         spec.session().map_err(ServiceError::Invalid)?;
         let canon = spec.canonical_json();
-        let key = crate::canon::fnv1a(canon.as_bytes());
         let label = spec.label();
-        let mut st = self.lock();
-        st.ensure_client(client);
-        st.cache_tick += 1;
-        let tick = st.cache_tick;
-        let id = JobId(st.jobs.len() as u64);
-        if let Some(entry) = st.cache.get_mut(&canon) {
-            // LRU touch: a hit keeps the entry hot.
-            entry.last_used = tick;
-            let completed = CompletedJob {
-                id,
-                client,
-                report: entry.labelled(label),
-                telemetry: JobTelemetry {
-                    queue_wait_s: 0.0,
-                    run_s: 0.0,
-                    cache_hit: true,
-                    coalesced_with: 0,
-                    spec_key: entry.key,
-                },
-            };
-            st.jobs.push(JobRecord::Done(completed));
-            st.counters.submitted += 1;
+        let mut guard = self.lock();
+        let st = &mut *guard;
+        let id = JobId(st.next_id);
+        let status = if let Some(entry) = st.cache.get(&canon) {
             st.counters.cache_hits += 1;
-            st.clients[client].submitted += 1;
-            st.clients[client].completed += 1;
-            st.clients[client].cache_hits += 1;
-            return Ok(id);
-        }
-        let pending = PendingJob { id, client, label, submitted: Instant::now() };
-        if let Some(&item_idx) = st.in_flight.get(&canon) {
-            st.items[item_idx].jobs.push(pending);
-            st.jobs.push(JobRecord::Pending(item_idx));
-            st.counters.submitted += 1;
+            JobStatus::Done(CompletedJob { id, report: entry.labelled(label) })
+        } else if let Some(item) = st.in_flight.get_mut(&canon) {
             st.counters.coalesced += 1;
-            st.clients[client].submitted += 1;
-            return Ok(id);
-        }
-        if st.queued_items >= self.config.queue_depth {
+            item.jobs.push(PendingJob { id, label, submitted: Instant::now() });
+            if item.spec.is_some() {
+                JobStatus::Queued
+            } else {
+                JobStatus::Running
+            }
+        } else if st.queue.len() >= self.config.queue_depth {
             st.counters.rejected += 1;
-            st.clients[client].rejected += 1;
             return Err(ServiceError::QueueFull {
-                queued: st.queued_items,
+                queued: st.queue.len(),
                 depth: self.config.queue_depth,
             });
-        }
-        let item_idx = st.items.len();
-        st.items.push(WorkItem {
-            canon: canon.clone(),
-            key,
-            spec: Some(spec.clone()),
-            jobs: vec![pending],
-            running: false,
-        });
-        st.in_flight.insert(canon, item_idx);
-        st.client_queues[client].push_back(item_idx);
-        st.queued_items += 1;
-        st.jobs.push(JobRecord::Pending(item_idx));
+        } else {
+            let jobs = vec![PendingJob { id, label, submitted: Instant::now() }];
+            st.queue.push(canon.clone());
+            st.in_flight.insert(canon, WorkItem { spec: Some(spec.clone()), jobs });
+            JobStatus::Queued
+        };
+        st.next_id += 1;
         st.counters.submitted += 1;
-        st.clients[client].submitted += 1;
+        st.jobs.insert(id, status);
         Ok(id)
     }
 
@@ -698,28 +446,15 @@ impl CampaignService {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::UnknownJob`] for a handle this service never issued.
+    /// [`ServiceError::UnknownJob`] for a handle this service does not hold.
     pub fn poll(&self, id: JobId) -> Result<JobStatus, ServiceError> {
-        let st = self.lock();
-        match st.jobs.get(id.0 as usize) {
-            None => Err(ServiceError::UnknownJob(id)),
-            Some(JobRecord::Done(job)) => Ok(JobStatus::Done(job.clone())),
-            Some(JobRecord::Failed(message)) => Ok(JobStatus::Failed(message.clone())),
-            Some(JobRecord::Pending(item)) => {
-                if st.items[*item].running {
-                    Ok(JobStatus::Running)
-                } else {
-                    Ok(JobStatus::Queued)
-                }
-            }
-        }
+        self.lock().jobs.get(&id).cloned().ok_or(ServiceError::UnknownJob(id))
     }
 
-    /// Runs one dispatch cycle on `pool`: waits for any in-progress cycle,
-    /// admits up to [`ServiceConfig::admission_batch`] items round-robin,
-    /// executes them concurrently, completes their jobs. Returns the number
-    /// of unique items executed (0 when the queue was empty).
-    pub fn tick(&self, pool: &ParExecutor) -> usize {
+    /// Runs everything queued in one dispatch cycle on `pool`, after waiting
+    /// out a cycle another thread is running. Returns the number of unique
+    /// specs this call executed (0 when the queue was empty).
+    pub fn drain(&self, pool: &ParExecutor) -> usize {
         let mut st = self.lock();
         while st.dispatching {
             st = self.wait(st);
@@ -727,68 +462,61 @@ impl CampaignService {
         self.dispatch(st, pool)
     }
 
-    /// Dispatch cycles until the queue is idle (no queued items, no running
-    /// cycle). Returns the total number of unique items executed.
-    pub fn drain(&self, pool: &ParExecutor) -> usize {
-        let mut total = 0;
-        loop {
-            let executed = self.tick(pool);
-            total += executed;
-            if executed == 0 {
-                let st = self.lock();
-                if st.queued_items == 0 && !st.dispatching {
-                    return total;
-                }
-            }
-        }
-    }
-
-    /// Blocks until `id` finishes, driving the queue from the calling
+    /// Blocks until `id` finishes and delivers it: the service forgets the
+    /// job, so it can be awaited once. Runs the queue from the calling
     /// thread when no other thread is dispatching (so a single-threaded
-    /// client can simply submit and await). While another thread holds the
-    /// dispatcher role this waits on its cycle instead of spinning.
+    /// client can simply submit and await), and otherwise waits on that
+    /// thread's cycle.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::UnknownJob`] for a foreign handle and
-    /// [`ServiceError::JobFailed`] when the job's execution failed.
+    /// [`ServiceError::UnknownJob`] for a handle this service does not hold
+    /// and [`ServiceError::JobFailed`] when the job's execution failed.
     pub fn await_result(
         &self,
         id: JobId,
         pool: &ParExecutor,
     ) -> Result<CompletedJob, ServiceError> {
         loop {
-            let st = self.lock();
-            match st.jobs.get(id.0 as usize) {
+            let mut st = self.lock();
+            match st.jobs.get(&id) {
                 None => return Err(ServiceError::UnknownJob(id)),
-                Some(JobRecord::Done(job)) => return Ok(job.clone()),
-                Some(JobRecord::Failed(message)) => {
-                    return Err(ServiceError::JobFailed { id, message: message.clone() })
+                Some(JobStatus::Queued | JobStatus::Running) => {}
+                Some(JobStatus::Done(_) | JobStatus::Failed(_)) => {
+                    return match st.jobs.remove(&id) {
+                        Some(JobStatus::Done(job)) => Ok(job),
+                        Some(JobStatus::Failed(message)) => {
+                            Err(ServiceError::JobFailed { id, message })
+                        }
+                        _ => unreachable!("the job was finished under the same lock"),
+                    };
                 }
-                Some(JobRecord::Pending(_)) => {}
             }
             if st.dispatching {
-                // Someone else is executing a batch (possibly ours): park
-                // until the cycle completes, then re-check.
+                // Another thread is running a cycle (possibly ours): park
+                // until it completes, then re-check.
                 drop(self.wait(st));
             } else {
-                // Become the dispatcher. Fairness may admit other clients'
-                // items first; the loop keeps driving until ours lands.
                 self.dispatch(st, pool);
             }
         }
     }
 
-    /// Proof counter for the dedup contract: how many unique-spec executions
-    /// have actually run. With coalescing and caching this can never exceed
-    /// the number of distinct canonical specs submitted.
-    pub fn executions(&self) -> u64 {
-        self.lock().counters.executed
-    }
-
-    /// A snapshot of the service-wide telemetry.
+    /// A snapshot of the service-wide counters.
     pub fn report(&self) -> ServiceReport {
-        self.lock().snapshot()
+        let st = self.lock();
+        ServiceReport {
+            submitted: st.counters.submitted,
+            executed: st.counters.executed,
+            cache_hits: st.counters.cache_hits,
+            coalesced: st.counters.coalesced,
+            rejected: st.counters.rejected,
+            failed: st.counters.failed,
+            cached_specs: st.cache.len(),
+            in_flight: st.in_flight.len(),
+            queue_wait: LatencyStats::from_samples(&st.queue_wait_samples),
+            run_time: LatencyStats::from_samples(&st.run_time_samples),
+        }
     }
 
     fn lock(&self) -> MutexGuard<'_, State> {
@@ -799,37 +527,44 @@ impl CampaignService {
         self.cycle_done.wait(guard).expect("campaignd state poisoned")
     }
 
-    /// The dispatch cycle body. Takes the lock with `dispatching == false`,
-    /// admits a batch, releases the lock for the (expensive) executions,
+    /// One dispatch cycle. Takes the lock with no cycle running, takes the
+    /// whole queue, releases the lock for the (expensive) executions,
     /// re-acquires it to complete the jobs, and wakes every waiter.
-    fn dispatch(&self, mut st: MutexGuard<'_, State>, pool: &ParExecutor) -> usize {
-        debug_assert!(!st.dispatching);
-        let admitted = st.admit(self.config.admission_batch);
-        if admitted.is_empty() {
+    fn dispatch(&self, mut guard: MutexGuard<'_, State>, pool: &ParExecutor) -> usize {
+        debug_assert!(!guard.dispatching);
+        let st = &mut *guard;
+        let batch = std::mem::take(&mut st.queue);
+        if batch.is_empty() {
             return 0;
         }
         st.dispatching = true;
-        let specs: Vec<RunSpec> = admitted
+        let specs: Vec<RunSpec> = batch
             .iter()
-            .map(|&i| st.items[i].spec.take().expect("a queued item holds its spec"))
+            .map(|canon| {
+                let item = st.in_flight.get_mut(canon).expect("a queued spec is in flight");
+                for job in &item.jobs {
+                    st.jobs.insert(job.id, JobStatus::Running);
+                }
+                item.spec.take().expect("a queued item holds its spec")
+            })
             .collect();
-        drop(st);
-        let admitted_at = Instant::now();
-        // The executor integration: each unique spec's timed simulation runs
-        // as one parcore work item, with per-item wall-clock measured by the
-        // pool itself.
+        drop(guard);
+        let started = Instant::now();
+        // Each unique spec's timed simulation runs as one parcore work item,
+        // with its wall-clock measured by the pool itself.
         let results = pool.map_timed(specs, |_, spec| {
             let result = spec.session().and_then(|session| session.simulate_iteration());
             (spec, result)
         });
+        let executed = batch.len();
         let mut st = self.lock();
-        for (&item_idx, ((spec, result), run_s)) in admitted.iter().zip(results) {
-            st.complete(item_idx, &spec, result, run_s, admitted_at);
+        for (canon, ((spec, result), run_s)) in batch.into_iter().zip(results) {
+            st.complete(canon, &spec, result, run_s, started);
         }
         st.dispatching = false;
         drop(st);
         self.cycle_done.notify_all();
-        admitted.len()
+        executed
     }
 }
 
@@ -849,9 +584,10 @@ mod tests {
         let s = spec(2, MethodSpec::smart_update());
         let first = service.submit(0, &s).expect("submit");
         let done = service.await_result(first, &pool).expect("await");
-        assert!(!done.telemetry.cache_hit);
-        assert_eq!(done.telemetry.spec_key, s.cache_key());
-        assert_eq!(service.executions(), 1);
+        assert_eq!(done.id, first);
+        assert_eq!(service.report().executed, 1);
+        // The delivered job is gone.
+        assert!(matches!(service.poll(first), Err(ServiceError::UnknownJob(_))));
         // Resubmission (different label, same content) is a cache hit with a
         // bit-identical payload.
         let renamed = s.clone().with_name("renamed");
@@ -860,15 +596,15 @@ mod tests {
             JobStatus::Done(job) => job,
             other => panic!("cache hit must complete at submit, got {other:?}"),
         };
-        assert!(hit.telemetry.cache_hit);
         assert_eq!(hit.report.label, "renamed");
         assert_eq!(hit.report.report, done.report.report);
-        assert_eq!(service.executions(), 1, "cache hits never re-execute");
+        assert_eq!(service.await_result(second, &pool).expect("deliver"), hit);
         let report = service.report();
+        assert_eq!(report.executed, 1, "cache hits never re-execute");
         assert_eq!(report.submitted, 2);
         assert_eq!(report.cache_hits, 1);
         assert_eq!(report.cached_specs, 1);
-        assert_eq!(report.clients[1].cache_hits, 1);
+        assert_eq!(report.in_flight, 0);
     }
 
     #[test]
@@ -876,27 +612,26 @@ mod tests {
         let service = CampaignService::default();
         let pool = ParExecutor::serial();
         let s = spec(3, MethodSpec::smart_update_optimized());
-        // Four submissions from three clients before any dispatch: one work
-        // item, three coalesced riders.
+        // Four submissions before any dispatch: one work item, three
+        // coalesced riders.
         let ids: Vec<JobId> = (0..4).map(|i| service.submit(i % 3, &s).expect("submit")).collect();
         assert_eq!(service.report().coalesced, 3);
         for &id in &ids {
             assert_eq!(service.poll(id).expect("poll"), JobStatus::Queued);
         }
-        let executed = service.drain(&pool);
-        assert_eq!(executed, 1);
-        assert_eq!(service.executions(), 1, "coalesced submissions share one execution");
+        assert_eq!(service.drain(&pool), 1);
+        assert_eq!(service.report().executed, 1, "coalesced submissions share one execution");
         let reports: Vec<CompletedJob> =
             ids.iter().map(|&id| service.await_result(id, &pool).expect("done")).collect();
         for job in &reports {
-            assert_eq!(job.telemetry.coalesced_with, 3);
             assert_eq!(job.report.report, reports[0].report.report);
         }
+        assert_eq!(service.report().queue_wait.count, 4, "every rider waited once");
     }
 
     #[test]
     fn bounded_queue_rejects_explicitly_and_recovers() {
-        let service = CampaignService::new(ServiceConfig::new(2, 8));
+        let service = CampaignService::new(ServiceConfig::new(2));
         let pool = ParExecutor::serial();
         let a = spec(1, MethodSpec::baseline());
         let b = spec(2, MethodSpec::baseline());
@@ -908,32 +643,12 @@ mod tests {
         // Coalescing onto queued work is not new work: always accepted.
         service.submit(1, &a).expect("coalesce while full");
         assert_eq!(service.report().rejected, 1);
-        // After the backlog drains the same spec is accepted.
-        service.drain(&pool);
+        // One drain runs the whole queue, and then the same spec is accepted.
+        assert_eq!(service.drain(&pool), 2);
         service.submit(0, &c).expect("accepted after drain");
-        service.drain(&pool);
-        assert_eq!(service.executions(), 3);
-    }
-
-    #[test]
-    fn round_robin_admission_is_fair_across_clients() {
-        // Client 0 floods five items; client 1 submits one. With one-item
-        // batches, client 1's item must be admitted in the second cycle, not
-        // after client 0's whole backlog.
-        let service = CampaignService::new(ServiceConfig::new(64, 1));
-        let pool = ParExecutor::serial();
-        for devices in 1..=5 {
-            service.submit(0, &spec(devices, MethodSpec::baseline())).expect("flood");
-        }
-        let starved = service.submit(1, &spec(6, MethodSpec::smart_update())).expect("submit");
-        assert_eq!(service.tick(&pool), 1); // client 0's first item
-        assert_eq!(service.tick(&pool), 1); // client 1's only item
-        match service.poll(starved).expect("poll") {
-            JobStatus::Done(_) => {}
-            other => panic!("round-robin must admit client 1 by cycle two, got {other:?}"),
-        }
-        service.drain(&pool);
-        assert_eq!(service.executions(), 6);
+        assert_eq!(service.drain(&pool), 1);
+        assert_eq!(service.report().executed, 3);
+        assert_eq!(ServiceConfig::new(0).queue_depth, 1, "the bound is at least one");
     }
 
     #[test]
@@ -976,47 +691,15 @@ mod tests {
                 });
             }
         });
+        let report = service.report();
         assert_eq!(
-            service.executions(),
-            3,
+            report.executed, 3,
             "4 clients x 3 overlapping specs must run each unique spec exactly once"
         );
-        let report = service.report();
         assert_eq!(report.submitted, 12);
         assert_eq!(report.cache_hits + report.coalesced, 9);
-        for client in &report.clients {
-            assert_eq!(client.completed, 3, "no client may be starved");
-        }
-    }
-
-    #[test]
-    fn result_cache_evicts_least_recently_used_and_re_executes() {
-        let service = CampaignService::new(ServiceConfig::default().with_cache_capacity(2));
-        let pool = ParExecutor::serial();
-        let a = spec(1, MethodSpec::baseline());
-        let b = spec(2, MethodSpec::baseline());
-        let c = spec(3, MethodSpec::baseline());
-        for s in [&a, &b] {
-            let id = service.submit(0, s).expect("submit");
-            service.await_result(id, &pool).expect("await");
-        }
-        // Touch `a` (cache hit) so `b` is the least-recently-used entry.
-        let hit = service.submit(0, &a).expect("hit");
-        assert!(matches!(service.poll(hit).expect("poll"), JobStatus::Done(_)));
-        // Inserting `c` overflows capacity 2: `b` must be evicted, not `a`.
-        let id = service.submit(0, &c).expect("submit");
-        service.await_result(id, &pool).expect("await");
-        let report = service.report();
-        assert_eq!(report.cached_specs, 2, "cache stays within capacity");
-        assert_eq!(report.cache_evictions, 1);
-        // `a` survived eviction; `b` re-executes on resubmission.
-        let again_a = service.submit(1, &a).expect("resubmit a");
-        assert!(matches!(service.poll(again_a).expect("poll"), JobStatus::Done(_)));
-        assert_eq!(service.executions(), 3, "a is still cached");
-        let again_b = service.submit(1, &b).expect("resubmit b");
-        service.await_result(again_b, &pool).expect("await");
-        assert_eq!(service.executions(), 4, "evicted b runs again");
-        assert_eq!(service.report().cache_evictions, 2, "re-inserting b evicts again");
+        assert_eq!(report.in_flight, 0);
+        assert!(service.lock().jobs.is_empty(), "every job was delivered, so none is held");
     }
 
     #[test]

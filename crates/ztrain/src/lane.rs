@@ -6,7 +6,7 @@
 use crate::trainer::{DegradedReport, LayerTimes, TrainError};
 use csd::CsdTrafficStats;
 use faultkit::FaultPlan;
-use gradcomp::Compressor;
+use gradcomp::{Compressor, SelectionMethod};
 use optim::Optimizer;
 use std::fmt;
 
@@ -19,6 +19,30 @@ pub(crate) struct StepArgs {
     /// Rebuild-and-retry budget for a dead device (see `crate::recover`).
     pub(crate) retries: u32,
     pub(crate) compressor: Option<Compressor>,
+}
+
+impl StepArgs {
+    /// What lane `lane` steps with: the same arguments, except that a
+    /// Random-K selector is re-seeded for this step and lane, as
+    /// [`SelectionMethod::RandomK`] documents. The seed depends on nothing
+    /// else, so a retried or restored step draws what the straight run drew.
+    pub(crate) fn for_lane(&self, lane: usize) -> StepArgs {
+        let compressor = self.compressor.map(|c| match c.method() {
+            SelectionMethod::TopK => c,
+            SelectionMethod::RandomK { seed } => {
+                let seed = splitmix64(splitmix64(seed ^ self.step) ^ lane as u64);
+                Compressor::new(c.keep_ratio(), SelectionMethod::RandomK { seed })
+            }
+        });
+        StepArgs { compressor, ..*self }
+    }
+}
+
+/// The SplitMix64 finalizer: a bijective mix of all 64 bits.
+fn splitmix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// A fault the plan schedules for the start of one step.

@@ -346,9 +346,9 @@ impl PipelinedTrainer {
         let weights: Vec<usize> = work.iter().map(|(_, grads, _)| grads.len()).collect();
         let active_lanes = weights.iter().filter(|&&w| w > 0).count();
         let region = Instant::now();
-        let results = self.pool.map_weighted(work, &weights, |_, (lane, grads, fp16)| {
+        let results = self.pool.map_weighted(work, &weights, |i, (lane, grads, fp16)| {
             let start = Instant::now();
-            let report = lane.step(&args, grads, fp16).map(|mut report| {
+            let report = lane.step(&args.for_lane(i), grads, fp16).map(|mut report| {
                 // The transient retries the devices absorbed in place.
                 let (retries, backoff_ms) = lane.take_fault_events();
                 report.degraded.transient_faults += retries;
@@ -1376,6 +1376,56 @@ mod tests {
         let kept = last_compressed.compression_kept.expect("SmartComp reports its keep count");
         assert_eq!(last_compressed.gradient_bytes, 8 * kept);
         assert!(last_compressed.gradient_bytes < last_exact.gradient_bytes / 4);
+    }
+
+    #[test]
+    fn random_k_draws_afresh_each_step_and_lane_and_replays_after_a_restore() {
+        let n = 4000;
+        let optimizer = Optimizer::adam_default();
+        let initial = FlatTensor::randn(n, 0.05, 5);
+        let grads: Vec<FlatTensor> = (0..4).map(|s| FlatTensor::randn(n, 0.01, 50 + s)).collect();
+        // Two lanes of 2 000 elements each.
+        let make = || {
+            PipelinedTrainer::new(&initial, optimizer, 2, 1000)
+                .unwrap()
+                .with_compressor(Compressor::random_k(0.05, 11))
+                .with_threads(2)
+        };
+        let sent = |t: &mut PipelinedTrainer, lane| {
+            t.lane::<CsdLane>(lane).compress.stream().indices().to_vec()
+        };
+        let bits = |t: &mut PipelinedTrainer| {
+            t.master_params().unwrap().as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+
+        let mut t = make();
+        t.train_step_with_grads(&grads[0]).unwrap();
+        let (lane0, lane1) = (sent(&mut t, 0), sent(&mut t, 1));
+        assert_eq!(lane0.len(), lane1.len());
+        assert_ne!(lane0, lane1, "lanes of equal length draw different coordinates");
+        t.train_step_with_grads(&grads[1]).unwrap();
+        assert_ne!(sent(&mut t, 0), lane0, "consecutive steps draw different coordinates");
+
+        // A restore to step 2 re-runs steps 3 and 4 exactly as the straight
+        // run did.
+        let ckpt = Trainer::checkpoint(&mut t).unwrap();
+        for g in &grads[2..] {
+            t.train_step_with_grads(g).unwrap();
+        }
+        let (straight_sent, straight) = (sent(&mut t, 1), bits(&mut t));
+        Trainer::restore(&mut t, &ckpt).unwrap();
+        for g in &grads[2..] {
+            t.train_step_with_grads(g).unwrap();
+        }
+        assert_eq!(sent(&mut t, 1), straight_sent);
+        assert_eq!(bits(&mut t), straight);
+
+        // The same seed gives the same parameters, bit for bit.
+        let mut again = make();
+        for g in &grads {
+            again.train_step_with_grads(g).unwrap();
+        }
+        assert_eq!(bits(&mut again), straight);
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //! the 4 096-device bound `Session::validate` enforces, under a time limit
 //! and a heap bar. A test simulates every checked-in spec, so that a build
 //! with debug assertions checks that lowering reserved exactly what it
-//! added. A last pin holds a `lab` run to one wave of trials in memory: the
-//! peak live heap and allocation count of one 204-trial run.
+//! added. A pin holds a `lab` run to one wave of trials in memory: the
+//! peak live heap and allocation count of one 204-trial run. A last one
+//! holds a `CampaignService` to what it has not yet delivered.
 
 use smart_infinity::{Campaign, MachineConfig, MethodSpec, ModelConfig, RunSpec, Session};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -404,10 +405,13 @@ fn lowering_never_regrows_an_arena_for_any_checked_in_spec() {
 /// worker is the calling thread. A first run into another directory warms
 /// whatever the process initialises once. The run resolves, executes and
 /// journals 64 trials at a time, and every trial shares its task's payload,
-/// so what it holds is one wave of trials, the service's jobs and, per
-/// journaled trial, its id, success and objective. Each bar is the measured
-/// value plus 10 %: 278 KiB and 33 375 allocations in an optimised build,
-/// 278 KiB and 39 754 in the test profile. Before the run kept one row per
+/// so what it holds is one wave of trials, the service's undelivered jobs
+/// and cache and, per journaled trial, its id, success and objective. Each
+/// bar is the measured value plus 10 %: 241 KiB and 32 569 allocations in an
+/// optimised build, 241 KiB and 38 948 in the test profile. Before the
+/// service forgot each job it delivered and dropped each work item it
+/// completed, the run peaked at 278 KiB with 33 375 allocations (the test
+/// profile: 278 KiB, 39 754). Before the run kept one row per
 /// journaled trial instead of its whole record, and lowering became one
 /// pass in id order, it peaked at 345 KiB with 34 103 allocations (the test
 /// profile: 345 KiB, 40 482). Before the waves, when the run resolved every pending trial into
@@ -436,8 +440,57 @@ fn a_lab_run_holds_one_wave_in_memory_at_a_time() {
     assert_eq!((summary.executed, summary.errors), (204, 0), "{summary:?}");
     let kib = peak.div_ceil(1024);
     println!("lab run of 204 trials: peak live heap {kib} KiB, {count} allocations");
-    let (bar_kib, bar_count) = if cfg!(debug_assertions) { (306, 43_730) } else { (306, 36_713) };
+    let (bar_kib, bar_count) = if cfg!(debug_assertions) { (266, 42_843) } else { (266, 35_826) };
     assert!(kib <= bar_kib, "a lab run peaked at {kib} KiB, the bar is {bar_kib} KiB");
     assert!(count <= bar_count, "a lab run made {count} allocations, the bar is {bar_count}");
     std::fs::remove_dir_all(&scratch).expect("the scratch directory is removable");
+}
+
+/// The live heap a `CampaignService` holds once it has delivered every job:
+/// the `waves` experiment's 204 resolved specs (64 unique) are submitted,
+/// drained and awaited in waves of `queue_depth` six times over, on a serial
+/// pool, so every allocation is the calling thread's. The first pass leaves
+/// the cache of 64 results and the tables' capacity; the next five are all
+/// cache hits, and each job is forgotten when it is delivered, so the live
+/// heap after the sixth pass equals the live heap after the first. A service
+/// that kept its delivered jobs grew by 204 records a pass.
+#[test]
+fn a_service_holds_nothing_it_has_delivered() {
+    let _turn = take_turn();
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let (paths, config) = lab::ExperimentPaths::resolve(&root.join("specs/experiments/waves"))
+        .expect("the waves experiment resolves");
+    let tasks = lab::runner::load_tasks(&paths.tasks).expect("its tasks load");
+    let specs: Vec<RunSpec> = lab::plan_trials(&tasks, &config)
+        .iter()
+        .map(|trial| {
+            lab::runner::resolve_trial_spec(trial, config.defaults.as_ref(), &paths.base_dir)
+        })
+        .collect::<Result<_, _>>()
+        .expect("every trial resolves");
+    assert_eq!(specs.len(), 204);
+    let service = smart_infinity::CampaignService::default();
+    let pool = parcore::ParExecutor::serial();
+    let pass = || {
+        for wave in specs.chunks(service.config().queue_depth) {
+            let ids: Vec<_> =
+                wave.iter().map(|spec| service.submit(0, spec).expect("a valid spec")).collect();
+            service.drain(&pool);
+            for id in ids {
+                service.await_result(id, &pool).expect("the job completes");
+            }
+        }
+    };
+    LIVE.with(|live| live.set(Some((0, 0))));
+    pass();
+    let (first, _) = LIVE.with(|live| live.get()).expect("tracking since above");
+    for _ in 1..6 {
+        pass();
+    }
+    let (sixth, _) = LIVE.with(|live| live.replace(None)).expect("tracking since above");
+    let report = service.report();
+    assert_eq!(report.executed, 64);
+    assert_eq!(report.cache_hits + report.coalesced + report.executed, 6 * 204);
+    println!("service after one pass: {first} B live; after six: {sixth} B");
+    assert_eq!(sixth, first, "the service grew by {} B over five more passes", sixth - first);
 }

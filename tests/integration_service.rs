@@ -3,16 +3,19 @@
 //! one cache key; any semantic knob change moves it), cache-hit reports
 //! bit-identical to fresh runs — including under a `faults` axis and across
 //! both `parcore` execution modes — and the queue semantics (in-flight
-//! coalescing, bounded-depth rejection, round-robin fairness) under real
-//! concurrent clients.
+//! coalescing, the bounded FIFO queue, delivery that forgets the job) under
+//! real concurrent clients and random sequences of calls.
 
 use parcore::{ExecMode, ParExecutor};
 use proptest::prelude::*;
 use serde::Value;
 use smart_infinity::{
-    fnv1a, Campaign, CampaignService, CompressionSpec, FaultSpec, JobId, JobStatus, MachineSpec,
-    MethodSpec, ModelSpec, RunSpec, SelectionMethod, ServiceConfig, ServiceError, WorkloadSpec,
+    fnv1a, Campaign, CampaignService, CompressionSpec, FaultSpec, IterationReport, JobId,
+    JobStatus, MachineSpec, MethodSpec, ModelSpec, RunSpec, SelectionMethod, ServiceConfig,
+    ServiceError, WorkloadSpec,
 };
+use std::collections::HashSet;
+use std::sync::OnceLock;
 
 /// Builds a coherent `MethodSpec` from sampled axes (the invalid
 /// combinations are covered by the submit-rejection tests).
@@ -160,11 +163,12 @@ fn cache_hits_are_bit_identical_to_fresh_runs_across_modes_and_faults() {
                 let service = CampaignService::default();
                 let id = service.submit(0, &spec).expect("submit");
                 let first = service.await_result(id, &pool).expect("first run");
-                assert!(!first.telemetry.cache_hit);
+                assert_eq!(service.report().cache_hits, 0);
                 let hit_id = service.submit(1, &spec).expect("resubmit");
                 let hit = service.await_result(hit_id, &pool).expect("cache hit");
-                assert!(hit.telemetry.cache_hit, "mode={mode:?} workers={workers}");
-                assert_eq!(service.executions(), 1);
+                let report = service.report();
+                assert_eq!(report.cache_hits, 1, "mode={mode:?} workers={workers}");
+                assert_eq!(report.executed, 1);
                 for report in [&first.report.report, &hit.report.report] {
                     // Bit-identical, not approximately equal.
                     assert_eq!(report.forward_s.to_bits(), fresh.forward_s.to_bits());
@@ -179,8 +183,7 @@ fn cache_hits_are_bit_identical_to_fresh_runs_across_modes_and_faults() {
 
 /// Many concurrent clients hammering one overlapping spec list: each unique
 /// spec executes exactly once, a second pass is answered entirely from
-/// cache, nobody starves, and every coalesced/cached answer carries the same
-/// payload. The lists are hand-built ladder points and `specs/serve.json`,
+/// cache, and every job is delivered (each client awaits all of its own). The lists are hand-built ladder points and `specs/serve.json`,
 /// whose eight specs are six unique ones spelled with deliberate duplicate
 /// encodings (explicit nulls, relabelled repeats).
 #[test]
@@ -203,7 +206,7 @@ fn concurrent_clients_get_exactly_one_execution_per_unique_spec() {
         canon.sort();
         canon.dedup();
         assert_eq!(canon.len() as u64, unique, "distinct canonical specs");
-        let service = CampaignService::new(ServiceConfig::new(64, 2));
+        let service = CampaignService::new(ServiceConfig::new(64));
         let pool = ParExecutor::new(2);
         let clients = 6;
         // Each pass is a barrier: every client's jobs finish before the next
@@ -235,28 +238,22 @@ fn concurrent_clients_get_exactly_one_execution_per_unique_spec() {
                 assert_eq!(after.cache_hits - before.cache_hits, submitted, "pass 2 is all cache");
             }
         }
-        assert_eq!(service.executions(), unique, "one execution per unique spec, ever");
         let report = service.report();
+        assert_eq!(report.executed, unique, "one execution per unique spec, ever");
         assert_eq!(report.submitted, (clients * specs.len() * 2) as u64);
         assert_eq!(report.cache_hits + report.coalesced + unique, report.submitted);
         assert_eq!(report.failed, 0);
         assert_eq!(report.rejected, 0);
-        for (client, stats) in report.clients.iter().enumerate() {
-            assert_eq!(
-                stats.completed,
-                (specs.len() * 2) as u64,
-                "client {client} must complete every job (no starvation)"
-            );
-        }
+        assert_eq!(report.in_flight, 0);
     }
 }
 
-/// The bounded queue rejects explicitly (never blocks, never drops silently),
-/// and round-robin admission with a tiny batch keeps a one-spec client ahead
-/// of a flooding one.
+/// The bounded queue rejects explicitly (never blocks, never drops
+/// silently) whoever floods it, and one drain runs the whole queue, after
+/// which there is room again.
 #[test]
 fn bounded_queue_and_fairness_under_flood() {
-    let service = CampaignService::new(ServiceConfig::new(3, 1));
+    let service = CampaignService::new(ServiceConfig::new(3));
     let pool = ParExecutor::serial();
     let spec = |devices| {
         RunSpec::new(
@@ -266,11 +263,11 @@ fn bounded_queue_and_fairness_under_flood() {
         )
     };
     // Client 0 floods until the queue bound trips.
-    let mut accepted = 0;
+    let mut accepted = Vec::new();
     let mut rejected = 0;
     for devices in 1..=6 {
         match service.submit(0, &spec(devices)) {
-            Ok(_) => accepted += 1,
+            Ok(id) => accepted.push(id),
             Err(ServiceError::QueueFull { queued, depth }) => {
                 assert_eq!((queued, depth), (3, 3));
                 rejected += 1;
@@ -278,27 +275,28 @@ fn bounded_queue_and_fairness_under_flood() {
             Err(other) => panic!("unexpected error: {other}"),
         }
     }
-    assert_eq!((accepted, rejected), (3, 3));
+    assert_eq!((accepted.len(), rejected), (3, 3));
     // The bound applies to every client's *new* unique work...
     let err = service.submit(1, &spec(7)).expect_err("queue still full");
     assert!(matches!(err, ServiceError::QueueFull { .. }), "{err}");
-    // ... but one dispatch cycle makes room, and round-robin admission then
-    // takes client 1's item on the following cycle — not after client 0's
-    // whole remaining backlog.
-    service.tick(&pool);
-    let late = service.submit(1, &spec(8)).expect("room after one cycle");
-    service.tick(&pool); // the cursor is past client 0: this admits client 1
-    match service.poll(late).expect("poll") {
-        JobStatus::Done(_) => {}
-        other => panic!("client 1 must not wait out client 0's whole backlog, got {other:?}"),
+    // ... but one drain runs everything queued, and makes room for all three
+    // rejected specs at once.
+    assert_eq!(service.drain(&pool), 3);
+    for &id in &accepted {
+        assert!(matches!(service.poll(id).expect("poll"), JobStatus::Done(_)));
     }
-    service.drain(&pool);
+    let late: Vec<JobId> =
+        (4..=6).map(|devices| service.submit(1, &spec(devices)).expect("room")).collect();
+    assert!(service.submit(1, &spec(7)).is_err(), "three queued again");
+    assert_eq!(service.drain(&pool), 3);
+    for id in accepted.into_iter().chain(late) {
+        let job = service.await_result(id, &pool).expect("done");
+        assert_eq!(job.id, id);
+    }
     let report = service.report();
-    assert_eq!(report.rejected, 4);
-    assert_eq!(report.clients[0].rejected, 3);
-    assert_eq!(report.clients[1].rejected, 1);
-    assert_eq!(service.executions(), 4, "3 admitted floods + client 1's item");
-    assert!(report.clients[1].max_queue_wait_s <= report.queue_wait.max_s);
+    assert_eq!(report.rejected, 5);
+    assert_eq!(report.executed, 6, "the first three floods, then the three rejected ones");
+    assert_eq!(report.queue_wait.count, 6);
 }
 
 /// Submitting an invalid spec fails fast with `ServiceError::Invalid` and
@@ -329,4 +327,134 @@ fn service_errors_are_typed_and_queue_neutral() {
     assert!(matches!(err, ServiceError::UnknownJob(_)), "{err}");
     assert!(err.to_string().contains("job-"), "{err}");
     let _ = other.drain(&pool);
+}
+
+/// The specs the call-sequence property draws from: four small valid specs,
+/// a re-spelled duplicate of the first (reversed keys, explicit nulls
+/// dropped, another label) and one invalid spec.
+fn sequence_specs() -> &'static [(RunSpec, Option<IterationReport>)] {
+    static SPECS: OnceLock<Vec<(RunSpec, Option<IterationReport>)>> = OnceLock::new();
+    SPECS.get_or_init(|| {
+        let at = |devices, method| {
+            RunSpec::new(ModelSpec::preset("GPT2-0.34B"), MachineSpec::devices(devices), method)
+        };
+        let mut specs = vec![
+            at(2, MethodSpec::baseline()),
+            at(2, MethodSpec::smart_update()),
+            at(3, MethodSpec::smart_update_optimized()),
+            at(4, MethodSpec::smart_comp(0.01)),
+        ];
+        let parsed = serde_json::parse(&specs[0].clone().with_name("again").to_json())
+            .expect("spec JSON parses");
+        let respelled = serde_json::to_string(&mangle(&parsed, true)).expect("serializes");
+        specs.push(RunSpec::from_json(&respelled).expect("the re-spelled spec loads"));
+        specs.push(at(2, MethodSpec { overlap: true, ..MethodSpec::baseline() }));
+        specs
+            .into_iter()
+            .map(|spec| {
+                let direct = spec.session().and_then(|s| s.simulate_iteration()).ok();
+                (spec, direct)
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// Random sequences of submit, poll, drain and await against one service
+    /// of queue depth 3, checked against a model of its queue and cache:
+    /// each unique valid spec executes at most once, every awaited report is
+    /// bit-identical to a direct `simulate_iteration`, a delivered id is
+    /// `UnknownJob`, and `QueueFull` happens exactly when three unique specs
+    /// are queued and a fourth would join them.
+    #[test]
+    fn random_call_sequences_keep_the_memo_contract(
+        ops in proptest::collection::vec((0u8..7, 0usize..64), 1..40),
+    ) {
+        let specs = sequence_specs();
+        assert_eq!(specs[4].0.canonical_json(), specs[0].0.canonical_json());
+        let service = CampaignService::new(ServiceConfig::new(3));
+        let pool = ParExecutor::serial();
+        // Model: issued jobs (spec index, delivered?), queued canonical specs
+        // and cached ones.
+        let mut issued: Vec<(JobId, usize, bool)> = Vec::new();
+        let mut queued: HashSet<String> = HashSet::new();
+        let mut cached: HashSet<String> = HashSet::new();
+        for (op, pick) in ops {
+            // Four in seven calls are submissions, so the queue fills.
+            match op {
+                0..=3 => {
+                    let index = pick % specs.len();
+                    let (spec, direct) = &specs[index];
+                    let canon = spec.canonical_json();
+                    let result = service.submit(pick % 2, spec);
+                    if direct.is_none() {
+                        prop_assert!(matches!(result, Err(ServiceError::Invalid(_))));
+                        continue;
+                    }
+                    let new_work = !cached.contains(&canon) && !queued.contains(&canon);
+                    match result {
+                        Err(ServiceError::QueueFull { queued: 3, depth: 3 }) => {
+                            prop_assert!(new_work && queued.len() == 3, "a spurious QueueFull");
+                        }
+                        Ok(id) => {
+                            prop_assert!(!new_work || queued.len() < 3, "past the bound");
+                            if new_work {
+                                queued.insert(canon);
+                            }
+                            issued.push((id, index, false));
+                        }
+                        Err(other) => prop_assert!(false, "unexpected {}", other),
+                    }
+                }
+                4 | 5 if !issued.is_empty() => {
+                    let slot = pick % issued.len();
+                    let (id, index, delivered) = issued[slot];
+                    let canon = specs[index].0.canonical_json();
+                    if op == 4 {
+                        match service.poll(id) {
+                            Err(ServiceError::UnknownJob(_)) => prop_assert!(delivered),
+                            Ok(JobStatus::Queued) => {
+                                prop_assert!(!delivered && queued.contains(&canon))
+                            }
+                            Ok(JobStatus::Done(job)) => {
+                                prop_assert!(!delivered && cached.contains(&canon));
+                                prop_assert_eq!(job.id, id);
+                            }
+                            other => prop_assert!(false, "poll of {} gave {:?}", id, other),
+                        }
+                        continue;
+                    }
+                    match service.await_result(id, &pool) {
+                        Err(ServiceError::UnknownJob(_)) => prop_assert!(delivered),
+                        Ok(job) => {
+                            prop_assert!(!delivered, "{} was delivered twice", id);
+                            let direct = specs[index].1.expect("a valid spec");
+                            let got = job.report.report;
+                            prop_assert_eq!(got.forward_s.to_bits(), direct.forward_s.to_bits());
+                            prop_assert_eq!(got.backward_s.to_bits(), direct.backward_s.to_bits());
+                            prop_assert_eq!(got.update_s.to_bits(), direct.update_s.to_bits());
+                            prop_assert_eq!(job.report.label, specs[index].0.label());
+                            issued[slot].2 = true;
+                            // An await that finds its job queued runs the
+                            // whole queue; one that finds it done runs none.
+                            if queued.contains(&canon) {
+                                cached.extend(queued.drain());
+                            }
+                        }
+                        Err(other) => prop_assert!(false, "await of {} gave {}", id, other),
+                    }
+                }
+                _ => {
+                    prop_assert_eq!(service.drain(&pool), queued.len());
+                    cached.extend(queued.drain());
+                }
+            }
+            let report = service.report();
+            prop_assert_eq!(report.executed, cached.len() as u64, "one execution per spec");
+            prop_assert_eq!(report.cached_specs, cached.len());
+            prop_assert_eq!(report.in_flight, queued.len());
+        }
+    }
 }
